@@ -1,7 +1,8 @@
 //! The benchmark regression gate.
 //!
-//! Measures the gated micro-benchmarks (`route_policy_lookup`'s table
-//! lookups plus the registration-backoff path) and compares each median
+//! Measures the gated micro-benchmarks (`mosquitonet_bench::gate`: the
+//! route/policy table lookups, the registration-backoff path, and the
+//! S2/S3 wall-clock ids) and compares each median
 //! against the checked-in `bench/baseline.json`. Exits non-zero when any
 //! benchmark runs more than `threshold` (default 1.25×) slower than its
 //! baseline.

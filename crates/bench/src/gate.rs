@@ -1,10 +1,9 @@
 //! Bodies of the regression-gated micro-benchmarks.
 //!
-//! `bench_gate` (the CI regression binary) and the `cargo bench`
-//! harnesses both call these functions, so the number the gate compares
-//! against `bench/baseline.json` is measured by the identical code path a
-//! developer sees locally. Each function returns `(id, median ns/op)`
-//! pairs; a median of `0.0` means the harness filter skipped that id.
+//! `bench_gate` (the CI regression binary) calls these functions and
+//! compares what they measure against `bench/baseline.json`. Each
+//! function returns `(id, median ns/op)` pairs; a median of `0.0` means
+//! the harness filter skipped that id.
 
 use std::net::Ipv4Addr;
 
@@ -241,6 +240,37 @@ pub fn run_flightrec(c: &mut Criterion) -> Vec<(String, f64)> {
     vec![(id, med)]
 }
 
+/// Gates a whole experiment run as wall nanoseconds per operation: the
+/// closure's median ns/run divided by the operations (packets delivered,
+/// registrations accepted) `run` reports it completed.
+fn per_op(c: &mut Criterion, id: &str, mut run: impl FnMut() -> u64) -> (String, f64) {
+    let mut ops = 0u64;
+    let med = c.bench_function(id, |b| {
+        b.iter(|| {
+            ops = run();
+            ops
+        })
+    });
+    if med > 0.0 {
+        assert!(ops > 0, "{id}: the fixture must complete operations");
+        (id.to_string(), med / ops as f64)
+    } else {
+        (id.to_string(), 0.0)
+    }
+}
+
+/// The smoke-scale S3 load both saturation fixtures drive: small enough
+/// for criterion to iterate, large enough that per-packet work dominates
+/// the fixed topology/settle cost.
+const S3_FIXTURE: mosquitonet_testbed::experiments::S3Config =
+    mosquitonet_testbed::experiments::S3Config {
+        pairs: 2,
+        burst: 8,
+        ticks: 5,
+        seed: 1996,
+        batching: true,
+    };
+
 /// The S3 whole-system saturation path, gated as wall nanoseconds per
 /// delivered packet: each iteration drives a small-but-saturating S3 run
 /// (topology build, registration settle, batched bursts through the
@@ -249,36 +279,16 @@ pub fn run_flightrec(c: &mut Criterion) -> Vec<(String, f64)> {
 /// topologies are gated separately — they stress different hop chains
 /// (MH→HA→CH with decap-and-forward vs MH→CH with transparent decap).
 pub fn run_saturation(c: &mut Criterion) -> Vec<(String, f64)> {
-    use mosquitonet_testbed::experiments::{run_s3_mode, S3Config, S3Mode};
+    use mosquitonet_testbed::experiments::{run_s3_mode, S3Mode};
 
-    // Small enough for criterion to iterate, large enough that per-packet
-    // work dominates the fixed topology/settle cost.
-    let cfg = S3Config {
-        pairs: 2,
-        burst: 8,
-        ticks: 5,
-        seed: 1996,
-        batching: true,
-    };
     let mut results = Vec::new();
     for (mode, id) in [
         (S3Mode::ReverseTunnel, "s3/pps_tunnel"),
         (S3Mode::DirectEncap, "s3/pps_direct"),
     ] {
-        let mut delivered = 0u64;
-        let med = c.bench_function(id, |b| {
-            b.iter(|| {
-                let (row, _) = run_s3_mode(black_box(mode), &cfg);
-                delivered = row.delivered;
-                row.delivered
-            })
-        });
-        if med > 0.0 {
-            assert!(delivered > 0, "saturation fixture must deliver");
-            results.push((id.to_string(), med / delivered as f64));
-        } else {
-            results.push((id.to_string(), 0.0));
-        }
+        results.push(per_op(c, id, || {
+            run_s3_mode(black_box(mode), &S3_FIXTURE).0.delivered
+        }));
     }
     results.extend(run_sharded_saturation(c));
     results
@@ -290,33 +300,18 @@ pub fn run_saturation(c: &mut Criterion) -> Vec<(String, f64)> {
 /// gate stays honest on any core count; `bench_gate` additionally prints
 /// the mt4-vs-mt1 scaling efficiency from these two ids.
 pub fn run_sharded_saturation(c: &mut Criterion) -> Vec<(String, f64)> {
-    use mosquitonet_testbed::experiments::{run_s3_sharded, S3Config};
+    use mosquitonet_testbed::experiments::run_s3_sharded;
 
-    let cfg = S3Config {
-        pairs: 2,
-        burst: 8,
-        ticks: 5,
-        seed: 1996,
-        batching: true,
-    };
-    let mut results = Vec::new();
-    for (threads, id) in [(1usize, "s3/pps_mt1"), (4, "s3/pps_mt4")] {
-        let mut delivered = 0u64;
-        let med = c.bench_function(id, |b| {
-            b.iter(|| {
-                let r = run_s3_sharded(&cfg, 4, black_box(threads));
-                delivered = r.row.delivered;
-                r.row.delivered
+    [(1usize, "s3/pps_mt1"), (4, "s3/pps_mt4")]
+        .into_iter()
+        .map(|(threads, id)| {
+            per_op(c, id, || {
+                run_s3_sharded(&S3_FIXTURE, 4, black_box(threads))
+                    .row
+                    .delivered
             })
-        });
-        if med > 0.0 {
-            assert!(delivered > 0, "sharded saturation fixture must deliver");
-            results.push((id.to_string(), med / delivered as f64));
-        } else {
-            results.push((id.to_string(), 0.0));
-        }
-    }
-    results
+        })
+        .collect()
 }
 
 /// The S2 sharded home-agent fleet registration path, gated as wall
@@ -336,21 +331,9 @@ pub fn run_fleet_registration(c: &mut Criterion) -> Vec<(String, f64)> {
         seed: 1996,
         batching: true,
     };
-    let id = "s2/regs_per_sec";
-    let mut accepted = 0u64;
-    let med = c.bench_function(id, |b| {
-        b.iter(|| {
-            let r = run_s2(black_box(&cfg), 1);
-            accepted = r.row.accepted;
-            r.row.accepted
-        })
-    });
-    if med > 0.0 {
-        assert!(accepted > 0, "fleet fixture must accept registrations");
-        vec![(id.to_string(), med / accepted as f64)]
-    } else {
-        vec![(id.to_string(), 0.0)]
-    }
+    vec![per_op(c, "s2/regs_per_sec", || {
+        run_s2(black_box(&cfg), 1).row.accepted
+    })]
 }
 
 /// Every gated benchmark, in baseline order.

@@ -1,7 +1,5 @@
-//! Criterion benchmarks live in benches/; this lib holds the bodies of
-//! the **gated** micro-benchmarks, shared between the `cargo bench`
-//! harnesses and the `bench_gate` regression binary so both measure
-//! exactly the same code.
+//! The bodies of the **gated** micro-benchmarks, measured by the
+//! `bench_gate` regression binary against `bench/baseline.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,6 +28,8 @@
 
 use std::net::Ipv4Addr;
 
+use mosquitonet_sim::rng::mix64;
+
 /// One fleet shard's row in the directory: its stable id and the
 /// (active, standby) home-agent pair serving it.
 ///
@@ -90,10 +92,7 @@ pub struct ShardDirectory {
 /// shard id — never on the directory's size or order — which is what
 /// makes resolution stable under resize.
 fn weight(home: Ipv4Addr, shard: u16) -> u64 {
-    let mut z = (u64::from(u32::from(home)) << 16 | u64::from(shard)) ^ 0x9E37_79B9_7F4A_7C15u64;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64((u64::from(u32::from(home)) << 16 | u64::from(shard)) ^ 0x9E37_79B9_7F4A_7C15u64)
 }
 
 impl ShardDirectory {
@@ -177,6 +176,17 @@ mod tests {
                 standby: Ipv4Addr::new(10, s as u8, 0, 3),
             }),
         )
+    }
+
+    /// Ownership of every home in the S2 goldens hangs off the rendezvous
+    /// weights, so the shared `mix64` must keep resolving exactly so.
+    #[test]
+    fn resolution_is_pinned() {
+        let dir = fleet(4);
+        let owners: Vec<u16> = (0..16u32)
+            .map(|i| dir.resolve(Ipv4Addr::from(u32::from(Ipv4Addr::new(36, 0, 0, 1)) + i)))
+            .collect();
+        assert_eq!(owners, [3, 2, 1, 3, 0, 1, 1, 0, 2, 3, 2, 2, 0, 0, 3, 2]);
     }
 
     #[test]

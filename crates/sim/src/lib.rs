@@ -37,7 +37,7 @@ pub mod flightrec;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-mod rng;
+pub mod rng;
 pub mod shard;
 mod stats;
 mod time;

@@ -25,12 +25,29 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 output finalizer (Steele, Lea & Flood): a bijection on
+/// `u64` that avalanches every input bit. The one hash mixer of the
+/// workspace — RNG seeding here, per-shard seed derivation, the fleet's
+/// rendezvous weights, and the churn workload's private stream all go
+/// through it, so pinned sidecars depend on these exact constants.
+///
+/// # Examples
+///
+/// ```
+/// use mosquitonet_sim::rng::mix64;
+///
+/// assert_eq!(mix64(0), 0);
+/// assert_ne!(mix64(1), mix64(2));
+/// ```
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    mix64(*state)
 }
 
 impl SimRng {

@@ -1,5 +1,5 @@
 //! Flight-recorder inspector: renders the journeys sidecar an experiment
-//! binary wrote (`{exp}.journeys.json`) as human-readable summaries.
+//! run wrote (`{exp}.journeys.json`) as human-readable summaries.
 //!
 //! Usage:
 //!   inspect journeys [--dropped] [file-or-experiment]
@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mosquitonet_sim::Json;
-use mosquitonet_testbed::report::JOURNEYS_SIDECAR_SCHEMA;
+use mosquitonet_testbed::report::{metrics_dir, SidecarKind};
 
 const USAGE: &str =
     "usage: inspect <journeys [--dropped] | blackout [--json] | top-hops [--json]> \
@@ -103,9 +103,7 @@ fn resolve(target: Option<&str>) -> Result<PathBuf, String> {
             return Ok(p);
         }
     }
-    let dir = std::env::var_os("MOSQUITONET_METRICS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"));
+    let dir = metrics_dir();
     let prefix = target.unwrap_or("");
     let mut matches: Vec<PathBuf> = std::fs::read_dir(&dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
@@ -120,7 +118,7 @@ fn resolve(target: Option<&str>) -> Result<PathBuf, String> {
     match matches.len() {
         1 => Ok(matches.remove(0)),
         0 => Err(format!(
-            "no journeys sidecar matching `{prefix}*` in {} — run an experiment binary first",
+            "no journeys sidecar matching `{prefix}*` in {} — run an experiment first",
             dir.display()
         )),
         _ => Err(format!(
@@ -137,11 +135,10 @@ fn resolve(target: Option<&str>) -> Result<PathBuf, String> {
 fn load(path: &PathBuf) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = Json::parse(&text)?;
+    let want = SidecarKind::Journeys.schema();
     match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == JOURNEYS_SIDECAR_SCHEMA => Ok(doc),
-        Some(s) => Err(format!(
-            "unexpected schema {s:?} (want {JOURNEYS_SIDECAR_SCHEMA:?})"
-        )),
+        Some(s) if s == want => Ok(doc),
+        Some(s) => Err(format!("unexpected schema {s:?} (want {want:?})")),
         None => Err("not a journeys sidecar (no schema member)".to_string()),
     }
 }

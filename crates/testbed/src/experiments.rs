@@ -1,11 +1,16 @@
-//! Experiment runners: one function per paper table/figure/claim.
+//! Experiment runners: one function per paper table/figure/claim, and
+//! the registry that lists them.
 //!
 //! Each runner builds a fresh test-bed, drives the scenario, and returns a
 //! serializable result the report module renders in the paper's own
-//! format. The experiment index lives in `DESIGN.md`; paper-vs-measured
-//! numbers are recorded in `EXPERIMENTS.md`.
+//! format. [`REGISTRY`] is the one roster of runs — name, checked integer
+//! parameters, the files written — that the `experiment` binary, the
+//! docs-sync test and CI all work from. The experiment index lives in
+//! `DESIGN.md`; paper-vs-measured numbers are recorded in
+//! `EXPERIMENTS.md`.
 
 use std::net::Ipv4Addr;
+use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use mosquitonet_core::{
@@ -16,15 +21,16 @@ use mosquitonet_dhcp::{DhcpClientModule, ReusePolicy};
 use mosquitonet_link::{presets, FaultKind, FaultPlan, HostFaultEvent, HostFaultPlan};
 use mosquitonet_sim::{
     run_sharded, shard_seed, CapturedFrame, FlightDump, FlightRecorder, Histogram, Json,
-    MetricsRegistry, Sim, SimDuration, SimTime, Snapshot, Summary,
+    MetricsRegistry, MetricsScope, Sim, SimDuration, SimTime, Snapshot, Summary,
 };
-use mosquitonet_stack::{self as stack, ModuleId, Network, RouteEntry, SendOptions};
+use mosquitonet_stack::{self as stack, ModuleId, Network, SendOptions};
 use mosquitonet_wire::{Cidr, IpProto, Ipv4Header, Ipv4Packet, MacAddr};
 
+use crate::report::{self, SidecarKind};
 use crate::topology::{
-    self, build, MhMode, Testbed, TestbedConfig, ATTACKER_DEPT, CH_DEPT, CH_FAR, COA_DEPT,
-    COA_DEPT_ALT, COA_FOREIGN, COA_FOREIGN2, COA_RADIO, FOREIGN_ROUTER, HA_SEPARATE, MH_HOME,
-    ROUTER_DEPT, ROUTER_RADIO, STANDBY_HA,
+    self, build, MhMode, ShardedCampus, Testbed, TestbedConfig, ATTACKER_DEPT, CH_DEPT, CH_FAR,
+    COA_DEPT, COA_DEPT_ALT, COA_FOREIGN, COA_FOREIGN2, COA_RADIO, FOREIGN_ROUTER, HA_SEPARATE,
+    MH_HOME, ROUTER_DEPT, ROUTER_RADIO, STANDBY_HA,
 };
 use crate::workload::{
     BulkSender, BulkSink, FleetChurn, RegistrationAttacker, RegistrationStorm, SaturationSender,
@@ -34,10 +40,19 @@ use crate::workload::{
 /// Echo port used by all loss experiments.
 pub const ECHO_PORT: u16 = 7;
 
-fn install_echo(tb: &mut Testbed, interval: SimDuration) -> ModuleId {
+/// The plain Figure-5 test-bed under `seed`.
+fn default_testbed(seed: u64) -> Testbed {
+    build(TestbedConfig {
+        seed,
+        ..TestbedConfig::default()
+    })
+}
+
+/// Starts the standard loss probe: an echo responder on the MH and, on
+/// correspondent `ch`, a sender toward the MH's home address.
+fn install_echo_from(tb: &mut Testbed, ch: stack::HostId, interval: SimDuration) -> ModuleId {
     let mh = tb.mh;
     stack::add_module(&mut tb.sim, mh, Box::new(UdpEchoResponder::new(ECHO_PORT)));
-    let ch = tb.ch_dept;
     stack::add_module(
         &mut tb.sim,
         ch,
@@ -45,29 +60,23 @@ fn install_echo(tb: &mut Testbed, interval: SimDuration) -> ModuleId {
     )
 }
 
+fn install_echo(tb: &mut Testbed, interval: SimDuration) -> ModuleId {
+    install_echo_from(tb, tb.ch_dept, interval)
+}
+
 fn sender_mut(tb: &mut Testbed, mid: ModuleId) -> &mut UdpEchoSender {
-    let ch = tb.ch_dept;
-    tb.sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(mid)
-        .expect("echo sender")
+    tb.module(tb.ch_dept, mid)
 }
 
 /// Host index → display-name table for the journey export.
-fn host_names(tb: &Testbed) -> Vec<String> {
-    tb.sim
-        .world()
-        .hosts
-        .iter()
-        .map(|h| h.core.name.clone())
-        .collect()
+fn host_names(net: &Network) -> Vec<String> {
+    net.hosts.iter().map(|h| h.core.name.clone()).collect()
 }
 
 /// Exports the run's flight-recorder document, naming hosts and (when
 /// `origin` is set) deriving the blackout window for flights born there.
 fn journeys_json(tb: &Testbed, origin: Option<&str>) -> Json {
-    tb.sim.flights().export(&host_names(tb), origin)
+    tb.sim.flights().export(&host_names(tb.sim.world()), origin)
 }
 
 /// Appends the engine profile to a metrics document when profiling was
@@ -81,17 +90,43 @@ fn append_profile(tb: &Testbed, metrics: &mut Json) {
     }
 }
 
+/// The static plan for care-of address `addr` on the department net.
+fn dept_address(addr: Ipv4Addr) -> AddressPlan {
+    AddressPlan::Static {
+        addr,
+        subnet: topology::dept_subnet(),
+        router: ROUTER_DEPT,
+    }
+}
+
+/// Commands a same-subnet switch to `addr` on the department net.
+fn switch_dept_address(tb: &mut Testbed, addr: Ipv4Addr) {
+    tb.with_mh(|mh, ctx| mh.switch_address(ctx, dept_address(addr)));
+}
+
+fn radio_plan(iface: stack::IfaceId, style: SwitchStyle) -> SwitchPlan {
+    SwitchPlan {
+        iface,
+        address: AddressPlan::Static {
+            addr: COA_RADIO,
+            subnet: topology::radio_subnet(),
+            router: ROUTER_RADIO,
+        },
+        style,
+    }
+}
+
+fn eth_plan(iface: stack::IfaceId, style: SwitchStyle) -> SwitchPlan {
+    SwitchPlan {
+        iface,
+        address: dept_address(COA_DEPT),
+        style,
+    }
+}
+
 fn settle_on_dept(tb: &mut Testbed) {
     tb.move_mh_eth(Some(tb.lan_dept));
-    let plan = SwitchPlan {
-        iface: tb.mh_eth,
-        address: AddressPlan::Static {
-            addr: COA_DEPT,
-            subnet: topology::dept_subnet(),
-            router: ROUTER_DEPT,
-        },
-        style: SwitchStyle::Cold,
-    };
+    let plan = eth_plan(tb.mh_eth, SwitchStyle::Cold);
     tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(5));
     assert!(
@@ -100,30 +135,138 @@ fn settle_on_dept(tb: &mut Testbed) {
     );
 }
 
+/// The static plan for `COA_FOREIGN` in the foreign site's first cell.
+fn foreign_address() -> AddressPlan {
+    AddressPlan::Static {
+        addr: COA_FOREIGN,
+        subnet: topology::foreign_subnet(),
+        router: FOREIGN_ROUTER,
+    }
+}
+
 /// Moves the MH to the foreign site and registers `COA_FOREIGN` (cold).
 fn settle_on_foreign(tb: &mut Testbed) {
     tb.move_mh_eth(tb.lan_foreign);
     let plan = SwitchPlan {
         iface: tb.mh_eth,
-        address: AddressPlan::Static {
-            addr: COA_FOREIGN,
-            subnet: topology::foreign_subnet(),
-            router: FOREIGN_ROUTER,
-        },
+        address: foreign_address(),
         style: SwitchStyle::Cold,
     };
     tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(5));
 }
 
-/// Puts a UDP echo responder on the far correspondent host.
-fn install_far_ch_echo(tb: &mut Testbed) {
-    let ch_far_host = tb.ch_far.expect("far CH");
-    stack::add_module(
-        &mut tb.sim,
-        ch_far_host,
-        Box::new(UdpEchoResponder::new(ECHO_PORT)),
+/// Moves the FA-mode MH to the foreign site's first cell and registers
+/// through that cell's foreign agent.
+fn settle_fa_mh_on_foreign(tb: &mut Testbed) {
+    tb.move_mh_eth(tb.lan_foreign);
+    let (mh, eth) = (tb.mh, tb.mh_eth);
+    stack::bring_iface_up(&mut tb.sim, mh, eth);
+    tb.run_for(SimDuration::from_secs(1));
+    tb.with_fa_mh(|m, ctx| m.moved(ctx));
+    tb.run_for(SimDuration::from_secs(3));
+    assert!(
+        tb.fa_mh_module().current_fa().is_some(),
+        "FA-mode MH failed to register"
     );
+}
+
+/// Steps the test-bed in 100 ms slices until `done` holds. Returns false
+/// when `cap` of virtual time went by first.
+fn poll_until(
+    tb: &mut Testbed,
+    cap: SimDuration,
+    mut done: impl FnMut(&mut Testbed) -> bool,
+) -> bool {
+    let slice = SimDuration::from_millis(100);
+    let mut waited = SimDuration::ZERO;
+    while !done(tb) {
+        if waited >= cap {
+            return false;
+        }
+        tb.run_for(slice);
+        waited += slice;
+    }
+    true
+}
+
+/// The chaos experiments' reconvergence predicate: the MH has seen the
+/// restarted agent's new boot epoch and holds an accepted registration.
+fn reconverged_after_restart(tb: &mut Testbed) -> bool {
+    let m = tb.mh_module();
+    m.epoch_changes.get() >= 1 && m.away_status().map(|s| s.2).unwrap_or(false)
+}
+
+/// Scripts one crash of the home-agent host at `at` (journal intact,
+/// back after `restart_after`), with the plan's counters registered under
+/// `scope` of the experiment's own registry.
+fn script_ha_crash(
+    tb: &mut Testbed,
+    scope: &MetricsScope,
+    at: SimTime,
+    restart_after: SimDuration,
+) {
+    let plan = HostFaultPlan::scripted(vec![HostFaultEvent {
+        at,
+        restart_after,
+        lose_journal: false,
+    }]);
+    plan.register_metrics(scope);
+    let ha_host = tb.ha_host;
+    tb.sim.world_mut().host_mut(ha_host).fault = Some(plan);
+    stack::install_host_faults(&mut tb.sim, ha_host);
+    // Rebind host metrics so the plan's counters also appear in the run
+    // registry under `{host}/fault.*`.
+    stack::register_metrics(&mut tb.sim);
+}
+
+/// The `p`-th percentile of an ascending slice by the nearest-rank rule
+/// every table here uses (the type's zero for an empty slice).
+fn percentile<T: Copy + Default>(sorted: &[T], p: usize) -> T {
+    match sorted.len() {
+        0 => T::default(),
+        n => sorted[(n - 1) * p / 100],
+    }
+}
+
+/// Summary statistics of a set of durations, in milliseconds.
+fn summary_ms(samples: &[SimDuration]) -> Summary {
+    let mut summary = Summary::new();
+    for d in samples {
+        summary.add(d.as_millis_f64());
+    }
+    summary
+}
+
+/// First-to-last arrival window of a measured stream.
+#[derive(Clone, Copy, Default, Debug)]
+struct Span {
+    first: Option<SimTime>,
+    last: Option<SimTime>,
+}
+
+impl Span {
+    /// Widens the window to cover another observer's first/last instants.
+    fn widen(&mut self, first: Option<SimTime>, last: Option<SimTime>) {
+        self.first = [self.first, first].into_iter().flatten().min();
+        self.last = [self.last, last].into_iter().flatten().max();
+    }
+
+    /// The window's length in virtual nanoseconds (0 when empty).
+    fn ns(&self) -> u64 {
+        match (self.first, self.last) {
+            (Some(f), Some(l)) if l > f => (l - f).as_nanos(),
+            _ => 0,
+        }
+    }
+}
+
+/// `count` per second over a window of `ns` nanoseconds, in integer math
+/// (0 for an empty window).
+fn rate_per_sec(count: u64, ns: u64) -> u64 {
+    (count as u128 * 1_000_000_000)
+        .checked_div(ns as u128)
+        .unwrap_or(0) as u64
 }
 
 // ---------------------------------------------------------------- Table 1
@@ -166,18 +309,12 @@ fn run_tab1_inner(iterations: u32, seed: u64, far: bool) -> Tab1Result {
         with_far_ch: far,
         ..TestbedConfig::default()
     });
-    let sender_mid = if far {
-        let mh = tb.mh;
-        stack::add_module(&mut tb.sim, mh, Box::new(UdpEchoResponder::new(ECHO_PORT)));
-        let ch = tb.ch_far.expect("far CH built");
-        stack::add_module(
-            &mut tb.sim,
-            ch,
-            Box::new(UdpEchoSender::new((MH_HOME, ECHO_PORT), interval)),
-        )
+    let ch = if far {
+        tb.ch_far.expect("far CH built")
     } else {
-        install_echo(&mut tb, interval)
+        tb.ch_dept
     };
+    let sender_mid = install_echo_from(&mut tb, ch, interval);
     settle_on_dept(&mut tb);
 
     let mut windows = Vec::new();
@@ -188,16 +325,7 @@ fn run_tab1_inner(iterations: u32, seed: u64, far: bool) -> Tab1Result {
         let phase = tb.sim.rng().range_u64(0..interval.as_nanos());
         tb.run_for(SimDuration::from_nanos(phase));
         let t0 = tb.sim.now();
-        tb.with_mh(|mh, ctx| {
-            mh.switch_address(
-                ctx,
-                AddressPlan::Static {
-                    addr: target,
-                    subnet: topology::dept_subnet(),
-                    router: ROUTER_DEPT,
-                },
-            )
-        });
+        switch_dept_address(&mut tb, target);
         // The switch completes in ~7 ms; a 100 ms window comfortably
         // bounds the loss region, then settle before the next iteration.
         tb.run_for(SimDuration::from_millis(100));
@@ -209,17 +337,7 @@ fn run_tab1_inner(iterations: u32, seed: u64, far: bool) -> Tab1Result {
 
     let mut histogram = Histogram::new(10);
     let mut max_loss = 0;
-    let ch = if far {
-        tb.ch_far.expect("far CH")
-    } else {
-        tb.ch_dept
-    };
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender_mid)
-        .expect("echo sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender_mid);
     for (t0, t1) in windows {
         let lost = s.lost_in_window(t0, t1) as usize;
         histogram.record(lost);
@@ -300,40 +418,13 @@ pub struct Fig6Result {
     pub metrics: Json,
 }
 
-fn radio_plan(iface: stack::IfaceId, style: SwitchStyle) -> SwitchPlan {
-    SwitchPlan {
-        iface,
-        address: AddressPlan::Static {
-            addr: COA_RADIO,
-            subnet: topology::radio_subnet(),
-            router: ROUTER_RADIO,
-        },
-        style,
-    }
-}
-
-fn eth_plan(iface: stack::IfaceId, style: SwitchStyle) -> SwitchPlan {
-    SwitchPlan {
-        iface,
-        address: AddressPlan::Static {
-            addr: COA_DEPT,
-            subnet: topology::dept_subnet(),
-            router: ROUTER_DEPT,
-        },
-        style,
-    }
-}
-
 /// Runs one Figure 6 scenario for `iterations` measured switches.
 ///
 /// Returns the loss histogram plus the end-of-run dump of the test-bed's
 /// metric registry (every host, every counter).
 pub fn run_fig6_scenario(scenario: Fig6Scenario, iterations: u32, seed: u64) -> (Histogram, Json) {
     let interval = SimDuration::from_millis(250);
-    let mut tb = build(TestbedConfig {
-        seed,
-        ..TestbedConfig::default()
-    });
+    let mut tb = default_testbed(seed);
     let sender_mid = install_echo(&mut tb, interval);
     settle_on_dept(&mut tb);
 
@@ -443,78 +534,55 @@ pub const FIG7_PHASE_BOUNDS_US: &[u64] = &[
 
 /// Runs the Figure 7 experiment: `runs` same-subnet re-registrations.
 pub fn run_fig7(runs: u32, seed: u64) -> Fig7Result {
-    let mut tb = build(TestbedConfig {
-        seed,
-        ..TestbedConfig::default()
-    });
+    let mut tb = default_testbed(seed);
     settle_on_dept(&mut tb);
 
     // One extra unmeasured switch warms the router's ARP cache for the
     // alternate address (the paper's repeated runs have warm caches).
     for i in 0..=runs {
         let target = if i % 2 == 0 { COA_DEPT_ALT } else { COA_DEPT };
-        tb.with_mh(|mh, ctx| {
-            mh.switch_address(
-                ctx,
-                AddressPlan::Static {
-                    addr: target,
-                    subnet: topology::dept_subnet(),
-                    router: ROUTER_DEPT,
-                },
-            )
-        });
+        switch_dept_address(&mut tb, target);
         tb.run_for(SimDuration::from_millis(500));
     }
 
-    let mut configure = Summary::new();
-    let mut route = Summary::new();
-    let mut request_reply = Summary::new();
-    let mut post = Summary::new();
-    let mut total = Summary::new();
+    // The five phases, in this order everywhere below.
+    const PHASES: [&str; 5] = ["configure", "route", "request_reply", "post", "total"];
+    let mut summaries = PHASES.map(|_| Summary::new());
     // The registration-phase registry: one fixed-bucket latency histogram
     // per Figure 7 phase, one sample per measured run. This is what the
     // golden-file test pins down.
     let phases = MetricsRegistry::new();
-    let phase_hist = |name: &str| {
+    let histograms = PHASES.map(|name| {
         let h = mosquitonet_sim::LatencyHistogram::with_bounds(FIG7_PHASE_BOUNDS_US);
         phases.register_histogram(format!("mh/reg_phase/{name}"), &h);
         h
-    };
-    let h_configure = phase_hist("configure");
-    let h_route = phase_hist("route");
-    let h_request_reply = phase_hist("request_reply");
-    let h_post = phase_hist("post");
-    let h_total = phase_hist("total");
+    });
     let timelines = tb.mh_module().timelines.clone();
     // Skip the settle switch (bring-up included) and the ARP warm-up run.
     for tl in timelines.iter().skip(2) {
-        let us = |d: SimDuration| d.as_nanos() as f64 / 1_000.0;
         let start = tl.start.expect("start");
         let iface_configured = tl.iface_configured.expect("complete timeline");
-        let d_configure = iface_configured - start;
-        let d_route = tl.route_changed.expect("complete timeline") - iface_configured;
-        let d_request_reply = tl.request_to_reply().expect("complete timeline");
-        let d_post = tl.done.expect("complete timeline") - tl.reply_received.expect("reply");
-        let d_total = tl.total().expect("complete timeline");
-        configure.add(us(d_configure));
-        route.add(us(d_route));
-        request_reply.add(us(d_request_reply));
-        post.add(us(d_post));
-        total.add(us(d_total));
-        h_configure.record(d_configure);
-        h_route.record(d_route);
-        h_request_reply.record(d_request_reply);
-        h_post.record(d_post);
-        h_total.record(d_total);
+        let durations = [
+            iface_configured - start,
+            tl.route_changed.expect("complete timeline") - iface_configured,
+            tl.request_to_reply().expect("complete timeline"),
+            tl.done.expect("complete timeline") - tl.reply_received.expect("reply"),
+            tl.total().expect("complete timeline"),
+        ];
+        for ((summary, histogram), d) in summaries.iter_mut().zip(&histograms).zip(durations) {
+            summary.add(d.as_nanos() as f64 / 1_000.0);
+            histogram.record(d);
+        }
     }
+    let [configure_us, route_us, request_reply_us, post_us, total_us] = summaries;
     Fig7Result {
         runs,
-        configure_us: configure,
-        route_us: route,
-        request_reply_us: request_reply,
+        configure_us,
+        route_us,
+        request_reply_us,
         ha_processing_us: mosquitonet_core::timing::HA_PROCESSING.as_nanos() as f64 / 1_000.0,
-        post_us: post,
-        total_us: total,
+        post_us,
+        total_us,
         metrics: Json::obj([
             ("phases", phases.to_json()),
             ("hosts", tb.sim.metrics().to_json()),
@@ -626,10 +694,7 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
         let h_completion = mosquitonet_sim::LatencyHistogram::with_bounds(C4_COMPLETION_BOUNDS_US);
         sweep.register_histogram(format!("{scope_name}/completion"), &h_completion);
 
-        let mut tb = build(TestbedConfig {
-            seed,
-            ..TestbedConfig::default()
-        });
+        let mut tb = default_testbed(seed);
         settle_on_dept(&mut tb);
 
         // Install the plan only after the clean settle: the sweep measures
@@ -647,30 +712,17 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
             (m.requests_sent.get(), m.registration_retries.get())
         };
         let mut totals_ns: Vec<u64> = Vec::new();
-        'sweep: for i in 0..switches {
+        for i in 0..switches {
             let target = if i % 2 == 0 { COA_DEPT_ALT } else { COA_DEPT };
             let idx = tb.mh_module().timelines.len();
-            tb.with_mh(|mh, ctx| {
-                mh.switch_address(
-                    ctx,
-                    AddressPlan::Static {
-                        addr: target,
-                        subnet: topology::dept_subnet(),
-                        router: ROUTER_DEPT,
-                    },
-                )
-            });
+            switch_dept_address(&mut tb, target);
             // A timeline is recorded only when the switch completes.
-            let slice = SimDuration::from_millis(100);
-            let mut waited = SimDuration::ZERO;
-            while tb.mh_module().timelines.len() <= idx {
-                if waited >= C4_SWITCH_CAP {
-                    // Still mid-switch; `switch_address` refuses to
-                    // preempt, so stop sweeping this loss point.
-                    break 'sweep;
-                }
-                tb.run_for(slice);
-                waited += slice;
+            if !poll_until(&mut tb, C4_SWITCH_CAP, |tb| {
+                tb.mh_module().timelines.len() > idx
+            }) {
+                // Still mid-switch; `switch_address` refuses to preempt,
+                // so stop sweeping this loss point.
+                break;
             }
             let total = tb.mh_module().timelines[idx].total().expect("completed");
             totals_ns.push(total.as_nanos());
@@ -686,13 +738,6 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
             .map(|p| p.injected(FaultKind::Drop))
             .unwrap_or(0);
         totals_ns.sort_unstable();
-        let pctl = |p: usize| -> u64 {
-            if totals_ns.is_empty() {
-                0
-            } else {
-                totals_ns[(totals_ns.len() - 1) * p / 100] / 1_000
-            }
-        };
         rows.push(C4Row {
             loss_pct: pct,
             switches,
@@ -700,9 +745,9 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
             requests_sent: req1 - req0,
             retries: ret1 - ret0,
             drops_injected: drops,
-            p50_us: pctl(50),
-            p90_us: pctl(90),
-            max_us: totals_ns.last().copied().unwrap_or(0) / 1_000,
+            p50_us: percentile(&totals_ns, 50) / 1_000,
+            p90_us: percentile(&totals_ns, 90) / 1_000,
+            max_us: percentile(&totals_ns, 100) / 1_000,
         });
     }
     let metrics = Json::obj([
@@ -770,20 +815,9 @@ pub struct C2Result {
 
 /// Runs the C2 radio characterization.
 pub fn run_c2(pings: u32, seed: u64) -> C2Result {
-    let mut tb = build(TestbedConfig {
-        seed,
-        ..TestbedConfig::default()
-    });
+    let mut tb = default_testbed(seed);
     // Move onto the radio (cold switch from home).
-    let plan = SwitchPlan {
-        iface: tb.mh_radio,
-        address: AddressPlan::Static {
-            addr: COA_RADIO,
-            subnet: topology::radio_subnet(),
-            router: ROUTER_RADIO,
-        },
-        style: SwitchStyle::Cold,
-    };
+    let plan = radio_plan(tb.mh_radio, SwitchStyle::Cold);
     tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(6));
     assert!(tb.mh_module().away_status().map(|s| s.2).unwrap_or(false));
@@ -809,19 +843,11 @@ pub fn run_c2(pings: u32, seed: u64) -> C2Result {
     rtt_sender.padding = 0; // a minimal ping, as the paper's RTT figure implies
     let rtt_mid = stack::add_module(&mut tb.sim, router, Box::new(rtt_sender));
     tb.run_for(SimDuration::from_millis(400) * u64::from(pings) + SimDuration::from_secs(2));
-    let mut rtt_ms = Summary::new();
-    {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(router)
-            .module_mut(rtt_mid)
-            .expect("rtt sender");
+    let rtt_ms = {
+        let s: &mut UdpEchoSender = tb.module(router, rtt_mid);
         s.stop();
-        for rtt in s.rtts() {
-            rtt_ms.add(rtt.as_millis_f64());
-        }
-    }
+        summary_ms(&s.rtts())
+    };
 
     // Throughput: bulk UDP from the MH to the department CH in the
     // mobile host's local role (no encapsulation, pure radio path).
@@ -833,12 +859,7 @@ pub fn run_c2(pings: u32, seed: u64) -> C2Result {
     bulk.gap = SimDuration::ZERO;
     stack::add_module(&mut tb.sim, mh, Box::new(bulk));
     tb.run_for(SimDuration::from_secs(90));
-    let sink: &mut BulkSink = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sink_mid)
-        .expect("sink");
+    let sink: &mut BulkSink = tb.module(ch, sink_mid);
     let goodput_kbps = sink.goodput_kbps().expect("transfer completed");
     let metrics = tb.sim.metrics().to_json();
     C2Result {
@@ -867,100 +888,77 @@ pub struct C3Result {
     pub metrics: Json,
 }
 
-/// Runs the C3 triangle-route experiment.
-pub fn run_c3(seed: u64) -> C3Result {
-    // Phase 1: RTT comparison from the foreign site to the distant CH,
-    // with a separate (off-router) home agent so the tunnel detour is
-    // visible.
+/// One C3 phase's test-bed: a separate (off-router) home agent so the
+/// tunnel detour is visible, an echo responder on the distant CH, and the
+/// MH settled on the foreign site — which forbids transit traffic when
+/// `foreign_transit_filter` is set.
+fn c3_testbed(seed: u64, foreign_transit_filter: bool) -> Testbed {
     let mut tb = build(TestbedConfig {
         seed,
         ha_on_router: false,
         with_far_ch: true,
         with_foreign_site: true,
+        foreign_transit_filter,
         ..TestbedConfig::default()
     });
-    install_far_ch_echo(&mut tb);
+    let ch_far_host = tb.ch_far.expect("far CH");
+    stack::add_module(
+        &mut tb.sim,
+        ch_far_host,
+        Box::new(UdpEchoResponder::new(ECHO_PORT)),
+    );
     settle_on_foreign(&mut tb);
-    assert!(tb.mh_module().away_status().map(|s| s.2).unwrap_or(false));
+    tb
+}
 
-    // The MH pings the far CH: first tunneled, then triangled.
+/// Starts the MH pinging the distant CH every 200 ms.
+fn ping_far_ch(tb: &mut Testbed) -> ModuleId {
     let mh = tb.mh;
-    let probe_mid = stack::add_module(
+    stack::add_module(
         &mut tb.sim,
         mh,
         Box::new(UdpEchoSender::new(
             (CH_FAR, ECHO_PORT),
             SimDuration::from_millis(200),
         )),
-    );
-    tb.run_for(SimDuration::from_secs(4));
-    let tunnel_rtts: Vec<SimDuration> = {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(probe_mid)
-            .expect("probe");
+    )
+}
 
-        s.rtts()
-    };
+/// Runs the C3 triangle-route experiment.
+pub fn run_c3(seed: u64) -> C3Result {
+    // Phase 1: RTT comparison from the foreign site to the distant CH.
+    let mut tb = c3_testbed(seed, false);
+    assert!(tb.mh_module().away_status().map(|s| s.2).unwrap_or(false));
+
+    // The MH pings the far CH: first tunneled, then triangled.
+    let mh = tb.mh;
+    let probe_mid = ping_far_ch(&mut tb);
+    tb.run_for(SimDuration::from_secs(4));
+    let tunnel_rtts: Vec<SimDuration> = tb.module::<UdpEchoSender>(mh, probe_mid).rtts();
     tb.with_mh(|m, _| m.policy.set(Cidr::host(CH_FAR), SendMode::Triangle));
     tb.run_for(SimDuration::from_secs(4));
     let all_rtts: Vec<SimDuration> = {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(probe_mid)
-            .expect("probe");
+        let s: &mut UdpEchoSender = tb.module(mh, probe_mid);
         s.stop();
         s.rtts()
     };
-    let mut tunnel_rtt_ms = Summary::new();
-    for r in &tunnel_rtts {
-        tunnel_rtt_ms.add(r.as_millis_f64());
-    }
-    let mut triangle_rtt_ms = Summary::new();
-    for r in &all_rtts[tunnel_rtts.len()..] {
-        triangle_rtt_ms.add(r.as_millis_f64());
-    }
+    let tunnel_rtt_ms = summary_ms(&tunnel_rtts);
+    let triangle_rtt_ms = summary_ms(&all_rtts[tunnel_rtts.len()..]);
 
     let phase1_metrics = tb.sim.metrics().to_json();
 
     // Phase 2: same topology but the foreign site forbids transit
     // traffic. The probe must fail and fall back to the tunnel.
-    let mut tb = build(TestbedConfig {
-        seed: seed ^ 0x5a5a,
-        ha_on_router: false,
-        with_far_ch: true,
-        with_foreign_site: true,
-        foreign_transit_filter: true,
-        ..TestbedConfig::default()
-    });
-    install_far_ch_echo(&mut tb);
-    settle_on_foreign(&mut tb);
+    let mut tb = c3_testbed(seed ^ 0x5a5a, true);
     // Probe the triangle route; it should time out and revert.
     tb.with_mh(|mh, ctx| mh.probe_triangle(ctx, CH_FAR));
     tb.run_for(SimDuration::from_secs(5));
     let fallback_triggered = tb.mh_module().policy.lookup(CH_FAR) == SendMode::ReverseTunnel;
     // Echoes flow after the fallback.
-    let mh = tb.mh;
-    let echo_mid = stack::add_module(
-        &mut tb.sim,
-        mh,
-        Box::new(UdpEchoSender::new(
-            (CH_FAR, ECHO_PORT),
-            SimDuration::from_millis(200),
-        )),
-    );
+    let echo_mid = ping_far_ch(&mut tb);
     tb.run_for(SimDuration::from_secs(4));
     let post_fallback_delivery = {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(echo_mid)
-            .expect("echo");
+        let s: &mut UdpEchoSender = tb.module(tb.mh, echo_mid);
         s.received() >= s.sent().saturating_sub(2) && s.received() > 0
     };
 
@@ -1038,14 +1036,7 @@ fn run_a1_mode(mode: A1Mode, iterations: u32, seed: u64) -> (Histogram, Json) {
         },
         ..TestbedConfig::default()
     });
-    let mh = tb.mh;
-    stack::add_module(&mut tb.sim, mh, Box::new(UdpEchoResponder::new(ECHO_PORT)));
-    let ch = tb.ch_dept;
-    let sender_mid = stack::add_module(
-        &mut tb.sim,
-        ch,
-        Box::new(UdpEchoSender::new((MH_HOME, ECHO_PORT), interval)),
-    );
+    let sender_mid = install_echo(&mut tb, interval);
 
     // The A1 scenario is localized roaming far from home: the MH moves
     // between two adjacent cells of one foreign site, while the home
@@ -1054,52 +1045,27 @@ fn run_a1_mode(mode: A1Mode, iterations: u32, seed: u64) -> (Histogram, Json) {
     let lan_f1 = tb.lan_foreign.expect("foreign site");
     let lan_f2 = tb.lan_foreign2.expect("second foreign cell");
     if fa {
-        tb.move_mh_eth(Some(lan_f1));
-        let eth = tb.mh_eth;
-        let mh_id = tb.mh;
-        stack::bring_iface_up(&mut tb.sim, mh_id, eth);
-        tb.run_for(SimDuration::from_secs(1));
-        tb.with_fa_mh(|m, ctx| m.moved(ctx));
-        tb.run_for(SimDuration::from_secs(3));
-        assert!(
-            tb.fa_mh_module().current_fa().is_some(),
-            "FA-mode MH failed to register initially"
-        );
+        settle_fa_mh_on_foreign(&mut tb);
     } else {
-        tb.move_mh_eth(Some(lan_f1));
-        let plan = SwitchPlan {
-            iface: tb.mh_eth,
-            address: AddressPlan::Static {
-                addr: COA_FOREIGN,
-                subnet: topology::foreign_subnet(),
-                router: FOREIGN_ROUTER,
-            },
-            style: SwitchStyle::Cold,
-        };
-        tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
-        tb.run_for(SimDuration::from_secs(5));
+        settle_on_foreign(&mut tb);
         assert!(tb.mh_module().away_status().map(|st| st.2).unwrap_or(false));
     }
 
+    // The MH starts in the first cell, so even hops land in the second.
+    let cells = [
+        (
+            lan_f2,
+            AddressPlan::Static {
+                addr: COA_FOREIGN2,
+                subnet: topology::foreign2_subnet(),
+                router: topology::FOREIGN2_ROUTER,
+            },
+        ),
+        (lan_f1, foreign_address()),
+    ];
     let mut windows = Vec::new();
-    let mut at_first = true;
-    for _ in 0..iterations {
-        let (target_lan, target_static) = if at_first {
-            (
-                lan_f2,
-                (
-                    COA_FOREIGN2,
-                    topology::foreign2_subnet(),
-                    topology::FOREIGN2_ROUTER,
-                ),
-            )
-        } else {
-            (
-                lan_f1,
-                (COA_FOREIGN, topology::foreign_subnet(), FOREIGN_ROUTER),
-            )
-        };
-        at_first = !at_first;
+    for hop in 0..iterations {
+        let (target_lan, address) = cells[hop as usize % 2];
         // Random phase against the echo clock.
         let phase = tb.sim.rng().range_u64(0..interval.as_nanos());
         tb.run_for(SimDuration::from_nanos(phase));
@@ -1108,17 +1074,7 @@ fn run_a1_mode(mode: A1Mode, iterations: u32, seed: u64) -> (Histogram, Json) {
         if fa {
             tb.with_fa_mh(|m, ctx| m.moved(ctx));
         } else {
-            let (addr, subnet, router) = target_static;
-            tb.with_mh(|m, ctx| {
-                m.switch_address(
-                    ctx,
-                    AddressPlan::Static {
-                        addr,
-                        subnet,
-                        router,
-                    },
-                )
-            });
+            tb.with_mh(|m, ctx| m.switch_address(ctx, address));
         }
         tb.run_for(SimDuration::from_millis(1_500));
         windows.push((t0, tb.sim.now()));
@@ -1127,12 +1083,7 @@ fn run_a1_mode(mode: A1Mode, iterations: u32, seed: u64) -> (Histogram, Json) {
     tb.run_for(SimDuration::from_secs(2));
 
     let mut histogram = Histogram::new(40);
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender_mid)
-        .expect("sender");
+    let s = sender_mut(&mut tb, sender_mid);
     for (t0, t1) in windows {
         histogram.record(s.lost_in_window(t0, t1) as usize);
     }
@@ -1192,59 +1143,39 @@ pub fn run_a2(sizes: &[u32], seed: u64) -> (Vec<A2Row>, Json) {
             let lan_home = net.add_lan(presets::ethernet_lan("home"));
             let lan_dept = net.add_lan(presets::ethernet_lan("dept"));
             let router = net.add_host("router-ha");
-            let r_home = net
-                .host_mut(router)
-                .core
-                .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(1)));
-            let r_dept = net
-                .host_mut(router)
-                .core
-                .add_iface(presets::wired_ethernet("eth1", MacAddr::from_index(2)));
-            {
-                let core = &mut net.host_mut(router).core;
-                core.forwarding = true;
-                core.ipip_decap = true;
-                core.iface_mut(r_home).add_addr(topology::ROUTER_HOME, home);
-                core.iface_mut(r_dept).add_addr(ROUTER_DEPT, dept);
-                core.routes.add(RouteEntry {
-                    dest: home,
-                    gateway: None,
-                    iface: r_home,
-                    metric: 0,
-                });
-                core.routes.add(RouteEntry {
-                    dest: dept,
-                    gateway: None,
-                    iface: r_dept,
-                    metric: 0,
-                });
-            }
+            net.host_mut(router).core.forwarding = true;
+            net.host_mut(router).core.ipip_decap = true;
+            let r_home = topology::add_numbered_iface(
+                &mut net,
+                router,
+                presets::wired_ethernet("eth0", MacAddr::from_index(1)),
+                topology::ROUTER_HOME,
+                home,
+            );
+            let r_dept = topology::add_numbered_iface(
+                &mut net,
+                router,
+                presets::wired_ethernet("eth1", MacAddr::from_index(2)),
+                ROUTER_DEPT,
+                dept,
+            );
             let ha_cfg =
                 mosquitonet_core::HomeAgentConfig::new(topology::ROUTER_HOME, r_home, home);
             net.host_mut(router)
                 .add_module(Box::new(mosquitonet_core::HomeAgent::new(ha_cfg)));
 
-            let storm_host = net.add_host("storm");
-            let s_if = net
-                .host_mut(storm_host)
-                .core
-                .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(3)));
-            {
-                let core = &mut net.host_mut(storm_host).core;
-                core.iface_mut(s_if).add_addr(COA_DEPT, dept);
-                core.routes.add(RouteEntry {
-                    dest: dept,
-                    gateway: None,
-                    iface: s_if,
-                    metric: 0,
-                });
-                core.routes.add(RouteEntry {
-                    dest: Cidr::DEFAULT,
-                    gateway: Some(ROUTER_DEPT),
-                    iface: s_if,
-                    metric: 0,
-                });
-            }
+            net.attach(router, r_home, lan_home);
+            net.attach(router, r_dept, lan_dept);
+
+            let (storm_host, s_if) = topology::add_leaf_host(
+                &mut net,
+                "storm",
+                3,
+                COA_DEPT,
+                dept,
+                ROUTER_DEPT,
+                lan_dept,
+            );
             let storm_mid = net
                 .host_mut(storm_host)
                 .add_module(Box::new(RegistrationStorm::new(
@@ -1253,9 +1184,6 @@ pub fn run_a2(sizes: &[u32], seed: u64) -> (Vec<A2Row>, Json) {
                     n,
                     COA_DEPT,
                 )));
-            net.attach(router, r_home, lan_home);
-            net.attach(router, r_dept, lan_dept);
-            net.attach(storm_host, s_if, lan_dept);
 
             let mut sim = Sim::with_seed(net, seed);
             stack::bring_iface_up(&mut sim, router, r_home);
@@ -1287,18 +1215,10 @@ pub fn run_a2(sizes: &[u32], seed: u64) -> (Vec<A2Row>, Json) {
                 .expect("storm");
             let latencies = storm.latencies();
             let completed = latencies.len() as u32;
-            let mut mean = Summary::new();
-            let mut sorted_ms: Vec<f64> = Vec::with_capacity(latencies.len());
-            for l in &latencies {
-                mean.add(l.as_millis_f64());
-                sorted_ms.push(l.as_millis_f64());
-            }
+            let mean = summary_ms(&latencies);
+            let mut sorted_ms: Vec<f64> = latencies.iter().map(|l| l.as_millis_f64()).collect();
             sorted_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let p95 = if sorted_ms.is_empty() {
-                0.0
-            } else {
-                sorted_ms[((sorted_ms.len() - 1) * 95) / 100]
-            };
+            let p95 = percentile(&sorted_ms, 95);
             let span_ms = storm
                 .completions
                 .iter()
@@ -1387,12 +1307,7 @@ fn run_a3_policy(policy: ReusePolicy, seed: u64) -> (u64, bool, Json) {
     });
     tb.run_for(SimDuration::from_secs(5));
     let newcomer_addr = {
-        let c: &mut DhcpClientModule = tb
-            .sim
-            .world_mut()
-            .host_mut(newcomer)
-            .module_mut(newcomer_mid)
-            .expect("newcomer dhcp");
+        let c: &mut DhcpClientModule = tb.module(newcomer, newcomer_mid);
         c.lease().expect("newcomer got a lease").addr
     };
 
@@ -1752,10 +1667,7 @@ pub fn run_s1(correspondents: u32, seed: u64) -> S1Result {
         (1..=65_536).contains(&correspondents),
         "correspondent population must fit the 36.200.0.0/16 plan"
     );
-    let mut tb = build(TestbedConfig {
-        seed,
-        ..TestbedConfig::default()
-    });
+    let mut tb = default_testbed(seed);
     settle_on_dept(&mut tb);
 
     // The population: learned host entries cycling the four send modes.
@@ -1768,50 +1680,29 @@ pub fn run_s1(correspondents: u32, seed: u64) -> S1Result {
     }
 
     let mut rows = Vec::new();
-    s1_phase(&mut tb, &mut rows, "cold", correspondents, |tb| {
-        s1_send_round(tb, correspondents)
-    });
-    tb.run_for(S1_DRAIN);
-    s1_phase(&mut tb, &mut rows, "warm", correspondents, |tb| {
-        s1_send_round(tb, correspondents)
-    });
-    tb.run_for(S1_DRAIN);
+    let send_phases = |tb: &mut Testbed, rows: &mut Vec<S1Row>, phases: [&'static str; 2]| {
+        for phase in phases {
+            s1_phase(tb, rows, phase, correspondents, |tb| {
+                s1_send_round(tb, correspondents)
+            });
+            tb.run_for(S1_DRAIN);
+        }
+    };
+    send_phases(&mut tb, &mut rows, ["cold", "warm"]);
 
     // The care-of address moves (same subnet, alternate address). The
     // MobileHost bumps its route generation when registration completes,
     // so the validity token moves and the next lookup flushes the cache.
     s1_phase(&mut tb, &mut rows, "reregister", 0, |tb| {
         let idx = tb.mh_module().timelines.len();
-        tb.with_mh(|mh, ctx| {
-            mh.switch_address(
-                ctx,
-                AddressPlan::Static {
-                    addr: COA_DEPT_ALT,
-                    subnet: topology::dept_subnet(),
-                    router: ROUTER_DEPT,
-                },
-            )
-        });
-        let slice = SimDuration::from_millis(100);
-        let mut waited = SimDuration::ZERO;
-        while tb.mh_module().timelines.len() <= idx {
-            assert!(
-                waited < S1_SWITCH_CAP,
-                "mid-experiment re-registration did not complete"
-            );
-            tb.run_for(slice);
-            waited += slice;
-        }
+        switch_dept_address(tb, COA_DEPT_ALT);
+        assert!(
+            poll_until(tb, S1_SWITCH_CAP, |tb| tb.mh_module().timelines.len() > idx),
+            "mid-experiment re-registration did not complete"
+        );
     });
 
-    s1_phase(&mut tb, &mut rows, "rewarm", correspondents, |tb| {
-        s1_send_round(tb, correspondents)
-    });
-    tb.run_for(S1_DRAIN);
-    s1_phase(&mut tb, &mut rows, "steady", correspondents, |tb| {
-        s1_send_round(tb, correspondents)
-    });
-    tb.run_for(S1_DRAIN);
+    send_phases(&mut tb, &mut rows, ["rewarm", "steady"]);
 
     let policy_mode_totals = {
         let m = tb.mh_module();
@@ -1876,18 +1767,6 @@ pub struct S3Config {
     pub batching: bool,
 }
 
-impl Default for S3Config {
-    fn default() -> S3Config {
-        S3Config {
-            pairs: 4,
-            burst: 16,
-            ticks: 50,
-            seed: 1996,
-            batching: true,
-        }
-    }
-}
-
 /// Forwarding topology an S3 mode pushes its traffic through.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum S3Mode {
@@ -1939,7 +1818,7 @@ impl S3Mode {
 /// deterministic virtual-time quantity; `wall_ns` is real elapsed time
 /// and is deliberately excluded from [`S3Row::to_json`] so the bench
 /// sidecar stays byte-stable.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct S3Row {
     /// Mode key (`tunnel`, `direct`, `fa`, `mixed`).
     pub mode: &'static str,
@@ -2013,16 +1892,9 @@ impl S3Result {
     /// The deterministic bench-sidecar body: parameters plus per-mode
     /// rows, integers only, byte-stable for a fixed config.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("pairs", Json::from(self.cfg.pairs)),
-            ("burst", Json::from(self.cfg.burst)),
-            ("ticks", Json::from(self.cfg.ticks)),
-            ("tick_ms", Json::UInt(S3_TICK_MS)),
-            ("payload_len", Json::UInt(S3_PAYLOAD_LEN as u64)),
-            ("seed", Json::UInt(self.cfg.seed)),
-            ("batching", Json::from(self.cfg.batching)),
-            ("modes", Json::arr(self.rows.iter().map(S3Row::to_json))),
-        ])
+        let mut doc = s3_params_json(&self.cfg);
+        doc.push(("modes", Json::arr(self.rows.iter().map(S3Row::to_json))));
+        Json::obj(doc)
     }
 
     /// The wall-clock companion (for the `BENCH_s3.json` CI artifact):
@@ -2030,20 +1902,71 @@ impl S3Result {
     /// nature — never diffed against a golden.
     pub fn wall_json(&self) -> Json {
         Json::arr(self.rows.iter().map(|r| {
-            let wall_pps = if r.wall_ns > 0 {
-                (r.delivered as u128 * 1_000_000_000 / r.wall_ns as u128) as u64
-            } else {
-                0
-            };
             let wall_ns_per_packet = r.wall_ns.checked_div(r.delivered).unwrap_or(0);
             Json::obj([
                 ("mode", Json::from(r.mode)),
                 ("wall_ns", Json::UInt(r.wall_ns)),
-                ("wall_pps", Json::UInt(wall_pps)),
+                ("wall_pps", Json::UInt(rate_per_sec(r.delivered, r.wall_ns))),
                 ("wall_ns_per_packet", Json::UInt(wall_ns_per_packet)),
             ])
         }))
     }
+}
+
+impl S3Row {
+    /// Adds one sink's deliveries to the row and its arrivals to `span`.
+    fn tally_sink(&mut self, span: &mut Span, sink: &SaturationSink) {
+        self.delivered += sink.datagrams;
+        self.bytes += sink.bytes;
+        self.deliveries += sink.deliveries;
+        self.max_batch = self.max_batch.max(sink.max_batch);
+        span.widen(sink.first_at, sink.last_at);
+    }
+
+    /// Sets the arrival span and the virtual-time rates that follow from
+    /// it, once every sink is tallied.
+    fn set_span(&mut self, span: Span) {
+        self.span_ns = span.ns();
+        self.pps = rate_per_sec(self.delivered, self.span_ns);
+        self.ns_per_packet = self.span_ns.checked_div(self.delivered).unwrap_or(0);
+    }
+}
+
+/// One throwaway datagram to `dst`'s spare port, sent ahead of the
+/// measured window to warm ARP along the path (the reply is an ICMP
+/// port-unreachable, which warms the reverse direction too).
+fn s3_arp_primer(dst: Ipv4Addr) -> Box<SaturationSender> {
+    Box::new(SaturationSender::new(
+        (dst, S3_PORT_BASE - 1),
+        1,
+        SimDuration::from_millis(1),
+        1,
+    ))
+}
+
+/// Pair `pair`'s measured sender toward `dst`.
+fn s3_sender(dst: Ipv4Addr, pair: u32, burst: u32, ticks: u32) -> Box<SaturationSender> {
+    let mut sender = SaturationSender::new(
+        (dst, S3_PORT_BASE + pair as u16),
+        burst,
+        SimDuration::from_millis(S3_TICK_MS),
+        ticks,
+    );
+    sender.payload_len = S3_PAYLOAD_LEN;
+    Box::new(sender)
+}
+
+/// The run parameters every S3 bench body opens with.
+fn s3_params_json(cfg: &S3Config) -> Vec<(&'static str, Json)> {
+    vec![
+        ("pairs", Json::from(cfg.pairs)),
+        ("burst", Json::from(cfg.burst)),
+        ("ticks", Json::from(cfg.ticks)),
+        ("tick_ms", Json::UInt(S3_TICK_MS)),
+        ("payload_len", Json::UInt(S3_PAYLOAD_LEN as u64)),
+        ("seed", Json::UInt(cfg.seed)),
+        ("batching", Json::from(cfg.batching)),
+    ]
 }
 
 /// Runs one S3 mode and returns its row plus the run's flight-recorder
@@ -2062,27 +1985,13 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
             with_far_ch: true,
             ..TestbedConfig::default()
         }),
-        S3Mode::ReverseTunnel | S3Mode::DirectEncap => build(TestbedConfig {
-            seed: cfg.seed,
-            ..TestbedConfig::default()
-        }),
+        S3Mode::ReverseTunnel | S3Mode::DirectEncap => default_testbed(cfg.seed),
     };
     tb.sim.set_batching(cfg.batching);
 
     // Settle the MH away from home before any bulk traffic flows.
     if mode == S3Mode::ForeignAgent {
-        let lan_f1 = tb.lan_foreign.expect("foreign site");
-        tb.move_mh_eth(Some(lan_f1));
-        let eth = tb.mh_eth;
-        let mh_id = tb.mh;
-        stack::bring_iface_up(&mut tb.sim, mh_id, eth);
-        tb.run_for(SimDuration::from_secs(1));
-        tb.with_fa_mh(|m, ctx| m.moved(ctx));
-        tb.run_for(SimDuration::from_secs(3));
-        assert!(
-            tb.fa_mh_module().current_fa().is_some(),
-            "FA-mode MH failed to register"
-        );
+        settle_fa_mh_on_foreign(&mut tb);
     } else {
         settle_on_dept(&mut tb);
     }
@@ -2117,10 +2026,8 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
         S3Mode::ReverseTunnel | S3Mode::ForeignAgent => {}
     }
 
-    // Prime ARP along every path with one throwaway datagram per
-    // destination (the reply is an ICMP port-unreachable, which warms the
-    // reverse direction too). Without this the first measured burst races
-    // ARP resolution and overflows the pending-ARP queue.
+    // Prime ARP along every path. Without this the first measured burst
+    // races ARP resolution and overflows the pending-ARP queue.
     {
         let mh = tb.mh;
         let mut dests = vec![CH_DEPT];
@@ -2128,9 +2035,7 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
             dests.push(CH_FAR);
         }
         for dst in dests {
-            let primer =
-                SaturationSender::new((dst, S3_PORT_BASE - 1), 1, SimDuration::from_millis(1), 1);
-            stack::add_module(&mut tb.sim, mh, Box::new(primer));
+            stack::add_module(&mut tb.sim, mh, s3_arp_primer(dst));
         }
         tb.run_for(SimDuration::from_millis(500));
     }
@@ -2147,15 +2052,9 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
         let port = S3_PORT_BASE + i as u16;
         let sid = stack::add_module(&mut tb.sim, sink_host, Box::new(SaturationSink::new(port)));
         sinks.push((sink_host, sid));
+        let sender = s3_sender(dst_addr, i, cfg.burst, cfg.ticks);
         let mh = tb.mh;
-        let mut sender = SaturationSender::new(
-            (dst_addr, port),
-            cfg.burst,
-            SimDuration::from_millis(S3_TICK_MS),
-            cfg.ticks,
-        );
-        sender.payload_len = S3_PAYLOAD_LEN;
-        senders.push(stack::add_module(&mut tb.sim, mh, Box::new(sender)));
+        senders.push(stack::add_module(&mut tb.sim, mh, sender));
     }
 
     // Baselines, then the measurement window.
@@ -2171,63 +2070,8 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
     tb.run_for(SimDuration::from_millis(S3_TICK_MS * cfg.ticks as u64) + S3_DRAIN);
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
-    let mut sent = 0u64;
-    for mid in &senders {
-        let mh = tb.mh;
-        let s: &mut SaturationSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(*mid)
-            .expect("sender");
-        sent += s.sent;
-    }
-    let (mut delivered, mut bytes, mut deliveries, mut max_batch) = (0u64, 0u64, 0u64, 0u64);
-    let (mut first, mut last): (Option<SimTime>, Option<SimTime>) = (None, None);
-    for (host, mid) in &sinks {
-        let s: &mut SaturationSink = tb
-            .sim
-            .world_mut()
-            .host_mut(*host)
-            .module_mut(*mid)
-            .expect("sink");
-        delivered += s.datagrams;
-        bytes += s.bytes;
-        deliveries += s.deliveries;
-        max_batch = max_batch.max(s.max_batch);
-        let (f, l) = (s.first_at, s.last_at);
-        first = match (first, f) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        last = match (last, l) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    let span_ns = match (first, last) {
-        (Some(f), Some(l)) if l > f => (l - f).as_nanos(),
-        _ => 0,
-    };
-    let pps = if span_ns > 0 {
-        (delivered as u128 * 1_000_000_000 / span_ns as u128) as u64
-    } else {
-        0
-    };
-    let ns_per_packet = if delivered > 0 && span_ns > 0 {
-        span_ns / delivered
-    } else {
-        0
-    };
-
-    let row = S3Row {
+    let mut row = S3Row {
         mode: mode.key(),
-        sent,
-        delivered,
-        bytes,
-        deliveries,
-        max_batch,
         mh_output: tb.sim.world().host(tb.mh).core.stats.ip_output.get() - mh_out0,
         mh_encapsulated: tb.sim.world().host(tb.mh).core.stats.encapsulated.get() - mh_enc0,
         ha_forwarded: tb.sim.world().host(ha).core.stats.forwarded.get() - ha_fwd0,
@@ -2238,11 +2082,17 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
         } else {
             tb.sim.events_executed() - events0
         },
-        span_ns,
-        pps,
-        ns_per_packet,
         wall_ns,
+        ..S3Row::default()
     };
+    for mid in &senders {
+        row.sent += tb.module::<SaturationSender>(tb.mh, *mid).sent;
+    }
+    let mut span = Span::default();
+    for (host, mid) in &sinks {
+        row.tally_sink(&mut span, tb.module(*host, *mid));
+    }
+    row.set_span(span);
     (row, journeys_json(&tb, None))
 }
 
@@ -2262,61 +2112,68 @@ pub fn run_s3(cfg: &S3Config) -> S3Result {
 
 // ------------------------------------------------------- S3 (sharded)
 
-/// Hosts per shard in the sharded saturation topology (gw, src, dst) —
-/// also the host-index stride for the merged flight-recorder name table.
-const S3_SHARD_HOSTS: u32 = 3;
-
 /// Settle window before the measured senders start: long enough for the
 /// ARP primers to warm every path, including across the backbone.
 const S3_SHARD_PRIME: SimDuration = SimDuration::from_millis(600);
 
-/// The global portal id of the backbone segment.
-const S3_BACKBONE_PORTAL: u32 = 0;
-
-/// Campus subnet of shard `s`: `10.{s}.0.0/24`.
-fn s3_campus_subnet(s: u32) -> Cidr {
-    format!("10.{s}.0.0/24").parse().expect("cidr")
-}
-
-/// Addresses on shard `s`'s campus net: gateway `.1`, source `.2`,
-/// sink `.3`.
-fn s3_campus_addr(s: u32, host: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, s as u8, 0, host)
-}
-
-/// Shard `s`'s gateway address on the shared backbone: `10.99.0.{s+1}`.
-fn s3_backbone_addr(s: u32) -> Ipv4Addr {
-    Ipv4Addr::new(10, 99, 0, s as u8 + 1)
-}
-
-/// Shard `s`'s gateway MAC on the backbone (the portal MAC directory
-/// steers unicast envelopes by it).
-fn s3_backbone_mac(s: u32) -> MacAddr {
-    MacAddr::from_index(s * 16 + 2)
-}
-
-/// What one shard's `finish` hook hands back across the thread
-/// boundary: plain counters, a metrics snapshot, and the shard's
-/// flight-recorder segment — everything the merge needs, nothing that
-/// isn't `Send`.
-struct S3ShardOut {
+/// What one shard's `finish` hook hands back across the thread boundary
+/// in every sharded run (S2 and S3), and the fold of those in shard
+/// order: plain counters, metrics snapshots, and flight-recorder
+/// segments — everything the merge needs, nothing that isn't `Send`.
+#[derive(Default)]
+struct ShardTotals {
     names: Vec<String>,
-    snapshot: Snapshot,
-    dump: FlightDump,
-    sent: u64,
-    delivered: u64,
-    bytes: u64,
-    deliveries: u64,
-    max_batch: u64,
-    first: Option<SimTime>,
-    last: Option<SimTime>,
-    src_output: u64,
-    src_encapsulated: u64,
-    gw_forwarded: u64,
-    gw_decapsulated: u64,
+    snapshots: Vec<Snapshot>,
+    dumps: Vec<FlightDump>,
     events: u64,
     batches: u64,
     arena_resets: u64,
+    /// First-to-last instant of whatever the experiment measures.
+    span: Span,
+}
+
+impl ShardTotals {
+    /// Shard `s`'s totals at the deadline (the span is the caller's to
+    /// widen: only it knows which modules observe the measured stream).
+    fn of_shard(s: u32, sim: &Sim<Network>, batching: bool) -> ShardTotals {
+        let events = sim.events_executed();
+        ShardTotals {
+            names: host_names(sim.world()),
+            snapshots: vec![sim.metrics().snapshot()],
+            dumps: vec![sim.flights().dump(s, s * ShardedCampus::HOSTS)],
+            events,
+            // With batching off every event is a batch of one.
+            batches: if batching {
+                sim.batches_executed()
+            } else {
+                events
+            },
+            arena_resets: sim.world().arena_resets(),
+            span: Span::default(),
+        }
+    }
+
+    /// Folds the next shard in. Called in shard order, so host names
+    /// concatenate to match the `host_base` offsets of the flight dumps.
+    fn merge(&mut self, next: ShardTotals) {
+        self.names.extend(next.names);
+        self.snapshots.extend(next.snapshots);
+        self.dumps.extend(next.dumps);
+        self.events += next.events;
+        self.batches += next.batches;
+        self.arena_resets += next.arena_resets;
+        self.span.widen(next.span.first, next.span.last);
+    }
+
+    /// The deterministic merged documents, `(journeys, metrics)`: flight
+    /// segments interleave by (time, shard, seq), metrics snapshots
+    /// union-and-sum.
+    fn documents(self) -> (Json, Json) {
+        (
+            FlightRecorder::merged(self.dumps).export(&self.names, None),
+            Snapshot::merged(self.snapshots).to_json(),
+        )
+    }
 }
 
 /// The sharded S3 result: the aggregated row plus the merged sidecar
@@ -2345,18 +2202,13 @@ impl S3ShardedResult {
     /// row, and the envelope-arena counter. Byte-identical for a fixed
     /// config at every thread count (the CI matrix diffs exactly this).
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("pairs", Json::from(self.cfg.pairs)),
-            ("burst", Json::from(self.cfg.burst)),
-            ("ticks", Json::from(self.cfg.ticks)),
-            ("tick_ms", Json::UInt(S3_TICK_MS)),
-            ("payload_len", Json::UInt(S3_PAYLOAD_LEN as u64)),
-            ("seed", Json::UInt(self.cfg.seed)),
-            ("batching", Json::from(self.cfg.batching)),
+        let mut doc = s3_params_json(&self.cfg);
+        doc.extend([
             ("shards", Json::from(self.shards)),
             ("arena_resets", Json::UInt(self.arena_resets)),
             ("row", self.row.to_json()),
-        ])
+        ]);
+        Json::obj(doc)
     }
 
     /// The wall-clock companion (for the `BENCH_s3.json` scaling rows):
@@ -2364,17 +2216,12 @@ impl S3ShardedResult {
     /// Nondeterministic by nature — never diffed against a golden.
     pub fn wall_json(&self) -> Json {
         let r = &self.row;
-        let wall_pps = if r.wall_ns > 0 {
-            (r.delivered as u128 * 1_000_000_000 / r.wall_ns as u128) as u64
-        } else {
-            0
-        };
         Json::obj([
             ("mode", Json::from(r.mode)),
             ("shards", Json::from(self.shards)),
             ("threads", Json::UInt(self.threads as u64)),
             ("wall_ns", Json::UInt(r.wall_ns)),
-            ("wall_pps", Json::UInt(wall_pps)),
+            ("wall_pps", Json::UInt(rate_per_sec(r.delivered, r.wall_ns))),
             (
                 "wall_ns_per_packet",
                 Json::UInt(r.wall_ns.checked_div(r.delivered).unwrap_or(0)),
@@ -2394,111 +2241,21 @@ impl S3ShardedResult {
 /// deterministic output (rows, journeys, metrics) is byte-identical
 /// across thread counts, which `tests/shard_determinism.rs` pins.
 pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedResult {
-    assert!(shards >= 2, "sharded S3 needs at least two campuses");
+    ShardedCampus::check_shards(shards);
     let deadline = SimTime::ZERO
         + S3_SHARD_PRIME
         + SimDuration::from_millis(S3_TICK_MS * cfg.ticks as u64)
         + S3_DRAIN;
 
     let build = |s: u32| -> Sim<Network> {
-        let mut net = Network::new();
-        net.enable_sharding(s, shards);
-        let backbone = net.add_lan(presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY));
-        let campus = net.add_lan(presets::ethernet_lan(format!("campus{s}")));
-        net.add_portal(backbone, S3_BACKBONE_PORTAL);
-        for t in 0..shards {
-            net.register_portal_mac(s3_backbone_mac(t), t);
-        }
-        let base = s * 16;
-
-        // Gateway: campus side + backbone side, forwarding between them.
-        let gw = net.add_host(format!("gw{s}"));
-        let gw_campus_if = net.host_mut(gw).core.add_iface(presets::wired_ethernet(
-            "eth0",
-            MacAddr::from_index(base + 1),
-        ));
-        let gw_bb_if = net
-            .host_mut(gw)
-            .core
-            .add_iface(presets::wired_ethernet("eth1", s3_backbone_mac(s)));
-        {
-            let core = &mut net.host_mut(gw).core;
-            core.forwarding = true;
-            core.iface_mut(gw_campus_if)
-                .add_addr(s3_campus_addr(s, 1), s3_campus_subnet(s));
-            core.iface_mut(gw_bb_if)
-                .add_addr(s3_backbone_addr(s), "10.99.0.0/24".parse().expect("cidr"));
-            core.routes.add(RouteEntry {
-                dest: s3_campus_subnet(s),
-                gateway: None,
-                iface: gw_campus_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: "10.99.0.0/24".parse().expect("cidr"),
-                gateway: None,
-                iface: gw_bb_if,
-                metric: 0,
-            });
-            for t in (0..shards).filter(|&t| t != s) {
-                core.routes.add(RouteEntry {
-                    dest: s3_campus_subnet(t),
-                    gateway: Some(s3_backbone_addr(t)),
-                    iface: gw_bb_if,
-                    metric: 0,
-                });
-            }
-        }
-        net.attach(gw, gw_campus_if, campus);
-        net.attach(gw, gw_bb_if, backbone);
-
-        // Source and sink hosts on the campus net.
-        let leaf = |net: &mut Network, name: String, mac: u32, addr: Ipv4Addr| {
-            let h = net.add_host(name);
-            let ifc = net
-                .host_mut(h)
-                .core
-                .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(mac)));
-            {
-                let core = &mut net.host_mut(h).core;
-                core.iface_mut(ifc).add_addr(addr, s3_campus_subnet(s));
-                core.routes.add(RouteEntry {
-                    dest: s3_campus_subnet(s),
-                    gateway: None,
-                    iface: ifc,
-                    metric: 0,
-                });
-                core.routes.add(RouteEntry {
-                    dest: "0.0.0.0/0".parse().expect("cidr"),
-                    gateway: Some(s3_campus_addr(s, 1)),
-                    iface: ifc,
-                    metric: 0,
-                });
-            }
-            net.attach(h, ifc, campus);
-            (h, ifc)
-        };
-        let (src, src_if) = leaf(&mut net, format!("src{s}"), base + 3, s3_campus_addr(s, 2));
-        let (dst, dst_if) = leaf(&mut net, format!("dst{s}"), base + 4, s3_campus_addr(s, 3));
-
-        let mut sim = Sim::with_seed(net, shard_seed(cfg.seed, s));
-        sim.set_batching(cfg.batching);
-        sim.flights_mut().set_enabled(true);
-        sim.flights_mut().set_flight_namespace(s);
-        if std::env::var_os("MOSQUITONET_PROFILE").is_some() {
-            let reg = sim.metrics().clone();
-            sim.profiler_mut()
-                .enable_with_prefix(&reg, format!("profile/shard/{s}"));
-        }
-        for (h, i) in [
-            (gw, gw_campus_if),
-            (gw, gw_bb_if),
-            (src, src_if),
-            (dst, dst_if),
-        ] {
-            stack::bring_iface_up(&mut sim, h, i);
-        }
-        sim.run();
+        let mut campus =
+            ShardedCampus::wire(s, shards, cfg.seed, cfg.batching, ["gw", "src", "dst"]);
+        campus.power_up();
+        let ShardedCampus {
+            mut sim,
+            leaves: [(src, _), (dst, _)],
+            ..
+        } = campus;
         stack::start(&mut sim);
 
         // Sinks for every pair port: even pairs feed from the local
@@ -2507,88 +2264,39 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
             let port = S3_PORT_BASE + i as u16;
             stack::add_module(&mut sim, dst, Box::new(SaturationSink::new(port)));
         }
-        // ARP primers: one throwaway datagram to the local sink and one
-        // to the next campus's sink (the ICMP port-unreachable replies
-        // warm the reverse paths too).
-        let next = (s + 1) % shards;
-        for target in [s3_campus_addr(s, 3), s3_campus_addr(next, 3)] {
-            let primer = SaturationSender::new(
-                (target, S3_PORT_BASE - 1),
-                1,
-                SimDuration::from_millis(1),
-                1,
-            );
-            stack::add_module(&mut sim, src, Box::new(primer));
+        // ARP primers: one to the local sink and one to the next
+        // campus's sink.
+        let local_sink = ShardedCampus::addr(s, 3);
+        let next_sink = ShardedCampus::addr((s + 1) % shards, 3);
+        for target in [local_sink, next_sink] {
+            stack::add_module(&mut sim, src, s3_arp_primer(target));
         }
         // The measured senders start after the priming window.
         let (pairs, burst, ticks) = (cfg.pairs, cfg.burst, cfg.ticks);
         sim.schedule_at(SimTime::ZERO + S3_SHARD_PRIME, move |sim| {
             for i in 0..pairs {
-                let target = if i % 2 == 0 {
-                    s3_campus_addr(s, 3)
-                } else {
-                    s3_campus_addr(next, 3)
-                };
-                let mut sender = SaturationSender::new(
-                    (target, S3_PORT_BASE + i as u16),
-                    burst,
-                    SimDuration::from_millis(S3_TICK_MS),
-                    ticks,
-                );
-                sender.payload_len = S3_PAYLOAD_LEN;
-                stack::add_module(sim, src, Box::new(sender));
+                let target = if i % 2 == 0 { local_sink } else { next_sink };
+                stack::add_module(sim, src, s3_sender(target, i, burst, ticks));
             }
         });
         sim
     };
 
-    let finish = |s: u32, mut sim: Sim<Network>| -> S3ShardOut {
-        let events = sim.events_executed();
-        let batches = if cfg.batching {
-            sim.batches_executed()
-        } else {
-            events
-        };
-        let snapshot = sim.metrics().snapshot();
-        let dump = sim.flights().dump(s, s * S3_SHARD_HOSTS);
-        let arena_resets = sim.world().arena_resets();
-        let names: Vec<String> = sim
-            .world()
-            .hosts
-            .iter()
-            .map(|h| h.core.name.clone())
-            .collect();
-        let mut out = S3ShardOut {
-            names,
-            snapshot,
-            dump,
-            sent: 0,
-            delivered: 0,
-            bytes: 0,
-            deliveries: 0,
-            max_batch: 0,
-            first: None,
-            last: None,
-            src_output: 0,
-            src_encapsulated: 0,
-            gw_forwarded: 0,
-            gw_decapsulated: 0,
-            events,
-            batches,
-            arena_resets,
-        };
+    let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, S3Row) {
+        let mut totals = ShardTotals::of_shard(s, &sim, cfg.batching);
+        let mut row = S3Row::default();
         let w = sim.world_mut();
         for h in 0..w.hosts.len() {
             let host = &mut w.hosts[h];
             // Host order per shard is fixed: gw, src, dst.
             match h {
                 0 => {
-                    out.gw_forwarded += host.core.stats.forwarded.get();
-                    out.gw_decapsulated += host.core.stats.decapsulated.get();
+                    row.ha_forwarded += host.core.stats.forwarded.get();
+                    row.ha_decapsulated += host.core.stats.decapsulated.get();
                 }
                 1 => {
-                    out.src_output += host.core.stats.ip_output.get();
-                    out.src_encapsulated += host.core.stats.encapsulated.get();
+                    row.mh_output += host.core.stats.ip_output.get();
+                    row.mh_encapsulated += host.core.stats.encapsulated.get();
                 }
                 _ => {}
             }
@@ -2597,25 +2305,14 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
                 if let Some(snd) = host.module_mut::<SaturationSender>(mid) {
                     // Skip the ARP primers (they target the spare port).
                     if snd.dst.1 >= S3_PORT_BASE {
-                        out.sent += snd.sent;
+                        row.sent += snd.sent;
                     }
                 } else if let Some(snk) = host.module_mut::<SaturationSink>(mid) {
-                    out.delivered += snk.datagrams;
-                    out.bytes += snk.bytes;
-                    out.deliveries += snk.deliveries;
-                    out.max_batch = out.max_batch.max(snk.max_batch);
-                    out.first = match (out.first, snk.first_at) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    out.last = match (out.last, snk.last_at) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        (a, b) => a.or(b),
-                    };
+                    row.tally_sink(&mut totals.span, snk);
                 }
             }
         }
-        out
+        (totals, row)
     };
 
     let wall_start = std::time::Instant::now();
@@ -2629,81 +2326,31 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
     );
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
-    // Deterministic merges: metrics snapshots union-and-sum, flight
-    // segments interleave by (time, shard, seq), host names concatenate
-    // in shard order (matching the `host_base` offsets above).
-    let mut names = Vec::new();
-    let mut snapshots = Vec::new();
-    let mut dumps = Vec::new();
-    let (mut sent, mut delivered, mut bytes, mut deliveries, mut max_batch) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let (mut first, mut last): (Option<SimTime>, Option<SimTime>) = (None, None);
-    let (mut src_output, mut src_encapsulated) = (0u64, 0u64);
-    let (mut gw_forwarded, mut gw_decapsulated) = (0u64, 0u64);
-    let (mut events, mut batches, mut arena_resets) = (0u64, 0u64, 0u64);
-    for out in outs {
-        names.extend(out.names);
-        snapshots.push(out.snapshot);
-        dumps.push(out.dump);
-        sent += out.sent;
-        delivered += out.delivered;
-        bytes += out.bytes;
-        deliveries += out.deliveries;
-        max_batch = max_batch.max(out.max_batch);
-        first = match (first, out.first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        last = match (last, out.last) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        src_output += out.src_output;
-        src_encapsulated += out.src_encapsulated;
-        gw_forwarded += out.gw_forwarded;
-        gw_decapsulated += out.gw_decapsulated;
-        events += out.events;
-        batches += out.batches;
-        arena_resets += out.arena_resets;
-    }
-
-    let span_ns = match (first, last) {
-        (Some(f), Some(l)) if l > f => (l - f).as_nanos(),
-        _ => 0,
-    };
-    let pps = if span_ns > 0 {
-        (delivered as u128 * 1_000_000_000 / span_ns as u128) as u64
-    } else {
-        0
-    };
-    let ns_per_packet = if delivered > 0 && span_ns > 0 {
-        span_ns / delivered
-    } else {
-        0
-    };
-
-    let row = S3Row {
+    let mut totals = ShardTotals::default();
+    let mut row = S3Row {
         mode: "sharded",
-        sent,
-        delivered,
-        bytes,
-        deliveries,
-        max_batch,
+        wall_ns,
+        ..S3Row::default()
+    };
+    for (shard_totals, part) in outs {
+        totals.merge(shard_totals);
+        row.sent += part.sent;
+        row.delivered += part.delivered;
+        row.bytes += part.bytes;
+        row.deliveries += part.deliveries;
+        row.max_batch = row.max_batch.max(part.max_batch);
         // The src/gw counters include the two ARP primers per shard —
         // deterministic, and identical at every thread count.
-        mh_output: src_output,
-        mh_encapsulated: src_encapsulated,
-        ha_forwarded: gw_forwarded,
-        ha_decapsulated: gw_decapsulated,
-        events,
-        batches,
-        span_ns,
-        pps,
-        ns_per_packet,
-        wall_ns,
-    };
-    let journeys = FlightRecorder::merged(dumps).export(&names, None);
-    let metrics = Snapshot::merged(snapshots).to_json();
+        row.mh_output += part.mh_output;
+        row.mh_encapsulated += part.mh_encapsulated;
+        row.ha_forwarded += part.ha_forwarded;
+        row.ha_decapsulated += part.ha_decapsulated;
+    }
+    row.events = totals.events;
+    row.batches = totals.batches;
+    row.set_span(totals.span);
+    let arena_resets = totals.arena_resets;
+    let (journeys, metrics) = totals.documents();
     S3ShardedResult {
         cfg: *cfg,
         shards,
@@ -2716,10 +2363,6 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
 }
 
 // --------------------------------------------------- S2 (HA fleet)
-
-/// Hosts per S2 shard (ha, standby, churn) — also the host-index stride
-/// for the merged flight-recorder name table.
-const S2_SHARD_HOSTS: u32 = 3;
 
 /// Virtual gap between churn ticks, milliseconds.
 const S2_TICK_MS: u64 = 10;
@@ -2745,35 +2388,12 @@ fn s2_home(i: u32) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(Ipv4Addr::new(36, 0, 0, 1)) + i)
 }
 
-/// Campus subnet of shard `s`: `10.{s}.0.0/24`.
-fn s2_campus_subnet(s: u32) -> Cidr {
-    format!("10.{s}.0.0/24").parse().expect("cidr")
-}
-
-/// Shard `s`'s active home agent (also the shard's backbone gateway).
-fn s2_active(s: u32) -> Ipv4Addr {
-    Ipv4Addr::new(10, s as u8, 0, 1)
-}
-
-/// Shard `s`'s standby home agent.
-fn s2_standby(s: u32) -> Ipv4Addr {
-    Ipv4Addr::new(10, s as u8, 0, 2)
-}
-
-/// Shard `s`'s churn host (this shard's slice of the MH population).
-fn s2_churn(s: u32) -> Ipv4Addr {
-    Ipv4Addr::new(10, s as u8, 0, 3)
-}
-
-/// Shard `s`'s gateway address on the shared backbone: `10.99.0.{s+1}`.
-fn s2_backbone_addr(s: u32) -> Ipv4Addr {
-    Ipv4Addr::new(10, 99, 0, s as u8 + 1)
-}
-
-/// Shard `s`'s gateway MAC on the backbone (steers portal unicast).
-fn s2_backbone_mac(s: u32) -> MacAddr {
-    MacAddr::from_index(s * 16 + 2)
-}
+/// Campus host numbers of a fleet shard: the active home agent doubles
+/// as the shard's backbone gateway at `.1`, the standby sits at `.2`, and
+/// the churn host (this shard's slice of the MH population) at `.3`.
+const S2_ACTIVE: u8 = 1;
+const S2_STANDBY: u8 = 2;
+const S2_CHURN: u8 = 3;
 
 /// The fleet's shard directory: epoch 1, one (active, standby) pair per
 /// shard. Every host in the experiment derives routing from this one
@@ -2784,8 +2404,8 @@ pub fn s2_directory(shards: u32) -> ShardDirectory {
         (0..shards)
             .map(|s| DirectoryEntry {
                 shard: s as u16,
-                active: s2_active(s),
-                standby: s2_standby(s),
+                active: ShardedCampus::addr(s, S2_ACTIVE),
+                standby: ShardedCampus::addr(s, S2_STANDBY),
             })
             .collect::<Vec<_>>(),
     )
@@ -2809,24 +2429,11 @@ pub struct S2Config {
     pub batching: bool,
 }
 
-impl Default for S2Config {
-    fn default() -> S2Config {
-        S2Config {
-            shards: 16,
-            mobile_hosts: 100_000,
-            burst: 16,
-            ticks: 600,
-            seed: 1996,
-            batching: true,
-        }
-    }
-}
-
 /// The aggregated S2 measurement row. Every field except `wall_ns` is a
 /// deterministic virtual-time quantity; `wall_ns` is real elapsed time
 /// and is excluded from [`S2Row::to_json`] so the sidecar stays
 /// byte-stable.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct S2Row {
     /// First-attempt registrations the churn sources sent.
     pub sent: u64,
@@ -2909,34 +2516,6 @@ impl S2Row {
     }
 }
 
-/// What one S2 shard's `finish` hook hands back across the thread
-/// boundary — plain counters and merge-ready documents, nothing that
-/// isn't `Send`.
-struct S2ShardOut {
-    names: Vec<String>,
-    snapshot: Snapshot,
-    dump: FlightDump,
-    sent: u64,
-    misdirected: u64,
-    redirected: u64,
-    accepted: u64,
-    denied: u64,
-    latencies_ns: Vec<u64>,
-    first_accept: Option<SimTime>,
-    last_accept: Option<SimTime>,
-    ha_processed: u64,
-    ha_accepted: u64,
-    wrong_shard: u64,
-    replicas_sent: u64,
-    replicas_applied: u64,
-    live_bindings: u64,
-    standby_bindings: u64,
-    journal_records: u64,
-    events: u64,
-    batches: u64,
-    arena_resets: u64,
-}
-
 /// The S2 result: the aggregated row plus the merged sidecar documents.
 /// Everything except `row.wall_ns` is deterministic and byte-identical
 /// for any `threads` from 1 to `cfg.shards`.
@@ -2979,16 +2558,14 @@ impl S2Result {
     /// Nondeterministic by nature — never diffed against a golden.
     pub fn wall_json(&self) -> Json {
         let r = &self.row;
-        let wall_regs_per_sec = if r.wall_ns > 0 {
-            (r.accepted as u128 * 1_000_000_000 / r.wall_ns as u128) as u64
-        } else {
-            0
-        };
         Json::obj([
             ("shards", Json::from(self.cfg.shards)),
             ("threads", Json::UInt(self.threads as u64)),
             ("wall_ns", Json::UInt(r.wall_ns)),
-            ("wall_regs_per_sec", Json::UInt(wall_regs_per_sec)),
+            (
+                "wall_regs_per_sec",
+                Json::UInt(rate_per_sec(r.accepted, r.wall_ns)),
+            ),
         ])
     }
 }
@@ -3005,7 +2582,7 @@ impl S2Result {
 /// `threads` only chooses how many workers step the shards; every
 /// deterministic output is byte-identical across thread counts.
 pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
-    assert!(cfg.shards >= 2, "a fleet needs at least two shards");
+    ShardedCampus::check_shards(cfg.shards);
     assert!(cfg.mobile_hosts >= cfg.shards, "every shard needs homes");
     let deadline = SimTime::ZERO
         + S2_PRIME
@@ -3015,138 +2592,43 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
 
     let build = |s: u32| -> Sim<Network> {
         let directory = s2_directory(shards);
-        let mut net = Network::new();
-        net.enable_sharding(s, shards);
-        let backbone = net.add_lan(presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY));
-        let campus = net.add_lan(presets::ethernet_lan(format!("campus{s}")));
-        net.add_portal(backbone, 0);
-        for t in 0..shards {
-            net.register_portal_mac(s2_backbone_mac(t), t);
-        }
-        let base = s * 16;
+        let addr = move |host: u8| ShardedCampus::addr(s, host);
+        let mac = |host: u8| ShardedCampus::mac(s, host);
+        let mut campus =
+            ShardedCampus::wire(s, shards, cfg.seed, cfg.batching, ["ha", "sb", "churn"]);
+        let (ha, ha_campus_if, ha_bb_if) = (campus.gw, campus.gw_campus_if, campus.gw_backbone_if);
+        let [(sb, sb_if), (churn, churn_if)] = campus.leaves;
 
-        // The active home agent doubles as the shard's backbone gateway.
-        let ha = net.add_host(format!("ha{s}"));
-        let ha_campus_if = net.host_mut(ha).core.add_iface(presets::wired_ethernet(
-            "eth0",
-            MacAddr::from_index(base + 1),
-        ));
-        let ha_bb_if = net
-            .host_mut(ha)
-            .core
-            .add_iface(presets::wired_ethernet("eth1", s2_backbone_mac(s)));
-        {
-            let core = &mut net.host_mut(ha).core;
-            core.forwarding = true;
-            core.iface_mut(ha_campus_if)
-                .add_addr(s2_active(s), s2_campus_subnet(s));
-            core.iface_mut(ha_bb_if)
-                .add_addr(s2_backbone_addr(s), "10.99.0.0/24".parse().expect("cidr"));
-            core.routes.add(RouteEntry {
-                dest: s2_campus_subnet(s),
-                gateway: None,
-                iface: ha_campus_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: "10.99.0.0/24".parse().expect("cidr"),
-                gateway: None,
-                iface: ha_bb_if,
-                metric: 0,
-            });
-            for t in (0..shards).filter(|&t| t != s) {
-                core.routes.add(RouteEntry {
-                    dest: s2_campus_subnet(t),
-                    gateway: Some(s2_backbone_addr(t)),
-                    iface: ha_bb_if,
-                    metric: 0,
-                });
-            }
-        }
-        let mut ha_cfg = HomeAgentConfig::new(s2_active(s), ha_campus_if, s2_home_prefix());
-        ha_cfg.replicate_to = Some(s2_standby(s));
+        // The agents must be installed before bring-up: they are modules
+        // of the world the stack starts, not late joiners.
+        let mut ha_cfg = HomeAgentConfig::new(addr(S2_ACTIVE), ha_campus_if, s2_home_prefix());
+        ha_cfg.replicate_to = Some(addr(S2_STANDBY));
         ha_cfg.fleet = Some((s as u16, directory.clone()));
-        net.host_mut(ha)
-            .add_module(Box::new(HomeAgent::new(ha_cfg)));
-        net.attach(ha, ha_campus_if, campus);
-        net.attach(ha, ha_bb_if, backbone);
-
-        // Standby and churn hosts on the campus net.
-        let leaf = |net: &mut Network, name: String, mac: u32, addr: Ipv4Addr| {
-            let h = net.add_host(name);
-            let ifc = net
-                .host_mut(h)
-                .core
-                .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(mac)));
-            {
-                let core = &mut net.host_mut(h).core;
-                core.iface_mut(ifc).add_addr(addr, s2_campus_subnet(s));
-                core.routes.add(RouteEntry {
-                    dest: s2_campus_subnet(s),
-                    gateway: None,
-                    iface: ifc,
-                    metric: 0,
-                });
-                core.routes.add(RouteEntry {
-                    dest: Cidr::DEFAULT,
-                    gateway: Some(s2_active(s)),
-                    iface: ifc,
-                    metric: 0,
-                });
-            }
-            net.attach(h, ifc, campus);
-            (h, ifc)
-        };
-        let (sb, sb_if) = leaf(&mut net, format!("sb{s}"), base + 3, s2_standby(s));
-        let mut sb_cfg = HomeAgentConfig::new(s2_standby(s), sb_if, s2_home_prefix());
+        let mut sb_cfg = HomeAgentConfig::new(addr(S2_STANDBY), sb_if, s2_home_prefix());
         sb_cfg.fleet = Some((s as u16, directory.clone()));
-        net.host_mut(sb)
-            .add_module(Box::new(HomeAgent::new(sb_cfg)));
-        let (churn, churn_if) = leaf(&mut net, format!("churn{s}"), base + 4, s2_churn(s));
+        for (host, agent_cfg) in [(ha, ha_cfg), (sb, sb_cfg)] {
+            campus
+                .sim
+                .world_mut()
+                .host_mut(host)
+                .add_module(Box::new(HomeAgent::new(agent_cfg)));
+        }
+        campus.power_up();
+        let mut sim = campus.sim;
 
-        let mut sim = Sim::with_seed(net, shard_seed(cfg.seed, s));
-        sim.set_batching(cfg.batching);
-        sim.flights_mut().set_enabled(true);
-        sim.flights_mut().set_flight_namespace(s);
-        if std::env::var_os("MOSQUITONET_PROFILE").is_some() {
-            let reg = sim.metrics().clone();
-            sim.profiler_mut()
-                .enable_with_prefix(&reg, format!("profile/shard/{s}"));
-        }
-        for (h, i) in [
-            (ha, ha_campus_if),
-            (ha, ha_bb_if),
-            (sb, sb_if),
-            (churn, churn_if),
-        ] {
-            stack::bring_iface_up(&mut sim, h, i);
-        }
-        sim.run();
         // Warm every ARP path the churn exercises, so the measured window
         // starts with neighbor discovery already settled (as A2 does).
         let t0 = sim.now();
         {
             let w = sim.world_mut();
-            w.hosts[churn.0].core.arp[churn_if.0].insert(
-                s2_active(s),
-                MacAddr::from_index(base + 1),
-                t0,
-            );
-            w.hosts[ha.0].core.arp[ha_campus_if.0].insert(
-                s2_churn(s),
-                MacAddr::from_index(base + 4),
-                t0,
-            );
-            w.hosts[ha.0].core.arp[ha_campus_if.0].insert(
-                s2_standby(s),
-                MacAddr::from_index(base + 3),
-                t0,
-            );
-            w.hosts[sb.0].core.arp[sb_if.0].insert(s2_active(s), MacAddr::from_index(base + 1), t0);
+            w.hosts[churn.0].core.arp[churn_if.0].insert(addr(S2_ACTIVE), mac(S2_ACTIVE), t0);
+            w.hosts[ha.0].core.arp[ha_campus_if.0].insert(addr(S2_CHURN), mac(S2_CHURN), t0);
+            w.hosts[ha.0].core.arp[ha_campus_if.0].insert(addr(S2_STANDBY), mac(S2_STANDBY), t0);
+            w.hosts[sb.0].core.arp[sb_if.0].insert(addr(S2_ACTIVE), mac(S2_ACTIVE), t0);
             for t in (0..shards).filter(|&t| t != s) {
                 w.hosts[ha.0].core.arp[ha_bb_if.0].insert(
-                    s2_backbone_addr(t),
-                    s2_backbone_mac(t),
+                    ShardedCampus::backbone_addr(t),
+                    ShardedCampus::backbone_mac(t),
                     t0,
                 );
             }
@@ -3158,7 +2640,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
             .map(s2_home)
             .filter(|&h| directory.resolve(h) == s as u16)
             .collect();
-        let next = (s + 1) % shards;
+        let next_active = ShardedCampus::addr((s + 1) % shards, S2_ACTIVE);
         let (burst, ticks) = (cfg.burst, cfg.ticks);
         let churn_seed = shard_seed(cfg.seed, s) ^ 0x5A5A_5A5A_5A5A_5A5A;
         sim.schedule_at(SimTime::ZERO + S2_PRIME, move |sim| {
@@ -3166,8 +2648,8 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
                 sim,
                 churn,
                 Box::new(FleetChurn::new(
-                    s2_active(s),
-                    s2_active(next),
+                    addr(S2_ACTIVE),
+                    next_active,
                     homes,
                     burst,
                     SimDuration::from_millis(S2_TICK_MS),
@@ -3179,47 +2661,11 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         sim
     };
 
-    let finish = |s: u32, mut sim: Sim<Network>| -> S2ShardOut {
+    let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, S2Row, Vec<u64>) {
         let now = sim.now();
-        let events = sim.events_executed();
-        let batches = if cfg.batching {
-            sim.batches_executed()
-        } else {
-            events
-        };
-        let snapshot = sim.metrics().snapshot();
-        let dump = sim.flights().dump(s, s * S2_SHARD_HOSTS);
-        let arena_resets = sim.world().arena_resets();
-        let names: Vec<String> = sim
-            .world()
-            .hosts
-            .iter()
-            .map(|h| h.core.name.clone())
-            .collect();
-        let mut out = S2ShardOut {
-            names,
-            snapshot,
-            dump,
-            sent: 0,
-            misdirected: 0,
-            redirected: 0,
-            accepted: 0,
-            denied: 0,
-            latencies_ns: Vec::new(),
-            first_accept: None,
-            last_accept: None,
-            ha_processed: 0,
-            ha_accepted: 0,
-            wrong_shard: 0,
-            replicas_sent: 0,
-            replicas_applied: 0,
-            live_bindings: 0,
-            standby_bindings: 0,
-            journal_records: 0,
-            events,
-            batches,
-            arena_resets,
-        };
+        let mut totals = ShardTotals::of_shard(s, &sim, cfg.batching);
+        let mut row = S2Row::default();
+        let mut latencies_ns = Vec::new();
         let w = sim.world_mut();
         for h in 0..w.hosts.len() {
             let host = &mut w.hosts[h];
@@ -3228,29 +2674,28 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
                 if let Some(agent) = host.module_mut::<HomeAgent>(mid) {
                     // Host order per shard is fixed: ha, sb, churn.
                     if h == 0 {
-                        out.ha_processed += agent.processed.get();
-                        out.ha_accepted += agent.accepted.get();
-                        out.wrong_shard += agent.wrong_shard.get();
-                        out.replicas_sent += agent.replicas_sent.get();
-                        out.live_bindings += agent.bindings.iter_live(now).count() as u64;
-                        out.journal_records += agent.journal.len() as u64;
+                        row.ha_processed += agent.processed.get();
+                        row.ha_accepted += agent.accepted.get();
+                        row.wrong_shard += agent.wrong_shard.get();
+                        row.replicas_sent += agent.replicas_sent.get();
+                        row.live_bindings += agent.bindings.iter_live(now).count() as u64;
+                        row.journal_records += agent.journal.len() as u64;
                     } else {
-                        out.replicas_applied += agent.replicas_applied.get();
-                        out.standby_bindings += agent.bindings.iter_live(now).count() as u64;
+                        row.replicas_applied += agent.replicas_applied.get();
+                        row.standby_bindings += agent.bindings.iter_live(now).count() as u64;
                     }
                 } else if let Some(churn) = host.module_mut::<FleetChurn>(mid) {
-                    out.sent += churn.sent;
-                    out.misdirected += churn.misdirected;
-                    out.redirected += churn.redirected;
-                    out.accepted += churn.accepted;
-                    out.denied += churn.denied;
-                    out.latencies_ns.append(&mut churn.latencies_ns);
-                    out.first_accept = churn.first_accept;
-                    out.last_accept = churn.last_accept;
+                    row.sent += churn.sent;
+                    row.misdirected += churn.misdirected;
+                    row.redirected += churn.redirected;
+                    row.accepted += churn.accepted;
+                    row.denied += churn.denied;
+                    latencies_ns.append(&mut churn.latencies_ns);
+                    totals.span.widen(churn.first_accept, churn.last_accept);
                 }
             }
         }
-        out
+        (totals, row, latencies_ns)
     };
 
     let wall_start = std::time::Instant::now();
@@ -3264,100 +2709,46 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
     );
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
-    // Deterministic merges, in shard order.
-    let mut names = Vec::new();
-    let mut snapshots = Vec::new();
-    let mut dumps = Vec::new();
+    let mut totals = ShardTotals::default();
+    let mut row = S2Row {
+        wall_ns,
+        ..S2Row::default()
+    };
     let mut latencies = Vec::new();
-    let (mut sent, mut misdirected, mut redirected, mut accepted, mut denied) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let (mut first, mut last): (Option<SimTime>, Option<SimTime>) = (None, None);
-    let (mut ha_processed, mut ha_accepted, mut wrong_shard) = (0u64, 0u64, 0u64);
-    let (mut replicas_sent, mut replicas_applied) = (0u64, 0u64);
-    let (mut live_bindings, mut standby_bindings, mut journal_records) = (0u64, 0u64, 0u64);
-    let (mut events, mut batches, mut arena_resets) = (0u64, 0u64, 0u64);
-    for out in outs {
-        names.extend(out.names);
-        snapshots.push(out.snapshot);
-        dumps.push(out.dump);
-        latencies.extend(out.latencies_ns);
-        sent += out.sent;
-        misdirected += out.misdirected;
-        redirected += out.redirected;
-        accepted += out.accepted;
-        denied += out.denied;
-        first = match (first, out.first_accept) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        last = match (last, out.last_accept) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        ha_processed += out.ha_processed;
-        ha_accepted += out.ha_accepted;
-        wrong_shard += out.wrong_shard;
-        replicas_sent += out.replicas_sent;
-        replicas_applied += out.replicas_applied;
-        live_bindings += out.live_bindings;
-        standby_bindings += out.standby_bindings;
-        journal_records += out.journal_records;
-        events += out.events;
-        batches += out.batches;
-        arena_resets += out.arena_resets;
+    for (shard_totals, part, shard_latencies) in outs {
+        totals.merge(shard_totals);
+        latencies.extend(shard_latencies);
+        row.sent += part.sent;
+        row.misdirected += part.misdirected;
+        row.redirected += part.redirected;
+        row.accepted += part.accepted;
+        row.denied += part.denied;
+        row.ha_processed += part.ha_processed;
+        row.ha_accepted += part.ha_accepted;
+        row.wrong_shard += part.wrong_shard;
+        row.replicas_sent += part.replicas_sent;
+        row.replicas_applied += part.replicas_applied;
+        row.live_bindings += part.live_bindings;
+        row.standby_bindings += part.standby_bindings;
+        row.journal_records += part.journal_records;
     }
-
-    let span_ns = match (first, last) {
-        (Some(f), Some(l)) if l > f => (l - f).as_nanos(),
-        _ => 0,
-    };
-    let regs_per_sec = if span_ns > 0 {
-        (accepted as u128 * 1_000_000_000 / span_ns as u128) as u64
-    } else {
-        0
-    };
+    row.events = totals.events;
+    row.batches = totals.batches;
+    row.span_ns = totals.span.ns();
+    row.regs_per_sec = rate_per_sec(row.accepted, row.span_ns);
     latencies.sort_unstable();
-    let p99_latency_ns = if latencies.is_empty() {
-        0
-    } else {
-        latencies[(latencies.len() - 1) * 99 / 100]
-    };
-    let request_bytes = (sent + redirected) * REQUEST_LEN as u64;
+    row.p99_latency_ns = percentile(&latencies, 99);
+    row.request_bytes = (row.sent + row.redirected) * REQUEST_LEN as u64;
     // `ha_processed` already counts the wrong-shard denial replies: the
     // denying agent is just another shard's active.
-    let reply_bytes = ha_processed * REPLY_LEN as u64;
-    let replica_bytes = replicas_sent * REPLICA_LEN as u64;
-    let bytes_per_binding = (request_bytes + reply_bytes + replica_bytes)
-        .checked_div(live_bindings)
+    row.reply_bytes = row.ha_processed * REPLY_LEN as u64;
+    row.replica_bytes = row.replicas_sent * REPLICA_LEN as u64;
+    row.bytes_per_binding = (row.request_bytes + row.reply_bytes + row.replica_bytes)
+        .checked_div(row.live_bindings)
         .unwrap_or(0);
 
-    let row = S2Row {
-        sent,
-        misdirected,
-        redirected,
-        accepted,
-        denied,
-        ha_processed,
-        ha_accepted,
-        wrong_shard,
-        replicas_sent,
-        replicas_applied,
-        live_bindings,
-        standby_bindings,
-        journal_records,
-        events,
-        batches,
-        span_ns,
-        regs_per_sec,
-        p99_latency_ns,
-        request_bytes,
-        reply_bytes,
-        replica_bytes,
-        bytes_per_binding,
-        wall_ns,
-    };
-    let journeys = FlightRecorder::merged(dumps).export(&names, None);
-    let metrics = Snapshot::merged(snapshots).to_json();
+    let arena_resets = totals.arena_resets;
+    let (journeys, metrics) = totals.documents();
     S2Result {
         cfg: *cfg,
         threads,
@@ -3467,37 +2858,16 @@ pub fn run_c5(seed: u64) -> C5Result {
     tb.sim.flights_mut().clear();
 
     let crash_at = settled + C5_CRASH_AFTER;
-    let plan = HostFaultPlan::scripted(vec![HostFaultEvent {
-        at: crash_at,
-        restart_after: C5_DOWNTIME,
-        lose_journal: false,
-    }]);
-    plan.register_metrics(&reg.scope("c5/ha"));
-    let ha_host = tb.ha_host;
-    tb.sim.world_mut().host_mut(ha_host).fault = Some(plan);
-    stack::install_host_faults(&mut tb.sim, ha_host);
-    // Rebind host metrics so the plan's counters also appear in the run
-    // registry under `{host}/fault.*`.
-    stack::register_metrics(&mut tb.sim);
+    script_ha_crash(&mut tb, &reg.scope("c5/ha"), crash_at, C5_DOWNTIME);
 
     // Ride through the crash and the restart...
     tb.run_for(C5_CRASH_AFTER + C5_DOWNTIME);
     // ...then poll until the MH has seen the new boot epoch and holds an
     // accepted registration again.
-    let slice = SimDuration::from_millis(100);
-    let mut waited = SimDuration::ZERO;
-    loop {
-        let m = tb.mh_module();
-        if m.epoch_changes.get() >= 1 && m.away_status().map(|s| s.2).unwrap_or(false) {
-            break;
-        }
-        assert!(
-            waited < C5_RECONVERGE_CAP,
-            "MH failed to reconverge after the home agent restart"
-        );
-        tb.run_for(slice);
-        waited += slice;
-    }
+    assert!(
+        poll_until(&mut tb, C5_RECONVERGE_CAP, reconverged_after_restart),
+        "MH failed to reconverge after the home agent restart"
+    );
     let reconverged = tb.sim.now();
     tb.run_for(C5_POST);
     let end = tb.sim.now();
@@ -3701,43 +3071,30 @@ pub fn run_c6(seed: u64) -> C6Result {
     settle_on_dept(&mut tb);
     let settled = tb.sim.now();
     let standby_host = tb.standby_host.expect("standby built");
-    let encap0 = tb
-        .sim
-        .world()
-        .host(standby_host)
-        .core
-        .stats
-        .encapsulated
-        .get();
+    let standby_encap = |tb: &Testbed| {
+        tb.sim
+            .world()
+            .host(standby_host)
+            .core
+            .stats
+            .encapsulated
+            .get()
+    };
+    let encap0 = standby_encap(&tb);
 
     let crash_at = settled + C6_CRASH_AFTER;
-    let plan = HostFaultPlan::scripted(vec![HostFaultEvent {
-        at: crash_at,
-        restart_after: C6_NO_RESTART,
-        lose_journal: false,
-    }]);
-    plan.register_metrics(&reg.scope("c6/primary"));
-    let ha_host = tb.ha_host;
-    tb.sim.world_mut().host_mut(ha_host).fault = Some(plan);
-    stack::install_host_faults(&mut tb.sim, ha_host);
-    stack::register_metrics(&mut tb.sim);
+    script_ha_crash(&mut tb, &reg.scope("c6/primary"), crash_at, C6_NO_RESTART);
 
     tb.run_for(C6_CRASH_AFTER);
     // Poll until the MH holds an accepted registration *at the standby*.
-    let slice = SimDuration::from_millis(100);
-    let mut waited = SimDuration::ZERO;
-    loop {
+    let at_standby = poll_until(&mut tb, C6_FAILOVER_CAP, |tb| {
         let m = tb.mh_module();
-        if m.current_home_agent() == STANDBY_HA && m.away_status().map(|s| s.2).unwrap_or(false) {
-            break;
-        }
-        assert!(
-            waited < C6_FAILOVER_CAP,
-            "MH failed to fail over to the standby home agent"
-        );
-        tb.run_for(slice);
-        waited += slice;
-    }
+        m.current_home_agent() == STANDBY_HA && m.away_status().map(|s| s.2).unwrap_or(false)
+    });
+    assert!(
+        at_standby,
+        "MH failed to fail over to the standby home agent"
+    );
     let failover = tb.sim.now();
     tb.run_for(C6_POST);
     let end = tb.sim.now();
@@ -3756,15 +3113,7 @@ pub fn run_c6(seed: u64) -> C6Result {
         let sb = tb.standby_module();
         (sb.accepted.get(), sb.replicas_applied.get())
     };
-    let standby_encapsulated = tb
-        .sim
-        .world()
-        .host(standby_host)
-        .core
-        .stats
-        .encapsulated
-        .get()
-        - encap0;
+    let standby_encapsulated = standby_encap(&tb) - encap0;
     stack::Module::register_metrics(tb.mh_module(), &reg.scope("c6/mh"));
     stack::Module::register_metrics(tb.standby_module(), &reg.scope("c6/standby"));
 
@@ -3778,12 +3127,7 @@ pub fn run_c6(seed: u64) -> C6Result {
         )
     };
     let (out_lost_during, out_lost_after) = {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(out_mid)
-            .expect("outbound echo sender");
+        let s: &mut UdpEchoSender = tb.module(mh, out_mid);
         (
             s.lost_in_window(crash_at, failover),
             s.lost_in_window(failover, end - C5_TAIL_MARGIN),
@@ -3950,17 +3294,6 @@ pub fn run_c7(seed: u64) -> C7Result {
         attacker_host,
         Box::new(RegistrationAttacker::new(HA_SEPARATE)),
     );
-    fn attacker_at(
-        tb: &mut Testbed,
-        host: stack::HostId,
-        mid: ModuleId,
-    ) -> &mut RegistrationAttacker {
-        tb.sim
-            .world_mut()
-            .host_mut(host)
-            .module_mut(mid)
-            .expect("attacker module")
-    }
 
     settle_on_dept(&mut tb);
     let settled = tb.sim.now();
@@ -3983,7 +3316,7 @@ pub fn run_c7(seed: u64) -> C7Result {
     };
     let wrong_key = forged.sign(C7_SPI, 0x4141_4141_4141_4141);
     {
-        let a = attacker_at(&mut tb, attacker_host, att_mid);
+        let a = tb.module::<RegistrationAttacker>(attacker_host, att_mid);
         a.inject(forged.to_bytes(), "unsigned forgery");
         a.inject(wrong_key.to_bytes(), "wrong-key forgery");
     }
@@ -4010,7 +3343,7 @@ pub fn run_c7(seed: u64) -> C7Result {
         .to_bytes()
     };
     {
-        let a = attacker_at(&mut tb, attacker_host, att_mid);
+        let a = tb.module::<RegistrationAttacker>(attacker_host, att_mid);
         a.inject(captured(floor), "verbatim replay");
         a.inject(captured(floor.saturating_sub(1)), "stale replay");
     }
@@ -4022,34 +3355,16 @@ pub fn run_c7(seed: u64) -> C7Result {
     // let the MH reconverge, then replay the pre-crash capture again:
     // the journal-restored floor must still refuse it.
     let crash_at = attack_end;
-    let plan = HostFaultPlan::scripted(vec![HostFaultEvent {
-        at: crash_at,
-        restart_after: C7_DOWNTIME,
-        lose_journal: false,
-    }]);
-    plan.register_metrics(&reg.scope("c7/ha"));
-    let ha_host = tb.ha_host;
-    tb.sim.world_mut().host_mut(ha_host).fault = Some(plan);
-    stack::install_host_faults(&mut tb.sim, ha_host);
-    stack::register_metrics(&mut tb.sim);
+    script_ha_crash(&mut tb, &reg.scope("c7/ha"), crash_at, C7_DOWNTIME);
 
     tb.run_for(C7_DOWNTIME);
-    let slice = SimDuration::from_millis(100);
-    let mut waited = SimDuration::ZERO;
-    loop {
-        let m = tb.mh_module();
-        if m.epoch_changes.get() >= 1 && m.away_status().map(|s| s.2).unwrap_or(false) {
-            break;
-        }
-        assert!(
-            waited < C5_RECONVERGE_CAP,
-            "MH failed to reconverge after the home agent restart"
-        );
-        tb.run_for(slice);
-        waited += slice;
-    }
+    assert!(
+        poll_until(&mut tb, C5_RECONVERGE_CAP, reconverged_after_restart),
+        "MH failed to reconverge after the home agent restart"
+    );
     let reconverged = tb.sim.now();
-    attacker_at(&mut tb, attacker_host, att_mid).inject(captured(floor), "post-restart replay");
+    tb.module::<RegistrationAttacker>(attacker_host, att_mid)
+        .inject(captured(floor), "post-restart replay");
     tb.run_for(C7_POST);
     let end = tb.sim.now();
     binding_intact &= binding_at(&mut tb) == Some(COA_DEPT);
@@ -4065,7 +3380,7 @@ pub fn run_c7(seed: u64) -> C7Result {
     stack::Module::register_metrics(tb.mh_module(), &reg.scope("c7/mh"));
     stack::Module::register_metrics(tb.ha_module(), &reg.scope("c7/ha"));
     let (injected, attacker_accepted, attacker_denied) = {
-        let a = attacker_at(&mut tb, attacker_host, att_mid);
+        let a = tb.module::<RegistrationAttacker>(attacker_host, att_mid);
         stack::Module::register_metrics(a, &reg.scope("c7/attacker"));
         (a.injected.get(), a.accepted.get(), a.denied.get())
     };
@@ -4138,3 +3453,579 @@ pub fn run_c7(seed: u64) -> C7Result {
         journeys,
     }
 }
+
+// ---------------------------------------------------------------- registry
+//
+// The roster of runs, once: the `experiment` binary, the docs-sync test
+// and CI all iterate this table instead of keeping their own copy.
+
+/// One integer parameter of an experiment: `key=value` on the command
+/// line, checked against the allowed range before anything runs.
+#[derive(Clone, Copy, Debug)]
+pub struct Param {
+    /// The key, as typed.
+    pub key: &'static str,
+    /// Value used when the key is not given.
+    pub default: u64,
+    /// Smallest allowed value.
+    pub min: u64,
+    /// Largest allowed value.
+    pub max: u64,
+}
+
+impl Param {
+    /// A count that must be positive and fit the runners' `u32`.
+    const fn count(key: &'static str, default: u64) -> Param {
+        Param {
+            key,
+            default,
+            min: 1,
+            max: u32::MAX as u64,
+        }
+    }
+}
+
+/// Every seeded run takes the same seed parameter.
+const SEED: Param = Param {
+    key: "seed",
+    default: 1996,
+    min: 0,
+    max: u64::MAX,
+};
+
+/// Engine batching on (1, the default) or off (0); results must be
+/// byte-identical either way.
+const BATCHING: Param = Param {
+    key: "batching",
+    default: 1,
+    min: 0,
+    max: 1,
+};
+
+/// Worker threads stepping the shards; any count gives the same bytes.
+const THREADS: Param = Param {
+    key: "threads",
+    default: 1,
+    min: 1,
+    max: ShardedCampus::MAX_SHARDS as u64,
+};
+
+/// The checked parameter values of one run: every declared key, at its
+/// given or default value.
+#[derive(Clone, Debug)]
+pub struct Params(Vec<(&'static str, u64)>);
+
+impl Params {
+    /// Parses `key=value` arguments against `exp`'s declared parameters.
+    /// Unknown keys, non-integers and out-of-range values are errors that
+    /// name the offending token; nothing is defaulted silently.
+    pub fn parse<S: AsRef<str>>(exp: &Experiment, args: &[S]) -> Result<Params, String> {
+        let mut values: Vec<(&'static str, u64)> =
+            exp.params.iter().map(|p| (p.key, p.default)).collect();
+        for arg in args {
+            let arg = arg.as_ref();
+            let (key, value) = arg
+                .split_once('=')
+                .ok_or_else(|| format!("`{arg}` is not a key=value parameter"))?;
+            let (param, slot) = exp
+                .params
+                .iter()
+                .zip(&mut values)
+                .find(|(p, _)| p.key == key)
+                .ok_or_else(|| format!("`{arg}`: {} has no parameter `{key}`", exp.name))?;
+            let v: u64 = value
+                .parse()
+                .map_err(|_| format!("`{arg}`: `{value}` is not an unsigned integer"))?;
+            if !(param.min..=param.max).contains(&v) {
+                return Err(format!(
+                    "`{arg}`: {key} must be in {}..={}",
+                    param.min, param.max
+                ));
+            }
+            slot.1 = v;
+        }
+        Ok(Params(values))
+    }
+
+    /// The value of a declared parameter. Panics on an undeclared key —
+    /// a bug in the registry entry, not a user error.
+    pub fn get(&self, key: &str) -> u64 {
+        self.0
+            .iter()
+            .find(|(k, _)| *k == key)
+            .unwrap_or_else(|| panic!("parameter `{key}` is not declared"))
+            .1
+    }
+
+    /// [`Params::get`] for the runners' `u32` arguments; the declared
+    /// range guarantees the fit.
+    fn get_u32(&self, key: &str) -> u32 {
+        u32::try_from(self.get(key)).expect("range declared within u32")
+    }
+}
+
+/// One file a run writes into the artifact directory.
+#[derive(Debug)]
+pub enum Artifact {
+    /// A byte-stable sidecar `{name}.{kind}.json`.
+    Sidecar(SidecarKind, &'static str, Json),
+    /// A wall-clock companion `{name}.json`: the deterministic bench body
+    /// plus real elapsed rates. Nondeterministic by nature — never diffed
+    /// against a golden.
+    Wall(&'static str, Json),
+    /// A wire capture `{name}.pcap`; written only when the capture is
+    /// non-empty, i.e. the run was built with `MOSQUITONET_PCAP` set.
+    Pcap(&'static str, Vec<CapturedFrame>),
+}
+
+impl Artifact {
+    /// The file name minus its final extension, as declared in
+    /// [`Experiment::artifacts`].
+    pub fn stem(&self) -> String {
+        match self {
+            Artifact::Sidecar(kind, name, _) => format!("{name}.{}", kind.key()),
+            Artifact::Wall(name, _) => (*name).to_string(),
+            Artifact::Pcap(name, _) => format!("{name}.pcap"),
+        }
+    }
+
+    /// Writes the file into `dir`; `None` when there was nothing to write
+    /// (an empty capture).
+    pub fn write_in(&self, dir: &Path) -> std::io::Result<Option<PathBuf>> {
+        match self {
+            Artifact::Sidecar(kind, name, body) => {
+                report::write_sidecar_in(dir, *kind, name, body).map(Some)
+            }
+            Artifact::Wall(name, doc) => {
+                std::fs::create_dir_all(dir)?;
+                let path = dir.join(format!("{name}.json"));
+                std::fs::write(&path, doc.render_pretty())?;
+                Ok(Some(path))
+            }
+            Artifact::Pcap(name, frames) => report::write_pcap_in(dir, name, frames),
+        }
+    }
+}
+
+/// Everything one run produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The paper-format report, printed to stdout.
+    pub report: String,
+    /// The run's members of the combined `experiment all json=FILE`
+    /// document.
+    pub json: Vec<(&'static str, Json)>,
+    /// The files to write, one per declared artifact stem.
+    pub artifacts: Vec<Artifact>,
+}
+
+/// One entry of the experiment roster.
+pub struct Experiment {
+    /// The name the run is selected by.
+    pub name: &'static str,
+    /// One line on what it reproduces.
+    pub about: &'static str,
+    /// Its parameters, in usage order.
+    pub params: &'static [Param],
+    /// Stems of the files it writes (see [`Artifact::stem`]).
+    pub artifacts: &'static [&'static str],
+    /// Runs it.
+    pub run: fn(&Params) -> Outcome,
+}
+
+impl Experiment {
+    /// The one-line usage string, with each parameter's default and
+    /// allowed range.
+    pub fn usage(&self) -> String {
+        let mut out = format!("usage: experiment {}", self.name);
+        for p in self.params {
+            out.push_str(&format!(
+                " [{}={} ({}..={})]",
+                p.key, p.default, p.min, p.max
+            ));
+        }
+        out
+    }
+
+    /// Looks an entry up by name.
+    pub fn find(name: &str) -> Option<&'static Experiment> {
+        REGISTRY.iter().find(|e| e.name == name)
+    }
+}
+
+/// An outcome whose one artifact is the metrics sidecar `name`.
+fn with_metrics(
+    report: String,
+    json: (&'static str, Json),
+    name: &'static str,
+    metrics: Json,
+) -> Outcome {
+    Outcome {
+        report,
+        json: vec![json],
+        artifacts: vec![Artifact::Sidecar(SidecarKind::Metrics, name, metrics)],
+    }
+}
+
+/// A chaos outcome: metrics and journeys sidecars under `name`.
+fn with_journeys(
+    report: String,
+    json: (&'static str, Json),
+    name: &'static str,
+    metrics: Json,
+    journeys: Json,
+) -> Outcome {
+    let mut out = with_metrics(report, json, name, metrics);
+    out.artifacts
+        .push(Artifact::Sidecar(SidecarKind::Journeys, name, journeys));
+    out
+}
+
+/// The wall-clock companion document of a bench-class run.
+fn wall_doc(experiment: &str, members: Vec<(&'static str, Json)>) -> Json {
+    let mut doc = vec![
+        ("schema", Json::from("mosquitonet.bench-wall/v1")),
+        ("experiment", Json::from(experiment)),
+    ];
+    doc.extend(members);
+    Json::obj(doc)
+}
+
+/// Shard count of S3's sharded variant; 1, 2, and 4 threads all divide
+/// it evenly, so the CI matrix exercises every ownership split.
+const S3_SHARDS: u32 = 4;
+
+/// Every run of the reproduction, in report order. `experiment all` runs
+/// them top to bottom; EXPERIMENTS.md lists each name and artifact stem
+/// (held in sync by `tests/docs_sync.rs`).
+pub static REGISTRY: &[Experiment] = &[
+    Experiment {
+        name: "tab1_same_subnet",
+        about: "Table 1: packet loss switching care-of addresses on one subnet (§4)",
+        params: &[Param::count("iterations", 20), SEED],
+        artifacts: &["tab1.metrics"],
+        run: |p| {
+            let r = run_tab1(p.get_u32("iterations"), p.get("seed"));
+            let json = ("tab1", r.to_json());
+            with_metrics(report::render_tab1(&r), json, "tab1", r.metrics)
+        },
+    },
+    Experiment {
+        name: "tab1_far_correspondent",
+        about: "Table 1 with the correspondent on a campus net beyond the cloud (§4)",
+        params: &[SEED],
+        artifacts: &["tab1_far.metrics"],
+        run: |p| {
+            let r = run_tab1_far(20, p.get("seed"));
+            let json = ("tab1_far", r.to_json());
+            with_metrics(report::render_tab1_far(&r), json, "tab1_far", r.metrics)
+        },
+    },
+    Experiment {
+        name: "fig6_device_switch",
+        about: "Figure 6: packet loss for cold/hot Ethernet<->radio switches (§4)",
+        params: &[Param::count("iterations", 10), SEED],
+        artifacts: &["fig6.metrics"],
+        run: |p| {
+            let r = run_fig6(p.get_u32("iterations"), p.get("seed"));
+            let json = ("fig6", r.to_json());
+            with_metrics(report::render_fig6(&r), json, "fig6", r.metrics)
+        },
+    },
+    Experiment {
+        name: "fig7_registration",
+        about: "Figure 7: the registration time-line breakdown (§4)",
+        params: &[Param::count("runs", 10), SEED],
+        artifacts: &["fig7.metrics"],
+        run: |p| {
+            let r = run_fig7(p.get_u32("runs"), p.get("seed"));
+            let json = ("fig7", r.to_json());
+            with_metrics(report::render_fig7(&r), json, "fig7", r.metrics)
+        },
+    },
+    Experiment {
+        name: "c1_encap_overhead",
+        about: "C1: IP-in-IP encapsulation byte overhead (§3.2)",
+        params: &[],
+        artifacts: &["c1.metrics"],
+        run: |_| {
+            let rows = run_c1();
+            let json = ("c1", Json::arr(rows.iter().map(C1Row::to_json)));
+            // C1 is analytic (no simulated hosts); the sidecar carries an
+            // empty registry so downstream tooling sees a uniform file set.
+            let metrics = MetricsRegistry::new().to_json();
+            with_metrics(report::render_c1(&rows), json, "c1", metrics)
+        },
+    },
+    Experiment {
+        name: "c2_radio_characteristics",
+        about: "C2: radio RTT (200-250 ms) and effective throughput (30-40 kb/s) (§4)",
+        params: &[Param::count("pings", 50), SEED],
+        artifacts: &["c2.metrics"],
+        run: |p| {
+            let r = run_c2(p.get_u32("pings"), p.get("seed"));
+            let json = ("c2", r.to_json());
+            with_metrics(report::render_c2(&r), json, "c2", r.metrics)
+        },
+    },
+    Experiment {
+        name: "c3_triangle_route",
+        about: "C3: triangle route vs. reverse tunnel, and the filter fallback (§3.2)",
+        params: &[SEED],
+        artifacts: &["c3.metrics"],
+        run: |p| {
+            let r = run_c3(p.get("seed"));
+            let json = ("c3", r.to_json());
+            with_metrics(report::render_c3(&r), json, "c3", r.metrics)
+        },
+    },
+    Experiment {
+        name: "c4_lossy_registration",
+        about: "C4: address switches under a seeded 0-50 % frame-loss sweep",
+        params: &[Param::count("switches", 4), SEED],
+        artifacts: &["c4_lossy_registration.metrics"],
+        run: |p| {
+            let r = run_c4(p.get_u32("switches"), p.get("seed"));
+            let json = ("c4", r.to_json());
+            with_metrics(
+                report::render_c4(&r),
+                json,
+                "c4_lossy_registration",
+                r.metrics,
+            )
+        },
+    },
+    Experiment {
+        name: "c5_ha_crash_recovery",
+        about: "C5: the home agent crashes mid-session and restarts from its journal",
+        params: &[SEED],
+        artifacts: &[
+            "c5_ha_crash_recovery.metrics",
+            "c5_ha_crash_recovery.journeys",
+            "c5_ha_crash_recovery.pcap",
+        ],
+        run: |p| {
+            let r = run_c5(p.get("seed"));
+            let mut out = with_journeys(
+                report::render_c5(&r),
+                ("c5", r.to_json()),
+                "c5_ha_crash_recovery",
+                r.metrics,
+                r.journeys,
+            );
+            out.artifacts
+                .push(Artifact::Pcap("c5_ha_crash_recovery", r.captures));
+            out
+        },
+    },
+    Experiment {
+        name: "c6_standby_failover",
+        about: "C6: the primary dies for good; the MH fails over to the standby",
+        params: &[SEED],
+        artifacts: &[
+            "c6_standby_failover.metrics",
+            "c6_standby_failover.journeys",
+        ],
+        run: |p| {
+            let r = run_c6(p.get("seed"));
+            with_journeys(
+                report::render_c6(&r),
+                ("c6", r.to_json()),
+                "c6_standby_failover",
+                r.metrics,
+                r.journeys,
+            )
+        },
+    },
+    Experiment {
+        name: "c7_spoofed_registration",
+        about: "C7: forged and replayed registrations against an authenticating agent",
+        params: &[SEED],
+        artifacts: &[
+            "c7_spoofed_registration.metrics",
+            "c7_spoofed_registration.journeys",
+        ],
+        run: |p| {
+            let r = run_c7(p.get("seed"));
+            with_journeys(
+                report::render_c7(&r),
+                ("c7", r.to_json()),
+                "c7_spoofed_registration",
+                r.metrics,
+                r.journeys,
+            )
+        },
+    },
+    Experiment {
+        name: "a1_foreign_agent_ablation",
+        about: "A1: hand-off loss with and without foreign agents / forwarding (§5.1)",
+        params: &[Param::count("iterations", 10), SEED],
+        artifacts: &["a1.metrics"],
+        run: |p| {
+            let r = run_a1(p.get_u32("iterations"), p.get("seed"));
+            let json = ("a1", r.to_json());
+            with_metrics(report::render_a1(&r), json, "a1", r.metrics)
+        },
+    },
+    Experiment {
+        name: "a2_ha_scaling",
+        about: "A2: home-agent reply latency under simultaneous registration bursts (§4)",
+        params: &[SEED],
+        artifacts: &["a2.metrics"],
+        run: |p| {
+            let (rows, metrics) = run_a2(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512], p.get("seed"));
+            let json = ("a2", Json::arr(rows.iter().map(A2Row::to_json)));
+            let mut out = with_metrics(report::render_a2(&rows), json, "a2", metrics.clone());
+            out.json.push(("a2_metrics", metrics));
+            out
+        },
+    },
+    Experiment {
+        name: "a3_address_reuse",
+        about: "A3: tunneled-packet mis-delivery under both DHCP reuse policies (§5.1)",
+        params: &[SEED],
+        artifacts: &["a3.metrics"],
+        run: |p| {
+            let r = run_a3(p.get("seed"));
+            let json = ("a3", r.to_json());
+            with_metrics(report::render_a3(&r), json, "a3", r.metrics)
+        },
+    },
+    Experiment {
+        name: "s1_many_correspondents",
+        about: "S1: the route/policy decision cache across ~10 000 correspondents",
+        params: &[
+            Param {
+                key: "correspondents",
+                default: 10_000,
+                min: 1,
+                // The 36.200.0.0/16 correspondent plan.
+                max: 65_536,
+            },
+            SEED,
+        ],
+        artifacts: &["s1_many_correspondents.metrics"],
+        run: |p| {
+            let r = run_s1(p.get_u32("correspondents"), p.get("seed"));
+            let json = ("s1", r.to_json());
+            with_metrics(
+                report::render_s1(&r),
+                json,
+                "s1_many_correspondents",
+                r.metrics,
+            )
+        },
+    },
+    Experiment {
+        name: "s2_ha_fleet",
+        about: "S2: a sharded home-agent fleet serving 100k mobile hosts under Zipf churn",
+        params: &[
+            Param {
+                key: "shards",
+                default: 16,
+                min: ShardedCampus::MIN_SHARDS as u64,
+                max: ShardedCampus::MAX_SHARDS as u64,
+            },
+            Param {
+                key: "mobile_hosts",
+                default: 100_000,
+                min: ShardedCampus::MIN_SHARDS as u64,
+                // Homes count up from 36.0.0.1 inside 36.0.0.0/8.
+                max: (1 << 24) - 2,
+            },
+            Param::count("burst", 16),
+            Param::count("ticks", 600),
+            SEED,
+            BATCHING,
+            THREADS,
+        ],
+        artifacts: &[
+            "s2_fleet.bench",
+            "s2_fleet.journeys",
+            "s2_fleet.metrics",
+            "BENCH_s2",
+        ],
+        run: |p| {
+            let cfg = S2Config {
+                shards: p.get_u32("shards"),
+                mobile_hosts: p.get_u32("mobile_hosts"),
+                burst: p.get_u32("burst"),
+                ticks: p.get_u32("ticks"),
+                seed: p.get("seed"),
+                batching: p.get("batching") != 0,
+            };
+            let r = run_s2(&cfg, p.get("threads") as usize);
+            let wall = wall_doc(
+                "s2_ha_fleet",
+                vec![("bench", r.to_json()), ("wall", r.wall_json())],
+            );
+            Outcome {
+                report: report::render_s2(&r),
+                json: vec![("s2", r.to_json())],
+                artifacts: vec![
+                    Artifact::Sidecar(SidecarKind::Bench, "s2_fleet", r.to_json()),
+                    Artifact::Sidecar(SidecarKind::Journeys, "s2_fleet", r.journeys),
+                    Artifact::Sidecar(SidecarKind::Metrics, "s2_fleet", r.metrics),
+                    Artifact::Wall("BENCH_s2", wall),
+                ],
+            }
+        },
+    },
+    Experiment {
+        name: "s3_saturation",
+        about: "S3: whole-system saturation, classic engine and four sharded campuses",
+        params: &[
+            Param {
+                key: "pairs",
+                default: 4,
+                min: 1,
+                // One UDP port per pair, counting up from the base port.
+                max: (u16::MAX - S3_PORT_BASE) as u64,
+            },
+            Param::count("burst", 16),
+            Param::count("ticks", 50),
+            SEED,
+            BATCHING,
+            THREADS,
+        ],
+        artifacts: &[
+            "s3_saturation.bench",
+            "s3_sharded.bench",
+            "s3_sharded.journeys",
+            "s3_sharded.metrics",
+            "BENCH_s3",
+        ],
+        run: |p| {
+            let cfg = S3Config {
+                pairs: p.get_u32("pairs"),
+                burst: p.get_u32("burst"),
+                ticks: p.get_u32("ticks"),
+                seed: p.get("seed"),
+                batching: p.get("batching") != 0,
+            };
+            let r = run_s3(&cfg);
+            let sharded = run_s3_sharded(&cfg, S3_SHARDS, p.get("threads") as usize);
+            // The `sharded_wall` entry is the scaling row for this run's
+            // thread count.
+            let wall = wall_doc(
+                "s3_saturation",
+                vec![
+                    ("bench", r.to_json()),
+                    ("wall", r.wall_json()),
+                    ("sharded_wall", sharded.wall_json()),
+                ],
+            );
+            Outcome {
+                report: report::render_s3(&r) + &report::render_s3_sharded(&sharded),
+                json: vec![("s3", r.to_json()), ("s3_sharded", sharded.to_json())],
+                artifacts: vec![
+                    Artifact::Sidecar(SidecarKind::Bench, "s3_saturation", r.to_json()),
+                    Artifact::Sidecar(SidecarKind::Bench, "s3_sharded", sharded.to_json()),
+                    Artifact::Sidecar(SidecarKind::Journeys, "s3_sharded", sharded.journeys),
+                    Artifact::Sidecar(SidecarKind::Metrics, "s3_sharded", sharded.metrics),
+                    Artifact::Wall("BENCH_s3", wall),
+                ],
+            }
+        },
+    },
+];

@@ -11,14 +11,15 @@
 //!   echo streams with per-sequence loss accounting, bulk transfers, TCP
 //!   sessions, registration storms).
 //! * [`experiments`] — one runner per table/figure/claim (T1, F6, F7,
-//!   C1–C3, A1–A3), each returning a serializable result.
+//!   C1–C7, A1–A3, S1–S3), each returning a serializable result, and
+//!   [`experiments::REGISTRY`], the one roster of them.
 //! * [`report`] — renderers that print each result in the paper's own
 //!   format, annotated with the paper's numbers for comparison.
 //! * [`calibrate`] — every calibrated constant, with its provenance.
 //!
-//! The binaries in `src/bin/` regenerate individual artifacts;
-//! `all_experiments` produces the whole of `EXPERIMENTS.md` (and, with
-//! `--json`, machine-readable results).
+//! The `experiment` binary runs any registry entry by name with checked
+//! `key=value` parameters; `experiment all` produces the whole of
+//! `EXPERIMENTS.md` (and, with `json=FILE`, machine-readable results).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

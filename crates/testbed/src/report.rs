@@ -3,8 +3,8 @@
 //! Each renderer prints the same rows/series the paper reports, prefixed
 //! with the paper's own numbers so a reader can compare shape at a glance.
 //!
-//! Besides the human-readable reports, every experiment binary writes a
-//! *metrics sidecar* via [`write_metrics_sidecar`]: the machine-readable
+//! Besides the human-readable reports, every experiment writes a
+//! *metrics sidecar* via [`write_sidecar_in`]: the machine-readable
 //! dump of the run's metric registries (schema documented in
 //! `docs/telemetry.md`), for downstream plotting and regression diffing.
 
@@ -18,125 +18,85 @@ use crate::experiments::{
     A1Result, A2Row, C1Row, C2Result, C3Result, C4Result, Fig6Result, Fig7Result, Tab1Result,
 };
 
-/// Schema tag stamped into every metrics sidecar file.
-pub const METRICS_SIDECAR_SCHEMA: &str = "mosquitonet.metrics-sidecar/v1";
+/// The three byte-stable sidecar documents an experiment can write. The
+/// kind fixes the schema tag, the file-name infix and the envelope member
+/// that carries the body — nothing else differs between them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SidecarKind {
+    /// End-of-run dump of the run's metric registries.
+    Metrics,
+    /// The flight recorder's per-packet journeys export.
+    Journeys,
+    /// A benchmark's deterministic result body. Only virtual-time/counter
+    /// quantities belong in it — wall-clock numbers would break the
+    /// byte-stability the golden diff relies on.
+    Bench,
+}
 
-/// Wraps an experiment's metrics dump in the sidecar envelope.
-pub fn metrics_sidecar(experiment: &str, metrics: &Json) -> Json {
+impl SidecarKind {
+    /// Schema tag stamped into every sidecar file of this kind.
+    pub fn schema(self) -> &'static str {
+        match self {
+            SidecarKind::Metrics => "mosquitonet.metrics-sidecar/v1",
+            SidecarKind::Journeys => "mosquitonet.journeys/v1",
+            SidecarKind::Bench => "mosquitonet.bench/v1",
+        }
+    }
+
+    /// The file-name infix (`{experiment}.{key}.json`) and the envelope
+    /// member holding the body.
+    pub fn key(self) -> &'static str {
+        match self {
+            SidecarKind::Metrics => "metrics",
+            SidecarKind::Journeys => "journeys",
+            SidecarKind::Bench => "bench",
+        }
+    }
+}
+
+/// Wraps an experiment's document in the sidecar envelope.
+pub fn sidecar(kind: SidecarKind, experiment: &str, body: &Json) -> Json {
     Json::obj([
-        ("schema", Json::from(METRICS_SIDECAR_SCHEMA)),
+        ("schema", Json::from(kind.schema())),
         ("experiment", Json::from(experiment)),
-        ("metrics", metrics.clone()),
+        (kind.key(), body.clone()),
     ])
 }
 
-/// Writes `{dir}/{experiment}.metrics.json` (pretty-printed, byte-stable
+/// Writes `{dir}/{experiment}.{kind}.json` (pretty-printed, byte-stable
 /// for a given run) and returns its path.
-pub fn write_metrics_sidecar_in(
+pub fn write_sidecar_in(
     dir: &Path,
+    kind: SidecarKind,
     experiment: &str,
-    metrics: &Json,
+    body: &Json,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{experiment}.metrics.json"));
-    std::fs::write(&path, metrics_sidecar(experiment, metrics).render_pretty())?;
+    let path = dir.join(format!("{experiment}.{}.json", kind.key()));
+    std::fs::write(&path, sidecar(kind, experiment, body).render_pretty())?;
     Ok(path)
 }
 
-/// Writes the sidecar to the default location, `target/metrics/`
-/// (overridable with the `MOSQUITONET_METRICS_DIR` environment variable).
-pub fn write_metrics_sidecar(experiment: &str, metrics: &Json) -> std::io::Result<PathBuf> {
-    let dir = std::env::var_os("MOSQUITONET_METRICS_DIR")
+/// Where a run's artifacts go: `target/metrics/`, overridable with the
+/// `MOSQUITONET_METRICS_DIR` environment variable.
+pub fn metrics_dir() -> PathBuf {
+    std::env::var_os("MOSQUITONET_METRICS_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"));
-    write_metrics_sidecar_in(&dir, experiment, metrics)
+        .unwrap_or_else(|| PathBuf::from("target/metrics"))
 }
 
-/// Schema tag stamped into every journeys sidecar file.
-pub const JOURNEYS_SIDECAR_SCHEMA: &str = "mosquitonet.journeys/v1";
-
-/// Wraps an experiment's flight-recorder export in the sidecar envelope.
-pub fn journeys_sidecar(experiment: &str, journeys: &Json) -> Json {
-    Json::obj([
-        ("schema", Json::from(JOURNEYS_SIDECAR_SCHEMA)),
-        ("experiment", Json::from(experiment)),
-        ("journeys", journeys.clone()),
-    ])
-}
-
-/// Writes `{dir}/{experiment}.journeys.json` (pretty-printed, byte-stable
-/// for a given run) and returns its path.
-pub fn write_journeys_sidecar_in(
-    dir: &Path,
-    experiment: &str,
-    journeys: &Json,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{experiment}.journeys.json"));
-    std::fs::write(
-        &path,
-        journeys_sidecar(experiment, journeys).render_pretty(),
-    )?;
-    Ok(path)
-}
-
-/// Writes the journeys sidecar to the default location, `target/metrics/`
-/// (overridable with the `MOSQUITONET_METRICS_DIR` environment variable).
-pub fn write_journeys_sidecar(experiment: &str, journeys: &Json) -> std::io::Result<PathBuf> {
-    let dir = std::env::var_os("MOSQUITONET_METRICS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"));
-    write_journeys_sidecar_in(&dir, experiment, journeys)
-}
-
-/// Schema tag stamped into every bench sidecar file.
-pub const BENCH_SIDECAR_SCHEMA: &str = "mosquitonet.bench/v1";
-
-/// Wraps a benchmark's deterministic result body in the sidecar envelope.
-/// Only virtual-time/counter quantities belong in `bench` — wall-clock
-/// numbers would break the byte-stability the golden diff relies on.
-pub fn bench_sidecar(experiment: &str, bench: &Json) -> Json {
-    Json::obj([
-        ("schema", Json::from(BENCH_SIDECAR_SCHEMA)),
-        ("experiment", Json::from(experiment)),
-        ("bench", bench.clone()),
-    ])
-}
-
-/// Writes `{dir}/{experiment}.bench.json` (pretty-printed, byte-stable
-/// for a given config+seed) and returns its path.
-pub fn write_bench_sidecar_in(
-    dir: &Path,
-    experiment: &str,
-    bench: &Json,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{experiment}.bench.json"));
-    std::fs::write(&path, bench_sidecar(experiment, bench).render_pretty())?;
-    Ok(path)
-}
-
-/// Writes the bench sidecar to the default location, `target/metrics/`
-/// (overridable with the `MOSQUITONET_METRICS_DIR` environment variable).
-pub fn write_bench_sidecar(experiment: &str, bench: &Json) -> std::io::Result<PathBuf> {
-    let dir = std::env::var_os("MOSQUITONET_METRICS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"));
-    write_bench_sidecar_in(&dir, experiment, bench)
-}
-
-/// Writes `{dir}/{experiment}.pcap` from the run's captured wire frames
-/// (default `target/metrics/`, overridable with `MOSQUITONET_METRICS_DIR`).
+/// Writes `{dir}/{experiment}.pcap` from the run's captured wire frames.
 /// Returns `None` — writing nothing — when the capture is empty, which is
 /// the normal case unless the run was built with `MOSQUITONET_PCAP` set.
-pub fn write_pcap(experiment: &str, frames: &[CapturedFrame]) -> std::io::Result<Option<PathBuf>> {
+pub fn write_pcap_in(
+    dir: &Path,
+    experiment: &str,
+    frames: &[CapturedFrame],
+) -> std::io::Result<Option<PathBuf>> {
     if frames.is_empty() {
         return Ok(None);
     }
-    let dir = std::env::var_os("MOSQUITONET_METRICS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"));
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let mut w = PcapWriter::new();
     for f in frames {
         w.frame(f.at.as_micros(), &f.bytes);
@@ -184,6 +144,20 @@ pub fn render_tab1(r: &Tab1Result) -> String {
         r.histogram.mean()
     );
     out
+}
+
+/// Renders the distant-correspondent variant of Table 1 as the one-line
+/// note the full report prints under the table.
+pub fn render_tab1_far(r: &Tab1Result) -> String {
+    format!(
+        "
+  (distant correspondent variant: {} of {} iterations lost 0; max {} —
+            \"we received similar results for a correspondent host located on
+            a campus network outside the department\", §4)\n",
+        r.histogram.count(0),
+        r.iterations,
+        r.max_loss
+    )
 }
 
 /// Renders the Figure 6 (device switching) result.
@@ -603,11 +577,7 @@ pub fn render_s3(r: &crate::experiments::S3Result) -> String {
         "mode", "sent", "delivered", "events", "batches", "vpps", "ns/pkt(v)", "Mpps(wall)"
     );
     for row in &r.rows {
-        let wall_mpps = if row.wall_ns > 0 {
-            row.delivered as f64 * 1_000.0 / row.wall_ns as f64
-        } else {
-            0.0
-        };
+        let wall_mpps = wall_mpps(row);
         let _ = writeln!(
             out,
             "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12} {:>10.3}",
@@ -630,6 +600,15 @@ pub fn render_s3(r: &crate::experiments::S3Result) -> String {
     out
 }
 
+/// Delivered packets per microsecond of real elapsed time.
+fn wall_mpps(row: &crate::experiments::S3Row) -> f64 {
+    if row.wall_ns > 0 {
+        row.delivered as f64 * 1_000.0 / row.wall_ns as f64
+    } else {
+        0.0
+    }
+}
+
 /// Renders the sharded S3 run: the aggregated row plus the partition
 /// and threading parameters. Everything except the wall columns is
 /// byte-identical across thread counts.
@@ -646,11 +625,7 @@ pub fn render_s3_sharded(r: &crate::experiments::S3ShardedResult) -> String {
         r.shards, r.cfg.pairs, r.cfg.burst, r.cfg.ticks, r.cfg.seed, r.threads,
     );
     let row = &r.row;
-    let wall_mpps = if row.wall_ns > 0 {
-        row.delivered as f64 * 1_000.0 / row.wall_ns as f64
-    } else {
-        0.0
-    };
+    let wall_mpps = wall_mpps(row);
     let _ = writeln!(
         out,
         "  sent {}  delivered {}  events {}  batches {}  vpps {}  \
@@ -769,7 +744,7 @@ mod tests {
     fn metrics_sidecar_envelope_is_stable() {
         let body = Json::obj([("x", Json::from(1u64))]);
         assert_eq!(
-            metrics_sidecar("tab1", &body).render(),
+            sidecar(SidecarKind::Metrics, "tab1", &body).render(),
             r#"{"schema":"mosquitonet.metrics-sidecar/v1","experiment":"tab1","metrics":{"x":1}}"#
         );
     }
@@ -780,7 +755,7 @@ mod tests {
             .join("../../target/test-metrics")
             .join("report-sidecar-test");
         let body = Json::obj([("y", Json::from(2u64))]);
-        let path = write_metrics_sidecar_in(&dir, "unit", &body).expect("write");
+        let path = write_sidecar_in(&dir, SidecarKind::Metrics, "unit", &body).expect("write");
         let text = std::fs::read_to_string(&path).expect("read back");
         assert!(text.contains("\"schema\": \"mosquitonet.metrics-sidecar/v1\""));
         assert!(text.contains("\"experiment\": \"unit\""));

@@ -11,15 +11,18 @@
 //! * an optional "rest of the Internet" **cloud** leading to a distant
 //!   correspondent ("we received similar results for a correspondent host
 //!   located on a campus network outside the department", §4).
+//!
+//! Beside it, [`ShardedCampus`] wires one shard of the campus-over-backbone
+//! world the sharded experiments (S2, S3) partition across worker threads.
 
 use std::net::Ipv4Addr;
 
 use mosquitonet_core::{HomeAgent, HomeAgentConfig, MobileHost, MobileHostConfig};
 use mosquitonet_dhcp::{DhcpServer, ReusePolicy};
-use mosquitonet_link::presets;
-use mosquitonet_sim::{Sim, SimDuration};
+use mosquitonet_link::{presets, Device};
+use mosquitonet_sim::{shard_seed, Sim, SimDuration};
 use mosquitonet_stack::{
-    self as stack, HostId, IfaceId, LanId, ModuleCtx, ModuleId, NetSim, Network, RouteEntry,
+    self as stack, HostId, IfaceId, LanId, Module, ModuleCtx, ModuleId, NetSim, Network, RouteEntry,
 };
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -269,6 +272,69 @@ pub struct Testbed {
     pub mh_mode: MhMode,
 }
 
+/// Adds an interface to `host`, numbers it `addr` on `subnet`, and
+/// installs the connected route — the three steps every numbered
+/// interface of the test-beds takes.
+pub(crate) fn add_numbered_iface(
+    net: &mut Network,
+    host: HostId,
+    device: Device,
+    addr: Ipv4Addr,
+    subnet: Cidr,
+) -> IfaceId {
+    let core = &mut net.host_mut(host).core;
+    let iface = core.add_iface(device);
+    core.iface_mut(iface).add_addr(addr, subnet);
+    core.routes.add(RouteEntry {
+        dest: subnet,
+        gateway: None,
+        iface,
+        metric: 0,
+    });
+    iface
+}
+
+/// Adds a single-homed host: a wired Ethernet `eth0` (MAC index `mac`)
+/// numbered `addr` on `subnet`, a default route via `gateway`, cabled to
+/// `lan`.
+pub(crate) fn add_leaf_host(
+    net: &mut Network,
+    name: impl Into<String>,
+    mac: u32,
+    addr: Ipv4Addr,
+    subnet: Cidr,
+    gateway: Ipv4Addr,
+    lan: LanId,
+) -> (HostId, IfaceId) {
+    let host = net.add_host(name);
+    let device = presets::wired_ethernet("eth0", MacAddr::from_index(mac));
+    let iface = add_numbered_iface(net, host, device, addr, subnet);
+    net.host_mut(host).core.routes.add(RouteEntry {
+        dest: Cidr::DEFAULT,
+        gateway: Some(gateway),
+        iface,
+        metric: 0,
+    });
+    net.attach(host, iface, lan);
+    (host, iface)
+}
+
+/// Adds a home-agent host on the home net: a leaf that also decapsulates
+/// and forwards reverse tunnels.
+fn add_agent_host(
+    net: &mut Network,
+    name: &str,
+    mac: u32,
+    addr: Ipv4Addr,
+    lan_home: LanId,
+) -> (HostId, IfaceId) {
+    let (host, iface) = add_leaf_host(net, name, mac, addr, home_subnet(), ROUTER_HOME, lan_home);
+    let core = &mut net.host_mut(host).core;
+    core.forwarding = true;
+    core.ipip_decap = true;
+    (host, iface)
+}
+
 /// Builds the Figure 5 test-bed. The mobile host starts **at home**, all
 /// infrastructure interfaces up; `stack::start` has already run.
 pub fn build(cfg: TestbedConfig) -> Testbed {
@@ -280,47 +346,29 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
 
     // --- Router (Pentium 90), gateway of all three nets ---
     let router = net.add_host("router");
-    let router_home_if = net
-        .host_mut(router)
-        .core
-        .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(10)));
-    let router_dept_if = net
-        .host_mut(router)
-        .core
-        .add_iface(presets::wired_ethernet("eth1", MacAddr::from_index(11)));
-    let router_radio_if = net
-        .host_mut(router)
-        .core
-        .add_iface(presets::metricom_radio("strip0", MacAddr::from_index(12)));
-    {
-        let core = &mut net.host_mut(router).core;
-        core.forwarding = true;
-        core.send_redirects = true;
-        core.iface_mut(router_home_if)
-            .add_addr(ROUTER_HOME, home_subnet());
-        core.iface_mut(router_dept_if)
-            .add_addr(ROUTER_DEPT, dept_subnet());
-        core.iface_mut(router_radio_if)
-            .add_addr(ROUTER_RADIO, radio_subnet());
-        core.routes.add(RouteEntry {
-            dest: home_subnet(),
-            gateway: None,
-            iface: router_home_if,
-            metric: 0,
-        });
-        core.routes.add(RouteEntry {
-            dest: dept_subnet(),
-            gateway: None,
-            iface: router_dept_if,
-            metric: 0,
-        });
-        core.routes.add(RouteEntry {
-            dest: radio_subnet(),
-            gateway: None,
-            iface: router_radio_if,
-            metric: 0,
-        });
-    }
+    net.host_mut(router).core.forwarding = true;
+    net.host_mut(router).core.send_redirects = true;
+    let router_home_if = add_numbered_iface(
+        &mut net,
+        router,
+        presets::wired_ethernet("eth0", MacAddr::from_index(10)),
+        ROUTER_HOME,
+        home_subnet(),
+    );
+    let router_dept_if = add_numbered_iface(
+        &mut net,
+        router,
+        presets::wired_ethernet("eth1", MacAddr::from_index(11)),
+        ROUTER_DEPT,
+        dept_subnet(),
+    );
+    let router_radio_if = add_numbered_iface(
+        &mut net,
+        router,
+        presets::metricom_radio("strip0", MacAddr::from_index(12)),
+        ROUTER_RADIO,
+        radio_subnet(),
+    );
     net.attach(router, router_home_if, lan_home);
     net.attach(router, router_dept_if, lan_dept);
     net.attach(router, router_radio_if, cell);
@@ -345,30 +393,7 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     let (ha_host, ha_addr, ha_iface) = if cfg.ha_on_router {
         (router, ROUTER_HOME, router_home_if)
     } else {
-        let ha = net.add_host("home-agent");
-        let ha_if = net
-            .host_mut(ha)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(30)));
-        {
-            let core = &mut net.host_mut(ha).core;
-            core.forwarding = true; // decapsulate + forward reverse tunnels
-            core.ipip_decap = true;
-            core.iface_mut(ha_if).add_addr(HA_SEPARATE, home_subnet());
-            core.routes.add(RouteEntry {
-                dest: home_subnet(),
-                gateway: None,
-                iface: ha_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(ROUTER_HOME),
-                iface: ha_if,
-                metric: 0,
-            });
-        }
-        net.attach(ha, ha_if, lan_home);
+        let (ha, ha_if) = add_agent_host(&mut net, "home-agent", 30, HA_SEPARATE, lan_home);
         (ha, HA_SEPARATE, ha_if)
     };
     if cfg.ha_on_router {
@@ -377,30 +402,7 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     }
     // --- Optional standby home agent (failover experiments) ---
     let (standby_host, standby_iface) = if cfg.with_standby_ha {
-        let sb = net.add_host("standby-agent");
-        let sb_if = net
-            .host_mut(sb)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(31)));
-        {
-            let core = &mut net.host_mut(sb).core;
-            core.forwarding = true; // decapsulate + forward reverse tunnels
-            core.ipip_decap = true;
-            core.iface_mut(sb_if).add_addr(STANDBY_HA, home_subnet());
-            core.routes.add(RouteEntry {
-                dest: home_subnet(),
-                gateway: None,
-                iface: sb_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(ROUTER_HOME),
-                iface: sb_if,
-                metric: 0,
-            });
-        }
-        net.attach(sb, sb_if, lan_home);
+        let (sb, sb_if) = add_agent_host(&mut net, "standby-agent", 31, STANDBY_HA, lan_home);
         (Some(sb), Some(sb_if))
     } else {
         (None, None)
@@ -458,52 +460,27 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     };
 
     // --- Department correspondent host ---
-    let ch_dept = net.add_host("ch-dept");
-    let ch_if = net
-        .host_mut(ch_dept)
-        .core
-        .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(40)));
-    {
-        let core = &mut net.host_mut(ch_dept).core;
-        core.iface_mut(ch_if).add_addr(CH_DEPT, dept_subnet());
-        core.routes.add(RouteEntry {
-            dest: dept_subnet(),
-            gateway: None,
-            iface: ch_if,
-            metric: 0,
-        });
-        core.routes.add(RouteEntry {
-            dest: Cidr::DEFAULT,
-            gateway: Some(ROUTER_DEPT),
-            iface: ch_if,
-            metric: 0,
-        });
-    }
-    net.attach(ch_dept, ch_if, lan_dept);
+    let (ch_dept, ch_if) = add_leaf_host(
+        &mut net,
+        "ch-dept",
+        40,
+        CH_DEPT,
+        dept_subnet(),
+        ROUTER_DEPT,
+        lan_dept,
+    );
 
     // --- Optional DHCP service on the department net ---
     let (dhcp_host, dhcp_mod) = if cfg.with_dhcp {
-        let srv_host = net.add_host("dhcp-dept");
-        let srv_if = net
-            .host_mut(srv_host)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(50)));
-        {
-            let core = &mut net.host_mut(srv_host).core;
-            core.iface_mut(srv_if).add_addr(DHCP_DEPT, dept_subnet());
-            core.routes.add(RouteEntry {
-                dest: dept_subnet(),
-                gateway: None,
-                iface: srv_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(ROUTER_DEPT),
-                iface: srv_if,
-                metric: 0,
-            });
-        }
+        let (srv_host, srv_if) = add_leaf_host(
+            &mut net,
+            "dhcp-dept",
+            50,
+            DHCP_DEPT,
+            dept_subnet(),
+            ROUTER_DEPT,
+            lan_dept,
+        );
         let mut srv = DhcpServer::new(
             srv_if,
             dept_subnet(),
@@ -515,7 +492,6 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
         );
         srv.policy = cfg.dhcp_policy;
         let mid = net.host_mut(srv_host).add_module(Box::new(srv));
-        net.attach(srv_host, srv_if, lan_dept);
         (Some(srv_host), Some(mid))
     } else {
         (None, None)
@@ -523,29 +499,15 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
 
     // --- Optional attacker host on the department net ---
     let attacker_host = if cfg.with_attacker {
-        let atk = net.add_host("attacker");
-        let atk_if = net
-            .host_mut(atk)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(90)));
-        {
-            let core = &mut net.host_mut(atk).core;
-            core.iface_mut(atk_if)
-                .add_addr(ATTACKER_DEPT, dept_subnet());
-            core.routes.add(RouteEntry {
-                dest: dept_subnet(),
-                gateway: None,
-                iface: atk_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(ROUTER_DEPT),
-                iface: atk_if,
-                metric: 0,
-            });
-        }
-        net.attach(atk, atk_if, lan_dept);
+        let (atk, _) = add_leaf_host(
+            &mut net,
+            "attacker",
+            90,
+            ATTACKER_DEPT,
+            dept_subnet(),
+            ROUTER_DEPT,
+            lan_dept,
+        );
         Some(atk)
     } else {
         None
@@ -557,24 +519,17 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     let cloud_net: Cidr = "192.0.1.0/24".parse().expect("const");
     let cloud = if need_cloud {
         let cloud = net.add_lan(presets::internet_cloud("cloud", cfg.cloud_latency));
-        let r_cloud_if = net
-            .host_mut(router)
-            .core
-            .add_iface(presets::wired_ethernet("eth2", MacAddr::from_index(60)));
-        {
+        let r_cloud_if = add_numbered_iface(
+            &mut net,
+            router,
+            presets::wired_ethernet("eth2", MacAddr::from_index(60)),
+            Ipv4Addr::new(192, 0, 1, 1),
+            cloud_net,
+        );
+        if cfg.transit_filter {
             let core = &mut net.host_mut(router).core;
-            core.iface_mut(r_cloud_if)
-                .add_addr(Ipv4Addr::new(192, 0, 1, 1), cloud_net);
-            core.routes.add(RouteEntry {
-                dest: cloud_net,
-                gateway: None,
-                iface: r_cloud_if,
-                metric: 0,
-            });
-            if cfg.transit_filter {
-                core.transit_filter = true;
-                core.upstream_ifaces.push(r_cloud_if);
-            }
+            core.transit_filter = true;
+            core.upstream_ifaces.push(r_cloud_if);
         }
         net.attach(router, r_cloud_if, cloud);
         extra_up.push((router, r_cloud_if));
@@ -594,64 +549,38 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
         });
 
         let far_router = net.add_host("far-router");
-        let fr_cloud_if = net
-            .host_mut(far_router)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(61)));
-        let fr_lan_if = net
-            .host_mut(far_router)
-            .core
-            .add_iface(presets::wired_ethernet("eth1", MacAddr::from_index(62)));
-        {
-            let core = &mut net.host_mut(far_router).core;
-            core.forwarding = true;
-            core.iface_mut(fr_cloud_if)
-                .add_addr(Ipv4Addr::new(192, 0, 1, 2), cloud_net);
-            core.iface_mut(fr_lan_if)
-                .add_addr(Ipv4Addr::new(171, 64, 0, 1), far_subnet());
-            core.routes.add(RouteEntry {
-                dest: cloud_net,
-                gateway: None,
-                iface: fr_cloud_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: far_subnet(),
-                gateway: None,
-                iface: fr_lan_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(Ipv4Addr::new(192, 0, 1, 1)),
-                iface: fr_cloud_if,
-                metric: 0,
-            });
-        }
+        net.host_mut(far_router).core.forwarding = true;
+        let fr_cloud_if = add_numbered_iface(
+            &mut net,
+            far_router,
+            presets::wired_ethernet("eth0", MacAddr::from_index(61)),
+            Ipv4Addr::new(192, 0, 1, 2),
+            cloud_net,
+        );
+        let fr_lan_if = add_numbered_iface(
+            &mut net,
+            far_router,
+            presets::wired_ethernet("eth1", MacAddr::from_index(62)),
+            Ipv4Addr::new(171, 64, 0, 1),
+            far_subnet(),
+        );
+        net.host_mut(far_router).core.routes.add(RouteEntry {
+            dest: Cidr::DEFAULT,
+            gateway: Some(Ipv4Addr::new(192, 0, 1, 1)),
+            iface: fr_cloud_if,
+            metric: 0,
+        });
         net.attach(far_router, fr_cloud_if, cloud);
 
-        let ch = net.add_host("ch-far");
-        let ch_far_if = net
-            .host_mut(ch)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(63)));
-        {
-            let core = &mut net.host_mut(ch).core;
-            core.iface_mut(ch_far_if).add_addr(CH_FAR, far_subnet());
-            core.routes.add(RouteEntry {
-                dest: far_subnet(),
-                gateway: None,
-                iface: ch_far_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(Ipv4Addr::new(171, 64, 0, 1)),
-                iface: ch_far_if,
-                metric: 0,
-            });
-        }
-        net.attach(ch, ch_far_if, lan_far);
+        let (ch, ch_far_if) = add_leaf_host(
+            &mut net,
+            "ch-far",
+            63,
+            CH_FAR,
+            far_subnet(),
+            Ipv4Addr::new(171, 64, 0, 1),
+            lan_far,
+        );
         net.attach(far_router, fr_lan_if, lan_far);
         extra_up.extend([
             (far_router, fr_cloud_if),
@@ -674,33 +603,23 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
             metric: 0,
         });
         let frouter = net.add_host("foreign-router");
-        let f_cloud_if = net
-            .host_mut(frouter)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(70)));
-        let f_lan_if = net
-            .host_mut(frouter)
-            .core
-            .add_iface(presets::wired_ethernet("eth1", MacAddr::from_index(71)));
+        let f_cloud_if = add_numbered_iface(
+            &mut net,
+            frouter,
+            presets::wired_ethernet("eth0", MacAddr::from_index(70)),
+            Ipv4Addr::new(192, 0, 1, 3),
+            cloud_net,
+        );
+        let f_lan_if = add_numbered_iface(
+            &mut net,
+            frouter,
+            presets::wired_ethernet("eth1", MacAddr::from_index(71)),
+            FOREIGN_ROUTER,
+            foreign_subnet(),
+        );
         {
             let core = &mut net.host_mut(frouter).core;
             core.forwarding = true;
-            core.iface_mut(f_cloud_if)
-                .add_addr(Ipv4Addr::new(192, 0, 1, 3), cloud_net);
-            core.iface_mut(f_lan_if)
-                .add_addr(FOREIGN_ROUTER, foreign_subnet());
-            core.routes.add(RouteEntry {
-                dest: cloud_net,
-                gateway: None,
-                iface: f_cloud_if,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: foreign_subnet(),
-                gateway: None,
-                iface: f_lan_if,
-                metric: 0,
-            });
             core.routes.add(RouteEntry {
                 dest: Cidr::DEFAULT,
                 gateway: Some(Ipv4Addr::new(192, 0, 1, 1)),
@@ -718,21 +637,13 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
         // The site's second subnet: the adjacent cell for localized
         // roaming experiments.
         let lan_foreign2 = net.add_lan(presets::ethernet_lan("net-128-32-1"));
-        let f_lan2_if = net
-            .host_mut(frouter)
-            .core
-            .add_iface(presets::wired_ethernet("eth2", MacAddr::from_index(72)));
-        {
-            let core = &mut net.host_mut(frouter).core;
-            core.iface_mut(f_lan2_if)
-                .add_addr(FOREIGN2_ROUTER, foreign2_subnet());
-            core.routes.add(RouteEntry {
-                dest: foreign2_subnet(),
-                gateway: None,
-                iface: f_lan2_if,
-                metric: 0,
-            });
-        }
+        let f_lan2_if = add_numbered_iface(
+            &mut net,
+            frouter,
+            presets::wired_ethernet("eth2", MacAddr::from_index(72)),
+            FOREIGN2_ROUTER,
+            foreign2_subnet(),
+        );
         net.host_mut(router).core.routes.add(RouteEntry {
             dest: foreign2_subnet(),
             gateway: Some(Ipv4Addr::new(192, 0, 1, 3)),
@@ -751,90 +662,47 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     };
 
     // --- Optional foreign agents (baseline experiments) ---
-    let make_fa = |net: &mut Network,
-                   name: &str,
-                   mac: u32,
-                   addr: Ipv4Addr,
-                   subnet: Cidr,
-                   gw: Ipv4Addr,
-                   lan: LanId|
-     -> (HostId, ModuleId) {
-        let h = net.add_host(name);
-        let ifc = net
-            .host_mut(h)
-            .core
-            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(mac)));
-        {
-            let core = &mut net.host_mut(h).core;
-            core.forwarding = true;
-            core.ipip_decap = true;
-            core.iface_mut(ifc).add_addr(addr, subnet);
-            core.routes.add(RouteEntry {
-                dest: subnet,
-                gateway: None,
-                iface: ifc,
-                metric: 0,
-            });
-            core.routes.add(RouteEntry {
-                dest: Cidr::DEFAULT,
-                gateway: Some(gw),
-                iface: ifc,
-                metric: 0,
-            });
-        }
-        let mid = net
-            .host_mut(h)
-            .add_module(Box::new(mosquitonet_core::ForeignAgent::new(
-                mosquitonet_core::ForeignAgentConfig { addr, iface: ifc },
-            )));
-        net.attach(h, ifc, lan);
-        (h, mid)
-    };
-    let (fa_dept, fa_foreign, fa_foreign2) = if cfg.with_foreign_agents {
-        let fa_d = make_fa(
-            &mut net,
+    // One per visiting net that exists: a leaf that decapsulates and
+    // forwards, running the foreign-agent module.
+    let fa_sites = [
+        (
             "fa-dept",
             80,
             FA_DEPT_ADDR,
             dept_subnet(),
             ROUTER_DEPT,
-            lan_dept,
-        );
-        extra_up.push((fa_d.0, IfaceId(0)));
-        let fa_f = if let Some(lanf) = lan_foreign {
-            let fa = make_fa(
-                &mut net,
-                "fa-foreign",
-                81,
-                FA_FOREIGN_ADDR,
-                foreign_subnet(),
-                FOREIGN_ROUTER,
-                lanf,
-            );
-            extra_up.push((fa.0, IfaceId(0)));
-            Some(fa)
-        } else {
-            None
-        };
-        let fa_f2 = if let Some(lanf2) = lan_foreign2 {
-            let fa = make_fa(
-                &mut net,
-                "fa-foreign2",
-                82,
-                FA_FOREIGN2_ADDR,
-                foreign2_subnet(),
-                FOREIGN2_ROUTER,
-                lanf2,
-            );
-            extra_up.push((fa.0, IfaceId(0)));
-            Some(fa)
-        } else {
-            None
-        };
-        (Some(fa_d), fa_f, fa_f2)
-    } else {
-        (None, None, None)
-    };
+            Some(lan_dept),
+        ),
+        (
+            "fa-foreign",
+            81,
+            FA_FOREIGN_ADDR,
+            foreign_subnet(),
+            FOREIGN_ROUTER,
+            lan_foreign,
+        ),
+        (
+            "fa-foreign2",
+            82,
+            FA_FOREIGN2_ADDR,
+            foreign2_subnet(),
+            FOREIGN2_ROUTER,
+            lan_foreign2,
+        ),
+    ];
+    let [fa_dept, fa_foreign, fa_foreign2] = fa_sites.map(|(name, mac, addr, subnet, gw, lan)| {
+        let lan = lan.filter(|_| cfg.with_foreign_agents)?;
+        let (h, ifc) = add_leaf_host(&mut net, name, mac, addr, subnet, gw, lan);
+        net.host_mut(h).core.forwarding = true;
+        net.host_mut(h).core.ipip_decap = true;
+        let mid = net
+            .host_mut(h)
+            .add_module(Box::new(mosquitonet_core::ForeignAgent::new(
+                mosquitonet_core::ForeignAgentConfig { addr, iface: ifc },
+            )));
+        extra_up.push((h, ifc));
+        Some((h, mid))
+    });
 
     let mut sim = Sim::with_seed(net, cfg.seed);
 
@@ -920,27 +788,41 @@ impl Testbed {
         self.sim.run_for(span);
     }
 
-    /// Issues a command to the mobile-host manager with full context.
-    pub fn with_mh<R>(&mut self, f: impl FnOnce(&mut MobileHost, &mut ModuleCtx<'_>) -> R) -> R {
-        let mh = self.mh;
-        let mh_mod = self.mh_mod;
+    /// Read/inspect module `mid` of `host` as the concrete type an
+    /// experiment installed there (panics when it is of another type).
+    pub fn module<M: Module>(&mut self, host: HostId, mid: ModuleId) -> &mut M {
+        self.sim
+            .world_mut()
+            .host_mut(host)
+            .module_mut(mid)
+            .unwrap_or_else(|| panic!("module is not a {}", std::any::type_name::<M>()))
+    }
+
+    /// Issues a command to the mobile host's client module — whichever
+    /// of the two kinds `M` the test-bed was built with — with full
+    /// context.
+    fn with_mh_client<M: Module, R>(
+        &mut self,
+        f: impl FnOnce(&mut M, &mut ModuleCtx<'_>) -> R,
+    ) -> R {
+        let (mh, mh_mod) = (self.mh, self.mh_mod);
         stack::dispatch(&mut self.sim, mh, mh_mod, |module, ctx| {
             let m = module
                 .as_any()
-                .downcast_mut::<MobileHost>()
-                .expect("mobile host module");
+                .downcast_mut::<M>()
+                .unwrap_or_else(|| panic!("MH runs no {}", std::any::type_name::<M>()));
             f(m, ctx)
         })
     }
 
+    /// Issues a command to the mobile-host manager with full context.
+    pub fn with_mh<R>(&mut self, f: impl FnOnce(&mut MobileHost, &mut ModuleCtx<'_>) -> R) -> R {
+        self.with_mh_client(f)
+    }
+
     /// Read/inspect the mobile-host manager without a context.
     pub fn mh_module(&mut self) -> &mut MobileHost {
-        let mh_mod = self.mh_mod;
-        self.sim
-            .world_mut()
-            .host_mut(self.mh)
-            .module_mut(mh_mod)
-            .expect("mobile host module")
+        self.module(self.mh, self.mh_mod)
     }
 
     /// Issues a command to the FA-mode mobile host (baseline runs).
@@ -948,47 +830,24 @@ impl Testbed {
         &mut self,
         f: impl FnOnce(&mut mosquitonet_core::FaMobileHost, &mut ModuleCtx<'_>) -> R,
     ) -> R {
-        let mh = self.mh;
-        let mh_mod = self.mh_mod;
-        stack::dispatch(&mut self.sim, mh, mh_mod, |module, ctx| {
-            let m = module
-                .as_any()
-                .downcast_mut::<mosquitonet_core::FaMobileHost>()
-                .expect("FA-mode mobile host module");
-            f(m, ctx)
-        })
+        self.with_mh_client(f)
     }
 
     /// Read/inspect the FA-mode mobile host.
     pub fn fa_mh_module(&mut self) -> &mut mosquitonet_core::FaMobileHost {
-        let mh_mod = self.mh_mod;
-        self.sim
-            .world_mut()
-            .host_mut(self.mh)
-            .module_mut(mh_mod)
-            .expect("FA-mode mobile host module")
+        self.module(self.mh, self.mh_mod)
     }
 
     /// Read/inspect the home agent.
     pub fn ha_module(&mut self) -> &mut HomeAgent {
-        let ha_mod = self.ha_mod;
-        let ha_host = self.ha_host;
-        self.sim
-            .world_mut()
-            .host_mut(ha_host)
-            .module_mut(ha_mod)
-            .expect("home agent module")
+        self.module(self.ha_host, self.ha_mod)
     }
 
     /// Read/inspect the standby home agent (panics if not built).
     pub fn standby_module(&mut self) -> &mut HomeAgent {
         let sb_mod = self.standby_mod.expect("standby built");
         let sb_host = self.standby_host.expect("standby built");
-        self.sim
-            .world_mut()
-            .host_mut(sb_host)
-            .module_mut(sb_mod)
-            .expect("standby home agent module")
+        self.module(sb_host, sb_mod)
     }
 
     /// Physically carries the MH's Ethernet cable to another LAN (or
@@ -1002,6 +861,192 @@ impl Testbed {
     pub fn power_up_mh_iface(&mut self, iface: IfaceId) {
         let mh = self.mh;
         stack::bring_iface_up(&mut self.sim, mh, iface);
+    }
+}
+
+// ------------------------------------------------------ sharded campus
+
+/// One shard of the campus-over-backbone world the sharded experiments
+/// (S2's home-agent fleet, S3's sharded saturation) run on: a gateway
+/// joining the shard's campus LAN to the shared backbone portal, plus two
+/// leaf hosts on the campus net. Host order per shard is fixed — gateway,
+/// leaf `.2`, leaf `.3` — so host indices mean the same thing in every
+/// shard and in the merged flight-recorder name table.
+///
+/// The one address plan, derived by every host from the stable shard id
+/// `s`: campus subnet `10.{s}.0.0/24` with the gateway at `.1` and the
+/// leaves at `.2`/`.3`; the gateway's backbone address `10.99.0.{s+1}`;
+/// MAC indices `16s+1` (gateway, campus side), `16s+2` (gateway, backbone
+/// side — the portal MAC directory steers unicast envelopes by it),
+/// `16s+3` and `16s+4` (the leaves).
+pub struct ShardedCampus {
+    /// The shard's engine, seeded with [`shard_seed`] of the master seed.
+    pub sim: NetSim,
+    /// The gateway host (forwards between campus and backbone).
+    pub gw: HostId,
+    /// The gateway's campus-side interface.
+    pub gw_campus_if: IfaceId,
+    /// The gateway's backbone-side interface.
+    pub gw_backbone_if: IfaceId,
+    /// The leaf hosts at `.2` and `.3`, each with its one interface.
+    pub leaves: [(HostId, IfaceId); 2],
+}
+
+impl ShardedCampus {
+    /// Hosts per shard — also the host-index stride of the merged
+    /// flight-recorder name table.
+    pub const HOSTS: u32 = 3;
+
+    /// Fewest shards a sharded run makes sense with.
+    pub const MIN_SHARDS: u32 = 2;
+
+    /// Most shards the address plan holds: shard ids index the second
+    /// octet of `10.{s}.0.0/24`, and id 99 would claim the backbone's own
+    /// `10.99.0.0/24` (at 100 shards a fleet run silently loses
+    /// registrations on that campus). `10.99.0.{s+1}` stays far below the
+    /// broadcast address under the same bound.
+    pub const MAX_SHARDS: u32 = 99;
+
+    /// The global portal id of the backbone segment.
+    const BACKBONE_PORTAL: u32 = 0;
+
+    /// Panics unless the address plan holds `shards` shards. Sharded runs
+    /// call it up front so a bad count fails on the calling thread, before
+    /// any worker is spawned.
+    pub fn check_shards(shards: u32) {
+        assert!(
+            (Self::MIN_SHARDS..=Self::MAX_SHARDS).contains(&shards),
+            "a sharded run needs {}..={} shards, got {shards}",
+            Self::MIN_SHARDS,
+            Self::MAX_SHARDS
+        );
+    }
+
+    fn octet(s: u32) -> u8 {
+        u8::try_from(s).expect("shard id within the address plan")
+    }
+
+    /// Campus subnet of shard `s`: `10.{s}.0.0/24`.
+    pub fn subnet(s: u32) -> Cidr {
+        Cidr::new(Ipv4Addr::new(10, Self::octet(s), 0, 0), 24)
+    }
+
+    /// Address `.host` on shard `s`'s campus net: gateway `.1`, leaves
+    /// `.2` and `.3`.
+    pub fn addr(s: u32, host: u8) -> Ipv4Addr {
+        Ipv4Addr::new(10, Self::octet(s), 0, host)
+    }
+
+    fn mac_index(s: u32, host: u8) -> u32 {
+        // Index 16s+2 is the gateway's backbone side, so the leaves sit
+        // one past their host number.
+        s * 16 + u32::from(host) + u32::from(host > 1)
+    }
+
+    /// Campus-side MAC of the host at `.host` on shard `s`'s campus net.
+    pub fn mac(s: u32, host: u8) -> MacAddr {
+        MacAddr::from_index(Self::mac_index(s, host))
+    }
+
+    /// Shard `s`'s gateway address on the shared backbone.
+    pub fn backbone_addr(s: u32) -> Ipv4Addr {
+        Ipv4Addr::new(10, 99, 0, Self::octet(s) + 1)
+    }
+
+    /// Shard `s`'s gateway MAC on the backbone.
+    pub fn backbone_mac(s: u32) -> MacAddr {
+        MacAddr::from_index(s * 16 + 2)
+    }
+
+    /// Wires shard `s` of `shards`: LANs, portal, hosts named `names`
+    /// (gateway, leaf `.2`, leaf `.3`), addresses and routes, and an engine
+    /// with the flight recorder on in the shard's own id namespace. No
+    /// interface is up yet — callers install the modules that must see
+    /// bring-up, then call [`ShardedCampus::power_up`].
+    pub fn wire(s: u32, shards: u32, seed: u64, batching: bool, names: [&str; 3]) -> ShardedCampus {
+        Self::check_shards(shards);
+        assert!(s < shards, "shard {s} is not one of {shards}");
+        let mut net = Network::new();
+        net.enable_sharding(s, shards);
+        let backbone = net.add_lan(presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY));
+        let campus = net.add_lan(presets::ethernet_lan(format!("campus{s}")));
+        net.add_portal(backbone, Self::BACKBONE_PORTAL);
+        for t in 0..shards {
+            net.register_portal_mac(Self::backbone_mac(t), t);
+        }
+
+        // Gateway: campus side + backbone side, forwarding between them.
+        let gw = net.add_host(format!("{}{s}", names[0]));
+        net.host_mut(gw).core.forwarding = true;
+        let gw_campus_if = add_numbered_iface(
+            &mut net,
+            gw,
+            presets::wired_ethernet("eth0", Self::mac(s, 1)),
+            Self::addr(s, 1),
+            Self::subnet(s),
+        );
+        let gw_backbone_if = add_numbered_iface(
+            &mut net,
+            gw,
+            presets::wired_ethernet("eth1", Self::backbone_mac(s)),
+            Self::backbone_addr(s),
+            "10.99.0.0/24".parse().expect("cidr"),
+        );
+        for t in (0..shards).filter(|&t| t != s) {
+            net.host_mut(gw).core.routes.add(RouteEntry {
+                dest: Self::subnet(t),
+                gateway: Some(Self::backbone_addr(t)),
+                iface: gw_backbone_if,
+                metric: 0,
+            });
+        }
+        net.attach(gw, gw_campus_if, campus);
+        net.attach(gw, gw_backbone_if, backbone);
+
+        let leaves = [2u8, 3].map(|host| {
+            add_leaf_host(
+                &mut net,
+                format!("{}{s}", names[usize::from(host) - 1]),
+                Self::mac_index(s, host),
+                Self::addr(s, host),
+                Self::subnet(s),
+                Self::addr(s, 1),
+                campus,
+            )
+        });
+
+        let mut sim = Sim::with_seed(net, shard_seed(seed, s));
+        sim.set_batching(batching);
+        sim.flights_mut().set_enabled(true);
+        sim.flights_mut().set_flight_namespace(s);
+        if std::env::var_os("MOSQUITONET_PROFILE").is_some() {
+            let reg = sim.metrics().clone();
+            sim.profiler_mut()
+                .enable_with_prefix(&reg, format!("profile/shard/{s}"));
+        }
+        ShardedCampus {
+            sim,
+            gw,
+            gw_campus_if,
+            gw_backbone_if,
+            leaves,
+        }
+    }
+
+    /// Brings every interface up and runs the engine to quiescence. The
+    /// caller starts the stack ([`stack::start`]) once its own pre-start
+    /// setup is done.
+    pub fn power_up(&mut self) {
+        let [(a, a_if), (b, b_if)] = self.leaves;
+        for (h, i) in [
+            (self.gw, self.gw_campus_if),
+            (self.gw, self.gw_backbone_if),
+            (a, a_if),
+            (b, b_if),
+        ] {
+            stack::bring_iface_up(&mut self.sim, h, i);
+        }
+        self.sim.run();
     }
 }
 

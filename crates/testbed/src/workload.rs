@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
+use mosquitonet_sim::rng::mix64;
 use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{ConnId, Module, ModuleCtx, SendOptions, SocketId, TcpEvent, UdpBatchItem};
 
@@ -980,10 +981,7 @@ impl FleetChurn {
     /// One SplitMix64 draw from the module's private stream.
     fn rng_next(&mut self) -> u64 {
         self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.rng)
     }
 
     /// Draws one home index under the Zipf law (binary search over the

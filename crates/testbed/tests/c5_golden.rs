@@ -10,8 +10,11 @@
 //! ```
 //! and review the diff like any other golden change.
 
+mod common;
+
+use common::assert_golden;
 use mosquitonet_testbed::experiments::run_c5;
-use mosquitonet_testbed::report::{journeys_sidecar, metrics_sidecar};
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
 
 const SEED: u64 = 1996;
 
@@ -37,36 +40,24 @@ fn c5_export_matches_golden_and_session_survives_the_crash() {
         "the restarted agent must replay the MH's binding"
     );
 
-    let rendered = metrics_sidecar("c5_ha_crash_recovery", &result.metrics).render_pretty();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/c5_ha_crash_recovery.metrics.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("update golden");
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "C5 export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "c5_ha_crash_recovery.metrics.json",
+        &sidecar(
+            SidecarKind::Metrics,
+            "c5_ha_crash_recovery",
+            &result.metrics,
+        )
+        .render_pretty(),
     );
 
-    let journeys = journeys_sidecar("c5_ha_crash_recovery", &result.journeys).render_pretty();
-    let journeys_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/c5_ha_crash_recovery.journeys.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(journeys_path, &journeys).expect("update journeys golden");
-    }
-    let journeys_golden = std::fs::read_to_string(journeys_path)
-        .expect("journeys golden missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        journeys, journeys_golden,
-        "C5 journeys export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "c5_ha_crash_recovery.journeys.json",
+        &sidecar(
+            SidecarKind::Journeys,
+            "c5_ha_crash_recovery",
+            &result.journeys,
+        )
+        .render_pretty(),
     );
 }
 

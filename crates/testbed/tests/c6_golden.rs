@@ -11,8 +11,11 @@
 //! ```
 //! and review the diff like any other golden change.
 
+mod common;
+
+use common::assert_golden;
 use mosquitonet_testbed::experiments::run_c6;
-use mosquitonet_testbed::report::metrics_sidecar;
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
 
 const SEED: u64 = 1996;
 
@@ -46,20 +49,9 @@ fn c6_export_matches_golden_and_standby_takes_over() {
     assert_eq!(result.in_lost_after, 0, "inbound clean after failover");
     assert_eq!(result.out_lost_after, 0, "outbound clean after failover");
 
-    let rendered = metrics_sidecar("c6_standby_failover", &result.metrics).render_pretty();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/c6_standby_failover.metrics.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("update golden");
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "C6 export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "c6_standby_failover.metrics.json",
+        &sidecar(SidecarKind::Metrics, "c6_standby_failover", &result.metrics).render_pretty(),
     );
 }
 

@@ -11,8 +11,11 @@
 //! ```
 //! and review the diff like any other golden change.
 
+mod common;
+
+use common::assert_golden;
 use mosquitonet_testbed::experiments::run_c7;
-use mosquitonet_testbed::report::metrics_sidecar;
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
 
 const SEED: u64 = 1996;
 
@@ -41,20 +44,14 @@ fn c7_export_matches_golden_and_binding_never_moves() {
     );
     assert_eq!(result.ha_epoch, 1, "one restart, one epoch bump");
 
-    let rendered = metrics_sidecar("c7_spoofed_registration", &result.metrics).render_pretty();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/c7_spoofed_registration.metrics.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("update golden");
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "C7 export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "c7_spoofed_registration.metrics.json",
+        &sidecar(
+            SidecarKind::Metrics,
+            "c7_spoofed_registration",
+            &result.metrics,
+        )
+        .render_pretty(),
     );
 }
 

@@ -1,6 +1,7 @@
 //! Documentation-sync checks: drop-reason codes against
-//! `docs/telemetry.md`, and the experiment roster in `EXPERIMENTS.md`
-//! against the actual binaries and the sidecars they write.
+//! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` against
+//! the registry, and DESIGN.md's crate and dependency tables against the
+//! manifests.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in trace lines, metric names, and flight-recorder hop
@@ -10,6 +11,8 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+use mosquitonet_testbed::experiments::REGISTRY;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -95,78 +98,84 @@ fn every_drop_code_in_source_is_documented_in_telemetry_md() {
     );
 }
 
-/// Extracts the string literal of each `write_*_sidecar("name", ...)`
-/// call in a binary's source.
-fn sidecar_names(source: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for kind in ["metrics", "journeys", "bench"] {
-        let call = format!("write_{kind}_sidecar(\"");
-        let mut from = 0;
-        while let Some(pos) = source[from..].find(&call) {
-            let start = from + pos + call.len();
-            let end = start
-                + source[start..]
-                    .find('"')
-                    .expect("unterminated sidecar name");
-            out.insert(source[start..end].to_string());
-            from = end;
+/// `EXPERIMENTS.md` is the roster of reproduction artifacts, and
+/// [`REGISTRY`] is the roster the code runs from: every entry's name and
+/// every artifact stem it declares must be named in the document, so a
+/// reader can go from the doc to the artifact and back. (That a run
+/// writes exactly its declared stems is asserted by the runner itself on
+/// every run; `experiment all` iterates the same table, so the documented
+/// regenerate-everything command cannot miss one.)
+#[test]
+fn experiments_md_lists_every_registry_entry_and_artifact() {
+    let doc =
+        std::fs::read_to_string(workspace_root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    assert!(REGISTRY.len() >= 17, "the roster has at least today's runs");
+    for exp in REGISTRY {
+        assert!(
+            doc.contains(&format!("`{}`", exp.name)),
+            "experiment {} is not listed in EXPERIMENTS.md's artifact roster",
+            exp.name
+        );
+        for stem in exp.artifacts {
+            assert!(
+                doc.contains(&format!("`{stem}`")),
+                "{} writes {stem:?} but EXPERIMENTS.md never mentions it",
+                exp.name
+            );
         }
     }
-    out
 }
 
-/// `EXPERIMENTS.md` is the roster of reproduction artifacts. Two
-/// directions must stay in sync with the code:
-///
-/// 1. every experiment binary under `crates/testbed/src/bin/` (bar the
-///    `all_experiments` driver and the `inspect` debugging CLI) is named
-///    in the document, and every sidecar it writes is mentioned there
-///    too, so a reader can go from the doc to the artifact and back;
-/// 2. every sidecar any standalone binary writes is also written by
-///    `all_experiments`, so the documented "regenerate everything"
-///    command really does produce the full artifact set.
-#[test]
-fn experiments_md_lists_every_binary_and_sidecar() {
-    let root = workspace_root();
-    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    let bin_dir = root.join("crates/testbed/src/bin");
-    // The driver routes its writes through `(name, doc)` arrays rather
-    // than literal `write_*_sidecar("…")` calls, so "does the driver
-    // produce this sidecar" is checked as: the quoted name appears in
-    // its source.
-    let driver =
-        std::fs::read_to_string(bin_dir.join("all_experiments.rs")).expect("all_experiments.rs");
+/// The backticked names in the first column of the table under a
+/// DESIGN.md heading.
+fn design_table_names(design: &str, heading: &str) -> BTreeSet<String> {
+    design
+        .lines()
+        .skip_while(|l| !l.starts_with(heading))
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter_map(|l| l.strip_prefix("| `"))
+        .map(|l| l.split('`').next().expect("first piece").to_string())
+        .collect()
+}
 
-    let mut bins = 0;
-    for entry in std::fs::read_dir(&bin_dir).expect("read bin dir") {
-        let path = entry.expect("dir entry").path();
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("bin name")
-            .to_string();
-        if name == "all_experiments" || name == "inspect" {
-            continue;
-        }
-        bins += 1;
-        assert!(
-            doc.contains(&format!("`{name}`")),
-            "binary {name} is not listed in EXPERIMENTS.md's artifact roster"
-        );
-        let source = std::fs::read_to_string(&path).expect("read bin source");
-        for sidecar in sidecar_names(&source) {
-            assert!(
-                doc.contains(&format!("`{sidecar}`")),
-                "binary {name} writes sidecar {sidecar:?} but EXPERIMENTS.md \
-                 never mentions it"
-            );
-            assert!(
-                driver.contains(&format!("\"{sidecar}\"")),
-                "binary {name} writes sidecar {sidecar:?} but all_experiments \
-                 does not — the documented regenerate-everything command \
-                 would miss it"
-            );
-        }
-    }
-    assert!(bins >= 16, "scanner must see the experiment binaries");
+/// DESIGN.md §5 names the workspace's dependencies and §3 its crates;
+/// both tables are checked against the manifests so they cannot drift
+/// again (§5 once listed `rand`, `serde` and a real `criterion`).
+#[test]
+fn design_md_tables_match_the_manifests() {
+    let root = workspace_root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("Cargo.toml");
+
+    // The keys of the `[workspace.dependencies]` table that are not
+    // members of the workspace itself.
+    let external: BTreeSet<String> = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once(" = "))
+        .map(|(name, _)| name.to_string())
+        .filter(|name| !name.starts_with("mosquitonet-"))
+        .collect();
+    assert_eq!(
+        design_table_names(&design, "## 5."),
+        external,
+        "DESIGN.md §5 must list exactly the non-workspace entries of \
+         [workspace.dependencies]"
+    );
+
+    let mut crates: BTreeSet<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/")
+        .map(|e| e.expect("dir entry").file_name())
+        .map(|name| format!("mosquitonet-{}", name.to_string_lossy()))
+        .collect();
+    // Plus the root façade package, which §3 lists last.
+    crates.insert("mosquitonet".to_string());
+    assert_eq!(
+        design_table_names(&design, "## 3."),
+        crates,
+        "DESIGN.md §3 must have one row per directory under crates/ plus the root package"
+    );
 }

@@ -11,9 +11,12 @@
 //! ```
 //! and review the diff like any other golden change.
 
+mod common;
+
+use common::assert_golden;
 use mosquitonet_sim::Json;
 use mosquitonet_testbed::experiments::run_fig7;
-use mosquitonet_testbed::report::metrics_sidecar;
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
 
 fn obj_get<'a>(j: &'a Json, key: &str) -> &'a Json {
     match j {
@@ -41,19 +44,8 @@ fn fig7_phase_histogram_export_matches_golden() {
         assert_eq!(obj_get(h, "count"), &Json::from(4u64), "{phase} samples");
     }
 
-    let rendered = metrics_sidecar("fig7_phases", phases).render_pretty();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/fig7_phases.metrics.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("update golden");
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "Fig7 phase export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "fig7_phases.metrics.json",
+        &sidecar(SidecarKind::Metrics, "fig7_phases", phases).render_pretty(),
     );
 }

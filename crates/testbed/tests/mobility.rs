@@ -39,12 +39,7 @@ fn install_echo(tb: &mut Testbed, interval: SimDuration) -> stack::ModuleId {
 }
 
 fn sender(tb: &mut Testbed, mid: stack::ModuleId) -> &mut UdpEchoSender {
-    let ch = tb.ch_dept;
-    tb.sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(mid)
-        .expect("sender")
+    tb.module(tb.ch_dept, mid)
 }
 
 #[test]
@@ -335,12 +330,7 @@ fn tcp_session_survives_a_cold_handoff() {
     // Let the session get going at home.
     tb.run_for(SimDuration::from_secs(3));
     {
-        let c: &mut TcpStreamClient = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(client_mid)
-            .expect("client");
+        let c: &mut TcpStreamClient = tb.module(mh, client_mid);
         assert!(!c.echoed.is_empty(), "session active before the move");
     }
 
@@ -353,12 +343,7 @@ fn tcp_session_survives_a_cold_handoff() {
     // Let retransmission carry the stream across and finish.
     tb.run_for(SimDuration::from_secs(40));
     let expected = {
-        let c: &mut TcpStreamClient = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(client_mid)
-            .expect("client");
+        let c: &mut TcpStreamClient = tb.module(mh, client_mid);
         assert!(!c.reset, "connection must not reset across the hand-off");
         let expected = c.expected_stream();
         assert_eq!(
@@ -367,12 +352,7 @@ fn tcp_session_survives_a_cold_handoff() {
         );
         expected
     };
-    let s: &mut TcpEchoServer = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(server_mid)
-        .expect("server");
+    let s: &mut TcpEchoServer = tb.module(ch, server_mid);
     assert_eq!(s.bytes_received, expected.len() as u64);
 }
 

@@ -11,10 +11,13 @@
 //! ```
 //! and review the diff like any other golden change.
 
-use mosquitonet_testbed::experiments::{run_s1, S1Row};
-use mosquitonet_testbed::report::metrics_sidecar;
+mod common;
 
-/// CI runs the binary with the same population so the sidecar it emits
+use common::assert_golden;
+use mosquitonet_testbed::experiments::{run_s1, S1Row};
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
+
+/// CI runs `experiment s1_many_correspondents` with the same population so the sidecar it emits
 /// diffs cleanly against the golden file kept here.
 const CORRESPONDENTS: u32 = 512;
 const SEED: u64 = 1996;
@@ -62,20 +65,14 @@ fn s1_export_matches_golden_and_cache_behaves() {
     assert_eq!(steady.hits, n, "the refilled cache must replay again");
     assert_eq!(steady.misses, 0);
 
-    let rendered = metrics_sidecar("s1_many_correspondents", &result.metrics).render_pretty();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/s1_many_correspondents.metrics.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("update golden");
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "S1 export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "s1_many_correspondents.metrics.json",
+        &sidecar(
+            SidecarKind::Metrics,
+            "s1_many_correspondents",
+            &result.metrics,
+        )
+        .render_pretty(),
     );
 }
 

@@ -4,7 +4,7 @@
 //! Every quantity in the `mosquitonet.bench/v1` sidecar is an exact
 //! counter or a virtual-time delta — wall-clock rates are kept out of it
 //! by construction — so the export must be byte-stable for a fixed
-//! config. CI runs the `s2_ha_fleet` binary at these same smoke-scale
+//! config. CI runs `experiment s2_ha_fleet` at these same smoke-scale
 //! parameters across worker-thread counts {1, 2, 4} and diffs every
 //! sidecar against the goldens kept here. If a deliberate change to the
 //! fleet moves the export, regenerate with
@@ -14,10 +14,14 @@
 //! ```
 //! and review the diff like any other golden change.
 
-use mosquitonet_testbed::experiments::{run_s2, S2Config};
-use mosquitonet_testbed::report::{bench_sidecar, journeys_sidecar, metrics_sidecar};
+mod common;
 
-/// CI's smoke-scale parameters: `s2_ha_fleet 4 200 4 20 1996`.
+use common::assert_golden;
+use mosquitonet_testbed::experiments::{run_s2, S2Config};
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
+
+/// CI's smoke-scale parameters: `experiment s2_ha_fleet shards=4
+/// mobile_hosts=200 burst=4 ticks=20 seed=1996`.
 const SMOKE: S2Config = S2Config {
     shards: 4,
     mobile_hosts: 200,
@@ -70,28 +74,18 @@ fn s2_exports_match_goldens_and_fleet_stays_in_lock_step() {
     for (name, rendered) in [
         (
             "s2_fleet.bench.json",
-            bench_sidecar("s2_fleet", &result.to_json()).render_pretty(),
+            sidecar(SidecarKind::Bench, "s2_fleet", &result.to_json()).render_pretty(),
         ),
         (
             "s2_fleet.journeys.json",
-            journeys_sidecar("s2_fleet", &result.journeys).render_pretty(),
+            sidecar(SidecarKind::Journeys, "s2_fleet", &result.journeys).render_pretty(),
         ),
         (
             "s2_fleet.metrics.json",
-            metrics_sidecar("s2_fleet", &result.metrics).render_pretty(),
+            sidecar(SidecarKind::Metrics, "s2_fleet", &result.metrics).render_pretty(),
         ),
     ] {
-        let golden_path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::write(&golden_path, &rendered).expect("update golden");
-        }
-        let golden = std::fs::read_to_string(&golden_path)
-            .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-        assert_eq!(
-            rendered, golden,
-            "{name} drifted from the golden file; if intentional, \
-             regenerate with UPDATE_GOLDEN=1"
-        );
+        assert_golden(name, &rendered);
     }
 }
 

@@ -4,7 +4,7 @@
 //! Every quantity in the `mosquitonet.bench/v1` sidecar is an exact
 //! counter or a virtual-time delta — wall-clock rates are kept out of it
 //! by construction — so the export must be byte-stable for a fixed
-//! config. CI runs the `s3_saturation` binary at these same smoke-scale
+//! config. CI runs `experiment s3_saturation` at these same smoke-scale
 //! parameters and diffs its sidecar against the golden kept here. If a
 //! deliberate change to the packet path moves the export, regenerate with
 //!
@@ -13,10 +13,14 @@
 //! ```
 //! and review the diff like any other golden change.
 
-use mosquitonet_testbed::experiments::{run_s3, run_s3_sharded, S3Config};
-use mosquitonet_testbed::report::{bench_sidecar, journeys_sidecar, metrics_sidecar};
+mod common;
 
-/// CI's smoke-scale parameters: `s3_saturation 2 8 10 1996`.
+use common::assert_golden;
+use mosquitonet_testbed::experiments::{run_s3, run_s3_sharded, S3Config};
+use mosquitonet_testbed::report::{sidecar, SidecarKind};
+
+/// CI's smoke-scale parameters: `experiment s3_saturation pairs=2 burst=8
+/// ticks=10 seed=1996`.
 const SMOKE: S3Config = S3Config {
     pairs: 2,
     burst: 8,
@@ -65,26 +69,15 @@ fn s3_export_matches_golden_and_saturates_cleanly() {
         "direct encapsulation must bypass the home agent"
     );
 
-    let rendered = bench_sidecar("s3_saturation", &result.to_json()).render_pretty();
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/s3_saturation.bench.json"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &rendered).expect("update golden");
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        rendered, golden,
-        "S3 bench export drifted from the golden file; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+    assert_golden(
+        "s3_saturation.bench.json",
+        &sidecar(SidecarKind::Bench, "s3_saturation", &result.to_json()).render_pretty(),
     );
 }
 
 /// The sharded variant's three sidecars at CI's smoke parameters
-/// (`s3_saturation 2 8 10 1996 1 <threads>`, 4 shards). CI runs the
-/// binary at 1, 2, and 4 worker threads and diffs all of them against
+/// (the same run with `threads=<n>`, 4 shards). CI runs the
+/// experiment at 1, 2, and 4 worker threads and diffs all of them against
 /// these same goldens, so this test pins single-thread output and the
 /// `shard_determinism` proptest carries the identity to other thread
 /// counts.
@@ -110,28 +103,18 @@ fn s3_sharded_exports_match_goldens_and_saturate_cleanly() {
     for (name, rendered) in [
         (
             "s3_sharded.bench.json",
-            bench_sidecar("s3_sharded", &result.to_json()).render_pretty(),
+            sidecar(SidecarKind::Bench, "s3_sharded", &result.to_json()).render_pretty(),
         ),
         (
             "s3_sharded.journeys.json",
-            journeys_sidecar("s3_sharded", &result.journeys).render_pretty(),
+            sidecar(SidecarKind::Journeys, "s3_sharded", &result.journeys).render_pretty(),
         ),
         (
             "s3_sharded.metrics.json",
-            metrics_sidecar("s3_sharded", &result.metrics).render_pretty(),
+            sidecar(SidecarKind::Metrics, "s3_sharded", &result.metrics).render_pretty(),
         ),
     ] {
-        let golden_path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::write(&golden_path, &rendered).expect("update golden");
-        }
-        let golden = std::fs::read_to_string(&golden_path)
-            .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-        assert_eq!(
-            rendered, golden,
-            "{name} drifted from the golden file; if intentional, \
-             regenerate with UPDATE_GOLDEN=1"
-        );
+        assert_golden(name, &rendered);
     }
 }
 
