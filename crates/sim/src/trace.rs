@@ -21,8 +21,6 @@ pub enum TraceKind {
     Mobility,
     /// A device state change (up, down, bring-up complete).
     Device,
-    /// DHCP lease activity.
-    Dhcp,
     /// Free-form experiment marker emitted by harness code.
     Marker,
     /// A frame summary recorded by an interface in capture mode.

@@ -13,6 +13,7 @@ use crate::iface::{IfaceId, Interface};
 use crate::proto::{Module, ModuleId};
 use crate::route::RouteTable;
 use crate::tcp::{ConnId, TcpOut, TcpTable};
+use crate::telemetry::DropReason;
 use crate::udp::{SocketId, UdpTable};
 
 /// Handle of a host within the network world.
@@ -65,27 +66,25 @@ pub struct HostStats {
 
 impl HostStats {
     /// Binds every counter under `scope` (typically `{host}/ip`). Drop
-    /// counters use the stable `drop.<reason>` codes that traces and tests
-    /// match on.
+    /// counters take the stable `drop.<reason>` codes that hops, traces and
+    /// tests match on from [`DropReason::code`].
     pub fn register_into(&self, scope: &MetricsScope) {
+        let drops = DropReason::ALL
+            .into_iter()
+            .filter_map(|reason| reason.counter(self));
         for (name, cell) in [
             ("output", &self.ip_output),
             ("input", &self.ip_input),
             ("forwarded", &self.forwarded),
             ("delivered", &self.delivered),
-            ("drop.no_route", &self.dropped_no_route),
-            ("drop.filter.ingress", &self.dropped_filter),
-            ("drop.ttl", &self.dropped_ttl),
-            ("drop.arp_failure", &self.dropped_arp_failure),
-            ("drop.iface_down", &self.dropped_iface_down),
-            ("drop.not_local", &self.dropped_not_local),
-            ("drop.malformed", &self.dropped_malformed),
-            ("unclaimed", &self.unclaimed),
             ("encap", &self.encapsulated),
             ("decap", &self.decapsulated),
             ("redirect.sent", &self.redirects_sent),
             ("redirect.accepted", &self.redirects_accepted),
-        ] {
+        ]
+        .into_iter()
+        .chain(drops)
+        {
             scope.register(name, MetricCell::Counter(cell.clone()));
         }
     }

@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
-use mosquitonet_sim::{HopAction, TraceKind, NO_FLIGHT};
+use mosquitonet_sim::NO_FLIGHT;
 use mosquitonet_wire::{
     ipip, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, PacketBuf, TcpSegment, UdpDatagram,
     UnreachableCode,
@@ -33,8 +33,12 @@ use crate::proto::{
     EncapSpec, ModuleId, RouteAnswer, RouteDecision, SendOptions, SourceSel, UdpBatchItem,
 };
 use crate::tcp::{ConnId, TcpOut, TcpTable};
+use crate::telemetry::DropReason::{
+    ArpQueue, FilterIngress, Malformed, NoRoute, NoSocket, NotLocal, Ttl, Unclaimed,
+};
+use crate::telemetry::{emit, Event, SILENT};
 use crate::udp::SocketId;
-use crate::world::{self, NetSim};
+use crate::world::{self, NetSim, Network};
 
 /// Maximum decapsulation nesting accepted on input.
 const MAX_DECAP_DEPTH: u32 = 4;
@@ -199,6 +203,53 @@ fn resolve_route_uncached(
     )
 }
 
+/// Socket lookup and source pinning, shared by both UDP send paths: the
+/// bound port, the source selection, and whether `dst` is one of this
+/// host's own addresses. `None` for a closed socket.
+fn udp_source(
+    h: &Host,
+    sock: SocketId,
+    dst: Ipv4Addr,
+    opts: &SendOptions,
+) -> Option<(u16, SourceSel, bool)> {
+    let s = h.core.udp.get(sock)?;
+    // A socket bound to a concrete address pins the source (§3.3's
+    // "outside the scope of mobile IP" case), unless the caller pinned
+    // one explicitly.
+    let src_sel = match (opts.src, s.local_addr) {
+        (SourceSel::Addr(a), _) => SourceSel::Addr(a),
+        (SourceSel::Unspecified, Some(a)) => SourceSel::Addr(a),
+        (SourceSel::Unspecified, None) => SourceSel::Unspecified,
+    };
+    Some((s.port, src_sel, h.core.is_local_addr(dst)))
+}
+
+/// One datagram of a UDP send to a remote `dst`, along the `decision` its
+/// send resolved (once, however many datagrams share it): the `Sent` hop,
+/// then either the no-route casualty or header, ident and transmit.
+fn udp_output(
+    sim: &mut NetSim,
+    host: HostId,
+    flight: u64,
+    dgram: UdpDatagram,
+    dst: Ipv4Addr,
+    ttl: Option<u8>,
+    decision: Option<RouteDecision>,
+) {
+    emit(sim, host, flight, "udp", Event::Sent, SILENT);
+    let Some(decision) = decision else {
+        emit(sim, host, flight, "udp", Event::Drop(NoRoute), SILENT);
+        return;
+    };
+    let bytes = dgram.to_bytes(decision.src, dst);
+    let mut header = Ipv4Header::new(decision.src, dst, IpProto::Udp);
+    if let Some(ttl) = ttl {
+        header.ttl = ttl;
+    }
+    header.ident = sim.world_mut().hosts[host.0].core.next_ident();
+    send_resolved(sim, host, Ipv4Packet::new(header, bytes), decision, flight);
+}
+
 /// Sends a UDP datagram from `sock`.
 pub fn udp_send(
     sim: &mut NetSim,
@@ -209,62 +260,31 @@ pub fn udp_send(
     opts: SendOptions,
 ) {
     let flight = sim.flights_mut().begin_flight(opts.label);
-    let (decision, src_port) = {
-        let h = &mut sim.world_mut().hosts[host.0];
-        let Some(s) = h.core.udp.get(sock) else {
-            return; // closed socket
-        };
-        let src_port = s.port;
-        // A socket bound to a concrete address pins the source (§3.3's
-        // "outside the scope of mobile IP" case), unless the caller pinned
-        // one explicitly.
-        let src_sel = match (opts.src, s.local_addr) {
-            (SourceSel::Addr(a), _) => SourceSel::Addr(a),
-            (SourceSel::Unspecified, Some(a)) => SourceSel::Addr(a),
-            (SourceSel::Unspecified, None) => SourceSel::Unspecified,
-        };
-        // Local destination: deliver without touching the wire.
-        if h.core.is_local_addr(dst.0) {
-            let src = match src_sel {
-                SourceSel::Addr(a) => a,
-                SourceSel::Unspecified => dst.0,
-            };
-            let dgram = UdpDatagram::new(src_port, dst.1, payload);
-            let bytes = dgram.to_bytes(src, dst.0);
-            let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
-            header.ident = h.core.next_ident();
-            let pkt = Ipv4Packet::new(header, bytes);
-            let proc = h.core.proc_delay;
-            sim.record_hop(flight, host.0 as u32, "udp", HopAction::Sent);
-            sim.schedule_in(proc, move |sim| {
-                ip_input_flight(sim, host, None, pkt, 0, flight)
-            });
-            return;
-        }
-        match resolve_route(h, dst.0, src_sel, opts.iface) {
-            Some(d) => (d, src_port),
-            None => {
-                h.core.stats.dropped_no_route.inc();
-                sim.record_hop(flight, host.0 as u32, "udp", HopAction::Sent);
-                sim.record_hop(
-                    flight,
-                    host.0 as u32,
-                    "udp",
-                    HopAction::Dropped("drop.no_route"),
-                );
-                return;
-            }
-        }
+    let h = &mut sim.world_mut().hosts[host.0];
+    let Some((src_port, src_sel, local)) = udp_source(h, sock, dst.0, &opts) else {
+        return; // closed socket
     };
-    let dgram = UdpDatagram::new(src_port, dst.1, payload);
-    let bytes = dgram.to_bytes(decision.src, dst.0);
-    let mut header = Ipv4Header::new(decision.src, dst.0, IpProto::Udp);
-    if let Some(ttl) = opts.ttl {
-        header.ttl = ttl;
+    // Local destination: deliver without touching the wire.
+    if local {
+        let src = match src_sel {
+            SourceSel::Addr(a) => a,
+            SourceSel::Unspecified => dst.0,
+        };
+        let dgram = UdpDatagram::new(src_port, dst.1, payload);
+        let bytes = dgram.to_bytes(src, dst.0);
+        let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
+        header.ident = h.core.next_ident();
+        let pkt = Ipv4Packet::new(header, bytes);
+        let proc = h.core.proc_delay;
+        emit(sim, host, flight, "udp", Event::Sent, SILENT);
+        sim.schedule_in(proc, move |sim| {
+            ip_input_flight(sim, host, None, pkt, 0, flight)
+        });
+        return;
     }
-    header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-    sim.record_hop(flight, host.0 as u32, "udp", HopAction::Sent);
-    send_resolved(sim, host, Ipv4Packet::new(header, bytes), decision, flight);
+    let decision = resolve_route(h, dst.0, src_sel, opts.iface);
+    let dgram = UdpDatagram::new(src_port, dst.1, payload);
+    udp_output(sim, host, flight, dgram, dst.0, opts.ttl, decision);
 }
 
 /// Sends a burst of UDP datagrams from `sock` to one destination,
@@ -288,17 +308,9 @@ pub fn udp_send_burst(
     if payloads.is_empty() {
         return;
     }
-    let (src_sel, src_port, local) = {
-        let h = &sim.world().hosts[host.0];
-        let Some(s) = h.core.udp.get(sock) else {
-            return; // closed socket
-        };
-        let src_sel = match (opts.src, s.local_addr) {
-            (SourceSel::Addr(a), _) => SourceSel::Addr(a),
-            (SourceSel::Unspecified, Some(a)) => SourceSel::Addr(a),
-            (SourceSel::Unspecified, None) => SourceSel::Unspecified,
-        };
-        (src_sel, s.port, h.core.is_local_addr(dst.0))
+    let h = &sim.world().hosts[host.0];
+    let Some((src_port, src_sel, local)) = udp_source(h, sock, dst.0, &opts) else {
+        return; // closed socket
     };
     // Local destination: build every packet now, deliver the lot in one
     // engine event after the usual processing delay.
@@ -314,46 +326,19 @@ pub fn udp_send_burst(
             let bytes = dgram.to_bytes(src, dst.0);
             let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
             header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-            sim.record_hop(flight, host.0 as u32, "udp", HopAction::Sent);
+            emit(sim, host, flight, "udp", Event::Sent, SILENT);
             pkts.push((Ipv4Packet::new(header, bytes), flight));
         }
         let proc = sim.world().hosts[host.0].core.proc_delay;
         sim.schedule_in(proc, move |sim| udp_input_burst(sim, host, pkts));
         return;
     }
-    let decision = {
-        let h = &mut sim.world_mut().hosts[host.0];
-        resolve_route(h, dst.0, src_sel, opts.iface)
-    };
-    let Some(decision) = decision else {
-        for _ in &payloads {
-            let flight = sim.flights_mut().begin_flight(opts.label);
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_no_route
-                .inc();
-            sim.record_hop(flight, host.0 as u32, "udp", HopAction::Sent);
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "udp",
-                HopAction::Dropped("drop.no_route"),
-            );
-        }
-        return;
-    };
+    let h = &mut sim.world_mut().hosts[host.0];
+    let decision = resolve_route(h, dst.0, src_sel, opts.iface);
     for payload in payloads {
         let flight = sim.flights_mut().begin_flight(opts.label);
         let dgram = UdpDatagram::new(src_port, dst.1, payload);
-        let bytes = dgram.to_bytes(decision.src, dst.0);
-        let mut header = Ipv4Header::new(decision.src, dst.0, IpProto::Udp);
-        if let Some(ttl) = opts.ttl {
-            header.ttl = ttl;
-        }
-        header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-        sim.record_hop(flight, host.0 as u32, "udp", HopAction::Sent);
-        send_resolved(sim, host, Ipv4Packet::new(header, bytes), decision, flight);
+        udp_output(sim, host, flight, dgram, dst.0, opts.ttl, decision);
     }
 }
 
@@ -362,6 +347,7 @@ pub fn udp_send_burst(
 /// hooks; a concrete source is honored as-is.
 pub fn ip_send_packet(sim: &mut NetSim, host: HostId, mut packet: Ipv4Packet, opts: SendOptions) {
     let flight = sim.flights_mut().begin_flight(opts.label);
+    emit(sim, host, flight, "ip", Event::Sent, SILENT);
     let dst = packet.header.dst;
     let src_sel = if packet.header.src.is_unspecified() {
         opts.src
@@ -374,31 +360,17 @@ pub fn ip_send_packet(sim: &mut NetSim, host: HostId, mut packet: Ipv4Packet, op
             packet.header.src = dst;
         }
         let proc = sim.world().hosts[host.0].core.proc_delay;
-        sim.record_hop(flight, host.0 as u32, "ip", HopAction::Sent);
         sim.schedule_in(proc, move |sim| {
             ip_input_flight(sim, host, None, packet, 0, flight)
         });
         return;
     }
-    let decision = {
-        let h = &mut sim.world_mut().hosts[host.0];
-        match resolve_route(h, dst, src_sel, opts.iface) {
-            Some(d) => d,
-            None => {
-                h.core.stats.dropped_no_route.inc();
-                sim.record_hop(flight, host.0 as u32, "ip", HopAction::Sent);
-                sim.record_hop(
-                    flight,
-                    host.0 as u32,
-                    "ip",
-                    HopAction::Dropped("drop.no_route"),
-                );
-                return;
-            }
-        }
+    let h = &mut sim.world_mut().hosts[host.0];
+    let Some(decision) = resolve_route(h, dst, src_sel, opts.iface) else {
+        emit(sim, host, flight, "ip", Event::Drop(NoRoute), SILENT);
+        return;
     };
     packet.header.src = decision.src;
-    sim.record_hop(flight, host.0 as u32, "ip", HopAction::Sent);
     send_resolved(sim, host, packet, decision, flight);
 }
 
@@ -412,8 +384,7 @@ fn send_resolved(
 ) {
     sim.world_mut().hosts[host.0].core.stats.ip_output.inc();
     if decision.encap.is_some() {
-        sim.world_mut().hosts[host.0].core.stats.encapsulated.inc();
-        sim.record_hop(flight, host.0 as u32, "tunnel", HopAction::Encap);
+        emit(sim, host, flight, "tunnel", Event::Encap, SILENT);
     }
     transmit_ip(
         sim,
@@ -485,12 +456,7 @@ fn transmit_ip(
     if let Some(victim) = evicted {
         // The bounded ARP queue silently dropped its oldest occupant; the
         // flight recorder is the only witness (no counter moves here).
-        sim.record_hop(
-            victim,
-            host.0 as u32,
-            "arp",
-            HopAction::Dropped("drop.arp_queue"),
-        );
+        emit(sim, host, victim, "arp", Event::Drop(ArpQueue), SILENT);
     }
     match dst_mac {
         Some(mac) => {
@@ -570,27 +536,9 @@ pub(crate) fn ip_input_flight(
     } else if forwarding {
         forward(sim, host, iface, packet, flight);
     } else {
-        sim.world_mut().hosts[host.0]
-            .core
-            .stats
-            .dropped_not_local
-            .inc();
-        sim.record_hop(
-            flight,
-            host.0 as u32,
-            "ip",
-            HopAction::Dropped("drop.not_local"),
-        );
-        if sim.trace().is_enabled() {
-            let name = sim.world().hosts[host.0].core.name.clone();
-            let detail = format!(
-                "drop.not_local: {} -> {}",
-                packet.header.src, packet.header.dst
-            );
-            let now = sim.now();
-            sim.trace_mut()
-                .record(now, TraceKind::PacketDropped, name, detail);
-        }
+        let header = &packet.header;
+        let line = |_: &Network| format!("{} -> {}", header.src, header.dst);
+        emit(sim, host, flight, "ip", Event::Drop(NotLocal), Some(line));
     }
 }
 
@@ -604,20 +552,9 @@ fn forward(
 ) {
     // TTL.
     if packet.header.ttl <= 1 {
-        sim.world_mut().hosts[host.0].core.stats.dropped_ttl.inc();
-        sim.record_hop(
-            flight,
-            host.0 as u32,
-            "ip.fwd",
-            HopAction::Dropped("drop.ttl"),
-        );
-        if sim.trace().is_enabled() {
-            let name = sim.world().hosts[host.0].core.name.clone();
-            let detail = format!("drop.ttl: {} -> {}", packet.header.src, packet.header.dst);
-            let now = sim.now();
-            sim.trace_mut()
-                .record(now, TraceKind::PacketDropped, name, detail);
-        }
+        let header = &packet.header;
+        let line = |_: &Network| format!("{} -> {}", header.src, header.dst);
+        emit(sim, host, flight, "ip.fwd", Event::Drop(Ttl), Some(line));
         let quote = packet.invoking_quote();
         icmp_error(
             sim,
@@ -641,32 +578,15 @@ fn forward(
                     (rt, src)
                 }
                 None => {
-                    sim.world_mut().hosts[host.0]
-                        .core
-                        .stats
-                        .dropped_no_route
-                        .inc();
-                    sim.record_hop(
-                        flight,
-                        host.0 as u32,
-                        "tunnel",
-                        HopAction::Dropped("drop.no_route"),
-                    );
+                    emit(sim, host, flight, "tunnel", Event::Drop(NoRoute), SILENT);
                     return;
                 }
             }
         };
-        let core = &mut sim.world_mut().hosts[host.0].core;
-        core.stats.forwarded.inc();
-        core.stats.encapsulated.inc();
-        sim.record_hop(flight, host.0 as u32, "tunnel", HopAction::Encap);
-        if sim.trace().is_enabled() {
-            let name = sim.world().hosts[host.0].core.name.clone();
-            let detail = format!("tunnel {} -> care-of {}", packet.header.dst, care_of);
-            let now = sim.now();
-            sim.trace_mut()
-                .record(now, TraceKind::Mobility, name, detail);
-        }
+        sim.world_mut().hosts[host.0].core.stats.forwarded.inc();
+        let inner_dst = packet.header.dst;
+        let line = |_: &Network| format!("tunnel {inner_dst} -> care-of {care_of}");
+        emit(sim, host, flight, "tunnel", Event::Encap, Some(line));
         transmit_ip(
             sim,
             host,
@@ -690,17 +610,7 @@ fn forward(
     {
         Some(rt) => rt,
         None => {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_no_route
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "ip.fwd",
-                HopAction::Dropped("drop.no_route"),
-            );
+            emit(sim, host, flight, "ip.fwd", Event::Drop(NoRoute), SILENT);
             let quote = packet.invoking_quote();
             icmp_error(
                 sim,
@@ -727,27 +637,10 @@ fn forward(
                 .iter()
                 .any(|s| s.contains(packet.header.src))
         {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_filter
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "ip.fwd",
-                HopAction::Dropped("drop.filter.ingress"),
-            );
-            if sim.trace().is_enabled() {
-                let name = sim.world().hosts[host.0].core.name.clone();
-                let detail = format!(
-                    "drop.filter.ingress: src {} not local, egress upstream",
-                    packet.header.src
-                );
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, TraceKind::PacketDropped, name, detail);
-            }
+            let src = packet.header.src;
+            let line = |_: &Network| format!("src {src} not local, egress upstream");
+            let event = Event::Drop(FilterIngress);
+            emit(sim, host, flight, "ip.fwd", event, Some(line));
             return;
         }
     }
@@ -785,8 +678,7 @@ fn forward(
         }
     }
 
-    sim.world_mut().hosts[host.0].core.stats.forwarded.inc();
-    sim.record_hop(flight, host.0 as u32, "ip.fwd", HopAction::Forwarded);
+    emit(sim, host, flight, "ip.fwd", Event::Forwarded, SILENT);
     let next_hop = rt.gateway.unwrap_or(packet.header.dst);
     ip_transmit(sim, host, rt.iface, packet, next_hop, flight);
 }
@@ -829,29 +721,10 @@ fn igmp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) 
     // (there is no multicast router to satisfy).
     match mosquitonet_wire::IgmpMessage::parse(&packet.payload) {
         Ok(msg) => {
-            sim.record_hop(flight, host.0 as u32, "igmp", HopAction::Delivered);
-            let name = sim.world().hosts[host.0].core.name.clone();
-            let now = sim.now();
-            sim.trace_mut().record(
-                now,
-                TraceKind::PacketDelivered,
-                name,
-                format!("IGMP {msg:?} from {}", packet.header.src),
-            );
+            let line = |_: &Network| format!("IGMP {msg:?} from {}", packet.header.src);
+            emit(sim, host, flight, "igmp", Event::Delivered, Some(line));
         }
-        Err(_) => {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_malformed
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "igmp",
-                HopAction::Dropped("drop.malformed"),
-            );
-        }
+        Err(_) => emit(sim, host, flight, "igmp", Event::Drop(Malformed), SILENT),
     }
 }
 
@@ -859,17 +732,7 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
     let dgram = match UdpDatagram::parse(&packet.payload, packet.header.src, packet.header.dst) {
         Ok(d) => d,
         Err(_) => {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_malformed
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "udp",
-                HopAction::Dropped("drop.malformed"),
-            );
+            emit(sim, host, flight, "udp", Event::Drop(Malformed), SILENT);
             return;
         }
     };
@@ -885,7 +748,7 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
                 .get(sock)
                 .expect("live")
                 .owner;
-            sim.record_hop(flight, host.0 as u32, "udp", HopAction::Delivered);
+            emit(sim, host, flight, "udp", Event::Delivered, SILENT);
             let item = UdpBatchItem {
                 src: (packet.header.src, dgram.src_port),
                 dst: packet.header.dst,
@@ -898,12 +761,7 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
             });
         }
         None => {
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "udp",
-                HopAction::Dropped("drop.no_socket"),
-            );
+            emit(sim, host, flight, "udp", Event::Drop(NoSocket), SILENT);
             // Port unreachable — but never for broadcasts or multicasts
             // (RFC 1122: ICMP errors are never sent for non-unicast
             // datagrams).
@@ -965,17 +823,7 @@ fn udp_input_burst(sim: &mut NetSim, host: HostId, pkts: Vec<(Ipv4Packet, u64)>)
             Ok(d) => d,
             Err(_) => {
                 flush(sim, host, group_sock.take(), &mut group);
-                sim.world_mut().hosts[host.0]
-                    .core
-                    .stats
-                    .dropped_malformed
-                    .inc();
-                sim.record_hop(
-                    flight,
-                    host.0 as u32,
-                    "udp",
-                    HopAction::Dropped("drop.malformed"),
-                );
+                emit(sim, host, flight, "udp", Event::Drop(Malformed), SILENT);
                 continue;
             }
         };
@@ -989,7 +837,7 @@ fn udp_input_burst(sim: &mut NetSim, host: HostId, pkts: Vec<(Ipv4Packet, u64)>)
                     flush(sim, host, group_sock.take(), &mut group);
                     group_sock = Some(sock);
                 }
-                sim.record_hop(flight, host.0 as u32, "udp", HopAction::Delivered);
+                emit(sim, host, flight, "udp", Event::Delivered, SILENT);
                 group.push(UdpBatchItem {
                     src: (packet.header.src, dgram.src_port),
                     dst: packet.header.dst,
@@ -998,12 +846,7 @@ fn udp_input_burst(sim: &mut NetSim, host: HostId, pkts: Vec<(Ipv4Packet, u64)>)
             }
             None => {
                 flush(sim, host, group_sock.take(), &mut group);
-                sim.record_hop(
-                    flight,
-                    host.0 as u32,
-                    "udp",
-                    HopAction::Dropped("drop.no_socket"),
-                );
+                emit(sim, host, flight, "udp", Event::Drop(NoSocket), SILENT);
                 if !non_unicast_dst(sim, host, packet.header.dst) {
                     let quote = packet.invoking_quote();
                     icmp_error(
@@ -1038,21 +881,11 @@ fn icmp_input(
     let msg = match IcmpMessage::parse(&packet.payload) {
         Ok(m) => m,
         Err(_) => {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_malformed
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "icmp",
-                HopAction::Dropped("drop.malformed"),
-            );
+            emit(sim, host, flight, "icmp", Event::Drop(Malformed), SILENT);
             return;
         }
     };
-    sim.record_hop(flight, host.0 as u32, "icmp", HopAction::Delivered);
+    emit(sim, host, flight, "icmp", Event::Delivered, SILENT);
     match &msg {
         IcmpMessage::EchoRequest { .. }
             // The mobile host's *local role* (§5.2): answer pings addressed
@@ -1112,34 +945,19 @@ fn ipip_input(
     }
     match ipip::decapsulate(&packet) {
         Ok(inner) => {
-            sim.world_mut().hosts[host.0].core.stats.decapsulated.inc();
-            sim.record_hop(flight, host.0 as u32, "tunnel", HopAction::Decap);
-            if sim.trace().is_enabled() {
-                let name = sim.world().hosts[host.0].core.name.clone();
-                let detail = format!(
+            let line = |_: &Network| {
+                format!(
                     "decapsulated {} -> {} (outer from {})",
                     inner.header.src, inner.header.dst, packet.header.src
-                );
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, TraceKind::Mobility, name, detail);
-            }
+                )
+            };
+            emit(sim, host, flight, "tunnel", Event::Decap, Some(line));
             // "The packet... will take the reverse of the dotted path" —
             // the inner packet re-enters IP as if freshly received.
             ip_input_flight(sim, host, in_iface, inner, depth + 1, flight);
         }
         Err(_) => {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_malformed
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "tunnel",
-                HopAction::Dropped("drop.malformed"),
-            );
+            emit(sim, host, flight, "tunnel", Event::Drop(Malformed), SILENT);
         }
     }
 }
@@ -1151,40 +969,23 @@ fn unclaimed_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: 
             module.on_ip_unclaimed(ctx, packet)
         });
         if claimed {
-            sim.record_hop(flight, host.0 as u32, "module", HopAction::Delivered);
+            emit(sim, host, flight, "module", Event::Delivered, SILENT);
             return;
         }
     }
     // Nobody wanted it.
-    let core = &mut sim.world_mut().hosts[host.0].core;
-    core.stats.unclaimed.inc();
-    sim.record_hop(
-        flight,
-        host.0 as u32,
-        "ip",
-        HopAction::Dropped("drop.unclaimed"),
-    );
+    emit(sim, host, flight, "ip", Event::Drop(Unclaimed), SILENT);
 }
 
 fn tcp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
     let seg = match TcpSegment::parse(&packet.payload, packet.header.src, packet.header.dst) {
         Ok(s) => s,
         Err(_) => {
-            sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_malformed
-                .inc();
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "tcp",
-                HopAction::Dropped("drop.malformed"),
-            );
+            emit(sim, host, flight, "tcp", Event::Drop(Malformed), SILENT);
             return;
         }
     };
-    sim.record_hop(flight, host.0 as u32, "tcp", HopAction::Delivered);
+    emit(sim, host, flight, "tcp", Event::Delivered, SILENT);
     let local = (packet.header.dst, seg.dst_port);
     let remote = (packet.header.src, seg.src_port);
     let conn = sim.world().hosts[host.0]

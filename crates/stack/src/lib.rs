@@ -25,6 +25,7 @@ mod proto;
 mod route;
 mod sniff;
 mod tcp;
+mod telemetry;
 mod udp;
 mod world;
 
@@ -42,6 +43,7 @@ pub use sniff::frame_summary;
 pub use tcp::{
     ConnId, TcpEvent, TcpListener, TcpState, TcpTable, TCP_INITIAL_RTO, TCP_MAX_RETRIES, TCP_MSS,
 };
+pub use telemetry::DropReason;
 pub use udp::{SocketId, UdpSocket, UdpTable};
 pub use world::{
     add_module, bring_iface_up, crash_host, dispatch, install_host_faults, register_metrics,

@@ -12,7 +12,7 @@ use mosquitonet_link::{
     Attachment, AttachmentKey, EtherType, FaultVerdict, Frame, Lan, FRAME_HEADER_LEN,
 };
 use mosquitonet_sim::{
-    Counter, HopAction, MetricCell, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind,
+    Counter, MetricCell, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind, NO_FLIGHT,
 };
 use mosquitonet_wire::{ArpPacket, EnvelopeArena, Ipv4Packet, MacAddr, PacketBuf, PacketBytes};
 
@@ -22,6 +22,10 @@ use crate::iface::{IfaceId, LanId};
 use crate::ip;
 use crate::proto::{Effect, Effects, Module, ModuleCtx, ModuleId};
 use crate::tcp::ConnId;
+use crate::telemetry::DropReason::{
+    ArpFailure, FaultDrop, IfaceDown, LeftLan, Malformed, MediumLoss, TxMtu,
+};
+use crate::telemetry::{emit, note, Event, SILENT};
 
 /// Retry interval for unanswered ARP requests (classic 1 s).
 pub const ARP_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -394,7 +398,7 @@ pub fn register_metrics(sim: &mut NetSim) {
     let registry = sim.metrics().clone();
     let w = sim.world();
     for h in &w.hosts {
-        let host_scope = registry.scope(h.core.name.clone());
+        let host_scope = registry.scope(h.core.name.as_str());
         h.core.stats.register_into(&host_scope.scope("ip"));
         h.fastpath
             .stats
@@ -441,7 +445,7 @@ pub fn add_module(sim: &mut NetSim, host: HostId, module: Box<dyn Module>) -> Mo
     let registry = sim.metrics().clone();
     let h = &sim.world().hosts[host.0];
     if let Some(m) = &h.modules[id.0] {
-        m.register_metrics(&registry.scope(h.core.name.clone()));
+        m.register_metrics(&registry.scope(h.core.name.as_str()));
     }
     dispatch(sim, host, id, |m, ctx| m.on_start(ctx));
     id
@@ -531,11 +535,9 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 // Power transitions invalidate the fast path: a cached
                 // decision through this interface must not outlive it.
                 h.core.iface_mut(iface).note_power_change();
-                let name = h.core.name.clone();
-                let dev = h.core.iface(iface).device.name().to_string();
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, TraceKind::Device, name, format!("{dev} down"));
+                note(sim, host, TraceKind::Device, |w| {
+                    format!("{} down", w.hosts[host.0].core.iface(iface).device.name())
+                });
             }
             Effect::GratuitousArp { iface, addr } => {
                 let mac = sim.world().hosts[host.0].core.iface(iface).device.mac();
@@ -548,12 +550,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 );
                 transmit_frame(sim, host, iface, frame, mosquitonet_sim::NO_FLIGHT);
             }
-            Effect::Trace { detail } => {
-                let name = sim.world().hosts[host.0].core.name.clone();
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, TraceKind::Mobility, name, detail);
-            }
+            Effect::Trace { detail } => note(sim, host, TraceKind::Mobility, |_| detail),
         }
     }
 }
@@ -637,11 +634,10 @@ pub fn bring_iface_up(sim: &mut NetSim, host: HostId, iface: IfaceId) -> SimTime
         let h = &mut sim.world_mut().hosts[host.0];
         h.core.iface_mut(iface).device.poll(now);
         h.core.iface_mut(iface).note_power_change();
-        let name = h.core.name.clone();
-        let dev = h.core.iface(iface).device.name().to_string();
         let modules = h.module_count();
-        sim.trace_mut()
-            .record(now, TraceKind::Device, name, format!("{dev} up"));
+        note(sim, host, TraceKind::Device, |w| {
+            format!("{} up", w.hosts[host.0].core.iface(iface).device.name())
+        });
         for m in 0..modules {
             dispatch(sim, host, ModuleId(m), |module, ctx| {
                 module.on_iface_up(ctx, iface);
@@ -675,20 +671,12 @@ pub fn install_host_faults(sim: &mut NetSim, host: HostId) {
 /// kernel routes, socket binds) survives, as it would in files on a real
 /// host. Counted as `{host}/fault.crash` when a plan is installed.
 pub fn crash_host(sim: &mut NetSim, host: HostId) {
-    let now = sim.now();
-    {
-        let h = &mut sim.world_mut().hosts[host.0];
-        if let Some(plan) = &h.fault {
-            plan.note_crash();
-        }
-        let name = h.core.name.clone();
-        sim.trace_mut().record(
-            now,
-            TraceKind::Marker,
-            name,
-            "fault.crash: node down, volatile state lost".to_string(),
-        );
+    if let Some(plan) = &sim.world().hosts[host.0].fault {
+        plan.note_crash();
     }
+    note(sim, host, TraceKind::Marker, |_| {
+        "fault.crash: node down, volatile state lost".to_string()
+    });
     // Every armed timer dies with the node.
     let (module_timers, tcp_timers) = {
         let h = &mut sim.world_mut().hosts[host.0];
@@ -729,22 +717,15 @@ pub fn crash_host(sim: &mut NetSim, host: HostId) {
 /// Counted as `{host}/fault.restart` when a plan is installed.
 pub fn restart_host(sim: &mut NetSim, host: HostId, storage_lost: bool) {
     let now = sim.now();
-    {
-        let h = &sim.world().hosts[host.0];
-        if let Some(plan) = &h.fault {
-            plan.note_restart();
-        }
-        let name = h.core.name.clone();
-        sim.trace_mut().record(
-            now,
-            TraceKind::Marker,
-            name,
-            format!(
-                "fault.restart: node rebooting{}",
-                if storage_lost { ", journal lost" } else { "" }
-            ),
-        );
+    if let Some(plan) = &sim.world().hosts[host.0].fault {
+        plan.note_restart();
     }
+    note(sim, host, TraceKind::Marker, |_| {
+        format!(
+            "fault.restart: node rebooting{}",
+            if storage_lost { ", journal lost" } else { "" }
+        )
+    });
     let n_ifaces = sim.world().hosts[host.0].core.ifaces.len();
     let mut ready = now;
     for i in 0..n_ifaces {
@@ -820,11 +801,10 @@ pub(crate) fn transmit_wire(
     struct Tx {
         deliveries: Vec<(HostId, IfaceId, SimDuration, FaultVerdict)>,
         lan: LanId,
-        lan_name: String,
         lost: u64,
         faults: Vec<&'static str>,
     }
-    let mut tx_drop: Option<&'static str> = None;
+    let mut tx_drop = None;
     let plan = {
         let (w, rng) = sim.world_and_rng();
         let ifc = &mut w.hosts[host.0].core.ifaces[iface.0];
@@ -832,11 +812,10 @@ pub(crate) fn transmit_wire(
             // No fragmentation in this stack (DESIGN.md §6): oversized
             // packets die at the device, loudly.
             ifc.device.counters.tx_dropped_mtu.inc();
-            tx_drop = Some("drop.tx_mtu");
+            tx_drop = Some(TxMtu);
             None
         } else if !ifc.device.note_tx(wire_len) {
-            w.hosts[host.0].core.stats.dropped_iface_down.inc();
-            tx_drop = Some("drop.iface_down");
+            tx_drop = Some(IfaceDown);
             None
         } else if let Some(lan_id) = ifc.lan {
             // Frames queue behind the transmitter (half-duplex serial
@@ -888,61 +867,38 @@ pub(crate) fn transmit_wire(
             Some(Tx {
                 deliveries,
                 lan: lan_id,
-                lan_name: w.lans[lan_id.0].name().to_string(),
                 lost,
                 faults,
             })
         } else {
             // Unattached interface: the cable is unplugged.
-            w.hosts[host.0].core.stats.dropped_iface_down.inc();
-            tx_drop = Some("drop.iface_down");
+            tx_drop = Some(IfaceDown);
             None
         }
     };
     let Some(plan) = plan else {
         if let Some(reason) = tx_drop {
-            sim.record_hop(flight, host.0 as u32, "dev", HopAction::Dropped(reason));
+            emit(sim, host, flight, "dev", Event::Drop(reason), SILENT);
         }
         return;
     };
-    if plan.lost > 0 {
-        sim.record_hop(
-            flight,
-            host.0 as u32,
-            "wire",
-            HopAction::Dropped("drop.medium_loss"),
-        );
-        let name = sim.world().hosts[host.0].core.name.clone();
-        sim.trace_mut().record(
-            now,
-            TraceKind::PacketDropped,
-            name,
-            format!("drop.medium_loss: {} cop(ies)", plan.lost),
-        );
-    }
-    for code in &plan.faults {
-        if *code == "fault.drop" {
-            sim.record_hop(
-                flight,
-                host.0 as u32,
-                "wire",
-                HopAction::Dropped("fault.drop"),
-            );
-        }
-        let kind = if *code == "fault.drop" {
-            TraceKind::PacketDropped
-        } else {
-            TraceKind::Marker
-        };
-        let name = sim.world().hosts[host.0].core.name.clone();
-        sim.trace_mut().record(
-            now,
-            kind,
-            name,
-            format!("{code}: injected on {}", plan.lan_name),
-        );
-    }
     let lan = plan.lan;
+    if plan.lost > 0 {
+        let line = |_: &Network| format!("{} cop(ies)", plan.lost);
+        let event = Event::WireDrop(MediumLoss);
+        emit(sim, host, flight, "wire", event, Some(line));
+    }
+    for code in plan.faults {
+        let on_lan = |w: &Network| format!("injected on {}", w.lans[lan.0].name());
+        if code == FaultDrop.code() {
+            let event = Event::WireDrop(FaultDrop);
+            emit(sim, host, flight, "wire", event, Some(on_lan));
+        } else {
+            note(sim, host, TraceKind::Marker, |w| {
+                format!("{code}: {}", on_lan(w))
+            });
+        }
+    }
     for (h, i, delay, verdict) in plan.deliveries {
         let delay = delay + verdict.extra_delay;
         let bytes = match verdict.corrupt {
@@ -976,20 +932,9 @@ fn deliver_frame(
     bytes: PacketBytes,
 ) {
     if sim.world().hosts[host.0].core.ifaces[iface.0].lan != Some(from_lan) {
-        let now = sim.now();
-        sim.record_hop(
-            bytes.flight(),
-            host.0 as u32,
-            "wire",
-            HopAction::Dropped("drop.left_lan"),
-        );
-        let name = sim.world().hosts[host.0].core.name.clone();
-        sim.trace_mut().record(
-            now,
-            TraceKind::PacketDropped,
-            name,
-            "drop.left_lan: frame for an interface that left the LAN".to_string(),
-        );
+        let line = |_: &Network| "frame for an interface that left the LAN".to_string();
+        let event = Event::WireDrop(LeftLan);
+        emit(sim, host, bytes.flight(), "wire", event, Some(line));
         return;
     }
     let accepted = {
@@ -997,20 +942,10 @@ fn deliver_frame(
         h.core.ifaces[iface.0].device.note_rx(bytes.len())
     };
     if !accepted {
-        let now = sim.now();
-        sim.record_hop(
-            bytes.flight(),
-            host.0 as u32,
-            "dev",
-            HopAction::Dropped("drop.iface_down"),
-        );
-        let name = sim.world().hosts[host.0].core.name.clone();
-        sim.trace_mut().record(
-            now,
-            TraceKind::PacketDropped,
-            name,
-            "drop.iface_down: frame for downed interface".to_string(),
-        );
+        // The device counted it (`drop.rx_down`); IP never saw the frame.
+        let line = |_: &Network| "frame for downed interface".to_string();
+        let event = Event::WireDrop(IfaceDown);
+        emit(sim, host, bytes.flight(), "dev", event, Some(line));
         return;
     }
     let proc = sim.world().hosts[host.0].core.proc_delay;
@@ -1025,54 +960,26 @@ fn process_frame(sim: &mut NetSim, host: HostId, iface: IfaceId, bytes: PacketBy
         let raw = bytes.to_vec();
         sim.flights_mut().capture_frame(now, host.0 as u32, &raw);
     }
+    let malformed = Event::Drop(Malformed);
     let Ok(frame) = Frame::parse(&bytes) else {
-        sim.world_mut().hosts[host.0]
-            .core
-            .stats
-            .dropped_malformed
-            .inc();
-        sim.record_hop(
-            bytes.flight(),
-            host.0 as u32,
-            "wire",
-            HopAction::Dropped("drop.malformed"),
-        );
+        emit(sim, host, bytes.flight(), "wire", malformed, SILENT);
         return;
     };
     if sim.world().hosts[host.0].core.capture {
-        let name = sim.world().hosts[host.0].core.name.clone();
-        let dev = sim.world().hosts[host.0].core.ifaces[iface.0]
-            .device
-            .name()
-            .to_string();
-        let line = format!("{dev}: {}", crate::sniff::frame_summary(&frame));
-        let now = sim.now();
-        sim.trace_mut().record(now, TraceKind::Capture, name, line);
+        note(sim, host, TraceKind::Capture, |w| {
+            let dev = w.hosts[host.0].core.ifaces[iface.0].device.name();
+            format!("{dev}: {}", crate::sniff::frame_summary(&frame))
+        });
     }
     match frame.ethertype {
         EtherType::Arp => match ArpPacket::parse(&frame.payload) {
             Ok(arp) => arp_input(sim, host, iface, &arp),
-            Err(_) => sim.world_mut().hosts[host.0]
-                .core
-                .stats
-                .dropped_malformed
-                .inc(),
+            // ARP travels untracked: the counter is the only witness.
+            Err(_) => emit(sim, host, NO_FLIGHT, "arp", malformed, SILENT),
         },
         EtherType::Ipv4 => match Ipv4Packet::parse(&frame.payload) {
             Ok(pkt) => ip::ip_input_flight(sim, host, Some(iface), pkt, 0, bytes.flight()),
-            Err(_) => {
-                sim.world_mut().hosts[host.0]
-                    .core
-                    .stats
-                    .dropped_malformed
-                    .inc();
-                sim.record_hop(
-                    bytes.flight(),
-                    host.0 as u32,
-                    "ip",
-                    HopAction::Dropped("drop.malformed"),
-                );
-            }
+            Err(_) => emit(sim, host, bytes.flight(), "ip", malformed, SILENT),
         },
     }
 }
@@ -1145,25 +1052,14 @@ fn arp_retry(
         Ok(false) => {} // resolved meanwhile, or a stale timer
         Ok(true) => arp_solicit(sim, host, iface, target, generation),
         Err(dropped) => {
-            let n = dropped.len() as u64;
-            let core = &mut sim.world_mut().hosts[host.0].core;
-            core.stats.dropped_arp_failure.add(n);
-            let name = core.name.clone();
-            for (_, flight) in &dropped {
-                sim.record_hop(
-                    *flight,
-                    host.0 as u32,
-                    "arp",
-                    HopAction::Dropped("drop.arp_failure"),
-                );
+            // One casualty per parked packet; the first carries the one
+            // trace line that speaks for the whole queue.
+            let n = dropped.len();
+            for (i, (_, flight)) in dropped.iter().enumerate() {
+                let line = |_: &Network| format!("{target} unresolved, {n} packet(s)");
+                let event = Event::Drop(ArpFailure);
+                emit(sim, host, *flight, "arp", event, (i == 0).then_some(line));
             }
-            let now = sim.now();
-            sim.trace_mut().record(
-                now,
-                TraceKind::PacketDropped,
-                name,
-                format!("drop.arp_failure: {target} unresolved, {n} packet(s)"),
-            );
         }
     }
 }

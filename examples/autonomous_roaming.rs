@@ -69,12 +69,7 @@ fn main() {
         let switches = tb.mh_module().autoswitches.get();
         let now = tb.sim.now();
         let ch = tb.ch_dept;
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(sender)
-            .expect("sender");
+        let s: &mut UdpEchoSender = tb.module(ch, sender);
         println!(
             "[{:>9}] {label:<38} -> {where_:<28} ({} echoes, {switches} switches so far)",
             now.to_string(),
@@ -101,12 +96,7 @@ fn main() {
     checkpoint(&mut tb, sender, radio, "unplugged again");
 
     let ch = tb.ch_dept;
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     println!(
         "\n{} pings sent to the one unchanging home address; {} echoed \
          ({} lost across {} autonomous switches)",

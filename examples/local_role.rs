@@ -52,12 +52,7 @@ fn main() {
     stack::add_module(&mut tb.sim, mh, Box::new(UdpEchoResponder::new(7)));
     tb.run_for(SimDuration::from_secs(3));
     {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(dhcp_host)
-            .module_mut(mgmt)
-            .expect("mgmt");
+        let s: &mut UdpEchoSender = tb.module(dhcp_host, mgmt);
         s.stop();
         println!(
             "management probe of the care-of address: {}/{} answered",
@@ -84,12 +79,7 @@ fn main() {
     );
     tb.run_for(SimDuration::from_secs(2));
     {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(fetch)
-            .expect("fetch");
+        let s: &mut UdpEchoSender = tb.module(mh, fetch);
         s.stop();
         println!(
             "direct 'web fetch' from {CH_DEPT}: {}/{} responses, no tunnel involved",
@@ -118,12 +108,7 @@ fn main() {
         .stats
         .encapsulated
         .get();
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(home_echo)
-        .expect("home echo");
+    let s: &mut UdpEchoSender = tb.module(ch, home_echo);
     println!(
         "home-role echoes to {MH_HOME}: {}/{} (home agent tunneled {} packets so far)",
         s.received(),

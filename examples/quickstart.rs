@@ -68,12 +68,7 @@ fn main() {
 
     // 5. The correspondent's view: one address, brief blips, no breakage.
     let ch = tb.ch_dept;
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     println!(
         "\ncorrespondent sent {} pings to {MH_HOME}, got {} echoes back \
          ({} lost across two cold hand-offs)",
@@ -87,12 +82,7 @@ fn report(tb: &mut mosquitonet::testbed::topology::Testbed, sender: stack::Modul
     let away = tb.mh_module().away_status();
     let now = tb.sim.now();
     let ch = tb.ch_dept;
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     match away {
         None => println!(
             "[{now}] {label}: MH at home, {} echoes so far",

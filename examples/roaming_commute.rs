@@ -87,37 +87,19 @@ fn main() {
     );
 
     // Let the stream (and any retransmission tail) finish.
-    let expected_len = {
-        let c: &mut TcpStreamClient = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(client_mid)
-            .expect("client");
-        c.expected_stream().len()
-    };
+    let expected_len = tb
+        .module::<TcpStreamClient>(mh, client_mid)
+        .expected_stream()
+        .len();
     for _ in 0..20 {
-        let done = {
-            let c: &mut TcpStreamClient = tb
-                .sim
-                .world_mut()
-                .host_mut(mh)
-                .module_mut(client_mid)
-                .expect("client");
-            c.echoed.len() >= expected_len
-        };
+        let done = tb.module::<TcpStreamClient>(mh, client_mid).echoed.len() >= expected_len;
         if done {
             break;
         }
         tb.run_for(SimDuration::from_secs(10));
     }
 
-    let c: &mut TcpStreamClient = tb
-        .sim
-        .world_mut()
-        .host_mut(mh)
-        .module_mut(client_mid)
-        .expect("client");
+    let c: &mut TcpStreamClient = tb.module(mh, client_mid);
     let expected = c.expected_stream();
     println!(
         "\nsession verdict: sent {} bytes, {} echoed back in order, reset = {}",

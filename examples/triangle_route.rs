@@ -82,12 +82,7 @@ fn main() {
         )),
     );
     tb.run_for(SimDuration::from_secs(5));
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(mh)
-        .module_mut(echo)
-        .expect("echo");
+    let s: &mut UdpEchoSender = tb.module(mh, echo);
     println!(
         "\nthrough the tunnel: {} of {} echoes returned from {CH_FAR}",
         s.received(),

@@ -86,22 +86,12 @@ fn losing_the_home_network_falls_back_to_the_radio() {
     // The stream survived the fallback.
     let before = {
         let ch = tb.ch_dept;
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(sender)
-            .expect("sender");
+        let s: &mut UdpEchoSender = tb.module(ch, sender);
         s.received()
     };
     tb.run_for(SimDuration::from_secs(3));
     let ch = tb.ch_dept;
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     assert!(s.received() > before + 5, "echoes flowing over the radio");
 }
 
@@ -135,12 +125,7 @@ fn arriving_at_a_wired_network_upgrades_hot() {
     // The upgrade was hot: the radio stayed up during it, and losses in
     // the upgrade window are nil-to-one.
     let ch = tb.ch_dept;
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     let lost = s.lost_in_window(t0, t1);
     assert!(lost <= 1, "hot upgrade lost {lost}");
 }

@@ -198,21 +198,11 @@ fn two_network_services_at_once() {
 
     // Both services worked, over different physical networks.
     {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(home_mid)
-            .expect("home echo");
+        let s: &mut UdpEchoSender = tb.module(ch, home_mid);
         assert!(s.received() > 20, "home-role stream flowed over Ethernet");
     }
     {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(radio_mid)
-            .expect("radio echo");
+        let s: &mut UdpEchoSender = tb.module(mh, radio_mid);
         assert!(s.received() > 5, "radio service answered");
     }
     let radio_tx_after = tb.sim.world().host(mh).core.ifaces[radio.0]

@@ -55,12 +55,7 @@ fn run_echo(tb: &mut Testbed) -> (u64, u64) {
         )),
     );
     tb.run_for(SimDuration::from_secs(4));
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(mh)
-        .module_mut(mid)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(mh, mid);
     s.stop();
     (s.sent(), s.received())
 }

@@ -98,12 +98,7 @@ fn home_agent_crash_blocks_home_role_but_not_local_role() {
     );
     tb.run_for(SimDuration::from_secs(2));
     {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(home_echo)
-            .expect("sender");
+        let s: &mut UdpEchoSender = tb.module(ch, home_echo);
         s.stop();
         assert_eq!(s.received(), 0, "home role dead with the HA down");
     }
@@ -121,12 +116,7 @@ fn home_agent_crash_blocks_home_role_but_not_local_role() {
         )),
     );
     tb.run_for(SimDuration::from_secs(2));
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(mh)
-        .module_mut(direct)
-        .expect("direct");
+    let s: &mut UdpEchoSender = tb.module(mh, direct);
     assert!(
         s.received() >= s.sent().saturating_sub(1),
         "local role unaffected by the HA crash ({}/{})",
@@ -230,22 +220,9 @@ fn unplugged_cable_mid_stream_recovers_after_reattach_and_switch() {
     tb.with_mh(|m, ctx| m.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(5));
 
-    let before = {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(sender)
-            .expect("sender");
-        s.received()
-    };
+    let before = tb.module::<UdpEchoSender>(ch, sender).received();
     tb.run_for(SimDuration::from_secs(3));
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     assert!(
         s.received() > before + 25,
         "stream recovered after reattachment"

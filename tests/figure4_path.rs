@@ -56,12 +56,7 @@ fn outgoing_tcp_takes_the_vif_path_and_wears_both_addresses() {
 
     // The session worked end to end...
     {
-        let c: &mut TcpStreamClient = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(client_mid)
-            .expect("client");
+        let c: &mut TcpStreamClient = tb.module(mh, client_mid);
         assert_eq!(c.echoed.len(), 3 * 64, "stream echoed through the tunnel");
     }
 

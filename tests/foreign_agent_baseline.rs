@@ -47,12 +47,7 @@ fn fa_discovery_and_registration() {
     assert_eq!(binding.care_of, FA_FOREIGN_ADDR);
     // The FA holds a visitor entry and a host route for delivery.
     let (fa_host, fa_mod) = tb.fa_foreign.expect("fa");
-    let fa: &mut ForeignAgent = tb
-        .sim
-        .world_mut()
-        .host_mut(fa_host)
-        .module_mut(fa_mod)
-        .expect("fa module");
+    let fa: &mut ForeignAgent = tb.module(fa_host, fa_mod);
     assert_eq!(fa.visitor_count(), 1);
     assert!(fa.relayed_requests.get() >= 1);
     assert!(fa.relayed_replies.get() >= 1);
@@ -84,12 +79,7 @@ fn traffic_flows_via_fa_decapsulation() {
         0,
         "the MH never decapsulates in FA mode"
     );
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     assert!(s.received() > 20, "echo stream flowing");
 }
 
@@ -138,12 +128,7 @@ fn previous_fa_forwarding_rescues_in_flight_packets() {
     // The old FA armed forwarding...
     let (fa1_host, fa1_mod) = tb.fa_foreign.expect("fa1");
     {
-        let fa1: &mut ForeignAgent = tb
-            .sim
-            .world_mut()
-            .host_mut(fa1_host)
-            .module_mut(fa1_mod)
-            .expect("fa1 module");
+        let fa1: &mut ForeignAgent = tb.module(fa1_host, fa1_mod);
         assert!(fa1.forwarding_armed.get() >= 1, "binding update received");
     }
     // ...re-encapsulated the stragglers...
@@ -152,12 +137,7 @@ fn previous_fa_forwarding_rescues_in_flight_packets() {
         "old FA re-tunneled in-flight packets"
     );
     // ...and the hand-off lost (almost) nothing.
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     let lost = s.lost_in_window(t0, t1);
     // Up to two packets can still die: one in flight to the old cell
     // before the notification lands, and one whose echo was generated in

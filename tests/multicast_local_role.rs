@@ -125,22 +125,9 @@ fn visiting_mh_joins_a_group_on_the_foreign_network() {
     );
     tb.run_for(SimDuration::from_secs(4));
 
-    let sent = {
-        let p: &mut GroupPublisher = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(publisher)
-            .expect("publisher");
-        p.sent
-    };
+    let sent = tb.module::<GroupPublisher>(ch, publisher).sent;
     assert_eq!(sent, 20);
-    let l: &mut GroupListener = tb
-        .sim
-        .world_mut()
-        .host_mut(mh)
-        .module_mut(listener)
-        .expect("listener");
+    let l: &mut GroupListener = tb.module(mh, listener);
     assert_eq!(
         l.received, 20,
         "every group datagram arrived on the foreign link"
@@ -206,22 +193,9 @@ fn leaving_the_group_stops_delivery() {
             .expect("listener");
         ctx.leave_multicast(l.iface, GROUP);
     });
-    let at_leave = {
-        let l: &mut GroupListener = tb
-            .sim
-            .world_mut()
-            .host_mut(mh)
-            .module_mut(listener)
-            .expect("listener");
-        l.received
-    };
+    let at_leave = tb.module::<GroupListener>(mh, listener).received;
     tb.run_for(SimDuration::from_secs(2));
-    let l: &mut GroupListener = tb
-        .sim
-        .world_mut()
-        .host_mut(mh)
-        .module_mut(listener)
-        .expect("listener");
+    let l: &mut GroupListener = tb.module(mh, listener);
     assert_eq!(
         l.received, at_leave,
         "no deliveries after leaving the group"
@@ -294,15 +268,7 @@ fn multicast_echo_requests_are_not_answered() {
         }),
     );
     tb.run_for(SimDuration::from_secs(2));
-    let group_replies = {
-        let p: &mut Pinger = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(group_ping)
-            .expect("pinger");
-        p.replies
-    };
+    let group_replies = tb.module::<Pinger>(ch, group_ping).replies;
     assert_eq!(group_replies, 0, "no echo reply to a multicast ping");
 
     // A unicast ping to the member's care-of address is answered.
@@ -315,14 +281,6 @@ fn multicast_echo_requests_are_not_answered() {
         }),
     );
     tb.run_for(SimDuration::from_secs(2));
-    let unicast_replies = {
-        let p: &mut Pinger = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(unicast_ping)
-            .expect("pinger");
-        p.replies
-    };
+    let unicast_replies = tb.module::<Pinger>(ch, unicast_ping).replies;
     assert_eq!(unicast_replies, 1, "unicast ping still answered");
 }

@@ -169,12 +169,7 @@ fn fifty_handoffs_without_leaks_or_stalls() {
 
     // The stream survived everything; exact losses vary, but the vast
     // majority of echoes made it.
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     let lost = s.sent() - s.received();
     assert!(
         (s.received() as f64) > 0.85 * s.sent() as f64,
@@ -325,12 +320,7 @@ fn ha_crash_restart_soak_always_reconverges() {
         h.fault.as_ref().expect("plan installed").crashes()
     };
     assert_eq!(crashes, 4, "every scheduled crash fired");
-    let s: &mut UdpEchoSender = tb
-        .sim
-        .world_mut()
-        .host_mut(ch)
-        .module_mut(sender)
-        .expect("sender");
+    let s: &mut UdpEchoSender = tb.module(ch, sender);
     assert_eq!(
         s.lost_in_window(quiet_from, quiet_to),
         0,

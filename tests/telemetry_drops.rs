@@ -79,12 +79,7 @@ fn cold_wired_to_wireless_switch_attributes_every_drop() {
     // The echo stream never paused, so the sender lost packets while the
     // department care-of address was dead.
     let lost = {
-        let s: &mut UdpEchoSender = tb
-            .sim
-            .world_mut()
-            .host_mut(ch)
-            .module_mut(sender_mid)
-            .expect("sender");
+        let s: &mut UdpEchoSender = tb.module(ch, sender_mid);
         s.sent() - s.received()
     };
     assert!(lost > 0, "a cold switch must lose in-flight packets");
