@@ -1,8 +1,9 @@
 //! The benchmark regression gate.
 //!
 //! Measures the gated micro-benchmarks (`mosquitonet_bench::gate`: the
-//! route/policy table lookups, the registration-backoff path, and the
-//! S2/S3 wall-clock ids) and compares each median
+//! route/policy table lookups, the registration-backoff path, the event
+//! core, one tunnelled hop's parse chain, and the S2/S3 wall-clock ids)
+//! and compares each median
 //! against the checked-in `bench/baseline.json`. Exits non-zero when any
 //! benchmark runs more than `threshold` (default 1.25×) slower than its
 //! baseline.

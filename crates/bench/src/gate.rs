@@ -12,10 +12,10 @@ use mosquitonet_core::timing::{
     REGISTRATION_RETRY, REGISTRATION_RETRY_BUDGET, REGISTRATION_RETRY_MAX,
 };
 use mosquitonet_core::{BindingJournal, JournalRecord, MobilePolicyTable, RetryBackoff, SendMode};
-use mosquitonet_link::{presets, FaultPlan, FaultRates};
-use mosquitonet_sim::{SimDuration, SimTime};
+use mosquitonet_link::{presets, EtherType, FaultPlan, FaultRates, Frame};
+use mosquitonet_sim::{Sim, SimDuration, SimTime};
 use mosquitonet_stack::{resolve_route, Host, HostId, IfaceId, RouteEntry, RouteTable, SourceSel};
-use mosquitonet_wire::{LpmTrie, MacAddr};
+use mosquitonet_wire::{ipip, IpProto, Ipv4Header, Ipv4Packet, LpmTrie, MacAddr, UdpDatagram};
 
 /// Builds a routing table with a default route plus `entries` /24 nets.
 pub fn route_table(entries: u32) -> RouteTable {
@@ -240,6 +240,69 @@ pub fn run_flightrec(c: &mut Criterion) -> Vec<(String, f64)> {
     vec![(id, med)]
 }
 
+/// The event core by itself, with do-nothing events: one schedule plus one
+/// pop-and-run against a queue that stays 64 deep, and the whole life of
+/// a cancelled timer (armed, cancelled, its key skipped at the head of the
+/// queue) — what every retransmission timer that never fires costs.
+pub fn run_engine(c: &mut Criterion) -> Vec<(String, f64)> {
+    let mut results = Vec::new();
+
+    let mut sim = Sim::new(0u64);
+    for i in 0..64 {
+        sim.schedule_at(SimTime::from_nanos(i), |sim| *sim.world_mut() += 1);
+    }
+    let id = "engine/schedule_pop".to_string();
+    let med = c.bench_function(&id, |b| {
+        b.iter(|| {
+            sim.schedule_in(SimDuration::from_nanos(64), |sim| *sim.world_mut() += 1);
+            sim.step()
+        })
+    });
+    results.push((id, med));
+
+    let mut sim = Sim::new(0u64);
+    let id = "engine/cancel".to_string();
+    let med = c.bench_function(&id, |b| {
+        b.iter(|| {
+            let timer = sim.schedule_in(SimDuration::from_nanos(1), |sim| *sim.world_mut() += 1);
+            (sim.cancel(timer), sim.next_event_at())
+        })
+    });
+    results.push((id, med));
+    results
+}
+
+/// The receive side of one tunnelled hop: a frame carrying a 64-byte UDP
+/// datagram inside IP-in-IP, parsed the way it climbs the stack — frame,
+/// outer IPv4, decapsulation, UDP — each layer a view of the one before.
+pub fn run_parse_hop(c: &mut Criterion) -> Vec<(String, f64)> {
+    let (mh, ch) = (Ipv4Addr::new(36, 135, 0, 9), Ipv4Addr::new(36, 8, 0, 7));
+    let (coa, ha) = (Ipv4Addr::new(36, 8, 0, 42), Ipv4Addr::new(36, 135, 0, 1));
+    let dgram = UdpDatagram::new(4000, 9000, vec![0xa5; 64].into());
+    let inner = Ipv4Packet::new(
+        Ipv4Header::new(mh, ch, IpProto::Udp),
+        dgram.to_bytes(mh, ch),
+    );
+    let outer = ipip::encapsulate(&inner, coa, ha);
+    let wire = Frame::new(
+        MacAddr::from_index(2),
+        MacAddr::from_index(1),
+        EtherType::Ipv4,
+        outer.to_bytes(),
+    )
+    .to_bytes();
+    let id = "wire/parse_hop".to_string();
+    let med = c.bench_function(&id, |b| {
+        b.iter(|| {
+            let frame = Frame::parse(black_box(&wire)).expect("frame");
+            let outer = Ipv4Packet::parse(&frame.payload).expect("outer packet");
+            let inner = ipip::decapsulate(&outer).expect("inner packet");
+            UdpDatagram::parse(&inner.payload, mh, ch).expect("datagram")
+        })
+    });
+    vec![(id, med)]
+}
+
 /// Gates a whole experiment run as wall nanoseconds per operation: the
 /// closure's median ns/run divided by the operations (packets delivered,
 /// registrations accepted) `run` reports it completed.
@@ -344,6 +407,8 @@ pub fn run_all(c: &mut Criterion) -> Vec<(String, f64)> {
     results.extend(run_journal(c));
     results.extend(run_mac(c));
     results.extend(run_flightrec(c));
+    results.extend(run_engine(c));
+    results.extend(run_parse_hop(c));
     results.extend(run_saturation(c));
     results.extend(run_fleet_registration(c));
     results

@@ -96,25 +96,18 @@ impl FaultVerdict {
     /// The `fault.{kind}` codes this verdict injects, in trace order.
     /// Empty for a clean verdict; a drop verdict is only `fault.drop`
     /// (nothing else in it applies).
-    pub fn codes(&self) -> Vec<&'static str> {
-        let mut v = Vec::new();
-        if self.drop {
-            v.push(FaultKind::Drop.code());
-            return v;
-        }
-        if self.duplicate_after.is_some() {
-            v.push(FaultKind::Duplicate.code());
-        }
-        if self.corrupt.is_some() {
-            v.push(FaultKind::Corrupt.code());
-        }
-        if self.reordered {
-            v.push(FaultKind::Reorder.code());
-        }
-        if self.delayed {
-            v.push(FaultKind::Delay.code());
-        }
-        v
+    pub fn codes(&self) -> impl Iterator<Item = &'static str> {
+        let kept = !self.drop;
+        [
+            (self.drop, FaultKind::Drop),
+            (kept && self.duplicate_after.is_some(), FaultKind::Duplicate),
+            (kept && self.corrupt.is_some(), FaultKind::Corrupt),
+            (kept && self.reordered, FaultKind::Reorder),
+            (kept && self.delayed, FaultKind::Delay),
+        ]
+        .into_iter()
+        .filter(|&(injected, _)| injected)
+        .map(|(_, kind)| kind.code())
     }
 }
 

@@ -101,8 +101,10 @@ impl Frame {
         out[12..14].copy_from_slice(&ethertype.number().to_be_bytes());
     }
 
-    /// Parses from bytes.
-    pub fn parse(buf: &[u8]) -> Result<Frame, WireError> {
+    /// Parses from bytes. The payload is a [`slice`](Bytes::slice) of
+    /// `bytes` — the arriving frame's storage, shared rather than copied.
+    pub fn parse(bytes: &Bytes) -> Result<Frame, WireError> {
+        let buf: &[u8] = bytes;
         if buf.len() < FRAME_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: FRAME_HEADER_LEN,
@@ -114,7 +116,7 @@ impl Frame {
             dst: mac6(&buf[0..6]),
             src: mac6(&buf[6..12]),
             ethertype: EtherType::from_number(u16::from_be_bytes([buf[12], buf[13]]))?,
-            payload: Bytes::copy_from_slice(&buf[FRAME_HEADER_LEN..]),
+            payload: bytes.slice(FRAME_HEADER_LEN..),
         })
     }
 }
@@ -171,7 +173,7 @@ mod tests {
         bytes[12] = 0x86;
         bytes[13] = 0xdd; // IPv6
         assert!(matches!(
-            Frame::parse(&bytes),
+            Frame::parse(&bytes.into()),
             Err(WireError::UnknownValue {
                 field: "ethertype",
                 value: 0x86dd
@@ -182,7 +184,7 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(matches!(
-            Frame::parse(&[0u8; 13]),
+            Frame::parse(&Bytes::from_static(&[0u8; 13])),
             Err(WireError::Truncated {
                 needed: 14,
                 got: 13

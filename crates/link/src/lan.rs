@@ -87,9 +87,9 @@ pub enum LanKind {
 ///
 /// // Unicast reaches only the owner of the MAC; broadcast reaches everyone else.
 /// let to_two = lan.recipients(MacAddr::from_index(2), MacAddr::from_index(1));
-/// assert_eq!(to_two, vec![AttachmentKey(2)]);
+/// assert_eq!(to_two.collect::<Vec<_>>(), vec![AttachmentKey(2)]);
 /// let bcast = lan.recipients(MacAddr::BROADCAST, MacAddr::from_index(1));
-/// assert_eq!(bcast, vec![AttachmentKey(2)]);
+/// assert_eq!(bcast.collect::<Vec<_>>(), vec![AttachmentKey(2)]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lan {
@@ -104,6 +104,26 @@ pub struct Lan {
     /// default — leaves the medium byte-for-byte identical to a world
     /// without the fault layer.
     pub fault: Option<FaultPlan>,
+}
+
+/// The attachments a frame reaches, in attachment order: what
+/// [`Lan::recipients`] returns.
+#[derive(Clone, Debug)]
+pub struct Recipients<'a> {
+    attachments: std::slice::Iter<'a, Attachment>,
+    dst: MacAddr,
+    src_mac: MacAddr,
+}
+
+impl Iterator for Recipients<'_> {
+    type Item = AttachmentKey;
+
+    fn next(&mut self) -> Option<AttachmentKey> {
+        let (dst, src_mac) = (self.dst, self.src_mac);
+        self.attachments
+            .find(|a| a.mac != src_mac && (dst.is_broadcast() || a.mac == dst || a.promiscuous))
+            .map(|a| a.key)
+    }
 }
 
 impl Lan {
@@ -213,14 +233,15 @@ impl Lan {
     }
 
     /// Who receives a frame for `dst`, sent by the attachment owning
-    /// `src_mac`? The sender never receives its own frame.
-    pub fn recipients(&self, dst: MacAddr, src_mac: MacAddr) -> Vec<AttachmentKey> {
-        self.attachments
-            .iter()
-            .filter(|a| a.mac != src_mac)
-            .filter(|a| dst.is_broadcast() || a.mac == dst || a.promiscuous)
-            .map(|a| a.key)
-            .collect()
+    /// `src_mac`? The sender never receives its own frame. Recipients come
+    /// in attachment order, lazily — the transmit path walks them once and
+    /// builds no list.
+    pub fn recipients(&self, dst: MacAddr, src_mac: MacAddr) -> Recipients<'_> {
+        Recipients {
+            attachments: self.attachments.iter(),
+            dst,
+            src_mac,
+        }
     }
 
     /// Draws the one-way delay for one delivery.
@@ -252,6 +273,10 @@ mod tests {
     use super::*;
     use mosquitonet_sim::SimRng;
 
+    fn recipients(lan: &Lan, dst: MacAddr, src: MacAddr) -> Vec<AttachmentKey> {
+        lan.recipients(dst, src).collect()
+    }
+
     fn lan3() -> Lan {
         let mut lan = Lan::new(
             "test",
@@ -272,21 +297,21 @@ mod tests {
     #[test]
     fn unicast_reaches_only_target() {
         let lan = lan3();
-        let r = lan.recipients(MacAddr::from_index(3), MacAddr::from_index(1));
+        let r = recipients(&lan, MacAddr::from_index(3), MacAddr::from_index(1));
         assert_eq!(r, vec![AttachmentKey(3)]);
     }
 
     #[test]
     fn broadcast_reaches_everyone_but_sender() {
         let lan = lan3();
-        let r = lan.recipients(MacAddr::BROADCAST, MacAddr::from_index(2));
+        let r = recipients(&lan, MacAddr::BROADCAST, MacAddr::from_index(2));
         assert_eq!(r, vec![AttachmentKey(1), AttachmentKey(3)]);
     }
 
     #[test]
     fn unknown_unicast_reaches_nobody() {
         let lan = lan3();
-        let r = lan.recipients(MacAddr::from_index(99), MacAddr::from_index(1));
+        let r = recipients(&lan, MacAddr::from_index(99), MacAddr::from_index(1));
         assert!(r.is_empty());
     }
 
@@ -298,7 +323,7 @@ mod tests {
             mac: MacAddr::from_index(9),
             promiscuous: true,
         });
-        let r = lan.recipients(MacAddr::from_index(3), MacAddr::from_index(1));
+        let r = recipients(&lan, MacAddr::from_index(3), MacAddr::from_index(1));
         assert_eq!(r, vec![AttachmentKey(3), AttachmentKey(9)]);
     }
 
@@ -308,7 +333,7 @@ mod tests {
         assert!(lan.detach(AttachmentKey(2)));
         assert!(!lan.detach(AttachmentKey(2)));
         assert_eq!(lan.len(), 2);
-        let r = lan.recipients(MacAddr::BROADCAST, MacAddr::from_index(1));
+        let r = recipients(&lan, MacAddr::BROADCAST, MacAddr::from_index(1));
         assert_eq!(r, vec![AttachmentKey(3)]);
     }
 
@@ -328,7 +353,7 @@ mod tests {
         let mut lan = lan3();
         assert!(lan.set_mac(AttachmentKey(2), MacAddr::from_index(42)));
         assert!(!lan.set_mac(AttachmentKey(77), MacAddr::from_index(1)));
-        let r = lan.recipients(MacAddr::from_index(42), MacAddr::from_index(1));
+        let r = recipients(&lan, MacAddr::from_index(42), MacAddr::from_index(1));
         assert_eq!(r, vec![AttachmentKey(2)]);
     }
 

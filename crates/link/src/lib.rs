@@ -24,4 +24,4 @@ pub mod presets;
 pub use device::{Device, DeviceCounters, DeviceKind, DeviceState, PowerModel};
 pub use fault::{FaultKind, FaultPlan, FaultRates, FaultVerdict, HostFaultEvent, HostFaultPlan};
 pub use frame::{EtherType, Frame, FRAME_HEADER_LEN};
-pub use lan::{Attachment, AttachmentKey, DelayModel, Lan, LanKind};
+pub use lan::{Attachment, AttachmentKey, DelayModel, Lan, LanKind, Recipients};

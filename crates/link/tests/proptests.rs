@@ -1,12 +1,100 @@
 //! Property-based tests for the link layer: frame round-trips, the
+//! in-place frame parser against the copying one it replaced, the
 //! transmit queue's FIFO discipline, and medium delay bounds.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
 
-use mosquitonet_link::{presets, EtherType, Frame};
+use mosquitonet_link::{presets, EtherType, Frame, FRAME_HEADER_LEN};
 use mosquitonet_sim::{SimDuration, SimRng, SimTime};
-use mosquitonet_wire::MacAddr;
+use mosquitonet_wire::{
+    ipip, pool_size, IpProto, Ipv4Header, Ipv4Packet, MacAddr, PacketBuf, UdpDatagram, WireError,
+};
+
+/// `Frame::parse` as it was before it parsed in place (the payload copied
+/// into fresh storage) — the reference for the equivalence properties.
+fn reference_parse(buf: &[u8]) -> Result<Frame, WireError> {
+    if buf.len() < FRAME_HEADER_LEN {
+        return Err(WireError::Truncated {
+            needed: FRAME_HEADER_LEN,
+            got: buf.len(),
+        });
+    }
+    let mac6 = |s: &[u8]| MacAddr([s[0], s[1], s[2], s[3], s[4], s[5]]);
+    Ok(Frame {
+        dst: mac6(&buf[0..6]),
+        src: mac6(&buf[6..12]),
+        ethertype: EtherType::from_number(u16::from_be_bytes([buf[12], buf[13]]))?,
+        payload: Bytes::copy_from_slice(&buf[FRAME_HEADER_LEN..]),
+    })
+}
+
+fn assert_inside(part: &Bytes, whole: &Bytes) {
+    let (p, w) = (part.as_ptr_range(), whole.as_ptr_range());
+    assert!(
+        w.start <= p.start && p.end <= w.end,
+        "payload {p:?} lies outside its source buffer {w:?}"
+    );
+}
+
+/// The life of one tunnelled datagram's storage: written once into a
+/// pooled buffer, parsed in place four layers deep, and back in the pool
+/// only when the last view — a payload a module kept — is gone.
+#[test]
+fn pooled_vector_outlives_every_slice_parsed_from_it() {
+    let (mh, ch) = (Ipv4Addr::new(36, 135, 0, 9), Ipv4Addr::new(36, 8, 0, 7));
+    let (coa, ha) = (Ipv4Addr::new(36, 8, 0, 42), Ipv4Addr::new(36, 135, 0, 1));
+    let dgram = UdpDatagram::new(4000, 9000, Bytes::from_static(&[0x5a; 64]));
+    let inner_header = Ipv4Header::new(mh, ch, IpProto::Udp);
+    let inner = Ipv4Packet::new(inner_header, dgram.to_bytes(mh, ch));
+
+    // Start from a pool that is known to be empty: the buffer below is
+    // then freshly allocated and its return is the only thing counted.
+    while pool_size() > 0 {
+        std::mem::forget(PacketBuf::with_headroom(0));
+    }
+    let mut buf = PacketBuf::with_headroom(FRAME_HEADER_LEN + ipip::ENCAP_OVERHEAD);
+    inner.write_into(&mut buf);
+    ipip::prepend_outer(&mut buf, 0, coa, ha);
+    Frame::write_header(
+        MacAddr::from_index(2),
+        MacAddr::from_index(1),
+        EtherType::Ipv4,
+        buf.prepend(FRAME_HEADER_LEN),
+    );
+    buf.put_slice(&[0; 4]); // link padding behind the packet
+    let wire = buf.freeze();
+
+    let frame = Frame::parse(&wire).unwrap();
+    let outer = Ipv4Packet::parse(&frame.payload).unwrap();
+    let decapsulated = ipip::decapsulate(&outer).unwrap();
+    let delivered = UdpDatagram::parse(&decapsulated.payload, mh, ch).unwrap();
+    assert_eq!(decapsulated, inner);
+    assert_eq!(delivered, dgram);
+    for part in [
+        &frame.payload,
+        &outer.payload,
+        &decapsulated.payload,
+        &delivered.payload,
+    ] {
+        assert_inside(part, &wire);
+    }
+
+    let kept_by_module = delivered.payload.clone();
+    drop(wire);
+    assert_eq!(pool_size(), 0, "the frame's views hold the vector");
+    drop(frame);
+    assert_eq!(pool_size(), 0, "the outer packet holds the vector");
+    drop(outer);
+    assert_eq!(pool_size(), 0, "the inner packet holds the vector");
+    drop(decapsulated);
+    drop(delivered);
+    assert_eq!(pool_size(), 0, "the module's payload holds the vector");
+    assert_eq!(&kept_by_module[..], &[0x5a; 64]);
+    drop(kept_by_module);
+    assert_eq!(pool_size(), 1, "the last slice returned it");
+}
 
 proptest! {
     /// Frames round-trip for arbitrary addresses and payloads.
@@ -23,13 +111,24 @@ proptest! {
             if is_arp { EtherType::Arp } else { EtherType::Ipv4 },
             Bytes::from(payload),
         );
-        prop_assert_eq!(Frame::parse(&f.to_bytes()).unwrap(), f);
+        let bytes = f.to_bytes();
+        let back = Frame::parse(&bytes).unwrap();
+        assert_inside(&back.payload, &bytes);
+        prop_assert_eq!(Ok(&back), reference_parse(&bytes).as_ref());
+        prop_assert_eq!(back, f);
     }
 
-    /// Frame parsing never panics on random bytes.
+    /// On random bytes frame parsing never panics, and gives the copying
+    /// reference's verdict — same error, or same fields with the payload
+    /// inside the input.
     #[test]
     fn frame_parse_never_panics(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = Frame::parse(&data);
+        let data = Bytes::from(data);
+        let parsed = Frame::parse(&data);
+        if let Ok(frame) = &parsed {
+            assert_inside(&frame.payload, &data);
+        }
+        prop_assert_eq!(parsed, reference_parse(&data));
     }
 
     /// The transmit queue serializes: for any arrival pattern, completion

@@ -2,7 +2,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
 use crate::flightrec::{FlightRecorder, HopAction};
 use crate::metrics::MetricsRegistry;
@@ -12,23 +11,163 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
 /// Identifier of a scheduled event, usable to cancel it before it fires.
+///
+/// A handle into the engine's event slab: the slot the event's closure
+/// sits in, tagged with the event's scheduling sequence number. Slots are
+/// reused but sequence numbers never are, so a handle kept past its
+/// event's execution or cancellation is recognised as stale — cancelling
+/// it returns `false` and cannot touch the slot's next occupant.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
-struct QueuedEvent<W> {
-    at: SimTime,
-    id: EventId,
-    run: EventFn<W>,
-}
-
-/// Key ordering: earliest time first; FIFO among same-time events (ids
-/// are allocated in scheduling order).
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// What the future-event heap orders: earliest time first, FIFO among
+/// same-time events (`seq` is allocated in scheduling order). `Copy`, so
+/// sifting moves three words and never a closure.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     at: SimTime,
-    id: EventId,
+    seq: u64,
+    slot: u32,
+}
+
+/// One slab slot: the closure of the event with sequence number `seq`,
+/// until it runs or is cancelled. The slot stays claimed while its key is
+/// in the heap and goes back on the free list when the key is popped.
+struct Slot<W> {
+    seq: u64,
+    run: Option<EventFn<W>>,
+}
+
+/// The future-event set: a binary heap of [`EventKey`]s over a slab of
+/// closures.
+struct EventQueue<W> {
+    /// The next event's sequence number: its identity, and the FIFO
+    /// tie-break among same-time events.
+    next_seq: u64,
+    heap: BinaryHeap<Reverse<EventKey>>,
+    /// Event closures, addressed by [`EventKey::slot`]. Grows to the
+    /// high-water mark of keys in the heap and never shrinks.
+    slots: Vec<Slot<W>>,
+    free_slots: Vec<u32>,
+    /// Events scheduled and neither run nor cancelled.
+    pending: usize,
+}
+
+impl<W> EventQueue<W> {
+    fn new() -> Self {
+        EventQueue {
+            next_seq: 0,
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            pending: 0,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, run: EventFn<W>) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let occupant = Slot {
+            seq,
+            run: Some(run),
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = occupant;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                self.slots.push(occupant);
+                slot
+            }
+        };
+        self.pending += 1;
+        self.heap.push(Reverse(EventKey { at, seq, slot }));
+        EventId { seq, slot }
+    }
+
+    fn cancel(&mut self, id: EventId) -> bool {
+        // The closure is dropped now; the slot and its heap key are
+        // reclaimed when the key reaches the head of the queue.
+        let cancelled = self
+            .slots
+            .get_mut(id.slot as usize)
+            .filter(|slot| slot.seq == id.seq)
+            .and_then(|slot| slot.run.take());
+        if cancelled.is_some() {
+            self.pending -= 1;
+        }
+        cancelled.is_some()
+    }
+
+    /// The key of the next runnable event, left in the queue. Keys of
+    /// cancelled events met on the way are popped and their slots freed.
+    fn peek_runnable(&mut self) -> Option<EventKey> {
+        loop {
+            let &Reverse(key) = self.heap.peek()?;
+            if self.slots[key.slot as usize].run.is_some() {
+                return Some(key);
+            }
+            self.heap.pop();
+            self.free_slots.push(key.slot);
+        }
+    }
+
+    /// Takes the next runnable event off the queue if it is due at or
+    /// before `deadline` (`None`: whenever it is due); a later event stays
+    /// where it is.
+    fn pop_runnable(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, EventFn<W>)> {
+        let key = self.peek_runnable()?;
+        if deadline.is_some_and(|d| key.at > d) {
+            return None;
+        }
+        self.heap.pop();
+        self.free_slots.push(key.slot);
+        self.pending -= 1;
+        let run = self.slots[key.slot as usize].run.take();
+        Some((key.at, run.expect("a runnable slot holds its closure")))
+    }
+}
+
+/// The scheduling part of a [`Sim`], lent out by [`Sim::split`] beside the
+/// world and the RNG: code that walks world state while it draws
+/// randomness can schedule what it decides on the spot instead of listing
+/// it for later.
+pub struct Scheduler<'a, W> {
+    now: SimTime,
+    events: &'a mut EventQueue<W>,
+}
+
+impl<W> Scheduler<'_, W> {
+    /// Schedules `f` to run at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past; a discrete-event simulation must never
+    /// travel backwards.
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) -> EventId {
+        assert!(
+            at >= self.now,
+            "event scheduled in the past: {at:?} < {:?}",
+            self.now
+        );
+        self.events.schedule(at, Box::new(f))
+    }
+
+    /// Schedules `f` to run `delay` after the current time.
+    pub fn schedule_in(
+        &mut self,
+        delay: SimDuration,
+        f: impl FnOnce(&mut Sim<W>) + 'static,
+    ) -> EventId {
+        self.schedule_at(self.now + delay, f)
+    }
 }
 
 /// A discrete-event simulation over a world of type `W`.
@@ -41,15 +180,7 @@ struct EventKey {
 /// which keeps runs reproducible regardless of heap internals.
 pub struct Sim<W> {
     now: SimTime,
-    /// One counter serves both as the next [`EventId`] and as the FIFO
-    /// tie-break among same-time events (ids are handed out in scheduling
-    /// order, so they are the same ordering).
-    next_id: u64,
-    queue: BinaryHeap<Reverse<HeapEntry<W>>>,
-    /// Ids of events still in the queue and not cancelled.
-    queued: HashSet<EventId>,
-    /// Ids cancelled while queued; their heap entries are skipped lazily.
-    cancelled: HashSet<EventId>,
+    events: EventQueue<W>,
     world: W,
     rng: SimRng,
     trace: Trace,
@@ -65,33 +196,6 @@ pub struct Sim<W> {
     batches_executed: u64,
 }
 
-struct HeapEntry<W>(QueuedEvent<W>);
-
-impl<W> PartialEq for HeapEntry<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<W> Eq for HeapEntry<W> {}
-impl<W> PartialOrd for HeapEntry<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for HeapEntry<W> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-impl<W> HeapEntry<W> {
-    fn key(&self) -> EventKey {
-        EventKey {
-            at: self.0.at,
-            id: self.0.id,
-        }
-    }
-}
-
 impl<W> Sim<W> {
     /// Creates a simulation over `world` with the default RNG seed.
     pub fn new(world: W) -> Self {
@@ -105,10 +209,7 @@ impl<W> Sim<W> {
     pub fn with_seed(world: W, seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            next_id: 0,
-            queue: BinaryHeap::new(),
-            queued: HashSet::new(),
-            cancelled: HashSet::new(),
+            events: EventQueue::new(),
             world,
             rng: SimRng::new(seed),
             trace: Trace::new(),
@@ -141,10 +242,19 @@ impl<W> Sim<W> {
         &mut self.rng
     }
 
-    /// Split borrow: the world and the RNG together, for code that draws
-    /// randomness while holding world state.
-    pub fn world_and_rng(&mut self) -> (&mut W, &mut SimRng) {
-        (&mut self.world, &mut self.rng)
+    /// Split borrow: the world, the RNG and the event queue together, for
+    /// code that draws randomness and schedules events while holding world
+    /// state.
+    pub fn split(&mut self) -> (&mut W, &mut SimRng, Scheduler<'_, W>) {
+        let scheduler = Scheduler {
+            now: self.now,
+            events: &mut self.events,
+        };
+        (&mut self.world, &mut self.rng, scheduler)
+    }
+
+    fn scheduler(&mut self) -> Scheduler<'_, W> {
+        self.split().2
     }
 
     /// The experiment trace log.
@@ -219,7 +329,7 @@ impl<W> Sim<W> {
 
     /// Number of events currently pending (cancelled events excluded).
     pub fn pending_events(&self) -> usize {
-        self.queued.len()
+        self.events.pending
     }
 
     /// Schedules `f` to run at absolute time `at`.
@@ -229,20 +339,7 @@ impl<W> Sim<W> {
     /// Panics if `at` is in the past; a discrete-event simulation must never
     /// travel backwards.
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) -> EventId {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: {at:?} < {:?}",
-            self.now
-        );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.queued.insert(id);
-        self.queue.push(Reverse(HeapEntry(QueuedEvent {
-            at,
-            id,
-            run: Box::new(f),
-        })));
-        id
+        self.scheduler().schedule_at(at, f)
     }
 
     /// Schedules `f` to run `delay` after the current time.
@@ -259,36 +356,23 @@ impl<W> Sim<W> {
     /// Returns `true` if the event had not yet fired. Cancelling an already
     /// executed (or already cancelled) event returns `false` and is harmless.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // Lazy deletion: the heap entry stays but is skipped when popped.
-        if self.queued.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
+        self.events.cancel(id)
     }
 
-    fn pop_runnable(&mut self) -> Option<QueuedEvent<W>> {
-        while let Some(Reverse(HeapEntry(ev))) = self.queue.pop() {
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.queued.remove(&ev.id);
-            return Some(ev);
-        }
-        None
+    /// Runs one event as its own profiler tick.
+    fn run_tick(&mut self, at: SimTime, run: EventFn<W>) {
+        self.now = at;
+        self.events_executed += 1;
+        let t0 = self.profiler.begin();
+        run(self);
+        self.profiler.end_tick(t0);
     }
 
     /// Runs a single event if one is pending. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        match self.pop_runnable() {
-            Some(ev) => {
-                debug_assert!(ev.at >= self.now);
-                self.now = ev.at;
-                self.events_executed += 1;
-                let t0 = self.profiler.begin();
-                (ev.run)(self);
-                self.profiler.end_tick(t0);
+        match self.events.pop_runnable(None) {
+            Some((at, run)) => {
+                self.run_tick(at, run);
                 true
             }
             None => false,
@@ -300,60 +384,25 @@ impl<W> Sim<W> {
     /// events the batch members schedule mid-batch. Returns `false` when
     /// no runnable event at or before the deadline remains.
     ///
-    /// Execution order is identical to repeated [`Sim::step`]: the heap
-    /// pops same-time entries in id (FIFO) order, and events scheduled
-    /// mid-batch get strictly larger ids than everything already drained.
+    /// Execution order is identical to repeated [`Sim::step`]: each member
+    /// is popped only when its turn comes, so an earlier member can still
+    /// cancel it, and events scheduled mid-batch get larger sequence
+    /// numbers than everything already queued for the instant.
     fn run_batch(&mut self, deadline: Option<SimTime>) -> bool {
-        let Some(first) = self.pop_runnable() else {
+        let Some((batch_at, first)) = self.events.pop_runnable(deadline) else {
             return false;
         };
-        if deadline.is_some_and(|d| first.at > d) {
-            // Past the deadline; push the event back untouched.
-            self.queued.insert(first.id);
-            self.queue.push(Reverse(HeapEntry(first)));
-            return false;
-        }
-        debug_assert!(first.at >= self.now);
-        let batch_at = first.at;
         self.now = batch_at;
         let t0 = self.profiler.begin();
-        self.events_executed += 1;
-        let mut in_batch: u64 = 1;
-        (first.run)(self);
-        loop {
-            // Pull every remaining same-instant entry off the heap. Ids
-            // stay in `queued` until the event actually runs, so
-            // `pending_events` and `cancel` observe the same states as
-            // the unbatched path.
-            let mut drained: Vec<QueuedEvent<W>> = Vec::new();
-            while let Some(Reverse(entry)) = self.queue.peek() {
-                if entry.0.at != batch_at {
-                    break;
-                }
-                let Some(Reverse(HeapEntry(ev))) = self.queue.pop() else {
-                    break;
-                };
-                if self.cancelled.remove(&ev.id) {
-                    continue;
-                }
-                drained.push(ev);
-            }
-            if drained.is_empty() {
-                break;
-            }
-            for ev in drained {
-                // A batch member may have cancelled a later same-instant
-                // event after it was drained; honor that here.
-                if !self.queued.remove(&ev.id) {
-                    self.cancelled.remove(&ev.id);
-                    continue;
-                }
-                self.events_executed += 1;
-                in_batch += 1;
-                (ev.run)(self);
-            }
-            // Loop again: batch members may have scheduled new events at
-            // this same instant (with larger ids, preserving FIFO).
+        let mut in_batch: u64 = 0;
+        let mut next = Some(first);
+        while let Some(run) = next {
+            self.events_executed += 1;
+            in_batch += 1;
+            run(self);
+            // Nothing can be queued before `now`, so "due by `batch_at`"
+            // is "due at `batch_at`".
+            next = self.events.pop_runnable(Some(batch_at)).map(|(_, run)| run);
         }
         self.profiler.end_batch(t0, in_batch);
         self.batches_executed += 1;
@@ -373,16 +422,7 @@ impl<W> Sim<W> {
     /// nothing but cancelled entries. Cancelled heads encountered along
     /// the way are discarded, which is why this takes `&mut self`.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.queue.peek() {
-            let id = entry.0.id;
-            if self.cancelled.contains(&id) {
-                self.queue.pop();
-                self.cancelled.remove(&id);
-                continue;
-            }
-            return Some(entry.0.at);
-        }
-        None
+        self.events.peek_runnable().map(|key| key.at)
     }
 
     /// Runs every event scheduled strictly before `end` without advancing
@@ -423,33 +463,8 @@ impl<W> Sim<W> {
         if self.batching {
             while self.run_batch(Some(deadline)) {}
         } else {
-            // Not a `while let`: the borrow from `peek` must end before
-            // `pop_runnable` can take `&mut self`.
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let Some(Reverse(entry)) = self.queue.peek() else {
-                    break;
-                };
-                if entry.0.at > deadline {
-                    break;
-                }
-                // The peeked entry may have been cancelled; pop_runnable
-                // skips those and may drain the queue entirely.
-                let Some(ev) = self.pop_runnable() else {
-                    break;
-                };
-                if ev.at > deadline {
-                    // The runnable event (after skipping cancelled ones) is
-                    // past the deadline; push it back untouched.
-                    self.queued.insert(ev.id);
-                    self.queue.push(Reverse(HeapEntry(ev)));
-                    break;
-                }
-                self.now = ev.at;
-                self.events_executed += 1;
-                let t0 = self.profiler.begin();
-                (ev.run)(self);
-                self.profiler.end_tick(t0);
+            while let Some((at, run)) = self.events.pop_runnable(Some(deadline)) {
+                self.run_tick(at, run);
             }
         }
     }
@@ -531,7 +546,39 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut sim = Sim::new(());
-        assert!(!sim.cancel(EventId(999)));
+        assert!(!sim.cancel(EventId { seq: 999, slot: 0 }));
+        assert!(!sim.cancel(EventId { seq: 0, slot: 7 }));
+    }
+
+    #[test]
+    fn stale_handle_cannot_cancel_the_slots_next_occupant() {
+        let mut sim = Sim::new(0u32);
+        let fired = sim.schedule_in(SimDuration::from_millis(1), |sim| *sim.world_mut() += 1);
+        sim.run();
+        // The slab has one slot, so this event moves into the one `fired`
+        // vacated.
+        let occupant = sim.schedule_in(SimDuration::from_millis(1), |sim| *sim.world_mut() += 10);
+        assert_eq!(sim.events.slots.len(), 1, "the slot was reused");
+        assert!(!sim.cancel(fired), "a fired event's handle is stale");
+        assert_eq!(sim.pending_events(), 1);
+        sim.run();
+        assert_eq!(*sim.world(), 11, "the new occupant ran");
+        assert!(!sim.cancel(occupant));
+    }
+
+    #[test]
+    fn slab_grows_to_the_high_water_mark_of_queued_events_only() {
+        let mut sim = Sim::new(());
+        for round in 0..50 {
+            let ids: Vec<EventId> = (0..8)
+                .map(|i| sim.schedule_in(SimDuration::from_nanos(i), |_| {}))
+                .collect();
+            // Cancelled events hold their slot until their key surfaces.
+            sim.cancel(ids[round % 8]);
+            sim.run();
+        }
+        assert_eq!(sim.events.slots.len(), 8);
+        assert_eq!(sim.events_executed(), 50 * 7);
     }
 
     #[test]

@@ -33,6 +33,11 @@ pub const NO_FLIGHT: u64 = 0;
 /// megabytes.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
+/// Labels kept per ring slot: [`FlightRecorder::begin_flight`] prunes the
+/// label table against the ring whenever it reaches this multiple of the
+/// ring's capacity.
+pub const LABELS_PER_RING_SLOT: usize = 2;
+
 /// Most captured frames kept when pcap capture is on.
 const CAPTURE_MAX_FRAMES: usize = 4096;
 
@@ -270,8 +275,11 @@ pub struct FlightRecorder {
     head: usize,
     /// Hop events lost to wraparound.
     overwritten: u64,
-    /// Origin labels for tagged flights (registration traffic etc.).
-    labels: HashMap<u64, &'static str>,
+    /// Origin labels for tagged flights (registration traffic etc.),
+    /// sorted by flight id — ids are handed out in increasing order, so
+    /// tagging is a push and lookup a binary search. Bounded: see
+    /// [`FlightRecorder::begin_flight`].
+    labels: Vec<(u64, &'static str)>,
     /// Captured frames for pcap export (bounded).
     captures: Vec<CapturedFrame>,
     /// Frames not captured because the buffer was full.
@@ -344,6 +352,16 @@ impl FlightRecorder {
 
     /// Allocates a flight id for a packet leaving its origin, optionally
     /// tagged with a static label. Returns [`NO_FLIGHT`] when disabled.
+    ///
+    /// The label table never holds more than [`LABELS_PER_RING_SLOT`] ×
+    /// the ring capacity: on reaching that, labels of flights with no hop
+    /// left in the ring are dropped (at most one label per ring slot
+    /// survives, so the next prune is at least a ring's worth of labelled
+    /// flights away). Such a flight has no journey to label — unless it
+    /// records another hop later (a packet parked while the ring turned
+    /// over, or one whose first hop is yet to come), in which case that
+    /// journey is exported without its label. That is the one difference
+    /// from keeping every label.
     pub fn begin_flight(&mut self, label: Option<&'static str>) -> u64 {
         if !self.enabled {
             return NO_FLIGHT;
@@ -352,9 +370,32 @@ impl FlightRecorder {
         debug_assert!(self.next_flight < 1 << FLIGHT_SHARD_SHIFT);
         let id = self.flight_base + self.next_flight;
         if let Some(l) = label {
-            self.labels.insert(id, l);
+            if self.labels.len() >= LABELS_PER_RING_SLOT * self.capacity {
+                self.prune_labels();
+            }
+            debug_assert!(self.labels.last().is_none_or(|&(last, _)| last < id));
+            self.labels.push((id, l));
         }
         id
+    }
+
+    /// Drops the label of every flight that has no hop in the ring.
+    fn prune_labels(&mut self) {
+        let mut live: Vec<u64> = self.ring.iter().map(|h| h.flight).collect();
+        live.sort_unstable();
+        live.dedup();
+        self.labels
+            .retain(|(flight, _)| live.binary_search(flight).is_ok());
+    }
+
+    /// The label `flight` was begun with, if it had one (and still has it:
+    /// see [`FlightRecorder::begin_flight`]).
+    fn label_of(&self, flight: u64) -> Option<&'static str> {
+        let at = self
+            .labels
+            .binary_search_by_key(&flight, |&(f, _)| f)
+            .ok()?;
+        Some(self.labels[at].1)
     }
 
     /// Records one hop. A no-op when disabled or when `flight` is
@@ -459,7 +500,7 @@ impl FlightRecorder {
             .into_iter()
             .map(|flight| Journey {
                 flight,
-                label: self.labels.get(&flight).copied(),
+                label: self.label_of(flight),
                 hops: by_flight.remove(&flight).expect("keyed"),
             })
             .collect()
@@ -501,9 +542,6 @@ impl FlightRecorder {
     /// shards) and `host_base` the offset added to every hop's host index
     /// so per-shard indices map into the merged run's host-name table.
     pub fn dump(&self, shard: u32, host_base: u32) -> FlightDump {
-        let mut labels: Vec<(u64, &'static str)> =
-            self.labels.iter().map(|(&f, &l)| (f, l)).collect();
-        labels.sort_unstable_by_key(|&(f, _)| f);
         let mut hops = self.hops_in_order();
         for h in &mut hops {
             h.host += host_base;
@@ -511,7 +549,7 @@ impl FlightRecorder {
         FlightDump {
             shard,
             hops,
-            labels,
+            labels: self.labels.clone(),
             overwritten: self.overwritten,
         }
     }
@@ -534,6 +572,10 @@ impl FlightRecorder {
             rec.labels.extend(d.labels);
             all.extend(d.hops.into_iter().map(|h| (d.shard, h)));
         }
+        // Shard `s` labels only flights of its own namespace, so the dumps
+        // arrive in flight order; the sort is the table's invariant made
+        // independent of that.
+        rec.labels.sort_unstable_by_key(|&(flight, _)| flight);
         all.sort_unstable_by_key(|&(shard, h)| (h.at, shard, h.seq));
         for (_, h) in all {
             rec.hop_slow(h.flight, h.at, h.host, h.point, h.action);
@@ -827,6 +869,88 @@ mod tests {
         assert_eq!(js[0].outcome(), Outcome::Delivered);
         assert_eq!(js[0].hops.len(), 3, "cross-shard hops stitched together");
         assert_eq!(js[1].flight, f1);
+    }
+
+    #[test]
+    fn labels_are_bounded_and_pruning_loses_no_exported_label() {
+        const CAPACITY: usize = 64;
+        let bound = LABELS_PER_RING_SLOT * CAPACITY;
+        let mut rec = FlightRecorder::with_capacity(CAPACITY);
+        rec.set_enabled(true);
+        let mut every_label = Vec::new();
+        // More than four rings' worth of labelled flights, two hops each,
+        // with unlabelled and dropped flights mixed in.
+        for i in 0..(7 * CAPACITY as u64) {
+            let label = match i % 3 {
+                0 => Some("reg"),
+                1 => Some("s3"),
+                _ => None,
+            };
+            let f = rec.begin_flight(label);
+            every_label.extend(label.map(|l| (f, l)));
+            assert!(rec.labels.len() <= bound, "{} labels", rec.labels.len());
+            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
+            let fate = if i % 5 == 0 {
+                HopAction::Dropped("drop.medium_loss")
+            } else {
+                HopAction::Delivered
+            };
+            rec.hop(
+                f,
+                t(i) + crate::SimDuration::from_micros(300),
+                1,
+                "udp",
+                fate,
+            );
+        }
+        assert!(
+            every_label.len() > 4 * CAPACITY,
+            "the run outgrew the bound"
+        );
+        assert!(rec.labels.len() < every_label.len(), "labels were pruned");
+
+        // The same ring under a label table that never forgot anything.
+        let unpruned = FlightRecorder {
+            enabled: true,
+            next_seq: rec.next_seq,
+            ring: rec.ring.clone(),
+            capacity: rec.capacity,
+            head: rec.head,
+            overwritten: rec.overwritten,
+            labels: every_label,
+            ..FlightRecorder::default()
+        };
+        let names = vec!["ch".to_string(), "mh".to_string()];
+        let doc = rec.export(&names, Some("ch")).render();
+        assert_eq!(doc, unpruned.export(&names, Some("ch")).render());
+        assert!(
+            doc.contains("\"label\":\"reg\""),
+            "labels are exported: {doc}"
+        );
+    }
+
+    #[test]
+    fn a_pruned_label_is_gone_even_if_its_flight_hops_again() {
+        // The documented edge: a flight with no hop left in the ring loses
+        // its label at the next prune, and a hop it records afterwards
+        // starts an unlabelled journey.
+        let mut rec = FlightRecorder::with_capacity(2);
+        rec.set_enabled(true);
+        let parked = rec.begin_flight(Some("reg"));
+        rec.hop(parked, t(0), 0, "udp", HopAction::Sent);
+        for i in 1..=(LABELS_PER_RING_SLOT as u64 * 2) {
+            let f = rec.begin_flight(Some("s3"));
+            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
+        }
+        rec.hop(
+            parked,
+            t(9),
+            1,
+            "arp",
+            HopAction::Dropped("drop.arp_failure"),
+        );
+        let journey = rec.journeys().into_iter().find(|j| j.flight == parked);
+        assert_eq!(journey.expect("the late hop is recorded").label, None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use engine::{EventId, Sim};
+pub use engine::{EventId, Scheduler, Sim};
 pub use flightrec::{
     Blackout, CapturedFrame, FlightDump, FlightRecorder, HopAction, HopEvent, Journey, Outcome,
     NO_FLIGHT,

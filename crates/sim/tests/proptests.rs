@@ -2,7 +2,99 @@
 
 use proptest::prelude::*;
 
-use mosquitonet_sim::{Histogram, Sim, SimDuration, SimTime, Summary};
+use mosquitonet_sim::{EventId, Histogram, Sim, SimDuration, SimTime, Summary};
+
+/// What a model-test event does when it fires, besides logging its label.
+#[derive(Clone, Copy, Debug)]
+enum Action {
+    Nothing,
+    /// Schedule a (do-nothing) child this long after the firing instant —
+    /// zero lands it in the batch being drained.
+    Spawn(u64),
+    /// Cancel the `n`-th handle ever issued (modulo how many there are):
+    /// an event still pending, possibly later in this very batch; one that
+    /// fired long ago and whose slab slot has a new occupant; one already
+    /// cancelled; or the firing event itself.
+    Cancel(usize),
+}
+
+/// World of the engine under test: what fired (and what each in-handler
+/// cancel returned), and every handle issued, in issue order.
+#[derive(Default)]
+struct Observed {
+    log: Vec<(u32, Option<bool>)>,
+    handles: Vec<EventId>,
+}
+
+fn fire(sim: &mut Sim<Observed>, label: u32, action: Action) {
+    let outcome = match action {
+        Action::Nothing => None,
+        Action::Spawn(delay) => {
+            let child = sim.world().handles.len() as u32;
+            let id = sim.schedule_in(SimDuration::from_nanos(delay), move |sim| {
+                fire(sim, child, Action::Nothing)
+            });
+            sim.world_mut().handles.push(id);
+            None
+        }
+        Action::Cancel(n) => {
+            let id = sim.world().handles[n % sim.world().handles.len()];
+            Some(sim.cancel(id))
+        }
+    };
+    sim.world_mut().log.push((label, outcome));
+}
+
+/// The reference scheduler: pending events in a `Vec` kept sorted by
+/// `(at, seq)`, nothing else.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    next_seq: u64,
+    /// `(at, seq, label, action)`, sorted.
+    pending: Vec<(u64, u64, u32, Action)>,
+    /// Sequence number behind each handle, in issue order.
+    handles: Vec<u64>,
+    log: Vec<(u32, Option<bool>)>,
+    executed: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, at: u64, action: Action) {
+        let (seq, label) = (self.next_seq, self.handles.len() as u32);
+        self.next_seq += 1;
+        self.handles.push(seq);
+        let pos = self.pending.partition_point(|e| (e.0, e.1) < (at, seq));
+        self.pending.insert(pos, (at, seq, label, action));
+    }
+
+    fn cancel(&mut self, n: usize) -> bool {
+        let seq = self.handles[n % self.handles.len()];
+        let before = self.pending.len();
+        self.pending.retain(|e| e.1 != seq);
+        self.pending.len() != before
+    }
+
+    /// Runs the head event if it is due by `deadline`.
+    fn run_next(&mut self, deadline: u64) -> bool {
+        if self.pending.first().is_none_or(|e| e.0 > deadline) {
+            return false;
+        }
+        let (at, _, label, action) = self.pending.remove(0);
+        self.now = at;
+        self.executed += 1;
+        let outcome = match action {
+            Action::Nothing => None,
+            Action::Spawn(delay) => {
+                self.schedule(at + delay, Action::Nothing);
+                None
+            }
+            Action::Cancel(n) => Some(self.cancel(n)),
+        };
+        self.log.push((label, outcome));
+        true
+    }
+}
 
 proptest! {
     /// Events always execute in nondecreasing time order, FIFO among ties.
@@ -77,6 +169,82 @@ proptest! {
         sim.run();
         let all = sim.into_world();
         prop_assert_eq!(all.len(), delays.len());
+    }
+
+    /// The slab engine against the sorted-`Vec` reference, under random
+    /// interleavings of every way to schedule, cancel and advance: same
+    /// execution order, same cancel verdicts (stale and repeated handles
+    /// included), same `pending_events`, `events_executed`, `next_event_at`
+    /// and clock after every operation, batching on and off.
+    #[test]
+    fn engine_matches_reference_scheduler(
+        ops in proptest::collection::vec((0u8..12, 0u64..4, 0usize..64), 1..300),
+        batching in any::<bool>(),
+    ) {
+        let mut sim = Sim::new(Observed::default());
+        sim.set_batching(batching);
+        let mut model = Model::default();
+        for (step, &(op, delay, n)) in ops.iter().enumerate() {
+            match op {
+                // Schedule (half of all operations, so the queue stays
+                // populated): plain, spawning, or cancelling events, by
+                // absolute and by relative time. Delays of 0..4 ns pile
+                // events onto shared instants.
+                0..=5 => {
+                    let action = match op {
+                        0 | 1 => Action::Nothing,
+                        2 | 3 => Action::Spawn(n as u64 % 3),
+                        _ => Action::Cancel(n),
+                    };
+                    let label = model.handles.len() as u32;
+                    let id = if op % 2 == 0 {
+                        let at = SimTime::from_nanos(model.now + delay);
+                        sim.schedule_at(at, move |sim| fire(sim, label, action))
+                    } else {
+                        let delay = SimDuration::from_nanos(delay);
+                        sim.schedule_in(delay, move |sim| fire(sim, label, action))
+                    };
+                    sim.world_mut().handles.push(id);
+                    model.schedule(model.now + delay, action);
+                }
+                6 | 7 if !model.handles.is_empty() => {
+                    let id = sim.world().handles[n % model.handles.len()];
+                    prop_assert_eq!(sim.cancel(id), model.cancel(n), "cancel at op {}", step);
+                    // Whatever that returned, a second cancel finds nothing.
+                    prop_assert!(!sim.cancel(id), "double cancel at op {}", step);
+                }
+                8 | 9 => {
+                    prop_assert_eq!(sim.step(), model.run_next(u64::MAX), "step at op {}", step);
+                }
+                10 => {
+                    let deadline = model.now + delay;
+                    sim.run_until(SimTime::from_nanos(deadline));
+                    while model.run_next(deadline) {}
+                    model.now = deadline;
+                }
+                11 => {
+                    let end = model.now + delay + 1;
+                    sim.run_window(SimTime::from_nanos(end));
+                    while model.run_next(end - 1) {}
+                }
+                _ => {}
+            }
+            prop_assert_eq!(&sim.world().log, &model.log, "execution order after op {}", step);
+            prop_assert_eq!(sim.now().as_nanos(), model.now, "clock after op {}", step);
+            prop_assert_eq!(sim.pending_events(), model.pending.len(), "pending after op {}", step);
+            prop_assert_eq!(sim.events_executed(), model.executed, "executed after op {}", step);
+            prop_assert_eq!(
+                sim.next_event_at().map(|t| t.as_nanos()),
+                model.pending.first().map(|e| e.0),
+                "next event after op {}", step
+            );
+        }
+        // Whatever is left runs to completion identically.
+        sim.run();
+        while model.run_next(u64::MAX) {}
+        prop_assert_eq!(&sim.world().log, &model.log);
+        prop_assert_eq!(sim.pending_events(), 0);
+        prop_assert_eq!(sim.events_executed(), model.executed);
     }
 
     /// Welford mean/stddev match the naive two-pass computation.

@@ -206,13 +206,14 @@ impl ArpState {
 
     /// Processes a received ARP packet.
     ///
-    /// `my_macs_addr` is this interface's (MAC, configured addresses);
-    /// returns parked packets now sendable plus any reply to transmit.
+    /// `my_mac` is this interface's MAC and `is_mine` says whether an
+    /// address is configured on it; returns parked packets now sendable
+    /// plus any reply to transmit.
     pub fn input(
         &mut self,
         arp: &ArpPacket,
         my_mac: MacAddr,
-        my_addrs: &[Ipv4Addr],
+        is_mine: impl Fn(Ipv4Addr) -> bool,
         now: SimTime,
     ) -> (Vec<(Ipv4Packet, u64)>, ArpAction) {
         // Learn / refresh from the sender fields. A gratuitous ARP also
@@ -222,9 +223,7 @@ impl ArpState {
         if !arp.sender_ip.is_unspecified() {
             let update_existing = self.cache.contains_key(&arp.sender_ip)
                 || self.pending.contains_key(&arp.sender_ip)
-                || my_addrs
-                    .iter()
-                    .any(|&a| arp.target_ip == a && arp.op == ArpOp::Request)
+                || (arp.op == ArpOp::Request && is_mine(arp.target_ip))
                 || arp.op == ArpOp::Reply
                 || arp.is_gratuitous();
             if update_existing {
@@ -237,7 +236,7 @@ impl ArpState {
         }
         // Answer requests for our own or proxied addresses.
         if arp.op == ArpOp::Request && !arp.is_gratuitous() {
-            let ours = my_addrs.contains(&arp.target_ip);
+            let ours = is_mine(arp.target_ip);
             let proxied = self.proxies.contains(&arp.target_ip);
             if ours || proxied {
                 if proxied && !ours {
@@ -291,7 +290,7 @@ mod tests {
     fn request_for_our_address_is_answered_and_learned() {
         let mut arp = ArpState::new();
         let req = ArpPacket::request(MacAddr::from_index(7), OTHER, ME);
-        let (released, action) = arp.input(&req, my_mac(), &[ME], t0());
+        let (released, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
         assert!(released.is_empty());
         match action {
             ArpAction::Reply(r) => {
@@ -309,7 +308,7 @@ mod tests {
     fn request_for_other_address_is_ignored() {
         let mut arp = ArpState::new();
         let req = ArpPacket::request(MacAddr::from_index(7), OTHER, MH);
-        let (_, action) = arp.input(&req, my_mac(), &[ME], t0());
+        let (_, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
         assert_eq!(action, ArpAction::None);
         // And we do NOT learn from requests that aren't for us (classic
         // BSD/Linux behaviour avoids cache pollution).
@@ -321,7 +320,7 @@ mod tests {
         let mut arp = ArpState::new();
         arp.add_proxy(MH);
         let req = ArpPacket::request(MacAddr::from_index(7), OTHER, MH);
-        let (_, action) = arp.input(&req, my_mac(), &[ME], t0());
+        let (_, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
         match action {
             ArpAction::Reply(r) => {
                 assert_eq!(r.sender_ip, MH, "claims the MH's address");
@@ -330,7 +329,7 @@ mod tests {
             ArpAction::None => panic!("proxy should answer"),
         }
         assert!(arp.remove_proxy(MH));
-        let (_, action) = arp.input(&req, my_mac(), &[ME], t0());
+        let (_, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
         assert_eq!(action, ArpAction::None, "stops after deregistration");
     }
 
@@ -340,7 +339,7 @@ mod tests {
         arp.insert(MH, MacAddr::from_index(9), t0());
         let ha_mac = MacAddr::from_index(1);
         let g = ArpPacket::gratuitous(ha_mac, MH);
-        let (_, action) = arp.input(&g, my_mac(), &[ME], t0());
+        let (_, action) = arp.input(&g, my_mac(), |a| a == ME, t0());
         assert_eq!(action, ArpAction::None, "gratuitous ARP is not answered");
         assert_eq!(arp.lookup(MH), Some(ha_mac), "stale entry voided");
     }
@@ -362,7 +361,7 @@ mod tests {
             target_mac: my_mac(),
             target_ip: ME,
         };
-        let (released, action) = arp.input(&reply, my_mac(), &[ME], t0());
+        let (released, action) = arp.input(&reply, my_mac(), |a| a == ME, t0());
         assert_eq!(action, ArpAction::None);
         assert_eq!(released.len(), 2);
         assert_eq!(arp.lookup(MH), Some(MacAddr::from_index(9)));
@@ -390,7 +389,7 @@ mod tests {
             target_mac: my_mac(),
             target_ip: ME,
         };
-        let (released, _) = arp.input(&reply, my_mac(), &[ME], t0());
+        let (released, _) = arp.input(&reply, my_mac(), |a| a == ME, t0());
         assert_eq!(released.len(), ARP_QUEUE_DEPTH);
         let survivors: Vec<u64> = released.iter().map(|(_, f)| *f).collect();
         assert_eq!(survivors, vec![8, 9, 10], "newest parked flights survive");
@@ -424,7 +423,7 @@ mod tests {
             target_mac: my_mac(),
             target_ip: ME,
         };
-        arp.input(&reply, my_mac(), &[ME], t0());
+        arp.input(&reply, my_mac(), |a| a == ME, t0());
         // ...the cache entry is later removed, and a NEW resolution starts.
         arp.remove(MH);
         let gen2 = arp.park(MH, pkt(MH), 0).0.expect("resolution 2");

@@ -236,11 +236,10 @@ impl HostCore {
 
     /// All subnets directly configured on this host (the transit filter's
     /// definition of "local").
-    pub fn local_subnets(&self) -> Vec<Cidr> {
+    pub fn local_subnets(&self) -> impl Iterator<Item = Cidr> + '_ {
         self.ifaces
             .iter()
             .flat_map(|i| i.addrs().iter().map(|a| a.subnet))
-            .collect()
     }
 
     /// Installs (or moves) a VIF tunnel: packets to `home` are IP-in-IP
@@ -544,7 +543,7 @@ mod tests {
             Ipv4Addr::new(36, 134, 0, 7),
             "36.134.0.0/16".parse().unwrap(),
         );
-        let subnets = h.core.local_subnets();
+        let subnets: Vec<Cidr> = h.core.local_subnets().collect();
         assert_eq!(subnets.len(), 2);
         assert!(subnets.iter().any(|c| c.to_string() == "36.8.0.0/24"));
         assert!(subnets.iter().any(|c| c.to_string() == "36.134.0.0/16"));

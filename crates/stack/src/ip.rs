@@ -17,12 +17,12 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
 use mosquitonet_sim::NO_FLIGHT;
 use mosquitonet_wire::{
     ipip, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, PacketBuf, TcpSegment, UdpDatagram,
-    UnreachableCode,
+    UnreachableCode, IPV4_HEADER_LEN,
 };
 
 use mosquitonet_sim::Counter;
@@ -241,13 +241,13 @@ fn udp_output(
         emit(sim, host, flight, "udp", Event::Drop(NoRoute), SILENT);
         return;
     };
-    let bytes = dgram.to_bytes(decision.src, dst);
     let mut header = Ipv4Header::new(decision.src, dst, IpProto::Udp);
     if let Some(ttl) = ttl {
         header.ttl = ttl;
     }
     header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-    send_resolved(sim, host, Ipv4Packet::new(header, bytes), decision, flight);
+    let body = Body::Udp(dgram);
+    send_resolved(sim, host, Outgoing { header, body }, decision, flight);
 }
 
 /// Sends a UDP datagram from `sock`.
@@ -371,14 +371,64 @@ pub fn ip_send_packet(sim: &mut NetSim, host: HostId, mut packet: Ipv4Packet, op
         return;
     };
     packet.header.src = decision.src;
-    send_resolved(sim, host, packet, decision, flight);
+    send_resolved(sim, host, packet.into(), decision, flight);
+}
+
+/// An outgoing packet: its IP header and what follows it.
+struct Outgoing {
+    header: Ipv4Header,
+    body: Body,
+}
+
+enum Body {
+    /// Transport bytes that already exist (forwarded packets, ICMP, TCP,
+    /// module-built packets).
+    Raw(Bytes),
+    /// A UDP datagram this host originates: serialized straight into the
+    /// wire buffer, never assembled anywhere else first.
+    Udp(UdpDatagram),
+}
+
+impl From<Ipv4Packet> for Outgoing {
+    fn from(packet: Ipv4Packet) -> Outgoing {
+        Outgoing {
+            header: packet.header,
+            body: Body::Raw(packet.payload),
+        }
+    }
+}
+
+impl Outgoing {
+    /// Appends the body at `buf`'s tail, then prepends the IP header
+    /// into the headroom in front of it.
+    fn write_into(&self, buf: &mut PacketBuf) {
+        let Ipv4Header { src, dst, .. } = self.header;
+        match &self.body {
+            Body::Raw(bytes) => buf.put_slice(bytes),
+            Body::Udp(dgram) => dgram.write_into(src, dst, buf),
+        }
+        let total = buf.len() + IPV4_HEADER_LEN;
+        assert!(total <= u16::MAX as usize, "IPv4 packet too large: {total}");
+        self.header
+            .write_header(total as u16, buf.prepend(IPV4_HEADER_LEN));
+    }
+
+    /// The packet as a value (only an ARP miss needs one, to park).
+    fn into_packet(self) -> Ipv4Packet {
+        let Ipv4Header { src, dst, .. } = self.header;
+        let payload = match self.body {
+            Body::Raw(bytes) => bytes,
+            Body::Udp(dgram) => dgram.to_bytes(src, dst),
+        };
+        Ipv4Packet::new(self.header, payload)
+    }
 }
 
 /// Sends a packet along a resolved decision, encapsulating if requested.
 fn send_resolved(
     sim: &mut NetSim,
     host: HostId,
-    packet: Ipv4Packet,
+    out: Outgoing,
     decision: RouteDecision,
     flight: u64,
 ) {
@@ -390,97 +440,77 @@ fn send_resolved(
         sim,
         host,
         decision.iface,
-        packet,
+        out,
         decision.encap,
         decision.next_hop,
         flight,
     );
 }
 
-/// Link-layer transmission: broadcast detection, ARP resolution, parking.
-pub(crate) fn ip_transmit(
-    sim: &mut NetSim,
-    host: HostId,
-    iface: IfaceId,
-    packet: Ipv4Packet,
-    next_hop: Ipv4Addr,
-    flight: u64,
-) {
-    transmit_ip(sim, host, iface, packet, None, next_hop, flight);
-}
-
-/// The single serialization point of the output path: once the
-/// destination MAC is known, the packet is written exactly once into a
-/// pooled buffer with headroom, the optional IP-in-IP outer header and the
-/// frame header are prepended in place, and the finished wire bytes go to
-/// the device. An ARP miss (cold path) parks the fully-encapsulated
-/// packet and defers assembly until resolution.
+/// The single serialization point of the output path — link-layer
+/// transmission with broadcast detection, ARP resolution and parking.
+/// Once the destination MAC is known, the packet is written exactly once
+/// into a pooled buffer with headroom, the optional IP-in-IP outer header
+/// and the frame header are prepended in place, and the finished wire
+/// bytes go to the device. An ARP miss (cold path) parks the
+/// fully-encapsulated packet and defers assembly until resolution.
 fn transmit_ip(
     sim: &mut NetSim,
     host: HostId,
     iface: IfaceId,
-    packet: Ipv4Packet,
+    out: Outgoing,
     encap: Option<EncapSpec>,
     next_hop: Ipv4Addr,
     flight: u64,
 ) {
     // Broadcast detection looks at the *outer* destination when the packet
     // is to be encapsulated.
-    let header_dst = encap.map(|e| e.outer_dst).unwrap_or(packet.header.dst);
-    let (my_mac, dst_mac, solicit, evicted) = {
-        let h = &mut sim.world_mut().hosts[host.0];
-        let ifc = h.core.iface(iface);
-        let my_mac = ifc.device.mac();
-        let broadcast = next_hop == Ipv4Addr::BROADCAST
-            || header_dst == Ipv4Addr::BROADCAST
-            || header_dst.is_multicast()
-            || ifc.is_subnet_broadcast(next_hop);
-        if broadcast {
-            (
-                my_mac,
-                Some(mosquitonet_wire::MacAddr::BROADCAST),
-                None,
-                None,
-            )
-        } else if let Some(mac) = h.core.arp[iface.0].lookup(next_hop) {
-            (my_mac, Some(mac), None, None)
-        } else {
-            let parked = match encap {
-                Some(e) => ipip::encapsulate(&packet, e.outer_src, e.outer_dst),
-                None => packet.clone(),
-            };
-            let (generation, evicted) = h.core.arp[iface.0].park(next_hop, parked, flight);
-            (my_mac, None, generation, evicted)
-        }
+    let header_dst = encap.map(|e| e.outer_dst).unwrap_or(out.header.dst);
+    let h = &mut sim.world_mut().hosts[host.0];
+    let ifc = h.core.iface(iface);
+    let my_mac = ifc.device.mac();
+    let broadcast = next_hop == Ipv4Addr::BROADCAST
+        || header_dst == Ipv4Addr::BROADCAST
+        || header_dst.is_multicast()
+        || ifc.is_subnet_broadcast(next_hop);
+    let dst_mac = if broadcast {
+        Some(mosquitonet_wire::MacAddr::BROADCAST)
+    } else {
+        h.core.arp[iface.0].lookup(next_hop)
     };
-    if let Some(victim) = evicted {
-        // The bounded ARP queue silently dropped its oldest occupant; the
-        // flight recorder is the only witness (no counter moves here).
-        emit(sim, host, victim, "arp", Event::Drop(ArpQueue), SILENT);
-    }
-    match dst_mac {
-        Some(mac) => {
-            let headroom = FRAME_HEADER_LEN
-                + if encap.is_some() {
-                    ipip::ENCAP_OVERHEAD
-                } else {
-                    0
-                };
-            let mut buf = PacketBuf::with_headroom(headroom);
-            packet.write_into(&mut buf);
-            if let Some(e) = encap {
-                ipip::prepend_outer(&mut buf, packet.header.tos, e.outer_src, e.outer_dst);
-            }
-            Frame::write_header(mac, my_mac, EtherType::Ipv4, buf.prepend(FRAME_HEADER_LEN));
-            buf.set_flight(flight);
-            world::transmit_wire(sim, host, iface, mac, buf.freeze());
+    let Some(mac) = dst_mac else {
+        let packet = out.into_packet();
+        let parked = match encap {
+            Some(e) => ipip::encapsulate(&packet, e.outer_src, e.outer_dst),
+            None => packet,
+        };
+        let (solicit, evicted) = h.core.arp[iface.0].park(next_hop, parked, flight);
+        if let Some(victim) = evicted {
+            // The bounded ARP queue silently dropped its oldest occupant;
+            // the flight recorder is the only witness (no counter moves
+            // here).
+            emit(sim, host, victim, "arp", Event::Drop(ArpQueue), SILENT);
         }
-        None => {
-            if let Some(generation) = solicit {
-                world::arp_solicit(sim, host, iface, next_hop, generation);
-            }
+        if let Some(generation) = solicit {
+            world::arp_solicit(sim, host, iface, next_hop, generation);
         }
+        return;
+    };
+    let headroom = FRAME_HEADER_LEN
+        + if encap.is_some() {
+            ipip::ENCAP_OVERHEAD
+        } else {
+            0
+        }
+        + IPV4_HEADER_LEN;
+    let mut buf = PacketBuf::with_headroom(headroom);
+    out.write_into(&mut buf);
+    if let Some(e) = encap {
+        ipip::prepend_outer(&mut buf, out.header.tos, e.outer_src, e.outer_dst);
     }
+    Frame::write_header(mac, my_mac, EtherType::Ipv4, buf.prepend(FRAME_HEADER_LEN));
+    buf.set_flight(flight);
+    world::transmit_wire(sim, host, iface, mac, buf.freeze());
 }
 
 /// IP input: local delivery or forwarding.
@@ -591,7 +621,7 @@ fn forward(
             sim,
             host,
             rt.iface,
-            packet,
+            packet.into(),
             Some(EncapSpec {
                 outer_src,
                 outer_dst: care_of,
@@ -632,10 +662,7 @@ fn forward(
         let core = &sim.world().hosts[host.0].core;
         if core.transit_filter
             && core.upstream_ifaces.contains(&rt.iface)
-            && !core
-                .local_subnets()
-                .iter()
-                .any(|s| s.contains(packet.header.src))
+            && !core.local_subnets().any(|s| s.contains(packet.header.src))
         {
             let src = packet.header.src;
             let line = |_: &Network| format!("src {src} not local, egress upstream");
@@ -680,7 +707,7 @@ fn forward(
 
     emit(sim, host, flight, "ip.fwd", Event::Forwarded, SILENT);
     let next_hop = rt.gateway.unwrap_or(packet.header.dst);
-    ip_transmit(sim, host, rt.iface, packet, next_hop, flight);
+    transmit_ip(sim, host, rt.iface, packet.into(), None, next_hop, flight);
 }
 
 /// Sends an ICMP error/notification from this host to `dst`.
@@ -752,7 +779,7 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
             let item = UdpBatchItem {
                 src: (packet.header.src, dgram.src_port),
                 dst: packet.header.dst,
-                payload: dgram.payload.clone(),
+                payload: dgram.payload,
             };
             // A wire arrival is a batch of one; the default
             // `on_udp_batch` forwards it to `on_udp` unchanged.
@@ -841,7 +868,7 @@ fn udp_input_burst(sim: &mut NetSim, host: HostId, pkts: Vec<(Ipv4Packet, u64)>)
                 group.push(UdpBatchItem {
                     src: (packet.header.src, dgram.src_port),
                     dst: packet.header.dst,
-                    payload: dgram.payload.clone(),
+                    payload: dgram.payload,
                 });
             }
             None => {

@@ -37,9 +37,11 @@ pub struct Network {
     pub hosts: Vec<Host>,
     /// LANs, indexed by [`LanId`].
     pub lans: Vec<Lan>,
-    attach_map: HashMap<AttachmentKey, (HostId, IfaceId)>,
+    /// Who holds each [`AttachmentKey`] ever handed out, indexed by the
+    /// key (keys are dense: the next one is this table's length); `None`
+    /// once detached.
+    attach_map: Vec<Option<(HostId, IfaceId)>>,
     attach_keys: HashMap<(HostId, IfaceId), AttachmentKey>,
-    next_key: u64,
     /// Cross-shard plumbing; `None` (the default) keeps the world fully
     /// unsharded — zero overhead, byte-identical to the classic engine.
     sharding: Option<Sharding>,
@@ -177,19 +179,17 @@ fn stage_cross_shard(
         return;
     };
     let me = sh.shard;
-    let targets: Vec<u32> = match sh.mac_directory.get(&dst) {
+    let targets = match sh.mac_directory.get(&dst) {
         Some(&owner) if owner == me => return, // stays local
-        Some(&owner) => vec![owner],
+        Some(&owner) => owner..owner + 1,
         // Broadcast or unknown unicast: every peer judges for itself.
-        None => (0..sh.shards).filter(|&s| s != me).collect(),
+        None if sh.shards > 1 => 0..sh.shards,
+        None => return, // no peers
     };
-    if targets.is_empty() {
-        return;
-    }
     let at = now + tx_delay + trunk;
     let flight = wire.flight();
     let index = sh.arena.stage(wire);
-    for dst_shard in targets {
+    for dst_shard in targets.filter(|&s| s != me) {
         let seq = sh.next_seq;
         sh.next_seq += 1;
         sh.staged.push(Staged {
@@ -242,35 +242,29 @@ impl ShardWorld for Network {
             flight,
             bytes,
         } = env.payload;
-        let (lan_id, recipients) = {
-            let w = sim.world();
-            let Some(sh) = w.sharding.as_ref() else {
-                return;
-            };
-            let Some(&lan_id) = sh.lan_of_portal.get(&portal) else {
-                debug_assert!(false, "envelope for unknown portal {portal}");
-                return;
-            };
-            // The trunk is lossless and its delay is already baked into
-            // `at`, so delivery needs no medium draws here — and must not
-            // make any: cross-shard traffic never touches this shard's
-            // RNG stream.
-            let lan = &w.lans[lan_id.0];
-            let mut found = Vec::new();
-            for key in lan.recipients(dst, src) {
-                if let Some((h, i)) = w.resolve_attachment(key) {
-                    found.push((h, i));
-                }
-            }
-            (lan_id, found)
+        let (w, _, mut queue) = sim.split();
+        let Some(sh) = w.sharding.as_ref() else {
+            return;
         };
-        if recipients.is_empty() {
+        let Some(&lan_id) = sh.lan_of_portal.get(&portal) else {
+            debug_assert!(false, "envelope for unknown portal {portal}");
+            return;
+        };
+        // The trunk is lossless and its delay is already baked into
+        // `at`, so delivery needs no medium draws here — and must not
+        // make any: cross-shard traffic never touches this shard's
+        // RNG stream.
+        let mut recipients = w.lans[lan_id.0]
+            .recipients(dst, src)
+            .filter_map(|key| w.resolve_attachment(key))
+            .peekable();
+        if recipients.peek().is_none() {
             return;
         }
         let bytes = PacketBytes::from_vec(bytes).with_flight(flight);
         for (h, i) in recipients {
             let copy = bytes.clone();
-            sim.schedule_at(at, move |sim| deliver_frame(sim, h, i, lan_id, copy));
+            queue.schedule_at(at, move |sim| deliver_frame(sim, h, i, lan_id, copy));
         }
     }
 
@@ -328,8 +322,7 @@ impl Network {
             host,
             iface
         );
-        let key = AttachmentKey(self.next_key);
-        self.next_key += 1;
+        let key = AttachmentKey(self.attach_map.len() as u64);
         let mac = self.hosts[host.0].core.iface(iface).device.mac();
         self.lans[lan.0].attach(Attachment {
             key,
@@ -337,7 +330,7 @@ impl Network {
             promiscuous,
         });
         self.hosts[host.0].core.iface_mut(iface).lan = Some(lan);
-        self.attach_map.insert(key, (host, iface));
+        self.attach_map.push(Some((host, iface)));
         self.attach_keys.insert((host, iface), key);
     }
 
@@ -347,7 +340,7 @@ impl Network {
             if let Some(lan) = self.hosts[host.0].core.iface(iface).lan {
                 self.lans[lan.0].detach(key);
             }
-            self.attach_map.remove(&key);
+            self.attach_map[key.0 as usize] = None;
             self.hosts[host.0].core.iface_mut(iface).lan = None;
         }
     }
@@ -369,7 +362,7 @@ impl Network {
     }
 
     fn resolve_attachment(&self, key: AttachmentKey) -> Option<(HostId, IfaceId)> {
-        self.attach_map.get(&key).copied()
+        *self.attach_map.get(key.0 as usize)?
     }
 }
 
@@ -798,108 +791,61 @@ pub(crate) fn transmit_wire(
     let flight = wire.flight();
     let wire_len = wire.len();
     let payload_len = wire_len - FRAME_HEADER_LEN;
-    struct Tx {
-        deliveries: Vec<(HostId, IfaceId, SimDuration, FaultVerdict)>,
-        lan: LanId,
-        lost: u64,
-        faults: Vec<&'static str>,
-    }
-    let mut tx_drop = None;
-    let plan = {
-        let (w, rng) = sim.world_and_rng();
-        let ifc = &mut w.hosts[host.0].core.ifaces[iface.0];
-        if payload_len > ifc.device.mtu {
-            // No fragmentation in this stack (DESIGN.md §6): oversized
-            // packets die at the device, loudly.
-            ifc.device.counters.tx_dropped_mtu.inc();
-            tx_drop = Some(TxMtu);
-            None
-        } else if !ifc.device.note_tx(wire_len) {
-            tx_drop = Some(IfaceDown);
-            None
-        } else if let Some(lan_id) = ifc.lan {
-            // Frames queue behind the transmitter (half-duplex serial
-            // links like STRIP make this very visible).
-            let tx_time = ifc.device.schedule_tx(now, wire_len);
-            let src_mac = ifc.device.mac();
-            // Medium draws first (engine RNG — sequence unchanged by the
-            // fault layer), then the fault plan judges each surviving
-            // copy from its own stream.
-            let mut reached = Vec::new();
-            let mut lost = 0;
-            {
-                let lan = &w.lans[lan_id.0];
-                for key in lan.recipients(dst, src_mac) {
-                    if lan.draw_loss(rng) {
-                        lost += 1;
-                        continue;
-                    }
-                    reached.push((key, tx_time + lan.draw_delay(rng)));
-                }
-            }
-            let mut judged = Vec::with_capacity(reached.len());
-            let mut faults = Vec::new();
-            {
-                let lan = &mut w.lans[lan_id.0];
-                for (key, delay) in reached {
-                    let verdict = match lan.fault.as_mut() {
-                        Some(fault) => fault.judge(now, payload_len),
-                        None => FaultVerdict::default(),
-                    };
-                    faults.extend(verdict.codes());
-                    if verdict.drop {
-                        continue;
-                    }
-                    judged.push((key, delay, verdict));
-                }
-            }
-            let mut deliveries = Vec::with_capacity(judged.len());
-            for (key, delay, verdict) in judged {
-                if let Some((h, i)) = w.resolve_attachment(key) {
-                    deliveries.push((h, i, delay, verdict));
-                }
-            }
-            // Portal segments also reach the peer shards' attachments,
-            // one (fixed) trunk delay later, via the barrier exchange.
-            if w.sharding.is_some() {
-                stage_cross_shard(w, lan_id, now, tx_time, dst, src_mac, &wire);
-            }
-            Some(Tx {
-                deliveries,
-                lan: lan_id,
-                lost,
-                faults,
-            })
-        } else {
-            // Unattached interface: the cable is unplugged.
-            tx_drop = Some(IfaceDown);
-            None
+    let (w, rng, mut queue) = sim.split();
+    let ifc = &mut w.hosts[host.0].core.ifaces[iface.0];
+    let tx_drop = if payload_len > ifc.device.mtu {
+        // No fragmentation in this stack (DESIGN.md §6): oversized
+        // packets die at the device, loudly.
+        ifc.device.counters.tx_dropped_mtu.inc();
+        Some(TxMtu)
+    } else if !ifc.device.note_tx(wire_len) {
+        Some(IfaceDown)
+    } else {
+        None
+    };
+    let lan_id = match (tx_drop, ifc.lan) {
+        (None, Some(lan_id)) => lan_id,
+        // No LAN: the interface is unattached, the cable unplugged.
+        (reason, _) => {
+            let event = Event::Drop(reason.unwrap_or(IfaceDown));
+            emit(sim, host, flight, "dev", event, SILENT);
+            return;
         }
     };
-    let Some(plan) = plan else {
-        if let Some(reason) = tx_drop {
-            emit(sim, host, flight, "dev", Event::Drop(reason), SILENT);
+    // Frames queue behind the transmitter (half-duplex serial links like
+    // STRIP make this very visible).
+    let tx_time = ifc.device.schedule_tx(now, wire_len);
+    let src_mac = ifc.device.mac();
+    // One pass over the recipients, each taken from medium to delivery
+    // event before the next: the medium draws (engine RNG — sequence
+    // unchanged by the fault layer), then the fault plan's verdict from
+    // its own stream, then the attachment's owner, then the event. The
+    // plan steps aside for the walk because it is judged (`&mut`) while
+    // the LAN it hangs on is being read.
+    let mut fault = w.lans[lan_id.0].fault.take();
+    let mut lost = 0u64;
+    let mut faults: Vec<&'static str> = Vec::new();
+    let lan = &w.lans[lan_id.0];
+    for key in lan.recipients(dst, src_mac) {
+        if lan.draw_loss(rng) {
+            lost += 1;
+            continue;
         }
-        return;
-    };
-    let lan = plan.lan;
-    if plan.lost > 0 {
-        let line = |_: &Network| format!("{} cop(ies)", plan.lost);
-        let event = Event::WireDrop(MediumLoss);
-        emit(sim, host, flight, "wire", event, Some(line));
-    }
-    for code in plan.faults {
-        let on_lan = |w: &Network| format!("injected on {}", w.lans[lan.0].name());
-        if code == FaultDrop.code() {
-            let event = Event::WireDrop(FaultDrop);
-            emit(sim, host, flight, "wire", event, Some(on_lan));
-        } else {
-            note(sim, host, TraceKind::Marker, |w| {
-                format!("{code}: {}", on_lan(w))
-            });
+        let delay = tx_time + lan.draw_delay(rng);
+        let verdict = match fault.as_mut() {
+            Some(plan) => {
+                let verdict = plan.judge(now, payload_len);
+                faults.extend(verdict.codes());
+                verdict
+            }
+            None => FaultVerdict::default(),
+        };
+        if verdict.drop {
+            continue;
         }
-    }
-    for (h, i, delay, verdict) in plan.deliveries {
+        let Some((h, i)) = w.resolve_attachment(key) else {
+            continue;
+        };
         let delay = delay + verdict.extra_delay;
         let bytes = match verdict.corrupt {
             Some((off, mask)) => {
@@ -908,15 +854,39 @@ pub(crate) fn transmit_wire(
                 // is caught by the checksums that guard the payload.
                 let mut v = wire.to_vec();
                 v[FRAME_HEADER_LEN + off] ^= mask;
-                PacketBytes::from_vec(v).with_flight(wire.flight())
+                PacketBytes::from_vec(v).with_flight(flight)
             }
             None => wire.clone(),
         };
         if let Some(gap) = verdict.duplicate_after {
             let dup = bytes.clone();
-            sim.schedule_in(delay + gap, move |sim| deliver_frame(sim, h, i, lan, dup));
+            queue.schedule_in(delay + gap, move |sim| {
+                deliver_frame(sim, h, i, lan_id, dup)
+            });
         }
-        sim.schedule_in(delay, move |sim| deliver_frame(sim, h, i, lan, bytes));
+        queue.schedule_in(delay, move |sim| deliver_frame(sim, h, i, lan_id, bytes));
+    }
+    w.lans[lan_id.0].fault = fault;
+    // Portal segments also reach the peer shards' attachments, one
+    // (fixed) trunk delay later, via the barrier exchange.
+    if w.sharding.is_some() {
+        stage_cross_shard(w, lan_id, now, tx_time, dst, src_mac, &wire);
+    }
+    if lost > 0 {
+        let line = |_: &Network| format!("{lost} cop(ies)");
+        let event = Event::WireDrop(MediumLoss);
+        emit(sim, host, flight, "wire", event, Some(line));
+    }
+    for code in faults {
+        let on_lan = |w: &Network| format!("injected on {}", w.lans[lan_id.0].name());
+        if code == FaultDrop.code() {
+            let event = Event::WireDrop(FaultDrop);
+            emit(sim, host, flight, "wire", event, Some(on_lan));
+        } else {
+            note(sim, host, TraceKind::Marker, |w| {
+                format!("{code}: {}", on_lan(w))
+            });
+        }
     }
 }
 
@@ -957,8 +927,7 @@ fn process_frame(sim: &mut NetSim, host: HostId, iface: IfaceId, bytes: PacketBy
     // parsing, exactly as tcpdump would see them.
     if sim.flights().capture_enabled() && sim.world().hosts[host.0].core.capture {
         let now = sim.now();
-        let raw = bytes.to_vec();
-        sim.flights_mut().capture_frame(now, host.0 as u32, &raw);
+        sim.flights_mut().capture_frame(now, host.0 as u32, &bytes);
     }
     let malformed = Event::Drop(Malformed);
     let Ok(frame) = Frame::parse(&bytes) else {
@@ -988,13 +957,10 @@ fn arp_input(sim: &mut NetSim, host: HostId, iface: IfaceId, arp: &ArpPacket) {
     let now = sim.now();
     let (released, action, my_mac) = {
         let core = &mut sim.world_mut().hosts[host.0].core;
-        let my_mac = core.ifaces[iface.0].device.mac();
-        let my_addrs: Vec<_> = core.ifaces[iface.0]
-            .addrs()
-            .iter()
-            .map(|a| a.addr)
-            .collect();
-        let (released, action) = core.arp[iface.0].input(arp, my_mac, &my_addrs, now);
+        let ifc = &core.ifaces[iface.0];
+        let my_mac = ifc.device.mac();
+        let is_mine = |addr| ifc.addrs().iter().any(|a| a.addr == addr);
+        let (released, action) = core.arp[iface.0].input(arp, my_mac, is_mine, now);
         (released, action, my_mac)
     };
     // Send packets that were parked awaiting this resolution; each keeps

@@ -144,7 +144,7 @@ proptest! {
                 target_mac: MacAddr::ZERO,
                 target_ip: addr(target),
             };
-            let (_, action) = arp.input(&pkt, my_mac, &[me], SimTime::ZERO);
+            let (_, action) = arp.input(&pkt, my_mac, |a| a == me, SimTime::ZERO);
             match action {
                 mosquitonet_stack::ArpAction::Reply(r) => {
                     prop_assert!(r.sender_ip == me || r.sender_ip == proxied);

@@ -168,18 +168,19 @@ impl IcmpMessage {
     }
 
     /// Parses and verifies an ICMP message.
-    pub fn parse(buf: &[u8]) -> Result<IcmpMessage, WireError> {
+    pub fn parse(bytes: &Bytes) -> Result<IcmpMessage, WireError> {
+        let buf: &[u8] = bytes;
         need(buf, 8)?;
         if internet_checksum(buf, 0) != 0 {
             return Err(WireError::BadChecksum);
         }
         let (ty, code) = (buf[0], buf[1]);
-        let rest = &buf[8..];
+        let rest = || bytes.slice(8..);
         match ty {
             8 | 0 => {
                 let ident = u16::from_be_bytes([buf[4], buf[5]]);
                 let seq = u16::from_be_bytes([buf[6], buf[7]]);
-                let payload = Bytes::copy_from_slice(rest);
+                let payload = rest();
                 Ok(if ty == 8 {
                     IcmpMessage::EchoRequest {
                         ident,
@@ -196,15 +197,13 @@ impl IcmpMessage {
             }
             3 => Ok(IcmpMessage::DestUnreachable {
                 code: UnreachableCode::from_code(code)?,
-                invoking: Bytes::copy_from_slice(rest),
+                invoking: rest(),
             }),
             5 => Ok(IcmpMessage::Redirect {
                 gateway: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
-                invoking: Bytes::copy_from_slice(rest),
+                invoking: rest(),
             }),
-            11 => Ok(IcmpMessage::TimeExceeded {
-                invoking: Bytes::copy_from_slice(rest),
-            }),
+            11 => Ok(IcmpMessage::TimeExceeded { invoking: rest() }),
             other => Err(WireError::UnknownValue {
                 field: "icmp type",
                 value: u16::from(other),
@@ -292,7 +291,10 @@ mod tests {
         };
         let mut bytes = msg.to_bytes().to_vec();
         bytes[4] ^= 0xff;
-        assert_eq!(IcmpMessage::parse(&bytes), Err(WireError::BadChecksum));
+        assert_eq!(
+            IcmpMessage::parse(&bytes.into()),
+            Err(WireError::BadChecksum)
+        );
     }
 
     #[test]
@@ -301,7 +303,7 @@ mod tests {
         let ck = internet_checksum(&buf, 0);
         buf[2..4].copy_from_slice(&ck.to_be_bytes());
         assert_eq!(
-            IcmpMessage::parse(&buf),
+            IcmpMessage::parse(&buf.into()),
             Err(WireError::UnknownValue {
                 field: "icmp type",
                 value: 42
@@ -315,7 +317,7 @@ mod tests {
         let ck = internet_checksum(&buf, 0);
         buf[2..4].copy_from_slice(&ck.to_be_bytes());
         assert!(matches!(
-            IcmpMessage::parse(&buf),
+            IcmpMessage::parse(&buf.into()),
             Err(WireError::UnknownValue {
                 field: "icmp unreachable code",
                 ..
@@ -326,7 +328,7 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(matches!(
-            IcmpMessage::parse(&[8, 0, 0]),
+            IcmpMessage::parse(&Bytes::from_static(&[8, 0, 0])),
             Err(WireError::Truncated { .. })
         ));
     }

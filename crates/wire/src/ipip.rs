@@ -39,7 +39,8 @@ pub fn encapsulate(inner: &Ipv4Packet, outer_src: Ipv4Addr, outer_dst: Ipv4Addr)
     Ipv4Packet::new(outer_header, inner.to_bytes())
 }
 
-/// Unwraps an IP-in-IP packet, returning the inner packet.
+/// Unwraps an IP-in-IP packet, returning the inner packet, whose payload
+/// is a slice of the outer packet's storage (nothing is copied).
 ///
 /// Fails with [`WireError::UnknownValue`] if `outer` is not protocol 4, or
 /// with the inner packet's parse error if the payload is not valid IPv4.

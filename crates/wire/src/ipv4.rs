@@ -188,16 +188,19 @@ impl Ipv4Packet {
     }
 
     /// Parses wire bytes, verifying version, lengths, and header checksum.
-    pub fn parse(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
-        let header = Ipv4Packet::parse_header_prefix(buf)?;
-        let total_len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
+    /// The payload is a [`slice`](Bytes::slice) of `buf` — nothing is
+    /// copied, and `buf`'s storage lives as long as the packet does.
+    pub fn parse(buf: &Bytes) -> Result<Ipv4Packet, WireError> {
+        let raw: &[u8] = buf;
+        let header = Ipv4Packet::parse_header_prefix(raw)?;
+        let total_len = usize::from(u16::from_be_bytes([raw[2], raw[3]]));
         if total_len < IPV4_HEADER_LEN {
             return Err(WireError::BadLength);
         }
-        need(buf, total_len)?;
+        need(raw, total_len)?;
         Ok(Ipv4Packet {
             header,
-            payload: Bytes::copy_from_slice(&buf[IPV4_HEADER_LEN..total_len]),
+            payload: buf.slice(IPV4_HEADER_LEN..total_len),
         })
     }
 
@@ -285,18 +288,21 @@ mod tests {
     fn parse_rejects_corrupted_header() {
         let mut bytes = sample().to_bytes().to_vec();
         bytes[16] ^= 0xff; // flip destination octet
-        assert_eq!(Ipv4Packet::parse(&bytes), Err(WireError::BadChecksum));
+        assert_eq!(
+            Ipv4Packet::parse(&bytes.into()),
+            Err(WireError::BadChecksum)
+        );
     }
 
     #[test]
     fn parse_rejects_wrong_version_and_ihl() {
         let mut v6 = sample().to_bytes().to_vec();
         v6[0] = 0x65;
-        assert_eq!(Ipv4Packet::parse(&v6), Err(WireError::BadVersion(6)));
+        assert_eq!(Ipv4Packet::parse(&v6.into()), Err(WireError::BadVersion(6)));
         let mut opts = sample().to_bytes().to_vec();
         opts[0] = 0x46;
         assert_eq!(
-            Ipv4Packet::parse(&opts),
+            Ipv4Packet::parse(&opts.into()),
             Err(WireError::UnsupportedHeaderLen(6))
         );
     }
@@ -305,12 +311,12 @@ mod tests {
     fn parse_rejects_truncation() {
         let bytes = sample().to_bytes();
         assert!(matches!(
-            Ipv4Packet::parse(&bytes[..10]),
+            Ipv4Packet::parse(&bytes.slice(..10)),
             Err(WireError::Truncated { .. })
         ));
         // Header intact but payload shorter than total_length claims.
         assert!(matches!(
-            Ipv4Packet::parse(&bytes[..22]),
+            Ipv4Packet::parse(&bytes.slice(..22)),
             Err(WireError::Truncated {
                 needed: 25,
                 got: 22
@@ -323,7 +329,7 @@ mod tests {
         // Ethernet pads short frames; parse must honor total_length.
         let mut bytes = sample().to_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 30]);
-        let pkt = Ipv4Packet::parse(&bytes).unwrap();
+        let pkt = Ipv4Packet::parse(&bytes.into()).unwrap();
         assert_eq!(pkt.payload.len(), 5);
     }
 

@@ -10,19 +10,21 @@
 //! `skb_push`.
 //!
 //! Backing vectors come from a bounded thread-local free list. A finished
-//! buffer is [frozen](PacketBuf::freeze) into a [`PacketBytes`] — a
-//! cheaply-cloneable shared view used for fan-out to multiple receivers
-//! (cloning bumps a reference count; only fault-injected `corrupt` copies
-//! pay for their own storage). When the last clone drops, the backing
-//! vector returns to the pool, so steady-state forwarding allocates
-//! nothing per packet.
+//! buffer is [frozen](PacketBuf::freeze) into a [`PacketBytes`]: the
+//! pooled vector itself, handed to [`Bytes`] as its owner, plus the
+//! flight id. Fan-out clones bump a reference count, and the receive
+//! side's parsers ([`Ipv4Packet::parse`](crate::Ipv4Packet::parse) and
+//! friends) return payloads that are [`slice`](Bytes::slice)s of the same
+//! storage — only fault-injected `corrupt` copies pay for their own.
+//! When the last clone *or slice* drops, the backing vector returns to
+//! the pool of the thread that dropped it, so steady-state forwarding
+//! allocates one shared handle per frame and copies nothing.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
-use std::rc::Rc;
 
-use bytes::BufMut;
+use bytes::{BufMut, Bytes};
 
 /// Largest backing vector the pool keeps; anything bigger (jumbo
 /// diagnostics, never real frames) is released to the allocator.
@@ -161,11 +163,9 @@ impl PacketBuf {
     /// carrying the flight id along.
     pub fn freeze(mut self) -> PacketBytes {
         let data = std::mem::take(&mut self.data);
-        let start = self.start;
-        self.start = 0;
+        let start = std::mem::take(&mut self.start);
         PacketBytes {
-            inner: Rc::new(PooledVec { data }),
-            start,
+            bytes: Bytes::from_owner(PooledVec { data, start }),
             flight: self.flight,
         }
     }
@@ -272,10 +272,18 @@ impl EnvelopeArena {
     }
 }
 
-/// The shared backing store of a frozen buffer; returns its vector to the
-/// pool when the last [`PacketBytes`] clone drops.
+/// The owner behind a frozen buffer's [`Bytes`]; returns its vector to the
+/// pool when the last view of it drops.
 struct PooledVec {
     data: Vec<u8>,
+    /// Unclaimed headroom in front of the content.
+    start: usize,
+}
+
+impl AsRef<[u8]> for PooledVec {
+    fn as_ref(&self) -> &[u8] {
+        &self.data[self.start..]
+    }
 }
 
 impl Drop for PooledVec {
@@ -284,15 +292,16 @@ impl Drop for PooledVec {
     }
 }
 
-/// An immutable, cheaply-cloneable view of a frozen [`PacketBuf`].
+/// A frozen [`PacketBuf`]: its wire bytes as a [`Bytes`] (which it
+/// dereferences to) plus the flight id riding beside them.
 ///
-/// Clones share the backing vector (a reference-count bump), which is what
-/// broadcast fan-out and fault-plan `duplicate` deliveries use; the pooled
-/// storage is recycled once every clone is gone.
+/// Clones and slices share the backing vector (a reference-count bump),
+/// which is what broadcast fan-out, fault-plan `duplicate` deliveries and
+/// in-place parsing use; the pooled storage is recycled once every one of
+/// them is gone.
 #[derive(Clone)]
 pub struct PacketBytes {
-    inner: Rc<PooledVec>,
-    start: usize,
+    bytes: Bytes,
     /// Flight-recorder id (metadata only; clones share it, the wire
     /// image never contains it).
     flight: u64,
@@ -305,8 +314,7 @@ impl PacketBytes {
     /// original packet's flight id.
     pub fn from_vec(data: Vec<u8>) -> PacketBytes {
         PacketBytes {
-            inner: Rc::new(PooledVec { data }),
-            start: 0,
+            bytes: Bytes::from_owner(PooledVec { data, start: 0 }),
             flight: 0,
         }
     }
@@ -322,39 +330,24 @@ impl PacketBytes {
     pub fn flight(&self) -> u64 {
         self.flight
     }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.inner.data.len() - self.start
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copies the content out (the corrupt path's private copy).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self[..].to_vec()
-    }
 }
 
 impl Deref for PacketBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.inner.data[self.start..]
+    type Target = Bytes;
+    fn deref(&self) -> &Bytes {
+        &self.bytes
     }
 }
 
 impl AsRef<[u8]> for PacketBytes {
     fn as_ref(&self) -> &[u8] {
-        self
+        &self.bytes
     }
 }
 
 impl fmt::Debug for PacketBytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self[..], f)
+        fmt::Debug::fmt(&self.bytes, f)
     }
 }
 
@@ -413,10 +406,13 @@ mod tests {
         b.put_slice(&[7; 100]);
         let frozen = b.freeze();
         let dup = frozen.clone();
+        let tail = frozen.slice(90..);
         drop(frozen);
         assert_eq!(pool_size(), 0, "still referenced by the clone");
         drop(dup);
-        assert_eq!(pool_size(), 1, "last clone returns the vector");
+        assert_eq!(pool_size(), 0, "still referenced by the slice");
+        drop(tail);
+        assert_eq!(pool_size(), 1, "last view returns the vector");
         let reused = PacketBuf::with_headroom(4);
         assert!(reused.data.capacity() >= 100, "backing vector reused");
         assert_eq!(pool_size(), 0);

@@ -142,7 +142,12 @@ impl TcpSegment {
     }
 
     /// Parses and verifies against the pseudo-header addresses.
-    pub fn parse(buf: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<TcpSegment, WireError> {
+    pub fn parse(
+        bytes: &Bytes,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<TcpSegment, WireError> {
+        let buf: &[u8] = bytes;
         need(buf, TCP_HEADER_LEN)?;
         let data_offset = usize::from(buf[12] >> 4) * 4;
         if data_offset != TCP_HEADER_LEN {
@@ -159,7 +164,7 @@ impl TcpSegment {
             ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
             flags: TcpFlags::from_byte(buf[13]),
             window: u16::from_be_bytes([buf[14], buf[15]]),
-            payload: Bytes::copy_from_slice(&buf[TCP_HEADER_LEN..]),
+            payload: bytes.slice(TCP_HEADER_LEN..),
         })
     }
 }
@@ -230,7 +235,7 @@ mod tests {
         let mut bytes = s.to_bytes(SRC, DST).to_vec();
         bytes[12] = 6 << 4; // claim 24-byte header
         assert!(matches!(
-            TcpSegment::parse(&bytes, SRC, DST),
+            TcpSegment::parse(&bytes.into(), SRC, DST),
             Err(WireError::UnsupportedHeaderLen(6))
         ));
     }
@@ -238,7 +243,7 @@ mod tests {
     #[test]
     fn rejects_truncation() {
         assert!(matches!(
-            TcpSegment::parse(&[0u8; 10], SRC, DST),
+            TcpSegment::parse(&Bytes::from_static(&[0u8; 10]), SRC, DST),
             Err(WireError::Truncated { .. })
         ));
     }

@@ -58,26 +58,49 @@ impl UdpDatagram {
     ///
     /// Panics if the datagram exceeds 65 535 bytes.
     pub fn to_bytes(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.write_into(src_ip, dst_ip, &mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the serialized datagram — header, checksum over the RFC 768
+    /// pseudo-header, payload — at `buf`'s tail. The output path writes
+    /// straight into its headroomed [`PacketBuf`](crate::PacketBuf) this
+    /// way, so the datagram is never assembled anywhere else first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the datagram exceeds 65 535 bytes.
+    pub fn write_into(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, buf: &mut impl BufMut) {
         let len = self.wire_len();
         assert!(len <= u16::MAX as usize, "UDP datagram too large: {len}");
-        let mut buf = BytesMut::with_capacity(len);
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(len as u16);
-        buf.put_u16(0);
-        buf.put_slice(&self.payload);
-        let pseudo = pseudo_header_sum(src_ip, dst_ip, 17, len as u16);
-        let mut ck = internet_checksum(&buf, pseudo);
+        // The header is four 16-bit words (the checksum word zero while
+        // summing), so its contribution folds into the initial sum and the
+        // payload is summed where it lies.
+        let header_sum = pseudo_header_sum(src_ip, dst_ip, 17, len as u16)
+            + u32::from(self.src_port)
+            + u32::from(self.dst_port)
+            + len as u32;
+        let mut ck = internet_checksum(&self.payload, header_sum);
         // RFC 768: a computed zero checksum is transmitted as all ones.
         if ck == 0 {
             ck = 0xffff;
         }
-        buf[6..8].copy_from_slice(&ck.to_be_bytes());
-        buf.freeze()
+        buf.put_u16(self.src_port);
+        buf.put_u16(self.dst_port);
+        buf.put_u16(len as u16);
+        buf.put_u16(ck);
+        buf.put_slice(&self.payload);
     }
 
-    /// Parses and verifies against the given pseudo-header addresses.
-    pub fn parse(buf: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<UdpDatagram, WireError> {
+    /// Parses and verifies against the given pseudo-header addresses. The
+    /// payload is a [`slice`](Bytes::slice) of `bytes`; nothing is copied.
+    pub fn parse(
+        bytes: &Bytes,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+    ) -> Result<UdpDatagram, WireError> {
+        let buf: &[u8] = bytes;
         need(buf, UDP_HEADER_LEN)?;
         let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
         if len < UDP_HEADER_LEN {
@@ -95,7 +118,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: Bytes::copy_from_slice(&buf[UDP_HEADER_LEN..len]),
+            payload: bytes.slice(UDP_HEADER_LEN..len),
         })
     }
 }
@@ -134,7 +157,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert_eq!(
-            UdpDatagram::parse(&bytes, SRC, DST),
+            UdpDatagram::parse(&bytes.into(), SRC, DST),
             Err(WireError::BadChecksum)
         );
     }
@@ -146,7 +169,7 @@ mod tests {
         bytes[6] = 0;
         bytes[7] = 0;
         // Must parse fine even with "wrong" addresses.
-        let back = UdpDatagram::parse(&bytes, DST, SRC).unwrap();
+        let back = UdpDatagram::parse(&bytes.into(), DST, SRC).unwrap();
         assert_eq!(back.payload, d.payload);
     }
 
@@ -163,14 +186,14 @@ mod tests {
         let d = UdpDatagram::new(1, 2, Bytes::from_static(b"abcdef"));
         let bytes = d.to_bytes(SRC, DST);
         assert!(matches!(
-            UdpDatagram::parse(&bytes[..5], SRC, DST),
+            UdpDatagram::parse(&bytes.slice(..5), SRC, DST),
             Err(WireError::Truncated { .. })
         ));
         let mut short_len = bytes.to_vec();
         short_len[4] = 0;
         short_len[5] = 4; // length < 8
         assert_eq!(
-            UdpDatagram::parse(&short_len, SRC, DST),
+            UdpDatagram::parse(&short_len.into(), SRC, DST),
             Err(WireError::BadLength)
         );
     }
@@ -180,6 +203,6 @@ mod tests {
         let d = UdpDatagram::new(1, 2, Bytes::from_static(b"pad me"));
         let mut bytes = d.to_bytes(SRC, DST).to_vec();
         bytes.extend_from_slice(&[0xAA; 16]);
-        assert_eq!(UdpDatagram::parse(&bytes, SRC, DST).unwrap(), d);
+        assert_eq!(UdpDatagram::parse(&bytes.into(), SRC, DST).unwrap(), d);
     }
 }

@@ -65,7 +65,7 @@ proptest! {
         bytes[bit / 8] ^= 1 << (bit % 8);
         // Any single-bit flip in the header must fail the checksum
         // (or trip version/IHL/length validation first).
-        if let Ok(parsed) = Ipv4Packet::parse(&bytes) {
+        if let Ok(parsed) = Ipv4Packet::parse(&bytes.into()) {
             prop_assert!(false, "corrupted header parsed: {parsed:?}");
         }
     }
@@ -97,7 +97,7 @@ proptest! {
         // possible since data is untouched. So: a successful parse must
         // equal the original except possibly when the checksum field
         // itself was zeroed.
-        if let Ok(back) = UdpDatagram::parse(&bytes, src, dst) {
+        if let Ok(back) = UdpDatagram::parse(&bytes.into(), src, dst) {
             let checksum_bits = 6 * 8..8 * 8;
             prop_assert!(
                 checksum_bits.contains(&bit),
@@ -118,7 +118,7 @@ proptest! {
         let mut bytes = msg.to_bytes().to_vec();
         let bit = flip.index(bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
-        prop_assert!(IcmpMessage::parse(&bytes).is_err(), "flip of bit {} accepted", bit);
+        prop_assert!(IcmpMessage::parse(&bytes.into()).is_err(), "flip of bit {} accepted", bit);
     }
 
     #[test]
@@ -206,12 +206,42 @@ proptest! {
 
     #[test]
     fn parse_never_panics_on_random_bytes(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = Ipv4Packet::parse(&data);
         let _ = ArpPacket::parse(&data);
-        let _ = IcmpMessage::parse(&data);
-        let a = Ipv4Addr::new(1, 2, 3, 4);
-        let _ = UdpDatagram::parse(&data, a, a);
-        let _ = TcpSegment::parse(&data, a, a);
+        // The four payload-carrying parsers must also agree, variant for
+        // variant and field for field, with the copying parsers they
+        // replaced — and hand out payloads that lie inside `data`.
+        assert_parsers_match_references(&Bytes::from(data));
+    }
+
+    #[test]
+    fn parsers_match_references_on_valid_nested_packets(
+        pkt in arb_ipv4_packet(),
+        osrc in arb_ipv4_addr(), odst in arb_ipv4_addr(),
+        pad in 0usize..8,
+    ) {
+        // Random bytes almost never get past a checksum; these do, so the
+        // `Ok` side of the comparison is exercised at every layer.
+        let src = pkt.header.src;
+        let dst = pkt.header.dst;
+        let udp = UdpDatagram::new(4000, 9000, pkt.payload.clone()).to_bytes(src, dst);
+        let tcp = TcpSegment {
+            src_port: 1023, dst_port: 513, seq: 1, ack: 2,
+            flags: tcp_flags_from_bits(16), window: 4096, payload: pkt.payload.clone(),
+        }.to_bytes(src, dst);
+        let icmp = IcmpMessage::EchoRequest { ident: 1, seq: 2, payload: pkt.payload.clone() }.to_bytes();
+        for body in [udp, tcp, icmp] {
+            assert_parsers_match_references_at(&body, src, dst);
+            let inner = Ipv4Packet::new(pkt.header, body);
+            let mut wire = ipip::encapsulate(&inner, osrc, odst).to_bytes().to_vec();
+            wire.extend(std::iter::repeat_n(0u8, pad)); // link padding
+            let wire = Bytes::from(wire);
+            assert_parsers_match_references(&wire);
+            let outer = Ipv4Packet::parse(&wire).unwrap();
+            prop_assert_eq!(ipip::decapsulate(&outer), reference::ipv4(&outer.payload));
+            let back = ipip::decapsulate(&outer).unwrap();
+            prop_assert_eq!(&back, &inner);
+            assert_inside(&back.payload, &wire);
+        }
     }
 
     // ---- truncation: every strict prefix of a valid packet is rejected,
@@ -223,7 +253,7 @@ proptest! {
         let bytes = pkt.to_bytes();
         let len = cut.index(bytes.len()); // strictly shorter than the packet
         prop_assert!(
-            Ipv4Packet::parse(&bytes[..len]).is_err(),
+            Ipv4Packet::parse(&bytes.slice(..len)).is_err(),
             "prefix of {len} of {} parsed", bytes.len()
         );
     }
@@ -238,7 +268,7 @@ proptest! {
         let bytes = d.to_bytes(src, dst);
         let len = cut.index(bytes.len());
         prop_assert!(
-            UdpDatagram::parse(&bytes[..len], src, dst).is_err(),
+            UdpDatagram::parse(&bytes.slice(..len), src, dst).is_err(),
             "prefix of {len} of {} parsed", bytes.len()
         );
     }
@@ -353,6 +383,245 @@ proptest! {
         let mut bytes = pkt.to_bytes().to_vec();
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(ArpPacket::parse(&bytes).is_err(), "flip of preamble bit {bit} accepted");
+    }
+}
+
+/// The parsers as they were before they parsed in place: each copies its
+/// payload into fresh storage. Kept here, and only here, as the reference
+/// the in-place parsers are compared against.
+mod reference {
+    use super::*;
+    use mosquitonet_wire::{pseudo_header_sum, UnreachableCode, WireError};
+
+    fn need(buf: &[u8], needed: usize) -> Result<(), WireError> {
+        if buf.len() < needed {
+            return Err(WireError::Truncated {
+                needed,
+                got: buf.len(),
+            });
+        }
+        Ok(())
+    }
+
+    pub fn ipv4(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
+        let header = Ipv4Packet::parse_header_prefix(buf)?;
+        let total_len = usize::from(u16::from_be_bytes([buf[2], buf[3]]));
+        if total_len < 20 {
+            return Err(WireError::BadLength);
+        }
+        need(buf, total_len)?;
+        Ok(Ipv4Packet {
+            header,
+            payload: Bytes::copy_from_slice(&buf[20..total_len]),
+        })
+    }
+
+    pub fn udp(buf: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<UdpDatagram, WireError> {
+        need(buf, 8)?;
+        let len = usize::from(u16::from_be_bytes([buf[4], buf[5]]));
+        if len < 8 {
+            return Err(WireError::BadLength);
+        }
+        need(buf, len)?;
+        let stored_ck = u16::from_be_bytes([buf[6], buf[7]]);
+        if stored_ck != 0 {
+            let pseudo = pseudo_header_sum(src_ip, dst_ip, 17, len as u16);
+            if internet_checksum(&buf[..len], pseudo) != 0 {
+                return Err(WireError::BadChecksum);
+            }
+        }
+        Ok(UdpDatagram {
+            src_port: u16::from_be_bytes([buf[0], buf[1]]),
+            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
+            payload: Bytes::copy_from_slice(&buf[8..len]),
+        })
+    }
+
+    pub fn tcp(buf: &[u8], src_ip: Ipv4Addr, dst_ip: Ipv4Addr) -> Result<TcpSegment, WireError> {
+        need(buf, 20)?;
+        let data_offset = usize::from(buf[12] >> 4) * 4;
+        if data_offset != 20 {
+            return Err(WireError::UnsupportedHeaderLen(buf[12] >> 4));
+        }
+        let pseudo = pseudo_header_sum(src_ip, dst_ip, 6, buf.len() as u16);
+        if internet_checksum(buf, pseudo) != 0 {
+            return Err(WireError::BadChecksum);
+        }
+        Ok(TcpSegment {
+            src_port: u16::from_be_bytes([buf[0], buf[1]]),
+            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
+            seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
+            ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
+            flags: tcp_flags_from_bits(buf[13]),
+            window: u16::from_be_bytes([buf[14], buf[15]]),
+            payload: Bytes::copy_from_slice(&buf[20..]),
+        })
+    }
+
+    pub fn icmp(buf: &[u8]) -> Result<IcmpMessage, WireError> {
+        need(buf, 8)?;
+        if internet_checksum(buf, 0) != 0 {
+            return Err(WireError::BadChecksum);
+        }
+        let (ty, code) = (buf[0], buf[1]);
+        let rest = Bytes::copy_from_slice(&buf[8..]);
+        match ty {
+            8 | 0 => {
+                let ident = u16::from_be_bytes([buf[4], buf[5]]);
+                let seq = u16::from_be_bytes([buf[6], buf[7]]);
+                Ok(if ty == 8 {
+                    IcmpMessage::EchoRequest {
+                        ident,
+                        seq,
+                        payload: rest,
+                    }
+                } else {
+                    IcmpMessage::EchoReply {
+                        ident,
+                        seq,
+                        payload: rest,
+                    }
+                })
+            }
+            3 => Ok(IcmpMessage::DestUnreachable {
+                code: match code {
+                    0 => UnreachableCode::Net,
+                    1 => UnreachableCode::Host,
+                    3 => UnreachableCode::Port,
+                    13 => UnreachableCode::AdminProhibited,
+                    other => {
+                        return Err(WireError::UnknownValue {
+                            field: "icmp unreachable code",
+                            value: u16::from(other),
+                        })
+                    }
+                },
+                invoking: rest,
+            }),
+            5 => Ok(IcmpMessage::Redirect {
+                gateway: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
+                invoking: rest,
+            }),
+            11 => Ok(IcmpMessage::TimeExceeded { invoking: rest }),
+            other => Err(WireError::UnknownValue {
+                field: "icmp type",
+                value: u16::from(other),
+            }),
+        }
+    }
+}
+
+/// Asserts `part` views memory inside `whole` (it is a slice of it, not a
+/// copy).
+fn assert_inside(part: &Bytes, whole: &Bytes) {
+    let (p, w) = (part.as_ptr_range(), whole.as_ptr_range());
+    assert!(
+        w.start <= p.start && p.end <= w.end,
+        "payload {p:?} lies outside its source buffer {w:?}"
+    );
+}
+
+fn icmp_payload(msg: &IcmpMessage) -> &Bytes {
+    match msg {
+        IcmpMessage::EchoRequest { payload, .. } | IcmpMessage::EchoReply { payload, .. } => {
+            payload
+        }
+        IcmpMessage::DestUnreachable { invoking, .. }
+        | IcmpMessage::Redirect { invoking, .. }
+        | IcmpMessage::TimeExceeded { invoking } => invoking,
+    }
+}
+
+/// Runs `data` through all four in-place parsers and their copying
+/// references: same `Ok`/`Err` variant, same fields, and every parsed
+/// payload inside `data`.
+fn assert_parsers_match_references_at(data: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) {
+    let ip = Ipv4Packet::parse(data);
+    assert_eq!(ip, reference::ipv4(data));
+    if let Ok(p) = &ip {
+        assert_inside(&p.payload, data);
+    }
+    let udp = UdpDatagram::parse(data, src, dst);
+    assert_eq!(udp, reference::udp(data, src, dst));
+    if let Ok(d) = &udp {
+        assert_inside(&d.payload, data);
+    }
+    let tcp = TcpSegment::parse(data, src, dst);
+    assert_eq!(tcp, reference::tcp(data, src, dst));
+    if let Ok(s) = &tcp {
+        assert_inside(&s.payload, data);
+    }
+    let icmp = IcmpMessage::parse(data);
+    assert_eq!(icmp, reference::icmp(data));
+    if let Ok(m) = &icmp {
+        assert_inside(icmp_payload(m), data);
+    }
+}
+
+fn assert_parsers_match_references(data: &Bytes) {
+    let a = Ipv4Addr::new(1, 2, 3, 4);
+    assert_parsers_match_references_at(data, a, a);
+}
+
+/// Every `<!-- doc-sync: name -->` hex block of `docs/PROTOCOL.md` — the
+/// encodings `crates/core/tests/doc_sync.rs` pins to the real encoders.
+fn protocol_hex_corpus() -> Vec<(String, Vec<u8>)> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PROTOCOL.md");
+    let text = std::fs::read_to_string(path).expect("docs/PROTOCOL.md must exist");
+    let mut corpus = Vec::new();
+    let mut rest = text.as_str();
+    while let Some((_, after)) = rest.split_once("<!-- doc-sync: ") {
+        let (name, after) = after.split_once(" -->").expect("marker closes");
+        let (_, body) = after.split_once("```").expect("fenced block follows");
+        let (fence, tail) = body.split_once("```").expect("fence closes");
+        let bytes = fence
+            .split_whitespace()
+            .map(|tok| u8::from_str_radix(tok, 16).expect("hex token"))
+            .collect();
+        corpus.push((name.to_string(), bytes));
+        rest = tail;
+    }
+    corpus
+}
+
+#[test]
+fn parsers_match_references_on_the_protocol_corpus() {
+    let corpus = protocol_hex_corpus();
+    assert!(
+        corpus.len() >= 5,
+        "PROTOCOL.md lost its examples: {corpus:?}"
+    );
+    let mh = Ipv4Addr::new(36, 8, 0, 42);
+    let ha = Ipv4Addr::new(36, 135, 0, 2);
+    for (name, message) in corpus {
+        // As bare bytes (none of these is a valid packet of any kind) …
+        assert_parsers_match_references(&Bytes::from(message.clone()));
+        // … and as they travel: UDP port 434, in IPv4, in an IP-in-IP
+        // tunnel, behind trailing link padding.
+        let dgram = UdpDatagram::new(434, 434, Bytes::from(message.clone()));
+        let inner = Ipv4Packet::new(
+            Ipv4Header::new(mh, ha, IpProto::Udp),
+            dgram.to_bytes(mh, ha),
+        );
+        let mut wire = ipip::encapsulate(&inner, mh, ha).to_bytes().to_vec();
+        wire.extend_from_slice(&[0; 6]);
+        let wire = Bytes::from(wire);
+        assert_parsers_match_references(&wire);
+        let outer = Ipv4Packet::parse(&wire).expect(&name);
+        let back = ipip::decapsulate(&outer).expect(&name);
+        assert_eq!(
+            Ok(&back),
+            reference::ipv4(&outer.payload).as_ref(),
+            "{name}"
+        );
+        let parsed = UdpDatagram::parse(&back.payload, mh, ha).expect(&name);
+        assert_eq!(
+            Ok(&parsed),
+            reference::udp(&back.payload, mh, ha).as_ref(),
+            "{name}"
+        );
+        assert_eq!(parsed.payload, message[..], "{name}");
+        assert_inside(&parsed.payload, &wire);
     }
 }
 

@@ -4,9 +4,10 @@
 //! minimal, API-compatible subset of `bytes`: [`Bytes`] (cheap-to-clone,
 //! immutable, sliceable), [`BytesMut`] (growable builder), and the
 //! [`BufMut`] write trait. Semantics match the real crate for every call
-//! site in this repository; performance characteristics are close enough
-//! for a discrete-event simulator (clone is an `Arc` bump, `slice` is a
-//! range narrowing, no copies).
+//! site in this repository, and so do the costs that matter to a packet
+//! path: clone is an `Arc` bump, `slice` is a range narrowing,
+//! `From<Vec<u8>>` and [`Bytes::from_owner`] adopt their argument without
+//! copying it, and every constructor makes at most one allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,36 +18,85 @@ use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
 
+/// Where the bytes live. Every shared variant is one reference-counted
+/// allocation; cloning or slicing a `Bytes` never copies.
+#[derive(Clone)]
+enum Storage {
+    /// Borrowed for the life of the program: no allocation at all.
+    Static(&'static [u8]),
+    /// Copied in once, length and bytes in the same allocation.
+    Shared(Arc<[u8]>),
+    /// Whatever the owner holds, kept alive (and dropped, running the
+    /// owner's `Drop`) by the last view. See [`Bytes::from_owner`].
+    Owner(Arc<dyn AsRef<[u8]> + Send + Sync>),
+}
+
+impl Storage {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Storage::Static(s) => s,
+            Storage::Shared(a) => a,
+            Storage::Owner(o) => (**o).as_ref(),
+        }
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::new()
+    }
+}
+
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+    /// Creates an empty `Bytes` (no allocation).
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
     }
 
-    /// Creates `Bytes` from a static slice (copied once; the real crate
-    /// borrows, but no call site can observe the difference).
-    pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(bytes)
-    }
-
-    /// Creates `Bytes` by copying `data`.
-    pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
-    }
-
-    fn from_vec(v: Vec<u8>) -> Bytes {
-        let len = v.len();
+    /// Creates `Bytes` borrowing a static slice (no allocation, no copy).
+    pub const fn from_static(bytes: &'static [u8]) -> Bytes {
         Bytes {
-            data: Arc::from(v),
+            data: Storage::Static(bytes),
             start: 0,
-            end: len,
+            end: bytes.len(),
+        }
+    }
+
+    /// Creates `Bytes` by copying `data` into one allocation.
+    pub fn copy_from_slice(data: &[u8]) -> Bytes {
+        Bytes {
+            data: Storage::Shared(Arc::from(data)),
+            start: 0,
+            end: data.len(),
+        }
+    }
+
+    /// Creates `Bytes` over whatever `owner` exposes, without copying it:
+    /// the owner moves into one shared allocation, every clone and
+    /// [`slice`](Bytes::slice) keeps it alive, and it is dropped — its
+    /// `Drop` runs — when the last of them goes. This is how a pooled
+    /// packet buffer finds its way back to the pool.
+    ///
+    /// The owner must return the same slice every time it is asked. (The
+    /// real crate asks only that it be `Send`; a stand-in that forbids
+    /// `unsafe` cannot vouch for `Sync` itself, so it asks for that too —
+    /// every owner in this repository holds a plain vector.)
+    pub fn from_owner<T>(owner: T) -> Bytes
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
+        Bytes {
+            data: Storage::Owner(Arc::new(owner)),
+            start: 0,
+            end,
         }
     }
 
@@ -79,7 +129,7 @@ impl Bytes {
         };
         assert!(begin <= end && end <= len, "slice out of bounds");
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             end: self.start + end,
         }
@@ -89,7 +139,7 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data.as_slice()[self.start..self.end]
     }
 }
 
@@ -150,8 +200,13 @@ impl<const N: usize> PartialEq<[u8; N]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector over as it is (one allocation for the shared
+    /// handle, none for the bytes).
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::from_vec(v)
+        if v.is_empty() {
+            return Bytes::new();
+        }
+        Bytes::from_owner(v)
     }
 }
 
@@ -175,7 +230,7 @@ impl From<&str> for Bytes {
 
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
-        Bytes::from_vec(s.into_bytes())
+        Bytes::from(s.into_bytes())
     }
 }
 
@@ -187,7 +242,7 @@ impl From<BytesMut> for Bytes {
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Bytes {
-        Bytes::from_vec(iter.into_iter().collect())
+        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
     }
 }
 
@@ -243,7 +298,7 @@ impl BytesMut {
 
     /// Converts into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes::from_vec(self.data)
+        Bytes::from(self.data)
     }
 }
 
@@ -353,6 +408,50 @@ mod tests {
             &b[..],
             &[0x46, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04, b'x', b'y']
         );
+    }
+
+    #[test]
+    fn owner_is_dropped_with_the_last_view() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static DROPPED: AtomicBool = AtomicBool::new(false);
+        struct Owner(Vec<u8>);
+        impl AsRef<[u8]> for Owner {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Owner {
+            fn drop(&mut self) {
+                DROPPED.store(true, Ordering::SeqCst);
+            }
+        }
+        let whole = Bytes::from_owner(Owner(vec![1, 2, 3, 4]));
+        let tail = whole.slice(2..);
+        let inner = tail.slice(1..);
+        drop(whole);
+        drop(tail);
+        assert!(
+            !DROPPED.load(Ordering::SeqCst),
+            "a slice of a slice holds on"
+        );
+        assert_eq!(&inner[..], &[4]);
+        drop(inner);
+        assert!(DROPPED.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn from_vec_adopts_the_vector() {
+        let v = vec![7u8; 32];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "no copy");
+        assert!(Bytes::from(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn bytes_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Bytes>();
     }
 
     #[test]
