@@ -50,7 +50,7 @@ use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration};
-use mosquitonet_stack::{Effect, IfaceId, Module, ModuleCtx, SocketId, UdpBatchItem};
+use mosquitonet_stack::{Effect, IfaceId, Module, ModuleCtx, SocketId};
 use mosquitonet_wire::Cidr;
 
 use crate::binding::{BindOutcome, BindingTable};
@@ -172,10 +172,6 @@ pub struct HomeAgent {
     pub replicas_applied: Counter,
     /// Journal records replayed across restarts.
     pub journal_replayed: Counter,
-    /// Datagrams that arrived through multi-datagram batched deliveries
-    /// (plain state, not a registered metric — the batch path must leave
-    /// metric exports byte-identical to the unbatched path).
-    batched_datagrams: u64,
 }
 
 impl HomeAgent {
@@ -202,62 +198,7 @@ impl HomeAgent {
             replicas_sent: Counter::default(),
             replicas_applied: Counter::default(),
             journal_replayed: Counter::default(),
-            batched_datagrams: 0,
         }
-    }
-
-    /// Datagrams that arrived through multi-datagram batched deliveries.
-    pub fn batched_datagrams(&self) -> u64 {
-        self.batched_datagrams
-    }
-
-    /// Handles one datagram on the registration socket — the shared body
-    /// of `on_udp` and `on_udp_batch`.
-    fn udp_datagram(&mut self, ctx: &mut ModuleCtx<'_>, src: (Ipv4Addr, u16), payload: &Bytes) {
-        match classify(payload) {
-            Some(MessageKind::Request) => {}
-            Some(MessageKind::Replica) => {
-                match BindingReplica::parse(payload) {
-                    Ok(replica) => self.apply_replica(ctx, &replica),
-                    Err(_) => {
-                        self.corrupt_requests.inc();
-                        ctx.fx
-                            .trace("drop.reg_corrupt: binding replica failed parse".to_string());
-                    }
-                }
-                return;
-            }
-            _ => return,
-        }
-        let request = match RegistrationRequest::parse(payload) {
-            Ok(request) => request,
-            Err(_) => {
-                // Detected (wire checksum), counted, never acted on.
-                self.corrupt_requests.inc();
-                ctx.fx
-                    .trace("drop.reg_corrupt: registration request failed parse".to_string());
-                return;
-            }
-        };
-        // Model the Pentium-90's 1.48 ms of registration service time,
-        // serialized on its single CPU.
-        let token = self.next_pending;
-        self.next_pending += 1;
-        self.pending.insert(
-            token,
-            PendingRequest {
-                request,
-                reply_to: src,
-            },
-        );
-        let start = if self.busy_until > ctx.now {
-            self.busy_until
-        } else {
-            ctx.now
-        };
-        let finish = start + self.cfg.processing_delay;
-        self.busy_until = finish;
-        ctx.fx.set_timer(finish - ctx.now, token);
     }
 
     /// The configuration (primarily for tests/experiments).
@@ -661,16 +602,50 @@ impl Module for HomeAgent {
         _dst: Ipv4Addr,
         payload: &Bytes,
     ) {
-        self.udp_datagram(ctx, src, payload);
-    }
-
-    fn on_udp_batch(&mut self, ctx: &mut ModuleCtx<'_>, _sock: SocketId, batch: &[UdpBatchItem]) {
-        if batch.len() > 1 {
-            self.batched_datagrams += batch.len() as u64;
+        match classify(payload) {
+            Some(MessageKind::Request) => {}
+            Some(MessageKind::Replica) => {
+                match BindingReplica::parse(payload) {
+                    Ok(replica) => self.apply_replica(ctx, &replica),
+                    Err(_) => {
+                        self.corrupt_requests.inc();
+                        ctx.fx
+                            .trace("drop.reg_corrupt: binding replica failed parse".to_string());
+                    }
+                }
+                return;
+            }
+            _ => return,
         }
-        for item in batch {
-            self.udp_datagram(ctx, item.src, &item.payload);
-        }
+        let request = match RegistrationRequest::parse(payload) {
+            Ok(request) => request,
+            Err(_) => {
+                // Detected (wire checksum), counted, never acted on.
+                self.corrupt_requests.inc();
+                ctx.fx
+                    .trace("drop.reg_corrupt: registration request failed parse".to_string());
+                return;
+            }
+        };
+        // Model the Pentium-90's 1.48 ms of registration service time,
+        // serialized on its single CPU.
+        let token = self.next_pending;
+        self.next_pending += 1;
+        self.pending.insert(
+            token,
+            PendingRequest {
+                request,
+                reply_to: src,
+            },
+        );
+        let start = if self.busy_until > ctx.now {
+            self.busy_until
+        } else {
+            ctx.now
+        };
+        let finish = start + self.cfg.processing_delay;
+        self.busy_until = finish;
+        ctx.fx.set_timer(finish - ctx.now, token);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -19,7 +19,7 @@ use bytes::Bytes;
 use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{
     Effect, EncapSpec, HostCore, IfaceId, Module, ModuleCtx, RouteAnswer, RouteDecision,
-    RouteEntry, SocketId, SourceSel, UdpBatchItem,
+    RouteEntry, SocketId, SourceSel,
 };
 use mosquitonet_wire::{Cidr, IcmpMessage};
 
@@ -293,10 +293,6 @@ pub struct MobileHost {
     autoswitch_stable: u32,
     /// Switches the automatic policy initiated (instrumentation).
     pub autoswitches: Counter,
-    /// Datagrams that arrived through multi-datagram batched deliveries
-    /// (plain state, not a registered metric — the batch path must leave
-    /// metric exports byte-identical to the unbatched path).
-    batched_datagrams: u64,
     /// Retransmission schedule for the current registration attempt.
     backoff: RetryBackoff,
     /// When the currently-held binding expires at the home agent.
@@ -366,7 +362,6 @@ impl MobileHost {
             binding_lapses: Counter::default(),
             corrupt_replies: Counter::default(),
             auth_failures: Counter::default(),
-            batched_datagrams: 0,
             backoff,
             binding_expires_at: None,
             current_ha,
@@ -918,40 +913,6 @@ impl MobileHost {
         }
     }
 
-    /// Datagrams that arrived through multi-datagram batched deliveries.
-    pub fn batched_datagrams(&self) -> u64 {
-        self.batched_datagrams
-    }
-
-    /// Handles one datagram on a socket this module owns — the shared body
-    /// of `on_udp` and `on_udp_batch`.
-    fn udp_datagram(&mut self, ctx: &mut ModuleCtx<'_>, sock: SocketId, payload: &Bytes) {
-        if Some(sock) == self.dhcp_sock {
-            let Some(dhcp) = &mut self.dhcp else { return };
-            if let ClientEvent::Acquired(lease) = dhcp.on_udp(ctx.fx, payload, ctx.now) {
-                if let Some(op) = &mut self.switching {
-                    if op.phase == Phase::Acquiring {
-                        op.target = Some((lease.addr, lease.subnet, lease.router));
-                        op.phase = Phase::Configuring;
-                        ctx.fx.set_timer(CONFIGURE_IFACE, TOKEN_CONFIGURED);
-                    }
-                }
-            }
-            return;
-        }
-        if Some(sock) == self.reg_sock && classify(payload) == Some(MessageKind::Reply) {
-            match RegistrationReply::parse(payload) {
-                Ok(reply) => self.handle_reply(ctx, reply),
-                Err(_) => {
-                    // Detected (wire checksum), counted, never acted on.
-                    self.corrupt_replies.inc();
-                    ctx.fx
-                        .trace("drop.reg_corrupt: registration reply failed parse".to_string());
-                }
-            }
-        }
-    }
-
     fn handle_reply(&mut self, ctx: &mut ModuleCtx<'_>, reply: RegistrationReply) {
         // A keyed host trusts only signed replies: a forged denial must
         // not cancel the retry timer or count as a real denial.
@@ -1037,91 +998,6 @@ impl MobileHost {
             ));
             self.backoff.reset();
             self.send_registration(ctx);
-        }
-    }
-
-    /// The policy resolution behind [`Module::route_override`], with cache
-    /// eligibility. A successful decision is cacheable and carries the
-    /// per-mode policy counter its lookup charged (replayed hits must keep
-    /// charging it). A lookup that charged the counter but then failed to
-    /// resolve a route is [`RouteAnswer::Once`]: the charge is a per-call
-    /// side effect a cached fall-through would silently skip.
-    fn route_decision(&mut self, core: &HostCore, dst: Ipv4Addr, src: SourceSel) -> RouteAnswer {
-        let (care_of, registered) = match self.location {
-            Location::Home { .. } => return RouteAnswer::Pass,
-            Location::Away {
-                care_of,
-                registered,
-                ..
-            } => (care_of, registered),
-        };
-        match src {
-            SourceSel::Addr(a) if a != self.cfg.home_addr => return RouteAnswer::Pass,
-            _ => {}
-        }
-        if !registered && !self.degraded {
-            // Mid-switch: nothing sensible to do; let normal routing try.
-            return RouteAnswer::Pass;
-        }
-        let mut mode = self.policy.lookup(dst);
-        if self.degraded && mode == SendMode::ReverseTunnel {
-            // No home agent to tunnel through: fall back to direct
-            // encapsulation so the correspondent still sees the home
-            // address (the degradation ladder's next rung; DirectLocal
-            // destinations already bypass the agent).
-            mode = SendMode::DirectEncap;
-        }
-        let on_hit = Some(self.policy.stats.counter_for(mode).clone());
-        let route_to = |target: Ipv4Addr| -> Option<(IfaceId, Ipv4Addr)> {
-            let rt = core.routes.lookup(target)?;
-            Some((rt.iface, rt.gateway.unwrap_or(target)))
-        };
-        let decision = match mode {
-            SendMode::ReverseTunnel => {
-                route_to(self.current_ha).map(|(out_iface, next_hop)| RouteDecision {
-                    iface: out_iface,
-                    src: self.cfg.home_addr,
-                    next_hop,
-                    encap: Some(EncapSpec {
-                        outer_src: care_of,
-                        outer_dst: self.current_ha,
-                    }),
-                })
-            }
-            SendMode::Triangle => route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
-                iface: out_iface,
-                src: self.cfg.home_addr,
-                next_hop,
-                encap: None,
-            }),
-            SendMode::DirectEncap => route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
-                iface: out_iface,
-                src: self.cfg.home_addr,
-                next_hop,
-                encap: Some(EncapSpec {
-                    outer_src: care_of,
-                    outer_dst: dst,
-                }),
-            }),
-            SendMode::DirectLocal => {
-                // An application that explicitly bound the home address
-                // keeps it (this degenerates to the triangle route);
-                // unspecified sources take the local address — the pure
-                // local role.
-                route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
-                    iface: out_iface,
-                    src: match src {
-                        SourceSel::Addr(a) => a,
-                        SourceSel::Unspecified => care_of,
-                    },
-                    next_hop,
-                    encap: None,
-                })
-            }
-        };
-        match decision {
-            Some(decision) => RouteAnswer::Decide { decision, on_hit },
-            None => RouteAnswer::Once(None),
         }
     }
 
@@ -1302,15 +1178,29 @@ impl Module for MobileHost {
         _dst: Ipv4Addr,
         payload: &Bytes,
     ) {
-        self.udp_datagram(ctx, sock, payload);
-    }
-
-    fn on_udp_batch(&mut self, ctx: &mut ModuleCtx<'_>, sock: SocketId, batch: &[UdpBatchItem]) {
-        if batch.len() > 1 {
-            self.batched_datagrams += batch.len() as u64;
+        if Some(sock) == self.dhcp_sock {
+            let Some(dhcp) = &mut self.dhcp else { return };
+            if let ClientEvent::Acquired(lease) = dhcp.on_udp(ctx.fx, payload, ctx.now) {
+                if let Some(op) = &mut self.switching {
+                    if op.phase == Phase::Acquiring {
+                        op.target = Some((lease.addr, lease.subnet, lease.router));
+                        op.phase = Phase::Configuring;
+                        ctx.fx.set_timer(CONFIGURE_IFACE, TOKEN_CONFIGURED);
+                    }
+                }
+            }
+            return;
         }
-        for item in batch {
-            self.udp_datagram(ctx, sock, &item.payload);
+        if Some(sock) == self.reg_sock && classify(payload) == Some(MessageKind::Reply) {
+            match RegistrationReply::parse(payload) {
+                Ok(reply) => self.handle_reply(ctx, reply),
+                Err(_) => {
+                    // Detected (wire checksum), counted, never acted on.
+                    self.corrupt_replies.inc();
+                    ctx.fx
+                        .trace("drop.reg_corrupt: registration reply failed parse".to_string());
+                }
+            }
         }
     }
 
@@ -1340,26 +1230,89 @@ impl Module for MobileHost {
     /// The `ip_rt_route()` override (§3.3): packets with an unspecified
     /// source, or sourced from the home address, are subject to mobile IP;
     /// everything else is outside its scope.
-    fn route_override(
-        &mut self,
-        core: &HostCore,
-        dst: Ipv4Addr,
-        src: SourceSel,
-    ) -> Option<RouteDecision> {
-        match self.route_decision(core, dst, src) {
-            RouteAnswer::Pass => None,
-            RouteAnswer::Decide { decision, .. } => Some(decision),
-            RouteAnswer::Once(d) => d,
+    ///
+    /// A successful decision is cacheable and carries the per-mode policy
+    /// counter its lookup charged (replayed hits must keep charging it). A
+    /// lookup that charged the counter but then failed to resolve a route
+    /// is [`RouteAnswer::Once`]: the charge is a per-call side effect a
+    /// cached fall-through would silently skip.
+    fn route_override(&mut self, core: &HostCore, dst: Ipv4Addr, src: SourceSel) -> RouteAnswer {
+        let (care_of, registered) = match self.location {
+            Location::Home { .. } => return RouteAnswer::Pass,
+            Location::Away {
+                care_of,
+                registered,
+                ..
+            } => (care_of, registered),
+        };
+        match src {
+            SourceSel::Addr(a) if a != self.cfg.home_addr => return RouteAnswer::Pass,
+            _ => {}
         }
-    }
-
-    fn route_override_cached(
-        &mut self,
-        core: &HostCore,
-        dst: Ipv4Addr,
-        src: SourceSel,
-    ) -> RouteAnswer {
-        self.route_decision(core, dst, src)
+        if !registered && !self.degraded {
+            // Mid-switch: nothing sensible to do; let normal routing try.
+            return RouteAnswer::Pass;
+        }
+        let mut mode = self.policy.lookup(dst);
+        if self.degraded && mode == SendMode::ReverseTunnel {
+            // No home agent to tunnel through: fall back to direct
+            // encapsulation so the correspondent still sees the home
+            // address (the degradation ladder's next rung; DirectLocal
+            // destinations already bypass the agent).
+            mode = SendMode::DirectEncap;
+        }
+        let on_hit = Some(self.policy.stats.counter_for(mode).clone());
+        let route_to = |target: Ipv4Addr| -> Option<(IfaceId, Ipv4Addr)> {
+            let rt = core.routes.lookup(target)?;
+            Some((rt.iface, rt.gateway.unwrap_or(target)))
+        };
+        let decision = match mode {
+            SendMode::ReverseTunnel => {
+                route_to(self.current_ha).map(|(out_iface, next_hop)| RouteDecision {
+                    iface: out_iface,
+                    src: self.cfg.home_addr,
+                    next_hop,
+                    encap: Some(EncapSpec {
+                        outer_src: care_of,
+                        outer_dst: self.current_ha,
+                    }),
+                })
+            }
+            SendMode::Triangle => route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
+                iface: out_iface,
+                src: self.cfg.home_addr,
+                next_hop,
+                encap: None,
+            }),
+            SendMode::DirectEncap => route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
+                iface: out_iface,
+                src: self.cfg.home_addr,
+                next_hop,
+                encap: Some(EncapSpec {
+                    outer_src: care_of,
+                    outer_dst: dst,
+                }),
+            }),
+            SendMode::DirectLocal => {
+                // An application that explicitly bound the home address
+                // keeps it (this degenerates to the triangle route);
+                // unspecified sources take the local address — the pure
+                // local role.
+                route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
+                    iface: out_iface,
+                    src: match src {
+                        SourceSel::Addr(a) => a,
+                        SourceSel::Unspecified => care_of,
+                    },
+                    next_hop,
+                    encap: None,
+                })
+            }
+        };
+        match decision {
+            Some(decision) => RouteAnswer::Decide { decision, on_hit },
+            None => RouteAnswer::Once(None),
+        }
     }
 
     fn route_generation(&self) -> Option<u64> {
@@ -1430,7 +1383,9 @@ mod tests {
     #[test]
     fn pinned_foreign_source_is_outside_mobile_ip() {
         let (host, mut mh, _eth) = away_mobile();
-        let d = mh.route_override(&host.core, CH, SourceSel::Addr(Ipv4Addr::new(36, 8, 0, 42)));
+        let d = mh
+            .route_override(&host.core, CH, SourceSel::Addr(Ipv4Addr::new(36, 8, 0, 42)))
+            .decision();
         assert!(d.is_none(), "local-role packets bypass the policy table");
     }
 
@@ -1439,6 +1394,7 @@ mod tests {
         let (host, mut mh, eth) = away_mobile();
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .expect("subject to mobile IP");
         assert_eq!(d.src, mh.cfg.home_addr, "home role source");
         assert_eq!(d.iface, eth);
@@ -1451,11 +1407,13 @@ mod tests {
     #[test]
     fn home_source_is_also_subject_to_mobile_ip() {
         let (host, mut mh, _eth) = away_mobile();
-        let d = mh.route_override(
-            &host.core,
-            CH,
-            SourceSel::Addr(Ipv4Addr::new(36, 135, 0, 9)),
-        );
+        let d = mh
+            .route_override(
+                &host.core,
+                CH,
+                SourceSel::Addr(Ipv4Addr::new(36, 135, 0, 9)),
+            )
+            .decision();
         assert!(d.is_some(), "§3.3: home-address source means mobile IP");
     }
 
@@ -1465,6 +1423,7 @@ mod tests {
         mh.policy.set(Cidr::host(CH), SendMode::Triangle);
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .unwrap();
         assert_eq!(d.src, mh.cfg.home_addr);
         assert!(d.encap.is_none(), "triangle sends in the clear");
@@ -1476,6 +1435,7 @@ mod tests {
         mh.policy.set(Cidr::host(CH), SendMode::DirectEncap);
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .unwrap();
         let encap = d.encap.unwrap();
         assert_eq!(encap.outer_dst, CH, "tunnel terminates at the CH");
@@ -1493,6 +1453,7 @@ mod tests {
         mh.policy.set(Cidr::host(CH), SendMode::DirectLocal);
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .unwrap();
         assert_eq!(d.src, Ipv4Addr::new(36, 8, 0, 42));
         assert!(d.encap.is_none());
@@ -1508,6 +1469,7 @@ mod tests {
         let mut mh = MobileHost::new_at_home(cfg(vif), eth);
         assert!(mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .is_none());
         assert!(mh.away_status().is_none());
     }
@@ -1522,6 +1484,7 @@ mod tests {
         };
         assert!(mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .is_none());
         assert_eq!(
             mh.away_status(),
@@ -1541,6 +1504,7 @@ mod tests {
         let gen_before = mh.route_generation();
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .expect("degraded forwarding still routes");
         assert_eq!(d.src, mh.cfg.home_addr, "home role survives degradation");
         let encap = d.encap.expect("falls back to direct encapsulation");
@@ -1568,6 +1532,7 @@ mod tests {
         mh.policy.set(Cidr::host(CH), SendMode::DirectLocal);
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .unwrap();
         assert_eq!(d.src, Ipv4Addr::new(36, 8, 0, 42), "local role kept");
         assert!(d.encap.is_none(), "DirectLocal already needs no agent");
@@ -1581,6 +1546,7 @@ mod tests {
         mh.current_ha = standby;
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
+            .decision()
             .unwrap();
         assert_eq!(
             d.encap.unwrap().outer_dst,

@@ -35,8 +35,12 @@ struct PolicyModule {
     policy: MobilePolicyTable,
 }
 
-impl PolicyModule {
-    fn decide(&mut self, core: &HostCore, dst: Ipv4Addr) -> RouteAnswer {
+impl Module for PolicyModule {
+    fn name(&self) -> &'static str {
+        "coherence-policy"
+    }
+
+    fn route_override(&mut self, core: &HostCore, dst: Ipv4Addr, _src: SourceSel) -> RouteAnswer {
         if !self.registered {
             return RouteAnswer::Pass;
         }
@@ -85,34 +89,6 @@ impl PolicyModule {
             Some(decision) => RouteAnswer::Decide { decision, on_hit },
             None => RouteAnswer::Once(None),
         }
-    }
-}
-
-impl Module for PolicyModule {
-    fn name(&self) -> &'static str {
-        "coherence-policy"
-    }
-
-    fn route_override(
-        &mut self,
-        core: &HostCore,
-        dst: Ipv4Addr,
-        src: SourceSel,
-    ) -> Option<RouteDecision> {
-        match self.route_override_cached(core, dst, src) {
-            RouteAnswer::Pass => None,
-            RouteAnswer::Decide { decision, .. } => Some(decision),
-            RouteAnswer::Once(d) => d,
-        }
-    }
-
-    fn route_override_cached(
-        &mut self,
-        core: &HostCore,
-        dst: Ipv4Addr,
-        _src: SourceSel,
-    ) -> RouteAnswer {
-        self.decide(core, dst)
     }
 
     fn route_generation(&self) -> Option<u64> {

@@ -29,9 +29,7 @@ use mosquitonet_sim::Counter;
 
 use crate::host::{Host, HostId};
 use crate::iface::IfaceId;
-use crate::proto::{
-    EncapSpec, ModuleId, RouteAnswer, RouteDecision, SendOptions, SourceSel, UdpBatchItem,
-};
+use crate::proto::{EncapSpec, ModuleId, RouteAnswer, RouteDecision, SendOptions, SourceSel};
 use crate::tcp::{ConnId, TcpOut, TcpTable};
 use crate::telemetry::DropReason::{
     ArpQueue, FilterIngress, Malformed, NoRoute, NoSocket, NotLocal, Ttl, Unclaimed,
@@ -138,7 +136,7 @@ fn resolve_route_uncached(
     // Module hooks (Mobile Policy Table) — first claim wins.
     for idx in 0..host.modules.len() {
         if let Some(mut module) = host.take_module(ModuleId(idx)) {
-            let answer = module.route_override_cached(&host.core, dst, src_sel);
+            let answer = module.route_override(&host.core, dst, src_sel);
             host.put_module(ModuleId(idx), module);
             match answer {
                 RouteAnswer::Pass => {}
@@ -203,16 +201,28 @@ fn resolve_route_uncached(
     )
 }
 
-/// Socket lookup and source pinning, shared by both UDP send paths: the
-/// bound port, the source selection, and whether `dst` is one of this
-/// host's own addresses. `None` for a closed socket.
-fn udp_source(
-    h: &Host,
+/// Sends one UDP datagram per payload from `sock` to `dst`, in order, each
+/// with its own IP ident and flight. A single datagram is a burst of one:
+/// the socket lookup and the route resolution (one fast-path decision-cache
+/// consultation) run once however many payloads follow. A closed socket or
+/// an empty burst sends nothing, resolves nothing and mints no flight.
+pub fn udp_send(
+    sim: &mut NetSim,
+    host: HostId,
     sock: SocketId,
-    dst: Ipv4Addr,
-    opts: &SendOptions,
-) -> Option<(u16, SourceSel, bool)> {
-    let s = h.core.udp.get(sock)?;
+    dst: (Ipv4Addr, u16),
+    payloads: impl IntoIterator<Item = Bytes>,
+    opts: SendOptions,
+) {
+    let mut payloads = payloads.into_iter().peekable();
+    if payloads.peek().is_none() {
+        return;
+    }
+    let h = &mut sim.world_mut().hosts[host.0];
+    let Some(s) = h.core.udp.get(sock) else {
+        return; // closed socket
+    };
+    let src_port = s.port;
     // A socket bound to a concrete address pins the source (§3.3's
     // "outside the scope of mobile IP" case), unless the caller pinned
     // one explicitly.
@@ -221,124 +231,42 @@ fn udp_source(
         (SourceSel::Unspecified, Some(a)) => SourceSel::Addr(a),
         (SourceSel::Unspecified, None) => SourceSel::Unspecified,
     };
-    Some((s.port, src_sel, h.core.is_local_addr(dst)))
-}
-
-/// One datagram of a UDP send to a remote `dst`, along the `decision` its
-/// send resolved (once, however many datagrams share it): the `Sent` hop,
-/// then either the no-route casualty or header, ident and transmit.
-fn udp_output(
-    sim: &mut NetSim,
-    host: HostId,
-    flight: u64,
-    dgram: UdpDatagram,
-    dst: Ipv4Addr,
-    ttl: Option<u8>,
-    decision: Option<RouteDecision>,
-) {
-    emit(sim, host, flight, "udp", Event::Sent, SILENT);
-    let Some(decision) = decision else {
-        emit(sim, host, flight, "udp", Event::Drop(NoRoute), SILENT);
-        return;
-    };
-    let mut header = Ipv4Header::new(decision.src, dst, IpProto::Udp);
-    if let Some(ttl) = ttl {
-        header.ttl = ttl;
-    }
-    header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-    let body = Body::Udp(dgram);
-    send_resolved(sim, host, Outgoing { header, body }, decision, flight);
-}
-
-/// Sends a UDP datagram from `sock`.
-pub fn udp_send(
-    sim: &mut NetSim,
-    host: HostId,
-    sock: SocketId,
-    dst: (Ipv4Addr, u16),
-    payload: Bytes,
-    opts: SendOptions,
-) {
-    let flight = sim.flights_mut().begin_flight(opts.label);
-    let h = &mut sim.world_mut().hosts[host.0];
-    let Some((src_port, src_sel, local)) = udp_source(h, sock, dst.0, &opts) else {
-        return; // closed socket
-    };
-    // Local destination: deliver without touching the wire.
-    if local {
+    // Local destination: deliver without touching the wire, one input
+    // event per datagram after the usual processing delay.
+    if h.core.is_local_addr(dst.0) {
         let src = match src_sel {
             SourceSel::Addr(a) => a,
             SourceSel::Unspecified => dst.0,
         };
-        let dgram = UdpDatagram::new(src_port, dst.1, payload);
-        let bytes = dgram.to_bytes(src, dst.0);
-        let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
-        header.ident = h.core.next_ident();
-        let pkt = Ipv4Packet::new(header, bytes);
         let proc = h.core.proc_delay;
-        emit(sim, host, flight, "udp", Event::Sent, SILENT);
-        sim.schedule_in(proc, move |sim| {
-            ip_input_flight(sim, host, None, pkt, 0, flight)
-        });
-        return;
-    }
-    let decision = resolve_route(h, dst.0, src_sel, opts.iface);
-    let dgram = UdpDatagram::new(src_port, dst.1, payload);
-    udp_output(sim, host, flight, dgram, dst.0, opts.ttl, decision);
-}
-
-/// Sends a burst of UDP datagrams from `sock` to one destination,
-/// resolving the route once for the whole burst.
-///
-/// Wire behavior — one datagram per payload, in order, each with its own
-/// IP ident and flight — matches `payloads.len()` calls to [`udp_send`];
-/// the saved work is the repeated socket lookup and route resolution (the
-/// fast-path decision cache is consulted once, not per packet). Bursts to
-/// a local address are additionally delivered in a single engine event,
-/// reaching the owning module through one
-/// [`crate::proto::Module::on_udp_batch`] call.
-pub fn udp_send_burst(
-    sim: &mut NetSim,
-    host: HostId,
-    sock: SocketId,
-    dst: (Ipv4Addr, u16),
-    payloads: Vec<Bytes>,
-    opts: SendOptions,
-) {
-    if payloads.is_empty() {
-        return;
-    }
-    let h = &sim.world().hosts[host.0];
-    let Some((src_port, src_sel, local)) = udp_source(h, sock, dst.0, &opts) else {
-        return; // closed socket
-    };
-    // Local destination: build every packet now, deliver the lot in one
-    // engine event after the usual processing delay.
-    if local {
-        let src = match src_sel {
-            SourceSel::Addr(a) => a,
-            SourceSel::Unspecified => dst.0,
-        };
-        let mut pkts = Vec::with_capacity(payloads.len());
         for payload in payloads {
             let flight = sim.flights_mut().begin_flight(opts.label);
-            let dgram = UdpDatagram::new(src_port, dst.1, payload);
-            let bytes = dgram.to_bytes(src, dst.0);
+            let bytes = UdpDatagram::new(src_port, dst.1, payload).to_bytes(src, dst.0);
             let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
             header.ident = sim.world_mut().hosts[host.0].core.next_ident();
+            let pkt = Ipv4Packet::new(header, bytes);
             emit(sim, host, flight, "udp", Event::Sent, SILENT);
-            pkts.push((Ipv4Packet::new(header, bytes), flight));
+            sim.schedule_in(proc, move |sim| {
+                ip_input_flight(sim, host, None, pkt, 0, flight)
+            });
         }
-        let proc = sim.world().hosts[host.0].core.proc_delay;
-        sim.schedule_in(proc, move |sim| udp_input_burst(sim, host, pkts));
         return;
     }
-    let h = &mut sim.world_mut().hosts[host.0];
     let decision = resolve_route(h, dst.0, src_sel, opts.iface);
     for payload in payloads {
         let flight = sim.flights_mut().begin_flight(opts.label);
-        let dgram = UdpDatagram::new(src_port, dst.1, payload);
-        udp_output(sim, host, flight, dgram, dst.0, opts.ttl, decision);
+        emit(sim, host, flight, "udp", Event::Sent, SILENT);
+        let Some(decision) = decision else {
+            emit(sim, host, flight, "udp", Event::Drop(NoRoute), SILENT);
+            continue;
+        };
+        let mut header = Ipv4Header::new(decision.src, dst.0, IpProto::Udp);
+        if let Some(ttl) = opts.ttl {
+            header.ttl = ttl;
+        }
+        header.ident = sim.world_mut().hosts[host.0].core.next_ident();
+        let body = Body::Udp(UdpDatagram::new(src_port, dst.1, payload));
+        send_resolved(sim, host, Outgoing { header, body }, decision, flight);
     }
 }
 
@@ -776,15 +704,9 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
                 .expect("live")
                 .owner;
             emit(sim, host, flight, "udp", Event::Delivered, SILENT);
-            let item = UdpBatchItem {
-                src: (packet.header.src, dgram.src_port),
-                dst: packet.header.dst,
-                payload: dgram.payload,
-            };
-            // A wire arrival is a batch of one; the default
-            // `on_udp_batch` forwards it to `on_udp` unchanged.
-            world::dispatch(sim, host, owner, move |m, ctx| {
-                m.on_udp_batch(ctx, sock, std::slice::from_ref(&item));
+            let src = (packet.header.src, dgram.src_port);
+            world::dispatch(sim, host, owner, |m, ctx| {
+                m.on_udp(ctx, sock, src, packet.header.dst, &dgram.payload);
             });
         }
         None => {
@@ -806,90 +728,6 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
             }
         }
     }
-}
-
-/// Delivers a burst of locally-destined UDP packets in one engine event
-/// (the receive side of [`udp_send_burst`]'s local shortcut). Per-packet
-/// accounting matches `ip_input_flight` + `local_deliver` + `udp_input`
-/// exactly; runs of consecutive datagrams for the same socket reach the
-/// owning module as one `on_udp_batch` call, flushed whenever the target
-/// socket changes so cross-socket ordering is preserved.
-fn udp_input_burst(sim: &mut NetSim, host: HostId, pkts: Vec<(Ipv4Packet, u64)>) {
-    fn flush(
-        sim: &mut NetSim,
-        host: HostId,
-        sock: Option<SocketId>,
-        group: &mut Vec<UdpBatchItem>,
-    ) {
-        let Some(sock) = sock else { return };
-        if group.is_empty() {
-            return;
-        }
-        let owner = sim.world().hosts[host.0]
-            .core
-            .udp
-            .get(sock)
-            .expect("live")
-            .owner;
-        let batch = std::mem::take(group);
-        world::dispatch(sim, host, owner, move |m, ctx| {
-            m.on_udp_batch(ctx, sock, &batch);
-        });
-    }
-
-    let mut group: Vec<UdpBatchItem> = Vec::new();
-    let mut group_sock: Option<SocketId> = None;
-    for (packet, flight) in pkts {
-        {
-            let core = &mut sim.world_mut().hosts[host.0].core;
-            core.stats.ip_input.inc();
-            core.stats.delivered.inc();
-        }
-        let dgram = match UdpDatagram::parse(&packet.payload, packet.header.src, packet.header.dst)
-        {
-            Ok(d) => d,
-            Err(_) => {
-                flush(sim, host, group_sock.take(), &mut group);
-                emit(sim, host, flight, "udp", Event::Drop(Malformed), SILENT);
-                continue;
-            }
-        };
-        let target = sim.world().hosts[host.0]
-            .core
-            .udp
-            .deliver_to(packet.header.dst, dgram.dst_port);
-        match target {
-            Some(sock) => {
-                if group_sock != Some(sock) {
-                    flush(sim, host, group_sock.take(), &mut group);
-                    group_sock = Some(sock);
-                }
-                emit(sim, host, flight, "udp", Event::Delivered, SILENT);
-                group.push(UdpBatchItem {
-                    src: (packet.header.src, dgram.src_port),
-                    dst: packet.header.dst,
-                    payload: dgram.payload,
-                });
-            }
-            None => {
-                flush(sim, host, group_sock.take(), &mut group);
-                emit(sim, host, flight, "udp", Event::Drop(NoSocket), SILENT);
-                if !non_unicast_dst(sim, host, packet.header.dst) {
-                    let quote = packet.invoking_quote();
-                    icmp_error(
-                        sim,
-                        host,
-                        packet.header.src,
-                        IcmpMessage::DestUnreachable {
-                            code: UnreachableCode::Port,
-                            invoking: quote,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    flush(sim, host, group_sock, &mut group);
 }
 
 /// True when `dst` must never be replied or errored to: a multicast group

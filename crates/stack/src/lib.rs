@@ -33,10 +33,10 @@ pub use arp::{ArpAction, ArpState, ArpStats, ARP_MAX_TRIES};
 pub use fastpath::{CacheEntry, CacheKey, FastPath, FastPathStats};
 pub use host::{Host, HostCore, HostId, HostStats, DEFAULT_PROC_DELAY};
 pub use iface::{IfaceAddr, IfaceId, Interface, LanId};
-pub use ip::{ip_input, ip_send_packet, resolve_route, udp_send, udp_send_burst};
+pub use ip::{ip_input, ip_send_packet, resolve_route, udp_send};
 pub use proto::{
     Effect, Effects, EncapSpec, Module, ModuleCtx, ModuleId, RouteAnswer, RouteDecision,
-    SendOptions, SourceSel, UdpBatchItem,
+    SendOptions, SourceSel,
 };
 pub use route::{RouteEntry, RouteTable};
 pub use sniff::frame_summary;

@@ -88,7 +88,7 @@ pub struct RouteDecision {
     pub encap: Option<EncapSpec>,
 }
 
-/// A module's answer to a cache-aware route query, telling the fast path
+/// A module's answer to [`Module::route_override`], telling the fast path
 /// whether the resolution may be replayed from the decision cache.
 #[derive(Clone, Debug)]
 pub enum RouteAnswer {
@@ -110,6 +110,17 @@ pub enum RouteAnswer {
     Once(Option<RouteDecision>),
 }
 
+impl RouteAnswer {
+    /// The route this answer dictates, if any.
+    pub fn decision(&self) -> Option<RouteDecision> {
+        match self {
+            RouteAnswer::Pass => None,
+            RouteAnswer::Decide { decision, .. } => Some(*decision),
+            RouteAnswer::Once(d) => *d,
+        }
+    }
+}
+
 /// A deferred action queued by a module and applied by the world.
 #[derive(Debug)]
 pub enum Effect {
@@ -125,9 +136,9 @@ pub enum Effect {
         opts: SendOptions,
     },
     /// Send a burst of UDP datagrams from `sock` to one destination,
-    /// resolving the route once for the whole burst (the batched
-    /// saturation path). The wire behavior — one datagram per payload, in
-    /// order — is identical to queueing `payloads.len()` `SendUdp`s.
+    /// resolving the route once for the whole burst (the saturation
+    /// path). The wire behavior — one datagram per payload, in order — is
+    /// identical to queueing `payloads.len()` `SendUdp`s.
     SendUdpBurst {
         /// Originating socket.
         sock: SocketId,
@@ -282,17 +293,6 @@ impl Effects {
     }
 }
 
-/// One datagram of a batched UDP delivery (see [`Module::on_udp_batch`]).
-#[derive(Clone, Debug)]
-pub struct UdpBatchItem {
-    /// Sender address and port.
-    pub src: (Ipv4Addr, u16),
-    /// Destination address the datagram was sent to.
-    pub dst: Ipv4Addr,
-    /// Payload.
-    pub payload: Bytes,
-}
-
 /// Context handed to module callbacks.
 pub struct ModuleCtx<'a> {
     /// The host's mutable state (interfaces, routes, ARP, sockets, tunnels).
@@ -390,17 +390,6 @@ pub trait Module: Any {
     ) {
     }
 
-    /// A batch of datagrams arrived on a UDP socket owned by this module
-    /// within one engine tick, in arrival order. The default delivers
-    /// them one at a time through [`Module::on_udp`], so modules that
-    /// never override this hook behave identically under batching;
-    /// batch-aware modules override it to amortize per-datagram work.
-    fn on_udp_batch(&mut self, ctx: &mut ModuleCtx<'_>, sock: SocketId, batch: &[UdpBatchItem]) {
-        for item in batch {
-            self.on_udp(ctx, sock, item.src, item.dst, &item.payload);
-        }
-    }
-
     /// An ICMP message addressed to this host arrived.
     fn on_icmp(&mut self, ctx: &mut ModuleCtx<'_>, from: Ipv4Addr, msg: &IcmpMessage) {}
 
@@ -408,37 +397,13 @@ pub trait Module: Any {
     /// application's source selection, optionally dictate the route.
     ///
     /// Consulted for locally-originated packets only, in module order; the
-    /// first `Some` wins. Return `None` to fall through to the kernel
-    /// routing table.
-    fn route_override(
-        &mut self,
-        core: &HostCore,
-        dst: Ipv4Addr,
-        src: SourceSel,
-    ) -> Option<RouteDecision> {
-        None
-    }
-
-    /// Cache-aware variant of [`Module::route_override`], consulted by the
-    /// fast-path decision cache. The default wraps `route_override`:
-    /// `Some` becomes a cacheable [`RouteAnswer::Decide`] and `None` a
-    /// cacheable [`RouteAnswer::Pass`]. Modules whose resolution has
-    /// per-lookup side effects (counter charges, probes) override this to
-    /// return [`RouteAnswer::Once`] where replaying a cached decision
-    /// would skip them.
-    fn route_override_cached(
-        &mut self,
-        core: &HostCore,
-        dst: Ipv4Addr,
-        src: SourceSel,
-    ) -> RouteAnswer {
-        match self.route_override(core, dst, src) {
-            Some(decision) => RouteAnswer::Decide {
-                decision,
-                on_hit: None,
-            },
-            None => RouteAnswer::Pass,
-        }
+    /// first decision wins. [`RouteAnswer::Pass`] (the default) falls
+    /// through to the next module and then the kernel routing table. The
+    /// fast-path decision cache replays `Pass` and [`RouteAnswer::Decide`];
+    /// a resolution with per-lookup side effects (counter charges, probes)
+    /// that a replay would skip answers [`RouteAnswer::Once`].
+    fn route_override(&mut self, core: &HostCore, dst: Ipv4Addr, src: SourceSel) -> RouteAnswer {
+        RouteAnswer::Pass
     }
 
     /// A monotone counter over every input that can change this module's

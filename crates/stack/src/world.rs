@@ -495,7 +495,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 payload,
                 opts,
             } => {
-                ip::udp_send(sim, host, sock, dst, payload, opts);
+                ip::udp_send(sim, host, sock, dst, [payload], opts);
             }
             Effect::SendUdpBurst {
                 sock,
@@ -503,7 +503,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 payloads,
                 opts,
             } => {
-                ip::udp_send_burst(sim, host, sock, dst, payloads, opts);
+                ip::udp_send(sim, host, sock, dst, payloads, opts);
             }
             Effect::SendIp { packet, opts } => {
                 ip::ip_send_packet(sim, host, packet, opts);

@@ -1,13 +1,14 @@
 //! End-to-end tests of the stack: ARP-resolved UDP across a LAN, routed
 //! forwarding, ICMP (ping, port unreachable, redirects), VIF tunnel
-//! entries, the transit-traffic filter, and a TCP session over a router.
+//! entries, the transit-traffic filter, a TCP session over a router, and
+//! the UDP local-destination shortcut.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_link::presets;
-use mosquitonet_sim::{Sim, SimDuration};
+use mosquitonet_sim::{Json, Sim, SimDuration, Snapshot};
 use mosquitonet_stack::{
     self as stack, ConnId, HostId, IfaceId, Module, ModuleCtx, NetSim, Network, RouteEntry,
     SocketId, TcpEvent,
@@ -351,7 +352,7 @@ fn udp_to_closed_port_yields_port_unreachable() {
         t.a,
         sock,
         (ip("10.0.2.2"), 4242),
-        Bytes::from_static(b"?"),
+        [Bytes::from_static(b"?")],
         Default::default(),
     );
     t.sim.run_for(SimDuration::from_secs(2));
@@ -792,7 +793,7 @@ fn frames_to_downed_device_are_lost() {
         t.a,
         sock,
         (ip("10.0.2.2"), 7),
-        Bytes::from_static(b"x"),
+        [Bytes::from_static(b"x")],
         Default::default(),
     );
     t.sim.run_for(SimDuration::from_secs(2));
@@ -802,4 +803,143 @@ fn frames_to_downed_device_are_lost() {
         .rx_dropped_down
         .get();
     assert_eq!(rx_after - rx_before, 1, "frame lost at downed interface");
+}
+
+/// Binds port 9 and records what arrives there, in order.
+#[derive(Default)]
+struct Recorder {
+    sock: Option<SocketId>,
+    got: Vec<Bytes>,
+}
+
+impl Module for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+    fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+        self.sock = ctx.udp_bind(None, 9);
+    }
+    fn on_udp(
+        &mut self,
+        _ctx: &mut ModuleCtx<'_>,
+        _sock: SocketId,
+        _src: (Ipv4Addr, u16),
+        _dst: Ipv4Addr,
+        payload: &Bytes,
+    ) {
+        self.got.push(payload.clone());
+    }
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+const LOCAL_BURST: u64 = 5;
+
+fn numbered_payloads() -> Vec<Bytes> {
+    (0..LOCAL_BURST)
+        .map(|i| Bytes::from(i.to_be_bytes().to_vec()))
+        .collect()
+}
+
+/// What a run of [`local_sends`] left behind.
+#[derive(Debug, PartialEq)]
+struct LocalRun {
+    got: Vec<Bytes>,
+    metrics: Snapshot,
+    trace: String,
+    journeys: Json,
+}
+
+/// Sends the numbered payloads from hostA's recorder socket to `port` on
+/// hostA's own address — as one burst effect or as that many single
+/// sends. Returns the metrics from just before the sends, and the run.
+fn local_sends(port: u16, burst: bool) -> (Snapshot, LocalRun) {
+    let mut t = two_nets();
+    t.sim.flights_mut().set_enabled(true);
+    let mid = t
+        .sim
+        .world_mut()
+        .host_mut(t.a)
+        .add_module(Box::new(Recorder::default()));
+    stack::start(&mut t.sim);
+    let before = t.sim.metrics().snapshot();
+    stack::dispatch(&mut t.sim, t.a, mid, |m, ctx| {
+        let sock = m.as_any().downcast_mut::<Recorder>().unwrap().sock.unwrap();
+        let dst = (ip("10.0.1.2"), port);
+        if burst {
+            ctx.fx
+                .send_udp_burst(sock, dst, numbered_payloads(), Default::default());
+        } else {
+            for payload in numbered_payloads() {
+                ctx.fx.send_udp(sock, dst, payload);
+            }
+        }
+    });
+    t.sim.run_for(SimDuration::from_secs(1));
+    let names = ["hostA", "hostB", "router"].map(String::from);
+    let recorder: &mut Recorder = t.sim.world_mut().host_mut(t.a).module_mut(mid).unwrap();
+    let got = std::mem::take(&mut recorder.got);
+    let run = LocalRun {
+        got,
+        metrics: t.sim.metrics().snapshot(),
+        trace: t.sim.trace().render(),
+        journeys: t.sim.flights().export(&names, None),
+    };
+    (before, run)
+}
+
+#[test]
+fn local_burst_is_n_deliveries_in_send_order() {
+    let (before, run) = local_sends(9, true);
+    assert_eq!(run.got, numbered_payloads(), "one on_udp each, send order");
+    for name in ["hostA/ip/input", "hostA/ip/delivered"] {
+        let moved = run.metrics.counter(name) - before.counter(name);
+        assert_eq!(moved, LOCAL_BURST, "{name}");
+    }
+    assert_eq!(
+        local_sends(9, false).1,
+        run,
+        "N single sends are the same run"
+    );
+}
+
+#[test]
+fn local_burst_to_an_unbound_port_drops_every_datagram() {
+    let run = local_sends(10, true).1;
+    assert!(run.got.is_empty());
+    let journeys = run.journeys.render_pretty();
+    let no_socket = journeys.matches(r#""action": "drop.no_socket""#).count();
+    assert_eq!(no_socket as u64, LOCAL_BURST, "{journeys}");
+    assert_eq!(
+        local_sends(10, false).1,
+        run,
+        "N single sends are the same run"
+    );
+}
+
+#[test]
+fn closed_socket_sends_nothing_and_mints_no_flight() {
+    let mut t = two_nets();
+    t.sim.flights_mut().set_enabled(true);
+    let core = &mut t.sim.world_mut().host_mut(t.a).core;
+    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    core.udp.close(sock);
+    let first = t.sim.flights_mut().begin_flight(None);
+    let events = t.sim.events_executed();
+    for dst in [ip("10.0.1.2"), ip("10.0.2.2")] {
+        let payloads = [Bytes::from_static(b"a"), Bytes::from_static(b"b")];
+        stack::udp_send(
+            &mut t.sim,
+            t.a,
+            sock,
+            (dst, 9),
+            payloads,
+            Default::default(),
+        );
+    }
+    t.sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(t.sim.events_executed(), events, "nothing was scheduled");
+    assert!(t.sim.flights().is_empty(), "no hop recorded");
+    assert_eq!(t.sim.flights_mut().begin_flight(None), first + 1);
 }

@@ -53,13 +53,19 @@ fn run(exp: &Experiment, params: &Params) -> Vec<(&'static str, Json)> {
 /// `experiment all [seed=N] [json=FILE]`: every entry at its defaults,
 /// under one seed.
 fn run_all(args: &[String]) -> Result<(), String> {
-    let mut seed_arg: Option<&String> = None;
+    let mut seed_args: Vec<&String> = Vec::new();
     let mut json_path = None;
     for arg in args {
         match arg.split_once('=') {
-            Some(("seed", _)) => seed_arg = Some(arg),
-            Some(("json", path)) if !path.is_empty() => json_path = Some(path),
-            _ => return Err(format!("`{arg}`: `all` takes only seed=N and json=FILE")),
+            Some(("seed", _)) => seed_args.push(arg),
+            Some(("json", path)) if !path.is_empty() && json_path.is_none() => {
+                json_path = Some(path)
+            }
+            _ => {
+                return Err(format!(
+                    "`{arg}`: `all` takes only seed=N and one json=FILE"
+                ))
+            }
         }
     }
     // Check the seed against every entry before the first run starts.
@@ -67,7 +73,7 @@ fn run_all(args: &[String]) -> Result<(), String> {
     let mut seed = None;
     for exp in REGISTRY {
         let seeded = exp.params.iter().any(|p| p.key == "seed");
-        let params = Params::parse(exp, seed_arg.filter(|_| seeded).as_slice())?;
+        let params = Params::parse(exp, if seeded { &seed_args[..] } else { &[] })?;
         if seeded {
             seed = Some(params.get("seed"));
         }

@@ -1828,10 +1828,6 @@ pub struct S3Row {
     pub delivered: u64,
     /// Payload bytes the sinks received.
     pub bytes: u64,
-    /// `on_udp_batch` invocations at the sinks (≥ 1 datagram each).
-    pub deliveries: u64,
-    /// Widest single batched delivery observed.
-    pub max_batch: u64,
     /// MH `ip/output` delta over the run.
     pub mh_output: u64,
     /// MH packets IP-in-IP encapsulated.
@@ -1858,14 +1854,16 @@ pub struct S3Row {
 
 impl S3Row {
     /// Renders the deterministic fields (everything but `wall_ns`).
+    /// `deliveries` and `max_batch` are frozen `mosquitonet.bench/v1`
+    /// members, derived: every datagram is its own delivery.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("mode", Json::from(self.mode)),
             ("sent", Json::UInt(self.sent)),
             ("delivered", Json::UInt(self.delivered)),
             ("bytes", Json::UInt(self.bytes)),
-            ("deliveries", Json::UInt(self.deliveries)),
-            ("max_batch", Json::UInt(self.max_batch)),
+            ("deliveries", Json::UInt(self.delivered)),
+            ("max_batch", Json::UInt((self.delivered > 0) as u64)),
             ("mh_output", Json::UInt(self.mh_output)),
             ("mh_encapsulated", Json::UInt(self.mh_encapsulated)),
             ("ha_forwarded", Json::UInt(self.ha_forwarded)),
@@ -1918,8 +1916,6 @@ impl S3Row {
     fn tally_sink(&mut self, span: &mut Span, sink: &SaturationSink) {
         self.delivered += sink.datagrams;
         self.bytes += sink.bytes;
-        self.deliveries += sink.deliveries;
-        self.max_batch = self.max_batch.max(sink.max_batch);
         span.widen(sink.first_at, sink.last_at);
     }
 
@@ -2337,8 +2333,6 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
         row.sent += part.sent;
         row.delivered += part.delivered;
         row.bytes += part.bytes;
-        row.deliveries += part.deliveries;
-        row.max_batch = row.max_batch.max(part.max_batch);
         // The src/gw counters include the two ARP primers per shard —
         // deterministic, and identical at every thread count.
         row.mh_output += part.mh_output;
@@ -2575,9 +2569,9 @@ impl S2Result {
 /// standby) home-agent pair and a churn host standing in for the
 /// shard's slice of a `cfg.mobile_hosts`-wide population. The binding
 /// table is partitioned by the rendezvous [`ShardDirectory`]; churn
-/// registrations arrive in Zipf-distributed bursts on the batched
-/// `on_udp_batch` lane, a deterministic 1/32 of them misdirected to a
-/// neighbour shard first (denied `wrong_shard`, then redirected).
+/// registrations arrive in Zipf-distributed bursts, a deterministic
+/// 1/32 of them misdirected to a neighbour shard first (denied
+/// `wrong_shard`, then redirected).
 ///
 /// `threads` only chooses how many workers step the shards; every
 /// deterministic output is byte-identical across thread counts.
@@ -3517,12 +3511,13 @@ pub struct Params(Vec<(&'static str, u64)>);
 
 impl Params {
     /// Parses `key=value` arguments against `exp`'s declared parameters.
-    /// Unknown keys, non-integers and out-of-range values are errors that
-    /// name the offending token; nothing is defaulted silently.
+    /// Unknown keys, repeated keys, non-integers and out-of-range values
+    /// are errors that name the offending token; nothing is defaulted
+    /// silently.
     pub fn parse<S: AsRef<str>>(exp: &Experiment, args: &[S]) -> Result<Params, String> {
         let mut values: Vec<(&'static str, u64)> =
             exp.params.iter().map(|p| (p.key, p.default)).collect();
-        for arg in args {
+        for (i, arg) in args.iter().enumerate() {
             let arg = arg.as_ref();
             let (key, value) = arg
                 .split_once('=')
@@ -3533,6 +3528,10 @@ impl Params {
                 .zip(&mut values)
                 .find(|(p, _)| p.key == key)
                 .ok_or_else(|| format!("`{arg}`: {} has no parameter `{key}`", exp.name))?;
+            let same_key = |a: &S| a.as_ref().split_once('=').is_some_and(|(k, _)| k == key);
+            if args[..i].iter().any(same_key) {
+                return Err(format!("`{arg}`: {key} is given more than once"));
+            }
             let v: u64 = value
                 .parse()
                 .map_err(|_| format!("`{arg}`: `{value}` is not an unsigned integer"))?;

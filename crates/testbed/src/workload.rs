@@ -15,7 +15,7 @@ use std::net::Ipv4Addr;
 use bytes::Bytes;
 use mosquitonet_sim::rng::mix64;
 use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
-use mosquitonet_stack::{ConnId, Module, ModuleCtx, SendOptions, SocketId, TcpEvent, UdpBatchItem};
+use mosquitonet_stack::{ConnId, Module, ModuleCtx, SendOptions, SocketId, TcpEvent};
 
 /// One probe in an echo stream.
 #[derive(Clone, Copy, Debug)]
@@ -796,9 +796,7 @@ impl Module for SaturationSender {
     }
 }
 
-/// The S3 saturation sink: a batch-aware counter. Overrides
-/// `on_udp_batch` so a multi-datagram delivery is accounted in one call,
-/// tracking how wide the batches actually were.
+/// The S3 saturation sink: counts the datagrams and bytes that arrive.
 pub struct SaturationSink {
     /// Port to serve.
     pub port: u16,
@@ -806,10 +804,6 @@ pub struct SaturationSink {
     pub bytes: u64,
     /// Datagrams received.
     pub datagrams: u64,
-    /// `on_udp_batch` invocations (each covers ≥ 1 datagram).
-    pub deliveries: u64,
-    /// Widest single delivery seen.
-    pub max_batch: u64,
     /// First arrival.
     pub first_at: Option<SimTime>,
     /// Latest arrival.
@@ -823,8 +817,6 @@ impl SaturationSink {
             port,
             bytes: 0,
             datagrams: 0,
-            deliveries: 0,
-            max_batch: 0,
             first_at: None,
             last_at: None,
         }
@@ -840,13 +832,16 @@ impl Module for SaturationSink {
         ctx.udp_bind(None, self.port).expect("port free");
     }
 
-    fn on_udp_batch(&mut self, ctx: &mut ModuleCtx<'_>, _sock: SocketId, batch: &[UdpBatchItem]) {
-        self.deliveries += 1;
-        self.max_batch = self.max_batch.max(batch.len() as u64);
-        for item in batch {
-            self.bytes += item.payload.len() as u64;
-            self.datagrams += 1;
-        }
+    fn on_udp(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        _sock: SocketId,
+        _src: (Ipv4Addr, u16),
+        _dst: Ipv4Addr,
+        payload: &Bytes,
+    ) {
+        self.bytes += payload.len() as u64;
+        self.datagrams += 1;
         if self.first_at.is_none() {
             self.first_at = Some(ctx.now);
         }
@@ -877,9 +872,8 @@ struct PendingReg {
 /// law (a few hot commuters move constantly; the long tail barely does).
 ///
 /// Every tick it draws `burst` hosts from the Zipf sampler and queues
-/// one registration per distinct host through the batched
-/// `send_udp_burst` lane, so same-tick requests drain through the home
-/// agent's `on_udp_batch` path as one engine batch. A deterministic 1/32
+/// one registration per distinct host as one `send_udp_burst` per
+/// destination agent (one route resolution each). A deterministic 1/32
 /// of draws are *misdirected* to a neighbour shard's home agent, which
 /// denies them (`drop.wrong_shard`); the churn module then re-sends to
 /// the true owner, charging the full detour to the measured latency.

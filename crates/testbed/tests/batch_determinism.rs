@@ -40,8 +40,6 @@ proptest! {
         prop_assert_eq!(batched_row.sent, unbatched_row.sent);
         prop_assert_eq!(batched_row.delivered, unbatched_row.delivered);
         prop_assert_eq!(batched_row.bytes, unbatched_row.bytes);
-        prop_assert_eq!(batched_row.deliveries, unbatched_row.deliveries);
-        prop_assert_eq!(batched_row.max_batch, unbatched_row.max_batch);
         prop_assert_eq!(batched_row.mh_output, unbatched_row.mh_output);
         prop_assert_eq!(batched_row.mh_encapsulated, unbatched_row.mh_encapsulated);
         prop_assert_eq!(batched_row.ha_forwarded, unbatched_row.ha_forwarded);

@@ -1,7 +1,7 @@
 //! Documentation-sync checks: drop-reason codes against
 //! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` against
-//! the registry, and DESIGN.md's crate and dependency tables against the
-//! manifests.
+//! the registry, DESIGN.md's crate and dependency tables against the
+//! manifests, and its module hook list against `trait Module`.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in trace lines, metric names, and flight-recorder hop
@@ -178,4 +178,31 @@ fn design_md_tables_match_the_manifests() {
         crates,
         "DESIGN.md §3 must have one row per directory under crates/ plus the root package"
     );
+}
+
+/// DESIGN.md §3 names the hooks a protocol module can implement; the list
+/// is the `fn` names of `trait Module`, in declaration order (it once
+/// named a `dyn Protocol` and an `on_ip_deliver` that never existed).
+#[test]
+fn design_md_hook_list_is_trait_module() {
+    let root = workspace_root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let proto = std::fs::read_to_string(root.join("crates/stack/src/proto.rs")).expect("proto.rs");
+
+    let (_, list) = design
+        .split_once("The trait is the whole hook surface:")
+        .expect("DESIGN.md §3 introduces the hook list");
+    let (list, _) = list.split_once('.').expect("the list ends its sentence");
+    let documented: Vec<&str> = list.split('`').skip(1).step_by(2).collect();
+
+    let (_, body) = proto
+        .split_once("pub trait Module: Any {")
+        .expect("trait Module");
+    let (body, _) = body.split_once("\n}\n").expect("end of trait Module");
+    let declared: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("fn "))
+        .map(|l| l.split('(').next().expect("fn name"))
+        .collect();
+    assert_eq!(documented, declared);
 }

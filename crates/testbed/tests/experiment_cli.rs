@@ -43,14 +43,16 @@ fn help_prints_usage_and_runs_nothing() {
 fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
     let dir = scratch("bad-params");
     for (args, token) in [
-        (["s2_ha_fleet", "shard=4"], "`shard=4`"),
+        (&["s2_ha_fleet", "shard=4"][..], "`shard=4`"),
         (
-            ["c4_lossy_registration", "switches=four"],
+            &["c4_lossy_registration", "switches=four"],
             "`switches=four`",
         ),
-        (["s2_ha_fleet", "shards=300"], "`shards=300`"),
+        (&["s2_ha_fleet", "shards=300"], "`shards=300`"),
+        (&["s3_saturation", "ticks=1", "ticks=2"], "`ticks=2`"),
+        (&["all", "seed=1", "seed=2"], "`seed=2`"),
     ] {
-        let out = experiment(&dir, &args);
+        let out = experiment(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8(out.stderr).expect("utf-8");
         assert!(
@@ -58,7 +60,7 @@ fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
             "{args:?} must name {token}: {stderr}"
         );
         assert!(
-            stderr.contains(&format!("usage: experiment {}", args[0])),
+            stderr.contains(&format!("experiment {} [", args[0])),
             "{args:?} must print the entry's usage: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?} must not print a report");

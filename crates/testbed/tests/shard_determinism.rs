@@ -21,8 +21,6 @@ fn assert_rows_equal(a: &S3Row, b: &S3Row) {
     prop_assert_eq!(a.sent, b.sent);
     prop_assert_eq!(a.delivered, b.delivered);
     prop_assert_eq!(a.bytes, b.bytes);
-    prop_assert_eq!(a.deliveries, b.deliveries);
-    prop_assert_eq!(a.max_batch, b.max_batch);
     prop_assert_eq!(a.mh_output, b.mh_output);
     prop_assert_eq!(a.mh_encapsulated, b.mh_encapsulated);
     prop_assert_eq!(a.ha_forwarded, b.ha_forwarded);
