@@ -4,10 +4,9 @@
 //! host's care-of address and other information such as the lifetime of
 //! the registration and any authentication information" (§3.1).
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{SimDuration, SimTime};
+use mosquitonet_sim::{IdHashMap, SimDuration, SimTime};
 
 /// One mobility binding.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,9 +44,9 @@ pub struct Binding {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct BindingTable {
-    bindings: HashMap<Ipv4Addr, Binding>,
+    bindings: IdHashMap<Ipv4Addr, Binding>,
     /// Replay floor for hosts with no live binding.
-    retired_idents: HashMap<Ipv4Addr, u64>,
+    retired_idents: IdHashMap<Ipv4Addr, u64>,
 }
 
 /// Result of attempting to install/refresh a binding.

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, RouteEntry, SocketId, SourceSel};
 use mosquitonet_wire::Cidr;
 
@@ -136,7 +136,7 @@ impl Module for ForeignAgent {
             // Previous-FA forwarding grace period over.
             ctx.core.clear_tunnel(home);
             ctx.fx
-                .trace(format!("previous-FA forwarding for {home} expired"));
+                .trace(Line::new("previous-FA forwarding for {} expired").addr(home));
         }
     }
 
@@ -200,10 +200,8 @@ impl Module for ForeignAgent {
                         // out to its former care-of address.
                         ctx.core.clear_tunnel(reply.home_addr);
                         self.forward_tokens.retain(|_, h| *h != reply.home_addr);
-                        ctx.fx.trace(format!(
-                            "visitor {} registered via this FA",
-                            reply.home_addr
-                        ));
+                        let line = Line::new("visitor {} registered via this FA");
+                        ctx.fx.trace(line.addr(reply.home_addr));
                     }
                     crate::messages::ReplyCode::Accepted => {
                         // Deregistration: the visitor is leaving; its
@@ -230,10 +228,9 @@ impl Module for ForeignAgent {
                 self.forward_tokens.insert(token, update.home_addr);
                 ctx.fx
                     .set_timer(SimDuration::from_secs(u64::from(update.lifetime)), token);
-                ctx.fx.trace(format!(
-                    "forwarding {} to new care-of {} for {}s",
-                    update.home_addr, update.new_care_of, update.lifetime
-                ));
+                let line = Line::new("forwarding {} to new care-of {} for {}s");
+                let line = line.addr(update.home_addr).addr(update.new_care_of);
+                ctx.fx.trace(line.num(update.lifetime.into()));
             }
             _ => {}
         }
@@ -354,7 +351,7 @@ impl FaMobileHost {
                 label: Some("fa-sol"),
             },
         );
-        ctx.fx.trace("fa-mh moved; soliciting agents".to_string());
+        ctx.fx.trace("fa-mh moved; soliciting agents");
     }
 
     fn register_via(&mut self, ctx: &mut ModuleCtx<'_>, fa: Ipv4Addr) {
@@ -414,7 +411,7 @@ impl FaMobileHost {
             Some(d) => d,
             None => {
                 ctx.fx
-                    .trace("fa-mh retry budget exhausted; restarting schedule".to_string());
+                    .trace("fa-mh retry budget exhausted; restarting schedule");
                 self.backoff.reset();
                 self.backoff.next_delay().expect("fresh budget")
             }
@@ -515,7 +512,7 @@ impl Module for FaMobileHost {
                         // Detected (wire checksum), counted, never acted on.
                         self.corrupt_replies.inc();
                         ctx.fx
-                            .trace("drop.reg_corrupt: registration reply failed parse".to_string());
+                            .trace("drop.reg_corrupt: registration reply failed parse");
                         return;
                     }
                 };
@@ -526,10 +523,9 @@ impl Module for FaMobileHost {
                     ctx.fx.push(mosquitonet_stack::Effect::CancelTimer {
                         token: TOKEN_FA_REG_RETRY,
                     });
-                    ctx.fx.trace(format!(
-                        "fa-mh registered via {}",
-                        self.current_fa.expect("pending set")
-                    ));
+                    let line = Line::new("fa-mh registered via {}");
+                    ctx.fx
+                        .trace(line.addr(self.current_fa.expect("pending set")));
                 }
             }
             _ => {}

@@ -49,7 +49,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{Counter, IdHashMap, Line, MetricCell, MetricsScope, SimDuration};
 use mosquitonet_stack::{Effect, IfaceId, Module, ModuleCtx, SocketId};
 use mosquitonet_wire::Cidr;
 
@@ -140,7 +140,7 @@ pub struct HomeAgent {
     /// bindings without serving them.
     serving: HashSet<Ipv4Addr>,
     sock: Option<SocketId>,
-    pending: HashMap<u64, PendingRequest>,
+    pending: IdHashMap<u64, PendingRequest>,
     next_pending: u64,
     /// The single Pentium-90 CPU: registration service is serialized, so
     /// a burst of N requests completes in ~N × processing_delay (the A2
@@ -184,7 +184,7 @@ impl HomeAgent {
             epoch: 0,
             serving: HashSet::new(),
             sock: None,
-            pending: HashMap::new(),
+            pending: IdHashMap::default(),
             next_pending: TOKEN_PENDING_BASE,
             busy_until: mosquitonet_sim::SimTime::ZERO,
             processed: Counter::default(),
@@ -303,10 +303,8 @@ impl HomeAgent {
             let owner = directory.resolve(req.home_addr);
             if owner != *own_shard {
                 self.wrong_shard.inc();
-                ctx.fx.trace(format!(
-                    "drop.wrong_shard: {} is owned by fleet shard {owner}",
-                    req.home_addr
-                ));
+                let line = Line::new("drop.wrong_shard: {} is owned by fleet shard {}");
+                ctx.fx.trace(line.addr(req.home_addr).num(owner.into()));
                 self.reply(ctx, reply_to, ReplyCode::DeniedUnknownHome, 0, &req);
                 return;
             }
@@ -320,10 +318,8 @@ impl HomeAgent {
                 .is_some_and(|&(_spi, key)| req.verify(key));
             if !ok {
                 self.auth_failures.inc();
-                ctx.fx.trace(format!(
-                    "drop.auth_fail: registration for {} unsigned or bad digest",
-                    req.home_addr
-                ));
+                let line = Line::new("drop.auth_fail: registration for {} unsigned or bad digest");
+                ctx.fx.trace(line.addr(req.home_addr));
                 self.reply(ctx, reply_to, ReplyCode::DeniedAuth, 0, &req);
                 return;
             }
@@ -334,10 +330,8 @@ impl HomeAgent {
             // capture stays dead across restarts.
             if req.ident <= self.bindings.last_ident(req.home_addr) {
                 self.auth_replays.inc();
-                ctx.fx.trace(format!(
-                    "drop.auth_replay: registration for {} replays ident {}",
-                    req.home_addr, req.ident
-                ));
+                let line = Line::new("drop.auth_replay: registration for {} replays ident {}");
+                ctx.fx.trace(line.addr(req.home_addr).num(req.ident));
                 self.reply(ctx, reply_to, ReplyCode::DeniedIdent, 0, &req);
                 return;
             }
@@ -361,7 +355,8 @@ impl HomeAgent {
                             ident: req.ident,
                         },
                     );
-                    ctx.fx.trace(format!("deregistered {}", req.home_addr));
+                    ctx.fx
+                        .trace(Line::new("deregistered {}").addr(req.home_addr));
                     self.reply(ctx, reply_to, ReplyCode::Accepted, 0, &req);
                 }
                 None if self.bindings.last_ident(req.home_addr) >= req.ident
@@ -409,16 +404,13 @@ impl HomeAgent {
         match outcome {
             BindOutcome::ReplayRejected => unreachable!("handled above"),
             BindOutcome::Created => {
-                ctx.fx.trace(format!(
-                    "registered {} at care-of {}",
-                    req.home_addr, req.care_of
-                ));
+                let line = Line::new("registered {} at care-of {}");
+                ctx.fx.trace(line.addr(req.home_addr).addr(req.care_of));
             }
             BindOutcome::Moved { previous } => {
-                ctx.fx.trace(format!(
-                    "moved {} from {} to {}",
-                    req.home_addr, previous, req.care_of
-                ));
+                let line = Line::new("moved {} from {} to {}");
+                ctx.fx
+                    .trace(line.addr(req.home_addr).addr(previous).addr(req.care_of));
                 if self.cfg.notify_previous {
                     let update = BindingUpdate {
                         lifetime: 10,
@@ -477,10 +469,11 @@ impl HomeAgent {
             }
         }
         self.replicas_applied.inc();
-        ctx.fx.trace(format!(
-            "replica applied: {:?} {}",
-            replica.op, replica.home_addr
-        ));
+        let line = match replica.op {
+            ReplicaOp::Bind => "replica applied: Bind {}",
+            ReplicaOp::Unbind => "replica applied: Unbind {}",
+        };
+        ctx.fx.trace(Line::new(line).addr(replica.home_addr));
     }
 }
 
@@ -537,10 +530,8 @@ impl Module for HomeAgent {
             for (home, binding) in expired {
                 self.expiries.inc();
                 self.stop_serving(ctx, home);
-                ctx.fx.trace(format!(
-                    "binding expired: {home} (was at {})",
-                    binding.care_of
-                ));
+                let line = Line::new("binding expired: {} (was at {})");
+                ctx.fx.trace(line.addr(home).addr(binding.care_of));
             }
             ctx.fx.set_timer(SWEEP_INTERVAL, TOKEN_SWEEP);
         } else {
@@ -566,19 +557,18 @@ impl Module for HomeAgent {
             // in replies makes every mobile host re-register from
             // scratch, rebuilding the table the slow way.
             self.journal.clear();
-            ctx.fx.trace(format!(
-                "ha restart: epoch {} with journal lost, booting empty",
-                self.epoch
-            ));
+            let line = Line::new("ha restart: epoch {} with journal lost, booting empty");
+            ctx.fx.trace(line.num(self.epoch.into()));
         } else {
             let (table, stats) = self.journal.replay();
             self.journal_replayed
                 .add(stats.binds + stats.unbinds + stats.expiries);
             self.bindings = table;
-            ctx.fx.trace(format!(
+            let line = Line::new(
                 "ha restart: epoch {}, journal replayed ({} binds, {} unbinds, {} expiries)",
-                self.epoch, stats.binds, stats.unbinds, stats.expiries
-            ));
+            );
+            let line = line.num(self.epoch.into()).num(stats.binds);
+            ctx.fx.trace(line.num(stats.unbinds).num(stats.expiries));
             // Re-install the stand-in state for every binding still
             // alive, so tunneled delivery resumes before the mobile
             // hosts even notice the outage.
@@ -610,7 +600,7 @@ impl Module for HomeAgent {
                     Err(_) => {
                         self.corrupt_requests.inc();
                         ctx.fx
-                            .trace("drop.reg_corrupt: binding replica failed parse".to_string());
+                            .trace("drop.reg_corrupt: binding replica failed parse");
                     }
                 }
                 return;
@@ -623,7 +613,7 @@ impl Module for HomeAgent {
                 // Detected (wire checksum), counted, never acted on.
                 self.corrupt_requests.inc();
                 ctx.fx
-                    .trace("drop.reg_corrupt: registration request failed parse".to_string());
+                    .trace("drop.reg_corrupt: registration request failed parse");
                 return;
             }
         };

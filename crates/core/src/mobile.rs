@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{
     Effect, EncapSpec, HostCore, IfaceId, Module, ModuleCtx, RouteAnswer, RouteDecision,
     RouteEntry, SocketId, SourceSel,
@@ -391,7 +391,7 @@ impl MobileHost {
         ctx.fx.set_timer(cfg.interval, TOKEN_AUTOSWITCH);
         self.autoswitch = Some(cfg);
         self.autoswitch_stable = 0;
-        ctx.fx.trace("autoswitch enabled".to_string());
+        ctx.fx.trace("autoswitch enabled");
     }
 
     /// Disables the automatic switch policy.
@@ -446,10 +446,8 @@ impl MobileHost {
             // old interface has nothing left to offer).
             self.autoswitch_stable = 0;
             self.autoswitches.inc();
-            ctx.fx.trace(format!(
-                "autoswitch: current network lost; cold switch to iface {:?}",
-                best.iface
-            ));
+            let line = "autoswitch: current network lost; cold switch to iface IfaceId({})";
+            ctx.fx.trace(Line::new(line).num(best.iface.0 as u64));
             self.start_switch(
                 ctx,
                 SwitchPlan {
@@ -466,10 +464,8 @@ impl MobileHost {
         if self.autoswitch_stable >= cfg.stability && ctx.core.iface(best.iface).device.is_up() {
             self.autoswitch_stable = 0;
             self.autoswitches.inc();
-            ctx.fx.trace(format!(
-                "autoswitch: preferring iface {:?}; hot switch",
-                best.iface
-            ));
+            let line = Line::new("autoswitch: preferring iface IfaceId({}); hot switch");
+            ctx.fx.trace(line.num(best.iface.0 as u64));
             self.start_switch(
                 ctx,
                 SwitchPlan {
@@ -518,10 +514,11 @@ impl MobileHost {
             start: Some(ctx.now),
             ..RegistrationTimeline::default()
         };
-        ctx.fx.trace(format!(
-            "switch start: {:?} to iface {:?}",
-            plan.style, plan.iface
-        ));
+        let line = match plan.style {
+            SwitchStyle::Cold => "switch start: Cold to iface IfaceId({})",
+            SwitchStyle::Hot => "switch start: Hot to iface IfaceId({})",
+        };
+        ctx.fx.trace(Line::new(line).num(plan.iface.0 as u64));
         let old_iface = match self.location {
             Location::Home { iface } => {
                 // Leaving home: the home address moves from the physical
@@ -591,7 +588,7 @@ impl MobileHost {
             start: Some(ctx.now),
             ..RegistrationTimeline::default()
         };
-        ctx.fx.trace("address switch start".to_string());
+        ctx.fx.trace("address switch start");
         // The old care-of address keeps accepting packets until the new
         // one replaces it at the configure step (finish_configure clears
         // the interface's addresses); from then until the home agent's
@@ -619,7 +616,7 @@ impl MobileHost {
             start: Some(ctx.now),
             ..RegistrationTimeline::default()
         };
-        ctx.fx.trace("returning home".to_string());
+        ctx.fx.trace("returning home");
         let old_iface = match self.location {
             Location::Away {
                 iface: old,
@@ -690,7 +687,7 @@ impl MobileHost {
         ctx.fx.send_ping(correspondent, PROBE_IDENT, self.probe_seq);
         ctx.fx.set_timer(PROBE_TIMEOUT, token);
         ctx.fx
-            .trace(format!("probing triangle route to {correspondent}"));
+            .trace(Line::new("probing triangle route to {}").addr(correspondent));
     }
 
     // ----- Internal machinery -----
@@ -865,9 +862,8 @@ impl MobileHost {
             Some(d) => d,
             None => {
                 self.backoff_exhausted.inc();
-                ctx.fx.trace(
-                    "registration retry budget exhausted; re-registering from scratch".to_string(),
-                );
+                ctx.fx
+                    .trace("registration retry budget exhausted; re-registering from scratch");
                 if self.switching.is_none() {
                     if let Location::Away { registered, .. } = &mut self.location {
                         *registered = false;
@@ -879,8 +875,7 @@ impl MobileHost {
                     self.degradations.inc();
                     self.route_gen += 1;
                     ctx.fx.trace(
-                        "no home agent answering; degrading reverse tunnels to direct encapsulation"
-                            .to_string(),
+                        "no home agent answering; degrading reverse tunnels to direct encapsulation",
                     );
                 }
                 self.rotate_home_agent(ctx);
@@ -905,10 +900,8 @@ impl MobileHost {
         if next != self.current_ha {
             self.ha_failovers.inc();
             self.route_gen += 1;
-            ctx.fx.trace(format!(
-                "failing over from home agent {} to {}",
-                self.current_ha, next
-            ));
+            let line = Line::new("failing over from home agent {} to {}");
+            ctx.fx.trace(line.addr(self.current_ha).addr(next));
             self.current_ha = next;
         }
     }
@@ -920,7 +913,7 @@ impl MobileHost {
             if !reply.verify(key) {
                 self.auth_failures.inc();
                 ctx.fx
-                    .trace("drop.auth_fail: registration reply unsigned or bad digest".to_string());
+                    .trace("drop.auth_fail: registration reply unsigned or bad digest");
                 return;
             }
         }
@@ -932,8 +925,14 @@ impl MobileHost {
         });
         if reply.code != ReplyCode::Accepted {
             self.registration_denials.inc();
-            ctx.fx
-                .trace(format!("registration denied: {:?}", reply.code));
+            // `registration denied: {code:?}`, the word chosen with the line.
+            ctx.fx.trace(match reply.code {
+                ReplyCode::Accepted => unreachable!("an accepted reply is not a denial"),
+                ReplyCode::DeniedIdent => "registration denied: DeniedIdent",
+                ReplyCode::DeniedAuth => "registration denied: DeniedAuth",
+                ReplyCode::DeniedUnknownHome => "registration denied: DeniedUnknownHome",
+                ReplyCode::DeniedLifetime => "registration denied: DeniedLifetime",
+            });
             // Try again with a fresh identification — after the backoff
             // interval, not immediately: a persistently denying agent
             // (wrong key, misconfiguration) must not be hammered, and the
@@ -953,7 +952,7 @@ impl MobileHost {
             self.degraded = false;
             self.route_gen += 1;
             ctx.fx
-                .trace("home agent reachable again; restoring policy routing".to_string());
+                .trace("home agent reachable again; restoring policy routing");
         }
         if let Some(op) = &mut self.switching {
             // Only the reply to the switch's own registration advances the
@@ -992,10 +991,9 @@ impl MobileHost {
         }
         if epoch_changed && self.switching.is_none() {
             self.epoch_changes.inc();
-            ctx.fx.trace(format!(
-                "home agent boot epoch changed to {}; re-registering from scratch",
-                reply.epoch
-            ));
+            let line =
+                Line::new("home agent boot epoch changed to {}; re-registering from scratch");
+            ctx.fx.trace(line.num(reply.epoch.into()));
             self.backoff.reset();
             self.send_registration(ctx);
         }
@@ -1016,13 +1014,10 @@ impl MobileHost {
         self.timelines.push(self.current);
         self.handoffs.inc();
         self.switching = None;
-        ctx.fx.trace(format!(
-            "handoff complete in {}",
-            self.current
-                .total()
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "?".into())
-        ));
+        ctx.fx.trace(match self.current.total() {
+            Some(total) => Line::new("handoff complete in {}").span(total),
+            None => Line::new("handoff complete in ?"),
+        });
     }
 }
 
@@ -1113,7 +1108,7 @@ impl Module for MobileHost {
             TOKEN_POST_REG => self.finish_switch(ctx),
             TOKEN_REG_RETRY => {
                 self.registration_retries.inc();
-                ctx.fx.trace("registration retry".to_string());
+                ctx.fx.trace("registration retry");
                 self.send_registration(ctx);
             }
             TOKEN_AUTOSWITCH => self.autoswitch_tick(ctx),
@@ -1140,9 +1135,8 @@ impl Module for MobileHost {
                         self.route_gen += 1;
                         self.binding_lapses.inc();
                         self.binding_expires_at = None;
-                        ctx.fx.trace(
-                            "binding lapsed at home agent; re-registering from scratch".to_string(),
-                        );
+                        ctx.fx
+                            .trace("binding lapsed at home agent; re-registering from scratch");
                         self.backoff.reset();
                         self.send_registration(ctx);
                     }
@@ -1161,9 +1155,8 @@ impl Module for MobileHost {
                     self.probe_timeouts.inc();
                     self.probes.remove(&ch);
                     self.policy.learn(ch, SendMode::ReverseTunnel);
-                    ctx.fx.trace(format!(
-                        "triangle probe to {ch} timed out; reverting to tunnel"
-                    ));
+                    let line = "triangle probe to {} timed out; reverting to tunnel";
+                    ctx.fx.trace(Line::new(line).addr(ch));
                 }
             }
             _ => {}
@@ -1198,7 +1191,7 @@ impl Module for MobileHost {
                     // Detected (wire checksum), counted, never acted on.
                     self.corrupt_replies.inc();
                     ctx.fx
-                        .trace("drop.reg_corrupt: registration reply failed parse".to_string());
+                        .trace("drop.reg_corrupt: registration reply failed parse");
                 }
             }
         }

@@ -8,7 +8,7 @@ use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{Effects, IfaceId, Module, ModuleCtx, SendOptions, SocketId, SourceSel};
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -395,11 +395,11 @@ impl Module for DhcpClientModule {
                 iface: self.iface,
                 addr: lease.addr,
             });
-            ctx.fx.trace(format!(
-                "dhcp bound {} on {}",
-                lease.addr,
-                ctx.core.iface(self.iface).device.name()
-            ));
+            // A module cannot tell whether the trace is on, so it builds no
+            // text: the interface goes by its id, as in the mobile host's
+            // lines, not by the device name only the world could look up.
+            let line = Line::new("dhcp bound {} on iface IfaceId({})");
+            ctx.fx.trace(line.addr(lease.addr).num(self.iface.0 as u64));
         }
     }
 

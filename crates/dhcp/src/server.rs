@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, SendOptions, SocketId, SourceSel};
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -231,7 +231,7 @@ impl Module for DhcpServer {
                 self.leases.remove(&addr);
                 self.released_at.insert(addr, now);
                 self.stats.expiries.inc();
-                ctx.fx.trace(format!("dhcp lease expired: {addr}"));
+                ctx.fx.trace(Line::new("dhcp lease expired: {}").addr(addr));
             }
             ctx.fx.set_timer(SWEEP_INTERVAL, TOKEN_EXPIRE_SWEEP);
         }
@@ -265,10 +265,9 @@ impl Module for DhcpServer {
                     },
                 );
                 let offer = self.offer_for(addr, msg.xid, msg.client_mac);
-                ctx.fx.trace(format!(
-                    "dhcp offer {addr} to {} (xid {:#x})",
-                    msg.client_mac, msg.xid
-                ));
+                let line = Line::new("dhcp offer {} to {} (xid {})").addr(addr);
+                ctx.fx
+                    .trace(line.mac(msg.client_mac.octets()).hex(msg.xid.into()));
                 self.stats.offers_tx.inc();
                 self.broadcast(ctx, &offer);
             }
@@ -309,10 +308,9 @@ impl Module for DhcpServer {
                 }
                 let mut ack = self.offer_for(addr, msg.xid, msg.client_mac);
                 ack.op = DhcpOp::Ack;
-                ctx.fx.trace(format!(
-                    "dhcp ack {addr} to {} (xid {:#x})",
-                    msg.client_mac, msg.xid
-                ));
+                let line = Line::new("dhcp ack {} to {} (xid {})").addr(addr);
+                ctx.fx
+                    .trace(line.mac(msg.client_mac.octets()).hex(msg.xid.into()));
                 self.broadcast(ctx, &ack);
             }
             DhcpOp::Release => {
@@ -324,8 +322,8 @@ impl Module for DhcpServer {
                     self.leases.remove(&msg.yiaddr);
                     self.released_at.insert(msg.yiaddr, now);
                     self.stats.releases_rx.inc();
-                    ctx.fx
-                        .trace(format!("dhcp release {} by {}", msg.yiaddr, msg.client_mac));
+                    let line = Line::new("dhcp release {} by {}").addr(msg.yiaddr);
+                    ctx.fx.trace(line.mac(msg.client_mac.octets()));
                 }
             }
             DhcpOp::Offer | DhcpOp::Ack | DhcpOp::Nak => {} // server-to-client only

@@ -54,8 +54,8 @@ pub use metrics::{
     MetricsRegistry, MetricsScope, Snapshot, SnapshotDelta,
 };
 pub use profile::Profiler;
-pub use rng::SimRng;
+pub use rng::{IdHashMap, SimRng};
 pub use shard::{run_sharded, shard_seed, ShardEnvelope, ShardWorld};
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry, TraceKind};
+pub use trace::{Detail, Line, Trace, TraceEntry, TraceKind};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mosquitonet_sim::{EventId, Histogram, Sim, SimDuration, SimTime, Summary};
+use mosquitonet_sim::{EventId, Histogram, Line, Sim, SimDuration, SimTime, Summary};
 
 /// What a model-test event does when it fires, besides logging its label.
 #[derive(Clone, Copy, Debug)]
@@ -297,6 +297,26 @@ proptest! {
     }
 
     /// Seeded RNG streams are reproducible and the range contract holds.
+    #[test]
+    fn typed_trace_lines_render_as_format_did(
+        (a, b) in (any::<u32>(), any::<u32>()),
+        n in any::<u64>(),
+        mac in any::<[u8; 6]>(),
+        ns in any::<u64>(),
+    ) {
+        let (a, b) = (std::net::Ipv4Addr::from(a), std::net::Ipv4Addr::from(b));
+        let span = SimDuration::from_nanos(ns);
+        // Six arguments take two lines of at most four.
+        let head = Line::new("drop.ttl: {} -> {}: ident {} (xid {})");
+        let head = head.addr(a).addr(b).num(n).hex(n);
+        let tail = Line::new(" by {} in {}").mac(mac).span(span);
+        let m = mac.map(|o| format!("{o:02x}")).join(":");
+        prop_assert_eq!(
+            format!("{head}{tail}"),
+            format!("drop.ttl: {a} -> {b}: ident {n} (xid {n:#x}) by {m} in {span}")
+        );
+    }
+
     #[test]
     fn rng_reproducible_and_in_range(seed in any::<u64>(), lo in 0u64..1000, span in 1u64..1000) {
         use mosquitonet_sim::SimRng;

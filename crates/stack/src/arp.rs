@@ -9,10 +9,10 @@
 //! cache entries on hosts in the same subnet" when a mobile host leaves,
 //! and how the mobile host reclaims its address when it returns.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimTime};
+use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope, SimTime};
 use mosquitonet_wire::{ArpOp, ArpPacket, Ipv4Packet, MacAddr};
 
 /// How many times an unanswered ARP request is retried.
@@ -65,13 +65,13 @@ impl ArpStats {
 /// Per-interface ARP state.
 #[derive(Debug, Default)]
 pub struct ArpState {
-    cache: HashMap<Ipv4Addr, MacAddr>,
+    cache: IdHashMap<Ipv4Addr, MacAddr>,
     proxies: HashSet<Ipv4Addr>,
-    pending: HashMap<Ipv4Addr, PendingArp>,
+    pending: IdHashMap<Ipv4Addr, PendingArp>,
     next_generation: u64,
     /// When each cache entry was learned (for diagnostics; entries do not
     /// expire during the short experiments).
-    learned_at: HashMap<Ipv4Addr, SimTime>,
+    learned_at: IdHashMap<Ipv4Addr, SimTime>,
     /// Activity counters.
     pub stats: ArpStats,
 }

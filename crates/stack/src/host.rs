@@ -1,11 +1,12 @@
 //! Hosts: the per-machine stack state plus installed protocol modules.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use mosquitonet_link::Device;
-use mosquitonet_sim::{Counter, EventId, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{Counter, EventId, IdHashMap, MetricCell, MetricsScope, SimDuration};
 use mosquitonet_wire::Cidr;
 
 use crate::arp::ArpState;
@@ -105,6 +106,9 @@ pub struct HostCore {
     pub id: HostId,
     /// Host name for traces.
     pub name: String,
+    /// `name` as the shared handle every trace entry of this host carries,
+    /// taken when the host is made.
+    pub(crate) who: Rc<str>,
     /// Interfaces, indexed by [`IfaceId`].
     pub ifaces: Vec<Interface>,
     /// Per-interface ARP state (parallel to `ifaces`).
@@ -121,7 +125,7 @@ pub struct HostCore {
     /// every binding change passes through [`HostCore::set_tunnel`] /
     /// [`HostCore::clear_tunnel`] and bumps `route_config_gen`, which the
     /// fast-path decision cache folds into its validity token.
-    tunnels: HashMap<Ipv4Addr, Ipv4Addr>,
+    tunnels: IdHashMap<Ipv4Addr, Ipv4Addr>,
     /// Bumped on every tunnel-binding change; see `tunnels`.
     route_config_gen: u64,
     /// Multicast group memberships, per interface. A visiting mobile host
@@ -162,13 +166,14 @@ impl HostCore {
     fn new(id: HostId, name: String) -> HostCore {
         HostCore {
             id,
+            who: name.as_str().into(),
             name,
             ifaces: Vec::new(),
             arp: Vec::new(),
             routes: RouteTable::new(),
             udp: UdpTable::new(),
             tcp: TcpTable::new(),
-            tunnels: HashMap::new(),
+            tunnels: IdHashMap::default(),
             route_config_gen: 0,
             multicast_groups: HashSet::new(),
             forwarding: false,
@@ -415,9 +420,9 @@ pub struct Host {
     /// Modules, each slot emptied while its callback runs.
     pub(crate) modules: Vec<Option<Box<dyn Module>>>,
     /// Armed module timers: (module, token) → scheduled event.
-    pub(crate) module_timers: HashMap<(ModuleId, u64), EventId>,
+    pub(crate) module_timers: IdHashMap<(ModuleId, u64), EventId>,
     /// Armed TCP retransmission timers.
-    pub(crate) tcp_timers: HashMap<ConnId, EventId>,
+    pub(crate) tcp_timers: IdHashMap<ConnId, EventId>,
     /// Scheduled node crashes/restarts, if fault injection targets this
     /// host. Installed by experiments; applied by `world::install_host_faults`.
     pub fault: Option<mosquitonet_link::HostFaultPlan>,
@@ -430,8 +435,8 @@ impl Host {
             core: HostCore::new(id, name.into()),
             fastpath: crate::fastpath::FastPath::new(),
             modules: Vec::new(),
-            module_timers: HashMap::new(),
-            tcp_timers: HashMap::new(),
+            module_timers: IdHashMap::default(),
+            tcp_timers: IdHashMap::default(),
             fault: None,
         }
     }

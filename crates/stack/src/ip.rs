@@ -19,10 +19,10 @@ use std::net::Ipv4Addr;
 
 use bytes::{BufMut, Bytes};
 use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
-use mosquitonet_sim::NO_FLIGHT;
+use mosquitonet_sim::{Line, NO_FLIGHT};
 use mosquitonet_wire::{
-    ipip, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, PacketBuf, TcpSegment, UdpDatagram,
-    UnreachableCode, IPV4_HEADER_LEN,
+    ipip, IcmpMessage, IgmpMessage, IpProto, Ipv4Header, Ipv4Packet, PacketBuf, TcpSegment,
+    UdpDatagram, UnreachableCode, IPV4_HEADER_LEN,
 };
 
 use mosquitonet_sim::Counter;
@@ -36,7 +36,7 @@ use crate::telemetry::DropReason::{
 };
 use crate::telemetry::{emit, Event, SILENT};
 use crate::udp::SocketId;
-use crate::world::{self, NetSim, Network};
+use crate::world::{self, NetSim};
 
 /// Maximum decapsulation nesting accepted on input.
 const MAX_DECAP_DEPTH: u32 = 4;
@@ -494,8 +494,9 @@ pub(crate) fn ip_input_flight(
     } else if forwarding {
         forward(sim, host, iface, packet, flight);
     } else {
-        let header = &packet.header;
-        let line = |_: &Network| format!("{} -> {}", header.src, header.dst);
+        let line = Line::new("drop.not_local: {} -> {}")
+            .addr(packet.header.src)
+            .addr(packet.header.dst);
         emit(sim, host, flight, "ip", Event::Drop(NotLocal), Some(line));
     }
 }
@@ -510,8 +511,9 @@ fn forward(
 ) {
     // TTL.
     if packet.header.ttl <= 1 {
-        let header = &packet.header;
-        let line = |_: &Network| format!("{} -> {}", header.src, header.dst);
+        let line = Line::new("drop.ttl: {} -> {}")
+            .addr(packet.header.src)
+            .addr(packet.header.dst);
         emit(sim, host, flight, "ip.fwd", Event::Drop(Ttl), Some(line));
         let quote = packet.invoking_quote();
         icmp_error(
@@ -543,7 +545,9 @@ fn forward(
         };
         sim.world_mut().hosts[host.0].core.stats.forwarded.inc();
         let inner_dst = packet.header.dst;
-        let line = |_: &Network| format!("tunnel {inner_dst} -> care-of {care_of}");
+        let line = Line::new("tunnel {} -> care-of {}")
+            .addr(inner_dst)
+            .addr(care_of);
         emit(sim, host, flight, "tunnel", Event::Encap, Some(line));
         transmit_ip(
             sim,
@@ -593,7 +597,8 @@ fn forward(
             && !core.local_subnets().any(|s| s.contains(packet.header.src))
         {
             let src = packet.header.src;
-            let line = |_: &Network| format!("src {src} not local, egress upstream");
+            let line =
+                Line::new("drop.filter.ingress: src {} not local, egress upstream").addr(src);
             let event = Event::Drop(FilterIngress);
             emit(sim, host, flight, "ip.fwd", event, Some(line));
             return;
@@ -674,9 +679,17 @@ fn local_deliver(
 fn igmp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
     // Host-side IGMP subset: reports/queries are traced, not acted on
     // (there is no multicast router to satisfy).
-    match mosquitonet_wire::IgmpMessage::parse(&packet.payload) {
+    match IgmpMessage::parse(&packet.payload) {
         Ok(msg) => {
-            let line = |_: &Network| format!("IGMP {msg:?} from {}", packet.header.src);
+            // As `{msg:?}` prints the message.
+            let line = match msg {
+                IgmpMessage::MembershipQuery { .. } => "IGMP MembershipQuery { group: {} } from {}",
+                IgmpMessage::MembershipReport { .. } => {
+                    "IGMP MembershipReport { group: {} } from {}"
+                }
+                IgmpMessage::LeaveGroup { .. } => "IGMP LeaveGroup { group: {} } from {}",
+            };
+            let line = Line::new(line).addr(msg.group()).addr(packet.header.src);
             emit(sim, host, flight, "igmp", Event::Delivered, Some(line));
         }
         Err(_) => emit(sim, host, flight, "igmp", Event::Drop(Malformed), SILENT),
@@ -810,12 +823,10 @@ fn ipip_input(
     }
     match ipip::decapsulate(&packet) {
         Ok(inner) => {
-            let line = |_: &Network| {
-                format!(
-                    "decapsulated {} -> {} (outer from {})",
-                    inner.header.src, inner.header.dst, packet.header.src
-                )
-            };
+            let line = Line::new("decapsulated {} -> {} (outer from {})")
+                .addr(inner.header.src)
+                .addr(inner.header.dst)
+                .addr(packet.header.src);
             emit(sim, host, flight, "tunnel", Event::Decap, Some(line));
             // "The packet... will take the reverse of the dotted path" —
             // the inner packet re-enters IP as if freshly received.

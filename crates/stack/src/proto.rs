@@ -19,7 +19,7 @@ use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_wire::{IcmpMessage, Ipv4Packet};
 
 use crate::host::HostCore;
@@ -181,11 +181,8 @@ pub enum Effect {
         /// Address being claimed.
         addr: Ipv4Addr,
     },
-    /// Append a mobility-category trace entry.
-    Trace {
-        /// Detail string.
-        detail: String,
-    },
+    /// Append a mobility-category trace entry, rendered only if read.
+    Trace(Line),
 }
 
 /// The queue of effects a module produced during one callback.
@@ -262,11 +259,12 @@ impl Effects {
         self.push(Effect::SetTimer { delay, token });
     }
 
-    /// Convenience: trace a mobility event.
-    pub fn trace(&mut self, detail: impl Into<String>) {
-        self.push(Effect::Trace {
-            detail: detail.into(),
-        });
+    /// Convenience: trace a mobility event — a [`Line`], or a string
+    /// literal for a line without arguments. Nothing here takes a built
+    /// `String`: whether the trace is on is not a module's to know, so a
+    /// module must not pay for text.
+    pub fn trace(&mut self, line: impl Into<Line>) {
+        self.push(Effect::Trace(line.into()));
     }
 
     /// Convenience: queue an ICMP echo request ("ping") to `dst`. The
@@ -467,7 +465,7 @@ mod tests {
         let items = fx.drain();
         assert_eq!(items.len(), 3);
         assert!(matches!(items[0], Effect::SetTimer { token: 10, .. }));
-        assert!(matches!(&items[1], Effect::Trace { detail } if detail == "hello"));
+        assert!(matches!(&items[1], Effect::Trace(line) if line.to_string() == "hello"));
         assert!(matches!(items[2], Effect::CancelTimer { token: 10 }));
         assert!(fx.is_empty());
     }

@@ -3,11 +3,14 @@
 //! What happens to a packet at a site is visible on up to three channels:
 //! a [`HostStats`] counter, a flight-recorder hop and a trace line. This
 //! module owns the decision which [`Event`] moves which of them, and
-//! [`DropReason::code`] is the only place a `drop.*` code is spelled, so a
-//! site in [`crate::ip`] or [`crate::world`] names the event once and the
-//! three channels cannot disagree. `docs/telemetry.md` documents the codes.
+//! [`DropReason::code`] is where a `drop.*` code comes from, so a site in
+//! [`crate::ip`] or [`crate::world`] names the event once and the counter
+//! and the hop cannot disagree; the template of its trace line spells the
+//! code it leads with. `docs/telemetry.md` documents the codes.
 
-use mosquitonet_sim::{Counter, HopAction, TraceKind, NO_FLIGHT};
+use std::rc::Rc;
+
+use mosquitonet_sim::{Counter, Detail, HopAction as Hop, Line, TraceKind};
 
 use crate::host::{HostId, HostStats};
 use crate::world::{NetSim, Network};
@@ -129,18 +132,17 @@ pub(crate) enum Event {
     /// IP layer saw it: as [`Event::Drop`], but `{host}/ip` counts nothing
     /// (`link`'s device and fault-plan counters keep that tally).
     WireDrop(DropReason),
-    /// Not about a packet: a host-scoped trace line of the given kind.
-    Note(TraceKind),
 }
 
-/// The `detail` of a site that has no trace line.
-pub(crate) const SILENT: Option<fn(&Network) -> String> = None;
+/// The `line` of a site that has no trace line.
+pub(crate) const SILENT: Option<Line> = None;
 
 /// Reports `event` for `flight` at `host`: bumps the paired counter,
-/// records the hop at `point`, and — only for a site that passes a
-/// `detail`, and only while the trace is enabled — resolves the host name
-/// and formats the trace line. A packet that is not traced pays for the
-/// counter and the hop, nothing else.
+/// records the hop at `point`, and — for a site that passes a `line` —
+/// appends it to the trace. The line is a typed value nobody renders
+/// here, so a packet pays for the counter, the hop and one `Vec` push (a
+/// branch, with the trace off). The template of a drop's line leads with
+/// the code of its reason (`drop_heavy.trace.txt` holds every one).
 #[inline]
 pub(crate) fn emit(
     sim: &mut NetSim,
@@ -148,67 +150,56 @@ pub(crate) fn emit(
     flight: u64,
     point: &'static str,
     event: Event,
-    detail: Option<impl FnOnce(&Network) -> String>,
+    line: Option<Line>,
 ) {
+    use TraceKind::{Mobility, PacketDelivered, PacketDropped, PacketSent};
     // Looked up only by the events that count something.
     let stats = || &sim.world().hosts[host.0].core.stats;
     let (counter, action, kind) = match event {
-        Event::Sent => (None, Some(HopAction::Sent), TraceKind::PacketSent),
-        Event::Forwarded => (
-            Some(&stats().forwarded),
-            Some(HopAction::Forwarded),
-            TraceKind::PacketSent,
+        Event::Sent => (None, Hop::Sent, PacketSent),
+        Event::Forwarded => (Some(&stats().forwarded), Hop::Forwarded, PacketSent),
+        Event::Encap => (Some(&stats().encapsulated), Hop::Encap, Mobility),
+        Event::Decap => (Some(&stats().decapsulated), Hop::Decap, Mobility),
+        Event::Delivered => (None, Hop::Delivered, PacketDelivered),
+        Event::Drop(r) => (
+            r.counter(stats()).map(|c| c.1),
+            Hop::Dropped(r.code()),
+            PacketDropped,
         ),
-        Event::Encap => (
-            Some(&stats().encapsulated),
-            Some(HopAction::Encap),
-            TraceKind::Mobility,
-        ),
-        Event::Decap => (
-            Some(&stats().decapsulated),
-            Some(HopAction::Decap),
-            TraceKind::Mobility,
-        ),
-        Event::Delivered => (None, Some(HopAction::Delivered), TraceKind::PacketDelivered),
-        Event::Drop(reason) => (
-            reason.counter(stats()).map(|(_, cell)| cell),
-            Some(HopAction::Dropped(reason.code())),
-            TraceKind::PacketDropped,
-        ),
-        Event::WireDrop(reason) => (
-            None,
-            Some(HopAction::Dropped(reason.code())),
-            TraceKind::PacketDropped,
-        ),
-        Event::Note(kind) => (None, None, kind),
+        Event::WireDrop(r) => (None, Hop::Dropped(r.code()), PacketDropped),
     };
     if let Some(cell) = counter {
         cell.inc();
     }
-    if let Some(action) = action {
-        sim.record_hop(flight, host.0 as u32, point, action);
+    sim.record_hop(flight, host.0 as u32, point, action);
+    if let Some(line) = line {
+        note(sim, host, kind, line);
     }
-    let Some(detail) = detail else { return };
-    if !sim.trace().is_enabled() {
-        return;
-    }
-    let mut line = detail(sim.world());
-    if let Event::Drop(reason) | Event::WireDrop(reason) = event {
-        line = format!("{}: {line}", reason.code());
-    }
-    let (who, now) = (sim.world().hosts[host.0].core.name.clone(), sim.now());
-    sim.trace_mut().record(now, kind, who, line);
 }
 
-/// [`emit`] for the host-scoped lines that belong to no packet (device
-/// power, crash and restart, module traces, capture, injected faults).
-pub(crate) fn note(
+/// Appends a host-scoped trace entry (no-op when the trace is off): the
+/// line of an [`emit`], or one that belongs to no packet (crash and
+/// restart, module traces).
+pub(crate) fn note(sim: &mut NetSim, host: HostId, kind: TraceKind, detail: impl Into<Detail>) {
+    if sim.trace().is_enabled() {
+        let (who, now) = (Rc::clone(&sim.world().hosts[host.0].core.who), sim.now());
+        sim.trace_mut().record(now, kind, who, detail);
+    }
+}
+
+/// [`note`] for the cold lines that need a name from the world (a device,
+/// a LAN, a capture summary): the text is built only while the trace is
+/// enabled.
+pub(crate) fn note_text(
     sim: &mut NetSim,
     host: HostId,
     kind: TraceKind,
-    detail: impl FnOnce(&Network) -> String,
+    text: impl FnOnce(&Network) -> String,
 ) {
-    emit(sim, host, NO_FLIGHT, "", Event::Note(kind), Some(detail));
+    if sim.trace().is_enabled() {
+        let text = text(sim.world());
+        note(sim, host, kind, text);
+    }
 }
 
 #[cfg(test)]

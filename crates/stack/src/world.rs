@@ -12,7 +12,8 @@ use mosquitonet_link::{
     Attachment, AttachmentKey, EtherType, FaultVerdict, Frame, Lan, FRAME_HEADER_LEN,
 };
 use mosquitonet_sim::{
-    Counter, MetricCell, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind, NO_FLIGHT,
+    Counter, IdHashMap, Line, MetricCell, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime,
+    TraceKind, NO_FLIGHT,
 };
 use mosquitonet_wire::{ArpPacket, EnvelopeArena, Ipv4Packet, MacAddr, PacketBuf, PacketBytes};
 
@@ -25,7 +26,7 @@ use crate::tcp::ConnId;
 use crate::telemetry::DropReason::{
     ArpFailure, FaultDrop, IfaceDown, LeftLan, Malformed, MediumLoss, TxMtu,
 };
-use crate::telemetry::{emit, note, Event, SILENT};
+use crate::telemetry::{emit, note, note_text, Event, SILENT};
 
 /// Retry interval for unanswered ARP requests (classic 1 s).
 pub const ARP_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -41,7 +42,7 @@ pub struct Network {
     /// key (keys are dense: the next one is this table's length); `None`
     /// once detached.
     attach_map: Vec<Option<(HostId, IfaceId)>>,
-    attach_keys: HashMap<(HostId, IfaceId), AttachmentKey>,
+    attach_keys: IdHashMap<(HostId, IfaceId), AttachmentKey>,
     /// Cross-shard plumbing; `None` (the default) keeps the world fully
     /// unsharded — zero overhead, byte-identical to the classic engine.
     sharding: Option<Sharding>,
@@ -528,7 +529,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 // Power transitions invalidate the fast path: a cached
                 // decision through this interface must not outlive it.
                 h.core.iface_mut(iface).note_power_change();
-                note(sim, host, TraceKind::Device, |w| {
+                note_text(sim, host, TraceKind::Device, |w| {
                     format!("{} down", w.hosts[host.0].core.iface(iface).device.name())
                 });
             }
@@ -543,7 +544,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 );
                 transmit_frame(sim, host, iface, frame, mosquitonet_sim::NO_FLIGHT);
             }
-            Effect::Trace { detail } => note(sim, host, TraceKind::Mobility, |_| detail),
+            Effect::Trace(line) => note(sim, host, TraceKind::Mobility, line),
         }
     }
 }
@@ -628,7 +629,7 @@ pub fn bring_iface_up(sim: &mut NetSim, host: HostId, iface: IfaceId) -> SimTime
         h.core.iface_mut(iface).device.poll(now);
         h.core.iface_mut(iface).note_power_change();
         let modules = h.module_count();
-        note(sim, host, TraceKind::Device, |w| {
+        note_text(sim, host, TraceKind::Device, |w| {
             format!("{} up", w.hosts[host.0].core.iface(iface).device.name())
         });
         for m in 0..modules {
@@ -667,9 +668,8 @@ pub fn crash_host(sim: &mut NetSim, host: HostId) {
     if let Some(plan) = &sim.world().hosts[host.0].fault {
         plan.note_crash();
     }
-    note(sim, host, TraceKind::Marker, |_| {
-        "fault.crash: node down, volatile state lost".to_string()
-    });
+    let line = Line::new("fault.crash: node down, volatile state lost");
+    note(sim, host, TraceKind::Marker, line);
     // Every armed timer dies with the node.
     let (module_timers, tcp_timers) = {
         let h = &mut sim.world_mut().hosts[host.0];
@@ -713,12 +713,12 @@ pub fn restart_host(sim: &mut NetSim, host: HostId, storage_lost: bool) {
     if let Some(plan) = &sim.world().hosts[host.0].fault {
         plan.note_restart();
     }
-    note(sim, host, TraceKind::Marker, |_| {
-        format!(
-            "fault.restart: node rebooting{}",
-            if storage_lost { ", journal lost" } else { "" }
-        )
-    });
+    let line = if storage_lost {
+        "fault.restart: node rebooting, journal lost"
+    } else {
+        "fault.restart: node rebooting"
+    };
+    note(sim, host, TraceKind::Marker, Line::new(line));
     let n_ifaces = sim.world().hosts[host.0].core.ifaces.len();
     let mut ready = now;
     for i in 0..n_ifaces {
@@ -873,20 +873,23 @@ pub(crate) fn transmit_wire(
         stage_cross_shard(w, lan_id, now, tx_time, dst, src_mac, &wire);
     }
     if lost > 0 {
-        let line = |_: &Network| format!("{lost} cop(ies)");
+        let line = Line::new("drop.medium_loss: {} cop(ies)").num(lost);
         let event = Event::WireDrop(MediumLoss);
         emit(sim, host, flight, "wire", event, Some(line));
     }
     for code in faults {
-        let on_lan = |w: &Network| format!("injected on {}", w.lans[lan_id.0].name());
-        if code == FaultDrop.code() {
+        // The one drop whose line names something (the LAN): the hop here,
+        // the text only if the trace is on.
+        let kind = if code == FaultDrop.code() {
             let event = Event::WireDrop(FaultDrop);
-            emit(sim, host, flight, "wire", event, Some(on_lan));
+            emit(sim, host, flight, "wire", event, SILENT);
+            TraceKind::PacketDropped
         } else {
-            note(sim, host, TraceKind::Marker, |w| {
-                format!("{code}: {}", on_lan(w))
-            });
-        }
+            TraceKind::Marker
+        };
+        note_text(sim, host, kind, |w| {
+            format!("{code}: injected on {}", w.lans[lan_id.0].name())
+        });
     }
 }
 
@@ -902,7 +905,7 @@ fn deliver_frame(
     bytes: PacketBytes,
 ) {
     if sim.world().hosts[host.0].core.ifaces[iface.0].lan != Some(from_lan) {
-        let line = |_: &Network| "frame for an interface that left the LAN".to_string();
+        let line = Line::new("drop.left_lan: frame for an interface that left the LAN");
         let event = Event::WireDrop(LeftLan);
         emit(sim, host, bytes.flight(), "wire", event, Some(line));
         return;
@@ -913,7 +916,7 @@ fn deliver_frame(
     };
     if !accepted {
         // The device counted it (`drop.rx_down`); IP never saw the frame.
-        let line = |_: &Network| "frame for downed interface".to_string();
+        let line = Line::new("drop.iface_down: frame for downed interface");
         let event = Event::WireDrop(IfaceDown);
         emit(sim, host, bytes.flight(), "dev", event, Some(line));
         return;
@@ -935,7 +938,7 @@ fn process_frame(sim: &mut NetSim, host: HostId, iface: IfaceId, bytes: PacketBy
         return;
     };
     if sim.world().hosts[host.0].core.capture {
-        note(sim, host, TraceKind::Capture, |w| {
+        note_text(sim, host, TraceKind::Capture, |w| {
             let dev = w.hosts[host.0].core.ifaces[iface.0].device.name();
             format!("{dev}: {}", crate::sniff::frame_summary(&frame))
         });
@@ -1022,7 +1025,9 @@ fn arp_retry(
             // trace line that speaks for the whole queue.
             let n = dropped.len();
             for (i, (_, flight)) in dropped.iter().enumerate() {
-                let line = |_: &Network| format!("{target} unresolved, {n} packet(s)");
+                let line = Line::new("drop.arp_failure: {} unresolved, {} packet(s)")
+                    .addr(target)
+                    .num(n as u64);
                 let event = Event::Drop(ArpFailure);
                 emit(sim, host, *flight, "arp", event, (i == 0).then_some(line));
             }

@@ -3311,8 +3311,8 @@ pub fn run_c7(seed: u64) -> C7Result {
     let wrong_key = forged.sign(C7_SPI, 0x4141_4141_4141_4141);
     {
         let a = tb.module::<RegistrationAttacker>(attacker_host, att_mid);
-        a.inject(forged.to_bytes(), "unsigned forgery");
-        a.inject(wrong_key.to_bytes(), "wrong-key forgery");
+        a.inject(forged.to_bytes(), "attacker injects unsigned forgery");
+        a.inject(wrong_key.to_bytes(), "attacker injects wrong-key forgery");
     }
     tb.run_for(C7_PHASE);
     binding_intact &= binding_at(&mut tb) == Some(COA_DEPT);
@@ -3338,8 +3338,11 @@ pub fn run_c7(seed: u64) -> C7Result {
     };
     {
         let a = tb.module::<RegistrationAttacker>(attacker_host, att_mid);
-        a.inject(captured(floor), "verbatim replay");
-        a.inject(captured(floor.saturating_sub(1)), "stale replay");
+        a.inject(captured(floor), "attacker injects verbatim replay");
+        a.inject(
+            captured(floor.saturating_sub(1)),
+            "attacker injects stale replay",
+        );
     }
     tb.run_for(C7_PHASE);
     binding_intact &= binding_at(&mut tb) == Some(COA_DEPT);
@@ -3358,7 +3361,7 @@ pub fn run_c7(seed: u64) -> C7Result {
     );
     let reconverged = tb.sim.now();
     tb.module::<RegistrationAttacker>(attacker_host, att_mid)
-        .inject(captured(floor), "post-restart replay");
+        .inject(captured(floor), "attacker injects post-restart replay");
     tb.run_for(C7_POST);
     let end = tb.sim.now();
     binding_intact &= binding_at(&mut tb) == Some(COA_DEPT);

@@ -537,9 +537,10 @@ impl RegistrationAttacker {
         }
     }
 
-    /// Queues a raw registration-port payload; sent at the next poll tick.
-    pub fn inject(&mut self, payload: Bytes, label: &'static str) {
-        self.pending.push((payload, label));
+    /// Queues a raw registration-port payload; sent at the next poll
+    /// tick, when `line` (`attacker injects …`) is traced.
+    pub fn inject(&mut self, payload: Bytes, line: &'static str) {
+        self.pending.push((payload, line));
     }
 }
 
@@ -567,9 +568,9 @@ impl Module for RegistrationAttacker {
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
         if token == TOKEN_SEND {
-            for (payload, label) in std::mem::take(&mut self.pending) {
+            for (payload, line) in std::mem::take(&mut self.pending) {
                 self.injected.inc();
-                ctx.fx.trace(format!("attacker injects {label}"));
+                ctx.fx.trace(line);
                 ctx.fx.send_udp(
                     self.sock.expect("bound"),
                     (self.home_agent, mosquitonet_core::REGISTRATION_PORT),

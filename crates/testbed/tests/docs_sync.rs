@@ -1,7 +1,8 @@
 //! Documentation-sync checks: drop-reason codes against
 //! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` against
 //! the registry, DESIGN.md's crate and dependency tables against the
-//! manifests, and its module hook list against `trait Module`.
+//! manifests, its module hook list against `trait Module`, and the shape
+//! of `BENCH_trajectory.json`.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in trace lines, metric names, and flight-recorder hop
@@ -205,4 +206,43 @@ fn design_md_hook_list_is_trait_module() {
         .map(|l| l.split('(').next().expect("fn name"))
         .collect();
     assert_eq!(documented, declared);
+}
+
+/// `BENCH_trajectory.json` (ROADMAP item 1) is appended to by hand, one
+/// point per measured PR: hold its shape, the order of its points, and
+/// that the newest point covers the workloads the benchmark declares.
+#[test]
+fn bench_trajectory_is_well_formed_and_current() {
+    use mosquitonet_sim::Json;
+    const ROW: &str = "ops_per_s run_s setup_s peak_rss_mb events_per_op allocs_per_op \
+        alloc_bytes_per_op frames_per_op batch_mean trace_entries_per_op drops_per_op sim_digest";
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(workspace_root().join(name)).expect(name);
+        Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let (doc, declared) = (read("BENCH_trajectory.json"), read("BENCHMARK.json"));
+    let schema = doc.get("schema").and_then(Json::as_str);
+    assert_eq!(schema, Some("mosquitonet.trajectory/v1"));
+    let (mut prs, mut newest) = (Vec::new(), BTreeSet::new());
+    for point in doc.get("points").and_then(Json::as_arr).expect("points") {
+        prs.push(point.get("pr").and_then(Json::as_u64).expect("pr"));
+        for key in ["commit", "date", "machine", "source"] {
+            assert!(point.get(key).and_then(Json::as_str).is_some(), "{key}");
+        }
+        let Some(Json::Obj(workloads)) = point.get("workloads") else {
+            panic!("PR {prs:?}: workloads")
+        };
+        for (name, row) in workloads {
+            let missing = ROW.split_whitespace().find(|key| row.get(key).is_none());
+            assert_eq!(missing, None, "PR {prs:?}, {name}");
+        }
+        newest = workloads.iter().map(|(name, _)| name.as_str()).collect();
+    }
+    assert!(prs.windows(2).all(|w| w[0] < w[1]), "PR order: {prs:?}");
+    let declared = declared.get("workloads").and_then(Json::as_arr);
+    let declared = declared.expect("workloads").iter();
+    assert_eq!(
+        newest,
+        declared.filter_map(|w| w.get("name")?.as_str()).collect()
+    );
 }

@@ -61,11 +61,11 @@ fn sniffer_sees_the_tunnel_on_the_home_lan() {
     // The capture shows the protocol happening on the wire: gratuitous
     // ARP from the HA claiming the home address, and CH->home UDP echoes
     // arriving for the proxy. (The tunnel itself leaves on the dept LAN.)
-    let captures: Vec<&str> = tb
+    let captures: Vec<String> = tb
         .sim
         .trace()
         .of_kind(TraceKind::Capture)
-        .map(|e| e.detail.as_str())
+        .map(|e| e.detail.to_string())
         .collect();
     assert!(
         captures

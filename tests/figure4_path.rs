@@ -78,7 +78,7 @@ fn outgoing_tcp_takes_the_vif_path_and_wears_both_addresses() {
         tb.sim
             .trace()
             .of_kind(TraceKind::Capture)
-            .map(|e| e.detail.clone())
+            .map(|e| e.detail.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
