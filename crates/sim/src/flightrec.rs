@@ -15,9 +15,10 @@
 //! chain of the victim packet.
 //!
 //! Recording is off by default and costs one predicted branch per call
-//! site when off (the bench gate pins the disabled [`FlightRecorder::hop`]
-//! at ≤ 2 ns). Flight ids come from a plain counter — never the engine
-//! RNG — so enabling the recorder cannot perturb a seeded run.
+//! site when off (a unit test holds that the disabled
+//! [`FlightRecorder::hop`] allocates and records nothing). Flight ids come
+//! from a plain counter — never the engine RNG — so enabling the recorder
+//! cannot perturb a seeded run.
 
 use std::collections::HashMap;
 

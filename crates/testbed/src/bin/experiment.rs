@@ -16,7 +16,7 @@
 //! results as one JSON document for downstream plotting. `help` or
 //! `--help` anywhere prints usage and runs nothing; an unknown name or
 //! key, a non-integer or an out-of-range value exits 2 before any run
-//! starts.
+//! starts; an artifact that cannot be written exits 1.
 
 use std::process::ExitCode;
 
@@ -44,7 +44,12 @@ fn run(exp: &Experiment, params: &Params) -> Vec<(&'static str, Json)> {
         match artifact.write_in(&dir) {
             Ok(Some(path)) => eprintln!("wrote {}", path.display()),
             Ok(None) => {}
-            Err(e) => eprintln!("warning: could not write {stem}: {e}"),
+            // Fatal, not a warning: a later step must never read a stale
+            // file from an earlier run in this one's place.
+            Err(e) => {
+                eprintln!("error: could not write {stem} into {}: {e}", dir.display());
+                std::process::exit(1);
+            }
         }
     }
     outcome.json

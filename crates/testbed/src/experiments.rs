@@ -1847,8 +1847,8 @@ pub struct S3Row {
     pub pps: u64,
     /// Virtual nanoseconds per delivered packet.
     pub ns_per_packet: u64,
-    /// Real (wall-clock) nanoseconds the measurement window took. Never
-    /// golden-pinned; exported only through [`S3Result::wall_json`].
+    /// Real nanoseconds the measurement window took. Never golden-pinned
+    /// or printed; its one reader is `benchmark/`'s adapter (`bulk_sharded`).
     pub wall_ns: u64,
 }
 
@@ -1893,21 +1893,6 @@ impl S3Result {
         let mut doc = s3_params_json(&self.cfg);
         doc.push(("modes", Json::arr(self.rows.iter().map(S3Row::to_json))));
         Json::obj(doc)
-    }
-
-    /// The wall-clock companion (for the `BENCH_s3.json` CI artifact):
-    /// real elapsed time and the wall-rate per mode. Nondeterministic by
-    /// nature — never diffed against a golden.
-    pub fn wall_json(&self) -> Json {
-        Json::arr(self.rows.iter().map(|r| {
-            let wall_ns_per_packet = r.wall_ns.checked_div(r.delivered).unwrap_or(0);
-            Json::obj([
-                ("mode", Json::from(r.mode)),
-                ("wall_ns", Json::UInt(r.wall_ns)),
-                ("wall_pps", Json::UInt(rate_per_sec(r.delivered, r.wall_ns))),
-                ("wall_ns_per_packet", Json::UInt(wall_ns_per_packet)),
-            ])
-        }))
     }
 }
 
@@ -2096,8 +2081,7 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
 /// MH↔correspondent pairs across the reverse-tunnel, direct-encap, and
 /// foreign-agent topologies. Every reported quantity is an exact counter
 /// or virtual-time delta, so the bench sidecar is byte-stable for a fixed
-/// config; wall-clock rates ride along separately via
-/// [`S3Result::wall_json`].
+/// config.
 pub fn run_s3(cfg: &S3Config) -> S3Result {
     let rows = S3Mode::all()
         .into_iter()
@@ -2205,24 +2189,6 @@ impl S3ShardedResult {
             ("row", self.row.to_json()),
         ]);
         Json::obj(doc)
-    }
-
-    /// The wall-clock companion (for the `BENCH_s3.json` scaling rows):
-    /// real elapsed time at the thread count this run used.
-    /// Nondeterministic by nature — never diffed against a golden.
-    pub fn wall_json(&self) -> Json {
-        let r = &self.row;
-        Json::obj([
-            ("mode", Json::from(r.mode)),
-            ("shards", Json::from(self.shards)),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("wall_ns", Json::UInt(r.wall_ns)),
-            ("wall_pps", Json::UInt(rate_per_sec(r.delivered, r.wall_ns))),
-            (
-                "wall_ns_per_packet",
-                Json::UInt(r.wall_ns.checked_div(r.delivered).unwrap_or(0)),
-            ),
-        ])
     }
 }
 
@@ -2475,8 +2441,8 @@ pub struct S2Row {
     pub replica_bytes: u64,
     /// Steady-state protocol bytes per live binding.
     pub bytes_per_binding: u64,
-    /// Real elapsed nanoseconds; exported only via
-    /// [`S2Result::wall_json`].
+    /// Real elapsed nanoseconds. Never golden-pinned or printed; its one
+    /// reader is `benchmark/`'s adapter (`reg_churn`).
     pub wall_ns: u64,
 }
 
@@ -2532,7 +2498,7 @@ pub struct S2Result {
 impl S2Result {
     /// The deterministic bench-sidecar body: parameters, the aggregated
     /// row, and the envelope-arena counter. Byte-identical for a fixed
-    /// config at every thread count (the CI `s2-smoke` matrix diffs
+    /// config at every thread count (the CI `golden` matrix diffs
     /// exactly this).
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -2545,21 +2511,6 @@ impl S2Result {
             ("batching", Json::from(self.cfg.batching)),
             ("arena_resets", Json::UInt(self.arena_resets)),
             ("row", self.row.to_json()),
-        ])
-    }
-
-    /// The wall-clock companion (for the `BENCH_s2.json` artifact).
-    /// Nondeterministic by nature — never diffed against a golden.
-    pub fn wall_json(&self) -> Json {
-        let r = &self.row;
-        Json::obj([
-            ("shards", Json::from(self.cfg.shards)),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("wall_ns", Json::UInt(r.wall_ns)),
-            (
-                "wall_regs_per_sec",
-                Json::UInt(rate_per_sec(r.accepted, r.wall_ns)),
-            ),
         ])
     }
 }
@@ -3571,10 +3522,6 @@ impl Params {
 pub enum Artifact {
     /// A byte-stable sidecar `{name}.{kind}.json`.
     Sidecar(SidecarKind, &'static str, Json),
-    /// A wall-clock companion `{name}.json`: the deterministic bench body
-    /// plus real elapsed rates. Nondeterministic by nature — never diffed
-    /// against a golden.
-    Wall(&'static str, Json),
     /// A wire capture `{name}.pcap`; written only when the capture is
     /// non-empty, i.e. the run was built with `MOSQUITONET_PCAP` set.
     Pcap(&'static str, Vec<CapturedFrame>),
@@ -3586,7 +3533,6 @@ impl Artifact {
     pub fn stem(&self) -> String {
         match self {
             Artifact::Sidecar(kind, name, _) => format!("{name}.{}", kind.key()),
-            Artifact::Wall(name, _) => (*name).to_string(),
             Artifact::Pcap(name, _) => format!("{name}.pcap"),
         }
     }
@@ -3597,12 +3543,6 @@ impl Artifact {
         match self {
             Artifact::Sidecar(kind, name, body) => {
                 report::write_sidecar_in(dir, *kind, name, body).map(Some)
-            }
-            Artifact::Wall(name, doc) => {
-                std::fs::create_dir_all(dir)?;
-                let path = dir.join(format!("{name}.json"));
-                std::fs::write(&path, doc.render_pretty())?;
-                Ok(Some(path))
             }
             Artifact::Pcap(name, frames) => report::write_pcap_in(dir, name, frames),
         }
@@ -3681,16 +3621,6 @@ fn with_journeys(
     out.artifacts
         .push(Artifact::Sidecar(SidecarKind::Journeys, name, journeys));
     out
-}
-
-/// The wall-clock companion document of a bench-class run.
-fn wall_doc(experiment: &str, members: Vec<(&'static str, Json)>) -> Json {
-    let mut doc = vec![
-        ("schema", Json::from("mosquitonet.bench-wall/v1")),
-        ("experiment", Json::from(experiment)),
-    ];
-    doc.extend(members);
-    Json::obj(doc)
 }
 
 /// Shard count of S3's sharded variant; 1, 2, and 4 threads all divide
@@ -3941,12 +3871,7 @@ pub static REGISTRY: &[Experiment] = &[
             BATCHING,
             THREADS,
         ],
-        artifacts: &[
-            "s2_fleet.bench",
-            "s2_fleet.journeys",
-            "s2_fleet.metrics",
-            "BENCH_s2",
-        ],
+        artifacts: &["s2_fleet.bench", "s2_fleet.journeys", "s2_fleet.metrics"],
         run: |p| {
             let cfg = S2Config {
                 shards: p.get_u32("shards"),
@@ -3957,10 +3882,6 @@ pub static REGISTRY: &[Experiment] = &[
                 batching: p.get("batching") != 0,
             };
             let r = run_s2(&cfg, p.get("threads") as usize);
-            let wall = wall_doc(
-                "s2_ha_fleet",
-                vec![("bench", r.to_json()), ("wall", r.wall_json())],
-            );
             Outcome {
                 report: report::render_s2(&r),
                 json: vec![("s2", r.to_json())],
@@ -3968,7 +3889,6 @@ pub static REGISTRY: &[Experiment] = &[
                     Artifact::Sidecar(SidecarKind::Bench, "s2_fleet", r.to_json()),
                     Artifact::Sidecar(SidecarKind::Journeys, "s2_fleet", r.journeys),
                     Artifact::Sidecar(SidecarKind::Metrics, "s2_fleet", r.metrics),
-                    Artifact::Wall("BENCH_s2", wall),
                 ],
             }
         },
@@ -3995,7 +3915,6 @@ pub static REGISTRY: &[Experiment] = &[
             "s3_sharded.bench",
             "s3_sharded.journeys",
             "s3_sharded.metrics",
-            "BENCH_s3",
         ],
         run: |p| {
             let cfg = S3Config {
@@ -4007,16 +3926,6 @@ pub static REGISTRY: &[Experiment] = &[
             };
             let r = run_s3(&cfg);
             let sharded = run_s3_sharded(&cfg, S3_SHARDS, p.get("threads") as usize);
-            // The `sharded_wall` entry is the scaling row for this run's
-            // thread count.
-            let wall = wall_doc(
-                "s3_saturation",
-                vec![
-                    ("bench", r.to_json()),
-                    ("wall", r.wall_json()),
-                    ("sharded_wall", sharded.wall_json()),
-                ],
-            );
             Outcome {
                 report: report::render_s3(&r) + &report::render_s3_sharded(&sharded),
                 json: vec![("s3", r.to_json()), ("s3_sharded", sharded.to_json())],
@@ -4025,7 +3934,6 @@ pub static REGISTRY: &[Experiment] = &[
                     Artifact::Sidecar(SidecarKind::Bench, "s3_sharded", sharded.to_json()),
                     Artifact::Sidecar(SidecarKind::Journeys, "s3_sharded", sharded.journeys),
                     Artifact::Sidecar(SidecarKind::Metrics, "s3_sharded", sharded.metrics),
-                    Artifact::Wall("BENCH_s3", wall),
                 ],
             }
         },

@@ -552,10 +552,8 @@ pub fn render_s1(r: &crate::experiments::S1Result) -> String {
     out
 }
 
-/// Renders the S3 whole-system saturation run. Virtual-time rates come
-/// from the result rows; wall-clock rates are printed alongside but live
-/// only in the human report and the `BENCH_s3.json` artifact, never in
-/// the golden-diffed bench sidecar.
+/// Renders the S3 whole-system saturation run: the virtual-time rates of
+/// the result rows, the same numbers the golden-diffed bench sidecar holds.
 pub fn render_s3(r: &crate::experiments::S3Result) -> String {
     let mut out = String::new();
     hr(
@@ -573,45 +571,26 @@ pub fn render_s3(r: &crate::experiments::S3Result) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12} {:>10}",
-        "mode", "sent", "delivered", "events", "batches", "vpps", "ns/pkt(v)", "Mpps(wall)"
+        "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12}",
+        "mode", "sent", "delivered", "events", "batches", "vpps", "ns/pkt(v)"
     );
     for row in &r.rows {
-        let wall_mpps = wall_mpps(row);
         let _ = writeln!(
             out,
-            "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12} {:>10.3}",
-            row.mode,
-            row.sent,
-            row.delivered,
-            row.events,
-            row.batches,
-            row.pps,
-            row.ns_per_packet,
-            wall_mpps,
+            "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12}",
+            row.mode, row.sent, row.delivered, row.events, row.batches, row.pps, row.ns_per_packet,
         );
     }
     let _ = writeln!(
         out,
-        "  (vpps / ns-per-packet are virtual-time rates — exact and\n\
-         \x20  seed-stable; the wall Mpps column is real elapsed time and\n\
-         \x20  varies run to run)"
+        "  (vpps / ns-per-packet are virtual-time rates — exact and seed-stable)"
     );
     out
 }
 
-/// Delivered packets per microsecond of real elapsed time.
-fn wall_mpps(row: &crate::experiments::S3Row) -> f64 {
-    if row.wall_ns > 0 {
-        row.delivered as f64 * 1_000.0 / row.wall_ns as f64
-    } else {
-        0.0
-    }
-}
-
 /// Renders the sharded S3 run: the aggregated row plus the partition
-/// and threading parameters. Everything except the wall columns is
-/// byte-identical across thread counts.
+/// and threading parameters. Everything but the thread count it echoes
+/// is byte-identical across thread counts.
 pub fn render_s3_sharded(r: &crate::experiments::S3ShardedResult) -> String {
     let mut out = String::new();
     hr(
@@ -625,12 +604,11 @@ pub fn render_s3_sharded(r: &crate::experiments::S3ShardedResult) -> String {
         r.shards, r.cfg.pairs, r.cfg.burst, r.cfg.ticks, r.cfg.seed, r.threads,
     );
     let row = &r.row;
-    let wall_mpps = wall_mpps(row);
     let _ = writeln!(
         out,
         "  sent {}  delivered {}  events {}  batches {}  vpps {}  \
-         ns/pkt(v) {}  Mpps(wall) {:.3}",
-        row.sent, row.delivered, row.events, row.batches, row.pps, row.ns_per_packet, wall_mpps,
+         ns/pkt(v) {}",
+        row.sent, row.delivered, row.events, row.batches, row.pps, row.ns_per_packet,
     );
     let _ = writeln!(
         out,
@@ -642,8 +620,8 @@ pub fn render_s3_sharded(r: &crate::experiments::S3ShardedResult) -> String {
 }
 
 /// Renders the S2 sharded home-agent fleet run: the aggregated row plus
-/// the partition and threading parameters. Everything except the wall
-/// column is byte-identical across thread counts.
+/// the partition and threading parameters. Everything but the thread
+/// count it echoes is byte-identical across thread counts.
 pub fn render_s2(r: &crate::experiments::S2Result) -> String {
     let mut out = String::new();
     hr(
@@ -672,19 +650,12 @@ pub fn render_s2(r: &crate::experiments::S2Result) -> String {
         "  bindings: active {}  standby {} (lock-step)  journal records {}",
         row.live_bindings, row.standby_bindings, row.journal_records,
     );
-    let wall_regs = if row.wall_ns > 0 {
-        row.accepted as f64 * 1_000_000_000.0 / row.wall_ns as f64
-    } else {
-        0.0
-    };
     let _ = writeln!(
         out,
-        "  regs/s {} (virtual)  p99 latency {:.2} ms (virtual)  bytes/binding {}  \
-         regs/s(wall) {:.0}",
+        "  regs/s {} (virtual)  p99 latency {:.2} ms (virtual)  bytes/binding {}",
         row.regs_per_sec,
         row.p99_latency_ns as f64 / 1_000_000.0,
         row.bytes_per_binding,
-        wall_regs,
     );
     let _ = writeln!(
         out,

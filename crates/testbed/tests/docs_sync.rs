@@ -1,8 +1,9 @@
 //! Documentation-sync checks: drop-reason codes against
 //! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` against
 //! the registry, DESIGN.md's crate and dependency tables against the
-//! manifests, its module hook list against `trait Module`, and the shape
-//! of `BENCH_trajectory.json`.
+//! manifests, its module hook list against `trait Module`, the shape of
+//! `BENCH_trajectory.json`, and that the docs cite no deleted instrument
+//! and no ledger metric `BENCHMARK.json` does not declare.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in trace lines, metric names, and flight-recorder hop
@@ -13,10 +14,17 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use mosquitonet_sim::Json;
 use mosquitonet_testbed::experiments::REGISTRY;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// A JSON document at the workspace root.
+fn read_json(name: &str) -> Json {
+    let text = std::fs::read_to_string(workspace_root().join(name)).expect(name);
+    Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -213,14 +221,10 @@ fn design_md_hook_list_is_trait_module() {
 /// that the newest point covers the workloads the benchmark declares.
 #[test]
 fn bench_trajectory_is_well_formed_and_current() {
-    use mosquitonet_sim::Json;
     const ROW: &str = "ops_per_s run_s setup_s peak_rss_mb events_per_op allocs_per_op \
         alloc_bytes_per_op frames_per_op batch_mean trace_entries_per_op drops_per_op sim_digest";
-    let read = |name: &str| {
-        let text = std::fs::read_to_string(workspace_root().join(name)).expect(name);
-        Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
-    };
-    let (doc, declared) = (read("BENCH_trajectory.json"), read("BENCHMARK.json"));
+    let doc = read_json("BENCH_trajectory.json");
+    let declared = read_json("BENCHMARK.json");
     let schema = doc.get("schema").and_then(Json::as_str);
     assert_eq!(schema, Some("mosquitonet.trajectory/v1"));
     let (mut prs, mut newest) = (Vec::new(), BTreeSet::new());
@@ -245,4 +249,80 @@ fn bench_trajectory_is_well_formed_and_current() {
         newest,
         declared.filter_map(|w| w.get("name")?.as_str()).collect()
     );
+}
+
+/// The files under `dir` (from the workspace root) with extension `ext`.
+fn files_in(dir: &str, ext: &str) -> Vec<PathBuf> {
+    let entries = std::fs::read_dir(workspace_root().join(dir)).expect("read_dir");
+    let paths = entries.map(|e| e.expect("dir entry").path());
+    paths
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .collect()
+}
+
+/// `a.{b,c}_ns` → `a.b_ns`, `a.c_ns`.
+fn expand_braces(token: &str) -> Vec<String> {
+    let Some((head, rest)) = token.split_once('{') else {
+        return vec![token.to_string()];
+    };
+    let (alts, tail) = rest.split_once('}').unwrap_or((rest, ""));
+    let each = alts.split(',');
+    each.flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
+}
+
+/// `benchmark/` and its trajectory are the one wall-clock instrument
+/// (PR 17 deleted the gate crate and the `experiment` wall companions):
+/// (a) no document or workflow names a deleted one, and (b) a backticked
+/// `layer.word…` token in the prose is a `per_layer` row of
+/// `BENCHMARK.json` — a performance sentence cannot cite a metric nobody
+/// measures.
+#[test]
+fn docs_cite_only_the_instrument_and_the_metrics_that_exist() {
+    // Each name in two pieces, so that a grep for it finds nothing, this
+    // file included.
+    const GONE: &str = "bench_|gate bench/|baseline.json mosquitonet-|bench BENCH_|s2 BENCH_|s3";
+    const LAYERS: &str = "sim wire link stack core dhcp testbed trace";
+    let root = workspace_root();
+    let mut prose = vec![root.join("README.md"), root.join("DESIGN.md")];
+    prose.extend(files_in("docs", "md"));
+    assert!(prose.len() > 10, "scanner must see docs/");
+    let mut all = prose.clone();
+    all.push(root.join("EXPERIMENTS.md"));
+    all.extend(files_in(".github/workflows", "yml"));
+    let declared = read_json("BENCHMARK.json");
+    let per_layer = declared.get("per_layer").and_then(Json::as_arr);
+    let per_layer = per_layer.expect("per_layer").iter();
+    let per_layer: BTreeSet<&str> = per_layer.filter_map(|m| m.get("name")?.as_str()).collect();
+    let is_word =
+        |w: &str| !w.is_empty() && w.bytes().all(|b| b == b'_' || b.is_ascii_alphanumeric());
+    let metric_shaped = |name: &String| {
+        let (layer, words) = name.split_once('.').unwrap_or((name, ""));
+        LAYERS.split(' ').any(|l| l == layer) && words.split('.').all(is_word)
+    };
+    let mut cited = 0;
+    for path in &all {
+        let text = std::fs::read_to_string(path).expect("read doc");
+        for gone in GONE.split(' ').map(|name| name.replace('|', "")) {
+            assert!(!text.contains(&gone), "{} names {gone}", path.display());
+        }
+        if !prose.contains(path) {
+            continue;
+        }
+        for token in text.split('`').skip(1).step_by(2) {
+            let names = expand_braces(token);
+            if !names.iter().all(metric_shaped) {
+                continue;
+            }
+            for name in &names {
+                cited += 1;
+                assert!(
+                    per_layer.contains(name.as_str()),
+                    "{} cites `{name}`, which BENCHMARK.json does not declare",
+                    path.display()
+                );
+            }
+        }
+    }
+    assert!(cited > 20, "scanner must find the docs' metric citations");
 }

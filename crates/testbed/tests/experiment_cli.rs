@@ -40,6 +40,22 @@ fn help_prints_usage_and_runs_nothing() {
 }
 
 #[test]
+fn an_unwritable_artifact_exits_1_naming_the_path() {
+    // The metrics "directory" is an existing regular file.
+    let dir = scratch("unwritable");
+    std::fs::create_dir_all(dir.parent().expect("has a parent")).expect("scratch root");
+    std::fs::write(&dir, "in the way").expect("plant the file");
+    let out = experiment(&dir, &["s3_saturation", "pairs=1", "burst=1", "ticks=1"]);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("s3_saturation.bench") && stderr.contains(&*dir.to_string_lossy()),
+        "must name the stem and the path: {stderr}"
+    );
+    let _ = std::fs::remove_file(&dir);
+}
+
+#[test]
 fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
     let dir = scratch("bad-params");
     for (args, token) in [

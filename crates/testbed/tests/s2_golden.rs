@@ -91,7 +91,7 @@ fn s2_exports_match_goldens_and_fleet_stays_in_lock_step() {
 
 /// Thread count must not leak into any deterministic output: the smoke
 /// fleet stepped by two workers is byte-identical to the single-thread
-/// run the goldens pin (CI extends this to 4 via the `s2-smoke` matrix).
+/// run the goldens pin (CI extends this to 4 via the `golden` matrix).
 #[test]
 fn s2_two_worker_run_is_byte_identical_to_single_thread() {
     let one = run_s2(&SMOKE, 1);
