@@ -20,7 +20,8 @@
 //! from a plain counter — never the engine RNG — so enabling the recorder
 //! cannot perturb a seeded run.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::json::Json;
 use crate::time::SimTime;
@@ -29,9 +30,10 @@ use crate::time::SimTime;
 /// Control-plane frames (ARP) and pre-recorder packets carry this.
 pub const NO_FLIGHT: u64 = 0;
 
-/// Default ring capacity, in hop events. Generously above what the
-/// longest experiment records (~10⁴ hops) while bounding memory at a few
-/// megabytes.
+/// Default ring capacity, in hop events: 4.5 MiB of [`HopEvent`]s. The
+/// Figure-5 experiments record ~10⁴ hops and keep them all; the fleet
+/// run at benchmark scale records ~35 000 per shard (568 818 in all), so
+/// each shard's ring still holds its whole run.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Labels kept per ring slot: [`FlightRecorder::begin_flight`] prunes the
@@ -156,29 +158,7 @@ impl Journey {
     /// pending (still in flight when the run stopped, or hops lost to
     /// ring wraparound).
     pub fn outcome(&self) -> Outcome {
-        if self
-            .hops
-            .iter()
-            .any(|h| h.action == HopAction::Delivered || h.action == HopAction::Decap)
-        {
-            // A Decap'd flight re-enters IP and keeps the same id, so a
-            // later Delivered hop normally follows; Decap alone (run end)
-            // still proves the tunnel worked.
-            if self.hops.iter().any(|h| h.action == HopAction::Delivered) {
-                return Outcome::Delivered;
-            }
-        }
-        if self
-            .hops
-            .iter()
-            .any(|h| matches!(h.action, HopAction::Dropped(_)))
-        {
-            Outcome::Dropped
-        } else if self.hops.iter().any(|h| h.action == HopAction::Delivered) {
-            Outcome::Delivered
-        } else {
-            Outcome::Pending
-        }
+        outcome_of(self.hops.iter())
     }
 
     /// First recorded drop reason, if any.
@@ -189,12 +169,6 @@ impl Journey {
     /// Origin (first-hop) time, if the origin survived the ring.
     pub fn origin_time(&self) -> Option<SimTime> {
         self.hops.first().map(|h| h.at)
-    }
-
-    /// True when the first surviving hop is not the origin `Sent` record
-    /// (older hops were overwritten by ring wraparound).
-    pub fn is_truncated(&self) -> bool {
-        !matches!(self.hops.first().map(|h| h.action), Some(HopAction::Sent))
     }
 }
 
@@ -208,6 +182,21 @@ pub enum Outcome {
     /// Neither: still in flight at run end, or evidence lost to
     /// wraparound.
     Pending,
+}
+
+/// The outcome a flight's hops add up to: delivered anywhere wins (a
+/// tunnelled flight is decapsulated and delivered under one id), then
+/// dropped, then pending.
+fn outcome_of<'a>(hops: impl Iterator<Item = &'a HopEvent>) -> Outcome {
+    let mut outcome = Outcome::Pending;
+    for h in hops {
+        match h.action {
+            HopAction::Delivered => return Outcome::Delivered,
+            HopAction::Dropped(_) => outcome = Outcome::Dropped,
+            _ => {}
+        }
+    }
+    outcome
 }
 
 /// The blackout window reconstructed from one origin host's lost flights.
@@ -272,7 +261,8 @@ pub struct FlightRecorder {
     /// Ring storage; at most `capacity` entries, oldest overwritten first.
     ring: Vec<HopEvent>,
     capacity: usize,
-    /// Next ring slot to (over)write.
+    /// Next ring slot to (over)write: the ring is two seq-sorted runs,
+    /// `ring[head..]` (empty until it wraps) then `ring[..head]`.
     head: usize,
     /// Hop events lost to wraparound.
     overwritten: u64,
@@ -285,6 +275,30 @@ pub struct FlightRecorder {
     captures: Vec<CapturedFrame>,
     /// Frames not captured because the buffer was full.
     captures_dropped: u64,
+}
+
+fn same_flight(a: &&HopEvent, b: &&HopEvent) -> bool {
+    a.flight == b.flight
+}
+
+/// [`FlightRecorder::blackout`] over [`FlightRecorder::by_flight`]'s hops.
+fn blackout_in(by_flight: &[&HopEvent], origin_host: u32) -> Option<Blackout> {
+    let mut window: Option<Blackout> = None;
+    for hops in by_flight.chunk_by(same_flight) {
+        let origin = hops[0];
+        if origin.host != origin_host
+            || origin.action != HopAction::Sent
+            || outcome_of(hops.iter().copied()) != Outcome::Dropped
+        {
+            continue;
+        }
+        let (lost, first, last) = (0, origin.at, origin.at);
+        let b = window.get_or_insert(Blackout { lost, first, last });
+        b.lost += 1;
+        b.first = b.first.min(origin.at);
+        b.last = b.last.max(origin.at);
+    }
+    window
 }
 
 impl FlightRecorder {
@@ -308,7 +322,14 @@ impl FlightRecorder {
 
     /// Enables or disables recording. Flight ids allocated while enabled
     /// stay valid after a disable (their hops simply stop accumulating).
+    /// Enabling reserves the ring and the label table: recording moves neither.
     pub fn set_enabled(&mut self, on: bool) {
+        if on {
+            self.ring.reserve_exact(self.capacity - self.ring.len());
+            let labels = LABELS_PER_RING_SLOT * self.capacity;
+            self.labels
+                .reserve_exact(labels.saturating_sub(self.labels.len()));
+        }
         self.enabled = on;
     }
 
@@ -400,8 +421,8 @@ impl FlightRecorder {
     }
 
     /// Records one hop. A no-op when disabled or when `flight` is
-    /// [`NO_FLIGHT`] — the disabled path is a single predicted branch
-    /// (gated at ≤ 2 ns by the bench suite).
+    /// [`NO_FLIGHT`] — the disabled path is a single predicted branch; the
+    /// benchmark's `sim.flightrec.hop_ns_on` probe times the enabled one.
     #[inline]
     pub fn hop(
         &mut self,
@@ -482,8 +503,17 @@ impl FlightRecorder {
 
     /// Every surviving hop in insertion (seq) order.
     pub fn hops_in_order(&self) -> Vec<HopEvent> {
-        let mut hops = self.ring.clone();
-        hops.sort_by_key(|h| h.seq);
+        let (newer, older) = self.ring.split_at(self.head);
+        [older, newer].concat()
+    }
+
+    /// Every surviving hop by reference, flights ascending, each flight's
+    /// hops in recording order (`chunk_by(same_flight)`: a journey a slice).
+    /// These and the stable sort's keys are all a document costs per hop.
+    fn by_flight(&self) -> Vec<&HopEvent> {
+        let (newer, older) = self.ring.split_at(self.head);
+        let mut hops: Vec<&HopEvent> = older.iter().chain(newer).collect();
+        hops.sort_by_cached_key(|h| h.flight);
         hops
     }
 
@@ -491,97 +521,83 @@ impl FlightRecorder {
     /// id; hops within a journey are in recording order, so they can
     /// never be out of order or leak across flights.
     pub fn journeys(&self) -> Vec<Journey> {
-        let mut by_flight: HashMap<u64, Vec<HopEvent>> = HashMap::new();
-        for hop in self.hops_in_order() {
-            by_flight.entry(hop.flight).or_default().push(hop);
-        }
-        let mut flights: Vec<u64> = by_flight.keys().copied().collect();
-        flights.sort_unstable();
-        flights
-            .into_iter()
-            .map(|flight| Journey {
-                flight,
-                label: self.label_of(flight),
-                hops: by_flight.remove(&flight).expect("keyed"),
-            })
-            .collect()
+        let by_flight = self.by_flight();
+        let journeys = by_flight.chunk_by(same_flight).map(|hops| Journey {
+            flight: hops[0].flight,
+            label: self.label_of(hops[0].flight),
+            hops: hops.iter().map(|h| **h).collect(),
+        });
+        journeys.collect()
     }
 
     /// The blackout window of `origin_host`: its lost (dropped, never
     /// delivered) flights and the origin-time span they cover. `None`
     /// when the host lost nothing.
     pub fn blackout(&self, origin_host: u32) -> Option<Blackout> {
-        let mut lost = 0u64;
-        let mut first = SimTime::ZERO;
-        let mut last = SimTime::ZERO;
-        for j in self.journeys() {
-            let Some(origin) = j.hops.first() else {
-                continue;
-            };
-            if origin.host != origin_host
-                || origin.action != HopAction::Sent
-                || j.outcome() != Outcome::Dropped
-            {
-                continue;
-            }
-            let t = origin.at;
-            if lost == 0 {
-                first = t;
-                last = t;
-            } else {
-                first = first.min(t);
-                last = last.max(t);
-            }
-            lost += 1;
-        }
-        (lost > 0).then_some(Blackout { lost, first, last })
+        blackout_in(&self.by_flight(), origin_host)
     }
 
-    /// Snapshots this recorder's state as plain `Send` data for merging
-    /// across shards. `shard` is the segment's stable shard id (the
-    /// deterministic tie-break for same-instant hops from different
-    /// shards) and `host_base` the offset added to every hop's host index
-    /// so per-shard indices map into the merged run's host-name table.
-    pub fn dump(&self, shard: u32, host_base: u32) -> FlightDump {
-        let mut hops = self.hops_in_order();
+    /// Moves this recorder's hops and labels out as plain `Send` data for
+    /// merging across shards, leaving it as after [`FlightRecorder::clear`].
+    /// `shard` is the segment's stable shard id (the tie-break for
+    /// same-instant hops from different shards), `host_base` the offset that
+    /// maps this shard's host indices into the merged run's host-name table.
+    pub fn dump(&mut self, shard: u32, host_base: u32) -> FlightDump {
+        let mut hops = std::mem::take(&mut self.ring);
+        hops.rotate_left(self.head);
         for h in &mut hops {
             h.host += host_base;
         }
-        FlightDump {
+        let dump = FlightDump {
             shard,
             hops,
-            labels: self.labels.clone(),
+            labels: std::mem::take(&mut self.labels),
             overwritten: self.overwritten,
-        }
+        };
+        self.clear();
+        dump
     }
 
     /// Builds a single recorder holding every shard's hops, merged in
     /// `(time, shard, seq)` order — the order a single-threaded run over
-    /// the union topology would have recorded them. Flight ids must
-    /// already be disjoint across dumps (see
-    /// [`FlightRecorder::set_flight_namespace`]); the merged ring is
-    /// sized to hold every surviving hop, so merging never re-drops.
+    /// the union topology would have recorded them. Virtual time never
+    /// goes back inside a shard, so each dump already is in `(time, seq)`
+    /// order (one that is not is sorted first) and a k-way merge on
+    /// `(time, shard)` yields exactly that order. Flight ids must already be
+    /// disjoint across dumps ([`FlightRecorder::set_flight_namespace`]); the
+    /// merged ring holds every surviving hop, so merging never re-drops.
     pub fn merged(mut dumps: Vec<FlightDump>) -> FlightRecorder {
         dumps.sort_unstable_by_key(|d| d.shard);
         let total: usize = dumps.iter().map(|d| d.hops.len()).sum();
         let mut rec = FlightRecorder::with_capacity(total.max(1));
-        rec.set_enabled(true);
-        let mut all: Vec<(u32, HopEvent)> = Vec::with_capacity(total);
-        let mut overwritten = 0u64;
-        for d in dumps {
-            overwritten += d.overwritten;
-            rec.labels.extend(d.labels);
-            all.extend(d.hops.into_iter().map(|h| (d.shard, h)));
+        rec.enabled = true; // not `set_enabled`: the labels arrive whole
+        rec.ring.reserve_exact(total);
+        for d in &mut dumps {
+            rec.overwritten += d.overwritten;
+            rec.labels.append(&mut d.labels);
+            if !d.hops.is_sorted_by_key(|h| h.at) {
+                d.hops.sort_by_key(|h| h.at);
+            }
         }
         // Shard `s` labels only flights of its own namespace, so the dumps
         // arrive in flight order; the sort is the table's invariant made
         // independent of that.
         rec.labels.sort_unstable_by_key(|&(flight, _)| flight);
-        all.sort_unstable_by_key(|&(shard, h)| (h.at, shard, h.seq));
-        for (_, h) in all {
-            rec.hop_slow(h.flight, h.at, h.host, h.point, h.action);
+        // Each dump's next unmerged hop, earliest on top (index = shard order).
+        let mut next = vec![0usize; dumps.len()];
+        let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
+        let head_of = |i: usize, at: usize| Some(Reverse((dumps[i].hops.get(at)?.at, i)));
+        heads.extend((0..dumps.len()).filter_map(|i| head_of(i, 0)));
+        while let Some(Reverse((_, i))) = heads.pop() {
+            let seq = rec.ring.len() as u64;
+            rec.ring.push(HopEvent {
+                seq,
+                ..dumps[i].hops[next[i]]
+            });
+            next[i] += 1;
+            heads.extend(head_of(i, next[i]));
         }
-        rec.overwritten = overwritten;
+        rec.next_seq = total as u64;
         rec
     }
 
@@ -597,29 +613,26 @@ impl FlightRecorder {
                 .cloned()
                 .unwrap_or_else(|| format!("host{idx}"))
         };
-        let journeys = self.journeys();
-        let (mut delivered, mut dropped, mut pending, mut truncated) = (0u64, 0u64, 0u64, 0u64);
+        let by_flight = self.by_flight();
+        let (mut flights, mut truncated) = (0u64, 0u64);
+        let (mut delivered, mut dropped, mut pending) = (0u64, 0u64, 0u64);
         let mut e2e = DelaySummary::default();
         let mut per_hop = DelaySummary::default();
-        let mut top: HashMap<(u32, &'static str), u64> = HashMap::new();
         let mut drop_chains: Vec<Json> = Vec::new();
         let mut drops_omitted = 0u64;
-        for j in &journeys {
-            if j.is_truncated() {
+        for hops in by_flight.chunk_by(same_flight) {
+            flights += 1;
+            let first = hops[0];
+            if first.action != HopAction::Sent {
                 truncated += 1;
             }
-            for pair in j.hops.windows(2) {
+            for pair in hops.windows(2) {
                 per_hop.push(pair[1].at.saturating_since(pair[0].at).as_micros());
             }
-            for h in &j.hops {
-                *top.entry((h.host, h.action.name())).or_default() += 1;
-            }
-            match j.outcome() {
+            match outcome_of(hops.iter().copied()) {
                 Outcome::Delivered => {
                     delivered += 1;
-                    let first = j.hops.first().expect("non-empty journey");
-                    let done = j
-                        .hops
+                    let done = hops
                         .iter()
                         .rfind(|h| h.action == HopAction::Delivered)
                         .expect("delivered journey has a Delivered hop");
@@ -628,8 +641,7 @@ impl FlightRecorder {
                 Outcome::Dropped => {
                     dropped += 1;
                     if drop_chains.len() < EXPORT_MAX_DROPS {
-                        let hops: Vec<Json> = j
-                            .hops
+                        let chain: Vec<Json> = hops
                             .iter()
                             .map(|h| {
                                 Json::obj([
@@ -643,17 +655,18 @@ impl FlightRecorder {
                                 ])
                             })
                             .collect();
+                        let reason = hops.iter().find_map(|h| h.action.reason());
                         let mut members = vec![
-                            ("flight".to_string(), Json::UInt(j.flight)),
+                            ("flight".to_string(), Json::UInt(first.flight)),
                             (
                                 "reason".to_string(),
-                                Json::from(j.drop_reason().unwrap_or("unknown")),
+                                Json::from(reason.unwrap_or("unknown")),
                             ),
                         ];
-                        if let Some(l) = j.label {
+                        if let Some(l) = self.label_of(first.flight) {
                             members.push(("label".to_string(), Json::from(l)));
                         }
-                        members.push(("hops".to_string(), Json::Arr(hops)));
+                        members.push(("hops".to_string(), Json::Arr(chain)));
                         drop_chains.push(Json::Obj(members));
                     } else {
                         drops_omitted += 1;
@@ -661,6 +674,11 @@ impl FlightRecorder {
                 }
                 Outcome::Pending => pending += 1,
             }
+        }
+        // Counted over the ring as it lies: order is nothing to a count.
+        let mut top: HashMap<(u32, &'static str), u64> = HashMap::new();
+        for h in &self.ring {
+            *top.entry((h.host, h.action.name())).or_default() += 1;
         }
         let mut top_rows: Vec<((u32, &'static str), u64)> = top.into_iter().collect();
         top_rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -678,7 +696,7 @@ impl FlightRecorder {
         let blackout_json = blackout_origin
             .and_then(|name| {
                 let idx = host_names.iter().position(|n| n == name)? as u32;
-                let b = self.blackout(idx)?;
+                let b = blackout_in(&by_flight, idx)?;
                 Some(Json::obj([
                     ("origin", Json::from(name)),
                     ("lost", Json::UInt(b.lost)),
@@ -688,7 +706,7 @@ impl FlightRecorder {
             })
             .unwrap_or(Json::Null);
         Json::obj([
-            ("flights", Json::UInt(journeys.len() as u64)),
+            ("flights", Json::UInt(flights)),
             ("hops", Json::UInt(self.ring.len() as u64)),
             ("hops_overwritten", Json::UInt(self.overwritten)),
             ("truncated_flights", Json::UInt(truncated)),
@@ -748,24 +766,6 @@ mod tests {
         assert_eq!(js[1].label, Some("reg"));
         assert_eq!(js[1].outcome(), Outcome::Dropped);
         assert_eq!(js[1].drop_reason(), Some("drop.medium_loss"));
-    }
-
-    #[test]
-    fn ring_wraparound_keeps_order_and_counts_losses() {
-        let mut rec = FlightRecorder::with_capacity(4);
-        rec.set_enabled(true);
-        for i in 0..10u64 {
-            let f = rec.begin_flight(None);
-            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
-        }
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.overwritten(), 6);
-        let hops = rec.hops_in_order();
-        for pair in hops.windows(2) {
-            assert!(pair[0].seq < pair[1].seq, "insertion order preserved");
-        }
-        assert_eq!(hops.first().expect("4 hops").flight, 7);
-        assert_eq!(hops.last().expect("4 hops").flight, 10);
     }
 
     #[test]

@@ -201,10 +201,12 @@ where
         (0..n).map(|_| Mutex::new(Vec::new())).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let barrier = Barrier::new(threads);
+    // A lone worker waits for nobody: spare it `Barrier::wait`'s futex wake.
+    let sync = || (threads > 1).then(|| barrier.wait());
 
     std::thread::scope(|scope| {
         let (next_at, inboxes, results) = (&next_at, &inboxes, &results);
-        let (barrier, build, finish) = (&barrier, &build, &finish);
+        let (sync, build, finish) = (&sync, &build, &finish);
         for w in 0..threads {
             scope.spawn(move || {
                 let mut owned: Vec<(u32, Sim<W>)> = (0..shards)
@@ -216,7 +218,7 @@ where
                         let t = sim.next_event_at().map_or(IDLE, SimTime::as_nanos);
                         next_at[*i as usize].store(t, Ordering::Relaxed);
                     }
-                    barrier.wait();
+                    sync();
                     // Every worker computes the same minimum from the
                     // same published values, so all exit the same round.
                     let t_min = next_at
@@ -247,7 +249,7 @@ where
                                 .push(env);
                         }
                     }
-                    barrier.wait();
+                    sync();
                     for (i, sim) in owned.iter_mut() {
                         let mut inbox =
                             std::mem::take(&mut *inboxes[*i as usize].lock().expect("inbox"));

@@ -1,8 +1,90 @@
 //! Property-based tests for the simulation engine and statistics.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use mosquitonet_sim::{EventId, Histogram, Line, Sim, SimDuration, SimTime, Summary};
+use mosquitonet_sim::flightrec::LABELS_PER_RING_SLOT;
+use mosquitonet_sim::{
+    EventId, FlightDump, FlightRecorder, Histogram, HopAction, HopEvent, Line, Sim, SimDuration,
+    SimTime, Summary,
+};
+
+/// Host names of the journeys differential test; hops also name an
+/// index beyond them, and `HOSTS[0]` is the blackout origin.
+const HOSTS: [&str; 3] = ["ch", "ha", "mh"];
+
+/// The journeys document the way it was first written — every journey
+/// built as a `Vec`, each asked for its own outcome — as compact JSON.
+fn reference_export(
+    by_flight: &BTreeMap<u64, Vec<HopEvent>>,
+    label_of: impl Fn(u64) -> Option<&'static str>,
+    overwritten: usize,
+) -> String {
+    let name_of = |i: u32| {
+        HOSTS
+            .get(i as usize)
+            .map_or(format!("host{i}"), |n| n.to_string())
+    };
+    let summary = |us: &[u64]| {
+        let (min, max) = (us.iter().min().unwrap_or(&0), us.iter().max().unwrap_or(&0));
+        let (count, sum) = (us.len(), us.iter().sum::<u64>());
+        format!(r#"{{"count":{count},"min_us":{min},"max_us":{max},"sum_us":{sum}}}"#)
+    };
+    let (mut e2e, mut per_hop, mut lost_at, mut drops) = (vec![], vec![], vec![], vec![]);
+    let (mut delivered, mut dropped, mut truncated, mut hop_count) = (0, 0, 0, 0);
+    let mut top: BTreeMap<(u32, &str), u64> = BTreeMap::new();
+    for (flight, hops) in by_flight {
+        hop_count += hops.len();
+        truncated += usize::from(hops[0].action != HopAction::Sent);
+        per_hop.extend(hops.windows(2).map(|w| (w[1].at - w[0].at).as_micros()));
+        for h in hops {
+            *top.entry((h.host, h.action.name())).or_default() += 1;
+        }
+        if let Some(done) = hops.iter().rfind(|h| h.action == HopAction::Delivered) {
+            delivered += 1;
+            e2e.push((done.at - hops[0].at).as_micros());
+        } else if let Some(reason) = hops.iter().find_map(|h| h.action.reason()) {
+            dropped += 1;
+            if hops[0].host == 0 && hops[0].action == HopAction::Sent {
+                lost_at.push(hops[0].at.as_micros());
+            }
+            let chain = hops.iter().map(|h| {
+                let (us, host, point) = (h.at.as_micros(), name_of(h.host), h.point);
+                let did = h.action.reason().unwrap_or(h.action.name());
+                format!(r#"{{"us":{us},"host":"{host}","point":"{point}","action":"{did}"}}"#)
+            });
+            let chain = chain.collect::<Vec<_>>().join(",");
+            let label = label_of(*flight).map_or(String::new(), |l| format!(r#""label":"{l}","#));
+            drops.push(format!(
+                r#"{{"flight":{flight},"reason":"{reason}",{label}"hops":[{chain}]}}"#
+            ));
+        }
+    }
+    let mut top: Vec<_> = top.into_iter().collect();
+    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let top = top.iter().take(10).map(|((host, action), n)| {
+        let host = name_of(*host);
+        format!(r#"{{"host":"{host}","action":"{action}","count":{n}}}"#)
+    });
+    let (origin, lost) = (HOSTS[0], lost_at.len());
+    let blackout = match (lost_at.iter().min(), lost_at.iter().max()) {
+        (Some(first), Some(last)) => {
+            format!(r#"{{"origin":"{origin}","lost":{lost},"first_us":{first},"last_us":{last}}}"#)
+        }
+        _ => "null".to_string(),
+    };
+    let (flights, omitted) = (by_flight.len(), drops.len().saturating_sub(100));
+    drops.truncate(100);
+    format!(
+        r#"{{"flights":{flights},"hops":{hop_count},"hops_overwritten":{overwritten},"truncated_flights":{truncated},"outcomes":{{"delivered":{delivered},"dropped":{dropped},"pending":{}}},"delay_us":{},"per_hop_us":{},"blackout":{blackout},"top_hops":[{}],"drops_omitted":{omitted},"drops":[{}]}}"#,
+        flights - delivered - dropped,
+        summary(&e2e),
+        summary(&per_hop),
+        top.collect::<Vec<_>>().join(","),
+        drops.join(",")
+    )
+}
 
 /// What a model-test event does when it fires, besides logging its label.
 #[derive(Clone, Copy, Debug)]
@@ -330,51 +412,89 @@ proptest! {
         }
     }
 
-    /// Flight-ring wraparound never reorders or cross-wires hops: the
-    /// survivors are exactly the newest `capacity` events in recording
-    /// order, the overwrite counter accounts for the rest, and every
-    /// reconstructed journey holds only its own flight's hops.
+    /// The streaming journeys document against a reference that builds
+    /// every journey, on streams that wrap the ring, prune labels and drop
+    /// more flights than the document prints. On the way: the survivors
+    /// are exactly the newest `capacity` hops in recording order, and
+    /// `journeys()` partitions them by flight.
     #[test]
-    fn flight_ring_wraparound_keeps_order_and_flight_integrity(
-        ops in proptest::collection::vec((0usize..5, 0u32..4), 0..600),
-        capacity in 1usize..48,
+    fn flight_export_matches_a_reference_that_builds_every_journey(
+        ops in proptest::collection::vec((any::<u8>(), 0usize..8, 0u32..4), 0..2000),
+        capacity in 1usize..1500,
     ) {
-        use mosquitonet_sim::{FlightRecorder, HopAction, SimTime};
+        use HopAction::{Decap, Delivered, Dropped, Encap, Forwarded, Sent};
+        let drops = [Dropped("drop.ttl"), Dropped("drop.medium_loss"), Dropped("drop.iface_down")];
+        let acts = [Forwarded, Forwarded, Encap, Decap, Delivered, drops[0], drops[1], drops[2]];
         let mut rec = FlightRecorder::with_capacity(capacity);
         rec.set_enabled(true);
-        let flights: Vec<u64> = (0..5).map(|_| rec.begin_flight(None)).collect();
-        for (i, &(f, host)) in ops.iter().enumerate() {
-            let at = SimTime::from_nanos(i as u64 * 1_000);
-            rec.hop(flights[f], at, host, "udp", HopAction::Sent);
+        let (mut live, mut model, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &(pick, act, host)) in ops.iter().enumerate() {
+            let (flight, action) = if live.is_empty() || pick % 3 == 0 {
+                let label = [Some("reg"), Some("s3"), None][pick as usize / 3 % 3];
+                if label.is_some() && labels.len() >= LABELS_PER_RING_SLOT * capacity {
+                    let ring: &[(u64, _, _, _)] = &model[model.len().saturating_sub(capacity)..];
+                    labels.retain(|&(f, _)| ring.iter().any(|h| h.0 == f));
+                }
+                live.push(rec.begin_flight(label));
+                labels.extend(label.map(|l| (live[live.len() - 1], l)));
+                (live[live.len() - 1], Sent)
+            } else {
+                // A flight stays live (may hop again) unless it dies of `acts[7]`.
+                let slot = pick as usize % live.len();
+                (if act == 7 { live.swap_remove(slot) } else { live[slot] }, acts[act])
+            };
+            let at = SimTime::from_nanos(i as u64 * 700);
+            rec.hop(flight, at, host, "udp", action);
+            model.push((flight, at, host, action));
         }
 
         let kept = rec.hops_in_order();
-        let expect_len = ops.len().min(capacity);
-        prop_assert_eq!(kept.len(), expect_len);
-        prop_assert_eq!(rec.overwritten(), (ops.len() - expect_len) as u64);
-        let base = ops.len() - expect_len;
-        for (idx, h) in kept.iter().enumerate() {
-            let (f, host) = ops[base + idx];
-            prop_assert_eq!(h.flight, flights[f]);
-            prop_assert_eq!(h.host, host);
-            prop_assert_eq!(h.at.as_nanos(), (base + idx) as u64 * 1_000);
-        }
-        for w in kept.windows(2) {
-            prop_assert!(w[0].seq < w[1].seq, "ring yielded out-of-order hops");
-        }
+        let lost = model.len().saturating_sub(capacity);
+        prop_assert_eq!(rec.overwritten(), lost as u64);
+        let seen: Vec<_> = kept.iter().map(|h| (h.flight, h.at, h.host, h.action)).collect();
+        prop_assert_eq!(&seen, &model[lost..]);
+        prop_assert!(kept.windows(2).all(|w| w[0].seq < w[1].seq), "ring out of order");
 
-        let journeys = rec.journeys();
-        let mut total = 0usize;
-        for j in &journeys {
-            prop_assert!(!j.hops.is_empty());
-            for h in &j.hops {
-                prop_assert_eq!(h.flight, j.flight, "journey mixed flights");
-            }
-            for w in j.hops.windows(2) {
-                prop_assert!(w[0].seq < w[1].seq, "journey hops out of order");
-            }
-            total += j.hops.len();
+        let mut by_flight: BTreeMap<u64, Vec<HopEvent>> = BTreeMap::new();
+        for h in &kept {
+            by_flight.entry(h.flight).or_default().push(*h);
         }
-        prop_assert_eq!(total, expect_len, "journeys must partition the ring");
+        let label_of = |f| labels.iter().find(|l| l.0 == f).map(|l| l.1);
+        let seqs = |hops: &[HopEvent]| hops.iter().map(|h| h.seq).collect::<Vec<_>>();
+        let journeys = rec.journeys().into_iter().map(|j| (j.flight, j.label, seqs(&j.hops)));
+        let want = by_flight.iter().map(|(&f, hops)| (f, label_of(f), seqs(hops)));
+        prop_assert_eq!(journeys.collect::<Vec<_>>(), want.collect::<Vec<_>>());
+        let doc = rec.export(&HOSTS.map(String::from), Some(HOSTS[0])).render();
+        prop_assert_eq!(doc, reference_export(&by_flight, label_of, lost));
+    }
+
+    /// `merged` of time-sorted dumps whose flights cross shards is, hop
+    /// for hop, the `(time, shard, seq)` sort of their concatenation.
+    #[test]
+    fn merged_dumps_equal_the_time_shard_seq_sort(
+        hops in proptest::collection::vec((0usize..5, 0u64..3, 1u64..40, 0u32..3), 0..300),
+        capacity in 1usize..80,
+    ) {
+        let mut recs: Vec<_> = (0..5).map(|_| FlightRecorder::with_capacity(capacity)).collect();
+        let mut now = 0;
+        for &(shard, step, flight, host) in &hops {
+            now += step; // zero: this hop shares its instant with the one before
+            recs[shard].set_enabled(true);
+            recs[shard].hop(flight, SimTime::from_nanos(now), host, "udp", HopAction::Forwarded);
+        }
+        let dumps = recs.iter_mut().zip(0u32..5).rev().map(|(r, s)| r.dump(s, 3 * s));
+        let dumps: Vec<FlightDump> = dumps.collect();
+        let mut want = Vec::new();
+        for d in &dumps {
+            want.extend(d.hops.iter().map(|h| (h.at, d.shard, h.seq, h.flight, h.host)));
+        }
+        want.sort_unstable();
+        let lost: u64 = dumps.iter().map(|d| d.overwritten).sum();
+        let merged = FlightRecorder::merged(dumps);
+        prop_assert_eq!(merged.overwritten(), lost);
+        let got = merged.hops_in_order();
+        prop_assert!(got.iter().zip(0..).all(|(h, seq)| h.seq == seq), "renumbered in order");
+        let got: Vec<_> = got.iter().map(|h| (h.at, h.flight, h.host)).collect();
+        prop_assert_eq!(got, want.iter().map(|w| (w.0, w.3, w.4)).collect::<Vec<_>>());
     }
 }

@@ -2113,14 +2113,14 @@ struct ShardTotals {
 }
 
 impl ShardTotals {
-    /// Shard `s`'s totals at the deadline (the span is the caller's to
-    /// widen: only it knows which modules observe the measured stream).
-    fn of_shard(s: u32, sim: &Sim<Network>, batching: bool) -> ShardTotals {
+    /// Shard `s`'s totals at the deadline, its hops moved out of `sim` (the span
+    /// is the caller's to widen: only it knows which modules observe the stream).
+    fn of_shard(s: u32, sim: &mut Sim<Network>, batching: bool) -> ShardTotals {
         let events = sim.events_executed();
         ShardTotals {
             names: host_names(sim.world()),
             snapshots: vec![sim.metrics().snapshot()],
-            dumps: vec![sim.flights().dump(s, s * ShardedCampus::HOSTS)],
+            dumps: vec![sim.flights_mut().dump(s, s * ShardedCampus::HOSTS)],
             events,
             // With batching off every event is a batch of one.
             batches: if batching {
@@ -2146,7 +2146,7 @@ impl ShardTotals {
     }
 
     /// The deterministic merged documents, `(journeys, metrics)`: flight
-    /// segments interleave by (time, shard, seq), metrics snapshots
+    /// segments merge into (time, shard, seq) order, metrics snapshots
     /// union-and-sum.
     fn documents(self) -> (Json, Json) {
         (
@@ -2245,7 +2245,7 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
     };
 
     let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, S3Row) {
-        let mut totals = ShardTotals::of_shard(s, &sim, cfg.batching);
+        let mut totals = ShardTotals::of_shard(s, &mut sim, cfg.batching);
         let mut row = S3Row::default();
         let w = sim.world_mut();
         for h in 0..w.hosts.len() {
@@ -2535,8 +2535,16 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         + S2_DRAIN;
     let shards = cfg.shards;
 
+    // The population partitioned once into per-shard slices, each in Zipf
+    // rank order. Part of the build, so inside the measured window.
+    let wall_start = std::time::Instant::now();
+    let directory = s2_directory(shards);
+    let mut homes_of = vec![Vec::new(); shards as usize];
+    for home in (0..cfg.mobile_hosts).map(s2_home) {
+        homes_of[directory.resolve(home) as usize].push(home);
+    }
+
     let build = |s: u32| -> Sim<Network> {
-        let directory = s2_directory(shards);
         let addr = move |host: u8| ShardedCampus::addr(s, host);
         let mac = |host: u8| ShardedCampus::mac(s, host);
         let mut campus =
@@ -2580,11 +2588,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         }
         stack::start(&mut sim);
 
-        // This shard's slice of the population, in Zipf rank order.
-        let homes: Vec<Ipv4Addr> = (0..cfg.mobile_hosts)
-            .map(s2_home)
-            .filter(|&h| directory.resolve(h) == s as u16)
-            .collect();
+        let homes = homes_of[s as usize].clone();
         let next_active = ShardedCampus::addr((s + 1) % shards, S2_ACTIVE);
         let (burst, ticks) = (cfg.burst, cfg.ticks);
         let churn_seed = shard_seed(cfg.seed, s) ^ 0x5A5A_5A5A_5A5A_5A5A;
@@ -2608,7 +2612,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
 
     let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, S2Row, Vec<u64>) {
         let now = sim.now();
-        let mut totals = ShardTotals::of_shard(s, &sim, cfg.batching);
+        let mut totals = ShardTotals::of_shard(s, &mut sim, cfg.batching);
         let mut row = S2Row::default();
         let mut latencies_ns = Vec::new();
         let w = sim.world_mut();
@@ -2643,7 +2647,6 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         (totals, row, latencies_ns)
     };
 
-    let wall_start = std::time::Instant::now();
     let outs = run_sharded(
         shards,
         threads,

@@ -16,7 +16,8 @@ use std::cell::Cell;
 use bytes::{BufMut, Bytes};
 use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle};
 use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
-use mosquitonet_sim::SimDuration;
+use mosquitonet_sim::flightrec::DEFAULT_RING_CAPACITY;
+use mosquitonet_sim::{FlightRecorder, HopAction, Json, SimDuration, SimTime};
 use mosquitonet_stack as stack;
 use mosquitonet_testbed::topology::{self, TestbedConfig, CH_DEPT, COA_DEPT, MH_HOME, ROUTER_DEPT};
 use mosquitonet_testbed::workload::{SaturationSender, SaturationSink};
@@ -209,4 +210,28 @@ fn parsing_a_tunnelled_frame_allocates_nothing() {
     });
     assert_eq!(n, 0, "UdpDatagram::parse");
     assert_eq!(delivered, dgram);
+}
+
+/// The journeys document folds its totals over hops grouped in place: a per-flight
+/// `Vec`, or a recording that allocates (enabling reserves ring and labels), fails here.
+#[test]
+fn exporting_a_full_ring_allocates_the_same_for_any_number_of_flights() {
+    let export_allocs = |flights: u64| {
+        let mut rec = FlightRecorder::new();
+        rec.set_enabled(true);
+        let (recording, ()) = allocations_in(|| {
+            for i in 0..DEFAULT_RING_CAPACITY as u64 + 10 {
+                let at = SimTime::ZERO + SimDuration::from_micros(i);
+                rec.begin_flight(Some("s3"));
+                rec.hop(1 + i % flights, at, (i % 3) as u32, "udp", HopAction::Sent);
+            }
+        });
+        assert_eq!(recording, 0, "enabling reserves the ring and the labels");
+        assert_eq!((rec.len(), rec.overwritten()), (DEFAULT_RING_CAPACITY, 10));
+        let names = ["ch", "ha", "mh"].map(String::from);
+        let (n, doc) = allocations_in(|| rec.export(&names, Some("ch")));
+        assert_eq!(doc.get("flights"), Some(&Json::UInt(flights)));
+        n
+    };
+    assert_eq!(export_allocs(100), export_allocs(30_000));
 }
