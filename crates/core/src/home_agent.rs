@@ -45,11 +45,11 @@
 //! anti-replay floors in lock-step without cross-shard coordination.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, IdHashMap, Line, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{Counter, IdHashMap, IdHashSet, Line, MetricCell, MetricsScope, SimDuration};
 use mosquitonet_stack::{Effect, IfaceId, Module, ModuleCtx, SocketId};
 use mosquitonet_wire::Cidr;
 
@@ -138,7 +138,7 @@ pub struct HomeAgent {
     /// Home addresses this agent is actively standing in for (proxy
     /// ARP plus an installed tunnel). A standby holds replicated
     /// bindings without serving them.
-    serving: HashSet<Ipv4Addr>,
+    serving: IdHashSet<Ipv4Addr>,
     sock: Option<SocketId>,
     pending: IdHashMap<u64, PendingRequest>,
     next_pending: u64,
@@ -182,7 +182,7 @@ impl HomeAgent {
             bindings: BindingTable::new(),
             journal: BindingJournal::new(),
             epoch: 0,
-            serving: HashSet::new(),
+            serving: IdHashSet::default(),
             sock: None,
             pending: IdHashMap::default(),
             next_pending: TOKEN_PENDING_BASE,

@@ -6,7 +6,8 @@
 //! host is stamped with a compact **flight id** — carried in packet-buffer
 //! metadata, never serialized onto the wire, so golden byte-for-byte
 //! exports are unaffected — and every subsystem the packet crosses appends
-//! a [`HopEvent`] to a fixed-capacity ring buffer.
+//! a hop to a fixed-capacity ring buffer — 24 packed bytes; [`HopEvent`] is
+//! the view a reader gets.
 //!
 //! From the ring the recorder reconstructs full [`Journey`]s
 //! (correspondent → home agent → tunnel → mobile host and back), computes
@@ -21,20 +22,29 @@
 //! cannot perturb a seeded run.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::json::Json;
+use crate::rng::IdHashMap;
 use crate::time::SimTime;
 
 /// The "no flight" sentinel: hops recorded against it are discarded.
 /// Control-plane frames (ARP) and pre-recorder packets carry this.
 pub const NO_FLIGHT: u64 = 0;
 
-/// Default ring capacity, in hop events: 4.5 MiB of [`HopEvent`]s. The
+/// Default ring capacity, in hop events: 1.5 MiB of packed hops. The
 /// Figure-5 experiments record ~10⁴ hops and keep them all; the fleet
 /// run at benchmark scale records ~35 000 per shard (568 818 in all), so
 /// each shard's ring still holds its whole run.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+
+/// Most distinct recording points, and most distinct actions (five plain
+/// ones and every drop reason met), one recorder tells apart by one-byte
+/// ids; the stack has ~10 points and ~25 reasons. A name first met after
+/// its table is full is recorded, and reads back, as [`INTERN_OVERFLOW`].
+pub const INTERN_MAX: usize = 255;
+/// The point, or the drop reason, beyond [`INTERN_MAX`].
+pub const INTERN_OVERFLOW: &str = "flightrec.intern_overflow";
 
 /// Labels kept per ring slot: [`FlightRecorder::begin_flight`] prunes the
 /// label table against the ring whenever it reaches this multiple of the
@@ -97,7 +107,46 @@ impl HopAction {
     }
 }
 
-/// One recorded hop of one flight.
+/// One hop as the ring, a [`FlightDump`] and the merge hold it: 24 bytes.
+/// Its `seq` is its position (derived on read); `point` and `action` are
+/// ids into the [`Names`] of whoever holds the record.
+#[derive(Clone, Copy, Debug)]
+struct PackedHop {
+    flight: u64,
+    at: SimTime,
+    host: u32,
+    point: u8,
+    action: u8,
+}
+
+/// What a holder's packed hops name by id: recording points, and actions (a
+/// drop with its reason is one action). A recorder's actions start with the
+/// five that carry no reason, so one a full table turns away is always a drop.
+#[derive(Clone, Debug, Default)]
+struct Names {
+    points: Vec<&'static str>,
+    actions: Vec<HopAction>,
+}
+
+/// The id of `name` in `table`, added if new — found by content, so equal
+/// literals at two addresses are one name. `u8::MAX` once the table is full.
+fn intern<T: Copy + PartialEq>(table: &mut Vec<T>, name: T) -> u8 {
+    match table.iter().position(|&t| t == name) {
+        Some(id) => id as u8,
+        None if table.len() < INTERN_MAX => {
+            table.push(name);
+            (table.len() - 1) as u8
+        }
+        None => u8::MAX,
+    }
+}
+
+/// What `id` names in `table`: `overflow`, if the full table turned it away.
+fn named<T: Copy>(table: &[T], id: u8, overflow: T) -> T {
+    table.get(id as usize).copied().unwrap_or(overflow)
+}
+
+/// One recorded hop of one flight, as read back from the packed ring.
 #[derive(Clone, Copy, Debug)]
 pub struct HopEvent {
     /// Global insertion sequence number (monotonic across the run).
@@ -122,8 +171,9 @@ pub struct FlightDump {
     /// Stable shard id (same-instant tie-break during the merge).
     pub shard: u32,
     /// Surviving hops in insertion order, host indices already offset
-    /// into the merged host table.
-    pub hops: Vec<HopEvent>,
+    /// into the merged host table, with the tables their ids index.
+    hops: Vec<PackedHop>,
+    names: Names,
     /// Flight labels, sorted by flight id.
     pub labels: Vec<(u64, &'static str)>,
     /// Hops this segment lost to ring wraparound.
@@ -158,7 +208,7 @@ impl Journey {
     /// pending (still in flight when the run stopped, or hops lost to
     /// ring wraparound).
     pub fn outcome(&self) -> Outcome {
-        outcome_of(self.hops.iter())
+        outcome_of(self.hops.iter().map(|h| h.action))
     }
 
     /// First recorded drop reason, if any.
@@ -187,10 +237,10 @@ pub enum Outcome {
 /// The outcome a flight's hops add up to: delivered anywhere wins (a
 /// tunnelled flight is decapsulated and delivered under one id), then
 /// dropped, then pending.
-fn outcome_of<'a>(hops: impl Iterator<Item = &'a HopEvent>) -> Outcome {
+fn outcome_of(actions: impl Iterator<Item = HopAction>) -> Outcome {
     let mut outcome = Outcome::Pending;
-    for h in hops {
-        match h.action {
+    for action in actions {
+        match action {
             HopAction::Delivered => return Outcome::Delivered,
             HopAction::Dropped(_) => outcome = Outcome::Dropped,
             _ => {}
@@ -247,7 +297,7 @@ impl DelaySummary {
     }
 }
 
-/// The per-packet flight recorder: a bounded ring of [`HopEvent`]s plus
+/// The per-packet flight recorder: a bounded ring of packed hops plus
 /// the flight-id allocator and (optional) raw-frame capture feed.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
@@ -259,7 +309,9 @@ pub struct FlightRecorder {
     flight_base: u64,
     next_seq: u64,
     /// Ring storage; at most `capacity` entries, oldest overwritten first.
-    ring: Vec<HopEvent>,
+    ring: Vec<PackedHop>,
+    /// What the ring's `point` and `action` ids name.
+    names: Names,
     capacity: usize,
     /// Next ring slot to (over)write: the ring is two seq-sorted runs,
     /// `ring[head..]` (empty until it wraps) then `ring[..head]`.
@@ -277,28 +329,8 @@ pub struct FlightRecorder {
     captures_dropped: u64,
 }
 
-fn same_flight(a: &&HopEvent, b: &&HopEvent) -> bool {
-    a.flight == b.flight
-}
-
-/// [`FlightRecorder::blackout`] over [`FlightRecorder::by_flight`]'s hops.
-fn blackout_in(by_flight: &[&HopEvent], origin_host: u32) -> Option<Blackout> {
-    let mut window: Option<Blackout> = None;
-    for hops in by_flight.chunk_by(same_flight) {
-        let origin = hops[0];
-        if origin.host != origin_host
-            || origin.action != HopAction::Sent
-            || outcome_of(hops.iter().copied()) != Outcome::Dropped
-        {
-            continue;
-        }
-        let (lost, first, last) = (0, origin.at, origin.at);
-        let b = window.get_or_insert(Blackout { lost, first, last });
-        b.lost += 1;
-        b.first = b.first.min(origin.at);
-        b.last = b.last.max(origin.at);
-    }
-    window
+fn same_flight(a: &(u64, u32), b: &(u64, u32)) -> bool {
+    a.0 == b.0
 }
 
 impl FlightRecorder {
@@ -311,21 +343,28 @@ impl FlightRecorder {
     ///
     /// # Panics
     ///
-    /// Panics when `capacity` is zero.
+    /// Panics when `capacity` is zero or does not fit a `u32`.
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight ring needs at least one slot");
+        assert!(u32::try_from(capacity).is_ok(), "hop positions are u32");
+        use HopAction::{Decap, Delivered, Encap, Forwarded, Sent};
+        let (points, actions) = (Vec::new(), vec![Sent, Forwarded, Encap, Decap, Delivered]);
         FlightRecorder {
             capacity,
+            names: Names { points, actions },
             ..FlightRecorder::default()
         }
     }
 
     /// Enables or disables recording. Flight ids allocated while enabled
     /// stay valid after a disable (their hops simply stop accumulating).
-    /// Enabling reserves the ring and the label table: recording moves neither.
+    /// Enabling reserves the ring and the label and name tables: recording moves none.
     pub fn set_enabled(&mut self, on: bool) {
         if on {
             self.ring.reserve_exact(self.capacity - self.ring.len());
+            let Names { points, actions } = &mut self.names;
+            points.reserve_exact(INTERN_MAX - points.len());
+            actions.reserve_exact(INTERN_MAX - actions.len());
             let labels = LABELS_PER_RING_SLOT * self.capacity;
             self.labels
                 .reserve_exact(labels.saturating_sub(self.labels.len()));
@@ -446,13 +485,12 @@ impl FlightRecorder {
         point: &'static str,
         action: HopAction,
     ) {
-        let ev = HopEvent {
-            seq: self.next_seq,
+        let ev = PackedHop {
             flight,
             at,
             host,
-            point,
-            action,
+            point: intern(&mut self.names.points, point),
+            action: intern(&mut self.names.actions, action),
         };
         self.next_seq += 1;
         if self.ring.len() < self.capacity {
@@ -501,20 +539,67 @@ impl FlightRecorder {
         self.overwritten
     }
 
-    /// Every surviving hop in insertion (seq) order.
-    pub fn hops_in_order(&self) -> Vec<HopEvent> {
-        let (newer, older) = self.ring.split_at(self.head);
-        [older, newer].concat()
+    /// The `pos`-th oldest surviving hop as a [`HopEvent`]; `seq` is derived.
+    fn view(&self, pos: u32) -> HopEvent {
+        // `head` is the oldest hop's slot on a full ring, `ring.len()` before.
+        let slot = self.head + pos as usize;
+        let hop = &self.ring[slot.checked_sub(self.ring.len()).unwrap_or(slot)];
+        HopEvent {
+            seq: self.next_seq - self.ring.len() as u64 + u64::from(pos),
+            flight: hop.flight,
+            at: hop.at,
+            host: hop.host,
+            point: named(&self.names.points, hop.point, INTERN_OVERFLOW),
+            action: self.action(hop.action),
+        }
     }
 
-    /// Every surviving hop by reference, flights ascending, each flight's
-    /// hops in recording order (`chunk_by(same_flight)`: a journey a slice).
-    /// These and the stable sort's keys are all a document costs per hop.
-    fn by_flight(&self) -> Vec<&HopEvent> {
+    fn action(&self, id: u8) -> HopAction {
+        named(&self.names.actions, id, HopAction::Dropped(INTERN_OVERFLOW))
+    }
+
+    /// Every surviving hop in insertion (seq) order.
+    pub fn hops_in_order(&self) -> Vec<HopEvent> {
+        (0..self.ring.len() as u32).map(|p| self.view(p)).collect()
+    }
+
+    /// Every surviving hop as `(flight, position in recording order)`, sorted
+    /// in place: flights ascending, each flight's hops in recording order
+    /// (`chunk_by(same_flight)`: a journey a slice). All a document costs per hop.
+    fn by_flight(&self) -> Vec<(u64, u32)> {
         let (newer, older) = self.ring.split_at(self.head);
-        let mut hops: Vec<&HopEvent> = older.iter().chain(newer).collect();
-        hops.sort_by_cached_key(|h| h.flight);
+        let hops = older.iter().chain(newer).zip(0u32..);
+        let mut hops: Vec<(u64, u32)> = hops.map(|(h, pos)| (h.flight, pos)).collect();
+        hops.sort_unstable();
         hops
+    }
+
+    /// One journey of [`FlightRecorder::by_flight`], hop by hop.
+    fn hops_of<'a>(
+        &'a self,
+        journey: &'a [(u64, u32)],
+    ) -> impl DoubleEndedIterator<Item = HopEvent> + Clone + 'a {
+        journey.iter().map(|&(_, pos)| self.view(pos))
+    }
+
+    /// [`FlightRecorder::blackout`] over [`FlightRecorder::by_flight`]'s hops.
+    fn blackout_in(&self, by_flight: &[(u64, u32)], origin_host: u32) -> Option<Blackout> {
+        let mut window: Option<Blackout> = None;
+        for journey in by_flight.chunk_by(same_flight) {
+            let origin = self.view(journey[0].1);
+            if origin.host != origin_host
+                || origin.action != HopAction::Sent
+                || outcome_of(self.hops_of(journey).map(|h| h.action)) != Outcome::Dropped
+            {
+                continue;
+            }
+            let (lost, first, last) = (0, origin.at, origin.at);
+            let b = window.get_or_insert(Blackout { lost, first, last });
+            b.lost += 1;
+            b.first = b.first.min(origin.at);
+            b.last = b.last.max(origin.at);
+        }
+        window
     }
 
     /// Reconstructs every journey with surviving hops, ordered by flight
@@ -523,9 +608,9 @@ impl FlightRecorder {
     pub fn journeys(&self) -> Vec<Journey> {
         let by_flight = self.by_flight();
         let journeys = by_flight.chunk_by(same_flight).map(|hops| Journey {
-            flight: hops[0].flight,
-            label: self.label_of(hops[0].flight),
-            hops: hops.iter().map(|h| **h).collect(),
+            flight: hops[0].0,
+            label: self.label_of(hops[0].0),
+            hops: self.hops_of(hops).collect(),
         });
         journeys.collect()
     }
@@ -534,7 +619,7 @@ impl FlightRecorder {
     /// delivered) flights and the origin-time span they cover. `None`
     /// when the host lost nothing.
     pub fn blackout(&self, origin_host: u32) -> Option<Blackout> {
-        blackout_in(&self.by_flight(), origin_host)
+        self.blackout_in(&self.by_flight(), origin_host)
     }
 
     /// Moves this recorder's hops and labels out as plain `Send` data for
@@ -551,6 +636,7 @@ impl FlightRecorder {
         let dump = FlightDump {
             shard,
             hops,
+            names: self.names.clone(),
             labels: std::mem::take(&mut self.labels),
             overwritten: self.overwritten,
         };
@@ -572,12 +658,23 @@ impl FlightRecorder {
         let mut rec = FlightRecorder::with_capacity(total.max(1));
         rec.enabled = true; // not `set_enabled`: the labels arrive whole
         rec.ring.reserve_exact(total);
+        // Shards meet names in different orders: each dump's ids → ours (a
+        // full table's overflow id to itself).
+        let mut ids = Vec::with_capacity(dumps.len());
         for d in &mut dumps {
             rec.overwritten += d.overwritten;
             rec.labels.append(&mut d.labels);
             if !d.hops.is_sorted_by_key(|h| h.at) {
                 d.hops.sort_by_key(|h| h.at);
             }
+            let mut map = [[u8::MAX; 256]; 2];
+            for (id, &point) in map[0].iter_mut().zip(&d.names.points) {
+                *id = intern(&mut rec.names.points, point);
+            }
+            for (id, &action) in map[1].iter_mut().zip(&d.names.actions) {
+                *id = intern(&mut rec.names.actions, action);
+            }
+            ids.push(map);
         }
         // Shard `s` labels only flights of its own namespace, so the dumps
         // arrive in flight order; the sort is the table's invariant made
@@ -589,10 +686,11 @@ impl FlightRecorder {
         let head_of = |i: usize, at: usize| Some(Reverse((dumps[i].hops.get(at)?.at, i)));
         heads.extend((0..dumps.len()).filter_map(|i| head_of(i, 0)));
         while let Some(Reverse((_, i))) = heads.pop() {
-            let seq = rec.ring.len() as u64;
-            rec.ring.push(HopEvent {
-                seq,
-                ..dumps[i].hops[next[i]]
+            let hop = dumps[i].hops[next[i]];
+            rec.ring.push(PackedHop {
+                point: ids[i][0][hop.point as usize],
+                action: ids[i][1][hop.action as usize],
+                ..hop
             });
             next[i] += 1;
             heads.extend(head_of(i, next[i]));
@@ -620,20 +718,20 @@ impl FlightRecorder {
         let mut per_hop = DelaySummary::default();
         let mut drop_chains: Vec<Json> = Vec::new();
         let mut drops_omitted = 0u64;
-        for hops in by_flight.chunk_by(same_flight) {
+        for journey in by_flight.chunk_by(same_flight) {
             flights += 1;
-            let first = hops[0];
+            let mut hops = self.hops_of(journey);
+            let first = self.view(journey[0].1);
             if first.action != HopAction::Sent {
                 truncated += 1;
             }
-            for pair in hops.windows(2) {
-                per_hop.push(pair[1].at.saturating_since(pair[0].at).as_micros());
+            for (a, b) in hops.clone().zip(hops.clone().skip(1)) {
+                per_hop.push(b.at.saturating_since(a.at).as_micros());
             }
-            match outcome_of(hops.iter().copied()) {
+            match outcome_of(hops.clone().map(|h| h.action)) {
                 Outcome::Delivered => {
                     delivered += 1;
                     let done = hops
-                        .iter()
                         .rfind(|h| h.action == HopAction::Delivered)
                         .expect("delivered journey has a Delivered hop");
                     e2e.push(done.at.saturating_since(first.at).as_micros());
@@ -642,7 +740,7 @@ impl FlightRecorder {
                     dropped += 1;
                     if drop_chains.len() < EXPORT_MAX_DROPS {
                         let chain: Vec<Json> = hops
-                            .iter()
+                            .clone()
                             .map(|h| {
                                 Json::obj([
                                     ("us", Json::UInt(h.at.as_micros())),
@@ -655,7 +753,7 @@ impl FlightRecorder {
                                 ])
                             })
                             .collect();
-                        let reason = hops.iter().find_map(|h| h.action.reason());
+                        let reason = hops.find_map(|h| h.action.reason());
                         let mut members = vec![
                             ("flight".to_string(), Json::UInt(first.flight)),
                             (
@@ -676,11 +774,16 @@ impl FlightRecorder {
             }
         }
         // Counted over the ring as it lies: order is nothing to a count.
-        let mut top: HashMap<(u32, &'static str), u64> = HashMap::new();
+        let mut top: IdHashMap<(u32, u8), u64> = IdHashMap::default();
         for h in &self.ring {
-            *top.entry((h.host, h.action.name())).or_default() += 1;
+            *top.entry((h.host, h.action)).or_default() += 1;
         }
-        let mut top_rows: Vec<((u32, &'static str), u64)> = top.into_iter().collect();
+        // Every drop reason is its own action id and one "dropped" row.
+        let mut rows: IdHashMap<(u32, &'static str), u64> = IdHashMap::default();
+        for ((host, action), count) in top {
+            *rows.entry((host, self.action(action).name())).or_default() += count;
+        }
+        let mut top_rows: Vec<((u32, &'static str), u64)> = rows.into_iter().collect();
         top_rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         top_rows.truncate(EXPORT_TOP_HOPS);
         let top_json: Vec<Json> = top_rows
@@ -696,7 +799,7 @@ impl FlightRecorder {
         let blackout_json = blackout_origin
             .and_then(|name| {
                 let idx = host_names.iter().position(|n| n == name)? as u32;
-                let b = blackout_in(&by_flight, idx)?;
+                let b = self.blackout_in(&by_flight, idx)?;
                 Some(Json::obj([
                     ("origin", Json::from(name)),
                     ("lost", Json::UInt(b.lost)),
@@ -744,6 +847,36 @@ mod tests {
         assert!(rec.is_empty());
         rec.capture_frame(t(0), 0, b"frame");
         assert!(rec.captures().is_empty());
+    }
+
+    #[test]
+    fn a_packed_hop_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<PackedHop>() <= 32);
+    }
+
+    #[test]
+    fn names_beyond_the_intern_bound_read_back_as_overflow() {
+        let name = |i: usize| -> &'static str { format!("name.{i}").leak() };
+        let mut rec = FlightRecorder::new();
+        rec.set_enabled(true);
+        let distinct = INTERN_MAX + 20;
+        for i in 0..distinct {
+            rec.hop(1, t(0), 0, name(i), HopAction::Dropped(name(i)));
+        }
+        // Names met before the tables filled are still found, by content.
+        rec.hop(1, t(0), 0, name(3), HopAction::Dropped(name(7)));
+        rec.hop(1, t(0), 0, name(distinct), HopAction::Delivered);
+        let merged = FlightRecorder::merged(vec![rec.dump(0, 0)]);
+        let hops = merged.hops_in_order();
+        let got = |i: usize| (hops[i].point, hops[i].action);
+        for i in 0..distinct {
+            let read = |bound: usize| if i < bound { name(i) } else { INTERN_OVERFLOW };
+            // The action table began with the five plain actions.
+            let why = HopAction::Dropped(read(INTERN_MAX - 5));
+            assert_eq!(got(i), (read(INTERN_MAX), why), "hop {i}");
+        }
+        assert_eq!(got(distinct), ("name.3", HopAction::Dropped("name.7")));
+        assert_eq!(got(distinct + 1), (INTERN_OVERFLOW, HopAction::Delivered));
     }
 
     #[test]
@@ -915,6 +1048,7 @@ mod tests {
             enabled: true,
             next_seq: rec.next_seq,
             ring: rec.ring.clone(),
+            names: rec.names.clone(),
             capacity: rec.capacity,
             head: rec.head,
             overwritten: rec.overwritten,

@@ -54,7 +54,7 @@ pub use metrics::{
     MetricsRegistry, MetricsScope, Snapshot, SnapshotDelta,
 };
 pub use profile::Profiler;
-pub use rng::{IdHashMap, SimRng};
+pub use rng::{IdHashMap, IdHashSet, SimRng};
 pub use shard::{run_sharded, shard_seed, ShardEnvelope, ShardWorld};
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};

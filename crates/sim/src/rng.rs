@@ -79,6 +79,9 @@ impl std::hash::Hasher for IdHasher {
 /// A `HashMap` over [`IdHasher`]; build one with `IdHashMap::default()`.
 pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
 
+/// A `HashSet` over [`IdHasher`]; build one with `IdHashSet::default()`.
+pub type IdHashSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<IdHasher>>;
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     mix64(*state)

@@ -14,6 +14,14 @@ use mosquitonet_sim::{
 /// index beyond them, and `HOSTS[0]` is the blackout origin.
 const HOSTS: [&str; 3] = ["ch", "ha", "mh"];
 
+/// Hop points and drop reasons of the flight-recorder tests; the last two
+/// of each are the first two again at another address.
+#[rustfmt::skip]
+fn names() -> [[&'static str; 5]; 2] {
+    [["udp", "ip.fwd", "wire", &"_udp"[1..], &"_ip.fwd"[1..]],
+     ["drop.ttl", "drop.medium_loss", "drop.iface_down", &"_drop.ttl"[1..], &"_drop.medium_loss"[1..]]]
+}
+
 /// The journeys document the way it was first written — every journey
 /// built as a `Vec`, each asked for its own outcome — as compact JSON.
 fn reference_export(
@@ -419,20 +427,21 @@ proptest! {
     /// `journeys()` partitions them by flight.
     #[test]
     fn flight_export_matches_a_reference_that_builds_every_journey(
-        ops in proptest::collection::vec((any::<u8>(), 0usize..8, 0u32..4), 0..2000),
+        ops in proptest::collection::vec((any::<u8>(), 0usize..8, 0u32..4, 0usize..5), 0..2000),
         capacity in 1usize..1500,
     ) {
         use HopAction::{Decap, Delivered, Dropped, Encap, Forwarded, Sent};
-        let drops = [Dropped("drop.ttl"), Dropped("drop.medium_loss"), Dropped("drop.iface_down")];
-        let acts = [Forwarded, Forwarded, Encap, Decap, Delivered, drops[0], drops[1], drops[2]];
+        let [points, reasons] = names();
         let mut rec = FlightRecorder::with_capacity(capacity);
         rec.set_enabled(true);
         let (mut live, mut model, mut labels) = (Vec::new(), Vec::new(), Vec::new());
-        for (i, &(pick, act, host)) in ops.iter().enumerate() {
+        for (i, &(pick, act, host, name)) in ops.iter().enumerate() {
+            let dropped = Dropped(reasons[(act + name) % 5]);
+            let acts = [Forwarded, Forwarded, Encap, Decap, Delivered, dropped, dropped, dropped];
             let (flight, action) = if live.is_empty() || pick % 3 == 0 {
                 let label = [Some("reg"), Some("s3"), None][pick as usize / 3 % 3];
                 if label.is_some() && labels.len() >= LABELS_PER_RING_SLOT * capacity {
-                    let ring: &[(u64, _, _, _)] = &model[model.len().saturating_sub(capacity)..];
+                    let ring: &[(u64, _, _, _, _)] = &model[model.len().saturating_sub(capacity)..];
                     labels.retain(|&(f, _)| ring.iter().any(|h| h.0 == f));
                 }
                 live.push(rec.begin_flight(label));
@@ -444,14 +453,14 @@ proptest! {
                 (if act == 7 { live.swap_remove(slot) } else { live[slot] }, acts[act])
             };
             let at = SimTime::from_nanos(i as u64 * 700);
-            rec.hop(flight, at, host, "udp", action);
-            model.push((flight, at, host, action));
+            rec.hop(flight, at, host, points[name], action);
+            model.push((flight, at, host, points[name], action));
         }
 
         let kept = rec.hops_in_order();
         let lost = model.len().saturating_sub(capacity);
         prop_assert_eq!(rec.overwritten(), lost as u64);
-        let seen: Vec<_> = kept.iter().map(|h| (h.flight, h.at, h.host, h.action)).collect();
+        let seen: Vec<_> = kept.iter().map(|h| (h.flight, h.at, h.host, h.point, h.action)).collect();
         prop_assert_eq!(&seen, &model[lost..]);
         prop_assert!(kept.windows(2).all(|w| w[0].seq < w[1].seq), "ring out of order");
 
@@ -468,33 +477,35 @@ proptest! {
         prop_assert_eq!(doc, reference_export(&by_flight, label_of, lost));
     }
 
-    /// `merged` of time-sorted dumps whose flights cross shards is, hop
-    /// for hop, the `(time, shard, seq)` sort of their concatenation.
+    /// `merged` of time-sorted dumps whose flights cross shards is, hop for hop and name for
+    /// name (each shard met them in its own order), the `(time, shard, seq)` sort of the rings.
     #[test]
     fn merged_dumps_equal_the_time_shard_seq_sort(
-        hops in proptest::collection::vec((0usize..5, 0u64..3, 1u64..40, 0u32..3), 0..300),
+        hops in proptest::collection::vec((0usize..5, 0u64..3, 1u64..40, 0u32..3, 0usize..10), 0..300),
         capacity in 1usize..80,
     ) {
+        let [points, reasons] = names();
         let mut recs: Vec<_> = (0..5).map(|_| FlightRecorder::with_capacity(capacity)).collect();
+        let mut model: [Vec<_>; 5] = Default::default();
         let mut now = 0;
-        for &(shard, step, flight, host) in &hops {
+        for &(shard, step, flight, host, name) in &hops {
             now += step; // zero: this hop shares its instant with the one before
+            let at = SimTime::from_nanos(now);
+            let did = [HopAction::Forwarded, HopAction::Dropped(reasons[name % 5])][name / 5];
             recs[shard].set_enabled(true);
-            recs[shard].hop(flight, SimTime::from_nanos(now), host, "udp", HopAction::Forwarded);
+            recs[shard].hop(flight, at, host, points[name % 5], did);
+            model[shard].push((at, shard, model[shard].len(), flight, host + 3 * shard as u32, points[name % 5], did));
         }
         let dumps = recs.iter_mut().zip(0u32..5).rev().map(|(r, s)| r.dump(s, 3 * s));
         let dumps: Vec<FlightDump> = dumps.collect();
-        let mut want = Vec::new();
-        for d in &dumps {
-            want.extend(d.hops.iter().map(|h| (h.at, d.shard, h.seq, h.flight, h.host)));
-        }
-        want.sort_unstable();
-        let lost: u64 = dumps.iter().map(|d| d.overwritten).sum();
+        let kept = model.iter().flat_map(|m| &m[m.len().saturating_sub(capacity)..]);
+        let mut want: Vec<_> = kept.map(|w| (w.0, w.1, w.2, (w.0, w.3, w.4, w.5, w.6))).collect();
+        want.sort_unstable_by_key(|w| (w.0, w.1, w.2));
         let merged = FlightRecorder::merged(dumps);
-        prop_assert_eq!(merged.overwritten(), lost);
+        prop_assert_eq!(merged.overwritten() as usize, hops.len() - want.len());
         let got = merged.hops_in_order();
         prop_assert!(got.iter().zip(0..).all(|(h, seq)| h.seq == seq), "renumbered in order");
-        let got: Vec<_> = got.iter().map(|h| (h.at, h.flight, h.host)).collect();
-        prop_assert_eq!(got, want.iter().map(|w| (w.0, w.3, w.4)).collect::<Vec<_>>());
+        let got: Vec<_> = got.iter().map(|h| (h.at, h.flight, h.host, h.point, h.action)).collect();
+        prop_assert_eq!(got, want.iter().map(|w| w.3).collect::<Vec<_>>());
     }
 }

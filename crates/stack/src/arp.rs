@@ -9,10 +9,9 @@
 //! cache entries on hosts in the same subnet" when a mobile host leaves,
 //! and how the mobile host reclaims its address when it returns.
 
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope, SimTime};
+use mosquitonet_sim::{Counter, IdHashMap, IdHashSet, MetricCell, MetricsScope, SimTime};
 use mosquitonet_wire::{ArpOp, ArpPacket, Ipv4Packet, MacAddr};
 
 /// How many times an unanswered ARP request is retried.
@@ -66,7 +65,7 @@ impl ArpStats {
 #[derive(Debug, Default)]
 pub struct ArpState {
     cache: IdHashMap<Ipv4Addr, MacAddr>,
-    proxies: HashSet<Ipv4Addr>,
+    proxies: IdHashSet<Ipv4Addr>,
     pending: IdHashMap<Ipv4Addr, PendingArp>,
     next_generation: u64,
     /// When each cache entry was learned (for diagnostics; entries do not

@@ -1019,6 +1019,9 @@ impl ShardedCampus {
         sim.set_batching(batching);
         sim.flights_mut().set_enabled(true);
         sim.flights_mut().set_flight_namespace(s);
+        // `run_sharded`'s `finish` consumes this `Sim` and no S2/S3 sidecar
+        // carries trace entries: a shard's trace would be written and never read.
+        sim.trace_mut().set_enabled(false);
         if std::env::var_os("MOSQUITONET_PROFILE").is_some() {
             let reg = sim.metrics().clone();
             sim.profiler_mut()

@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_sim::rng::mix64;
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{ConnId, Module, ModuleCtx, SendOptions, SocketId, TcpEvent};
 
 /// One probe in an echo stream.
@@ -914,7 +914,7 @@ pub struct FleetChurn {
     /// Latest accepted-reply arrival.
     pub last_accept: Option<SimTime>,
     next_ident: Vec<u64>,
-    pending: HashMap<Ipv4Addr, PendingReg>,
+    pending: IdHashMap<Ipv4Addr, PendingReg>,
     /// Zipf prefix sums over `homes` (fixed-point, SCALE/rank weights).
     prefix: Vec<u64>,
     rng: u64,
@@ -965,7 +965,7 @@ impl FleetChurn {
             first_accept: None,
             last_accept: None,
             next_ident,
-            pending: HashMap::new(),
+            pending: IdHashMap::default(),
             prefix,
             rng: seed,
             ticks_done: 0,
