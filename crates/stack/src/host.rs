@@ -152,7 +152,10 @@ pub struct HostCore {
     /// Record a `tcpdump`-style summary of every frame this host's
     /// interfaces receive into the simulation trace.
     pub capture: bool,
-    /// Per-packet receive-path processing cost.
+    /// Per-packet receive-path processing cost: the host's stack takes a
+    /// frame this long after it arrives. Read when the frame is
+    /// transmitted (its one receive event is scheduled then), so a change
+    /// applies to frames sent after it.
     pub proc_delay: SimDuration,
     /// Counters.
     pub stats: HostStats,

@@ -47,5 +47,5 @@ pub use telemetry::DropReason;
 pub use udp::{SocketId, UdpSocket, UdpTable};
 pub use world::{
     add_module, bring_iface_up, crash_host, dispatch, install_host_faults, register_metrics,
-    restart_host, start, NetSim, Network, ARP_RETRY_INTERVAL,
+    restart_host, start, NetSim, Network, WireEnvelope, ARP_RETRY_INTERVAL,
 };

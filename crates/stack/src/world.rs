@@ -265,7 +265,8 @@ impl ShardWorld for Network {
         let bytes = PacketBytes::from_vec(bytes).with_flight(flight);
         for (h, i) in recipients {
             let copy = bytes.clone();
-            queue.schedule_at(at, move |sim| deliver_frame(sim, h, i, lan_id, copy));
+            let at = at + w.hosts[h.0].core.proc_delay;
+            queue.schedule_at(at, move |sim| receive_frame(sim, h, i, lan_id, copy));
         }
     }
 
@@ -776,10 +777,10 @@ pub(crate) fn transmit_frame(
 /// recipients are found without re-parsing the header.
 ///
 /// The frame is charged the device's serialization + fixed cost, then each
-/// recipient is scheduled after the medium's (possibly jittered) one-way
-/// delay, minus frames the medium loses. Fan-out clones of `wire` share
-/// one pooled backing buffer; only a fault-injected `corrupt` copy pays
-/// for its own storage.
+/// recipient's one receive event is scheduled after the medium's (possibly
+/// jittered) one-way delay plus that host's `proc_delay`, minus frames the
+/// medium loses. Fan-out clones of `wire` share one pooled backing buffer;
+/// only a fault-injected `corrupt` copy pays for its own storage.
 pub(crate) fn transmit_wire(
     sim: &mut NetSim,
     host: HostId,
@@ -846,7 +847,8 @@ pub(crate) fn transmit_wire(
         let Some((h, i)) = w.resolve_attachment(key) else {
             continue;
         };
-        let delay = delay + verdict.extra_delay;
+        // Arrival and the recipient's receive delay are one event.
+        let delay = delay + verdict.extra_delay + w.hosts[h.0].core.proc_delay;
         let bytes = match verdict.corrupt {
             Some((off, mask)) => {
                 // The verdict's offset addresses the payload; skip the
@@ -861,10 +863,10 @@ pub(crate) fn transmit_wire(
         if let Some(gap) = verdict.duplicate_after {
             let dup = bytes.clone();
             queue.schedule_in(delay + gap, move |sim| {
-                deliver_frame(sim, h, i, lan_id, dup)
+                receive_frame(sim, h, i, lan_id, dup)
             });
         }
-        queue.schedule_in(delay, move |sim| deliver_frame(sim, h, i, lan_id, bytes));
+        queue.schedule_in(delay, move |sim| receive_frame(sim, h, i, lan_id, bytes));
     }
     w.lans[lan_id.0].fault = fault;
     // Portal segments also reach the peer shards' attachments, one
@@ -893,11 +895,14 @@ pub(crate) fn transmit_wire(
     }
 }
 
-/// A frame arrives at a device; if the device is still on the LAN it was
-/// sent on and is up, stack processing is charged and the frame is
-/// dispatched. An interface that roamed away mid-flight never sees it —
-/// the wire it was on stayed behind.
-fn deliver_frame(
+/// A host's stack takes a frame: one event per frame per recipient, at
+/// arrival plus the host's `proc_delay` (read when the frame was
+/// transmitted). *A frame belongs to a host once its stack takes it, at
+/// the end of the receive delay*: an interface that went down or left
+/// the LAN the frame was sent on at any point before then loses it
+/// (`drop.rx_down` / `drop.left_lan`), as a kernel's backlog flush on
+/// `dev_close` would — the wire it was on stayed behind.
+fn receive_frame(
     sim: &mut NetSim,
     host: HostId,
     iface: IfaceId,
@@ -921,11 +926,6 @@ fn deliver_frame(
         emit(sim, host, bytes.flight(), "dev", event, Some(line));
         return;
     }
-    let proc = sim.world().hosts[host.0].core.proc_delay;
-    sim.schedule_in(proc, move |sim| process_frame(sim, host, iface, bytes));
-}
-
-fn process_frame(sim: &mut NetSim, host: HostId, iface: IfaceId, bytes: PacketBytes) {
     // Capture-mode taps feed the pcap sidecar: raw frame bytes, before any
     // parsing, exactly as tcpdump would see them.
     if sim.flights().capture_enabled() && sim.world().hosts[host.0].core.capture {

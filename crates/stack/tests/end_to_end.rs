@@ -7,13 +7,13 @@ use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_link::presets;
-use mosquitonet_sim::{Json, Sim, SimDuration, Snapshot};
+use mosquitonet_link::{presets, EtherType, FaultPlan, FaultRates, Frame};
+use mosquitonet_sim::{Json, ShardEnvelope, ShardWorld, Sim, SimDuration, Snapshot};
 use mosquitonet_stack::{
     self as stack, ConnId, HostId, IfaceId, Module, ModuleCtx, NetSim, Network, RouteEntry,
-    SocketId, TcpEvent,
+    SocketId, TcpEvent, WireEnvelope,
 };
-use mosquitonet_wire::{Cidr, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, MacAddr};
+use mosquitonet_wire::{ArpPacket, Cidr, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, MacAddr};
 
 fn ip(s: &str) -> Ipv4Addr {
     s.parse().unwrap()
@@ -751,13 +751,14 @@ fn effects_trace_lands_in_sim_trace() {
     assert!(t.sim.trace().find("coa=10.0.2.2").is_some());
 }
 
-#[test]
-fn frames_to_downed_device_are_lost() {
-    // Bring B's interface down and fire UDP at it: the router forwards,
-    // the frame dies at the downed device — the paper's loss window.
+/// `two_nets` started with a [`Recorder`] on hostB, the A → router → B
+/// path ARP-warm (one ping, while everything is up) and a socket on hostA
+/// to send from.
+fn warm_two_nets() -> (TwoNets, SocketId) {
     let mut t = two_nets();
+    let recorder = Box::new(Recorder::default());
+    t.sim.world_mut().host_mut(t.b).add_module(recorder);
     stack::start(&mut t.sim);
-    // Warm the router's ARP for B first (via a ping from A while up).
     let warm = Ipv4Packet::new(
         Ipv4Header::new(Ipv4Addr::UNSPECIFIED, ip("10.0.2.2"), IpProto::Icmp),
         IcmpMessage::EchoRequest {
@@ -769,40 +770,123 @@ fn frames_to_downed_device_are_lost() {
     );
     stack::ip_send_packet(&mut t.sim, t.a, warm, Default::default());
     t.sim.run_for(SimDuration::from_secs(2));
-    let rx_before = t.sim.world().host(t.b).core.ifaces[t.b_if.0]
-        .device
-        .counters
-        .rx_dropped_down
-        .get();
-    t.sim
-        .world_mut()
-        .host_mut(t.b)
-        .core
-        .iface_mut(t.b_if)
-        .device
-        .bring_down();
-    let sock = t
-        .sim
-        .world_mut()
-        .host_mut(t.a)
-        .core
-        .udp_bind(stack::ModuleId(0), None, 0)
-        .unwrap();
-    stack::udp_send(
-        &mut t.sim,
-        t.a,
-        sock,
-        (ip("10.0.2.2"), 7),
-        [Bytes::from_static(b"x")],
-        Default::default(),
-    );
+    let core = &mut t.sim.world_mut().host_mut(t.a).core;
+    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    (t, sock)
+}
+
+/// One datagram from hostA to port 9 on hostB.
+fn send_to_b(t: &mut TwoNets, sock: SocketId) {
+    let dst = (ip("10.0.2.2"), 9);
+    let payload = [Bytes::from_static(b"x")];
+    stack::udp_send(&mut t.sim, t.a, sock, dst, payload, Default::default());
+}
+
+fn b_down(t: &mut TwoNets) {
+    let core = &mut t.sim.world_mut().host_mut(t.b).core;
+    core.iface_mut(t.b_if).device.bring_down();
+}
+
+fn b_leaves(t: &mut TwoNets) {
+    t.sim.world_mut().move_iface(t.b, t.b_if, None);
+}
+
+fn b_rx_dropped_down(t: &TwoNets) -> u64 {
+    let device = &t.sim.world().host(t.b).core.ifaces[t.b_if.0].device;
+    device.counters.rx_dropped_down.get()
+}
+
+#[test]
+fn frames_to_downed_device_are_lost() {
+    // Bring B's interface down and fire UDP at it: the router forwards,
+    // the frame dies at the downed device — the paper's loss window.
+    let (mut t, sock) = warm_two_nets();
+    let rx_before = b_rx_dropped_down(&t);
+    b_down(&mut t);
+    send_to_b(&mut t, sock);
     t.sim.run_for(SimDuration::from_secs(2));
-    let rx_after = t.sim.world().host(t.b).core.ifaces[t.b_if.0]
-        .device
-        .counters
-        .rx_dropped_down
-        .get();
-    assert_eq!(rx_after - rx_before, 1, "frame lost at downed interface");
+    let lost = b_rx_dropped_down(&t) - rx_before;
+    assert_eq!(lost, 1, "frame lost at downed interface");
+}
+
+#[test]
+fn an_interface_lost_inside_the_receive_delay_loses_the_frame() {
+    // A frame belongs to a host once its stack takes it. Here the frame is
+    // on B's wire within 3 ms, interface up and attached; B's stack would
+    // take it 50 ms later; the interface goes at 25 ms.
+    let b_down: fn(&mut TwoNets) = b_down;
+    let lose = [
+        (b_down, "drop.iface_down: frame for downed", 1),
+        (b_leaves, "drop.left_lan", 0),
+    ];
+    for (lose, line, rx_down) in lose {
+        let (mut t, sock) = warm_two_nets();
+        t.sim.world_mut().host_mut(t.b).core.proc_delay = SimDuration::from_millis(50);
+        let before = t.sim.metrics().snapshot();
+        send_to_b(&mut t, sock);
+        t.sim.run_for(SimDuration::from_millis(25));
+        lose(&mut t);
+        t.sim.run_for(SimDuration::from_secs(1));
+        let after = t.sim.metrics().snapshot();
+        let moved = |name| after.counter(name) - before.counter(name);
+        assert_eq!(moved("router/ip/forwarded"), 1, "{line}: reached B's wire");
+        assert_eq!(t.sim.trace().render().matches(line).count(), 1, "{line}");
+        assert_eq!(moved("hostB/if0.eth0/drop.rx_down"), rx_down, "{line}");
+        assert_eq!(moved("hostB/ip/input"), 0, "{line}: IP never saw it");
+    }
+}
+
+#[test]
+fn a_duplicate_and_a_cross_shard_copy_cost_one_event_per_recipient() {
+    // Fault plan on lanB duplicating every delivery: A → router is one
+    // receive event, router → B is one for the frame and one for its copy.
+    let (mut t, sock) = warm_two_nets();
+    let rates = FaultRates {
+        duplicate: 1.0,
+        ..FaultRates::default()
+    };
+    t.sim.world_mut().lans[1].set_fault_plan(Some(FaultPlan::new(rates, 1)));
+    let b_input = |t: &TwoNets| t.sim.world().host(t.b).core.stats.ip_input.get();
+    let (events, input) = (t.sim.events_executed(), b_input(&t));
+    send_to_b(&mut t, sock);
+    t.sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(b_input(&t) - input, 2, "B's IP took both copies");
+    assert_eq!(t.sim.events_executed() - events, 3);
+
+    // An envelope injected from a peer shard: one event for its recipient.
+    let mut net = Network::new();
+    net.enable_sharding(1, 2);
+    let h = net.add_host("b");
+    let lan = net.add_lan(presets::backbone_trunk("bb", presets::TRUNK_ONE_WAY));
+    let eth = presets::wired_ethernet("eth0", MacAddr::from_index(2));
+    let iface = net.host_mut(h).core.add_iface(eth);
+    net.attach(h, iface, lan);
+    net.add_portal(lan, 7);
+    let mut sim = Sim::new(net);
+    stack::bring_iface_up(&mut sim, h, iface);
+    sim.run();
+    let (mac, addr) = (MacAddr::from_index(1), ip("36.135.0.9"));
+    let arp = ArpPacket::gratuitous(mac, addr).to_bytes();
+    let frame = Frame::new(MacAddr::BROADCAST, mac, EtherType::Arp, arp);
+    let envelope = ShardEnvelope {
+        src_shard: 0,
+        dst_shard: 1,
+        seq: 0,
+        at: sim.now() + presets::TRUNK_ONE_WAY,
+        payload: WireEnvelope {
+            portal: 7,
+            dst: frame.dst,
+            src: mac,
+            flight: 0,
+            bytes: frame.to_bytes().to_vec(),
+        },
+    };
+    let events = sim.events_executed();
+    Network::shard_inject(&mut sim, envelope);
+    sim.run();
+    assert_eq!(sim.events_executed() - events, 1);
+    let learned = sim.world().host(h).core.arp[iface.0].lookup(addr);
+    assert_eq!(learned, Some(mac), "and the frame was processed");
 }
 
 /// Binds port 9 and records what arrives there, in order.

@@ -86,14 +86,20 @@ const WARM_TICKS: u32 = 300;
 const MEASURED_TICKS: u32 = 1_500;
 
 /// Most allocations one delivered datagram may cost end to end on the
-/// reverse-tunnel path (sender module, two frames, ~4.5 events). The path
-/// measures 9.5; the margin is for the background of a live testbed
-/// (registration renewals, ARP refreshes), not for a new per-packet cost.
-const BUDGET_PER_PACKET: f64 = 11.0;
+/// reverse-tunnel path (sender module, two frames, one receive event
+/// each). The path measures 7.5; the margin is for the background of a
+/// live testbed (registration renewals, ARP refreshes), not for a new
+/// per-packet cost.
+const BUDGET_PER_PACKET: f64 = 9.0;
 
-/// Allocations and delivered packets of the measured window of one
-/// reverse-tunnel flow set, with the trace recording or not.
-fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64) {
+/// Most engine events one delivered datagram may cost: the path measures
+/// 2.5 (half a sender tick, two receive events). A second event per frame
+/// per recipient, and the `Box` it carries, fails here first.
+const EVENTS_PER_PACKET: f64 = 2.6;
+
+/// Allocations, engine events and delivered packets of the measured window
+/// of one reverse-tunnel flow set, with the trace recording or not.
+fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64, u64) {
     // The Figure-5 testbed, mobile host settled on the department net and
     // reverse-tunnelling to its correspondent there: the `bulk_tunnel`
     // workload of the benchmark at a smaller scale.
@@ -142,6 +148,7 @@ fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64) {
     assert!(warm > 0, "nothing was delivered during warm-up");
 
     let entries = tb.sim.trace().entries().len();
+    let events = tb.sim.events_executed();
     let (allocations, ()) = allocations_in(|| tb.run_for(TICK * u64::from(MEASURED_TICKS)));
     let packets = delivered(&mut tb) - warm;
     assert_eq!(
@@ -151,17 +158,23 @@ fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64) {
     );
     let recorded = (tb.sim.trace().entries().len() - entries) as u64;
     assert_eq!(recorded, if trace_on { packets } else { 0 });
-    (allocations, packets)
+    (allocations, tb.sim.events_executed() - events, packets)
 }
 
 #[test]
 fn reverse_tunnel_flow_stays_within_the_allocation_budget() {
-    let (allocations, packets) = reverse_tunnel_flow(true);
+    let (allocations, events, packets) = reverse_tunnel_flow(true);
     let per_packet = allocations as f64 / packets as f64;
     assert!(
         per_packet <= BUDGET_PER_PACKET,
         "{per_packet:.2} allocations per delivered packet ({allocations} over {packets}), \
          budget {BUDGET_PER_PACKET}"
+    );
+    let per_packet = events as f64 / packets as f64;
+    assert!(
+        per_packet <= EVENTS_PER_PACKET,
+        "{per_packet:.2} events per delivered packet ({events} over {packets}), \
+         budget {EVENTS_PER_PACKET}"
     );
 }
 
@@ -170,8 +183,8 @@ fn reverse_tunnel_flow_stays_within_the_allocation_budget() {
 /// never once per record, and nothing is built to be thrown away when off.
 #[test]
 fn recording_a_trace_entry_allocates_nothing_of_its_own() {
-    let (on, packets) = reverse_tunnel_flow(true);
-    let (off, _) = reverse_tunnel_flow(false);
+    let (on, _, packets) = reverse_tunnel_flow(true);
+    let (off, ..) = reverse_tunnel_flow(false);
     let doublings = u64::from(usize::BITS);
     assert!(
         off <= on && on - off <= doublings,

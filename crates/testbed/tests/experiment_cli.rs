@@ -1,6 +1,6 @@
 //! Drives the `experiment` runner binary the way a shell would: bad
 //! input must be refused before any run starts, and `all` must hand its
-//! seed to every run.
+//! seed to every run and print the report EXPERIMENTS.md pastes.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -89,12 +89,24 @@ fn all_hands_its_seed_to_every_run() {
     let dir = scratch("all");
     let json = dir.join("all.json");
     let json_arg = format!("json={}", json.display());
-    let out = experiment(&dir, &["all", "seed=7", &json_arg]);
+    let out = experiment(&dir, &["all", "seed=1996", &json_arg]);
     assert_eq!(
         out.status.code(),
         Some(0),
         "{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+    // The same run holds EXPERIMENTS.md's pasted report to the binary.
+    let pasted = include_str!("../../../EXPERIMENTS.md");
+    let (_, block) = pasted
+        .split_once("## Full report (seed 1996)\n\n```text\n")
+        .expect("EXPERIMENTS.md has its full-report block");
+    let (block, _) = block.split_once("\n```\n").expect("closing fence");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    assert_eq!(
+        stdout.trim(),
+        block,
+        "EXPERIMENTS.md's full report is stale: re-paste `experiment all seed=1996`"
     );
     let doc = Json::parse(&std::fs::read_to_string(&json).expect("json=FILE written"))
         .expect("valid JSON");
@@ -103,10 +115,10 @@ fn all_hands_its_seed_to_every_run() {
             .try_fold(&doc, |j, key| j.get(key))
             .and_then(Json::as_u64)
     };
-    assert_eq!(seed_of(&["seed"]), Some(7));
+    assert_eq!(seed_of(&["seed"]), Some(1996));
     // The bench bodies echo the seed their run was configured with.
-    assert_eq!(seed_of(&["s2", "seed"]), Some(7));
-    assert_eq!(seed_of(&["s3", "seed"]), Some(7));
+    assert_eq!(seed_of(&["s2", "seed"]), Some(1996));
+    assert_eq!(seed_of(&["s3", "seed"]), Some(1996));
     // And the whole declared artifact set landed — each run having used
     // its declared defaults, which therefore must lie in their own ranges.
     for exp in REGISTRY {
