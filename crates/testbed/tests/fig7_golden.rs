@@ -15,7 +15,7 @@ mod common;
 
 use common::assert_golden;
 use mosquitonet_sim::Json;
-use mosquitonet_testbed::experiments::run_fig7;
+use mosquitonet_testbed::experiments::{run_a1, run_fig7};
 use mosquitonet_testbed::report::{sidecar, SidecarKind};
 
 fn obj_get<'a>(j: &'a Json, key: &str) -> &'a Json {
@@ -47,5 +47,18 @@ fn fig7_phase_histogram_export_matches_golden() {
     assert_golden(
         "fig7_phases.metrics.json",
         &sidecar(SidecarKind::Metrics, "fig7_phases", phases).render_pretty(),
+    );
+}
+
+/// The A1 ablation's three registries (agentless, foreign agents, foreign
+/// agents + previous-FA forwarding): the one golden that runs
+/// `FaMobileHost`, so the foreign-agent baseline's registration client is
+/// pinned beside the agentless one. Regenerate as above.
+#[test]
+fn a1_foreign_agent_ablation_export_matches_golden() {
+    let result = run_a1(4, 1996);
+    assert_golden(
+        "a1.metrics.json",
+        &sidecar(SidecarKind::Metrics, "a1", &result.metrics).render_pretty(),
     );
 }
