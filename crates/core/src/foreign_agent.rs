@@ -12,7 +12,10 @@
 //!
 //! [`FaMobileHost`] is the matching mobile-host side: it keeps its home
 //! address on the visited link (as RFC 2002 hosts with an FA care-of do),
-//! uses the FA as its default router, and registers *through* the FA.
+//! uses the FA as its default router, and registers *through* the FA —
+//! with the same [`RegistrationMachine`] the agentless host drives, so the
+//! two differ in who decapsulates, not in how a registration is retried,
+//! signed, verified or renewed.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -23,16 +26,16 @@ use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, RouteEntry, SocketId, SourceSel};
 use mosquitonet_wire::Cidr;
 
-use crate::backoff::RetryBackoff;
 use crate::messages::{
     classify, AgentAdvertisement, BindingUpdate, MessageKind, RegistrationReply,
     RegistrationRequest, REGISTRATION_PORT,
 };
-use crate::timing::{REGISTRATION_RETRY, REGISTRATION_RETRY_BUDGET, REGISTRATION_RETRY_MAX};
+use crate::registration::{RegEvent, RegistrationMachine};
 
 const TOKEN_ADVERTISE: u64 = 0x10;
 const TOKEN_FORWARD_EXPIRE_BASE: u64 = 0x2000;
-const TOKEN_FA_REG_RETRY: u64 = 0x11;
+/// Base of the FA-mode host's registration-client tokens (its own module).
+const TOKEN_FA_REG_BASE: u64 = 0x10;
 
 /// How often a foreign agent advertises itself.
 pub const ADVERTISE_INTERVAL: SimDuration = SimDuration::from_millis(1_000);
@@ -248,31 +251,20 @@ pub struct FaMobileHost {
     /// Home address (kept on the physical interface everywhere).
     pub home_addr: Ipv4Addr,
     home_subnet: Cidr,
-    home_agent: Ipv4Addr,
     iface: IfaceId,
     lifetime: u16,
     sock: Option<SocketId>,
     current_fa: Option<Ipv4Addr>,
     pending_fa: Option<Ipv4Addr>,
     previous_fa: Option<Ipv4Addr>,
-    ident: u64,
     /// Notify the previous foreign agent of the new care-of address when
     /// registering, so it can forward in-flight packets (§5.1).
     pub notify_previous: bool,
-    /// Mobile–home authentication `(SPI, key)`. When set, every
-    /// registration request is signed (the relaying FA forwards the
-    /// trailing extension untouched). `None` keeps the unkeyed layout.
-    pub auth: Option<(u32, u64)>,
-    /// Completed registrations.
-    pub registrations: Counter,
-    /// Retransmissions fired by the retry timer.
-    pub retries: Counter,
-    /// Stale retry-timer firings ignored (already registered or no agent
-    /// pending).
-    pub stale_retries: Counter,
-    /// Replies that failed the wire checksum (counted, never acted on).
-    pub corrupt_replies: Counter,
-    backoff: RetryBackoff,
+    /// The registration client and its `reg/*` counters. Set `reg.auth`
+    /// before the world starts for a keyed host: requests are signed (the
+    /// relaying FA forwards the trailing extension untouched) and only
+    /// signed replies are trusted.
+    pub reg: RegistrationMachine,
 }
 
 impl FaMobileHost {
@@ -288,26 +280,14 @@ impl FaMobileHost {
         FaMobileHost {
             home_addr,
             home_subnet,
-            home_agent,
             iface,
             lifetime,
             sock: None,
             current_fa: None,
             pending_fa: None,
             previous_fa: None,
-            ident: 0,
             notify_previous: false,
-            auth: None,
-            registrations: Counter::default(),
-            retries: Counter::default(),
-            stale_retries: Counter::default(),
-            corrupt_replies: Counter::default(),
-            backoff: RetryBackoff::new(
-                REGISTRATION_RETRY,
-                REGISTRATION_RETRY_MAX,
-                REGISTRATION_RETRY_BUDGET,
-                u64::from(u32::from(home_addr)),
-            ),
+            reg: RegistrationMachine::new(home_addr, home_agent, &[], None, TOKEN_FA_REG_BASE),
         }
     }
 
@@ -323,10 +303,7 @@ impl FaMobileHost {
         self.pending_fa = None;
         // The retry timer belongs to the registration attempt we just
         // abandoned; left armed it would fire with no agent pending.
-        ctx.fx.push(mosquitonet_stack::Effect::CancelTimer {
-            token: TOKEN_FA_REG_RETRY,
-        });
-        self.backoff.reset();
+        self.reg.abandon(ctx.fx);
         ctx.core.routes.remove(Cidr::DEFAULT);
         // The old agent is no longer on-link; a stale host route would
         // make packets for it (the previous-FA notification!) ARP into
@@ -356,29 +333,18 @@ impl FaMobileHost {
 
     fn register_via(&mut self, ctx: &mut ModuleCtx<'_>, fa: Ipv4Addr) {
         self.pending_fa = Some(fa);
-        self.ident += 1;
-        let mut req = RegistrationRequest {
-            lifetime: self.lifetime,
-            home_addr: self.home_addr,
-            home_agent: self.home_agent,
-            care_of: fa, // the FA's address is the care-of address
-            ident: self.ident,
-            auth: None,
+        let opts = mosquitonet_stack::SendOptions {
+            src: SourceSel::Addr(self.home_addr),
+            iface: Some(self.iface),
+            ttl: None,
+            label: Some("reg"),
         };
-        if let Some((spi, key)) = self.auth {
-            req = req.sign(spi, key);
-        }
-        ctx.fx.send_udp_opts(
-            self.sock.expect("bound"),
-            (fa, REGISTRATION_PORT),
-            req.to_bytes(),
-            mosquitonet_stack::SendOptions {
-                src: SourceSel::Addr(self.home_addr),
-                iface: Some(self.iface),
-                ttl: None,
-                label: Some("reg"),
-            },
-        );
+        // The FA relays the request and its address is the care-of
+        // address. A spent retry budget has nothing to degrade to here:
+        // the machine already restarted the schedule, and the
+        // solicitation went out in [`Self::moved`].
+        let sock = self.sock.expect("bound");
+        self.reg.send(ctx.fx, sock, fa, opts, fa, self.lifetime);
         // Previous-FA notification: tell the agent we just left where we
         // went, so packets still landing there chase us. Sent at
         // registration time — the point of §5.1's "if a foreign agent in
@@ -392,31 +358,10 @@ impl FaMobileHost {
                     home_addr: self.home_addr,
                     new_care_of: fa,
                 };
-                ctx.fx.send_udp(
-                    self.sock.expect("bound"),
-                    (prev, REGISTRATION_PORT),
-                    update.to_bytes(),
-                );
+                ctx.fx
+                    .send_udp(sock, (prev, REGISTRATION_PORT), update.to_bytes());
             }
         }
-        self.arm_retry(ctx);
-    }
-
-    /// Arms the retransmission timer from the backoff schedule. An
-    /// exhausted budget degrades gracefully: start a fresh attempt
-    /// sequence rather than give up (there is no better fallback than
-    /// retrying — the solicitation already went out in [`Self::moved`]).
-    fn arm_retry(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let delay = match self.backoff.next_delay() {
-            Some(d) => d,
-            None => {
-                ctx.fx
-                    .trace("fa-mh retry budget exhausted; restarting schedule");
-                self.backoff.reset();
-                self.backoff.next_delay().expect("fresh budget")
-            }
-        };
-        ctx.fx.set_timer(delay, TOKEN_FA_REG_RETRY);
     }
 }
 
@@ -426,15 +371,9 @@ impl Module for FaMobileHost {
     }
 
     fn register_metrics(&self, scope: &MetricsScope) {
-        let reg = scope.scope("reg");
-        for (name, cell) in [
-            ("completed", &self.registrations),
-            ("retries", &self.retries),
-            ("stale_retries", &self.stale_retries),
-            ("corrupt_dropped", &self.corrupt_replies),
-        ] {
-            reg.register(name, MetricCell::Counter(cell.clone()));
-        }
+        self.reg
+            .stats
+            .register_into(&scope.scope("reg"), self.reg.auth.is_some());
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
@@ -450,23 +389,14 @@ impl Module for FaMobileHost {
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
-        if token == TOKEN_FA_REG_RETRY {
-            match (
-                self.pending_fa,
-                self.current_fa.filter(|c| Some(*c) == self.pending_fa),
-            ) {
-                (Some(fa), None) => {
-                    self.retries.inc();
-                    self.register_via(ctx, fa);
-                }
-                _ => {
-                    // Stale firing: the reply landed (or the attempt was
-                    // abandoned) after this timer was queued. Ignore it —
-                    // re-arming here is what kept the seed's timer firing
-                    // forever after a successful registration.
-                    self.stale_retries.inc();
-                }
-            }
+        let holding = self.current_fa.is_some();
+        match self.reg.on_timer(ctx.fx, token, holding) {
+            RegEvent::Resend => {}
+            RegEvent::Lapsed => self.current_fa = None,
+            _ => return,
+        }
+        if let Some(fa) = self.pending_fa {
+            self.register_via(ctx, fa);
         }
     }
 
@@ -506,26 +436,17 @@ impl Module for FaMobileHost {
                 }
             }
             Some(MessageKind::Reply) => {
-                let reply = match RegistrationReply::parse(payload) {
-                    Ok(reply) => reply,
-                    Err(_) => {
-                        // Detected (wire checksum), counted, never acted on.
-                        self.corrupt_replies.inc();
-                        ctx.fx
-                            .trace("drop.reg_corrupt: registration reply failed parse");
-                        return;
-                    }
+                let RegEvent::Accepted { epoch_changed, .. } = self.reg.on_reply(ctx.fx, payload)
+                else {
+                    return;
                 };
-                if reply.ident == self.ident && reply.code == crate::messages::ReplyCode::Accepted {
-                    self.current_fa = self.pending_fa;
-                    self.registrations.inc();
-                    self.backoff.reset();
-                    ctx.fx.push(mosquitonet_stack::Effect::CancelTimer {
-                        token: TOKEN_FA_REG_RETRY,
-                    });
-                    let line = Line::new("fa-mh registered via {}");
-                    ctx.fx
-                        .trace(line.addr(self.current_fa.expect("pending set")));
+                // A reply that outran a move finds no agent pending.
+                let Some(fa) = self.pending_fa else { return };
+                self.current_fa = Some(fa);
+                ctx.fx.trace(Line::new("fa-mh registered via {}").addr(fa));
+                if epoch_changed {
+                    self.reg.note_epoch_change(ctx.fx);
+                    self.register_via(ctx, fa);
                 }
             }
             _ => {}
@@ -534,33 +455,5 @@ impl Module for FaMobileHost {
 
     fn as_any(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fa_config_and_counters_start_clean() {
-        let fa = ForeignAgent::new(ForeignAgentConfig {
-            addr: Ipv4Addr::new(36, 8, 0, 4),
-            iface: IfaceId(0),
-        });
-        assert_eq!(fa.visitor_count(), 0);
-        assert_eq!(fa.relayed_requests.get(), 0);
-    }
-
-    #[test]
-    fn fa_mh_tracks_current_agent() {
-        let mh = FaMobileHost::new(
-            Ipv4Addr::new(36, 135, 0, 9),
-            "36.135.0.0/24".parse().unwrap(),
-            Ipv4Addr::new(36, 135, 0, 1),
-            IfaceId(0),
-            120,
-        );
-        assert_eq!(mh.current_fa(), None);
-        assert_eq!(mh.registrations.get(), 0);
     }
 }

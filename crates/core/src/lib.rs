@@ -10,14 +10,20 @@
 //! * [`HomeAgent`] — proxy ARP + gratuitous ARP + VIF tunnel routes +
 //!   the mobility [`BindingTable`], charging Figure 7's 1.48 ms per
 //!   registration.
+//! * [`RegistrationMachine`] — the registration *client*: identification,
+//!   signing and reply verification, retry with backoff, renewal, lapse,
+//!   boot-epoch tracking and standby failover, as one state machine that
+//!   both kinds of mobile host drive (it reports [`RegEvent`]s; what a
+//!   registration means for routing stays with the host).
 //! * [`MobileHost`] — the mobile host as *its own* foreign agent: care-of
-//!   acquisition (static or DHCP), registration with retry, hot/cold
+//!   acquisition (static or DHCP), registration through the machine, hot/cold
 //!   device switching with the paper's exact step sequence and a recorded
 //!   [`RegistrationTimeline`], and the [`MobilePolicyTable`] plugged into
 //!   the stack's `route_override` hook (the `ip_rt_route()` override of
 //!   §3.3) to choose among the four send modes of §3.2.
 //! * [`ForeignAgent`]/[`FaMobileHost`] — the IETF-style baseline the
-//!   paper compares against, including previous-FA forwarding (§5.1).
+//!   paper compares against, including previous-FA forwarding (§5.1). Its
+//!   host differs in who decapsulates, not in how it registers.
 //!
 //! The VIF itself — the virtual encapsulating interface of §3.3 — is a
 //! stack mechanism: `HostCore::add_vif` creates the address-holding
@@ -36,6 +42,7 @@ mod journal;
 mod messages;
 mod mobile;
 mod policy;
+mod registration;
 pub mod timing;
 
 pub use backoff::RetryBackoff;
@@ -55,3 +62,4 @@ pub use mobile::{
     SwitchPlan, SwitchStyle, PROBE_TIMEOUT,
 };
 pub use policy::{MobilePolicyTable, PolicyEntry, PolicyStats, SendMode};
+pub use registration::{RegEvent, RegistrationMachine, RegistrationStats};

@@ -25,25 +25,18 @@ use mosquitonet_wire::{Cidr, IcmpMessage};
 
 use mosquitonet_dhcp::{ClientEvent, DhcpClientMachine, DhcpClientStats, DHCP_CLIENT_PORT};
 
-use crate::backoff::RetryBackoff;
-use crate::messages::{
-    classify, MessageKind, RegistrationReply, RegistrationRequest, ReplyCode, REGISTRATION_PORT,
-};
+use crate::messages::{classify, MessageKind};
 use crate::policy::{MobilePolicyTable, SendMode};
-use crate::timing::{
-    CHANGE_ROUTE, CONFIGURE_IFACE, POST_REGISTRATION, REGISTRATION_RETRY,
-    REGISTRATION_RETRY_BUDGET, REGISTRATION_RETRY_MAX,
-};
+use crate::registration::{RegEvent, RegistrationMachine};
+use crate::timing::{CHANGE_ROUTE, CONFIGURE_IFACE, POST_REGISTRATION};
 
 /// Timer tokens.
-const TOKEN_REG_RETRY: u64 = 0x1;
 const TOKEN_AFTER_DOWN: u64 = 0x2;
 const TOKEN_CONFIGURED: u64 = 0x3;
 const TOKEN_ROUTED: u64 = 0x4;
 const TOKEN_POST_REG: u64 = 0x5;
-const TOKEN_REREGISTER: u64 = 0x6;
 const TOKEN_AUTOSWITCH: u64 = 0x7;
-const TOKEN_BINDING_LAPSE: u64 = 0x8;
+const TOKEN_REG_BASE: u64 = 0x10;
 const TOKEN_DHCP_BASE: u64 = 0x100;
 const TOKEN_PROBE_BASE: u64 = 0x200;
 
@@ -248,7 +241,9 @@ pub struct MobileHost {
     reg_sock: Option<SocketId>,
     dhcp_sock: Option<SocketId>,
     dhcp: Option<DhcpClientMachine>,
-    ident: u64,
+    /// The registration client: identification, signing and verification,
+    /// retry and failover, renewal and lapse, and the `reg/*` counters.
+    pub reg: RegistrationMachine,
     /// Timelines of completed switches, oldest first.
     pub timelines: Vec<RegistrationTimeline>,
     current: RegistrationTimeline,
@@ -259,26 +254,6 @@ pub struct MobileHost {
     last_subnet: HashMap<IfaceId, Cidr>,
     next_probe_token: u64,
     probe_seq: u16,
-    /// Registration requests transmitted (including retries).
-    pub requests_sent: Counter,
-    /// Registration replies accepted.
-    pub registrations_accepted: Counter,
-    /// Registration replies denied (any code).
-    pub registration_denials: Counter,
-    /// Retry-timer firings that retransmitted a registration (each one is
-    /// an unanswered request that timed out).
-    pub registration_retries: Counter,
-    /// Retry budgets spent without a reply (each one restarted the
-    /// registration from scratch).
-    pub backoff_exhausted: Counter,
-    /// Bindings that expired before a renewal got through.
-    pub binding_lapses: Counter,
-    /// Registration replies that failed the wire checksum (counted, never
-    /// acted on).
-    pub corrupt_replies: Counter,
-    /// Registration replies rejected because this keyed host required a
-    /// valid signature and the reply had none (forged or tampered).
-    pub auth_failures: Counter,
     /// Completed hand-offs.
     pub handoffs: Counter,
     /// Triangle-route probes that timed out (correspondent reverted to the
@@ -293,26 +268,10 @@ pub struct MobileHost {
     autoswitch_stable: u32,
     /// Switches the automatic policy initiated (instrumentation).
     pub autoswitches: Counter,
-    /// Retransmission schedule for the current registration attempt.
-    backoff: RetryBackoff,
-    /// When the currently-held binding expires at the home agent.
-    binding_expires_at: Option<SimTime>,
-    /// The home agent currently registered with (rotates through
-    /// `cfg.home_agent` + `cfg.standby_agents` on failover).
-    current_ha: Ipv4Addr,
-    /// The boot epoch seen in the last accepted reply; a change means the
-    /// agent restarted and the binding may have died with it.
-    last_epoch: Option<u16>,
     /// True while no home agent is answering: the Mobile Policy Table
     /// degrades reverse-tunnel destinations to direct encapsulation so
     /// traffic keeps moving without an agent.
     degraded: bool,
-    /// Home-agent boot-epoch changes observed in accepted replies.
-    pub epoch_changes: Counter,
-    /// Failovers to a different home agent.
-    pub ha_failovers: Counter,
-    /// Entries into degraded (agent-less) forwarding.
-    pub degradations: Counter,
     /// Bumped whenever location / registration state changes an answer
     /// `route_override` could give; folded with the policy table's
     /// generation into [`Module::route_generation`] so the fast-path
@@ -323,16 +282,13 @@ pub struct MobileHost {
 impl MobileHost {
     /// Creates a mobile host manager that starts **at home** on `iface`.
     pub fn new_at_home(cfg: MobileHostConfig, home_iface: IfaceId) -> MobileHost {
-        // The jitter stream is seeded from the (unique, stable) home
-        // address, so every run of a given topology replays the same
-        // schedule while distinct hosts desynchronize.
-        let backoff = RetryBackoff::new(
-            REGISTRATION_RETRY,
-            REGISTRATION_RETRY_MAX,
-            REGISTRATION_RETRY_BUDGET,
-            u64::from(u32::from(cfg.home_addr)),
+        let reg = RegistrationMachine::new(
+            cfg.home_addr,
+            cfg.home_agent,
+            &cfg.standby_agents,
+            cfg.auth,
+            TOKEN_REG_BASE,
         );
-        let current_ha = cfg.home_agent;
         MobileHost {
             cfg,
             policy: MobilePolicyTable::new(SendMode::ReverseTunnel),
@@ -341,42 +297,22 @@ impl MobileHost {
             reg_sock: None,
             dhcp_sock: None,
             dhcp: None,
-            ident: 0,
+            reg,
             timelines: Vec::new(),
             current: RegistrationTimeline::default(),
             probes: HashMap::new(),
             last_subnet: HashMap::new(),
             next_probe_token: TOKEN_PROBE_BASE,
             probe_seq: 0,
-            requests_sent: Counter::default(),
-            registrations_accepted: Counter::default(),
-            registration_denials: Counter::default(),
-            registration_retries: Counter::default(),
             handoffs: Counter::default(),
             probe_timeouts: Counter::default(),
             dhcp_stats: DhcpClientStats::default(),
             autoswitch: None,
             autoswitch_stable: 0,
             autoswitches: Counter::default(),
-            backoff_exhausted: Counter::default(),
-            binding_lapses: Counter::default(),
-            corrupt_replies: Counter::default(),
-            auth_failures: Counter::default(),
-            backoff,
-            binding_expires_at: None,
-            current_ha,
-            last_epoch: None,
             degraded: false,
-            epoch_changes: Counter::default(),
-            ha_failovers: Counter::default(),
-            degradations: Counter::default(),
             route_gen: 0,
         }
-    }
-
-    /// The home agent currently being registered with.
-    pub fn current_home_agent(&self) -> Ipv4Addr {
-        self.current_ha
     }
 
     /// True while the host is forwarding without a reachable home agent.
@@ -723,7 +659,7 @@ impl MobileHost {
                 let iface = op.plan.iface;
                 let mac = ctx.core.iface(iface).device.mac();
                 let sock = self.dhcp_sock.expect("dhcp socket bound");
-                let seed = (self.ident as u32).wrapping_add(1);
+                let seed = (self.reg.ident() as u32).wrapping_add(1);
                 let mut machine = DhcpClientMachine::new(iface, mac, sock, TOKEN_DHCP_BASE, seed);
                 machine.stats = self.dhcp_stats.clone();
                 machine.start(ctx.fx);
@@ -793,7 +729,7 @@ impl MobileHost {
         // Old probe results are stale on a new network.
         self.policy.forget_learned();
         // A switch starts a fresh registration attempt: full retry budget.
-        self.backoff.reset();
+        self.reg.fresh_attempt();
         if op.going_home {
             // Reclaim the home address on the wire before deregistering.
             ctx.fx.push(Effect::GratuitousArp {
@@ -821,181 +757,88 @@ impl MobileHost {
             Location::Home { .. } => (self.cfg.home_addr, 0),
             Location::Away { care_of, .. } => (care_of, self.cfg.lifetime),
         };
-        self.ident += 1;
-        let mut req = RegistrationRequest {
-            lifetime,
-            home_addr: self.cfg.home_addr,
-            home_agent: self.current_ha,
-            care_of,
-            ident: self.ident,
-            auth: None,
-        };
-        if let Some((spi, key)) = self.cfg.auth {
-            req = req.sign(spi, key);
-        }
         let opts = mosquitonet_stack::SendOptions {
             src: SourceSel::Addr(care_of),
             iface: None,
             ttl: None,
             label: Some("reg"),
         };
-        ctx.fx.send_udp_opts(
-            self.reg_sock.expect("bound"),
-            (self.current_ha, REGISTRATION_PORT),
-            req.to_bytes(),
-            opts,
-        );
-        self.requests_sent.inc();
+        let sock = self.reg_sock.expect("bound");
+        let home_agent = self.reg.home_agent();
+        let event = self
+            .reg
+            .send(ctx.fx, sock, home_agent, opts, care_of, lifetime);
         if self.current.request_sent.is_none() {
             self.current.request_sent = Some(ctx.now);
         }
-        self.arm_retry(ctx);
+        self.on_reg_event(ctx, event);
     }
 
-    /// Arms the retry timer from the backoff schedule. When the budget is
-    /// spent, degrades gracefully: the binding is treated as lost, the
-    /// budget refills, the next attempt rotates to the next home agent
-    /// candidate, and — while away — the policy table falls back to
-    /// agent-less forwarding so traffic keeps moving.
-    fn arm_retry(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let delay = match self.backoff.next_delay() {
-            Some(d) => d,
-            None => {
-                self.backoff_exhausted.inc();
-                ctx.fx
-                    .trace("registration retry budget exhausted; re-registering from scratch");
+    /// What a registration-client event means for mobility: the
+    /// `registered` flag, degraded forwarding, the switch phases and the
+    /// timeline.
+    fn on_reg_event(&mut self, ctx: &mut ModuleCtx<'_>, event: RegEvent) {
+        match event {
+            RegEvent::None | RegEvent::Denied(_) => {}
+            RegEvent::Resend => self.send_registration(ctx),
+            RegEvent::BudgetSpent { failed_over } => {
+                // Degrade gracefully: the binding is treated as lost and —
+                // while away — the policy table falls back to agent-less
+                // forwarding so traffic keeps moving.
                 if self.switching.is_none() {
-                    if let Location::Away { registered, .. } = &mut self.location {
-                        *registered = false;
-                        self.route_gen += 1;
-                    }
+                    self.set_registered(false);
                 }
                 if matches!(self.location, Location::Away { .. }) && !self.degraded {
                     self.degraded = true;
-                    self.degradations.inc();
+                    self.reg.stats.degradations.inc();
                     self.route_gen += 1;
                     ctx.fx.trace(
                         "no home agent answering; degrading reverse tunnels to direct encapsulation",
                     );
                 }
-                self.rotate_home_agent(ctx);
-                self.backoff.reset();
-                self.backoff.next_delay().expect("fresh budget")
+                if failed_over {
+                    self.route_gen += 1;
+                }
             }
-        };
-        ctx.fx.set_timer(delay, TOKEN_REG_RETRY);
+            RegEvent::Accepted { epoch_changed, .. } => {
+                if self.degraded {
+                    self.degraded = false;
+                    self.route_gen += 1;
+                    ctx.fx
+                        .trace("home agent reachable again; restoring policy routing");
+                }
+                if let Some(op) = &mut self.switching {
+                    // Only the reply to the switch's own registration
+                    // advances the switch; a straggling refresh reply
+                    // arriving mid-switch (same ident only if no request
+                    // was sent yet) must not fast-forward past the
+                    // configure/route steps.
+                    if op.phase == Phase::Registering {
+                        self.current.reply_received = Some(ctx.now);
+                        op.phase = Phase::PostRegistration;
+                        ctx.fx.set_timer(POST_REGISTRATION, TOKEN_POST_REG);
+                    }
+                } else {
+                    self.current.reply_received = Some(ctx.now);
+                }
+                self.set_registered(true);
+                if epoch_changed && self.switching.is_none() {
+                    self.reg.note_epoch_change(ctx.fx);
+                    self.send_registration(ctx);
+                }
+            }
+            RegEvent::Lapsed => {
+                self.set_registered(false);
+                self.send_registration(ctx);
+            }
+        }
     }
 
-    /// Advances `current_ha` to the next candidate in
-    /// `[home_agent] + standby_agents` (wrapping). No-op without standbys.
-    fn rotate_home_agent(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.cfg.standby_agents.is_empty() {
-            return;
-        }
-        let ring: Vec<Ipv4Addr> = std::iter::once(self.cfg.home_agent)
-            .chain(self.cfg.standby_agents.iter().copied())
-            .collect();
-        let at = ring.iter().position(|&a| a == self.current_ha).unwrap_or(0);
-        let next = ring[(at + 1) % ring.len()];
-        if next != self.current_ha {
-            self.ha_failovers.inc();
-            self.route_gen += 1;
-            let line = Line::new("failing over from home agent {} to {}");
-            ctx.fx.trace(line.addr(self.current_ha).addr(next));
-            self.current_ha = next;
-        }
-    }
-
-    fn handle_reply(&mut self, ctx: &mut ModuleCtx<'_>, reply: RegistrationReply) {
-        // A keyed host trusts only signed replies: a forged denial must
-        // not cancel the retry timer or count as a real denial.
-        if let Some((_spi, key)) = self.cfg.auth {
-            if !reply.verify(key) {
-                self.auth_failures.inc();
-                ctx.fx
-                    .trace("drop.auth_fail: registration reply unsigned or bad digest");
-                return;
-            }
-        }
-        if reply.ident != self.ident || reply.home_addr != self.cfg.home_addr {
-            return; // stale or foreign
-        }
-        ctx.fx.push(Effect::CancelTimer {
-            token: TOKEN_REG_RETRY,
-        });
-        if reply.code != ReplyCode::Accepted {
-            self.registration_denials.inc();
-            // `registration denied: {code:?}`, the word chosen with the line.
-            ctx.fx.trace(match reply.code {
-                ReplyCode::Accepted => unreachable!("an accepted reply is not a denial"),
-                ReplyCode::DeniedIdent => "registration denied: DeniedIdent",
-                ReplyCode::DeniedAuth => "registration denied: DeniedAuth",
-                ReplyCode::DeniedUnknownHome => "registration denied: DeniedUnknownHome",
-                ReplyCode::DeniedLifetime => "registration denied: DeniedLifetime",
-            });
-            // Try again with a fresh identification — after the backoff
-            // interval, not immediately: a persistently denying agent
-            // (wrong key, misconfiguration) must not be hammered, and the
-            // interval grows the longer the denials persist.
-            self.arm_retry(ctx);
-            return;
-        }
-        self.registrations_accepted.inc();
-        self.backoff.reset();
-        // A changed boot epoch means the agent restarted since our last
-        // accepted registration: its kernel state was rebuilt from the
-        // journal (or lost outright), so re-register from scratch below
-        // to reassert the binding under the new boot.
-        let epoch_changed = self.last_epoch.is_some_and(|e| e != reply.epoch);
-        self.last_epoch = Some(reply.epoch);
-        if self.degraded {
-            self.degraded = false;
-            self.route_gen += 1;
-            ctx.fx
-                .trace("home agent reachable again; restoring policy routing");
-        }
-        if let Some(op) = &mut self.switching {
-            // Only the reply to the switch's own registration advances the
-            // switch; a straggling refresh reply arriving mid-switch (same
-            // ident only if no request was sent yet) must not fast-forward
-            // past the configure/route steps.
-            if op.phase == Phase::Registering {
-                self.current.reply_received = Some(ctx.now);
-                op.phase = Phase::PostRegistration;
-                ctx.fx.set_timer(POST_REGISTRATION, TOKEN_POST_REG);
-            }
-        } else {
-            self.current.reply_received = Some(ctx.now);
-        }
+    /// Records whether the home agent holds the binding (no-op at home).
+    fn set_registered(&mut self, held: bool) {
         if let Location::Away { registered, .. } = &mut self.location {
-            *registered = true;
+            *registered = held;
             self.route_gen += 1;
-        }
-        // Refresh the binding at half the granted lifetime, and watch for
-        // the binding lapsing outright (renewals may all be lost); both
-        // re-arms cancel their previous instances.
-        if reply.lifetime > 0 {
-            let granted = SimDuration::from_secs(u64::from(reply.lifetime));
-            self.binding_expires_at = Some(ctx.now + granted);
-            ctx.fx.set_timer(granted / 2, TOKEN_REREGISTER);
-            ctx.fx.set_timer(granted, TOKEN_BINDING_LAPSE);
-        } else {
-            // Deregistration (home again): no binding left to renew.
-            self.binding_expires_at = None;
-            ctx.fx.push(Effect::CancelTimer {
-                token: TOKEN_REREGISTER,
-            });
-            ctx.fx.push(Effect::CancelTimer {
-                token: TOKEN_BINDING_LAPSE,
-            });
-        }
-        if epoch_changed && self.switching.is_none() {
-            self.epoch_changes.inc();
-            let line =
-                Line::new("home agent boot epoch changed to {}; re-registering from scratch");
-            ctx.fx.trace(line.num(reply.epoch.into()));
-            self.backoff.reset();
-            self.send_registration(ctx);
         }
     }
 
@@ -1054,27 +897,9 @@ impl Module for MobileHost {
     }
 
     fn register_metrics(&self, scope: &MetricsScope) {
-        let reg = scope.scope("reg");
-        for (name, cell) in [
-            ("requests_sent", &self.requests_sent),
-            ("replies_accepted", &self.registrations_accepted),
-            ("denials", &self.registration_denials),
-            ("retries", &self.registration_retries),
-            ("backoff_exhausted", &self.backoff_exhausted),
-            ("binding_lapses", &self.binding_lapses),
-            ("corrupt_dropped", &self.corrupt_replies),
-            ("epoch_changes", &self.epoch_changes),
-            ("ha_failovers", &self.ha_failovers),
-            ("degradations", &self.degradations),
-        ] {
-            reg.register(name, MetricCell::Counter(cell.clone()));
-        }
-        // Registered only on keyed hosts, mirroring the home agent: an
-        // unkeyed host's metric set is byte-identical to the
-        // pre-authentication layout the golden sidecars pin.
-        if self.cfg.auth.is_some() {
-            reg.register("auth_fail", MetricCell::Counter(self.auth_failures.clone()));
-        }
+        self.reg
+            .stats
+            .register_into(&scope.scope("reg"), self.reg.auth.is_some());
         let mobility = scope.scope("mobility");
         for (name, cell) in [
             ("handoffs", &self.handoffs),
@@ -1095,6 +920,11 @@ impl Module for MobileHost {
                 return;
             }
         }
+        if self.reg.owns_token(token) {
+            let holding = self.switching.is_none() && self.away_status().is_some_and(|s| s.2);
+            let event = self.reg.on_timer(ctx.fx, token, holding);
+            return self.on_reg_event(ctx, event);
+        }
         match token {
             TOKEN_AFTER_DOWN => {
                 // Old device quiesced; power the new one up.
@@ -1106,42 +936,7 @@ impl Module for MobileHost {
             TOKEN_CONFIGURED => self.finish_configure(ctx),
             TOKEN_ROUTED => self.finish_route_change(ctx),
             TOKEN_POST_REG => self.finish_switch(ctx),
-            TOKEN_REG_RETRY => {
-                self.registration_retries.inc();
-                ctx.fx.trace("registration retry");
-                self.send_registration(ctx);
-            }
             TOKEN_AUTOSWITCH => self.autoswitch_tick(ctx),
-            TOKEN_REREGISTER
-                if matches!(
-                    self.location,
-                    Location::Away {
-                        registered: true,
-                        ..
-                    }
-                ) && self.switching.is_none() =>
-            {
-                // A renewal is a fresh attempt with a full retry budget.
-                self.backoff.reset();
-                self.send_registration(ctx);
-            }
-            TOKEN_BINDING_LAPSE => {
-                if self.switching.is_some() {
-                    return; // the in-flight switch re-registers anyway
-                }
-                if let Location::Away { registered, .. } = &mut self.location {
-                    if *registered {
-                        *registered = false;
-                        self.route_gen += 1;
-                        self.binding_lapses.inc();
-                        self.binding_expires_at = None;
-                        ctx.fx
-                            .trace("binding lapsed at home agent; re-registering from scratch");
-                        self.backoff.reset();
-                        self.send_registration(ctx);
-                    }
-                }
-            }
             probe if probe >= TOKEN_PROBE_BASE => {
                 // A probe timed out: the triangle route is filtered —
                 // revert this correspondent to the reverse tunnel.
@@ -1185,15 +980,8 @@ impl Module for MobileHost {
             return;
         }
         if Some(sock) == self.reg_sock && classify(payload) == Some(MessageKind::Reply) {
-            match RegistrationReply::parse(payload) {
-                Ok(reply) => self.handle_reply(ctx, reply),
-                Err(_) => {
-                    // Detected (wire checksum), counted, never acted on.
-                    self.corrupt_replies.inc();
-                    ctx.fx
-                        .trace("drop.reg_corrupt: registration reply failed parse");
-                }
-            }
+            let event = self.reg.on_reply(ctx.fx, payload);
+            self.on_reg_event(ctx, event);
         }
     }
 
@@ -1259,15 +1047,16 @@ impl Module for MobileHost {
             let rt = core.routes.lookup(target)?;
             Some((rt.iface, rt.gateway.unwrap_or(target)))
         };
+        let home_agent = self.reg.home_agent();
         let decision = match mode {
             SendMode::ReverseTunnel => {
-                route_to(self.current_ha).map(|(out_iface, next_hop)| RouteDecision {
+                route_to(home_agent).map(|(out_iface, next_hop)| RouteDecision {
                     iface: out_iface,
                     src: self.cfg.home_addr,
                     next_hop,
                     encap: Some(EncapSpec {
                         outer_src: care_of,
-                        outer_dst: self.current_ha,
+                        outer_dst: home_agent,
                     }),
                 })
             }
@@ -1535,8 +1324,14 @@ mod tests {
     fn registered_reverse_tunnel_targets_current_home_agent() {
         let (host, mut mh, _eth) = away_mobile();
         let standby = Ipv4Addr::new(36, 135, 0, 3);
-        mh.cfg.standby_agents = vec![standby];
-        mh.current_ha = standby;
+        let (home, primary) = (mh.cfg.home_addr, mh.cfg.home_agent);
+        mh.reg = RegistrationMachine::new(home, primary, &[standby], None, TOKEN_REG_BASE);
+        // Unanswered sends spend the retry budget; the ring then rotates.
+        let mut fx = mosquitonet_stack::Effects::new();
+        while mh.reg.home_agent() != standby {
+            let opts = mosquitonet_stack::SendOptions::default();
+            mh.reg.send(&mut fx, SocketId(0), primary, opts, home, 0);
+        }
         let d = mh
             .route_override(&host.core, CH, SourceSel::Unspecified)
             .decision()

@@ -50,7 +50,7 @@ pub use flightrec::{
 };
 pub use json::Json;
 pub use metrics::{
-    Counter, DeltaEntry, Gauge, HistogramSnapshot, LatencyHistogram, MetricCell, MetricValue,
+    Counter, DeltaEntry, HistogramSnapshot, LatencyHistogram, MetricCell, MetricValue,
     MetricsRegistry, MetricsScope, Snapshot, SnapshotDelta,
 };
 pub use profile::Profiler;

@@ -5,8 +5,8 @@
 //! (Figure 7), care-of switch timings (Table 1) — so the simulator carries
 //! a first-class metrics layer instead of string-matching on the trace:
 //!
-//! * [`Counter`], [`Gauge`] and [`LatencyHistogram`] are cheap interior-
-//!   mutable cells (`Rc<Cell<_>>`; the engine is single-threaded by
+//! * [`Counter`] and [`LatencyHistogram`] are cheap interior-mutable
+//!   cells (`Rc<Cell<_>>`; the engine is single-threaded by
 //!   design). Handles clone for ~1 ns and increment for ~1–2 ns, so hot
 //!   packet paths hold *pre-resolved* handles and never touch a name
 //!   lookup.
@@ -95,43 +95,6 @@ impl Counter {
 impl fmt::Debug for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Counter({})", self.get())
-    }
-}
-
-/// An instantaneous signed value (queue depths, table sizes, up/down).
-#[derive(Clone, Default)]
-pub struct Gauge {
-    cell: Rc<Cell<i64>>,
-}
-
-impl Gauge {
-    /// Creates a detached gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.cell.set(v);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.cell.set(self.cell.get().wrapping_add(n));
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.cell.get()
-    }
-}
-
-impl fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gauge({})", self.get())
     }
 }
 
@@ -286,8 +249,6 @@ impl HistogramSnapshot {
 pub enum MetricCell {
     /// A monotonic counter.
     Counter(Counter),
-    /// An instantaneous gauge.
-    Gauge(Gauge),
     /// A latency histogram.
     Histogram(LatencyHistogram),
 }
@@ -297,8 +258,6 @@ pub enum MetricCell {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram bucket state.
     Histogram(HistogramSnapshot),
 }
@@ -335,23 +294,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Returns the gauge at `path`, creating it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `path` is registered as a different metric kind.
-    pub fn gauge(&self, path: impl Into<String>) -> Gauge {
-        let path = path.into();
-        let mut map = self.inner.borrow_mut();
-        match map
-            .entry(path.clone())
-            .or_insert_with(|| MetricCell::Gauge(Gauge::new()))
-        {
-            MetricCell::Gauge(g) => g.clone(),
-            other => panic!("metric {path} is a {}, not a gauge", kind_name(other)),
-        }
-    }
-
     /// Returns the histogram at `path`, creating it (with the default
     /// bounds) if absent.
     ///
@@ -380,11 +322,6 @@ impl MetricsRegistry {
     /// Binds an existing counter under `path`.
     pub fn register_counter(&self, path: impl Into<String>, counter: &Counter) {
         self.register(path, MetricCell::Counter(counter.clone()));
-    }
-
-    /// Binds an existing gauge under `path`.
-    pub fn register_gauge(&self, path: impl Into<String>, gauge: &Gauge) {
-        self.register(path, MetricCell::Gauge(gauge.clone()));
     }
 
     /// Binds an existing histogram under `path`.
@@ -425,7 +362,6 @@ impl MetricsRegistry {
                 .map(|(name, cell)| {
                     let value = match cell {
                         MetricCell::Counter(c) => MetricValue::Counter(c.get()),
-                        MetricCell::Gauge(g) => MetricValue::Gauge(g.get()),
                         MetricCell::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                     };
                     (name.clone(), value)
@@ -465,11 +401,6 @@ impl MetricsScope {
         self.registry.counter(format!("{}/{name}", self.prefix))
     }
 
-    /// The gauge at `prefix/name`, creating it if absent.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry.gauge(format!("{}/{name}", self.prefix))
-    }
-
     /// The histogram at `prefix/name`, creating it if absent.
     pub fn histogram(&self, name: &str) -> LatencyHistogram {
         self.registry.histogram(format!("{}/{name}", self.prefix))
@@ -499,7 +430,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Merges per-shard snapshots into one document. Paths unique to a
     /// shard (host-scoped metrics, `profile/shard/{id}/…`) carry over
-    /// unchanged; on a path collision counters and gauges sum and
+    /// unchanged; on a path collision counters sum and
     /// histograms merge bucket-wise. The result is a `BTreeMap` like any
     /// other snapshot, so its JSON rendering is byte-stable regardless
     /// of how many threads produced the parts.
@@ -521,9 +452,6 @@ impl Snapshot {
                         let merged = match (e.get(), &v) {
                             (MetricValue::Counter(a), MetricValue::Counter(b)) => {
                                 MetricValue::Counter(a.wrapping_add(*b))
-                            }
-                            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
-                                MetricValue::Gauge(a.wrapping_add(*b))
                             }
                             (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
                                 assert_eq!(
@@ -563,14 +491,6 @@ impl Snapshot {
     pub fn counter(&self, name: &str) -> u64 {
         match self.values.get(name) {
             Some(MetricValue::Counter(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// The gauge `name`'s value; 0 when absent or not a gauge.
-    pub fn gauge(&self, name: &str) -> i64 {
-        match self.values.get(name) {
-            Some(MetricValue::Gauge(v)) => *v,
             _ => 0,
         }
     }
@@ -630,26 +550,6 @@ impl Snapshot {
                         });
                     }
                 }
-                (Some(MetricValue::Gauge(b)), MetricValue::Gauge(a)) => {
-                    if a != b {
-                        entries.push(DeltaEntry::Gauge {
-                            name: name.clone(),
-                            before: *b,
-                            after: *a,
-                            delta: a - b,
-                        });
-                    }
-                }
-                (None, MetricValue::Gauge(a)) => {
-                    if *a != 0 {
-                        entries.push(DeltaEntry::Gauge {
-                            name: name.clone(),
-                            before: 0,
-                            after: *a,
-                            delta: *a,
-                        });
-                    }
-                }
                 (before, MetricValue::Histogram(a)) => {
                     let before_total = match before {
                         Some(MetricValue::Histogram(b)) => b.total,
@@ -682,14 +582,6 @@ impl Snapshot {
                         reset: true,
                     });
                 }
-                (Some(_), MetricValue::Gauge(a)) => {
-                    entries.push(DeltaEntry::Gauge {
-                        name: name.clone(),
-                        before: 0,
-                        after: *a,
-                        delta: *a,
-                    });
-                }
             }
         }
         SnapshotDelta { entries }
@@ -704,9 +596,6 @@ impl Snapshot {
                 let j = match value {
                     MetricValue::Counter(v) => {
                         Json::obj([("type", Json::from("counter")), ("value", Json::from(*v))])
-                    }
-                    MetricValue::Gauge(v) => {
-                        Json::obj([("type", Json::from("gauge")), ("value", Json::from(*v))])
                     }
                     MetricValue::Histogram(h) => {
                         let mut obj = vec![("type".to_string(), Json::from("histogram"))];
@@ -742,17 +631,6 @@ pub enum DeltaEntry {
         /// True when the counter went backwards (reset between snapshots).
         reset: bool,
     },
-    /// A gauge moved.
-    Gauge {
-        /// Metric path.
-        name: String,
-        /// Value in the earlier snapshot (0 if absent).
-        before: i64,
-        /// Value in the later snapshot.
-        after: i64,
-        /// Signed movement.
-        delta: i64,
-    },
     /// A histogram accumulated samples (or reset).
     Histogram {
         /// Metric path.
@@ -772,9 +650,7 @@ impl DeltaEntry {
     /// The metric path this entry describes.
     pub fn name(&self) -> &str {
         match self {
-            DeltaEntry::Counter { name, .. }
-            | DeltaEntry::Gauge { name, .. }
-            | DeltaEntry::Histogram { name, .. } => name,
+            DeltaEntry::Counter { name, .. } | DeltaEntry::Histogram { name, .. } => name,
         }
     }
 }
@@ -812,7 +688,6 @@ impl SnapshotDelta {
         self.entries.iter().any(|e| match e {
             DeltaEntry::Counter { name: n, reset, .. }
             | DeltaEntry::Histogram { name: n, reset, .. } => n == name && *reset,
-            _ => false,
         })
     }
 
@@ -838,12 +713,6 @@ impl SnapshotDelta {
                     let tag = if *reset { " [reset]" } else { "" };
                     format!("{name:<width$} {before} -> {after} (+{delta}){tag}")
                 }
-                DeltaEntry::Gauge {
-                    name,
-                    before,
-                    after,
-                    delta,
-                } => format!("{name:<width$} {before} -> {after} ({delta:+})"),
                 DeltaEntry::Histogram {
                     name,
                     total_before,
@@ -867,7 +736,6 @@ impl SnapshotDelta {
 fn kind_name(cell: &MetricCell) -> &'static str {
     match cell {
         MetricCell::Counter(_) => "counter",
-        MetricCell::Gauge(_) => "gauge",
         MetricCell::Histogram(_) => "histogram",
     }
 }
@@ -902,11 +770,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is a counter, not a gauge")]
+    #[should_panic(expected = "is a counter, not a histogram")]
     fn kind_mismatch_panics() {
         let r = MetricsRegistry::new();
         r.counter("x");
-        r.gauge("x");
+        r.histogram("x");
     }
 
     #[test]
@@ -938,24 +806,19 @@ mod tests {
     fn diff_reports_exact_movements() {
         let r = MetricsRegistry::new();
         let tx = r.counter("h/ip/tx");
-        let depth = r.gauge("h/link/queue_depth");
         let lat = r.histogram("h/reg/latency_us");
         tx.add(2);
         let before = r.snapshot();
         tx.add(3);
-        depth.set(-2);
         lat.record(SimDuration::from_micros(150));
         let delta = r.snapshot().diff(&before);
-        assert_eq!(delta.entries().len(), 3);
+        assert_eq!(delta.entries().len(), 2);
         assert_eq!(delta.counter_delta("h/ip/tx"), 3);
         assert!(!delta.was_reset("h/ip/tx"));
         let rendered = delta.render();
         assert!(rendered.contains("h/ip/tx"), "{rendered}");
         assert!(rendered.contains("2 -> 5 (+3)"), "{rendered}");
-        assert!(
-            rendered.contains("(-2)") || rendered.contains("0 -> -2"),
-            "{rendered}"
-        );
+        assert!(rendered.contains("0 -> 1 samples (+1)"), "{rendered}");
     }
 
     #[test]
@@ -977,7 +840,6 @@ mod tests {
     fn unchanged_metrics_are_omitted_from_diff() {
         let r = MetricsRegistry::new();
         r.counter("a").add(1);
-        r.gauge("g").set(7);
         let before = r.snapshot();
         let delta = r.snapshot().diff(&before);
         assert!(delta.is_empty());
@@ -988,18 +850,15 @@ mod tests {
         let a = MetricsRegistry::new();
         a.counter("shard0/ip/tx").add(3);
         a.counter("pktbuf/arena_resets").add(2);
-        a.gauge("depth").set(1);
         a.histogram("lat").record(SimDuration::from_micros(75));
         let b = MetricsRegistry::new();
         b.counter("shard1/ip/tx").add(5);
         b.counter("pktbuf/arena_resets").add(4);
-        b.gauge("depth").set(2);
         b.histogram("lat").record(SimDuration::from_micros(150));
         let m = Snapshot::merged([a.snapshot(), b.snapshot()]);
         assert_eq!(m.counter("shard0/ip/tx"), 3);
         assert_eq!(m.counter("shard1/ip/tx"), 5);
         assert_eq!(m.counter("pktbuf/arena_resets"), 6);
-        assert_eq!(m.gauge("depth"), 3);
         let h = m.histogram("lat").expect("merged histogram");
         assert_eq!(h.total, 2);
         assert_eq!(h.sum_us, 225);
@@ -1013,7 +872,6 @@ mod tests {
     fn snapshot_json_schema() {
         let r = MetricsRegistry::new();
         r.counter("mh/ip/tx").add(3);
-        r.gauge("mh/link/depth").set(-1);
         r.histogram("mh/reg/latency_us")
             .record(SimDuration::from_micros(75));
         let json = r.to_json().render();
@@ -1023,10 +881,6 @@ mod tests {
         );
         assert!(
             json.contains(r#""mh/ip/tx":{"type":"counter","value":3}"#),
-            "{json}"
-        );
-        assert!(
-            json.contains(r#""mh/link/depth":{"type":"gauge","value":-1}"#),
             "{json}"
         );
         assert!(json.contains(r#""type":"histogram","count":1"#), "{json}");

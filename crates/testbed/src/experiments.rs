@@ -33,7 +33,7 @@ use crate::topology::{
     MH_HOME, ROUTER_DEPT, ROUTER_RADIO, STANDBY_HA,
 };
 use crate::workload::{
-    BulkSender, BulkSink, FleetChurn, RegistrationAttacker, RegistrationStorm, SaturationSender,
+    BulkSender, FleetChurn, RegistrationAttacker, RegistrationStorm, SaturationSender,
     SaturationSink, UdpEchoResponder, UdpEchoSender,
 };
 
@@ -194,7 +194,7 @@ fn poll_until(
 /// restarted agent's new boot epoch and holds an accepted registration.
 fn reconverged_after_restart(tb: &mut Testbed) -> bool {
     let m = tb.mh_module();
-    m.epoch_changes.get() >= 1 && m.away_status().map(|s| s.2).unwrap_or(false)
+    m.reg.stats.epoch_changes.get() >= 1 && m.away_status().map(|s| s.2).unwrap_or(false)
 }
 
 /// Scripts one crash of the home-agent host at `at` (journal intact,
@@ -709,7 +709,7 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
 
         let (req0, ret0) = {
             let m = tb.mh_module();
-            (m.requests_sent.get(), m.registration_retries.get())
+            (m.reg.stats.requests_sent.get(), m.reg.stats.retries.get())
         };
         let mut totals_ns: Vec<u64> = Vec::new();
         for i in 0..switches {
@@ -730,7 +730,7 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
         }
         let (req1, ret1) = {
             let m = tb.mh_module();
-            (m.requests_sent.get(), m.registration_retries.get())
+            (m.reg.stats.requests_sent.get(), m.reg.stats.retries.get())
         };
         let drops = tb.sim.world().lans[tb.lan_dept.0]
             .fault
@@ -853,13 +853,13 @@ pub fn run_c2(pings: u32, seed: u64) -> C2Result {
     // mobile host's local role (no encapsulation, pure radio path).
     tb.with_mh(|mh, _| mh.policy.set(Cidr::host(CH_DEPT), SendMode::DirectLocal));
     let ch = tb.ch_dept;
-    let sink_mid = stack::add_module(&mut tb.sim, ch, Box::new(BulkSink::new(5001)));
+    let sink_mid = stack::add_module(&mut tb.sim, ch, Box::new(SaturationSink::new(5001)));
     let mh = tb.mh;
     let mut bulk = BulkSender::new((CH_DEPT, 5001), 500, 60);
     bulk.gap = SimDuration::ZERO;
     stack::add_module(&mut tb.sim, mh, Box::new(bulk));
     tb.run_for(SimDuration::from_secs(90));
-    let sink: &mut BulkSink = tb.module(ch, sink_mid);
+    let sink: &mut SaturationSink = tb.module(ch, sink_mid);
     let goodput_kbps = sink.goodput_kbps().expect("transfer completed");
     let metrics = tb.sim.metrics().to_json();
     C2Result {
@@ -2823,9 +2823,9 @@ pub fn run_c5(seed: u64) -> C5Result {
     let (epoch_changes, requests, retries) = {
         let m = tb.mh_module();
         (
-            m.epoch_changes.get(),
-            m.requests_sent.get(),
-            m.registration_retries.get(),
+            m.reg.stats.epoch_changes.get(),
+            m.reg.stats.requests_sent.get(),
+            m.reg.stats.retries.get(),
         )
     };
     let (ha_epoch, journal_replayed, journal_len) = {
@@ -3037,7 +3037,7 @@ pub fn run_c6(seed: u64) -> C6Result {
     // Poll until the MH holds an accepted registration *at the standby*.
     let at_standby = poll_until(&mut tb, C6_FAILOVER_CAP, |tb| {
         let m = tb.mh_module();
-        m.current_home_agent() == STANDBY_HA && m.away_status().map(|s| s.2).unwrap_or(false)
+        m.reg.home_agent() == STANDBY_HA && m.away_status().map(|s| s.2).unwrap_or(false)
     });
     assert!(
         at_standby,
@@ -3050,10 +3050,10 @@ pub fn run_c6(seed: u64) -> C6Result {
     let (ha_failovers, degradations, exhausted, lapses, direct_encap_lookups) = {
         let m = tb.mh_module();
         (
-            m.ha_failovers.get(),
-            m.degradations.get(),
-            m.backoff_exhausted.get(),
-            m.binding_lapses.get(),
+            m.reg.stats.ha_failovers.get(),
+            m.reg.stats.degradations.get(),
+            m.reg.stats.backoff_exhausted.get(),
+            m.reg.stats.binding_lapses.get(),
             m.policy.stats.counter_for(SendMode::DirectEncap).get(),
         )
     };

@@ -452,9 +452,15 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
                 .add_module(Box::new(MobileHost::new_at_home(mh_cfg, mh_eth)))
         }
         MhMode::ForeignAgent => {
-            let mut fa_mh =
-                mosquitonet_core::FaMobileHost::new(MH_HOME, home_subnet(), ha_addr, mh_eth, 300);
+            let mut fa_mh = mosquitonet_core::FaMobileHost::new(
+                MH_HOME,
+                home_subnet(),
+                ha_addr,
+                mh_eth,
+                cfg.mh_lifetime,
+            );
             fa_mh.notify_previous = cfg.ha_notify_previous;
+            fa_mh.reg.auth = cfg.mh_auth;
             net.host_mut(mh).add_module(Box::new(fa_mh))
         }
     };

@@ -296,72 +296,6 @@ impl Module for BulkSender {
     }
 }
 
-/// The receiving end of a bulk transfer: counts bytes and timestamps.
-pub struct BulkSink {
-    /// Port to serve.
-    pub port: u16,
-    /// Bytes received.
-    pub bytes: u64,
-    /// Datagrams received.
-    pub datagrams: u64,
-    /// First arrival.
-    pub first_at: Option<SimTime>,
-    /// Latest arrival.
-    pub last_at: Option<SimTime>,
-}
-
-impl BulkSink {
-    /// Creates a sink on `port`.
-    pub fn new(port: u16) -> BulkSink {
-        BulkSink {
-            port,
-            bytes: 0,
-            datagrams: 0,
-            first_at: None,
-            last_at: None,
-        }
-    }
-
-    /// Goodput in kilobits/second across the observed span.
-    pub fn goodput_kbps(&self) -> Option<f64> {
-        let span = (self.last_at? - self.first_at?).as_secs_f64();
-        if span <= 0.0 {
-            return None;
-        }
-        Some(self.bytes as f64 * 8.0 / span / 1000.0)
-    }
-}
-
-impl Module for BulkSink {
-    fn name(&self) -> &'static str {
-        "bulk-sink"
-    }
-
-    fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
-        ctx.udp_bind(None, self.port).expect("port free");
-    }
-
-    fn on_udp(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        _sock: SocketId,
-        _src: (Ipv4Addr, u16),
-        _dst: Ipv4Addr,
-        payload: &Bytes,
-    ) {
-        self.bytes += payload.len() as u64;
-        self.datagrams += 1;
-        if self.first_at.is_none() {
-            self.first_at = Some(ctx.now);
-        }
-        self.last_at = Some(ctx.now);
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// A TCP echo server (remote-login stand-in) for session-survival tests.
 pub struct TcpEchoServer {
     /// Listening port.
@@ -797,7 +731,8 @@ impl Module for SaturationSender {
     }
 }
 
-/// The S3 saturation sink: counts the datagrams and bytes that arrive.
+/// The receiving end of a bulk transfer (C2) or a saturation flow (S3):
+/// counts the datagrams and bytes that arrive, and when.
 pub struct SaturationSink {
     /// Port to serve.
     pub port: u16,
@@ -821,6 +756,15 @@ impl SaturationSink {
             first_at: None,
             last_at: None,
         }
+    }
+
+    /// Goodput in kilobits/second across the observed span.
+    pub fn goodput_kbps(&self) -> Option<f64> {
+        let span = (self.last_at? - self.first_at?).as_secs_f64();
+        if span <= 0.0 {
+            return None;
+        }
+        Some(self.bytes as f64 * 8.0 / span / 1000.0)
     }
 }
 

@@ -1,4 +1,5 @@
-//! Golden-file test for the Figure 7 metrics export.
+//! Golden-file tests for the Figure 7 metrics export and, at the end, the
+//! A1 foreign-agent ablation's.
 //!
 //! `run_fig7` records every measured registration phase into a dedicated
 //! registry of fixed-bucket latency histograms; the sidecar rendering of

@@ -50,7 +50,7 @@ fn registration_survives_a_very_lossy_radio() {
     let status = tb.mh_module().away_status().expect("away");
     assert!(status.2, "registered despite 20% radio loss");
     assert!(
-        tb.mh_module().requests_sent.get() >= 1,
+        tb.mh_module().reg.stats.requests_sent.get() >= 1,
         "at least the original request went out"
     );
 }

@@ -10,14 +10,18 @@ use mosquitonet::testbed::topology::{
 };
 use mosquitonet::testbed::workload::{UdpEchoResponder, UdpEchoSender};
 
-fn fa_bed(notify: bool) -> Testbed {
-    build(TestbedConfig {
+fn fa_cfg(notify: bool) -> TestbedConfig {
+    TestbedConfig {
         with_foreign_site: true,
         with_foreign_agents: true,
         ha_notify_previous: notify,
         mh_mode: MhMode::ForeignAgent,
         ..TestbedConfig::default()
-    })
+    }
+}
+
+fn fa_bed(notify: bool) -> Testbed {
+    build(fa_cfg(notify))
 }
 
 fn place_mh_on_first_cell(tb: &mut Testbed) {
@@ -144,4 +148,45 @@ fn previous_fa_forwarding_rescues_in_flight_packets() {
     // the instant between detachment and the new default route. The
     // A1 experiment measures the distribution; here we bound it.
     assert!(lost <= 2, "forwarding trimmed the loss to {lost}");
+}
+
+/// The registration client is the agentless host's. A binding held through
+/// a foreign agent is renewed at half its lifetime (the baseline's own
+/// client never renewed: the binding lapsed at the home agent after 300 s
+/// and the host did not notice), and a restarted home agent is noticed by
+/// the boot epoch in the next renewal's reply and re-registered with.
+#[test]
+fn a_binding_held_through_an_fa_is_renewed_and_reasserted_after_a_restart() {
+    let mut tb = build(TestbedConfig {
+        ha_on_router: false,
+        ..fa_cfg(false)
+    });
+    place_mh_on_first_cell(&mut tb);
+    let bound_via = |tb: &mut Testbed| {
+        let now = tb.sim.now();
+        let binding = tb.ha_module().bindings.get(MH_HOME, now);
+        binding.map(|b| b.care_of)
+    };
+    tb.run_for(SimDuration::from_secs(320));
+    assert_eq!(bound_via(&mut tb), Some(FA_FOREIGN_ADDR), "past 300 s");
+    assert_eq!(tb.fa_mh_module().current_fa(), Some(FA_FOREIGN_ADDR));
+    let reg = tb.fa_mh_module().reg.stats.clone();
+    assert_eq!(reg.binding_lapses.get(), 0);
+    assert_eq!(reg.replies_accepted.get(), 3, "at 0, 150 and 300 s");
+    let (fa_host, fa_mod) = tb.fa_foreign.expect("fa");
+    let fa: &mut ForeignAgent = tb.module(fa_host, fa_mod);
+    assert_eq!(fa.relayed_replies.get(), 3, "the renewals went via the FA");
+
+    let ha = tb.ha_host;
+    stack::crash_host(&mut tb.sim, ha);
+    tb.run_for(SimDuration::from_secs(3));
+    stack::restart_host(&mut tb.sim, ha, false);
+    tb.run_for(SimDuration::from_secs(150));
+    assert_eq!(reg.epoch_changes.get(), 1, "one restart, noticed once");
+    assert_eq!(
+        reg.replies_accepted.get(),
+        5,
+        "the renewal, the reassertion"
+    );
+    assert_eq!(bound_via(&mut tb), Some(FA_FOREIGN_ADDR));
 }

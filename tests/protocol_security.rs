@@ -7,12 +7,13 @@
 use std::net::Ipv4Addr;
 
 use mosquitonet::mip::{
-    AddressPlan, RegistrationRequest, SwitchPlan, SwitchStyle, REGISTRATION_PORT,
+    AddressPlan, RegistrationReply, RegistrationRequest, ReplyCode, SwitchPlan, SwitchStyle,
+    REGISTRATION_PORT,
 };
 use mosquitonet::sim::SimDuration;
 use mosquitonet::stack::{self, Module, ModuleCtx, SocketId};
 use mosquitonet::testbed::topology::{
-    self, build, Testbed, TestbedConfig, COA_DEPT, MH_HOME, ROUTER_DEPT,
+    self, build, MhMode, Testbed, TestbedConfig, COA_DEPT, FA_FOREIGN_ADDR, MH_HOME, ROUTER_DEPT,
 };
 
 fn settle(tb: &mut Testbed) {
@@ -290,4 +291,62 @@ fn replay_after_the_mobile_host_returns_home_is_rejected() {
             .is_none(),
         "no hijack tunnel installed"
     );
+}
+
+#[test]
+fn keyed_fa_mode_host_trusts_only_signed_replies_for_its_own_address() {
+    // The foreign-agent baseline runs the agentless host's registration
+    // client, so its keyed host verifies what it signs. The home agent here
+    // holds no key: it accepts the signed requests and answers unsigned —
+    // the right identification, no digest.
+    let key = (7u32, 0xfeed_f00d_u64);
+    let mut tb = build(TestbedConfig {
+        with_foreign_site: true,
+        with_foreign_agents: true,
+        mh_mode: MhMode::ForeignAgent,
+        mh_auth: Some(key),
+        ..TestbedConfig::default()
+    });
+    tb.move_mh_eth(Some(tb.lan_foreign.expect("foreign site")));
+    let (mh, eth) = (tb.mh, tb.mh_eth);
+    stack::bring_iface_up(&mut tb.sim, mh, eth);
+    tb.run_for(SimDuration::from_secs(1));
+    tb.with_fa_mh(|m, ctx| m.moved(ctx));
+    tb.run_for(SimDuration::from_secs(3));
+    assert!(tb.ha_module().accepted.get() >= 1, "the agent did answer");
+    let stats = tb.fa_mh_module().reg.stats.clone();
+    assert!(stats.auth_fail.get() >= 1, "counted under reg/auth_fail");
+    assert_eq!(stats.replies_accepted.get(), 0);
+    assert_eq!(tb.fa_mh_module().current_fa(), None);
+
+    // Forged `Accepted` replies carrying the right identification, handed
+    // straight to the module: (whose address, signed with, counted as an
+    // authentication failure, registers the host).
+    let someone_else = Ipv4Addr::new(36, 135, 0, 77);
+    for (home_addr, signed_with, auth_fail, registers) in [
+        (MH_HOME, key.1 ^ 1, 1, false),
+        (someone_else, key.1, 0, false),
+        (MH_HOME, key.1, 0, true),
+    ] {
+        let (failures, retries) = (stats.auth_fail.get(), stats.retries.get());
+        tb.with_fa_mh(|m, ctx| {
+            let forged = RegistrationReply {
+                code: ReplyCode::Accepted,
+                lifetime: 300,
+                home_addr,
+                home_agent: topology::ROUTER_HOME,
+                epoch: 1,
+                ident: m.reg.ident(),
+                auth: None,
+            };
+            let bytes = forged.sign(key.0, signed_with).to_bytes();
+            let from = (FA_FOREIGN_ADDR, REGISTRATION_PORT);
+            m.on_udp(ctx, SocketId(0), from, MH_HOME, &bytes);
+        });
+        assert_eq!(stats.auth_fail.get() - failures, auth_fail);
+        assert_eq!(tb.fa_mh_module().current_fa().is_some(), registers);
+        // An ignored reply leaves the retry timer armed.
+        tb.run_for(SimDuration::from_secs(10));
+        assert_eq!(stats.retries.get() > retries, !registers);
+    }
 }
