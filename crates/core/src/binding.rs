@@ -17,9 +17,6 @@ pub struct Binding {
     pub expires: SimTime,
     /// Highest identification seen from this mobile host (replay guard).
     pub last_ident: u64,
-    /// Care-of address the host used immediately before this one, if the
-    /// binding was updated while active (drives previous-FA forwarding).
-    pub previous_care_of: Option<Ipv4Addr>,
 }
 
 /// The binding table. The highest identification ever accepted for a
@@ -92,7 +89,6 @@ impl BindingTable {
                     BindOutcome::Refreshed
                 } else {
                     let previous = b.care_of;
-                    b.previous_care_of = Some(previous);
                     b.care_of = care_of;
                     BindOutcome::Moved { previous }
                 }
@@ -110,7 +106,6 @@ impl BindingTable {
                         care_of,
                         expires: now + lifetime,
                         last_ident: ident,
-                        previous_care_of: None,
                     },
                 );
                 BindOutcome::Created
@@ -171,7 +166,7 @@ impl BindingTable {
     /// The bindings still live at `now`, in home-address order — sorted
     /// so callers that emit effects per binding (restart re-serving)
     /// stay deterministic despite the hash map underneath.
-    pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (Ipv4Addr, Binding)> + '_ {
+    pub fn live(&self, now: SimTime) -> Vec<(Ipv4Addr, Binding)> {
         let mut live: Vec<(Ipv4Addr, Binding)> = self
             .bindings
             .iter()
@@ -179,7 +174,7 @@ impl BindingTable {
             .map(|(h, b)| (*h, *b))
             .collect();
         live.sort_unstable_by_key(|&(h, _)| u32::from(h));
-        live.into_iter()
+        live
     }
 
     /// Count of bindings (including expired, pre-sweep).
@@ -218,9 +213,7 @@ mod tests {
             bt.bind(MH, COA2, life(), 3, t(2)),
             BindOutcome::Moved { previous: COA1 }
         );
-        let b = bt.get(MH, t(3)).unwrap();
-        assert_eq!(b.care_of, COA2);
-        assert_eq!(b.previous_care_of, Some(COA1));
+        assert_eq!(bt.get(MH, t(3)).unwrap().care_of, COA2);
     }
 
     #[test]

@@ -26,9 +26,11 @@ use std::net::Ipv4Addr;
 
 use mosquitonet_sim::{SimDuration, SimTime};
 
-use crate::binding::{BindOutcome, BindingTable};
+use crate::binding::{BindOutcome, Binding, BindingTable};
+use crate::messages::{BindingReplica, ReplicaOp};
 
-/// One durable record: an accepted binding mutation.
+/// One durable record: an accepted binding mutation, applied to a table by
+/// `JournalRecord::apply_to` alone — from a request, a replica or replay.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JournalRecord {
     /// An accepted registration (create, move, or refresh).
@@ -56,6 +58,88 @@ pub enum JournalRecord {
         /// When the sweep ran.
         at: SimTime,
     },
+}
+
+/// What applying one record did to a table.
+#[derive(Debug)]
+pub(crate) enum Applied {
+    /// A bind: created, moved or refreshed — or refused as a replay.
+    Bind(BindOutcome),
+    /// An unbind: the binding removed (`None`: absent, or a stale ident).
+    Unbind(Option<Binding>),
+    /// A sweep: every binding it expired, in address order.
+    Sweep(Vec<(Ipv4Addr, Binding)>),
+}
+
+impl Applied {
+    /// True when the table changed — the condition for journaling.
+    pub(crate) fn took_effect(&self) -> bool {
+        match self {
+            Applied::Bind(outcome) => *outcome != BindOutcome::ReplayRejected,
+            Applied::Unbind(removed) => removed.is_some(),
+            Applied::Sweep(expired) => !expired.is_empty(),
+        }
+    }
+}
+
+impl JournalRecord {
+    /// Applies the mutation to `table`.
+    pub(crate) fn apply_to(&self, table: &mut BindingTable) -> Applied {
+        match *self {
+            JournalRecord::Bind {
+                home,
+                care_of,
+                lifetime,
+                ident,
+                at,
+            } => Applied::Bind(table.bind(home, care_of, lifetime, ident, at)),
+            JournalRecord::Unbind { home, ident } => Applied::Unbind(table.unbind(home, ident)),
+            JournalRecord::Sweep { at } => Applied::Sweep(table.sweep_expired(at)),
+        }
+    }
+
+    /// The record a standby journals for `replica`, received at `at`.
+    pub(crate) fn from_replica(replica: &BindingReplica, at: SimTime) -> JournalRecord {
+        let (home, ident) = (replica.home_addr, replica.ident);
+        match replica.op {
+            ReplicaOp::Bind => JournalRecord::Bind {
+                home,
+                care_of: replica.care_of,
+                lifetime: SimDuration::from_secs(replica.lifetime.into()),
+                ident,
+                at,
+            },
+            ReplicaOp::Unbind => JournalRecord::Unbind { home, ident },
+        }
+    }
+
+    /// The replica a primary streams for this record (a sweep is not
+    /// replicated: the standby runs its own).
+    pub(crate) fn replica(&self) -> Option<BindingReplica> {
+        let (op, lifetime, home_addr, care_of, ident) = match *self {
+            JournalRecord::Bind {
+                home,
+                care_of,
+                lifetime,
+                ident,
+                ..
+            } => {
+                let secs = u16::try_from(lifetime.as_millis() / 1_000).unwrap_or(u16::MAX);
+                (ReplicaOp::Bind, secs, home, care_of, ident)
+            }
+            JournalRecord::Unbind { home, ident } => {
+                (ReplicaOp::Unbind, 0, home, Ipv4Addr::UNSPECIFIED, ident)
+            }
+            JournalRecord::Sweep { .. } => return None,
+        };
+        Some(BindingReplica {
+            op,
+            lifetime,
+            home_addr,
+            care_of,
+            ident,
+        })
+    }
 }
 
 /// Counts of the operations a replay applied.
@@ -168,29 +252,15 @@ impl BindingJournal {
 /// ```
 pub fn replay_into(table: &mut BindingTable, stats: &mut ReplayStats, records: &[JournalRecord]) {
     for record in records {
-        match *record {
-            JournalRecord::Bind {
-                home,
-                care_of,
-                lifetime,
-                ident,
-                at,
-            } => {
-                // Journaled operations were accepted when recorded, so a
-                // rejection here can only mean a corrupted record order;
-                // it is counted by omission rather than panicking.
-                if table.bind(home, care_of, lifetime, ident, at) != BindOutcome::ReplayRejected {
-                    stats.binds += 1;
-                }
-            }
-            JournalRecord::Unbind { home, ident } => {
-                if table.unbind(home, ident).is_some() {
-                    stats.unbinds += 1;
-                }
-            }
-            JournalRecord::Sweep { at } => {
-                stats.expiries += table.sweep_expired(at).len() as u64;
-            }
+        // Journaled operations were accepted when recorded, so a refusal
+        // here can only mean a corrupted record order; it is counted by
+        // omission rather than panicking.
+        let applied = record.apply_to(table);
+        let took_effect = u64::from(applied.took_effect());
+        match applied {
+            Applied::Bind(_) => stats.binds += took_effect,
+            Applied::Unbind(_) => stats.unbinds += took_effect,
+            Applied::Sweep(expired) => stats.expiries += expired.len() as u64,
         }
     }
 }

@@ -7,9 +7,9 @@
 //! * [`RegistrationRequest`]/[`RegistrationReply`] — the registration
 //!   protocol (UDP 434), with identification-based replay protection and
 //!   an optional authentication extension.
-//! * [`HomeAgent`] — proxy ARP + gratuitous ARP + VIF tunnel routes +
-//!   the mobility [`BindingTable`], charging Figure 7's 1.48 ms per
-//!   registration.
+//! * [`HomeAgentMachine`] — the home agent's protocol and [`BindingTable`],
+//!   serving Figure 7's 1.48 ms per registration; the [`HomeAgent`] module
+//!   applies its [`HaEvent`]s as proxy ARP + VIF tunnel routes.
 //! * [`RegistrationMachine`] — the registration *client*: identification,
 //!   signing and reply verification, retry with backoff, renewal, lapse,
 //!   boot-epoch tracking and standby failover, as one state machine that
@@ -49,7 +49,7 @@ pub use backoff::RetryBackoff;
 pub use binding::{BindOutcome, Binding, BindingTable};
 pub use fleet::{DirectoryEntry, ShardDirectory};
 pub use foreign_agent::{FaMobileHost, ForeignAgent, ForeignAgentConfig, ADVERTISE_INTERVAL};
-pub use home_agent::{HomeAgent, HomeAgentConfig};
+pub use home_agent::{HaEvent, HaStats, HomeAgent, HomeAgentConfig, HomeAgentMachine};
 pub use journal::{replay_into, BindingJournal, JournalRecord, ReplayStats};
 pub use messages::{
     classify, keyed_digest, AgentAdvertisement, AuthExtension, BindingReplica, BindingUpdate,

@@ -42,6 +42,9 @@ pub const REGISTRATION_RETRY_BUDGET: u32 = 8;
 /// Default binding lifetime requested by the mobile host.
 pub const DEFAULT_LIFETIME_SECS: u16 = 300;
 
+/// Cap on the binding lifetime a home agent grants.
+pub const MAX_LIFETIME_SECS: u16 = 600;
+
 #[cfg(test)]
 mod tests {
     use super::*;

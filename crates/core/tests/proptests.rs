@@ -486,7 +486,7 @@ proptest! {
         let (replayed_b, _) = journal_b.replay();
         let now = SimTime::ZERO;
         for (table, shard) in [(&replayed_a, a), (&replayed_b, b)] {
-            for (home, _) in table.iter_live(now) {
+            for (home, _) in table.live(now) {
                 prop_assert_eq!(
                     dir.resolve(home), shard,
                     "shard {} resurrected foreign binding {}", shard, home

@@ -2620,18 +2620,18 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
             let host = &mut w.hosts[h];
             for m in 0..host.module_count() {
                 let mid = ModuleId(m);
-                if let Some(agent) = host.module_mut::<HomeAgent>(mid) {
+                if let Some(HomeAgent { machine: agent }) = host.module_mut::<HomeAgent>(mid) {
                     // Host order per shard is fixed: ha, sb, churn.
                     if h == 0 {
-                        row.ha_processed += agent.processed.get();
-                        row.ha_accepted += agent.accepted.get();
-                        row.wrong_shard += agent.wrong_shard.get();
-                        row.replicas_sent += agent.replicas_sent.get();
-                        row.live_bindings += agent.bindings.iter_live(now).count() as u64;
+                        row.ha_processed += agent.stats.processed.get();
+                        row.ha_accepted += agent.stats.accepted.get();
+                        row.wrong_shard += agent.stats.wrong_shard.get();
+                        row.replicas_sent += agent.stats.replicas_sent.get();
+                        row.live_bindings += agent.bindings.live(now).len() as u64;
                         row.journal_records += agent.journal.len() as u64;
                     } else {
-                        row.replicas_applied += agent.replicas_applied.get();
-                        row.standby_bindings += agent.bindings.iter_live(now).count() as u64;
+                        row.replicas_applied += agent.stats.replicas_applied.get();
+                        row.standby_bindings += agent.bindings.live(now).len() as u64;
                     }
                 } else if let Some(churn) = host.module_mut::<FleetChurn>(mid) {
                     row.sent += churn.sent;
@@ -2832,12 +2832,12 @@ pub fn run_c5(seed: u64) -> C5Result {
         let ha = tb.ha_module();
         (
             u64::from(ha.epoch()),
-            ha.journal_replayed.get(),
+            ha.stats.journal_replayed.get(),
             ha.journal.len() as u64,
         )
     };
     stack::Module::register_metrics(tb.mh_module(), &reg.scope("c5/mh"));
-    stack::Module::register_metrics(tb.ha_module(), &reg.scope("c5/ha"));
+    tb.ha_module().register_metrics(&reg.scope("c5/ha"));
 
     let s = sender_mut(&mut tb, sender_mid);
     let sent = s.sent();
@@ -3059,11 +3059,12 @@ pub fn run_c6(seed: u64) -> C6Result {
     };
     let (standby_accepted, replicas_applied) = {
         let sb = tb.standby_module();
-        (sb.accepted.get(), sb.replicas_applied.get())
+        (sb.stats.accepted.get(), sb.stats.replicas_applied.get())
     };
     let standby_encapsulated = standby_encap(&tb) - encap0;
     stack::Module::register_metrics(tb.mh_module(), &reg.scope("c6/mh"));
-    stack::Module::register_metrics(tb.standby_module(), &reg.scope("c6/standby"));
+    tb.standby_module()
+        .register_metrics(&reg.scope("c6/standby"));
 
     let (in_sent, in_received, in_lost_during, in_lost_after) = {
         let s = sender_mut(&mut tb, in_mid);
@@ -3231,7 +3232,6 @@ pub fn run_c7(seed: u64) -> C7Result {
         mh_lifetime: C5_LIFETIME_SECS,
         mh_auth: Some((C7_SPI, C7_KEY)),
         ha_auth_key: Some((C7_SPI, C7_KEY)),
-        ha_require_auth: true,
         with_attacker: true,
         ..TestbedConfig::default()
     });
@@ -3323,13 +3323,13 @@ pub fn run_c7(seed: u64) -> C7Result {
     let (auth_failures, auth_replays, ha_epoch) = {
         let ha = tb.ha_module();
         (
-            ha.auth_failures.get(),
-            ha.auth_replays.get(),
+            ha.stats.auth_fail.get(),
+            ha.stats.auth_replay.get(),
             u64::from(ha.epoch()),
         )
     };
     stack::Module::register_metrics(tb.mh_module(), &reg.scope("c7/mh"));
-    stack::Module::register_metrics(tb.ha_module(), &reg.scope("c7/ha"));
+    tb.ha_module().register_metrics(&reg.scope("c7/ha"));
     let (injected, attacker_accepted, attacker_denied) = {
         let a = tb.module::<RegistrationAttacker>(attacker_host, att_mid);
         stack::Module::register_metrics(a, &reg.scope("c7/attacker"));

@@ -164,12 +164,10 @@ pub struct TestbedConfig {
     pub mh_mode: MhMode,
     /// (SPI, key) the mobile host signs registrations with.
     pub mh_auth: Option<(u32, u64)>,
-    /// (SPI, key) the home agent verifies the MH's registrations with;
-    /// combined with `ha_require_auth` this exercises the authentication
-    /// extension (the paper's prescribed-but-unimplemented security).
+    /// (SPI, key) the home agent verifies the MH's registrations with:
+    /// the authentication extension (the paper's
+    /// prescribed-but-unimplemented security).
     pub ha_auth_key: Option<(u32, u64)>,
-    /// Home agent refuses unauthenticated registrations.
-    pub ha_require_auth: bool,
     /// Build a standby home agent on the home net: the primary replicates
     /// bindings to it, and the MH lists it as a failover target.
     pub with_standby_ha: bool,
@@ -201,7 +199,6 @@ impl Default for TestbedConfig {
             mh_mode: MhMode::Mosquito,
             mh_auth: None,
             ha_auth_key: None,
-            ha_require_auth: false,
             with_standby_ha: false,
             with_attacker: false,
             mh_lifetime: mosquitonet_core::timing::DEFAULT_LIFETIME_SECS,
@@ -410,7 +407,6 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
 
     let mut ha_cfg = HomeAgentConfig::new(ha_addr, ha_iface, home_subnet());
     ha_cfg.notify_previous = cfg.ha_notify_previous;
-    ha_cfg.require_auth = cfg.ha_require_auth;
     if let Some((spi, key)) = cfg.ha_auth_key {
         ha_cfg.auth_keys.insert(MH_HOME, (spi, key));
     }
@@ -844,16 +840,16 @@ impl Testbed {
         self.module(self.mh, self.mh_mod)
     }
 
-    /// Read/inspect the home agent.
-    pub fn ha_module(&mut self) -> &mut HomeAgent {
-        self.module(self.ha_host, self.ha_mod)
+    /// Read/inspect the home agent's protocol machine.
+    pub fn ha_module(&mut self) -> &mut mosquitonet_core::HomeAgentMachine {
+        &mut self.module::<HomeAgent>(self.ha_host, self.ha_mod).machine
     }
 
-    /// Read/inspect the standby home agent (panics if not built).
-    pub fn standby_module(&mut self) -> &mut HomeAgent {
+    /// Read/inspect the standby home agent's machine (panics if not built).
+    pub fn standby_module(&mut self) -> &mut mosquitonet_core::HomeAgentMachine {
         let sb_mod = self.standby_mod.expect("standby built");
         let sb_host = self.standby_host.expect("standby built");
-        self.module(sb_host, sb_mod)
+        &mut self.module::<HomeAgent>(sb_host, sb_mod).machine
     }
 
     /// Physically carries the MH's Ethernet cable to another LAN (or

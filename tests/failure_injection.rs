@@ -179,13 +179,13 @@ fn mh_refreshes_binding_before_expiry_while_away() {
     let plan = dept_plan(&tb);
     tb.with_mh(|m, ctx| m.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(5));
-    let accepted_before = tb.ha_module().accepted.get();
+    let accepted_before = tb.ha_module().stats.accepted.get();
     // Default lifetime is 300 s; the MH re-registers at half-life. Run
     // 400 s: at least one refresh must have happened, and the binding
     // must still be live.
     tb.run_for(SimDuration::from_secs(400));
     assert!(
-        tb.ha_module().accepted.get() > accepted_before,
+        tb.ha_module().stats.accepted.get() > accepted_before,
         "binding refreshed at half-life"
     );
     let now = tb.sim.now();

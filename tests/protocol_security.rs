@@ -98,7 +98,7 @@ fn replayed_registration_does_not_move_the_binding() {
         binding.care_of, COA_DEPT,
         "replay rejected; binding unmoved"
     );
-    assert!(tb.ha_module().denied.get() >= 1, "denial recorded");
+    assert!(tb.ha_module().stats.denied.get() >= 1, "denial recorded");
 }
 
 #[test]
@@ -107,7 +107,6 @@ fn signed_registration_succeeds_and_forgery_fails() {
     let mut tb = build(TestbedConfig {
         mh_auth: Some(key),
         ha_auth_key: Some(key),
-        ha_require_auth: true,
         ..TestbedConfig::default()
     });
     settle(&mut tb);
@@ -147,7 +146,6 @@ fn wrong_key_registrations_are_denied_and_mh_keeps_retrying() {
     let mut tb = build(TestbedConfig {
         mh_auth: Some((7, 0x1111)),
         ha_auth_key: Some((7, 0x2222)), // mismatched key
-        ha_require_auth: true,
         ..TestbedConfig::default()
     });
     tb.move_mh_eth(Some(tb.lan_dept));
@@ -164,7 +162,7 @@ fn wrong_key_registrations_are_denied_and_mh_keeps_retrying() {
     tb.run_for(SimDuration::from_secs(6));
     let status = tb.mh_module().away_status().expect("away");
     assert!(!status.2, "never registered with the wrong key");
-    let denied = tb.ha_module().denied.get();
+    let denied = tb.ha_module().stats.denied.get();
     assert!(denied >= 2, "denials accumulate as MH retries");
     assert!(
         denied <= 10,
@@ -198,8 +196,8 @@ fn wrong_home_agent_is_refused() {
         }),
     );
     tb.run_for(SimDuration::from_secs(2));
-    assert_eq!(tb.ha_module().accepted.get(), 0);
-    assert!(tb.ha_module().denied.get() >= 1);
+    assert_eq!(tb.ha_module().stats.accepted.get(), 0);
+    assert!(tb.ha_module().stats.denied.get() >= 1);
     let now = tb.sim.now();
     assert!(tb.ha_module().bindings.get(MH_HOME, now).is_none());
 }
@@ -227,7 +225,7 @@ fn foreign_home_address_is_refused() {
         }),
     );
     tb.run_for(SimDuration::from_secs(2));
-    assert_eq!(tb.ha_module().accepted.get(), 0);
+    assert_eq!(tb.ha_module().stats.accepted.get(), 0);
     assert!(
         tb.sim
             .world()
@@ -313,7 +311,8 @@ fn keyed_fa_mode_host_trusts_only_signed_replies_for_its_own_address() {
     tb.run_for(SimDuration::from_secs(1));
     tb.with_fa_mh(|m, ctx| m.moved(ctx));
     tb.run_for(SimDuration::from_secs(3));
-    assert!(tb.ha_module().accepted.get() >= 1, "the agent did answer");
+    let answered = tb.ha_module().stats.accepted.get();
+    assert!(answered >= 1, "the agent did answer");
     let stats = tb.fa_mh_module().reg.stats.clone();
     assert!(stats.auth_fail.get() >= 1, "counted under reg/auth_fail");
     assert_eq!(stats.replies_accepted.get(), 0);
