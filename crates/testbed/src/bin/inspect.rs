@@ -7,13 +7,13 @@
 //!   inspect top-hops [--json] [file-or-experiment]
 //!
 //! `--json` emits a structured `mosquitonet.inspect/v1` document instead
-//! of the plain-text table, so CI can diff machine-readable output.
+//! of the plain-text table, so a test can diff machine-readable output.
 //!
 //! The target may be a path to a sidecar file or an experiment-name
 //! prefix (e.g. `c5`), resolved against `MOSQUITONET_METRICS_DIR`
 //! (default `target/metrics`). With no target, the lone sidecar in that
-//! directory is used. Output is deterministic for a given sidecar, so CI
-//! can diff it against a pinned copy.
+//! directory is used. Output is deterministic for a given sidecar, so
+//! `tests/goldens.rs` diffs it against a pinned copy.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -243,8 +243,8 @@ fn render_blackout(experiment: &str, j: &Json) -> String {
 }
 
 /// Structured `blackout` output: the sidecar's blackout member (or
-/// `null`) wrapped in a schema-tagged envelope. Pretty-rendered, so CI
-/// diffs it like any other sidecar.
+/// `null`) wrapped in a schema-tagged envelope. Pretty-rendered, so the
+/// golden table diffs it like any other sidecar.
 fn json_blackout(experiment: &str, j: &Json) -> String {
     let blackout = j.get("blackout").cloned().unwrap_or(Json::Null);
     let doc = Json::obj([

@@ -5,8 +5,8 @@
 //! serializable result the report module renders in the paper's own
 //! format. [`REGISTRY`] is the one roster of runs — name, checked integer
 //! parameters, the files written — that the `experiment` binary, the
-//! docs-sync test and CI all work from. The experiment index lives in
-//! `DESIGN.md`; paper-vs-measured numbers are recorded in
+//! docs-sync test and the golden table all work from. The experiment
+//! index lives in `DESIGN.md`; paper-vs-measured numbers are recorded in
 //! `EXPERIMENTS.md`.
 
 use std::net::Ipv4Addr;
@@ -2180,7 +2180,7 @@ pub struct S3ShardedResult {
 impl S3ShardedResult {
     /// The deterministic bench-sidecar body: parameters, the aggregated
     /// row, and the envelope-arena counter. Byte-identical for a fixed
-    /// config at every thread count (the CI matrix diffs exactly this).
+    /// config at every thread count (the golden table diffs exactly this).
     pub fn to_json(&self) -> Json {
         let mut doc = s3_params_json(&self.cfg);
         doc.extend([
@@ -2498,8 +2498,7 @@ pub struct S2Result {
 impl S2Result {
     /// The deterministic bench-sidecar body: parameters, the aggregated
     /// row, and the envelope-arena counter. Byte-identical for a fixed
-    /// config at every thread count (the CI `golden` matrix diffs
-    /// exactly this).
+    /// config at every thread count (the golden table diffs exactly this).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("shards", Json::from(self.cfg.shards)),
@@ -3408,7 +3407,7 @@ pub fn run_c7(seed: u64) -> C7Result {
 // ---------------------------------------------------------------- registry
 //
 // The roster of runs, once: the `experiment` binary, the docs-sync test
-// and CI all iterate this table instead of keeping their own copy.
+// and the golden table all look runs up here instead of keeping a copy.
 
 /// One integer parameter of an experiment: `key=value` on the command
 /// line, checked against the allowed range before anything runs.
@@ -3627,7 +3626,7 @@ fn with_journeys(
 }
 
 /// Shard count of S3's sharded variant; 1, 2, and 4 threads all divide
-/// it evenly, so the CI matrix exercises every ownership split.
+/// it evenly, so the golden table's thread loop covers every split.
 const S3_SHARDS: u32 = 4;
 
 /// Every run of the reproduction, in report order. `experiment all` runs

@@ -55,7 +55,7 @@ impl SidecarKind {
 }
 
 /// Wraps an experiment's document in the sidecar envelope.
-pub fn sidecar(kind: SidecarKind, experiment: &str, body: &Json) -> Json {
+fn sidecar(kind: SidecarKind, experiment: &str, body: &Json) -> Json {
     Json::obj([
         ("schema", Json::from(kind.schema())),
         ("experiment", Json::from(experiment)),

@@ -108,23 +108,30 @@ fn every_drop_code_in_source_is_documented_in_telemetry_md() {
 }
 
 /// `EXPERIMENTS.md` is the roster of reproduction artifacts, and
-/// [`REGISTRY`] is the roster the code runs from: every entry's name and
-/// every artifact stem it declares must be named in the document, so a
-/// reader can go from the doc to the artifact and back. (That a run
-/// writes exactly its declared stems is asserted by the runner itself on
-/// every run; `experiment all` iterates the same table, so the documented
-/// regenerate-everything command cannot miss one.)
+/// [`REGISTRY`] is the roster the code runs from: every entry has a row
+/// whose Parameters cell is each declared `key=default` in declaration
+/// order (`—` when there are none), and every artifact stem it declares
+/// is named in the document, so a reader can go from the doc to the
+/// artifact and back. (That a run writes exactly its declared stems is
+/// asserted by the runner itself on every run; `experiment all` iterates
+/// the same table, so the documented regenerate-everything command cannot
+/// miss one.)
 #[test]
 fn experiments_md_lists_every_registry_entry_and_artifact() {
     let doc =
         std::fs::read_to_string(workspace_root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
     assert!(REGISTRY.len() >= 17, "the roster has at least today's runs");
     for exp in REGISTRY {
-        assert!(
-            doc.contains(&format!("`{}`", exp.name)),
-            "experiment {} is not listed in EXPERIMENTS.md's artifact roster",
-            exp.name
-        );
+        let params = exp
+            .params
+            .iter()
+            .map(|p| format!("{}={}", p.key, p.default));
+        let params = params.collect::<Vec<_>>().join(" ");
+        let row = match params.is_empty() {
+            true => format!("| `{}` | — |", exp.name),
+            false => format!("| `{}` | `{params}` |", exp.name),
+        };
+        assert!(doc.contains(&row), "EXPERIMENTS.md's roster lacks {row}");
         for stem in exp.artifacts {
             assert!(
                 doc.contains(&format!("`{stem}`")),
