@@ -13,8 +13,8 @@
 //! ([`FaultPlan::judge`]) and counts what it injected. Applying the
 //! verdict — skipping the event, cloning the frame, flipping a byte,
 //! stretching the delay — is the `mosquitonet-stack` world's job, which
-//! also records one `fault.{kind}` trace entry per injected fault so
-//! every perturbation is attributable after the fact.
+//! also records a `fault.drop` flight hop for every frame a plan drops.
+//! The plan's `fault.{kind}` counters attribute every perturbation.
 
 use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimRng, SimTime};
 
@@ -36,7 +36,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The stable metric/trace suffix for this kind (`fault.{kind}`).
+    /// The stable metric suffix for this kind (`fault.{kind}`).
     pub fn code(self) -> &'static str {
         match self {
             FaultKind::Drop => "fault.drop",
@@ -75,10 +75,6 @@ pub struct FaultVerdict {
     pub duplicate_after: Option<SimDuration>,
     /// Extra latency to add to the delivery (reorder hold + delay draw).
     pub extra_delay: SimDuration,
-    /// `extra_delay` includes a reorder hold.
-    pub reordered: bool,
-    /// `extra_delay` includes a delay draw.
-    pub delayed: bool,
     /// Flip the byte at `payload[offset % payload_len]` with this
     /// (nonzero) XOR mask.
     pub corrupt: Option<(usize, u8)>,
@@ -91,23 +87,6 @@ impl FaultVerdict {
             && self.duplicate_after.is_none()
             && self.extra_delay.is_zero()
             && self.corrupt.is_none()
-    }
-
-    /// The `fault.{kind}` codes this verdict injects, in trace order.
-    /// Empty for a clean verdict; a drop verdict is only `fault.drop`
-    /// (nothing else in it applies).
-    pub fn codes(&self) -> impl Iterator<Item = &'static str> {
-        let kept = !self.drop;
-        [
-            (self.drop, FaultKind::Drop),
-            (kept && self.duplicate_after.is_some(), FaultKind::Duplicate),
-            (kept && self.corrupt.is_some(), FaultKind::Corrupt),
-            (kept && self.reordered, FaultKind::Reorder),
-            (kept && self.delayed, FaultKind::Delay),
-        ]
-        .into_iter()
-        .filter(|&(injected, _)| injected)
-        .map(|(_, kind)| kind.code())
     }
 }
 
@@ -221,7 +200,6 @@ impl FaultPlan {
         if reorder {
             self.injected[2].inc();
             verdict.extra_delay += REORDER_HOLD;
-            verdict.reordered = true;
         }
         if corrupt && payload_len > 0 {
             self.injected[3].inc();
@@ -230,7 +208,6 @@ impl FaultPlan {
         if delay {
             self.injected[4].inc();
             verdict.extra_delay += delay_extra;
-            verdict.delayed = true;
         }
         verdict
     }

@@ -51,7 +51,8 @@ pub const INTERN_OVERFLOW: &str = "flightrec.intern_overflow";
 /// ring's capacity.
 pub const LABELS_PER_RING_SLOT: usize = 2;
 
-/// Most captured frames kept when pcap capture is on.
+/// Most captured frames kept; later ones are counted by
+/// [`FlightRecorder::captures_dropped`].
 const CAPTURE_MAX_FRAMES: usize = 4096;
 
 /// Most dropped-flight chains exported into the journeys document.
@@ -293,11 +294,10 @@ impl DelaySummary {
 }
 
 /// The per-packet flight recorder: a bounded ring of packed hops plus
-/// the flight-id allocator and (optional) raw-frame capture feed.
+/// the flight-id allocator and a bounded buffer of captured raw frames.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     enabled: bool,
-    capture: bool,
     next_flight: u64,
     /// High bits OR-ed into every allocated flight id (zero outside
     /// sharded runs). See [`FlightRecorder::set_flight_namespace`].
@@ -373,20 +373,8 @@ impl FlightRecorder {
         self.enabled
     }
 
-    /// Enables or disables raw-frame capture (the pcap feed). Only frames
-    /// seen while both the recorder and this flag are on are kept.
-    pub fn set_capture(&mut self, on: bool) {
-        self.capture = on;
-    }
-
-    /// True when the pcap capture feed is on.
-    #[inline]
-    pub fn capture_enabled(&self) -> bool {
-        self.enabled && self.capture
-    }
-
     /// Discards every recorded hop, label, and captured frame. The
-    /// enabled/capture flags and the flight-id allocator are preserved —
+    /// enabled flag and the flight-id allocator are preserved —
     /// mirroring [`Trace::clear`](crate::Trace::clear) — so ids stay
     /// unique across a clear.
     pub fn clear(&mut self) {
@@ -497,10 +485,11 @@ impl FlightRecorder {
         self.head = (self.head + 1) % self.capacity;
     }
 
-    /// Stores one raw wire frame for pcap export (no-op unless capture is
-    /// on; bounded at a few thousand frames).
+    /// Stores one raw wire frame a capturing host received (no-op when
+    /// disabled). Bounded: past 4 096 frames one is only counted, by
+    /// [`FlightRecorder::captures_dropped`].
     pub fn capture_frame(&mut self, at: SimTime, host: u32, bytes: &[u8]) {
-        if !self.capture_enabled() {
+        if !self.enabled {
             return;
         }
         if self.captures.len() >= CAPTURE_MAX_FRAMES {
@@ -517,6 +506,11 @@ impl FlightRecorder {
     /// Captured frames, in arrival order.
     pub fn captures(&self) -> &[CapturedFrame] {
         &self.captures
+    }
+
+    /// Frames not captured because the buffer was full.
+    pub fn captures_dropped(&self) -> u64 {
+        self.captures_dropped
     }
 
     /// Hop events recorded and still in the ring.
@@ -928,7 +922,6 @@ mod tests {
     fn clear_keeps_flags_and_id_allocator() {
         let mut rec = FlightRecorder::new();
         rec.set_enabled(true);
-        rec.set_capture(true);
         let f = rec.begin_flight(Some("reg"));
         rec.hop(f, t(0), 0, "udp", HopAction::Sent);
         rec.capture_frame(t(0), 0, b"frame");
@@ -936,7 +929,6 @@ mod tests {
         assert!(rec.is_empty());
         assert!(rec.captures().is_empty());
         assert!(rec.is_enabled(), "clear keeps the enabled flag");
-        assert!(rec.capture_enabled(), "clear keeps the capture flag");
         assert!(rec.begin_flight(None) > f, "ids stay unique across clear");
     }
 
@@ -1087,10 +1079,12 @@ mod tests {
     fn capture_buffer_is_bounded() {
         let mut rec = FlightRecorder::new();
         rec.set_enabled(true);
-        rec.set_capture(true);
         for _ in 0..(CAPTURE_MAX_FRAMES + 5) {
             rec.capture_frame(t(0), 0, b"f");
         }
         assert_eq!(rec.captures().len(), CAPTURE_MAX_FRAMES);
+        assert_eq!(rec.captures_dropped(), 5);
+        rec.clear();
+        assert_eq!(rec.captures_dropped(), 0, "clear resets the overflow count");
     }
 }

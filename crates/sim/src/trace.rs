@@ -1,15 +1,16 @@
-//! Structured event tracing for experiments.
+//! Structured event tracing for experiments: the control plane's log.
 //!
-//! Experiments in the paper count packets — how many echoes a correspondent
-//! host got back, when the registration reply arrived — so the trace is a
-//! flat, queryable log of `(time, kind, detail)` entries that workload code
-//! appends to and the harness filters afterwards.
+//! A packet's fate is a counter and a flight-recorder hop, never a trace
+//! line. The trace is a flat, queryable log of `(time, kind, detail)`
+//! entries for what happens to hosts and protocols — registrations,
+//! hand-offs, devices going up and down, crashes and restarts — that
+//! workload code appends to and the harness reads afterwards.
 //!
 //! Recording renders nothing: an entry is a fixed-size value — the time,
 //! the kind, a shared handle on the recorder's name, and a [`Detail`] that
-//! on the packet and registration paths is a [`Line`], a static template
-//! with its arguments still as numbers. Text exists only once a reader
-//! asks ([`Trace::find`], [`Trace::render`], `detail.to_string()`).
+//! on the registration paths is a [`Line`], a static template with its
+//! arguments still as numbers. Text exists only once a reader asks
+//! ([`Trace::find`], [`Trace::render`], `detail.to_string()`).
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -20,20 +21,14 @@ use crate::time::{SimDuration, SimTime};
 /// Category of a trace entry.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TraceKind {
-    /// A packet was handed to a link for transmission.
+    /// A packet event recorded by harness code (the stack records none).
     PacketSent,
-    /// A packet was delivered to an application.
-    PacketDelivered,
-    /// A packet was dropped, with the reason in the detail string.
-    PacketDropped,
     /// A mobility protocol action (registration, binding change, hand-off).
     Mobility,
     /// A device state change (up, down, bring-up complete).
     Device,
     /// Free-form experiment marker emitted by harness code.
     Marker,
-    /// A frame summary recorded by an interface in capture mode.
-    Capture,
 }
 
 /// How one argument of a [`Line`] is displayed.
@@ -240,16 +235,6 @@ impl Trace {
         &self.entries
     }
 
-    /// Entries of one kind.
-    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Count of entries of one kind.
-    pub fn count_kind(&self, kind: TraceKind) -> usize {
-        self.of_kind(kind).count()
-    }
-
     /// First entry whose displayed detail contains `needle`, if any;
     /// renders every typed line on the way there.
     pub fn find(&self, needle: &str) -> Option<&TraceEntry> {
@@ -290,11 +275,12 @@ mod tests {
             "mh",
             "udp 36.135.0.9 -> 36.8.0.7",
         );
-        tr.record(t(2), TraceKind::PacketDropped, "router", "ingress filter");
+        tr.record(t(2), TraceKind::Device, "router", "eth0 down");
         tr.record(t(3), TraceKind::PacketSent, "ch", "echo reply");
-        assert_eq!(tr.count_kind(TraceKind::PacketSent), 2);
-        assert_eq!(tr.count_kind(TraceKind::PacketDropped), 1);
-        assert_eq!(tr.count_kind(TraceKind::Mobility), 0);
+        let count = |kind| tr.entries().iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(TraceKind::PacketSent), 2);
+        assert_eq!(count(TraceKind::Device), 1);
+        assert_eq!(count(TraceKind::Mobility), 0);
     }
 
     #[test]

@@ -149,8 +149,10 @@ pub struct HostCore {
     /// decapsulation capability such as is found in recent Linux
     /// development kernels", §3.2).
     pub ipip_decap: bool,
-    /// Record a `tcpdump`-style summary of every frame this host's
-    /// interfaces receive into the simulation trace.
+    /// Record the raw bytes of every frame this host's interfaces receive
+    /// into the flight recorder's bounded capture buffer
+    /// (`sim.flights().captures()`; kept while the recorder is enabled).
+    /// The pcap export and [`frame_summary`](crate::frame_summary) read it.
     pub capture: bool,
     /// Per-packet receive-path processing cost: the host's stack takes a
     /// frame this long after it arrives. Read when the frame is

@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 
 use bytes::{BufMut, Bytes};
 use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
-use mosquitonet_sim::{Line, NO_FLIGHT};
+use mosquitonet_sim::NO_FLIGHT;
 use mosquitonet_wire::{
     ipip, IcmpMessage, IgmpMessage, IpProto, Ipv4Header, Ipv4Packet, PacketBuf, TcpSegment,
     UdpDatagram, UnreachableCode, IPV4_HEADER_LEN,
@@ -34,7 +34,7 @@ use crate::tcp::{ConnId, TcpOut, TcpTable};
 use crate::telemetry::DropReason::{
     ArpQueue, FilterIngress, Malformed, NoRoute, NoSocket, NotLocal, Ttl, Unclaimed,
 };
-use crate::telemetry::{emit, Event, SILENT};
+use crate::telemetry::{emit, Event};
 use crate::udp::SocketId;
 use crate::world::{self, NetSim};
 
@@ -245,7 +245,7 @@ pub fn udp_send(
             let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
             header.ident = sim.world_mut().hosts[host.0].core.next_ident();
             let pkt = Ipv4Packet::new(header, bytes);
-            emit(sim, host, flight, "udp", Event::Sent, SILENT);
+            emit(sim, host, flight, "udp", Event::Sent);
             sim.schedule_in(proc, move |sim| {
                 ip_input_flight(sim, host, None, pkt, 0, flight)
             });
@@ -255,9 +255,9 @@ pub fn udp_send(
     let decision = resolve_route(h, dst.0, src_sel, opts.iface);
     for payload in payloads {
         let flight = sim.flights_mut().begin_flight(opts.label);
-        emit(sim, host, flight, "udp", Event::Sent, SILENT);
+        emit(sim, host, flight, "udp", Event::Sent);
         let Some(decision) = decision else {
-            emit(sim, host, flight, "udp", Event::Drop(NoRoute), SILENT);
+            emit(sim, host, flight, "udp", Event::Drop(NoRoute));
             continue;
         };
         let mut header = Ipv4Header::new(decision.src, dst.0, IpProto::Udp);
@@ -275,7 +275,7 @@ pub fn udp_send(
 /// hooks; a concrete source is honored as-is.
 pub fn ip_send_packet(sim: &mut NetSim, host: HostId, mut packet: Ipv4Packet, opts: SendOptions) {
     let flight = sim.flights_mut().begin_flight(opts.label);
-    emit(sim, host, flight, "ip", Event::Sent, SILENT);
+    emit(sim, host, flight, "ip", Event::Sent);
     let dst = packet.header.dst;
     let src_sel = if packet.header.src.is_unspecified() {
         opts.src
@@ -295,7 +295,7 @@ pub fn ip_send_packet(sim: &mut NetSim, host: HostId, mut packet: Ipv4Packet, op
     }
     let h = &mut sim.world_mut().hosts[host.0];
     let Some(decision) = resolve_route(h, dst, src_sel, opts.iface) else {
-        emit(sim, host, flight, "ip", Event::Drop(NoRoute), SILENT);
+        emit(sim, host, flight, "ip", Event::Drop(NoRoute));
         return;
     };
     packet.header.src = decision.src;
@@ -362,7 +362,7 @@ fn send_resolved(
 ) {
     sim.world_mut().hosts[host.0].core.stats.ip_output.inc();
     if decision.encap.is_some() {
-        emit(sim, host, flight, "tunnel", Event::Encap, SILENT);
+        emit(sim, host, flight, "tunnel", Event::Encap);
     }
     transmit_ip(
         sim,
@@ -417,7 +417,7 @@ fn transmit_ip(
             // The bounded ARP queue silently dropped its oldest occupant;
             // the flight recorder is the only witness (no counter moves
             // here).
-            emit(sim, host, victim, "arp", Event::Drop(ArpQueue), SILENT);
+            emit(sim, host, victim, "arp", Event::Drop(ArpQueue));
         }
         if let Some(generation) = solicit {
             world::arp_solicit(sim, host, iface, next_hop, generation);
@@ -494,10 +494,7 @@ pub(crate) fn ip_input_flight(
     } else if forwarding {
         forward(sim, host, iface, packet, flight);
     } else {
-        let line = Line::new("drop.not_local: {} -> {}")
-            .addr(packet.header.src)
-            .addr(packet.header.dst);
-        emit(sim, host, flight, "ip", Event::Drop(NotLocal), Some(line));
+        emit(sim, host, flight, "ip", Event::Drop(NotLocal));
     }
 }
 
@@ -511,10 +508,7 @@ fn forward(
 ) {
     // TTL.
     if packet.header.ttl <= 1 {
-        let line = Line::new("drop.ttl: {} -> {}")
-            .addr(packet.header.src)
-            .addr(packet.header.dst);
-        emit(sim, host, flight, "ip.fwd", Event::Drop(Ttl), Some(line));
+        emit(sim, host, flight, "ip.fwd", Event::Drop(Ttl));
         let quote = packet.invoking_quote();
         icmp_error(
             sim,
@@ -538,17 +532,13 @@ fn forward(
                     (rt, src)
                 }
                 None => {
-                    emit(sim, host, flight, "tunnel", Event::Drop(NoRoute), SILENT);
+                    emit(sim, host, flight, "tunnel", Event::Drop(NoRoute));
                     return;
                 }
             }
         };
         sim.world_mut().hosts[host.0].core.stats.forwarded.inc();
-        let inner_dst = packet.header.dst;
-        let line = Line::new("tunnel {} -> care-of {}")
-            .addr(inner_dst)
-            .addr(care_of);
-        emit(sim, host, flight, "tunnel", Event::Encap, Some(line));
+        emit(sim, host, flight, "tunnel", Event::Encap);
         transmit_ip(
             sim,
             host,
@@ -572,7 +562,7 @@ fn forward(
     {
         Some(rt) => rt,
         None => {
-            emit(sim, host, flight, "ip.fwd", Event::Drop(NoRoute), SILENT);
+            emit(sim, host, flight, "ip.fwd", Event::Drop(NoRoute));
             let quote = packet.invoking_quote();
             icmp_error(
                 sim,
@@ -596,11 +586,7 @@ fn forward(
             && core.upstream_ifaces.contains(&rt.iface)
             && !core.local_subnets().any(|s| s.contains(packet.header.src))
         {
-            let src = packet.header.src;
-            let line =
-                Line::new("drop.filter.ingress: src {} not local, egress upstream").addr(src);
-            let event = Event::Drop(FilterIngress);
-            emit(sim, host, flight, "ip.fwd", event, Some(line));
+            emit(sim, host, flight, "ip.fwd", Event::Drop(FilterIngress));
             return;
         }
     }
@@ -638,7 +624,7 @@ fn forward(
         }
     }
 
-    emit(sim, host, flight, "ip.fwd", Event::Forwarded, SILENT);
+    emit(sim, host, flight, "ip.fwd", Event::Forwarded);
     let next_hop = rt.gateway.unwrap_or(packet.header.dst);
     transmit_ip(sim, host, rt.iface, packet.into(), None, next_hop, flight);
 }
@@ -677,30 +663,20 @@ fn local_deliver(
 }
 
 fn igmp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
-    // Host-side IGMP subset: reports/queries are traced, not acted on
+    // Host-side IGMP subset: reports/queries are delivered, not acted on
     // (there is no multicast router to satisfy).
-    match IgmpMessage::parse(&packet.payload) {
-        Ok(msg) => {
-            // As `{msg:?}` prints the message.
-            let line = match msg {
-                IgmpMessage::MembershipQuery { .. } => "IGMP MembershipQuery { group: {} } from {}",
-                IgmpMessage::MembershipReport { .. } => {
-                    "IGMP MembershipReport { group: {} } from {}"
-                }
-                IgmpMessage::LeaveGroup { .. } => "IGMP LeaveGroup { group: {} } from {}",
-            };
-            let line = Line::new(line).addr(msg.group()).addr(packet.header.src);
-            emit(sim, host, flight, "igmp", Event::Delivered, Some(line));
-        }
-        Err(_) => emit(sim, host, flight, "igmp", Event::Drop(Malformed), SILENT),
-    }
+    let event = match IgmpMessage::parse(&packet.payload) {
+        Ok(_) => Event::Delivered,
+        Err(_) => Event::Drop(Malformed),
+    };
+    emit(sim, host, flight, "igmp", event);
 }
 
 fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
     let dgram = match UdpDatagram::parse(&packet.payload, packet.header.src, packet.header.dst) {
         Ok(d) => d,
         Err(_) => {
-            emit(sim, host, flight, "udp", Event::Drop(Malformed), SILENT);
+            emit(sim, host, flight, "udp", Event::Drop(Malformed));
             return;
         }
     };
@@ -716,14 +692,14 @@ fn udp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
                 .get(sock)
                 .expect("live")
                 .owner;
-            emit(sim, host, flight, "udp", Event::Delivered, SILENT);
+            emit(sim, host, flight, "udp", Event::Delivered);
             let src = (packet.header.src, dgram.src_port);
             world::dispatch(sim, host, owner, |m, ctx| {
                 m.on_udp(ctx, sock, src, packet.header.dst, &dgram.payload);
             });
         }
         None => {
-            emit(sim, host, flight, "udp", Event::Drop(NoSocket), SILENT);
+            emit(sim, host, flight, "udp", Event::Drop(NoSocket));
             // Port unreachable — but never for broadcasts or multicasts
             // (RFC 1122: ICMP errors are never sent for non-unicast
             // datagrams).
@@ -759,11 +735,11 @@ fn icmp_input(
     let msg = match IcmpMessage::parse(&packet.payload) {
         Ok(m) => m,
         Err(_) => {
-            emit(sim, host, flight, "icmp", Event::Drop(Malformed), SILENT);
+            emit(sim, host, flight, "icmp", Event::Drop(Malformed));
             return;
         }
     };
-    emit(sim, host, flight, "icmp", Event::Delivered, SILENT);
+    emit(sim, host, flight, "icmp", Event::Delivered);
     match &msg {
         IcmpMessage::EchoRequest { .. }
             // The mobile host's *local role* (§5.2): answer pings addressed
@@ -823,17 +799,13 @@ fn ipip_input(
     }
     match ipip::decapsulate(&packet) {
         Ok(inner) => {
-            let line = Line::new("decapsulated {} -> {} (outer from {})")
-                .addr(inner.header.src)
-                .addr(inner.header.dst)
-                .addr(packet.header.src);
-            emit(sim, host, flight, "tunnel", Event::Decap, Some(line));
+            emit(sim, host, flight, "tunnel", Event::Decap);
             // "The packet... will take the reverse of the dotted path" —
             // the inner packet re-enters IP as if freshly received.
             ip_input_flight(sim, host, in_iface, inner, depth + 1, flight);
         }
         Err(_) => {
-            emit(sim, host, flight, "tunnel", Event::Drop(Malformed), SILENT);
+            emit(sim, host, flight, "tunnel", Event::Drop(Malformed));
         }
     }
 }
@@ -845,23 +817,23 @@ fn unclaimed_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: 
             module.on_ip_unclaimed(ctx, packet)
         });
         if claimed {
-            emit(sim, host, flight, "module", Event::Delivered, SILENT);
+            emit(sim, host, flight, "module", Event::Delivered);
             return;
         }
     }
     // Nobody wanted it.
-    emit(sim, host, flight, "ip", Event::Drop(Unclaimed), SILENT);
+    emit(sim, host, flight, "ip", Event::Drop(Unclaimed));
 }
 
 fn tcp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
     let seg = match TcpSegment::parse(&packet.payload, packet.header.src, packet.header.dst) {
         Ok(s) => s,
         Err(_) => {
-            emit(sim, host, flight, "tcp", Event::Drop(Malformed), SILENT);
+            emit(sim, host, flight, "tcp", Event::Drop(Malformed));
             return;
         }
     };
-    emit(sim, host, flight, "tcp", Event::Delivered, SILENT);
+    emit(sim, host, flight, "tcp", Event::Delivered);
     let local = (packet.header.dst, seg.dst_port);
     let remote = (packet.header.src, seg.src_port);
     let conn = sim.world().hosts[host.0]

@@ -1,20 +1,23 @@
 //! Frame summarization for packet capture — a `tcpdump` for the simulated
 //! network.
 //!
-//! Any interface can be put in capture mode (its host records a one-line
-//! summary of every frame it sees into the simulation [`Trace`]); attach
-//! it promiscuously with [`Network::attach_promiscuous`] and it sees the
-//! whole LAN, exactly like a sniffer box on a 1996 Ethernet.
+//! A host in capture mode (`HostCore::capture`) keeps the raw bytes of
+//! every frame it receives in the flight recorder's capture buffer
+//! (`sim.flights().captures()`); [`frame_summary`] renders one of them as
+//! a line when somebody reads. Attach the host's interface promiscuously
+//! with [`Network::attach_promiscuous`] and it hears the whole LAN,
+//! exactly like a sniffer box on a 1996 Ethernet.
 //!
-//! [`Trace`]: mosquitonet_sim::Trace
 //! [`Network::attach_promiscuous`]: crate::Network::attach_promiscuous
 
+use bytes::Bytes;
 use mosquitonet_link::{EtherType, Frame};
 use mosquitonet_wire::{
     ArpOp, ArpPacket, IcmpMessage, IpProto, Ipv4Packet, TcpSegment, UdpDatagram,
 };
 
-/// Renders a one-line, `tcpdump`-flavored summary of a frame.
+/// Renders a one-line, `tcpdump`-flavored summary of a frame's wire bytes
+/// (header included, as a captured frame holds them).
 ///
 /// # Examples
 ///
@@ -31,11 +34,14 @@ use mosquitonet_wire::{
 /// );
 /// let frame = Frame::new(MacAddr::BROADCAST, MacAddr::from_index(1), EtherType::Arp, arp.to_bytes());
 /// assert_eq!(
-///     frame_summary(&frame),
+///     frame_summary(&frame.to_bytes()),
 ///     "ARP who-has 36.135.0.9 tell 36.135.0.1"
 /// );
 /// ```
-pub fn frame_summary(frame: &Frame) -> String {
+pub fn frame_summary(wire: &[u8]) -> String {
+    let Ok(frame) = Frame::parse(&Bytes::copy_from_slice(wire)) else {
+        return "<malformed frame>".to_string();
+    };
     match frame.ethertype {
         EtherType::Arp => match ArpPacket::parse(&frame.payload) {
             Ok(arp) if arp.is_gratuitous() => {
@@ -134,20 +140,15 @@ fn ip_summary(pkt: &Ipv4Packet, depth: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use mosquitonet_wire::{ipip, Ipv4Header, MacAddr};
     use std::net::Ipv4Addr;
 
     const A: Ipv4Addr = Ipv4Addr::new(36, 8, 0, 7);
     const B: Ipv4Addr = Ipv4Addr::new(36, 135, 0, 9);
 
-    fn frame_of(pkt: &Ipv4Packet) -> Frame {
-        Frame::new(
-            MacAddr::from_index(2),
-            MacAddr::from_index(1),
-            EtherType::Ipv4,
-            pkt.to_bytes(),
-        )
+    fn frame_of(pkt: &Ipv4Packet) -> Bytes {
+        let (dst, src) = (MacAddr::from_index(2), MacAddr::from_index(1));
+        Frame::new(dst, src, EtherType::Ipv4, pkt.to_bytes()).to_bytes()
     }
 
     #[test]
@@ -216,7 +217,7 @@ mod tests {
             g.to_bytes(),
         );
         assert_eq!(
-            frame_summary(&f),
+            frame_summary(&f.to_bytes()),
             format!("ARP announce 36.135.0.9 is-at {}", MacAddr::from_index(1))
         );
     }
@@ -229,13 +230,14 @@ mod tests {
             EtherType::Arp,
             Bytes::from_static(&[1, 2, 3]),
         );
-        assert_eq!(frame_summary(&f), "ARP <malformed>");
+        assert_eq!(frame_summary(&f.to_bytes()), "ARP <malformed>");
         let f = Frame::new(
             MacAddr::from_index(2),
             MacAddr::from_index(1),
             EtherType::Ipv4,
             Bytes::from_static(&[0x45, 0]),
         );
-        assert_eq!(frame_summary(&f), "IP <malformed>");
+        assert_eq!(frame_summary(&f.to_bytes()), "IP <malformed>");
+        assert_eq!(frame_summary(&[0; 3]), "<malformed frame>");
     }
 }

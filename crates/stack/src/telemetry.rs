@@ -1,16 +1,17 @@
 //! One way to report a packet's fate.
 //!
-//! What happens to a packet at a site is visible on up to three channels:
-//! a [`HostStats`] counter, a flight-recorder hop and a trace line. This
-//! module owns the decision which [`Event`] moves which of them, and
-//! [`DropReason::code`] is where a `drop.*` code comes from, so a site in
-//! [`crate::ip`] or [`crate::world`] names the event once and the counter
-//! and the hop cannot disagree; the template of its trace line spells the
-//! code it leads with. `docs/telemetry.md` documents the codes.
+//! What happens to a packet at a site is visible on two channels: a
+//! [`HostStats`] counter and a flight-recorder hop. This module owns the
+//! decision which [`Event`] moves which of them, and [`DropReason::code`]
+//! is where a `drop.*` code comes from, so a site in [`crate::ip`] or
+//! [`crate::world`] names the event once and the counter and the hop
+//! cannot disagree. The trace is the control plane's log (module lines,
+//! device up/down, crash and restart markers); no packet writes to it.
+//! `docs/telemetry.md` documents the codes.
 
 use std::rc::Rc;
 
-use mosquitonet_sim::{Counter, Detail, HopAction as Hop, Line, TraceKind};
+use mosquitonet_sim::{Counter, Detail, HopAction as Hop, TraceKind};
 
 use crate::host::{HostId, HostStats};
 use crate::world::{NetSim, Network};
@@ -68,7 +69,7 @@ impl DropReason {
         DropReason::FaultDrop,
     ];
 
-    /// The stable code hops, trace lines and metric names carry.
+    /// The stable code hops and metric names carry.
     pub const fn code(self) -> &'static str {
         match self {
             DropReason::NoRoute => "drop.no_route",
@@ -89,7 +90,7 @@ impl DropReason {
     }
 
     /// The `{host}/ip` metric name and cell that count this reason; `None`
-    /// for the reasons that live on hops and trace lines only.
+    /// for the reasons that live on hops only.
     pub(crate) fn counter(self, stats: &HostStats) -> Option<(&'static str, &Counter)> {
         let cell = match self {
             DropReason::NoRoute => &stats.dropped_no_route,
@@ -126,7 +127,7 @@ pub(crate) enum Event {
     /// A local transport or module accepted it (hop).
     Delivered,
     /// The IP layer of this host lost it: the reason's counter, if it has
-    /// one, a `Dropped` hop, and a trace line that leads with the code.
+    /// one, and a `Dropped` hop.
     Drop(DropReason),
     /// It died on the wire or at the receiving device, before this host's
     /// IP layer saw it: as [`Event::Drop`], but `{host}/ip` counts nothing
@@ -134,52 +135,30 @@ pub(crate) enum Event {
     WireDrop(DropReason),
 }
 
-/// The `line` of a site that has no trace line.
-pub(crate) const SILENT: Option<Line> = None;
-
-/// Reports `event` for `flight` at `host`: bumps the paired counter,
-/// records the hop at `point`, and — for a site that passes a `line` —
-/// appends it to the trace. The line is a typed value nobody renders
-/// here, so a packet pays for the counter, the hop and one `Vec` push (a
-/// branch, with the trace off). The template of a drop's line leads with
-/// the code of its reason (`drop_heavy.trace.txt` holds every one).
+/// Reports `event` for `flight` at `host`: bumps the paired counter and
+/// records the hop at `point`. That is all a packet pays for its fate.
 #[inline]
-pub(crate) fn emit(
-    sim: &mut NetSim,
-    host: HostId,
-    flight: u64,
-    point: &'static str,
-    event: Event,
-    line: Option<Line>,
-) {
-    use TraceKind::{Mobility, PacketDelivered, PacketDropped, PacketSent};
+pub(crate) fn emit(sim: &mut NetSim, host: HostId, flight: u64, point: &'static str, event: Event) {
     // Looked up only by the events that count something.
     let stats = || &sim.world().hosts[host.0].core.stats;
-    let (counter, action, kind) = match event {
-        Event::Sent => (None, Hop::Sent, PacketSent),
-        Event::Forwarded => (Some(&stats().forwarded), Hop::Forwarded, PacketSent),
-        Event::Encap => (Some(&stats().encapsulated), Hop::Encap, Mobility),
-        Event::Decap => (Some(&stats().decapsulated), Hop::Decap, Mobility),
-        Event::Delivered => (None, Hop::Delivered, PacketDelivered),
-        Event::Drop(r) => (
-            r.counter(stats()).map(|c| c.1),
-            Hop::Dropped(r.code()),
-            PacketDropped,
-        ),
-        Event::WireDrop(r) => (None, Hop::Dropped(r.code()), PacketDropped),
+    let (counter, action) = match event {
+        Event::Sent => (None, Hop::Sent),
+        Event::Forwarded => (Some(&stats().forwarded), Hop::Forwarded),
+        Event::Encap => (Some(&stats().encapsulated), Hop::Encap),
+        Event::Decap => (Some(&stats().decapsulated), Hop::Decap),
+        Event::Delivered => (None, Hop::Delivered),
+        Event::Drop(r) => (r.counter(stats()).map(|c| c.1), Hop::Dropped(r.code())),
+        Event::WireDrop(r) => (None, Hop::Dropped(r.code())),
     };
     if let Some(cell) = counter {
         cell.inc();
     }
     sim.record_hop(flight, host.0 as u32, point, action);
-    if let Some(line) = line {
-        note(sim, host, kind, line);
-    }
 }
 
-/// Appends a host-scoped trace entry (no-op when the trace is off): the
-/// line of an [`emit`], or one that belongs to no packet (crash and
-/// restart, module traces).
+/// Appends a host-scoped trace entry (no-op when the trace is off): a
+/// control-plane line that belongs to no packet (crash and restart,
+/// module traces).
 pub(crate) fn note(sim: &mut NetSim, host: HostId, kind: TraceKind, detail: impl Into<Detail>) {
     if sim.trace().is_enabled() {
         let (who, now) = (Rc::clone(&sim.world().hosts[host.0].core.who), sim.now());
@@ -187,9 +166,8 @@ pub(crate) fn note(sim: &mut NetSim, host: HostId, kind: TraceKind, detail: impl
     }
 }
 
-/// [`note`] for the cold lines that need a name from the world (a device,
-/// a LAN, a capture summary): the text is built only while the trace is
-/// enabled.
+/// [`note`] for the cold lines that need a name from the world (a
+/// device): the text is built only while the trace is enabled.
 pub(crate) fn note_text(
     sim: &mut NetSim,
     host: HostId,

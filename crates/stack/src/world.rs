@@ -26,7 +26,7 @@ use crate::tcp::ConnId;
 use crate::telemetry::DropReason::{
     ArpFailure, FaultDrop, IfaceDown, LeftLan, Malformed, MediumLoss, TxMtu,
 };
-use crate::telemetry::{emit, note, note_text, Event, SILENT};
+use crate::telemetry::{emit, note, note_text, Event};
 
 /// Retry interval for unanswered ARP requests (classic 1 s).
 pub const ARP_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -314,8 +314,8 @@ impl Network {
 
     /// Attaches an interface in promiscuous mode: it receives every frame
     /// on the LAN regardless of destination MAC (a sniffer tap). Combine
-    /// with [`HostCore::capture`](crate::HostCore) on the host to log a
-    /// `tcpdump`-style line per frame.
+    /// with [`HostCore::capture`](crate::HostCore) on the host to keep
+    /// every frame it hears in the flight recorder's capture buffer.
     pub fn attach_promiscuous(&mut self, host: HostId, iface: IfaceId, lan: LanId) {
         self.attach_with(host, iface, lan, true);
     }
@@ -775,7 +775,7 @@ pub(crate) fn transmit_wire(
         // No LAN: the interface is unattached, the cable unplugged.
         (reason, _) => {
             let event = Event::Drop(reason.unwrap_or(IfaceDown));
-            emit(sim, host, flight, "dev", event, SILENT);
+            emit(sim, host, flight, "dev", event);
             return;
         }
     };
@@ -790,24 +790,20 @@ pub(crate) fn transmit_wire(
     // plan steps aside for the walk because it is judged (`&mut`) while
     // the LAN it hangs on is being read.
     let mut fault = w.lans[lan_id.0].fault.take();
-    let mut lost = 0u64;
-    let mut faults: Vec<&'static str> = Vec::new();
+    let (mut lost, mut fault_drops) = (false, 0u32);
     let lan = &w.lans[lan_id.0];
     for key in lan.recipients(dst, src_mac) {
         if lan.draw_loss(rng) {
-            lost += 1;
+            lost = true;
             continue;
         }
         let delay = tx_time + lan.draw_delay(rng);
         let verdict = match fault.as_mut() {
-            Some(plan) => {
-                let verdict = plan.judge(now, payload_len);
-                faults.extend(verdict.codes());
-                verdict
-            }
+            Some(plan) => plan.judge(now, payload_len),
             None => FaultVerdict::default(),
         };
         if verdict.drop {
+            fault_drops += 1;
             continue;
         }
         let Some((h, i)) = w.resolve_attachment(key) else {
@@ -840,24 +836,13 @@ pub(crate) fn transmit_wire(
     if w.sharding.is_some() {
         stage_cross_shard(w, lan_id, now, tx_time, dst, src_mac, &wire);
     }
-    if lost > 0 {
-        let line = Line::new("drop.medium_loss: {} cop(ies)").num(lost);
-        let event = Event::WireDrop(MediumLoss);
-        emit(sim, host, flight, "wire", event, Some(line));
+    // One hop for the medium's losses, however many copies; one per
+    // fault-plan drop.
+    if lost {
+        emit(sim, host, flight, "wire", Event::WireDrop(MediumLoss));
     }
-    for code in faults {
-        // The one drop whose line names something (the LAN): the hop here,
-        // the text only if the trace is on.
-        let kind = if code == FaultDrop.code() {
-            let event = Event::WireDrop(FaultDrop);
-            emit(sim, host, flight, "wire", event, SILENT);
-            TraceKind::PacketDropped
-        } else {
-            TraceKind::Marker
-        };
-        note_text(sim, host, kind, |w| {
-            format!("{code}: injected on {}", w.lans[lan_id.0].name())
-        });
+    for _ in 0..fault_drops {
+        emit(sim, host, flight, "wire", Event::WireDrop(FaultDrop));
     }
 }
 
@@ -876,9 +861,7 @@ fn receive_frame(
     bytes: PacketBytes,
 ) {
     if sim.world().hosts[host.0].core.ifaces[iface.0].lan != Some(from_lan) {
-        let line = Line::new("drop.left_lan: frame for an interface that left the LAN");
-        let event = Event::WireDrop(LeftLan);
-        emit(sim, host, bytes.flight(), "wire", event, Some(line));
+        emit(sim, host, bytes.flight(), "wire", Event::WireDrop(LeftLan));
         return;
     }
     let accepted = {
@@ -887,37 +870,29 @@ fn receive_frame(
     };
     if !accepted {
         // The device counted it (`drop.rx_down`); IP never saw the frame.
-        let line = Line::new("drop.iface_down: frame for downed interface");
-        let event = Event::WireDrop(IfaceDown);
-        emit(sim, host, bytes.flight(), "dev", event, Some(line));
+        emit(sim, host, bytes.flight(), "dev", Event::WireDrop(IfaceDown));
         return;
     }
-    // Capture-mode taps feed the pcap sidecar: raw frame bytes, before any
-    // parsing, exactly as tcpdump would see them.
-    if sim.flights().capture_enabled() && sim.world().hosts[host.0].core.capture {
+    // Capture-mode taps feed the flight recorder's capture buffer: raw
+    // frame bytes, before any parsing, exactly as tcpdump would see them.
+    if sim.world().hosts[host.0].core.capture {
         let now = sim.now();
         sim.flights_mut().capture_frame(now, host.0 as u32, &bytes);
     }
     let malformed = Event::Drop(Malformed);
     let Ok(frame) = Frame::parse(&bytes) else {
-        emit(sim, host, bytes.flight(), "wire", malformed, SILENT);
+        emit(sim, host, bytes.flight(), "wire", malformed);
         return;
     };
-    if sim.world().hosts[host.0].core.capture {
-        note_text(sim, host, TraceKind::Capture, |w| {
-            let dev = w.hosts[host.0].core.ifaces[iface.0].device.name();
-            format!("{dev}: {}", crate::sniff::frame_summary(&frame))
-        });
-    }
     match frame.ethertype {
         EtherType::Arp => match ArpPacket::parse(&frame.payload) {
             Ok(arp) => arp_input(sim, host, iface, &arp),
             // ARP travels untracked: the counter is the only witness.
-            Err(_) => emit(sim, host, NO_FLIGHT, "arp", malformed, SILENT),
+            Err(_) => emit(sim, host, NO_FLIGHT, "arp", malformed),
         },
         EtherType::Ipv4 => match Ipv4Packet::parse(&frame.payload) {
             Ok(pkt) => ip::ip_input_flight(sim, host, Some(iface), pkt, 0, bytes.flight()),
-            Err(_) => emit(sim, host, bytes.flight(), "ip", malformed, SILENT),
+            Err(_) => emit(sim, host, bytes.flight(), "ip", malformed),
         },
     }
 }
@@ -987,15 +962,9 @@ fn arp_retry(
         Ok(false) => {} // resolved meanwhile, or a stale timer
         Ok(true) => arp_solicit(sim, host, iface, target, generation),
         Err(dropped) => {
-            // One casualty per parked packet; the first carries the one
-            // trace line that speaks for the whole queue.
-            let n = dropped.len();
-            for (i, (_, flight)) in dropped.iter().enumerate() {
-                let line = Line::new("drop.arp_failure: {} unresolved, {} packet(s)")
-                    .addr(target)
-                    .num(n as u64);
-                let event = Event::Drop(ArpFailure);
-                emit(sim, host, *flight, "arp", event, (i == 0).then_some(line));
+            // One casualty per parked packet.
+            for (_, flight) in dropped {
+                emit(sim, host, flight, "arp", Event::Drop(ArpFailure));
             }
         }
     }

@@ -223,6 +223,7 @@ fn no_route_generates_net_unreachable() {
 #[test]
 fn arp_failure_drops_after_retries() {
     let mut t = bed();
+    t.sim.flights_mut().set_enabled(true);
     // On-link destination that does not exist: ARP will retry and fail.
     let (pkt, opts) = ping(ip("10.0.1.77"), None);
     stack::ip_send_packet(&mut t.sim, t.a, pkt, opts);
@@ -232,9 +233,12 @@ fn arp_failure_drops_after_retries() {
         t.sim.world().host(t.a).core.stats.dropped_arp_failure.get(),
         1
     );
-    assert!(
-        t.sim.trace().find("drop.arp_failure: 10.0.1.77").is_some(),
-        "failure traced"
+    let journeys = t.sim.flights().journeys();
+    let reasons: Vec<_> = journeys.iter().map(|j| j.drop_reason()).collect();
+    assert_eq!(
+        reasons,
+        [Some("drop.arp_failure")],
+        "the ping's hop names the failure"
     );
 }
 

@@ -715,7 +715,6 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     // profiles are nondeterministic and must never leak into goldens.
     sim.flights_mut().set_enabled(true);
     if std::env::var_os("MOSQUITONET_PCAP").is_some() {
-        sim.flights_mut().set_capture(true);
         // Tap the router: every inter-net frame crosses it.
         sim.world_mut().host_mut(router).core.capture = true;
     }

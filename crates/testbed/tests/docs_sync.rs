@@ -7,10 +7,11 @@
 //! file they link or cite exists.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
-//! string appears in trace lines, metric names, and flight-recorder hop
-//! records. `docs/telemetry.md` is the registry of those codes, so every
-//! code used anywhere in workspace source must appear there — a new drop
-//! site without a doc row fails this test.
+//! string appears in metric names, flight-recorder hop records and module
+//! trace lines. `docs/telemetry.md` is the registry of those codes, so
+//! every code used anywhere in workspace source must appear there — a new
+//! drop site without a doc row fails this test — and every `drop.*` or
+//! `fault.*` code in its tables must be spelled by some source file.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -42,19 +43,19 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Extracts `drop.{reason}` codes from source text. A code is `drop.`
-/// followed by lowercase/digit/underscore/dot characters (trailing dots
-/// trimmed). A match immediately followed by `(` is a method call on a
-/// counter field (`stats.drop.inc()`), not a code, and a bare `drop.`
-/// with nothing after it (e.g. the `drop.{reason}` placeholder in prose)
-/// is ignored.
-fn drop_codes(text: &str) -> BTreeSet<String> {
+/// Extracts `{prefix}{name}` codes (`drop.no_route`, `fault.drop`) from
+/// text. A code is the prefix followed by lowercase/digit/underscore/dot
+/// characters (trailing dots trimmed). A match immediately followed by
+/// `(` is a method call on a counter field (`stats.drop.inc()`), not a
+/// code, and a bare prefix with nothing after it (e.g. the
+/// `drop.{reason}` placeholder in prose) is ignored.
+fn code_tokens(text: &str, prefix: &str) -> BTreeSet<String> {
     let bytes = text.as_bytes();
     let mut out = BTreeSet::new();
     let mut from = 0;
-    while let Some(pos) = text[from..].find("drop.") {
+    while let Some(pos) = text[from..].find(prefix) {
         let start = from + pos;
-        let mut end = start + "drop.".len();
+        let mut end = start + prefix.len();
         while end < bytes.len()
             && (bytes[end].is_ascii_lowercase()
                 || bytes[end].is_ascii_digit()
@@ -67,7 +68,7 @@ fn drop_codes(text: &str) -> BTreeSet<String> {
         while code.ends_with('.') {
             code = &code[..code.len() - 1];
         }
-        if code.len() > "drop.".len() && bytes.get(end).copied() != Some(b'(') {
+        if code.len() > prefix.len() && bytes.get(end).copied() != Some(b'(') {
             out.insert(code.to_string());
         }
         from = end.max(start + 1);
@@ -81,12 +82,16 @@ fn every_drop_code_in_source_is_documented_in_telemetry_md() {
     let mut files = Vec::new();
     rs_files(&root.join("crates"), &mut files);
     assert!(files.len() > 10, "scanner must see the workspace sources");
-    let mut codes = BTreeSet::new();
-    for f in &files {
-        codes.extend(drop_codes(
-            &std::fs::read_to_string(f).expect("read source"),
-        ));
-    }
+    // This file names codes only to check the scanner; it is no drop site.
+    files.retain(|f| !f.ends_with("tests/docs_sync.rs"));
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("read source"))
+        .collect();
+    let codes: BTreeSet<String> = sources
+        .iter()
+        .flat_map(|s| code_tokens(s, "drop."))
+        .collect();
     // Scanner sanity: codes known to be in the tree must be found.
     for known in ["drop.no_route", "drop.ttl", "drop.medium_loss"] {
         assert!(codes.contains(known), "scanner failed to find {known}");
@@ -105,6 +110,26 @@ fn every_drop_code_in_source_is_documented_in_telemetry_md() {
         missing.is_empty(),
         "drop codes used in source but missing from docs/telemetry.md: \
          {missing:?} — every stable drop.{{reason}} code needs a row there"
+    );
+
+    // The other way: a code in the doc's tables names something a source
+    // file spells, so a row cannot outlive its drop site.
+    let tables: String = doc.lines().filter(|l| l.starts_with('|')).collect();
+    let documented = ["drop.", "fault."]
+        .iter()
+        .flat_map(|p| code_tokens(&tables, p));
+    let documented: BTreeSet<String> = documented.collect();
+    assert!(
+        documented.contains("fault.delay"),
+        "scanner must read the tables"
+    );
+    let stale: Vec<&String> = documented
+        .iter()
+        .filter(|c| !sources.iter().any(|s| s.contains(c.as_str())))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "codes in docs/telemetry.md's tables that no source file spells: {stale:?}"
     );
 }
 

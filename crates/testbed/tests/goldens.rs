@@ -142,12 +142,13 @@ fn every_golden_file_is_read() {
     assert!(unread.is_empty(), "unread goldens: {unread:?}");
 }
 
-// The drop-heavy run. The metrics and journeys goldens pin how many
-// packets died and where; this one pins what the trace says about it:
-// the `tests/telemetry_drops.rs` cold Ethernet → radio switch plus a fault
-// plan, a carried-away cable, an IGMP join, a capture tap, a crashed host
-// and one probe per drop reason, so every line the stack can write
-// appears. With the trace off the run must change nothing but the trace.
+// The drop-heavy run: the `tests/telemetry_drops.rs` cold Ethernet → radio
+// switch plus a fault plan, a carried-away cable, an IGMP join, a capture
+// tap, a crashed host and one probe per drop reason, so every reason
+// fires. Metrics and journeys say how many packets died and where; the
+// trace golden pins that the trace holds the control plane's lines
+// (devices, hand-offs, the crash) and no packet's. With the trace off the
+// run must change nothing but the trace.
 
 const ECHO_PORT: u16 = 7;
 const GROUP: Ipv4Addr = Ipv4Addr::new(224, 0, 1, 9);

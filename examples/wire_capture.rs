@@ -6,7 +6,7 @@
 
 use mosquitonet::link::presets;
 use mosquitonet::mip::{AddressPlan, SwitchPlan, SwitchStyle};
-use mosquitonet::sim::{SimDuration, TraceKind};
+use mosquitonet::sim::SimDuration;
 use mosquitonet::stack;
 use mosquitonet::testbed::topology::{self, build, TestbedConfig, COA_DEPT, MH_HOME, ROUTER_DEPT};
 use mosquitonet::testbed::workload::{UdpEchoResponder, UdpEchoSender};
@@ -56,8 +56,12 @@ fn main() {
     tb.run_for(SimDuration::from_millis(1_800));
 
     println!("captured on net-36-8 (the visited LAN) during the hand-off:\n");
-    for e in tb.sim.trace().of_kind(TraceKind::Capture) {
-        println!("{:>11}  {}", e.at.to_string(), e.detail);
+    for c in tb.sim.flights().captures() {
+        println!(
+            "{:>11}  {}",
+            c.at.to_string(),
+            stack::frame_summary(&c.bytes)
+        );
     }
     println!(
         "\nnote the shape of agentless mobile IP: the registration request\n\

@@ -5,8 +5,9 @@
 //! permits.
 
 use mosquitonet::mip::{AddressPlan, SwitchPlan, SwitchStyle};
-use mosquitonet::sim::{SimDuration, TraceKind};
+use mosquitonet::sim::SimDuration;
 use mosquitonet::stack;
+use mosquitonet::testbed::topology::Testbed;
 use mosquitonet::testbed::topology::{
     self, build, TestbedConfig, COA_DEPT, COA_RADIO, MH_HOME, ROUTER_DEPT, ROUTER_RADIO,
 };
@@ -61,12 +62,7 @@ fn sniffer_sees_the_tunnel_on_the_home_lan() {
     // The capture shows the protocol happening on the wire: gratuitous
     // ARP from the HA claiming the home address, and CH->home UDP echoes
     // arriving for the proxy. (The tunnel itself leaves on the dept LAN.)
-    let captures: Vec<String> = tb
-        .sim
-        .trace()
-        .of_kind(TraceKind::Capture)
-        .map(|e| e.detail.to_string())
-        .collect();
+    let captures = summaries(&tb);
     assert!(
         captures
             .iter()
@@ -116,11 +112,9 @@ fn sniffer_on_dept_lan_sees_encapsulated_packets() {
     };
     tb.with_mh(|m, ctx| m.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(3));
-    let has_tunnel = tb
-        .sim
-        .trace()
-        .of_kind(TraceKind::Capture)
-        .any(|e| e.detail.contains("IPIP") && e.detail.contains("> 36.8.0.42 |"));
+    let has_tunnel = summaries(&tb)
+        .iter()
+        .any(|l| l.contains("IPIP") && l.contains("> 36.8.0.42 |"));
     assert!(has_tunnel, "IP-in-IP packets visible on the visited LAN");
 }
 
@@ -214,6 +208,12 @@ fn two_network_services_at_once() {
         radio_tx_after > radio_tx_before + 5,
         "the second service really used the radio"
     );
+}
+
+/// The `tcpdump` line of every frame the sniffer captured.
+fn summaries(tb: &Testbed) -> Vec<String> {
+    let captures = tb.sim.flights().captures().iter();
+    captures.map(|c| stack::frame_summary(&c.bytes)).collect()
 }
 
 fn h_iface(net: &mut stack::Network, h: stack::HostId) -> stack::IfaceId {

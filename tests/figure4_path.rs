@@ -6,7 +6,7 @@
 
 use mosquitonet::link::presets;
 use mosquitonet::mip::{AddressPlan, SwitchPlan, SwitchStyle};
-use mosquitonet::sim::{SimDuration, TraceKind};
+use mosquitonet::sim::SimDuration;
 use mosquitonet::stack;
 use mosquitonet::testbed::topology::{
     self, build, TestbedConfig, CH_DEPT, COA_DEPT, MH_HOME, ROUTER_DEPT,
@@ -67,20 +67,12 @@ fn outgoing_tcp_takes_the_vif_path_and_wears_both_addresses() {
         "IPIP {COA_DEPT} > {} | TCP {MH_HOME}:1023 > {CH_DEPT}:513",
         topology::ROUTER_HOME
     );
-    let seen = tb
-        .sim
-        .trace()
-        .of_kind(TraceKind::Capture)
-        .any(|e| e.detail.contains(&expected));
+    let captures = tb.sim.flights().captures().iter();
+    let lines: Vec<String> = captures.map(|c| stack::frame_summary(&c.bytes)).collect();
     assert!(
-        seen,
+        lines.iter().any(|l| l.contains(&expected)),
         "expected a capture line containing {expected:?}; got:\n{}",
-        tb.sim
-            .trace()
-            .of_kind(TraceKind::Capture)
-            .map(|e| e.detail.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        lines.join("\n")
     );
     // And the MH's own counters confirm it encapsulated (the VIF ran on
     // the mobile host, not on any agent in the network).
