@@ -713,8 +713,11 @@ impl MobileHost {
         });
         self.current.route_changed = Some(ctx.now);
         op.phase = Phase::Registering;
-        // Old probe results are stale on a new network.
+        // Old probe results are stale on a new network, and so is a verdict
+        // still in flight: a probe cleared here lets its timer fire
+        // harmlessly, as one answered by an echo does.
         self.policy.forget_learned();
+        self.probes.clear();
         // A switch starts a fresh registration attempt: full retry budget.
         self.reg.fresh_attempt();
         if op.going_home {

@@ -13,7 +13,7 @@
 
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope};
+use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope};
 use mosquitonet_wire::{Cidr, LpmTrie};
 
 /// How to send a mobile-IP-subject packet while away from home.
@@ -95,6 +95,12 @@ pub struct PolicyEntry {
 /// The Mobile Policy Table: longest-prefix-match over [`PolicyEntry`]s
 /// with a configurable default mode.
 ///
+/// Configured prefixes live in a trie; probe-learned policies live in a
+/// host map beside it, so a move forgets them with one `clear`. A learned
+/// entry is a /32 — the longest possible match — and `set`/`learn` keep
+/// at most one entry per prefix across both, so a lookup that finds the
+/// destination in the map needs no trie walk.
+///
 /// # Examples
 ///
 /// ```
@@ -108,11 +114,13 @@ pub struct PolicyEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MobilePolicyTable {
-    /// Insertion-ordered entries (diagnostics dumps).
+    /// Configured entries in insertion order (diagnostics dumps).
     entries: Vec<PolicyEntry>,
-    /// Longest-prefix-match index; `set`/`learn` keep at most one entry
-    /// per prefix, so each trie node holds a single entry.
-    trie: LpmTrie<PolicyEntry>,
+    /// Longest-prefix-match index over the configured entries.
+    trie: LpmTrie<SendMode>,
+    /// Probe-learned policies, one per host. Never holds a host that the
+    /// trie holds as a configured /32.
+    learned: IdHashMap<Ipv4Addr, SendMode>,
     default_mode: SendMode,
     generation: u64,
     /// Per-mode lookup counters (shared cells; see [`PolicyStats`]).
@@ -125,6 +133,7 @@ impl MobilePolicyTable {
         MobilePolicyTable {
             entries: Vec::new(),
             trie: LpmTrie::new(),
+            learned: IdHashMap::default(),
             default_mode,
             generation: 0,
             stats: PolicyStats::default(),
@@ -150,59 +159,54 @@ impl MobilePolicyTable {
     }
 
     /// Installs a configured policy for a prefix (replacing any previous
-    /// entry for the same prefix).
+    /// entry for the same prefix, learned or configured).
     pub fn set(&mut self, dest: Cidr, mode: SendMode) {
-        self.entries.retain(|e| e.dest != dest);
-        let entry = PolicyEntry {
+        if self.trie.insert(dest, mode).is_some() {
+            self.entries.retain(|e| e.dest != dest);
+        }
+        if dest.prefix_len() == 32 {
+            self.learned.remove(&dest.network());
+        }
+        self.entries.push(PolicyEntry {
             dest,
             mode,
             learned: false,
-        };
-        self.entries.push(entry);
-        self.trie.insert(dest, entry);
+        });
         self.generation += 1;
     }
 
-    /// Caches a probe-learned policy for one host.
+    /// Caches a probe-learned policy for one host (replacing any previous
+    /// entry for the host, learned or configured).
     pub fn learn(&mut self, host: Ipv4Addr, mode: SendMode) {
         let dest = Cidr::host(host);
-        self.entries.retain(|e| e.dest != dest);
-        let entry = PolicyEntry {
-            dest,
-            mode,
-            learned: true,
-        };
-        self.entries.push(entry);
-        self.trie.insert(dest, entry);
+        if self.trie.remove(dest).is_some() {
+            self.entries.retain(|e| e.dest != dest);
+        }
+        self.learned.insert(host, mode);
         self.generation += 1;
     }
 
     /// Drops all learned entries (e.g. after moving to a new network,
     /// where the old probe results no longer apply).
     pub fn forget_learned(&mut self) {
-        let learned: Vec<Cidr> = self
-            .entries
-            .iter()
-            .filter(|e| e.learned)
-            .map(|e| e.dest)
-            .collect();
-        if learned.is_empty() {
+        if self.learned.is_empty() {
             return;
         }
-        self.entries.retain(|e| !e.learned);
-        for dest in learned {
-            self.trie.remove(dest);
-        }
+        self.learned.clear();
         self.generation += 1;
     }
 
     /// Removes the entry for a prefix; returns whether one existed.
     pub fn remove(&mut self, dest: Cidr) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.dest != dest);
-        let removed = self.entries.len() != before;
+        let removed = if dest.prefix_len() == 32 && self.learned.remove(&dest.network()).is_some() {
+            true
+        } else if self.trie.remove(dest).is_some() {
+            self.entries.retain(|e| e.dest != dest);
+            true
+        } else {
+            false
+        };
         if removed {
-            self.trie.remove(dest);
             self.generation += 1;
         }
         removed
@@ -223,15 +227,28 @@ impl MobilePolicyTable {
     /// cached decision must keep charging; traffic accounting must go
     /// through [`MobilePolicyTable::lookup`].
     pub fn peek(&self, dst: Ipv4Addr) -> SendMode {
+        if let Some(&mode) = self.learned.get(&dst) {
+            return mode;
+        }
         self.trie
             .lookup(dst)
-            .map(|(_, e)| e.mode)
-            .unwrap_or(self.default_mode)
+            .map_or(self.default_mode, |(_, &mode)| mode)
     }
 
-    /// All entries (diagnostics).
-    pub fn entries(&self) -> &[PolicyEntry] {
-        &self.entries
+    /// All entries (diagnostics): the configured ones in insertion order,
+    /// then the learned ones in ascending address order.
+    pub fn entries(&self) -> Vec<PolicyEntry> {
+        let mut learned: Vec<PolicyEntry> = self
+            .learned
+            .iter()
+            .map(|(&host, &mode)| PolicyEntry {
+                dest: Cidr::host(host),
+                mode,
+                learned: true,
+            })
+            .collect();
+        learned.sort_unstable_by_key(|e| e.dest.network());
+        self.entries.iter().copied().chain(learned).collect()
     }
 }
 

@@ -2,8 +2,9 @@
 //! route lookups through the per-destination cache must be observationally
 //! identical to one that resolves every lookup from scratch — same
 //! decisions *and* same per-mode policy counter totals — under any
-//! interleaving of policy inserts, probe feedback, (re-)registrations,
-//! kernel route churn, and tunnel-binding moves.
+//! interleaving of policy inserts and removals, probe feedback and a
+//! move's forget, (re-)registrations, kernel route churn, and
+//! tunnel-binding moves.
 //!
 //! Two identical hosts receive the identical operation sequence; the
 //! "uncached" twin flushes its cache before every lookup, so any stale
@@ -134,6 +135,10 @@ enum Op {
     Learn(Ipv4Addr, SendMode),
     /// A configured policy insert for a prefix.
     SetPolicy(Ipv4Addr, u8, SendMode),
+    /// Policy removal for a prefix, configured or (at /32) learned.
+    RemovePolicy(Ipv4Addr, u8),
+    /// A move's forget of every probe-learned entry.
+    ForgetLearned,
     /// (Re-)registration to a care-of address.
     Reregister(Ipv4Addr),
     /// Registration lapse / return home.
@@ -163,6 +168,10 @@ fn apply(host: &mut Host, op: &Op) {
         Op::SetPolicy(addr, len, mode) => {
             with_module(host, |m| m.policy.set(Cidr::new(*addr, *len), *mode))
         }
+        Op::RemovePolicy(addr, len) => {
+            with_module(host, |m| m.policy.remove(Cidr::new(*addr, *len)));
+        }
+        Op::ForgetLearned => with_module(host, |m| m.policy.forget_learned()),
         Op::Reregister(coa) => with_module(host, |m| {
             m.care_of = *coa;
             m.registered = true;
@@ -191,8 +200,34 @@ fn apply(host: &mut Host, op: &Op) {
     }
 }
 
+/// Resolves `dst` on both twins — the uncached one from scratch — and
+/// asserts that they agree.
+fn compare(cached: &mut Host, uncached: &mut Host, dst: Ipv4Addr, pinned: bool) {
+    let src_sel = if pinned {
+        SourceSel::Addr(HOME)
+    } else {
+        SourceSel::Unspecified
+    };
+    uncached.fastpath.flush();
+    let want = resolve_route(uncached, dst, src_sel, None);
+    let got = resolve_route(cached, dst, src_sel, None);
+    assert_eq!(got, want, "decision diverged for {dst}");
+}
+
+/// The correspondents that probe feedback and /32 removals target; every
+/// step re-resolves them.
+const PROBED: [Ipv4Addr; 3] = [
+    Ipv4Addr::new(10, 0, 1, 1),
+    Ipv4Addr::new(10, 1, 2, 3),
+    Ipv4Addr::new(10, 2, 0, 5),
+];
+
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     (0u8..3, 0u8..3, 1u8..6).prop_map(|(b, c, d)| Ipv4Addr::new(10, b, c, d))
+}
+
+fn arb_probed() -> impl Strategy<Value = Ipv4Addr> {
+    (0..PROBED.len()).prop_map(|i| PROBED[i])
 }
 
 fn arb_mode() -> impl Strategy<Value = SendMode> {
@@ -206,8 +241,11 @@ fn arb_mode() -> impl Strategy<Value = SendMode> {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (arb_addr(), arb_mode()).prop_map(|(a, m)| Op::Learn(a, m)),
+        (arb_probed(), arb_mode()).prop_map(|(a, m)| Op::Learn(a, m)),
         (arb_addr(), 16u8..=32, arb_mode()).prop_map(|(a, l, m)| Op::SetPolicy(a, l, m)),
+        (arb_addr(), 16u8..=32).prop_map(|(a, l)| Op::RemovePolicy(a, l)),
+        arb_probed().prop_map(|a| Op::RemovePolicy(a, 32)),
+        Just(Op::ForgetLearned),
         arb_addr().prop_map(Op::Reregister),
         Just(Op::Deregister),
         (arb_addr(), 16u8..=32, any::<bool>()).prop_map(|(a, l, i)| Op::AddRoute(a, l, i)),
@@ -226,25 +264,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     #[test]
     fn cached_resolution_matches_uncached(
-        ops in proptest::collection::vec(arb_op(), 1..80),
+        ops in proptest::collection::vec(arb_op(), 1..200),
     ) {
         let mut cached = build_host();
         let mut uncached = build_host();
         for op in &ops {
             if let Op::Lookup(dst, pinned) = op {
-                let src_sel = if *pinned {
-                    SourceSel::Addr(HOME)
-                } else {
-                    SourceSel::Unspecified
-                };
-                // The twin re-resolves from scratch every time.
-                uncached.fastpath.flush();
-                let want = resolve_route(&mut uncached, *dst, src_sel, None);
-                let got = resolve_route(&mut cached, *dst, src_sel, None);
-                prop_assert_eq!(got, want, "decision diverged for {}", dst);
+                compare(&mut cached, &mut uncached, *dst, *pinned);
             } else {
                 apply(&mut cached, op);
                 apply(&mut uncached, op);
+            }
+            // Every step ends with the probed hosts' decisions cached, so
+            // the next mutation meets a warm entry for each of them.
+            for dst in PROBED {
+                for pinned in [false, true] {
+                    compare(&mut cached, &mut uncached, dst, pinned);
+                }
             }
         }
         // Counter coherence: cache hits must have replayed the same

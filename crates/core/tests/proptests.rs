@@ -8,8 +8,8 @@ use std::net::Ipv4Addr;
 use mosquitonet_core::{
     classify, replay_into, AgentAdvertisement, BindOutcome, BindingJournal, BindingReplica,
     BindingTable, BindingUpdate, DirectoryAnnounce, DirectoryEntry, JournalRecord,
-    MobilePolicyTable, RegistrationReply, RegistrationRequest, ReplayStats, ReplyCode, SendMode,
-    ShardDirectory, IDENT_WIRE_BITS, REPLY_IDENT_WIRE_BITS,
+    MobilePolicyTable, PolicyEntry, RegistrationReply, RegistrationRequest, ReplayStats, ReplyCode,
+    SendMode, ShardDirectory, IDENT_WIRE_BITS, REPLY_IDENT_WIRE_BITS,
 };
 use mosquitonet_sim::{SimDuration, SimTime};
 use mosquitonet_wire::Cidr;
@@ -24,6 +24,34 @@ fn arb_mode() -> impl Strategy<Value = SendMode> {
         Just(SendMode::Triangle),
         Just(SendMode::DirectEncap),
         Just(SendMode::DirectLocal),
+    ]
+}
+
+/// One step of a Mobile Policy Table history.
+#[derive(Clone, Copy, Debug)]
+enum PolicyOp {
+    Set(Cidr, SendMode),
+    Learn(Ipv4Addr, SendMode),
+    Remove(Cidr),
+    ForgetLearned,
+    Lookup(Ipv4Addr),
+}
+
+/// Policy-table steps. Per-host steps draw from four hosts, so that a
+/// configured /32 and a learned host collide often, in both orders;
+/// prefixes and lookups range over `arb_addr`'s 32.
+fn arb_policy_op() -> impl Strategy<Value = PolicyOp> {
+    let host = || (0u8..4).prop_map(|d| Ipv4Addr::new(10, 0, 0, d));
+    prop_oneof![
+        (arb_addr(), 8u8..=32, arb_mode()).prop_map(|(a, l, m)| PolicyOp::Set(Cidr::new(a, l), m)),
+        (host(), arb_mode()).prop_map(|(a, m)| PolicyOp::Set(Cidr::host(a), m)),
+        (host(), arb_mode()).prop_map(|(a, m)| PolicyOp::Learn(a, m)),
+        (host(), arb_mode()).prop_map(|(a, m)| PolicyOp::Learn(a, m)),
+        (arb_addr(), 8u8..=32).prop_map(|(a, l)| PolicyOp::Remove(Cidr::new(a, l))),
+        host().prop_map(|a| PolicyOp::Remove(Cidr::host(a))),
+        Just(PolicyOp::ForgetLearned),
+        host().prop_map(PolicyOp::Lookup),
+        arb_addr().prop_map(PolicyOp::Lookup),
     ]
 }
 
@@ -86,36 +114,62 @@ proptest! {
         }
     }
 
-    /// The policy table agrees with a naive longest-prefix model.
+    /// The policy table agrees with a naive model — one insertion-ordered
+    /// list of entries, scanned linearly — under any interleaving of
+    /// mutations and lookups: every lookup resolves alike, every mutation
+    /// bumps the generation exactly when it changes the table, and the
+    /// final `entries()` lists the configured rows in insertion order, then
+    /// the learned ones by address.
     #[test]
     fn policy_table_matches_model(
-        sets in proptest::collection::vec((arb_addr(), 8u8..=32, arb_mode()), 0..20),
-        learns in proptest::collection::vec((arb_addr(), arb_mode()), 0..10),
-        lookups in proptest::collection::vec(arb_addr(), 1..20),
+        ops in proptest::collection::vec(arb_policy_op(), 1..60),
     ) {
         let mut mpt = MobilePolicyTable::new(SendMode::ReverseTunnel);
-        let mut model: Vec<(Cidr, SendMode)> = Vec::new();
-        for (addr, len, mode) in sets {
-            let dest = Cidr::new(addr, len);
-            model.retain(|(d, _)| *d != dest);
-            model.push((dest, mode));
-            mpt.set(dest, mode);
+        let mut model: Vec<PolicyEntry> = Vec::new();
+        for op in ops {
+            let before = mpt.generation();
+            let changed = match op {
+                PolicyOp::Set(dest, mode) => {
+                    model.retain(|e| e.dest != dest);
+                    model.push(PolicyEntry { dest, mode, learned: false });
+                    mpt.set(dest, mode);
+                    true
+                }
+                PolicyOp::Learn(host, mode) => {
+                    let dest = Cidr::host(host);
+                    model.retain(|e| e.dest != dest);
+                    model.push(PolicyEntry { dest, mode, learned: true });
+                    mpt.learn(host, mode);
+                    true
+                }
+                PolicyOp::Remove(dest) => {
+                    let held = model.iter().any(|e| e.dest == dest);
+                    model.retain(|e| e.dest != dest);
+                    prop_assert_eq!(mpt.remove(dest), held, "remove {}", dest);
+                    held
+                }
+                PolicyOp::ForgetLearned => {
+                    let any = model.iter().any(|e| e.learned);
+                    model.retain(|e| !e.learned);
+                    mpt.forget_learned();
+                    any
+                }
+                PolicyOp::Lookup(dst) => {
+                    let want = model
+                        .iter()
+                        .filter(|e| e.dest.contains(dst))
+                        .max_by_key(|e| e.dest.prefix_len())
+                        .map_or(SendMode::ReverseTunnel, |e| e.mode);
+                    prop_assert_eq!(mpt.lookup(dst), want, "lookup {}", dst);
+                    false
+                }
+            };
+            prop_assert_eq!(mpt.generation() > before, changed, "generation after {:?}", op);
         }
-        for (host, mode) in learns {
-            let dest = Cidr::host(host);
-            model.retain(|(d, _)| *d != dest);
-            model.push((dest, mode));
-            mpt.learn(host, mode);
-        }
-        for dst in lookups {
-            let want = model
-                .iter()
-                .filter(|(d, _)| d.contains(dst))
-                .max_by_key(|(d, _)| d.prefix_len())
-                .map(|(_, m)| *m)
-                .unwrap_or(SendMode::ReverseTunnel);
-            prop_assert_eq!(mpt.lookup(dst), want);
-        }
+        let (configured, mut learned): (Vec<PolicyEntry>, Vec<PolicyEntry>) =
+            model.into_iter().partition(|e| !e.learned);
+        learned.sort_by_key(|e| e.dest.network());
+        prop_assert_eq!(mpt.entries(), [configured, learned].concat());
     }
 
     /// forget_learned leaves configured entries untouched.

@@ -1,12 +1,14 @@
 //! Full-system mobility tests on the Figure 5 test-bed: the complete
 //! MosquitoNet protocol running over the simulated networks.
 
-use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle};
+use std::net::Ipv4Addr;
+
+use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle, PROBE_TIMEOUT};
 use mosquitonet_sim::SimDuration;
 use mosquitonet_stack::{self as stack};
 use mosquitonet_testbed::topology::{
-    self, build, Testbed, TestbedConfig, CH_DEPT, COA_DEPT, COA_DEPT_ALT, COA_RADIO, MH_HOME,
-    ROUTER_DEPT, ROUTER_RADIO,
+    self, build, Testbed, TestbedConfig, CH_DEPT, CH_FAR, COA_DEPT, COA_DEPT_ALT, COA_FOREIGN,
+    COA_RADIO, FOREIGN_ROUTER, MH_HOME, ROUTER_DEPT, ROUTER_RADIO,
 };
 use mosquitonet_testbed::workload::{
     TcpEchoServer, TcpStreamClient, UdpEchoResponder, UdpEchoSender,
@@ -315,6 +317,50 @@ fn triangle_route_shortens_reverse_path() {
     let mh_encap = tb.sim.world().host(tb.mh).core.stats.encapsulated.get() - mh_encap_before;
     assert_eq!(ha_after, 0, "no reverse-tunnel decapsulation at the HA");
     assert_eq!(mh_encap, 0, "triangle route sends unencapsulated");
+}
+
+#[test]
+fn a_probe_in_flight_across_a_move_learns_nothing() {
+    // The §3.2 failure case: a foreign site whose router drops transit
+    // traffic, so a triangle probe to the far correspondent never returns.
+    let mut tb = build(TestbedConfig {
+        ha_on_router: false,
+        with_far_ch: true,
+        with_foreign_site: true,
+        foreign_transit_filter: true,
+        ..TestbedConfig::default()
+    });
+    tb.move_mh_eth(tb.lan_foreign);
+    let at = |addr| AddressPlan::Static {
+        addr,
+        subnet: topology::foreign_subnet(),
+        router: FOREIGN_ROUTER,
+    };
+    let plan = SwitchPlan {
+        iface: tb.mh_eth,
+        address: at(COA_FOREIGN),
+        style: SwitchStyle::Cold,
+    };
+    tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
+    tb.run_for(SimDuration::from_secs(5));
+    assert!(tb.mh_module().away_status().is_some_and(|s| s.2));
+
+    // Probe, then move before the probe times out: its verdict belongs to
+    // the network the host left.
+    tb.with_mh(|mh, ctx| mh.probe_triangle(ctx, CH_FAR));
+    let other = Ipv4Addr::new(128, 32, 0, 43);
+    tb.with_mh(|mh, ctx| mh.switch_address(ctx, at(other)));
+    tb.run_for(PROBE_TIMEOUT + SimDuration::from_secs(1));
+
+    let mh = tb.mh_module();
+    assert_eq!(mh.handoffs.get(), 2);
+    assert_eq!(mh.away_status().map(|s| s.1), Some(other));
+    assert!(
+        mh.policy.entries().iter().all(|e| !e.learned),
+        "an old-network verdict was learned: {:?}",
+        mh.policy.entries()
+    );
+    assert_eq!(mh.probe_timeouts.get(), 0, "the stale probe timed out");
 }
 
 #[test]

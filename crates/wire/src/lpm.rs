@@ -1,12 +1,12 @@
 //! A binary longest-prefix-match trie over [`Cidr`] prefixes.
 //!
-//! Both lookup tables on the packet fast path — the kernel
-//! [`RouteTable`](https://docs.rs) reproduction in `mosquitonet-stack` and
-//! the Mobile Policy Table in `mosquitonet-core` — are longest-prefix-match
-//! structures. Their original `Vec` scans cost O(entries) per packet; this
-//! trie walks at most 32 bits of the destination address, so a cold lookup
-//! is O(32) regardless of table size (the benchmark's
-//! `wire.lpm.lookup_ns` times it at 4 096 prefixes).
+//! Both lookup tables on the packet fast path — the kernel routing table
+//! reproduction (`mosquitonet_stack::RouteTable`) and the Mobile Policy
+//! Table's configured prefixes (`mosquitonet_core::MobilePolicyTable`) —
+//! are longest-prefix-match structures. Their original `Vec` scans cost
+//! O(entries) per packet; this trie walks at most 32 bits of the
+//! destination address, so a cold lookup is O(32) regardless of table
+//! size (the benchmark's `wire.lpm.lookup_ns` times it at 4 096 prefixes).
 //!
 //! The trie maps each *prefix* to exactly one value `T`; tables that keep
 //! several entries per prefix (the routing table holds one per interface)
