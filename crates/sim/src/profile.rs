@@ -17,11 +17,8 @@
 //! sidecar exports pick them up for free. Because wall time is
 //! nondeterministic, the profiler is **off by default** and nothing is
 //! registered until [`Profiler::enable`] runs — golden exports never see
-//! these rows.
-//!
-//! The clock itself sits behind the `profile-clock` cargo feature
-//! (default-on). With the feature off, [`Profiler::begin`] compiles to a
-//! constant `None` and every recording call is dead code.
+//! these rows. While disabled, [`Profiler::begin`] returns `None` without
+//! reading the clock, and every recording call is a no-op.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +31,6 @@ use crate::time::SimDuration;
 /// the exact mean is recoverable from the `total_ns` counter.
 const PROFILE_BOUNDS_US: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 1000, 10_000];
 
-#[cfg(feature = "profile-clock")]
 fn clock_ns() -> u64 {
     use std::time::Instant;
     std::thread_local! {
@@ -86,7 +82,6 @@ impl Cells {
 /// sim.profiler_mut().enable(&reg);
 /// sim.schedule_in(SimDuration::from_millis(1), |_| {});
 /// sim.run();
-/// # #[cfg(feature = "profile-clock")]
 /// assert_eq!(reg.snapshot().counter("profile/tick/calls"), 1);
 /// ```
 #[derive(Debug, Default)]
@@ -147,18 +142,11 @@ impl Profiler {
         self.enabled
     }
 
-    /// Takes a wall-clock timestamp, or `None` when disabled (or the
-    /// `profile-clock` feature is compiled out). Pass the result to
-    /// [`Profiler::end_tick`] or [`Profiler::end_module`].
+    /// Takes a wall-clock timestamp, or `None` when disabled. Pass the
+    /// result to [`Profiler::end_tick`] or [`Profiler::end_module`].
     #[inline]
     pub fn begin(&self) -> Option<u64> {
-        #[cfg(feature = "profile-clock")]
-        {
-            if self.enabled {
-                return Some(clock_ns());
-            }
-        }
-        None
+        self.enabled.then(clock_ns)
     }
 
     /// Accounts one engine tick started at `started` (from
@@ -201,15 +189,7 @@ impl Profiler {
     }
 
     fn elapsed_since(&self, t0: u64) -> u64 {
-        #[cfg(feature = "profile-clock")]
-        {
-            clock_ns().saturating_sub(t0)
-        }
-        #[cfg(not(feature = "profile-clock"))]
-        {
-            let _ = t0;
-            0
-        }
+        clock_ns().saturating_sub(t0)
     }
 
     /// Deterministically-ordered summary of everything sampled so far
@@ -258,7 +238,6 @@ mod tests {
         assert_eq!(p.to_json().render(), "{}");
     }
 
-    #[cfg(feature = "profile-clock")]
     #[test]
     fn enabled_profiler_accounts_ticks_and_modules() {
         let reg = MetricsRegistry::new();
@@ -276,7 +255,6 @@ mod tests {
         assert!(text.contains("\"module.mobile\""), "{text}");
     }
 
-    #[cfg(feature = "profile-clock")]
     #[test]
     fn end_batch_accounts_tick_and_batch_cells() {
         let reg = MetricsRegistry::new();
@@ -291,7 +269,6 @@ mod tests {
         assert!(p.to_json().render().contains("\"batch\""));
     }
 
-    #[cfg(feature = "profile-clock")]
     #[test]
     fn prefixed_enable_registers_shard_scoped_cells() {
         let reg = MetricsRegistry::new();
@@ -308,7 +285,6 @@ mod tests {
         assert_eq!(snap.counter("profile/tick/calls"), 0, "no unscoped cells");
     }
 
-    #[cfg(feature = "profile-clock")]
     #[test]
     fn late_enable_registers_existing_module_cells() {
         let mut p = Profiler::new();

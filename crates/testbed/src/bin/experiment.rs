@@ -6,31 +6,28 @@
 //! ```text
 //! experiment list
 //! experiment <name> [key=value ...]
-//! experiment all [seed=N] [json=FILE]
+//! experiment all [seed=N]
 //! ```
 //!
 //! A run prints its paper-format report on stdout and writes its
-//! artifacts into `MOSQUITONET_METRICS_DIR` (default `target/metrics`).
-//! `all` runs the whole roster in report order — the source of
-//! EXPERIMENTS.md — and with `json=FILE` additionally writes the raw
-//! results as one JSON document for downstream plotting. `help` or
-//! `--help` anywhere prints usage and runs nothing; an unknown name or
-//! key, a non-integer or an out-of-range value exits 2 before any run
-//! starts; an artifact that cannot be written exits 1.
+//! artifacts into `MOSQUITONET_METRICS_DIR` (default `target/metrics`):
+//! each number once, in the run's own metrics or bench sidecar. `all`
+//! runs the whole roster in report order — the source of EXPERIMENTS.md.
+//! `help` or `--help` anywhere prints usage and runs nothing; an unknown
+//! name or key, a non-integer or an out-of-range value exits 2 before any
+//! run starts; an artifact that cannot be written exits 1.
 
 use std::process::ExitCode;
 
-use mosquitonet_sim::Json;
 use mosquitonet_testbed::experiments::{Experiment, Params, REGISTRY};
 use mosquitonet_testbed::report;
 
 const USAGE: &str = "usage: experiment list\n       \
                      experiment <name> [key=value ...]\n       \
-                     experiment all [seed=N] [json=FILE]";
+                     experiment all [seed=N]";
 
 /// Runs one entry: report to stdout, artifacts to the metrics directory.
-/// Returns the run's members of the combined JSON document.
-fn run(exp: &Experiment, params: &Params) -> Vec<(&'static str, Json)> {
+fn run(exp: &Experiment, params: &Params) {
     let outcome = (exp.run)(params);
     print!("{}", outcome.report);
     let stems: Vec<String> = outcome.artifacts.iter().map(|a| a.stem()).collect();
@@ -52,50 +49,21 @@ fn run(exp: &Experiment, params: &Params) -> Vec<(&'static str, Json)> {
             }
         }
     }
-    outcome.json
 }
 
-/// `experiment all [seed=N] [json=FILE]`: every entry at its defaults,
-/// under one seed.
+/// `experiment all [seed=N]`: every entry at its defaults, under one seed.
 fn run_all(args: &[String]) -> Result<(), String> {
-    let mut seed_args: Vec<&String> = Vec::new();
-    let mut json_path = None;
-    for arg in args {
-        match arg.split_once('=') {
-            Some(("seed", _)) => seed_args.push(arg),
-            Some(("json", path)) if !path.is_empty() && json_path.is_none() => {
-                json_path = Some(path)
-            }
-            _ => {
-                return Err(format!(
-                    "`{arg}`: `all` takes only seed=N and one json=FILE"
-                ))
-            }
-        }
+    if let Some(arg) = args.iter().find(|a| !a.starts_with("seed=")) {
+        return Err(format!("`{arg}`: `all` takes only seed=N"));
     }
     // Check the seed against every entry before the first run starts.
     let mut runs = Vec::new();
-    let mut seed = None;
     for exp in REGISTRY {
         let seeded = exp.params.iter().any(|p| p.key == "seed");
-        let params = Params::parse(exp, if seeded { &seed_args[..] } else { &[] })?;
-        if seeded {
-            seed = Some(params.get("seed"));
-        }
-        runs.push((exp, params));
+        runs.push((exp, Params::parse(exp, if seeded { args } else { &[] })?));
     }
-
-    let mut all = vec![(
-        "seed",
-        Json::from(seed.expect("the roster has seeded runs")),
-    )];
     for (exp, params) in &runs {
-        all.extend(run(exp, params));
-    }
-    if let Some(path) = json_path {
-        std::fs::write(path, Json::obj(all).render_pretty())
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        eprintln!("wrote {path}");
+        run(exp, params);
     }
     Ok(())
 }
@@ -120,7 +88,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         (Some("all"), _) => run_all(&args[1..]),
-        (_, Some(exp)) => Params::parse(exp, &args[1..]).map(|params| drop(run(exp, &params))),
+        (_, Some(exp)) => Params::parse(exp, &args[1..]).map(|params| run(exp, &params)),
         (Some(name), None) => Err(format!(
             "`{name}` is not an experiment (see `experiment list`)"
         )),

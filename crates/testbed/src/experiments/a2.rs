@@ -9,40 +9,28 @@ use mosquitonet_sim::{Json, Sim, SimDuration};
 use mosquitonet_stack::{self as stack, Network};
 use mosquitonet_wire::{Cidr, MacAddr};
 
-use super::common::{percentile, summary_ms};
-use super::{with_metrics, Experiment, SEED};
+use super::common::{percentile, result_row, summary_ms};
+use super::{with_result, Experiment, SEED};
 use crate::report;
 use crate::topology::{self, COA_DEPT, ROUTER_DEPT};
 use crate::workload::RegistrationStorm;
 
-/// One row of the home-agent scaling table (A2).
-#[derive(Debug)]
-pub struct A2Row {
-    /// Simultaneously registering mobile hosts.
-    pub mobile_hosts: u32,
-    /// Completed registrations.
-    pub completed: u32,
-    /// Mean reply latency, ms.
-    pub mean_reply_ms: f64,
-    /// 95th-percentile reply latency, ms.
-    pub p95_reply_ms: f64,
-    /// Worst reply latency, ms.
-    pub max_reply_ms: f64,
-    /// Time from first request sent to last reply received, ms.
-    pub span_ms: f64,
-}
-
-impl A2Row {
-    /// Renders as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("mobile_hosts", Json::from(self.mobile_hosts)),
-            ("completed", Json::from(self.completed)),
-            ("mean_reply_ms", Json::from(self.mean_reply_ms)),
-            ("p95_reply_ms", Json::from(self.p95_reply_ms)),
-            ("max_reply_ms", Json::from(self.max_reply_ms)),
-            ("span_ms", Json::from(self.span_ms)),
-        ])
+result_row! {
+    /// One row of the home-agent scaling table (A2).
+    #[derive(Debug)]
+    pub struct A2Row {
+        /// Simultaneously registering mobile hosts.
+        pub mobile_hosts: u32,
+        /// Completed registrations.
+        pub completed: u32,
+        /// Mean reply latency, ms.
+        pub mean_reply_ms: f64,
+        /// 95th-percentile reply latency, ms.
+        pub p95_reply_ms: f64,
+        /// Worst reply latency, ms.
+        pub max_reply_ms: f64,
+        /// Time from first request sent to last reply received, ms.
+        pub span_ms: f64,
     }
 }
 
@@ -167,9 +155,7 @@ pub(super) const A2: Experiment = Experiment {
     artifacts: &["a2.metrics"],
     run: |p| {
         let (rows, metrics) = run_a2(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512], p.get("seed"));
-        let json = ("a2", Json::arr(rows.iter().map(A2Row::to_json)));
-        let mut out = with_metrics(report::render_a2(&rows), json, "a2", metrics.clone());
-        out.json.push(("a2_metrics", metrics));
-        out
+        let result = Json::arr(rows.iter().map(A2Row::to_json));
+        with_result(report::render_a2(&rows), "a2", result, metrics)
     },
 };

@@ -9,7 +9,7 @@ use mosquitonet_stack as stack;
 use mosquitonet_wire::MacAddr;
 
 use super::common::install_echo;
-use super::{with_metrics, Experiment, SEED};
+use super::{with_result, Experiment, SEED};
 use crate::report;
 use crate::topology::{build, TestbedConfig};
 
@@ -28,7 +28,7 @@ pub struct A3Result {
 }
 
 impl A3Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -40,7 +40,6 @@ impl A3Result {
                 "lru_gave_different_address",
                 Json::from(self.lru_gave_different_address),
             ),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -135,6 +134,6 @@ pub(super) const A3: Experiment = Experiment {
     artifacts: &["a3.metrics"],
     run: |p| {
         let r = run_a3(p.get("seed"));
-        with_metrics(report::render_a3(&r), ("a3", r.to_json()), "a3", r.metrics)
+        with_result(report::render_a3(&r), "a3", r.to_json(), r.metrics)
     },
 };

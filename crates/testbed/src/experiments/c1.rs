@@ -3,35 +3,25 @@
 use mosquitonet_sim::{Json, MetricsRegistry};
 use mosquitonet_wire::{ipip, IpProto, Ipv4Header, Ipv4Packet};
 
-use super::{with_metrics, Experiment};
+use super::common::result_row;
+use super::{with_result, Experiment};
 use crate::report;
 use crate::topology::{self, CH_DEPT, COA_DEPT, MH_HOME};
 
-/// One row of the encapsulation-overhead table (claim C1, §3.2).
-#[derive(Debug)]
-pub struct C1Row {
-    /// Inner payload bytes.
-    pub payload: usize,
-    /// Plain packet length.
-    pub plain: usize,
-    /// Encapsulated length.
-    pub encapsulated: usize,
-    /// Added bytes.
-    pub overhead: usize,
-    /// Overhead as a percentage of the plain length.
-    pub overhead_pct: f64,
-}
-
-impl C1Row {
-    /// Renders as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("payload", Json::from(self.payload)),
-            ("plain", Json::from(self.plain)),
-            ("encapsulated", Json::from(self.encapsulated)),
-            ("overhead", Json::from(self.overhead)),
-            ("overhead_pct", Json::from(self.overhead_pct)),
-        ])
+result_row! {
+    /// One row of the encapsulation-overhead table (claim C1, §3.2).
+    #[derive(Debug)]
+    pub struct C1Row {
+        /// Inner payload bytes.
+        pub payload: usize,
+        /// Plain packet length.
+        pub plain: usize,
+        /// Encapsulated length.
+        pub encapsulated: usize,
+        /// Added bytes.
+        pub overhead: usize,
+        /// Overhead as a percentage of the plain length.
+        pub overhead_pct: f64,
     }
 }
 
@@ -65,10 +55,10 @@ pub(super) const C1: Experiment = Experiment {
     artifacts: &["c1.metrics"],
     run: |_| {
         let rows = run_c1();
-        let json = ("c1", Json::arr(rows.iter().map(C1Row::to_json)));
+        let result = Json::arr(rows.iter().map(C1Row::to_json));
         // C1 is analytic (no simulated hosts); the sidecar carries an
         // empty registry so downstream tooling sees a uniform file set.
         let metrics = MetricsRegistry::new().to_json();
-        with_metrics(report::render_c1(&rows), json, "c1", metrics)
+        with_result(report::render_c1(&rows), "c1", result, metrics)
     },
 };

@@ -6,7 +6,7 @@ use mosquitonet_stack as stack;
 use mosquitonet_wire::Cidr;
 
 use super::common::{default_testbed, radio_plan, summary_ms};
-use super::{with_metrics, Experiment, Param, SEED};
+use super::{with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{CH_DEPT, COA_RADIO, ROUTER_RADIO};
 use crate::workload::{BulkSender, SaturationSink, UdpEchoResponder, UdpEchoSender};
@@ -25,13 +25,12 @@ pub struct C2Result {
 }
 
 impl C2Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("rtt_ms", self.rtt_ms.to_json()),
             ("goodput_kbps", Json::from(self.goodput_kbps)),
             ("theoretical_kbps", Json::from(self.theoretical_kbps)),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -100,6 +99,6 @@ pub(super) const C2: Experiment = Experiment {
     artifacts: &["c2.metrics"],
     run: |p| {
         let r = run_c2(p.get_u32("pings"), p.get("seed"));
-        with_metrics(report::render_c2(&r), ("c2", r.to_json()), "c2", r.metrics)
+        with_result(report::render_c2(&r), "c2", r.to_json(), r.metrics)
     },
 };

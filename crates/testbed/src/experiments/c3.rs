@@ -7,7 +7,7 @@ use mosquitonet_stack::{self as stack, ModuleId};
 use mosquitonet_wire::Cidr;
 
 use super::common::{settle_on_foreign, summary_ms, ECHO_PORT};
-use super::{with_metrics, Experiment, SEED};
+use super::{with_result, Experiment, SEED};
 use crate::report;
 use crate::topology::{build, Testbed, TestbedConfig, CH_FAR};
 use crate::workload::{UdpEchoResponder, UdpEchoSender};
@@ -29,7 +29,7 @@ pub struct C3Result {
 }
 
 impl C3Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("tunnel_rtt_ms", self.tunnel_rtt_ms.to_json()),
@@ -39,7 +39,6 @@ impl C3Result {
                 "post_fallback_delivery",
                 Json::from(self.post_fallback_delivery),
             ),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -137,6 +136,6 @@ pub(super) const C3: Experiment = Experiment {
     artifacts: &["c3.metrics"],
     run: |p| {
         let r = run_c3(p.get("seed"));
-        with_metrics(report::render_c3(&r), ("c3", r.to_json()), "c3", r.metrics)
+        with_result(report::render_c3(&r), "c3", r.to_json(), r.metrics)
     },
 };

@@ -5,51 +5,37 @@ use mosquitonet_sim::{Json, LatencyHistogram, MetricsRegistry, SimDuration};
 use mosquitonet_stack as stack;
 
 use super::common::{
-    default_testbed, percentile, poll_until, settle_on_dept, switch_dept_address, uints,
+    default_testbed, percentile, poll_until, result_row, settle_on_dept, switch_dept_address,
 };
 use super::{with_metrics, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{COA_DEPT, COA_DEPT_ALT};
 
-/// One sweep point of the lossy-registration chaos experiment.
-#[derive(Debug)]
-pub struct C4Row {
-    /// Uniform frame-loss probability injected on the department LAN, %.
-    pub loss_pct: u32,
-    /// Address switches commanded at this loss rate.
-    pub switches: u32,
-    /// Switches whose registration completed within the per-switch cap.
-    pub completed: u32,
-    /// Registration requests transmitted during the sweep (first sends
-    /// and retransmissions).
-    pub requests_sent: u64,
-    /// Retransmissions among those.
-    pub retries: u64,
-    /// Frames the fault plan deleted on the department LAN.
-    pub drops_injected: u64,
-    /// Median completion latency over the completed switches, µs.
-    pub p50_us: u64,
-    /// 90th-percentile completion latency, µs.
-    pub p90_us: u64,
-    /// Worst completion latency, µs.
-    pub max_us: u64,
-}
-
-impl C4Row {
-    /// Renders the row. Every field is an integer, so the export is
-    /// byte-stable across same-seed runs.
-    pub fn to_json(&self) -> Json {
-        uints([
-            ("loss_pct", u64::from(self.loss_pct)),
-            ("switches", u64::from(self.switches)),
-            ("completed", u64::from(self.completed)),
-            ("requests_sent", self.requests_sent),
-            ("retries", self.retries),
-            ("drops_injected", self.drops_injected),
-            ("p50_us", self.p50_us),
-            ("p90_us", self.p90_us),
-            ("max_us", self.max_us),
-        ])
+result_row! {
+    /// One sweep point of the lossy-registration chaos experiment. Every
+    /// field is an integer, so the export is byte-stable across same-seed
+    /// runs.
+    #[derive(Debug)]
+    pub struct C4Row {
+        /// Uniform frame-loss probability injected on the department LAN, %.
+        pub loss_pct: u32,
+        /// Address switches commanded at this loss rate.
+        pub switches: u32,
+        /// Switches whose registration completed within the per-switch cap.
+        pub completed: u32,
+        /// Registration requests transmitted during the sweep (first sends
+        /// and retransmissions).
+        pub requests_sent: u64,
+        /// Retransmissions among those.
+        pub retries: u64,
+        /// Frames the fault plan deleted on the department LAN.
+        pub drops_injected: u64,
+        /// Median completion latency over the completed switches, µs.
+        pub p50_us: u64,
+        /// 90th-percentile completion latency, µs.
+        pub p90_us: u64,
+        /// Worst completion latency, µs.
+        pub max_us: u64,
     }
 }
 
@@ -61,13 +47,6 @@ pub struct C4Result {
     /// each fault plan's own `fault.{kind}` counters under `c4/loss_XX/`,
     /// plus the row table.
     pub metrics: Json,
-}
-
-impl C4Result {
-    /// Renders the row table for the combined-results JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj([("rows", Json::arr(self.rows.iter().map(C4Row::to_json)))])
-    }
 }
 
 /// The loss sweep: uniform frame loss from 0 to 50 %.
@@ -183,12 +162,6 @@ pub(super) const C4: Experiment = Experiment {
     artifacts: &["c4_lossy_registration.metrics"],
     run: |p| {
         let r = run_c4(p.get_u32("switches"), p.get("seed"));
-        let json = ("c4", r.to_json());
-        with_metrics(
-            report::render_c4(&r),
-            json,
-            "c4_lossy_registration",
-            r.metrics,
-        )
+        with_metrics(report::render_c4(&r), "c4_lossy_registration", r.metrics)
     },
 };

@@ -52,26 +52,6 @@ pub struct C7Result {
     pub journeys: Json,
 }
 
-impl C7Result {
-    /// Renders the summary scalars for the combined-results JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("sent", Json::UInt(self.sent)),
-            ("received", Json::UInt(self.received)),
-            ("lost_attack", Json::UInt(self.lost_attack)),
-            ("lost_after", Json::UInt(self.lost_after)),
-            ("spoofs", Json::UInt(self.spoofs)),
-            ("replays", Json::UInt(self.replays)),
-            ("attacker_accepted", Json::UInt(self.attacker_accepted)),
-            ("attacker_denied", Json::UInt(self.attacker_denied)),
-            ("auth_failures", Json::UInt(self.auth_failures)),
-            ("auth_replays", Json::UInt(self.auth_replays)),
-            ("binding_intact", Json::Bool(self.binding_intact)),
-            ("ha_epoch", Json::UInt(self.ha_epoch)),
-        ])
-    }
-}
-
 /// SPI provisioned for the MH/HA pair in the keyed topology.
 const C7_SPI: u32 = 0x100;
 /// The shared key. In a real deployment this comes from out-of-band
@@ -270,12 +250,7 @@ pub(super) const C7: Experiment = Experiment {
     ],
     run: |p| {
         let r = run_c7(p.get("seed"));
-        with_journeys(
-            report::render_c7(&r),
-            ("c7", r.to_json()),
-            "c7_spoofed_registration",
-            r.metrics,
-            r.journeys,
-        )
+        let name = "c7_spoofed_registration";
+        with_journeys(report::render_c7(&r), name, r.metrics, r.journeys)
     },
 };

@@ -185,6 +185,36 @@ pub(super) fn uints<const N: usize>(members: [(&'static str, u64); N]) -> Json {
     Json::obj(members.map(|(key, value)| (key, Json::UInt(value))))
 }
 
+/// Declares a result row and its `to_json` from one field list: each
+/// field is named once, and `to_json` renders every field before the `;`
+/// under its own name, in declaration order. Fields after the `;` stay out
+/// of the JSON (a wall-clock reading would break a sidecar's byte-stability).
+macro_rules! result_row {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* pub $field:ident: $ty:ty,)*
+            $(; $($(#[$xdoc:meta])* pub $xfield:ident: $xty:ty,)*)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+            $($($(#[$xdoc])* pub $xfield: $xty,)*)?
+        }
+
+        impl $name {
+            /// Renders the row as a JSON object, fields in declaration order.
+            pub fn to_json(&self) -> mosquitonet_sim::Json {
+                mosquitonet_sim::Json::obj([
+                    $((stringify!($field), mosquitonet_sim::Json::from(self.$field)),)*
+                ])
+            }
+        }
+    };
+}
+pub(super) use result_row;
+
 /// First-to-last arrival window of a measured stream.
 #[derive(Clone, Copy, Default, Debug)]
 pub(super) struct Span {

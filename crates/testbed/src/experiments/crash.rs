@@ -188,23 +188,6 @@ pub struct C5Result {
     pub captures: Vec<CapturedFrame>,
 }
 
-impl C5Result {
-    /// Renders the summary scalars for the combined-results JSON document.
-    pub fn to_json(&self) -> Json {
-        uints([
-            ("sent", self.sent),
-            ("received", self.received),
-            ("lost_before", self.lost_before),
-            ("lost_during", self.lost_during),
-            ("lost_after", self.lost_after),
-            ("reconverged_ms", self.reconverged_ms),
-            ("epoch_changes", self.epoch_changes),
-            ("journal_replayed", self.journal_replayed),
-            ("ha_epoch", self.ha_epoch),
-        ])
-    }
-}
-
 /// Runs claim C5: crash the (separate-host) home agent mid-session with
 /// its journal intact, restart it, and measure the correspondent's echo
 /// stream around the outage. Everything derives from `seed`.
@@ -327,15 +310,9 @@ pub(super) const C5: Experiment = Experiment {
     ],
     run: |p| {
         let r = run_c5(p.get("seed"));
-        let mut out = with_journeys(
-            report::render_c5(&r),
-            ("c5", r.to_json()),
-            "c5_ha_crash_recovery",
-            r.metrics,
-            r.journeys,
-        );
-        out.artifacts
-            .push(Artifact::Pcap("c5_ha_crash_recovery", r.captures));
+        let name = "c5_ha_crash_recovery";
+        let mut out = with_journeys(report::render_c5(&r), name, r.metrics, r.journeys);
+        out.artifacts.push(Artifact::Pcap(name, r.captures));
         out
     },
 };
@@ -378,26 +355,6 @@ pub struct C6Result {
     pub metrics: Json,
     /// The flight-recorder journeys sidecar document.
     pub journeys: Json,
-}
-
-impl C6Result {
-    /// Renders the summary scalars for the combined-results JSON document.
-    pub fn to_json(&self) -> Json {
-        uints([
-            ("in_sent", self.in_sent),
-            ("in_received", self.in_received),
-            ("in_lost_during", self.in_lost_during),
-            ("in_lost_after", self.in_lost_after),
-            ("out_lost_after", self.out_lost_after),
-            ("failover_ms", self.failover_ms),
-            ("ha_failovers", self.ha_failovers),
-            ("degradations", self.degradations),
-            ("direct_encap_lookups", self.direct_encap_lookups),
-            ("standby_accepted", self.standby_accepted),
-            ("replicas_applied", self.replicas_applied),
-            ("standby_encapsulated", self.standby_encapsulated),
-        ])
-    }
 }
 
 /// Settled time before the primary dies.
@@ -560,12 +517,7 @@ pub(super) const C6: Experiment = Experiment {
     ],
     run: |p| {
         let r = run_c6(p.get("seed"));
-        with_journeys(
-            report::render_c6(&r),
-            ("c6", r.to_json()),
-            "c6_standby_failover",
-            r.metrics,
-            r.journeys,
-        )
+        let name = "c6_standby_failover";
+        with_journeys(report::render_c6(&r), name, r.metrics, r.journeys)
     },
 };

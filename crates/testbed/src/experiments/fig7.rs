@@ -4,7 +4,7 @@
 use mosquitonet_sim::{Json, LatencyHistogram, MetricsRegistry, SimDuration, Summary};
 
 use super::common::{default_testbed, settle_on_dept, switch_dept_address};
-use super::{with_metrics, Experiment, Param, SEED};
+use super::{with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{COA_DEPT, COA_DEPT_ALT};
 
@@ -34,7 +34,7 @@ pub struct Fig7Result {
 }
 
 impl Fig7Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("runs", Json::from(self.runs)),
@@ -44,7 +44,6 @@ impl Fig7Result {
             ("ha_processing_us", Json::from(self.ha_processing_us)),
             ("post_us", self.post_us.to_json()),
             ("total_us", self.total_us.to_json()),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -121,7 +120,6 @@ pub(super) const FIG7: Experiment = Experiment {
     artifacts: &["fig7.metrics"],
     run: |p| {
         let r = run_fig7(p.get_u32("runs"), p.get("seed"));
-        let json = ("fig7", r.to_json());
-        with_metrics(report::render_fig7(&r), json, "fig7", r.metrics)
+        with_result(report::render_fig7(&r), "fig7", r.to_json(), r.metrics)
     },
 };

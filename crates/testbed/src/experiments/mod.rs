@@ -199,14 +199,13 @@ impl Artifact {
     }
 }
 
-/// Everything one run produced.
+/// Everything one run produced: the report, and the files that hold its
+/// numbers. Each number is written once, into the run's own metrics or
+/// bench sidecar; there is no second export.
 #[derive(Debug)]
 pub struct Outcome {
     /// The paper-format report, printed to stdout.
     pub report: String,
-    /// The run's members of the combined `experiment all json=FILE`
-    /// document.
-    pub json: Vec<(&'static str, Json)>,
     /// The files to write, one per declared artifact stem.
     pub artifacts: Vec<Artifact>,
 }
@@ -246,28 +245,26 @@ impl Experiment {
 }
 
 /// An outcome whose one artifact is the metrics sidecar `name`.
-fn with_metrics(
-    report: String,
-    json: (&'static str, Json),
-    name: &'static str,
-    metrics: Json,
-) -> Outcome {
+fn with_metrics(report: String, name: &'static str, metrics: Json) -> Outcome {
     Outcome {
         report,
-        json: vec![json],
         artifacts: vec![Artifact::Sidecar(SidecarKind::Metrics, name, metrics)],
     }
 }
 
+/// [`with_metrics`] for a run whose typed result has no other home: the
+/// sidecar body is `result`, then the members of the `metrics` object.
+fn with_result(report: String, name: &'static str, result: Json, metrics: Json) -> Outcome {
+    let Json::Obj(mut members) = metrics else {
+        panic!("{name}: a metrics body is a JSON object");
+    };
+    members.insert(0, ("result".to_string(), result));
+    with_metrics(report, name, Json::Obj(members))
+}
+
 /// A crash run's outcome: metrics and journeys sidecars under `name`.
-fn with_journeys(
-    report: String,
-    json: (&'static str, Json),
-    name: &'static str,
-    metrics: Json,
-    journeys: Json,
-) -> Outcome {
-    let mut out = with_metrics(report, json, name, metrics);
+fn with_journeys(report: String, name: &'static str, metrics: Json, journeys: Json) -> Outcome {
+    let mut out = with_metrics(report, name, metrics);
     out.artifacts
         .push(Artifact::Sidecar(SidecarKind::Journeys, name, journeys));
     out

@@ -9,7 +9,7 @@ use mosquitonet_sim::{Json, SimDuration};
 use mosquitonet_stack::{self as stack, SendOptions};
 use mosquitonet_wire::{IpProto, Ipv4Header, Ipv4Packet};
 
-use super::common::{default_testbed, poll_until, settle_on_dept, switch_dept_address};
+use super::common::{default_testbed, poll_until, result_row, settle_on_dept, switch_dept_address};
 use super::{with_metrics, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{Testbed, COA_DEPT_ALT};
@@ -49,36 +49,24 @@ fn s1_correspondent(i: u32) -> Ipv4Addr {
     Ipv4Addr::new(36, 200, (i >> 8) as u8, (i & 0xff) as u8)
 }
 
-/// One phase of the S1 scale run: exact deltas of the mobile host's
-/// `fastpath` counters over the phase.
-#[derive(Debug)]
-pub struct S1Row {
-    /// Phase label (`cold`, `warm`, `reregister`, `rewarm`, `steady`).
-    pub phase: &'static str,
-    /// Probe packets sent during the phase.
-    pub sends: u32,
-    /// Decision-cache hits charged during the phase.
-    pub hits: u64,
-    /// Full resolutions (cache misses) charged during the phase.
-    pub misses: u64,
-    /// Whole-cache flushes (validity-token moves) during the phase.
-    pub invalidations: u64,
-    /// Live cache entries when the phase ended.
-    pub cache_entries: u64,
-}
-
-impl S1Row {
-    /// Renders the row. Every field is an integer, so the export is
-    /// byte-stable across same-seed runs.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("phase", Json::from(self.phase)),
-            ("sends", Json::from(self.sends)),
-            ("hits", Json::UInt(self.hits)),
-            ("misses", Json::UInt(self.misses)),
-            ("invalidations", Json::UInt(self.invalidations)),
-            ("cache_entries", Json::UInt(self.cache_entries)),
-        ])
+result_row! {
+    /// One phase of the S1 scale run: exact deltas of the mobile host's
+    /// `fastpath` counters over the phase. Every count is an integer, so
+    /// the export is byte-stable across same-seed runs.
+    #[derive(Debug)]
+    pub struct S1Row {
+        /// Phase label (`cold`, `warm`, `reregister`, `rewarm`, `steady`).
+        pub phase: &'static str,
+        /// Probe packets sent during the phase.
+        pub sends: u32,
+        /// Decision-cache hits charged during the phase.
+        pub hits: u64,
+        /// Full resolutions (cache misses) charged during the phase.
+        pub misses: u64,
+        /// Whole-cache flushes (validity-token moves) during the phase.
+        pub invalidations: u64,
+        /// Live cache entries when the phase ended.
+        pub cache_entries: u64,
     }
 }
 
@@ -91,17 +79,6 @@ pub struct S1Result {
     pub rows: Vec<S1Row>,
     /// Deterministic sidecar body (rows plus per-mode policy totals).
     pub metrics: Json,
-}
-
-impl S1Result {
-    /// Renders as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("correspondents", Json::from(self.correspondents)),
-            ("rows", Json::arr(self.rows.iter().map(S1Row::to_json))),
-            ("metrics", self.metrics.clone()),
-        ])
-    }
 }
 
 fn s1_counters(tb: &Testbed) -> (u64, u64, u64) {
@@ -254,12 +231,6 @@ pub(super) const S1: Experiment = Experiment {
     artifacts: &["s1_many_correspondents.metrics"],
     run: |p| {
         let r = run_s1(p.get_u32("correspondents"), p.get("seed"));
-        let json = ("s1", r.to_json());
-        with_metrics(
-            report::render_s1(&r),
-            json,
-            "s1_many_correspondents",
-            r.metrics,
-        )
+        with_metrics(report::render_s1(&r), "s1_many_correspondents", r.metrics)
     },
 };

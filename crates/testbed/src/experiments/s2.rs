@@ -2,6 +2,7 @@
 //! churn, stepped by the parallel engine.
 
 use std::net::Ipv4Addr;
+use std::sync::Mutex;
 
 use mosquitonet_core::{
     DirectoryEntry, HomeAgent, HomeAgentConfig, ShardDirectory, REPLICA_LEN, REPLY_LEN, REQUEST_LEN,
@@ -11,7 +12,7 @@ use mosquitonet_sim::{run_sharded, shard_seed, Json, Sim, SimDuration, SimTime};
 use mosquitonet_stack::{self as stack, ModuleId, Network};
 use mosquitonet_wire::Cidr;
 
-use super::common::{percentile, rate_per_sec, uints, ShardTotals};
+use super::common::{percentile, rate_per_sec, result_row, ShardTotals};
 use super::{Artifact, Experiment, Outcome, Param, BATCHING, SEED, THREADS};
 use crate::report::{self, SidecarKind};
 use crate::topology::ShardedCampus;
@@ -82,90 +83,63 @@ pub struct S2Config {
     pub batching: bool,
 }
 
-/// The aggregated S2 measurement row. Every field except `wall_ns` is a
-/// deterministic virtual-time quantity; `wall_ns` is real elapsed time
-/// and is excluded from [`S2Row::to_json`] so the sidecar stays
-/// byte-stable.
-#[derive(Debug, Default)]
-pub struct S2Row {
-    /// First-attempt registrations the churn sources sent.
-    pub sent: u64,
-    /// First attempts deliberately misdirected to a neighbour shard.
-    pub misdirected: u64,
-    /// Re-sends to the true owner after a wrong-shard denial.
-    pub redirected: u64,
-    /// Accepted completions observed by the churn sources.
-    pub accepted: u64,
-    /// Terminal denials observed by the churn sources (expected 0).
-    pub denied: u64,
-    /// Requests the active agents processed (replies sent).
-    pub ha_processed: u64,
-    /// Registrations the active agents accepted.
-    pub ha_accepted: u64,
-    /// Wrong-shard denials at the fleet (one per misdirect).
-    pub wrong_shard: u64,
-    /// Binding replicas the actives streamed to their standbys.
-    pub replicas_sent: u64,
-    /// Replicas the standbys applied.
-    pub replicas_applied: u64,
-    /// Live bindings across the active agents at the deadline.
-    pub live_bindings: u64,
-    /// Live bindings across the standby agents (lock-step: must equal
-    /// `live_bindings`).
-    pub standby_bindings: u64,
-    /// Write-ahead journal records across the active agents.
-    pub journal_records: u64,
-    /// Engine events executed, summed over shards.
-    pub events: u64,
-    /// Engine batches drained, summed over shards.
-    pub batches: u64,
-    /// Virtual span from first to last accepted reply, nanoseconds.
-    pub span_ns: u64,
-    /// Accepted registrations per second of virtual time.
-    pub regs_per_sec: u64,
-    /// 99th-percentile registration latency (first send → accepted
-    /// reply, wrong-shard detours included), nanoseconds.
-    pub p99_latency_ns: u64,
-    /// Registration-request bytes on the wire (first sends + redirects).
-    pub request_bytes: u64,
-    /// Registration-reply bytes on the wire.
-    pub reply_bytes: u64,
-    /// Binding-replica bytes on the wire.
-    pub replica_bytes: u64,
-    /// Steady-state protocol bytes per live binding.
-    pub bytes_per_binding: u64,
-    /// Real elapsed nanoseconds. Never golden-pinned or printed; its one
-    /// reader is `benchmark/`'s adapter (`reg_churn`).
-    pub wall_ns: u64,
-}
-
-impl S2Row {
-    /// Renders the deterministic fields (everything but `wall_ns`).
-    pub fn to_json(&self) -> Json {
-        uints([
-            ("sent", self.sent),
-            ("misdirected", self.misdirected),
-            ("redirected", self.redirected),
-            ("accepted", self.accepted),
-            ("denied", self.denied),
-            ("ha_processed", self.ha_processed),
-            ("ha_accepted", self.ha_accepted),
-            ("wrong_shard", self.wrong_shard),
-            ("replicas_sent", self.replicas_sent),
-            ("replicas_applied", self.replicas_applied),
-            ("live_bindings", self.live_bindings),
-            ("standby_bindings", self.standby_bindings),
-            ("journal_records", self.journal_records),
-            ("events", self.events),
-            ("batches", self.batches),
-            ("span_ns", self.span_ns),
-            ("regs_per_sec", self.regs_per_sec),
-            ("p99_latency_ns", self.p99_latency_ns),
-            ("request_bytes", self.request_bytes),
-            ("reply_bytes", self.reply_bytes),
-            ("replica_bytes", self.replica_bytes),
-            ("bytes_per_binding", self.bytes_per_binding),
-        ])
+result_row! {
+    /// The aggregated S2 measurement row. Every field except `wall_ns` is a
+    /// deterministic virtual-time quantity; `wall_ns` is real elapsed time
+    /// and is excluded from [`S2Row::to_json`] so the sidecar stays
+    /// byte-stable.
+    #[derive(Debug, Default)]
+    pub struct S2Row {
+        /// First-attempt registrations the churn sources sent.
+        pub sent: u64,
+        /// First attempts deliberately misdirected to a neighbour shard.
+        pub misdirected: u64,
+        /// Re-sends to the true owner after a wrong-shard denial.
+        pub redirected: u64,
+        /// Accepted completions observed by the churn sources.
+        pub accepted: u64,
+        /// Terminal denials observed by the churn sources (expected 0).
+        pub denied: u64,
+        /// Requests the active agents processed (replies sent).
+        pub ha_processed: u64,
+        /// Registrations the active agents accepted.
+        pub ha_accepted: u64,
+        /// Wrong-shard denials at the fleet (one per misdirect).
+        pub wrong_shard: u64,
+        /// Binding replicas the actives streamed to their standbys.
+        pub replicas_sent: u64,
+        /// Replicas the standbys applied.
+        pub replicas_applied: u64,
+        /// Live bindings across the active agents at the deadline.
+        pub live_bindings: u64,
+        /// Live bindings across the standby agents (lock-step: must equal
+        /// `live_bindings`).
+        pub standby_bindings: u64,
+        /// Write-ahead journal records across the active agents.
+        pub journal_records: u64,
+        /// Engine events executed, summed over shards.
+        pub events: u64,
+        /// Engine batches drained, summed over shards.
+        pub batches: u64,
+        /// Virtual span from first to last accepted reply, nanoseconds.
+        pub span_ns: u64,
+        /// Accepted registrations per second of virtual time.
+        pub regs_per_sec: u64,
+        /// 99th-percentile registration latency (first send → accepted
+        /// reply, wrong-shard detours included), nanoseconds.
+        pub p99_latency_ns: u64,
+        /// Registration-request bytes on the wire (first sends + redirects).
+        pub request_bytes: u64,
+        /// Registration-reply bytes on the wire.
+        pub reply_bytes: u64,
+        /// Binding-replica bytes on the wire.
+        pub replica_bytes: u64,
+        /// Steady-state protocol bytes per live binding.
+        pub bytes_per_binding: u64,
+        ;
+        /// Real elapsed nanoseconds. Never golden-pinned or printed; its one
+        /// reader is `benchmark/`'s adapter (`reg_churn`).
+        pub wall_ns: u64,
     }
 }
 
@@ -303,11 +277,14 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         sim
     };
 
-    let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, S2Row, Vec<u64>) {
+    // Each shard's `finish` adds its counts straight into the one row;
+    // sums do not depend on the order in which the shards finish.
+    let merged = Mutex::new(S2Row::default());
+    let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, Vec<u64>) {
         let now = sim.now();
         let mut totals = ShardTotals::of_shard(s, &mut sim, cfg.batching);
-        let mut row = S2Row::default();
         let mut latencies_ns = Vec::new();
+        let mut row = merged.lock().expect("no shard panicked while merging");
         let w = sim.world_mut();
         for h in 0..w.hosts.len() {
             let host = &mut w.hosts[h];
@@ -337,7 +314,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
                 }
             }
         }
-        (totals, row, latencies_ns)
+        (totals, latencies_ns)
     };
 
     let outs = run_sharded(
@@ -351,28 +328,13 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
     let mut totals = ShardTotals::default();
-    let mut row = S2Row {
-        wall_ns,
-        ..S2Row::default()
-    };
     let mut latencies = Vec::new();
-    for (shard_totals, part, shard_latencies) in outs {
+    for (shard_totals, shard_latencies) in outs {
         totals.merge(shard_totals);
         latencies.extend(shard_latencies);
-        row.sent += part.sent;
-        row.misdirected += part.misdirected;
-        row.redirected += part.redirected;
-        row.accepted += part.accepted;
-        row.denied += part.denied;
-        row.ha_processed += part.ha_processed;
-        row.ha_accepted += part.ha_accepted;
-        row.wrong_shard += part.wrong_shard;
-        row.replicas_sent += part.replicas_sent;
-        row.replicas_applied += part.replicas_applied;
-        row.live_bindings += part.live_bindings;
-        row.standby_bindings += part.standby_bindings;
-        row.journal_records += part.journal_records;
     }
+    let mut row = merged.into_inner().expect("no shard panicked");
+    row.wall_ns = wall_ns;
     row.events = totals.events;
     row.batches = totals.batches;
     row.span_ns = totals.span.ns();
@@ -436,7 +398,6 @@ pub(super) const S2: Experiment = Experiment {
         let r = run_s2(&cfg, p.get("threads") as usize);
         Outcome {
             report: report::render_s2(&r),
-            json: vec![("s2", r.to_json())],
             artifacts: vec![
                 Artifact::Sidecar(SidecarKind::Bench, "s2_fleet", r.to_json()),
                 Artifact::Sidecar(SidecarKind::Journeys, "s2_fleet", r.journeys),

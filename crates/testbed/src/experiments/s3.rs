@@ -2,6 +2,7 @@
 //! forwarding topologies and on the sharded engine across four campuses.
 
 use std::net::Ipv4Addr;
+use std::sync::Mutex;
 
 use mosquitonet_core::SendMode;
 use mosquitonet_link::presets;
@@ -468,13 +469,21 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
         sim
     };
 
-    let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, S3Row) {
+    // Each shard's `finish` adds its counts straight into the one row;
+    // sums do not depend on the order in which the shards finish.
+    let merged = Mutex::new(S3Row {
+        mode: "sharded",
+        ..S3Row::default()
+    });
+    let finish = |s: u32, mut sim: Sim<Network>| -> ShardTotals {
         let mut totals = ShardTotals::of_shard(s, &mut sim, cfg.batching);
-        let mut row = S3Row::default();
+        let mut row = merged.lock().expect("no shard panicked while merging");
         let w = sim.world_mut();
         for h in 0..w.hosts.len() {
             let host = &mut w.hosts[h];
-            // Host order per shard is fixed: gw, src, dst.
+            // Host order per shard is fixed: gw, src, dst. The src/gw
+            // counters include the two ARP primers per shard —
+            // deterministic, and identical at every thread count.
             match h {
                 0 => {
                     row.ha_forwarded += host.core.stats.forwarded.get();
@@ -498,7 +507,7 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
                 }
             }
         }
-        (totals, row)
+        totals
     };
 
     let wall_start = std::time::Instant::now();
@@ -513,23 +522,11 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
     let mut totals = ShardTotals::default();
-    let mut row = S3Row {
-        mode: "sharded",
-        wall_ns,
-        ..S3Row::default()
-    };
-    for (shard_totals, part) in outs {
+    for shard_totals in outs {
         totals.merge(shard_totals);
-        row.sent += part.sent;
-        row.delivered += part.delivered;
-        row.bytes += part.bytes;
-        // The src/gw counters include the two ARP primers per shard —
-        // deterministic, and identical at every thread count.
-        row.mh_output += part.mh_output;
-        row.mh_encapsulated += part.mh_encapsulated;
-        row.ha_forwarded += part.ha_forwarded;
-        row.ha_decapsulated += part.ha_decapsulated;
     }
+    let mut row = merged.into_inner().expect("no shard panicked");
+    row.wall_ns = wall_ns;
     row.events = totals.events;
     row.batches = totals.batches;
     row.set_span(totals.span);
@@ -581,7 +578,6 @@ pub(super) const S3: Experiment = Experiment {
         let sharded = run_s3_sharded(&cfg, S3_SHARDS, p.get("threads") as usize);
         Outcome {
             report: report::render_s3(&r) + &report::render_s3_sharded(&sharded),
-            json: vec![("s3", r.to_json()), ("s3_sharded", sharded.to_json())],
             artifacts: vec![
                 Artifact::Sidecar(SidecarKind::Bench, "s3_saturation", r.to_json()),
                 Artifact::Sidecar(SidecarKind::Bench, "s3_sharded", sharded.to_json()),

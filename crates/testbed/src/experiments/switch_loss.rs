@@ -10,7 +10,7 @@ use super::common::{
     default_testbed, eth_plan, foreign_address, install_echo, install_echo_from, radio_plan,
     settle_fa_mh_on_foreign, settle_on_dept, settle_on_foreign, switch_dept_address,
 };
-use super::{with_metrics, Experiment, Param, SEED};
+use super::{with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{
     self, build, MhMode, Testbed, TestbedConfig, COA_DEPT, COA_DEPT_ALT, COA_FOREIGN2,
@@ -76,19 +76,18 @@ pub struct Tab1Result {
     pub histogram: Histogram,
     /// Largest per-iteration loss.
     pub max_loss: usize,
-    /// End-of-run dump of every host's metric registry (the sidecar body).
+    /// End-of-run dump of every host's metric registry.
     pub metrics: Json,
 }
 
 impl Tab1Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("iterations", Json::from(self.iterations)),
             ("interval_ms", Json::from(self.interval_ms)),
             ("histogram", self.histogram.to_json()),
             ("max_loss", Json::from(self.max_loss)),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -149,8 +148,7 @@ pub(super) const TAB1: Experiment = Experiment {
     artifacts: &["tab1.metrics"],
     run: |p| {
         let r = run_tab1(p.get_u32("iterations"), p.get("seed"));
-        let json = ("tab1", r.to_json());
-        with_metrics(report::render_tab1(&r), json, "tab1", r.metrics)
+        with_result(report::render_tab1(&r), "tab1", r.to_json(), r.metrics)
     },
 };
 
@@ -161,8 +159,12 @@ pub(super) const TAB1_FAR: Experiment = Experiment {
     artifacts: &["tab1_far.metrics"],
     run: |p| {
         let r = run_tab1_far(20, p.get("seed"));
-        let json = ("tab1_far", r.to_json());
-        with_metrics(report::render_tab1_far(&r), json, "tab1_far", r.metrics)
+        with_result(
+            report::render_tab1_far(&r),
+            "tab1_far",
+            r.to_json(),
+            r.metrics,
+        )
     },
 };
 
@@ -242,7 +244,7 @@ pub struct Fig6Result {
 }
 
 impl Fig6Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("iterations", Json::from(self.iterations)),
@@ -256,7 +258,6 @@ impl Fig6Result {
                     ])
                 })),
             ),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -341,8 +342,7 @@ pub(super) const FIG6: Experiment = Experiment {
     artifacts: &["fig6.metrics"],
     run: |p| {
         let r = run_fig6(p.get_u32("iterations"), p.get("seed"));
-        let json = ("fig6", r.to_json());
-        with_metrics(report::render_fig6(&r), json, "fig6", r.metrics)
+        with_result(report::render_fig6(&r), "fig6", r.to_json(), r.metrics)
     },
 };
 
@@ -403,7 +403,7 @@ pub struct A1Result {
 }
 
 impl A1Result {
-    /// Renders as JSON.
+    /// Renders everything but `metrics`: the sidecar's `result` member.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("iterations", Json::from(self.iterations)),
@@ -414,7 +414,6 @@ impl A1Result {
                     Json::obj([("mode", Json::from(mode.key())), ("histogram", h.to_json())])
                 })),
             ),
-            ("metrics", self.metrics.clone()),
         ])
     }
 }
@@ -505,6 +504,6 @@ pub(super) const A1: Experiment = Experiment {
     artifacts: &["a1.metrics"],
     run: |p| {
         let r = run_a1(p.get_u32("iterations"), p.get("seed"));
-        with_metrics(report::render_a1(&r), ("a1", r.to_json()), "a1", r.metrics)
+        with_result(report::render_a1(&r), "a1", r.to_json(), r.metrics)
     },
 };

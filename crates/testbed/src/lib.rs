@@ -21,7 +21,8 @@
 //!
 //! The `experiment` binary runs any registry entry by name with checked
 //! `key=value` parameters; `experiment all` produces the whole of
-//! `EXPERIMENTS.md` (and, with `json=FILE`, machine-readable results).
+//! `EXPERIMENTS.md`. Each run writes its numbers once, into its own
+//! metrics or bench sidecar.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,7 +6,9 @@
 //! Besides the human-readable reports, every experiment writes a
 //! *metrics sidecar* via [`write_sidecar_in`]: the machine-readable
 //! dump of the run's metric registries (schema documented in
-//! `docs/telemetry.md`), for downstream plotting and regression diffing.
+//! `docs/telemetry.md`), led by a `result` member when the run's typed
+//! result has no other file, for downstream plotting and regression
+//! diffing.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

@@ -1,6 +1,7 @@
 //! Documentation-sync checks: drop-reason codes against
-//! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` against
-//! the registry, DESIGN.md's crate and dependency tables against the
+//! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` and
+//! DESIGN.md's experiment index against the registry, DESIGN.md's crate
+//! and dependency tables against the
 //! manifests, its module hook list against `trait Module`, the shape of
 //! `BENCH_trajectory.json`, that the docs cite no deleted instrument and
 //! no ledger metric `BENCHMARK.json` does not declare, and that every
@@ -165,6 +166,27 @@ fn experiments_md_lists_every_registry_entry_and_artifact() {
                 exp.name
             );
         }
+    }
+}
+
+/// DESIGN.md §4 indexes every run: each [`REGISTRY`] name is the
+/// regenerate command of a row of its table.
+#[test]
+fn design_md_index_names_every_registry_entry() {
+    let design = std::fs::read_to_string(workspace_root().join("DESIGN.md")).expect("DESIGN.md");
+    let rows: Vec<&str> = design
+        .lines()
+        .skip_while(|l| !l.starts_with("## 4."))
+        .take_while(|l| !l.starts_with("## 4b."))
+        .filter(|l| l.starts_with("| **"))
+        .collect();
+    for exp in REGISTRY {
+        let command = format!(" {}`", exp.name);
+        assert!(
+            rows.iter().any(|row| row.contains(&command)),
+            "DESIGN.md §4's index has no row regenerated by `experiment {}`",
+            exp.name
+        );
     }
 }
 

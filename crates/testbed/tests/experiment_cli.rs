@@ -67,6 +67,7 @@ fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
         (&["s2_ha_fleet", "shards=300"], "`shards=300`"),
         (&["s3_saturation", "ticks=1", "ticks=2"], "`ticks=2`"),
         (&["all", "seed=1", "seed=2"], "`seed=2`"),
+        (&["all", "json=out.json"], "`json=out.json`"),
     ] {
         let out = experiment(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -84,14 +85,18 @@ fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
     assert!(!dir.exists(), "refused input must not write artifacts");
 }
 
+/// The runs whose typed result lives nowhere but the leading `result`
+/// member of their metrics sidecar.
+const RESULT_FIRST: &[&str] = &[
+    "tab1", "tab1_far", "fig6", "fig7", "c1", "c2", "c3", "a1", "a2", "a3",
+];
+
 #[test]
 fn all_hands_its_seed_to_every_run() {
     let dir = scratch("all");
-    let json = dir.join("all.json");
-    let json_arg = format!("json={}", json.display());
     // Not 1996, which is also `seed`'s default: an `all` that dropped the
     // seed would still print 1996 everywhere.
-    let out = experiment(&dir, &["all", "seed=7", &json_arg]);
+    let out = experiment(&dir, &["all", "seed=7"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -111,17 +116,37 @@ fn all_hands_its_seed_to_every_run() {
         block,
         "EXPERIMENTS.md's full report is stale: re-paste `experiment all seed=7`"
     );
-    let doc = Json::parse(&std::fs::read_to_string(&json).expect("json=FILE written"))
-        .expect("valid JSON");
-    let seed_of = |path: &[&str]| {
-        path.iter()
-            .try_fold(&doc, |j, key| j.get(key))
-            .and_then(Json::as_u64)
+    // The body (`bench` or `metrics` member) of the sidecar `stem`.
+    let body = |stem: &str| {
+        let path = dir.join(format!("{stem}.json"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{stem}: {e}"));
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
+        let kind = stem.rsplit('.').next().expect("a kind");
+        doc.get(kind)
+            .cloned()
+            .unwrap_or_else(|| panic!("{stem}: no {kind}"))
     };
-    assert_eq!(seed_of(&["seed"]), Some(7));
-    // The bench bodies echo the seed their run was configured with.
-    assert_eq!(seed_of(&["s2", "seed"]), Some(7));
-    assert_eq!(seed_of(&["s3", "seed"]), Some(7));
+    // The sidecars echo the seed their run was configured with.
+    for stem in [
+        "s2_fleet.bench",
+        "s3_saturation.bench",
+        "c5_ha_crash_recovery.metrics",
+    ] {
+        assert_eq!(
+            body(stem).get("seed").and_then(Json::as_u64),
+            Some(7),
+            "{stem}"
+        );
+    }
+    for name in RESULT_FIRST {
+        let Json::Obj(members) = body(&format!("{name}.metrics")) else {
+            panic!("{name}: the metrics body is an object");
+        };
+        assert_eq!(
+            members[0].0, "result",
+            "{name}'s metrics must open with result"
+        );
+    }
     // And the whole declared artifact set landed — each run having used
     // its declared defaults, which therefore must lie in their own ranges.
     for exp in REGISTRY {
