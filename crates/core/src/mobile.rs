@@ -205,9 +205,9 @@ struct SwitchOp {
     target: Option<(Ipv4Addr, Cidr, Ipv4Addr)>,
     /// True when this op returns the host to its home network.
     going_home: bool,
-    /// The interface being left (None when leaving home for the first
-    /// time on the same interface).
-    old_iface: Option<IfaceId>,
+    /// The interface being left (the target itself when one card is
+    /// carried to a new network).
+    old_iface: IfaceId,
     /// True when the target address lives in a subnet the interface was
     /// already configured for — a same-network address switch, where ARP
     /// state stays valid.
@@ -360,44 +360,37 @@ impl MobileHost {
             return;
         }
         // Power the chosen device ahead of time so the switch can be hot.
-        if !ctx.core.iface(best.iface).device.is_up() {
+        let powered = ctx.core.iface(best.iface).device.is_up();
+        if !powered {
             ctx.fx.push(Effect::BringIfaceUp(best.iface));
             // Fall through: the stability counter still advances.
         }
-        if !current_alive {
+        let (style, line) = if current_alive {
+            // A preferable network appeared: wait out the hysteresis, then
+            // switch hot (the current interface keeps working meanwhile).
+            self.autoswitch_stable += 1;
+            if self.autoswitch_stable < cfg.stability || !powered {
+                return;
+            }
+            (
+                SwitchStyle::Hot,
+                "autoswitch: preferring iface IfaceId({}); hot switch",
+            )
+        } else {
             // The network under our feet vanished: switch now, cold (the
             // old interface has nothing left to offer).
-            self.autoswitch_stable = 0;
-            self.autoswitches.inc();
             let line = "autoswitch: current network lost; cold switch to iface IfaceId({})";
-            ctx.fx.trace(Line::new(line).num(best.iface.0 as u64));
-            self.start_switch(
-                ctx,
-                SwitchPlan {
-                    iface: best.iface,
-                    address: best.address,
-                    style: SwitchStyle::Cold,
-                },
-            );
-            return;
-        }
-        // A preferable network appeared: wait out the hysteresis, then
-        // switch hot (the current interface keeps working meanwhile).
-        self.autoswitch_stable += 1;
-        if self.autoswitch_stable >= cfg.stability && ctx.core.iface(best.iface).device.is_up() {
-            self.autoswitch_stable = 0;
-            self.autoswitches.inc();
-            let line = Line::new("autoswitch: preferring iface IfaceId({}); hot switch");
-            ctx.fx.trace(line.num(best.iface.0 as u64));
-            self.start_switch(
-                ctx,
-                SwitchPlan {
-                    iface: best.iface,
-                    address: best.address,
-                    style: SwitchStyle::Hot,
-                },
-            );
-        }
+            (SwitchStyle::Cold, line)
+        };
+        self.autoswitch_stable = 0;
+        self.autoswitches.inc();
+        ctx.fx.trace(Line::new(line).num(best.iface.0 as u64));
+        let plan = SwitchPlan {
+            iface: best.iface,
+            address: best.address,
+            style,
+        };
+        self.start_switch(ctx, plan);
     }
 
     /// Where the host currently is: `None` while at home, or
@@ -432,161 +425,105 @@ impl MobileHost {
     ///
     /// Panics if a switch is already in progress.
     pub fn start_switch(&mut self, ctx: &mut ModuleCtx<'_>, plan: SwitchPlan) {
-        assert!(self.switching.is_none(), "switch already in progress");
-        self.current = RegistrationTimeline {
-            start: Some(ctx.now),
-            ..RegistrationTimeline::default()
-        };
         let line = match plan.style {
             SwitchStyle::Cold => "switch start: Cold to iface IfaceId({})",
             SwitchStyle::Hot => "switch start: Hot to iface IfaceId({})",
         };
-        ctx.fx.trace(Line::new(line).num(plan.iface.0 as u64));
-        let old_iface = match self.location {
-            Location::Home { iface } => {
-                // Leaving home: the home address moves from the physical
-                // interface to the VIF so tunneled packets stay local and
-                // connections keep their endpoint.
-                ctx.core.iface_mut(iface).remove_addr(self.cfg.home_addr);
-                ctx.core
-                    .iface_mut(self.cfg.vif)
-                    .add_addr(self.cfg.home_addr, self.cfg.home_subnet);
-                Some(iface)
-            }
-            Location::Away { iface, care_of, .. } => {
-                if plan.style == SwitchStyle::Cold {
-                    ctx.core.iface_mut(iface).remove_addr(care_of);
-                }
-                Some(iface)
-            }
-        };
-        let mut op = SwitchOp {
-            plan,
-            phase: Phase::BringingDown,
-            target: None,
-            going_home: false,
-            old_iface,
-            same_network: false,
-        };
-        match plan.style {
-            SwitchStyle::Cold => {
-                // "The mobile host deletes the route to the first
-                // interface, brings the interface down, brings the new
-                // interface up, adds its route, and finally registers" §4.
-                // When old == new (same card carried to a new network)
-                // the device still cycles down and up.
-                let quiesce = if let Some(old) = old_iface {
-                    ctx.core.routes.remove_iface(old);
-                    let q = ctx.core.iface(old).device.power.bring_down;
-                    ctx.fx.push(Effect::BringIfaceDown(old));
-                    q
-                } else {
-                    SimDuration::ZERO
-                };
-                ctx.fx.set_timer(quiesce, TOKEN_AFTER_DOWN);
-            }
-            SwitchStyle::Hot => {
-                // Both interfaces stay available; skip the power dance.
-                op.phase = Phase::Acquiring;
-                self.switching = Some(op);
-                self.begin_acquire(ctx);
-                return;
-            }
-        }
-        self.switching = Some(op);
+        let line = Line::new(line).num(plan.iface.0 as u64);
+        self.begin_switch(ctx, plan, false, line);
     }
 
     /// Switches the care-of address on the *current* interface (the §4
-    /// same-subnet experiment isolating the software overhead).
+    /// same-subnet experiment isolating the software overhead). The old
+    /// care-of address keeps accepting packets until the configure step
+    /// replaces it; from then until the home agent's binding moves,
+    /// in-flight packets are the measured loss.
     ///
     /// # Panics
     ///
     /// Panics when not away, or when a switch is in progress.
     pub fn switch_address(&mut self, ctx: &mut ModuleCtx<'_>, plan: AddressPlan) {
         assert!(self.switching.is_none(), "switch already in progress");
-        let Location::Away { iface, care_of, .. } = self.location else {
+        let Location::Away { iface, .. } = self.location else {
             panic!("switch_address requires being away from home");
         };
-        self.current = RegistrationTimeline {
-            start: Some(ctx.now),
-            ..RegistrationTimeline::default()
+        let plan = SwitchPlan {
+            iface,
+            address: plan,
+            style: SwitchStyle::Hot,
         };
-        ctx.fx.trace("address switch start");
-        // The old care-of address keeps accepting packets until the new
-        // one replaces it at the configure step (finish_configure clears
-        // the interface's addresses); from then until the home agent's
-        // binding moves, in-flight packets are the measured loss.
-        let _ = care_of;
-        self.switching = Some(SwitchOp {
-            plan: SwitchPlan {
-                iface,
-                address: plan,
-                style: SwitchStyle::Hot,
-            },
-            phase: Phase::Acquiring,
-            target: None,
-            going_home: false,
-            old_iface: Some(iface),
-            same_network: false,
-        });
-        self.begin_acquire(ctx);
+        self.begin_switch(ctx, plan, false, "address switch start".into());
     }
 
     /// Returns home onto `iface` (which must be attached to the home LAN).
     pub fn return_home(&mut self, ctx: &mut ModuleCtx<'_>, iface: IfaceId, style: SwitchStyle) {
+        let plan = SwitchPlan {
+            iface,
+            address: AddressPlan::Static {
+                addr: self.cfg.home_addr,
+                subnet: self.cfg.home_subnet,
+                router: self.cfg.home_router,
+            },
+            style,
+        };
+        self.begin_switch(ctx, plan, true, "returning home".into());
+    }
+
+    /// The first steps every switch shares (§4): "the mobile host deletes
+    /// the route to the first interface, brings the interface down, brings
+    /// the new interface up, adds its route, and finally registers". A hot
+    /// switch skips the power steps and acquires its address at once.
+    fn begin_switch(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        plan: SwitchPlan,
+        going_home: bool,
+        line: Line,
+    ) {
         assert!(self.switching.is_none(), "switch already in progress");
         self.current = RegistrationTimeline {
             start: Some(ctx.now),
             ..RegistrationTimeline::default()
         };
-        ctx.fx.trace("returning home");
+        ctx.fx.trace(line);
         let old_iface = match self.location {
-            Location::Away {
-                iface: old,
-                care_of,
-                ..
-            } => {
-                if style == SwitchStyle::Cold {
-                    ctx.core.iface_mut(old).remove_addr(care_of);
+            Location::Home { iface } => {
+                if !going_home {
+                    // Leaving home: the home address moves from the
+                    // physical interface to the VIF so tunneled packets
+                    // stay local and connections keep their endpoint.
+                    ctx.core.iface_mut(iface).remove_addr(self.cfg.home_addr);
+                    ctx.core
+                        .iface_mut(self.cfg.vif)
+                        .add_addr(self.cfg.home_addr, self.cfg.home_subnet);
                 }
-                Some(old)
+                iface
             }
-            Location::Home { iface } => Some(iface),
+            Location::Away { iface, care_of, .. } => {
+                if plan.style == SwitchStyle::Cold {
+                    ctx.core.iface_mut(iface).remove_addr(care_of);
+                }
+                iface
+            }
         };
-        let mut op = SwitchOp {
-            plan: SwitchPlan {
-                iface,
-                address: AddressPlan::Static {
-                    addr: self.cfg.home_addr,
-                    subnet: self.cfg.home_subnet,
-                    router: self.cfg.home_router,
-                },
-                style,
-            },
+        self.switching = Some(SwitchOp {
+            plan,
             phase: Phase::BringingDown,
             target: None,
-            going_home: true,
+            going_home,
             old_iface,
             same_network: false,
-        };
-        match style {
+        });
+        match plan.style {
             SwitchStyle::Cold => {
-                let quiesce = if let Some(old) = old_iface {
-                    ctx.core.routes.remove_iface(old);
-                    let q = ctx.core.iface(old).device.power.bring_down;
-                    ctx.fx.push(Effect::BringIfaceDown(old));
-                    q
-                } else {
-                    SimDuration::ZERO
-                };
+                // When old == new (same card carried to a new network) the
+                // device still cycles down and up.
+                ctx.core.routes.remove_iface(old_iface);
+                let quiesce = ctx.core.iface(old_iface).device.power.bring_down;
+                ctx.fx.push(Effect::BringIfaceDown(old_iface));
                 ctx.fx.set_timer(quiesce, TOKEN_AFTER_DOWN);
-                self.switching = Some(op);
             }
-            SwitchStyle::Hot => {
-                op.phase = Phase::Acquiring;
-                self.switching = Some(op);
-                self.begin_acquire(ctx);
-            }
+            SwitchStyle::Hot => self.begin_acquire(ctx),
         }
     }
 
@@ -837,10 +774,10 @@ impl MobileHost {
         // address keeps accepting in-flight tunnels), but only the NEW
         // interface may carry the default route from here on.
         if let Some(op) = &self.switching {
-            if op.plan.style == SwitchStyle::Hot {
-                if let Some(old) = op.old_iface.filter(|o| *o != op.plan.iface) {
-                    ctx.core.routes.remove_for_iface(Cidr::DEFAULT, old);
-                }
+            if op.plan.style == SwitchStyle::Hot && op.old_iface != op.plan.iface {
+                ctx.core
+                    .routes
+                    .remove_for_iface(Cidr::DEFAULT, op.old_iface);
             }
         }
         self.current.done = Some(ctx.now);
@@ -1033,58 +970,31 @@ impl Module for MobileHost {
             mode = SendMode::DirectEncap;
         }
         let on_hit = Some(self.policy.stats.counter_for(mode).clone());
-        let route_to = |target: Ipv4Addr| -> Option<(IfaceId, Ipv4Addr)> {
-            let rt = core.routes.lookup(target)?;
-            Some((rt.iface, rt.gateway.unwrap_or(target)))
+        let (home, home_agent) = (self.cfg.home_addr, self.reg.home_agent());
+        // One row per mode: where the route points, the inner source, and
+        // the far end of the tunnel when the packet is encapsulated.
+        let (target, inner_src, outer_dst) = match mode {
+            SendMode::ReverseTunnel => (home_agent, home, Some(home_agent)),
+            SendMode::DirectEncap => (dst, home, Some(dst)),
+            // Unspecified sources take the local address — the pure local
+            // role; an application that explicitly bound the home address
+            // keeps it (this degenerates to the triangle route).
+            SendMode::DirectLocal if src == SourceSel::Unspecified => (dst, care_of, None),
+            SendMode::Triangle | SendMode::DirectLocal => (dst, home, None),
         };
-        let home_agent = self.reg.home_agent();
-        let decision = match mode {
-            SendMode::ReverseTunnel => {
-                route_to(home_agent).map(|(out_iface, next_hop)| RouteDecision {
-                    iface: out_iface,
-                    src: self.cfg.home_addr,
-                    next_hop,
-                    encap: Some(EncapSpec {
-                        outer_src: care_of,
-                        outer_dst: home_agent,
-                    }),
-                })
-            }
-            SendMode::Triangle => route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
-                iface: out_iface,
-                src: self.cfg.home_addr,
-                next_hop,
-                encap: None,
-            }),
-            SendMode::DirectEncap => route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
-                iface: out_iface,
-                src: self.cfg.home_addr,
-                next_hop,
-                encap: Some(EncapSpec {
-                    outer_src: care_of,
-                    outer_dst: dst,
-                }),
-            }),
-            SendMode::DirectLocal => {
-                // An application that explicitly bound the home address
-                // keeps it (this degenerates to the triangle route);
-                // unspecified sources take the local address — the pure
-                // local role.
-                route_to(dst).map(|(out_iface, next_hop)| RouteDecision {
-                    iface: out_iface,
-                    src: match src {
-                        SourceSel::Addr(a) => a,
-                        SourceSel::Unspecified => care_of,
-                    },
-                    next_hop,
-                    encap: None,
-                })
-            }
+        let Some(rt) = core.routes.lookup(target) else {
+            return RouteAnswer::Once(None);
         };
-        match decision {
-            Some(decision) => RouteAnswer::Decide { decision, on_hit },
-            None => RouteAnswer::Once(None),
-        }
+        let decision = RouteDecision {
+            iface: rt.iface,
+            src: inner_src,
+            next_hop: rt.gateway.unwrap_or(target),
+            encap: outer_dst.map(|outer_dst| EncapSpec {
+                outer_src: care_of,
+                outer_dst,
+            }),
+        };
+        RouteAnswer::Decide { decision, on_hit }
     }
 
     fn route_generation(&self) -> Option<u64> {

@@ -52,6 +52,33 @@ fn iface_src(host: &Host, iface: IfaceId, dst: Ipv4Addr) -> Ipv4Addr {
         .unwrap_or(Ipv4Addr::UNSPECIFIED)
 }
 
+/// The source a packet carries: the one its sender pinned, else the one
+/// [`iface_src`] picks for leaving `iface` toward `dst`.
+fn source(host: &Host, src_sel: SourceSel, iface: IfaceId, dst: Ipv4Addr) -> Ipv4Addr {
+    match src_sel {
+        SourceSel::Addr(a) => a,
+        SourceSel::Unspecified => iface_src(host, iface, dst),
+    }
+}
+
+/// A VIF tunnel toward `care_of` (the home agent's per-mobile-host route,
+/// §3.1): the route to the care-of address, encapsulated with that route's
+/// interface address as the outer source, which is also the packet's
+/// source unless its sender pinned one. `None` when no route reaches it.
+fn tunnel_route(host: &Host, care_of: Ipv4Addr) -> Option<RouteDecision> {
+    let rt = host.core.routes.lookup(care_of)?;
+    let outer_src = iface_src(host, rt.iface, care_of);
+    Some(RouteDecision {
+        iface: rt.iface,
+        src: outer_src,
+        next_hop: rt.gateway.unwrap_or(care_of),
+        encap: Some(EncapSpec {
+            outer_src,
+            outer_dst: care_of,
+        }),
+    })
+}
+
 /// The fast-path validity token: a wrapping sum of generation counters
 /// over every input that feeds a route decision. Any routing-relevant
 /// mutation — a kernel route change, a tunnel-binding move, an interface
@@ -95,13 +122,9 @@ pub fn resolve_route(
     // directly bypass every table (and the cache — there is nothing to
     // look up).
     if let Some(iface) = forced_iface {
-        let src = match src_sel {
-            SourceSel::Addr(a) => a,
-            SourceSel::Unspecified => iface_src(host, iface, dst),
-        };
         return Some(RouteDecision {
             iface,
-            src,
+            src: source(host, src_sel, iface, dst),
             next_hop: dst,
             encap: None,
         });
@@ -158,41 +181,23 @@ fn resolve_route_uncached(
 
     // VIF tunnel entries (the home agent's encapsulating routes).
     if let Some(care_of) = host.core.tunnel_to(dst) {
-        let Some(rt) = host.core.routes.lookup(care_of) else {
+        let Some(mut decision) = tunnel_route(host, care_of) else {
             return (None, None, false);
         };
-        let outer_src = iface_src(host, rt.iface, care_of);
-        let src = match src_sel {
-            SourceSel::Addr(a) => a,
-            SourceSel::Unspecified => outer_src,
-        };
-        return (
-            Some(RouteDecision {
-                iface: rt.iface,
-                src,
-                next_hop: rt.gateway.unwrap_or(care_of),
-                encap: Some(EncapSpec {
-                    outer_src,
-                    outer_dst: care_of,
-                }),
-            }),
-            None,
-            cacheable,
-        );
+        if let SourceSel::Addr(a) = src_sel {
+            decision.src = a;
+        }
+        return (Some(decision), None, cacheable);
     }
 
     // The unmodified kernel routing table.
     let Some(rt) = host.core.routes.lookup(dst) else {
         return (None, None, false);
     };
-    let src = match src_sel {
-        SourceSel::Addr(a) => a,
-        SourceSel::Unspecified => iface_src(host, rt.iface, dst),
-    };
     (
         Some(RouteDecision {
             iface: rt.iface,
-            src,
+            src: source(host, src_sel, rt.iface, dst),
             next_hop: rt.gateway.unwrap_or(dst),
             encap: None,
         }),
@@ -524,33 +529,14 @@ fn forward(
     // host's home IP address must be encapsulated" routes (§3.1).
     let tunnel = sim.world().hosts[host.0].core.tunnel_to(packet.header.dst);
     if let Some(care_of) = tunnel {
-        let (rt, outer_src) = {
-            let h = &sim.world().hosts[host.0];
-            match h.core.routes.lookup(care_of) {
-                Some(rt) => {
-                    let src = iface_src(h, rt.iface, care_of);
-                    (rt, src)
-                }
-                None => {
-                    emit(sim, host, flight, "tunnel", Event::Drop(NoRoute));
-                    return;
-                }
-            }
+        let Some(route) = tunnel_route(&sim.world().hosts[host.0], care_of) else {
+            emit(sim, host, flight, "tunnel", Event::Drop(NoRoute));
+            return;
         };
         sim.world_mut().hosts[host.0].core.stats.forwarded.inc();
         emit(sim, host, flight, "tunnel", Event::Encap);
-        transmit_ip(
-            sim,
-            host,
-            rt.iface,
-            packet.into(),
-            Some(EncapSpec {
-                outer_src,
-                outer_dst: care_of,
-            }),
-            rt.gateway.unwrap_or(care_of),
-            flight,
-        );
+        let (iface, encap, next_hop) = (route.iface, route.encap, route.next_hop);
+        transmit_ip(sim, host, iface, packet.into(), encap, next_hop, flight);
         return;
     }
 

@@ -13,6 +13,7 @@ use mosquitonet_testbed::topology::{
 use mosquitonet_testbed::workload::{
     TcpEchoServer, TcpStreamClient, UdpEchoResponder, UdpEchoSender,
 };
+use mosquitonet_wire::Cidr;
 
 const ECHO_PORT: u16 = 7;
 
@@ -227,6 +228,64 @@ fn return_home_deregisters_and_restores_direct_path() {
     let before = sender(&mut tb, sender_mid).received();
     tb.run_for(SimDuration::from_secs(3));
     assert!(sender(&mut tb, sender_mid).received() > before + 25);
+}
+
+#[test]
+fn a_hot_return_home_loses_nothing() {
+    let mut tb = build(TestbedConfig::default());
+    let sender_mid = install_echo(&mut tb, SimDuration::from_millis(100));
+    let (eth, radio) = (tb.mh_eth, tb.mh_radio);
+    tb.power_up_mh_iface(radio);
+    tb.run_for(SimDuration::from_secs(2));
+
+    // Leave home onto the radio while the wire stays plugged in, then come
+    // back to the wire: neither move powers a device down.
+    let plan = SwitchPlan {
+        iface: radio,
+        address: AddressPlan::Static {
+            addr: COA_RADIO,
+            subnet: topology::radio_subnet(),
+            router: ROUTER_RADIO,
+        },
+        style: SwitchStyle::Hot,
+    };
+    tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
+    tb.run_for(SimDuration::from_secs(5));
+    let t0 = tb.sim.now();
+    tb.with_mh(|mh, ctx| mh.return_home(ctx, eth, SwitchStyle::Hot));
+    tb.run_for(SimDuration::from_secs(5));
+    let t1 = tb.sim.now();
+    tb.run_for(SimDuration::from_secs(1)); // let the last echoes land
+
+    let mh = tb.mh_module();
+    assert_eq!(mh.handoffs.get(), 2);
+    assert!(mh.away_status().is_none(), "home again");
+    assert!(
+        mh.timelines.iter().all(|t| t.iface_up.is_none()),
+        "a hot move powers no device up"
+    );
+    let now = tb.sim.now();
+    assert!(
+        tb.ha_module().bindings.get(MH_HOME, now).is_none(),
+        "binding removed on deregistration"
+    );
+    let core = &tb.sim.world().host(tb.mh).core;
+    assert!(
+        core.iface(eth).has_addr(MH_HOME),
+        "the wire carries the home address"
+    );
+    assert!(
+        !core
+            .routes
+            .entries()
+            .iter()
+            .any(|r| r.iface == radio && r.dest == Cidr::DEFAULT),
+        "only the wire carries the default route"
+    );
+    // The radio's own medium drops an echo while the host is away at this
+    // seed, so the window opens at the return.
+    let lost = sender(&mut tb, sender_mid).lost_in_window(t0, t1);
+    assert_eq!(lost, 0, "a hot return loses no echo");
 }
 
 #[test]
