@@ -21,10 +21,10 @@
 //!   unlike modulo hashing). Shrinking reassigns only the removed
 //!   shard's addresses. The `directory_*` proptests pin both.
 //!
-//! The directory travels on the wire as a
-//! [`DirectoryAnnounce`](crate::DirectoryAnnounce) message (type 6, see
-//! `docs/PROTOCOL.md`), so mobile hosts and correspondents can learn
-//! the fleet map the same way they learn everything else: from UDP 434.
+//! The directory is configuration, not a message: each home agent gets
+//! it through `HomeAgentConfig::fleet` and denies registrations it
+//! assigns elsewhere. A sender learns nothing from the wire but that
+//! denial; it re-sends to its own shard's active agent.
 
 use std::net::Ipv4Addr;
 
@@ -112,14 +112,9 @@ impl ShardDirectory {
     }
 
     /// The directory's epoch: bumped by the operator on every fleet
-    /// resize, so stale announcements are recognizable.
+    /// resize, so stale configurations are recognizable.
     pub fn epoch(&self) -> u16 {
         self.epoch
-    }
-
-    /// The shard rows, in announcement order.
-    pub fn entries(&self) -> &[DirectoryEntry] {
-        &self.entries
     }
 
     /// Number of shards.
@@ -154,12 +149,6 @@ impl ShardDirectory {
     pub fn active_for(&self, home: Ipv4Addr) -> Ipv4Addr {
         let shard = self.resolve(home);
         self.entry(shard).expect("resolved shard exists").active
-    }
-
-    /// The standby home agent of `home`'s shard.
-    pub fn standby_for(&self, home: Ipv4Addr) -> Ipv4Addr {
-        let shard = self.resolve(home);
-        self.entry(shard).expect("resolved shard exists").standby
     }
 }
 
@@ -247,7 +236,6 @@ mod tests {
         let home = Ipv4Addr::new(36, 135, 0, 9);
         let e = dir.entry(dir.resolve(home)).unwrap();
         assert_eq!(dir.active_for(home), e.active);
-        assert_eq!(dir.standby_for(home), e.standby);
         assert_eq!(dir.len(), 3);
         assert!(!dir.is_empty());
         assert_eq!(dir.epoch(), 1);

@@ -17,7 +17,6 @@
 //! two differ in who decapsulates, not in how a registration is retried,
 //! signed, verified or renewed.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -238,10 +237,6 @@ impl Module for ForeignAgent {
             _ => {}
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The foreign-agent-dependent mobile host (IETF baseline): keeps its home
@@ -451,9 +446,5 @@ impl Module for FaMobileHost {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -20,7 +20,6 @@
 //! `docs/ha_recovery.md` tells that story and `docs/ha_fleet.md` the
 //! [`ShardDirectory`] check.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -569,10 +568,6 @@ impl Module for HomeAgent {
         payload: &Bytes,
     ) {
         self.machine.on_datagram(ctx.fx, ctx.now, src, payload);
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -52,9 +52,8 @@ pub use foreign_agent::{FaMobileHost, ForeignAgent, ForeignAgentConfig, ADVERTIS
 pub use home_agent::{HaEvent, HaStats, HomeAgent, HomeAgentConfig, HomeAgentMachine};
 pub use journal::{replay_into, BindingJournal, JournalRecord, ReplayStats};
 pub use messages::{
-    classify, keyed_digest, AgentAdvertisement, AuthExtension, BindingReplica, BindingUpdate,
-    DirectoryAnnounce, MessageKind, RegistrationReply, RegistrationRequest, ReplicaOp, ReplyCode,
-    AUTH_EXT_LEN, DIRECTORY_ENTRY_LEN, DIRECTORY_HEADER_LEN, IDENT_WIRE_BITS, REGISTRATION_PORT,
+    classify, AgentAdvertisement, BindingReplica, BindingUpdate, MessageKind, RegistrationReply,
+    RegistrationRequest, ReplicaOp, ReplyCode, AUTH_EXT_LEN, IDENT_WIRE_BITS, REGISTRATION_PORT,
     REPLICA_LEN, REPLY_IDENT_WIRE_BITS, REPLY_LEN, REQUEST_LEN,
 };
 pub use mobile::{

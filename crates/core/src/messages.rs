@@ -9,15 +9,19 @@
 //! the extension is here and off by default.
 //!
 //! A *binding update* message (used by the foreign-agent baseline's
-//! previous-FA forwarding, §5.1 "Packet loss") and the FA's *agent
-//! advertisement* are also defined here.
+//! previous-FA forwarding, §5.1 "Packet loss"), the home agents' *binding
+//! replica* and the FA's *agent advertisement* are also defined here.
+//!
+//! Every message is a type byte and a fixed body. Requests, replies and
+//! replicas end that body in a 16-bit Internet checksum; requests and
+//! replies may be followed by one authentication extension. `open` checks
+//! that framing for every parser and `seal` writes the trailer for every
+//! encoder.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
-use mosquitonet_wire::{internet_checksum, verify_checksum, AuthTlv, WireError};
-
-use crate::fleet::{DirectoryEntry, ShardDirectory};
+use mosquitonet_wire::{internet_checksum, need, verify_checksum, AuthTlv, WireError};
 
 /// UDP port for registration traffic (RFC 2002's 434).
 pub const REGISTRATION_PORT: u16 = 434;
@@ -63,6 +67,43 @@ fn ident_from_wire(b: &[u8]) -> u64 {
     u64::from_be_bytes([0, 0, b[0], b[1], b[2], b[3], b[4], b[5]])
 }
 
+/// Reads the IPv4 address at `buf[at..at + 4]`.
+fn addr_at(buf: &[u8], at: usize) -> Ipv4Addr {
+    Ipv4Addr::new(buf[at], buf[at + 1], buf[at + 2], buf[at + 3])
+}
+
+/// Reads the big-endian `u16` at `buf[at..at + 2]`.
+fn u16_at(buf: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([buf[at], buf[at + 1]])
+}
+
+/// The framing check every parser shares, in this order: at least `len`
+/// bytes, type byte `ty`, and — for a `summed` message — a valid body
+/// checksum in the last two of those `len` bytes.
+fn open(buf: &[u8], ty: u8, len: usize, summed: bool) -> Result<(), WireError> {
+    need(buf, len)?;
+    if buf[0] != ty {
+        return Err(WireError::UnknownValue {
+            field: "registration type",
+            value: u16::from(buf[0]),
+        });
+    }
+    if summed && !verify_checksum(&buf[..len], 0) {
+        return Err(WireError::BadChecksum);
+    }
+    Ok(())
+}
+
+/// The trailer every checksummed encoder writes: the 16-bit Internet
+/// checksum over `body`, then the authentication extension when present.
+fn seal(mut body: BytesMut, auth: Option<AuthTlv>) -> Bytes {
+    body.put_u16(internet_checksum(&body, 0));
+    if let Some(a) = auth {
+        a.encode_into(&mut body);
+    }
+    body.freeze()
+}
+
 /// Body length of a request, excluding the trailing checksum.
 const REQUEST_BODY_LEN: usize = REQUEST_LEN - 2;
 
@@ -90,6 +131,14 @@ pub enum ReplyCode {
 }
 
 impl ReplyCode {
+    const ALL: [ReplyCode; 5] = [
+        ReplyCode::Accepted,
+        ReplyCode::DeniedIdent,
+        ReplyCode::DeniedAuth,
+        ReplyCode::DeniedUnknownHome,
+        ReplyCode::DeniedLifetime,
+    ];
+
     fn number(self) -> u8 {
         match self {
             ReplyCode::Accepted => 0,
@@ -101,32 +150,14 @@ impl ReplyCode {
     }
 
     fn from_number(n: u8) -> Result<ReplyCode, WireError> {
-        Ok(match n {
-            0 => ReplyCode::Accepted,
-            133 => ReplyCode::DeniedIdent,
-            131 => ReplyCode::DeniedAuth,
-            136 => ReplyCode::DeniedUnknownHome,
-            134 => ReplyCode::DeniedLifetime,
-            other => {
-                return Err(WireError::UnknownValue {
-                    field: "reply code",
-                    value: u16::from(other),
-                })
-            }
-        })
+        ReplyCode::ALL
+            .into_iter()
+            .find(|c| c.number() == n)
+            .ok_or(WireError::UnknownValue {
+                field: "reply code",
+                value: u16::from(n),
+            })
     }
-}
-
-/// The optional authentication extension: a keyed digest over the message
-/// body. The MAC construction and TLV encoding live in the wire crate
-/// (see [`mosquitonet_wire::AuthTlv`]); this is the same type under the
-/// protocol's name for it.
-pub type AuthExtension = AuthTlv;
-
-/// Computes the keyed digest over `body` with `key` (the wire crate's
-/// [`mosquitonet_wire::keyed_mac`]).
-pub fn keyed_digest(body: &[u8], spi: u32, key: u64) -> u64 {
-    mosquitonet_wire::keyed_mac(body, spi, key)
 }
 
 /// A registration request (type 1): "please forward my packets to this
@@ -168,8 +199,8 @@ pub struct RegistrationRequest {
     pub care_of: Ipv4Addr,
     /// Monotonically increasing value for replay protection.
     pub ident: u64,
-    /// Optional authentication.
-    pub auth: Option<AuthExtension>,
+    /// Optional authentication: a keyed digest over the body.
+    pub auth: Option<AuthTlv>,
 }
 
 impl RegistrationRequest {
@@ -195,12 +226,7 @@ impl RegistrationRequest {
     /// (use [`RegistrationRequest::sign`]). The 16-bit Internet checksum
     /// over the body is appended before any extension.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = self.body_bytes();
-        buf.put_u16(internet_checksum(&buf, 0));
-        if let Some(a) = self.auth {
-            a.encode_into(&mut buf);
-        }
-        buf.freeze()
+        seal(self.body_bytes(), self.auth)
     }
 
     /// Attaches an authentication extension computed with `key`.
@@ -211,35 +237,18 @@ impl RegistrationRequest {
 
     /// Verifies the attached extension against `key`.
     pub fn verify(&self, key: u64) -> bool {
-        match self.auth {
-            None => false,
-            Some(a) => a.verify(&self.body_bytes(), key),
-        }
+        self.auth.is_some_and(|a| a.verify(&self.body_bytes(), key))
     }
 
     /// Parses from bytes, verifying the trailing body checksum.
     pub fn parse(buf: &[u8]) -> Result<RegistrationRequest, WireError> {
-        if buf.len() < REQUEST_LEN {
-            return Err(WireError::Truncated {
-                needed: REQUEST_LEN,
-                got: buf.len(),
-            });
-        }
-        if buf[0] != 1 {
-            return Err(WireError::UnknownValue {
-                field: "registration type",
-                value: u16::from(buf[0]),
-            });
-        }
-        if !verify_checksum(&buf[..REQUEST_LEN], 0) {
-            return Err(WireError::BadChecksum);
-        }
+        open(buf, 1, REQUEST_LEN, true)?;
         let auth = AuthTlv::parse_trailing(&buf[REQUEST_LEN..])?;
         Ok(RegistrationRequest {
-            lifetime: u16::from_be_bytes([buf[2], buf[3]]),
-            home_addr: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
-            home_agent: Ipv4Addr::new(buf[8], buf[9], buf[10], buf[11]),
-            care_of: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
+            lifetime: u16_at(buf, 2),
+            home_addr: addr_at(buf, 4),
+            home_agent: addr_at(buf, 8),
+            care_of: addr_at(buf, 12),
             ident: ident_from_wire(&buf[16..22]),
             auth,
         })
@@ -267,7 +276,7 @@ pub struct RegistrationReply {
     /// Optional authentication. A keyed home agent signs its replies so a
     /// mobile host can reject forged denials (an off-path attacker must
     /// not be able to knock down a binding by spoofing a `DeniedAuth`).
-    pub auth: Option<AuthExtension>,
+    pub auth: Option<AuthTlv>,
 }
 
 impl RegistrationReply {
@@ -289,12 +298,7 @@ impl RegistrationReply {
     /// request, so an unkeyed reply is byte-identical to the pre-auth
     /// layout).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = self.body_bytes();
-        buf.put_u16(internet_checksum(&buf, 0));
-        if let Some(a) = self.auth {
-            a.encode_into(&mut buf);
-        }
-        buf.freeze()
+        seal(self.body_bytes(), self.auth)
     }
 
     /// Attaches an authentication extension computed with `key`.
@@ -305,36 +309,19 @@ impl RegistrationReply {
 
     /// Verifies the attached extension against `key`.
     pub fn verify(&self, key: u64) -> bool {
-        match self.auth {
-            None => false,
-            Some(a) => a.verify(&self.body_bytes(), key),
-        }
+        self.auth.is_some_and(|a| a.verify(&self.body_bytes(), key))
     }
 
     /// Parses from bytes, verifying the trailing body checksum.
     pub fn parse(buf: &[u8]) -> Result<RegistrationReply, WireError> {
-        if buf.len() < REPLY_LEN {
-            return Err(WireError::Truncated {
-                needed: REPLY_LEN,
-                got: buf.len(),
-            });
-        }
-        if buf[0] != 3 {
-            return Err(WireError::UnknownValue {
-                field: "registration type",
-                value: u16::from(buf[0]),
-            });
-        }
-        if !verify_checksum(&buf[..REPLY_LEN], 0) {
-            return Err(WireError::BadChecksum);
-        }
+        open(buf, 3, REPLY_LEN, true)?;
         let auth = AuthTlv::parse_trailing(&buf[REPLY_LEN..])?;
         Ok(RegistrationReply {
             code: ReplyCode::from_number(buf[1])?,
-            lifetime: u16::from_be_bytes([buf[2], buf[3]]),
-            home_addr: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
-            home_agent: Ipv4Addr::new(buf[8], buf[9], buf[10], buf[11]),
-            epoch: u16::from_be_bytes([buf[12], buf[13]]),
+            lifetime: u16_at(buf, 2),
+            home_addr: addr_at(buf, 4),
+            home_agent: addr_at(buf, 8),
+            epoch: u16_at(buf, 12),
             ident: u64::from(u32::from_be_bytes([buf[14], buf[15], buf[16], buf[17]])),
             auth,
         })
@@ -367,22 +354,11 @@ impl BindingUpdate {
 
     /// Parses from bytes.
     pub fn parse(buf: &[u8]) -> Result<BindingUpdate, WireError> {
-        if buf.len() < 12 {
-            return Err(WireError::Truncated {
-                needed: 12,
-                got: buf.len(),
-            });
-        }
-        if buf[0] != 4 {
-            return Err(WireError::UnknownValue {
-                field: "registration type",
-                value: u16::from(buf[0]),
-            });
-        }
+        open(buf, 4, 12, false)?;
         Ok(BindingUpdate {
-            lifetime: u16::from_be_bytes([buf[2], buf[3]]),
-            home_addr: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
-            new_care_of: Ipv4Addr::new(buf[8], buf[9], buf[10], buf[11]),
+            lifetime: u16_at(buf, 2),
+            home_addr: addr_at(buf, 4),
+            new_care_of: addr_at(buf, 8),
         })
     }
 }
@@ -404,6 +380,8 @@ pub enum ReplicaOp {
 }
 
 impl ReplicaOp {
+    const ALL: [ReplicaOp; 2] = [ReplicaOp::Bind, ReplicaOp::Unbind];
+
     fn number(self) -> u8 {
         match self {
             ReplicaOp::Bind => 0,
@@ -412,16 +390,13 @@ impl ReplicaOp {
     }
 
     fn from_number(n: u8) -> Result<ReplicaOp, WireError> {
-        Ok(match n {
-            0 => ReplicaOp::Bind,
-            1 => ReplicaOp::Unbind,
-            other => {
-                return Err(WireError::UnknownValue {
-                    field: "replica op",
-                    value: u16::from(other),
-                })
-            }
-        })
+        ReplicaOp::ALL
+            .into_iter()
+            .find(|op| op.number() == n)
+            .ok_or(WireError::UnknownValue {
+                field: "replica op",
+                value: u16::from(n),
+            })
     }
 }
 
@@ -456,32 +431,17 @@ impl BindingReplica {
         buf.put_slice(&self.care_of.octets());
         buf.put_slice(&ident_wire(self.ident).to_be_bytes()[2..]);
         debug_assert_eq!(buf.len(), REPLICA_BODY_LEN);
-        buf.put_u16(internet_checksum(&buf, 0));
-        buf.freeze()
+        seal(buf, None)
     }
 
     /// Parses from bytes, verifying the trailing body checksum.
     pub fn parse(buf: &[u8]) -> Result<BindingReplica, WireError> {
-        if buf.len() < REPLICA_LEN {
-            return Err(WireError::Truncated {
-                needed: REPLICA_LEN,
-                got: buf.len(),
-            });
-        }
-        if buf[0] != 5 {
-            return Err(WireError::UnknownValue {
-                field: "registration type",
-                value: u16::from(buf[0]),
-            });
-        }
-        if !verify_checksum(&buf[..REPLICA_LEN], 0) {
-            return Err(WireError::BadChecksum);
-        }
+        open(buf, 5, REPLICA_LEN, true)?;
         Ok(BindingReplica {
             op: ReplicaOp::from_number(buf[1])?,
-            lifetime: u16::from_be_bytes([buf[2], buf[3]]),
-            home_addr: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
-            care_of: Ipv4Addr::new(buf[8], buf[9], buf[10], buf[11]),
+            lifetime: u16_at(buf, 2),
+            home_addr: addr_at(buf, 4),
+            care_of: addr_at(buf, 8),
             ident: ident_from_wire(&buf[12..18]),
         })
     }
@@ -510,132 +470,10 @@ impl AgentAdvertisement {
 
     /// Parses from bytes.
     pub fn parse(buf: &[u8]) -> Result<AgentAdvertisement, WireError> {
-        if buf.len() < 8 {
-            return Err(WireError::Truncated {
-                needed: 8,
-                got: buf.len(),
-            });
-        }
-        if buf[0] != 16 {
-            return Err(WireError::UnknownValue {
-                field: "registration type",
-                value: u16::from(buf[0]),
-            });
-        }
+        open(buf, 16, 8, false)?;
         Ok(AgentAdvertisement {
-            seq: u16::from_be_bytes([buf[2], buf[3]]),
-            agent_addr: Ipv4Addr::new(buf[4], buf[5], buf[6], buf[7]),
-        })
-    }
-}
-
-/// Fixed length of a [`DirectoryAnnounce`] header: type, entry count,
-/// and the 16-bit fleet epoch.
-pub const DIRECTORY_HEADER_LEN: usize = 4;
-
-/// Wire length of one [`DirectoryEntry`] in a [`DirectoryAnnounce`]:
-/// 16-bit shard id plus the active and standby IPv4 addresses.
-pub const DIRECTORY_ENTRY_LEN: usize = 10;
-
-/// A shard-directory announcement (type 6): the fleet map of the
-/// sharded home-agent deployment (see `docs/ha_fleet.md`). Carries the
-/// directory epoch and one row per shard — stable shard id plus the
-/// (active, standby) home-agent pair — so mobile hosts and
-/// correspondents can resolve the owning shard of any home address with
-/// [`ShardDirectory::resolve`](crate::ShardDirectory::resolve). Like
-/// every message that changes routing behavior it ends in a 16-bit
-/// Internet checksum over the whole body.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DirectoryAnnounce {
-    /// The fleet epoch this map belongs to (bumped on every resize).
-    pub epoch: u16,
-    /// One row per shard, in shard order.
-    pub entries: Vec<DirectoryEntry>,
-}
-
-impl DirectoryAnnounce {
-    /// The announcement for `directory`'s current map.
-    pub fn from_directory(directory: &ShardDirectory) -> DirectoryAnnounce {
-        DirectoryAnnounce {
-            epoch: directory.epoch(),
-            entries: directory.entries().to_vec(),
-        }
-    }
-
-    /// Rebuilds a resolvable [`ShardDirectory`] from the announcement.
-    /// Fails (the directory constructor panics) on duplicate shard ids,
-    /// so parse-then-convert of attacker bytes should check `entries`
-    /// first; returns `None` on an empty map.
-    pub fn to_directory(&self) -> Option<ShardDirectory> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let mut seen = std::collections::HashSet::new();
-        if !self.entries.iter().all(|e| seen.insert(e.shard)) {
-            return None;
-        }
-        Some(ShardDirectory::new(
-            self.epoch,
-            self.entries.iter().copied(),
-        ))
-    }
-
-    /// Serializes to bytes, appending the 16-bit body checksum.
-    pub fn to_bytes(&self) -> Bytes {
-        assert!(self.entries.len() <= u8::MAX as usize, "directory too wide");
-        let mut buf = BytesMut::with_capacity(
-            DIRECTORY_HEADER_LEN + self.entries.len() * DIRECTORY_ENTRY_LEN + 2,
-        );
-        buf.put_u8(6);
-        buf.put_u8(self.entries.len() as u8);
-        buf.put_u16(self.epoch);
-        for e in &self.entries {
-            buf.put_u16(e.shard);
-            buf.put_slice(&e.active.octets());
-            buf.put_slice(&e.standby.octets());
-        }
-        buf.put_u16(internet_checksum(&buf, 0));
-        buf.freeze()
-    }
-
-    /// Parses from bytes, verifying the trailing body checksum.
-    pub fn parse(buf: &[u8]) -> Result<DirectoryAnnounce, WireError> {
-        if buf.len() < DIRECTORY_HEADER_LEN + 2 {
-            return Err(WireError::Truncated {
-                needed: DIRECTORY_HEADER_LEN + 2,
-                got: buf.len(),
-            });
-        }
-        if buf[0] != 6 {
-            return Err(WireError::UnknownValue {
-                field: "registration type",
-                value: u16::from(buf[0]),
-            });
-        }
-        let count = usize::from(buf[1]);
-        let total = DIRECTORY_HEADER_LEN + count * DIRECTORY_ENTRY_LEN + 2;
-        if buf.len() < total {
-            return Err(WireError::Truncated {
-                needed: total,
-                got: buf.len(),
-            });
-        }
-        if !verify_checksum(&buf[..total], 0) {
-            return Err(WireError::BadChecksum);
-        }
-        let entries = (0..count)
-            .map(|i| {
-                let b = &buf[DIRECTORY_HEADER_LEN + i * DIRECTORY_ENTRY_LEN..];
-                DirectoryEntry {
-                    shard: u16::from_be_bytes([b[0], b[1]]),
-                    active: Ipv4Addr::new(b[2], b[3], b[4], b[5]),
-                    standby: Ipv4Addr::new(b[6], b[7], b[8], b[9]),
-                }
-            })
-            .collect();
-        Ok(DirectoryAnnounce {
-            epoch: u16::from_be_bytes([buf[2], buf[3]]),
-            entries,
+            seq: u16_at(buf, 2),
+            agent_addr: addr_at(buf, 4),
         })
     }
 }
@@ -651,8 +489,6 @@ pub enum MessageKind {
     Update,
     /// A [`BindingReplica`].
     Replica,
-    /// A [`DirectoryAnnounce`].
-    Directory,
     /// An [`AgentAdvertisement`].
     Advertisement,
 }
@@ -664,7 +500,6 @@ pub fn classify(buf: &[u8]) -> Option<MessageKind> {
         3 => Some(MessageKind::Reply),
         4 => Some(MessageKind::Update),
         5 => Some(MessageKind::Replica),
-        6 => Some(MessageKind::Directory),
         16 => Some(MessageKind::Advertisement),
         _ => None,
     }
@@ -772,13 +607,7 @@ mod tests {
 
     #[test]
     fn reply_round_trip_all_codes() {
-        for code in [
-            ReplyCode::Accepted,
-            ReplyCode::DeniedIdent,
-            ReplyCode::DeniedAuth,
-            ReplyCode::DeniedUnknownHome,
-            ReplyCode::DeniedLifetime,
-        ] {
+        for code in ReplyCode::ALL {
             let r = RegistrationReply {
                 code,
                 lifetime: 120,
@@ -858,61 +687,6 @@ mod tests {
         ));
     }
 
-    fn directory() -> DirectoryAnnounce {
-        DirectoryAnnounce {
-            epoch: 1,
-            entries: (0..2)
-                .map(|s| DirectoryEntry {
-                    shard: s,
-                    active: Ipv4Addr::new(36, 135 + s as u8, 0, 2),
-                    standby: Ipv4Addr::new(36, 135 + s as u8, 0, 3),
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn directory_announce_round_trip() {
-        let d = directory();
-        assert_eq!(DirectoryAnnounce::parse(&d.to_bytes()).unwrap(), d);
-        assert_eq!(classify(&d.to_bytes()), Some(MessageKind::Directory));
-        let dir = d.to_directory().expect("valid map");
-        assert_eq!(dir.epoch(), 1);
-        assert_eq!(dir.entries(), d.entries.as_slice());
-        assert_eq!(DirectoryAnnounce::from_directory(&dir), d);
-    }
-
-    #[test]
-    fn corrupt_directory_announce_fails_checksum() {
-        let clean = directory().to_bytes().to_vec();
-        // Every single-bit flip past the type byte is caught by the
-        // checksum or the framing.
-        for byte in 1..clean.len() {
-            for bit in 0..8 {
-                let mut b = clean.clone();
-                b[byte] ^= 1 << bit;
-                assert!(
-                    DirectoryAnnounce::parse(&b).is_err(),
-                    "flip at byte {byte} bit {bit} accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn directory_announce_rejects_duplicate_or_empty_maps() {
-        let mut dup = directory();
-        dup.entries[1].shard = dup.entries[0].shard;
-        assert!(dup.to_directory().is_none(), "duplicate shard ids refused");
-        let empty = DirectoryAnnounce {
-            epoch: 0,
-            entries: Vec::new(),
-        };
-        assert!(empty.to_directory().is_none(), "empty map refused");
-        // But the empty announcement still round-trips on the wire.
-        assert_eq!(DirectoryAnnounce::parse(&empty.to_bytes()).unwrap(), empty);
-    }
-
     #[test]
     fn binding_update_round_trip() {
         let u = BindingUpdate {
@@ -945,6 +719,7 @@ mod tests {
             auth: None,
         };
         assert_eq!(classify(&reply.to_bytes()), Some(MessageKind::Reply));
+        assert_eq!(classify(&[6]), None, "type 6 is not a message");
         assert_eq!(classify(&[99]), None);
         assert_eq!(classify(&[]), None);
     }
@@ -994,19 +769,5 @@ mod tests {
         .sign(7, 0x4141_4141); // attacker's guess at the key
         let back = RegistrationReply::parse(&forged.to_bytes()).unwrap();
         assert!(!back.verify(0xdead_beef));
-    }
-
-    #[test]
-    fn digest_depends_on_key_spi_and_body() {
-        let body = b"registration body";
-        let d1 = keyed_digest(body, 1, 100);
-        assert_ne!(d1, keyed_digest(body, 1, 101), "key matters");
-        assert_ne!(d1, keyed_digest(body, 2, 100), "spi matters");
-        assert_ne!(
-            d1,
-            keyed_digest(b"registration bodz", 1, 100),
-            "body matters"
-        );
-        assert_eq!(d1, keyed_digest(body, 1, 100), "deterministic");
     }
 }

@@ -11,7 +11,6 @@
 //! the latter handled by the stack, which replies from whichever address
 //! was pinged).
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -999,10 +998,6 @@ impl Module for MobileHost {
 
     fn route_generation(&self) -> Option<u64> {
         Some(self.route_gen.wrapping_add(self.policy.generation()))
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

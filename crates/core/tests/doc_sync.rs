@@ -7,10 +7,9 @@ use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_core::{
-    classify, AgentAdvertisement, BindingReplica, BindingUpdate, DirectoryAnnounce, DirectoryEntry,
-    MessageKind, RegistrationReply, RegistrationRequest, ReplicaOp, ReplyCode, AUTH_EXT_LEN,
-    DIRECTORY_ENTRY_LEN, DIRECTORY_HEADER_LEN, IDENT_WIRE_BITS, REGISTRATION_PORT, REPLICA_LEN,
-    REPLY_IDENT_WIRE_BITS, REPLY_LEN, REQUEST_LEN,
+    classify, AgentAdvertisement, BindingReplica, BindingUpdate, MessageKind, RegistrationReply,
+    RegistrationRequest, ReplicaOp, ReplyCode, AUTH_EXT_LEN, IDENT_WIRE_BITS, REGISTRATION_PORT,
+    REPLICA_LEN, REPLY_IDENT_WIRE_BITS, REPLY_LEN, REQUEST_LEN,
 };
 use mosquitonet_wire::{internet_checksum, WireError, AUTH_TLV_LEN, AUTH_TLV_TYPE};
 use proptest::prelude::*;
@@ -141,28 +140,6 @@ fn doc_protocol_sync_examples_match_encoders() {
     .to_bytes();
     assert_eq!(example(&text, "advertisement"), advert.as_ref());
     assert_eq!(advert.len(), 8);
-
-    let directory = DirectoryAnnounce {
-        epoch: 1,
-        entries: vec![
-            DirectoryEntry {
-                shard: 0,
-                active: AGENT,
-                standby: Ipv4Addr::new(36, 135, 0, 3),
-            },
-            DirectoryEntry {
-                shard: 1,
-                active: Ipv4Addr::new(36, 136, 0, 2),
-                standby: Ipv4Addr::new(36, 136, 0, 3),
-            },
-        ],
-    }
-    .to_bytes();
-    assert_eq!(example(&text, "directory"), directory.as_ref());
-    assert_eq!(
-        directory.len(),
-        DIRECTORY_HEADER_LEN + 2 * DIRECTORY_ENTRY_LEN + 2
-    );
 }
 
 #[test]
@@ -197,9 +174,6 @@ fn doc_protocol_sync_tables_state_the_real_constants() {
         // The extension trails the fixed layout.
         format!("| {REQUEST_LEN} | {AUTH_EXT_LEN} | authentication extension (optional, below) |"),
         format!("| {REPLY_LEN} | {AUTH_EXT_LEN} | authentication extension (optional) |"),
-        // The shard-directory announcement.
-        format!("{DIRECTORY_HEADER_LEN}-byte header"),
-        format!("{DIRECTORY_ENTRY_LEN} bytes per entry"),
     ] {
         assert!(
             text.contains(&needed),
@@ -210,14 +184,13 @@ fn doc_protocol_sync_tables_state_the_real_constants() {
 }
 
 /// Every `doc-sync` example in the document.
-const EXAMPLES: [&str; 8] = [
+const EXAMPLES: [&str; 7] = [
     "request-unsigned",
     "request-signed",
     "reply-unsigned",
     "reply-signed",
     "update",
     "replica",
-    "directory",
     "advertisement",
 ];
 
@@ -248,16 +221,13 @@ fn reserved_fields(text: &str) -> Vec<(u8, usize, usize)> {
 }
 
 /// Rewrites the trailing body checksum of a checksummed message (types 1,
-/// 3, 5 and 6) so it matches the bytes before it, when `buf` is long
-/// enough to hold it.
+/// 3 and 5) so it matches the bytes before it, when `buf` is long enough
+/// to hold it.
 fn reseal(buf: &mut [u8]) {
     let at = match buf.first() {
         Some(1) => REQUEST_LEN - 2,
         Some(3) => REPLY_LEN - 2,
         Some(5) => REPLICA_LEN - 2,
-        Some(6) if buf.len() > 1 => {
-            DIRECTORY_HEADER_LEN + usize::from(buf[1]) * DIRECTORY_ENTRY_LEN
-        }
         _ => return,
     };
     if buf.len() >= at + 2 {
@@ -340,12 +310,6 @@ fn resealed_mutations_of_the_doc_examples_parse_consistently() {
                 BindingReplica::to_bytes,
             ),
             verdict(
-                MessageKind::Directory,
-                &data,
-                DirectoryAnnounce::parse,
-                DirectoryAnnounce::to_bytes,
-            ),
-            verdict(
                 MessageKind::Advertisement,
                 &data,
                 AgentAdvertisement::parse,
@@ -377,7 +341,7 @@ fn resealed_mutations_of_the_doc_examples_parse_consistently() {
     }
     assert_eq!(
         successes.len(),
-        6,
+        5,
         "every parser succeeds somewhere: {successes:?}"
     );
 }

@@ -95,10 +95,6 @@ impl Module for PolicyModule {
     fn route_generation(&self) -> Option<u64> {
         Some(self.route_gen.wrapping_add(self.policy.generation()))
     }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 fn build_host() -> Host {

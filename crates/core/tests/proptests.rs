@@ -7,9 +7,9 @@ use std::net::Ipv4Addr;
 
 use mosquitonet_core::{
     classify, replay_into, AgentAdvertisement, BindOutcome, BindingJournal, BindingReplica,
-    BindingTable, BindingUpdate, DirectoryAnnounce, DirectoryEntry, JournalRecord,
-    MobilePolicyTable, PolicyEntry, RegistrationReply, RegistrationRequest, ReplayStats, ReplyCode,
-    SendMode, ShardDirectory, IDENT_WIRE_BITS, REPLY_IDENT_WIRE_BITS,
+    BindingTable, BindingUpdate, DirectoryEntry, JournalRecord, MessageKind, MobilePolicyTable,
+    PolicyEntry, RegistrationReply, RegistrationRequest, ReplayStats, ReplyCode, SendMode,
+    ShardDirectory, IDENT_WIRE_BITS, REPLY_IDENT_WIRE_BITS,
 };
 use mosquitonet_sim::{SimDuration, SimTime};
 use mosquitonet_wire::Cidr;
@@ -225,49 +225,15 @@ proptest! {
     fn parsers_never_panic_and_classify_is_consistent(
         data in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let req = RegistrationRequest::parse(&data);
-        let rep = RegistrationReply::parse(&data);
-        let upd = BindingUpdate::parse(&data);
-        let adv = AgentAdvertisement::parse(&data);
-        let repl = BindingReplica::parse(&data);
-        let dir = DirectoryAnnounce::parse(&data);
-        match classify(&data) {
-            Some(mosquitonet_core::MessageKind::Request) => {
-                prop_assert!(
-                    rep.is_err() && upd.is_err() && adv.is_err() && repl.is_err() && dir.is_err()
-                );
-            }
-            Some(mosquitonet_core::MessageKind::Reply) => {
-                prop_assert!(
-                    req.is_err() && upd.is_err() && adv.is_err() && repl.is_err() && dir.is_err()
-                );
-            }
-            Some(mosquitonet_core::MessageKind::Update) => {
-                prop_assert!(
-                    req.is_err() && rep.is_err() && adv.is_err() && repl.is_err() && dir.is_err()
-                );
-            }
-            Some(mosquitonet_core::MessageKind::Advertisement) => {
-                prop_assert!(
-                    req.is_err() && rep.is_err() && upd.is_err() && repl.is_err() && dir.is_err()
-                );
-            }
-            Some(mosquitonet_core::MessageKind::Replica) => {
-                prop_assert!(
-                    req.is_err() && rep.is_err() && upd.is_err() && adv.is_err() && dir.is_err()
-                );
-            }
-            Some(mosquitonet_core::MessageKind::Directory) => {
-                prop_assert!(
-                    req.is_err() && rep.is_err() && upd.is_err() && adv.is_err() && repl.is_err()
-                );
-            }
-            None => {
-                prop_assert!(
-                    req.is_err() && rep.is_err() && upd.is_err() && adv.is_err() && repl.is_err()
-                        && dir.is_err()
-                );
-            }
+        let parsed = [
+            (MessageKind::Request, RegistrationRequest::parse(&data).is_ok()),
+            (MessageKind::Reply, RegistrationReply::parse(&data).is_ok()),
+            (MessageKind::Update, BindingUpdate::parse(&data).is_ok()),
+            (MessageKind::Replica, BindingReplica::parse(&data).is_ok()),
+            (MessageKind::Advertisement, AgentAdvertisement::parse(&data).is_ok()),
+        ];
+        for (kind, ok) in parsed {
+            prop_assert!(!ok || classify(&data) == Some(kind), "{:?} parses {:02x?}", kind, data);
         }
     }
 

@@ -4,7 +4,6 @@
 //! care-of acquisition is one *step* of a hand-off (§3.1) whose completion
 //! it must observe; simple hosts use [`DhcpClientModule`].
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -401,10 +400,6 @@ impl Module for DhcpClientModule {
             let line = Line::new("dhcp bound {} on iface IfaceId({})");
             ctx.fx.trace(line.addr(lease.addr).num(self.iface.0 as u64));
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

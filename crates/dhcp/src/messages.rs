@@ -1,9 +1,27 @@
 //! The DHCP wire format (simplified, fixed-size).
+//!
+//! Every message is [`DHCP_MESSAGE_LEN`] = 30 bytes, big-endian; bytes
+//! after them are ignored. A *reserved* byte is sent as zero and ignored
+//! on receipt, so re-encoding a parsed message gives back the 30 bytes it
+//! was parsed from with bytes 1 and 21 zeroed.
+//!
+//! | Offset | Size | Field |
+//! |---:|---:|---|
+//! | 0 | 1 | op: 1 discover, 2 offer, 3 request, 4 ack, 5 nak, 6 release |
+//! | 1 | 1 | reserved (0) |
+//! | 2 | 4 | transaction id |
+//! | 6 | 6 | client hardware address |
+//! | 12 | 4 | offered, requested or released address |
+//! | 16 | 4 | server address |
+//! | 20 | 1 | prefix length (0–32) |
+//! | 21 | 1 | reserved (0) |
+//! | 22 | 4 | default router |
+//! | 26 | 4 | lease (seconds) |
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
-use mosquitonet_wire::{Cidr, MacAddr, WireError};
+use mosquitonet_wire::{need, Cidr, MacAddr, WireError};
 
 /// UDP port the server listens on.
 pub const DHCP_SERVER_PORT: u16 = 67;
@@ -32,6 +50,15 @@ pub enum DhcpOp {
 }
 
 impl DhcpOp {
+    const ALL: [DhcpOp; 6] = [
+        DhcpOp::Discover,
+        DhcpOp::Offer,
+        DhcpOp::Request,
+        DhcpOp::Ack,
+        DhcpOp::Nak,
+        DhcpOp::Release,
+    ];
+
     fn number(self) -> u8 {
         match self {
             DhcpOp::Discover => 1,
@@ -44,20 +71,13 @@ impl DhcpOp {
     }
 
     fn from_number(n: u8) -> Result<DhcpOp, WireError> {
-        Ok(match n {
-            1 => DhcpOp::Discover,
-            2 => DhcpOp::Offer,
-            3 => DhcpOp::Request,
-            4 => DhcpOp::Ack,
-            5 => DhcpOp::Nak,
-            6 => DhcpOp::Release,
-            other => {
-                return Err(WireError::UnknownValue {
-                    field: "dhcp op",
-                    value: u16::from(other),
-                })
-            }
-        })
+        DhcpOp::ALL
+            .into_iter()
+            .find(|op| op.number() == n)
+            .ok_or(WireError::UnknownValue {
+                field: "dhcp op",
+                value: u16::from(n),
+            })
     }
 }
 
@@ -155,12 +175,7 @@ impl DhcpMessage {
 
     /// Parses from bytes.
     pub fn parse(buf: &[u8]) -> Result<DhcpMessage, WireError> {
-        if buf.len() < DHCP_MESSAGE_LEN {
-            return Err(WireError::Truncated {
-                needed: DHCP_MESSAGE_LEN,
-                got: buf.len(),
-            });
-        }
+        need(buf, DHCP_MESSAGE_LEN)?;
         let op = DhcpOp::from_number(buf[0])?;
         let prefix_len = buf[20];
         if prefix_len > 32 {
@@ -201,14 +216,7 @@ mod tests {
 
     #[test]
     fn round_trip_all_ops() {
-        for op in [
-            DhcpOp::Discover,
-            DhcpOp::Offer,
-            DhcpOp::Request,
-            DhcpOp::Ack,
-            DhcpOp::Nak,
-            DhcpOp::Release,
-        ] {
+        for op in DhcpOp::ALL {
             let mut m = offer();
             m.op = op;
             assert_eq!(DhcpMessage::parse(&m.to_bytes()).unwrap(), m);

@@ -1,6 +1,5 @@
 //! The DHCP server module.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -328,10 +327,6 @@ impl Module for DhcpServer {
             }
             DhcpOp::Offer | DhcpOp::Ack | DhcpOp::Nak => {} // server-to-client only
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -2,6 +2,7 @@
 //! lease-allocation invariants.
 
 use proptest::prelude::*;
+use proptest::{collection, TestRng};
 use std::net::Ipv4Addr;
 
 use mosquitonet_dhcp::{DhcpMessage, DhcpOp};
@@ -20,6 +21,80 @@ fn arb_op() -> impl Strategy<Value = DhcpOp> {
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
+}
+
+fn arb_message() -> impl Strategy<Value = DhcpMessage> {
+    (
+        (arb_op(), any::<u32>(), any::<[u8; 6]>()),
+        (arb_addr(), arb_addr(), 0u8..=32, arb_addr(), any::<u32>()),
+    )
+        .prop_map(
+            |((op, xid, mac), (yiaddr, server, prefix_len, router, lease_secs))| DhcpMessage {
+                op,
+                xid,
+                client_mac: MacAddr(mac),
+                yiaddr,
+                server,
+                prefix_len,
+                router,
+                lease_secs,
+            },
+        )
+}
+
+/// The message length and the two bytes the layout table in
+/// `dhcp::messages` marks reserved.
+const LEN: usize = 30;
+const RESERVED: [usize; 2] = [1, 21];
+
+/// Starts from random bytes or from the encoding of a discover, request,
+/// release or random message, then truncates, extends or overwrites it
+/// (the mutation `core`'s `doc_sync` applies to PROTOCOL.md's examples).
+/// Whatever parses must round-trip and re-encode to the 30 bytes it was
+/// parsed from, reserved bytes zeroed.
+#[test]
+fn mutated_messages_parse_consistently() {
+    let start = (0u8..5, collection::vec(any::<u8>(), 0..80), arb_message());
+    let edit = (0u8..3, any::<u64>(), collection::vec(any::<u8>(), 1..12));
+    let edits = collection::vec(edit, 1..4);
+    let mut rng = TestRng::from_name("mutated_messages_parse_consistently");
+    let mut parsed = 0;
+    for case in 0..4096 {
+        let (kind, random, m) = start.generate(&mut rng);
+        let encoded = match kind {
+            1 => DhcpMessage::discover(m.xid, m.client_mac),
+            2 => DhcpMessage::request(m.xid, m.client_mac, &m),
+            3 => DhcpMessage::release(m.xid, m.client_mac, m.yiaddr, m.server),
+            _ => m,
+        };
+        let mut data = match kind {
+            0 => random,
+            _ => encoded.to_bytes().to_vec(),
+        };
+        for (op, at, bytes) in edits.generate(&mut rng) {
+            match op {
+                0 => data.truncate(at as usize % (data.len() + 1)),
+                1 => data.extend_from_slice(&bytes),
+                _ if data.is_empty() => {}
+                _ => {
+                    let i = at as usize % data.len();
+                    data[i] = bytes[0];
+                }
+            }
+        }
+        let Ok(m) = DhcpMessage::parse(&data) else {
+            continue;
+        };
+        parsed += 1;
+        let encoded = m.to_bytes();
+        assert_eq!(DhcpMessage::parse(&encoded), Ok(m), "case {case}");
+        let mut expected = data[..LEN].to_vec();
+        for at in RESERVED {
+            expected[at] = 0;
+        }
+        assert_eq!(expected, encoded.as_ref(), "case {case}: {data:02x?}");
+    }
+    assert!(parsed >= 1_000, "only {parsed} of 4096 cases parse");
 }
 
 proptest! {

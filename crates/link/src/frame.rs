@@ -7,7 +7,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use mosquitonet_wire::{MacAddr, WireError};
+use mosquitonet_wire::{need, MacAddr, WireError};
 
 /// Frame header length (destination MAC, source MAC, EtherType).
 pub const FRAME_HEADER_LEN: usize = 14;
@@ -22,6 +22,8 @@ pub enum EtherType {
 }
 
 impl EtherType {
+    const ALL: [EtherType; 2] = [EtherType::Ipv4, EtherType::Arp];
+
     /// The on-wire type value.
     pub fn number(self) -> u16 {
         match self {
@@ -32,14 +34,13 @@ impl EtherType {
 
     /// Decodes a type value.
     pub fn from_number(n: u16) -> Result<EtherType, WireError> {
-        match n {
-            0x0800 => Ok(EtherType::Ipv4),
-            0x0806 => Ok(EtherType::Arp),
-            other => Err(WireError::UnknownValue {
+        EtherType::ALL
+            .into_iter()
+            .find(|t| t.number() == n)
+            .ok_or(WireError::UnknownValue {
                 field: "ethertype",
-                value: other,
-            }),
-        }
+                value: n,
+            })
     }
 }
 
@@ -105,12 +106,7 @@ impl Frame {
     /// `bytes` — the arriving frame's storage, shared rather than copied.
     pub fn parse(bytes: &Bytes) -> Result<Frame, WireError> {
         let buf: &[u8] = bytes;
-        if buf.len() < FRAME_HEADER_LEN {
-            return Err(WireError::Truncated {
-                needed: FRAME_HEADER_LEN,
-                got: buf.len(),
-            });
-        }
+        need(buf, FRAME_HEADER_LEN)?;
         let mac6 = |s: &[u8]| MacAddr([s[0], s[1], s[2], s[3], s[4], s[5]]);
         Ok(Frame {
             dst: mac6(&buf[0..6]),

@@ -85,11 +85,6 @@ impl Counter {
     pub fn reset(&self) {
         self.cell.set(0);
     }
-
-    /// True when both handles share one cell.
-    pub fn same_cell(&self, other: &Counter) -> bool {
-        Rc::ptr_eq(&self.cell, &other.cell)
-    }
 }
 
 impl fmt::Debug for Counter {
@@ -711,7 +706,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
-        assert!(a.same_cell(&b));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Hosts: the per-machine stack state plus installed protocol modules.
 
+use std::any::Any;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -236,14 +237,6 @@ impl HostCore {
         addr == Ipv4Addr::BROADCAST || self.ifaces.iter().any(|i| i.is_subnet_broadcast(addr))
     }
 
-    /// The interface holding `addr`, if any.
-    pub fn iface_with_addr(&self, addr: Ipv4Addr) -> Option<IfaceId> {
-        self.ifaces
-            .iter()
-            .position(|i| i.has_addr(addr))
-            .map(IfaceId)
-    }
-
     /// All subnets directly configured on this host (the transit filter's
     /// definition of "local").
     pub fn local_subnets(&self) -> impl Iterator<Item = Cidr> + '_ {
@@ -465,11 +458,10 @@ impl Host {
     ///
     /// Panics if the module is currently executing a callback.
     pub fn module_mut<T: Module>(&mut self, id: ModuleId) -> Option<&mut T> {
-        self.modules[id.0]
-            .as_mut()
-            .expect("module is executing")
-            .as_any()
-            .downcast_mut::<T>()
+        let module: &mut dyn Any = self.modules[id.0]
+            .as_deref_mut()
+            .expect("module is executing");
+        module.downcast_mut::<T>()
     }
 
     pub(crate) fn take_module(&mut self, id: ModuleId) -> Option<Box<dyn Module>> {
@@ -503,10 +495,6 @@ mod tests {
         );
         assert!(h.core.is_local_addr(Ipv4Addr::new(36, 135, 0, 9)));
         assert!(!h.core.is_local_addr(Ipv4Addr::new(36, 135, 0, 10)));
-        assert_eq!(
-            h.core.iface_with_addr(Ipv4Addr::new(36, 135, 0, 9)),
-            Some(eth)
-        );
     }
 
     #[test]

@@ -364,7 +364,8 @@ impl ModuleCtx<'_> {
 /// A piece of software running on a host.
 ///
 /// Default implementations make every hook optional; a module implements
-/// only what it needs. `as_any` enables the experiment harness to reach a
+/// only what it needs. The `Any` supertrait lets the experiment harness
+/// upcast a `&mut dyn Module` to `&mut dyn Any` and downcast it to the
 /// concrete module for inspection.
 #[allow(unused_variables)]
 pub trait Module: Any {
@@ -447,9 +448,6 @@ pub trait Module: Any {
     fn register_metrics(&self, scope: &MetricsScope) {
         let _ = scope;
     }
-
-    /// Dynamic downcast support for the experiment harness.
-    fn as_any(&mut self) -> &mut dyn Any;
 }
 
 #[cfg(test)]

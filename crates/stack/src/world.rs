@@ -1036,8 +1036,6 @@ mod tests {
 
     #[test]
     fn bring_iface_up_fires_module_hook_after_bring_up_time() {
-        use std::any::Any;
-
         struct Probe {
             up_at_ms: Option<u64>,
         }
@@ -1047,9 +1045,6 @@ mod tests {
             }
             fn on_iface_up(&mut self, ctx: &mut ModuleCtx<'_>, _iface: IfaceId) {
                 self.up_at_ms = Some(ctx.now.as_millis());
-            }
-            fn as_any(&mut self) -> &mut dyn Any {
-                self
             }
         }
 

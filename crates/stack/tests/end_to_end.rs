@@ -59,9 +59,6 @@ impl Module for EchoServer {
         self.echoed += 1;
         ctx.fx.send_udp(sock, src, payload.clone());
     }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A UDP client that sends `count` datagrams at an interval and counts
@@ -115,9 +112,6 @@ impl Module for EchoClient {
     ) {
         self.received += 1;
     }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Collects ICMP messages for assertions.
@@ -131,9 +125,6 @@ impl Module for IcmpProbe {
     }
     fn on_icmp(&mut self, _ctx: &mut ModuleCtx<'_>, from: Ipv4Addr, msg: &IcmpMessage) {
         self.replies.push((from, msg.clone()));
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -656,9 +647,6 @@ impl Module for TcpServerApp {
             _ => {}
         }
     }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct TcpClientApp {
@@ -692,9 +680,6 @@ impl Module for TcpClientApp {
             TcpEvent::Closed => self.closed = true,
             _ => {}
         }
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -742,9 +727,6 @@ fn effects_trace_lands_in_sim_trace() {
         }
         fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
             ctx.fx.trace("registration accepted coa=10.0.2.2");
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
     let mut t = two_nets();
@@ -917,9 +899,6 @@ impl Module for Recorder {
     ) {
         self.got.push(payload.clone());
     }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 const LOCAL_BURST: u64 = 5;
@@ -953,7 +932,11 @@ fn local_sends(port: u16, burst: bool) -> (Snapshot, LocalRun) {
     stack::start(&mut t.sim);
     let before = t.sim.metrics().snapshot();
     stack::dispatch(&mut t.sim, t.a, mid, |m, ctx| {
-        let sock = m.as_any().downcast_mut::<Recorder>().unwrap().sock.unwrap();
+        let sock = (m as &mut dyn Any)
+            .downcast_mut::<Recorder>()
+            .unwrap()
+            .sock
+            .unwrap();
         let dst = (ip("10.0.1.2"), port);
         if burst {
             ctx.fx

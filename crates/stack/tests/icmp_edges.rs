@@ -1,7 +1,6 @@
 //! Edge cases of the IP layer's error paths: TTL expiry, net unreachable,
 //! ARP resolution failure, decapsulation limits, and filter silence.
 
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -32,9 +31,6 @@ impl Module for IcmpLog {
     }
     fn on_icmp(&mut self, _ctx: &mut ModuleCtx<'_>, from: Ipv4Addr, msg: &IcmpMessage) {
         self.msgs.push((from, msg.clone()));
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

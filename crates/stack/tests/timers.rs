@@ -1,8 +1,6 @@
 //! Module-timer semantics: rearm replaces, cancel disarms, tokens are
 //! per-module namespaces.
 
-use std::any::Any;
-
 use mosquitonet_sim::{Sim, SimDuration};
 use mosquitonet_stack::{self as stack, Effect, Module, ModuleCtx, Network};
 
@@ -40,9 +38,6 @@ impl Module for TimerScript {
         if self.script == "chain" && self.fired.len() < 3 {
             ctx.fx.set_timer(SimDuration::from_millis(10), 7);
         }
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -101,9 +96,6 @@ fn tokens_are_namespaced_per_module() {
             assert_eq!(token, 1);
             assert!(self.fired_at.is_none(), "fired once");
             self.fired_at = Some(ctx.now.as_millis());
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
     let mut net = Network::new();

@@ -15,6 +15,7 @@
 //! Beside it, [`ShardedCampus`] wires one shard of the campus-over-backbone
 //! world the sharded experiments (S2, S3) partition across worker threads.
 
+use std::any::Any;
 use std::net::Ipv4Addr;
 
 use mosquitonet_core::{HomeAgent, HomeAgentConfig, MobileHost, MobileHostConfig};
@@ -808,8 +809,7 @@ impl Testbed {
     ) -> R {
         let (mh, mh_mod) = (self.mh, self.mh_mod);
         stack::dispatch(&mut self.sim, mh, mh_mod, |module, ctx| {
-            let m = module
-                .as_any()
+            let m = (module as &mut dyn Any)
                 .downcast_mut::<M>()
                 .unwrap_or_else(|| panic!("MH runs no {}", std::any::type_name::<M>()));
             f(m, ctx)

@@ -8,7 +8,6 @@
 //! sender keeps a per-sequence log so the harness can count losses inside
 //! any time window.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -180,10 +179,6 @@ impl Module for UdpEchoSender {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The mobile-host side: echoes every datagram back to its sender.
@@ -234,10 +229,6 @@ impl Module for UdpEchoResponder {
                 ..SendOptions::default()
             },
         );
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -290,10 +281,6 @@ impl Module for BulkSender {
             .send_udp(self.sock.expect("bound"), self.dst, Bytes::from(payload));
         ctx.fx.set_timer(self.gap, TOKEN_SEND);
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A TCP echo server (remote-login stand-in) for session-survival tests.
@@ -332,10 +319,6 @@ impl Module for TcpEchoServer {
             TcpEvent::PeerClosed => ctx.core.tcp_close(conn),
             _ => {}
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -424,10 +407,6 @@ impl Module for TcpStreamClient {
             TcpEvent::Reset => self.reset = true,
             _ => {}
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -530,10 +509,6 @@ impl Module for RegistrationAttacker {
                 self.denied.inc();
             }
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -645,10 +620,6 @@ impl Module for RegistrationStorm {
             }
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The S3 saturation sender: every tick, queues a whole burst of
@@ -725,10 +696,6 @@ impl Module for SaturationSender {
             ctx.fx.set_timer(self.interval, TOKEN_SEND);
         }
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The receiving end of a bulk transfer (C2) or a saturation flow (S3):
@@ -791,10 +758,6 @@ impl Module for SaturationSink {
             self.first_at = Some(ctx.now);
         }
         self.last_at = Some(ctx.now);
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1055,9 +1018,5 @@ impl Module for FleetChurn {
                 }
             }
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }

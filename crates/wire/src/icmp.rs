@@ -27,6 +27,13 @@ pub enum UnreachableCode {
 }
 
 impl UnreachableCode {
+    const ALL: [UnreachableCode; 4] = [
+        UnreachableCode::Net,
+        UnreachableCode::Host,
+        UnreachableCode::Port,
+        UnreachableCode::AdminProhibited,
+    ];
+
     fn code(self) -> u8 {
         match self {
             UnreachableCode::Net => 0,
@@ -37,18 +44,13 @@ impl UnreachableCode {
     }
 
     fn from_code(code: u8) -> Result<Self, WireError> {
-        Ok(match code {
-            0 => UnreachableCode::Net,
-            1 => UnreachableCode::Host,
-            3 => UnreachableCode::Port,
-            13 => UnreachableCode::AdminProhibited,
-            other => {
-                return Err(WireError::UnknownValue {
-                    field: "icmp unreachable code",
-                    value: u16::from(other),
-                })
-            }
-        })
+        UnreachableCode::ALL
+            .into_iter()
+            .find(|c| c.code() == code)
+            .ok_or(WireError::UnknownValue {
+                field: "icmp unreachable code",
+                value: u16::from(code),
+            })
     }
 }
 
@@ -251,12 +253,7 @@ mod tests {
 
     #[test]
     fn unreachable_round_trip_all_codes() {
-        for code in [
-            UnreachableCode::Net,
-            UnreachableCode::Host,
-            UnreachableCode::Port,
-            UnreachableCode::AdminProhibited,
-        ] {
+        for code in UnreachableCode::ALL {
             let msg = IcmpMessage::DestUnreachable {
                 code,
                 invoking: Bytes::from_static(&[0x45; 28]),

@@ -54,7 +54,7 @@ mod udp;
 pub use addr::{Cidr, MacAddr};
 pub use arp::{ArpOp, ArpPacket};
 pub use checksum::{internet_checksum, pseudo_header_sum, verify_checksum};
-pub use error::WireError;
+pub use error::{need, WireError};
 pub use icmp::{IcmpMessage, UnreachableCode};
 pub use igmp::{is_multicast, IgmpMessage, IGMP_LEN, IGMP_PROTO};
 pub use ipv4::{IpProto, Ipv4Header, Ipv4Packet, IPV4_HEADER_LEN};

@@ -193,27 +193,6 @@ impl<T> LpmTrie<T> {
         }
         best.map(|(len, v)| (Cidr::new(addr, len), v))
     }
-
-    /// Visits every `(prefix, value)` pair in depth-first (prefix) order.
-    pub fn for_each(&self, mut visit: impl FnMut(Cidr, &T)) {
-        Self::walk(&self.root, 0, 0, &mut visit);
-    }
-
-    fn walk(node: &Node<T>, word: u32, depth: u8, visit: &mut impl FnMut(Cidr, &T)) {
-        if let Some(v) = &node.value {
-            visit(Cidr::new(Ipv4Addr::from(word), depth), v);
-        }
-        for (bit, child) in node.children.iter().enumerate() {
-            if let Some(child) = child {
-                let word = if depth < 32 {
-                    word | ((bit as u32) << (31 - depth))
-                } else {
-                    word
-                };
-                Self::walk(child, word, depth + 1, visit);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -306,20 +285,6 @@ mod tests {
         assert!(g3 > g2);
         t.clear();
         assert!(t.generation() > g3);
-    }
-
-    #[test]
-    fn for_each_visits_all_prefixes() {
-        let mut t = LpmTrie::new();
-        for p in ["0.0.0.0/0", "36.8.0.0/24", "36.8.0.7/32", "171.64.0.0/16"] {
-            t.insert(c(p), p.to_string());
-        }
-        let mut seen = Vec::new();
-        t.for_each(|prefix, v| {
-            assert_eq!(prefix.to_string(), *v);
-            seen.push(prefix);
-        });
-        assert_eq!(seen.len(), 4);
     }
 
     #[test]

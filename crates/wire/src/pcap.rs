@@ -25,7 +25,7 @@
 //! assert_eq!(frames[0].bytes, vec![0xAA; 14]);
 //! ```
 
-use crate::error::WireError;
+use crate::error::{need, WireError};
 
 /// Classic pcap magic for microsecond timestamps, writer byte order.
 pub const PCAP_MAGIC: u32 = 0xa1b2_c3d4;
@@ -44,7 +44,6 @@ const VERSION: (u16, u16) = (2, 4);
 #[derive(Debug)]
 pub struct PcapWriter {
     out: Vec<u8>,
-    frames: usize,
 }
 
 impl Default for PcapWriter {
@@ -64,7 +63,7 @@ impl PcapWriter {
         out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
         out.extend_from_slice(&SNAPLEN.to_le_bytes());
         out.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-        PcapWriter { out, frames: 0 }
+        PcapWriter { out }
     }
 
     /// Appends one frame captured at `ts_us` microseconds since the
@@ -79,12 +78,6 @@ impl PcapWriter {
         self.out
             .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         self.out.extend_from_slice(&bytes[..len as usize]);
-        self.frames += 1;
-    }
-
-    /// Frames written so far.
-    pub fn frame_count(&self) -> usize {
-        self.frames
     }
 
     /// Finishes and returns the complete file image.
@@ -122,12 +115,7 @@ impl PcapReader {
 
     /// Parses a complete capture file including its header fields.
     pub fn parse_file(data: &[u8]) -> Result<PcapReader, WireError> {
-        if data.len() < 24 {
-            return Err(WireError::Truncated {
-                needed: 24,
-                got: data.len(),
-            });
-        }
+        need(data, 24)?;
         let magic_le = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
         let magic_be = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
         let big_endian = match (magic_le, magic_be) {
@@ -147,23 +135,13 @@ impl PcapReader {
         let mut frames = Vec::new();
         let mut at = 24usize;
         while at < data.len() {
-            if data.len() - at < 16 {
-                return Err(WireError::Truncated {
-                    needed: 16,
-                    got: data.len() - at,
-                });
-            }
+            need(&data[at..], 16)?;
             let ts_sec = u32_at(at) as u64;
             let ts_usec = u32_at(at + 4) as u64;
             let incl_len = u32_at(at + 8) as usize;
             let orig_len = u32_at(at + 12);
             at += 16;
-            if data.len() - at < incl_len {
-                return Err(WireError::Truncated {
-                    needed: incl_len,
-                    got: data.len() - at,
-                });
-            }
+            need(&data[at..], incl_len)?;
             frames.push(PcapFrame {
                 ts_us: ts_sec * 1_000_000 + ts_usec,
                 bytes: data[at..at + incl_len].to_vec(),
@@ -202,7 +180,6 @@ mod tests {
         for (ts, bytes) in &frames {
             w.frame(*ts, bytes);
         }
-        assert_eq!(w.frame_count(), 3);
         let file = w.finish();
         let parsed = PcapReader::parse(&file).expect("parse");
         assert_eq!(parsed.len(), frames.len());

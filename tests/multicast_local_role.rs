@@ -41,9 +41,6 @@ impl Module for GroupListener {
             self.received += 1;
         }
     }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Publishes to the group periodically on a pinned interface.
@@ -77,9 +74,6 @@ impl Module for GroupPublisher {
         if self.sent < 20 {
             ctx.fx.set_timer(SimDuration::from_millis(100), 1);
         }
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -187,8 +181,7 @@ fn leaving_the_group_stops_delivery() {
     tb.run_for(SimDuration::from_secs(1));
     // Leave mid-stream.
     stack::dispatch(&mut tb.sim, mh, listener, |m, ctx| {
-        let l = m
-            .as_any()
+        let l = (m as &mut dyn Any)
             .downcast_mut::<GroupListener>()
             .expect("listener");
         ctx.leave_multicast(l.iface, GROUP);
@@ -220,9 +213,6 @@ impl Module for Pinger {
         if matches!(msg, IcmpMessage::EchoReply { ident: 0x7e57, .. }) {
             self.replies += 1;
         }
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

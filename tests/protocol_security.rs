@@ -51,9 +51,6 @@ impl Module for Attacker {
             self.forged.to_bytes(),
         );
     }
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! home-role traffic — so a redirect steers direct traffic onto the
 //! better gateway without ever bending the tunnel.
 
+use std::any::Any;
 use std::net::Ipv4Addr;
 
 use mosquitonet::link::presets;
@@ -230,7 +231,9 @@ fn redirect_steers_local_role_but_not_the_tunnel() {
     // Move the MH to the visited LAN and register.
     sim.world_mut().move_iface(mh, mh_eth, Some(lan_visit));
     stack::dispatch(&mut sim, mh, mh_mod, |m, ctx| {
-        let m = m.as_any().downcast_mut::<MobileHost>().expect("mh");
+        let m = (m as &mut dyn Any)
+            .downcast_mut::<MobileHost>()
+            .expect("mh");
         m.start_switch(
             ctx,
             SwitchPlan {
@@ -250,7 +253,9 @@ fn redirect_steers_local_role_but_not_the_tunnel() {
     // goes via the default router, which forwards it back onto the
     // visited LAN via r2 — and sends a redirect.
     stack::dispatch(&mut sim, mh, mh_mod, |m, _| {
-        let m = m.as_any().downcast_mut::<MobileHost>().expect("mh");
+        let m = (m as &mut dyn Any)
+            .downcast_mut::<MobileHost>()
+            .expect("mh");
         m.policy
             .set(Cidr::host(ip("10.3.0.9")), SendMode::DirectLocal);
     });
