@@ -729,8 +729,11 @@ mod tests {
         /// that moved (`none` for an empty list).
         fn outcome(&mut self) -> String {
             let counted = self.registry.snapshot();
-            let delta = counted.diff(&self.counted);
-            let moved: Vec<&str> = delta.entries().iter().map(|e| &e.name()[4..]).collect();
+            let moved: Vec<&str> = counted
+                .iter()
+                .filter(|&(name, _)| counted.counter(name) != self.counted.counter(name))
+                .map(|(name, _)| &name[4..])
+                .collect();
             let words = std::mem::take(&mut self.words);
             let list = |items: Vec<&str>| match items.is_empty() {
                 true => "none".to_string(),

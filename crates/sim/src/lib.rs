@@ -50,8 +50,8 @@ pub use flightrec::{
 };
 pub use json::Json;
 pub use metrics::{
-    Counter, DeltaEntry, HistogramSnapshot, LatencyHistogram, MetricCell, MetricValue,
-    MetricsRegistry, MetricsScope, Snapshot, SnapshotDelta,
+    Counter, HistogramSnapshot, LatencyHistogram, MetricCell, MetricValue, MetricsRegistry,
+    MetricsScope, Snapshot,
 };
 pub use profile::Profiler;
 pub use rng::{IdHashMap, IdHashSet, SimRng};

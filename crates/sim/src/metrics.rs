@@ -14,9 +14,9 @@
 //!   cells. Components create their cells *detached* at construction time
 //!   and are bound into the registry later (`register_*`), which frees
 //!   callers from any create-then-register ordering.
-//! * [`Snapshot`] captures every value at an instant; [`Snapshot::diff`]
-//!   produces exact counter movements (with counter-reset detection) so
-//!   tests assert on deltas instead of grepping trace strings.
+//! * [`Snapshot`] captures every value at an instant; two snapshots'
+//!   [`Snapshot::counter`] readings give an exact movement, so tests
+//!   assert on deltas instead of grepping trace strings.
 //! * [`MetricsRegistry::to_json`] / [`Snapshot::to_json`] render the
 //!   machine-readable sidecar every experiment binary emits.
 //!
@@ -36,8 +36,8 @@
 //! let before = registry.snapshot();
 //! tx.inc();
 //! tx.add(2);
-//! let delta = registry.snapshot().diff(&before);
-//! assert_eq!(delta.counter_delta("mh/ip/tx"), 3);
+//! let after = registry.snapshot();
+//! assert_eq!(after.counter("mh/ip/tx") - before.counter("mh/ip/tx"), 3);
 //! ```
 
 use std::cell::{Cell, RefCell};
@@ -79,11 +79,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.cell.get()
-    }
-
-    /// Resets to zero (experiments that reuse a world between iterations).
-    pub fn reset(&self) {
-        self.cell.set(0);
     }
 }
 
@@ -416,7 +411,7 @@ impl MetricsScope {
     }
 }
 
-/// All metric values at one instant, diffable and exportable.
+/// All metric values at one instant, comparable and exportable.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     values: BTreeMap<String, MetricValue>,
@@ -513,75 +508,6 @@ impl Snapshot {
         self.values.is_empty()
     }
 
-    /// Exact metric movements since `earlier` (`self` is the later
-    /// snapshot). Counters that went *backwards* are flagged as resets and
-    /// their delta counts from zero.
-    pub fn diff(&self, earlier: &Snapshot) -> SnapshotDelta {
-        let mut entries = Vec::new();
-        for (name, after) in &self.values {
-            let before = earlier.values.get(name);
-            match (before, after) {
-                (Some(MetricValue::Counter(b)), MetricValue::Counter(a)) => {
-                    let reset = a < b;
-                    let delta = if reset { *a } else { a - b };
-                    if delta != 0 || reset {
-                        entries.push(DeltaEntry::Counter {
-                            name: name.clone(),
-                            before: *b,
-                            after: *a,
-                            delta,
-                            reset,
-                        });
-                    }
-                }
-                (None, MetricValue::Counter(a)) => {
-                    if *a != 0 {
-                        entries.push(DeltaEntry::Counter {
-                            name: name.clone(),
-                            before: 0,
-                            after: *a,
-                            delta: *a,
-                            reset: false,
-                        });
-                    }
-                }
-                (before, MetricValue::Histogram(a)) => {
-                    let before_total = match before {
-                        Some(MetricValue::Histogram(b)) => b.total,
-                        _ => 0,
-                    };
-                    let reset = a.total < before_total;
-                    let added = if reset {
-                        a.total
-                    } else {
-                        a.total - before_total
-                    };
-                    if added != 0 || reset {
-                        entries.push(DeltaEntry::Histogram {
-                            name: name.clone(),
-                            total_before: before_total,
-                            total_after: a.total,
-                            added,
-                            reset,
-                        });
-                    }
-                }
-                // Kind changed between snapshots: report as a reset of the
-                // new kind, counting from zero.
-                (Some(_), MetricValue::Counter(a)) => {
-                    entries.push(DeltaEntry::Counter {
-                        name: name.clone(),
-                        before: 0,
-                        after: *a,
-                        delta: *a,
-                        reset: true,
-                    });
-                }
-            }
-        }
-        SnapshotDelta { entries }
-    }
-
     /// Renders the snapshot as the sidecar JSON document.
     pub fn to_json(&self) -> Json {
         let metrics: Vec<(String, Json)> = self
@@ -607,83 +533,6 @@ impl Snapshot {
             ("schema", Json::from("mosquitonet.metrics/v1")),
             ("metrics", Json::Obj(metrics)),
         ])
-    }
-}
-
-/// One metric's movement between two snapshots.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DeltaEntry {
-    /// A counter moved (or reset).
-    Counter {
-        /// Metric path.
-        name: String,
-        /// Value in the earlier snapshot (0 if absent).
-        before: u64,
-        /// Value in the later snapshot.
-        after: u64,
-        /// Amount added; counts from zero after a reset.
-        delta: u64,
-        /// True when the counter went backwards (reset between snapshots).
-        reset: bool,
-    },
-    /// A histogram accumulated samples (or reset).
-    Histogram {
-        /// Metric path.
-        name: String,
-        /// Sample count in the earlier snapshot.
-        total_before: u64,
-        /// Sample count in the later snapshot.
-        total_after: u64,
-        /// Samples added; counts from zero after a reset.
-        added: u64,
-        /// True when the count went backwards (reset between snapshots).
-        reset: bool,
-    },
-}
-
-impl DeltaEntry {
-    /// The metric path this entry describes.
-    pub fn name(&self) -> &str {
-        match self {
-            DeltaEntry::Counter { name, .. } | DeltaEntry::Histogram { name, .. } => name,
-        }
-    }
-}
-
-/// The exact movements between two snapshots, sorted by metric path.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SnapshotDelta {
-    entries: Vec<DeltaEntry>,
-}
-
-impl SnapshotDelta {
-    /// Every metric that moved.
-    pub fn entries(&self) -> &[DeltaEntry] {
-        &self.entries
-    }
-
-    /// True when nothing moved.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The counter movement of `name` (0 when it didn't move).
-    pub fn counter_delta(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find_map(|e| match e {
-                DeltaEntry::Counter { name: n, delta, .. } if n == name => Some(*delta),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// True when `name` is flagged as reset.
-    pub fn was_reset(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| match e {
-            DeltaEntry::Counter { name: n, reset, .. }
-            | DeltaEntry::Histogram { name: n, reset, .. } => n == name && *reset,
-        })
     }
 }
 
@@ -753,74 +602,6 @@ mod tests {
         assert_eq!(s.total, 4);
         assert_eq!(s.sum_us, 40 + 100 + 999 + 5_000);
         assert_eq!(h.mean_us(), (40.0 + 100.0 + 999.0 + 5000.0) / 4.0);
-    }
-
-    #[test]
-    fn diff_reports_exact_movements() {
-        let r = MetricsRegistry::new();
-        let tx = r.counter("h/ip/tx");
-        let lat = r.histogram("h/reg/latency_us");
-        tx.add(2);
-        let before = r.snapshot();
-        tx.add(3);
-        lat.record(SimDuration::from_micros(150));
-        let delta = r.snapshot().diff(&before);
-        assert_eq!(delta.entries().len(), 2);
-        assert_eq!(delta.counter_delta("h/ip/tx"), 3);
-        assert!(!delta.was_reset("h/ip/tx"));
-        assert_eq!(
-            delta.entries(),
-            [
-                DeltaEntry::Counter {
-                    name: "h/ip/tx".into(),
-                    before: 2,
-                    after: 5,
-                    delta: 3,
-                    reset: false,
-                },
-                DeltaEntry::Histogram {
-                    name: "h/reg/latency_us".into(),
-                    total_before: 0,
-                    total_after: 1,
-                    added: 1,
-                    reset: false,
-                },
-            ]
-        );
-        assert_eq!(delta.counter_delta("h/reg/latency_us"), 0, "not a counter");
-    }
-
-    #[test]
-    fn diff_detects_counter_reset() {
-        let r = MetricsRegistry::new();
-        let tx = r.counter("h/ip/tx");
-        tx.add(10);
-        let before = r.snapshot();
-        tx.reset();
-        tx.add(4);
-        let delta = r.snapshot().diff(&before);
-        assert!(delta.was_reset("h/ip/tx"));
-        // After a reset the delta counts from zero.
-        assert_eq!(delta.counter_delta("h/ip/tx"), 4);
-        assert_eq!(
-            delta.entries(),
-            [DeltaEntry::Counter {
-                name: "h/ip/tx".into(),
-                before: 10,
-                after: 4,
-                delta: 4,
-                reset: true,
-            }]
-        );
-    }
-
-    #[test]
-    fn unchanged_metrics_are_omitted_from_diff() {
-        let r = MetricsRegistry::new();
-        r.counter("a").add(1);
-        let before = r.snapshot();
-        let delta = r.snapshot().diff(&before);
-        assert!(delta.is_empty());
     }
 
     #[test]

@@ -82,7 +82,10 @@ pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHashe
 /// A `HashSet` over [`IdHasher`]; build one with `IdHashSet::default()`.
 pub type IdHashSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<IdHasher>>;
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: advances `state` by the golden-ratio increment
+/// and returns [`mix64`] of it. Seeds [`SimRng`], and drives streams that
+/// must not draw from the engine's generator (the fleet churn workload).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     mix64(*state)
 }

@@ -9,7 +9,7 @@ use super::common::{default_testbed, radio_plan, summary_ms};
 use super::{with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{CH_DEPT, COA_RADIO, ROUTER_RADIO};
-use crate::workload::{BulkSender, SaturationSink, UdpEchoResponder, UdpEchoSender};
+use crate::workload::{SaturationSender, SaturationSink, UdpEchoResponder, UdpEchoSender};
 
 /// Result of the radio characterization (claim C2, §4).
 #[derive(Debug)]
@@ -77,8 +77,8 @@ pub fn run_c2(pings: u32, seed: u64) -> C2Result {
     let ch = tb.ch_dept;
     let sink_mid = stack::add_module(&mut tb.sim, ch, Box::new(SaturationSink::new(5001)));
     let mh = tb.mh;
-    let mut bulk = BulkSender::new((CH_DEPT, 5001), 500, 60);
-    bulk.gap = SimDuration::ZERO;
+    let mut bulk = SaturationSender::new((CH_DEPT, 5001), 1, SimDuration::ZERO, 60);
+    bulk.payload_len = 500;
     stack::add_module(&mut tb.sim, mh, Box::new(bulk));
     tb.run_for(SimDuration::from_secs(90));
     let sink: &mut SaturationSink = tb.module(ch, sink_mid);

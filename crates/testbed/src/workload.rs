@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::rng::mix64;
+use mosquitonet_sim::rng::splitmix64;
 use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{ConnId, Module, ModuleCtx, SendOptions, SocketId, TcpEvent};
 
@@ -229,57 +229,6 @@ impl Module for UdpEchoResponder {
                 ..SendOptions::default()
             },
         );
-    }
-}
-
-/// A one-way UDP bulk sender (radio-throughput characterization).
-pub struct BulkSender {
-    /// Destination.
-    pub dst: (Ipv4Addr, u16),
-    /// Payload bytes per datagram.
-    pub payload_len: usize,
-    /// Datagrams to send.
-    pub count: u64,
-    /// Gap between sends (0 = back-to-back; the device serializes anyway).
-    pub gap: SimDuration,
-    sent: u64,
-    sock: Option<SocketId>,
-}
-
-impl BulkSender {
-    /// Creates a bulk sender.
-    pub fn new(dst: (Ipv4Addr, u16), payload_len: usize, count: u64) -> BulkSender {
-        BulkSender {
-            dst,
-            payload_len,
-            count,
-            gap: SimDuration::from_millis(1),
-            sent: 0,
-            sock: None,
-        }
-    }
-}
-
-impl Module for BulkSender {
-    fn name(&self) -> &'static str {
-        "bulk-sender"
-    }
-
-    fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
-        self.sock = ctx.udp_bind(None, 0);
-        ctx.fx.set_timer(SimDuration::ZERO, TOKEN_SEND);
-    }
-
-    fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, _token: u64) {
-        if self.sent >= self.count {
-            return;
-        }
-        self.sent += 1;
-        let mut payload = vec![0xB5u8; self.payload_len];
-        payload[..8].copy_from_slice(&self.sent.to_be_bytes());
-        ctx.fx
-            .send_udp(self.sock.expect("bound"), self.dst, Bytes::from(payload));
-        ctx.fx.set_timer(self.gap, TOKEN_SEND);
     }
 }
 
@@ -626,7 +575,8 @@ impl Module for RegistrationStorm {
 /// sequence-stamped datagrams to one destination through the batched
 /// [`mosquitonet_stack::Effect::SendUdpBurst`] path, so the route is
 /// resolved once per burst and same-instant bursts across pairs drain as
-/// one engine batch.
+/// one engine batch. C2's bulk transfer is the degenerate case: bursts of
+/// one 500-byte datagram, ticking with no gap.
 pub struct SaturationSender {
     /// Destination (a [`SaturationSink`] port on the correspondent).
     pub dst: (Ipv4Addr, u16),
@@ -786,7 +736,7 @@ struct PendingReg {
 /// denies them (`drop.wrong_shard`); the churn module then re-sends to
 /// the true owner, charging the full detour to the measured latency.
 ///
-/// Sampling uses an inline SplitMix64 stream over integer fixed-point
+/// Sampling uses a private SplitMix64 stream over integer fixed-point
 /// Zipf prefix sums — no engine RNG, no floating point — so runs are
 /// byte-identical at every thread count.
 pub struct FleetChurn {
@@ -882,8 +832,7 @@ impl FleetChurn {
 
     /// One SplitMix64 draw from the module's private stream.
     fn rng_next(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix64(self.rng)
+        splitmix64(&mut self.rng)
     }
 
     /// Draws one home index under the Zipf law (binary search over the
