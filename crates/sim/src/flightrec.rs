@@ -21,9 +21,6 @@
 //! from a plain counter — never the engine RNG — so enabling the recorder
 //! cannot perturb a seeded run.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::json::Json;
 use crate::rng::IdHashMap;
 use crate::time::SimTime;
@@ -63,8 +60,8 @@ const EXPORT_TOP_HOPS: usize = 10;
 
 /// Bit position of the shard id inside namespaced flight ids: shard `s`
 /// allocates ids `(s << FLIGHT_SHARD_SHIFT) + 1, + 2, …`, so ids from
-/// different shards can never collide and a merged export sorts shard 0's
-/// flights first. Shard 0's ids are numerically identical to an
+/// different shards can never collide and a sharded document lists shard
+/// 0's flights first. Shard 0's ids are numerically identical to an
 /// unsharded run's.
 pub const FLIGHT_SHARD_SHIFT: u32 = 48;
 
@@ -108,7 +105,7 @@ impl HopAction {
     }
 }
 
-/// One hop as the ring, a [`FlightDump`] and the merge hold it: 24 bytes.
+/// One hop as the ring and a [`FlightDump`] hold it: 24 bytes.
 /// Its `seq` is its position (derived on read); `point` and `action` are
 /// ids into the [`Names`] of whoever holds the record.
 #[derive(Clone, Copy, Debug)]
@@ -147,6 +144,30 @@ fn named<T: Copy>(table: &[T], id: u8, overflow: T) -> T {
     table.get(id as usize).copied().unwrap_or(overflow)
 }
 
+impl Names {
+    /// `hop` as a reader sees it: its ids named, `seq` its position's.
+    fn view(&self, hop: &PackedHop, seq: u64) -> HopEvent {
+        HopEvent {
+            seq,
+            flight: hop.flight,
+            at: hop.at,
+            host: hop.host,
+            point: named(&self.points, hop.point, INTERN_OVERFLOW),
+            action: self.action(hop.action),
+        }
+    }
+
+    fn action(&self, id: u8) -> HopAction {
+        named(&self.actions, id, HopAction::Dropped(INTERN_OVERFLOW))
+    }
+}
+
+/// The label `flight` was begun with in `labels` (sorted by flight id).
+fn label_in(labels: &[(u64, &'static str)], flight: u64) -> Option<&'static str> {
+    let at = labels.binary_search_by_key(&flight, |&(f, _)| f).ok()?;
+    Some(labels[at].1)
+}
+
 /// One recorded hop of one flight, as read back from the packed ring.
 #[derive(Clone, Copy, Debug)]
 pub struct HopEvent {
@@ -166,13 +187,18 @@ pub struct HopEvent {
 
 /// A `Send` snapshot of one shard's recorder, produced by
 /// [`FlightRecorder::dump`] on the worker thread that owns the shard and
-/// consumed by [`FlightRecorder::merged`] after the run.
+/// read, beside the other shards' dumps, by [`FlightDump::export`] after
+/// the run. It is the ring moved out, not copied: 24 bytes a hop, with the
+/// shard's own name tables (shards meet names in different orders, so its
+/// ids mean something only beside them). Rendering the document groups
+/// the dumps' hops by flight in place: it adds 4 bytes a hop and 4 bytes
+/// an id of the flight-id span, and copies no hop.
 #[derive(Clone, Debug)]
 pub struct FlightDump {
-    /// Stable shard id (same-instant tie-break during the merge).
+    /// Stable shard id (same-instant tie-break in the document).
     pub shard: u32,
     /// Surviving hops in insertion order, host indices already offset
-    /// into the merged host table, with the tables their ids index.
+    /// into the run's host table, with the tables their ids index.
     hops: Vec<PackedHop>,
     names: Names,
     /// Flight labels, sorted by flight id.
@@ -209,7 +235,9 @@ impl Journey {
     /// pending (still in flight when the run stopped, or hops lost to
     /// ring wraparound).
     pub fn outcome(&self) -> Outcome {
-        outcome_of(self.hops.iter().map(|h| h.action))
+        self.hops
+            .iter()
+            .fold(Outcome::Pending, |o, h| o.then(h.action))
     }
 
     /// First recorded drop reason, if any.
@@ -230,19 +258,17 @@ pub enum Outcome {
     Pending,
 }
 
-/// The outcome a flight's hops add up to: delivered anywhere wins (a
-/// tunnelled flight is decapsulated and delivered under one id), then
-/// dropped, then pending.
-fn outcome_of(actions: impl Iterator<Item = HopAction>) -> Outcome {
-    let mut outcome = Outcome::Pending;
-    for action in actions {
-        match action {
-            HopAction::Delivered => return Outcome::Delivered,
-            HopAction::Dropped(_) => outcome = Outcome::Dropped,
-            _ => {}
+impl Outcome {
+    /// The outcome once one more hop is folded in: delivered anywhere wins
+    /// (a tunnelled flight is decapsulated and delivered under one id),
+    /// then dropped, then pending.
+    fn then(self, action: HopAction) -> Outcome {
+        match (self, action) {
+            (Outcome::Delivered, _) | (_, HopAction::Delivered) => Outcome::Delivered,
+            (_, HopAction::Dropped(_)) => Outcome::Dropped,
+            (outcome, _) => outcome,
         }
     }
-    outcome
 }
 
 /// The blackout window reconstructed from one origin host's lost flights.
@@ -324,10 +350,6 @@ pub struct FlightRecorder {
     captures_dropped: u64,
 }
 
-fn same_flight(a: &(u64, u32), b: &(u64, u32)) -> bool {
-    a.0 == b.0
-}
-
 impl FlightRecorder {
     /// Creates a disabled recorder with [`DEFAULT_RING_CAPACITY`].
     pub fn new() -> FlightRecorder {
@@ -338,10 +360,11 @@ impl FlightRecorder {
     ///
     /// # Panics
     ///
-    /// Panics when `capacity` is zero or does not fit a `u32`.
+    /// Panics when `capacity` is zero or 2³¹ or more (a document
+    /// addresses a hop of either half of the ring in 32 bits).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight ring needs at least one slot");
-        assert!(u32::try_from(capacity).is_ok(), "hop positions are u32");
+        assert!(capacity < 1 << 31, "hop addresses are u32");
         use HopAction::{Decap, Delivered, Encap, Forwarded, Sent};
         let (points, actions) = (Vec::new(), vec![Sent, Forwarded, Encap, Decap, Delivered]);
         FlightRecorder {
@@ -432,16 +455,6 @@ impl FlightRecorder {
             .retain(|(flight, _)| live.binary_search(flight).is_ok());
     }
 
-    /// The label `flight` was begun with, if it had one (and still has it:
-    /// see [`FlightRecorder::begin_flight`]).
-    fn label_of(&self, flight: u64) -> Option<&'static str> {
-        let at = self
-            .labels
-            .binary_search_by_key(&flight, |&(f, _)| f)
-            .ok()?;
-        Some(self.labels[at].1)
-    }
-
     /// Records one hop. A no-op when disabled or when `flight` is
     /// [`NO_FLIGHT`] — the disabled path is a single predicted branch; the
     /// benchmark's `sim.flightrec.hop_ns_on` probe times the enabled one.
@@ -528,78 +541,45 @@ impl FlightRecorder {
         self.overwritten
     }
 
-    /// The `pos`-th oldest surviving hop as a [`HopEvent`]; `seq` is derived.
-    fn view(&self, pos: u32) -> HopEvent {
-        // `head` is the oldest hop's slot on a full ring, `ring.len()` before.
-        let slot = self.head + pos as usize;
-        let hop = &self.ring[slot.checked_sub(self.ring.len()).unwrap_or(slot)];
-        HopEvent {
-            seq: self.next_seq - self.ring.len() as u64 + u64::from(pos),
-            flight: hop.flight,
-            at: hop.at,
-            host: hop.host,
-            point: named(&self.names.points, hop.point, INTERN_OVERFLOW),
-            action: self.action(hop.action),
-        }
-    }
-
-    fn action(&self, id: u8) -> HopAction {
-        named(&self.names.actions, id, HopAction::Dropped(INTERN_OVERFLOW))
-    }
-
     /// Every surviving hop in insertion (seq) order.
     pub fn hops_in_order(&self) -> Vec<HopEvent> {
-        (0..self.ring.len() as u32).map(|p| self.view(p)).collect()
-    }
-
-    /// Every surviving hop as `(flight, position in recording order)`, sorted
-    /// in place: flights ascending, each flight's hops in recording order
-    /// (`chunk_by(same_flight)`: a journey a slice). All a document costs per hop.
-    fn by_flight(&self) -> Vec<(u64, u32)> {
         let (newer, older) = self.ring.split_at(self.head);
-        let hops = older.iter().chain(newer).zip(0u32..);
-        let mut hops: Vec<(u64, u32)> = hops.map(|(h, pos)| (h.flight, pos)).collect();
-        hops.sort_unstable();
-        hops
+        let seqs = self.next_seq - self.ring.len() as u64..;
+        let hops = older.iter().chain(newer).zip(seqs);
+        hops.map(|(hop, seq)| self.names.view(hop, seq)).collect()
     }
 
-    /// One journey of [`FlightRecorder::by_flight`], hop by hop.
-    fn hops_of<'a>(
-        &'a self,
-        journey: &'a [(u64, u32)],
-    ) -> impl DoubleEndedIterator<Item = HopEvent> + Clone + 'a {
-        journey.iter().map(|&(_, pos)| self.view(pos))
-    }
-
-    /// [`FlightRecorder::blackout`] over [`FlightRecorder::by_flight`]'s hops.
-    fn blackout_in(&self, by_flight: &[(u64, u32)], origin_host: u32) -> Option<Blackout> {
-        let mut window: Option<Blackout> = None;
-        for journey in by_flight.chunk_by(same_flight) {
-            let origin = self.view(journey[0].1);
-            if origin.host != origin_host
-                || origin.action != HopAction::Sent
-                || outcome_of(self.hops_of(journey).map(|h| h.action)) != Outcome::Dropped
-            {
-                continue;
-            }
-            let (lost, first, last) = (0, origin.at, origin.at);
-            let b = window.get_or_insert(Blackout { lost, first, last });
-            b.lost += 1;
-            b.first = b.first.min(origin.at);
-            b.last = b.last.max(origin.at);
-        }
-        window
+    /// The ring's hops grouped by flight, each flight's in recording order.
+    fn grouped(&self) -> Grouped<'_> {
+        let (newer, older) = self.ring.split_at(self.head);
+        let names = &self.names;
+        let run = |hops, labels, seq| Run {
+            hops,
+            names,
+            labels,
+            seq,
+        };
+        let seq = self.next_seq - self.ring.len() as u64;
+        let (older, newer) = (
+            run(older, &self.labels[..], seq),
+            run(newer, &[][..], seq + older.len() as u64),
+        );
+        Grouped::new(vec![older, newer], false)
     }
 
     /// Reconstructs every journey with surviving hops, ordered by flight
     /// id; hops within a journey are in recording order, so they can
     /// never be out of order or leak across flights.
     pub fn journeys(&self) -> Vec<Journey> {
-        let by_flight = self.by_flight();
-        let journeys = by_flight.chunk_by(same_flight).map(|hops| Journey {
-            flight: hops[0].0,
-            label: self.label_of(hops[0].0),
-            hops: self.hops_of(hops).collect(),
+        let grouped = self.grouped();
+        let journeys = grouped.journeys().map(|journey| {
+            let hops: Vec<HopEvent> = journey.iter().map(|&a| grouped.view(a)).collect();
+            let flight = hops[0].flight;
+            Journey {
+                flight,
+                label: grouped.label_of(flight),
+                hops,
+            }
         });
         journeys.collect()
     }
@@ -608,14 +588,15 @@ impl FlightRecorder {
     /// delivered) flights and the origin-time span they cover. `None`
     /// when the host lost nothing.
     pub fn blackout(&self, origin_host: u32) -> Option<Blackout> {
-        self.blackout_in(&self.by_flight(), origin_host)
+        self.grouped().blackout(origin_host)
     }
 
     /// Moves this recorder's hops and labels out as plain `Send` data for
-    /// merging across shards, leaving it as after [`FlightRecorder::clear`].
-    /// `shard` is the segment's stable shard id (the tie-break for
-    /// same-instant hops from different shards), `host_base` the offset that
-    /// maps this shard's host indices into the merged run's host-name table.
+    /// the sharded document ([`FlightDump::export`]), leaving it as after
+    /// [`FlightRecorder::clear`]. `shard` is the segment's stable shard id
+    /// (the tie-break for same-instant hops from different shards),
+    /// `host_base` the offset that maps this shard's host indices into the
+    /// run's host-name table.
     pub fn dump(&mut self, shard: u32, host_base: u32) -> FlightDump {
         let mut hops = std::mem::take(&mut self.ring);
         hops.rotate_left(self.head);
@@ -633,128 +614,289 @@ impl FlightRecorder {
         dump
     }
 
-    /// Builds a single recorder holding every shard's hops, merged in
-    /// `(time, shard, seq)` order — the order a single-threaded run over
-    /// the union topology would have recorded them. Virtual time never
-    /// goes back inside a shard, so each dump already is in `(time, seq)`
-    /// order (one that is not is sorted first) and a k-way merge on
-    /// `(time, shard)` yields exactly that order. Flight ids must already be
-    /// disjoint across dumps ([`FlightRecorder::set_flight_namespace`]); the
-    /// merged ring holds every surviving hop, so merging never re-drops.
-    pub fn merged(mut dumps: Vec<FlightDump>) -> FlightRecorder {
-        dumps.sort_unstable_by_key(|d| d.shard);
-        let total: usize = dumps.iter().map(|d| d.hops.len()).sum();
-        let mut rec = FlightRecorder::with_capacity(total.max(1));
-        rec.enabled = true; // not `set_enabled`: the labels arrive whole
-        rec.ring.reserve_exact(total);
-        // Shards meet names in different orders: each dump's ids → ours (a
-        // full table's overflow id to itself).
-        let mut ids = Vec::with_capacity(dumps.len());
-        for d in &mut dumps {
-            rec.overwritten += d.overwritten;
-            rec.labels.append(&mut d.labels);
-            if !d.hops.is_sorted_by_key(|h| h.at) {
-                d.hops.sort_by_key(|h| h.at);
-            }
-            let mut map = [[u8::MAX; 256]; 2];
-            for (id, &point) in map[0].iter_mut().zip(&d.names.points) {
-                *id = intern(&mut rec.names.points, point);
-            }
-            for (id, &action) in map[1].iter_mut().zip(&d.names.actions) {
-                *id = intern(&mut rec.names.actions, action);
-            }
-            ids.push(map);
-        }
-        // Shard `s` labels only flights of its own namespace, so the dumps
-        // arrive in flight order; the sort is the table's invariant made
-        // independent of that.
-        rec.labels.sort_unstable_by_key(|&(flight, _)| flight);
-        // Each dump's next unmerged hop, earliest on top (index = shard order).
-        let mut next = vec![0usize; dumps.len()];
-        let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-        let head_of = |i: usize, at: usize| Some(Reverse((dumps[i].hops.get(at)?.at, i)));
-        heads.extend((0..dumps.len()).filter_map(|i| head_of(i, 0)));
-        while let Some(Reverse((_, i))) = heads.pop() {
-            let hop = dumps[i].hops[next[i]];
-            rec.ring.push(PackedHop {
-                point: ids[i][0][hop.point as usize],
-                action: ids[i][1][hop.action as usize],
-                ..hop
-            });
-            next[i] += 1;
-            heads.extend(head_of(i, next[i]));
-        }
-        rec.next_seq = total as u64;
-        rec
-    }
-
     /// Renders the journeys document (`mosquitonet.journeys/v1` body):
     /// outcome totals, delay summaries, the blackout window of
     /// `blackout_origin` (a host name), drop forensics, and the busiest
     /// (host, action) pairs. `host_names[i]` names host index `i`;
     /// unknown indices render as `host{i}`.
     pub fn export(&self, host_names: &[String], blackout_origin: Option<&str>) -> Json {
+        self.grouped()
+            .export(host_names, blackout_origin, self.overwritten)
+    }
+}
+
+impl FlightDump {
+    /// Renders a sharded run's journeys document from its shards' dumps:
+    /// the document [`FlightRecorder::export`] renders over one recorder
+    /// holding every dump's hops in `(time, shard, seq)` order — the order
+    /// a single-threaded run over the union topology would have recorded
+    /// them — with `hops_overwritten` summed (the rings paid it; nothing is
+    /// dropped here). Flight ids must be disjoint across dumps
+    /// ([`FlightRecorder::set_flight_namespace`]).
+    pub fn export(
+        dumps: &[FlightDump],
+        host_names: &[String],
+        blackout_origin: Option<&str>,
+    ) -> Json {
+        let mut dumps: Vec<&FlightDump> = dumps.iter().collect();
+        dumps.sort_by_key(|d| d.shard);
+        let overwritten = dumps.iter().map(|d| d.overwritten).sum();
+        let runs = dumps.iter().map(|d| Run {
+            hops: &d.hops,
+            names: &d.names,
+            labels: &d.labels,
+            seq: 0, // the document prints none
+        });
+        Grouped::new(runs.collect(), true).export(host_names, blackout_origin, overwritten)
+    }
+}
+
+/// Hops in recording order with the tables their ids index, the labels
+/// of the flights they began and the `seq` of the first: a recorder's ring
+/// is two runs (its older half, then its newer), a shard's dump one.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    hops: &'a [PackedHop],
+    names: &'a Names,
+    labels: &'a [(u64, &'static str)],
+    seq: u64,
+}
+
+/// The hops of some runs grouped by flight, in place. A hop is named by
+/// its address, `run << shift | index`: addresses order as the runs'
+/// concatenation does, and nothing is copied.
+struct Grouped<'a> {
+    runs: Vec<Run<'a>>,
+    shift: u32,
+    /// Every hop's address once: flights ascending, each flight's side by side.
+    order: Vec<u32>,
+    /// Where in `order` each flight's addresses end, flights ascending;
+    /// an end equal to the one before it is no flight.
+    ends: Vec<u32>,
+}
+
+impl<'a> Grouped<'a> {
+    /// Groups the hops of `runs` by flight in time linear in the hops and
+    /// the flight-id span ([`FlightKeys`]). Each flight's hops keep their
+    /// address order: recording order for one recorder, `(shard, seq)`
+    /// for dumps in shard order, which `by_time` turns into
+    /// `(time, shard, seq)` by sorting each flight whose hops are not
+    /// already in time order (one that crossed shards) on `(time, address)`.
+    fn new(runs: Vec<Run<'a>>, by_time: bool) -> Grouped<'a> {
+        let longest = runs.iter().map(|run| run.hops.len()).max().unwrap_or(0);
+        let shift = usize::BITS - longest.leading_zeros();
+        assert!(
+            (runs.len() as u64) << shift <= 1 << 32,
+            "hop addresses are u32"
+        );
+        let mut grouped = Grouped {
+            runs,
+            shift,
+            order: Vec::new(),
+            ends: Vec::new(),
+        };
+        grouped.group();
+        if by_time {
+            // A run is time-sorted (virtual time never goes back inside a
+            // shard) unless built by hand, and so is a flight within one.
+            let sorted = grouped
+                .runs
+                .iter()
+                .all(|run| run.hops.is_sorted_by_key(|h| h.at));
+            let mut order = std::mem::take(&mut grouped.order);
+            let mut start = 0;
+            for &end in &grouped.ends {
+                let journey = &mut order[start as usize..end as usize];
+                start = end;
+                let run_of = |address: Option<&u32>| address.map(|a| a >> shift);
+                let one_run = run_of(journey.first()) == run_of(journey.last());
+                if sorted && one_run || journey.is_sorted_by_key(|&a| grouped.hop(a).at) {
+                    continue;
+                }
+                journey.sort_unstable_by_key(|&a| (grouped.hop(a).at, a));
+            }
+            grouped.order = order;
+        }
+        grouped
+    }
+
+    /// Fills `order` and `ends`: a counting sort on the flights' keys when
+    /// they are dense — at most two a hop, as `begin_flight`'s ids are
+    /// short of a flight parked across ring turns — else a sort on
+    /// `(flight, address)`.
+    fn group(&mut self) {
+        let total: usize = self.runs.iter().map(|run| run.hops.len()).sum();
+        let keys = FlightKeys::of(&self.runs);
+        let shift = self.shift;
+        if keys.len > 2 * total as u64 {
+            let addresses = (0u32..)
+                .zip(&self.runs)
+                .flat_map(|(r, run)| (0..run.hops.len() as u32).map(move |i| r << shift | i));
+            let mut order: Vec<u32> = addresses.collect();
+            order.sort_unstable_by_key(|&a| (self.hop(a).flight, a));
+            let journeys = order.chunk_by(|&a, &b| self.hop(a).flight == self.hop(b).flight);
+            let ends = journeys.scan(0, |end, journey| {
+                *end += journey.len() as u32;
+                Some(*end)
+            });
+            self.ends = ends.collect();
+            self.order = order;
+            return;
+        }
+        // `next[k]` counts key k - 1's hops, then (summed) is where key k's
+        // go, and once they are placed where they end.
+        let mut next = vec![0u32; keys.len as usize + 1];
+        let mut hint = 0;
+        for run in &self.runs {
+            for hop in run.hops {
+                next[keys.key(hop.flight, &mut hint) + 1] += 1;
+            }
+        }
+        let mut sum = 0;
+        for n in &mut next {
+            sum += *n;
+            *n = sum;
+        }
+        let mut order = vec![0u32; total];
+        for (r, run) in (0u32..).zip(&self.runs) {
+            for (hop, i) in run.hops.iter().zip(0u32..) {
+                let slot = &mut next[keys.key(hop.flight, &mut hint)];
+                order[*slot as usize] = r << shift | i;
+                *slot += 1;
+            }
+        }
+        (self.order, self.ends) = (order, next);
+    }
+
+    /// The run `address` is in, and its index there.
+    fn locate(&self, address: u32) -> (&Run<'a>, usize) {
+        let index = address & ((1 << self.shift) - 1);
+        (&self.runs[(address >> self.shift) as usize], index as usize)
+    }
+
+    fn hop(&self, address: u32) -> &PackedHop {
+        let (run, index) = self.locate(address);
+        &run.hops[index]
+    }
+
+    fn view(&self, address: u32) -> HopEvent {
+        let (run, index) = self.locate(address);
+        run.names.view(&run.hops[index], run.seq + index as u64)
+    }
+
+    /// The label `flight` was begun with, if it had one (and still has it:
+    /// see [`FlightRecorder::begin_flight`]).
+    fn label_of(&self, flight: u64) -> Option<&'static str> {
+        self.runs
+            .iter()
+            .find_map(|run| label_in(run.labels, flight))
+    }
+
+    /// Each flight's addresses, flights ascending.
+    fn journeys(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let spans = starts.zip(&self.ends).filter(|&(start, &end)| start < end);
+        spans.map(|(start, &end)| &self.order[start as usize..end as usize])
+    }
+
+    /// One journey's [`Fate`], in one pass over its hops; `gap` sees the
+    /// µs between each two consecutive ones.
+    fn fate(&self, journey: &[u32], mut gap: impl FnMut(u64)) -> Fate {
+        let first = self.view(journey[0]);
+        let mut fate = Fate {
+            first,
+            outcome: Outcome::Pending,
+            delay_us: 0,
+        };
+        fate.add(first);
+        let mut prev = first.at;
+        for hop in journey[1..].iter().map(|&a| self.view(a)) {
+            gap(hop.at.saturating_since(prev).as_micros());
+            prev = hop.at;
+            fate.add(hop);
+        }
+        fate
+    }
+
+    /// [`FlightRecorder::blackout`] over these hops.
+    fn blackout(&self, origin_host: u32) -> Option<Blackout> {
+        let mut window = None;
+        for journey in self.journeys() {
+            self.fate(journey, |_| {}).widen(&mut window, origin_host);
+        }
+        window
+    }
+
+    /// A dropped journey as the document prints it: flight, first drop
+    /// reason, label and every hop.
+    fn drop_chain(&self, journey: &[u32], name_of: impl Fn(u32) -> String) -> Json {
+        let hops = journey.iter().map(|&a| self.view(a));
+        let chain = hops.clone().map(|h| {
+            Json::obj([
+                ("us", Json::UInt(h.at.as_micros())),
+                ("host", Json::from(name_of(h.host))),
+                ("point", Json::from(h.point)),
+                (
+                    "action",
+                    Json::from(h.action.reason().unwrap_or(h.action.name())),
+                ),
+            ])
+        });
+        let flight = self.hop(journey[0]).flight;
+        let reason = hops.clone().find_map(|h| h.action.reason());
+        let mut members = vec![
+            ("flight".to_string(), Json::UInt(flight)),
+            (
+                "reason".to_string(),
+                Json::from(reason.unwrap_or("unknown")),
+            ),
+        ];
+        if let Some(l) = self.label_of(flight) {
+            members.push(("label".to_string(), Json::from(l)));
+        }
+        members.push(("hops".to_string(), Json::Arr(chain.collect())));
+        Json::Obj(members)
+    }
+
+    /// [`FlightRecorder::export`] over these hops.
+    fn export(
+        &self,
+        host_names: &[String],
+        blackout_origin: Option<&str>,
+        overwritten: u64,
+    ) -> Json {
         let name_of = |idx: u32| -> String {
             host_names
                 .get(idx as usize)
                 .cloned()
                 .unwrap_or_else(|| format!("host{idx}"))
         };
-        let by_flight = self.by_flight();
+        let origin = blackout_origin.and_then(|name| host_names.iter().position(|n| n == name));
         let (mut flights, mut truncated) = (0u64, 0u64);
         let (mut delivered, mut dropped, mut pending) = (0u64, 0u64, 0u64);
         let mut e2e = DelaySummary::default();
         let mut per_hop = DelaySummary::default();
+        let mut window = None;
         let mut drop_chains: Vec<Json> = Vec::new();
         let mut drops_omitted = 0u64;
-        for journey in by_flight.chunk_by(same_flight) {
+        for journey in self.journeys() {
             flights += 1;
-            let mut hops = self.hops_of(journey);
-            let first = self.view(journey[0].1);
-            if first.action != HopAction::Sent {
+            let fate = self.fate(journey, |us| per_hop.push(us));
+            if fate.first.action != HopAction::Sent {
                 truncated += 1;
             }
-            for (a, b) in hops.clone().zip(hops.clone().skip(1)) {
-                per_hop.push(b.at.saturating_since(a.at).as_micros());
+            if let Some(origin) = origin {
+                fate.widen(&mut window, origin as u32);
             }
-            match outcome_of(hops.clone().map(|h| h.action)) {
+            match fate.outcome {
                 Outcome::Delivered => {
                     delivered += 1;
-                    let done = hops
-                        .rfind(|h| h.action == HopAction::Delivered)
-                        .expect("delivered journey has a Delivered hop");
-                    e2e.push(done.at.saturating_since(first.at).as_micros());
+                    e2e.push(fate.delay_us);
                 }
                 Outcome::Dropped => {
                     dropped += 1;
                     if drop_chains.len() < EXPORT_MAX_DROPS {
-                        let chain: Vec<Json> = hops
-                            .clone()
-                            .map(|h| {
-                                Json::obj([
-                                    ("us", Json::UInt(h.at.as_micros())),
-                                    ("host", Json::from(name_of(h.host))),
-                                    ("point", Json::from(h.point)),
-                                    (
-                                        "action",
-                                        Json::from(h.action.reason().unwrap_or(h.action.name())),
-                                    ),
-                                ])
-                            })
-                            .collect();
-                        let reason = hops.find_map(|h| h.action.reason());
-                        let mut members = vec![
-                            ("flight".to_string(), Json::UInt(first.flight)),
-                            (
-                                "reason".to_string(),
-                                Json::from(reason.unwrap_or("unknown")),
-                            ),
-                        ];
-                        if let Some(l) = self.label_of(first.flight) {
-                            members.push(("label".to_string(), Json::from(l)));
-                        }
-                        members.push(("hops".to_string(), Json::Arr(chain)));
-                        drop_chains.push(Json::Obj(members));
+                        drop_chains.push(self.drop_chain(journey, name_of));
                     } else {
                         drops_omitted += 1;
                     }
@@ -762,15 +904,20 @@ impl FlightRecorder {
                 Outcome::Pending => pending += 1,
             }
         }
-        // Counted over the ring as it lies: order is nothing to a count.
-        let mut top: IdHashMap<(u32, u8), u64> = IdHashMap::default();
-        for h in &self.ring {
-            *top.entry((h.host, h.action)).or_default() += 1;
-        }
-        // Every drop reason is its own action id and one "dropped" row.
+        // Counted run by run as the hops lie (order is nothing to a count),
+        // by action id and then by action name: every drop reason is its
+        // own id and one "dropped" row.
+        let mut ids: IdHashMap<(u32, u8), u64> = IdHashMap::default();
         let mut rows: IdHashMap<(u32, &'static str), u64> = IdHashMap::default();
-        for ((host, action), count) in top {
-            *rows.entry((host, self.action(action).name())).or_default() += count;
+        for run in &self.runs {
+            for h in run.hops {
+                *ids.entry((h.host, h.action)).or_default() += 1;
+            }
+            for ((host, action), count) in ids.drain() {
+                *rows
+                    .entry((host, run.names.action(action).name()))
+                    .or_default() += count;
+            }
         }
         let mut top_rows: Vec<((u32, &'static str), u64)> = rows.into_iter().collect();
         top_rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -785,22 +932,19 @@ impl FlightRecorder {
                 ])
             })
             .collect();
-        let blackout_json = blackout_origin
-            .and_then(|name| {
-                let idx = host_names.iter().position(|n| n == name)? as u32;
-                let b = self.blackout_in(&by_flight, idx)?;
-                Some(Json::obj([
-                    ("origin", Json::from(name)),
-                    ("lost", Json::UInt(b.lost)),
-                    ("first_us", Json::UInt(b.first.as_micros())),
-                    ("last_us", Json::UInt(b.last.as_micros())),
-                ]))
-            })
-            .unwrap_or(Json::Null);
+        let blackout_json = match (blackout_origin, window) {
+            (Some(name), Some(b)) => Json::obj([
+                ("origin", Json::from(name)),
+                ("lost", Json::UInt(b.lost)),
+                ("first_us", Json::UInt(b.first.as_micros())),
+                ("last_us", Json::UInt(b.last.as_micros())),
+            ]),
+            _ => Json::Null,
+        };
         Json::obj([
             ("flights", Json::UInt(flights)),
-            ("hops", Json::UInt(self.ring.len() as u64)),
-            ("hops_overwritten", Json::UInt(self.overwritten)),
+            ("hops", Json::UInt(self.order.len() as u64)),
+            ("hops_overwritten", Json::UInt(overwritten)),
             ("truncated_flights", Json::UInt(truncated)),
             (
                 "outcomes",
@@ -817,6 +961,100 @@ impl FlightRecorder {
             ("drops_omitted", Json::UInt(drops_omitted)),
             ("drops", Json::Arr(drop_chains)),
         ])
+    }
+}
+
+/// What one journey comes to: its first hop, its outcome and, when
+/// delivered, the µs from the first hop to the last delivery.
+struct Fate {
+    first: HopEvent,
+    outcome: Outcome,
+    delay_us: u64,
+}
+
+impl Fate {
+    /// Folds in one more hop.
+    fn add(&mut self, hop: HopEvent) {
+        self.outcome = self.outcome.then(hop.action);
+        if hop.action == HopAction::Delivered {
+            self.delay_us = hop.at.saturating_since(self.first.at).as_micros();
+        }
+    }
+
+    /// Widens `window` by this flight if `origin_host` sent it and lost it.
+    fn widen(&self, window: &mut Option<Blackout>, origin_host: u32) {
+        let Fate { first, outcome, .. } = self;
+        if first.host != origin_host
+            || first.action != HopAction::Sent
+            || *outcome != Outcome::Dropped
+        {
+            return;
+        }
+        let b = window.get_or_insert(Blackout {
+            lost: 0,
+            first: first.at,
+            last: first.at,
+        });
+        b.lost += 1;
+        b.first = b.first.min(first.at);
+        b.last = b.last.max(first.at);
+    }
+}
+
+/// Flight ids as dense keys that order as the ids do: each namespace met
+/// (`id >> FLIGHT_SHARD_SHIFT`, ascending) spans its lowest offset to its
+/// highest. `begin_flight` mints a namespace's ids one after another, so
+/// the span is at most the ids the run minted.
+struct FlightKeys {
+    /// `(namespace, lowest offset, key of the lowest offset)`.
+    spaces: Vec<(u64, u64, u64)>,
+    /// Keys in all.
+    len: u64,
+}
+
+impl FlightKeys {
+    fn of(runs: &[Run<'_>]) -> FlightKeys {
+        // `(namespace, lowest offset, highest offset)` first.
+        let mut spaces: Vec<(u64, u64, u64)> = Vec::new();
+        let mut hint = 0;
+        for run in runs {
+            for hop in run.hops {
+                let (space, offset) = FlightKeys::split(hop.flight);
+                if spaces.get(hint).is_none_or(|s| s.0 != space) {
+                    hint = spaces.partition_point(|s| s.0 < space);
+                    if spaces.get(hint).is_none_or(|s| s.0 != space) {
+                        spaces.insert(hint, (space, offset, offset));
+                    }
+                }
+                let s = &mut spaces[hint];
+                (s.1, s.2) = (s.1.min(offset), s.2.max(offset));
+            }
+        }
+        let mut len = 0;
+        for s in &mut spaces {
+            let span = s.2 - s.1 + 1;
+            s.2 = len;
+            len += span;
+        }
+        FlightKeys { spaces, len }
+    }
+
+    fn split(flight: u64) -> (u64, u64) {
+        (
+            flight >> FLIGHT_SHARD_SHIFT,
+            flight & ((1 << FLIGHT_SHARD_SHIFT) - 1),
+        )
+    }
+
+    /// `flight`'s key, looking in the namespace at `hint` first (a run's
+    /// hops mostly share one) and leaving `hint` at the one it was in.
+    fn key(&self, flight: u64, hint: &mut usize) -> usize {
+        let (space, offset) = FlightKeys::split(flight);
+        if self.spaces[*hint].0 != space {
+            *hint = self.spaces.partition_point(|s| s.0 < space);
+        }
+        let (_, lowest, first) = self.spaces[*hint];
+        (first + offset - lowest) as usize
     }
 }
 
@@ -855,8 +1093,7 @@ mod tests {
         // Names met before the tables filled are still found, by content.
         rec.hop(1, t(0), 0, name(3), HopAction::Dropped(name(7)));
         rec.hop(1, t(0), 0, name(distinct), HopAction::Delivered);
-        let merged = FlightRecorder::merged(vec![rec.dump(0, 0)]);
-        let hops = merged.hops_in_order();
+        let hops = rec.hops_in_order();
         let got = |i: usize| (hops[i].point, hops[i].action);
         for i in 0..distinct {
             let read = |bound: usize| if i < bound { name(i) } else { INTERN_OVERFLOW };
@@ -972,24 +1209,43 @@ mod tests {
 
         a.hop(f0, t(0), 0, "udp", HopAction::Sent);
         a.hop(f0, t(1), 1, "ip.fwd", HopAction::Forwarded);
-        // Crosses into shard 1 (its host index 0 = merged index 2).
-        b.hop(f0, t(3), 0, "udp", HopAction::Delivered);
-        // A shard-1-local flight, interleaved in time with f0's hops.
+        // Crosses into shard 1 (its host indices 0, 1 = run-wide 2, 3),
+        // back to shard 0, and dies on shard 1 at that same instant.
+        // A shard-1-local flight is interleaved with f0's hops there; each
+        // shard records in time order, as a run does.
+        b.hop(f0, t(2), 1, "ip.fwd", HopAction::Forwarded);
         b.hop(f1, t(2), 1, "udp", HopAction::Sent);
+        a.hop(f0, t(3), 1, "ip.fwd", HopAction::Forwarded);
+        b.hop(f0, t(3), 0, "wire", HopAction::Dropped("drop.iface_down"));
         b.hop(f1, t(4), 0, "udp", HopAction::Delivered);
 
-        let merged = FlightRecorder::merged(vec![a.dump(0, 0), b.dump(1, 2)]);
-        let hops = merged.hops_in_order();
-        let times: Vec<u64> = hops.iter().map(|h| h.at.as_micros()).collect();
-        assert_eq!(times, vec![0, 1000, 2000, 3000, 4000], "time-ordered");
-        assert_eq!(hops[3].host, 2, "host indices offset by the shard base");
-        let js = merged.journeys();
-        assert_eq!(js.len(), 2);
-        assert_eq!(js[0].flight, f0);
-        assert_eq!(js[0].label, Some("s3"));
-        assert_eq!(js[0].outcome(), Outcome::Delivered);
-        assert_eq!(js[0].hops.len(), 3, "cross-shard hops stitched together");
-        assert_eq!(js[1].flight, f1);
+        // Handed over out of shard order: the document orders the shards.
+        let names = ["ch", "r0", "mh", "r1"].map(String::from);
+        let dumps = [b.dump(1, 2), a.dump(0, 0)];
+        let doc = FlightDump::export(&dumps, &names, Some("ch")).render();
+        assert!(doc.contains(r#""flights":2,"hops":7,"#), "{doc}");
+        assert!(doc.contains(r#""delivered":1,"dropped":1,"pending":0"#));
+        // f0's hops stitched across the shards in (time, shard, seq)
+        // order: its t(3) hop on shard 0 before the one on shard 1.
+        let chain = [
+            (0, "ch", "udp", "sent"),
+            (1000, "r0", "ip.fwd", "forwarded"),
+        ]
+        .into_iter()
+        .chain([(2000, "r1", "ip.fwd", "forwarded")])
+        .chain([(3000, "r0", "ip.fwd", "forwarded")])
+        .chain([(3000, "mh", "wire", "drop.iface_down")])
+        .map(|(us, host, point, did)| {
+            format!(r#"{{"us":{us},"host":"{host}","point":"{point}","action":"{did}"}}"#)
+        });
+        let chain = chain.collect::<Vec<_>>().join(",");
+        let want = format!(
+            r#""drops":[{{"flight":1,"reason":"drop.iface_down","label":"s3","hops":[{chain}]}}]"#
+        );
+        assert!(doc.contains(&want), "{doc}");
+        // Blackout and e2e delay are read off the stitched journeys.
+        assert!(doc.contains(r#""blackout":{"origin":"ch","lost":1,"first_us":0,"last_us":0}"#));
+        assert!(doc.contains(r#""delay_us":{"count":1,"min_us":2000,"max_us":2000,"sum_us":2000}"#));
     }
 
     #[test]

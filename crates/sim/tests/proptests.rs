@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use mosquitonet_sim::flightrec::LABELS_PER_RING_SLOT;
+use mosquitonet_sim::flightrec::{FLIGHT_SHARD_SHIFT, LABELS_PER_RING_SLOT};
 use mosquitonet_sim::{
     EventId, FlightDump, FlightRecorder, Histogram, HopAction, HopEvent, Line, Sim, SimDuration,
     SimTime, Summary,
@@ -477,10 +477,12 @@ proptest! {
         prop_assert_eq!(doc, reference_export(&by_flight, label_of, lost));
     }
 
-    /// `merged` of time-sorted dumps whose flights cross shards is, hop for hop and name for
-    /// name (each shard met them in its own order), the `(time, shard, seq)` sort of the rings.
+    /// The document of time-sorted dumps whose flights cross shards and
+    /// namespaces is, byte for byte, the reference document over the
+    /// `(time, shard, seq)` sort of the rings, names included (each shard
+    /// met them in its own order) and `hops_overwritten` summed.
     #[test]
-    fn merged_dumps_equal_the_time_shard_seq_sort(
+    fn sharded_document_equals_the_time_shard_seq_reference(
         hops in proptest::collection::vec((0usize..5, 0u64..3, 1u64..40, 0u32..3, 0usize..10), 0..300),
         capacity in 1usize..80,
     ) {
@@ -491,21 +493,24 @@ proptest! {
         for &(shard, step, flight, host, name) in &hops {
             now += step; // zero: this hop shares its instant with the one before
             let at = SimTime::from_nanos(now);
+            // Born in namespace `flight % 5`, whichever shard records the hop.
+            let flight = (flight % 5) << FLIGHT_SHARD_SHIFT | flight;
             let did = [HopAction::Forwarded, HopAction::Dropped(reasons[name % 5])][name / 5];
             recs[shard].set_enabled(true);
             recs[shard].hop(flight, at, host, points[name % 5], did);
-            model[shard].push((at, shard, model[shard].len(), flight, host + 3 * shard as u32, points[name % 5], did));
+            let (seq, host) = (model[shard].len(), host + 3 * shard as u32);
+            model[shard].push((at, shard, seq, HopEvent { seq: 0, flight, at, host, point: points[name % 5], action: did }));
         }
         let dumps = recs.iter_mut().zip(0u32..5).rev().map(|(r, s)| r.dump(s, 3 * s));
         let dumps: Vec<FlightDump> = dumps.collect();
         let kept = model.iter().flat_map(|m| &m[m.len().saturating_sub(capacity)..]);
-        let mut want: Vec<_> = kept.map(|w| (w.0, w.1, w.2, (w.0, w.3, w.4, w.5, w.6))).collect();
+        let mut want: Vec<_> = kept.collect();
         want.sort_unstable_by_key(|w| (w.0, w.1, w.2));
-        let merged = FlightRecorder::merged(dumps);
-        prop_assert_eq!(merged.overwritten() as usize, hops.len() - want.len());
-        let got = merged.hops_in_order();
-        prop_assert!(got.iter().zip(0..).all(|(h, seq)| h.seq == seq), "renumbered in order");
-        let got: Vec<_> = got.iter().map(|h| (h.at, h.flight, h.host, h.point, h.action)).collect();
-        prop_assert_eq!(got, want.iter().map(|w| w.3).collect::<Vec<_>>());
+        let mut by_flight: BTreeMap<u64, Vec<HopEvent>> = BTreeMap::new();
+        for w in &want {
+            by_flight.entry(w.3.flight).or_default().push(w.3);
+        }
+        let doc = FlightDump::export(&dumps, &HOSTS.map(String::from), Some(HOSTS[0])).render();
+        prop_assert_eq!(doc, reference_export(&by_flight, |_| None, hops.len() - want.len()));
     }
 }

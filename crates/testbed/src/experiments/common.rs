@@ -5,9 +5,7 @@
 use std::net::Ipv4Addr;
 
 use mosquitonet_core::{AddressPlan, SwitchPlan, SwitchStyle};
-use mosquitonet_sim::{
-    FlightDump, FlightRecorder, Json, Sim, SimDuration, SimTime, Snapshot, Summary,
-};
+use mosquitonet_sim::{FlightDump, Json, Sim, SimDuration, SimTime, Snapshot, Summary};
 use mosquitonet_stack::{self as stack, ModuleId, Network};
 
 use crate::topology::{
@@ -249,7 +247,7 @@ pub(super) fn rate_per_sec(count: u64, ns: u64) -> u64 {
 /// What one shard's `finish` hook hands back across the thread boundary
 /// in every sharded run (S2 and S3), and the fold of those in shard
 /// order: plain counters, metrics snapshots, and flight-recorder
-/// segments — everything the merge needs, nothing that isn't `Send`.
+/// dumps — everything the documents need, nothing that isn't `Send`.
 #[derive(Default)]
 pub(super) struct ShardTotals {
     names: Vec<String>,
@@ -295,12 +293,12 @@ impl ShardTotals {
         self.span.widen(next.span.first, next.span.last);
     }
 
-    /// The deterministic merged documents, `(journeys, metrics)`: flight
-    /// segments merge into (time, shard, seq) order, metrics snapshots
-    /// union-and-sum.
+    /// The deterministic run-wide documents, `(journeys, metrics)`: each
+    /// flight's hops in (time, shard, seq) order across the dumps, metrics
+    /// snapshots union-and-sum.
     pub(super) fn documents(self) -> (Json, Json) {
         (
-            FlightRecorder::merged(self.dumps).export(&self.names, None),
+            FlightDump::export(&self.dumps, &self.names, None),
             Snapshot::merged(self.snapshots).to_json(),
         )
     }

@@ -17,7 +17,7 @@ use bytes::{BufMut, Bytes};
 use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle};
 use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
 use mosquitonet_sim::flightrec::DEFAULT_RING_CAPACITY;
-use mosquitonet_sim::{FlightRecorder, HopAction, Json, SimDuration, SimTime};
+use mosquitonet_sim::{FlightDump, FlightRecorder, HopAction, Json, SimDuration, SimTime};
 use mosquitonet_stack as stack;
 use mosquitonet_testbed::topology::{self, TestbedConfig, CH_DEPT, COA_DEPT, MH_HOME, ROUTER_DEPT};
 use mosquitonet_testbed::workload::{SaturationSender, SaturationSink};
@@ -244,6 +244,51 @@ fn exporting_a_full_ring_allocates_the_same_for_any_number_of_flights() {
         let names = ["ch", "ha", "mh"].map(String::from);
         let (n, doc) = allocations_in(|| rec.export(&names, Some("ch")));
         assert_eq!(doc.get("flights"), Some(&Json::UInt(flights)));
+        n
+    };
+    assert_eq!(export_allocs(100), export_allocs(30_000));
+}
+
+/// The sharded document groups the dumps' hops in place, whatever the
+/// number of flights: a per-flight `Vec`, in the grouping or in the time
+/// order of the flights that crossed shards, fails here.
+#[test]
+fn exporting_shard_dumps_allocates_the_same_for_any_number_of_flights() {
+    const HOPS: u64 = 60_000;
+    let export_allocs = |flights: u64| {
+        let mut recs: Vec<FlightRecorder> = (0..4)
+            .map(|shard| {
+                let mut rec = FlightRecorder::new();
+                rec.set_enabled(true);
+                rec.set_flight_namespace(shard);
+                rec
+            })
+            .collect();
+        let ids: Vec<u64> = (0..flights)
+            .map(|i| recs[(i % 4) as usize].begin_flight(Some("s3")))
+            .collect();
+        // Round r of a flight's hops lands r shards past its own: every
+        // journey crosses shards, out of the dumps' position order.
+        for i in 0..HOPS {
+            let (flight, round) = (i % flights, i / flights);
+            let shard = ((flight + round) % 4) as usize;
+            let at = SimTime::ZERO + SimDuration::from_micros(i);
+            let did = if round == 0 {
+                HopAction::Sent
+            } else {
+                HopAction::Forwarded
+            };
+            recs[shard].hop(ids[flight as usize], at, (i % 3) as u32, "udp", did);
+        }
+        let dumps: Vec<FlightDump> = recs
+            .iter_mut()
+            .zip(0..)
+            .map(|(r, s)| r.dump(s, 3 * s))
+            .collect();
+        let names = ["ch", "ha", "mh"].map(String::from);
+        let (n, doc) = allocations_in(|| FlightDump::export(&dumps, &names, Some("ch")));
+        assert_eq!(doc.get("flights"), Some(&Json::UInt(flights)));
+        assert_eq!(doc.get("hops"), Some(&Json::UInt(HOPS)));
         n
     };
     assert_eq!(export_allocs(100), export_allocs(30_000));

@@ -3,7 +3,8 @@
 //! DESIGN.md's experiment index against the registry, DESIGN.md's crate
 //! and dependency tables against the
 //! manifests, its module hook list against `trait Module`, the shape of
-//! `BENCH_trajectory.json`, that the docs cite no deleted instrument and
+//! `BENCH_trajectory.json` and that it lags CHANGES.md by at most one
+//! performance PR, that the docs cite no deleted instrument and
 //! no ledger metric `BENCHMARK.json` does not declare, and that every
 //! file they link or cite exists.
 //!
@@ -304,6 +305,42 @@ fn bench_trajectory_is_well_formed_and_current() {
         newest,
         declared.filter_map(|w| w.get("name")?.as_str()).collect()
     );
+}
+
+/// The PR number a CHANGES.md entry opens with (`- PR <n> [perf_opt] …`,
+/// `PR <n>: [perf_opt] …`).
+fn pr_of(entry: &str) -> Option<u64> {
+    let rest = entry.split("PR ").nth(1)?;
+    rest.split(|c: char| !c.is_ascii_digit())
+        .next()?
+        .parse()
+        .ok()
+}
+
+/// ROADMAP item 2's rule: the trajectory may lag CHANGES.md by one
+/// performance PR (a point is measured after its PR's entry is written),
+/// never by two — the newest point may not predate the second-newest
+/// entry marked `[perf_opt]` or `(perf_opt)`.
+#[test]
+fn bench_trajectory_is_at_most_one_perf_pr_behind() {
+    let doc = read_json("BENCH_trajectory.json");
+    let points = doc.get("points").and_then(Json::as_arr).expect("points");
+    let newest = points.last().and_then(|p| p.get("pr")?.as_u64());
+    let newest = newest.expect("the newest point's pr");
+    let changes = std::fs::read_to_string(workspace_root().join("CHANGES.md")).expect("CHANGES.md");
+    let perf = changes
+        .lines()
+        .filter(|l| l.contains("[perf_opt]") || l.contains("(perf_opt)"));
+    let mut perf: Vec<u64> = perf.filter_map(pr_of).collect();
+    perf.sort_unstable();
+    if let Some(&due) = perf.iter().rev().nth(1) {
+        assert!(
+            newest >= due,
+            "BENCH_trajectory.json's newest point is PR {newest}, but CHANGES.md has \
+             perf PRs {due} and {} after it: append a whole-suite point (docs/benchmarks.md)",
+            perf[perf.len() - 1]
+        );
+    }
 }
 
 /// The files under `dir` (from the workspace root) with extension `ext`.
