@@ -87,11 +87,42 @@ impl Json {
         }
     }
 
+    /// The member at `path` — object keys joined by `.`; `""` is the value
+    /// itself — read as a `T`. Panics naming the path when a member is
+    /// missing or holds another type, so a reader never mistakes an absent
+    /// number for zero.
+    pub fn at<'a, T: FromJson<'a>>(&'a self, path: &str) -> T {
+        self.try_at(path).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Json::at`] with the error returned instead of raised.
+    pub fn try_at<'a, T: FromJson<'a>>(&'a self, path: &str) -> Result<T, String> {
+        let mut node = self;
+        for key in path.split('.').filter(|k| !k.is_empty()) {
+            node = node
+                .get(key)
+                .ok_or_else(|| format!("`{path}`: no member `{key}`"))?;
+        }
+        T::from_json(node).ok_or_else(|| format!("`{path}` is not {}: {}", T::WHAT, node.render()))
+    }
+
     /// The value as an unsigned integer, when it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(n) => Some(*n),
             Json::Int(n) if *n >= 0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as a float, when it is any number. The writer renders an
+    /// integral float without a fraction (`2.0` as `2`), and the reader
+    /// reads that back as [`Json::UInt`]: compare numbers by value.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::UInt(n) => Some(n as f64),
+            Json::Int(n) => Some(n as f64),
+            Json::Float(f) => Some(f),
             _ => None,
         }
     }
@@ -399,6 +430,54 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A type [`Json::at`] can read a member as.
+pub trait FromJson<'a>: Sized {
+    /// What the member must be, for the error message.
+    const WHAT: &'static str;
+    /// The value as `Self`, when it is one.
+    fn from_json(j: &'a Json) -> Option<Self>;
+}
+
+impl<'a> FromJson<'a> for &'a Json {
+    const WHAT: &'static str = "a value";
+    fn from_json(j: &'a Json) -> Option<Self> {
+        Some(j)
+    }
+}
+impl<'a> FromJson<'a> for u64 {
+    const WHAT: &'static str = "an unsigned integer";
+    fn from_json(j: &'a Json) -> Option<Self> {
+        j.as_u64()
+    }
+}
+impl<'a> FromJson<'a> for f64 {
+    const WHAT: &'static str = "a number";
+    fn from_json(j: &'a Json) -> Option<Self> {
+        j.as_f64()
+    }
+}
+impl<'a> FromJson<'a> for bool {
+    const WHAT: &'static str = "a boolean";
+    fn from_json(j: &'a Json) -> Option<Self> {
+        match j {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+impl<'a> FromJson<'a> for &'a str {
+    const WHAT: &'static str = "a string";
+    fn from_json(j: &'a Json) -> Option<Self> {
+        j.as_str()
+    }
+}
+impl<'a> FromJson<'a> for &'a [Json] {
+    const WHAT: &'static str = "an array";
+    fn from_json(j: &'a Json) -> Option<Self> {
+        j.as_arr()
+    }
+}
+
 impl From<bool> for Json {
     fn from(v: bool) -> Json {
         Json::Bool(v)
@@ -513,6 +592,37 @@ mod tests {
         ]);
         assert_eq!(Json::parse(&j.render()).expect("compact"), j);
         assert_eq!(Json::parse(&j.render_pretty()).expect("pretty"), j);
+
+        // An integral float renders without a fraction and reads back as
+        // an integer variant: equal by value, not by variant.
+        let integral = Json::obj([("mean", Json::from(2.0f64))]);
+        let back = Json::parse(&integral.render()).expect("integral float");
+        assert_eq!(back.get("mean"), Some(&Json::UInt(2)));
+        assert_eq!(back.at::<f64>("mean"), 2.0);
+        assert_eq!(back.at::<f64>("mean"), integral.at::<f64>("mean"));
+    }
+
+    #[test]
+    fn strict_paths_name_what_is_missing_or_mistyped() {
+        let j = Json::parse(r#"{"a":{"b":[1,2],"n":3,"f":true},"s":"x"}"#).expect("parse");
+        assert_eq!(j.at::<u64>("a.n"), 3);
+        assert!(j.at::<bool>("a.f"));
+        assert_eq!(j.at::<&str>("s"), "x");
+        assert_eq!(j.at::<&[Json]>("a.b").len(), 2);
+        assert_eq!(
+            j.try_at::<u64>("a.gone"),
+            Err("`a.gone`: no member `gone`".into())
+        );
+        assert_eq!(
+            j.try_at::<u64>("s"),
+            Err("`s` is not an unsigned integer: \"x\"".into())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "`a.missing`: no member `missing`")]
+    fn a_missing_member_panics_instead_of_reading_zero() {
+        Json::obj([("a", Json::obj([("n", Json::from(1u64))]))]).at::<u64>("a.missing");
     }
 
     #[test]

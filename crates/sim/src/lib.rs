@@ -48,7 +48,7 @@ pub use flightrec::{
     Blackout, CapturedFrame, FlightDump, FlightRecorder, HopAction, HopEvent, Journey, Outcome,
     NO_FLIGHT,
 };
-pub use json::Json;
+pub use json::{FromJson, Json};
 pub use metrics::{
     Counter, HistogramSnapshot, LatencyHistogram, MetricCell, MetricValue, MetricsRegistry,
     MetricsScope, Snapshot,

@@ -219,6 +219,18 @@ impl Histogram {
         ])
     }
 
+    /// Rebuilds a histogram from its [`Histogram::to_json`] document
+    /// (`mean` is derived, so it is not read). Panics naming the member
+    /// that is missing or mistyped.
+    pub fn from_json(j: &Json) -> Histogram {
+        let buckets = j.at::<&[Json]>("buckets").iter();
+        Histogram {
+            buckets: buckets.map(|b| b.at::<u64>("")).collect(),
+            overflow: j.at("overflow"),
+            total: j.at("total"),
+        }
+    }
+
     /// Renders an ASCII bar chart in the style of the paper's Figure 6.
     /// Bars are scaled down when any count exceeds the 50-column budget.
     pub fn render(&self, label: &str) -> String {
@@ -328,6 +340,19 @@ mod tests {
         assert!(s.contains("cold switch"));
         assert!(s.contains("0 lost | ##"));
         assert!(s.contains("2 lost | #"));
+    }
+
+    #[test]
+    fn histogram_json_round_trips() {
+        let mut h = Histogram::new(2);
+        for v in [0, 0, 1, 5] {
+            h.record(v);
+        }
+        let back = Json::parse(&h.to_json().render()).expect("parse");
+        let back = Histogram::from_json(&back);
+        assert_eq!(back.buckets(), h.buckets());
+        assert_eq!((back.overflow(), back.total()), (1, 4));
+        assert_eq!(back.render("x"), h.render("x"));
     }
 
     #[test]

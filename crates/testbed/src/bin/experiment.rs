@@ -9,9 +9,10 @@
 //! experiment all [seed=N]
 //! ```
 //!
-//! A run prints its paper-format report on stdout and writes its
-//! artifacts into `MOSQUITONET_METRICS_DIR` (default `target/metrics`):
-//! each number once, in the run's own metrics or bench sidecar. `all`
+//! A run writes its artifacts into `MOSQUITONET_METRICS_DIR` (default
+//! `target/metrics`) — each number once, in the run's own metrics or
+//! bench sidecar — and prints the paper-format report rendered from
+//! those documents on stdout. `all`
 //! runs the whole roster in report order — the source of EXPERIMENTS.md.
 //! `help` or `--help` anywhere prints usage and runs nothing; an unknown
 //! name or key, a non-integer or an out-of-range value exits 2 before any
@@ -26,18 +27,19 @@ const USAGE: &str = "usage: experiment list\n       \
                      experiment <name> [key=value ...]\n       \
                      experiment all [seed=N]";
 
-/// Runs one entry: report to stdout, artifacts to the metrics directory.
+/// Runs one entry: artifacts to the metrics directory, and the report
+/// rendered from them to stdout.
 fn run(exp: &Experiment, params: &Params) {
-    let outcome = (exp.run)(params);
-    print!("{}", outcome.report);
-    let stems: Vec<String> = outcome.artifacts.iter().map(|a| a.stem()).collect();
+    let artifacts = (exp.run)(params);
+    let stems: Vec<String> = artifacts.iter().map(|a| a.stem()).collect();
     assert_eq!(
         stems, exp.artifacts,
         "{} must write exactly the artifacts its registry entry declares",
         exp.name
     );
+    print!("{}", exp.report(params, &artifacts));
     let dir = report::metrics_dir();
-    for (artifact, stem) in outcome.artifacts.iter().zip(&stems) {
+    for (artifact, stem) in artifacts.iter().zip(&stems) {
         match artifact.write_in(&dir) {
             Ok(Some(path)) => eprintln!("wrote {}", path.display()),
             Ok(None) => {}

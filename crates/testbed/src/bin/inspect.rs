@@ -13,7 +13,9 @@
 //! prefix (e.g. `c5`), resolved against `MOSQUITONET_METRICS_DIR`
 //! (default `target/metrics`). With no target, the lone sidecar in that
 //! directory is used. Output is deterministic for a given sidecar, so
-//! `tests/goldens.rs` diffs it against a pinned copy.
+//! `tests/goldens.rs` diffs it against a pinned copy. A member the export
+//! always writes that is missing or mistyped exits 1 naming it; only a
+//! flight's `label` may be absent, and the `blackout` may be `null`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -71,25 +73,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let journeys = doc.get("journeys").cloned().unwrap_or(Json::Null);
-    let experiment = doc
-        .get("experiment")
-        .and_then(|e| e.as_str())
-        .unwrap_or("?")
-        .to_string();
     let out = match cmd.as_str() {
-        "journeys" => render_journeys(&experiment, &journeys, dropped_only),
-        "blackout" if json_mode => json_blackout(&experiment, &journeys),
-        "top-hops" if json_mode => json_top_hops(&experiment, &journeys),
-        "blackout" => render_blackout(&experiment, &journeys),
-        "top-hops" => render_top_hops(&experiment, &journeys),
+        "journeys" => render_journeys(&doc, dropped_only),
+        "blackout" if json_mode => json_member(&doc, "blackout"),
+        "top-hops" if json_mode => json_member(&doc, "top_hops"),
+        "blackout" => render_blackout(&doc),
+        "top-hops" => render_top_hops(&doc),
         other => {
             eprintln!("unknown command: {other}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    print!("{out}");
-    ExitCode::SUCCESS
+    match out {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        // A member the export always writes is missing or mistyped: say
+        // which, rather than print a plausible zero in its place.
+        Err(e) => {
+            eprintln!("{}: {e}", path.display());
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Resolves the target argument to a sidecar path: an existing file wins;
@@ -143,53 +149,53 @@ fn load(path: &PathBuf) -> Result<Json, String> {
     }
 }
 
-fn uint(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(|v| v.as_u64()).unwrap_or(0)
+/// The document's `experiment` name and its `journeys` body.
+fn parts(doc: &Json) -> Result<(&str, &Json), String> {
+    Ok((doc.try_at("experiment")?, doc.try_at("journeys")?))
 }
 
-fn summary_line(j: &Json, key: &str) -> String {
-    let Some(s) = j.get(key) else {
-        return "n/a".to_string();
-    };
-    let count = uint(s, "count");
+fn summary_line(j: &Json, key: &str) -> Result<String, String> {
+    let s = j.try_at::<&Json>(key)?;
+    let count = s.try_at::<u64>("count")?;
     if count == 0 {
-        return "no samples".to_string();
+        return Ok("no samples".to_string());
     }
-    let sum = uint(s, "sum_us");
-    format!(
+    let sum = s.try_at::<u64>("sum_us")?;
+    Ok(format!(
         "count {count}  min {}us  max {}us  mean {}us",
-        uint(s, "min_us"),
-        uint(s, "max_us"),
+        s.try_at::<u64>("min_us")?,
+        s.try_at::<u64>("max_us")?,
         sum / count
-    )
+    ))
 }
 
-fn render_journeys(experiment: &str, j: &Json, dropped_only: bool) -> String {
+fn render_journeys(doc: &Json, dropped_only: bool) -> Result<String, String> {
+    let (experiment, j) = parts(doc)?;
+    let n = |path: &str| j.try_at::<u64>(path);
     let mut out = String::new();
     out.push_str(&format!("experiment: {experiment}\n"));
     if !dropped_only {
-        let outcomes = j.get("outcomes").cloned().unwrap_or(Json::Null);
         out.push_str(&format!(
             "flights: {} (delivered {}, dropped {}, pending {})\n",
-            uint(j, "flights"),
-            uint(&outcomes, "delivered"),
-            uint(&outcomes, "dropped"),
-            uint(&outcomes, "pending"),
+            n("flights")?,
+            n("outcomes.delivered")?,
+            n("outcomes.dropped")?,
+            n("outcomes.pending")?,
         ));
         out.push_str(&format!(
             "hops: {} (overwritten {}, truncated flights {})\n",
-            uint(j, "hops"),
-            uint(j, "hops_overwritten"),
-            uint(j, "truncated_flights"),
+            n("hops")?,
+            n("hops_overwritten")?,
+            n("truncated_flights")?,
         ));
-        out.push_str(&format!("e2e delay: {}\n", summary_line(j, "delay_us")));
+        out.push_str(&format!("e2e delay: {}\n", summary_line(j, "delay_us")?));
         out.push_str(&format!(
             "per-hop delay: {}\n",
-            summary_line(j, "per_hop_us")
+            summary_line(j, "per_hop_us")?
         ));
     }
-    let drops = j.get("drops").and_then(|d| d.as_arr()).unwrap_or(&[]);
-    let omitted = uint(j, "drops_omitted");
+    let drops = j.try_at::<&[Json]>("drops")?;
+    let omitted = n("drops_omitted")?;
     out.push_str(&format!(
         "dropped flights shown: {}{}\n",
         drops.len(),
@@ -207,84 +213,73 @@ fn render_journeys(experiment: &str, j: &Json, dropped_only: bool) -> String {
             .unwrap_or_default();
         out.push_str(&format!(
             "flight {} reason={}{}\n",
-            uint(d, "flight"),
-            d.get("reason").and_then(|r| r.as_str()).unwrap_or("?"),
+            d.try_at::<u64>("flight")?,
+            d.try_at::<&str>("reason")?,
             label,
         ));
-        for h in d.get("hops").and_then(|h| h.as_arr()).unwrap_or(&[]) {
+        for h in d.try_at::<&[Json]>("hops")? {
+            let text = |key: &str| h.try_at::<&str>(key);
             out.push_str(&format!(
                 "  {:>12}us  {:<14} {:<8} {}\n",
-                uint(h, "us"),
-                h.get("host").and_then(|v| v.as_str()).unwrap_or("?"),
-                h.get("point").and_then(|v| v.as_str()).unwrap_or("?"),
-                h.get("action").and_then(|v| v.as_str()).unwrap_or("?"),
+                h.try_at::<u64>("us")?,
+                text("host")?,
+                text("point")?,
+                text("action")?,
             ));
         }
     }
-    out
+    Ok(out)
 }
 
-fn render_blackout(experiment: &str, j: &Json) -> String {
+fn render_blackout(doc: &Json) -> Result<String, String> {
+    let (experiment, j) = parts(doc)?;
     let mut out = String::new();
     out.push_str(&format!("experiment: {experiment}\n"));
-    match j.get("blackout") {
-        Some(b) if *b != Json::Null => {
-            out.push_str(&format!(
-                "origin: {}\n",
-                b.get("origin").and_then(|o| o.as_str()).unwrap_or("?")
-            ));
-            out.push_str(&format!("lost: {}\n", uint(b, "lost")));
-            out.push_str(&format!("first_us: {}\n", uint(b, "first_us")));
-            out.push_str(&format!("last_us: {}\n", uint(b, "last_us")));
+    match j.try_at::<&Json>("blackout")? {
+        Json::Null => out.push_str("no blackout recorded\n"),
+        b => {
+            out.push_str(&format!("origin: {}\n", b.try_at::<&str>("origin")?));
+            for key in ["lost", "first_us", "last_us"] {
+                out.push_str(&format!("{key}: {}\n", b.try_at::<u64>(key)?));
+            }
         }
-        _ => out.push_str("no blackout recorded\n"),
     }
-    out
+    Ok(out)
 }
 
-/// Structured `blackout` output: the sidecar's blackout member (or
-/// `null`) wrapped in a schema-tagged envelope. Pretty-rendered, so the
-/// golden table diffs it like any other sidecar.
-fn json_blackout(experiment: &str, j: &Json) -> String {
-    let blackout = j.get("blackout").cloned().unwrap_or(Json::Null);
+/// Structured output: the journeys member `key` — the blackout (or
+/// `null`), or the per-(host, action) hop counts in their deterministic
+/// export order — wrapped in a schema-tagged envelope whose `command` is
+/// `key` spelled with a dash. Pretty-rendered, so the golden table diffs
+/// it like any other sidecar.
+fn json_member(doc: &Json, key: &str) -> Result<String, String> {
+    let (experiment, j) = parts(doc)?;
     let doc = Json::obj([
         ("schema", Json::from(INSPECT_SCHEMA)),
-        ("command", Json::from("blackout")),
+        ("command", Json::from(key.replace('_', "-"))),
         ("experiment", Json::from(experiment)),
-        ("blackout", blackout),
+        (key, j.try_at::<&Json>(key)?.clone()),
     ]);
-    format!("{}\n", doc.render_pretty().trim_end())
+    Ok(format!("{}\n", doc.render_pretty().trim_end()))
 }
 
-/// Structured `top-hops` output: the sidecar's per-(host, action) hop
-/// counts in their deterministic export order.
-fn json_top_hops(experiment: &str, j: &Json) -> String {
-    let rows = j.get("top_hops").cloned().unwrap_or_else(|| Json::arr([]));
-    let doc = Json::obj([
-        ("schema", Json::from(INSPECT_SCHEMA)),
-        ("command", Json::from("top-hops")),
-        ("experiment", Json::from(experiment)),
-        ("top_hops", rows),
-    ]);
-    format!("{}\n", doc.render_pretty().trim_end())
-}
-
-fn render_top_hops(experiment: &str, j: &Json) -> String {
+fn render_top_hops(doc: &Json) -> Result<String, String> {
+    let (experiment, j) = parts(doc)?;
     let mut out = String::new();
     out.push_str(&format!("experiment: {experiment}\n"));
-    let rows = j.get("top_hops").and_then(|t| t.as_arr()).unwrap_or(&[]);
+    let rows = j.try_at::<&[Json]>("top_hops")?;
     if rows.is_empty() {
         out.push_str("no hops recorded\n");
-        return out;
+        return Ok(out);
     }
     out.push_str(&format!("{:>10}  {:<14} action\n", "count", "host"));
     for r in rows {
         out.push_str(&format!(
             "{:>10}  {:<14} {}\n",
-            uint(r, "count"),
-            r.get("host").and_then(|v| v.as_str()).unwrap_or("?"),
-            r.get("action").and_then(|v| v.as_str()).unwrap_or("?"),
+            r.try_at::<u64>("count")?,
+            r.try_at::<&str>("host")?,
+            r.try_at::<&str>("action")?,
         ));
     }
-    out
+    Ok(out)
 }

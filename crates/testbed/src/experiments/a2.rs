@@ -9,36 +9,21 @@ use mosquitonet_sim::{Json, Sim, SimDuration};
 use mosquitonet_stack::{self as stack, Network};
 use mosquitonet_wire::{Cidr, MacAddr};
 
-use super::common::{percentile, result_row, summary_ms};
-use super::{with_result, Experiment, SEED};
+use super::common::{percentile, summary_ms};
+use super::{metrics, with_result, Experiment, SEED};
 use crate::report;
 use crate::topology::{self, COA_DEPT, ROUTER_DEPT};
 use crate::workload::RegistrationStorm;
 
-result_row! {
-    /// One row of the home-agent scaling table (A2).
-    #[derive(Debug)]
-    pub struct A2Row {
-        /// Simultaneously registering mobile hosts.
-        pub mobile_hosts: u32,
-        /// Completed registrations.
-        pub completed: u32,
-        /// Mean reply latency, ms.
-        pub mean_reply_ms: f64,
-        /// 95th-percentile reply latency, ms.
-        pub p95_reply_ms: f64,
-        /// Worst reply latency, ms.
-        pub max_reply_ms: f64,
-        /// Time from first request sent to last reply received, ms.
-        pub span_ms: f64,
-    }
-}
-
-/// Runs the A2 scaling experiment for each burst size.
+/// Runs the home-agent scaling experiment (A2) for each burst size.
 ///
-/// Returns the per-size rows plus the per-burst metric registries keyed
-/// `burst_{n}` (each burst size runs a fresh two-net world).
-pub fn run_a2(sizes: &[u32], seed: u64) -> (Vec<A2Row>, Json) {
+/// Returns the metrics body: `result`, one row per size (the
+/// simultaneously registering `mobile_hosts`, the `completed`
+/// registrations, the mean, 95th-percentile and worst reply latency in
+/// ms, and `span_ms` from first request sent to last reply received),
+/// then the per-burst registries keyed `burst_{n}` (each burst size runs
+/// a fresh two-net world).
+pub fn run_a2(sizes: &[u32], seed: u64) -> Json {
     let mut metrics = Vec::new();
     let rows = sizes
         .iter()
@@ -135,17 +120,17 @@ pub fn run_a2(sizes: &[u32], seed: u64) -> (Vec<A2Row>, Json) {
                 .map(|(first, last)| (last - first).as_millis_f64())
                 .unwrap_or(0.0);
             metrics.push((format!("burst_{n}"), sim.metrics().to_json()));
-            A2Row {
-                mobile_hosts: n,
-                completed,
-                mean_reply_ms: mean.mean(),
-                p95_reply_ms: p95,
-                max_reply_ms: mean.max().unwrap_or(0.0),
-                span_ms,
-            }
+            Json::obj([
+                ("mobile_hosts", Json::from(n)),
+                ("completed", Json::from(completed)),
+                ("mean_reply_ms", Json::from(mean.mean())),
+                ("p95_reply_ms", Json::from(p95)),
+                ("max_reply_ms", Json::from(mean.max().unwrap_or(0.0))),
+                ("span_ms", Json::from(span_ms)),
+            ])
         })
         .collect();
-    (rows, Json::obj(metrics))
+    with_result(Json::Arr(rows), Json::obj(metrics))
 }
 
 pub(super) const A2: Experiment = Experiment {
@@ -154,8 +139,10 @@ pub(super) const A2: Experiment = Experiment {
     params: &[SEED],
     artifacts: &["a2.metrics"],
     run: |p| {
-        let (rows, metrics) = run_a2(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512], p.get("seed"));
-        let result = Json::arr(rows.iter().map(A2Row::to_json));
-        with_result(report::render_a2(&rows), "a2", result, metrics)
+        metrics(
+            "a2",
+            run_a2(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512], p.get("seed")),
+        )
     },
+    render: report::render_a2,
 };

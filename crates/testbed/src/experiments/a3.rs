@@ -9,40 +9,9 @@ use mosquitonet_stack as stack;
 use mosquitonet_wire::MacAddr;
 
 use super::common::install_echo;
-use super::{with_result, Experiment, SEED};
+use super::{metrics, with_result, Experiment, SEED};
 use crate::report;
 use crate::topology::{build, TestbedConfig};
-
-/// Result of the DHCP address-reuse experiment (A3, §5.1 security note).
-#[derive(Debug)]
-pub struct A3Result {
-    /// Tunneled packets mis-delivered to the newcomer under
-    /// first-available reuse.
-    pub first_available_misdelivered: u64,
-    /// Same under least-recently-used reuse.
-    pub lru_misdelivered: u64,
-    /// Did the LRU server hand the newcomer a different address?
-    pub lru_gave_different_address: bool,
-    /// Metric registries for both reuse-policy runs.
-    pub metrics: Json,
-}
-
-impl A3Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "first_available_misdelivered",
-                Json::from(self.first_available_misdelivered),
-            ),
-            ("lru_misdelivered", Json::from(self.lru_misdelivered)),
-            (
-                "lru_gave_different_address",
-                Json::from(self.lru_gave_different_address),
-            ),
-        ])
-    }
-}
 
 fn run_a3_policy(policy: ReusePolicy, seed: u64) -> (u64, bool, Json) {
     let mut tb = build(TestbedConfig {
@@ -110,21 +79,26 @@ fn run_a3_policy(policy: ReusePolicy, seed: u64) -> (u64, bool, Json) {
     )
 }
 
-/// Runs the A3 experiment under both reuse policies.
-pub fn run_a3(seed: u64) -> A3Result {
-    let (first_available_misdelivered, _, fa_metrics) =
-        run_a3_policy(ReusePolicy::FirstAvailable, seed);
-    let (lru_misdelivered, lru_gave_different_address, lru_metrics) =
-        run_a3_policy(ReusePolicy::LeastRecentlyUsed, seed);
-    A3Result {
-        first_available_misdelivered,
-        lru_misdelivered,
-        lru_gave_different_address,
-        metrics: Json::obj([
-            ("first_available", fa_metrics),
-            ("least_recently_used", lru_metrics),
-        ]),
-    }
+/// Runs the DHCP address-reuse experiment (A3, §5.1 security note)
+/// under both reuse policies. Returns the metrics body: `result`
+/// (tunneled packets mis-delivered to the newcomer under first-available
+/// and least-recently-used reuse, `first_available_misdelivered` and
+/// `lru_misdelivered`, and whether the LRU server handed the newcomer a
+/// different address, `lru_gave_different_address`), then the
+/// registries of both runs.
+pub fn run_a3(seed: u64) -> Json {
+    let (first_available, _, fa_metrics) = run_a3_policy(ReusePolicy::FirstAvailable, seed);
+    let (lru, lru_different, lru_metrics) = run_a3_policy(ReusePolicy::LeastRecentlyUsed, seed);
+    let result = Json::obj([
+        ("first_available_misdelivered", Json::from(first_available)),
+        ("lru_misdelivered", Json::from(lru)),
+        ("lru_gave_different_address", Json::from(lru_different)),
+    ]);
+    let metrics = Json::obj([
+        ("first_available", fa_metrics),
+        ("least_recently_used", lru_metrics),
+    ]);
+    with_result(result, metrics)
 }
 
 pub(super) const A3: Experiment = Experiment {
@@ -132,8 +106,6 @@ pub(super) const A3: Experiment = Experiment {
     about: "A3: tunneled-packet mis-delivery under both DHCP reuse policies (§5.1)",
     params: &[SEED],
     artifacts: &["a3.metrics"],
-    run: |p| {
-        let r = run_a3(p.get("seed"));
-        with_result(report::render_a3(&r), "a3", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("a3", run_a3(p.get("seed"))),
+    render: report::render_a3,
 };

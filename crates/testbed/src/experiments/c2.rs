@@ -1,42 +1,21 @@
 //! Claim C2 (§4): the Metricom radio's round-trip time and goodput.
 
 use mosquitonet_core::{SendMode, SwitchStyle};
-use mosquitonet_sim::{Json, SimDuration, Summary};
+use mosquitonet_sim::{Json, SimDuration};
 use mosquitonet_stack as stack;
 use mosquitonet_wire::Cidr;
 
 use super::common::{default_testbed, radio_plan, summary_ms};
-use super::{with_result, Experiment, Param, SEED};
+use super::{metrics, with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{CH_DEPT, COA_RADIO, ROUTER_RADIO};
 use crate::workload::{SaturationSender, SaturationSink, UdpEchoResponder, UdpEchoSender};
 
-/// Result of the radio characterization (claim C2, §4).
-#[derive(Debug)]
-pub struct C2Result {
-    /// Echo RTT over the radio, milliseconds.
-    pub rtt_ms: Summary,
-    /// Measured bulk goodput, kb/s.
-    pub goodput_kbps: f64,
-    /// The radios' theoretical rate, kb/s.
-    pub theoretical_kbps: f64,
-    /// End-of-run dump of every host's metric registry.
-    pub metrics: Json,
-}
-
-impl C2Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("rtt_ms", self.rtt_ms.to_json()),
-            ("goodput_kbps", Json::from(self.goodput_kbps)),
-            ("theoretical_kbps", Json::from(self.theoretical_kbps)),
-        ])
-    }
-}
-
-/// Runs the C2 radio characterization.
-pub fn run_c2(pings: u32, seed: u64) -> C2Result {
+/// Runs the radio characterization (claim C2, §4). Returns the metrics
+/// body: `result` (the echo RTT over the radio as a summary in ms,
+/// `rtt_ms`; the measured bulk `goodput_kbps`; the radios'
+/// `theoretical_kbps`), then every host's registry.
+pub fn run_c2(pings: u32, seed: u64) -> Json {
     let mut tb = default_testbed(seed);
     // Move onto the radio (cold switch from home).
     let plan = radio_plan(tb.mh_radio, SwitchStyle::Cold);
@@ -83,13 +62,12 @@ pub fn run_c2(pings: u32, seed: u64) -> C2Result {
     tb.run_for(SimDuration::from_secs(90));
     let sink: &mut SaturationSink = tb.module(ch, sink_mid);
     let goodput_kbps = sink.goodput_kbps().expect("transfer completed");
-    let metrics = tb.sim.metrics().to_json();
-    C2Result {
-        rtt_ms,
-        goodput_kbps,
-        theoretical_kbps: 100.0,
-        metrics,
-    }
+    let result = Json::obj([
+        ("rtt_ms", rtt_ms.to_json()),
+        ("goodput_kbps", Json::from(goodput_kbps)),
+        ("theoretical_kbps", Json::from(100.0)),
+    ]);
+    with_result(result, tb.sim.metrics().to_json())
 }
 
 pub(super) const C2: Experiment = Experiment {
@@ -97,8 +75,6 @@ pub(super) const C2: Experiment = Experiment {
     about: "C2: radio RTT (200-250 ms) and effective throughput (30-40 kb/s) (§4)",
     params: &[Param::count("pings", 50), SEED],
     artifacts: &["c2.metrics"],
-    run: |p| {
-        let r = run_c2(p.get_u32("pings"), p.get("seed"));
-        with_result(report::render_c2(&r), "c2", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("c2", run_c2(p.get_u32("pings"), p.get("seed"))),
+    render: report::render_c2,
 };

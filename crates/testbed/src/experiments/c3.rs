@@ -2,46 +2,15 @@
 //! the fallback when a foreign site filters transit traffic.
 
 use mosquitonet_core::SendMode;
-use mosquitonet_sim::{Json, SimDuration, Summary};
+use mosquitonet_sim::{Json, SimDuration};
 use mosquitonet_stack::{self as stack, ModuleId};
 use mosquitonet_wire::Cidr;
 
 use super::common::{settle_on_foreign, summary_ms, ECHO_PORT};
-use super::{with_result, Experiment, SEED};
+use super::{metrics, with_result, Experiment, SEED};
 use crate::report;
 use crate::topology::{build, Testbed, TestbedConfig, CH_FAR};
 use crate::workload::{UdpEchoResponder, UdpEchoSender};
-
-/// Result of the triangle-route comparison (claim C3, §3.2).
-#[derive(Debug)]
-pub struct C3Result {
-    /// Echo RTT through the reverse tunnel, ms.
-    pub tunnel_rtt_ms: Summary,
-    /// Echo RTT with the triangle route, ms.
-    pub triangle_rtt_ms: Summary,
-    /// With a filtering foreign router: did the probe fall back?
-    pub fallback_triggered: bool,
-    /// After fallback, do echoes still flow (via the tunnel)?
-    pub post_fallback_delivery: bool,
-    /// Metric registries for both phases (the RTT comparison and the
-    /// transit-filter fallback run their own test-beds).
-    pub metrics: Json,
-}
-
-impl C3Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("tunnel_rtt_ms", self.tunnel_rtt_ms.to_json()),
-            ("triangle_rtt_ms", self.triangle_rtt_ms.to_json()),
-            ("fallback_triggered", Json::from(self.fallback_triggered)),
-            (
-                "post_fallback_delivery",
-                Json::from(self.post_fallback_delivery),
-            ),
-        ])
-    }
-}
 
 /// One C3 phase's test-bed: a separate (off-router) home agent so the
 /// tunnel detour is visible, an echo responder on the distant CH, and the
@@ -79,8 +48,14 @@ fn ping_far_ch(tb: &mut Testbed) -> ModuleId {
     )
 }
 
-/// Runs the C3 triangle-route experiment.
-pub fn run_c3(seed: u64) -> C3Result {
+/// Runs the triangle-route comparison (claim C3, §3.2). Returns the
+/// metrics body: `result` (echo RTT summaries in ms through the reverse
+/// tunnel and with the triangle route, `tunnel_rtt_ms` and
+/// `triangle_rtt_ms`; with a filtering foreign router, whether the probe
+/// fell back, `fallback_triggered`, and whether echoes still flowed via
+/// the tunnel after it, `post_fallback_delivery`), then the registries of
+/// both phases (each runs its own test-bed).
+pub fn run_c3(seed: u64) -> Json {
     // Phase 1: RTT comparison from the foreign site to the distant CH.
     let mut tb = c3_testbed(seed, false);
     assert!(tb.mh_module().away_status().map(|s| s.2).unwrap_or(false));
@@ -97,8 +72,8 @@ pub fn run_c3(seed: u64) -> C3Result {
         s.stop();
         s.rtts()
     };
-    let tunnel_rtt_ms = summary_ms(&tunnel_rtts);
-    let triangle_rtt_ms = summary_ms(&all_rtts[tunnel_rtts.len()..]);
+    let tunnel_rtt_ms = summary_ms(&tunnel_rtts).to_json();
+    let triangle_rtt_ms = summary_ms(&all_rtts[tunnel_rtts.len()..]).to_json();
 
     let phase1_metrics = tb.sim.metrics().to_json();
 
@@ -117,16 +92,17 @@ pub fn run_c3(seed: u64) -> C3Result {
         s.received() >= s.sent().saturating_sub(2) && s.received() > 0
     };
 
-    C3Result {
-        tunnel_rtt_ms,
-        triangle_rtt_ms,
-        fallback_triggered,
-        post_fallback_delivery,
-        metrics: Json::obj([
-            ("rtt_comparison", phase1_metrics),
-            ("filter_fallback", tb.sim.metrics().to_json()),
-        ]),
-    }
+    let result = Json::obj([
+        ("tunnel_rtt_ms", tunnel_rtt_ms),
+        ("triangle_rtt_ms", triangle_rtt_ms),
+        ("fallback_triggered", Json::from(fallback_triggered)),
+        ("post_fallback_delivery", Json::from(post_fallback_delivery)),
+    ]);
+    let metrics = Json::obj([
+        ("rtt_comparison", phase1_metrics),
+        ("filter_fallback", tb.sim.metrics().to_json()),
+    ]);
+    with_result(result, metrics)
 }
 
 pub(super) const C3: Experiment = Experiment {
@@ -134,8 +110,6 @@ pub(super) const C3: Experiment = Experiment {
     about: "C3: triangle route vs. reverse tunnel, and the filter fallback (§3.2)",
     params: &[SEED],
     artifacts: &["c3.metrics"],
-    run: |p| {
-        let r = run_c3(p.get("seed"));
-        with_result(report::render_c3(&r), "c3", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("c3", run_c3(p.get("seed"))),
+    render: report::render_c3,
 };

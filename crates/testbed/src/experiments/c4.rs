@@ -5,49 +5,11 @@ use mosquitonet_sim::{Json, LatencyHistogram, MetricsRegistry, SimDuration};
 use mosquitonet_stack as stack;
 
 use super::common::{
-    default_testbed, percentile, poll_until, result_row, settle_on_dept, switch_dept_address,
+    default_testbed, percentile, poll_until, settle_on_dept, switch_dept_address, uints,
 };
-use super::{with_metrics, Experiment, Param, SEED};
+use super::{metrics, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{COA_DEPT, COA_DEPT_ALT};
-
-result_row! {
-    /// One sweep point of the lossy-registration chaos experiment. Every
-    /// field is an integer, so the export is byte-stable across same-seed
-    /// runs.
-    #[derive(Debug)]
-    pub struct C4Row {
-        /// Uniform frame-loss probability injected on the department LAN, %.
-        pub loss_pct: u32,
-        /// Address switches commanded at this loss rate.
-        pub switches: u32,
-        /// Switches whose registration completed within the per-switch cap.
-        pub completed: u32,
-        /// Registration requests transmitted during the sweep (first sends
-        /// and retransmissions).
-        pub requests_sent: u64,
-        /// Retransmissions among those.
-        pub retries: u64,
-        /// Frames the fault plan deleted on the department LAN.
-        pub drops_injected: u64,
-        /// Median completion latency over the completed switches, µs.
-        pub p50_us: u64,
-        /// 90th-percentile completion latency, µs.
-        pub p90_us: u64,
-        /// Worst completion latency, µs.
-        pub max_us: u64,
-    }
-}
-
-/// The C4 result: one row per loss rate plus the sidecar metrics.
-pub struct C4Result {
-    /// One row per sweep point.
-    pub rows: Vec<C4Row>,
-    /// `{"sweep": ..., "rows": ...}` — per-loss completion histograms and
-    /// each fault plan's own `fault.{kind}` counters under `c4/loss_XX/`,
-    /// plus the row table.
-    pub metrics: Json,
-}
 
 /// The loss sweep: uniform frame loss from 0 to 50 %.
 pub const C4_LOSS_PCTS: &[u32] = &[0, 10, 20, 30, 40, 50];
@@ -84,7 +46,15 @@ const C4_SWITCH_CAP: SimDuration = SimDuration::from_secs(240);
 /// department LAN by a seeded [`FaultPlan`]. Everything — including every
 /// injected fault — derives from `seed`, so a rerun reproduces the result
 /// byte for byte.
-pub fn run_c4(switches: u32, seed: u64) -> C4Result {
+///
+/// Returns the metrics body: `sweep` (per-loss completion histograms and
+/// each fault plan's own `fault.{kind}` counters under `c4/loss_XX/`) and
+/// `rows`, one integer row per sweep point: the injected `loss_pct`, the
+/// `switches` commanded and `completed` within the per-switch cap, the
+/// `requests_sent` (first sends and retransmissions) and `retries` among
+/// them, the frames the plan deleted (`drops_injected`), and the median,
+/// 90th-percentile and worst completion latency in µs.
+pub fn run_c4(switches: u32, seed: u64) -> Json {
     let sweep = MetricsRegistry::new();
     let mut rows = Vec::new();
     for &pct in C4_LOSS_PCTS {
@@ -136,23 +106,19 @@ pub fn run_c4(switches: u32, seed: u64) -> C4Result {
             .map(|p| p.injected(FaultKind::Drop))
             .unwrap_or(0);
         totals_ns.sort_unstable();
-        rows.push(C4Row {
-            loss_pct: pct,
-            switches,
-            completed: totals_ns.len() as u32,
-            requests_sent: req1 - req0,
-            retries: ret1 - ret0,
-            drops_injected: drops,
-            p50_us: percentile(&totals_ns, 50) / 1_000,
-            p90_us: percentile(&totals_ns, 90) / 1_000,
-            max_us: percentile(&totals_ns, 100) / 1_000,
-        });
+        rows.push(uints([
+            ("loss_pct", u64::from(pct)),
+            ("switches", u64::from(switches)),
+            ("completed", totals_ns.len() as u64),
+            ("requests_sent", req1 - req0),
+            ("retries", ret1 - ret0),
+            ("drops_injected", drops),
+            ("p50_us", percentile(&totals_ns, 50) / 1_000),
+            ("p90_us", percentile(&totals_ns, 90) / 1_000),
+            ("max_us", percentile(&totals_ns, 100) / 1_000),
+        ]));
     }
-    let metrics = Json::obj([
-        ("sweep", sweep.to_json()),
-        ("rows", Json::arr(rows.iter().map(C4Row::to_json))),
-    ]);
-    C4Result { rows, metrics }
+    Json::obj([("sweep", sweep.to_json()), ("rows", Json::Arr(rows))])
 }
 
 pub(super) const C4: Experiment = Experiment {
@@ -161,7 +127,8 @@ pub(super) const C4: Experiment = Experiment {
     params: &[Param::count("switches", 4), SEED],
     artifacts: &["c4_lossy_registration.metrics"],
     run: |p| {
-        let r = run_c4(p.get_u32("switches"), p.get("seed"));
-        with_metrics(report::render_c4(&r), "c4_lossy_registration", r.metrics)
+        let body = run_c4(p.get_u32("switches"), p.get("seed"));
+        metrics("c4_lossy_registration", body)
     },
+    render: report::render_c4,
 };

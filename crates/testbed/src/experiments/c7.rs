@@ -12,46 +12,6 @@ use crate::report;
 use crate::topology::{Testbed, TestbedConfig, ATTACKER_DEPT, COA_DEPT, HA_SEPARATE, MH_HOME};
 use crate::workload::RegistrationAttacker;
 
-/// Result of the spoofed/replayed-registration chaos experiment (claim
-/// C7): with registration authentication required, an on-subnet attacker
-/// injecting forged and byte-exact replayed registrations — before and
-/// after a home-agent crash/restart — never moves the binding, never
-/// gets a registration accepted, and never perturbs the mobile host's
-/// traffic outside the crash window itself.
-#[derive(Debug)]
-pub struct C7Result {
-    /// Echo probes the correspondent sent over the whole run.
-    pub sent: u64,
-    /// Echo replies it got back.
-    pub received: u64,
-    /// Probes lost across the spoof + replay phases (acceptance: 0 — the
-    /// attack must not disturb the session).
-    pub lost_attack: u64,
-    /// Probes lost after the post-crash reconvergence (acceptance: 0).
-    pub lost_after: u64,
-    /// Forged registrations injected (unsigned and wrong-key).
-    pub spoofs: u64,
-    /// Byte-exact replayed registrations injected (incl. post-restart).
-    pub replays: u64,
-    /// Injections the home agent accepted (acceptance: 0).
-    pub attacker_accepted: u64,
-    /// Denial replies the attacker collected (expect = injections).
-    pub attacker_denied: u64,
-    /// Home-agent `reg/auth_fail` count (expect = spoofs).
-    pub auth_failures: u64,
-    /// Home-agent `reg/auth_replay` count (expect = replays).
-    pub auth_replays: u64,
-    /// True when the binding pointed at the genuine care-of address at
-    /// every checkpoint (acceptance: true).
-    pub binding_intact: bool,
-    /// The agent's boot epoch at the end of the run (expect 1).
-    pub ha_epoch: u64,
-    /// The metrics sidecar document.
-    pub metrics: Json,
-    /// The flight-recorder journeys sidecar document.
-    pub journeys: Json,
-}
-
 /// SPI provisioned for the MH/HA pair in the keyed topology.
 const C7_SPI: u32 = 0x100;
 /// The shared key. In a real deployment this comes from out-of-band
@@ -71,8 +31,19 @@ const C7_POST: SimDuration = SimDuration::from_secs(6);
 /// Runs claim C7: spoof and replay registrations at a home agent that
 /// requires authentication, crash/restart the agent in between, and
 /// verify the binding never moves and the replay floor survives the
-/// restart. Everything derives from `seed`.
-pub fn run_c7(seed: u64) -> C7Result {
+/// restart. An on-subnet attacker injecting forged and byte-exact
+/// replayed registrations never moves the binding, never gets a
+/// registration accepted, and never perturbs the mobile host's traffic
+/// outside the crash window itself. Everything derives from `seed`.
+///
+/// Returns the `(metrics, journeys)` sidecar bodies. The metrics body
+/// holds `seed`, `timeline_ms`, `echo` (probes sent and received, lost
+/// during the attack, the crash and after recovery), `attack` (forgeries
+/// and replays injected, what the attacker saw accepted and denied, the
+/// agent's auth-failure and replay denials, the replay floor, whether the
+/// binding stayed at the genuine care-of address at every checkpoint,
+/// and the agent's final boot epoch) and `registry`.
+pub fn run_c7(seed: u64) -> (Json, Json) {
     let cfg = TestbedConfig {
         seed,
         mh_auth: Some((C7_SPI, C7_KEY)),
@@ -214,30 +185,14 @@ pub fn run_c7(seed: u64) -> C7Result {
         ("binding_intact", Json::Bool(binding_intact)),
         ("ha_epoch", Json::UInt(ha_epoch)),
     ]);
-    let (metrics, journeys) = run.sidecars(
+    run.sidecars(
         seed,
         [
             ("timeline_ms", timeline_ms),
             ("echo", echo),
             ("attack", attack),
         ],
-    );
-    C7Result {
-        sent,
-        received,
-        lost_attack,
-        lost_after,
-        spoofs,
-        replays,
-        attacker_accepted,
-        attacker_denied,
-        auth_failures,
-        auth_replays,
-        binding_intact,
-        ha_epoch,
-        metrics,
-        journeys,
-    }
+    )
 }
 
 pub(super) const C7: Experiment = Experiment {
@@ -248,9 +203,6 @@ pub(super) const C7: Experiment = Experiment {
         "c7_spoofed_registration.metrics",
         "c7_spoofed_registration.journeys",
     ],
-    run: |p| {
-        let r = run_c7(p.get("seed"));
-        let name = "c7_spoofed_registration";
-        with_journeys(report::render_c7(&r), name, r.metrics, r.journeys)
-    },
+    run: |p| with_journeys("c7_spoofed_registration", run_c7(p.get("seed"))),
+    render: report::render_c7,
 };

@@ -146,42 +146,22 @@ impl CrashRun {
 
 // ---------------------------------------------------------------- C5
 
-/// Result of the home-agent crash/recovery chaos experiment (claim C5):
-/// a correspondent's in-flight echo session rides out a home-agent crash
-/// because the restarted agent replays its binding journal and resumes
-/// proxying/tunneling, and the mobile host notices the new boot epoch in
-/// the next registration reply and re-registers from scratch.
+/// What a C5 run returns: its two sidecar documents, and beside them what
+/// no document may hold.
 #[derive(Debug)]
-pub struct C5Result {
-    /// Echo probes the correspondent sent over the whole run.
-    pub sent: u64,
-    /// Echo replies it got back.
-    pub received: u64,
-    /// Probes lost in the settled window before the crash (expect 0).
-    pub lost_before: u64,
-    /// Probes lost between the crash and MH reconvergence.
-    pub lost_during: u64,
-    /// Probes lost after reconvergence (acceptance: 0).
-    pub lost_after: u64,
-    /// Crash-to-reconvergence, milliseconds.
-    pub reconverged_ms: u64,
-    /// Boot-epoch changes the MH detected (expect 1).
-    pub epoch_changes: u64,
-    /// Journal records the restarted agent replayed.
-    pub journal_replayed: u64,
-    /// The agent's boot epoch at the end of the run (expect 1).
-    pub ha_epoch: u64,
-    /// The metrics sidecar document.
+pub struct C5Run {
+    /// The metrics sidecar body: `seed`, `timeline_ms`, `echo` (probes
+    /// sent, received, and lost before the crash, during the outage and
+    /// after reconvergence), `recovery` (crash-to-reconvergence ms, the
+    /// epoch changes the MH saw, journal records replayed, the agent's
+    /// final boot epoch, …) and the run `registry`.
     pub metrics: Json,
-    /// The flight-recorder journeys sidecar document.
+    /// The journeys sidecar body, its `blackout` reconstructed purely from
+    /// correspondent-origin flights.
     pub journeys: Json,
-    /// Blackout window reconstructed purely from correspondent-origin
-    /// flights, as `(lost, first_us, last_us)`. `None` when no flight
-    /// from the correspondent was dropped.
-    pub blackout: Option<(u64, u64, u64)>,
     /// Send times (µs) of the probes the sender itself counted lost in
-    /// the crash-to-reconvergence window — the ground truth the flight
-    /// recorder's blackout must match exactly.
+    /// the crash-to-reconvergence window — the independent ground truth
+    /// the journeys' blackout must match exactly.
     pub lost_during_times_us: Vec<u64>,
     /// Wire frames captured at the router for pcap export. Empty unless
     /// the run was built with `MOSQUITONET_PCAP` set.
@@ -190,8 +170,12 @@ pub struct C5Result {
 
 /// Runs claim C5: crash the (separate-host) home agent mid-session with
 /// its journal intact, restart it, and measure the correspondent's echo
-/// stream around the outage. Everything derives from `seed`.
-pub fn run_c5(seed: u64) -> C5Result {
+/// stream around the outage. A correspondent's in-flight echo session
+/// rides out the crash because the restarted agent replays its binding
+/// journal and resumes proxying/tunneling, and the mobile host notices
+/// the new boot epoch in the next registration reply and re-registers
+/// from scratch. Everything derives from `seed`.
+pub fn run_c5(seed: u64) -> C5Run {
     let cfg = TestbedConfig {
         seed,
         ..TestbedConfig::default()
@@ -277,25 +261,11 @@ pub fn run_c5(seed: u64) -> C5Result {
             ("recovery", recovery),
         ],
     );
-    let flights = run.tb.sim.flights();
-    let blackout = flights
-        .blackout(run.tb.ch_dept.0 as u32)
-        .map(|b| (b.lost, b.first.as_micros(), b.last.as_micros()));
-    C5Result {
-        sent,
-        received,
-        lost_before,
-        lost_during,
-        lost_after,
-        reconverged_ms,
-        epoch_changes,
-        journal_replayed,
-        ha_epoch,
+    C5Run {
         metrics,
         journeys,
-        blackout,
         lost_during_times_us,
-        captures: flights.captures().to_vec(),
+        captures: run.tb.sim.flights().captures().to_vec(),
     }
 }
 
@@ -311,51 +281,14 @@ pub(super) const C5: Experiment = Experiment {
     run: |p| {
         let r = run_c5(p.get("seed"));
         let name = "c5_ha_crash_recovery";
-        let mut out = with_journeys(report::render_c5(&r), name, r.metrics, r.journeys);
-        out.artifacts.push(Artifact::Pcap(name, r.captures));
+        let mut out = with_journeys(name, (r.metrics, r.journeys));
+        out.push(Artifact::Pcap(name, r.captures));
         out
     },
+    render: report::render_c5,
 };
 
 // ---------------------------------------------------------------- C6
-
-/// Result of the standby-failover chaos experiment (claim C6): the
-/// primary home agent crashes for good, and the mobile host — after its
-/// retry budget exhausts and a brief agent-less degradation — fails over
-/// to the standby agent, which has been absorbing binding replicas and
-/// takes over proxy ARP and tunneling.
-#[derive(Debug)]
-pub struct C6Result {
-    /// Inbound (CH→MH) probes sent / replies received.
-    pub in_sent: u64,
-    /// Inbound replies received.
-    pub in_received: u64,
-    /// Inbound probes lost between the crash and failover completion.
-    pub in_lost_during: u64,
-    /// Inbound probes lost after failover (acceptance: 0).
-    pub in_lost_after: u64,
-    /// Outbound (MH→CH) probes lost after failover (acceptance: 0).
-    pub out_lost_after: u64,
-    /// Crash-to-failover, milliseconds.
-    pub failover_ms: u64,
-    /// MH home-agent failovers (expect 1).
-    pub ha_failovers: u64,
-    /// MH entries into degraded agent-less forwarding (expect 1).
-    pub degradations: u64,
-    /// Policy lookups resolved as DirectEncap — the degraded window's
-    /// footprint (expect > 0).
-    pub direct_encap_lookups: u64,
-    /// Registrations the standby accepted directly (expect >= 1).
-    pub standby_accepted: u64,
-    /// Binding replicas the standby applied while passive.
-    pub replicas_applied: u64,
-    /// Packets the standby tunneled to the MH after taking over.
-    pub standby_encapsulated: u64,
-    /// The metrics sidecar document.
-    pub metrics: Json,
-    /// The flight-recorder journeys sidecar document.
-    pub journeys: Json,
-}
 
 /// Settled time before the primary dies.
 const C6_CRASH_AFTER: SimDuration = SimDuration::from_secs(5);
@@ -368,9 +301,19 @@ const C6_POST: SimDuration = SimDuration::from_secs(15);
 const C6_FAILOVER_CAP: SimDuration = SimDuration::from_secs(180);
 
 /// Runs claim C6: kill the primary home agent permanently and measure
-/// the failover to the replica-fed standby. Everything derives from
-/// `seed`.
-pub fn run_c6(seed: u64) -> C6Result {
+/// the failover to the replica-fed standby. The mobile host — after its
+/// retry budget exhausts and a brief agent-less degradation — fails over
+/// to the standby, which has been absorbing binding replicas and takes
+/// over proxy ARP and tunneling. Everything derives from `seed`.
+///
+/// Returns the `(metrics, journeys)` sidecar bodies. The metrics body
+/// holds `seed`, `timeline_ms`, `echo` (inbound CH→MH probes sent,
+/// received and lost during the outage and after failover; outbound
+/// MH→CH probes lost), `failover` (crash-to-failover ms, MH failovers and
+/// degradations, the policy lookups resolved as direct encapsulation in
+/// the degraded window, and the standby's accepted registrations,
+/// applied replicas and packets tunneled after takeover) and `registry`.
+pub fn run_c6(seed: u64) -> (Json, Json) {
     let cfg = TestbedConfig {
         seed,
         with_standby_ha: true,
@@ -481,30 +424,14 @@ pub fn run_c6(seed: u64) -> C6Result {
         ("replicas_applied", replicas_applied),
         ("standby_encapsulated", standby_encapsulated),
     ]);
-    let (metrics, journeys) = run.sidecars(
+    run.sidecars(
         seed,
         [
             ("timeline_ms", timeline_ms),
             ("echo", echo),
             ("failover", failover),
         ],
-    );
-    C6Result {
-        in_sent,
-        in_received,
-        in_lost_during,
-        in_lost_after,
-        out_lost_after,
-        failover_ms,
-        ha_failovers,
-        degradations,
-        direct_encap_lookups,
-        standby_accepted,
-        replicas_applied,
-        standby_encapsulated,
-        metrics,
-        journeys,
-    }
+    )
 }
 
 pub(super) const C6: Experiment = Experiment {
@@ -515,9 +442,6 @@ pub(super) const C6: Experiment = Experiment {
         "c6_standby_failover.metrics",
         "c6_standby_failover.journeys",
     ],
-    run: |p| {
-        let r = run_c6(p.get("seed"));
-        let name = "c6_standby_failover";
-        with_journeys(report::render_c6(&r), name, r.metrics, r.journeys)
-    },
+    run: |p| with_journeys("c6_standby_failover", run_c6(p.get("seed"))),
+    render: report::render_c6,
 };

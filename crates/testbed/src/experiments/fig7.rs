@@ -4,49 +4,9 @@
 use mosquitonet_sim::{Json, LatencyHistogram, MetricsRegistry, SimDuration, Summary};
 
 use super::common::{default_testbed, settle_on_dept, switch_dept_address};
-use super::{with_result, Experiment, Param, SEED};
+use super::{metrics, with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{COA_DEPT, COA_DEPT_ALT};
-
-/// Result of the Figure 7 registration time-line experiment. All values
-/// in microseconds.
-#[derive(Debug)]
-pub struct Fig7Result {
-    /// Runs measured.
-    pub runs: u32,
-    /// Configure-interface step.
-    pub configure_us: Summary,
-    /// Route-table change step.
-    pub route_us: Summary,
-    /// Registration request sent → reply received.
-    pub request_reply_us: Summary,
-    /// Home-agent service time (configured constant).
-    pub ha_processing_us: f64,
-    /// Post-registration processing.
-    pub post_us: Summary,
-    /// Total address-switch time.
-    pub total_us: Summary,
-    /// `{"phases": ..., "hosts": ...}` — a dedicated registry of
-    /// per-phase latency histograms (one sample per measured run, fixed
-    /// bucket bounds, so the export is golden-file stable) plus the
-    /// end-of-run host registry dump.
-    pub metrics: Json,
-}
-
-impl Fig7Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("runs", Json::from(self.runs)),
-            ("configure_us", self.configure_us.to_json()),
-            ("route_us", self.route_us.to_json()),
-            ("request_reply_us", self.request_reply_us.to_json()),
-            ("ha_processing_us", Json::from(self.ha_processing_us)),
-            ("post_us", self.post_us.to_json()),
-            ("total_us", self.total_us.to_json()),
-        ])
-    }
-}
 
 /// Bucket bounds (µs) for the Figure 7 phase histograms. Chosen around
 /// the paper's own numbers (total switch 7.39 ms) so each phase lands in
@@ -56,7 +16,14 @@ pub const FIG7_PHASE_BOUNDS_US: &[u64] = &[
 ];
 
 /// Runs the Figure 7 experiment: `runs` same-subnet re-registrations.
-pub fn run_fig7(runs: u32, seed: u64) -> Fig7Result {
+///
+/// Returns the metrics body: `result` (`runs`, then a summary in µs of
+/// each phase — `configure_us`, `route_us`, `request_reply_us`, the
+/// configured `ha_processing_us`, `post_us`, `total_us`), `phases` (a
+/// dedicated registry of per-phase latency histograms, one sample per
+/// measured run, fixed bucket bounds, so the export is golden-file
+/// stable) and `hosts` (the end-of-run host registry dump).
+pub fn run_fig7(runs: u32, seed: u64) -> Json {
     let mut tb = default_testbed(seed);
     settle_on_dept(&mut tb);
 
@@ -97,20 +64,22 @@ pub fn run_fig7(runs: u32, seed: u64) -> Fig7Result {
             histogram.record(d);
         }
     }
-    let [configure_us, route_us, request_reply_us, post_us, total_us] = summaries;
-    Fig7Result {
-        runs,
-        configure_us,
-        route_us,
-        request_reply_us,
-        ha_processing_us: mosquitonet_core::timing::HA_PROCESSING.as_nanos() as f64 / 1_000.0,
-        post_us,
-        total_us,
-        metrics: Json::obj([
-            ("phases", phases.to_json()),
-            ("hosts", tb.sim.metrics().to_json()),
-        ]),
-    }
+    let [configure, route, request_reply, post, total] = summaries.map(|s| s.to_json());
+    let ha_processing_us = mosquitonet_core::timing::HA_PROCESSING.as_nanos() as f64 / 1_000.0;
+    let result = Json::obj([
+        ("runs", Json::from(runs)),
+        ("configure_us", configure),
+        ("route_us", route),
+        ("request_reply_us", request_reply),
+        ("ha_processing_us", Json::from(ha_processing_us)),
+        ("post_us", post),
+        ("total_us", total),
+    ]);
+    let metrics = Json::obj([
+        ("phases", phases.to_json()),
+        ("hosts", tb.sim.metrics().to_json()),
+    ]);
+    with_result(result, metrics)
 }
 
 pub(super) const FIG7: Experiment = Experiment {
@@ -118,8 +87,6 @@ pub(super) const FIG7: Experiment = Experiment {
     about: "Figure 7: the registration time-line breakdown (§4)",
     params: &[Param::count("runs", 10), SEED],
     artifacts: &["fig7.metrics"],
-    run: |p| {
-        let r = run_fig7(p.get_u32("runs"), p.get("seed"));
-        with_result(report::render_fig7(&r), "fig7", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("fig7", run_fig7(p.get_u32("runs"), p.get("seed"))),
+    render: report::render_fig7,
 };

@@ -1,18 +1,19 @@
 //! Experiment runners: one function per paper table/figure/claim, and
 //! the registry that lists them.
 //!
-//! Each runner builds a fresh test-bed, drives the scenario, and returns a
-//! serializable result the report module renders in the paper's own
-//! format. [`REGISTRY`] is the one roster of runs — name, checked integer
-//! parameters, the files written — that the `experiment` binary, the
-//! docs-sync test and the golden table all work from. The experiment
-//! index lives in `DESIGN.md`; paper-vs-measured numbers are recorded in
-//! `EXPERIMENTS.md`.
+//! Each runner builds a fresh test-bed, drives the scenario, and returns
+//! the documents its sidecars hold; the report module renders the paper's
+//! own format from those documents alone, never from the runner's state.
+//! [`REGISTRY`] is the one roster of runs — name, checked integer
+//! parameters, the files written, the report renderer — that the
+//! `experiment` binary, the docs-sync test and the golden table all work
+//! from. The experiment index lives in `DESIGN.md`; paper-vs-measured
+//! numbers are recorded in `EXPERIMENTS.md`.
 //!
-//! Each run lives in its own file with its result type, its runner and
-//! its registry entry; runs that share machinery share a file
-//! (`switch_loss`: Table 1, Figure 6 and A1; `crash`: C5 and C6, whose
-//! scaffold C7 uses too; `s3`: the classic and sharded saturation runs).
+//! Each run lives in its own file with its runner and its registry entry;
+//! runs that share machinery share a file (`switch_loss`: Table 1, Figure
+//! 6 and A1; `crash`: C5 and C6, whose scaffold C7 uses too; `s3`: the
+//! classic and sharded saturation runs).
 //! Helpers more than one file uses are in `common`.
 
 use std::path::{Path, PathBuf};
@@ -37,24 +38,21 @@ mod s2;
 mod s3;
 mod switch_loss;
 
-pub use a2::{run_a2, A2Row};
-pub use a3::{run_a3, A3Result};
-pub use c1::{run_c1, C1Row};
-pub use c2::{run_c2, C2Result};
-pub use c3::{run_c3, C3Result};
-pub use c4::{run_c4, C4Result, C4Row, C4_COMPLETION_BOUNDS_US, C4_LOSS_PCTS};
-pub use c7::{run_c7, C7Result};
+pub use a2::run_a2;
+pub use a3::run_a3;
+pub use c1::run_c1;
+pub use c2::run_c2;
+pub use c3::run_c3;
+pub use c4::{run_c4, C4_COMPLETION_BOUNDS_US, C4_LOSS_PCTS};
+pub use c7::run_c7;
 pub use common::ECHO_PORT;
-pub use crash::{run_c5, run_c6, C5Result, C6Result};
-pub use fig7::{run_fig7, Fig7Result, FIG7_PHASE_BOUNDS_US};
-pub use s1::{run_s1, S1Result, S1Row};
+pub use crash::{run_c5, run_c6, C5Run};
+pub use fig7::{run_fig7, FIG7_PHASE_BOUNDS_US};
+pub use s1::run_s1;
 pub use s2::{run_s2, s2_directory, S2Config, S2Result, S2Row};
-pub use s3::{
-    run_s3, run_s3_mode, run_s3_sharded, S3Config, S3Mode, S3Result, S3Row, S3ShardedResult,
-};
+pub use s3::{run_s3, run_s3_mode, run_s3_sharded, S3Config, S3Mode, S3Row, S3ShardedResult};
 pub use switch_loss::{
-    run_a1, run_fig6, run_fig6_scenario, run_tab1, run_tab1_far, A1Mode, A1Result, Fig6Result,
-    Fig6Scenario, Tab1Result,
+    run_a1, run_fig6, run_fig6_scenario, run_tab1, run_tab1_far, A1Mode, Fig6Scenario,
 };
 
 /// One integer parameter of an experiment: `key=value` on the command
@@ -178,6 +176,14 @@ pub enum Artifact {
 }
 
 impl Artifact {
+    /// The document a sidecar holds; `None` for a capture.
+    pub fn body(&self) -> Option<&Json> {
+        match self {
+            Artifact::Sidecar(_, _, body) => Some(body),
+            Artifact::Pcap(..) => None,
+        }
+    }
+
     /// The file name minus its final extension, as declared in
     /// [`Experiment::artifacts`].
     pub fn stem(&self) -> String {
@@ -199,17 +205,6 @@ impl Artifact {
     }
 }
 
-/// Everything one run produced: the report, and the files that hold its
-/// numbers. Each number is written once, into the run's own metrics or
-/// bench sidecar; there is no second export.
-#[derive(Debug)]
-pub struct Outcome {
-    /// The paper-format report, printed to stdout.
-    pub report: String,
-    /// The files to write, one per declared artifact stem.
-    pub artifacts: Vec<Artifact>,
-}
-
 /// One entry of the experiment roster.
 pub struct Experiment {
     /// The name the run is selected by.
@@ -220,8 +215,13 @@ pub struct Experiment {
     pub params: &'static [Param],
     /// Stems of the files it writes (see [`Artifact::stem`]).
     pub artifacts: &'static [&'static str],
-    /// Runs it.
-    pub run: fn(&Params) -> Outcome,
+    /// Runs it: the files that hold its numbers, one per declared stem.
+    /// Each number is written once, into the run's own metrics or bench
+    /// sidecar; there is no second export.
+    pub run: fn(&Params) -> Vec<Artifact>,
+    /// Renders the paper-format report from the bodies of the run's
+    /// sidecars, in declared order, and the parameters it ran with.
+    pub render: fn(&Params, &[&Json]) -> String,
 }
 
 impl Experiment {
@@ -242,31 +242,33 @@ impl Experiment {
     pub fn find(name: &str) -> Option<&'static Experiment> {
         REGISTRY.iter().find(|e| e.name == name)
     }
-}
 
-/// An outcome whose one artifact is the metrics sidecar `name`.
-fn with_metrics(report: String, name: &'static str, metrics: Json) -> Outcome {
-    Outcome {
-        report,
-        artifacts: vec![Artifact::Sidecar(SidecarKind::Metrics, name, metrics)],
+    /// The report of a run with `params` that wrote `artifacts`.
+    pub fn report(&self, params: &Params, artifacts: &[Artifact]) -> String {
+        let docs: Vec<&Json> = artifacts.iter().filter_map(Artifact::body).collect();
+        (self.render)(params, &docs)
     }
 }
 
-/// [`with_metrics`] for a run whose typed result has no other home: the
-/// sidecar body is `result`, then the members of the `metrics` object.
-fn with_result(report: String, name: &'static str, result: Json, metrics: Json) -> Outcome {
-    let Json::Obj(mut members) = metrics else {
-        panic!("{name}: a metrics body is a JSON object");
-    };
-    members.insert(0, ("result".to_string(), result));
-    with_metrics(report, name, Json::Obj(members))
+/// The one artifact of a run: its metrics sidecar `name`.
+fn metrics(name: &'static str, body: Json) -> Vec<Artifact> {
+    vec![Artifact::Sidecar(SidecarKind::Metrics, name, body)]
 }
 
-/// A crash run's outcome: metrics and journeys sidecars under `name`.
-fn with_journeys(report: String, name: &'static str, metrics: Json, journeys: Json) -> Outcome {
-    let mut out = with_metrics(report, name, metrics);
-    out.artifacts
-        .push(Artifact::Sidecar(SidecarKind::Journeys, name, journeys));
+/// The metrics body of a run whose result has no other home: `result`,
+/// then the members of the `metrics` object.
+fn with_result(result: Json, metrics: Json) -> Json {
+    let Json::Obj(mut members) = metrics else {
+        panic!("a metrics body is a JSON object");
+    };
+    members.insert(0, ("result".to_string(), result));
+    Json::Obj(members)
+}
+
+/// A crash run's artifacts: metrics and journeys sidecars under `name`.
+fn with_journeys(name: &'static str, (metrics_body, journeys): (Json, Json)) -> Vec<Artifact> {
+    let mut out = metrics(name, metrics_body);
+    out.push(Artifact::Sidecar(SidecarKind::Journeys, name, journeys));
     out
 }
 

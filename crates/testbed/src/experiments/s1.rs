@@ -9,8 +9,8 @@ use mosquitonet_sim::{Json, SimDuration};
 use mosquitonet_stack::{self as stack, SendOptions};
 use mosquitonet_wire::{IpProto, Ipv4Header, Ipv4Packet};
 
-use super::common::{default_testbed, poll_until, result_row, settle_on_dept, switch_dept_address};
-use super::{with_metrics, Experiment, Param, SEED};
+use super::common::{default_testbed, poll_until, settle_on_dept, switch_dept_address};
+use super::{metrics, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{Testbed, COA_DEPT_ALT};
 
@@ -49,38 +49,6 @@ fn s1_correspondent(i: u32) -> Ipv4Addr {
     Ipv4Addr::new(36, 200, (i >> 8) as u8, (i & 0xff) as u8)
 }
 
-result_row! {
-    /// One phase of the S1 scale run: exact deltas of the mobile host's
-    /// `fastpath` counters over the phase. Every count is an integer, so
-    /// the export is byte-stable across same-seed runs.
-    #[derive(Debug)]
-    pub struct S1Row {
-        /// Phase label (`cold`, `warm`, `reregister`, `rewarm`, `steady`).
-        pub phase: &'static str,
-        /// Probe packets sent during the phase.
-        pub sends: u32,
-        /// Decision-cache hits charged during the phase.
-        pub hits: u64,
-        /// Full resolutions (cache misses) charged during the phase.
-        pub misses: u64,
-        /// Whole-cache flushes (validity-token moves) during the phase.
-        pub invalidations: u64,
-        /// Live cache entries when the phase ended.
-        pub cache_entries: u64,
-    }
-}
-
-/// The S1 result: one row per phase plus the sidecar metrics.
-#[derive(Debug)]
-pub struct S1Result {
-    /// Correspondent population size.
-    pub correspondents: u32,
-    /// One row per phase, in run order.
-    pub rows: Vec<S1Row>,
-    /// Deterministic sidecar body (rows plus per-mode policy totals).
-    pub metrics: Json,
-}
-
 fn s1_counters(tb: &Testbed) -> (u64, u64, u64) {
     let fp = &tb.sim.world().host(tb.mh).fastpath;
     (
@@ -90,10 +58,14 @@ fn s1_counters(tb: &Testbed) -> (u64, u64, u64) {
     )
 }
 
-/// Runs `act` and records the fast-path counter deltas it caused.
+/// Runs `act` and records one phase row: the `phase` label, the probes
+/// it `sends`, then the exact deltas of the mobile host's `fastpath`
+/// counters it caused — cache `hits`, full resolutions (`misses`),
+/// whole-cache flushes (`invalidations`) — and the live `cache_entries`
+/// when it ended.
 fn s1_phase(
     tb: &mut Testbed,
-    rows: &mut Vec<S1Row>,
+    rows: &mut Vec<Json>,
     phase: &'static str,
     sends: u32,
     act: impl FnOnce(&mut Testbed),
@@ -101,14 +73,15 @@ fn s1_phase(
     let before = s1_counters(tb);
     act(tb);
     let after = s1_counters(tb);
-    rows.push(S1Row {
-        phase,
-        sends,
-        hits: after.0 - before.0,
-        misses: after.1 - before.1,
-        invalidations: after.2 - before.2,
-        cache_entries: tb.sim.world().host(tb.mh).fastpath.len() as u64,
-    });
+    let entries = tb.sim.world().host(tb.mh).fastpath.len();
+    rows.push(Json::obj([
+        ("phase", Json::from(phase)),
+        ("sends", Json::from(sends)),
+        ("hits", Json::UInt(after.0 - before.0)),
+        ("misses", Json::UInt(after.1 - before.1)),
+        ("invalidations", Json::UInt(after.2 - before.2)),
+        ("cache_entries", Json::from(entries)),
+    ]));
 }
 
 /// One probe to every correspondent, back to back at the current instant
@@ -143,7 +116,9 @@ fn s1_send_round(tb: &mut Testbed, correspondents: u32) {
 ///
 /// Every row is an exact counter delta and every RNG derives from `seed`,
 /// so the sidecar is byte-stable for a fixed (correspondents, seed).
-pub fn run_s1(correspondents: u32, seed: u64) -> S1Result {
+/// Returns the metrics body: `correspondents`, the phase `rows` in run
+/// order and the per-mode `policy_mode_totals`.
+pub fn run_s1(correspondents: u32, seed: u64) -> Json {
     assert!(
         (1..=65_536).contains(&correspondents),
         "correspondent population must fit the 36.200.0.0/16 plan"
@@ -161,7 +136,7 @@ pub fn run_s1(correspondents: u32, seed: u64) -> S1Result {
     }
 
     let mut rows = Vec::new();
-    let send_phases = |tb: &mut Testbed, rows: &mut Vec<S1Row>, phases: [&'static str; 2]| {
+    let send_phases = |tb: &mut Testbed, rows: &mut Vec<Json>, phases: [&'static str; 2]| {
         for phase in phases {
             s1_phase(tb, rows, phase, correspondents, |tb| {
                 s1_send_round(tb, correspondents)
@@ -203,16 +178,11 @@ pub fn run_s1(correspondents: u32, seed: u64) -> S1Result {
             ])
         }))
     };
-    let metrics = Json::obj([
+    Json::obj([
         ("correspondents", Json::from(correspondents)),
-        ("rows", Json::arr(rows.iter().map(S1Row::to_json))),
+        ("rows", Json::Arr(rows)),
         ("policy_mode_totals", policy_mode_totals),
-    ]);
-    S1Result {
-        correspondents,
-        rows,
-        metrics,
-    }
+    ])
 }
 
 pub(super) const S1: Experiment = Experiment {
@@ -230,7 +200,8 @@ pub(super) const S1: Experiment = Experiment {
     ],
     artifacts: &["s1_many_correspondents.metrics"],
     run: |p| {
-        let r = run_s1(p.get_u32("correspondents"), p.get("seed"));
-        with_metrics(report::render_s1(&r), "s1_many_correspondents", r.metrics)
+        let body = run_s1(p.get_u32("correspondents"), p.get("seed"));
+        metrics("s1_many_correspondents", body)
     },
+    render: report::render_s1,
 };

@@ -13,7 +13,7 @@ use mosquitonet_stack::{self as stack, ModuleId, Network};
 use mosquitonet_wire::Cidr;
 
 use super::common::{percentile, rate_per_sec, result_row, ShardTotals};
-use super::{Artifact, Experiment, Outcome, Param, BATCHING, SEED, THREADS};
+use super::{Artifact, Experiment, Param, BATCHING, SEED, THREADS};
 use crate::report::{self, SidecarKind};
 use crate::topology::ShardedCampus;
 use crate::workload::FleetChurn;
@@ -145,13 +145,13 @@ result_row! {
 
 /// The S2 result: the aggregated row plus the merged sidecar documents.
 /// Everything except `row.wall_ns` is deterministic and byte-identical
-/// for any `threads` from 1 to `cfg.shards`.
+/// for any `threads` from 1 to `cfg.shards`. `benchmark/`'s adapter
+/// reads the row's wall clock beside the documents; the report reads
+/// the documents alone.
 #[derive(Debug)]
 pub struct S2Result {
     /// The configuration measured.
     pub cfg: S2Config,
-    /// Worker threads the run actually used.
-    pub threads: usize,
     /// Aggregated measurement row.
     pub row: S2Row,
     /// Merged flight-recorder journeys document.
@@ -354,7 +354,6 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
     let (journeys, metrics) = totals.documents();
     S2Result {
         cfg: *cfg,
-        threads,
         row,
         journeys,
         metrics,
@@ -396,13 +395,11 @@ pub(super) const S2: Experiment = Experiment {
             batching: p.get("batching") != 0,
         };
         let r = run_s2(&cfg, p.get("threads") as usize);
-        Outcome {
-            report: report::render_s2(&r),
-            artifacts: vec![
-                Artifact::Sidecar(SidecarKind::Bench, "s2_fleet", r.to_json()),
-                Artifact::Sidecar(SidecarKind::Journeys, "s2_fleet", r.journeys),
-                Artifact::Sidecar(SidecarKind::Metrics, "s2_fleet", r.metrics),
-            ],
-        }
+        vec![
+            Artifact::Sidecar(SidecarKind::Bench, "s2_fleet", r.to_json()),
+            Artifact::Sidecar(SidecarKind::Journeys, "s2_fleet", r.journeys),
+            Artifact::Sidecar(SidecarKind::Metrics, "s2_fleet", r.metrics),
+        ]
     },
+    render: report::render_s2,
 };

@@ -13,7 +13,7 @@ use mosquitonet_wire::Cidr;
 use super::common::{
     journeys_json, rate_per_sec, settle_fa_mh_on_foreign, settle_on_dept, ShardTotals, Span,
 };
-use super::{Artifact, Experiment, Outcome, Param, BATCHING, SEED, THREADS};
+use super::{Artifact, Experiment, Param, BATCHING, SEED, THREADS};
 use crate::report::{self, SidecarKind};
 use crate::topology::{build, MhMode, ShardedCampus, TestbedConfig, CH_DEPT, CH_FAR};
 use crate::workload::{SaturationSender, SaturationSink};
@@ -210,25 +210,6 @@ impl S3Row {
     }
 }
 
-/// The S3 result: one row per mode plus the run parameters.
-#[derive(Debug)]
-pub struct S3Result {
-    /// The configuration measured.
-    pub cfg: S3Config,
-    /// One row per mode, report order.
-    pub rows: Vec<S3Row>,
-}
-
-impl S3Result {
-    /// The deterministic bench-sidecar body: parameters plus per-mode
-    /// rows, integers only, byte-stable for a fixed config.
-    pub fn to_json(&self) -> Json {
-        let mut doc = s3_params_json(&self.cfg);
-        doc.push(("modes", Json::arr(self.rows.iter().map(S3Row::to_json))));
-        Json::obj(doc)
-    }
-}
-
 /// One throwaway datagram to `dst`'s spare port, sent ahead of the
 /// measured window to warm ARP along the path (the reply is an ICMP
 /// port-unreachable, which warms the reverse direction too).
@@ -359,15 +340,15 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
 
 /// Runs the S3 saturation experiment: sustained bursts through `pairs`
 /// MH↔correspondent pairs across the reverse-tunnel, direct-encap, and
-/// foreign-agent topologies. Every reported quantity is an exact counter
-/// or virtual-time delta, so the bench sidecar is byte-stable for a fixed
-/// config.
-pub fn run_s3(cfg: &S3Config) -> S3Result {
-    let rows = S3Mode::all()
-        .into_iter()
-        .map(|mode| run_s3_mode(mode, cfg).0)
-        .collect();
-    S3Result { cfg: *cfg, rows }
+/// foreign-agent topologies. Returns the bench-sidecar body: the run
+/// parameters, then one row per mode under `modes`. Every reported
+/// quantity is an exact counter or virtual-time delta, so it is
+/// byte-stable for a fixed config.
+pub fn run_s3(cfg: &S3Config) -> Json {
+    let rows = S3Mode::all().map(|mode| run_s3_mode(mode, cfg).0.to_json());
+    let mut doc = s3_params_json(cfg);
+    doc.push(("modes", Json::arr(rows)));
+    Json::obj(doc)
 }
 
 // ------------------------------------------------------- S3 (sharded)
@@ -382,15 +363,15 @@ const S3_SHARDS: u32 = 4;
 
 /// The sharded S3 result: the aggregated row plus the merged sidecar
 /// documents. Everything except `row.wall_ns` is deterministic and
-/// byte-identical for any `threads` from 1 to `shards`.
+/// byte-identical for any `threads` from 1 to `shards`. `benchmark/`'s
+/// adapter reads the row's wall clock beside the documents; the report
+/// reads the documents alone.
 #[derive(Debug)]
 pub struct S3ShardedResult {
     /// The configuration measured.
     pub cfg: S3Config,
     /// Shard count the topology was partitioned into.
     pub shards: u32,
-    /// Worker threads the run actually used.
-    pub threads: usize,
     /// Aggregated measurement row (mode key `sharded`).
     pub row: S3Row,
     /// Merged flight-recorder journeys document.
@@ -535,7 +516,6 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
     S3ShardedResult {
         cfg: *cfg,
         shards,
-        threads,
         row,
         journeys,
         metrics,
@@ -574,16 +554,14 @@ pub(super) const S3: Experiment = Experiment {
             seed: p.get("seed"),
             batching: p.get("batching") != 0,
         };
-        let r = run_s3(&cfg);
+        let classic = run_s3(&cfg);
         let sharded = run_s3_sharded(&cfg, S3_SHARDS, p.get("threads") as usize);
-        Outcome {
-            report: report::render_s3(&r) + &report::render_s3_sharded(&sharded),
-            artifacts: vec![
-                Artifact::Sidecar(SidecarKind::Bench, "s3_saturation", r.to_json()),
-                Artifact::Sidecar(SidecarKind::Bench, "s3_sharded", sharded.to_json()),
-                Artifact::Sidecar(SidecarKind::Journeys, "s3_sharded", sharded.journeys),
-                Artifact::Sidecar(SidecarKind::Metrics, "s3_sharded", sharded.metrics),
-            ],
-        }
+        vec![
+            Artifact::Sidecar(SidecarKind::Bench, "s3_saturation", classic),
+            Artifact::Sidecar(SidecarKind::Bench, "s3_sharded", sharded.to_json()),
+            Artifact::Sidecar(SidecarKind::Journeys, "s3_sharded", sharded.journeys),
+            Artifact::Sidecar(SidecarKind::Metrics, "s3_sharded", sharded.metrics),
+        ]
     },
+    render: report::render_s3,
 };

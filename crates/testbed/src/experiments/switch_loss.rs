@@ -10,7 +10,7 @@ use super::common::{
     default_testbed, eth_plan, foreign_address, install_echo, install_echo_from, radio_plan,
     settle_fa_mh_on_foreign, settle_on_dept, settle_on_foreign, switch_dept_address,
 };
-use super::{with_result, Experiment, Param, SEED};
+use super::{metrics, with_result, Experiment, Param, SEED};
 use crate::report;
 use crate::topology::{
     self, build, MhMode, Testbed, TestbedConfig, COA_DEPT, COA_DEPT_ALT, COA_FOREIGN2,
@@ -63,38 +63,15 @@ fn count_switch_losses(
 
 // ---------------------------------------------------------------- Table 1
 
-/// Result of the same-subnet address-switch experiment (§4, reported here
-/// as Table 1): the paper saw, in 20 iterations at 10 ms spacing, sixteen
-/// runs with no loss and four runs losing one packet.
-#[derive(Debug)]
-pub struct Tab1Result {
-    /// Iterations run.
-    pub iterations: u32,
-    /// Echo spacing in milliseconds.
-    pub interval_ms: u64,
-    /// Iterations vs. packets lost.
-    pub histogram: Histogram,
-    /// Largest per-iteration loss.
-    pub max_loss: usize,
-    /// End-of-run dump of every host's metric registry.
-    pub metrics: Json,
-}
-
-impl Tab1Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("iterations", Json::from(self.iterations)),
-            ("interval_ms", Json::from(self.interval_ms)),
-            ("histogram", self.histogram.to_json()),
-            ("max_loss", Json::from(self.max_loss)),
-        ])
-    }
-}
-
-/// Runs the Table 1 experiment with the correspondent on the department
-/// net (the paper's primary configuration).
-pub fn run_tab1(iterations: u32, seed: u64) -> Tab1Result {
+/// Runs the same-subnet address-switch experiment (§4, reported here as
+/// Table 1) with the correspondent on the department net (the paper's
+/// primary configuration): the paper saw, in 20 iterations at 10 ms
+/// spacing, sixteen runs with no loss and four runs losing one packet.
+///
+/// Returns the metrics body: `result` (`iterations`, `interval_ms`, the
+/// iterations-by-packets-lost `histogram` and the worst iteration's
+/// `max_loss`), then every host's registry.
+pub fn run_tab1(iterations: u32, seed: u64) -> Json {
     run_tab1_inner(iterations, seed, false)
 }
 
@@ -102,11 +79,11 @@ pub fn run_tab1(iterations: u32, seed: u64) -> Tab1Result {
 /// beyond the Internet cloud — the paper: "we received similar results
 /// for a correspondent host located on a campus network outside the
 /// department" (§4).
-pub fn run_tab1_far(iterations: u32, seed: u64) -> Tab1Result {
+pub fn run_tab1_far(iterations: u32, seed: u64) -> Json {
     run_tab1_inner(iterations, seed, true)
 }
 
-fn run_tab1_inner(iterations: u32, seed: u64, far: bool) -> Tab1Result {
+fn run_tab1_inner(iterations: u32, seed: u64, far: bool) -> Json {
     let interval = SimDuration::from_millis(10);
     let mut tb = build(TestbedConfig {
         seed,
@@ -132,13 +109,13 @@ fn run_tab1_inner(iterations: u32, seed: u64, far: bool) -> Tab1Result {
         |tb, i| switch_dept_address(tb, if i % 2 == 0 { COA_DEPT_ALT } else { COA_DEPT }),
         |tb| tb.run_for(SimDuration::from_millis(400)),
     );
-    Tab1Result {
-        iterations,
-        interval_ms: interval.as_millis(),
-        histogram,
-        max_loss,
-        metrics: tb.sim.metrics().to_json(),
-    }
+    let result = Json::obj([
+        ("iterations", Json::from(iterations)),
+        ("interval_ms", Json::from(interval.as_millis())),
+        ("histogram", histogram.to_json()),
+        ("max_loss", Json::from(max_loss)),
+    ]);
+    with_result(result, tb.sim.metrics().to_json())
 }
 
 pub(super) const TAB1: Experiment = Experiment {
@@ -146,10 +123,8 @@ pub(super) const TAB1: Experiment = Experiment {
     about: "Table 1: packet loss switching care-of addresses on one subnet (§4)",
     params: &[Param::count("iterations", 20), SEED],
     artifacts: &["tab1.metrics"],
-    run: |p| {
-        let r = run_tab1(p.get_u32("iterations"), p.get("seed"));
-        with_result(report::render_tab1(&r), "tab1", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("tab1", run_tab1(p.get_u32("iterations"), p.get("seed"))),
+    render: report::render_tab1,
 };
 
 pub(super) const TAB1_FAR: Experiment = Experiment {
@@ -157,15 +132,8 @@ pub(super) const TAB1_FAR: Experiment = Experiment {
     about: "Table 1 with the correspondent on a campus net beyond the cloud (§4)",
     params: &[SEED],
     artifacts: &["tab1_far.metrics"],
-    run: |p| {
-        let r = run_tab1_far(20, p.get("seed"));
-        with_result(
-            report::render_tab1_far(&r),
-            "tab1_far",
-            r.to_json(),
-            r.metrics,
-        )
-    },
+    run: |p| metrics("tab1_far", run_tab1_far(20, p.get("seed"))),
+    render: report::render_tab1_far,
 };
 
 // ---------------------------------------------------------------- Figure 6
@@ -229,39 +197,6 @@ impl Fig6Scenario {
     }
 }
 
-/// Result of the Figure 6 device-switch experiment.
-#[derive(Debug)]
-pub struct Fig6Result {
-    /// Iterations per scenario.
-    pub iterations: u32,
-    /// Echo spacing in milliseconds (the paper's 250 ms).
-    pub interval_ms: u64,
-    /// Per-scenario loss histograms.
-    pub scenarios: Vec<(Fig6Scenario, Histogram)>,
-    /// Per-scenario metric registries, keyed by [`Fig6Scenario::key`]
-    /// (each scenario runs its own test-bed).
-    pub metrics: Json,
-}
-
-impl Fig6Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("iterations", Json::from(self.iterations)),
-            ("interval_ms", Json::from(self.interval_ms)),
-            (
-                "scenarios",
-                Json::arr(self.scenarios.iter().map(|(sc, h)| {
-                    Json::obj([
-                        ("scenario", Json::from(sc.key())),
-                        ("histogram", h.to_json()),
-                    ])
-                })),
-            ),
-        ])
-    }
-}
-
 /// Runs one Figure 6 scenario for `iterations` measured switches.
 ///
 /// Returns the loss histogram plus the end-of-run dump of the test-bed's
@@ -318,21 +253,27 @@ pub fn run_fig6_scenario(scenario: Fig6Scenario, iterations: u32, seed: u64) -> 
     (histogram, tb.sim.metrics().to_json())
 }
 
-/// Runs all four Figure 6 scenarios.
-pub fn run_fig6(iterations: u32, seed: u64) -> Fig6Result {
+/// Runs all four Figure 6 scenarios. Returns the metrics body: `result`
+/// (`iterations` per scenario, the paper's 250 ms `interval_ms`, and each
+/// `scenario` key's loss `histogram`), then each scenario's registries
+/// under its [`Fig6Scenario::key`] (each scenario runs its own test-bed).
+pub fn run_fig6(iterations: u32, seed: u64) -> Json {
     let mut scenarios = Vec::new();
     let mut metrics = Vec::new();
     for (i, sc) in Fig6Scenario::all().into_iter().enumerate() {
         let (histogram, m) = run_fig6_scenario(sc, iterations, seed + i as u64);
-        scenarios.push((sc, histogram));
+        scenarios.push(Json::obj([
+            ("scenario", Json::from(sc.key())),
+            ("histogram", histogram.to_json()),
+        ]));
         metrics.push((sc.key(), m));
     }
-    Fig6Result {
-        iterations,
-        interval_ms: 250,
-        scenarios,
-        metrics: Json::obj(metrics),
-    }
+    let result = Json::obj([
+        ("iterations", Json::from(iterations)),
+        ("interval_ms", Json::UInt(250)),
+        ("scenarios", Json::Arr(scenarios)),
+    ]);
+    with_result(result, Json::obj(metrics))
 }
 
 pub(super) const FIG6: Experiment = Experiment {
@@ -340,10 +281,8 @@ pub(super) const FIG6: Experiment = Experiment {
     about: "Figure 6: packet loss for cold/hot Ethernet<->radio switches (§4)",
     params: &[Param::count("iterations", 10), SEED],
     artifacts: &["fig6.metrics"],
-    run: |p| {
-        let r = run_fig6(p.get_u32("iterations"), p.get("seed"));
-        with_result(report::render_fig6(&r), "fig6", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("fig6", run_fig6(p.get_u32("iterations"), p.get("seed"))),
+    render: report::render_fig6,
 };
 
 // ---------------------------------------------------------------- A1
@@ -385,36 +324,6 @@ impl A1Mode {
             A1Mode::FaNoForwarding => "fa_no_forwarding",
             A1Mode::FaForwarding => "fa_forwarding",
         }
-    }
-}
-
-/// Result of the A1 foreign-agent ablation.
-#[derive(Debug)]
-pub struct A1Result {
-    /// Measured hand-offs per mode.
-    pub iterations: u32,
-    /// Echo spacing, ms.
-    pub interval_ms: u64,
-    /// Loss histograms per mode.
-    pub per_mode: Vec<(A1Mode, Histogram)>,
-    /// Per-mode metric registries, keyed by [`A1Mode::key`] (each mode
-    /// runs its own test-bed).
-    pub metrics: Json,
-}
-
-impl A1Result {
-    /// Renders everything but `metrics`: the sidecar's `result` member.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("iterations", Json::from(self.iterations)),
-            ("interval_ms", Json::from(self.interval_ms)),
-            (
-                "per_mode",
-                Json::arr(self.per_mode.iter().map(|(mode, h)| {
-                    Json::obj([("mode", Json::from(mode.key())), ("histogram", h.to_json())])
-                })),
-            ),
-        ])
     }
 }
 
@@ -480,21 +389,28 @@ fn run_a1_mode(mode: A1Mode, iterations: u32, seed: u64) -> (Histogram, Json) {
     (histogram, tb.sim.metrics().to_json())
 }
 
-/// Runs the A1 ablation across all three modes.
-pub fn run_a1(iterations: u32, seed: u64) -> A1Result {
+/// Runs the A1 ablation across all three modes. Returns the metrics
+/// body: `result` (measured hand-offs per mode as `iterations`, the echo
+/// `interval_ms`, and each `mode` key's loss `histogram`), then each
+/// mode's registries under its [`A1Mode::key`] (each mode runs its own
+/// test-bed).
+pub fn run_a1(iterations: u32, seed: u64) -> Json {
     let mut per_mode = Vec::new();
     let mut metrics = Vec::new();
     for m in A1Mode::all() {
         let (histogram, reg) = run_a1_mode(m, iterations, seed);
-        per_mode.push((m, histogram));
+        per_mode.push(Json::obj([
+            ("mode", Json::from(m.key())),
+            ("histogram", histogram.to_json()),
+        ]));
         metrics.push((m.key(), reg));
     }
-    A1Result {
-        iterations,
-        interval_ms: 20,
-        per_mode,
-        metrics: Json::obj(metrics),
-    }
+    let result = Json::obj([
+        ("iterations", Json::from(iterations)),
+        ("interval_ms", Json::UInt(20)),
+        ("per_mode", Json::Arr(per_mode)),
+    ]);
+    with_result(result, Json::obj(metrics))
 }
 
 pub(super) const A1: Experiment = Experiment {
@@ -502,8 +418,6 @@ pub(super) const A1: Experiment = Experiment {
     about: "A1: hand-off loss with and without foreign agents / forwarding (§5.1)",
     params: &[Param::count("iterations", 10), SEED],
     artifacts: &["a1.metrics"],
-    run: |p| {
-        let r = run_a1(p.get_u32("iterations"), p.get("seed"));
-        with_result(report::render_a1(&r), "a1", r.to_json(), r.metrics)
-    },
+    run: |p| metrics("a1", run_a1(p.get_u32("iterations"), p.get("seed"))),
+    render: report::render_a1,
 };

@@ -11,12 +11,13 @@
 //!   echo streams with per-sequence loss accounting, bulk transfers, TCP
 //!   sessions, registration storms).
 //! * [`experiments`] — one runner per table/figure/claim (T1, F6, F7,
-//!   C1–C7, A1–A3, S1–S3), each returning a serializable result, and
-//!   [`experiments::REGISTRY`], the one roster of them. Each run has its
-//!   own module under `src/experiments/` (result type, runner, registry
+//!   C1–C7, A1–A3, S1–S3), each returning the documents its sidecars
+//!   hold, and [`experiments::REGISTRY`], the one roster of them. Each
+//!   run has its own module under `src/experiments/` (runner, registry
 //!   entry); runs that share machinery share one.
-//! * [`report`] — renderers that print each result in the paper's own
-//!   format, annotated with the paper's numbers for comparison.
+//! * [`report`] — the sidecar writers, and renderers that print each
+//!   run's documents in the paper's own format, annotated with the
+//!   paper's numbers for comparison.
 //! * [`calibrate`] — every calibrated constant, with its provenance.
 //!
 //! The `experiment` binary runs any registry entry by name with checked

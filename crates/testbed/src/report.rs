@@ -1,24 +1,26 @@
-//! Paper-style rendering of experiment results.
+//! The run's sidecars, and the paper-style report rendered from them.
 //!
-//! Each renderer prints the same rows/series the paper reports, prefixed
-//! with the paper's own numbers so a reader can compare shape at a glance.
-//!
-//! Besides the human-readable reports, every experiment writes a
-//! *metrics sidecar* via [`write_sidecar_in`]: the machine-readable
-//! dump of the run's metric registries (schema documented in
-//! `docs/telemetry.md`), led by a `result` member when the run's typed
-//! result has no other file, for downstream plotting and regression
+//! Every experiment writes its numbers once, into *sidecars* via
+//! [`write_sidecar_in`]: the machine-readable dump of the run's metric
+//! registries (schema documented in `docs/telemetry.md`), led by a
+//! `result` member when the run's result has no other file, plus any
+//! journeys or bench body, for downstream plotting and regression
 //! diffing.
+//!
+//! The report is a view of those documents. Each renderer takes the
+//! bodies of one run's sidecars and its parameters — never the runner's
+//! state — and prints the same rows/series the paper reports, prefixed
+//! with the paper's own numbers so a reader can compare shape at a
+//! glance. Every read goes through [`Json::at`], so a member a document
+//! lacks stops the report instead of printing as zero.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use mosquitonet_sim::{CapturedFrame, Json};
+use mosquitonet_sim::{CapturedFrame, Histogram, Json};
 use mosquitonet_wire::PcapWriter;
 
-use crate::experiments::{
-    A1Result, A2Row, C1Row, C2Result, C3Result, C4Result, Fig6Result, Fig7Result, Tab1Result,
-};
+use crate::experiments::{A1Mode, Fig6Scenario, Params};
 
 /// The three byte-stable sidecar documents an experiment can write. The
 /// kind fixes the schema tag, the file-name infix and the envelope member
@@ -108,20 +110,42 @@ pub fn write_pcap_in(
     Ok(Some(path))
 }
 
+const RULE: &str = "================================================================";
+
 fn hr(out: &mut String, title: &str) {
-    let _ = writeln!(
-        out,
-        "\n================================================================"
-    );
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "================================================================"
-    );
+    let _ = writeln!(out, "\n{RULE}\n{title}\n{RULE}");
 }
 
-/// Renders the Table 1 (same-subnet switch) result.
-pub fn render_tab1(r: &Tab1Result) -> String {
+/// The unsigned integers at the space-separated `paths` of `doc`, in
+/// order. Panics naming a missing member, or when there are not `N` paths.
+fn nums<const N: usize>(doc: &Json, paths: &str) -> [u64; N] {
+    let values: Vec<u64> = paths.split_whitespace().map(|path| doc.at(path)).collect();
+    let n = values.len();
+    values
+        .try_into()
+        .unwrap_or_else(|_| panic!("{n} paths for {N} numbers"))
+}
+
+/// The loss histogram of the `rows` entry whose `key` member is `value`.
+fn histogram_of(rows: &[Json], key: &str, value: &str) -> Histogram {
+    let row = rows.iter().find(|r| r.at::<&str>(key) == value);
+    let row = row.unwrap_or_else(|| panic!("no {key} `{value}`"));
+    Histogram::from_json(row.at("histogram"))
+}
+
+/// One `  {label}{count:>6}` line per `(label, path)` of `doc`, each label
+/// padded to `width`.
+fn counts(out: &mut String, doc: &Json, width: usize, rows: &[(&str, &str)]) {
+    for (label, path) in rows {
+        let _ = writeln!(out, "  {label:<width$}{:>6}", doc.at::<u64>(path));
+    }
+}
+
+/// Renders the Table 1 (same-subnet switch) report.
+pub fn render_tab1(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let [interval_ms, iterations, max_loss] = nums(r, "interval_ms iterations max_loss");
+    let histogram = Histogram::from_json(r.at("histogram"));
     let mut out = String::new();
     hr(
         &mut out,
@@ -129,8 +153,7 @@ pub fn render_tab1(r: &Tab1Result) -> String {
     );
     let _ = writeln!(
         out,
-        "Workload: UDP echo every {} ms; {} iterations.",
-        r.interval_ms, r.iterations
+        "Workload: UDP echo every {interval_ms} ms; {iterations} iterations."
     );
     let _ = writeln!(
         out,
@@ -138,38 +161,38 @@ pub fn render_tab1(r: &Tab1Result) -> String {
          tests lost one packet each\" -> switch interval < 10 ms.\n"
     );
     let _ = writeln!(out, "Measured (iterations by packets lost):");
-    out.push_str(&r.histogram.render("  same-subnet switch"));
+    out.push_str(&histogram.render("  same-subnet switch"));
     let _ = writeln!(
         out,
-        "  max loss in any iteration: {} packet(s)\n  mean loss: {:.2}",
-        r.max_loss,
-        r.histogram.mean()
+        "  max loss in any iteration: {max_loss} packet(s)\n  mean loss: {:.2}",
+        histogram.mean()
     );
     out
 }
 
 /// Renders the distant-correspondent variant of Table 1 as the one-line
 /// note the full report prints under the table.
-pub fn render_tab1_far(r: &Tab1Result) -> String {
+pub fn render_tab1_far(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let [iterations, max_loss] = nums(r, "iterations max_loss");
     format!(
         "
-  (distant correspondent variant: {} of {} iterations lost 0; max {} —
+  (distant correspondent variant: {} of {iterations} iterations lost 0; max {max_loss} —
             \"we received similar results for a correspondent host located on
             a campus network outside the department\", §4)\n",
-        r.histogram.count(0),
-        r.iterations,
-        r.max_loss
+        Histogram::from_json(r.at("histogram")).count(0)
     )
 }
 
-/// Renders the Figure 6 (device switching) result.
-pub fn render_fig6(r: &Fig6Result) -> String {
+/// Renders the Figure 6 (device switching) report.
+pub fn render_fig6(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let [interval_ms, iterations] = nums(r, "interval_ms iterations");
     let mut out = String::new();
     hr(&mut out, "FIGURE 6 — Device switching overhead (paper §4)");
     let _ = writeln!(
         out,
-        "Workload: UDP echo every {} ms; {} iterations per scenario.",
-        r.interval_ms, r.iterations
+        "Workload: UDP echo every {interval_ms} ms; {iterations} iterations per scenario."
     );
     let _ = writeln!(
         out,
@@ -177,58 +200,61 @@ pub fn render_fig6(r: &Fig6Result) -> String {
          less than 1.25 seconds\" (~<=5 packets at 250 ms); hot switches\n\
          usually lose none (one observed radio drop).\n"
     );
-    for (scenario, histogram) in &r.scenarios {
+    for scenario in Fig6Scenario::all() {
+        let histogram = histogram_of(r.at("scenarios"), "scenario", scenario.key());
         out.push_str(&histogram.render(&format!("  {}", scenario.label())));
+        let mean = histogram.mean();
+        let seconds = mean * interval_ms as f64 / 1000.0;
         let _ = writeln!(
             out,
-            "    mean {:.2} lost  (~{:.2} s of disruption)\n",
-            histogram.mean(),
-            histogram.mean() * r.interval_ms as f64 / 1000.0
+            "    mean {mean:.2} lost  (~{seconds:.2} s of disruption)\n"
         );
     }
     out
 }
 
-/// Renders the Figure 7 (registration time-line) result.
-pub fn render_fig7(r: &Fig7Result) -> String {
+/// Renders the Figure 7 (registration time-line) report.
+pub fn render_fig7(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let ms = |path: &str| r.at::<f64>(path) / 1000.0;
     let mut out = String::new();
     hr(&mut out, "FIGURE 7 — Registration time-line (paper §4)");
     let _ = writeln!(
         out,
         "{} same-subnet re-registrations, mean (stddev), ms:\n",
-        r.runs
+        r.at::<u64>("runs")
     );
-    let row = |label: &str, s: &mosquitonet_sim::Summary, paper: &str| {
-        format!(
-            "  {label:<28} {:>7.2} ({:>5.3})   paper: {paper}\n",
-            s.mean() / 1000.0,
-            s.stddev() / 1000.0
-        )
+    // One line per phase: label, the phase's summary member, the paper.
+    let row = |(label, phase, paper): (&str, &str, &str)| {
+        let [mean, stddev] = ["mean", "stddev"].map(|k| ms(&format!("{phase}.{k}")));
+        format!("  {label:<28} {mean:>7.2} ({stddev:>5.3})   paper: {paper}\n")
     };
-    out.push_str(&row(
-        "configure interface",
-        &r.configure_us,
-        "~1.2 (pre-reg part)",
-    ));
-    out.push_str(&row(
-        "change route table",
-        &r.route_us,
-        "~0.6 (pre-reg part)",
-    ));
-    out.push_str(&row("request -> reply", &r.request_reply_us, "4.79"));
+    out.extend(
+        [
+            ("configure interface", "configure_us", "~1.2 (pre-reg part)"),
+            ("change route table", "route_us", "~0.6 (pre-reg part)"),
+            ("request -> reply", "request_reply_us", "4.79"),
+        ]
+        .map(row),
+    );
     let _ = writeln!(
         out,
         "  {:<28} {:>7.2}           paper: 1.48",
         "  of which HA processing",
-        r.ha_processing_us / 1000.0
+        ms("ha_processing_us")
     );
-    out.push_str(&row("post-registration", &r.post_us, "~0.8"));
-    out.push_str(&row("TOTAL address switch", &r.total_us, "7.39"));
+    out.extend(
+        [
+            ("post-registration", "post_us", "~0.8"),
+            ("TOTAL address switch", "total_us", "7.39"),
+        ]
+        .map(row),
+    );
     out
 }
 
 /// Renders the C1 (encapsulation overhead) table.
-pub fn render_c1(rows: &[C1Row]) -> String {
+pub fn render_c1(_: &Params, docs: &[&Json]) -> String {
     let mut out = String::new();
     hr(
         &mut out,
@@ -239,39 +265,44 @@ pub fn render_c1(rows: &[C1Row]) -> String {
         "  {:>8} {:>8} {:>12} {:>9} {:>9}",
         "payload", "plain", "encapsulated", "overhead", "pct"
     );
-    for r in rows {
+    for r in docs[0].at::<&[Json]>("result") {
+        let [payload, plain, encap, overhead] = nums(r, "payload plain encapsulated overhead");
+        let pct = r.at::<f64>("overhead_pct");
         let _ = writeln!(
             out,
-            "  {:>8} {:>8} {:>12} {:>9} {:>8.1}%",
-            r.payload, r.plain, r.encapsulated, r.overhead, r.overhead_pct
+            "  {payload:>8} {plain:>8} {encap:>12} {overhead:>9} {pct:>8.1}%"
         );
     }
     out
 }
 
-/// Renders the C2 (radio characterization) result.
-pub fn render_c2(r: &C2Result) -> String {
+/// Renders the C2 (radio characterization) report.
+pub fn render_c2(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let [mean, min, max] = ["mean", "min", "max"].map(|k| r.at::<f64>(&format!("rtt_ms.{k}")));
+    let [goodput, theoretical] = ["goodput_kbps", "theoretical_kbps"].map(|k| r.at::<f64>(k));
     let mut out = String::new();
     hr(&mut out, "C2 — Metricom radio characteristics (paper §4)");
     let _ = writeln!(
         out,
-        "  HA<->MH echo RTT over radio : mean {:.0} ms, min {:.0}, max {:.0}\n\
-         \x20   paper: \"200~250ms\"",
-        r.rtt_ms.mean(),
-        r.rtt_ms.min().unwrap_or(0.0),
-        r.rtt_ms.max().unwrap_or(0.0)
+        "  HA<->MH echo RTT over radio : mean {mean:.0} ms, min {min:.0}, max {max:.0}\n\
+         \x20   paper: \"200~250ms\""
     );
     let _ = writeln!(
         out,
-        "  bulk UDP goodput            : {:.1} kb/s (theoretical {:.0} kb/s)\n\
-         \x20   paper: \"in practice 30-40 Kbits/second is the best we achieve\"",
-        r.goodput_kbps, r.theoretical_kbps
+        "  bulk UDP goodput            : {goodput:.1} kb/s (theoretical {theoretical:.0} kb/s)\n\
+         \x20   paper: \"in practice 30-40 Kbits/second is the best we achieve\""
     );
     out
 }
 
-/// Renders the C3 (triangle route) result.
-pub fn render_c3(r: &C3Result) -> String {
+/// Renders the C3 (triangle route) report.
+pub fn render_c3(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let tunnel = r.at::<f64>("tunnel_rtt_ms.mean");
+    let triangle = r.at::<f64>("triangle_rtt_ms.mean");
+    let [fell_back, delivered] =
+        ["fallback_triggered", "post_fallback_delivery"].map(|k| r.at::<bool>(k));
     let mut out = String::new();
     hr(
         &mut out,
@@ -279,27 +310,24 @@ pub fn render_c3(r: &C3Result) -> String {
     );
     let _ = writeln!(
         out,
-        "  MH->far-CH echo RTT, reverse tunnel : mean {:.1} ms",
-        r.tunnel_rtt_ms.mean()
+        "  MH->far-CH echo RTT, reverse tunnel : mean {tunnel:.1} ms"
     );
     let _ = writeln!(
         out,
-        "  MH->far-CH echo RTT, triangle route : mean {:.1} ms  (saves {:.1} ms)",
-        r.triangle_rtt_ms.mean(),
-        r.tunnel_rtt_ms.mean() - r.triangle_rtt_ms.mean()
+        "  MH->far-CH echo RTT, triangle route : mean {triangle:.1} ms  (saves {:.1} ms)",
+        tunnel - triangle
     );
     let _ = writeln!(
         out,
         "  with a transit-filtering foreign router:\n\
-         \x20   probe fell back to the tunnel : {}\n\
-         \x20   connectivity after fallback   : {}",
-        r.fallback_triggered, r.post_fallback_delivery
+         \x20   probe fell back to the tunnel : {fell_back}\n\
+         \x20   connectivity after fallback   : {delivered}"
     );
     out
 }
 
-/// Renders the C4 (lossy-registration chaos) result.
-pub fn render_c4(r: &C4Result) -> String {
+/// Renders the C4 (lossy-registration chaos) report.
+pub fn render_c4(_: &Params, docs: &[&Json]) -> String {
     let mut out = String::new();
     hr(
         &mut out,
@@ -309,19 +337,16 @@ pub fn render_c4(r: &C4Result) -> String {
         out,
         "  loss%  completed  requests  retries  drops   p50 ms   p90 ms   max ms"
     );
-    for row in &r.rows {
+    for row in docs[0].at::<&[Json]>("rows") {
+        let [loss, completed, switches, requests, retries, drops, p50, p90, max] = nums(
+            row,
+            "loss_pct completed switches requests_sent retries drops_injected p50_us p90_us max_us",
+        );
+        let [p50, p90, max] = [p50, p90, max].map(|us| us as f64 / 1_000.0);
         let _ = writeln!(
             out,
-            "  {:>4}   {:>4}/{:<4}  {:>7}  {:>7}  {:>5}  {:>7.1}  {:>7.1}  {:>7.1}",
-            row.loss_pct,
-            row.completed,
-            row.switches,
-            row.requests_sent,
-            row.retries,
-            row.drops_injected,
-            row.p50_us as f64 / 1_000.0,
-            row.p90_us as f64 / 1_000.0,
-            row.max_us as f64 / 1_000.0,
+            "  {loss:>4}   {completed:>4}/{switches:<4}  {requests:>7}  {retries:>7}  {drops:>5}  \
+             {p50:>7.1}  {p90:>7.1}  {max:>7.1}"
         );
     }
     let _ = writeln!(
@@ -333,8 +358,13 @@ pub fn render_c4(r: &C4Result) -> String {
     out
 }
 
-/// Renders the C5 (home-agent crash recovery) result.
-pub fn render_c5(r: &crate::experiments::C5Result) -> String {
+/// Renders the C5 (home-agent crash recovery) report.
+pub fn render_c5(_: &Params, docs: &[&Json]) -> String {
+    let m = docs[0];
+    let [reconverged, replayed, epoch, changes] = nums(
+        m.at("recovery"),
+        "reconverged_ms journal_replayed ha_epoch epoch_changes",
+    );
     let mut out = String::new();
     hr(&mut out, "C5 — Home-agent crash recovery (journal replay)");
     let _ = writeln!(
@@ -342,23 +372,27 @@ pub fn render_c5(r: &crate::experiments::C5Result) -> String {
         "Mid-session crash of the (separate-host) home agent; journal\n\
          survives, agent restarts with a new boot epoch.\n"
     );
-    let _ = writeln!(out, "  echo probes sent       {:>6}", r.sent);
-    let _ = writeln!(out, "  echo replies received  {:>6}", r.received);
-    let _ = writeln!(out, "  lost before crash      {:>6}", r.lost_before);
-    let _ = writeln!(out, "  lost during outage     {:>6}", r.lost_during);
-    let _ = writeln!(out, "  lost after recovery    {:>6}", r.lost_after);
-    let _ = writeln!(
-        out,
-        "  reconverged in         {:>6} ms after the crash",
-        r.reconverged_ms
+    counts(
+        &mut out,
+        m,
+        23,
+        &[
+            ("echo probes sent", "echo.sent"),
+            ("echo replies received", "echo.received"),
+            ("lost before crash", "echo.lost_before"),
+            ("lost during outage", "echo.lost_during"),
+            ("lost after recovery", "echo.lost_after"),
+        ],
     );
     let _ = writeln!(
         out,
-        "  journal records replayed {:>4}; boot epoch {} (MH detected {} change{})",
-        r.journal_replayed,
-        r.ha_epoch,
-        r.epoch_changes,
-        if r.epoch_changes == 1 { "" } else { "s" },
+        "  reconverged in         {reconverged:>6} ms after the crash"
+    );
+    let _ = writeln!(
+        out,
+        "  journal records replayed {replayed:>4}; boot epoch {epoch} \
+         (MH detected {changes} change{})",
+        if changes == 1 { "" } else { "s" },
     );
     let _ = writeln!(
         out,
@@ -369,8 +403,18 @@ pub fn render_c5(r: &crate::experiments::C5Result) -> String {
     out
 }
 
-/// Renders the C6 (standby failover) result.
-pub fn render_c6(r: &crate::experiments::C6Result) -> String {
+/// Renders the C6 (standby failover) report.
+pub fn render_c6(_: &Params, docs: &[&Json]) -> String {
+    let m = docs[0];
+    let failover = m.at::<&Json>("failover");
+    let [failover_ms, failovers, degradations, lookups] = nums(
+        failover,
+        "failover_ms ha_failovers degradations direct_encap_lookups",
+    );
+    let [replicas, accepted, tunneled] = nums(
+        failover,
+        "replicas_applied standby_accepted standby_encapsulated",
+    );
     let mut out = String::new();
     hr(&mut out, "C6 — Failover to the standby home agent");
     let _ = writeln!(
@@ -379,26 +423,30 @@ pub fn render_c6(r: &crate::experiments::C6Result) -> String {
          absorbing binding replicas and takes over when the MH's retry\n\
          budget exhausts and it rotates agents.\n"
     );
-    let _ = writeln!(out, "  inbound probes sent     {:>6}", r.in_sent);
-    let _ = writeln!(out, "  inbound replies         {:>6}", r.in_received);
-    let _ = writeln!(out, "  inbound lost in outage  {:>6}", r.in_lost_during);
-    let _ = writeln!(out, "  inbound lost after      {:>6}", r.in_lost_after);
-    let _ = writeln!(out, "  outbound lost after     {:>6}", r.out_lost_after);
-    let _ = writeln!(
-        out,
-        "  failed over in          {:>6} ms after the crash",
-        r.failover_ms
+    counts(
+        &mut out,
+        m,
+        24,
+        &[
+            ("inbound probes sent", "echo.in_sent"),
+            ("inbound replies", "echo.in_received"),
+            ("inbound lost in outage", "echo.in_lost_during"),
+            ("inbound lost after", "echo.in_lost_after"),
+            ("outbound lost after", "echo.out_lost_after"),
+        ],
     );
     let _ = writeln!(
         out,
-        "  failovers {} / degradations {} / direct-encap lookups {}",
-        r.ha_failovers, r.degradations, r.direct_encap_lookups
+        "  failed over in          {failover_ms:>6} ms after the crash"
     );
     let _ = writeln!(
         out,
-        "  standby: {} replicas applied, {} registrations accepted,\n\
-         \x20  {} packets tunneled to the MH after takeover",
-        r.replicas_applied, r.standby_accepted, r.standby_encapsulated
+        "  failovers {failovers} / degradations {degradations} / direct-encap lookups {lookups}"
+    );
+    let _ = writeln!(
+        out,
+        "  standby: {replicas} replicas applied, {accepted} registrations accepted,\n\
+         \x20  {tunneled} packets tunneled to the MH after takeover"
     );
     let _ = writeln!(
         out,
@@ -408,8 +456,19 @@ pub fn render_c6(r: &crate::experiments::C6Result) -> String {
     out
 }
 
-/// Renders the C7 (spoofed/replayed registration) result.
-pub fn render_c7(r: &crate::experiments::C7Result) -> String {
+/// Renders the C7 (spoofed/replayed registration) report.
+pub fn render_c7(_: &Params, docs: &[&Json]) -> String {
+    let m = docs[0];
+    let attack = m.at::<&Json>("attack");
+    let [spoofs, replays, accepted, auth_failures, auth_replays, denied, epoch] = nums(
+        attack,
+        "spoofs replays attacker_accepted auth_failures auth_replays attacker_denied ha_epoch",
+    );
+    let intact = if attack.at("binding_intact") {
+        "yes"
+    } else {
+        "NO"
+    };
     let mut out = String::new();
     hr(&mut out, "C7 — Spoofed and replayed registrations");
     let _ = writeln!(
@@ -418,26 +477,27 @@ pub fn render_c7(r: &crate::experiments::C7Result) -> String {
          attacker injects forgeries and byte-exact replays, then the agent\n\
          crashes and restarts (journal intact) and the replay repeats.\n"
     );
-    let _ = writeln!(out, "  echo probes sent        {:>6}", r.sent);
-    let _ = writeln!(out, "  echo replies received   {:>6}", r.received);
-    let _ = writeln!(out, "  lost during attack      {:>6}", r.lost_attack);
-    let _ = writeln!(out, "  lost after recovery     {:>6}", r.lost_after);
-    let _ = writeln!(
-        out,
-        "  injected: {} forgeries, {} replays; accepted {}",
-        r.spoofs, r.replays, r.attacker_accepted
+    counts(
+        &mut out,
+        m,
+        24,
+        &[
+            ("echo probes sent", "echo.sent"),
+            ("echo replies received", "echo.received"),
+            ("lost during attack", "echo.lost_attack"),
+            ("lost after recovery", "echo.lost_after"),
+        ],
     );
     let _ = writeln!(
         out,
-        "  home agent denied: {} auth failures, {} replays (attacker saw {} denials)",
-        r.auth_failures, r.auth_replays, r.attacker_denied
+        "  injected: {spoofs} forgeries, {replays} replays; accepted {accepted}"
     );
     let _ = writeln!(
         out,
-        "  binding intact: {}; boot epoch {}",
-        if r.binding_intact { "yes" } else { "NO" },
-        r.ha_epoch
+        "  home agent denied: {auth_failures} auth failures, {auth_replays} replays \
+         (attacker saw {denied} denials)"
     );
+    let _ = writeln!(out, "  binding intact: {intact}; boot epoch {epoch}");
     let _ = writeln!(
         out,
         "  (the replay floor is journaled with each accepted binding, so\n\
@@ -446,8 +506,10 @@ pub fn render_c7(r: &crate::experiments::C7Result) -> String {
     out
 }
 
-/// Renders the A1 (foreign-agent ablation) result.
-pub fn render_a1(r: &A1Result) -> String {
+/// Renders the A1 (foreign-agent ablation) report.
+pub fn render_a1(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let [interval_ms, iterations] = nums(r, "interval_ms iterations");
     let mut out = String::new();
     hr(
         &mut out,
@@ -455,12 +517,12 @@ pub fn render_a1(r: &A1Result) -> String {
     );
     let _ = writeln!(
         out,
-        "Workload: UDP echo every {} ms; {} hand-offs between two foreign\n\
+        "Workload: UDP echo every {interval_ms} ms; {iterations} hand-offs between two foreign\n\
          networks per mode. Paper's claim: a previous foreign agent can\n\
-         forward in-flight packets, trimming the loss window.\n",
-        r.interval_ms, r.iterations
+         forward in-flight packets, trimming the loss window.\n"
     );
-    for (mode, histogram) in &r.per_mode {
+    for mode in A1Mode::all() {
+        let histogram = histogram_of(r.at("per_mode"), "mode", mode.key());
         out.push_str(&histogram.render(&format!("  {}", mode.label())));
         let _ = writeln!(out, "    mean {:.2} lost per hand-off\n", histogram.mean());
     }
@@ -468,7 +530,7 @@ pub fn render_a1(r: &A1Result) -> String {
 }
 
 /// Renders the A2 (home-agent scaling) table.
-pub fn render_a2(rows: &[A2Row]) -> String {
+pub fn render_a2(_: &Params, docs: &[&Json]) -> String {
     let mut out = String::new();
     hr(
         &mut out,
@@ -480,11 +542,13 @@ pub fn render_a2(rows: &[A2Row]) -> String {
         "  {:>6} {:>10} {:>14} {:>13} {:>13} {:>10}",
         "MHs", "completed", "mean reply ms", "p95 reply ms", "max reply ms", "span ms"
     );
-    for r in rows {
+    for r in docs[0].at::<&[Json]>("result") {
+        let [hosts, completed] = nums(r, "mobile_hosts completed");
+        let [mean, p95, max, span] =
+            ["mean_reply_ms", "p95_reply_ms", "max_reply_ms", "span_ms"].map(|k| r.at::<f64>(k));
         let _ = writeln!(
             out,
-            "  {:>6} {:>10} {:>14.2} {:>13.2} {:>13.2} {:>10.1}",
-            r.mobile_hosts, r.completed, r.mean_reply_ms, r.p95_reply_ms, r.max_reply_ms, r.span_ms
+            "  {hosts:>6} {completed:>10} {mean:>14.2} {p95:>13.2} {max:>13.2} {span:>10.1}"
         );
     }
     let _ = writeln!(
@@ -495,8 +559,11 @@ pub fn render_a2(rows: &[A2Row]) -> String {
     out
 }
 
-/// Renders the A3 (DHCP address reuse) result.
-pub fn render_a3(r: &crate::experiments::A3Result) -> String {
+/// Renders the A3 (DHCP address reuse) report.
+pub fn render_a3(_: &Params, docs: &[&Json]) -> String {
+    let r = docs[0].at::<&Json>("result");
+    let [first_available, lru] = nums(r, "first_available_misdelivered lru_misdelivered");
+    let different = r.at::<bool>("lru_gave_different_address");
     let mut out = String::new();
     hr(
         &mut out,
@@ -510,13 +577,11 @@ pub fn render_a3(r: &crate::experiments::A3Result) -> String {
     );
     let _ = writeln!(
         out,
-        "  first-available reuse : {} tunneled packets mis-delivered to the newcomer",
-        r.first_available_misdelivered
+        "  first-available reuse : {first_available} tunneled packets mis-delivered to the newcomer"
     );
     let _ = writeln!(
         out,
-        "  least-recently-used   : {} mis-delivered (different address handed out: {})",
-        r.lru_misdelivered, r.lru_gave_different_address
+        "  least-recently-used   : {lru} mis-delivered (different address handed out: {different})"
     );
     let _ = writeln!(
         out,
@@ -527,22 +592,25 @@ pub fn render_a3(r: &crate::experiments::A3Result) -> String {
 }
 
 /// Renders the S1 many-correspondents scale run (decision cache at scale).
-pub fn render_s1(r: &crate::experiments::S1Result) -> String {
+pub fn render_s1(_: &Params, docs: &[&Json]) -> String {
+    let m = docs[0];
     let mut out = String::new();
     hr(
         &mut out,
         "S1 — Decision cache at scale (many correspondents)",
     );
-    let _ = writeln!(out, "  correspondents: {}", r.correspondents);
+    let _ = writeln!(out, "  correspondents: {}", m.at::<u64>("correspondents"));
     let _ = writeln!(
         out,
         "  phase          sends     hits   misses  flushes  entries"
     );
-    for row in &r.rows {
+    for row in m.at::<&[Json]>("rows") {
+        let phase = row.at::<&str>("phase");
+        let [sends, hits, misses, flushes, entries] =
+            nums(row, "sends hits misses invalidations cache_entries");
         let _ = writeln!(
             out,
-            "  {:<12} {:>7}  {:>7}  {:>7}  {:>7}  {:>7}",
-            row.phase, row.sends, row.hits, row.misses, row.invalidations, row.cache_entries,
+            "  {phase:<12} {sends:>7}  {hits:>7}  {misses:>7}  {flushes:>7}  {entries:>7}"
         );
     }
     let _ = writeln!(
@@ -554,9 +622,18 @@ pub fn render_s1(r: &crate::experiments::S1Result) -> String {
     out
 }
 
-/// Renders the S3 whole-system saturation run: the virtual-time rates of
-/// the result rows, the same numbers the golden-diffed bench sidecar holds.
-pub fn render_s3(r: &crate::experiments::S3Result) -> String {
+/// The members of an S3 bench row the reports print, in column order.
+const S3_ROW: &str = "sent delivered events batches pps ns_per_packet";
+
+/// Renders the S3 whole-system saturation run from its two bench bodies:
+/// the classic engine's per-mode virtual-time rates, then the sharded
+/// run's aggregated row with the partition and threading parameters.
+/// Everything but the thread count it echoes is byte-identical across
+/// thread counts.
+pub fn render_s3(p: &Params, docs: &[&Json]) -> String {
+    let (classic, sharded) = (docs[0], docs[1]);
+    let [pairs, burst, ticks, seed] = nums(classic, "pairs burst ticks seed");
+    let batching = if classic.at("batching") { "on" } else { "off" };
     let mut out = String::new();
     hr(
         &mut out,
@@ -564,67 +641,73 @@ pub fn render_s3(r: &crate::experiments::S3Result) -> String {
     );
     let _ = writeln!(
         out,
-        "  {} pairs x {} datagrams per 10 ms tick x {} ticks, seed {}, batching {}",
-        r.cfg.pairs,
-        r.cfg.burst,
-        r.cfg.ticks,
-        r.cfg.seed,
-        if r.cfg.batching { "on" } else { "off" },
+        "  {pairs} pairs x {burst} datagrams per 10 ms tick x {ticks} ticks, seed {seed}, \
+         batching {batching}"
     );
     let _ = writeln!(
         out,
         "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12}",
         "mode", "sent", "delivered", "events", "batches", "vpps", "ns/pkt(v)"
     );
-    for row in &r.rows {
+    for row in classic.at::<&[Json]>("modes") {
+        let mode = row.at::<&str>("mode");
+        let [sent, delivered, events, batches, pps, ns] = nums(row, S3_ROW);
         let _ = writeln!(
             out,
-            "  {:>7} {:>9} {:>10} {:>10} {:>9} {:>10} {:>12}",
-            row.mode, row.sent, row.delivered, row.events, row.batches, row.pps, row.ns_per_packet,
+            "  {mode:>7} {sent:>9} {delivered:>10} {events:>10} {batches:>9} {pps:>10} {ns:>12}"
         );
     }
     let _ = writeln!(
         out,
         "  (vpps / ns-per-packet are virtual-time rates — exact and seed-stable)"
     );
-    out
-}
 
-/// Renders the sharded S3 run: the aggregated row plus the partition
-/// and threading parameters. Everything but the thread count it echoes
-/// is byte-identical across thread counts.
-pub fn render_s3_sharded(r: &crate::experiments::S3ShardedResult) -> String {
-    let mut out = String::new();
+    let [shards, pairs, burst, ticks, seed, resets] =
+        nums(sharded, "shards pairs burst ticks seed arena_resets");
+    let [sent, delivered, events, batches, pps, ns] = nums(sharded.at("row"), S3_ROW);
     hr(
         &mut out,
         "S3 (sharded) — parallel campus domains over a backbone trunk",
     );
     let _ = writeln!(
         out,
-        "  {} shards x {} pairs, {} datagrams per 10 ms tick x {} ticks, \
-         seed {}, {} thread(s)",
-        r.shards, r.cfg.pairs, r.cfg.burst, r.cfg.ticks, r.cfg.seed, r.threads,
-    );
-    let row = &r.row;
-    let _ = writeln!(
-        out,
-        "  sent {}  delivered {}  events {}  batches {}  vpps {}  \
-         ns/pkt(v) {}",
-        row.sent, row.delivered, row.events, row.batches, row.pps, row.ns_per_packet,
+        "  {shards} shards x {pairs} pairs, {burst} datagrams per 10 ms tick x {ticks} ticks, \
+         seed {seed}, {} thread(s)",
+        p.get("threads")
     );
     let _ = writeln!(
         out,
-        "  rounds with cross-shard sends {}  (barrier rounds in which a \
-         shard sent frames over the backbone, summed over shards)",
-        r.arena_resets,
+        "  sent {sent}  delivered {delivered}  events {events}  batches {batches}  vpps {pps}  \
+         ns/pkt(v) {ns}"
+    );
+    let _ = writeln!(
+        out,
+        "  rounds with cross-shard sends {resets}  (barrier rounds in which a \
+         shard sent frames over the backbone, summed over shards)"
     );
     out
 }
 
-/// Renders the S2 sharded home-agent fleet run: the aggregated row plus
-/// the partition and threading parameters. Everything but the thread
-/// count it echoes is byte-identical across thread counts.
-pub fn render_s2(r: &crate::experiments::S2Result) -> String {
+/// Renders the S2 sharded home-agent fleet run from its bench body: the
+/// aggregated row plus the partition and threading parameters.
+/// Everything but the thread count it echoes is byte-identical across
+/// thread counts.
+pub fn render_s2(p: &Params, docs: &[&Json]) -> String {
+    let bench = docs[0];
+    let [shards, hosts, burst, ticks, seed, resets] =
+        nums(bench, "shards mobile_hosts burst ticks seed arena_resets");
+    let row = bench.at::<&Json>("row");
+    let [sent, misdirected, redirected, accepted, denied] =
+        nums(row, "sent misdirected redirected accepted denied");
+    let [processed, wrong_shard, replicas_sent, replicas_applied] = nums(
+        row,
+        "ha_processed wrong_shard replicas_sent replicas_applied",
+    );
+    let [active, standby, journal] = nums(row, "live_bindings standby_bindings journal_records");
+    let [regs, p99_ns, bytes, events, batches] = nums(
+        row,
+        "regs_per_sec p99_latency_ns bytes_per_binding events batches",
+    );
     let mut out = String::new();
     hr(
         &mut out,
@@ -632,37 +715,32 @@ pub fn render_s2(r: &crate::experiments::S2Result) -> String {
     );
     let _ = writeln!(
         out,
-        "  {} shards (active+standby pairs) x {} mobile hosts, {} Zipf \
-         draws per 10 ms tick x {} ticks, seed {}, {} thread(s)",
-        r.cfg.shards, r.cfg.mobile_hosts, r.cfg.burst, r.cfg.ticks, r.cfg.seed, r.threads,
-    );
-    let row = &r.row;
-    let _ = writeln!(
-        out,
-        "  sent {}  (misdirected {}  redirected {})  accepted {}  denied {}",
-        row.sent, row.misdirected, row.redirected, row.accepted, row.denied,
+        "  {shards} shards (active+standby pairs) x {hosts} mobile hosts, {burst} Zipf \
+         draws per 10 ms tick x {ticks} ticks, seed {seed}, {} thread(s)",
+        p.get("threads")
     );
     let _ = writeln!(
         out,
-        "  fleet: processed {}  wrong-shard denials {}  replicas {}->{}",
-        row.ha_processed, row.wrong_shard, row.replicas_sent, row.replicas_applied,
+        "  sent {sent}  (misdirected {misdirected}  redirected {redirected})  \
+         accepted {accepted}  denied {denied}"
     );
     let _ = writeln!(
         out,
-        "  bindings: active {}  standby {} (lock-step)  journal records {}",
-        row.live_bindings, row.standby_bindings, row.journal_records,
+        "  fleet: processed {processed}  wrong-shard denials {wrong_shard}  \
+         replicas {replicas_sent}->{replicas_applied}"
     );
     let _ = writeln!(
         out,
-        "  regs/s {} (virtual)  p99 latency {:.2} ms (virtual)  bytes/binding {}",
-        row.regs_per_sec,
-        row.p99_latency_ns as f64 / 1_000_000.0,
-        row.bytes_per_binding,
+        "  bindings: active {active}  standby {standby} (lock-step)  journal records {journal}"
     );
     let _ = writeln!(
         out,
-        "  events {}  batches {}  rounds with cross-shard sends {}",
-        row.events, row.batches, r.arena_resets,
+        "  regs/s {regs} (virtual)  p99 latency {:.2} ms (virtual)  bytes/binding {bytes}",
+        p99_ns as f64 / 1_000_000.0
+    );
+    let _ = writeln!(
+        out,
+        "  events {events}  batches {batches}  rounds with cross-shard sends {resets}"
     );
     out
 }
@@ -670,7 +748,14 @@ pub fn render_s2(r: &crate::experiments::S2Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosquitonet_sim::{Histogram, Summary};
+    use crate::experiments::Experiment;
+    use mosquitonet_sim::Summary;
+
+    /// The checked defaults of the registry entry `name`.
+    fn defaults(name: &str) -> Params {
+        let exp = Experiment::find(name).expect("registered");
+        Params::parse(exp, &[] as &[&str]).expect("defaults parse")
+    }
 
     #[test]
     fn tab1_render_mentions_key_facts() {
@@ -681,14 +766,16 @@ mod tests {
         for _ in 0..4 {
             h.record(1);
         }
-        let r = Tab1Result {
-            iterations: 20,
-            interval_ms: 10,
-            histogram: h,
-            max_loss: 1,
-            metrics: Json::Null,
-        };
-        let s = render_tab1(&r);
+        let body = Json::obj([(
+            "result",
+            Json::obj([
+                ("iterations", Json::from(20u64)),
+                ("interval_ms", Json::from(10u64)),
+                ("histogram", h.to_json()),
+                ("max_loss", Json::from(1u64)),
+            ]),
+        )]);
+        let s = render_tab1(&defaults("tab1_same_subnet"), &[&body]);
         assert!(s.contains("TABLE 1"));
         assert!(s.contains("10 ms"));
         assert!(s.contains("max loss in any iteration: 1"));
@@ -696,21 +783,37 @@ mod tests {
 
     #[test]
     fn fig7_render_includes_paper_reference_values() {
-        let mk = |v: f64| Summary::from_samples(&[v]);
-        let r = Fig7Result {
-            runs: 10,
-            configure_us: mk(1200.0),
-            route_us: mk(600.0),
-            request_reply_us: mk(4790.0),
-            ha_processing_us: 1480.0,
-            post_us: mk(800.0),
-            total_us: mk(7390.0),
-            metrics: Json::Null,
-        };
-        let s = render_fig7(&r);
+        let mk = |v: f64| Summary::from_samples(&[v]).to_json();
+        let body = Json::obj([(
+            "result",
+            Json::obj([
+                ("runs", Json::from(10u64)),
+                ("configure_us", mk(1200.0)),
+                ("route_us", mk(600.0)),
+                ("request_reply_us", mk(4790.0)),
+                ("ha_processing_us", Json::from(1480.0)),
+                ("post_us", mk(800.0)),
+                ("total_us", mk(7390.0)),
+            ]),
+        )]);
+        let s = render_fig7(&defaults("fig7_registration"), &[&body]);
         assert!(s.contains("4.79"));
         assert!(s.contains("7.39"));
         assert!(s.contains("1.48"));
+    }
+
+    #[test]
+    #[should_panic(expected = "`max_loss`: no member `max_loss`")]
+    fn a_report_never_prints_a_member_its_document_lacks() {
+        let body = Json::obj([(
+            "result",
+            Json::obj([
+                ("iterations", Json::from(20u64)),
+                ("interval_ms", Json::from(10u64)),
+                ("histogram", Histogram::new(2).to_json()),
+            ]),
+        )]);
+        render_tab1(&defaults("tab1_same_subnet"), &[&body]);
     }
 
     #[test]
@@ -739,9 +842,10 @@ mod tests {
     #[test]
     fn c1_render_is_tabular() {
         let rows = crate::experiments::run_c1();
-        let s = render_c1(&rows);
+        let body = Json::obj([("result", rows.clone())]);
+        let s = render_c1(&defaults("c1_encap_overhead"), &[&body]);
         assert!(s.contains("payload"));
-        assert!(s.lines().count() >= rows.len() + 4);
+        assert!(s.lines().count() >= rows.at::<&[Json]>("").len() + 4);
         assert!(s.contains("20"), "20-byte overhead visible");
     }
 }

@@ -8,7 +8,7 @@ use mosquitonet_testbed::experiments::run_c4;
 /// and `Json` preserves member order.
 #[test]
 fn c4_same_seed_runs_are_byte_identical() {
-    let a = run_c4(1, 7).metrics.render_pretty();
-    let b = run_c4(1, 7).metrics.render_pretty();
+    let a = run_c4(1, 7).render_pretty();
+    let b = run_c4(1, 7).render_pretty();
     assert_eq!(a, b);
 }

@@ -8,7 +8,7 @@ use mosquitonet_testbed::experiments::run_c6;
 /// nothing reads the wall clock.
 #[test]
 fn c6_same_seed_runs_are_byte_identical() {
-    let a = run_c6(7).metrics.render_pretty();
-    let b = run_c6(7).metrics.render_pretty();
+    let a = run_c6(7).0.render_pretty();
+    let b = run_c6(7).0.render_pretty();
     assert_eq!(a, b);
 }

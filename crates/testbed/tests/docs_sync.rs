@@ -5,8 +5,9 @@
 //! manifests, its module hook list against `trait Module`, the shape of
 //! `BENCH_trajectory.json` and that it lags CHANGES.md by at most one
 //! performance PR, that the docs cite no deleted instrument and
-//! no ledger metric `BENCHMARK.json` does not declare, and that every
-//! file they link or cite exists.
+//! no ledger metric `BENCHMARK.json` does not declare, that every
+//! file they link or cite exists, and that no file cites a ROADMAP item
+//! by number.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in metric names, flight-recorder hop records and module
@@ -272,8 +273,8 @@ fn design_md_hook_list_is_trait_module() {
     assert_eq!(documented, declared);
 }
 
-/// `BENCH_trajectory.json` (ROADMAP item 1) is appended to by hand, one
-/// point per measured PR: hold its shape, the order of its points, and
+/// `BENCH_trajectory.json` is appended to by hand, one point per
+/// measured PR: hold its shape, the order of its points, and
 /// that the newest point covers the workloads the benchmark declares.
 #[test]
 fn bench_trajectory_is_well_formed_and_current() {
@@ -317,7 +318,7 @@ fn pr_of(entry: &str) -> Option<u64> {
         .ok()
 }
 
-/// ROADMAP item 2's rule: the trajectory may lag CHANGES.md by one
+/// ROADMAP [bench-v2]'s rule: the trajectory may lag CHANGES.md by one
 /// performance PR (a point is measured after its PR's entry is written),
 /// never by two — the newest point may not predate the second-newest
 /// entry marked `[perf_opt]` or `(perf_opt)`.
@@ -457,4 +458,59 @@ fn docs_link_and_cite_only_files_that_exist() {
     }
     assert!(checked > 100, "scanner must find the docs' links and paths");
     assert!(missing.is_empty(), "docs name missing files: {missing:#?}");
+}
+
+/// Every file under `dir`, `.git` and build output (`target/`) left out.
+fn every_file(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read_dir") {
+        let p = entry.expect("dir entry").path();
+        if p.is_dir() {
+            if !p.file_name().is_some_and(|n| n == "target" || n == ".git") {
+                every_file(&p, out);
+            }
+        } else {
+            out.push(p);
+        }
+    }
+}
+
+/// ROADMAP items are cited by their stable bracketed tag (`[lines]`,
+/// `[one-loop]`, …): item numbers shift at every re-anchor, so a citation
+/// by number ends up pointing at the wrong item. Checked: every file in
+/// the workspace's directories, and the root's own documentation of the
+/// program. The root's planning and reference files (ROADMAP.md itself,
+/// the CHANGES.md history, the paper notes) may say "item" and a number.
+#[test]
+fn roadmap_items_are_cited_by_tag_not_number() {
+    const NEEDLE: &str = "ROADMAP item";
+    const ROOT_DOCS: [&str; 4] = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "BENCH_trajectory.json",
+    ];
+    let root = workspace_root();
+    let mut files = Vec::new();
+    every_file(&root, &mut files);
+    files.retain(|p| p.parent() != Some(&*root) || ROOT_DOCS.iter().any(|d| p.ends_with(d)));
+    assert!(files.len() > ROOT_DOCS.len(), "the walk found the tree");
+    let mut cited = Vec::new();
+    for path in files {
+        let relative = path.strip_prefix(&root).expect("under the root");
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue; // not text
+        };
+        for (i, line) in text.lines().enumerate() {
+            let numbered = line.match_indices(NEEDLE).any(|(at, _)| {
+                let rest = &line[at + NEEDLE.len()..];
+                let rest = rest.strip_prefix('s').unwrap_or(rest);
+                rest.strip_prefix(' ')
+                    .is_some_and(|r| r.starts_with(|c: char| c.is_ascii_digit()))
+            });
+            if numbered {
+                cited.push(format!("{}:{}", relative.display(), i + 1));
+            }
+        }
+    }
+    assert!(cited.is_empty(), "cite the item's [tag]: {cited:?}");
 }

@@ -85,8 +85,8 @@ fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
     assert!(!dir.exists(), "refused input must not write artifacts");
 }
 
-/// The runs whose typed result lives nowhere but the leading `result`
-/// member of their metrics sidecar.
+/// The runs whose result lives nowhere but the leading `result` member
+/// of their metrics sidecar.
 const RESULT_FIRST: &[&str] = &[
     "tab1", "tab1_far", "fig6", "fig7", "c1", "c2", "c3", "a1", "a2", "a3",
 ];

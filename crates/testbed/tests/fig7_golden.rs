@@ -1,28 +1,23 @@
 //! The Figure 7 phase histograms and the A1 foreign-agent ablation's
-//! registries, read straight off the typed runners and compared with the
-//! `metrics` body of their goldens, which the `PINNED` table in
+//! registries, read straight off the runners' documents and compared with
+//! the `metrics` body of their goldens, which the `PINNED` table in
 //! `goldens.rs` pins (and regenerates) whole.
 
 use mosquitonet_sim::Json;
 use mosquitonet_testbed::experiments::{run_a1, run_fig7};
 
-/// The `metrics` body of the sidecar golden `file`, less the leading
-/// `result` member that the runner returns as typed fields.
+/// The `metrics` body of the sidecar golden `file`.
 fn golden_metrics(file: &str) -> Json {
     let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let Some(Json::Obj(mut members)) = doc.get("metrics").cloned() else {
-        panic!("{file}: a metrics object");
-    };
-    members.retain(|(key, _)| key != "result");
-    Json::Obj(members)
+    doc.at::<&Json>("metrics").clone()
 }
 
 #[test]
 fn fig7_phase_histogram_export_matches_golden() {
-    let result = run_fig7(4, 1996);
-    let phases = result.metrics.get("phases").expect("phases");
+    let body = run_fig7(4, 1996);
+    let phases = body.at::<&Json>("phases");
 
     // Sanity before the byte comparison: all five phase histograms are
     // present and each holds one sample per measured run (runs + 1
@@ -42,16 +37,15 @@ fn fig7_phase_histogram_export_matches_golden() {
     );
 }
 
-/// The A1 ablation's three registries (agentless, foreign agents, foreign
-/// agents + previous-FA forwarding): the one golden that runs
+/// The A1 ablation's result and its three registries (agentless, foreign
+/// agents, foreign agents + previous-FA forwarding): the one golden that runs
 /// `FaMobileHost`, so the foreign-agent baseline's registration client is
 /// pinned beside the agentless one.
 #[test]
 fn a1_foreign_agent_ablation_export_matches_golden() {
-    let result = run_a1(4, 1996);
     assert_eq!(
-        result.metrics.render_pretty(),
+        run_a1(4, 1996).render_pretty(),
         golden_metrics("a1.metrics.json").render_pretty(),
-        "a1 registries drifted from a1.metrics.json"
+        "a1 document drifted from a1.metrics.json"
     );
 }

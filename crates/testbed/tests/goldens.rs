@@ -1,8 +1,9 @@
 //! Every pinned run, declared once: each [`PINNED`] row runs as the
 //! `experiment` binary runs it, and each sidecar it writes must equal its
 //! `tests/golden/` copy, at 1, 2 and 4 threads alike when the entry takes
-//! `threads`. Beside the table: `inspect` over the C5 row, and a drop-heavy
-//! run whose text trace is pinned. After a deliberate change, regenerate:
+//! `threads`; its report, rendered from those goldens alone, must equal
+//! what the run prints. Beside the table: `inspect` over the C5 row, and a
+//! drop-heavy run whose text trace is pinned. After a deliberate change, regenerate:
 //! `UPDATE_GOLDEN=1 cargo test -p mosquitonet-testbed --test goldens`.
 
 use std::collections::BTreeSet;
@@ -13,7 +14,7 @@ use std::process::Command;
 use bytes::Bytes;
 use mosquitonet_core::{AddressPlan, SwitchPlan, SwitchStyle};
 use mosquitonet_link::{FaultPlan, FaultRates};
-use mosquitonet_sim::SimDuration;
+use mosquitonet_sim::{Json, SimDuration};
 use mosquitonet_stack::{self as stack, DropReason, HostId, IfaceId, RouteEntry, SendOptions};
 use mosquitonet_testbed::experiments::{Artifact, Experiment, Params};
 use mosquitonet_testbed::topology::{
@@ -59,17 +60,31 @@ fn entry(row: &str) -> &'static Experiment {
     Experiment::find(name).unwrap_or_else(|| panic!("{name} is not registered"))
 }
 
+/// The row as run: once, or once per thread count when its entry takes
+/// `threads`.
+fn thread_runs(row: &str) -> Vec<String> {
+    match entry(row).params.iter().any(|p| p.key == "threads") {
+        true => [1, 2, 4].map(|t| format!("{row} threads={t}")).to_vec(),
+        false => vec![row.to_string()],
+    }
+}
+
+/// The checked parameters of `run`.
+fn params(run: &str) -> Params {
+    let args: Vec<&str> = run.split(' ').skip(1).collect();
+    Params::parse(entry(run), &args).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Runs `run` as the `experiment` binary does, into a fresh `dir`, and
 /// returns each sidecar it wrote: (file name, contents).
 fn run_into(run: &str, dir: &Path) -> Vec<(String, String)> {
     let exp = entry(run);
-    let args: Vec<&str> = run.split(' ').skip(1).collect();
-    let outcome = (exp.run)(&Params::parse(exp, &args).unwrap_or_else(|e| panic!("{e}")));
-    let stems: Vec<String> = outcome.artifacts.iter().map(Artifact::stem).collect();
+    let artifacts = (exp.run)(&params(run));
+    let stems: Vec<String> = artifacts.iter().map(Artifact::stem).collect();
     assert_eq!(stems, exp.artifacts, "{run} must write what it declares");
     let _ = std::fs::remove_dir_all(dir);
     let mut files = Vec::new();
-    for artifact in &outcome.artifacts {
+    for artifact in &artifacts {
         let path = artifact.write_in(dir).expect("write artifact");
         if let (Artifact::Sidecar(..), Some(path)) = (artifact, path) {
             let got = std::fs::read_to_string(path).expect("read back");
@@ -97,11 +112,7 @@ fn assert_golden(file: &str, got: &str, run: &str) {
 fn pinned_runs_match_their_goldens_and_repeat_byte_for_byte() {
     for row in PINNED {
         let exp = entry(row);
-        let threads: &[&str] = match exp.params.iter().any(|p| p.key == "threads") {
-            true => &[" threads=1", " threads=2", " threads=4"],
-            false => &[""],
-        };
-        for run in threads.iter().map(|t| format!("{row}{t}")) {
+        for run in thread_runs(row) {
             for (file, got) in run_into(&run, &Path::new(ARTIFACTS).join(exp.name)) {
                 assert_golden(&file, &got, &run);
             }
@@ -127,6 +138,69 @@ fn pinned_runs_match_their_goldens_and_repeat_byte_for_byte() {
             assert_golden(file, &stdout, &format!("inspect {args}"));
         }
     }
+}
+
+/// The report is a view of the sidecars: each row's golden files, parsed
+/// from disk, render through the registry's `render` into exactly the
+/// text the run itself prints, at every thread count the entry takes.
+#[test]
+fn every_pinned_report_renders_from_its_golden_documents() {
+    for run in PINNED.iter().flat_map(|row| thread_runs(row)) {
+        let (exp, params) = (entry(&run), params(&run));
+        let printed = exp.report(&params, &(exp.run)(&params));
+        let sidecars = exp.artifacts.iter().filter(|stem| !stem.ends_with(".pcap"));
+        let docs: Vec<Json> = sidecars
+            .map(|stem| {
+                let path = Path::new(GOLDEN).join(format!("{stem}.json"));
+                let text = std::fs::read_to_string(&path).expect("a golden per sidecar");
+                let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
+                let (_, key) = stem.rsplit_once('.').expect("{name}.{kind}");
+                doc.at::<&Json>(key).clone()
+            })
+            .collect();
+        let docs: Vec<&Json> = docs.iter().collect();
+        assert_eq!(
+            (exp.render)(&params, &docs),
+            printed,
+            "{run}: the report rendered from the goldens differs from the run's"
+        );
+    }
+}
+
+/// `inspect` reads a document strictly: a journeys sidecar that lost a
+/// member the export always writes exits 1 naming it, never printing a
+/// plausible zero in its place.
+#[test]
+fn inspect_names_a_missing_member_and_exits_1() {
+    let golden = Path::new(GOLDEN).join("c5_ha_crash_recovery.journeys.json");
+    let text = std::fs::read_to_string(golden).expect("the C5 journeys golden");
+    let Json::Obj(mut doc) = Json::parse(&text).expect("parse") else {
+        panic!("a sidecar is an object");
+    };
+    let (_, Json::Obj(journeys)) = doc.iter_mut().find(|(k, _)| k == "journeys").expect("body")
+    else {
+        panic!("a journeys body is an object");
+    };
+    journeys.retain(|(key, _)| key != "flights");
+    let dir = Path::new(ARTIFACTS).join("inspect-missing-member");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("c5_ha_crash_recovery.journeys.json");
+    std::fs::write(&path, Json::Obj(doc).render_pretty()).expect("write the copy");
+    let out = Command::new(env!("CARGO_BIN_EXE_inspect"))
+        .arg("journeys")
+        .arg(&path)
+        .output()
+        .expect("spawn inspect");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "inspect journeys: {stderr}");
+    assert!(
+        stderr.contains("`flights`"),
+        "stderr names the member: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "nothing printed for a broken document"
+    );
 }
 
 #[test]

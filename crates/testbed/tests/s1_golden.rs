@@ -8,7 +8,7 @@ use mosquitonet_testbed::experiments::run_s1;
 /// `Json` preserves member order.
 #[test]
 fn s1_same_seed_runs_are_byte_identical() {
-    let a = run_s1(64, 7).metrics.render_pretty();
-    let b = run_s1(64, 7).metrics.render_pretty();
+    let a = run_s1(64, 7).render_pretty();
+    let b = run_s1(64, 7).render_pretty();
     assert_eq!(a, b);
 }

@@ -13,7 +13,7 @@ fn s3_same_seed_runs_are_byte_identical() {
         seed: 7,
         batching: true,
     };
-    let a = run_s3(&cfg).to_json().render_pretty();
-    let b = run_s3(&cfg).to_json().render_pretty();
+    let a = run_s3(&cfg).render_pretty();
+    let b = run_s3(&cfg).render_pretty();
     assert_eq!(a, b);
 }

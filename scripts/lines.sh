@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Counts the workspace's Rust lines the way ROADMAP item 8 measures them.
+# Counts the workspace's Rust lines the way ROADMAP [lines] measures them.
 #
 #   scripts/lines.sh [rev]
 #

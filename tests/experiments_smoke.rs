@@ -1,12 +1,15 @@
 //! Shape checks for every reproduced table and figure, at reduced scale so
-//! they run in CI: each claim calls its typed runner. The full-scale numbers
-//! live in `EXPERIMENTS.md` (regenerated by the `experiment` runner); the
-//! pinned runs' bytes are held by `crates/testbed/tests/goldens.rs`.
+//! they run in CI: each claim calls its runner and reads the members of
+//! the documents it returns — the numbers its sidecars hold. The
+//! full-scale numbers live in `EXPERIMENTS.md` (regenerated by the
+//! `experiment` runner); the pinned runs' bytes are held by
+//! `crates/testbed/tests/goldens.rs`.
 
+use mosquitonet::sim::{Histogram, Json};
 use mosquitonet::testbed::experiments::{
     run_a1, run_a2, run_a3, run_c1, run_c2, run_c3, run_c4, run_c5, run_c6, run_c7,
-    run_fig6_scenario, run_fig7, run_s1, run_s2, run_s3, run_s3_sharded, run_tab1, run_tab1_far,
-    A1Mode, Fig6Scenario, S2Config, S3Config,
+    run_fig6_scenario, run_fig7, run_s1, run_s2, run_s3_mode, run_s3_sharded, run_tab1,
+    run_tab1_far, A1Mode, Fig6Scenario, S2Config, S3Config, S3Mode,
 };
 
 const SEED: u64 = 1996;
@@ -14,13 +17,14 @@ const SEED: u64 = 1996;
 #[test]
 fn tab1_shape_mostly_zero_never_two() {
     let r = run_tab1(10, SEED);
-    assert_eq!(r.histogram.total(), 10);
+    let histogram = Histogram::from_json(r.at("result.histogram"));
+    assert_eq!(histogram.total(), 10);
     assert!(
-        r.max_loss <= 1,
+        r.at::<u64>("result.max_loss") <= 1,
         "the switch interval is under one packet gap"
     );
     assert!(
-        r.histogram.count(0) >= 5,
+        histogram.count(0) >= 5,
         "a majority of switches lose nothing"
     );
 }
@@ -30,8 +34,8 @@ fn tab1_far_correspondent_gives_similar_results() {
     // §4: "we received similar results for a correspondent host located
     // on a campus network outside the department."
     let r = run_tab1_far(10, SEED);
-    assert!(r.max_loss <= 1);
-    assert!(r.histogram.count(0) >= 5);
+    assert!(r.at::<u64>("result.max_loss") <= 1);
+    assert!(Histogram::from_json(r.at("result.histogram")).count(0) >= 5);
 }
 
 #[test]
@@ -71,8 +75,9 @@ fn fig6_hot_switches_lose_essentially_nothing() {
 #[test]
 fn fig7_matches_paper_within_15_percent() {
     let r = run_fig7(5, SEED);
-    let total = r.total_us.mean();
-    let rr = r.request_reply_us.mean();
+    let phase = |path: &str| r.at::<f64>(&format!("result.{path}"));
+    let total = phase("total_us.mean");
+    let rr = phase("request_reply_us.mean");
     assert!(
         (6_300.0..=8_500.0).contains(&total),
         "total {total}us vs 7390us"
@@ -82,37 +87,37 @@ fn fig7_matches_paper_within_15_percent() {
         "req->reply {rr}us vs 4790us"
     );
     // The breakdown must sum to the total.
-    let sum = r.configure_us.mean() + r.route_us.mean() + rr + r.post_us.mean();
+    let sum = phase("configure_us.mean") + phase("route_us.mean") + rr + phase("post_us.mean");
     assert!((sum - total).abs() < 50.0, "steps sum to the total");
     // One sample per measured run in every phase (runs + 1 switches,
     // minus the settle and ARP warm-up timelines).
-    assert_eq!(r.configure_us.count(), 5, "configure samples");
-    assert_eq!(r.route_us.count(), 5, "route samples");
-    assert_eq!(r.request_reply_us.count(), 5, "request_reply samples");
-    assert_eq!(r.post_us.count(), 5, "post samples");
-    assert_eq!(r.total_us.count(), 5, "total samples");
+    for name in ["configure", "route", "request_reply", "post", "total"] {
+        let count = r.at::<u64>(&format!("result.{name}_us.count"));
+        assert_eq!(count, 5, "{name} samples");
+    }
 }
 
 #[test]
 fn c1_overhead_is_exactly_twenty_bytes() {
-    for row in run_c1() {
-        assert_eq!(row.overhead, 20, "payload {}", row.payload);
-        assert_eq!(row.encapsulated, row.plain + 20);
+    for row in run_c1().at::<&[Json]>("") {
+        let n = |key: &str| row.at::<u64>(key);
+        assert_eq!(n("overhead"), 20, "payload {}", n("payload"));
+        assert_eq!(n("encapsulated"), n("plain") + 20);
     }
 }
 
 #[test]
 fn c2_radio_bands_match_the_paper() {
     let r = run_c2(20, SEED);
-    let mean = r.rtt_ms.mean();
+    let mean = r.at::<f64>("result.rtt_ms.mean");
     assert!(
         (200.0..=250.0).contains(&mean),
         "radio RTT mean {mean}ms vs the paper's 200-250ms"
     );
+    let goodput = r.at::<f64>("result.goodput_kbps");
     assert!(
-        (25.0..=40.0).contains(&r.goodput_kbps),
-        "goodput {} kb/s vs the paper's 30-40 kb/s",
-        r.goodput_kbps
+        (25.0..=40.0).contains(&goodput),
+        "goodput {goodput} kb/s vs the paper's 30-40 kb/s"
     );
 }
 
@@ -120,12 +125,15 @@ fn c2_radio_bands_match_the_paper() {
 fn c3_triangle_wins_and_fallback_holds() {
     let r = run_c3(SEED);
     assert!(
-        r.triangle_rtt_ms.mean() < r.tunnel_rtt_ms.mean(),
+        r.at::<f64>("result.triangle_rtt_ms.mean") < r.at::<f64>("result.tunnel_rtt_ms.mean"),
         "the triangle route strictly improves the path"
     );
-    assert!(r.fallback_triggered, "probe detected the transit filter");
     assert!(
-        r.post_fallback_delivery,
+        r.at::<bool>("result.fallback_triggered"),
+        "probe detected the transit filter"
+    );
+    assert!(
+        r.at::<bool>("result.post_fallback_delivery"),
         "tunnel carried traffic after fallback"
     );
 }
@@ -136,47 +144,53 @@ fn c4_switches_complete_at_up_to_20_percent_loss() {
 
     // The acceptance bar: at 20 % uniform loss on the care-of link every
     // commanded switch still completes its registration.
-    for row in &result.rows {
-        if row.loss_pct <= 20 {
+    for row in result.at::<&[Json]>("rows") {
+        let n = |key: &str| row.at::<u64>(key);
+        let (loss_pct, completed, switches) = (n("loss_pct"), n("completed"), n("switches"));
+        if loss_pct <= 20 {
             assert_eq!(
-                row.completed, row.switches,
-                "at {} % loss only {}/{} switches completed",
-                row.loss_pct, row.completed, row.switches
+                completed, switches,
+                "at {loss_pct} % loss only {completed}/{switches} switches completed"
             );
         }
         // Loss rates above 0 must actually have injected faults.
-        if row.loss_pct > 0 {
+        if loss_pct > 0 {
             assert!(
-                row.drops_injected > 0,
-                "{} % loss injected nothing",
-                row.loss_pct
+                n("drops_injected") > 0,
+                "{loss_pct} % loss injected nothing"
             );
         } else {
-            assert_eq!(row.drops_injected, 0, "0 % loss must inject nothing");
-            assert_eq!(row.retries, 0, "lossless switches should not retry");
+            assert_eq!(n("drops_injected"), 0, "0 % loss must inject nothing");
+            assert_eq!(n("retries"), 0, "lossless switches should not retry");
         }
     }
 }
 
 #[test]
 fn c5_session_survives_the_crash() {
-    let result = run_c5(SEED);
+    let metrics = run_c5(SEED).metrics;
+    let n = |path: &str| metrics.at::<u64>(path);
 
     // The acceptance bar: the in-flight correspondent session survives
     // the crash+restart. The settled window before the crash is clean,
     // the outage costs packets, and after the MH reconverges (epoch
     // change seen, re-registered) not one more probe is lost.
-    assert_eq!(result.lost_before, 0, "pre-crash window must be clean");
-    assert!(result.lost_during > 0, "the outage must actually bite");
+    assert_eq!(n("echo.lost_before"), 0, "pre-crash window must be clean");
+    assert!(n("echo.lost_during") > 0, "the outage must actually bite");
     assert_eq!(
-        result.lost_after, 0,
+        n("echo.lost_after"),
+        0,
         "post-reconvergence probes must all complete"
     );
     // The restart really went through the journal and the epoch machinery.
-    assert_eq!(result.ha_epoch, 1, "one restart, one epoch bump");
-    assert_eq!(result.epoch_changes, 1, "MH saw exactly one epoch change");
+    assert_eq!(n("recovery.ha_epoch"), 1, "one restart, one epoch bump");
+    assert_eq!(
+        n("recovery.epoch_changes"),
+        1,
+        "MH saw exactly one epoch change"
+    );
     assert!(
-        result.journal_replayed >= 1,
+        n("recovery.journal_replayed") >= 1,
         "the restarted agent must replay the MH's binding"
     );
 }
@@ -190,16 +204,24 @@ fn c5_session_survives_the_crash() {
 #[test]
 fn c5_blackout_from_flights_equals_the_loss_window() {
     let result = run_c5(SEED);
-    assert_eq!(result.lost_before, 0, "pre-crash window must be clean");
+    let n = |path: &str| result.metrics.at::<u64>(path);
+    assert_eq!(n("echo.lost_before"), 0, "pre-crash window must be clean");
     assert_eq!(
-        result.lost_after, 0,
+        n("echo.lost_after"),
+        0,
         "post-reconvergence window must be clean"
     );
-    let (lost, first_us, last_us) = result
-        .blackout
-        .expect("the outage drops probes, so a blackout must be derivable");
+    let blackout = result.journeys.at::<&Json>("blackout");
+    assert_ne!(
+        *blackout,
+        Json::Null,
+        "the outage drops probes, so a blackout must be derivable"
+    );
+    let [lost, first_us, last_us] =
+        ["lost", "first_us", "last_us"].map(|key| blackout.at::<u64>(key));
     assert_eq!(
-        lost, result.lost_during,
+        lost,
+        n("echo.lost_during"),
         "dropped correspondent flights must equal the sender's loss count"
     );
     assert_eq!(
@@ -221,70 +243,93 @@ fn c5_blackout_from_flights_equals_the_loss_window() {
 
 #[test]
 fn c6_standby_takes_over() {
-    let result = run_c6(SEED);
+    let (metrics, _) = run_c6(SEED);
+    let n = |path: &str| metrics.at::<u64>(path);
 
     // The acceptance bar: exactly one failover, entered through the
     // degradation ladder, landing on a standby that had absorbed the
     // primary's replicas — and once it takes over, traffic is clean in
     // both directions via the standby's tunnel.
-    assert_eq!(result.ha_failovers, 1, "one rotation to the standby");
-    assert_eq!(result.degradations, 1, "one entry into degraded mode");
+    assert_eq!(n("failover.ha_failovers"), 1, "one rotation to the standby");
+    assert_eq!(
+        n("failover.degradations"),
+        1,
+        "one entry into degraded mode"
+    );
     assert!(
-        result.direct_encap_lookups > 0,
+        n("failover.direct_encap_lookups") > 0,
         "degraded reverse tunnels must have resolved as direct encap"
     );
     assert!(
-        result.replicas_applied >= 1,
+        n("failover.replicas_applied") >= 1,
         "the standby must have applied the primary's replicas"
     );
     assert!(
-        result.standby_accepted >= 1,
+        n("failover.standby_accepted") >= 1,
         "the standby must accept the MH's direct registration"
     );
     assert!(
-        result.standby_encapsulated > 0,
+        n("failover.standby_encapsulated") > 0,
         "post-failover inbound traffic must flow via the standby's tunnel"
     );
-    assert!(result.in_lost_during > 0, "the outage must actually bite");
-    assert_eq!(result.in_lost_after, 0, "inbound clean after failover");
-    assert_eq!(result.out_lost_after, 0, "outbound clean after failover");
+    assert!(
+        n("echo.in_lost_during") > 0,
+        "the outage must actually bite"
+    );
+    assert_eq!(n("echo.in_lost_after"), 0, "inbound clean after failover");
+    assert_eq!(n("echo.out_lost_after"), 0, "outbound clean after failover");
 }
 
 #[test]
 fn c7_binding_never_moves() {
-    let result = run_c7(SEED);
+    let (metrics, _) = run_c7(SEED);
+    let n = |path: &str| metrics.at::<u64>(path);
 
     // The acceptance bar: the attack accomplishes nothing. No injection
     // is accepted, the binding stays at the genuine care-of address, and
     // the echo session doesn't notice the attack at all (the crash
     // window is the only loss).
-    assert_eq!(result.attacker_accepted, 0, "no injection may be accepted");
-    assert!(result.binding_intact, "the binding must never move");
-    assert_eq!(result.lost_attack, 0, "the attack must not disturb traffic");
-    assert_eq!(result.lost_after, 0, "post-recovery probes must complete");
+    assert_eq!(
+        n("attack.attacker_accepted"),
+        0,
+        "no injection may be accepted"
+    );
+    assert!(
+        metrics.at::<bool>("attack.binding_intact"),
+        "the binding must never move"
+    );
+    assert_eq!(
+        n("echo.lost_attack"),
+        0,
+        "the attack must not disturb traffic"
+    );
+    assert_eq!(
+        n("echo.lost_after"),
+        0,
+        "post-recovery probes must complete"
+    );
     // Every injection is accounted for on both ends: the forgeries die
     // at the authentication check, the replays (including the one sent
     // after the restart, against the journal-restored floor) die at the
     // identification window.
-    assert_eq!(result.auth_failures, result.spoofs, "each forgery denied");
-    assert_eq!(result.auth_replays, result.replays, "each replay denied");
+    let (spoofs, replays) = (n("attack.spoofs"), n("attack.replays"));
+    assert_eq!(n("attack.auth_failures"), spoofs, "each forgery denied");
+    assert_eq!(n("attack.auth_replays"), replays, "each replay denied");
     assert_eq!(
-        result.attacker_denied,
-        result.spoofs + result.replays,
+        n("attack.attacker_denied"),
+        spoofs + replays,
         "the attacker saw a denial for every injection"
     );
-    assert_eq!(result.ha_epoch, 1, "one restart, one epoch bump");
+    assert_eq!(n("attack.ha_epoch"), 1, "one restart, one epoch bump");
 }
 
 #[test]
 fn a1_forwarding_beats_agentless_beats_nothing() {
     let r = run_a1(4, SEED);
     let mean = |mode: A1Mode| {
-        r.per_mode
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .map(|(_, h)| h.mean())
-            .expect("mode present")
+        let rows = r.at::<&[Json]>("result.per_mode");
+        let row = rows.iter().find(|row| row.at::<&str>("mode") == mode.key());
+        Histogram::from_json(row.expect("mode present").at("histogram")).mean()
     };
     let fwd = mean(A1Mode::FaForwarding);
     let agentless = mean(A1Mode::Agentless);
@@ -302,22 +347,25 @@ fn a1_forwarding_beats_agentless_beats_nothing() {
 
 #[test]
 fn a2_latency_grows_linearly_with_burst_size() {
-    let (rows, _) = run_a2(&[1, 32, 128], SEED);
-    assert!(rows.iter().all(|r| r.completed == r.mobile_hosts));
+    let body = run_a2(&[1, 32, 128], SEED);
+    let rows = body.at::<&[Json]>("result");
+    assert!(rows
+        .iter()
+        .all(|r| r.at::<u64>("completed") == r.at::<u64>("mobile_hosts")));
     // Service is serialized at 1.48 ms: a burst of n completes in about
     // n × 1.48 ms, so the mean waits scale linearly.
-    let r1 = &rows[0];
+    let r1_mean = rows[0].at::<f64>("mean_reply_ms");
     let r128 = &rows[2];
     assert!(
-        (4.0..=6.0).contains(&r1.mean_reply_ms),
+        (4.0..=6.0).contains(&r1_mean),
         "single registration ≈ 4.79ms"
     );
     assert!(
-        r128.mean_reply_ms > 30.0 * r1.mean_reply_ms / 2.0,
+        r128.at::<f64>("mean_reply_ms") > 30.0 * r1_mean / 2.0,
         "queueing dominates large bursts"
     );
     assert!(
-        (r128.span_ms - 128.0 * 1.48).abs() < 0.25 * 128.0 * 1.48,
+        (r128.at::<f64>("span_ms") - 128.0 * 1.48).abs() < 0.25 * 128.0 * 1.48,
         "completion span ≈ n × service time"
     );
 }
@@ -326,50 +374,60 @@ fn a2_latency_grows_linearly_with_burst_size() {
 fn a3_reuse_policy_controls_misdelivery() {
     let r = run_a3(SEED);
     assert!(
-        r.first_available_misdelivered > 0,
+        r.at::<u64>("result.first_available_misdelivered") > 0,
         "aggressive reuse leaks the departed host's traffic"
     );
-    assert_eq!(r.lru_misdelivered, 0, "LRU avoids the reassignment");
-    assert!(r.lru_gave_different_address);
+    assert_eq!(
+        r.at::<u64>("result.lru_misdelivered"),
+        0,
+        "LRU avoids the reassignment"
+    );
+    assert!(r.at::<bool>("result.lru_gave_different_address"));
 }
 
 #[test]
 fn s1_cache_misses_cold_and_replays_warm() {
     let result = run_s1(512, SEED);
     let n = 512;
-    let s1_row = |phase| result.rows.iter().find(|r| r.phase == phase).expect(phase);
+    let rows = result.at::<&[Json]>("rows");
+    let s1_row = |phase| {
+        let row = rows.iter().find(|r| r.at::<&str>("phase") == phase);
+        let row = row.expect(phase);
+        move |key: &str| row.at::<u64>(key)
+    };
 
     // The acceptance bar, phase by phase. The sends in each round happen
     // back to back with no intervening control traffic, so the deltas are
     // exact, not approximate.
     let cold = s1_row("cold");
-    assert_eq!(cold.misses, n, "first contact must fully resolve");
-    assert_eq!(cold.hits, 0, "nothing can hit an empty cache");
+    assert_eq!(cold("misses"), n, "first contact must fully resolve");
+    assert_eq!(cold("hits"), 0, "nothing can hit an empty cache");
     assert!(
-        cold.cache_entries >= n,
+        cold("cache_entries") >= n,
         "every correspondent decision must be cached"
     );
 
     let warm = s1_row("warm");
-    assert_eq!(warm.hits, n, "steady state must be pure cache replay");
-    assert_eq!(warm.misses, 0, "a warm-phase miss means a bogus flush");
+    assert_eq!(warm("hits"), n, "steady state must be pure cache replay");
+    assert_eq!(warm("misses"), 0, "a warm-phase miss means a bogus flush");
 
     // Re-registration moves the validity token: the flush lands either on
     // the registration's own lookups or on the first rewarm probe.
     let rereg = s1_row("reregister");
     let rewarm = s1_row("rewarm");
     assert!(
-        rereg.invalidations + rewarm.invalidations >= 1,
+        rereg("invalidations") + rewarm("invalidations") >= 1,
         "the care-of move must invalidate the cache"
     );
     assert_eq!(
-        rewarm.misses, n,
+        rewarm("misses"),
+        n,
         "after invalidation every correspondent re-resolves"
     );
 
     let steady = s1_row("steady");
-    assert_eq!(steady.hits, n, "the refilled cache must replay again");
-    assert_eq!(steady.misses, 0);
+    assert_eq!(steady("hits"), n, "the refilled cache must replay again");
+    assert_eq!(steady("misses"), 0);
 }
 
 #[test]
@@ -431,10 +489,10 @@ const S3_SMOKE: S3Config = S3Config {
 
 #[test]
 fn s3_saturates_cleanly() {
-    let result = run_s3(&S3_SMOKE);
+    let rows = S3Mode::all().map(|mode| run_s3_mode(mode, &S3_SMOKE).0);
 
-    assert_eq!(result.rows.len(), 3, "tunnel, direct, and fa rows");
-    for row in &result.rows {
+    assert_eq!(rows.len(), 3, "tunnel, direct, and fa rows");
+    for row in &rows {
         let expected =
             u64::from(S3_SMOKE.pairs) * u64::from(S3_SMOKE.burst) * u64::from(S3_SMOKE.ticks);
         assert_eq!(
@@ -459,12 +517,12 @@ fn s3_saturates_cleanly() {
         );
         assert_ne!(row.wall_ns, 0, "{}: wall clock must advance", row.mode);
     }
-    let tunnel = &result.rows[0];
+    let tunnel = &rows[0];
     assert!(
         tunnel.ha_decapsulated >= tunnel.sent,
         "reverse tunnel must route every datagram through the home agent"
     );
-    let direct = &result.rows[1];
+    let direct = &rows[1];
     assert_eq!(
         direct.ha_forwarded, 0,
         "direct encapsulation must bypass the home agent"
