@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{Line, MetricsScope, SimDuration};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, RouteEntry, SocketId, SourceSel};
 use mosquitonet_wire::Cidr;
 
@@ -48,6 +48,18 @@ pub struct ForeignAgentConfig {
     pub iface: IfaceId,
 }
 
+mosquitonet_sim::counters! {
+    /// Foreign-agent counters: `{host}/reg/*`.
+    pub struct ForeignAgentStats {
+        /// Registrations relayed toward home agents.
+        pub relayed_requests => "relayed_requests",
+        /// Replies relayed back to visitors.
+        pub relayed_replies => "relayed_replies",
+        /// Binding updates accepted (previous-FA forwarding armed).
+        pub forwarding_armed => "forwarding_armed",
+    }
+}
+
 /// The foreign agent module. The hosting machine must have `forwarding`
 /// and `ipip_decap` enabled (the test-bed builder does this).
 pub struct ForeignAgent {
@@ -59,12 +71,8 @@ pub struct ForeignAgent {
     visitors: HashMap<Ipv4Addr, (Ipv4Addr, u16)>,
     next_expire_token: u64,
     forward_tokens: HashMap<u64, Ipv4Addr>,
-    /// Registrations relayed toward home agents.
-    pub relayed_requests: Counter,
-    /// Replies relayed back to visitors.
-    pub relayed_replies: Counter,
-    /// Binding updates accepted (previous-FA forwarding armed).
-    pub forwarding_armed: Counter,
+    /// The `reg/*` counters.
+    pub stats: ForeignAgentStats,
 }
 
 impl ForeignAgent {
@@ -77,9 +85,7 @@ impl ForeignAgent {
             visitors: HashMap::new(),
             next_expire_token: TOKEN_FORWARD_EXPIRE_BASE,
             forward_tokens: HashMap::new(),
-            relayed_requests: Counter::default(),
-            relayed_replies: Counter::default(),
-            forwarding_armed: Counter::default(),
+            stats: ForeignAgentStats::default(),
         }
     }
 
@@ -121,14 +127,7 @@ impl Module for ForeignAgent {
     }
 
     fn register_metrics(&self, scope: &MetricsScope) {
-        let reg = scope.scope("reg");
-        for (name, cell) in [
-            ("relayed_requests", &self.relayed_requests),
-            ("relayed_replies", &self.relayed_replies),
-            ("forwarding_armed", &self.forwarding_armed),
-        ] {
-            reg.register(name, MetricCell::Counter(cell.clone()));
-        }
+        self.stats.register_into(&scope.scope("reg"));
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
@@ -178,7 +177,7 @@ impl Module for ForeignAgent {
                     metric: 0,
                 });
                 self.visitors.insert(req.home_addr, src);
-                self.relayed_requests.inc();
+                self.stats.relayed_requests.inc();
                 ctx.fx.send_udp(
                     self.sock.expect("bound"),
                     (req.home_agent, REGISTRATION_PORT),
@@ -192,7 +191,7 @@ impl Module for ForeignAgent {
                 let Some(&visitor) = self.visitors.get(&reply.home_addr) else {
                     return;
                 };
-                self.relayed_replies.inc();
+                self.stats.relayed_replies.inc();
                 match reply.code {
                     crate::messages::ReplyCode::Accepted if reply.lifetime > 0 => {
                         // Visitor registered here (the delivery route was
@@ -224,7 +223,7 @@ impl Module for ForeignAgent {
                 ctx.core.routes.remove(Cidr::host(update.home_addr));
                 ctx.core.set_tunnel(update.home_addr, update.new_care_of);
                 self.visitors.remove(&update.home_addr);
-                self.forwarding_armed.inc();
+                self.stats.forwarding_armed.inc();
                 let token = self.next_expire_token;
                 self.next_expire_token += 1;
                 self.forward_tokens.insert(token, update.home_addr);
@@ -366,9 +365,7 @@ impl Module for FaMobileHost {
     }
 
     fn register_metrics(&self, scope: &MetricsScope) {
-        self.reg
-            .stats
-            .register_into(&scope.scope("reg"), self.reg.auth.is_some());
+        self.reg.register_metrics(scope);
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

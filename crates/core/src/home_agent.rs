@@ -24,7 +24,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, IdHashSet, Line, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, IdHashSet, Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{Effect, Effects, IfaceId, Module, ModuleCtx, SocketId};
 use mosquitonet_wire::Cidr;
 
@@ -82,54 +82,25 @@ impl HomeAgentConfig {
     }
 }
 
-/// Home-agent counters: `{host}/reg/*`.
-#[derive(Clone, Default, Debug)]
-pub struct HaStats {
-    /// Requests answered (accepted or denied).
-    pub processed: Counter,
-    /// Registrations accepted.
-    pub accepted: Counter,
-    /// Registrations denied (any code).
-    pub denied: Counter,
-    /// Bindings reclaimed by the expiry sweep.
-    pub binding_expiries: Counter,
-    /// Requests and replicas that failed the wire checksum.
-    pub corrupt_dropped: Counter,
-    /// Keyed registrations denied as unsigned, forged or tampered.
-    pub auth_fail: Counter,
-    /// Keyed registrations denied for not advancing the floor (replays).
-    pub auth_replay: Counter,
-    /// Registrations denied because another fleet shard owns the home.
-    pub wrong_shard: Counter,
-    /// Binding replicas forwarded to the standby.
-    pub replicas_sent: Counter,
-    /// Binding replicas applied from the primary.
-    pub replicas_applied: Counter,
-    /// Journal records replayed across restarts.
-    pub journal_replayed: Counter,
-}
-
-impl HaStats {
-    /// Binds the counters into `scope` (conventionally `{host}/reg`): the
-    /// auth pair only on a `keyed` agent and `wrong_shard` only on a `fleet`
-    /// one, so other topologies keep the metric sets their goldens pin.
-    pub(crate) fn register_into(&self, scope: &MetricsScope, keyed: bool, fleet: bool) {
-        let cells = [
-            ("processed", &self.processed, true),
-            ("accepted", &self.accepted, true),
-            ("denied", &self.denied, true),
-            ("binding_expiries", &self.binding_expiries, true),
-            ("corrupt_dropped", &self.corrupt_dropped, true),
-            ("replicas_sent", &self.replicas_sent, true),
-            ("replicas_applied", &self.replicas_applied, true),
-            ("journal_replayed", &self.journal_replayed, true),
-            ("auth_fail", &self.auth_fail, keyed),
-            ("auth_replay", &self.auth_replay, keyed),
-            ("wrong_shard", &self.wrong_shard, fleet),
-        ];
-        for (name, cell, _) in cells.into_iter().filter(|&(_, _, on)| on) {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Home-agent counters: `{host}/reg/*`.
+    pub struct HaStats {
+        /// Requests answered (accepted or denied).
+        pub processed => "processed",
+        /// Registrations accepted.
+        pub accepted => "accepted",
+        /// Registrations denied (any code).
+        pub denied => "denied",
+        /// Bindings reclaimed by the expiry sweep.
+        pub binding_expiries => "binding_expiries",
+        /// Requests and replicas that failed the wire checksum.
+        pub corrupt_dropped => "corrupt_dropped",
+        /// Binding replicas forwarded to the standby.
+        pub replicas_sent => "replicas_sent",
+        /// Binding replicas applied from the primary.
+        pub replicas_applied => "replicas_applied",
+        /// Journal records replayed across restarts.
+        pub journal_replayed => "journal_replayed",
     }
 }
 
@@ -175,6 +146,15 @@ pub struct HomeAgentMachine {
     sock: Option<SocketId>,
     /// The `reg/*` counters.
     pub stats: HaStats,
+    /// Keyed registrations denied as unsigned, forged or tampered
+    /// (`reg/auth_fail`, bound only on a keyed agent).
+    pub auth_fail: Counter,
+    /// Keyed registrations denied for not advancing the floor, i.e.
+    /// replays (`reg/auth_replay`, bound only on a keyed agent).
+    pub auth_replay: Counter,
+    /// Registrations denied because another fleet shard owns the home
+    /// (`reg/wrong_shard`, bound only on a fleet shard).
+    pub wrong_shard: Counter,
 }
 
 impl HomeAgentMachine {
@@ -190,6 +170,9 @@ impl HomeAgentMachine {
             events: Vec::new(),
             sock: None,
             stats: HaStats::default(),
+            auth_fail: Counter::default(),
+            auth_replay: Counter::default(),
+            wrong_shard: Counter::default(),
         }
     }
 
@@ -208,10 +191,27 @@ impl HomeAgentMachine {
         self.events.drain(..)
     }
 
-    /// Binds the `reg/*` counters under `scope` (see [`HaStats`]).
+    /// Binds the `reg/*` counters under `scope` (the host's): the auth
+    /// pair only on a keyed agent and `wrong_shard` only on a fleet shard,
+    /// so other topologies keep the metric sets their goldens pin.
     pub fn register_metrics(&self, scope: &MetricsScope) {
-        let (keyed, fleet) = (!self.cfg.auth_keys.is_empty(), self.cfg.fleet.is_some());
-        self.stats.register_into(&scope.scope("reg"), keyed, fleet);
+        let reg = scope.scope("reg");
+        let HomeAgentMachine {
+            cfg,
+            stats,
+            auth_fail,
+            auth_replay,
+            wrong_shard,
+            ..
+        } = self;
+        stats.register_into(&reg);
+        if !cfg.auth_keys.is_empty() {
+            reg.register_counter("auth_fail", auth_fail);
+            reg.register_counter("auth_replay", auth_replay);
+        }
+        if cfg.fleet.is_some() {
+            reg.register_counter("wrong_shard", wrong_shard);
+        }
     }
 
     /// Starts the agent: its datagrams leave from `sock`; the sweep is armed.
@@ -398,7 +398,7 @@ impl HomeAgentMachine {
         if let Some((own_shard, directory)) = &self.cfg.fleet {
             let owner = directory.resolve(home);
             if owner != *own_shard {
-                self.stats.wrong_shard.inc();
+                self.wrong_shard.inc();
                 let line = Line::new("drop.wrong_shard: {} is owned by fleet shard {}");
                 fx.trace(line.addr(home).num(owner.into()));
                 return (ReplyCode::DeniedUnknownHome, 0);
@@ -409,13 +409,13 @@ impl HomeAgentMachine {
         // them, so a captured request stays dead across restarts.
         if let Some(&(_spi, key)) = self.cfg.auth_keys.get(&home) {
             if !req.verify(key) {
-                self.stats.auth_fail.inc();
+                self.auth_fail.inc();
                 let line = Line::new("drop.auth_fail: registration for {} unsigned or bad digest");
                 fx.trace(line.addr(home));
                 return (ReplyCode::DeniedAuth, 0);
             }
             if ident <= self.bindings.last_ident(home) {
-                self.stats.auth_replay.inc();
+                self.auth_replay.inc();
                 let line = Line::new("drop.auth_replay: registration for {} replays ident {}");
                 fx.trace(line.addr(home).num(ident));
                 return (ReplyCode::DeniedIdent, 0);
@@ -631,7 +631,7 @@ mod tests {
             m.start(&mut fx, SocketId(0));
             fx.drain();
             let registry = MetricsRegistry::new();
-            m.stats.register_into(&registry.scope("reg"), true, true);
+            m.register_metrics(&registry.scope("h"));
             let counted = registry.snapshot();
             Rig {
                 m,
@@ -732,7 +732,7 @@ mod tests {
             let moved: Vec<&str> = counted
                 .iter()
                 .filter(|&(name, _)| counted.counter(name) != self.counted.counter(name))
-                .map(|(name, _)| &name[4..])
+                .map(|(name, _)| &name["h/reg/".len()..])
                 .collect();
             let words = std::mem::take(&mut self.words);
             let list = |items: Vec<&str>| match items.is_empty() {

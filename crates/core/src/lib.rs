@@ -48,7 +48,9 @@ pub mod timing;
 pub use backoff::RetryBackoff;
 pub use binding::{BindOutcome, Binding, BindingTable};
 pub use fleet::{DirectoryEntry, ShardDirectory};
-pub use foreign_agent::{FaMobileHost, ForeignAgent, ForeignAgentConfig, ADVERTISE_INTERVAL};
+pub use foreign_agent::{
+    FaMobileHost, ForeignAgent, ForeignAgentConfig, ForeignAgentStats, ADVERTISE_INTERVAL,
+};
 pub use home_agent::{HaEvent, HaStats, HomeAgent, HomeAgentConfig, HomeAgentMachine};
 pub use journal::{replay_into, BindingJournal, JournalRecord, ReplayStats};
 pub use messages::{
@@ -57,8 +59,8 @@ pub use messages::{
     REPLICA_LEN, REPLY_IDENT_WIRE_BITS, REPLY_LEN, REQUEST_LEN,
 };
 pub use mobile::{
-    AddressPlan, AutoSwitchConfig, Candidate, MobileHost, MobileHostConfig, RegistrationTimeline,
-    SwitchPlan, SwitchStyle, PROBE_TIMEOUT,
+    AddressPlan, AutoSwitchConfig, Candidate, MobileHost, MobileHostConfig, MobilityStats,
+    RegistrationTimeline, SwitchPlan, SwitchStyle, PROBE_TIMEOUT,
 };
 pub use policy::{MobilePolicyTable, PolicyEntry, PolicyStats, SendMode};
 pub use registration::{RegEvent, RegistrationMachine, RegistrationStats};

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{
     Effect, EncapSpec, HostCore, IfaceId, Module, ModuleCtx, RouteAnswer, RouteDecision,
     RouteEntry, SocketId, SourceSel,
@@ -230,6 +230,19 @@ struct ProbeState {
     seq: u16,
 }
 
+mosquitonet_sim::counters! {
+    /// The mobile host's own counters: `{host}/mobility/*`.
+    pub struct MobilityStats {
+        /// Completed hand-offs.
+        pub handoffs => "handoffs",
+        /// Switches the automatic policy initiated (instrumentation).
+        pub autoswitches => "autoswitches",
+        /// Triangle-route probes that timed out (correspondent reverted to
+        /// the reverse tunnel).
+        pub probe_timeouts => "probe_timeouts",
+    }
+}
+
 /// The mobile host manager module.
 pub struct MobileHost {
     cfg: MobileHostConfig,
@@ -253,11 +266,8 @@ pub struct MobileHost {
     last_subnet: HashMap<IfaceId, Cidr>,
     next_probe_token: u64,
     probe_seq: u16,
-    /// Completed hand-offs.
-    pub handoffs: Counter,
-    /// Triangle-route probes that timed out (correspondent reverted to the
-    /// reverse tunnel).
-    pub probe_timeouts: Counter,
+    /// Hand-off, autoswitch and probe counters.
+    pub mobility: MobilityStats,
     /// DHCP lifecycle counters, cloned into each care-of acquisition
     /// machine (shared cells, so the registry binding outlives the
     /// short-lived machines).
@@ -265,8 +275,6 @@ pub struct MobileHost {
     autoswitch: Option<AutoSwitchConfig>,
     /// Consecutive ticks the same better candidate has been available.
     autoswitch_stable: u32,
-    /// Switches the automatic policy initiated (instrumentation).
-    pub autoswitches: Counter,
     /// True while no home agent is answering: the Mobile Policy Table
     /// degrades reverse-tunnel destinations to direct encapsulation so
     /// traffic keeps moving without an agent.
@@ -303,12 +311,10 @@ impl MobileHost {
             last_subnet: HashMap::new(),
             next_probe_token: TOKEN_PROBE_BASE,
             probe_seq: 0,
-            handoffs: Counter::default(),
-            probe_timeouts: Counter::default(),
+            mobility: MobilityStats::default(),
             dhcp_stats: DhcpClientStats::default(),
             autoswitch: None,
             autoswitch_stable: 0,
-            autoswitches: Counter::default(),
             degraded: false,
             route_gen: 0,
         }
@@ -382,7 +388,7 @@ impl MobileHost {
             (SwitchStyle::Cold, line)
         };
         self.autoswitch_stable = 0;
-        self.autoswitches.inc();
+        self.mobility.autoswitches.inc();
         ctx.fx.trace(Line::new(line).num(best.iface.0 as u64));
         let plan = SwitchPlan {
             iface: best.iface,
@@ -781,7 +787,7 @@ impl MobileHost {
         }
         self.current.done = Some(ctx.now);
         self.timelines.push(self.current);
-        self.handoffs.inc();
+        self.mobility.handoffs.inc();
         self.switching = None;
         ctx.fx.trace(match self.current.total() {
             Some(total) => Line::new("handoff complete in {}").span(total),
@@ -823,17 +829,8 @@ impl Module for MobileHost {
     }
 
     fn register_metrics(&self, scope: &MetricsScope) {
-        self.reg
-            .stats
-            .register_into(&scope.scope("reg"), self.reg.auth.is_some());
-        let mobility = scope.scope("mobility");
-        for (name, cell) in [
-            ("handoffs", &self.handoffs),
-            ("autoswitches", &self.autoswitches),
-            ("probe_timeouts", &self.probe_timeouts),
-        ] {
-            mobility.register(name, MetricCell::Counter(cell.clone()));
-        }
+        self.reg.register_metrics(scope);
+        self.mobility.register_into(&scope.scope("mobility"));
         self.policy.stats.register_into(&scope.scope("policy"));
         self.dhcp_stats.register_into(&scope.scope("dhcp"));
     }
@@ -873,7 +870,7 @@ impl Module for MobileHost {
                     .map(|(a, _)| *a)
                     .collect();
                 for ch in expired {
-                    self.probe_timeouts.inc();
+                    self.mobility.probe_timeouts.inc();
                     self.probes.remove(&ch);
                     self.policy.learn(ch, SendMode::ReverseTunnel);
                     let line = "triangle probe to {} timed out; reverting to tunnel";

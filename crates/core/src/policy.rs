@@ -13,7 +13,7 @@
 
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope};
+use mosquitonet_sim::{Counter, IdHashMap};
 use mosquitonet_wire::{Cidr, LpmTrie};
 
 /// How to send a mobile-IP-subject packet while away from home.
@@ -34,37 +34,28 @@ pub enum SendMode {
     DirectLocal,
 }
 
-/// Per-send-mode lookup counters for the Mobile Policy Table.
-///
-/// One counter per [`SendMode`], bumped on every [`MobilePolicyTable::lookup`]
-/// according to the mode the lookup resolved to. Cells are shared: cloning
-/// the table (or these stats) duplicates the handles, not the values, so a
-/// registry binding stays live across table clones.
-#[derive(Clone, Default, Debug)]
-pub struct PolicyStats {
-    /// Lookups resolved to [`SendMode::ReverseTunnel`].
-    pub reverse_tunnel: Counter,
-    /// Lookups resolved to [`SendMode::Triangle`].
-    pub triangle: Counter,
-    /// Lookups resolved to [`SendMode::DirectEncap`].
-    pub direct_encap: Counter,
-    /// Lookups resolved to [`SendMode::DirectLocal`].
-    pub direct_local: Counter,
+mosquitonet_sim::counters! {
+    /// Per-send-mode lookup counters for the Mobile Policy Table,
+    /// conventionally under `{host}/policy`.
+    ///
+    /// One counter per [`SendMode`], bumped on every
+    /// [`MobilePolicyTable::lookup`] according to the mode the lookup
+    /// resolved to. Cells are shared: cloning the table (or these stats)
+    /// duplicates the handles, not the values, so a registry binding stays
+    /// live across table clones.
+    pub struct PolicyStats {
+        /// Lookups resolved to [`SendMode::ReverseTunnel`].
+        pub reverse_tunnel => "lookup.reverse_tunnel",
+        /// Lookups resolved to [`SendMode::Triangle`].
+        pub triangle => "lookup.triangle",
+        /// Lookups resolved to [`SendMode::DirectEncap`].
+        pub direct_encap => "lookup.direct_encap",
+        /// Lookups resolved to [`SendMode::DirectLocal`].
+        pub direct_local => "lookup.direct_local",
+    }
 }
 
 impl PolicyStats {
-    /// Binds every counter into `scope` (conventionally `{host}/policy`).
-    pub fn register_into(&self, scope: &MetricsScope) {
-        for (name, cell) in [
-            ("lookup.reverse_tunnel", &self.reverse_tunnel),
-            ("lookup.triangle", &self.triangle),
-            ("lookup.direct_encap", &self.direct_encap),
-            ("lookup.direct_local", &self.direct_local),
-        ] {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
-    }
-
     /// The counter bumped when a lookup resolves to `mode`.
     ///
     /// Public so the fast-path decision cache can keep bumping the exact

@@ -10,7 +10,7 @@
 
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{Counter, Line, MetricsScope, SimDuration};
 use mosquitonet_stack::{Effect, Effects, SendOptions, SocketId};
 
 use crate::backoff::RetryBackoff;
@@ -22,54 +22,30 @@ const RETRY_TOKEN: u64 = 0x1;
 const RENEW_TOKEN: u64 = 0x2;
 const LAPSE_TOKEN: u64 = 0x3;
 
-/// Registration-client counters: `{host}/reg/*` for either kind of host.
-#[derive(Clone, Default, Debug)]
-pub struct RegistrationStats {
-    /// Registration requests transmitted (including retries).
-    pub requests_sent: Counter,
-    /// Registration replies accepted.
-    pub replies_accepted: Counter,
-    /// Registration replies denied (any code).
-    pub denials: Counter,
-    /// Retry-timer firings (each an unanswered request that timed out).
-    pub retries: Counter,
-    /// Retry budgets spent without a reply.
-    pub backoff_exhausted: Counter,
-    /// Bindings that expired before a renewal got through.
-    pub binding_lapses: Counter,
-    /// Replies that failed the wire checksum (counted, never acted on).
-    pub corrupt_dropped: Counter,
-    /// Home-agent boot-epoch changes the owner re-registered for.
-    pub epoch_changes: Counter,
-    /// Failovers to a different home agent.
-    pub ha_failovers: Counter,
-    /// Entries into degraded (agent-less) forwarding, counted by the owner.
-    pub degradations: Counter,
-    /// Replies a keyed host rejected as unsigned, forged or tampered.
-    pub auth_fail: Counter,
-}
-
-impl RegistrationStats {
-    /// Binds the counters into `scope` (conventionally `{host}/reg`) —
-    /// `auth_fail` only on a `keyed` host, mirroring the home agent: an
-    /// unkeyed host keeps the layout the golden sidecars pin.
-    pub fn register_into(&self, scope: &MetricsScope, keyed: bool) {
-        let cells = [
-            ("requests_sent", &self.requests_sent),
-            ("replies_accepted", &self.replies_accepted),
-            ("denials", &self.denials),
-            ("retries", &self.retries),
-            ("backoff_exhausted", &self.backoff_exhausted),
-            ("binding_lapses", &self.binding_lapses),
-            ("corrupt_dropped", &self.corrupt_dropped),
-            ("epoch_changes", &self.epoch_changes),
-            ("ha_failovers", &self.ha_failovers),
-            ("degradations", &self.degradations),
-        ];
-        let auth_fail = keyed.then_some(("auth_fail", &self.auth_fail));
-        for (name, cell) in cells.into_iter().chain(auth_fail) {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Registration-client counters: `{host}/reg/*` for either kind of host.
+    pub struct RegistrationStats {
+        /// Registration requests transmitted (including retries).
+        pub requests_sent => "requests_sent",
+        /// Registration replies accepted.
+        pub replies_accepted => "replies_accepted",
+        /// Registration replies denied (any code).
+        pub denials => "denials",
+        /// Retry-timer firings (each an unanswered request that timed out).
+        pub retries => "retries",
+        /// Retry budgets spent without a reply.
+        pub backoff_exhausted => "backoff_exhausted",
+        /// Bindings that expired before a renewal got through.
+        pub binding_lapses => "binding_lapses",
+        /// Replies that failed the wire checksum (counted, never acted on).
+        pub corrupt_dropped => "corrupt_dropped",
+        /// Home-agent boot-epoch changes the owner re-registered for.
+        pub epoch_changes => "epoch_changes",
+        /// Failovers to a different home agent.
+        pub ha_failovers => "ha_failovers",
+        /// Entries into degraded (agent-less) forwarding, counted by the
+        /// owner.
+        pub degradations => "degradations",
     }
 }
 
@@ -126,6 +102,9 @@ pub struct RegistrationMachine {
     last_epoch: Option<u16>,
     /// The `reg/*` counters.
     pub stats: RegistrationStats,
+    /// Replies a keyed machine rejected as unsigned, forged or tampered
+    /// (`reg/auth_fail`, bound only on a keyed host).
+    pub auth_fail: Counter,
 }
 
 impl RegistrationMachine {
@@ -157,6 +136,24 @@ impl RegistrationMachine {
             ),
             last_epoch: None,
             stats: RegistrationStats::default(),
+            auth_fail: Counter::default(),
+        }
+    }
+
+    /// Binds the `reg/*` counters under `scope` (the host's) — `auth_fail`
+    /// only on a keyed machine, mirroring the home agent: an unkeyed host
+    /// keeps the layout the golden sidecars pin.
+    pub fn register_metrics(&self, scope: &MetricsScope) {
+        let reg = scope.scope("reg");
+        let RegistrationMachine {
+            auth,
+            stats,
+            auth_fail,
+            ..
+        } = self;
+        stats.register_into(&reg);
+        if auth.is_some() {
+            reg.register_counter("auth_fail", auth_fail);
         }
     }
 
@@ -280,7 +277,7 @@ impl RegistrationMachine {
             return RegEvent::None;
         };
         if self.auth.is_some_and(|(_spi, key)| !reply.verify(key)) {
-            self.stats.auth_fail.inc();
+            self.auth_fail.inc();
             fx.trace("drop.auth_fail: registration reply unsigned or bad digest");
             return RegEvent::None;
         }
@@ -389,12 +386,12 @@ mod tests {
         };
         let effects: Vec<String> = fx.drain().into_iter().filter_map(word).collect();
         let registry = MetricsRegistry::new();
-        m.stats.register_into(&registry.scope("reg"), true);
+        m.register_metrics(&registry.scope("h"));
         let snapshot = registry.snapshot();
         let moved = snapshot.iter().filter(|(name, value)| {
-            *name != "reg/requests_sent" && !matches!(value, MetricValue::Counter(0))
+            *name != "h/reg/requests_sent" && !matches!(value, MetricValue::Counter(0))
         });
-        let moved: Vec<&str> = moved.map(|(name, _)| &name[4..]).collect();
+        let moved: Vec<&str> = moved.map(|(name, _)| &name["h/reg/".len()..]).collect();
         format!("{} | {}", effects.join(" "), moved.join(" "))
     }
 

@@ -7,7 +7,7 @@
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{Effects, IfaceId, Module, ModuleCtx, SendOptions, SocketId, SourceSel};
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -37,41 +37,27 @@ const RENEW_TOKEN: u64 = 0x2;
 /// Retransmission interval for unanswered DISCOVER/REQUEST.
 pub const DHCP_RETRY: SimDuration = SimDuration::from_secs(2);
 
-/// Client-side DHCP lifecycle counters.
-///
-/// Cells are shared (`Clone` duplicates the handles, not the values), so
-/// the embedder keeps one copy for metrics registration and clones another
-/// into each [`DhcpClientMachine`] it creates — machines are often built
-/// lazily, long after the registry bound the cells.
-#[derive(Clone, Default, Debug)]
-pub struct DhcpClientStats {
-    /// DISCOVER broadcasts sent (including retransmissions).
-    pub discovers_sent: Counter,
-    /// OFFERs received and accepted into the handshake.
-    pub offers_received: Counter,
-    /// REQUEST broadcasts sent (including retransmissions and renewals).
-    pub requests_sent: Counter,
-    /// Initial lease grants (ACK while holding no lease).
-    pub grants: Counter,
-    /// Lease renewals (ACK re-confirming the held address).
-    pub renewals: Counter,
-    /// NAKs received (server refused; acquisition restarts).
-    pub naks_received: Counter,
-}
-
-impl DhcpClientStats {
-    /// Binds every counter into `scope` (conventionally `{host}/dhcp`).
-    pub fn register_into(&self, scope: &MetricsScope) {
-        for (name, cell) in [
-            ("discovers_sent", &self.discovers_sent),
-            ("offers_received", &self.offers_received),
-            ("requests_sent", &self.requests_sent),
-            ("grants", &self.grants),
-            ("renewals", &self.renewals),
-            ("naks_received", &self.naks_received),
-        ] {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Client-side DHCP lifecycle counters, conventionally under
+    /// `{host}/dhcp`.
+    ///
+    /// Cells are shared (`Clone` duplicates the handles, not the values),
+    /// so the embedder keeps one copy for metrics registration and clones
+    /// another into each [`DhcpClientMachine`] it creates — machines are
+    /// often built lazily, long after the registry bound the cells.
+    pub struct DhcpClientStats {
+        /// DISCOVER broadcasts sent (including retransmissions).
+        pub discovers_sent => "discovers_sent",
+        /// OFFERs received and accepted into the handshake.
+        pub offers_received => "offers_received",
+        /// REQUEST broadcasts sent (including retransmissions and renewals).
+        pub requests_sent => "requests_sent",
+        /// Initial lease grants (ACK while holding no lease).
+        pub grants => "grants",
+        /// Lease renewals (ACK re-confirming the held address).
+        pub renewals => "renewals",
+        /// NAKs received (server refused; acquisition restarts).
+        pub naks_received => "naks_received",
     }
 }
 

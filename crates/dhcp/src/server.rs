@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, Line, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, SendOptions, SocketId, SourceSel};
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -26,40 +26,25 @@ pub enum ReusePolicy {
     FirstAvailable,
 }
 
-/// Server-side DHCP lifecycle counters (shared cells; `Clone` duplicates
-/// the handles, not the values).
-#[derive(Clone, Default, Debug)]
-pub struct DhcpServerStats {
-    /// DISCOVERs received that produced an offer.
-    pub discovers_rx: Counter,
-    /// OFFERs broadcast.
-    pub offers_tx: Counter,
-    /// Initial lease grants (ACK of a tentative or fresh binding).
-    pub grants: Counter,
-    /// Lease renewals (ACK re-confirming an established binding).
-    pub renewals: Counter,
-    /// NAKs sent (request refused).
-    pub naks_tx: Counter,
-    /// RELEASEs honoured.
-    pub releases_rx: Counter,
-    /// Leases reclaimed by the expiry sweep.
-    pub expiries: Counter,
-}
-
-impl DhcpServerStats {
-    /// Binds every counter into `scope` (conventionally `{host}/dhcp`).
-    pub fn register_into(&self, scope: &MetricsScope) {
-        for (name, cell) in [
-            ("discovers_rx", &self.discovers_rx),
-            ("offers_tx", &self.offers_tx),
-            ("grants", &self.grants),
-            ("renewals", &self.renewals),
-            ("naks_tx", &self.naks_tx),
-            ("releases_rx", &self.releases_rx),
-            ("expiries", &self.expiries),
-        ] {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Server-side DHCP lifecycle counters, conventionally under
+    /// `{host}/dhcp` (shared cells; `Clone` duplicates the handles, not
+    /// the values).
+    pub struct DhcpServerStats {
+        /// DISCOVERs received that produced an offer.
+        pub discovers_rx => "discovers_rx",
+        /// OFFERs broadcast.
+        pub offers_tx => "offers_tx",
+        /// Initial lease grants (ACK of a tentative or fresh binding).
+        pub grants => "grants",
+        /// Lease renewals (ACK re-confirming an established binding).
+        pub renewals => "renewals",
+        /// NAKs sent (request refused).
+        pub naks_tx => "naks_tx",
+        /// RELEASEs honoured.
+        pub releases_rx => "releases_rx",
+        /// Leases reclaimed by the expiry sweep.
+        pub expiries => "expiries",
     }
 }
 

@@ -1,6 +1,6 @@
 //! Network device state machines.
 
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{SimDuration, SimTime};
 use mosquitonet_wire::MacAddr;
 
 /// What physical technology a device is.
@@ -41,51 +41,31 @@ pub enum DeviceState {
     Up,
 }
 
-/// Transmit/receive counters, surfaced in experiment reports.
-///
-/// Each field is a detached [`Counter`] cell; [`DeviceCounters::register_into`]
-/// binds them into a metrics registry (the world does this per interface
-/// under `{host}/if{n}.{dev}/...`). Cloning shares the cells.
-#[derive(Clone, Default, Debug)]
-pub struct DeviceCounters {
-    /// Frames handed to the medium.
-    pub tx_frames: Counter,
-    /// Bytes handed to the medium.
-    pub tx_bytes: Counter,
-    /// Frames delivered up the stack.
-    pub rx_frames: Counter,
-    /// Bytes delivered up the stack.
-    pub rx_bytes: Counter,
-    /// Transmits attempted while the device was not up
-    /// (`drop.iface_down` at the device level).
-    pub tx_dropped_down: Counter,
-    /// Transmits dropped because the packet exceeded the MTU (this stack
-    /// does not fragment; see DESIGN.md §6).
-    pub tx_dropped_mtu: Counter,
-    /// Frames that arrived while the device was not up.
-    pub rx_dropped_down: Counter,
-    /// Completed down→up transitions.
-    pub up_transitions: Counter,
-    /// Up/bringing-up→down transitions.
-    pub down_transitions: Counter,
-}
-
-impl DeviceCounters {
-    /// Binds every counter under `scope` (typically one interface's scope).
-    pub fn register_into(&self, scope: &MetricsScope) {
-        for (name, cell) in [
-            ("tx_frames", &self.tx_frames),
-            ("tx_bytes", &self.tx_bytes),
-            ("rx_frames", &self.rx_frames),
-            ("rx_bytes", &self.rx_bytes),
-            ("drop.tx_down", &self.tx_dropped_down),
-            ("drop.tx_mtu", &self.tx_dropped_mtu),
-            ("drop.rx_down", &self.rx_dropped_down),
-            ("up_transitions", &self.up_transitions),
-            ("down_transitions", &self.down_transitions),
-        ] {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Transmit/receive counters, surfaced in experiment reports: detached
+    /// cells the world binds per interface under `{host}/if{n}.{dev}/...`.
+    /// Cloning shares the cells.
+    pub struct DeviceCounters {
+        /// Frames handed to the medium.
+        pub tx_frames => "tx_frames",
+        /// Bytes handed to the medium.
+        pub tx_bytes => "tx_bytes",
+        /// Frames delivered up the stack.
+        pub rx_frames => "rx_frames",
+        /// Bytes delivered up the stack.
+        pub rx_bytes => "rx_bytes",
+        /// Transmits attempted while the device was not up (`drop.iface_down`
+        /// at the device level).
+        pub tx_dropped_down => "drop.tx_down",
+        /// Transmits dropped because the packet exceeded the MTU (this stack
+        /// does not fragment; see DESIGN.md §6).
+        pub tx_dropped_mtu => "drop.tx_mtu",
+        /// Frames that arrived while the device was not up.
+        pub rx_dropped_down => "drop.rx_down",
+        /// Completed down→up transitions.
+        pub up_transitions => "up_transitions",
+        /// Up/bringing-up→down transitions.
+        pub down_transitions => "down_transitions",
     }
 }
 

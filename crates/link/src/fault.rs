@@ -16,7 +16,7 @@
 //! also records a `fault.drop` flight hop for every frame a plan drops.
 //! The plan's `fault.{kind}` counters attribute every perturbation.
 
-use mosquitonet_sim::{Counter, MetricCell, MetricsScope, SimDuration, SimRng, SimTime};
+use mosquitonet_sim::{SimDuration, SimRng, SimTime};
 
 /// The kinds of fault a [`FaultPlan`] can inject, in the order they are
 /// judged for each delivery.
@@ -36,6 +36,15 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in judging order.
+    pub const ALL: [FaultKind; 5] = [
+        FaultKind::Drop,
+        FaultKind::Duplicate,
+        FaultKind::Reorder,
+        FaultKind::Corrupt,
+        FaultKind::Delay,
+    ];
+
     /// The stable metric suffix for this kind (`fault.{kind}`).
     pub fn code(self) -> &'static str {
         match self {
@@ -45,6 +54,23 @@ impl FaultKind {
             FaultKind::Corrupt => "fault.corrupt",
             FaultKind::Delay => "fault.delay",
         }
+    }
+}
+
+mosquitonet_sim::counters! {
+    /// What a [`FaultPlan`] injected, one `fault.{kind}` counter per
+    /// [`FaultKind`] (the world binds each LAN's plan under `lan.{name}/`).
+    pub struct FaultCounters {
+        /// Deliveries dropped.
+        pub drop => FaultKind::Drop.code(),
+        /// Deliveries duplicated.
+        pub duplicate => FaultKind::Duplicate.code(),
+        /// Deliveries held back to be overtaken.
+        pub reorder => FaultKind::Reorder.code(),
+        /// Deliveries with a flipped payload byte.
+        pub corrupt => FaultKind::Corrupt.code(),
+        /// Deliveries made late.
+        pub delay => FaultKind::Delay.code(),
     }
 }
 
@@ -120,7 +146,8 @@ pub struct FaultPlan {
     /// `None` means always active.
     window: Option<(SimTime, SimTime)>,
     rng: SimRng,
-    injected: [Counter; 5],
+    /// What the plan injected.
+    pub counters: FaultCounters,
 }
 
 impl FaultPlan {
@@ -133,7 +160,7 @@ impl FaultPlan {
             rates,
             window: None,
             rng: SimRng::new(seed),
-            injected: Default::default(),
+            counters: FaultCounters::default(),
         }
     }
 
@@ -186,7 +213,7 @@ impl FaultPlan {
             SimDuration::from_nanos(self.rng.range_u64(0..MAX_EXTRA_DELAY.as_nanos() + 1));
 
         if drop {
-            self.injected[0].inc();
+            self.counters.drop.inc();
             return FaultVerdict {
                 drop: true,
                 ..FaultVerdict::default()
@@ -194,19 +221,19 @@ impl FaultPlan {
         }
         let mut verdict = FaultVerdict::default();
         if duplicate {
-            self.injected[1].inc();
+            self.counters.duplicate.inc();
             verdict.duplicate_after = Some(DUPLICATE_GAP);
         }
         if reorder {
-            self.injected[2].inc();
+            self.counters.reorder.inc();
             verdict.extra_delay += REORDER_HOLD;
         }
         if corrupt && payload_len > 0 {
-            self.injected[3].inc();
+            self.counters.corrupt.inc();
             verdict.corrupt = Some((corrupt_offset % payload_len, corrupt_mask));
         }
         if delay {
-            self.injected[4].inc();
+            self.counters.delay.inc();
             verdict.extra_delay += delay_extra;
         }
         verdict
@@ -214,39 +241,31 @@ impl FaultPlan {
 
     /// How many faults of `kind` this plan has injected.
     pub fn injected(&self, kind: FaultKind) -> u64 {
-        self.injected[Self::slot(kind)].get()
+        let c = &self.counters;
+        let cell = match kind {
+            FaultKind::Drop => &c.drop,
+            FaultKind::Duplicate => &c.duplicate,
+            FaultKind::Reorder => &c.reorder,
+            FaultKind::Corrupt => &c.corrupt,
+            FaultKind::Delay => &c.delay,
+        };
+        cell.get()
     }
 
     /// Total injected faults across all kinds.
     pub fn injected_total(&self) -> u64 {
-        self.injected.iter().map(|c| c.get()).sum()
+        FaultKind::ALL.map(|kind| self.injected(kind)).iter().sum()
     }
+}
 
-    /// Registers the plan's `fault.{kind}` counters under `scope` (the
-    /// world binds each LAN's plan at `lan.{name}/fault.{kind}`).
-    pub fn register_metrics(&self, scope: &MetricsScope) {
-        for kind in [
-            FaultKind::Drop,
-            FaultKind::Duplicate,
-            FaultKind::Reorder,
-            FaultKind::Corrupt,
-            FaultKind::Delay,
-        ] {
-            scope.register(
-                kind.code(),
-                MetricCell::Counter(self.injected[Self::slot(kind)].clone()),
-            );
-        }
-    }
-
-    fn slot(kind: FaultKind) -> usize {
-        match kind {
-            FaultKind::Drop => 0,
-            FaultKind::Duplicate => 1,
-            FaultKind::Reorder => 2,
-            FaultKind::Corrupt => 3,
-            FaultKind::Delay => 4,
-        }
+mosquitonet_sim::counters! {
+    /// What a [`HostFaultPlan`] applied (the world binds each host's plan
+    /// under `{host}/`).
+    pub struct HostFaultCounters {
+        /// Crashes applied.
+        pub crash => "fault.crash",
+        /// Restarts applied.
+        pub restart => "fault.restart",
     }
 }
 
@@ -297,8 +316,8 @@ pub struct HostFaultEvent {
 #[derive(Clone, Debug)]
 pub struct HostFaultPlan {
     events: Vec<HostFaultEvent>,
-    crashes: Counter,
-    restarts: Counter,
+    /// The crashes and restarts the stack world applied.
+    pub counters: HostFaultCounters,
 }
 
 impl HostFaultPlan {
@@ -313,8 +332,7 @@ impl HostFaultPlan {
         }
         HostFaultPlan {
             events,
-            crashes: Counter::default(),
-            restarts: Counter::default(),
+            counters: HostFaultCounters::default(),
         }
     }
 
@@ -361,33 +379,6 @@ impl HostFaultPlan {
     /// The crash schedule, in time order.
     pub fn events(&self) -> &[HostFaultEvent] {
         &self.events
-    }
-
-    /// Counts one applied crash (the stack world calls this).
-    pub fn note_crash(&self) {
-        self.crashes.inc();
-    }
-
-    /// Counts one applied restart (the stack world calls this).
-    pub fn note_restart(&self) {
-        self.restarts.inc();
-    }
-
-    /// Crashes applied so far.
-    pub fn crashes(&self) -> u64 {
-        self.crashes.get()
-    }
-
-    /// Restarts applied so far.
-    pub fn restarts(&self) -> u64 {
-        self.restarts.get()
-    }
-
-    /// Registers the plan's counters under `scope` (the world binds each
-    /// host's plan at `{host}/fault.crash` and `{host}/fault.restart`).
-    pub fn register_metrics(&self, scope: &MetricsScope) {
-        scope.register("fault.crash", MetricCell::Counter(self.crashes.clone()));
-        scope.register("fault.restart", MetricCell::Counter(self.restarts.clone()));
     }
 }
 
@@ -518,11 +509,35 @@ mod tests {
         use mosquitonet_sim::MetricsRegistry;
         let mut plan = FaultPlan::uniform_loss(1.0, 8);
         let reg = MetricsRegistry::new();
-        plan.register_metrics(&reg.scope("lan.cell"));
+        plan.counters.register_into(&reg.scope("lan.cell"));
         plan.judge(t(0), 64);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("lan.cell/fault.drop"), 1);
         assert_eq!(snap.counter("lan.cell/fault.corrupt"), 0);
+
+        // For every kind, `injected(kind)` reads the cell `judge` bumps,
+        // and that cell is the one registered at the kind's code.
+        for kind in FaultKind::ALL {
+            let mut rates = FaultRates::default();
+            *match kind {
+                FaultKind::Drop => &mut rates.drop,
+                FaultKind::Duplicate => &mut rates.duplicate,
+                FaultKind::Reorder => &mut rates.reorder,
+                FaultKind::Corrupt => &mut rates.corrupt,
+                FaultKind::Delay => &mut rates.delay,
+            } = 1.0;
+            let mut plan = FaultPlan::new(rates, 8);
+            let reg = MetricsRegistry::new();
+            plan.counters.register_into(&reg.scope("lan"));
+            plan.judge(t(0), 64);
+            let snap = reg.snapshot();
+            for other in FaultKind::ALL {
+                let want = u64::from(other == kind);
+                assert_eq!(plan.injected(other), want, "{kind:?}: {other:?}");
+                assert_eq!(snap.counter(&format!("lan/{}", other.code())), want);
+            }
+            assert_eq!(plan.injected_total(), 1);
+        }
     }
 
     #[test]
@@ -576,10 +591,10 @@ mod tests {
             lose_journal: true,
         }]);
         let reg = MetricsRegistry::new();
-        plan.register_metrics(&reg.scope("home-agent"));
-        plan.note_crash();
-        plan.note_crash();
-        plan.note_restart();
+        plan.counters.register_into(&reg.scope("home-agent"));
+        plan.counters.crash.inc();
+        plan.counters.crash.inc();
+        plan.counters.restart.inc();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("home-agent/fault.crash"), 2);
         assert_eq!(snap.counter("home-agent/fault.restart"), 1);

@@ -50,8 +50,8 @@ pub use flightrec::{
 };
 pub use json::{FromJson, Json};
 pub use metrics::{
-    Counter, HistogramSnapshot, LatencyHistogram, MetricCell, MetricValue, MetricsRegistry,
-    MetricsScope, Snapshot,
+    Counter, HistogramSnapshot, LatencyHistogram, MetricValue, MetricsRegistry, MetricsScope,
+    Snapshot,
 };
 pub use profile::Profiler;
 pub use rng::{IdHashMap, IdHashSet, SimRng};

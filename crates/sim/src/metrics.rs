@@ -13,7 +13,9 @@
 //! * [`MetricsRegistry`] maps hierarchical `host/subsystem/name` paths to
 //!   cells. Components create their cells *detached* at construction time
 //!   and are bound into the registry later (`register_*`), which frees
-//!   callers from any create-then-register ordering.
+//!   callers from any create-then-register ordering. A family of counters
+//!   is declared with [`counters!`](crate::counters), which names each
+//!   counter once, beside its field.
 //! * [`Snapshot`] captures every value at an instant; two snapshots'
 //!   [`Snapshot::counter`] readings give an exact movement, so tests
 //!   assert on deltas instead of grepping trace strings.
@@ -236,7 +238,7 @@ impl HistogramSnapshot {
 
 /// One registered metric cell of any kind.
 #[derive(Clone, Debug)]
-pub enum MetricCell {
+pub(crate) enum MetricCell {
     /// A monotonic counter.
     Counter(Counter),
     /// A latency histogram.
@@ -305,18 +307,18 @@ impl MetricsRegistry {
     /// Binds an existing (detached) cell under `path`. Idempotent:
     /// re-registering replaces the mapping, so a world can rebind after
     /// topology changes without bookkeeping.
-    pub fn register(&self, path: impl Into<String>, cell: MetricCell) {
-        self.inner.borrow_mut().insert(path.into(), cell);
+    fn register(&self, path: String, cell: MetricCell) {
+        self.inner.borrow_mut().insert(path, cell);
     }
 
     /// Binds an existing counter under `path`.
     pub fn register_counter(&self, path: impl Into<String>, counter: &Counter) {
-        self.register(path, MetricCell::Counter(counter.clone()));
+        self.register(path.into(), MetricCell::Counter(counter.clone()));
     }
 
     /// Binds an existing histogram under `path`.
     pub fn register_histogram(&self, path: impl Into<String>, histogram: &LatencyHistogram) {
-        self.register(path, MetricCell::Histogram(histogram.clone()));
+        self.register(path.into(), MetricCell::Histogram(histogram.clone()));
     }
 
     /// A view that prefixes every path with `prefix/`.
@@ -396,10 +398,10 @@ impl MetricsScope {
         self.registry.histogram(format!("{}/{name}", self.prefix))
     }
 
-    /// Binds an existing cell at `prefix/name`.
-    pub fn register(&self, name: &str, cell: MetricCell) {
+    /// Binds an existing counter at `prefix/name`.
+    pub fn register_counter(&self, name: &str, counter: &Counter) {
         self.registry
-            .register(format!("{}/{name}", self.prefix), cell);
+            .register_counter(format!("{}/{name}", self.prefix), counter);
     }
 
     /// A nested scope at `prefix/name`.
@@ -409,6 +411,35 @@ impl MetricsScope {
             prefix: format!("{}/{name}", self.prefix),
         }
     }
+}
+
+/// Declares a family of counters from one list: each field is named once,
+/// beside the expression that gives its registry name (a literal, or a
+/// code such as `DropReason::NoRoute.code()`). Generates the
+/// `Clone + Default + Debug` struct of [`Counter`]s (a clone shares its
+/// cells) and a `register_into(&MetricsScope)` that binds every field
+/// under the scope at its declared name.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* pub $field:ident => $metric:expr,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Default, Debug)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: $crate::Counter,)*
+        }
+
+        impl $name {
+            /// Binds every counter under `scope` at its declared name.
+            pub fn register_into(&self, scope: &$crate::MetricsScope) {
+                $(scope.register_counter($metric, &self.$field);)*
+            }
+        }
+    };
 }
 
 /// All metric values at one instant, comparable and exportable.
@@ -569,6 +600,35 @@ mod tests {
         // Rebinding is idempotent.
         r.register_counter("mh/ip/tx", &c);
         assert_eq!(r.len(), 1);
+    }
+
+    fn code() -> &'static str {
+        "named.by_code"
+    }
+
+    counters! {
+        /// A family for the test below.
+        pub struct TestFamily {
+            /// Named by a literal.
+            pub plain => "plain",
+            /// Named by an expression.
+            pub computed => code(),
+        }
+    }
+
+    #[test]
+    fn a_counter_family_registers_every_member_at_its_declared_name() {
+        let family = TestFamily::default();
+        let shared = family.clone();
+        let r = MetricsRegistry::new();
+        family.register_into(&r.scope("h"));
+        assert_eq!(r.names(), ["h/named.by_code", "h/plain"]);
+        shared.plain.inc();
+        shared.computed.add(3);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("h/plain"), 1);
+        assert_eq!(snap.counter("h/named.by_code"), 3);
+        assert_eq!(family.computed.get(), 3, "a clone shares its cells");
     }
 
     #[test]

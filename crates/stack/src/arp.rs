@@ -11,7 +11,7 @@
 
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, IdHashMap, IdHashSet, MetricCell, MetricsScope, SimTime};
+use mosquitonet_sim::{IdHashMap, IdHashSet, SimTime};
 use mosquitonet_wire::{ArpOp, ArpPacket, Ipv4Packet, MacAddr};
 
 /// How many times an unanswered ARP request is retried.
@@ -35,29 +35,17 @@ pub struct PendingArp {
     pub queue: Vec<(Ipv4Packet, u64)>,
 }
 
-/// ARP activity counters (detached cells; the world binds them per
-/// interface under `{host}/if{n}.{dev}/arp.*`).
-#[derive(Clone, Default, Debug)]
-pub struct ArpStats {
-    /// Pending resolutions completed by a learned mapping.
-    pub resolutions: Counter,
-    /// Resolutions abandoned after [`ARP_MAX_TRIES`] unanswered requests.
-    pub failures: Counter,
-    /// Requests answered on behalf of a proxied address (the home agent's
-    /// proxy-ARP duty, §3.1).
-    pub proxy_replies: Counter,
-}
-
-impl ArpStats {
-    /// Binds every counter under `scope` (one interface's scope).
-    pub fn register_into(&self, scope: &MetricsScope) {
-        for (name, cell) in [
-            ("arp.resolutions", &self.resolutions),
-            ("arp.failures", &self.failures),
-            ("arp.proxy_replies", &self.proxy_replies),
-        ] {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// ARP activity counters (detached cells; the world binds them per
+    /// interface under `{host}/if{n}.{dev}/arp.*`).
+    pub struct ArpStats {
+        /// Pending resolutions completed by a learned mapping.
+        pub resolutions => "arp.resolutions",
+        /// Resolutions abandoned after [`ARP_MAX_TRIES`] unanswered requests.
+        pub failures => "arp.failures",
+        /// Requests answered on behalf of a proxied address (the home
+        /// agent's proxy-ARP duty, §3.1).
+        pub proxy_replies => "arp.proxy_replies",
     }
 }
 

@@ -43,7 +43,7 @@
 
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope};
+use mosquitonet_sim::{Counter, IdHashMap};
 
 use crate::iface::IfaceId;
 use crate::proto::{RouteDecision, SourceSel};
@@ -67,27 +67,15 @@ pub struct CacheEntry {
     pub on_hit: Option<Counter>,
 }
 
-/// Counters the cache exposes under `{host}/fastpath/`.
-#[derive(Clone, Debug, Default)]
-pub struct FastPathStats {
-    /// Lookups answered from the cache.
-    pub hit: Counter,
-    /// Lookups that fell through to full resolution.
-    pub miss: Counter,
-    /// Whole-cache flushes (validity-token changes and overflows).
-    pub invalidate: Counter,
-}
-
-impl FastPathStats {
-    /// Binds every counter into `scope` (conventionally `{host}/fastpath`).
-    pub fn register_into(&self, scope: &MetricsScope) {
-        for (name, cell) in [
-            ("hit", &self.hit),
-            ("miss", &self.miss),
-            ("invalidate", &self.invalidate),
-        ] {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Counters the cache exposes under `{host}/fastpath/`.
+    pub struct FastPathStats {
+        /// Lookups answered from the cache.
+        pub hit => "hit",
+        /// Lookups that fell through to full resolution.
+        pub miss => "miss",
+        /// Whole-cache flushes (validity-token changes and overflows).
+        pub invalidate => "invalidate",
     }
 }
 

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use mosquitonet_link::Device;
-use mosquitonet_sim::{Counter, EventId, IdHashMap, MetricCell, MetricsScope, SimDuration};
+use mosquitonet_sim::{EventId, IdHashMap, SimDuration};
 use mosquitonet_wire::Cidr;
 
 use crate::arp::ArpState;
@@ -22,73 +22,46 @@ use crate::udp::{SocketId, UdpTable};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct HostId(pub usize);
 
-/// Packet-path counters, exposed to experiments.
-///
-/// Each field is a detached [`Counter`] cell created with the host;
-/// [`HostStats::register_into`] binds them into a metrics registry (the
-/// world does this for every host under `{host}/ip/...`, using the stable
-/// drop-reason codes documented in `docs/telemetry.md`).
-#[derive(Clone, Default, Debug)]
-pub struct HostStats {
-    /// Locally-originated packets submitted to IP.
-    pub ip_output: Counter,
-    /// Packets received by IP (before local/forward decision).
-    pub ip_input: Counter,
-    /// Packets forwarded.
-    pub forwarded: Counter,
-    /// Packets delivered to local protocols.
-    pub delivered: Counter,
-    /// Drops: no route to destination (`drop.no_route`).
-    pub dropped_no_route: Counter,
-    /// Drops: transit-traffic filter (`drop.filter.ingress`).
-    pub dropped_filter: Counter,
-    /// Drops: TTL expired (`drop.ttl`).
-    pub dropped_ttl: Counter,
-    /// Drops: ARP resolution failure (`drop.arp_failure`).
-    pub dropped_arp_failure: Counter,
-    /// Drops: egress interface down or unattached (`drop.iface_down`).
-    pub dropped_iface_down: Counter,
-    /// Drops: destination not local and forwarding disabled
-    /// (`drop.not_local`).
-    pub dropped_not_local: Counter,
-    /// Drops: malformed packets (`drop.malformed`).
-    pub dropped_malformed: Counter,
-    /// Locally-addressed packets no protocol or module claimed (e.g.
-    /// IP-in-IP arriving at a host with decapsulation disabled).
-    pub unclaimed: Counter,
-    /// Packets IP-in-IP encapsulated here.
-    pub encapsulated: Counter,
-    /// Packets IP-in-IP decapsulated here.
-    pub decapsulated: Counter,
-    /// ICMP redirects sent (routers) / accepted (hosts).
-    pub redirects_sent: Counter,
-    /// ICMP redirects accepted.
-    pub redirects_accepted: Counter,
-}
-
-impl HostStats {
-    /// Binds every counter under `scope` (typically `{host}/ip`). Drop
-    /// counters take the stable `drop.<reason>` codes that hops, traces and
-    /// tests match on from [`DropReason::code`].
-    pub fn register_into(&self, scope: &MetricsScope) {
-        let drops = DropReason::ALL
-            .into_iter()
-            .filter_map(|reason| reason.counter(self));
-        for (name, cell) in [
-            ("output", &self.ip_output),
-            ("input", &self.ip_input),
-            ("forwarded", &self.forwarded),
-            ("delivered", &self.delivered),
-            ("encap", &self.encapsulated),
-            ("decap", &self.decapsulated),
-            ("redirect.sent", &self.redirects_sent),
-            ("redirect.accepted", &self.redirects_accepted),
-        ]
-        .into_iter()
-        .chain(drops)
-        {
-            scope.register(name, MetricCell::Counter(cell.clone()));
-        }
+mosquitonet_sim::counters! {
+    /// Packet-path counters, exposed to experiments. The world binds them
+    /// for every host under `{host}/ip/...`; drop counters take the stable
+    /// `drop.<reason>` codes that hops, traces and tests match on from
+    /// [`DropReason::code`].
+    pub struct HostStats {
+        /// Locally-originated packets submitted to IP.
+        pub ip_output => "output",
+        /// Packets received by IP (before local/forward decision).
+        pub ip_input => "input",
+        /// Packets forwarded.
+        pub forwarded => "forwarded",
+        /// Packets delivered to local protocols.
+        pub delivered => "delivered",
+        /// Packets IP-in-IP encapsulated here.
+        pub encapsulated => "encap",
+        /// Packets IP-in-IP decapsulated here.
+        pub decapsulated => "decap",
+        /// ICMP redirects sent (routers).
+        pub redirects_sent => "redirect.sent",
+        /// ICMP redirects accepted (hosts).
+        pub redirects_accepted => "redirect.accepted",
+        /// Drops: no route to destination.
+        pub dropped_no_route => DropReason::NoRoute.code(),
+        /// Drops: TTL expired.
+        pub dropped_ttl => DropReason::Ttl.code(),
+        /// Drops: transit-traffic filter.
+        pub dropped_filter => DropReason::FilterIngress.code(),
+        /// Drops: ARP resolution failure.
+        pub dropped_arp_failure => DropReason::ArpFailure.code(),
+        /// Drops: egress interface down or unattached.
+        pub dropped_iface_down => DropReason::IfaceDown.code(),
+        /// Drops: destination not local and forwarding disabled.
+        pub dropped_not_local => DropReason::NotLocal.code(),
+        /// Drops: malformed packets.
+        pub dropped_malformed => DropReason::Malformed.code(),
+        /// Locally-addressed packets no protocol or module claimed (e.g.
+        /// IP-in-IP arriving at a host with decapsulation disabled). The
+        /// counter predates the `drop.unclaimed` code and keeps its name.
+        pub unclaimed => "unclaimed",
     }
 }
 

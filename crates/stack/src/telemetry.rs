@@ -89,27 +89,25 @@ impl DropReason {
         }
     }
 
-    /// The `{host}/ip` metric name and cell that count this reason; `None`
-    /// for the reasons that live on hops only.
-    pub(crate) fn counter(self, stats: &HostStats) -> Option<(&'static str, &Counter)> {
-        let cell = match self {
-            DropReason::NoRoute => &stats.dropped_no_route,
-            DropReason::Ttl => &stats.dropped_ttl,
-            DropReason::FilterIngress => &stats.dropped_filter,
-            DropReason::ArpFailure => &stats.dropped_arp_failure,
-            DropReason::IfaceDown => &stats.dropped_iface_down,
-            DropReason::NotLocal => &stats.dropped_not_local,
-            DropReason::Malformed => &stats.dropped_malformed,
-            // The counter predates the code and keeps its registry name.
-            DropReason::Unclaimed => return Some(("unclaimed", &stats.unclaimed)),
+    /// The `{host}/ip` cell that counts this reason; `None` for the
+    /// reasons that live on hops only.
+    pub(crate) fn counter(self, stats: &HostStats) -> Option<&Counter> {
+        match self {
+            DropReason::NoRoute => Some(&stats.dropped_no_route),
+            DropReason::Ttl => Some(&stats.dropped_ttl),
+            DropReason::FilterIngress => Some(&stats.dropped_filter),
+            DropReason::ArpFailure => Some(&stats.dropped_arp_failure),
+            DropReason::IfaceDown => Some(&stats.dropped_iface_down),
+            DropReason::NotLocal => Some(&stats.dropped_not_local),
+            DropReason::Malformed => Some(&stats.dropped_malformed),
+            DropReason::Unclaimed => Some(&stats.unclaimed),
             DropReason::NoSocket
             | DropReason::ArpQueue
             | DropReason::MediumLoss
             | DropReason::LeftLan
             | DropReason::TxMtu
-            | DropReason::FaultDrop => return None,
-        };
-        Some((self.code(), cell))
+            | DropReason::FaultDrop => None,
+        }
     }
 }
 
@@ -147,7 +145,7 @@ pub(crate) fn emit(sim: &mut NetSim, host: HostId, flight: u64, point: &'static 
         Event::Encap => (Some(&stats().encapsulated), Hop::Encap),
         Event::Decap => (Some(&stats().decapsulated), Hop::Decap),
         Event::Delivered => (None, Hop::Delivered),
-        Event::Drop(r) => (r.counter(stats()).map(|c| c.1), Hop::Dropped(r.code())),
+        Event::Drop(r) => (r.counter(stats()), Hop::Dropped(r.code())),
         Event::WireDrop(r) => (None, Hop::Dropped(r.code())),
     };
     if let Some(cell) = counter {
@@ -205,8 +203,7 @@ mod tests {
                 _ => code,
             };
             match reason.counter(&stats) {
-                Some((registered, cell)) => {
-                    assert_eq!(registered, name);
+                Some(cell) => {
                     cell.inc();
                     assert_eq!(registry.snapshot().counter(&format!("ip/{name}")), 1);
                 }

@@ -12,8 +12,8 @@ use mosquitonet_link::{
     Attachment, AttachmentKey, EtherType, FaultVerdict, Frame, Lan, FRAME_HEADER_LEN,
 };
 use mosquitonet_sim::{
-    Counter, IdHashMap, Line, MetricCell, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime,
-    TraceKind, NO_FLIGHT,
+    Counter, IdHashMap, Line, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind,
+    NO_FLIGHT,
 };
 use mosquitonet_wire::{ArpPacket, Ipv4Packet, MacAddr, PacketBuf, PacketBytes};
 
@@ -363,10 +363,7 @@ pub fn register_metrics(sim: &mut NetSim) {
         h.fastpath
             .stats
             .register_into(&host_scope.scope("fastpath"));
-        host_scope.register(
-            "tcp/retransmits",
-            MetricCell::Counter(h.core.tcp.retransmits.clone()),
-        );
+        host_scope.register_counter("tcp/retransmits", &h.core.tcp.retransmits);
         for (i, ifc) in h.core.ifaces.iter().enumerate() {
             let if_scope = host_scope.scope(&format!("if{i}.{}", ifc.device.name()));
             ifc.device.counters.register_into(&if_scope);
@@ -378,24 +375,22 @@ pub fn register_metrics(sim: &mut NetSim) {
         // A host-level fault plan counts the crashes/restarts it applied
         // under `{host}/fault.{crash,restart}`.
         if let Some(plan) = &h.fault {
-            plan.register_metrics(&host_scope);
+            plan.counters.register_into(&host_scope);
         }
     }
     // Fault-injection plans count what they perturb per LAN; bind each
     // plan's `fault.{kind}` counters under `lan.{name}/`.
     for lan in &w.lans {
         if let Some(plan) = &lan.fault {
-            plan.register_metrics(&registry.scope(format!("lan.{}", lan.name())));
+            plan.counters
+                .register_into(&registry.scope(format!("lan.{}", lan.name())));
         }
     }
     // Sharded worlds count the barrier rounds they sent envelopes in;
     // merged snapshots sum the per-shard cells under the one
     // `pktbuf/arena_resets` id.
     if let Some(sh) = &w.sharding {
-        registry.register(
-            "pktbuf/arena_resets",
-            MetricCell::Counter(sh.arena_resets.clone()),
-        );
+        registry.register_counter("pktbuf/arena_resets", &sh.arena_resets);
     }
 }
 
@@ -633,7 +628,7 @@ pub fn install_host_faults(sim: &mut NetSim, host: HostId) {
 /// host. Counted as `{host}/fault.crash` when a plan is installed.
 pub fn crash_host(sim: &mut NetSim, host: HostId) {
     if let Some(plan) = &sim.world().hosts[host.0].fault {
-        plan.note_crash();
+        plan.counters.crash.inc();
     }
     let line = Line::new("fault.crash: node down, volatile state lost");
     note(sim, host, TraceKind::Marker, line);
@@ -678,7 +673,7 @@ pub fn crash_host(sim: &mut NetSim, host: HostId) {
 pub fn restart_host(sim: &mut NetSim, host: HostId, storage_lost: bool) {
     let now = sim.now();
     if let Some(plan) = &sim.world().hosts[host.0].fault {
-        plan.note_restart();
+        plan.counters.restart.inc();
     }
     let line = if storage_lost {
         "fault.restart: node rebooting, journal lost"
@@ -1100,6 +1095,55 @@ mod tests {
             sim.world().hosts[b.0].core.arp[ib.0].lookup(addr),
             Some(mac_a),
             "gratuitous ARP voided the stale entry across the wire"
+        );
+    }
+
+    /// ROADMAP [txqueue]'s open question: a frame booked behind
+    /// `Device::next_free` whose device goes down before the frame's
+    /// transmit slot still arrives — its delivery was scheduled when it
+    /// was booked, and going down cancels nothing.
+    #[test]
+    fn a_frame_queued_behind_next_free_arrives_after_its_device_goes_down() {
+        let mut net = Network::new();
+        let a = net.add_host("a");
+        let b = net.add_host("b");
+        let ia = net.hosts[a.0]
+            .core
+            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(1)));
+        let ib = net.hosts[b.0]
+            .core
+            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(2)));
+        let lan = net.add_lan(presets::ethernet_lan("lan"));
+        net.attach(a, ia, lan);
+        net.attach(b, ib, lan);
+        let mut sim = Sim::new(net);
+        bring_iface_up(&mut sim, a, ia);
+        bring_iface_up(&mut sim, b, ib);
+        sim.run();
+        let mac_a = MacAddr::from_index(1);
+        let payload = bytes::Bytes::from(vec![0u8; 1_000]);
+        let frame = Frame::new(MacAddr::BROADCAST, mac_a, EtherType::Ipv4, payload);
+        let device = &sim.world().hosts[a.0].core.iface(ia).device;
+        let slot = device.tx_time(FRAME_HEADER_LEN + 1_000);
+        let t0 = sim.now();
+        for _ in 0..3 {
+            transmit_frame(&mut sim, a, ia, frame.clone(), mosquitonet_sim::NO_FLIGHT);
+        }
+        // Down after the first frame's slot began, before the third's.
+        sim.run_until(t0 + slot);
+        let device = &mut sim.world_mut().hosts[a.0].core.iface_mut(ia).device;
+        device.bring_down();
+        assert!(!device.is_up());
+        sim.run();
+        let (sent, received) = (
+            &sim.world().hosts[a.0].core.iface(ia).device.counters,
+            &sim.world().hosts[b.0].core.iface(ib).device.counters,
+        );
+        assert_eq!((sent.tx_frames.get(), sent.tx_dropped_down.get()), (3, 0));
+        assert_eq!(received.rx_frames.get(), 3, "queued frames still arrive");
+        assert!(
+            sim.now() >= t0 + slot + slot + slot,
+            "the third in its slot"
         );
     }
 

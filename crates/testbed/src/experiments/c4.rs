@@ -69,7 +69,7 @@ pub fn run_c4(switches: u32, seed: u64) -> Json {
         // re-registration under loss, not bring-up under loss.
         let plan =
             FaultPlan::uniform_loss(f64::from(pct) / 100.0, seed ^ (0xC4_00 + u64::from(pct)));
-        plan.register_metrics(&sweep.scope(&scope_name));
+        plan.counters.register_into(&sweep.scope(&scope_name));
         tb.sim.world_mut().lans[tb.lan_dept.0].set_fault_plan(Some(plan));
         // Rebind host metrics so the plan's counters also appear in the
         // run registry under `lan.net-36-8/fault.*`.

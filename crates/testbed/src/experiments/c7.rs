@@ -135,8 +135,8 @@ pub fn run_c7(seed: u64) -> (Json, Json) {
     let (auth_failures, auth_replays, ha_epoch) = {
         let ha = run.tb.ha_module();
         (
-            ha.stats.auth_fail.get(),
-            ha.stats.auth_replay.get(),
+            ha.auth_fail.get(),
+            ha.auth_replay.get(),
             u64::from(ha.epoch()),
         )
     };
@@ -146,8 +146,9 @@ pub fn run_c7(seed: u64) -> (Json, Json) {
         .tb
         .module::<RegistrationAttacker>(attacker_host, att_mid);
     stack::Module::register_metrics(a, &scope);
+    let s = &a.stats;
     let (injected, attacker_accepted, attacker_denied) =
-        (a.injected.get(), a.accepted.get(), a.denied.get());
+        (s.injected.get(), s.accepted.get(), s.denied.get());
     let spoofs = 2;
     let replays = injected - spoofs;
 

@@ -88,7 +88,7 @@ impl CrashRun {
             restart_after,
             lose_journal: false,
         }]);
-        plan.register_metrics(&self.scope(part));
+        plan.counters.register_into(&self.scope(part));
         let ha_host = self.tb.ha_host;
         self.tb.sim.world_mut().host_mut(ha_host).fault = Some(plan);
         stack::install_host_faults(&mut self.tb.sim, ha_host);

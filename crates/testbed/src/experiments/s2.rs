@@ -295,7 +295,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
                     if h == 0 {
                         row.ha_processed += agent.stats.processed.get();
                         row.ha_accepted += agent.stats.accepted.get();
-                        row.wrong_shard += agent.stats.wrong_shard.get();
+                        row.wrong_shard += agent.wrong_shard.get();
                         row.replicas_sent += agent.stats.replicas_sent.get();
                         row.live_bindings += agent.bindings.live(now).len() as u64;
                         row.journal_records += agent.journal.len() as u64;

@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_sim::rng::splitmix64;
-use mosquitonet_sim::{Counter, IdHashMap, MetricCell, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{IdHashMap, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{ConnId, Module, ModuleCtx, SendOptions, SocketId, TcpEvent};
 
 /// One probe in an echo stream.
@@ -359,6 +359,19 @@ impl Module for TcpStreamClient {
     }
 }
 
+mosquitonet_sim::counters! {
+    /// A [`RegistrationAttacker`]'s counters: `{host}/attack/*`.
+    pub struct AttackStats {
+        /// Payloads injected onto the wire.
+        pub injected => "injected",
+        /// Replies naming one of our injections' home addresses that came
+        /// back `Accepted` — the experiment asserts this stays zero.
+        pub accepted => "accepted",
+        /// Denial replies received (the home agent answered, and refused).
+        pub denied => "denied",
+    }
+}
+
 /// An on-subnet attacker injecting registration messages at the home
 /// agent (the C7 spoof/replay experiment). It has no special powers: an
 /// ordinary host that can send UDP to port 434 and, being on the visited
@@ -374,13 +387,8 @@ pub struct RegistrationAttacker {
     pub home_agent: Ipv4Addr,
     /// How often the queue is drained.
     pub poll: SimDuration,
-    /// Payloads injected onto the wire.
-    pub injected: Counter,
-    /// Replies naming one of our injections' home addresses that came
-    /// back `Accepted` — the experiment asserts this stays zero.
-    pub accepted: Counter,
-    /// Denial replies received (the home agent answered, and refused).
-    pub denied: Counter,
+    /// What it injected and how the home agent answered.
+    pub stats: AttackStats,
     pending: Vec<(Bytes, &'static str)>,
     sock: Option<SocketId>,
 }
@@ -391,9 +399,7 @@ impl RegistrationAttacker {
         RegistrationAttacker {
             home_agent,
             poll: SimDuration::from_millis(100),
-            injected: Counter::default(),
-            accepted: Counter::default(),
-            denied: Counter::default(),
+            stats: AttackStats::default(),
             pending: Vec::new(),
             sock: None,
         }
@@ -418,20 +424,13 @@ impl Module for RegistrationAttacker {
     }
 
     fn register_metrics(&self, scope: &MetricsScope) {
-        let attack = scope.scope("attack");
-        for (name, cell) in [
-            ("injected", &self.injected),
-            ("accepted", &self.accepted),
-            ("denied", &self.denied),
-        ] {
-            attack.register(name, MetricCell::Counter(cell.clone()));
-        }
+        self.stats.register_into(&scope.scope("attack"));
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
         if token == TOKEN_SEND {
             for (payload, line) in std::mem::take(&mut self.pending) {
-                self.injected.inc();
+                self.stats.injected.inc();
                 ctx.fx.trace(line);
                 ctx.fx.send_udp(
                     self.sock.expect("bound"),
@@ -453,9 +452,9 @@ impl Module for RegistrationAttacker {
     ) {
         if let Ok(reply) = mosquitonet_core::RegistrationReply::parse(payload) {
             if reply.code == mosquitonet_core::ReplyCode::Accepted {
-                self.accepted.inc();
+                self.stats.accepted.inc();
             } else {
-                self.denied.inc();
+                self.stats.denied.inc();
             }
         }
     }

@@ -1,5 +1,6 @@
-//! Documentation-sync checks: drop-reason codes against
-//! `docs/telemetry.md`, the experiment roster in `EXPERIMENTS.md` and
+//! Documentation-sync checks: drop-reason codes and every golden
+//! sidecar's metric names against `docs/telemetry.md`, the experiment
+//! roster in `EXPERIMENTS.md` and
 //! DESIGN.md's experiment index against the registry, DESIGN.md's crate
 //! and dependency tables against the
 //! manifests, its module hook list against `trait Module`, the shape of
@@ -513,4 +514,115 @@ fn roadmap_items_are_cited_by_tag_not_number() {
         }
     }
     assert!(cited.is_empty(), "cite the item's [tag]: {cited:?}");
+}
+
+/// The names of every registry metric in `doc`: the members whose value
+/// is a `{"type": "counter" | "histogram", …}` object, at any depth.
+fn metric_names(doc: &Json, out: &mut BTreeSet<String>) {
+    match doc {
+        Json::Obj(members) => {
+            for (key, value) in members {
+                match value.get("type").and_then(Json::as_str) {
+                    Some("counter" | "histogram") => {
+                        out.insert(key.clone());
+                    }
+                    _ => metric_names(value, out),
+                }
+            }
+        }
+        Json::Arr(items) => items.iter().for_each(|item| metric_names(item, out)),
+        _ => {}
+    }
+}
+
+/// The metric names `docs/telemetry.md`'s naming table documents, as
+/// patterns: each row's backticked prefix with its `…` replaced by each
+/// backticked name in the row's last column (a row without `…` names one
+/// metric itself).
+fn naming_table_patterns(doc: &str) -> BTreeSet<String> {
+    let section = doc.split_once("## Naming scheme").expect("the section").1;
+    let rows = section.lines().skip_while(|l| !l.starts_with('|')).skip(2);
+    let mut patterns = BTreeSet::new();
+    for row in rows.take_while(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let prefix = cells[1].split('`').nth(1).expect("a backticked prefix");
+        let Some(stem) = prefix.strip_suffix('…') else {
+            patterns.insert(prefix.to_string());
+            continue;
+        };
+        // `{host}/ip/drop.…` and `drop.ttl` make `{host}/ip/drop.ttl`.
+        let leaf_stem = &stem[stem.rfind('/').map_or(0, |i| i + 1)..];
+        let names = cells[cells.len() - 2].split('`').skip(1).step_by(2);
+        for name in names.flat_map(expand_braces) {
+            let leaf = name.strip_prefix(leaf_stem).unwrap_or(&name);
+            patterns.insert(format!("{stem}{leaf}"));
+        }
+    }
+    patterns
+}
+
+/// `pattern` against one path segment: each `{…}` placeholder stands for
+/// one or more characters.
+fn segment_matches(pattern: &str, segment: &str) -> bool {
+    let Some((head, rest)) = pattern.split_once('{') else {
+        return pattern == segment;
+    };
+    let tail = rest.split_once('}').map_or("", |(_, tail)| tail);
+    segment.strip_prefix(head).is_some_and(|s| {
+        (1..=s.len()).any(|i| s.is_char_boundary(i) && segment_matches(tail, &s[i..]))
+    })
+}
+
+/// `pattern` against a metric name, segment by segment; a leading
+/// `{host}` stands for one or more segments (a host name, or the
+/// `{exp}/{part}` scope an experiment binds a host's families under).
+fn name_matches(pattern: &str, name: &str) -> bool {
+    let pattern: Vec<&str> = pattern.split('/').collect();
+    let name: Vec<&str> = name.split('/').collect();
+    let same = |p: &[&str], n: &[&str]| {
+        p.len() == n.len() && p.iter().zip(n).all(|(p, n)| segment_matches(p, n))
+    };
+    match pattern.split_first() {
+        Some((&"{host}", rest)) => (1..name.len()).any(|skip| same(rest, &name[skip..])),
+        _ => same(&pattern, &name),
+    }
+}
+
+/// Every metric a golden metrics sidecar carries is named in
+/// `docs/telemetry.md`'s naming table, with the host and `if{n}.{dev}`
+/// segments generalised: a counter registered without a row fails here.
+#[test]
+fn every_sidecar_metric_is_named_in_telemetry_md() {
+    let doc = std::fs::read_to_string(workspace_root().join("docs/telemetry.md"))
+        .expect("docs/telemetry.md");
+    let patterns = naming_table_patterns(&doc);
+    assert!(
+        patterns.contains("{host}/if{n}.{dev}/arp.failures"),
+        "the table parses: {patterns:?}"
+    );
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut checked = 0;
+    let mut missing = BTreeSet::new();
+    for entry in std::fs::read_dir(&goldens).expect("tests/golden") {
+        let file = entry.expect("dir entry").file_name();
+        let file = file.to_str().expect("a UTF-8 name");
+        if !file.ends_with(".metrics.json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(goldens.join(file)).expect("golden");
+        let mut names = BTreeSet::new();
+        metric_names(&Json::parse(&text).expect(file), &mut names);
+        checked += names.len();
+        for name in names {
+            if !patterns.iter().any(|p| name_matches(p, &name)) {
+                missing.insert(format!("{file}: {name}"));
+            }
+        }
+    }
+    assert!(checked > 1_000, "the walk found the goldens' metrics");
+    assert!(
+        missing.is_empty(),
+        "metrics in golden sidecars that docs/telemetry.md's naming table \
+         does not name: {missing:#?}"
+    );
 }

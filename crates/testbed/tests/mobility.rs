@@ -72,7 +72,7 @@ fn cold_switch_to_dept_keeps_connectivity() {
     tb.run_for(SimDuration::from_secs(5));
 
     // Handoff completed, binding installed, echoes flowing again.
-    assert_eq!(tb.mh_module().handoffs.get(), 1);
+    assert_eq!(tb.mh_module().mobility.handoffs.get(), 1);
     let status = tb.mh_module().away_status().expect("away");
     assert_eq!(status.1, COA_DEPT);
     assert!(status.2, "registered");
@@ -122,7 +122,7 @@ fn same_subnet_address_switch_loses_almost_nothing() {
     plan.iface = tb.mh_eth;
     tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(5));
-    assert_eq!(tb.mh_module().handoffs.get(), 1);
+    assert_eq!(tb.mh_module().mobility.handoffs.get(), 1);
 
     // Switch the care-of address on the same subnet (the §4 experiment).
     let t0 = tb.sim.now();
@@ -138,7 +138,7 @@ fn same_subnet_address_switch_loses_almost_nothing() {
     });
     tb.run_for(SimDuration::from_secs(3));
     let t1 = tb.sim.now();
-    assert_eq!(tb.mh_module().handoffs.get(), 2);
+    assert_eq!(tb.mh_module().mobility.handoffs.get(), 2);
     let lost = sender(&mut tb, sender_mid).lost_in_window(t0, t1);
     assert!(lost <= 1, "at most one 10ms-spaced packet lost, got {lost}");
 }
@@ -173,7 +173,7 @@ fn hot_switch_to_radio_loses_nothing() {
     tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(6));
     let t1 = tb.sim.now();
-    assert_eq!(tb.mh_module().handoffs.get(), 2);
+    assert_eq!(tb.mh_module().mobility.handoffs.get(), 2);
     let status = tb.mh_module().away_status().expect("away");
     assert_eq!(status.1, COA_RADIO);
     let lost = sender(&mut tb, sender_mid).lost_in_window(t0, t1);
@@ -258,7 +258,7 @@ fn a_hot_return_home_loses_nothing() {
     tb.run_for(SimDuration::from_secs(1)); // let the last echoes land
 
     let mh = tb.mh_module();
-    assert_eq!(mh.handoffs.get(), 2);
+    assert_eq!(mh.mobility.handoffs.get(), 2);
     assert!(mh.away_status().is_none(), "home again");
     assert!(
         mh.timelines.iter().all(|t| t.iface_up.is_none()),
@@ -304,7 +304,7 @@ fn dhcp_acquired_care_of_address_works() {
     };
     tb.with_mh(|mh, ctx| mh.start_switch(ctx, plan));
     tb.run_for(SimDuration::from_secs(10));
-    assert_eq!(tb.mh_module().handoffs.get(), 1);
+    assert_eq!(tb.mh_module().mobility.handoffs.get(), 1);
     let (_, coa, registered) = tb.mh_module().away_status().expect("away");
     assert!(registered);
     assert!(
@@ -412,14 +412,18 @@ fn a_probe_in_flight_across_a_move_learns_nothing() {
     tb.run_for(PROBE_TIMEOUT + SimDuration::from_secs(1));
 
     let mh = tb.mh_module();
-    assert_eq!(mh.handoffs.get(), 2);
+    assert_eq!(mh.mobility.handoffs.get(), 2);
     assert_eq!(mh.away_status().map(|s| s.1), Some(other));
     assert!(
         mh.policy.entries().iter().all(|e| !e.learned),
         "an old-network verdict was learned: {:?}",
         mh.policy.entries()
     );
-    assert_eq!(mh.probe_timeouts.get(), 0, "the stale probe timed out");
+    assert_eq!(
+        mh.mobility.probe_timeouts.get(),
+        0,
+        "the stale probe timed out"
+    );
 }
 
 #[test]

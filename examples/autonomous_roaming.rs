@@ -66,7 +66,7 @@ fn main() {
             Some((iface, coa, _)) if iface == radio => format!("radio, care-of {coa}"),
             Some((_, coa, _)) => format!("wired, care-of {coa}"),
         };
-        let switches = tb.mh_module().autoswitches.get();
+        let switches = tb.mh_module().mobility.autoswitches.get();
         let now = tb.sim.now();
         let ch = tb.ch_dept;
         let s: &mut UdpEchoSender = tb.module(ch, sender);
@@ -103,7 +103,7 @@ fn main() {
         s.sent(),
         s.received(),
         s.sent() - s.received(),
-        tb.mh_module().autoswitches.get()
+        tb.mh_module().mobility.autoswitches.get()
     );
-    assert!(tb.mh_module().autoswitches.get() >= 3);
+    assert!(tb.mh_module().mobility.autoswitches.get() >= 3);
 }

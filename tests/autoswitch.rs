@@ -57,7 +57,7 @@ fn stays_put_while_at_home() {
     tb.run_for(SimDuration::from_secs(10));
     assert!(tb.mh_module().away_status().is_none(), "still at home");
     assert_eq!(
-        tb.mh_module().autoswitches.get(),
+        tb.mh_module().mobility.autoswitches.get(),
         0,
         "no pointless switching"
     );
@@ -82,7 +82,7 @@ fn losing_the_home_network_falls_back_to_the_radio() {
     assert_eq!(iface, tb.mh_radio, "fell back to the radio");
     assert_eq!(coa, COA_RADIO);
     assert!(registered);
-    assert!(tb.mh_module().autoswitches.get() >= 1);
+    assert!(tb.mh_module().mobility.autoswitches.get() >= 1);
     // The stream survived the fallback.
     let before = {
         let ch = tb.ch_dept;
@@ -121,7 +121,7 @@ fn arriving_at_a_wired_network_upgrades_hot() {
         mosquitonet::testbed::topology::dept_subnet().contains(coa),
         "DHCP-leased department address, got {coa}"
     );
-    assert!(tb.mh_module().autoswitches.get() >= 2);
+    assert!(tb.mh_module().mobility.autoswitches.get() >= 2);
     // The upgrade was hot: the radio stayed up during it, and losses in
     // the upgrade window are nil-to-one.
     let ch = tb.ch_dept;
@@ -139,7 +139,7 @@ fn hysteresis_prevents_flapping_on_a_blinking_network() {
     enable(&mut tb);
     tb.move_mh_eth(None);
     tb.run_for(SimDuration::from_secs(8));
-    let switches_before = tb.mh_module().autoswitches.get();
+    let switches_before = tb.mh_module().mobility.autoswitches.get();
     // The Ethernet blinks into range for less time than the hysteresis
     // (2 ticks × 250 ms): no switch.
     tb.move_mh_eth(Some(tb.lan_dept));
@@ -147,7 +147,7 @@ fn hysteresis_prevents_flapping_on_a_blinking_network() {
     tb.move_mh_eth(None);
     tb.run_for(SimDuration::from_secs(3));
     assert_eq!(
-        tb.mh_module().autoswitches.get(),
+        tb.mh_module().mobility.autoswitches.get(),
         switches_before,
         "a blink shorter than the hysteresis causes no switch"
     );

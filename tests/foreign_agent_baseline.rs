@@ -53,8 +53,8 @@ fn fa_discovery_and_registration() {
     let (fa_host, fa_mod) = tb.fa_foreign.expect("fa");
     let fa: &mut ForeignAgent = tb.module(fa_host, fa_mod);
     assert_eq!(fa.visitor_count(), 1);
-    assert!(fa.relayed_requests.get() >= 1);
-    assert!(fa.relayed_replies.get() >= 1);
+    assert!(fa.stats.relayed_requests.get() >= 1);
+    assert!(fa.stats.relayed_replies.get() >= 1);
 }
 
 #[test]
@@ -133,7 +133,10 @@ fn previous_fa_forwarding_rescues_in_flight_packets() {
     let (fa1_host, fa1_mod) = tb.fa_foreign.expect("fa1");
     {
         let fa1: &mut ForeignAgent = tb.module(fa1_host, fa1_mod);
-        assert!(fa1.forwarding_armed.get() >= 1, "binding update received");
+        assert!(
+            fa1.stats.forwarding_armed.get() >= 1,
+            "binding update received"
+        );
     }
     // ...re-encapsulated the stragglers...
     assert!(
@@ -175,7 +178,11 @@ fn a_binding_held_through_an_fa_is_renewed_and_reasserted_after_a_restart() {
     assert_eq!(reg.replies_accepted.get(), 3, "at 0, 150 and 300 s");
     let (fa_host, fa_mod) = tb.fa_foreign.expect("fa");
     let fa: &mut ForeignAgent = tb.module(fa_host, fa_mod);
-    assert_eq!(fa.relayed_replies.get(), 3, "the renewals went via the FA");
+    assert_eq!(
+        fa.stats.relayed_replies.get(),
+        3,
+        "the renewals went via the FA"
+    );
 
     let ha = tb.ha_host;
     stack::crash_host(&mut tb.sim, ha);

@@ -133,7 +133,7 @@ fn fifty_handoffs_without_leaks_or_stalls() {
 
     // Every switch completed and was accounted for.
     let m = tb.mh_module();
-    let handoffs = m.handoffs.get();
+    let handoffs = m.mobility.handoffs.get();
     assert!(handoffs >= 51, "all switches completed ({handoffs})");
     assert_eq!(m.timelines.len() as u64, handoffs, "one timeline each");
     assert!(
@@ -317,7 +317,12 @@ fn ha_crash_restart_soak_always_reconverges() {
 
     let crashes = {
         let h = tb.sim.world().host(ha_host);
-        h.fault.as_ref().expect("plan installed").crashes()
+        h.fault
+            .as_ref()
+            .expect("plan installed")
+            .counters
+            .crash
+            .get()
     };
     assert_eq!(crashes, 4, "every scheduled crash fired");
     let s: &mut UdpEchoSender = tb.module(ch, sender);
