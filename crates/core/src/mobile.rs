@@ -558,16 +558,9 @@ impl MobileHost {
     // ----- Internal machinery -----
 
     fn begin_acquire(&mut self, ctx: &mut ModuleCtx<'_>) {
-        // Any DHCP machine from a previous network is obsolete: silence
-        // its retry/renew timers so it cannot renew a stale lease from
-        // the new location.
-        if self.dhcp.take().is_some() {
-            ctx.fx.push(Effect::CancelTimer {
-                token: TOKEN_DHCP_BASE + 1,
-            });
-            ctx.fx.push(Effect::CancelTimer {
-                token: TOKEN_DHCP_BASE + 2,
-            });
+        // Any DHCP machine from a previous network is obsolete.
+        if let Some(mut old) = self.dhcp.take() {
+            old.abandon(ctx.fx);
         }
         let Some(op) = &mut self.switching else {
             return;

@@ -157,7 +157,7 @@ impl DhcpClientMachine {
     /// Releases the current lease (sent directly to the server) and goes
     /// idle.
     pub fn release(&mut self, fx: &mut Effects) {
-        if let Some(lease) = self.lease.take() {
+        if let Some(lease) = self.lease {
             let msg = DhcpMessage::release(self.xid, self.mac, lease.addr, lease.server);
             fx.send_udp_opts(
                 self.sock,
@@ -171,21 +171,22 @@ impl DhcpClientMachine {
                 },
             );
         }
-        self.state = State::Idle;
-        fx.push(mosquitonet_stack::Effect::CancelTimer {
-            token: self.token_base + RETRY_TOKEN,
-        });
-        fx.push(mosquitonet_stack::Effect::CancelTimer {
-            token: self.token_base + RENEW_TOKEN,
-        });
+        self.abandon(fx);
     }
 
-    /// Abandons any lease state without notifying the server (used when a
-    /// mobile host departs abruptly — experiment A3's trigger).
-    pub fn abandon(&mut self) {
+    /// Forgets any lease state without notifying the server, goes idle and
+    /// cancels the machine's retry and renew timers. The mobile host calls
+    /// it on the machine a hand-off leaves behind, so that machine cannot
+    /// renew a stale lease from the new location.
+    pub fn abandon(&mut self, fx: &mut Effects) {
         self.lease = None;
         self.offer = None;
         self.state = State::Idle;
+        for token in [RETRY_TOKEN, RENEW_TOKEN] {
+            fx.push(mosquitonet_stack::Effect::CancelTimer {
+                token: self.token_base + token,
+            });
+        }
     }
 
     /// Handles a timer token. Returns `true` if consumed.
@@ -487,9 +488,18 @@ mod tests {
         ack.op = DhcpOp::Ack;
         m.on_udp(&mut fx, &ack.to_bytes(), SimTime::ZERO);
         fx.drain();
-        m.abandon();
+        m.abandon(&mut fx);
         assert!(m.lease.is_none());
-        assert!(fx.is_empty(), "no RELEASE sent");
+        // No RELEASE sent: only the machine's own two timers are cancelled.
+        let tokens: Vec<u64> = fx
+            .drain()
+            .into_iter()
+            .map(|e| match e {
+                mosquitonet_stack::Effect::CancelTimer { token } => token,
+                other => panic!("abandon queued {other:?}"),
+            })
+            .collect();
+        assert_eq!(tokens, [0x101, 0x102]);
     }
 
     #[test]

@@ -188,11 +188,6 @@ pub struct Sim<W> {
     flights: FlightRecorder,
     profiler: Profiler,
     events_executed: u64,
-    /// Per-tick batching (default on): `run`/`run_until` drain every
-    /// event scheduled at the same instant as one batch, amortizing
-    /// profiler and loop overhead. Execution order is identical to the
-    /// unbatched path, so same-seed runs stay byte-identical.
-    batching: bool,
     batches_executed: u64,
 }
 
@@ -217,7 +212,6 @@ impl<W> Sim<W> {
             flights: FlightRecorder::new(),
             profiler: Profiler::new(),
             events_executed: 0,
-            batching: true,
             batches_executed: 0,
         }
     }
@@ -308,21 +302,8 @@ impl<W> Sim<W> {
         self.events_executed
     }
 
-    /// Enables or disables per-tick batching in [`Sim::run`] and
-    /// [`Sim::run_until`]. On by default; the unbatched path executes the
-    /// same events in the same order one profiler tick at a time, and
-    /// exists so determinism tests can compare the two modes.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
-    }
-
-    /// True when `run`/`run_until` drain same-instant batches.
-    pub fn batching_enabled(&self) -> bool {
-        self.batching
-    }
-
-    /// Number of per-tick batches drained by the batched path so far.
-    /// Stays zero when batching is off or only [`Sim::step`] is used.
+    /// Number of per-instant drains run so far: one per [`Sim::step`],
+    /// and one per instant [`Sim::run`] and its kin reach.
     pub fn batches_executed(&self) -> u64 {
         self.batches_executed
     }
@@ -359,36 +340,24 @@ impl<W> Sim<W> {
         self.events.cancel(id)
     }
 
-    /// Runs one event as its own profiler tick.
-    fn run_tick(&mut self, at: SimTime, run: EventFn<W>) {
-        self.now = at;
-        self.events_executed += 1;
-        let t0 = self.profiler.begin();
-        run(self);
-        self.profiler.end_tick(t0);
-    }
-
-    /// Runs a single event if one is pending. Returns `false` when idle.
+    /// Runs the next pending event as a drain of one. Returns `false`
+    /// when idle.
     pub fn step(&mut self) -> bool {
-        match self.events.pop_runnable(None) {
-            Some((at, run)) => {
-                self.run_tick(at, run);
-                true
-            }
-            None => false,
-        }
+        self.run_batch(None, 1)
     }
 
-    /// Drains the full batch of events scheduled at the next runnable
-    /// instant (bounded by `deadline` when given), including same-instant
-    /// events the batch members schedule mid-batch. Returns `false` when
-    /// no runnable event at or before the deadline remains.
+    /// The engine's one loop: drains the events scheduled at the next
+    /// runnable instant (bounded by `deadline` when given), at most
+    /// `limit` of them, including same-instant events the batch members
+    /// schedule mid-batch. Returns `false` when no runnable event at or
+    /// before the deadline remains.
     ///
-    /// Execution order is identical to repeated [`Sim::step`]: each member
-    /// is popped only when its turn comes, so an earlier member can still
-    /// cancel it, and events scheduled mid-batch get larger sequence
-    /// numbers than everything already queued for the instant.
-    fn run_batch(&mut self, deadline: Option<SimTime>) -> bool {
+    /// Each member is popped only when its turn comes, so an earlier
+    /// member can still cancel it, and events scheduled mid-batch get
+    /// larger sequence numbers than everything already queued for the
+    /// instant: the order is the queue's (time, FIFO) order whatever
+    /// `limit` is.
+    fn run_batch(&mut self, deadline: Option<SimTime>, limit: u64) -> bool {
         let Some((batch_at, first)) = self.events.pop_runnable(deadline) else {
             return false;
         };
@@ -402,7 +371,11 @@ impl<W> Sim<W> {
             run(self);
             // Nothing can be queued before `now`, so "due by `batch_at`"
             // is "due at `batch_at`".
-            next = self.events.pop_runnable(Some(batch_at)).map(|(_, run)| run);
+            next = if in_batch < limit {
+                self.events.pop_runnable(Some(batch_at)).map(|(_, run)| run)
+            } else {
+                None
+            };
         }
         self.profiler.end_batch(t0, in_batch);
         self.batches_executed += 1;
@@ -411,11 +384,7 @@ impl<W> Sim<W> {
 
     /// Runs until the event queue is exhausted.
     pub fn run(&mut self) {
-        if self.batching {
-            while self.run_batch(None) {}
-        } else {
-            while self.step() {}
-        }
+        while self.run_batch(None, u64::MAX) {}
     }
 
     /// Time of the next runnable event, or `None` when the queue holds
@@ -460,13 +429,7 @@ impl<W> Sim<W> {
     /// Executes every event with `at <= deadline` without the final clock
     /// advance of [`Sim::run_until`].
     fn drain_until(&mut self, deadline: SimTime) {
-        if self.batching {
-            while self.run_batch(Some(deadline)) {}
-        } else {
-            while let Some((at, run)) = self.events.pop_runnable(Some(deadline)) {
-                self.run_tick(at, run);
-            }
-        }
+        while self.run_batch(Some(deadline), u64::MAX) {}
     }
 
     /// Runs for `span` of virtual time from the current instant.
@@ -653,9 +616,8 @@ mod tests {
     }
 
     #[test]
-    fn batching_is_on_by_default_and_counts_batches() {
+    fn same_instant_events_drain_as_one_batch() {
         let mut sim = Sim::new(0u32);
-        assert!(sim.batching_enabled());
         for _ in 0..3 {
             sim.schedule_at(SimTime::from_nanos(5), |sim| *sim.world_mut() += 1);
         }
@@ -669,6 +631,32 @@ mod tests {
     }
 
     #[test]
+    fn step_is_a_drain_of_one_event() {
+        let reg = MetricsRegistry::new();
+        let mut sim = Sim::new(Vec::<u32>::new());
+        sim.profiler_mut().enable(&reg);
+        for i in 0..4 {
+            sim.schedule_at(SimTime::from_nanos(5), move |sim| sim.world_mut().push(i));
+        }
+        sim.schedule_at(SimTime::from_nanos(9), |sim| sim.world_mut().push(9));
+        for stepped in 1..=2 {
+            assert!(sim.step());
+            // One event and one drain, though three more share the instant.
+            assert_eq!(sim.events_executed(), stepped);
+            assert_eq!(sim.batches_executed(), stepped);
+        }
+        assert_eq!(*sim.world(), vec![0, 1]);
+        // The rest of the instant drains as one batch, then the later one.
+        sim.run();
+        assert_eq!(*sim.world(), vec![0, 1, 2, 3, 9]);
+        assert_eq!(sim.events_executed(), 5);
+        assert_eq!(sim.batches_executed(), 4);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("profile/batch/calls"), sim.batches_executed());
+        assert_eq!(snap.counter("profile/batch/events"), sim.events_executed());
+    }
+
+    #[test]
     fn batched_same_time_events_fire_fifo() {
         let order = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Sim::new(());
@@ -678,7 +666,6 @@ mod tests {
                 order.borrow_mut().push(i);
             });
         }
-        assert!(sim.batching_enabled());
         sim.run();
         assert_eq!(*order.borrow(), (0..100).collect::<Vec<_>>());
     }
@@ -727,32 +714,6 @@ mod tests {
         assert_eq!(*sim.world(), 1, "cancelled batch member must not run");
         assert_eq!(sim.events_executed(), 1);
         assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn batched_and_unbatched_runs_are_identical() {
-        fn run(batching: bool) -> (Vec<u64>, u64, SimTime) {
-            let mut sim = Sim::with_seed(Vec::new(), 1996);
-            sim.set_batching(batching);
-            fn tick(sim: &mut Sim<Vec<u64>>) {
-                let jitter = sim.rng().range_u64(0..3);
-                sim.world_mut().push(jitter);
-                if sim.world().len() < 50 {
-                    // Frequently lands on the same instant, exercising
-                    // the batch drain.
-                    sim.schedule_in(SimDuration::from_nanos(jitter), tick);
-                }
-            }
-            for _ in 0..4 {
-                sim.schedule_in(SimDuration::ZERO, tick);
-            }
-            sim.run_until(SimTime::ZERO + SimDuration::from_millis(1));
-            sim.run();
-            let executed = sim.events_executed();
-            let now = sim.now();
-            (sim.into_world(), executed, now)
-        }
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

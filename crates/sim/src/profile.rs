@@ -4,9 +4,10 @@
 //! the *real* time the engine spends executing events — the whole-system
 //! profile the Mpps saturation work needs. Two levels of accounting:
 //!
-//! - **tick duration** — real nanoseconds per executed event, measured
-//!   around the closure call in [`Sim::step`](crate::Sim::step) /
-//!   `run_until`;
+//! - **drain duration** — real nanoseconds per engine drain, one sample
+//!   per instant [`Sim::run`](crate::Sim::run) and its kin reach (a
+//!   [`Sim::step`](crate::Sim::step) is a drain of one event), with the
+//!   events each drain ran;
 //! - **per-module dispatch** — real nanoseconds per protocol-module
 //!   upcall, keyed by the module's static name (recorded by the stack's
 //!   dispatcher).
@@ -27,7 +28,7 @@ use crate::metrics::{Counter, LatencyHistogram, MetricsRegistry};
 use crate::time::SimDuration;
 
 /// Histogram bucket bounds for profile samples, in microseconds. Event
-/// handlers are fast; sub-microsecond ticks land in the first bucket and
+/// handlers are fast; sub-microsecond drains land in the first bucket and
 /// the exact mean is recoverable from the `total_ns` counter.
 const PROFILE_BOUNDS_US: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 1000, 10_000];
 
@@ -82,7 +83,7 @@ impl Cells {
 /// sim.profiler_mut().enable(&reg);
 /// sim.schedule_in(SimDuration::from_millis(1), |_| {});
 /// sim.run();
-/// assert_eq!(reg.snapshot().counter("profile/tick/calls"), 1);
+/// assert_eq!(reg.snapshot().counter("profile/batch/calls"), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct Profiler {
@@ -92,10 +93,9 @@ pub struct Profiler {
     /// runs use `profile/shard/{id}` so merged snapshots keep every
     /// shard's cells distinct.
     prefix: Option<String>,
-    tick: Option<Cells>,
-    /// One sample per batched engine drain (see [`Profiler::end_batch`]).
+    /// One sample per engine drain (see [`Profiler::end_batch`]).
     batch: Option<Cells>,
-    /// Total events executed inside batched drains.
+    /// Total events executed inside the drains.
     batch_events: Counter,
     modules: BTreeMap<&'static str, Cells>,
 }
@@ -125,8 +125,6 @@ impl Profiler {
         self.enabled = true;
         let prefix = self.prefix.clone();
         let prefix = prefix.as_deref().unwrap_or("profile");
-        let tick = self.tick.get_or_insert_with(Cells::new);
-        tick.register(registry, &format!("{prefix}/tick"));
         let batch = self.batch.get_or_insert_with(Cells::new);
         batch.register(registry, &format!("{prefix}/batch"));
         registry.register_counter(format!("{prefix}/batch/events"), &self.batch_events);
@@ -143,30 +141,19 @@ impl Profiler {
     }
 
     /// Takes a wall-clock timestamp, or `None` when disabled. Pass the
-    /// result to [`Profiler::end_tick`] or [`Profiler::end_module`].
+    /// result to [`Profiler::end_batch`] or [`Profiler::end_module`].
     #[inline]
     pub fn begin(&self) -> Option<u64> {
         self.enabled.then(clock_ns)
     }
 
-    /// Accounts one engine tick started at `started` (from
-    /// [`Profiler::begin`]); a no-op for `None`.
-    pub fn end_tick(&mut self, started: Option<u64>) {
-        let Some(t0) = started else { return };
-        let ns = self.elapsed_since(t0);
-        self.tick.get_or_insert_with(Cells::new).record(ns);
-    }
-
-    /// Accounts one batched engine drain of `events` events started at
-    /// `started`; a no-op for `None`. The whole batch counts as one
-    /// `profile/tick` sample (a batch of one is indistinguishable from an
-    /// unbatched tick) and additionally lands in `profile/batch/…`, with
-    /// `profile/batch/events` accumulating batch sizes so the mean batch
-    /// width is `events / calls`.
+    /// Accounts one engine drain of `events` events started at `started`
+    /// (from [`Profiler::begin`]); a no-op for `None`. The drain is one
+    /// `profile/batch/…` sample, and `profile/batch/events` accumulates
+    /// the drain sizes so the mean drain width is `events / calls`.
     pub fn end_batch(&mut self, started: Option<u64>, events: u64) {
         let Some(t0) = started else { return };
         let ns = self.elapsed_since(t0);
-        self.tick.get_or_insert_with(Cells::new).record(ns);
         self.batch.get_or_insert_with(Cells::new).record(ns);
         self.batch_events.add(events);
     }
@@ -204,9 +191,6 @@ impl Profiler {
             ])
         };
         let mut members = Vec::new();
-        if let Some(tick) = &self.tick {
-            members.push(("tick".to_string(), row(tick)));
-        }
         if let Some(batch) = &self.batch {
             members.push((
                 "batch".to_string(),
@@ -233,7 +217,7 @@ mod tests {
     fn disabled_profiler_samples_nothing() {
         let mut p = Profiler::new();
         assert!(p.begin().is_none());
-        p.end_tick(None);
+        p.end_batch(None, 1);
         p.end_module("mobile", None);
         assert_eq!(p.to_json().render(), "{}");
     }
@@ -245,11 +229,11 @@ mod tests {
         p.enable(&reg);
         let t0 = p.begin();
         assert!(t0.is_some());
-        p.end_tick(t0);
+        p.end_batch(t0, 1);
         let m0 = p.begin();
         p.end_module("mobile", m0);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("profile/tick/calls"), 1);
+        assert_eq!(snap.counter("profile/batch/calls"), 1);
         assert_eq!(snap.counter("profile/module.mobile/calls"), 1);
         let text = p.to_json().render();
         assert!(text.contains("\"module.mobile\""), "{text}");
@@ -263,9 +247,13 @@ mod tests {
         let t0 = p.begin();
         p.end_batch(t0, 3);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("profile/tick/calls"), 1);
         assert_eq!(snap.counter("profile/batch/calls"), 1);
         assert_eq!(snap.counter("profile/batch/events"), 3);
+        assert!(
+            snap.iter()
+                .all(|(name, _)| name.starts_with("profile/batch/")),
+            "a drain is one sample, in one family of cells"
+        );
         assert!(p.to_json().render().contains("\"batch\""));
     }
 
@@ -279,10 +267,10 @@ mod tests {
         let m0 = p.begin();
         p.end_module("mobile", m0);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("profile/shard/2/tick/calls"), 1);
+        assert_eq!(snap.counter("profile/shard/2/batch/calls"), 1);
         assert_eq!(snap.counter("profile/shard/2/batch/events"), 2);
         assert_eq!(snap.counter("profile/shard/2/module.mobile/calls"), 1);
-        assert_eq!(snap.counter("profile/tick/calls"), 0, "no unscoped cells");
+        assert_eq!(snap.counter("profile/batch/calls"), 0, "no unscoped cells");
     }
 
     #[test]

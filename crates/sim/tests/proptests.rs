@@ -265,14 +265,12 @@ proptest! {
     /// interleavings of every way to schedule, cancel and advance: same
     /// execution order, same cancel verdicts (stale and repeated handles
     /// included), same `pending_events`, `events_executed`, `next_event_at`
-    /// and clock after every operation, batching on and off.
+    /// and clock after every operation.
     #[test]
     fn engine_matches_reference_scheduler(
         ops in proptest::collection::vec((0u8..12, 0u64..4, 0usize..64), 1..300),
-        batching in any::<bool>(),
     ) {
         let mut sim = Sim::new(Observed::default());
-        sim.set_batching(batching);
         let mut model = Model::default();
         for (step, &(op, delay, n)) in ops.iter().enumerate() {
             match op {

@@ -1,11 +1,16 @@
 //! Test-bed helpers more than one experiment uses: building and settling
 //! the Figure 5 test-bed, the loss probe, polling, the tables' percentile
-//! and rate rules, and the per-shard fold of the sharded runs.
+//! and rate rules, and the harness of the sharded runs.
 
 use std::net::Ipv4Addr;
+use std::sync::Mutex;
+use std::time::Instant;
 
 use mosquitonet_core::{AddressPlan, SwitchPlan, SwitchStyle};
-use mosquitonet_sim::{FlightDump, Json, Sim, SimDuration, SimTime, Snapshot, Summary};
+use mosquitonet_link::presets;
+use mosquitonet_sim::{
+    run_sharded, FlightDump, Json, Sim, SimDuration, SimTime, Snapshot, Summary,
+};
 use mosquitonet_stack::{self as stack, ModuleId, Network};
 
 use crate::topology::{
@@ -244,62 +249,81 @@ pub(super) fn rate_per_sec(count: u64, ns: u64) -> u64 {
         .unwrap_or(0) as u64
 }
 
-/// What one shard's `finish` hook hands back across the thread boundary
-/// in every sharded run (S2 and S3), and the fold of those in shard
-/// order: plain counters, metrics snapshots, and flight-recorder
-/// dumps — everything the documents need, nothing that isn't `Send`.
-#[derive(Default)]
-pub(super) struct ShardTotals {
-    names: Vec<String>,
-    snapshots: Vec<Snapshot>,
-    dumps: Vec<FlightDump>,
+/// What [`run_fleet`] hands back: the row and span every shard's `tally`
+/// filled, the engine's totals over all shards, and the run-wide
+/// documents.
+pub(super) struct Fleet<R> {
+    pub(super) row: R,
+    /// First-to-last instant of whatever the experiment measures.
+    pub(super) span: Span,
     pub(super) events: u64,
     pub(super) batches: u64,
     pub(super) arena_resets: u64,
-    /// First-to-last instant of whatever the experiment measures.
-    pub(super) span: Span,
+    /// Real nanoseconds from `started` until the last shard finished; the
+    /// documents are built after it stops.
+    pub(super) wall_ns: u64,
+    /// Each flight's hops in (time, shard, seq) order across the shards.
+    pub(super) journeys: Json,
+    /// The shards' metrics snapshots, union-and-sum.
+    pub(super) metrics: Json,
 }
 
-impl ShardTotals {
-    /// Shard `s`'s totals at the deadline, its hops moved out of `sim` (the span
-    /// is the caller's to widen: only it knows which modules observe the stream).
-    pub(super) fn of_shard(s: u32, sim: &mut Sim<Network>, batching: bool) -> ShardTotals {
-        let events = sim.events_executed();
-        ShardTotals {
-            names: host_names(sim.world()),
-            snapshots: vec![sim.metrics().snapshot()],
-            dumps: vec![sim.flights_mut().dump(s, s * ShardedCampus::HOSTS)],
-            events,
-            // With batching off every event is a batch of one.
-            batches: if batching {
-                sim.batches_executed()
-            } else {
-                events
-            },
-            arena_resets: sim.world().arena_resets(),
-            span: Span::default(),
-        }
-    }
+/// The harness of every sharded run (S2 and S3): steps the shards `build`
+/// makes on `threads` workers over the backbone trunk until `deadline`,
+/// then lets `tally` add each finished shard's world to the one row and
+/// span. Sums and span bounds do not depend on the order in which the
+/// shards finish; the documents fold the shards in shard order, so host
+/// names line up with the `host_base` offsets of the flight dumps.
+pub(super) fn run_fleet<R: Default + Send>(
+    shards: u32,
+    threads: usize,
+    started: Instant,
+    deadline: SimTime,
+    build: impl Fn(u32) -> Sim<Network> + Sync,
+    tally: impl Fn(&mut Network, SimTime, &mut R, &mut Span) + Sync,
+) -> Fleet<R> {
+    let merged = Mutex::new((R::default(), Span::default()));
+    // Everything the documents need from a shard, nothing that isn't `Send`.
+    let finish = |s: u32, mut sim: Sim<Network>| {
+        let now = sim.now();
+        let names = host_names(sim.world());
+        let snapshot = sim.metrics().snapshot();
+        let dump = sim.flights_mut().dump(s, s * ShardedCampus::HOSTS);
+        let engine = [sim.events_executed(), sim.batches_executed()];
+        let arena_resets = sim.world().arena_resets();
+        let (row, span) = &mut *merged.lock().expect("no shard panicked while merging");
+        tally(sim.world_mut(), now, row, span);
+        (names, snapshot, dump, engine, arena_resets)
+    };
+    let outs = run_sharded(
+        shards,
+        threads,
+        presets::TRUNK_ONE_WAY,
+        deadline,
+        build,
+        finish,
+    );
+    let wall_ns = started.elapsed().as_nanos() as u64;
 
-    /// Folds the next shard in. Called in shard order, so host names
-    /// concatenate to match the `host_base` offsets of the flight dumps.
-    pub(super) fn merge(&mut self, next: ShardTotals) {
-        self.names.extend(next.names);
-        self.snapshots.extend(next.snapshots);
-        self.dumps.extend(next.dumps);
-        self.events += next.events;
-        self.batches += next.batches;
-        self.arena_resets += next.arena_resets;
-        self.span.widen(next.span.first, next.span.last);
+    let (row, span) = merged.into_inner().expect("no shard panicked");
+    let (mut names, mut snapshots, mut dumps) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut events, mut batches, mut arena_resets) = (0, 0, 0);
+    for (shard_names, snapshot, dump, [e, b], resets) in outs {
+        names.extend(shard_names);
+        snapshots.push(snapshot);
+        dumps.push(dump);
+        events += e;
+        batches += b;
+        arena_resets += resets;
     }
-
-    /// The deterministic run-wide documents, `(journeys, metrics)`: each
-    /// flight's hops in (time, shard, seq) order across the dumps, metrics
-    /// snapshots union-and-sum.
-    pub(super) fn documents(self) -> (Json, Json) {
-        (
-            FlightDump::export(&self.dumps, &self.names, None),
-            Snapshot::merged(self.snapshots).to_json(),
-        )
+    Fleet {
+        row,
+        span,
+        events,
+        batches,
+        arena_resets,
+        wall_ns,
+        journeys: FlightDump::export(&dumps, &names, None),
+        metrics: Snapshot::merged(snapshots).to_json(),
     }
 }

@@ -89,15 +89,6 @@ const SEED: Param = Param {
     max: u64::MAX,
 };
 
-/// Engine batching on (1, the default) or off (0); results must be
-/// byte-identical either way.
-const BATCHING: Param = Param {
-    key: "batching",
-    default: 1,
-    min: 0,
-    max: 1,
-};
-
 /// Worker threads stepping the shards; any count gives the same bytes.
 const THREADS: Param = Param {
     key: "threads",

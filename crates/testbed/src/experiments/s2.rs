@@ -2,18 +2,16 @@
 //! churn, stepped by the parallel engine.
 
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
 
 use mosquitonet_core::{
     DirectoryEntry, HomeAgent, HomeAgentConfig, ShardDirectory, REPLICA_LEN, REPLY_LEN, REQUEST_LEN,
 };
-use mosquitonet_link::presets;
-use mosquitonet_sim::{run_sharded, shard_seed, Json, Sim, SimDuration, SimTime};
+use mosquitonet_sim::{shard_seed, Json, Sim, SimDuration, SimTime};
 use mosquitonet_stack::{self as stack, ModuleId, Network};
 use mosquitonet_wire::Cidr;
 
-use super::common::{percentile, rate_per_sec, result_row, ShardTotals};
-use super::{Artifact, Experiment, Param, BATCHING, SEED, THREADS};
+use super::common::{percentile, rate_per_sec, result_row, run_fleet, Fleet, Span};
+use super::{Artifact, Experiment, Param, SEED, THREADS};
 use crate::report::{self, SidecarKind};
 use crate::topology::ShardedCampus;
 use crate::workload::FleetChurn;
@@ -78,8 +76,9 @@ pub struct S2Config {
     pub ticks: u32,
     /// RNG seed.
     pub seed: u64,
-    /// Whether the engine drains per-tick batches; results must be
-    /// byte-identical either way.
+    /// Always `true`: the engine has one loop, the per-instant drain.
+    /// Frozen until ROADMAP [bench-v2] because `benchmark/` constructs it,
+    /// and echoed as the bench sidecar's `"batching": true` member.
     pub batching: bool,
 }
 
@@ -196,6 +195,7 @@ impl S2Result {
 pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
     ShardedCampus::check_shards(cfg.shards);
     assert!(cfg.mobile_hosts >= cfg.shards, "every shard needs homes");
+    assert!(cfg.batching, "the engine has no unbatched loop");
     let deadline = SimTime::ZERO
         + S2_PRIME
         + SimDuration::from_millis(S2_TICK_MS * cfg.ticks as u64)
@@ -214,8 +214,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
     let build = |s: u32| -> Sim<Network> {
         let addr = move |host: u8| ShardedCampus::addr(s, host);
         let mac = |host: u8| ShardedCampus::mac(s, host);
-        let mut campus =
-            ShardedCampus::wire(s, shards, cfg.seed, cfg.batching, ["ha", "sb", "churn"]);
+        let mut campus = ShardedCampus::wire(s, shards, cfg.seed, ["ha", "sb", "churn"]);
         let (ha, ha_campus_if, ha_bb_if) = (campus.gw, campus.gw_campus_if, campus.gw_backbone_if);
         let [(sb, sb_if), (churn, churn_if)] = campus.leaves;
 
@@ -277,15 +276,10 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         sim
     };
 
-    // Each shard's `finish` adds its counts straight into the one row;
-    // sums do not depend on the order in which the shards finish.
-    let merged = Mutex::new(S2Row::default());
-    let finish = |s: u32, mut sim: Sim<Network>| -> (ShardTotals, Vec<u64>) {
-        let now = sim.now();
-        let mut totals = ShardTotals::of_shard(s, &mut sim, cfg.batching);
-        let mut latencies_ns = Vec::new();
-        let mut row = merged.lock().expect("no shard panicked while merging");
-        let w = sim.world_mut();
+    // Each shard's agents and churn source add their counts straight into
+    // the one row, and their latencies into the one list.
+    let tally = |w: &mut Network, now: SimTime, acc: &mut (S2Row, Vec<u64>), span: &mut Span| {
+        let (row, latencies_ns) = acc;
         for h in 0..w.hosts.len() {
             let host = &mut w.hosts[h];
             for m in 0..host.module_count() {
@@ -310,34 +304,26 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
                     row.accepted += churn.accepted;
                     row.denied += churn.denied;
                     latencies_ns.append(&mut churn.latencies_ns);
-                    totals.span.widen(churn.first_accept, churn.last_accept);
+                    span.widen(churn.first_accept, churn.last_accept);
                 }
             }
         }
-        (totals, latencies_ns)
     };
 
-    let outs = run_sharded(
-        shards,
-        threads,
-        presets::TRUNK_ONE_WAY,
-        deadline,
-        build,
-        finish,
-    );
-    let wall_ns = wall_start.elapsed().as_nanos() as u64;
-
-    let mut totals = ShardTotals::default();
-    let mut latencies = Vec::new();
-    for (shard_totals, shard_latencies) in outs {
-        totals.merge(shard_totals);
-        latencies.extend(shard_latencies);
-    }
-    let mut row = merged.into_inner().expect("no shard panicked");
+    let Fleet {
+        row: (mut row, mut latencies),
+        span,
+        events,
+        batches,
+        arena_resets,
+        wall_ns,
+        journeys,
+        metrics,
+    } = run_fleet(shards, threads, wall_start, deadline, build, tally);
     row.wall_ns = wall_ns;
-    row.events = totals.events;
-    row.batches = totals.batches;
-    row.span_ns = totals.span.ns();
+    row.events = events;
+    row.batches = batches;
+    row.span_ns = span.ns();
     row.regs_per_sec = rate_per_sec(row.accepted, row.span_ns);
     latencies.sort_unstable();
     row.p99_latency_ns = percentile(&latencies, 99);
@@ -350,8 +336,6 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         .checked_div(row.live_bindings)
         .unwrap_or(0);
 
-    let arena_resets = totals.arena_resets;
-    let (journeys, metrics) = totals.documents();
     S2Result {
         cfg: *cfg,
         row,
@@ -381,7 +365,6 @@ pub(super) const S2: Experiment = Experiment {
         Param::count("burst", 16),
         Param::count("ticks", 600),
         SEED,
-        BATCHING,
         THREADS,
     ],
     artifacts: &["s2_fleet.bench", "s2_fleet.journeys", "s2_fleet.metrics"],
@@ -392,7 +375,7 @@ pub(super) const S2: Experiment = Experiment {
             burst: p.get_u32("burst"),
             ticks: p.get_u32("ticks"),
             seed: p.get("seed"),
-            batching: p.get("batching") != 0,
+            batching: true,
         };
         let r = run_s2(&cfg, p.get("threads") as usize);
         vec![

@@ -2,20 +2,18 @@
 //! forwarding topologies and on the sharded engine across four campuses.
 
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
 
 use mosquitonet_core::SendMode;
-use mosquitonet_link::presets;
-use mosquitonet_sim::{run_sharded, Json, Sim, SimDuration, SimTime};
+use mosquitonet_sim::{Json, Sim, SimDuration, SimTime};
 use mosquitonet_stack::{self as stack, ModuleId, Network};
 use mosquitonet_wire::Cidr;
 
 use super::common::{
-    journeys_json, rate_per_sec, settle_fa_mh_on_foreign, settle_on_dept, ShardTotals, Span,
+    rate_per_sec, run_fleet, settle_fa_mh_on_foreign, settle_on_dept, Fleet, Span,
 };
-use super::{Artifact, Experiment, Param, BATCHING, SEED, THREADS};
+use super::{Artifact, Experiment, Param, SEED, THREADS};
 use crate::report::{self, SidecarKind};
-use crate::topology::{build, MhMode, ShardedCampus, TestbedConfig, CH_DEPT, CH_FAR};
+use crate::topology::{build, MhMode, ShardedCampus, TestbedConfig, CH_DEPT};
 use crate::workload::{SaturationSender, SaturationSink};
 
 /// Base port for the S3 per-pair sinks.
@@ -44,8 +42,9 @@ pub struct S3Config {
     pub ticks: u32,
     /// RNG seed.
     pub seed: u64,
-    /// Whether the engine drains per-tick batches (the default) or steps
-    /// one event at a time; results must be byte-identical either way.
+    /// Always `true`: the engine has one loop, the per-instant drain.
+    /// Frozen until ROADMAP [bench-v2] because `benchmark/` constructs it,
+    /// and echoed as the bench sidecars' `"batching": true` member.
     pub batching: bool,
 }
 
@@ -59,14 +58,10 @@ pub enum S3Mode {
     /// MH attached through a foreign agent; traffic follows whatever the
     /// FA client's routing dictates.
     ForeignAgent,
-    /// Pairs split between a direct-encap correspondent on the department
-    /// net and a reverse-tunnel correspondent across the cloud — the
-    /// mixed tunnel/direct topology the determinism proptest runs on.
-    Mixed,
 }
 
 impl S3Mode {
-    /// The three modes of the standard report (Mixed is test-only).
+    /// The three modes of the standard report.
     pub fn all() -> [S3Mode; 3] {
         [
             S3Mode::ReverseTunnel,
@@ -81,7 +76,6 @@ impl S3Mode {
             S3Mode::ReverseTunnel => "tunnel",
             S3Mode::DirectEncap => "direct",
             S3Mode::ForeignAgent => "fa",
-            S3Mode::Mixed => "mixed",
         }
     }
 
@@ -91,7 +85,6 @@ impl S3Mode {
             S3Mode::ReverseTunnel => "reverse tunnel via home agent",
             S3Mode::DirectEncap => "direct IP-in-IP to correspondent",
             S3Mode::ForeignAgent => "foreign-agent attachment",
-            S3Mode::Mixed => "mixed tunnel/direct split",
         }
     }
 
@@ -117,17 +110,6 @@ impl S3Mode {
                 };
                 (cfg, &[], false)
             }
-            S3Mode::Mixed => {
-                let cfg = TestbedConfig {
-                    with_far_ch: true,
-                    ..cfg
-                };
-                let policy = &[
-                    (CH_DEPT, SendMode::DirectEncap),
-                    (CH_FAR, SendMode::ReverseTunnel),
-                ];
-                (cfg, policy, true)
-            }
         }
     }
 }
@@ -138,7 +120,7 @@ impl S3Mode {
 /// sidecar stays byte-stable.
 #[derive(Debug, Default)]
 pub struct S3Row {
-    /// Mode key (`tunnel`, `direct`, `fa`, `mixed`).
+    /// Mode key (`tunnel`, `direct`, `fa`, `sharded`).
     pub mode: &'static str,
     /// Datagrams the senders queued.
     pub sent: u64,
@@ -156,8 +138,8 @@ pub struct S3Row {
     pub ha_decapsulated: u64,
     /// Engine events executed during the measurement window.
     pub events: u64,
-    /// Engine batches drained during the measurement window (equals
-    /// `events` when batching is off — every event is a batch of one).
+    /// Engine drains (one per virtual instant reached) during the
+    /// measurement window.
     pub batches: u64,
     /// Virtual span between first and last sink arrival, nanoseconds.
     pub span_ns: u64,
@@ -247,12 +229,12 @@ fn s3_params_json(cfg: &S3Config) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Runs one S3 mode and returns its row plus the run's flight-recorder
-/// journeys export (the determinism proptest compares both).
-pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
+/// Runs one S3 mode and returns its row.
+pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> S3Row {
+    assert!(cfg.batching, "the engine has no unbatched loop");
     let (testbed, policy, ch_decaps) = mode.setup(cfg.seed);
     let mut tb = build(testbed);
-    tb.sim.set_batching(cfg.batching);
+    let (mh, ch) = (tb.mh, tb.ch_dept);
 
     // Settle the MH away from home before any bulk traffic flows.
     if mode == S3Mode::ForeignAgent {
@@ -260,42 +242,25 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
     } else {
         settle_on_dept(&mut tb);
     }
-    for &(ch, send_mode) in policy {
-        tb.mh_module().policy.set(Cidr::host(ch), send_mode);
+    for &(dst, send_mode) in policy {
+        tb.mh_module().policy.set(Cidr::host(dst), send_mode);
     }
     if ch_decaps {
-        let ch = tb.ch_dept;
         tb.sim.world_mut().host_mut(ch).core.ipip_decap = true;
     }
 
-    // Prime ARP along every path. Without this the first measured burst
+    // Prime ARP along the path. Without this the first measured burst
     // races ARP resolution and overflows the pending-ARP queue.
-    {
-        let mh = tb.mh;
-        let mut dests = vec![CH_DEPT];
-        if mode == S3Mode::Mixed {
-            dests.push(CH_FAR);
-        }
-        for dst in dests {
-            stack::add_module(&mut tb.sim, mh, s3_arp_primer(dst));
-        }
-        tb.run_for(SimDuration::from_millis(500));
-    }
+    stack::add_module(&mut tb.sim, mh, s3_arp_primer(CH_DEPT));
+    tb.run_for(SimDuration::from_millis(500));
 
-    // One sink + one sender per pair. Mixed alternates pairs between the
-    // department (direct) and far (tunnel) correspondents.
-    let mut sinks: Vec<(stack::HostId, ModuleId)> = Vec::new();
+    // One sink on the department correspondent + one sender per pair.
+    let mut sinks: Vec<ModuleId> = Vec::new();
     let mut senders: Vec<ModuleId> = Vec::new();
     for i in 0..cfg.pairs {
-        let (sink_host, dst_addr) = match mode {
-            S3Mode::Mixed if i % 2 == 1 => (tb.ch_far.expect("far CH"), CH_FAR),
-            _ => (tb.ch_dept, CH_DEPT),
-        };
-        let port = S3_PORT_BASE + i as u16;
-        let sid = stack::add_module(&mut tb.sim, sink_host, Box::new(SaturationSink::new(port)));
-        sinks.push((sink_host, sid));
-        let sender = s3_sender(dst_addr, i, cfg.burst, cfg.ticks);
-        let mh = tb.mh;
+        let sink = Box::new(SaturationSink::new(S3_PORT_BASE + i as u16));
+        sinks.push(stack::add_module(&mut tb.sim, ch, sink));
+        let sender = s3_sender(CH_DEPT, i, cfg.burst, cfg.ticks);
         senders.push(stack::add_module(&mut tb.sim, mh, sender));
     }
 
@@ -319,11 +284,7 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
         ha_forwarded: tb.sim.world().host(ha).core.stats.forwarded.get() - ha_fwd0,
         ha_decapsulated: tb.sim.world().host(ha).core.stats.decapsulated.get() - ha_dec0,
         events: tb.sim.events_executed() - events0,
-        batches: if cfg.batching {
-            tb.sim.batches_executed() - batches0
-        } else {
-            tb.sim.events_executed() - events0
-        },
+        batches: tb.sim.batches_executed() - batches0,
         wall_ns,
         ..S3Row::default()
     };
@@ -331,11 +292,11 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
         row.sent += tb.module::<SaturationSender>(tb.mh, *mid).sent;
     }
     let mut span = Span::default();
-    for (host, mid) in &sinks {
-        row.tally_sink(&mut span, tb.module(*host, *mid));
+    for mid in &sinks {
+        row.tally_sink(&mut span, tb.module(ch, *mid));
     }
     row.set_span(span);
-    (row, journeys_json(&tb, None))
+    row
 }
 
 /// Runs the S3 saturation experiment: sustained bursts through `pairs`
@@ -345,7 +306,7 @@ pub fn run_s3_mode(mode: S3Mode, cfg: &S3Config) -> (S3Row, Json) {
 /// quantity is an exact counter or virtual-time delta, so it is
 /// byte-stable for a fixed config.
 pub fn run_s3(cfg: &S3Config) -> Json {
-    let rows = S3Mode::all().map(|mode| run_s3_mode(mode, cfg).0.to_json());
+    let rows = S3Mode::all().map(|mode| run_s3_mode(mode, cfg).to_json());
     let mut doc = s3_params_json(cfg);
     doc.push(("modes", Json::arr(rows)));
     Json::obj(doc)
@@ -410,14 +371,14 @@ impl S3ShardedResult {
 /// across thread counts, which `tests/shard_determinism.rs` pins.
 pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedResult {
     ShardedCampus::check_shards(shards);
+    assert!(cfg.batching, "the engine has no unbatched loop");
     let deadline = SimTime::ZERO
         + S3_SHARD_PRIME
         + SimDuration::from_millis(S3_TICK_MS * cfg.ticks as u64)
         + S3_DRAIN;
 
     let build = |s: u32| -> Sim<Network> {
-        let mut campus =
-            ShardedCampus::wire(s, shards, cfg.seed, cfg.batching, ["gw", "src", "dst"]);
+        let mut campus = ShardedCampus::wire(s, shards, cfg.seed, ["gw", "src", "dst"]);
         campus.power_up();
         let ShardedCampus {
             mut sim,
@@ -450,16 +411,9 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
         sim
     };
 
-    // Each shard's `finish` adds its counts straight into the one row;
-    // sums do not depend on the order in which the shards finish.
-    let merged = Mutex::new(S3Row {
-        mode: "sharded",
-        ..S3Row::default()
-    });
-    let finish = |s: u32, mut sim: Sim<Network>| -> ShardTotals {
-        let mut totals = ShardTotals::of_shard(s, &mut sim, cfg.batching);
-        let mut row = merged.lock().expect("no shard panicked while merging");
-        let w = sim.world_mut();
+    // Each shard's hosts and sinks add their counts straight into the one
+    // row, and their arrivals into the one span.
+    let tally = |w: &mut Network, _: SimTime, row: &mut S3Row, span: &mut Span| {
         for h in 0..w.hosts.len() {
             let host = &mut w.hosts[h];
             // Host order per shard is fixed: gw, src, dst. The src/gw
@@ -484,35 +438,28 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
                         row.sent += snd.sent;
                     }
                 } else if let Some(snk) = host.module_mut::<SaturationSink>(mid) {
-                    row.tally_sink(&mut totals.span, snk);
+                    row.tally_sink(span, snk);
                 }
             }
         }
-        totals
     };
 
     let wall_start = std::time::Instant::now();
-    let outs = run_sharded(
-        shards,
-        threads,
-        presets::TRUNK_ONE_WAY,
-        deadline,
-        build,
-        finish,
-    );
-    let wall_ns = wall_start.elapsed().as_nanos() as u64;
-
-    let mut totals = ShardTotals::default();
-    for shard_totals in outs {
-        totals.merge(shard_totals);
-    }
-    let mut row = merged.into_inner().expect("no shard panicked");
+    let Fleet {
+        mut row,
+        span,
+        events,
+        batches,
+        arena_resets,
+        wall_ns,
+        journeys,
+        metrics,
+    } = run_fleet(shards, threads, wall_start, deadline, build, tally);
+    row.mode = "sharded";
     row.wall_ns = wall_ns;
-    row.events = totals.events;
-    row.batches = totals.batches;
-    row.set_span(totals.span);
-    let arena_resets = totals.arena_resets;
-    let (journeys, metrics) = totals.documents();
+    row.events = events;
+    row.batches = batches;
+    row.set_span(span);
     S3ShardedResult {
         cfg: *cfg,
         shards,
@@ -537,7 +484,6 @@ pub(super) const S3: Experiment = Experiment {
         Param::count("burst", 16),
         Param::count("ticks", 50),
         SEED,
-        BATCHING,
         THREADS,
     ],
     artifacts: &[
@@ -552,7 +498,7 @@ pub(super) const S3: Experiment = Experiment {
             burst: p.get_u32("burst"),
             ticks: p.get_u32("ticks"),
             seed: p.get("seed"),
-            batching: p.get("batching") != 0,
+            batching: true,
         };
         let classic = run_s3(&cfg);
         let sharded = run_s3_sharded(&cfg, S3_SHARDS, p.get("threads") as usize);

@@ -964,7 +964,7 @@ impl ShardedCampus {
     /// with the flight recorder on in the shard's own id namespace. No
     /// interface is up yet — callers install the modules that must see
     /// bring-up, then call [`ShardedCampus::power_up`].
-    pub fn wire(s: u32, shards: u32, seed: u64, batching: bool, names: [&str; 3]) -> ShardedCampus {
+    pub fn wire(s: u32, shards: u32, seed: u64, names: [&str; 3]) -> ShardedCampus {
         Self::check_shards(shards);
         assert!(s < shards, "shard {s} is not one of {shards}");
         let mut net = Network::new();
@@ -1017,7 +1017,6 @@ impl ShardedCampus {
         });
 
         let mut sim = Sim::with_seed(net, shard_seed(seed, s));
-        sim.set_batching(batching);
         sim.flights_mut().set_enabled(true);
         sim.flights_mut().set_flight_namespace(s);
         // `run_sharded`'s `finish` consumes this `Sim` and no S2/S3 sidecar

@@ -68,6 +68,9 @@ fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
         (&["s3_saturation", "ticks=1", "ticks=2"], "`ticks=2`"),
         (&["all", "seed=1", "seed=2"], "`seed=2`"),
         (&["all", "json=out.json"], "`json=out.json`"),
+        // The engine has one loop: there is no batching switch to take.
+        (&["s2_ha_fleet", "batching=0"], "`batching=0`"),
+        (&["s3_saturation", "batching=1"], "`batching=1`"),
     ] {
         let out = experiment(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

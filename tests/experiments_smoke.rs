@@ -489,7 +489,7 @@ const S3_SMOKE: S3Config = S3Config {
 
 #[test]
 fn s3_saturates_cleanly() {
-    let rows = S3Mode::all().map(|mode| run_s3_mode(mode, &S3_SMOKE).0);
+    let rows = S3Mode::all().map(|mode| run_s3_mode(mode, &S3_SMOKE));
 
     assert_eq!(rows.len(), 3, "tunnel, direct, and fa rows");
     for row in &rows {
