@@ -8,8 +8,8 @@ use crate::fault::FaultPlan;
 use mosquitonet_sim::{SimDuration, SimRng};
 use mosquitonet_wire::MacAddr;
 
-/// Opaque key identifying an attachment point (the world maps it back to a
-/// `(host, device)` pair).
+/// Opaque key identifying an attachment point (the world packs a
+/// `(host, interface)` pair into it).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct AttachmentKey(pub u64);
 

@@ -35,18 +35,18 @@ pub const NO_FLIGHT: u64 = 0;
 /// each shard's ring still holds its whole run.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-/// Most distinct recording points, and most distinct actions (five plain
-/// ones and every drop reason met), one recorder tells apart by one-byte
-/// ids; the stack has ~10 points and ~25 reasons. A name first met after
-/// its table is full is recorded, and reads back, as [`INTERN_OVERFLOW`].
+/// Most distinct recording points, most distinct actions (five plain ones
+/// and every drop reason met), and most distinct flight labels ("none" and
+/// every label met) one recorder tells apart by one-byte ids; the stack
+/// has ~10 points, ~25 reasons and ~6 labels. A name first met after its
+/// table is full is recorded, and reads back, as [`INTERN_OVERFLOW`].
 pub const INTERN_MAX: usize = 255;
-/// The point, or the drop reason, beyond [`INTERN_MAX`].
+/// The point, the drop reason or the label beyond [`INTERN_MAX`].
 pub const INTERN_OVERFLOW: &str = "flightrec.intern_overflow";
 
-/// Labels kept per ring slot: [`FlightRecorder::begin_flight`] prunes the
-/// label table against the ring whenever it reaches this multiple of the
-/// ring's capacity.
-pub const LABELS_PER_RING_SLOT: usize = 2;
+/// The label id of a hop that carries no label: `None` opens every
+/// recorder's label table.
+const NO_LABEL: u8 = 0;
 
 /// Most captured frames kept; later ones are counted by
 /// [`FlightRecorder::captures_dropped`].
@@ -106,8 +106,9 @@ impl HopAction {
 }
 
 /// One hop as the ring and a [`FlightDump`] hold it: 24 bytes.
-/// Its `seq` is its position (derived on read); `point` and `action` are
-/// ids into the [`Names`] of whoever holds the record.
+/// Its `seq` is its position (derived on read); `point`, `action` and
+/// `label` are ids into the [`Names`] of whoever holds the record. Only a
+/// flight's first hop carries its label.
 #[derive(Clone, Copy, Debug)]
 struct PackedHop {
     flight: u64,
@@ -115,15 +116,18 @@ struct PackedHop {
     host: u32,
     point: u8,
     action: u8,
+    label: u8,
 }
 
-/// What a holder's packed hops name by id: recording points, and actions (a
-/// drop with its reason is one action). A recorder's actions start with the
-/// five that carry no reason, so one a full table turns away is always a drop.
+/// What a holder's packed hops name by id: recording points, actions (a
+/// drop with its reason is one action) and flight labels. A recorder's
+/// actions start with the five that carry no reason, so one a full table
+/// turns away is always a drop; its labels start with `None` ([`NO_LABEL`]).
 #[derive(Clone, Debug, Default)]
 struct Names {
     points: Vec<&'static str>,
     actions: Vec<HopAction>,
+    labels: Vec<Option<&'static str>>,
 }
 
 /// The id of `name` in `table`, added if new — found by content, so equal
@@ -160,12 +164,10 @@ impl Names {
     fn action(&self, id: u8) -> HopAction {
         named(&self.actions, id, HopAction::Dropped(INTERN_OVERFLOW))
     }
-}
 
-/// The label `flight` was begun with in `labels` (sorted by flight id).
-fn label_in(labels: &[(u64, &'static str)], flight: u64) -> Option<&'static str> {
-    let at = labels.binary_search_by_key(&flight, |&(f, _)| f).ok()?;
-    Some(labels[at].1)
+    fn label(&self, id: u8) -> Option<&'static str> {
+        named(&self.labels, id, Some(INTERN_OVERFLOW))
+    }
 }
 
 /// One recorded hop of one flight, as read back from the packed ring.
@@ -201,8 +203,6 @@ pub struct FlightDump {
     /// into the run's host table, with the tables their ids index.
     hops: Vec<PackedHop>,
     names: Names,
-    /// Flight labels, sorted by flight id.
-    pub labels: Vec<(u64, &'static str)>,
     /// Hops this segment lost to ring wraparound.
     pub overwritten: u64,
 }
@@ -224,7 +224,8 @@ pub struct CapturedFrame {
 pub struct Journey {
     /// The flight id.
     pub flight: u64,
-    /// Origin label, when the sender tagged the flight (e.g. `"reg"`).
+    /// Origin label, when the sender tagged the flight (e.g. `"reg"`) and
+    /// its first hop is still in the ring.
     pub label: Option<&'static str>,
     /// Hops in insertion order.
     pub hops: Vec<HopEvent>,
@@ -331,7 +332,7 @@ pub struct FlightRecorder {
     next_seq: u64,
     /// Ring storage; at most `capacity` entries, oldest overwritten first.
     ring: Vec<PackedHop>,
-    /// What the ring's `point` and `action` ids name.
+    /// What the ring's `point`, `action` and `label` ids name.
     names: Names,
     capacity: usize,
     /// Next ring slot to (over)write: the ring is two seq-sorted runs,
@@ -339,11 +340,9 @@ pub struct FlightRecorder {
     head: usize,
     /// Hop events lost to wraparound.
     overwritten: u64,
-    /// Origin labels for tagged flights (registration traffic etc.),
-    /// sorted by flight id — ids are handed out in increasing order, so
-    /// tagging is a push and lookup a binary search. Bounded: see
-    /// [`FlightRecorder::begin_flight`].
-    labels: Vec<(u64, &'static str)>,
+    /// The flight `begin_flight` minted last and its label's id, until
+    /// that flight's next hop takes them.
+    held: (u64, u8),
     /// Captured frames for pcap export (bounded).
     captures: Vec<CapturedFrame>,
     /// Frames not captured because the buffer was full.
@@ -366,26 +365,31 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight ring needs at least one slot");
         assert!(capacity < 1 << 31, "hop addresses are u32");
         use HopAction::{Decap, Delivered, Encap, Forwarded, Sent};
-        let (points, actions) = (Vec::new(), vec![Sent, Forwarded, Encap, Decap, Delivered]);
+        let actions = vec![Sent, Forwarded, Encap, Decap, Delivered];
+        let (points, labels) = (Vec::new(), vec![None]);
         FlightRecorder {
             capacity,
-            names: Names { points, actions },
+            names: Names {
+                points,
+                actions,
+                labels,
+            },
             ..FlightRecorder::default()
         }
     }
 
     /// Enables or disables recording. Flight ids allocated while enabled
     /// stay valid after a disable (their hops simply stop accumulating).
-    /// Enabling reserves the ring and the label and name tables: recording moves none.
+    /// Enabling reserves the ring and the name tables: recording moves none.
     pub fn set_enabled(&mut self, on: bool) {
         if on {
             self.ring.reserve_exact(self.capacity - self.ring.len());
-            let Names { points, actions } = &mut self.names;
-            points.reserve_exact(INTERN_MAX - points.len());
-            actions.reserve_exact(INTERN_MAX - actions.len());
-            let labels = LABELS_PER_RING_SLOT * self.capacity;
-            self.labels
-                .reserve_exact(labels.saturating_sub(self.labels.len()));
+            let names = &mut self.names;
+            names.points.reserve_exact(INTERN_MAX - names.points.len());
+            names
+                .actions
+                .reserve_exact(INTERN_MAX - names.actions.len());
+            names.labels.reserve_exact(INTERN_MAX - names.labels.len());
         }
         self.enabled = on;
     }
@@ -396,15 +400,15 @@ impl FlightRecorder {
         self.enabled
     }
 
-    /// Discards every recorded hop, label, and captured frame. The
-    /// enabled flag and the flight-id allocator are preserved —
+    /// Discards every recorded hop, the held label, and every captured
+    /// frame. The enabled flag and the flight-id allocator are preserved —
     /// mirroring [`Trace::clear`](crate::Trace::clear) — so ids stay
     /// unique across a clear.
     pub fn clear(&mut self) {
         self.ring.clear();
         self.head = 0;
         self.overwritten = 0;
-        self.labels.clear();
+        self.held = (NO_FLIGHT, NO_LABEL);
         self.captures.clear();
         self.captures_dropped = 0;
     }
@@ -420,15 +424,10 @@ impl FlightRecorder {
     /// Allocates a flight id for a packet leaving its origin, optionally
     /// tagged with a static label. Returns [`NO_FLIGHT`] when disabled.
     ///
-    /// The label table never holds more than [`LABELS_PER_RING_SLOT`] ×
-    /// the ring capacity: on reaching that, labels of flights with no hop
-    /// left in the ring are dropped (at most one label per ring slot
-    /// survives, so the next prune is at least a ring's worth of labelled
-    /// flights away). Such a flight has no journey to label — unless it
-    /// records another hop later (a packet parked while the ring turned
-    /// over, or one whose first hop is yet to come), in which case that
-    /// journey is exported without its label. That is the one difference
-    /// from keeping every label.
+    /// The label is held for this flight's next hop — its Sent hop, which
+    /// every sender records straight away — and lives exactly as long as
+    /// that hop stays in the ring. Hops of other flights leave it held; the
+    /// next `begin_flight` or a [`clear`](FlightRecorder::clear) drops it.
     pub fn begin_flight(&mut self, label: Option<&'static str>) -> u64 {
         if !self.enabled {
             return NO_FLIGHT;
@@ -436,23 +435,8 @@ impl FlightRecorder {
         self.next_flight += 1;
         debug_assert!(self.next_flight < 1 << FLIGHT_SHARD_SHIFT);
         let id = self.flight_base + self.next_flight;
-        if let Some(l) = label {
-            if self.labels.len() >= LABELS_PER_RING_SLOT * self.capacity {
-                self.prune_labels();
-            }
-            debug_assert!(self.labels.last().is_none_or(|&(last, _)| last < id));
-            self.labels.push((id, l));
-        }
+        self.held = (id, intern(&mut self.names.labels, label));
         id
-    }
-
-    /// Drops the label of every flight that has no hop in the ring.
-    fn prune_labels(&mut self) {
-        let mut live: Vec<u64> = self.ring.iter().map(|h| h.flight).collect();
-        live.sort_unstable();
-        live.dedup();
-        self.labels
-            .retain(|(flight, _)| live.binary_search(flight).is_ok());
     }
 
     /// Records one hop. A no-op when disabled or when `flight` is
@@ -481,12 +465,18 @@ impl FlightRecorder {
         point: &'static str,
         action: HopAction,
     ) {
+        let label = if self.held.0 == flight {
+            std::mem::replace(&mut self.held, (NO_FLIGHT, NO_LABEL)).1
+        } else {
+            NO_LABEL
+        };
         let ev = PackedHop {
             flight,
             at,
             host,
             point: intern(&mut self.names.points, point),
             action: intern(&mut self.names.actions, action),
+            label,
         };
         self.next_seq += 1;
         if self.ring.len() < self.capacity {
@@ -553,17 +543,9 @@ impl FlightRecorder {
     fn grouped(&self) -> Grouped<'_> {
         let (newer, older) = self.ring.split_at(self.head);
         let names = &self.names;
-        let run = |hops, labels, seq| Run {
-            hops,
-            names,
-            labels,
-            seq,
-        };
+        let run = |hops, seq| Run { hops, names, seq };
         let seq = self.next_seq - self.ring.len() as u64;
-        let (older, newer) = (
-            run(older, &self.labels[..], seq),
-            run(newer, &[][..], seq + older.len() as u64),
-        );
+        let (older, newer) = (run(older, seq), run(newer, seq + older.len() as u64));
         Grouped::new(vec![older, newer], false)
     }
 
@@ -574,10 +556,9 @@ impl FlightRecorder {
         let grouped = self.grouped();
         let journeys = grouped.journeys().map(|journey| {
             let hops: Vec<HopEvent> = journey.iter().map(|&a| grouped.view(a)).collect();
-            let flight = hops[0].flight;
             Journey {
-                flight,
-                label: grouped.label_of(flight),
+                flight: hops[0].flight,
+                label: grouped.label(journey),
                 hops,
             }
         });
@@ -591,7 +572,7 @@ impl FlightRecorder {
         self.grouped().blackout(origin_host)
     }
 
-    /// Moves this recorder's hops and labels out as plain `Send` data for
+    /// Moves this recorder's hops out as plain `Send` data for
     /// the sharded document ([`FlightDump::export`]), leaving it as after
     /// [`FlightRecorder::clear`]. `shard` is the segment's stable shard id
     /// (the tie-break for same-instant hops from different shards),
@@ -607,7 +588,6 @@ impl FlightRecorder {
             shard,
             hops,
             names: self.names.clone(),
-            labels: std::mem::take(&mut self.labels),
             overwritten: self.overwritten,
         };
         self.clear();
@@ -644,21 +624,19 @@ impl FlightDump {
         let runs = dumps.iter().map(|d| Run {
             hops: &d.hops,
             names: &d.names,
-            labels: &d.labels,
             seq: 0, // the document prints none
         });
         Grouped::new(runs.collect(), true).export(host_names, blackout_origin, overwritten)
     }
 }
 
-/// Hops in recording order with the tables their ids index, the labels
-/// of the flights they began and the `seq` of the first: a recorder's ring
-/// is two runs (its older half, then its newer), a shard's dump one.
+/// Hops in recording order with the tables their ids index and the `seq`
+/// of the first: a recorder's ring is two runs (its older half, then its
+/// newer), a shard's dump one.
 #[derive(Clone, Copy)]
 struct Run<'a> {
     hops: &'a [PackedHop],
     names: &'a Names,
-    labels: &'a [(u64, &'static str)],
     seq: u64,
 }
 
@@ -784,12 +762,13 @@ impl<'a> Grouped<'a> {
         run.names.view(&run.hops[index], run.seq + index as u64)
     }
 
-    /// The label `flight` was begun with, if it had one (and still has it:
-    /// see [`FlightRecorder::begin_flight`]).
-    fn label_of(&self, flight: u64) -> Option<&'static str> {
-        self.runs
-            .iter()
-            .find_map(|run| label_in(run.labels, flight))
+    /// The label a journey's hops carry: its flight's, if the flight had one
+    /// and its first hop survives (read with the names of the run it is in).
+    fn label(&self, journey: &[u32]) -> Option<&'static str> {
+        journey.iter().find_map(|&a| {
+            let (run, index) = self.locate(a);
+            run.names.label(run.hops[index].label)
+        })
     }
 
     /// Each flight's addresses, flights ascending.
@@ -851,7 +830,7 @@ impl<'a> Grouped<'a> {
                 Json::from(reason.unwrap_or("unknown")),
             ),
         ];
-        if let Some(l) = self.label_of(flight) {
+        if let Some(l) = self.label(journey) {
             members.push(("label".to_string(), Json::from(l)));
         }
         members.push(("hops".to_string(), Json::Arr(chain.collect())));
@@ -1077,8 +1056,8 @@ mod tests {
     }
 
     #[test]
-    fn a_packed_hop_is_at_most_32_bytes() {
-        assert!(std::mem::size_of::<PackedHop>() <= 32);
+    fn a_packed_hop_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<PackedHop>(), 24);
     }
 
     #[test]
@@ -1088,21 +1067,30 @@ mod tests {
         rec.set_enabled(true);
         let distinct = INTERN_MAX + 20;
         for i in 0..distinct {
-            rec.hop(1, t(0), 0, name(i), HopAction::Dropped(name(i)));
+            let f = rec.begin_flight(Some(name(i)));
+            rec.hop(f, t(0), 0, name(i), HopAction::Dropped(name(i)));
         }
         // Names met before the tables filled are still found, by content.
         rec.hop(1, t(0), 0, name(3), HopAction::Dropped(name(7)));
-        rec.hop(1, t(0), 0, name(distinct), HopAction::Delivered);
+        let f = rec.begin_flight(None);
+        rec.hop(f, t(0), 0, name(distinct), HopAction::Delivered);
         let hops = rec.hops_in_order();
         let got = |i: usize| (hops[i].point, hops[i].action);
+        let journeys = rec.journeys();
         for i in 0..distinct {
             let read = |bound: usize| if i < bound { name(i) } else { INTERN_OVERFLOW };
-            // The action table began with the five plain actions.
+            // The action table began with the five plain actions, the
+            // label table with "no label".
             let why = HopAction::Dropped(read(INTERN_MAX - 5));
             assert_eq!(got(i), (read(INTERN_MAX), why), "hop {i}");
+            assert_eq!(journeys[i].label, Some(read(INTERN_MAX - 1)), "flight {i}");
         }
         assert_eq!(got(distinct), ("name.3", HopAction::Dropped("name.7")));
         assert_eq!(got(distinct + 1), (INTERN_OVERFLOW, HopAction::Delivered));
+        assert_eq!(
+            journeys[distinct].label, None,
+            "no label is not the overflow"
+        );
     }
 
     #[test]
@@ -1162,11 +1150,17 @@ mod tests {
         let f = rec.begin_flight(Some("reg"));
         rec.hop(f, t(0), 0, "udp", HopAction::Sent);
         rec.capture_frame(t(0), 0, b"frame");
+        let held = rec.begin_flight(Some("s2"));
         rec.clear();
         assert!(rec.is_empty());
         assert!(rec.captures().is_empty());
         assert!(rec.is_enabled(), "clear keeps the enabled flag");
-        assert!(rec.begin_flight(None) > f, "ids stay unique across clear");
+        rec.hop(held, t(1), 0, "udp", HopAction::Sent);
+        assert_eq!(rec.journeys()[0].label, None, "clear drops the held label");
+        assert!(
+            rec.begin_flight(None) > held,
+            "ids stay unique across clear"
+        );
     }
 
     #[test]
@@ -1204,7 +1198,9 @@ mod tests {
 
         let f0 = a.begin_flight(Some("s3"));
         assert_eq!(f0, 1, "shard 0 keeps the unsharded numbering");
-        let f1 = b.begin_flight(None);
+        // Shard 1 meets another label, under the id "s3" has on shard 0:
+        // f0's label is read with the names of the dump holding its Sent hop.
+        let f1 = b.begin_flight(Some("reg"));
         assert_eq!(f1, (1u64 << FLIGHT_SHARD_SHIFT) + 1);
 
         a.hop(f0, t(0), 0, "udp", HopAction::Sent);
@@ -1249,86 +1245,29 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_bounded_and_pruning_loses_no_exported_label() {
-        const CAPACITY: usize = 64;
-        let bound = LABELS_PER_RING_SLOT * CAPACITY;
-        let mut rec = FlightRecorder::with_capacity(CAPACITY);
+    fn a_label_lives_as_long_as_its_flights_first_hop() {
+        let mut rec = FlightRecorder::with_capacity(4);
         rec.set_enabled(true);
-        let mut every_label = Vec::new();
-        // More than four rings' worth of labelled flights, two hops each,
-        // with unlabelled and dropped flights mixed in.
-        for i in 0..(7 * CAPACITY as u64) {
-            let label = match i % 3 {
-                0 => Some("reg"),
-                1 => Some("s3"),
-                _ => None,
-            };
-            let f = rec.begin_flight(label);
-            every_label.extend(label.map(|l| (f, l)));
-            assert!(rec.labels.len() <= bound, "{} labels", rec.labels.len());
-            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
-            let fate = if i % 5 == 0 {
-                HopAction::Dropped("drop.medium_loss")
-            } else {
-                HopAction::Delivered
-            };
-            rec.hop(
-                f,
-                t(i) + crate::SimDuration::from_micros(300),
-                1,
-                "udp",
-                fate,
-            );
-        }
-        assert!(
-            every_label.len() > 4 * CAPACITY,
-            "the run outgrew the bound"
-        );
-        assert!(rec.labels.len() < every_label.len(), "labels were pruned");
-
-        // The same ring under a label table that never forgot anything.
-        let unpruned = FlightRecorder {
-            enabled: true,
-            next_seq: rec.next_seq,
-            ring: rec.ring.clone(),
-            names: rec.names.clone(),
-            capacity: rec.capacity,
-            head: rec.head,
-            overwritten: rec.overwritten,
-            labels: every_label,
-            ..FlightRecorder::default()
-        };
-        let names = vec!["ch".to_string(), "mh".to_string()];
-        let doc = rec.export(&names, Some("ch")).render();
-        assert_eq!(doc, unpruned.export(&names, Some("ch")).render());
-        assert!(
-            doc.contains("\"label\":\"reg\""),
-            "labels are exported: {doc}"
-        );
-    }
-
-    #[test]
-    fn a_pruned_label_is_gone_even_if_its_flight_hops_again() {
-        // The documented edge: a flight with no hop left in the ring loses
-        // its label at the next prune, and a hop it records afterwards
-        // starts an unlabelled journey.
-        let mut rec = FlightRecorder::with_capacity(2);
-        rec.set_enabled(true);
+        // A parked flight whose Sent hop the ring overwrites before it
+        // hops again, and one that is still whole.
         let parked = rec.begin_flight(Some("reg"));
         rec.hop(parked, t(0), 0, "udp", HopAction::Sent);
-        for i in 1..=(LABELS_PER_RING_SLOT as u64 * 2) {
-            let f = rec.begin_flight(Some("s3"));
-            rec.hop(f, t(i), 0, "udp", HopAction::Sent);
-        }
-        rec.hop(
-            parked,
-            t(9),
-            1,
-            "arp",
-            HopAction::Dropped("drop.arp_failure"),
+        let whole = rec.begin_flight(Some("s2"));
+        // Another flight's hop does not take the held label.
+        rec.hop(parked, t(1), 1, "ip.fwd", HopAction::Forwarded);
+        rec.hop(whole, t(2), 0, "udp", HopAction::Sent);
+        rec.hop(whole, t(3), 1, "ip.fwd", HopAction::Forwarded);
+        rec.hop(whole, t(4), 2, "udp", HopAction::Delivered);
+        let late = HopAction::Dropped("drop.arp_failure");
+        rec.hop(parked, t(5), 1, "arp", late);
+        assert_eq!(rec.overwritten(), 2);
+        let labels: Vec<_> = rec.journeys().iter().map(|j| (j.flight, j.label)).collect();
+        assert_eq!(labels, [(parked, None), (whole, Some("s2"))]);
+        let doc = rec.export(&[], None).render();
+        assert!(
+            doc.contains(r#""reason":"drop.arp_failure","hops""#),
+            "{doc}"
         );
-        let journey = rec.journeys().into_iter().find(|j| j.flight == parked);
-        assert_eq!(journey.expect("the late hop is recorded").label, None);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use mosquitonet_sim::flightrec::{FLIGHT_SHARD_SHIFT, LABELS_PER_RING_SLOT};
+use mosquitonet_sim::flightrec::FLIGHT_SHARD_SHIFT;
 use mosquitonet_sim::{
     EventId, FlightDump, FlightRecorder, Histogram, HopAction, HopEvent, Line, Sim, SimDuration,
     SimTime, Summary,
@@ -419,10 +419,11 @@ proptest! {
     }
 
     /// The streaming journeys document against a reference that builds
-    /// every journey, on streams that wrap the ring, prune labels and drop
-    /// more flights than the document prints. On the way: the survivors
-    /// are exactly the newest `capacity` hops in recording order, and
-    /// `journeys()` partitions them by flight.
+    /// every journey, on streams that wrap the ring (overwriting labelled
+    /// Sent hops) and drop more flights than the document prints. On the
+    /// way: the survivors are exactly the newest `capacity` hops in
+    /// recording order, `journeys()` partitions them by flight, and a
+    /// flight's label is the one its surviving Sent hop carries.
     #[test]
     fn flight_export_matches_a_reference_that_builds_every_journey(
         ops in proptest::collection::vec((any::<u8>(), 0usize..8, 0u32..4, 0usize..5), 0..2000),
@@ -433,21 +434,19 @@ proptest! {
         let mut rec = FlightRecorder::with_capacity(capacity);
         rec.set_enabled(true);
         let (mut live, mut model, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        // `labels[i]` is the label model hop `i` carries: a Sent hop its flight's.
         for (i, &(pick, act, host, name)) in ops.iter().enumerate() {
             let dropped = Dropped(reasons[(act + name) % 5]);
             let acts = [Forwarded, Forwarded, Encap, Decap, Delivered, dropped, dropped, dropped];
             let (flight, action) = if live.is_empty() || pick % 3 == 0 {
                 let label = [Some("reg"), Some("s3"), None][pick as usize / 3 % 3];
-                if label.is_some() && labels.len() >= LABELS_PER_RING_SLOT * capacity {
-                    let ring: &[(u64, _, _, _, _)] = &model[model.len().saturating_sub(capacity)..];
-                    labels.retain(|&(f, _)| ring.iter().any(|h| h.0 == f));
-                }
                 live.push(rec.begin_flight(label));
-                labels.extend(label.map(|l| (live[live.len() - 1], l)));
+                labels.push(label);
                 (live[live.len() - 1], Sent)
             } else {
                 // A flight stays live (may hop again) unless it dies of `acts[7]`.
                 let slot = pick as usize % live.len();
+                labels.push(None);
                 (if act == 7 { live.swap_remove(slot) } else { live[slot] }, acts[act])
             };
             let at = SimTime::from_nanos(i as u64 * 700);
@@ -466,7 +465,7 @@ proptest! {
         for h in &kept {
             by_flight.entry(h.flight).or_default().push(*h);
         }
-        let label_of = |f| labels.iter().find(|l| l.0 == f).map(|l| l.1);
+        let label_of = |f| (lost..model.len()).find_map(|i| labels[i].filter(|_| model[i].0 == f));
         let seqs = |hops: &[HopEvent]| hops.iter().map(|h| h.seq).collect::<Vec<_>>();
         let journeys = rec.journeys().into_iter().map(|j| (j.flight, j.label, seqs(&j.hops)));
         let want = by_flight.iter().map(|(&f, hops)| (f, label_of(f), seqs(hops)));

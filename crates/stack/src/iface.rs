@@ -32,7 +32,8 @@ pub struct Interface {
     /// Private so every change passes through the mutators below and bumps
     /// `addr_gen` — the fast-path decision cache depends on it.
     addrs: Vec<IfaceAddr>,
-    /// The LAN this interface's device is attached to, if any. `None`
+    /// The LAN this interface's device is attached to, if any: the one
+    /// record of it, kept by `Network::attach` and `detach`. `None`
     /// models an unplugged cable / out-of-range radio.
     pub lan: Option<LanId>,
     /// True for the virtual encapsulating interface — it owns the home

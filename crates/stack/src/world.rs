@@ -12,8 +12,7 @@ use mosquitonet_link::{
     Attachment, AttachmentKey, EtherType, FaultVerdict, Frame, Lan, FRAME_HEADER_LEN,
 };
 use mosquitonet_sim::{
-    Counter, IdHashMap, Line, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind,
-    NO_FLIGHT,
+    Counter, Line, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind, NO_FLIGHT,
 };
 use mosquitonet_wire::{ArpPacket, Ipv4Packet, MacAddr, PacketBuf, PacketBytes};
 
@@ -38,11 +37,6 @@ pub struct Network {
     pub hosts: Vec<Host>,
     /// LANs, indexed by [`LanId`].
     pub lans: Vec<Lan>,
-    /// Who holds each [`AttachmentKey`] ever handed out, indexed by the
-    /// key (keys are dense: the next one is this table's length); `None`
-    /// once detached.
-    attach_map: Vec<Option<(HostId, IfaceId)>>,
-    attach_keys: IdHashMap<(HostId, IfaceId), AttachmentKey>,
     /// Cross-shard plumbing; `None` (the default) keeps the world fully
     /// unsharded — zero overhead, byte-identical to the classic engine.
     sharding: Option<Sharding>,
@@ -224,7 +218,7 @@ impl ShardWorld for Network {
         // RNG stream.
         let mut recipients = w.lans[lan_id.0]
             .recipients(dst, src)
-            .filter_map(|key| w.resolve_attachment(key))
+            .map(resolve_attachment)
             .peekable();
         if recipients.peek().is_none() {
             return;
@@ -283,32 +277,21 @@ impl Network {
     }
 
     fn attach_with(&mut self, host: HostId, iface: IfaceId, lan: LanId, promiscuous: bool) {
-        assert!(
-            !self.attach_keys.contains_key(&(host, iface)),
-            "{:?}/{:?} already attached",
-            host,
-            iface
-        );
-        let key = AttachmentKey(self.attach_map.len() as u64);
-        let mac = self.hosts[host.0].core.iface(iface).device.mac();
+        let ifc = self.hosts[host.0].core.iface_mut(iface);
+        assert!(ifc.lan.is_none(), "{host:?}/{iface:?} already attached");
+        ifc.lan = Some(lan);
+        let mac = ifc.device.mac();
         self.lans[lan.0].attach(Attachment {
-            key,
+            key: attachment_key(host, iface),
             mac,
             promiscuous,
         });
-        self.hosts[host.0].core.iface_mut(iface).lan = Some(lan);
-        self.attach_map.push(Some((host, iface)));
-        self.attach_keys.insert((host, iface), key);
     }
 
     /// Detaches an interface from its LAN (unplugging / leaving range).
     pub fn detach(&mut self, host: HostId, iface: IfaceId) {
-        if let Some(key) = self.attach_keys.remove(&(host, iface)) {
-            if let Some(lan) = self.hosts[host.0].core.iface(iface).lan {
-                self.lans[lan.0].detach(key);
-            }
-            self.attach_map[key.0 as usize] = None;
-            self.hosts[host.0].core.iface_mut(iface).lan = None;
+        if let Some(lan) = self.hosts[host.0].core.iface_mut(iface).lan.take() {
+            self.lans[lan.0].detach(attachment_key(host, iface));
         }
     }
 
@@ -327,10 +310,19 @@ impl Network {
             self.attach(host, iface, lan);
         }
     }
+}
 
-    fn resolve_attachment(&self, key: AttachmentKey) -> Option<(HostId, IfaceId)> {
-        *self.attach_map.get(key.0 as usize)?
-    }
+/// The key `iface` of `host` is attached under: the pair itself, packed.
+fn attachment_key(host: HostId, iface: IfaceId) -> AttachmentKey {
+    AttachmentKey((host.0 as u64) << 32 | iface.0 as u64)
+}
+
+/// The `(host, iface)` pair an [`attachment_key`] packs.
+fn resolve_attachment(key: AttachmentKey) -> (HostId, IfaceId) {
+    (
+        HostId((key.0 >> 32) as usize),
+        IfaceId(key.0 as u32 as usize),
+    )
 }
 
 /// Starts every module on every host (call once after building the world).
@@ -801,9 +793,7 @@ pub(crate) fn transmit_wire(
             fault_drops += 1;
             continue;
         }
-        let Some((h, i)) = w.resolve_attachment(key) else {
-            continue;
-        };
+        let (h, i) = resolve_attachment(key);
         // Arrival and the recipient's receive delay are one event.
         let delay = delay + verdict.extra_delay + w.hosts[h.0].core.proc_delay;
         let bytes = match verdict.corrupt {
@@ -991,6 +981,38 @@ mod tests {
         net.detach(h, eth);
         assert_eq!(net.hosts[h.0].core.iface(eth).lan, None);
         assert_eq!(net.lans[lan_b.0].len(), 0);
+    }
+
+    #[test]
+    fn an_interface_moved_10_000_times_is_attached_once_and_receives() {
+        let mut net = Network::new();
+        let [a, b] = [net.add_host("a"), net.add_host("b")];
+        let ia = net.hosts[a.0]
+            .core
+            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(1)));
+        let ib = net.hosts[b.0]
+            .core
+            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(2)));
+        let lans = [0, 1].map(|i| net.add_lan(presets::ethernet_lan(format!("lan{i}"))));
+        net.attach(a, ia, lans[1]);
+        for i in 0..10_000 {
+            net.move_iface(b, ib, Some(lans[i % 2]));
+        }
+        assert_eq!(net.hosts[b.0].core.iface(ib).lan, Some(lans[1]));
+        assert_eq!((net.lans[0].len(), net.lans[1].len()), (0, 2));
+        let mut sim = Sim::new(net);
+        bring_iface_up(&mut sim, a, ia);
+        bring_iface_up(&mut sim, b, ib);
+        sim.run();
+        let (addr, mac_a) = (Ipv4Addr::new(36, 135, 0, 9), MacAddr::from_index(1));
+        let g = ArpPacket::gratuitous(mac_a, addr).to_bytes();
+        let frame = Frame::new(MacAddr::BROADCAST, mac_a, EtherType::Arp, g);
+        transmit_frame(&mut sim, a, ia, frame, mosquitonet_sim::NO_FLIGHT);
+        sim.run();
+        assert_eq!(
+            sim.world().hosts[b.0].core.arp[ib.0].lookup(addr),
+            Some(mac_a)
+        );
     }
 
     #[test]

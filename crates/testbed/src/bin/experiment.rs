@@ -41,8 +41,7 @@ fn run(exp: &Experiment, params: &Params) {
     let dir = report::metrics_dir();
     for (artifact, stem) in artifacts.iter().zip(&stems) {
         match artifact.write_in(&dir) {
-            Ok(Some(path)) => eprintln!("wrote {}", path.display()),
-            Ok(None) => {}
+            Ok(path) => eprintln!("wrote {}", path.display()),
             // Fatal, not a warning: a later step must never read a stale
             // file from an earlier run in this one's place.
             Err(e) => {

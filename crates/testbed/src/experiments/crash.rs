@@ -163,8 +163,8 @@ pub struct C5Run {
     /// the crash-to-reconvergence window — the independent ground truth
     /// the journeys' blackout must match exactly.
     pub lost_during_times_us: Vec<u64>,
-    /// Wire frames captured at the router for pcap export. Empty unless
-    /// the run was built with `MOSQUITONET_PCAP` set.
+    /// Wire frames captured at the router for pcap export, over the same
+    /// window as the journeys.
     pub captures: Vec<CapturedFrame>,
 }
 
@@ -186,7 +186,10 @@ pub fn run_c5(seed: u64) -> C5Run {
     // export — and the blackout derived from it — covers exactly the
     // window the loss accounting does. Probes dropped while the MH was
     // still switching onto the department net are setup noise, not part
-    // of the measured outage.
+    // of the measured outage. Tap the router first (every inter-net frame
+    // crosses it), so the capture covers that window too.
+    let router = run.tb.router;
+    run.tb.sim.world_mut().host_mut(router).core.capture = true;
     run.tb.sim.flights_mut().clear();
 
     let crash_at = settled + C5_CRASH_AFTER;

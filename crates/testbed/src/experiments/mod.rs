@@ -161,8 +161,7 @@ impl Params {
 pub enum Artifact {
     /// A byte-stable sidecar `{name}.{kind}.json`.
     Sidecar(SidecarKind, &'static str, Json),
-    /// A wire capture `{name}.pcap`; written only when the capture is
-    /// non-empty, i.e. the run was built with `MOSQUITONET_PCAP` set.
+    /// A wire capture `{name}.pcap`.
     Pcap(&'static str, Vec<CapturedFrame>),
 }
 
@@ -184,13 +183,10 @@ impl Artifact {
         }
     }
 
-    /// Writes the file into `dir`; `None` when there was nothing to write
-    /// (an empty capture).
-    pub fn write_in(&self, dir: &Path) -> std::io::Result<Option<PathBuf>> {
+    /// Writes the file into `dir`.
+    pub fn write_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
         match self {
-            Artifact::Sidecar(kind, name, body) => {
-                report::write_sidecar_in(dir, *kind, name, body).map(Some)
-            }
+            Artifact::Sidecar(kind, name, body) => report::write_sidecar_in(dir, *kind, name, body),
             Artifact::Pcap(name, frames) => report::write_pcap_in(dir, name, frames),
         }
     }

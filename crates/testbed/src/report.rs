@@ -89,17 +89,13 @@ pub fn metrics_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/metrics"))
 }
 
-/// Writes `{dir}/{experiment}.pcap` from the run's captured wire frames.
-/// Returns `None` — writing nothing — when the capture is empty, which is
-/// the normal case unless the run was built with `MOSQUITONET_PCAP` set.
+/// Writes `{dir}/{experiment}.pcap` from the run's captured wire frames
+/// (an empty capture writes the header alone).
 pub fn write_pcap_in(
     dir: &Path,
     experiment: &str,
     frames: &[CapturedFrame],
-) -> std::io::Result<Option<PathBuf>> {
-    if frames.is_empty() {
-        return Ok(None);
-    }
+) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let mut w = PcapWriter::new();
     for f in frames {
@@ -107,7 +103,7 @@ pub fn write_pcap_in(
     }
     let path = dir.join(format!("{experiment}.pcap"));
     std::fs::write(&path, w.finish())?;
-    Ok(Some(path))
+    Ok(path)
 }
 
 const RULE: &str = "================================================================";
@@ -755,6 +751,15 @@ mod tests {
     fn defaults(name: &str) -> Params {
         let exp = Experiment::find(name).expect("registered");
         Params::parse(exp, &[] as &[&str]).expect("defaults parse")
+    }
+
+    #[test]
+    fn an_empty_capture_writes_a_header_only_pcap() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/test-metrics/pcap");
+        let path = write_pcap_in(&dir, "empty", &[]).expect("written");
+        let file = mosquitonet_wire::PcapReader::parse_file(&std::fs::read(path).expect("read"));
+        let file = file.expect("a well-formed pcap");
+        assert_eq!((file.link_type, file.frames.len()), (1, 0));
     }
 
     #[test]

@@ -711,14 +711,10 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
 
     // The flight recorder is a pure observer: ids come from a counter,
     // never the RNG, so enabling it cannot perturb a seeded run (the
-    // golden sidecars prove it). Capture mode (pcap export) and the
-    // engine profiler stay opt-in via the environment — wall-clock
-    // profiles are nondeterministic and must never leak into goldens.
+    // golden sidecars prove it). The engine profiler stays opt-in via the
+    // environment — wall-clock profiles are nondeterministic and must
+    // never leak into goldens.
     sim.flights_mut().set_enabled(true);
-    if std::env::var_os("MOSQUITONET_PCAP").is_some() {
-        // Tap the router: every inter-net frame crosses it.
-        sim.world_mut().host_mut(router).core.capture = true;
-    }
     if std::env::var_os("MOSQUITONET_PROFILE").is_some() {
         let reg = sim.metrics().clone();
         sim.profiler_mut().enable(&reg);

@@ -226,7 +226,7 @@ fn parsing_a_tunnelled_frame_allocates_nothing() {
 }
 
 /// The journeys document folds its totals over hops grouped in place: a per-flight
-/// `Vec`, or a recording that allocates (enabling reserves ring and labels), fails here.
+/// `Vec`, or a recording that allocates (enabling reserves the ring and names), fails here.
 #[test]
 fn exporting_a_full_ring_allocates_the_same_for_any_number_of_flights() {
     let export_allocs = |flights: u64| {
@@ -239,7 +239,10 @@ fn exporting_a_full_ring_allocates_the_same_for_any_number_of_flights() {
                 rec.hop(1 + i % flights, at, (i % 3) as u32, "udp", HopAction::Sent);
             }
         });
-        assert_eq!(recording, 0, "enabling reserves the ring and the labels");
+        assert_eq!(
+            recording, 0,
+            "enabling reserves the ring and the name tables"
+        );
         assert_eq!((rec.len(), rec.overwritten()), (DEFAULT_RING_CAPACITY, 10));
         let names = ["ch", "ha", "mh"].map(String::from);
         let (n, doc) = allocations_in(|| rec.export(&names, Some("ch")));

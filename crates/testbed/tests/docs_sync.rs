@@ -7,8 +7,8 @@
 //! `BENCH_trajectory.json` and that it lags CHANGES.md by at most one
 //! performance PR, that the docs cite no deleted instrument and
 //! no ledger metric `BENCHMARK.json` does not declare, that every
-//! file they link or cite exists, and that no file cites a ROADMAP item
-//! by number.
+//! file they link or cite exists, that every test `docs/limits.md` holds
+//! a bound with exists, and that no file cites a ROADMAP item by number.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in metric names, flight-recorder hop records and module
@@ -459,6 +459,49 @@ fn docs_link_and_cite_only_files_that_exist() {
     }
     assert!(checked > 100, "scanner must find the docs' links and paths");
     assert!(missing.is_empty(), "docs name missing files: {missing:#?}");
+}
+
+/// Every test `docs/limits.md`'s "Held by" column names exists: each
+/// backticked test name there (braces expanded) is, by its last `::`
+/// segment, a `fn` somewhere in the workspace. A bound cannot go on citing
+/// a test that was deleted or renamed.
+#[test]
+fn limits_md_holds_its_bounds_with_tests_that_exist() {
+    let root = workspace_root();
+    let doc = std::fs::read_to_string(root.join("docs/limits.md")).expect("docs/limits.md");
+    let mut rows = doc.lines().filter(|l| l.starts_with('|'));
+    let header = rows.next().expect("a table").split('|');
+    let column = header.clone().position(|c| c.trim() == "Held by");
+    let column = column.expect("a Held by column");
+    let mut files = Vec::new();
+    rs_files(&root, &mut files);
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("read source"))
+        .collect();
+    // A test name, not a file path: `a::b::{c, d}` and the like.
+    let is_name = |t: &&str| {
+        t.bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b"_:{}, ".contains(&b))
+    };
+    let (mut cited, mut missing) = (0, Vec::new());
+    for row in rows.skip(1) {
+        let cell = row.split('|').nth(column).expect("a Held by cell");
+        for token in cell.split('`').skip(1).step_by(2).filter(is_name) {
+            for name in expand_braces(token) {
+                let test = name.rsplit("::").next().expect("a segment").trim();
+                cited += 1;
+                if !sources.iter().any(|s| s.contains(&format!("fn {test}("))) {
+                    missing.push(test.to_string());
+                }
+            }
+        }
+    }
+    assert!(cited >= 10, "scanner must find the Held by column's tests");
+    assert!(
+        missing.is_empty(),
+        "docs/limits.md's Held by column names tests that do not exist: {missing:?}"
+    );
 }
 
 /// Every file under `dir`, `.git` and build output (`target/`) left out.

@@ -6,7 +6,8 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use mosquitonet_sim::Json;
-use mosquitonet_testbed::experiments::REGISTRY;
+use mosquitonet_testbed::experiments::{run_c5, REGISTRY};
+use mosquitonet_wire::PcapReader;
 
 /// A fresh artifact directory per test, so parallel tests share nothing.
 fn scratch(test: &str) -> PathBuf {
@@ -161,13 +162,29 @@ fn all_hands_its_seed_to_every_run() {
                 p.key
             );
         }
-        for stem in exp.artifacts.iter().filter(|s| !s.ends_with(".pcap")) {
+        for stem in exp.artifacts {
+            // A sidecar's stem drops its `.json`; a capture's is its name.
+            let file = match stem.ends_with(".pcap") {
+                true => stem.to_string(),
+                false => format!("{stem}.json"),
+            };
             assert!(
-                dir.join(format!("{stem}.json")).exists(),
-                "{} did not write {stem}.json",
+                dir.join(&file).exists(),
+                "{} did not write {file}",
                 exp.name
             );
         }
+    }
+    // C5's capture reads back as Ethernet, one record per frame its run
+    // captured at the router, byte for byte.
+    let pcap = std::fs::read(dir.join("c5_ha_crash_recovery.pcap")).expect("c5's pcap");
+    let pcap = PcapReader::parse_file(&pcap).expect("a well-formed pcap");
+    let captures = run_c5(7).captures;
+    assert!(!captures.is_empty(), "the router captured nothing");
+    assert_eq!((pcap.link_type, pcap.frames.len()), (1, captures.len()));
+    for (frame, capture) in pcap.frames.iter().zip(&captures) {
+        assert_eq!(frame.ts_us, capture.at.as_micros());
+        assert_eq!(frame.bytes, capture.bytes);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,8 +11,8 @@
 //! The trie maps each *prefix* to exactly one value `T`; tables that keep
 //! several entries per prefix (the routing table holds one per interface)
 //! store a small `Vec` as `T` and apply their own tie-break inside the
-//! bucket. Mutations bump a [`generation`](LpmTrie::generation) counter so
-//! per-destination decision caches can detect staleness without hooks.
+//! bucket. The trie keeps no change counter: the tables that wrap it
+//! count their own changes for the per-destination decision caches.
 
 use std::net::Ipv4Addr;
 
@@ -60,7 +60,6 @@ impl<T> Node<T> {
 pub struct LpmTrie<T> {
     root: Node<T>,
     len: usize,
-    generation: u64,
 }
 
 impl<T> Default for LpmTrie<T> {
@@ -81,7 +80,6 @@ impl<T> LpmTrie<T> {
         LpmTrie {
             root: Node::new(),
             len: 0,
-            generation: 0,
         }
     }
 
@@ -95,18 +93,9 @@ impl<T> LpmTrie<T> {
         self.len == 0
     }
 
-    /// A counter bumped by every mutation (`insert`, `remove`, `clear`,
-    /// and [`get_mut`](LpmTrie::get_mut), which hands out mutable access).
-    /// Decision caches compare generations instead of subscribing to
-    /// change notifications.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Inserts (or replaces) the value for `prefix`, returning the
     /// previous value if one existed.
     pub fn insert(&mut self, prefix: Cidr, value: T) -> Option<T> {
-        self.generation += 1;
         let mut node = &mut self.root;
         for bit in bits(prefix) {
             node = node.children[bit].get_or_insert_with(|| Box::new(Node::new()));
@@ -127,11 +116,10 @@ impl<T> LpmTrie<T> {
         node.value.as_ref()
     }
 
-    /// Mutable access to the value stored for exactly `prefix`. Counts as
-    /// a mutation (the generation is bumped) because the caller can change
-    /// the value through the returned reference.
+    /// Mutable access to the value stored for exactly `prefix`. The trie
+    /// does not see what the caller changes through it: a table that
+    /// counts its changes counts these itself.
     pub fn get_mut(&mut self, prefix: Cidr) -> Option<&mut T> {
-        self.generation += 1;
         let mut node = &mut self.root;
         for bit in bits(prefix) {
             node = node.children[bit].as_deref_mut()?;
@@ -143,7 +131,6 @@ impl<T> LpmTrie<T> {
     /// left behind are pruned so repeated insert/remove cycles do not leak
     /// nodes.
     pub fn remove(&mut self, prefix: Cidr) -> Option<T> {
-        self.generation += 1;
         let removed = Self::remove_rec(&mut self.root, &mut bits(prefix));
         if removed.is_some() {
             self.len -= 1;
@@ -167,7 +154,6 @@ impl<T> LpmTrie<T> {
 
     /// Removes every value.
     pub fn clear(&mut self) {
-        self.generation += 1;
         self.root = Node::new();
         self.len = 0;
     }
@@ -268,23 +254,6 @@ mod tests {
         t.insert(c("36.134.0.0/16"), "on-link");
         assert_eq!(t.lookup(ip("36.134.3.3")).unwrap().1, &"on-link");
         assert_eq!(t.lookup(ip("4.4.4.4")).unwrap().1, &"default");
-    }
-
-    #[test]
-    fn generation_bumps_on_every_mutation() {
-        let mut t = LpmTrie::new();
-        let g0 = t.generation();
-        t.insert(c("10.0.0.0/8"), 1);
-        let g1 = t.generation();
-        assert!(g1 > g0);
-        t.get_mut(c("10.0.0.0/8"));
-        let g2 = t.generation();
-        assert!(g2 > g1);
-        t.remove(c("10.0.0.0/8"));
-        let g3 = t.generation();
-        assert!(g3 > g2);
-        t.clear();
-        assert!(t.generation() > g3);
     }
 
     #[test]
