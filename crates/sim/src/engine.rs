@@ -173,7 +173,7 @@ impl<W> Scheduler<'_, W> {
 /// A discrete-event simulation over a world of type `W`.
 ///
 /// `Sim` owns the world, the virtual clock, a deterministic RNG, and a
-/// [`Trace`] for experiment instrumentation. Event handlers receive
+/// [`FlightRecorder`] for experiment instrumentation. Event handlers receive
 /// `&mut Sim<W>` and may mutate the world and schedule further events.
 ///
 /// Events scheduled for the same instant fire in scheduling (FIFO) order,
@@ -183,7 +183,6 @@ pub struct Sim<W> {
     events: EventQueue<W>,
     world: W,
     rng: SimRng,
-    trace: Trace,
     metrics: MetricsRegistry,
     flights: FlightRecorder,
     profiler: Profiler,
@@ -207,7 +206,6 @@ impl<W> Sim<W> {
             events: EventQueue::new(),
             world,
             rng: SimRng::new(seed),
-            trace: Trace::new(),
             metrics: MetricsRegistry::new(),
             flights: FlightRecorder::new(),
             profiler: Profiler::new(),
@@ -251,14 +249,11 @@ impl<W> Sim<W> {
         self.split().2
     }
 
-    /// The experiment trace log.
+    /// The frozen string log `benchmark/` reads, always empty: the control
+    /// plane's lines are the flight recorder's [`FlightRecorder::notes`].
     pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Exclusive access to the trace log.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
+        static EMPTY: Trace = Trace::new();
+        &EMPTY
     }
 
     /// The metrics registry for this run. The registry is internally

@@ -15,6 +15,9 @@
 //! forensics*: for every `drop.{reason}` casualty, the last-known hop
 //! chain of the victim packet.
 //!
+//! A second, small ring keeps the control plane's log: [`Note`]s, each a
+//! typed [`Line`] rendered only when read.
+//!
 //! Recording is off by default and costs one predicted branch per call
 //! site when off (a unit test holds that the disabled
 //! [`FlightRecorder::hop`] allocates and records nothing). Flight ids come
@@ -24,6 +27,7 @@
 use crate::json::Json;
 use crate::rng::IdHashMap;
 use crate::time::SimTime;
+use crate::trace::{Line, TraceKind};
 
 /// The "no flight" sentinel: hops recorded against it are discarded.
 /// Control-plane frames (ARP) and pre-recorder packets carry this.
@@ -47,6 +51,10 @@ pub const INTERN_OVERFLOW: &str = "flightrec.intern_overflow";
 /// The label id of a hop that carries no label: `None` opens every
 /// recorder's label table.
 const NO_LABEL: u8 = 0;
+
+/// Notes the note ring keeps (18 KiB); older ones are counted by
+/// [`FlightRecorder::notes_overwritten`].
+pub const NOTE_CAPACITY: usize = 256;
 
 /// Most captured frames kept; later ones are counted by
 /// [`FlightRecorder::captures_dropped`].
@@ -207,6 +215,19 @@ pub struct FlightDump {
     pub overwritten: u64,
 }
 
+/// One control-plane log line: 72 bytes, rendered only when read.
+#[derive(Clone, Copy, Debug)]
+pub struct Note {
+    /// When it happened.
+    pub at: SimTime,
+    /// Host index (the world's host vector position).
+    pub host: u32,
+    /// Category.
+    pub kind: TraceKind,
+    /// What happened.
+    pub line: Line,
+}
+
 /// A captured wire frame (pcap export feed).
 #[derive(Clone, Debug)]
 pub struct CapturedFrame {
@@ -321,7 +342,8 @@ impl DelaySummary {
 }
 
 /// The per-packet flight recorder: a bounded ring of packed hops plus
-/// the flight-id allocator and a bounded buffer of captured raw frames.
+/// the flight-id allocator, a bounded ring of control-plane notes and a
+/// bounded buffer of captured raw frames.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     enabled: bool,
@@ -343,6 +365,9 @@ pub struct FlightRecorder {
     /// The flight `begin_flight` minted last and its label's id, until
     /// that flight's next hop takes them.
     held: (u64, u8),
+    /// Note ring: note `n` (from 0) lands in slot `n % NOTE_CAPACITY`.
+    notes: Vec<Note>,
+    notes_recorded: u64,
     /// Captured frames for pcap export (bounded).
     captures: Vec<CapturedFrame>,
     /// Frames not captured because the buffer was full.
@@ -380,10 +405,11 @@ impl FlightRecorder {
 
     /// Enables or disables recording. Flight ids allocated while enabled
     /// stay valid after a disable (their hops simply stop accumulating).
-    /// Enabling reserves the ring and the name tables: recording moves none.
+    /// Enabling reserves both rings and the name tables: recording moves none.
     pub fn set_enabled(&mut self, on: bool) {
         if on {
             self.ring.reserve_exact(self.capacity - self.ring.len());
+            self.notes.reserve_exact(NOTE_CAPACITY - self.notes.len());
             let names = &mut self.names;
             names.points.reserve_exact(INTERN_MAX - names.points.len());
             names
@@ -400,15 +426,16 @@ impl FlightRecorder {
         self.enabled
     }
 
-    /// Discards every recorded hop, the held label, and every captured
-    /// frame. The enabled flag and the flight-id allocator are preserved —
-    /// mirroring [`Trace::clear`](crate::Trace::clear) — so ids stay
-    /// unique across a clear.
+    /// Discards every recorded hop, the held label, every note and every
+    /// captured frame. The enabled flag and the flight-id allocator are
+    /// preserved, so ids stay unique across a clear.
     pub fn clear(&mut self) {
         self.ring.clear();
         self.head = 0;
         self.overwritten = 0;
         self.held = (NO_FLIGHT, NO_LABEL);
+        self.notes.clear();
+        self.notes_recorded = 0;
         self.captures.clear();
         self.captures_dropped = 0;
     }
@@ -486,6 +513,38 @@ impl FlightRecorder {
             self.overwritten += 1;
         }
         self.head = (self.head + 1) % self.capacity;
+    }
+
+    /// Records one control-plane line `host` logged (no-op when
+    /// disabled). Past [`NOTE_CAPACITY`] it overwrites the oldest.
+    pub fn note(&mut self, at: SimTime, host: u32, kind: TraceKind, line: Line) {
+        if !self.enabled {
+            return;
+        }
+        let slot = (self.notes_recorded % NOTE_CAPACITY as u64) as usize;
+        self.notes_recorded += 1;
+        let note = Note {
+            at,
+            host,
+            kind,
+            line,
+        };
+        match self.notes.get_mut(slot) {
+            Some(old) => *old = note,
+            None => self.notes.push(note),
+        }
+    }
+
+    /// The surviving notes, oldest first.
+    pub fn notes(&self) -> impl Iterator<Item = &Note> {
+        let head = (self.notes_recorded % NOTE_CAPACITY as u64) as usize;
+        let (newer, older) = self.notes.split_at(head);
+        older.iter().chain(newer)
+    }
+
+    /// Notes lost to ring wraparound.
+    pub fn notes_overwritten(&self) -> u64 {
+        self.notes_recorded - self.notes.len() as u64
     }
 
     /// Stores one raw wire frame a capturing host received (no-op when
@@ -1053,11 +1112,47 @@ mod tests {
         assert!(rec.is_empty());
         rec.capture_frame(t(0), 0, b"frame");
         assert!(rec.captures().is_empty());
+        rec.note(t(0), 0, TraceKind::Marker, Line::new("ignored"));
+        assert_eq!(rec.notes().count(), 0);
+        assert_eq!(
+            (rec.ring.capacity(), rec.notes.capacity()),
+            (0, 0),
+            "only enabling reserves"
+        );
     }
 
     #[test]
     fn a_packed_hop_is_24_bytes() {
         assert_eq!(std::mem::size_of::<PackedHop>(), 24);
+    }
+
+    #[test]
+    fn the_note_ring_keeps_the_newest_notes_in_order() {
+        assert_eq!(std::mem::size_of::<Note>(), 72);
+        let mut rec = FlightRecorder::new();
+        rec.set_enabled(true);
+        let extra = 5;
+        for i in 0..NOTE_CAPACITY + extra {
+            let line = Line::new("note {}").num(i as u64);
+            rec.note(t(i as u64), i as u32, TraceKind::Mobility, line);
+        }
+        let kept: Vec<u32> = rec.notes().map(|n| n.host).collect();
+        let newest: Vec<u32> = (extra..NOTE_CAPACITY + extra).map(|i| i as u32).collect();
+        assert_eq!(kept, newest, "the newest NOTE_CAPACITY, oldest first");
+        let last = rec.notes().last().expect("a note");
+        let (i, at) = (
+            NOTE_CAPACITY + extra - 1,
+            t((NOTE_CAPACITY + extra - 1) as u64),
+        );
+        assert_eq!((last.at, last.line.to_string()), (at, format!("note {i}")));
+        assert_eq!(rec.notes_overwritten(), extra as u64);
+        assert_eq!(rec.notes.capacity(), NOTE_CAPACITY, "reserved once, whole");
+        rec.clear();
+        assert_eq!((rec.notes().count(), rec.notes_overwritten()), (0, 0));
+        rec.note(t(0), 7, TraceKind::Device, Line::new("after clear"));
+        let _ = rec.dump(0, 0);
+        assert_eq!((rec.notes().count(), rec.notes_overwritten()), (0, 0));
+        assert!(rec.is_enabled(), "a dump leaves the switch on");
     }
 
     #[test]
@@ -1077,13 +1172,13 @@ mod tests {
         let hops = rec.hops_in_order();
         let got = |i: usize| (hops[i].point, hops[i].action);
         let journeys = rec.journeys();
-        for i in 0..distinct {
+        for (i, journey) in journeys.iter().enumerate().take(distinct) {
             let read = |bound: usize| if i < bound { name(i) } else { INTERN_OVERFLOW };
             // The action table began with the five plain actions, the
             // label table with "no label".
             let why = HopAction::Dropped(read(INTERN_MAX - 5));
             assert_eq!(got(i), (read(INTERN_MAX), why), "hop {i}");
-            assert_eq!(journeys[i].label, Some(read(INTERN_MAX - 1)), "flight {i}");
+            assert_eq!(journey.label, Some(read(INTERN_MAX - 1)), "flight {i}");
         }
         assert_eq!(got(distinct), ("name.3", HopAction::Dropped("name.7")));
         assert_eq!(got(distinct + 1), (INTERN_OVERFLOW, HopAction::Delivered));

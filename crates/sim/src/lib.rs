@@ -45,8 +45,8 @@ mod trace;
 
 pub use engine::{EventId, Scheduler, Sim};
 pub use flightrec::{
-    Blackout, CapturedFrame, FlightDump, FlightRecorder, HopAction, HopEvent, Journey, Outcome,
-    NO_FLIGHT,
+    Blackout, CapturedFrame, FlightDump, FlightRecorder, HopAction, HopEvent, Journey, Note,
+    Outcome, NO_FLIGHT,
 };
 pub use json::{FromJson, Json};
 pub use metrics::{
@@ -58,4 +58,4 @@ pub use rng::{IdHashMap, IdHashSet, SimRng};
 pub use shard::{run_sharded, shard_seed, ShardEnvelope, ShardWorld};
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Detail, Line, Trace, TraceEntry, TraceKind};
+pub use trace::{Line, Trace, TraceKind};

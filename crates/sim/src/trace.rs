@@ -1,27 +1,22 @@
-//! Structured event tracing for experiments: the control plane's log.
+//! The control plane's log lines: what happens to hosts and protocols
+//! (registrations, hand-offs, devices going up and down, crashes), kept
+//! as notes by the flight recorder
+//! ([`FlightRecorder::note`](crate::FlightRecorder::note)). A packet's
+//! fate is a counter and a hop, never a line.
 //!
-//! A packet's fate is a counter and a flight-recorder hop, never a trace
-//! line. The trace is a flat, queryable log of `(time, kind, detail)`
-//! entries for what happens to hosts and protocols — registrations,
-//! hand-offs, devices going up and down, crashes and restarts — that
-//! workload code appends to and the harness reads afterwards.
-//!
-//! Recording renders nothing: an entry is a fixed-size value — the time,
-//! the kind, a shared handle on the recorder's name, and a [`Detail`] that
-//! on the registration paths is a [`Line`], a static template with its
-//! arguments still as numbers. Text exists only once a reader asks
-//! ([`Trace::find`], [`Trace::render`], `detail.to_string()`).
+//! Recording renders nothing: a [`Line`] is a static template with its
+//! arguments still as numbers, and an interface argument is named only by
+//! the reader that knows the devices ([`Line::write_named`]).
 
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Category of a trace entry.
+/// Category of a note.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TraceKind {
-    /// A packet event recorded by harness code (the stack records none).
+    /// A packet event; only `benchmark/`'s frozen [`Trace`] probe names it.
     PacketSent,
     /// A mobility protocol action (registration, binding change, hand-off).
     Mobility,
@@ -40,9 +35,10 @@ enum ArgKind {
     Hex,
     Mac,
     Span,
+    Iface,
 }
 
-/// A trace line that has not been rendered: a template whose `{}` are
+/// A log line that has not been rendered: a template whose `{}` are
 /// filled, in order, by up to four arguments when the line is displayed.
 /// Building one stores a few words and touches no heap. Arguments are
 /// numbers (a `u64` and a byte saying how it displays); a word that varies
@@ -96,6 +92,39 @@ impl Line {
     pub fn span(self, d: SimDuration) -> Line {
         self.push(ArgKind::Span, d.as_nanos())
     }
+
+    /// The next `{}` is an interface, by index: a reader that knows the
+    /// host's devices names it ([`Line::write_named`]); displayed without
+    /// names it is `IfaceId(n)`.
+    pub fn iface(self, index: usize) -> Line {
+        self.push(ArgKind::Iface, index as u64)
+    }
+
+    /// Writes the line with interface `i` named `ifaces[i]` (`IfaceId(i)`
+    /// past the end).
+    pub fn write_named(&self, out: &mut impl fmt::Write, ifaces: &[&str]) -> fmt::Result {
+        let mut pieces = self.template.split("{}");
+        out.write_str(pieces.next().unwrap_or(""))?;
+        for ((kind, v), piece) in self.kinds.iter().zip(self.vals).zip(pieces) {
+            match kind {
+                ArgKind::Addr => write!(out, "{}", Ipv4Addr::from(v as u32))?,
+                ArgKind::Num => write!(out, "{v}")?,
+                ArgKind::Hex => write!(out, "{v:#x}")?,
+                ArgKind::Mac => {
+                    let [_, _, a, b, c, d, e, g] = v.to_be_bytes();
+                    write!(out, "{a:02x}:{b:02x}:{c:02x}:{d:02x}:{e:02x}:{g:02x}")?
+                }
+                ArgKind::Span => write!(out, "{}", SimDuration::from_nanos(v))?,
+                ArgKind::Iface => match ifaces.get(v as usize) {
+                    Some(name) => out.write_str(name)?,
+                    None => write!(out, "IfaceId({v})")?,
+                },
+                ArgKind::Unused => debug_assert!(false, "{self:?} has a `{{}}` too many"),
+            }
+            out.write_str(piece)?;
+        }
+        Ok(())
+    }
 }
 
 impl From<&'static str> for Line {
@@ -106,206 +135,41 @@ impl From<&'static str> for Line {
 
 impl fmt::Display for Line {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut pieces = self.template.split("{}");
-        f.write_str(pieces.next().unwrap_or(""))?;
-        for ((kind, v), piece) in self.kinds.iter().zip(self.vals).zip(pieces) {
-            match kind {
-                ArgKind::Addr => Ipv4Addr::from(v as u32).fmt(f)?,
-                ArgKind::Num => v.fmt(f)?,
-                ArgKind::Hex => write!(f, "{v:#x}")?,
-                ArgKind::Mac => {
-                    let [_, _, a, b, c, d, e, g] = v.to_be_bytes();
-                    write!(f, "{a:02x}:{b:02x}:{c:02x}:{d:02x}:{e:02x}:{g:02x}")?
-                }
-                ArgKind::Span => SimDuration::from_nanos(v).fmt(f)?,
-                ArgKind::Unused => debug_assert!(false, "{self:?} has a `{{}}` too many"),
-            }
-            f.write_str(piece)?;
-        }
-        Ok(())
+        self.write_named(f, &[])
     }
 }
 
-/// What a [`TraceEntry`] says: text that was already built (cold lines,
-/// harness markers) or a [`Line`] rendered on display.
-#[derive(Clone, Debug)]
-pub enum Detail {
-    /// Finished text.
-    Text(String),
-    /// A typed line.
-    Line(Line),
-}
-
-impl Detail {
-    /// True when the displayed detail contains `needle` (renders it).
-    pub fn contains(&self, needle: &str) -> bool {
-        self.to_string().contains(needle)
-    }
-}
-
-impl fmt::Display for Detail {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Detail::Text(text) => f.write_str(text),
-            Detail::Line(line) => line.fmt(f),
-        }
-    }
-}
-
-impl From<String> for Detail {
-    fn from(text: String) -> Detail {
-        Detail::Text(text)
-    }
-}
-
-impl From<&str> for Detail {
-    fn from(text: &str) -> Detail {
-        Detail::Text(text.to_string())
-    }
-}
-
-impl From<Line> for Detail {
-    fn from(line: Line) -> Detail {
-        Detail::Line(line)
-    }
-}
-
-/// One trace record.
-#[derive(Clone, Debug)]
-pub struct TraceEntry {
-    /// When the event happened.
-    pub at: SimTime,
-    /// Category for filtering.
-    pub kind: TraceKind,
-    /// Short identifier of the entity (host name, device name); a host
-    /// hands every entry of its own the same shared handle.
-    pub who: Rc<str>,
-    /// Human-readable detail, stable enough for tests to match on once
-    /// displayed.
-    pub detail: Detail,
-}
-
-/// An append-only log of [`TraceEntry`] records.
+/// The string log `benchmark/` still names, frozen until it moves to the
+/// flight recorder's notes: nothing in the workspace writes it, and
+/// [`Sim::trace`](crate::Sim::trace) hands out an empty one.
 #[derive(Debug, Default)]
-pub struct Trace {
-    entries: Vec<TraceEntry>,
-    enabled: bool,
-}
+pub struct Trace(Vec<(SimTime, TraceKind, String, String)>);
 
 impl Trace {
-    /// Creates an empty, enabled trace.
-    pub fn new() -> Self {
-        Trace {
-            entries: Vec::new(),
-            enabled: true,
-        }
+    /// Creates an empty log.
+    pub const fn new() -> Self {
+        Trace(Vec::new())
     }
 
-    /// Enables or disables recording (long benches disable it).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Appends an entry (no-op when disabled). A [`Line`] detail and a
-    /// shared `who` make this one `Vec` push.
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        kind: TraceKind,
-        who: impl Into<Rc<str>>,
-        detail: impl Into<Detail>,
-    ) {
-        if self.enabled {
-            self.entries.push(TraceEntry {
-                at,
-                kind,
-                who: who.into(),
-                detail: detail.into(),
-            });
-        }
+    /// Appends `(at, kind, who, detail)`.
+    pub fn record(&mut self, at: SimTime, kind: TraceKind, who: &str, detail: String) {
+        self.0.push((at, kind, who.to_string(), detail));
     }
 
     /// All entries in arrival order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
+    pub fn entries(&self) -> &[(SimTime, TraceKind, String, String)] {
+        &self.0
     }
 
-    /// First entry whose displayed detail contains `needle`, if any;
-    /// renders every typed line on the way there.
-    pub fn find(&self, needle: &str) -> Option<&TraceEntry> {
-        self.entries.iter().find(|e| e.detail.contains(needle))
-    }
-
-    /// Clears the log, keeping the enabled flag.
+    /// Clears the log.
     pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Renders entries as one line each, for debugging failed experiments.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            let at = e.at.to_string();
-            out.push_str(&format!("{at:>12} {:?} [{}] {}\n", e.kind, e.who, e.detail));
-        }
-        out
+        self.0.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn records_and_filters_by_kind() {
-        let mut tr = Trace::new();
-        tr.record(
-            t(1),
-            TraceKind::PacketSent,
-            "mh",
-            "udp 36.135.0.9 -> 36.8.0.7",
-        );
-        tr.record(t(2), TraceKind::Device, "router", "eth0 down");
-        tr.record(t(3), TraceKind::PacketSent, "ch", "echo reply");
-        let count = |kind| tr.entries().iter().filter(|e| e.kind == kind).count();
-        assert_eq!(count(TraceKind::PacketSent), 2);
-        assert_eq!(count(TraceKind::Device), 1);
-        assert_eq!(count(TraceKind::Mobility), 0);
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut tr = Trace::new();
-        tr.set_enabled(false);
-        tr.record(t(0), TraceKind::Marker, "x", "ignored");
-        assert!(tr.entries().is_empty());
-        tr.set_enabled(true);
-        tr.record(t(0), TraceKind::Marker, "x", "kept");
-        assert_eq!(tr.entries().len(), 1);
-    }
-
-    #[test]
-    fn find_matches_detail_substring() {
-        let mut tr = Trace::new();
-        tr.record(
-            t(5),
-            TraceKind::Mobility,
-            "ha",
-            "registration accepted coa=36.8.0.42",
-        );
-        assert!(tr.find("coa=36.8.0.42").is_some());
-        assert!(tr.find("rejected").is_none());
-    }
 
     /// Every shape a typed line takes, against the text the `format!` it
     /// replaced produced (strings copied from that code and from
@@ -355,28 +219,20 @@ mod tests {
                 "handoff complete in 7390us",
             ),
         ];
+        let named = |line: Line, ifaces: &[&str]| {
+            let mut out = String::new();
+            line.write_named(&mut out, ifaces)
+                .expect("a String takes any text");
+            out
+        };
         for (line, text) in table {
             assert_eq!(line.to_string(), text);
-            assert!(Detail::from(line).contains(text));
+            assert_eq!(named(line, &["eth0"]), text, "no interface to name");
         }
-    }
-
-    #[test]
-    fn clear_resets_entries() {
-        let mut tr = Trace::new();
-        tr.record(t(1), TraceKind::Marker, "x", "a");
-        tr.clear();
-        assert!(tr.entries().is_empty());
-        assert!(tr.is_enabled());
-    }
-
-    #[test]
-    fn render_is_line_per_entry() {
-        let mut tr = Trace::new();
-        tr.record(t(1), TraceKind::Marker, "a", "one");
-        tr.record(t(2), TraceKind::Marker, "b", "two");
-        let s = tr.render();
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("[a] one"));
+        // An interface is named by the reader that knows the devices.
+        let up = Line::new("{} up").iface(1);
+        assert_eq!(named(up, &["eth0", "strip0"]), "strip0 up");
+        assert_eq!(up.to_string(), "IfaceId(1) up");
+        assert_eq!(named(up, &["eth0"]), "IfaceId(1) up");
     }
 }

@@ -3,7 +3,6 @@
 use std::any::Any;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use bytes::Bytes;
 use mosquitonet_link::Device;
@@ -78,11 +77,8 @@ pub const DEFAULT_PROC_DELAY: SimDuration = SimDuration::from_micros(800);
 pub struct HostCore {
     /// This host's handle.
     pub id: HostId,
-    /// Host name for traces.
+    /// Host name (sidecars, notes).
     pub name: String,
-    /// `name` as the shared handle every trace entry of this host carries,
-    /// taken when the host is made.
-    pub(crate) who: Rc<str>,
     /// Interfaces, indexed by [`IfaceId`].
     pub ifaces: Vec<Interface>,
     /// Per-interface ARP state (parallel to `ifaces`).
@@ -145,7 +141,6 @@ impl HostCore {
     fn new(id: HostId, name: String) -> HostCore {
         HostCore {
             id,
-            who: name.as_str().into(),
             name,
             ifaces: Vec::new(),
             arp: Vec::new(),

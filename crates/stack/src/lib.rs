@@ -43,7 +43,7 @@ pub use sniff::frame_summary;
 pub use tcp::{
     ConnId, TcpEvent, TcpListener, TcpState, TcpTable, TCP_INITIAL_RTO, TCP_MAX_RETRIES, TCP_MSS,
 };
-pub use telemetry::DropReason;
+pub use telemetry::{render_notes, DropReason};
 pub use udp::{SocketId, UdpSocket, UdpTable};
 pub use world::{
     add_module, bring_iface_up, crash_host, dispatch, install_host_faults, register_metrics,

@@ -5,16 +5,16 @@
 //! decision which [`Event`] moves which of them, and [`DropReason::code`]
 //! is where a `drop.*` code comes from, so a site in [`crate::ip`] or
 //! [`crate::world`] names the event once and the counter and the hop
-//! cannot disagree. The trace is the control plane's log (module lines,
-//! device up/down, crash and restart markers); no packet writes to it.
-//! `docs/telemetry.md` documents the codes.
+//! cannot disagree. The flight recorder's notes are the control plane's
+//! log (module lines, device up/down, crash and restart markers); no
+//! packet writes to them. `docs/telemetry.md` documents the codes.
 
-use std::rc::Rc;
+use std::fmt::Write;
 
-use mosquitonet_sim::{Counter, Detail, HopAction as Hop, TraceKind};
+use mosquitonet_sim::{Counter, HopAction as Hop, Line, TraceKind};
 
 use crate::host::{HostId, HostStats};
-use crate::world::{NetSim, Network};
+use crate::world::NetSim;
 
 /// Why a packet died: one variant per stable `drop.{reason}` code (and the
 /// injected `fault.drop`) that this stack reports.
@@ -154,28 +154,33 @@ pub(crate) fn emit(sim: &mut NetSim, host: HostId, flight: u64, point: &'static 
     sim.record_hop(flight, host.0 as u32, point, action);
 }
 
-/// Appends a host-scoped trace entry (no-op when the trace is off): a
-/// control-plane line that belongs to no packet (crash and restart,
-/// module traces).
-pub(crate) fn note(sim: &mut NetSim, host: HostId, kind: TraceKind, detail: impl Into<Detail>) {
-    if sim.trace().is_enabled() {
-        let (who, now) = (Rc::clone(&sim.world().hosts[host.0].core.who), sim.now());
-        sim.trace_mut().record(now, kind, who, detail);
-    }
+/// Appends a note for `host` to the flight recorder (no-op when it is
+/// off): a control-plane line that belongs to no packet (crash and
+/// restart, device up and down, module traces).
+pub(crate) fn note(sim: &mut NetSim, host: HostId, kind: TraceKind, line: Line) {
+    let now = sim.now();
+    sim.flights_mut().note(now, host.0 as u32, kind, line);
 }
 
-/// [`note`] for the cold lines that need a name from the world (a
-/// device): the text is built only while the trace is enabled.
-pub(crate) fn note_text(
-    sim: &mut NetSim,
-    host: HostId,
-    kind: TraceKind,
-    text: impl FnOnce(&Network) -> String,
-) {
-    if sim.trace().is_enabled() {
-        let text = text(sim.world());
-        note(sim, host, kind, text);
+/// The flight recorder's notes, oldest first, one line each:
+/// `{at:>12} {kind:?} [{host}] {line}`, the host and its devices named
+/// from the world.
+pub fn render_notes(sim: &NetSim) -> String {
+    let mut out = String::new();
+    for note in sim.flights().notes() {
+        let core = &sim.world().hosts[note.host as usize].core;
+        let devices: Vec<&str> = core.ifaces.iter().map(|i| i.device.name()).collect();
+        let _ = write!(
+            out,
+            "{:>12} {:?} [{}] ",
+            note.at.to_string(),
+            note.kind,
+            core.name
+        );
+        let _ = note.line.write_named(&mut out, &devices);
+        out.push('\n');
     }
+    out
 }
 
 #[cfg(test)]

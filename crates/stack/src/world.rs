@@ -25,7 +25,7 @@ use crate::tcp::ConnId;
 use crate::telemetry::DropReason::{
     ArpFailure, FaultDrop, IfaceDown, LeftLan, Malformed, MediumLoss, TxMtu,
 };
-use crate::telemetry::{emit, note, note_text, Event};
+use crate::telemetry::{emit, note, Event};
 
 /// Retry interval for unanswered ARP requests (classic 1 s).
 pub const ARP_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -483,9 +483,8 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 // Power transitions invalidate the fast path: a cached
                 // decision through this interface must not outlive it.
                 h.core.iface_mut(iface).note_power_change();
-                note_text(sim, host, TraceKind::Device, |w| {
-                    format!("{} down", w.hosts[host.0].core.iface(iface).device.name())
-                });
+                let line = Line::new("{} down").iface(iface.0);
+                note(sim, host, TraceKind::Device, line);
             }
             Effect::GratuitousArp { iface, addr } => {
                 let mac = sim.world().hosts[host.0].core.iface(iface).device.mac();
@@ -583,9 +582,8 @@ pub fn bring_iface_up(sim: &mut NetSim, host: HostId, iface: IfaceId) -> SimTime
         h.core.iface_mut(iface).device.poll(now);
         h.core.iface_mut(iface).note_power_change();
         let modules = h.module_count();
-        note_text(sim, host, TraceKind::Device, |w| {
-            format!("{} up", w.hosts[host.0].core.iface(iface).device.name())
-        });
+        let line = Line::new("{} up").iface(iface.0);
+        note(sim, host, TraceKind::Device, line);
         for m in 0..modules {
             dispatch(sim, host, ModuleId(m), |module, ctx| {
                 module.on_iface_up(ctx, iface);

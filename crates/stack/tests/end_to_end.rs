@@ -730,9 +730,11 @@ fn effects_trace_lands_in_sim_trace() {
         }
     }
     let mut t = two_nets();
+    t.sim.flights_mut().set_enabled(true);
     t.sim.world_mut().host_mut(t.a).add_module(Box::new(Tracer));
     stack::start(&mut t.sim);
-    assert!(t.sim.trace().find("coa=10.0.2.2").is_some());
+    let notes = stack::render_notes(&t.sim);
+    assert!(notes.contains("Mobility [hostA] registration accepted coa=10.0.2.2"));
 }
 
 /// `two_nets` started with a [`Recorder`] on hostB, the A → router → B
@@ -914,7 +916,7 @@ fn numbered_payloads() -> Vec<Bytes> {
 struct LocalRun {
     got: Vec<Bytes>,
     metrics: Snapshot,
-    trace: String,
+    notes: String,
     journeys: Json,
 }
 
@@ -954,7 +956,7 @@ fn local_sends(port: u16, burst: bool) -> (Snapshot, LocalRun) {
     let run = LocalRun {
         got,
         metrics: t.sim.metrics().snapshot(),
-        trace: t.sim.trace().render(),
+        notes: stack::render_notes(&t.sim),
         journeys: t.sim.flights().export(&names, None),
     };
     (before, run)

@@ -710,8 +710,8 @@ pub fn build(cfg: TestbedConfig) -> Testbed {
     let mut sim = Sim::with_seed(net, cfg.seed);
 
     // The flight recorder is a pure observer: ids come from a counter,
-    // never the RNG, so enabling it cannot perturb a seeded run (the
-    // golden sidecars prove it). The engine profiler stays opt-in via the
+    // never the RNG, so enabling it cannot perturb a seeded run
+    // (`goldens::disabling_the_recorder_changes_nothing_else` holds it). The engine profiler stays opt-in via the
     // environment — wall-clock profiles are nondeterministic and must
     // never leak into goldens.
     sim.flights_mut().set_enabled(true);
@@ -1015,9 +1015,6 @@ impl ShardedCampus {
         let mut sim = Sim::with_seed(net, shard_seed(seed, s));
         sim.flights_mut().set_enabled(true);
         sim.flights_mut().set_flight_namespace(s);
-        // `run_sharded`'s `finish` consumes this `Sim` and no S2/S3 sidecar
-        // carries trace entries: a shard's trace would be written and never read.
-        sim.trace_mut().set_enabled(false);
         if std::env::var_os("MOSQUITONET_PROFILE").is_some() {
             let reg = sim.metrics().clone();
             sim.profiler_mut()

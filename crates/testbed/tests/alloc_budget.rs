@@ -98,13 +98,13 @@ const BUDGET_PER_PACKET: f64 = 9.0;
 const EVENTS_PER_PACKET: f64 = 2.6;
 
 /// Allocations, engine events and delivered packets of the measured window
-/// of one reverse-tunnel flow set, with the trace recording or not.
-fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64, u64) {
+/// of one reverse-tunnel flow set, with the flight recorder on or off.
+fn reverse_tunnel_flow(recorder_on: bool) -> (u64, u64, u64) {
     // The Figure-5 testbed, mobile host settled on the department net and
     // reverse-tunnelling to its correspondent there: the `bulk_tunnel`
     // workload of the benchmark at a smaller scale.
     let mut tb = topology::build(TestbedConfig::default());
-    tb.sim.trace_mut().set_enabled(trace_on);
+    tb.sim.flights_mut().set_enabled(recorder_on);
     tb.move_mh_eth(Some(tb.lan_dept));
     let plan = SwitchPlan {
         iface: tb.mh_eth,
@@ -147,7 +147,11 @@ fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64, u64) {
     let warm = delivered(&mut tb);
     assert!(warm > 0, "nothing was delivered during warm-up");
 
-    let entries = tb.sim.trace().entries().len();
+    let noted = |tb: &topology::Testbed| {
+        let flights = tb.sim.flights();
+        flights.notes().count() as u64 + flights.notes_overwritten()
+    };
+    let notes = noted(&tb);
     let events = tb.sim.events_executed();
     let (allocations, ()) = allocations_in(|| tb.run_for(TICK * u64::from(MEASURED_TICKS)));
     let packets = delivered(&mut tb) - warm;
@@ -156,10 +160,8 @@ fn reverse_tunnel_flow(trace_on: bool) -> (u64, u64, u64) {
         u64::from(FLOWS) * u64::from(BURST) * u64::from(MEASURED_TICKS),
         "every datagram offered in the window must land in it"
     );
-    // A packet's fate is a counter and a hop: the trace records nothing
-    // for one, on or off.
-    let recorded = tb.sim.trace().entries().len() - entries;
-    assert_eq!(recorded, 0, "the packet path wrote to the trace");
+    // A packet's fate is a counter and a hop: no packet writes a note.
+    assert_eq!(noted(&tb), notes, "the packet path wrote a note");
     (allocations, tb.sim.events_executed() - events, packets)
 }
 
@@ -180,15 +182,16 @@ fn reverse_tunnel_flow_stays_within_the_allocation_budget() {
     );
 }
 
-/// The packet path writes no trace entry, so switching the trace on
-/// costs it no allocation: not one per packet, not one `Vec` doubling.
+/// The packet path writes hops into rings reserved whole when the
+/// recorder is switched on, and no note, so that one switch costs it no
+/// allocation: not one per packet, not one `Vec` doubling.
 #[test]
 fn recording_a_trace_entry_allocates_nothing_of_its_own() {
     let (on, _, packets) = reverse_tunnel_flow(true);
     let (off, ..) = reverse_tunnel_flow(false);
     assert_eq!(
         on, off,
-        "allocations with the trace on and off, over {packets} packets"
+        "allocations with the recorder on and off, over {packets} packets"
     );
 }
 

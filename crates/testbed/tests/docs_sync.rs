@@ -7,8 +7,9 @@
 //! `BENCH_trajectory.json` and that it lags CHANGES.md by at most one
 //! performance PR, that the docs cite no deleted instrument and
 //! no ledger metric `BENCHMARK.json` does not declare, that every
-//! file they link or cite exists, that every test `docs/limits.md` holds
-//! a bound with exists, and that no file cites a ROADMAP item by number.
+//! file they link or cite exists, that every `Type::member` they cite is
+//! defined beside its type, that every test `docs/limits.md` holds a bound
+//! with exists, and that no file cites a ROADMAP item by number.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in metric names, flight-recorder hop records and module
@@ -459,6 +460,116 @@ fn docs_link_and_cite_only_files_that_exist() {
     }
     assert!(checked > 100, "scanner must find the docs' links and paths");
     assert!(missing.is_empty(), "docs name missing files: {missing:#?}");
+}
+
+fn ident_char(c: char) -> bool {
+    c == '_' || c.is_ascii_alphanumeric()
+}
+
+fn is_ident(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(ident_char)
+}
+
+/// `[path::]Type::member`, `Type::member(…)` or `Type::{a, b}` (`Type`
+/// capitalised, each path segment lower-case): the type and its members.
+fn cited_members(token: &str) -> Option<(&str, Vec<&str>)> {
+    let capital = |s: &str| s.starts_with(|c: char| c.is_ascii_uppercase());
+    let token = token.split_once('(').map_or(token, |(head, _)| head);
+    let (path, last) = token.rsplit_once("::")?;
+    let (modules, ty) = path.rsplit_once("::").unwrap_or(("", path));
+    let module = |m: &str| is_ident(m) && !capital(m);
+    if !capital(ty) || !is_ident(ty) || !(modules.is_empty() || modules.split("::").all(module)) {
+        return None;
+    }
+    let members: Vec<&str> = match last.strip_prefix('{').and_then(|l| l.strip_suffix('}')) {
+        Some(list) => list.split(',').map(str::trim).collect(),
+        None => vec![last],
+    };
+    members.iter().all(|m| is_ident(m)).then_some((ty, members))
+}
+
+/// Whether `source` defines a `struct`, `enum`, `trait`, `type` or
+/// `union` named `ty`.
+fn defines(source: &str, ty: &str) -> bool {
+    source.lines().any(|line| {
+        let line = line.trim_start();
+        let line = match line.strip_prefix("pub") {
+            Some(rest) => rest.split_once(' ').map_or("", |(_, rest)| rest),
+            None => line,
+        };
+        ["struct ", "enum ", "trait ", "type ", "union "]
+            .iter()
+            .any(|kw| {
+                let rest = line.strip_prefix(kw).and_then(|l| l.strip_prefix(ty));
+                rest.is_some_and(|r| !r.starts_with(ident_char))
+            })
+    })
+}
+
+/// Whether `source` has a `fn`, field, `const` or (capitalised) variant
+/// named `member`.
+fn has_member(source: &str, member: &str) -> bool {
+    let word = |needle: String| {
+        let mut at = source
+            .match_indices(&needle)
+            .map(|(at, _)| at + needle.len());
+        at.any(|end| !source[end..].starts_with(ident_char))
+    };
+    let field = source.match_indices(&format!("{member}:")).any(|(at, _)| {
+        !source[..at].ends_with(ident_char) && !source[at + member.len() + 1..].starts_with(':')
+    });
+    let variant = member.starts_with(|c: char| c.is_ascii_uppercase())
+        && source.lines().any(|line| {
+            let rest = line.trim_start().strip_prefix(member);
+            rest.is_some_and(|r| r.is_empty() || r.starts_with(['(', '{', ',', ' ']))
+        });
+    word(format!("fn {member}")) || word(format!("const {member}")) || field || variant
+}
+
+/// Every backticked `Type::member` the docs cite, where the workspace
+/// defines `Type`, names a `fn`, field, `const` or variant of the file
+/// that defines it (any one file, when several define a `Type`): a doc
+/// cannot go on citing a method that was deleted. Only that file is
+/// searched, so an unrelated `fn find` elsewhere cannot stand in for a
+/// `find` deleted from the cited type.
+#[test]
+fn docs_cite_only_members_that_exist() {
+    let root = workspace_root();
+    let mut docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .map(|d| root.join(d))
+        .to_vec();
+    docs.extend(files_in("docs", "md"));
+    let mut files = Vec::new();
+    rs_files(&root, &mut files);
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("read source"))
+        .collect();
+    let (mut checked, mut missing) = (0, Vec::new());
+    for doc in &docs {
+        let text = std::fs::read_to_string(doc).expect("read doc");
+        for token in text.split('`').skip(1).step_by(2) {
+            let Some((ty, members)) = cited_members(token) else {
+                continue;
+            };
+            let homes: Vec<&String> = sources.iter().filter(|s| defines(s, ty)).collect();
+            if homes.is_empty() {
+                continue; // a std or foreign type
+            }
+            for member in members {
+                checked += 1;
+                if !homes.iter().any(|s| has_member(s, member)) {
+                    let doc = doc.strip_prefix(&root).unwrap_or(doc);
+                    missing.push(format!("{}: `{token}` ({ty}::{member})", doc.display()));
+                }
+            }
+        }
+    }
+    assert!(checked > 40, "scanner must find the docs' member citations");
+    assert!(
+        missing.is_empty(),
+        "docs cite members their type's file does not define: {missing:#?}"
+    );
 }
 
 /// Every test `docs/limits.md`'s "Held by" column names exists: each

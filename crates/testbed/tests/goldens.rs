@@ -3,7 +3,7 @@
 //! `tests/golden/` copy, at 1, 2 and 4 threads alike when the entry takes
 //! `threads`; its report, rendered from those goldens alone, must equal
 //! what the run prints. Beside the table: `inspect` over the C5 row, and a
-//! drop-heavy run whose text trace is pinned. After a deliberate change, regenerate:
+//! drop-heavy run whose control-plane notes are pinned. After a deliberate change, regenerate:
 //! `UPDATE_GOLDEN=1 cargo test -p mosquitonet-testbed --test goldens`.
 
 use std::collections::BTreeSet;
@@ -14,7 +14,7 @@ use std::process::Command;
 use bytes::Bytes;
 use mosquitonet_core::{AddressPlan, SwitchPlan, SwitchStyle};
 use mosquitonet_link::{FaultPlan, FaultRates};
-use mosquitonet_sim::{Json, SimDuration};
+use mosquitonet_sim::{Json, SimDuration, SimTime};
 use mosquitonet_stack::{self as stack, DropReason, HostId, IfaceId, RouteEntry, SendOptions};
 use mosquitonet_testbed::experiments::{Artifact, Experiment, Params};
 use mosquitonet_testbed::topology::{
@@ -220,9 +220,9 @@ fn every_golden_file_is_read() {
 // switch plus a fault plan, a carried-away cable, an IGMP join, a capture
 // tap, a crashed host and one probe per drop reason, so every reason
 // fires. Metrics and journeys say how many packets died and where; the
-// trace golden pins that the trace holds the control plane's lines
-// (devices, hand-offs, the crash) and no packet's. With the trace off the
-// run must change nothing but the trace.
+// trace golden pins that the flight recorder's notes hold the control
+// plane's lines (devices, hand-offs, the crash) and no packet's. With the
+// recorder off the run must change nothing but what it records.
 
 const ECHO_PORT: u16 = 7;
 const GROUP: Ipv4Addr = Ipv4Addr::new(224, 0, 1, 9);
@@ -233,10 +233,11 @@ const BOUNCED: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
 
 /// What one run leaves behind.
 struct Outcome {
-    trace: String,
-    entries: usize,
+    notes: String,
     metrics: String,
-    journeys: String,
+    journeys: Json,
+    events: u64,
+    now: SimTime,
 }
 
 fn send(tb: &mut Testbed, host: HostId, header: Ipv4Header, payload: Bytes) {
@@ -273,17 +274,17 @@ fn cold_switch(tb: &mut Testbed, iface: IfaceId, addr: Ipv4Addr, subnet: Cidr, r
     assert!(tb.mh_module().away_status().map(|s| s.2).unwrap_or(false));
 }
 
-fn run(trace_on: bool) -> Outcome {
+fn run(recorder_on: bool) -> Outcome {
     let mut tb = build(TestbedConfig {
         seed: 1996,
         with_far_ch: true,
         transit_filter: true,
         ..TestbedConfig::default()
     });
-    if !trace_on {
-        // Bring-up lines were recorded while `build` ran.
-        tb.sim.trace_mut().set_enabled(false);
-        tb.sim.trace_mut().clear();
+    if !recorder_on {
+        // Bring-up hops and notes were recorded while `build` ran.
+        tb.sim.flights_mut().set_enabled(false);
+        tb.sim.flights_mut().clear();
     }
     let (mh, ch, router, lan_dept) = (tb.mh, tb.ch_dept, tb.router, tb.lan_dept);
     let (eth, radio, router_dept_if) = (tb.mh_eth, tb.mh_radio, tb.router_dept_if);
@@ -368,10 +369,11 @@ fn run(trace_on: bool) -> Outcome {
     let hosts = &tb.sim.world().hosts;
     let names: Vec<String> = hosts.iter().map(|h| h.core.name.clone()).collect();
     Outcome {
-        trace: tb.sim.trace().render(),
-        entries: tb.sim.trace().entries().len(),
+        notes: stack::render_notes(&tb.sim),
         metrics: tb.sim.metrics().to_json().render_pretty(),
-        journeys: tb.sim.flights().export(&names, None).render_pretty(),
+        journeys: tb.sim.flights().export(&names, None),
+        events: tb.sim.events_executed(),
+        now: tb.sim.now(),
     }
 }
 
@@ -379,17 +381,25 @@ fn run(trace_on: bool) -> Outcome {
 fn drop_heavy_trace_matches_golden() {
     let out = run(true);
     // The run is only worth pinning while every reason fires in it.
+    let journeys = out.journeys.render();
     for reason in DropReason::ALL {
         let code = reason.code();
-        assert!(out.journeys.contains(code), "{code} never fired");
+        assert!(journeys.contains(code), "{code} never fired");
     }
-    assert_golden(DROP_HEAVY, &out.trace, "drop-heavy run");
+    assert_golden(DROP_HEAVY, &out.notes, "drop-heavy run");
 }
 
 #[test]
-fn disabling_the_trace_changes_nothing_else() {
+fn disabling_the_recorder_changes_nothing_else() {
     let (on, off) = (run(true), run(false));
-    assert_eq!(off.entries, 0, "a disabled trace recorded something");
-    assert_eq!(on.metrics, off.metrics, "metrics depend on the trace");
-    assert_eq!(on.journeys, off.journeys, "journeys depend on the trace");
+    let flights = |out: &Outcome| out.journeys.get("flights").and_then(Json::as_u64);
+    assert_eq!(flights(&off), Some(0), "a disabled recorder kept a flight");
+    assert_eq!(off.notes, "", "a disabled recorder kept a note");
+    assert!(flights(&on) > Some(0) && !on.notes.is_empty());
+    assert_eq!(on.metrics, off.metrics, "metrics depend on the recorder");
+    let (ran_on, ran_off) = ((on.events, on.now), (off.events, off.now));
+    assert_eq!(
+        ran_on, ran_off,
+        "events and final time depend on the recorder"
+    );
 }
