@@ -250,9 +250,10 @@ impl Lan {
     }
 
     /// The smallest delay this medium can ever draw (`base - jitter`).
-    /// For an inter-shard trunk this is the conservative scheduler's
-    /// lookahead bound: no frame sent at `t` can arrive before
-    /// `t + min_latency()`.
+    /// No frame that has left its device at `t` arrives before
+    /// `t + min_latency()`. For an inter-shard trunk this is one term of
+    /// the conservative scheduler's lookahead; the sending device's fixed
+    /// transmit cost is the other.
     pub fn min_latency(&self) -> SimDuration {
         SimDuration::from_nanos(
             self.delay

@@ -164,17 +164,19 @@ pub fn internet_cloud(name: impl Into<String>, one_way: SimDuration) -> Lan {
 
 /// Default one-way latency of the inter-shard backbone trunk: a campus
 /// backbone hop (switch fabric + a few hundred meters of fiber), well
-/// above the intra-LAN 5 µs so the conservative scheduler gets a useful
-/// lookahead window.
+/// above the intra-LAN 5 µs. It is one term of the sharded scheduler's
+/// lookahead; the sending device's fixed transmit cost
+/// ([`ETHERNET_TX_OVERHEAD`] on the campus gateways) is the other.
 pub const TRUNK_ONE_WAY: SimDuration = SimDuration::from_micros(50);
 
 /// The inter-shard backbone segment. Its delay is **fixed and lossless by
-/// contract**: the sharded engine uses the minimum cross-shard link
-/// latency as its conservative lookahead, so a trunk must never deliver a
-/// frame earlier than `tx_time + one_way` and must not draw engine
-/// randomness (jitter or loss would both break byte-identity across
-/// thread counts, because per-shard RNG streams advance independently).
-/// [`Lan::min_latency`] on the returned segment is the lookahead bound.
+/// contract**: the sharded engine's conservative lookahead counts on it,
+/// so a trunk must never deliver a frame earlier than
+/// `tx_time + one_way` and must not draw engine randomness (jitter or
+/// loss would both break byte-identity across thread counts, because
+/// per-shard RNG streams advance independently). [`Lan::min_latency`] on
+/// the returned segment is the trunk's term of the lookahead, added to
+/// the smallest fixed transmit cost of a device attached to it.
 pub fn backbone_trunk(name: impl Into<String>, one_way: SimDuration) -> Lan {
     assert!(
         one_way > SimDuration::ZERO,

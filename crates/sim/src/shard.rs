@@ -9,8 +9,9 @@
 //! 1. every shard publishes the time of its next pending event;
 //! 2. all workers agree on the global minimum `T`;
 //! 3. each shard executes every event strictly before `T + L`, where
-//!    `L` is the *lookahead* — the minimum latency of any inter-shard
-//!    link;
+//!    `L` is the *lookahead* — the minimum latency of the inter-shard
+//!    link model (for the network stack: the sending device's fixed
+//!    transmit cost plus the trunk delay, not the trunk delay alone);
 //! 4. frames that crossed a shard boundary during the window are
 //!    exchanged as timestamped [`ShardEnvelope`]s at the barrier and
 //!    injected in canonical `(source shard, sequence)` order.
@@ -23,8 +24,10 @@
 //! threads is byte-identical to the same run with one thread. See
 //! `docs/parallel_engine.md` for the full determinism argument.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::engine::Sim;
 use crate::rng::mix64;
@@ -65,6 +68,16 @@ pub trait ShardWorld: Sized {
     /// order.
     fn shard_outbox(sim: &mut Sim<Self>) -> Vec<ShardEnvelope<Self::Payload>>;
 
+    /// Moves every envelope staged since the last call onto the end of
+    /// `out`, in staging order. The runner calls this once per shard and
+    /// window, with a buffer it keeps across rounds; a world that keeps
+    /// its own staging buffer overrides it to hand the envelopes over
+    /// without giving the buffer up. The default appends what
+    /// [`ShardWorld::shard_outbox`] returns.
+    fn drain_outbox(sim: &mut Sim<Self>, out: &mut Vec<ShardEnvelope<Self::Payload>>) {
+        out.append(&mut Self::shard_outbox(sim));
+    }
+
     /// Injects one envelope received from another shard, scheduling its
     /// delivery at `env.at`.
     fn shard_inject(sim: &mut Sim<Self>, env: ShardEnvelope<Self::Payload>);
@@ -77,6 +90,108 @@ pub trait ShardWorld: Sized {
 
 /// Idle marker in the published next-event-time slots.
 const IDLE: u64 = u64::MAX;
+
+/// Envelopes bound for one shard. Senders lock it once per round and
+/// destination; its owner reads `has_mail` first, so a shard that received
+/// nothing costs no lock. The `Vec` is drained in place, never taken, so it
+/// keeps its capacity from round to round. `has_mail` is set before the
+/// exchange barrier and read after it; the barrier's lock orders the two,
+/// so `Relaxed` suffices (with one worker they are in program order).
+struct Inbox<P> {
+    mail: Mutex<Vec<ShardEnvelope<P>>>,
+    has_mail: AtomicBool,
+}
+
+impl<P> Inbox<P> {
+    fn new() -> Self {
+        Inbox {
+            mail: Mutex::new(Vec::new()),
+            has_mail: AtomicBool::new(false),
+        }
+    }
+}
+
+/// Locks `m`, ignoring poison: a panicking worker breaks the round barrier,
+/// and the run re-raises its panic, before anything reads a value it may
+/// have left half-written.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Moves every staged envelope into its destination's inbox, leaving
+/// `staged` empty with its capacity. Grouped by destination first, each
+/// inbox takes its run of envelopes under one lock; the owner restores
+/// the canonical order, so the order here is free.
+fn post<P>(inboxes: &[Inbox<P>], staged: &mut Vec<ShardEnvelope<P>>) {
+    staged.sort_unstable_by_key(|env| env.dst_shard);
+    let mut outgoing = staged.drain(..).peekable();
+    while let Some(first) = outgoing.next() {
+        let dst = first.dst_shard;
+        let inbox = &inboxes[dst as usize];
+        let mut mail = lock(&inbox.mail);
+        mail.push(first);
+        mail.extend(std::iter::from_fn(|| {
+            outgoing.next_if(|env| env.dst_shard == dst)
+        }));
+        inbox.has_mail.store(true, Ordering::Relaxed);
+    }
+}
+
+/// The barrier between a round's phases. Unlike `std::sync::Barrier` it
+/// can be broken: a worker that panics breaks it, and every wait, pending
+/// or later, then returns `false`, so the other workers leave the loop
+/// instead of waiting for a party that is gone.
+struct RoundBarrier {
+    parties: usize,
+    state: Mutex<BarrierState>,
+    all_here: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    round: u64,
+    broken: bool,
+}
+
+impl RoundBarrier {
+    fn new(parties: usize) -> Self {
+        RoundBarrier {
+            parties,
+            state: Mutex::new(BarrierState::default()),
+            all_here: Condvar::new(),
+        }
+    }
+
+    /// Waits until every party has arrived; `false` once the barrier is
+    /// broken. A lone party waits for nobody and takes no lock.
+    fn wait(&self) -> bool {
+        if self.parties == 1 {
+            return true;
+        }
+        let mut state = lock(&self.state);
+        let round = state.round;
+        state.arrived += 1;
+        if state.arrived == self.parties {
+            state.arrived = 0;
+            state.round += 1;
+            self.all_here.notify_all();
+        }
+        while state.round == round && !state.broken {
+            state = self
+                .all_here
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        !state.broken
+    }
+
+    /// Releases every waiting party, now and in every later round.
+    fn break_barrier(&self) {
+        lock(&self.state).broken = true;
+        self.all_here.notify_all();
+    }
+}
 
 /// Derives shard `shard`'s RNG seed from the run's master seed.
 ///
@@ -109,12 +224,22 @@ pub fn shard_seed(master: u64, shard: u32) -> u64 {
 /// order of its events, so any thread count from 1 to `shards` produces
 /// byte-identical results.
 ///
-/// `lookahead` must be a lower bound on the latency of every
-/// inter-shard link: an envelope staged at time `t` must arrive no
-/// earlier than `t + lookahead`. Violations panic in debug builds.
+/// `lookahead` must be a lower bound on the latency of the inter-shard
+/// link model: an envelope staged at time `t` must arrive no earlier
+/// than `t + lookahead`. Violations panic in debug builds.
 ///
 /// Like [`Sim::run_until`], events scheduled exactly at `deadline`
 /// execute, and every shard's clock ends at `deadline`.
+///
+/// A round neither allocates nor locks on its own once warm: the
+/// exchange buffers keep their capacity, and a shard that received
+/// nothing takes no lock.
+///
+/// # Panics
+///
+/// If `build`, an event or `finish` panics on any worker, every other
+/// worker leaves the loop at its next barrier, and `run_sharded`
+/// re-raises the first panic.
 ///
 /// # Examples
 ///
@@ -197,80 +322,98 @@ where
     let next_at: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(IDLE)).collect();
     // Envelopes bound for each shard, filled between the two barriers of
     // a round and drained (sorted) by the owner before injection.
-    let inboxes: Vec<Mutex<Vec<ShardEnvelope<W::Payload>>>> =
-        (0..n).map(|_| Mutex::new(Vec::new())).collect();
+    let inboxes: Vec<Inbox<W::Payload>> = (0..n).map(|_| Inbox::new()).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let barrier = Barrier::new(threads);
-    // A lone worker waits for nobody: spare it `Barrier::wait`'s futex wake.
-    let sync = || (threads > 1).then(|| barrier.wait());
+    let barrier = RoundBarrier::new(threads);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+    let worker = |w: usize| {
+        let mut owned: Vec<(u32, Sim<W>)> = (0..shards)
+            .filter(|i| *i as usize % threads == w)
+            .map(|i| (i, build(i)))
+            .collect();
+        // What the owned shards staged in a window; kept across rounds.
+        let mut staged: Vec<ShardEnvelope<W::Payload>> = Vec::new();
+        loop {
+            for (i, sim) in owned.iter_mut() {
+                let t = sim.next_event_at().map_or(IDLE, SimTime::as_nanos);
+                next_at[*i as usize].store(t, Ordering::Relaxed);
+            }
+            if !barrier.wait() {
+                return;
+            }
+            // Every worker computes the same minimum from the same
+            // published values, so all exit the same round.
+            let t_min = next_at
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .min()
+                .expect("at least one shard");
+            if t_min > deadline_ns {
+                break;
+            }
+            let end = SimTime::from_nanos(
+                t_min
+                    .saturating_add(lookahead.as_nanos())
+                    .min(deadline_ns.saturating_add(1)),
+            );
+            for (_, sim) in owned.iter_mut() {
+                sim.run_window(end);
+                W::drain_outbox(sim, &mut staged);
+            }
+            for env in &staged {
+                debug_assert!(
+                    env.at >= end,
+                    "lookahead violation: envelope at {:?} inside window ending {:?}",
+                    env.at,
+                    end
+                );
+            }
+            post(&inboxes, &mut staged);
+            if !barrier.wait() {
+                return;
+            }
+            for (i, sim) in owned.iter_mut() {
+                let inbox = &inboxes[*i as usize];
+                // Nobody sends before the next publish barrier, so the
+                // inbox is the owner's alone until then.
+                if inbox.has_mail.load(Ordering::Relaxed) {
+                    inbox.has_mail.store(false, Ordering::Relaxed);
+                    let mut mail = lock(&inbox.mail);
+                    mail.sort_unstable_by_key(|env| (env.src_shard, env.seq));
+                    for env in mail.drain(..) {
+                        W::shard_inject(sim, env);
+                    }
+                }
+                W::at_barrier(sim);
+            }
+            // No barrier here: a worker republishing its own slots cannot
+            // race another worker's round-k reads, because those happen
+            // before the barrier above.
+        }
+        for (i, mut sim) in owned {
+            sim.run_until(deadline);
+            *lock(&results[i as usize]) = Some(finish(i, sim));
+        }
+    };
+    // A worker that panics breaks the barrier, so the others leave the
+    // loop at their next wait; the first panic is re-raised below.
+    let guarded = |w: usize| {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| worker(w))) {
+            lock(&first_panic).get_or_insert(payload);
+            barrier.break_barrier();
+        }
+    };
 
     std::thread::scope(|scope| {
-        let (next_at, inboxes, results) = (&next_at, &inboxes, &results);
-        let (sync, build, finish) = (&sync, &build, &finish);
+        let guarded = &guarded;
         for w in 0..threads {
-            scope.spawn(move || {
-                let mut owned: Vec<(u32, Sim<W>)> = (0..shards)
-                    .filter(|i| *i as usize % threads == w)
-                    .map(|i| (i, build(i)))
-                    .collect();
-                loop {
-                    for (i, sim) in owned.iter_mut() {
-                        let t = sim.next_event_at().map_or(IDLE, SimTime::as_nanos);
-                        next_at[*i as usize].store(t, Ordering::Relaxed);
-                    }
-                    sync();
-                    // Every worker computes the same minimum from the
-                    // same published values, so all exit the same round.
-                    let t_min = next_at
-                        .iter()
-                        .map(|a| a.load(Ordering::Relaxed))
-                        .min()
-                        .expect("at least one shard");
-                    if t_min > deadline_ns {
-                        break;
-                    }
-                    let end = SimTime::from_nanos(
-                        t_min
-                            .saturating_add(lookahead.as_nanos())
-                            .min(deadline_ns.saturating_add(1)),
-                    );
-                    for (_, sim) in owned.iter_mut() {
-                        sim.run_window(end);
-                        for env in W::shard_outbox(sim) {
-                            debug_assert!(
-                                env.at >= end,
-                                "lookahead violation: envelope at {:?} inside window ending {:?}",
-                                env.at,
-                                end
-                            );
-                            inboxes[env.dst_shard as usize]
-                                .lock()
-                                .expect("inbox")
-                                .push(env);
-                        }
-                    }
-                    sync();
-                    for (i, sim) in owned.iter_mut() {
-                        let mut inbox =
-                            std::mem::take(&mut *inboxes[*i as usize].lock().expect("inbox"));
-                        inbox.sort_by_key(|e| (e.src_shard, e.seq));
-                        for env in inbox {
-                            W::shard_inject(sim, env);
-                        }
-                        W::at_barrier(sim);
-                    }
-                    // No barrier here: a worker republishing its own
-                    // slots cannot race another worker's round-k reads,
-                    // because those happen before the barrier above.
-                }
-                for (i, sim) in owned {
-                    let mut sim = sim;
-                    sim.run_until(deadline);
-                    *results[i as usize].lock().expect("result slot") = Some(finish(i, sim));
-                }
-            });
+            scope.spawn(move || guarded(w));
         }
     });
+    if let Some(payload) = lock(&first_panic).take() {
+        panic::resume_unwind(payload);
+    }
 
     results
         .into_iter()
@@ -493,6 +636,106 @@ mod tests {
             let arrived = shard1.iter().find(|&&(_, tag)| tag == 42).expect("arrival");
             assert_eq!(arrived.0, arrival.as_nanos(), "arrival time preserved");
         }
+    }
+
+    /// A toy shard with nothing scheduled.
+    fn toy(id: u32) -> Sim<Toy> {
+        let world = Toy {
+            id,
+            log: Vec::new(),
+            outbox: Vec::new(),
+            seq: 0,
+            barriers_seen: 0,
+        };
+        Sim::with_seed(world, id.into())
+    }
+
+    /// Runs `f` on a thread of its own and re-raises its panic here; fails
+    /// instead if it has not finished within ten seconds, so a run that a
+    /// worker's panic hangs fails the test rather than hanging it.
+    fn within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(f)));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Ok(value)) => value,
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            Err(_) => panic!("the run hung: no result after 10 s"),
+        }
+    }
+
+    /// Two toys to 1 ms on `threads` workers, shard 1 built by `shard1`.
+    fn run_two(threads: usize, shard0: fn(&mut Sim<Toy>), shard1: fn(u32) -> Sim<Toy>) {
+        let deadline = SimTime::ZERO + SimDuration::from_millis(1);
+        run_sharded(
+            2,
+            threads,
+            LINK,
+            deadline,
+            |id| {
+                if id == 1 {
+                    return shard1(id);
+                }
+                let mut sim = toy(id);
+                shard0(&mut sim);
+                sim
+            },
+            |_, sim| sim.now(),
+        );
+    }
+
+    /// Shard 0 keeps a timer every microsecond, so it has work in every
+    /// round while shard 1 fails.
+    fn busy(sim: &mut Sim<Toy>) {
+        fn tick(sim: &mut Sim<Toy>) {
+            sim.schedule_in(SimDuration::from_micros(1), tick);
+        }
+        tick(sim);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 failed to build")]
+    fn a_panic_in_a_shards_build_is_re_raised_promptly() {
+        within_10s(|| run_two(2, busy, |_| panic!("shard 1 failed to build")));
+    }
+
+    #[test]
+    #[should_panic(expected = "an event on shard 1 failed")]
+    fn a_panic_in_an_event_is_re_raised_promptly() {
+        within_10s(|| {
+            run_two(2, busy, |id| {
+                let mut sim = toy(id);
+                sim.schedule_at(SimTime::ZERO + SimDuration::from_micros(30), |_| {
+                    panic!("an event on shard 1 failed")
+                });
+                sim
+            })
+        });
+    }
+
+    /// Shard 0 stages, at 50 µs, an envelope due half a lookahead later:
+    /// inside the window it was staged in.
+    #[cfg(debug_assertions)]
+    fn stage_inside_the_window(sim: &mut Sim<Toy>) {
+        sim.schedule_at(SimTime::ZERO + SimDuration::from_micros(50), |sim| {
+            let at = sim.now() + SimDuration::from_micros(5);
+            sim.world_mut().send(1, at, 7);
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn an_envelope_inside_its_window_is_a_lookahead_violation_on_one_thread() {
+        within_10s(|| run_two(1, stage_inside_the_window, toy));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn an_envelope_inside_its_window_is_a_lookahead_violation_on_two_threads() {
+        within_10s(|| run_two(2, stage_inside_the_window, toy));
     }
 
     #[test]

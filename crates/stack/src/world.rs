@@ -100,10 +100,12 @@ impl Network {
     /// Registers `lan` as the local copy of the distributed portal
     /// segment `portal`. Frames transmitted onto it reach local
     /// attachments normally and are additionally staged as envelopes for
-    /// the peer shards, arriving one trunk delay later. The segment must
-    /// be fixed-delay and lossless (see
-    /// [`backbone_trunk`](mosquitonet_link::presets::backbone_trunk)):
-    /// its minimum latency is the scheduler's lookahead bound.
+    /// the peer shards, arriving the sender's transmit time plus one
+    /// trunk delay later. The segment must be fixed-delay and lossless
+    /// (see [`backbone_trunk`](mosquitonet_link::presets::backbone_trunk)).
+    /// Its minimum latency is one term of the scheduler's lookahead; the
+    /// fixed transmit cost of the devices attached to it is the other
+    /// ([`Network::portal_lookahead`]).
     pub fn add_portal(&mut self, lan: LanId, portal: u32) {
         let min = self.lans[lan.0].min_latency();
         assert!(
@@ -130,6 +132,26 @@ impl Network {
         sh.mac_directory.insert(mac, shard);
     }
 
+    /// The lookahead this wired shard guarantees: the smallest, over every
+    /// interface attached to a portal segment, of the device's fixed
+    /// transmit cost plus the segment's minimum latency. A frame sent onto
+    /// a portal at `t` arrives no earlier than `t` plus this, because its
+    /// transmit delay is never below the device's fixed cost. `None` when
+    /// nothing is attached to a portal (nothing can cross) or the world
+    /// is not sharded. It reads the attachments as they are now: a device
+    /// attached or changed later is not covered.
+    pub fn portal_lookahead(&self) -> Option<SimDuration> {
+        let sh = self.sharding.as_ref()?;
+        self.hosts
+            .iter()
+            .flat_map(|h| &h.core.ifaces)
+            .filter_map(|ifc| {
+                let lan = ifc.lan.filter(|lan| sh.portal_of_lan.contains_key(lan))?;
+                Some(ifc.device.tx_fixed_overhead + self.lans[lan.0].min_latency())
+            })
+            .min()
+    }
+
     /// Barrier rounds in which this shard sent at least one cross-shard
     /// envelope.
     pub fn arena_resets(&self) -> u64 {
@@ -138,9 +160,10 @@ impl Network {
 }
 
 /// Stages cross-shard copies of a frame transmitted onto a portal
-/// segment. The arrival instant is `tx_time` plus the segment's (fixed)
-/// latency, which the conservative scheduler's lookahead guarantees lies
-/// at or beyond the current window's end.
+/// segment. The arrival instant is `now + tx_delay` plus the segment's
+/// (fixed) latency. `tx_delay` is never below the device's fixed transmit
+/// cost, so the arrival lies at least [`Network::portal_lookahead`] past
+/// `now`: at or beyond the current window's end.
 fn stage_cross_shard(
     w: &mut Network,
     lan: LanId,
@@ -188,12 +211,19 @@ impl ShardWorld for Network {
     type Payload = WireEnvelope;
 
     fn shard_outbox(sim: &mut Sim<Network>) -> Vec<ShardEnvelope<WireEnvelope>> {
+        let mut out = Vec::new();
+        Self::drain_outbox(sim, &mut out);
+        out
+    }
+
+    /// Hands the staged envelopes over and keeps the staging buffer, so
+    /// the next envelope staged does not reallocate it.
+    fn drain_outbox(sim: &mut Sim<Network>, out: &mut Vec<ShardEnvelope<WireEnvelope>>) {
         let Some(sh) = sim.world_mut().sharding.as_mut() else {
-            return Vec::new();
+            return;
         };
-        let outbox = std::mem::take(&mut sh.outbox);
-        sh.sent_this_round = !outbox.is_empty();
-        outbox
+        sh.sent_this_round = !sh.outbox.is_empty();
+        out.append(&mut sh.outbox);
     }
 
     fn shard_inject(sim: &mut Sim<Network>, env: ShardEnvelope<WireEnvelope>) {

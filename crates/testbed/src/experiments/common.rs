@@ -7,7 +7,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mosquitonet_core::{AddressPlan, SwitchPlan, SwitchStyle};
-use mosquitonet_link::presets;
 use mosquitonet_sim::{
     run_sharded, FlightDump, Json, Sim, SimDuration, SimTime, Snapshot, Summary,
 };
@@ -270,8 +269,9 @@ pub(super) struct Fleet<R> {
 
 /// The harness of every sharded run (S2 and S3): steps the shards `build`
 /// makes on `threads` workers over the backbone trunk until `deadline`,
-/// then lets `tally` add each finished shard's world to the one row and
-/// span. Sums and span bounds do not depend on the order in which the
+/// by [`ShardedCampus::LOOKAHEAD`] (each built shard is checked against
+/// it), then lets `tally` add each finished shard's world to the one row
+/// and span. Sums and span bounds do not depend on the order in which the
 /// shards finish; the documents fold the shards in shard order, so host
 /// names line up with the `host_base` offsets of the flight dumps.
 pub(super) fn run_fleet<R: Default + Send>(
@@ -295,10 +295,23 @@ pub(super) fn run_fleet<R: Default + Send>(
         tally(sim.world_mut(), now, row, span);
         (names, snapshot, dump, engine, arena_resets)
     };
+    // A device on the backbone that transmits faster than the constant
+    // assumes could stage an envelope inside the window it was sent in.
+    let build = |s: u32| {
+        let sim = build(s);
+        if let Some(bound) = sim.world().portal_lookahead() {
+            assert!(
+                bound >= ShardedCampus::LOOKAHEAD,
+                "shard {s}'s portal lookahead {bound:?} is below the {:?} the runner steps by",
+                ShardedCampus::LOOKAHEAD
+            );
+        }
+        sim
+    };
     let outs = run_sharded(
         shards,
         threads,
-        presets::TRUNK_ONE_WAY,
+        ShardedCampus::LOOKAHEAD,
         deadline,
         build,
         finish,
@@ -325,5 +338,51 @@ pub(super) fn run_fleet<R: Default + Send>(
         wall_ns,
         journeys: FlightDump::export(&dumps, &names, None),
         metrics: Snapshot::merged(snapshots).to_json(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mosquitonet_link::presets;
+    use mosquitonet_stack::LanId;
+    use mosquitonet_wire::MacAddr;
+
+    use super::*;
+
+    /// Shard `s` of a two-shard campus. On shard 1 the gateway has a second
+    /// backbone port whose fixed transmit cost is 100 µs, not 800.
+    fn campus_with_a_fast_port(s: u32) -> Sim<Network> {
+        let mut campus = ShardedCampus::wire(s, 2, 1996, ["gw", "a", "b"]);
+        let gw = campus.gw;
+        let net = campus.sim.world_mut();
+        assert_eq!(net.portal_lookahead(), Some(ShardedCampus::LOOKAHEAD));
+        if s == 1 {
+            let backbone = net.lans.iter().position(|lan| lan.name() == "backbone");
+            let mut port = presets::wired_ethernet("eth2", MacAddr::from_index(99));
+            port.tx_fixed_overhead = SimDuration::from_micros(100);
+            let port = net.host_mut(gw).core.add_iface(port);
+            net.attach(gw, port, LanId(backbone.expect("a backbone")));
+            assert_eq!(
+                net.portal_lookahead(),
+                Some(SimDuration::from_micros(100) + presets::TRUNK_ONE_WAY),
+                "the fast port sets the bound"
+            );
+        }
+        campus.sim
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1's portal lookahead 150us is below the 850us")]
+    fn a_shard_whose_portal_undercuts_the_lookahead_is_refused() {
+        let deadline = SimTime::ZERO + SimDuration::from_millis(10);
+        let tally = |_: &mut Network, _: SimTime, _: &mut (), _: &mut Span| {};
+        run_fleet(
+            2,
+            2,
+            Instant::now(),
+            deadline,
+            campus_with_a_fast_port,
+            tally,
+        );
     }
 }

@@ -907,6 +907,14 @@ impl ShardedCampus {
     /// The global portal id of the backbone segment.
     const BACKBONE_PORTAL: u32 = 0;
 
+    /// The lookahead every sharded run steps by: a frame the gateway sends
+    /// onto the backbone at `t` arrives no earlier than `t` plus its
+    /// device's fixed transmit cost plus the trunk's one-way delay,
+    /// 800 + 50 = 850 µs. The sharded runs hold each wired shard to it
+    /// with [`Network::portal_lookahead`].
+    pub const LOOKAHEAD: SimDuration =
+        presets::ETHERNET_TX_OVERHEAD.saturating_add(presets::TRUNK_ONE_WAY);
+
     /// Panics unless the address plan holds `shards` shards. Sharded runs
     /// call it up front so a bad count fails on the calling thread, before
     /// any worker is spawned.

@@ -12,13 +12,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{BufMut, Bytes};
 use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle};
-use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
+use mosquitonet_link::{presets, EtherType, Frame, FRAME_HEADER_LEN};
 use mosquitonet_sim::flightrec::DEFAULT_RING_CAPACITY;
-use mosquitonet_sim::{FlightDump, FlightRecorder, HopAction, Json, SimDuration, SimTime};
-use mosquitonet_stack as stack;
+use mosquitonet_sim::{
+    run_sharded, FlightDump, FlightRecorder, HopAction, Json, Sim, SimDuration, SimTime,
+};
+use mosquitonet_stack::{self as stack, HostId, LanId, ModuleId, NetSim, Network, RouteEntry};
 use mosquitonet_testbed::topology::{self, TestbedConfig, CH_DEPT, COA_DEPT, MH_HOME, ROUTER_DEPT};
 use mosquitonet_testbed::workload::{SaturationSender, SaturationSink};
 use mosquitonet_wire::{
@@ -298,4 +302,139 @@ fn exporting_shard_dumps_allocates_the_same_for_any_number_of_flights() {
         n
     };
     assert_eq!(export_allocs(100), export_allocs(30_000));
+}
+
+/// Host `end` of the cross-shard flow on `lan`: end 0 at `10.99.0.1`
+/// sends, end 1 at `10.99.0.2` receives.
+fn add_flow_end(net: &mut Network, lan: LanId, end: u8) -> HostId {
+    let subnet: Cidr = "10.99.0.0/24".parse().expect("cidr");
+    let host = net.add_host(format!("end{end}"));
+    let core = &mut net.host_mut(host).core;
+    let device = presets::wired_ethernet("eth0", MacAddr::from_index(u32::from(end) + 1));
+    let iface = core.add_iface(device);
+    core.iface_mut(iface)
+        .add_addr(Ipv4Addr::new(10, 99, 0, end + 1), subnet);
+    core.routes.add(RouteEntry {
+        dest: subnet,
+        gateway: None,
+        iface,
+        metric: 0,
+    });
+    net.attach(host, iface, lan);
+    host
+}
+
+/// Brings end `end`'s interface up and installs (and starts) its module on
+/// the started stack.
+fn install_flow_end(sim: &mut NetSim, host: HostId, end: u8) -> ModuleId {
+    stack::bring_iface_up(sim, host, stack::IfaceId(0));
+    let module: Box<dyn stack::Module> = if end == 0 {
+        let to = (Ipv4Addr::new(10, 99, 0, 2), PORT);
+        Box::new(SaturationSender::new(to, BURST, TICK, u32::MAX))
+    } else {
+        Box::new(SaturationSink::new(PORT))
+    };
+    stack::add_module(sim, host, module)
+}
+
+/// Allocations, engine events and delivered datagrams of `ticks` sender
+/// ticks of one flow between two hosts on a backbone trunk: on one shard
+/// each, stepped by `run_sharded` on one worker, or on one `Sim`.
+fn flow_over_the_trunk(sharded: bool, ticks: u32) -> (u64, u64, u64) {
+    let deadline = SimTime::ZERO + TICK * u64::from(ticks);
+    let trunk = || presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY);
+    if !sharded {
+        // On a thread of its own, as the sharded run's worker is: the
+        // packet buffer pool is per thread, and a warm one allocates less.
+        let run = || {
+            allocations_in(|| {
+                let mut net = Network::new();
+                let lan = net.add_lan(trunk());
+                let ends = [0, 1].map(|end| add_flow_end(&mut net, lan, end));
+                let mut sim = Sim::new(net);
+                stack::start(&mut sim);
+                let sink =
+                    [0, 1].map(|end| install_flow_end(&mut sim, ends[usize::from(end)], end))[1];
+                sim.run_until(deadline);
+                let host = &mut sim.world_mut().hosts[ends[1].0];
+                let delivered = host
+                    .module_mut::<SaturationSink>(sink)
+                    .expect("sink")
+                    .datagrams;
+                (sim.events_executed(), delivered)
+            })
+        };
+        let (n, (events, delivered)) =
+            std::thread::scope(|s| s.spawn(run).join()).expect("the one-`Sim` flow panicked");
+        return (n, events, delivered);
+    }
+    // The counter is per thread: shard 0's build starts the count on the
+    // worker, which builds, steps and finishes both shards.
+    let start = AtomicU64::new(0);
+    let lookahead = presets::ETHERNET_TX_OVERHEAD + presets::TRUNK_ONE_WAY;
+    let outs = run_sharded(
+        2,
+        1,
+        lookahead,
+        deadline,
+        |s| {
+            if s == 0 {
+                start.store(ALLOCS.with(Cell::get), Ordering::Relaxed);
+            }
+            let mut net = Network::new();
+            net.enable_sharding(s, 2);
+            let lan = net.add_lan(trunk());
+            net.add_portal(lan, 0);
+            let end = s as u8;
+            let host = add_flow_end(&mut net, lan, end);
+            assert_eq!(net.portal_lookahead(), Some(lookahead));
+            let mut sim = Sim::new(net);
+            stack::start(&mut sim);
+            install_flow_end(&mut sim, host, end);
+            sim
+        },
+        |s, mut sim| {
+            let n = ALLOCS.with(Cell::get) - start.load(Ordering::Relaxed);
+            let delivered = match sim.world_mut().hosts[0].module_mut::<SaturationSink>(ModuleId(0))
+            {
+                Some(sink) if s == 1 => sink.datagrams,
+                _ => 0,
+            };
+            (n, sim.events_executed(), delivered)
+        },
+    );
+    let (_, events0, _) = outs[0];
+    let (n, events1, delivered) = outs[1];
+    (n, events0 + events1, delivered)
+}
+
+/// Once warm, a barrier round that carries envelopes allocates nothing of
+/// its own, in `run_sharded` or in `Network`'s outbox: the exchange buffers
+/// keep their capacity. So the allocations of ticks `N..2N` of a flow
+/// across two shards equal those of the same flow on one `Sim`, which
+/// has no rounds at all: the events' own boxes and frames.
+#[test]
+fn a_warm_round_allocates_nothing_of_its_own() {
+    const N: u32 = 200;
+    let steady = |sharded: bool| {
+        let (n1, e1, d1) = flow_over_the_trunk(sharded, N);
+        let (n2, e2, d2) = flow_over_the_trunk(sharded, 2 * N);
+        (n2 - n1, e2 - e1, d2 - d1)
+    };
+    let (sharded, events, delivered) = steady(true);
+    let (alone, events_alone, delivered_alone) = steady(false);
+    assert_eq!(
+        (events, delivered),
+        (events_alone, delivered_alone),
+        "the two runs must carry the same traffic"
+    );
+    assert_eq!(
+        delivered,
+        u64::from(N * BURST),
+        "every datagram of the later ticks crosses"
+    );
+    assert_eq!(
+        sharded, alone,
+        "allocations over {events} events and {delivered} cross-shard datagrams"
+    );
 }
