@@ -172,9 +172,8 @@ pub const TRUNK_ONE_WAY: SimDuration = SimDuration::from_micros(50);
 /// The inter-shard backbone segment. Its delay is **fixed and lossless by
 /// contract**: the sharded engine's conservative lookahead counts on it,
 /// so a trunk must never deliver a frame earlier than
-/// `tx_time + one_way` and must not draw engine randomness (jitter or
-/// loss would both break byte-identity across thread counts, because
-/// per-shard RNG streams advance independently). [`Lan::min_latency`] on
+/// `tx_time + one_way` and must not draw engine randomness (a draw for a
+/// foreign frame would shift the receiving shard's own RNG stream). [`Lan::min_latency`] on
 /// the returned segment is the trunk's term of the lookahead, added to
 /// the smallest fixed transmit cost of a device attached to it.
 pub fn backbone_trunk(name: impl Into<String>, one_way: SimDuration) -> Lan {

@@ -195,10 +195,9 @@ pub struct HopEvent {
     pub action: HopAction,
 }
 
-/// A `Send` snapshot of one shard's recorder, produced by
-/// [`FlightRecorder::dump`] on the worker thread that owns the shard and
-/// read, beside the other shards' dumps, by [`FlightDump::export`] after
-/// the run. It is the ring moved out, not copied: 24 bytes a hop, with the
+/// A snapshot of one shard's recorder, produced by
+/// [`FlightRecorder::dump`] when the shard finishes and read, beside the
+/// other shards' dumps, by [`FlightDump::export`] after the run. It is the ring moved out, not copied: 24 bytes a hop, with the
 /// shard's own name tables (shards meet names in different orders, so its
 /// ids mean something only beside them). Rendering the document groups
 /// the dumps' hops by flight in place: it adds 4 bytes a hop and 4 bytes
@@ -443,7 +442,7 @@ impl FlightRecorder {
     /// Partitions the flight-id space for a sharded run: ids allocated
     /// after this call are `(shard << FLIGHT_SHARD_SHIFT) + counter`, so
     /// per-shard recorders hand out globally unique ids without any
-    /// cross-thread coordination. Shard 0 keeps the unsharded numbering.
+    /// coordination between shards. Shard 0 keeps the unsharded numbering.
     pub fn set_flight_namespace(&mut self, shard: u32) {
         self.flight_base = u64::from(shard) << FLIGHT_SHARD_SHIFT;
     }
@@ -631,7 +630,7 @@ impl FlightRecorder {
         self.grouped().blackout(origin_host)
     }
 
-    /// Moves this recorder's hops out as plain `Send` data for
+    /// Moves this recorder's hops out as plain data for
     /// the sharded document ([`FlightDump::export`]), leaving it as after
     /// [`FlightRecorder::clear`]. `shard` is the segment's stable shard id
     /// (the tie-break for same-instant hops from different shards),
@@ -668,9 +667,9 @@ impl FlightDump {
     /// Renders a sharded run's journeys document from its shards' dumps:
     /// the document [`FlightRecorder::export`] renders over one recorder
     /// holding every dump's hops in `(time, shard, seq)` order — the order
-    /// a single-threaded run over the union topology would have recorded
-    /// them — with `hops_overwritten` summed (the rings paid it; nothing is
-    /// dropped here). Flight ids must be disjoint across dumps
+    /// one engine over the union topology would have recorded them — with
+    /// `hops_overwritten` summed (the rings paid it; nothing is dropped
+    /// here). Flight ids must be disjoint across dumps
     /// ([`FlightRecorder::set_flight_namespace`]).
     pub fn export(
         dumps: &[FlightDump],

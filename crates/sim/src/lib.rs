@@ -4,11 +4,10 @@
 //! paper ("Supporting Mobility in MosquitoNet", USENIX 1996) measures
 //! *timing* — packet-loss windows, device bring-up latency, registration
 //! round-trips — and a single-threaded virtual clock makes those
-//! measurements exactly reproducible from a seed. For multi-core runs the
-//! topology is partitioned into shards, each owning its own [`Sim`], and
-//! the [`shard`] module steps them in parallel under conservative
-//! time-window synchronization with results byte-identical to a
-//! one-thread run.
+//! measurements exactly reproducible from a seed. A topology can also be
+//! partitioned into shards, each owning its own [`Sim`], and the
+//! [`shard`] module steps them under conservative time-window
+//! synchronization, just as reproducibly.
 //!
 //! The central type is [`Sim`], which owns a user-supplied *world* (the
 //! network state) together with a future-event queue. Events are boxed

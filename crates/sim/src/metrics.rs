@@ -453,8 +453,8 @@ impl Snapshot {
     /// shard (host-scoped metrics, `profile/shard/{id}/…`) carry over
     /// unchanged; on a path collision counters sum and
     /// histograms merge bucket-wise. The result is a `BTreeMap` like any
-    /// other snapshot, so its JSON rendering is byte-stable regardless
-    /// of how many threads produced the parts.
+    /// other snapshot, so its JSON rendering is byte-stable for a given
+    /// set of parts.
     ///
     /// # Panics
     ///

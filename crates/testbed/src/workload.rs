@@ -737,7 +737,7 @@ struct PendingReg {
 ///
 /// Sampling uses a private SplitMix64 stream over integer fixed-point
 /// Zipf prefix sums — no engine RNG, no floating point — so runs are
-/// byte-identical at every thread count.
+/// byte-identical from a seed.
 pub struct FleetChurn {
     /// This shard's active home agent (the owner of every home here).
     pub home_agent: Ipv4Addr,
@@ -887,7 +887,8 @@ impl Module for FleetChurn {
             if self.pending.contains_key(&home) {
                 // At most one in-flight registration per host (the real
                 // protocol's retry discipline); the draw still consumed
-                // its RNG words, so skips are thread-count-invariant.
+                // its RNG words, so the draw sequence does not depend on
+                // what is in flight.
                 continue;
             }
             self.next_ident[idx] += 1;

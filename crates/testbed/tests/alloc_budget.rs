@@ -13,7 +13,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::{BufMut, Bytes};
 use mosquitonet_core::{AddressPlan, SendMode, SwitchPlan, SwitchStyle};
@@ -339,38 +338,37 @@ fn install_flow_end(sim: &mut NetSim, host: HostId, end: u8) -> ModuleId {
 
 /// Allocations, engine events and delivered datagrams of `ticks` sender
 /// ticks of one flow between two hosts on a backbone trunk: on one shard
-/// each, stepped by `run_sharded` on one worker, or on one `Sim`.
+/// each, stepped by `run_sharded`, or on one `Sim`. Either runs on a
+/// thread of its own: the packet buffer pool is per thread, and a warm one
+/// allocates less.
 fn flow_over_the_trunk(sharded: bool, ticks: u32) -> (u64, u64, u64) {
+    std::thread::scope(|s| s.spawn(|| flow_on_this_thread(sharded, ticks)).join())
+        .expect("the flow panicked")
+}
+
+fn flow_on_this_thread(sharded: bool, ticks: u32) -> (u64, u64, u64) {
     let deadline = SimTime::ZERO + TICK * u64::from(ticks);
     let trunk = || presets::backbone_trunk("backbone", presets::TRUNK_ONE_WAY);
     if !sharded {
-        // On a thread of its own, as the sharded run's worker is: the
-        // packet buffer pool is per thread, and a warm one allocates less.
-        let run = || {
-            allocations_in(|| {
-                let mut net = Network::new();
-                let lan = net.add_lan(trunk());
-                let ends = [0, 1].map(|end| add_flow_end(&mut net, lan, end));
-                let mut sim = Sim::new(net);
-                stack::start(&mut sim);
-                let sink =
-                    [0, 1].map(|end| install_flow_end(&mut sim, ends[usize::from(end)], end))[1];
-                sim.run_until(deadline);
-                let host = &mut sim.world_mut().hosts[ends[1].0];
-                let delivered = host
-                    .module_mut::<SaturationSink>(sink)
-                    .expect("sink")
-                    .datagrams;
-                (sim.events_executed(), delivered)
-            })
-        };
-        let (n, (events, delivered)) =
-            std::thread::scope(|s| s.spawn(run).join()).expect("the one-`Sim` flow panicked");
+        let (n, (events, delivered)) = allocations_in(|| {
+            let mut net = Network::new();
+            let lan = net.add_lan(trunk());
+            let ends = [0, 1].map(|end| add_flow_end(&mut net, lan, end));
+            let mut sim = Sim::new(net);
+            stack::start(&mut sim);
+            let sink = [0, 1].map(|end| install_flow_end(&mut sim, ends[usize::from(end)], end))[1];
+            sim.run_until(deadline);
+            let host = &mut sim.world_mut().hosts[ends[1].0];
+            let delivered = host
+                .module_mut::<SaturationSink>(sink)
+                .expect("sink")
+                .datagrams;
+            (sim.events_executed(), delivered)
+        });
         return (n, events, delivered);
     }
-    // The counter is per thread: shard 0's build starts the count on the
-    // worker, which builds, steps and finishes both shards.
-    let start = AtomicU64::new(0);
+    // Shard 0's build starts the count; shard 1's finish reads it.
+    let start = Cell::new(0);
     let lookahead = presets::ETHERNET_TX_OVERHEAD + presets::TRUNK_ONE_WAY;
     let outs = run_sharded(
         2,
@@ -379,7 +377,7 @@ fn flow_over_the_trunk(sharded: bool, ticks: u32) -> (u64, u64, u64) {
         deadline,
         |s| {
             if s == 0 {
-                start.store(ALLOCS.with(Cell::get), Ordering::Relaxed);
+                start.set(ALLOCS.with(Cell::get));
             }
             let mut net = Network::new();
             net.enable_sharding(s, 2);
@@ -394,7 +392,7 @@ fn flow_over_the_trunk(sharded: bool, ticks: u32) -> (u64, u64, u64) {
             sim
         },
         |s, mut sim| {
-            let n = ALLOCS.with(Cell::get) - start.load(Ordering::Relaxed);
+            let n = ALLOCS.with(Cell::get) - start.get();
             let delivered = match sim.world_mut().hosts[0].module_mut::<SaturationSink>(ModuleId(0))
             {
                 Some(sink) if s == 1 => sink.datagrams,

@@ -72,6 +72,9 @@ fn bad_parameters_exit_2_naming_the_token_and_run_nothing() {
         // The engine has one loop: there is no batching switch to take.
         (&["s2_ha_fleet", "batching=0"], "`batching=0`"),
         (&["s3_saturation", "batching=1"], "`batching=1`"),
+        // One thread steps the shards: there is no worker count to take.
+        (&["s2_ha_fleet", "threads=2"], "`threads=2`"),
+        (&["s3_saturation", "threads=1"], "`threads=1`"),
     ] {
         let out = experiment(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

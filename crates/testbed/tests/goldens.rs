@@ -1,8 +1,7 @@
 //! Every pinned run, declared once: each [`PINNED`] row runs as the
 //! `experiment` binary runs it, and each sidecar it writes must equal its
-//! `tests/golden/` copy, at 1, 2 and 4 threads alike when the entry takes
-//! `threads`; its report, rendered from those goldens alone, must equal
-//! what the run prints. Beside the table: `inspect` over the C5 row, and a
+//! `tests/golden/` copy; its report, rendered from those goldens alone,
+//! must equal what the run prints. Beside the table: `inspect` over the C5 row, and a
 //! drop-heavy run whose control-plane notes are pinned. After a deliberate change, regenerate:
 //! `UPDATE_GOLDEN=1 cargo test -p mosquitonet-testbed --test goldens`.
 
@@ -60,15 +59,6 @@ fn entry(row: &str) -> &'static Experiment {
     Experiment::find(name).unwrap_or_else(|| panic!("{name} is not registered"))
 }
 
-/// The row as run: once, or once per thread count when its entry takes
-/// `threads`.
-fn thread_runs(row: &str) -> Vec<String> {
-    match entry(row).params.iter().any(|p| p.key == "threads") {
-        true => [1, 2, 4].map(|t| format!("{row} threads={t}")).to_vec(),
-        false => vec![row.to_string()],
-    }
-}
-
 /// The checked parameters of `run`.
 fn params(run: &str) -> Params {
     let args: Vec<&str> = run.split(' ').skip(1).collect();
@@ -106,16 +96,14 @@ fn assert_golden(file: &str, got: &str, run: &str) {
     assert!(got == want, "{run}: {file} differs from its golden");
 }
 
-/// Every row at each thread count against its goldens, then twice at
-/// another seed: same seed, same bytes.
+/// Every row against its goldens, then twice at another seed: same seed,
+/// same bytes.
 #[test]
 fn pinned_runs_match_their_goldens_and_repeat_byte_for_byte() {
     for row in PINNED {
         let exp = entry(row);
-        for run in thread_runs(row) {
-            for (file, got) in run_into(&run, &Path::new(ARTIFACTS).join(exp.name)) {
-                assert_golden(&file, &got, &run);
-            }
+        for (file, got) in run_into(row, &Path::new(ARTIFACTS).join(exp.name)) {
+            assert_golden(&file, &got, row);
         }
         let run = row.replace("seed=1996", "seed=7");
         let dir = Path::new(ARTIFACTS).join(format!("{}-seed7", exp.name));
@@ -142,12 +130,12 @@ fn pinned_runs_match_their_goldens_and_repeat_byte_for_byte() {
 
 /// The report is a view of the sidecars: each row's golden files, parsed
 /// from disk, render through the registry's `render` into exactly the
-/// text the run itself prints, at every thread count the entry takes.
+/// text the run itself prints.
 #[test]
 fn every_pinned_report_renders_from_its_golden_documents() {
-    for run in PINNED.iter().flat_map(|row| thread_runs(row)) {
-        let (exp, params) = (entry(&run), params(&run));
-        let printed = exp.report(&params, &(exp.run)(&params));
+    for &run in PINNED {
+        let (exp, params) = (entry(run), params(run));
+        let printed = exp.report(&(exp.run)(&params));
         let sidecars = exp.artifacts.iter().filter(|stem| !stem.ends_with(".pcap"));
         let docs: Vec<Json> = sidecars
             .map(|stem| {
@@ -160,7 +148,7 @@ fn every_pinned_report_renders_from_its_golden_documents() {
             .collect();
         let docs: Vec<&Json> = docs.iter().collect();
         assert_eq!(
-            (exp.render)(&params, &docs),
+            (exp.render)(&docs),
             printed,
             "{run}: the report rendered from the goldens differs from the run's"
         );
