@@ -70,6 +70,7 @@ impl BindingTable {
 
     /// Installs or refreshes a binding. The identification must strictly
     /// exceed the last accepted one (replay protection).
+    #[inline]
     pub fn bind(
         &mut self,
         home: Ipv4Addr,
@@ -126,6 +127,7 @@ impl BindingTable {
     }
 
     /// The live binding for `home`, if any.
+    #[inline]
     pub fn get(&self, home: Ipv4Addr, now: SimTime) -> Option<Binding> {
         self.bindings
             .get(&home)
@@ -135,6 +137,7 @@ impl BindingTable {
 
     /// The last identification accepted for `home` (0 if never bound),
     /// including the retired floor of deregistered hosts.
+    #[inline]
     pub fn last_ident(&self, home: Ipv4Addr) -> u64 {
         self.bindings
             .get(&home)

@@ -91,6 +91,7 @@ pub struct ShardDirectory {
 /// over the packed pair. Depends only on the address and the stable
 /// shard id — never on the directory's size or order — which is what
 /// makes resolution stable under resize.
+#[inline]
 fn weight(home: Ipv4Addr, shard: u16) -> u64 {
     mix64((u64::from(u32::from(home)) << 16 | u64::from(shard)) ^ 0x9E37_79B9_7F4A_7C15u64)
 }
@@ -136,6 +137,7 @@ impl ShardDirectory {
     /// Resolves `home` to its owning shard id: the highest-weight shard,
     /// ties broken toward the smaller id (ties are astronomically rare
     /// but the rule must still be deterministic).
+    #[inline]
     pub fn resolve(&self, home: Ipv4Addr) -> u16 {
         self.entries
             .iter()

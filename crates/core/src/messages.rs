@@ -58,21 +58,25 @@ pub const IDENT_WIRE_BITS: u32 = 48;
 pub const REPLY_IDENT_WIRE_BITS: u32 = 32;
 
 /// Masks an identification down to its wire width.
+#[inline]
 fn ident_wire(ident: u64) -> u64 {
     ident & ((1 << IDENT_WIRE_BITS) - 1)
 }
 
 /// Reads a 48-bit big-endian identification from `b`.
+#[inline]
 fn ident_from_wire(b: &[u8]) -> u64 {
     u64::from_be_bytes([0, 0, b[0], b[1], b[2], b[3], b[4], b[5]])
 }
 
 /// Reads the IPv4 address at `buf[at..at + 4]`.
+#[inline]
 fn addr_at(buf: &[u8], at: usize) -> Ipv4Addr {
     Ipv4Addr::new(buf[at], buf[at + 1], buf[at + 2], buf[at + 3])
 }
 
 /// Reads the big-endian `u16` at `buf[at..at + 2]`.
+#[inline]
 fn u16_at(buf: &[u8], at: usize) -> u16 {
     u16::from_be_bytes([buf[at], buf[at + 1]])
 }
@@ -80,6 +84,7 @@ fn u16_at(buf: &[u8], at: usize) -> u16 {
 /// The framing check every parser shares, in this order: at least `len`
 /// bytes, type byte `ty`, and — for a `summed` message — a valid body
 /// checksum in the last two of those `len` bytes.
+#[inline]
 fn open(buf: &[u8], ty: u8, len: usize, summed: bool) -> Result<(), WireError> {
     need(buf, len)?;
     if buf[0] != ty {
@@ -96,6 +101,7 @@ fn open(buf: &[u8], ty: u8, len: usize, summed: bool) -> Result<(), WireError> {
 
 /// The trailer every checksummed encoder writes: the 16-bit Internet
 /// checksum over `body`, then the authentication extension when present.
+#[inline]
 fn seal(mut body: BytesMut, auth: Option<AuthTlv>) -> Bytes {
     body.put_u16(internet_checksum(&body, 0));
     if let Some(a) = auth {
@@ -139,6 +145,7 @@ impl ReplyCode {
         ReplyCode::DeniedLifetime,
     ];
 
+    #[inline]
     fn number(self) -> u8 {
         match self {
             ReplyCode::Accepted => 0,
@@ -149,6 +156,7 @@ impl ReplyCode {
         }
     }
 
+    #[inline]
     fn from_number(n: u8) -> Result<ReplyCode, WireError> {
         ReplyCode::ALL
             .into_iter()
@@ -209,6 +217,7 @@ impl RegistrationRequest {
         self.lifetime == 0 || self.care_of == self.home_addr
     }
 
+    #[inline]
     fn body_bytes(&self) -> BytesMut {
         let mut buf = BytesMut::with_capacity(REQUEST_LEN + AUTH_EXT_LEN);
         buf.put_u8(1); // type
@@ -225,6 +234,7 @@ impl RegistrationRequest {
     /// Serializes; if `auth` is present its digest must already be set
     /// (use [`RegistrationRequest::sign`]). The 16-bit Internet checksum
     /// over the body is appended before any extension.
+    #[inline]
     pub fn to_bytes(&self) -> Bytes {
         seal(self.body_bytes(), self.auth)
     }
@@ -241,6 +251,7 @@ impl RegistrationRequest {
     }
 
     /// Parses from bytes, verifying the trailing body checksum.
+    #[inline]
     pub fn parse(buf: &[u8]) -> Result<RegistrationRequest, WireError> {
         open(buf, 1, REQUEST_LEN, true)?;
         let auth = AuthTlv::parse_trailing(&buf[REQUEST_LEN..])?;
@@ -280,6 +291,7 @@ pub struct RegistrationReply {
 }
 
 impl RegistrationReply {
+    #[inline]
     fn body_bytes(&self) -> BytesMut {
         let mut buf = BytesMut::with_capacity(REPLY_LEN + AUTH_EXT_LEN);
         buf.put_u8(3);
@@ -297,6 +309,7 @@ impl RegistrationReply {
     /// the authentication extension when present (same trailer order as a
     /// request, so an unkeyed reply is byte-identical to the pre-auth
     /// layout).
+    #[inline]
     pub fn to_bytes(&self) -> Bytes {
         seal(self.body_bytes(), self.auth)
     }
@@ -313,6 +326,7 @@ impl RegistrationReply {
     }
 
     /// Parses from bytes, verifying the trailing body checksum.
+    #[inline]
     pub fn parse(buf: &[u8]) -> Result<RegistrationReply, WireError> {
         open(buf, 3, REPLY_LEN, true)?;
         let auth = AuthTlv::parse_trailing(&buf[REPLY_LEN..])?;
@@ -382,6 +396,7 @@ pub enum ReplicaOp {
 impl ReplicaOp {
     const ALL: [ReplicaOp; 2] = [ReplicaOp::Bind, ReplicaOp::Unbind];
 
+    #[inline]
     fn number(self) -> u8 {
         match self {
             ReplicaOp::Bind => 0,
@@ -389,6 +404,7 @@ impl ReplicaOp {
         }
     }
 
+    #[inline]
     fn from_number(n: u8) -> Result<ReplicaOp, WireError> {
         ReplicaOp::ALL
             .into_iter()
@@ -422,6 +438,7 @@ pub struct BindingReplica {
 
 impl BindingReplica {
     /// Serializes to bytes, appending the 16-bit body checksum.
+    #[inline]
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(REPLICA_LEN);
         buf.put_u8(5);
@@ -435,6 +452,7 @@ impl BindingReplica {
     }
 
     /// Parses from bytes, verifying the trailing body checksum.
+    #[inline]
     pub fn parse(buf: &[u8]) -> Result<BindingReplica, WireError> {
         open(buf, 5, REPLICA_LEN, true)?;
         Ok(BindingReplica {
@@ -494,6 +512,7 @@ pub enum MessageKind {
 }
 
 /// Peeks at the message type without a full parse.
+#[inline]
 pub fn classify(buf: &[u8]) -> Option<MessageKind> {
     match buf.first()? {
         1 => Some(MessageKind::Request),

@@ -139,6 +139,7 @@ impl Device {
     }
 
     /// Hardware address.
+    #[inline]
     pub fn mac(&self) -> MacAddr {
         self.mac
     }
@@ -154,6 +155,7 @@ impl Device {
     }
 
     /// True when the device can carry traffic.
+    #[inline]
     pub fn is_up(&self) -> bool {
         matches!(self.state, DeviceState::Up)
     }
@@ -198,6 +200,7 @@ impl Device {
     }
 
     /// Serialization plus fixed device delay for a frame of `len` bytes.
+    #[inline]
     pub fn tx_time(&self, len: usize) -> SimDuration {
         let bits = (len as u64) * 8;
         let ser = SimDuration::from_secs_f64(bits as f64 / self.data_rate_bps as f64);
@@ -207,6 +210,7 @@ impl Device {
     /// Books a transmission at `now`: the frame queues behind any frame
     /// still serializing, and the returned delay is from `now` until this
     /// frame has fully left the device.
+    #[inline]
     pub fn schedule_tx(&mut self, now: SimTime, len: usize) -> SimDuration {
         let start = if self.next_free > now {
             self.next_free
@@ -220,6 +224,7 @@ impl Device {
 
     /// Records a transmit attempt; returns `false` (and counts a drop)
     /// when the device is not up.
+    #[inline]
     pub fn note_tx(&mut self, len: usize) -> bool {
         if self.is_up() {
             self.counters.tx_frames.inc();
@@ -234,6 +239,7 @@ impl Device {
     /// Records a receive; returns `false` (and counts a drop) when the
     /// device is not up — frames in flight to a downed interface are lost,
     /// which is exactly the loss window the paper measures.
+    #[inline]
     pub fn note_rx(&mut self, len: usize) -> bool {
         if self.is_up() {
             self.counters.rx_frames.inc();

@@ -25,6 +25,7 @@ impl EtherType {
     const ALL: [EtherType; 2] = [EtherType::Ipv4, EtherType::Arp];
 
     /// The on-wire type value.
+    #[inline]
     pub fn number(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
@@ -33,6 +34,7 @@ impl EtherType {
     }
 
     /// Decodes a type value.
+    #[inline]
     pub fn from_number(n: u16) -> Result<EtherType, WireError> {
         EtherType::ALL
             .into_iter()
@@ -95,6 +97,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics unless `out` is exactly [`FRAME_HEADER_LEN`] bytes.
+    #[inline]
     pub fn write_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut [u8]) {
         assert_eq!(out.len(), FRAME_HEADER_LEN, "header slice must be 14 bytes");
         out[0..6].copy_from_slice(&dst.octets());
@@ -104,6 +107,7 @@ impl Frame {
 
     /// Parses from bytes. The payload is a [`slice`](Bytes::slice) of
     /// `bytes` — the arriving frame's storage, shared rather than copied.
+    #[inline]
     pub fn parse(bytes: &Bytes) -> Result<Frame, WireError> {
         let buf: &[u8] = bytes;
         need(buf, FRAME_HEADER_LEN)?;

@@ -50,6 +50,7 @@ impl DelayModel {
     ///
     /// Panics if `jitter > base`: the lower bound would clamp at zero and
     /// silently shift the mean above `base`, corrupting RTT calibration.
+    #[inline]
     pub fn draw(&self, rng: &mut SimRng) -> SimDuration {
         if self.jitter.is_zero() {
             return self.base;
@@ -118,6 +119,7 @@ pub struct Recipients<'a> {
 impl Iterator for Recipients<'_> {
     type Item = AttachmentKey;
 
+    #[inline]
     fn next(&mut self) -> Option<AttachmentKey> {
         let (dst, src_mac) = (self.dst, self.src_mac);
         self.attachments
@@ -236,6 +238,7 @@ impl Lan {
     /// `src_mac`? The sender never receives its own frame. Recipients come
     /// in attachment order, lazily — the transmit path walks them once and
     /// builds no list.
+    #[inline]
     pub fn recipients(&self, dst: MacAddr, src_mac: MacAddr) -> Recipients<'_> {
         Recipients {
             attachments: self.attachments.iter(),
@@ -245,6 +248,7 @@ impl Lan {
     }
 
     /// Draws the one-way delay for one delivery.
+    #[inline]
     pub fn draw_delay(&self, rng: &mut SimRng) -> SimDuration {
         self.delay.draw(rng)
     }
@@ -264,6 +268,7 @@ impl Lan {
     }
 
     /// Draws whether the medium loses a frame.
+    #[inline]
     pub fn draw_loss(&self, rng: &mut SimRng) -> bool {
         rng.chance(self.loss_probability)
     }

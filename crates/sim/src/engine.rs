@@ -69,6 +69,7 @@ impl<W> EventQueue<W> {
         }
     }
 
+    #[inline]
     fn schedule(&mut self, at: SimTime, run: EventFn<W>) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -108,6 +109,7 @@ impl<W> EventQueue<W> {
 
     /// The key of the next runnable event, left in the queue. Keys of
     /// cancelled events met on the way are popped and their slots freed.
+    #[inline]
     fn peek_runnable(&mut self) -> Option<EventKey> {
         loop {
             let &Reverse(key) = self.heap.peek()?;
@@ -122,6 +124,7 @@ impl<W> EventQueue<W> {
     /// Takes the next runnable event off the queue if it is due at or
     /// before `deadline` (`None`: whenever it is due); a later event stays
     /// where it is.
+    #[inline]
     fn pop_runnable(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, EventFn<W>)> {
         let key = self.peek_runnable()?;
         if deadline.is_some_and(|d| key.at > d) {

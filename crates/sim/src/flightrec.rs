@@ -454,6 +454,7 @@ impl FlightRecorder {
     /// every sender records straight away — and lives exactly as long as
     /// that hop stays in the ring. Hops of other flights leave it held; the
     /// next `begin_flight` or a [`clear`](FlightRecorder::clear) drops it.
+    #[inline]
     pub fn begin_flight(&mut self, label: Option<&'static str>) -> u64 {
         if !self.enabled {
             return NO_FLIGHT;
@@ -516,6 +517,7 @@ impl FlightRecorder {
 
     /// Records one control-plane line `host` logged (no-op when
     /// disabled). Past [`NOTE_CAPACITY`] it overwrites the oldest.
+    #[inline]
     pub fn note(&mut self, at: SimTime, host: u32, kind: TraceKind, line: Line) {
         if !self.enabled {
             return;

@@ -151,6 +151,7 @@ impl Profiler {
     /// (from [`Profiler::begin`]); a no-op for `None`. The drain is one
     /// `profile/batch/…` sample, and `profile/batch/events` accumulates
     /// the drain sizes so the mean drain width is `events / calls`.
+    #[inline]
     pub fn end_batch(&mut self, started: Option<u64>, events: u64) {
         let Some(t0) = started else { return };
         let ns = self.elapsed_since(t0);
@@ -161,6 +162,7 @@ impl Profiler {
     /// Accounts one protocol-module dispatch started at `started`;
     /// a no-op for `None`. The first sample for a new module name
     /// registers its cells under `profile/module.{name}/…`.
+    #[inline]
     pub fn end_module(&mut self, name: &'static str, started: Option<u64>) {
         let Some(t0) = started else { return };
         let ns = self.elapsed_since(t0);
@@ -175,6 +177,7 @@ impl Profiler {
         self.modules.get(name).expect("just inserted").record(ns);
     }
 
+    #[inline]
     fn elapsed_since(&self, t0: u64) -> u64 {
         clock_ns().saturating_sub(t0)
     }

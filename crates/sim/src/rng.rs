@@ -39,6 +39,7 @@ pub struct SimRng {
 /// assert_eq!(mix64(0), 0);
 /// assert_ne!(mix64(1), mix64(2));
 /// ```
+#[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -53,9 +54,11 @@ pub fn mix64(mut z: u64) -> u64 {
 pub struct IdHasher(u64);
 
 impl std::hash::Hasher for IdHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         mix64(self.0)
     }
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0; 8];
@@ -65,12 +68,15 @@ impl std::hash::Hasher for IdHasher {
     }
     // The fixed-width writes skip the chunk loop: an address lookup is
     // 5 ns with them and 23 ns through `write` alone.
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.write_u64(v.into());
     }
+    #[inline]
     fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
@@ -104,6 +110,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -117,6 +124,7 @@ impl SimRng {
     }
 
     /// Uniform value in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -127,6 +135,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn range_u64(&mut self, range: core::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "empty range");
         let span = range.end - range.start;
@@ -146,6 +155,7 @@ impl SimRng {
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false

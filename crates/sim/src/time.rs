@@ -88,6 +88,7 @@ impl SimDuration {
     ///
     /// Handy for rate computations such as serialization delays
     /// (`bytes * 8 / bits_per_second`).
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs <= 0.0 {
             return SimDuration::ZERO;
@@ -121,6 +122,7 @@ impl SimDuration {
     }
 
     /// Saturating addition.
+    #[inline]
     pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
@@ -139,6 +141,7 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -149,6 +152,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -157,6 +161,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -169,6 +174,7 @@ impl Sub<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -181,6 +187,7 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
@@ -195,6 +202,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0

@@ -52,6 +52,7 @@ pub struct Line {
 
 impl Line {
     /// A line over `template`, with no arguments yet.
+    #[inline]
     pub const fn new(template: &'static str) -> Line {
         let (vals, kinds) = ([0; 4], [ArgKind::Unused; 4]);
         Line {
@@ -61,6 +62,7 @@ impl Line {
         }
     }
 
+    #[inline]
     fn push(mut self, kind: ArgKind, val: u64) -> Line {
         let slot = self.kinds.iter().position(|k| *k == ArgKind::Unused);
         let slot = slot.expect("a trace line takes at most four arguments");
@@ -69,11 +71,13 @@ impl Line {
     }
 
     /// The next `{}` is an address.
+    #[inline]
     pub fn addr(self, addr: Ipv4Addr) -> Line {
         self.push(ArgKind::Addr, u32::from(addr).into())
     }
 
     /// The next `{}` is a decimal number.
+    #[inline]
     pub fn num(self, n: u64) -> Line {
         self.push(ArgKind::Num, n)
     }
@@ -96,6 +100,7 @@ impl Line {
     /// The next `{}` is an interface, by index: a reader that knows the
     /// host's devices names it ([`Line::write_named`]); displayed without
     /// names it is `IfaceId(n)`.
+    #[inline]
     pub fn iface(self, index: usize) -> Line {
         self.push(ArgKind::Iface, index as u64)
     }

@@ -191,6 +191,7 @@ impl HostCore {
     }
 
     /// Per-interface ARP state.
+    #[inline]
     pub fn arp_mut(&mut self, i: IfaceId) -> &mut ArpState {
         &mut self.arp[i.0]
     }
@@ -215,6 +216,7 @@ impl HostCore {
 
     /// Installs (or moves) a VIF tunnel: packets to `home` are IP-in-IP
     /// encapsulated toward `care_of`. Returns the previous binding.
+    #[inline]
     pub fn set_tunnel(&mut self, home: Ipv4Addr, care_of: Ipv4Addr) -> Option<Ipv4Addr> {
         let prev = self.tunnels.insert(home, care_of);
         if prev != Some(care_of) {
@@ -224,6 +226,7 @@ impl HostCore {
     }
 
     /// Removes the tunnel for `home`; returns the binding it held.
+    #[inline]
     pub fn clear_tunnel(&mut self, home: Ipv4Addr) -> Option<Ipv4Addr> {
         let prev = self.tunnels.remove(&home);
         if prev.is_some() {
@@ -245,6 +248,7 @@ impl HostCore {
     }
 
     /// The care-of address packets to `dst` tunnel toward, if any.
+    #[inline]
     pub fn tunnel_to(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
         self.tunnels.get(&dst).copied()
     }

@@ -198,6 +198,7 @@ impl Effects {
     }
 
     /// Queues an effect.
+    #[inline]
     pub fn push(&mut self, effect: Effect) {
         self.items.push(effect);
     }
@@ -213,6 +214,7 @@ impl Effects {
     }
 
     /// Convenience: queue a UDP send.
+    #[inline]
     pub fn send_udp(&mut self, sock: SocketId, dst: (Ipv4Addr, u16), payload: Bytes) {
         self.push(Effect::SendUdp {
             sock,
@@ -223,6 +225,7 @@ impl Effects {
     }
 
     /// Convenience: queue a UDP send with options.
+    #[inline]
     pub fn send_udp_opts(
         &mut self,
         sock: SocketId,
@@ -239,6 +242,7 @@ impl Effects {
     }
 
     /// Convenience: queue a UDP burst to one destination.
+    #[inline]
     pub fn send_udp_burst(
         &mut self,
         sock: SocketId,
@@ -255,6 +259,7 @@ impl Effects {
     }
 
     /// Convenience: arm a timer.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.push(Effect::SetTimer { delay, token });
     }
@@ -263,6 +268,7 @@ impl Effects {
     /// literal for a line without arguments. Nothing here takes a built
     /// `String`: whether the trace is on is not a module's to know, so a
     /// module must not pay for text.
+    #[inline]
     pub fn trace(&mut self, line: impl Into<Line>) {
         self.push(Effect::Trace(line.into()));
     }

@@ -134,6 +134,7 @@ impl RouteTable {
 
     /// Longest-prefix-match lookup with metric tie-break, O(32) in the
     /// number of address bits regardless of table size.
+    #[inline]
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<RouteEntry> {
         self.trie.lookup(dst).and_then(|(_, bucket)| {
             bucket

@@ -9,7 +9,9 @@
 //! no ledger metric `BENCHMARK.json` does not declare, that every
 //! file they link or cite exists, that every `Type::member` they cite is
 //! defined beside its type, that every test `docs/limits.md` holds a bound
-//! with exists, and that no file cites a ROADMAP item by number.
+//! with exists, that no file cites a ROADMAP item by number, and that
+//! every function `docs/benchmarks.md`'s inlining table names is
+//! `#[inline]`.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in metric names, flight-recorder hop records and module
@@ -778,5 +780,126 @@ fn every_sidecar_metric_is_named_in_telemetry_md() {
         missing.is_empty(),
         "metrics in golden sidecars that docs/telemetry.md's naming table \
          does not name: {missing:#?}"
+    );
+}
+
+/// The type a top-level `impl` line implements for: `Bytes` in
+/// `impl<const N: usize> From<[u8; N]> for Bytes {`, `Sim` in
+/// `impl<W> Sim<W> {`, `Bytes` in `impl<'a> IntoIterator for &'a Bytes {`.
+fn impl_self_type(header: &str) -> String {
+    let header = header.split('{').next().expect("a first piece");
+    let ty = match header.rsplit_once(" for ") {
+        Some((_, ty)) => ty,
+        None => {
+            let rest = header.strip_prefix("impl").expect("an impl line");
+            // Skip the impl's own generics, `<…>`, nested brackets included.
+            let mut depth = 0;
+            let end = rest.char_indices().find_map(|(at, c)| {
+                depth += i32::from(c == '<') - i32::from(c == '>');
+                (depth == 0).then_some(at)
+            });
+            if rest.starts_with('<') {
+                &rest[end.expect("closed generics") + 1..]
+            } else {
+                rest
+            }
+        }
+    };
+    let ty = ty.trim_start().trim_start_matches('&');
+    // A borrowed self type's lifetime: `&'a Bytes`.
+    let ty = match ty.strip_prefix('\'') {
+        Some(rest) => rest.split_once(' ').map_or(rest, |(_, ty)| ty),
+        None => ty,
+    };
+    ty.chars().take_while(|&c| ident_char(c)).collect()
+}
+
+/// Each `fn` of `source` above its `#[cfg(test)]` tail, as
+/// `(line, owner, name)`: `owner` is the self type of the top-level `impl`
+/// around it, `None` for a free function.
+fn functions(source: &str) -> Vec<(usize, Option<String>, String)> {
+    let (mut owner, mut out) = (None, Vec::new());
+    for (at, line) in source.lines().enumerate() {
+        if line.starts_with("#[cfg(test)]") {
+            break;
+        }
+        if line.starts_with("impl") {
+            owner = Some(impl_self_type(line));
+        } else if line.starts_with('}') {
+            owner = None;
+        }
+        let indent = line.len() - line.trim_start().len();
+        let mut rest = line.trim_start();
+        for prefix in ["pub(crate) ", "pub(super) ", "pub ", "const "] {
+            rest = rest.strip_prefix(prefix).unwrap_or(rest);
+        }
+        let Some(rest) = rest.strip_prefix("fn ") else {
+            continue;
+        };
+        let name: String = rest.chars().take_while(|&c| ident_char(c)).collect();
+        match (indent, &owner) {
+            (0, _) => out.push((at, None, name)),
+            (4, Some(ty)) => out.push((at, Some(ty.clone()), name)),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Whether the attributes and comments directly above line `at` hold an
+/// `#[inline]`.
+fn inline_above(lines: &[&str], at: usize) -> bool {
+    let above = lines[..at].iter().rev().map(|l| l.trim());
+    let mut attrs = above.take_while(|l| l.starts_with("#[") || l.starts_with("//"));
+    attrs.any(|l| l == "#[inline]")
+}
+
+/// Every function `docs/benchmarks.md`'s "Inlining across crates" table
+/// names carries `#[inline]` among the attributes directly above it. The
+/// table's rows are `| file | functions |`, a function being `free_fn`,
+/// `Type::method` or `Type::{a, b}` (every method of that name in every
+/// `impl` for `Type`). Without the attribute a later cleanup could delete
+/// it as noise, and the call goes back to crossing its crate boundary.
+#[test]
+fn hot_path_functions_are_inline() {
+    let root = workspace_root();
+    let doc = std::fs::read_to_string(root.join("docs/benchmarks.md")).expect("benchmarks.md");
+    let (_, section) = doc
+        .split_once("## Inlining across crates")
+        .expect("docs/benchmarks.md has an \"Inlining across crates\" section");
+    let (mut checked, mut failures) = (0, Vec::new());
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let mut cells = row.split('|').skip(1);
+        let file = cells.next().expect("a file cell").trim().trim_matches('`');
+        let source = std::fs::read_to_string(root.join(file)).expect(file);
+        let lines: Vec<&str> = source.lines().collect();
+        let found = functions(&source);
+        let cell = cells.next().expect("a functions cell");
+        for name in cell.split('`').skip(1).step_by(2).flat_map(expand_braces) {
+            let (owner, name) = match name.rsplit_once("::") {
+                Some((ty, name)) => (Some(ty.trim().to_string()), name.trim().to_string()),
+                None => (None, name.trim().to_string()),
+            };
+            let shown = match &owner {
+                Some(ty) => format!("{ty}::{name}"),
+                None => name.clone(),
+            };
+            let at = found.iter().filter(|(_, o, n)| *o == owner && *n == name);
+            let at: Vec<usize> = at.map(|(at, _, _)| *at).collect();
+            if at.is_empty() {
+                failures.push(format!("{file}: no fn {shown}"));
+            }
+            for at in at {
+                checked += 1;
+                if !inline_above(&lines, at) {
+                    failures.push(format!("{file}:{}: {shown} lacks #[inline]", at + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 100, "scanner must find the table's functions");
+    assert!(
+        failures.is_empty(),
+        "docs/benchmarks.md's inlining table and the code disagree: {failures:#?}"
     );
 }

@@ -38,11 +38,13 @@ impl MacAddr {
     }
 
     /// True for the broadcast address.
+    #[inline]
     pub fn is_broadcast(self) -> bool {
         self == MacAddr::BROADCAST
     }
 
     /// The raw octets.
+    #[inline]
     pub fn octets(self) -> [u8; 6] {
         self.0
     }
@@ -110,6 +112,7 @@ impl Cidr {
     /// # Panics
     ///
     /// Panics if `prefix_len > 32`.
+    #[inline]
     pub fn new(addr: Ipv4Addr, prefix_len: u8) -> Cidr {
         assert!(prefix_len <= 32, "prefix length {prefix_len} > 32");
         let mask = Cidr::mask_bits(prefix_len);
@@ -126,10 +129,12 @@ impl Cidr {
     };
 
     /// A host route (`/32`) for one address.
+    #[inline]
     pub fn host(addr: Ipv4Addr) -> Cidr {
         Cidr::new(addr, 32)
     }
 
+    #[inline]
     fn mask_bits(prefix_len: u8) -> u32 {
         if prefix_len == 0 {
             0

@@ -18,6 +18,7 @@ use std::net::Ipv4Addr;
 /// let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
 /// assert_eq!(internet_checksum(&data, 0), !0xddf2u16);
 /// ```
+#[inline]
 pub fn internet_checksum(data: &[u8], initial: u32) -> u16 {
     let mut sum = initial;
     let mut chunks = data.chunks_exact(2);
@@ -37,6 +38,7 @@ pub fn internet_checksum(data: &[u8], initial: u32) -> u16 {
 /// address, zero+protocol, and transport length.
 ///
 /// Feed the result into [`internet_checksum`] as `initial`.
+#[inline]
 pub fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, length: u16) -> u32 {
     let s = src.octets();
     let d = dst.octets();
@@ -52,6 +54,7 @@ pub fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, length: u16
 ///
 /// Returns `true` when the one's-complement sum (including `initial`)
 /// folds to zero, i.e. the checksum matches.
+#[inline]
 pub fn verify_checksum(data: &[u8], initial: u32) -> bool {
     internet_checksum(data, initial) == 0
 }

@@ -58,6 +58,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Checks that `buf` holds at least `needed` bytes.
+#[inline]
 pub fn need(buf: &[u8], needed: usize) -> Result<(), WireError> {
     if buf.len() < needed {
         Err(WireError::Truncated {

@@ -44,6 +44,7 @@ pub fn encapsulate(inner: &Ipv4Packet, outer_src: Ipv4Addr, outer_dst: Ipv4Addr)
 ///
 /// Fails with [`WireError::UnknownValue`] if `outer` is not protocol 4, or
 /// with the inner packet's parse error if the payload is not valid IPv4.
+#[inline]
 pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, WireError> {
     if outer.header.protocol != IpProto::IpIp {
         return Err(WireError::UnknownValue {
@@ -67,6 +68,7 @@ pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, WireError> {
 ///
 /// Panics if the buffer lacks [`ENCAP_OVERHEAD`] bytes of headroom or the
 /// encapsulated packet would exceed the IPv4 total-length limit.
+#[inline]
 pub fn prepend_outer(buf: &mut PacketBuf, inner_tos: u8, outer_src: Ipv4Addr, outer_dst: Ipv4Addr) {
     let total = buf.len() + ENCAP_OVERHEAD;
     assert!(total <= u16::MAX as usize, "encapsulated packet too large");

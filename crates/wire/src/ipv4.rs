@@ -31,6 +31,7 @@ pub enum IpProto {
 
 impl IpProto {
     /// The protocol field value.
+    #[inline]
     pub fn number(self) -> u8 {
         match self {
             IpProto::Icmp => 1,
@@ -42,6 +43,7 @@ impl IpProto {
     }
 
     /// Decodes a protocol field value.
+    #[inline]
     pub fn from_number(n: u8) -> IpProto {
         match n {
             1 => IpProto::Icmp,
@@ -76,6 +78,7 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// Creates a header with default TTL, zero TOS/ident, and DF set
     /// (this stack never fragments).
+    #[inline]
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProto) -> Ipv4Header {
         Ipv4Header {
             src,
@@ -95,6 +98,7 @@ impl Ipv4Header {
     /// # Panics
     ///
     /// Panics if `out` is not exactly [`IPV4_HEADER_LEN`] bytes.
+    #[inline]
     pub fn write_header(&self, total_len: u16, out: &mut [u8]) {
         assert_eq!(out.len(), IPV4_HEADER_LEN, "header slice must be 20 bytes");
         out[0] = 0x45; // version 4, IHL 5
@@ -139,11 +143,13 @@ pub struct Ipv4Packet {
 
 impl Ipv4Packet {
     /// Assembles a packet.
+    #[inline]
     pub fn new(header: Ipv4Header, payload: Bytes) -> Ipv4Packet {
         Ipv4Packet { header, payload }
     }
 
     /// Total on-wire length (header + payload) in bytes.
+    #[inline]
     pub fn total_len(&self) -> usize {
         IPV4_HEADER_LEN + self.payload.len()
     }
@@ -154,6 +160,7 @@ impl Ipv4Packet {
     ///
     /// Panics if the packet would exceed the 65 535-byte IPv4 total-length
     /// limit; the simulator never builds such packets.
+    #[inline]
     pub fn to_bytes(&self) -> Bytes {
         let total = self.total_len();
         assert!(total <= u16::MAX as usize, "IPv4 packet too large: {total}");
@@ -175,6 +182,7 @@ impl Ipv4Packet {
     ///
     /// Panics if the packet would exceed the 65 535-byte IPv4 total-length
     /// limit; the simulator never builds such packets.
+    #[inline]
     pub fn write_into(&self, buf: &mut PacketBuf) {
         let total = self.total_len();
         assert!(total <= u16::MAX as usize, "IPv4 packet too large: {total}");
@@ -190,6 +198,7 @@ impl Ipv4Packet {
     /// Parses wire bytes, verifying version, lengths, and header checksum.
     /// The payload is a [`slice`](Bytes::slice) of `buf` — nothing is
     /// copied, and `buf`'s storage lives as long as the packet does.
+    #[inline]
     pub fn parse(buf: &Bytes) -> Result<Ipv4Packet, WireError> {
         let raw: &[u8] = buf;
         let header = Ipv4Packet::parse_header_prefix(raw)?;
@@ -209,6 +218,7 @@ impl Ipv4Packet {
     ///
     /// This is how ICMP error handlers read the "invoking packet" quote,
     /// which carries only the header plus eight payload bytes.
+    #[inline]
     pub fn parse_header_prefix(buf: &[u8]) -> Result<Ipv4Header, WireError> {
         need(buf, IPV4_HEADER_LEN)?;
         let version = buf[0] >> 4;
@@ -235,10 +245,22 @@ impl Ipv4Packet {
 
     /// The first `IPV4_HEADER_LEN + 8` wire bytes, as ICMP error messages
     /// quote them (RFC 792: "internet header + 64 bits of original data").
+    /// Only those bytes are written: the header, with the whole packet's
+    /// total length, and at most 8 payload bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`to_bytes`](Ipv4Packet::to_bytes) does, if the packet
+    /// would exceed the 65 535-byte IPv4 total-length limit.
     pub fn invoking_quote(&self) -> Bytes {
-        let bytes = self.to_bytes();
-        let quote_len = bytes.len().min(IPV4_HEADER_LEN + 8);
-        bytes.slice(..quote_len)
+        let total = self.total_len();
+        assert!(total <= u16::MAX as usize, "IPv4 packet too large: {total}");
+        let mut quote = [0u8; IPV4_HEADER_LEN + 8];
+        self.header
+            .write_header(total as u16, &mut quote[..IPV4_HEADER_LEN]);
+        let tail = self.payload.len().min(8);
+        quote[IPV4_HEADER_LEN..][..tail].copy_from_slice(&self.payload[..tail]);
+        Bytes::copy_from_slice(&quote[..IPV4_HEADER_LEN + tail])
     }
 }
 
@@ -349,15 +371,23 @@ mod tests {
 
     #[test]
     fn invoking_quote_is_header_plus_8() {
-        let pkt = Ipv4Packet::new(
-            Ipv4Header::new(
-                Ipv4Addr::new(1, 1, 1, 1),
-                Ipv4Addr::new(2, 2, 2, 2),
-                IpProto::Udp,
-            ),
-            Bytes::from(vec![0u8; 100]),
-        );
-        assert_eq!(pkt.invoking_quote().len(), 28);
+        for len in [0usize, 5, 8, 100, 1400] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut pkt = Ipv4Packet::new(
+                Ipv4Header::new(
+                    Ipv4Addr::new(1, 1, 1, 1),
+                    Ipv4Addr::new(2, 2, 2, 2),
+                    IpProto::Udp,
+                ),
+                Bytes::from(payload),
+            );
+            pkt.header.ident = 0x1234;
+            pkt.header.tos = 0x10;
+            let whole = pkt.to_bytes();
+            let quote = pkt.invoking_quote();
+            assert_eq!(quote.len(), IPV4_HEADER_LEN + len.min(8), "payload {len}");
+            assert_eq!(quote, whole.slice(..whole.len().min(28)), "payload {len}");
+        }
         let short = sample();
         assert_eq!(short.invoking_quote().len(), 25);
     }

@@ -86,6 +86,7 @@ pub struct AuthTlv {
 
 impl AuthTlv {
     /// Computes the TLV for `body` under `(spi, key)`.
+    #[inline]
     pub fn compute(body: &[u8], spi: u32, key: u64) -> AuthTlv {
         AuthTlv {
             spi,
@@ -95,11 +96,13 @@ impl AuthTlv {
 
     /// True when the digest matches `body` under `key` (with this TLV's
     /// own SPI).
+    #[inline]
     pub fn verify(&self, body: &[u8], key: u64) -> bool {
         keyed_mac(body, self.spi, key) == self.digest
     }
 
     /// Appends the encoded TLV to `buf`.
+    #[inline]
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u8(AUTH_TLV_TYPE);
         buf.put_u8(AUTH_TLV_LEN as u8);
@@ -111,6 +114,7 @@ impl AuthTlv {
     /// TLV; anything else must be exactly one well-formed authentication
     /// TLV (truncated, oversized, or unknown-type trailers are errors —
     /// a mangled extension must never pass for "unauthenticated").
+    #[inline]
     pub fn parse_trailing(rest: &[u8]) -> Result<Option<AuthTlv>, WireError> {
         if rest.is_empty() {
             return Ok(None);

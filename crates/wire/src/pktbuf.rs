@@ -37,10 +37,12 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
+#[inline]
 fn pool_take() -> Vec<u8> {
     POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
 }
 
+#[inline]
 fn pool_give(mut v: Vec<u8>) {
     if v.capacity() == 0 || v.capacity() > POOL_MAX_CAPACITY {
         return;
@@ -91,6 +93,7 @@ pub struct PacketBuf {
 impl PacketBuf {
     /// Creates a buffer whose first write lands after `headroom` reserved
     /// bytes. The backing vector is drawn from the thread-local pool.
+    #[inline]
     pub fn with_headroom(headroom: usize) -> PacketBuf {
         let mut data = pool_take();
         data.resize(headroom, 0);
@@ -105,21 +108,25 @@ impl PacketBuf {
     /// metadata: it survives [`freeze`](PacketBuf::freeze) and
     /// [`PacketBytes`] clones but is never written into the bytes, so the
     /// wire image is identical with or without tracing.
+    #[inline]
     pub fn set_flight(&mut self, flight: u64) {
         self.flight = flight;
     }
 
     /// The flight id riding on this buffer (`0` = untracked).
+    #[inline]
     pub fn flight(&self) -> u64 {
         self.flight
     }
 
     /// Bytes of headroom still available for [`prepend`](PacketBuf::prepend).
+    #[inline]
     pub fn headroom(&self) -> usize {
         self.start
     }
 
     /// Length of the assembled content (headroom excluded).
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len() - self.start
     }
@@ -130,11 +137,13 @@ impl PacketBuf {
     }
 
     /// The assembled content.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..]
     }
 
     /// Mutable view of the assembled content (checksum patch-ups).
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.data[self.start..]
     }
@@ -149,6 +158,7 @@ impl PacketBuf {
     /// Panics if fewer than `n` bytes of headroom remain; callers size
     /// headroom up front (`FRAME_HEADER_LEN + ENCAP_OVERHEAD` on the
     /// transmit path).
+    #[inline]
     pub fn prepend(&mut self, n: usize) -> &mut [u8] {
         assert!(
             self.start >= n,
@@ -161,6 +171,7 @@ impl PacketBuf {
 
     /// Freezes into an immutable, cheaply-cloneable [`PacketBytes`],
     /// carrying the flight id along.
+    #[inline]
     pub fn freeze(mut self) -> PacketBytes {
         let data = std::mem::take(&mut self.data);
         let start = std::mem::take(&mut self.start);
@@ -172,6 +183,7 @@ impl PacketBuf {
 }
 
 impl Drop for PacketBuf {
+    #[inline]
     fn drop(&mut self) {
         pool_give(std::mem::take(&mut self.data));
     }
@@ -187,18 +199,23 @@ impl fmt::Debug for PacketBuf {
 }
 
 impl BufMut for PacketBuf {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.data.push(v);
     }
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
@@ -213,6 +230,7 @@ struct PooledVec {
 }
 
 impl AsRef<[u8]> for PooledVec {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.data[self.start..]
     }
@@ -244,6 +262,7 @@ impl PacketBytes {
     /// genuinely needs its own mutated copy). The copy starts untracked;
     /// use [`with_flight`](PacketBytes::with_flight) to re-attach the
     /// original packet's flight id.
+    #[inline]
     pub fn from_vec(data: Vec<u8>) -> PacketBytes {
         PacketBytes {
             bytes: Bytes::from_owner(PooledVec { data, start: 0 }),
@@ -253,12 +272,14 @@ impl PacketBytes {
 
     /// Returns the same bytes tagged with `flight` (used when a mutated
     /// copy must keep the original packet's identity).
+    #[inline]
     pub fn with_flight(mut self, flight: u64) -> PacketBytes {
         self.flight = flight;
         self
     }
 
     /// The flight id riding on these bytes (`0` = untracked).
+    #[inline]
     pub fn flight(&self) -> u64 {
         self.flight
     }
@@ -266,12 +287,14 @@ impl PacketBytes {
 
 impl Deref for PacketBytes {
     type Target = Bytes;
+    #[inline]
     fn deref(&self) -> &Bytes {
         &self.bytes
     }
 }
 
 impl AsRef<[u8]> for PacketBytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.bytes
     }

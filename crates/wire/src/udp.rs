@@ -39,6 +39,7 @@ pub struct UdpDatagram {
 
 impl UdpDatagram {
     /// Assembles a datagram.
+    #[inline]
     pub fn new(src_port: u16, dst_port: u16, payload: Bytes) -> UdpDatagram {
         UdpDatagram {
             src_port,
@@ -48,6 +49,7 @@ impl UdpDatagram {
     }
 
     /// On-wire length (header + payload).
+    #[inline]
     pub fn wire_len(&self) -> usize {
         UDP_HEADER_LEN + self.payload.len()
     }
@@ -71,6 +73,7 @@ impl UdpDatagram {
     /// # Panics
     ///
     /// Panics if the datagram exceeds 65 535 bytes.
+    #[inline]
     pub fn write_into(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, buf: &mut impl BufMut) {
         let len = self.wire_len();
         assert!(len <= u16::MAX as usize, "UDP datagram too large: {len}");
@@ -95,6 +98,7 @@ impl UdpDatagram {
 
     /// Parses and verifies against the given pseudo-header addresses. The
     /// payload is a [`slice`](Bytes::slice) of `bytes`; nothing is copied.
+    #[inline]
     pub fn parse(
         bytes: &Bytes,
         src_ip: Ipv4Addr,

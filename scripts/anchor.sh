@@ -13,12 +13,21 @@
 #   mnbench --workload W --seed <seed> --seconds <S> --trace 0
 #
 # (default seed 1996, 6 s), one run per side, alternating which side runs
-# first. It prints one line per workload: the median over the pairs of the
-# change/parent ratio of `ops_per_s` and of `run_s`, each with the number
-# of pairs the change won (higher `ops_per_s`, lower `run_s`) as n/N, and
-# the parent's and change's medians. A ratio above 1 on `ops_per_s` and
-# below 1 on `run_s` is a gain. The raw result lines are kept in
-# <dir>/out/<workload>.{parent,head}.
+# first. It prints two lines per workload. The first gives the median over
+# the pairs of the change/parent ratio of `ops_per_s` and of `run_s`, each
+# with the number of pairs the change won (higher `ops_per_s`, lower
+# `run_s`) as n/N and both sides' medians, and the parent's q1-q3 of
+# `ops_per_s` over its runs (quartiles by the benchmark's own exclusive
+# method). The second gives the median ratio and wins of the uncorrected
+# wall `ops_per_s` (each run's `uncorrected wall medians` line: the rate
+# before the machine-speed yardstick divides it, so a bias in the
+# yardstick shows as a gap between the two ratios), both sides' median
+# `peak_rss_mb`, and a verdict on `ops_per_s`: `gain` when the change won
+# at least nine tenths of the pairs and its median exceeds the parent's by
+# more than the parent's q3 - q1, else `no gain`. A ratio above 1 on
+# `ops_per_s` and below 1 on `run_s` is a gain. The raw result lines are
+# kept in <dir>/out/<workload>.{parent,head}, the uncorrected rates in
+# <dir>/out/<workload>.{parent,head}.wall.
 #
 # Exits 0 when every run succeeded, 1 when one failed, 2 on a usage error.
 set -euo pipefail
@@ -81,23 +90,30 @@ metric() {
 }
 
 # run <side> <workload>: one timed run, its result line appended to the
-# side's file.
+# side's file and its uncorrected wall ops_per_s to the side's .wall file.
 run() {
-    local line
-    line="$(cd "$work" && "$work/$1-target/release/mnbench" --workload "$2" \
-        --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)" || {
+    local out line wall
+    out="$(cd "$work" && "$work/$1-target/release/mnbench" --workload "$2" \
+        --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null)" || {
         echo "anchor: $1 $2 failed" >&2
         exit 1
     }
+    line="$(tail -n 1 <<<"$out")"
+    wall="$(sed -n 's/.*uncorrected wall medians:.*ops_per_s=\([^ ]*\).*/\1/p' <<<"$out")"
     [ -n "$(metric ops_per_s <<<"$line")" ] || {
         echo "anchor: $1 $2 printed no ops_per_s" >&2
         exit 1
     }
+    [ -n "$wall" ] || {
+        echo "anchor: $1 $2 printed no uncorrected wall medians" >&2
+        exit 1
+    }
     echo "$line" >>"$work/out/$2.$1"
+    echo "$wall" >>"$work/out/$2.$1.wall"
 }
 
 for workload in "${workloads[@]}"; do
-    rm -f "$work/out/$workload.parent" "$work/out/$workload.head"
+    rm -f "$work/out/$workload".{parent,head}{,.wall}
     for ((i = 0; i < pairs; i++)); do
         if ((i % 2 == 0)); then
             run parent "$workload"
@@ -107,26 +123,48 @@ for workload in "${workloads[@]}"; do
             run parent "$workload"
         fi
     done
-    for m in ops_per_s run_s; do
+    for m in ops_per_s run_s peak_rss_mb; do
         paste <(metric "$m" <"$work/out/$workload.parent") \
             <(metric "$m" <"$work/out/$workload.head") >"$work/out/$workload.$m"
     done
-    # One row per pair: parent and change ops_per_s, then run_s.
-    paste "$work/out/$workload.ops_per_s" "$work/out/$workload.run_s" | awk -v w="$workload" '
-        function median(a, n,    i, j, t) {
+    paste "$work/out/$workload".{parent,head}.wall >"$work/out/$workload.wall"
+    # One row per pair: parent and change ops_per_s, run_s, uncorrected
+    # wall ops_per_s, then peak_rss_mb.
+    paste "$work/out/$workload".{ops_per_s,run_s,wall,peak_rss_mb} | awk -v w="$workload" '
+        function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        function median(a, n) {
+            sort(a, n)
             return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+        }
+        # The i-th quartile by the exclusive method (benchmark/src/stats.rs).
+        function quartile(a, n, i,    j, d) {
+            sort(a, n)
+            if (n == 1) return a[1]
+            j = int(i * (n + 1) / 4)
+            if (j < 1) j = 1
+            if (j > n - 1) j = n - 1
+            d = i * (n + 1) - 4 * j
+            return (a[j] * (4 - d) + a[j + 1] * d) / 4
         }
         {
             n++
-            ops[n] = $2 / $1; run[n] = $4 / $3
+            ops[n] = $2 / $1; run[n] = $4 / $3; wall[n] = $6 / $5
             p_ops[n] = $1; h_ops[n] = $2; p_run[n] = $3; h_run[n] = $4
-            ops_won += $2 > $1; run_won += $4 < $3
+            p_rss[n] = $7; h_rss[n] = $8
+            ops_won += $2 > $1; run_won += $4 < $3; wall_won += $6 > $5
         }
         END {
-            printf "%-12s ops_per_s x%.4f (%d/%d; %.6g -> %.6g)  run_s x%.4f (%d/%d; %.4g -> %.4g s)\n",
-                w, median(ops, n), ops_won, n, median(p_ops, n), median(h_ops, n),
+            q1 = quartile(p_ops, n, 1); q3 = quartile(p_ops, n, 3)
+            p_med = median(p_ops, n); h_med = median(h_ops, n)
+            gain = 10 * ops_won >= 9 * n && h_med - p_med > q3 - q1
+            printf "%-12s ops_per_s x%.4f (%d/%d; %.6g -> %.6g; parent q1-q3 %.6g-%.6g)  run_s x%.4f (%d/%d; %.4g -> %.4g s)\n",
+                w, median(ops, n), ops_won, n, p_med, h_med, q1, q3,
                 median(run, n), run_won, n, median(p_run, n), median(h_run, n)
+            printf "%-12s wall ops_per_s x%.4f (%d/%d)  peak_rss_mb %.4g -> %.4g  %s\n",
+                "", median(wall, n), wall_won, n, median(p_rss, n), median(h_rss, n),
+                gain ? "gain" : "no gain"
         }'
 done

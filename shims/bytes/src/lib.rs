@@ -7,7 +7,11 @@
 //! site in this repository, and so do the costs that matter to a packet
 //! path: clone is an `Arc` bump, `slice` is a range narrowing,
 //! `From<Vec<u8>>` and [`Bytes::from_owner`] adopt their argument without
-//! copying it, and every constructor makes at most one allocation.
+//! copying it, and every constructor makes at most one allocation. Its
+//! constructors, accessors, conversions and [`BufMut`] writes are
+//! `#[inline]`, as the real crate's are, so a call from another crate on
+//! the packet path is not a real call (`docs/benchmarks.md`, "Inlining
+//! across crates").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +43,7 @@ enum Storage {
 }
 
 impl Storage {
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         match self {
             Storage::Static(s) => s,
@@ -56,11 +61,13 @@ impl Default for Bytes {
 
 impl Bytes {
     /// Creates an empty `Bytes` (no allocation).
+    #[inline]
     pub const fn new() -> Bytes {
         Bytes::from_static(&[])
     }
 
     /// Creates `Bytes` borrowing a static slice (no allocation, no copy).
+    #[inline]
     pub const fn from_static(bytes: &'static [u8]) -> Bytes {
         Bytes {
             data: Storage::Static(bytes),
@@ -70,6 +77,7 @@ impl Bytes {
     }
 
     /// Creates `Bytes` by copying `data` into one allocation.
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes {
             data: Storage::Shared(Arc::from(data)),
@@ -88,6 +96,7 @@ impl Bytes {
     /// real crate asks only that it be `Send`; a stand-in that forbids
     /// `unsafe` cannot vouch for `Sync` itself, so it asks for that too —
     /// every owner in this repository holds a plain vector.)
+    #[inline]
     pub fn from_owner<T>(owner: T) -> Bytes
     where
         T: AsRef<[u8]> + Send + Sync + 'static,
@@ -101,11 +110,13 @@ impl Bytes {
     }
 
     /// Number of bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// True when empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -115,6 +126,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let len = self.len();
         let begin = match range.start_bound() {
@@ -138,12 +150,14 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data.as_slice()[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self
     }
@@ -202,6 +216,7 @@ impl<const N: usize> PartialEq<[u8; N]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     /// Takes the vector over as it is (one allocation for the shared
     /// handle, none for the bytes).
+    #[inline]
     fn from(v: Vec<u8>) -> Bytes {
         if v.is_empty() {
             return Bytes::new();
@@ -211,30 +226,35 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl From<&[u8]> for Bytes {
+    #[inline]
     fn from(s: &[u8]) -> Bytes {
         Bytes::copy_from_slice(s)
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Bytes {
+    #[inline]
     fn from(a: [u8; N]) -> Bytes {
         Bytes::copy_from_slice(&a)
     }
 }
 
 impl From<&str> for Bytes {
+    #[inline]
     fn from(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
 impl From<String> for Bytes {
+    #[inline]
     fn from(s: String) -> Bytes {
         Bytes::from(s.into_bytes())
     }
 }
 
 impl From<BytesMut> for Bytes {
+    #[inline]
     fn from(b: BytesMut) -> Bytes {
         b.freeze()
     }
@@ -275,6 +295,7 @@ impl BytesMut {
     }
 
     /// Creates an empty buffer with room for `cap` bytes.
+    #[inline]
     pub fn with_capacity(cap: usize) -> BytesMut {
         BytesMut {
             data: Vec::with_capacity(cap),
@@ -282,6 +303,7 @@ impl BytesMut {
     }
 
     /// Number of bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -297,6 +319,7 @@ impl BytesMut {
     }
 
     /// Converts into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -304,12 +327,14 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
@@ -336,36 +361,46 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.data.push(v);
     }
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.data.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.push(v);
     }
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.extend_from_slice(&v.to_be_bytes());
     }
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
