@@ -21,7 +21,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
-use mosquitonet_wire::{internet_checksum, need, verify_checksum, AuthTlv, WireError};
+use mosquitonet_wire::{internet_checksum, need, verify_checksum, ArrayBuf, AuthTlv, WireError};
 
 /// UDP port for registration traffic (RFC 2002's 434).
 pub const REGISTRATION_PORT: u16 = 434;
@@ -99,15 +99,21 @@ fn open(buf: &[u8], ty: u8, len: usize, summed: bool) -> Result<(), WireError> {
     Ok(())
 }
 
+/// A checksummed message under construction, written in place on the
+/// stack. Its capacity is the longest such message: a request and its
+/// authentication extension.
+type Body = ArrayBuf<{ REQUEST_LEN + AUTH_EXT_LEN }>;
+
 /// The trailer every checksummed encoder writes: the 16-bit Internet
 /// checksum over `body`, then the authentication extension when present.
+/// The sealed message is copied out in one allocation.
 #[inline]
-fn seal(mut body: BytesMut, auth: Option<AuthTlv>) -> Bytes {
+fn seal(mut body: Body, auth: Option<AuthTlv>) -> Bytes {
     body.put_u16(internet_checksum(&body, 0));
     if let Some(a) = auth {
         a.encode_into(&mut body);
     }
-    body.freeze()
+    Bytes::copy_from_slice(&body)
 }
 
 /// Body length of a request, excluding the trailing checksum.
@@ -218,8 +224,8 @@ impl RegistrationRequest {
     }
 
     #[inline]
-    fn body_bytes(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(REQUEST_LEN + AUTH_EXT_LEN);
+    fn body_bytes(&self) -> Body {
+        let mut buf = Body::default();
         buf.put_u8(1); // type
         buf.put_u8(0); // flags (reserved)
         buf.put_u16(self.lifetime);
@@ -292,8 +298,8 @@ pub struct RegistrationReply {
 
 impl RegistrationReply {
     #[inline]
-    fn body_bytes(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(REPLY_LEN + AUTH_EXT_LEN);
+    fn body_bytes(&self) -> Body {
+        let mut buf = Body::default();
         buf.put_u8(3);
         buf.put_u8(self.code.number());
         buf.put_u16(self.lifetime);
@@ -440,7 +446,7 @@ impl BindingReplica {
     /// Serializes to bytes, appending the 16-bit body checksum.
     #[inline]
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(REPLICA_LEN);
+        let mut buf = Body::default();
         buf.put_u8(5);
         buf.put_u8(self.op.number());
         buf.put_u16(self.lifetime);

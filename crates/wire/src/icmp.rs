@@ -8,9 +8,17 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
+use std::ops::DerefMut;
 
+use crate::arraybuf::ArrayBuf;
 use crate::checksum::internet_checksum;
 use crate::error::{need, WireError};
+
+/// The longest message written on the stack: an error's 8-byte header
+/// and its quote of a header and 8 payload bytes (28, see
+/// [`Ipv4Packet::invoking_quote`](crate::Ipv4Packet::invoking_quote)) fit
+/// with room to spare, and so does a short echo.
+const ON_STACK: usize = 64;
 
 /// Codes for destination-unreachable messages this stack emits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,9 +122,27 @@ impl IcmpMessage {
         }
     }
 
-    /// Serializes with the ICMP checksum filled in.
+    /// Serializes with the ICMP checksum filled in. A message of up to 64
+    /// bytes (every error this stack sends) is written on the stack and
+    /// costs one allocation.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+        let len = 8 + match self {
+            IcmpMessage::EchoRequest { payload, .. } | IcmpMessage::EchoReply { payload, .. } => {
+                payload.len()
+            }
+            IcmpMessage::DestUnreachable { invoking, .. }
+            | IcmpMessage::Redirect { invoking, .. }
+            | IcmpMessage::TimeExceeded { invoking } => invoking.len(),
+        };
+        if len <= ON_STACK {
+            Bytes::copy_from_slice(&self.write_into(ArrayBuf::<ON_STACK>::default()))
+        } else {
+            self.write_into(BytesMut::with_capacity(len)).freeze()
+        }
+    }
+
+    /// Writes the message into `buf` and fills in its checksum.
+    fn write_into<B: BufMut + DerefMut<Target = [u8]>>(&self, mut buf: B) -> B {
         match self {
             IcmpMessage::EchoRequest {
                 ident,
@@ -166,7 +192,7 @@ impl IcmpMessage {
         }
         let ck = internet_checksum(&buf, 0);
         buf[2..4].copy_from_slice(&ck.to_be_bytes());
-        buf.freeze()
+        buf
     }
 
     /// Parses and verifies an ICMP message.

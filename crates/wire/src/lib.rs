@@ -38,6 +38,7 @@
 
 mod addr;
 mod arp;
+mod arraybuf;
 mod checksum;
 mod error;
 mod icmp;
@@ -53,6 +54,7 @@ mod udp;
 
 pub use addr::{Cidr, MacAddr};
 pub use arp::{ArpOp, ArpPacket};
+pub use arraybuf::ArrayBuf;
 pub use checksum::{internet_checksum, pseudo_header_sum, verify_checksum};
 pub use error::{need, WireError};
 pub use icmp::{IcmpMessage, UnreachableCode};

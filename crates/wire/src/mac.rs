@@ -19,7 +19,7 @@
 //! can never verify, which is exactly the guarantee the wire proptests
 //! pin down.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use crate::error::WireError;
 
@@ -103,7 +103,7 @@ impl AuthTlv {
 
     /// Appends the encoded TLV to `buf`.
     #[inline]
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u8(AUTH_TLV_TYPE);
         buf.put_u8(AUTH_TLV_LEN as u8);
         buf.put_u32(self.spi);
@@ -134,6 +134,7 @@ impl AuthTlv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn mac_depends_on_key_spi_and_body() {

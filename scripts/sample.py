@@ -1,0 +1,336 @@
+#!/usr/bin/env python3
+"""A frame-pointer sampling profiler that needs nothing but ptrace.
+
+    python3 scripts/sample.py [--interval-ms MS] [--top N] [--root DIR] -- CMD [ARG...]
+
+Starts CMD, attaches to it with PTRACE_SEIZE (only to that one child, and
+only to its main thread), and every --interval-ms (default 0.5)
+interrupts it with PTRACE_INTERRUPT, reads its registers, takes `rip` and
+walks the `rbp` chain (each frame's saved `rbp` and return address),
+then lets it run on. When CMD exits, the samples are symbolized against
+CMD's executable with `nm -C` (function by address) and
+`addr2line -i -f -C` (source line and inline chain) and printed as:
+
+  * self % and inclusive % by function (a function counts once per sample
+    in the inclusive column, however often it recurs in the chain);
+  * self % by innermost source line, with the chain of functions it is
+    inlined into;
+  * one row for the samples whose `rip` lies outside the executable
+    (shared libraries: libc's `malloc`, `free`, `memcpy` and the like),
+    broken down by mapping.
+
+CMD's standard output goes to this script's standard error, so the
+report is all that reaches standard output. Build CMD with frame pointers
+(`-C force-frame-pointers=yes`) and line tables, as `scripts/profile.sh`
+does. The walk trusts `rbp`: a sample taken in a library function that
+keeps no frame pointer skips that function's direct caller. x86-64 Linux
+only; the standard library is all it imports.
+"""
+
+import argparse
+import bisect
+import collections
+import ctypes
+import os
+import signal
+import struct
+import subprocess
+import sys
+import time
+
+PTRACE_CONT = 7
+PTRACE_GETREGS = 12
+PTRACE_SEIZE = 0x4206
+PTRACE_INTERRUPT = 0x4207
+PTRACE_EVENT_STOP = 128
+WALL = 0x40000000
+
+# Indices into x86-64 `struct user_regs_struct` (27 unsigned longs).
+REG_RBP, REG_RIP, REG_RSP = 4, 16, 19
+
+MAX_FRAMES = 256
+STACK_WINDOW = 64 * 1024
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+libc.ptrace.restype = ctypes.c_long
+
+
+class IoVec(ctypes.Structure):
+    _fields_ = [("base", ctypes.c_void_p), ("len", ctypes.c_size_t)]
+
+
+libc.process_vm_readv.argtypes = [
+    ctypes.c_int,
+    ctypes.POINTER(IoVec),
+    ctypes.c_ulong,
+    ctypes.POINTER(IoVec),
+    ctypes.c_ulong,
+    ctypes.c_ulong,
+]
+libc.process_vm_readv.restype = ctypes.c_ssize_t
+
+
+def ptrace(request, pid, addr=0, data=0):
+    if libc.ptrace(request, pid, addr, data) == -1:
+        err = ctypes.get_errno()
+        raise OSError(err, f"ptrace({request:#x}, {pid}): {os.strerror(err)}")
+
+
+class Tracee:
+    """The traced child: its registers and memory while it is stopped."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.regs = (ctypes.c_ulong * 27)()
+        self.buf = ctypes.create_string_buffer(STACK_WINDOW)
+
+    def registers(self):
+        ptrace(PTRACE_GETREGS, self.pid, 0, ctypes.addressof(self.regs))
+        return self.regs[REG_RIP], self.regs[REG_RSP], self.regs[REG_RBP]
+
+    def read(self, addr, size):
+        """Up to `size` bytes at `addr`; fewer where the mapping ends."""
+        local = IoVec(ctypes.cast(self.buf, ctypes.c_void_p), size)
+        remote = IoVec(addr, size)
+        got = libc.process_vm_readv(self.pid, ctypes.byref(local), 1, ctypes.byref(remote), 1, 0)
+        return self.buf.raw[: max(got, 0)]
+
+    def stack(self):
+        """`rip` and the return addresses of the `rbp` chain, innermost first."""
+        rip, rsp, rbp = self.registers()
+        chain = [rip]
+        window = self.read(rsp, STACK_WINDOW)
+        end = rsp + len(window)
+        while len(chain) < MAX_FRAMES and rsp <= rbp and rbp + 16 <= end and rbp % 8 == 0:
+            saved, ret = struct.unpack_from("<QQ", window, rbp - rsp)
+            if ret == 0:
+                break
+            chain.append(ret)
+            if saved <= rbp:
+                break
+            rbp = saved
+        return chain
+
+
+class Maps:
+    """The child's executable mappings, re-read when asked to place an
+    address they do not hold."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.starts, self.rows = [], []
+        self.reload()
+
+    def reload(self):
+        rows = []
+        try:
+            with open(f"/proc/{self.pid}/maps") as f:
+                for line in f:
+                    parts = line.split()
+                    if len(parts) < 6 or "x" not in parts[1]:
+                        continue
+                    lo, hi = (int(x, 16) for x in parts[0].split("-"))
+                    path = parts[5]
+                    rows.append((lo, hi, os.path.realpath(path) if path.startswith("/") else path))
+        except OSError:
+            return
+        rows.sort()
+        self.rows = rows
+        self.starts = [r[0] for r in rows]
+
+    def find(self, addr, retry=False):
+        i = bisect.bisect_right(self.starts, addr) - 1
+        if i >= 0 and addr < self.rows[i][1]:
+            return self.rows[i][2]
+        if retry:
+            self.reload()
+            return self.find(addr, retry=False)
+        return None
+
+
+def load_bias(pid, exe):
+    """What to subtract from a runtime address to get the ELF's address."""
+    with open(exe, "rb") as f:
+        e_type = struct.unpack("<H", f.read(18)[16:18])[0]
+    if e_type != 3:  # ET_EXEC: linked at its run address
+        return 0
+    with open(f"/proc/{pid}/maps") as f:
+        for line in f:
+            parts = line.split()
+            if len(parts) >= 6 and os.path.realpath(parts[5]) == exe and int(parts[2], 16) == 0:
+                return int(parts[0].split("-")[0], 16)
+    raise SystemExit(f"sample: no mapping of {exe} at offset 0")
+
+
+def sample(cmd, interval):
+    """Runs `cmd` to its end.
+
+    Returns the executable, its load bias, one `(rip is inside it, the
+    chain's addresses inside it)` pair per sample, the samples outside it
+    by mapping, and the command's exit code.
+    """
+    child = subprocess.Popen(cmd, stdout=sys.stderr)
+    pid = child.pid
+    ptrace(PTRACE_SEIZE, pid)
+    exe = os.path.realpath(f"/proc/{pid}/exe")
+    tracee, maps = Tracee(pid), Maps(pid)
+    bias = None
+    samples, outside = [], collections.Counter()
+    status = 0
+    while True:
+        time.sleep(interval)
+        try:
+            ptrace(PTRACE_INTERRUPT, pid)
+        except OSError:
+            pass  # already gone; waitpid reports how
+        # Wait for the interrupt's stop, passing on any signal met first.
+        while True:
+            _, status = os.waitpid(pid, WALL)
+            if not os.WIFSTOPPED(status):
+                break
+            sig = os.WSTOPSIG(status)
+            if status >> 16 == PTRACE_EVENT_STOP:
+                break
+            ptrace(PTRACE_CONT, pid, 0, sig if sig != signal.SIGTRAP else 0)
+        if not os.WIFSTOPPED(status):
+            break
+        if bias is None:
+            bias = load_bias(pid, exe)
+        chain = tracee.stack()
+        # A library mapped since the last read shows first in `rip`.
+        where = [maps.find(chain[0], retry=True)] + [maps.find(a) for a in chain[1:]]
+        inside = [a for a, w in zip(chain, where) if w == exe]
+        if where[0] != exe:
+            outside[os.path.basename(where[0] or "[unknown]")] += 1
+        samples.append((where[0] == exe, inside))
+        ptrace(PTRACE_CONT, pid)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        print(f"sample: {' '.join(cmd)} exited with {code}", file=sys.stderr)
+    child.returncode = code
+    return exe, bias or 0, samples, outside, code
+
+
+def nm_table(exe):
+    """Sorted (addresses, names) of the executable's text symbols."""
+    out = subprocess.run(
+        ["nm", "-C", "--defined-only", exe], capture_output=True, text=True, check=True
+    ).stdout
+    syms = []
+    for line in out.splitlines():
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[1] in "tTwW":
+            syms.append((int(parts[0], 16), parts[2]))
+    syms.sort()
+    return [a for a, _ in syms], [n for _, n in syms]
+
+
+def addr2line(exe, addrs):
+    """address -> [(function, file:line), …], innermost first."""
+    addrs = sorted(set(addrs))
+    proc = subprocess.run(
+        ["addr2line", "-e", exe, "-i", "-f", "-C", "-a"],
+        input="".join(f"{a:#x}\n" for a in addrs),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # `-a` echoes each address; a (function, file:line) pair per frame follows.
+    table, cur, name = {}, None, None
+    for line in proc.stdout.splitlines():
+        if line.startswith("0x") and all(c in "0123456789abcdef" for c in line[2:]):
+            cur, name = int(line, 16), None
+            table[cur] = []
+        elif name is None:
+            name = line
+        else:
+            table[cur].append((name, line))
+            name = None
+    return table
+
+
+def short_path(loc, root):
+    path, _, line = loc.rpartition(":")
+    if "/library/" in path:
+        path = path.split("/library/", 1)[1]
+    elif root and path.startswith(root + "/"):
+        path = path[len(root) + 1 :]
+    elif path.count("/") > 2:
+        path = "/".join(path.split("/")[-3:])
+    return f"{path}:{line.split(' ')[0]}"
+
+
+def short_name(name, width=70):
+    return name if len(name) <= width else name[: width - 1] + "…"
+
+
+def report(exe, bias, samples, outside, top, root):
+    total = len(samples)
+    if total == 0:
+        print("sample: no samples (the command ended before the first interval)")
+        return
+    starts, names = nm_table(exe)
+
+    def func(addr):
+        i = bisect.bisect_right(starts, addr) - 1
+        return names[i] if i >= 0 else f"{addr:#x}"
+
+    self_fn, incl_fn = collections.Counter(), collections.Counter()
+    leaf = collections.Counter()
+    for in_exe, chain in samples:
+        # A return address points after its call; step back into the call.
+        elf = [a - bias - (0 if in_exe and i == 0 else 1) for i, a in enumerate(chain)]
+        if in_exe:
+            leaf[elf[0]] += 1
+            self_fn[func(elf[0])] += 1
+        for f in {func(a) for a in elf}:
+            incl_fn[f] += 1
+
+    def pct(n):
+        return 100.0 * n / total
+
+    out_n = sum(outside.values())
+    print(f"{total} samples: {total - out_n} in {os.path.basename(exe)}, {out_n} outside it")
+    print(f"\nself %  incl %  function (top {top} by self)")
+    for f, n in self_fn.most_common(top):
+        print(f"{pct(n):6.2f}  {pct(incl_fn[f]):6.2f}  {short_name(f)}")
+    print(f"\nincl %  self %  function (top {top} by inclusive)")
+    for f, n in incl_fn.most_common(top):
+        print(f"{pct(n):6.2f}  {pct(self_fn[f]):6.2f}  {short_name(f)}")
+
+    lines = addr2line(exe, leaf)
+    by_line, chain_of = collections.Counter(), {}
+    for addr, n in leaf.items():
+        frames = lines.get(addr) or [(func(addr), "??:0")]
+        key = short_path(frames[0][1], root)
+        by_line[key] += n
+        chain_of.setdefault(key, " ← ".join(short_name(fn, 48) for fn, _ in frames))
+    print(f"\nself %  innermost source line  (function ← the functions it is inlined into; top {top})")
+    for key, n in by_line.most_common(top):
+        print(f"{pct(n):6.2f}  {key}  ({chain_of[key]})")
+
+    parts = ", ".join(f"{m} {pct(n):.2f}" for m, n in outside.most_common())
+    print(f"\n{pct(out_n):6.2f}  outside {os.path.basename(exe)}" + (f" ({parts})" if parts else ""))
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description="Sample a command's stack with ptrace and report where its time went."
+    )
+    ap.add_argument("--interval-ms", type=float, default=0.5, help="sampling interval (0.5)")
+    ap.add_argument("--top", type=int, default=25, help="rows per table (25)")
+    ap.add_argument("--root", default=os.getcwd(), help="source root that paths are shown under")
+    ap.add_argument("cmd", nargs=argparse.REMAINDER, help="-- CMD [ARG...]")
+    args = ap.parse_args()
+    cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
+    if not cmd or args.interval_ms <= 0 or args.top <= 0:
+        ap.print_usage(sys.stderr)
+        sys.exit(2)
+    exe, bias, samples, outside, code = sample(cmd, args.interval_ms / 1000.0)
+    report(exe, bias, samples, outside, args.top, os.path.realpath(args.root))
+    sys.exit(0 if code == 0 else 1)
+
+
+if __name__ == "__main__":
+    main()

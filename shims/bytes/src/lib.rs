@@ -1,17 +1,32 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! The build sandbox has no access to crates.io, so the workspace vendors a
-//! minimal, API-compatible subset of `bytes`: [`Bytes`] (cheap-to-clone,
+//! The workspace builds without crates.io, so it vendors a minimal,
+//! API-compatible subset of `bytes`: [`Bytes`] (cheap-to-clone,
 //! immutable, sliceable), [`BytesMut`] (growable builder), and the
 //! [`BufMut`] write trait. Semantics match the real crate for every call
 //! site in this repository, and so do the costs that matter to a packet
-//! path: clone is an `Arc` bump, `slice` is a range narrowing,
+//! path: clone is an `Rc` bump, `slice` is a range narrowing, and
 //! `From<Vec<u8>>` and [`Bytes::from_owner`] adopt their argument without
-//! copying it, and every constructor makes at most one allocation. Its
-//! constructors, accessors, conversions and [`BufMut`] writes are
-//! `#[inline]`, as the real crate's are, so a call from another crate on
-//! the packet path is not a real call (`docs/benchmarks.md`, "Inlining
-//! across crates").
+//! copying it. [`Bytes::copy_from_slice`] makes one allocation, counts
+//! and bytes together; an adopting constructor makes one for the shared
+//! handle beside the buffer it adopts, so freezing a fresh [`BytesMut`]
+//! costs two in all. Its constructors, accessors, conversions and
+//! [`BufMut`] writes are `#[inline]`, as the real crate's are, so a call
+//! from another crate on the packet path is not a real call
+//! (`docs/benchmarks.md`, "Inlining across crates").
+//!
+//! # The one deliberate difference
+//!
+//! The real crate's `Bytes` counts its references atomically and is
+//! `Send + Sync`. This one counts them with [`Rc`]: a clone, a slice or
+//! a drop is a plain increment or decrement, not a locked
+//! read-modify-write, and `Bytes` is neither `Send` nor `Sync`. One
+//! thread steps every shard of the simulator, whose `Sim` is not `Send`
+//! either (its metrics are `Rc` cells), so no buffer ever changes thread,
+//! and the compiler refuses a change that tries. Atomic counts come back
+//! only with a second thread that steps shards (`docs/benchmarks.md`,
+//! "Shared buffers on one thread"). Every signature is the real crate's,
+//! so each call site compiles against either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,9 +34,26 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
+///
+/// Its reference counts are not atomic, so a `Bytes` stays on the thread
+/// that made it. It is not `Send`: one thread steps every shard, and
+/// atomic counts come back only with threads that step shards.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(bytes::Bytes::from_static(b"frame"));
+/// ```
+///
+/// Nor is it `Sync`, for the same reason: a buffer shared by reference
+/// with another thread could be cloned there.
+///
+/// ```compile_fail
+/// fn share<T: Sync>(_: &T) {}
+/// share(&bytes::Bytes::from_static(b"frame"));
+/// ```
 #[derive(Clone)]
 pub struct Bytes {
     data: Storage,
@@ -36,10 +68,10 @@ enum Storage {
     /// Borrowed for the life of the program: no allocation at all.
     Static(&'static [u8]),
     /// Copied in once, length and bytes in the same allocation.
-    Shared(Arc<[u8]>),
+    Shared(Rc<[u8]>),
     /// Whatever the owner holds, kept alive (and dropped, running the
     /// owner's `Drop`) by the last view. See [`Bytes::from_owner`].
-    Owner(Arc<dyn AsRef<[u8]> + Send + Sync>),
+    Owner(Rc<dyn AsRef<[u8]>>),
 }
 
 impl Storage {
@@ -80,7 +112,7 @@ impl Bytes {
     #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes {
-            data: Storage::Shared(Arc::from(data)),
+            data: Storage::Shared(Rc::from(data)),
             start: 0,
             end: data.len(),
         }
@@ -92,18 +124,17 @@ impl Bytes {
     /// `Drop` runs — when the last of them goes. This is how a pooled
     /// packet buffer finds its way back to the pool.
     ///
-    /// The owner must return the same slice every time it is asked. (The
-    /// real crate asks only that it be `Send`; a stand-in that forbids
-    /// `unsafe` cannot vouch for `Sync` itself, so it asks for that too —
-    /// every owner in this repository holds a plain vector.)
+    /// The owner must return the same slice every time it is asked. The
+    /// `Send` bound is the real crate's, kept so that a call site compiles
+    /// against either; here the owner never leaves its thread.
     #[inline]
     pub fn from_owner<T>(owner: T) -> Bytes
     where
-        T: AsRef<[u8]> + Send + Sync + 'static,
+        T: AsRef<[u8]> + Send + 'static,
     {
         let end = owner.as_ref().len();
         Bytes {
-            data: Storage::Owner(Arc::new(owner)),
+            data: Storage::Owner(Rc::new(owner)),
             start: 0,
             end,
         }
@@ -481,12 +512,6 @@ mod tests {
         let b = Bytes::from(v);
         assert_eq!(b.as_ptr(), at, "no copy");
         assert!(Bytes::from(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn bytes_cross_threads() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Bytes>();
     }
 
     #[test]
