@@ -10,6 +10,14 @@
 //! "uncached" twin flushes its cache before every lookup, so any stale
 //! entry the generation-token discipline failed to invalidate shows up as
 //! a divergence.
+//!
+//! A second property holds the home-agent side: a tunnel-binding change
+//! forgets only its own home's cached decisions. The cache holds every
+//! home's decision while bindings are set, moved and cleared for other
+//! homes and for the looked-up home itself, in bursts beyond the bound of
+//! the stale-home list too. It must still agree with the uncached twin,
+//! and a step that changes at most the list's bound of bindings must leave
+//! every other home's decisions cached.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -18,7 +26,7 @@ use mosquitonet_core::{MobilePolicyTable, SendMode};
 use mosquitonet_link::presets;
 use mosquitonet_stack::{
     resolve_route, EncapSpec, Host, HostCore, HostId, IfaceId, Module, ModuleId, RouteAnswer,
-    RouteDecision, RouteEntry, SourceSel,
+    RouteDecision, RouteEntry, SourceSel, STALE_HOMES_MAX,
 };
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -147,6 +155,9 @@ enum Op {
     SetTunnel(Ipv4Addr, Ipv4Addr),
     /// Tunnel teardown.
     ClearTunnel(Ipv4Addr),
+    /// Several binding changes (a set, or a teardown when `None`) with no
+    /// lookup between them.
+    TunnelBurst(Vec<(Ipv4Addr, Option<Ipv4Addr>)>),
     /// Resolve a destination (pinned or unspecified source) — compared
     /// between the cached and uncached twins.
     Lookup(Ipv4Addr, bool),
@@ -191,6 +202,14 @@ fn apply(host: &mut Host, op: &Op) {
         }
         Op::ClearTunnel(home) => {
             host.core.clear_tunnel(*home);
+        }
+        Op::TunnelBurst(changes) => {
+            for (home, care_of) in changes {
+                match care_of {
+                    Some(coa) => host.core.set_tunnel(*home, *coa),
+                    None => host.core.clear_tunnel(*home),
+                };
+            }
         }
         Op::Lookup(..) => unreachable!("lookups are compared, not applied"),
     }
@@ -295,5 +314,89 @@ proptest! {
         let got = totals(&mut cached);
         let want = totals(&mut uncached);
         prop_assert_eq!(got, want, "per-mode policy counters diverged");
+    }
+}
+
+/// The home addresses the tunnel property binds; every step re-resolves
+/// each of them, pinned and unpinned, so the cache holds them all.
+const HOMES: u8 = 24;
+
+fn home(i: u8) -> Ipv4Addr {
+    Ipv4Addr::new(10, i % 3, 1, i)
+}
+
+/// Resolves every home, pinned and unpinned, on both twins.
+fn compare_homes(cached: &mut Host, uncached: &mut Host) {
+    for i in 0..HOMES {
+        for pinned in [false, true] {
+            compare(cached, uncached, home(i), pinned);
+        }
+    }
+}
+
+fn arb_home() -> impl Strategy<Value = Ipv4Addr> {
+    (0..HOMES).prop_map(home)
+}
+
+/// A burst of binding changes to `len` distinct consecutive homes: from 2
+/// up to more than the stale-home list holds.
+fn arb_burst() -> impl Strategy<Value = Op> {
+    let most = usize::from(HOMES);
+    (0..HOMES, 2..=most, any::<u64>(), arb_addr()).prop_map(move |(first, len, bits, coa)| {
+        Op::TunnelBurst(
+            (0..len)
+                .map(|k| {
+                    let h = home((first + k as u8) % HOMES);
+                    // Bit k clear: a teardown; set: a move to a care-of
+                    // address that differs per home.
+                    let care_of =
+                        (bits >> k & 1 == 1).then(|| Ipv4Addr::from(u32::from(coa) + k as u32));
+                    (h, care_of)
+                })
+                .collect(),
+        )
+    })
+}
+
+fn arb_tunnel_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (arb_home(), arb_addr()).prop_map(|(h, c)| Op::SetTunnel(h, c)),
+        (arb_home(), arb_addr()).prop_map(|(h, c)| Op::SetTunnel(h, c)),
+        arb_home().prop_map(Op::ClearTunnel),
+        arb_burst(),
+        (arb_addr(), 16u8..=32, any::<bool>()).prop_map(|(a, l, i)| Op::AddRoute(a, l, i)),
+        (arb_addr(), 16u8..=32).prop_map(|(a, l)| Op::RemoveRoute(a, l)),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn a_binding_change_forgets_only_its_own_home(
+        ops in proptest::collection::vec(arb_tunnel_op(), 1..80),
+    ) {
+        assert!(usize::from(HOMES) > STALE_HOMES_MAX, "a burst can overflow the list");
+        // The policy module stays unregistered, so it passes every lookup
+        // on to the tunnel table and the kernel routes.
+        let mut cached = build_host();
+        let mut uncached = build_host();
+        compare_homes(&mut cached, &mut uncached);
+        for op in &ops {
+            apply(&mut cached, op);
+            apply(&mut uncached, op);
+            let hits = cached.fastpath.stats.hit.get();
+            compare_homes(&mut cached, &mut uncached);
+            // Binding changes to at most the list's bound of homes leave
+            // every other home's two cached decisions in place.
+            let changed = match op {
+                Op::SetTunnel(..) | Op::ClearTunnel(_) => 1,
+                Op::TunnelBurst(changes) if changes.len() <= STALE_HOMES_MAX => changes.len(),
+                _ => continue,
+            };
+            let kept = 2 * (u64::from(HOMES) - changed as u64);
+            prop_assert!(
+                cached.fastpath.stats.hit.get() - hits >= kept,
+                "{op:?} cost other homes their cached decisions"
+            );
+        }
     }
 }

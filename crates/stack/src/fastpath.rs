@@ -13,14 +13,19 @@
 //! # Invalidation
 //!
 //! Entries carry no lifetime of their own. Instead every lookup presents a
-//! **validity token** — a wrapping sum of generation counters over all
-//! inputs that feed a decision (kernel routes, tunnel bindings, interface
-//! addresses, per-module `route_generation()`s; see `ip::fastpath_token`).
-//! A token mismatch flushes the whole cache before the lookup proceeds.
-//! Because re-registration, care-of address changes, policy updates,
-//! probe feedback and route changes each bump a component of the token,
-//! any of them invalidates instantly — without the mutating code needing
-//! a handle on the cache.
+//! **validity token** — a wrapping sum of generation counters over the
+//! inputs that may feed any decision (kernel routes, interface addresses,
+//! per-module `route_generation()`s; see `ip::fastpath_token`). A token
+//! mismatch flushes the whole cache before the lookup proceeds. Because
+//! re-registration, care-of address changes, policy updates, probe
+//! feedback and route changes each bump a component of the token, any of
+//! them invalidates instantly — without the mutating code needing a handle
+//! on the cache.
+//!
+//! A VIF tunnel binding feeds the decision for its own home address only,
+//! so a binding change does not move the token: `HostCore` lists the home,
+//! and `ip::resolve_route` hands it to [`FastPath::forget`] before its next
+//! lookup. A home agent's cache thus survives registration churn.
 //!
 //! # Statistics coherence
 //!
@@ -139,6 +144,12 @@ impl FastPath {
             self.flush();
         }
         self.entries.insert(key, CacheEntry { decision, on_hit });
+    }
+
+    /// Drops every entry whose destination is `dst`, whatever its source
+    /// selection. Counts nothing: `invalidate` counts whole-cache flushes.
+    pub fn forget(&mut self, dst: Ipv4Addr) {
+        self.entries.retain(|key, _| key.0 != dst);
     }
 
     /// Drops every entry, keeping the map's capacity, and counts one
@@ -275,6 +286,26 @@ mod tests {
         assert_eq!(fp.len(), 1, "the bound flushes, then the insert lands");
         assert_eq!(fp.stats.invalidate.get(), 1);
         assert_eq!(fp.lookup(7, &key(cap)), Some(decision(1)));
+    }
+
+    #[test]
+    fn forget_drops_one_destination_under_every_source_selection() {
+        let mut fp = FastPath::new();
+        let pinned = (
+            key(1).0,
+            SourceSel::Addr(Ipv4Addr::new(36, 135, 0, 9)),
+            None,
+        );
+        fp.lookup(7, &key(1));
+        for k in [key(1), pinned, key(2)] {
+            fp.insert(7, k, decision(0), None);
+        }
+        fp.forget(key(1).0);
+        assert_eq!(fp.len(), 1);
+        assert_eq!(fp.lookup(7, &key(1)), None);
+        assert_eq!(fp.lookup(7, &pinned), None);
+        assert_eq!(fp.lookup(7, &key(2)), Some(decision(0)));
+        assert_eq!(fp.stats.invalidate.get(), 0, "forgetting is not a flush");
     }
 
     #[test]

@@ -64,6 +64,12 @@ mosquitonet_sim::counters! {
     }
 }
 
+/// Most homes whose tunnel binding may change between two route
+/// resolutions before the next one flushes the whole decision cache
+/// instead of forgetting each home's entries. A home agent changes one
+/// binding per accepted registration and resolves its reply right after.
+pub const STALE_HOMES_MAX: usize = 16;
+
 /// Default per-packet receive-path processing cost on era hardware
 /// (40 MHz 486 subnotebooks / Pentium 90 router; see the calibration notes
 /// in `mosquitonet-link::presets`).
@@ -93,10 +99,18 @@ pub struct HostCore {
     /// encapsulated toward the value (care-of) address. The home agent
     /// maintains one entry per registered mobile host (§3.4). Private so
     /// every binding change passes through [`HostCore::set_tunnel`] /
-    /// [`HostCore::clear_tunnel`] and bumps `route_config_gen`, which the
-    /// fast-path decision cache folds into its validity token.
+    /// [`HostCore::clear_tunnel`], which note the home in `stale_homes`:
+    /// an entry changes the route decision for its own home address only,
+    /// so the fast-path decision cache forgets just that destination.
     tunnels: IdHashMap<Ipv4Addr, Ipv4Addr>,
-    /// Bumped on every tunnel-binding change; see `tunnels`.
+    /// Homes whose binding changed since the decision cache last looked
+    /// (`ip::resolve_route` drains them); the first `stale_len` are live.
+    stale_homes: [Ipv4Addr; STALE_HOMES_MAX],
+    /// Live entries of `stale_homes`.
+    stale_len: usize,
+    /// Bumped when every tunnel goes at once (a crash) or `stale_homes`
+    /// overflows; part of the fast-path validity token, so either flushes
+    /// the whole decision cache.
     route_config_gen: u64,
     /// Multicast group memberships, per interface. A visiting mobile host
     /// joins groups on the *foreign* interface in its local role (§5.2).
@@ -148,6 +162,8 @@ impl HostCore {
             udp: UdpTable::new(),
             tcp: TcpTable::new(),
             tunnels: IdHashMap::default(),
+            stale_homes: [Ipv4Addr::UNSPECIFIED; STALE_HOMES_MAX],
+            stale_len: 0,
             route_config_gen: 0,
             multicast_groups: HashSet::new(),
             forwarding: false,
@@ -220,7 +236,7 @@ impl HostCore {
     pub fn set_tunnel(&mut self, home: Ipv4Addr, care_of: Ipv4Addr) -> Option<Ipv4Addr> {
         let prev = self.tunnels.insert(home, care_of);
         if prev != Some(care_of) {
-            self.route_config_gen += 1;
+            self.note_stale_home(home);
         }
         prev
     }
@@ -230,18 +246,53 @@ impl HostCore {
     pub fn clear_tunnel(&mut self, home: Ipv4Addr) -> Option<Ipv4Addr> {
         let prev = self.tunnels.remove(&home);
         if prev.is_some() {
-            self.route_config_gen += 1;
+            self.note_stale_home(home);
         }
         prev
     }
 
+    /// Records that the route decision for `home` changed. A home already
+    /// listed takes no second slot; one that finds the list full bumps the
+    /// route-config generation instead, flushing every cached decision.
+    #[inline]
+    fn note_stale_home(&mut self, home: Ipv4Addr) {
+        if self.stale_homes[..self.stale_len].contains(&home) {
+            return;
+        }
+        if self.stale_len == STALE_HOMES_MAX {
+            self.route_config_gen += 1;
+            self.stale_len = 0;
+            return;
+        }
+        self.stale_homes[self.stale_len] = home;
+        self.stale_len += 1;
+    }
+
+    /// True when some home's binding changed since the last
+    /// [`HostCore::drain_stale_homes`].
+    #[inline]
+    pub(crate) fn has_stale_homes(&self) -> bool {
+        self.stale_len != 0
+    }
+
+    /// Hands every home whose binding changed since the last call to
+    /// `forget`, then empties the list. `ip::resolve_route` calls it before
+    /// consulting the decision cache.
+    pub(crate) fn drain_stale_homes(&mut self, mut forget: impl FnMut(Ipv4Addr)) {
+        for &home in &self.stale_homes[..self.stale_len] {
+            forget(home);
+        }
+        self.stale_len = 0;
+    }
+
     /// Removes every tunnel entry at once (a node crash loses them all).
     /// Returns how many were installed; bumps the route-config generation
-    /// if any were, flushing dependent fast-path decisions.
+    /// if any were, flushing every fast-path decision.
     pub fn clear_all_tunnels(&mut self) -> usize {
         let n = self.tunnels.len();
         if n > 0 {
             self.tunnels.clear();
+            self.stale_len = 0;
             self.route_config_gen += 1;
         }
         n
@@ -253,9 +304,10 @@ impl HostCore {
         self.tunnels.get(&dst).copied()
     }
 
-    /// A counter bumped on every tunnel-binding change; the fast-path
-    /// decision cache folds it into its validity token so cached encap
-    /// decisions never outlive a binding move.
+    /// A counter bumped when the tunnel table changes too much at once to
+    /// forget home by home (a crash, or more than [`STALE_HOMES_MAX`]
+    /// binding changes between two route resolutions); the fast-path
+    /// decision cache folds it into its validity token.
     pub fn route_config_generation(&self) -> u64 {
         self.route_config_gen
     }
@@ -480,6 +532,57 @@ mod tests {
         assert!(h.core.ifaces[vif.0].is_vif);
         assert!(h.core.iface(vif).lan.is_none());
         assert!(h.core.is_local_addr(Ipv4Addr::new(36, 135, 0, 9)));
+    }
+
+    /// Binding changes to at most `STALE_HOMES_MAX` homes between two
+    /// resolutions leave an unrelated cached decision in place, however
+    /// often one home moves; one home more flushes the whole cache.
+    #[test]
+    fn a_burst_past_the_stale_list_flushes_the_whole_cache() {
+        use crate::proto::SourceSel;
+        use crate::route::RouteEntry;
+
+        let mut h = host();
+        let eth = h
+            .core
+            .add_iface(presets::pcmcia_ethernet("eth0", MacAddr::from_index(1)));
+        let subnet = "36.135.0.0/16".parse().unwrap();
+        h.core
+            .iface_mut(eth)
+            .add_addr(Ipv4Addr::new(36, 135, 0, 1), subnet);
+        h.core.routes.add(RouteEntry {
+            dest: subnet,
+            gateway: None,
+            iface: eth,
+            metric: 0,
+        });
+        let other = Ipv4Addr::new(36, 135, 9, 9);
+        let resolve = |h: &mut Host| {
+            crate::ip::resolve_route(h, other, SourceSel::Unspecified, None);
+            (
+                h.fastpath.stats.hit.get(),
+                h.fastpath.stats.invalidate.get(),
+            )
+        };
+        let care_of = Ipv4Addr::new(36, 135, 0, 42);
+        let home = |i: usize| Ipv4Addr::new(36, 135, 1, i as u8);
+        resolve(&mut h);
+
+        for _ in 0..3 * STALE_HOMES_MAX {
+            h.core.set_tunnel(home(0), care_of);
+            h.core.clear_tunnel(home(0));
+        }
+        for i in 1..STALE_HOMES_MAX {
+            h.core.set_tunnel(home(i), care_of);
+        }
+        assert_eq!(resolve(&mut h), (1, 0), "the list held every home");
+
+        for i in 0..=STALE_HOMES_MAX {
+            h.core.clear_tunnel(home(i));
+            h.core.set_tunnel(home(i), care_of);
+        }
+        assert_eq!(resolve(&mut h), (1, 1), "one home more flushed it all");
+        assert_eq!(resolve(&mut h), (2, 1));
     }
 
     #[test]

@@ -80,11 +80,13 @@ fn tunnel_route(host: &Host, care_of: Ipv4Addr) -> Option<RouteDecision> {
 }
 
 /// The fast-path validity token: a wrapping sum of generation counters
-/// over every input that feeds a route decision. Any routing-relevant
-/// mutation — a kernel route change, a tunnel-binding move, an interface
-/// address change or power transition (down, bring-up, crash), a policy
-/// update or re-registration (via the owning module's `route_generation`)
-/// — changes the sum, flushing the decision cache on the next lookup.
+/// over the inputs that may feed any route decision. Any routing-relevant
+/// mutation — a kernel route change, an interface address change or power
+/// transition (down, bring-up, crash), a policy update or re-registration
+/// (via the owning module's `route_generation`), a crash's loss of every
+/// tunnel — changes the sum, flushing the decision cache on the next
+/// lookup. A single tunnel-binding move does not: it changes the decision
+/// for its home address alone, which `resolve_route` forgets by itself.
 /// Returns `None` (caching disabled for this call) when a module slot is
 /// vacant (nested dispatch) or a module declares itself uncacheable.
 fn fastpath_token(host: &Host) -> Option<u64> {
@@ -118,6 +120,12 @@ pub fn resolve_route(
     src_sel: SourceSel,
     forced_iface: Option<IfaceId>,
 ) -> Option<RouteDecision> {
+    // Tunnel bindings moved since the last resolution: forget the cached
+    // decisions for those homes (and only those).
+    if host.core.has_stale_homes() {
+        forget_stale_homes(host);
+    }
+
     // Forced interface: mobile-aware applications addressing a device
     // directly bypass every table (and the cache — there is nothing to
     // look up).
@@ -144,6 +152,16 @@ pub fn resolve_route(
         host.fastpath.insert(tok, key, d, on_hit);
     }
     decision
+}
+
+/// Drops the cached decisions of every home whose tunnel binding changed
+/// since the last resolution. Out of line: a warm send only tests whether
+/// there are any.
+#[cold]
+#[inline(never)]
+fn forget_stale_homes(host: &mut Host) {
+    host.core
+        .drain_stale_homes(|home| host.fastpath.forget(home));
 }
 
 /// The uncached resolution walk: module hooks, VIF tunnels, kernel table.

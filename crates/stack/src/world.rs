@@ -519,13 +519,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
             Effect::GratuitousArp { iface, addr } => {
                 let mac = sim.world().hosts[host.0].core.iface(iface).device.mac();
                 let arp = ArpPacket::gratuitous(mac, addr);
-                let frame = Frame::new(
-                    mosquitonet_wire::MacAddr::BROADCAST,
-                    mac,
-                    EtherType::Arp,
-                    arp.to_bytes(),
-                );
-                transmit_frame(sim, host, iface, frame, mosquitonet_sim::NO_FLIGHT);
+                transmit_arp(sim, host, iface, MacAddr::BROADCAST, &arp);
             }
             Effect::Trace(line) => note(sim, host, TraceKind::Mobility, line),
         }
@@ -726,8 +720,8 @@ pub fn restart_host(sim: &mut NetSim, host: HostId, storage_lost: bool) {
 
 /// Hands a frame to a device for transmission onto its LAN.
 ///
-/// Convenience wrapper over [`transmit_wire`] for the control-plane paths
-/// (ARP, module-built frames) that assemble a [`Frame`] value: the payload
+/// Convenience wrapper over [`transmit_wire`] for the paths that assemble
+/// a [`Frame`] value (packets released by an ARP resolution): the payload
 /// is copied once into a pooled buffer and the header prepended in place.
 /// The IP output path skips this and assembles its wire bytes directly.
 /// `flight` tags the buffer for the flight recorder ([`NO_FLIGHT`] for
@@ -751,6 +745,21 @@ pub(crate) fn transmit_frame(
     );
     buf.set_flight(flight);
     transmit_wire(sim, host, iface, frame.dst, buf.freeze());
+}
+
+/// Transmits one ARP packet to `dst` from its sender's MAC, untracked: the
+/// 28-byte body is written straight into a pooled frame buffer and the
+/// header prepended in place, so the frame costs one buffer.
+fn transmit_arp(sim: &mut NetSim, host: HostId, iface: IfaceId, dst: MacAddr, arp: &ArpPacket) {
+    let mut buf = PacketBuf::with_headroom(FRAME_HEADER_LEN);
+    arp.write_into(&mut buf);
+    Frame::write_header(
+        dst,
+        arp.sender_mac,
+        EtherType::Arp,
+        buf.prepend(FRAME_HEADER_LEN),
+    );
+    transmit_wire(sim, host, iface, dst, buf.freeze());
 }
 
 /// Hands fully-assembled wire bytes (frame header included) to a device
@@ -927,8 +936,7 @@ fn arp_input(sim: &mut NetSim, host: HostId, iface: IfaceId, arp: &ArpPacket) {
         transmit_frame(sim, host, iface, frame, flight);
     }
     if let ArpAction::Reply(reply) = action {
-        let frame = Frame::new(arp.sender_mac, my_mac, EtherType::Arp, reply.to_bytes());
-        transmit_frame(sim, host, iface, frame, mosquitonet_sim::NO_FLIGHT);
+        transmit_arp(sim, host, iface, arp.sender_mac, &reply);
     }
 }
 
@@ -951,13 +959,7 @@ pub(crate) fn arp_solicit(
         )
     };
     let req = ArpPacket::request(my_mac, my_ip, target);
-    let frame = Frame::new(
-        mosquitonet_wire::MacAddr::BROADCAST,
-        my_mac,
-        EtherType::Arp,
-        req.to_bytes(),
-    );
-    transmit_frame(sim, host, iface, frame, mosquitonet_sim::NO_FLIGHT);
+    transmit_arp(sim, host, iface, MacAddr::BROADCAST, &req);
     sim.schedule_in(ARP_RETRY_INTERVAL, move |sim| {
         arp_retry(sim, host, iface, target, generation);
     });
@@ -1281,10 +1283,11 @@ mod tests {
         sim.run();
 
         let dst = Ipv4Addr::new(10, 0, 0, 7);
-        let warm = |sim: &mut NetSim| {
+        let resolve = |sim: &mut NetSim, to: Ipv4Addr| {
             let host = &mut sim.world_mut().hosts[h.0];
-            ip::resolve_route(host, dst, SourceSel::Unspecified, None)
+            ip::resolve_route(host, to, SourceSel::Unspecified, None)
         };
+        let warm = |sim: &mut NetSim| resolve(sim, dst);
 
         assert!(warm(&mut sim).is_some(), "route resolves while iface is up");
         warm(&mut sim);
@@ -1309,26 +1312,101 @@ mod tests {
             );
         }
 
-        // Tunnel-binding teardown must do the same.
-        let home = Ipv4Addr::new(36, 135, 0, 9);
-        sim.world_mut().hosts[h.0]
-            .core
-            .set_tunnel(home, Ipv4Addr::new(36, 8, 0, 42));
-        warm(&mut sim);
+        // A tunnel binding feeds the decision for its own home only: its
+        // teardown must retire the cached encapsulation for `home` and
+        // leave every other destination's decision cached.
+        let home = Ipv4Addr::new(10, 0, 0, 9);
+        let care_of = Ipv4Addr::new(10, 0, 0, 42);
+        sim.world_mut().hosts[h.0].core.set_tunnel(home, care_of);
+        let tunnelled = resolve(&mut sim, home).expect("the care-of address routes");
+        assert_eq!(tunnelled.encap.map(|e| e.outer_dst), Some(care_of));
+        assert_eq!(resolve(&mut sim, home), Some(tunnelled), "cached");
         warm(&mut sim);
         let hits = sim.world().hosts[h.0].fastpath.stats.hit.get();
         let invalidations = sim.world().hosts[h.0].fastpath.stats.invalidate.get();
         sim.world_mut().hosts[h.0].core.clear_tunnel(home);
         warm(&mut sim);
-        let host = &sim.world().hosts[h.0];
         assert_eq!(
-            host.fastpath.stats.hit.get(),
-            hits,
-            "no stale cache hit after tunnel teardown"
+            sim.world().hosts[h.0].fastpath.stats.hit.get(),
+            hits + 1,
+            "the unrelated destination still hits after the teardown"
         );
-        assert!(
-            host.fastpath.stats.invalidate.get() > invalidations,
-            "clear_tunnel flushed the cache via route_config_gen"
+        let fresh = resolve(&mut sim, home).expect("home is on-link");
+        assert_eq!(fresh.encap, None, "never the cached encapsulation");
+        assert_eq!(fresh.next_hop, home);
+        let host = &sim.world().hosts[h.0];
+        assert_eq!(host.fastpath.stats.hit.get(), hits + 1, "home missed");
+        assert_eq!(
+            host.fastpath.stats.invalidate.get(),
+            invalidations,
+            "clear_tunnel flushed nothing else"
+        );
+    }
+
+    /// The exact bytes of the three ARP frames the stack sends: a who-has
+    /// request, the is-at reply it draws, and a gratuitous announcement.
+    /// The hex literals are what the stack sent when each ARP packet was
+    /// serialized into a buffer of its own and then copied into the frame;
+    /// writing the packet straight into the frame must not move a byte.
+    #[test]
+    fn arp_frames_keep_their_wire_bytes() {
+        let mut net = Network::new();
+        let [a, b] = [net.add_host("a"), net.add_host("b")];
+        let lan = net.add_lan(presets::ethernet_lan("lan"));
+        let (ip_a, ip_b) = (Ipv4Addr::new(36, 135, 0, 1), Ipv4Addr::new(36, 135, 0, 9));
+        let mut ifaces = Vec::new();
+        for (h, addr, n) in [(a, ip_a, 1), (b, ip_b, 2)] {
+            let core = &mut net.hosts[h.0].core;
+            let eth = core.add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(n)));
+            core.iface_mut(eth)
+                .add_addr(addr, "36.135.0.0/16".parse().unwrap());
+            core.capture = true;
+            net.attach(h, eth, lan);
+            ifaces.push(eth);
+        }
+        let mut sim = Sim::new(net);
+        sim.flights_mut().set_enabled(true);
+        bring_iface_up(&mut sim, a, ifaces[0]);
+        bring_iface_up(&mut sim, b, ifaces[1]);
+        sim.run();
+
+        // a asks for b (b replies), then announces its own address.
+        arp_solicit(&mut sim, a, ifaces[0], ip_b, 0);
+        let mut fx = Effects::new();
+        fx.push(Effect::GratuitousArp {
+            iface: ifaces[0],
+            addr: ip_a,
+        });
+        apply_effects(&mut sim, a, ModuleId(0), fx);
+        sim.run();
+
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let frames: Vec<(u32, String)> = sim
+            .flights()
+            .captures()
+            .iter()
+            .map(|c| (c.host, hex(&c.bytes)))
+            .collect();
+        let (at_a, at_b) = (0, 1);
+        assert_eq!(
+            frames,
+            [
+                (
+                    at_b,
+                    "ffffffffffff020000000001080600010800060400010200000000012487000100000000000024870009"
+                        .to_string()
+                ),
+                (
+                    at_b,
+                    "ffffffffffff020000000001080600010800060400010200000000012487000100000000000024870001"
+                        .to_string()
+                ),
+                (
+                    at_a,
+                    "020000000001020000000002080600010800060400020200000000022487000902000000000124870001"
+                        .to_string()
+                ),
+            ]
         );
     }
 }

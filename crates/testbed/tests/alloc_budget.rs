@@ -22,6 +22,7 @@ use mosquitonet_sim::{
     run_sharded, FlightDump, FlightRecorder, HopAction, Json, Sim, SimDuration, SimTime,
 };
 use mosquitonet_stack::{self as stack, HostId, LanId, ModuleId, NetSim, Network, RouteEntry};
+use mosquitonet_testbed::experiments::{run_s2, S2Config, S2Result};
 use mosquitonet_testbed::topology::{self, TestbedConfig, CH_DEPT, COA_DEPT, MH_HOME, ROUTER_DEPT};
 use mosquitonet_testbed::workload::{SaturationSender, SaturationSink};
 use mosquitonet_wire::{
@@ -435,4 +436,56 @@ fn a_warm_round_allocates_nothing_of_its_own() {
         sharded, alone,
         "allocations over {events} events and {delivered} cross-shard datagrams"
     );
+}
+
+/// Home-agent shards of the control-plane budget's runs: a small
+/// `reg_churn` (which runs 16), offered well under the fleet's capacity.
+const S2_SHARDS: u32 = 2;
+
+/// Most allocations one more accepted registration may cost across the
+/// fleet: the request, the agent's reply and replica, their frames and
+/// receive events, and the agents' share of gratuitous ARPs. It measures
+/// 15.17 (15.93 while an ARP frame was serialized twice); the margin is
+/// less than the cost of one more frame per four registrations.
+const ALLOCS_PER_REGISTRATION: f64 = 15.3;
+
+/// Allocations and the result of one S2 fleet run of `ticks` churn ticks.
+fn s2_fleet(ticks: u32) -> (u64, S2Result) {
+    let cfg = S2Config {
+        shards: S2_SHARDS,
+        mobile_hosts: 2_000,
+        burst: 4,
+        ticks,
+        seed: 1996,
+        batching: true,
+    };
+    allocations_in(|| run_s2(&cfg, 1))
+}
+
+/// The control plane's budget: what one more registration allocates (the
+/// difference of two runs, so building the fleet is not counted), and a
+/// home agent's decision cache that outlives the binding changes it makes.
+#[test]
+fn a_registration_stays_within_its_allocation_budget_and_the_agents_cache() {
+    let (short_allocs, short) = s2_fleet(40);
+    let (long_allocs, long) = s2_fleet(120);
+    let regs = long.row.accepted - short.row.accepted;
+    let per_reg = (long_allocs - short_allocs) as f64 / regs as f64;
+    assert!(
+        per_reg <= ALLOCS_PER_REGISTRATION,
+        "{per_reg:.2} allocations per registration over {regs} more, \
+         budget {ALLOCS_PER_REGISTRATION}"
+    );
+    for s in 0..S2_SHARDS {
+        let count = |name: &str| {
+            long.metrics
+                .at::<u64>(&format!("metrics.ha{s}/fastpath/{name}.value"))
+        };
+        let (hit, miss) = (count("hit"), count("miss"));
+        assert_eq!(count("invalidate"), 0, "ha{s} flushed its decision cache");
+        assert!(
+            hit as f64 >= 0.99 * (hit + miss) as f64,
+            "ha{s}: {hit} hits, {miss} misses"
+        );
+    }
 }

@@ -101,6 +101,14 @@ impl ArpPacket {
     /// Serializes the 28-byte Ethernet/IPv4 ARP body.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(ARP_LEN);
+        self.write_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the 28-byte Ethernet/IPv4 ARP body to `buf` — the stack
+    /// writes it straight into the frame it transmits.
+    #[inline]
+    pub fn write_into(&self, buf: &mut impl BufMut) {
         buf.put_u16(1); // hardware type: Ethernet
         buf.put_u16(0x0800); // protocol type: IPv4
         buf.put_u8(6); // hardware address length
@@ -113,7 +121,6 @@ impl ArpPacket {
         buf.put_slice(&self.sender_ip.octets());
         buf.put_slice(&self.target_mac.octets());
         buf.put_slice(&self.target_ip.octets());
-        buf.freeze()
     }
 
     /// Parses an Ethernet/IPv4 ARP body.

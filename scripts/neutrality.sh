@@ -11,7 +11,9 @@
 #
 #   1. `experiment all seed=1996` and `experiment all seed=7`, each into its
 #      own metrics dir: stdout must match, and `diff -r` of the two metrics
-#      dirs must be empty;
+#      dirs must be empty; when it is not, the differing files are named
+#      and `scripts/keydiff.py` prints the differing JSON keys, grouped by
+#      leaf name with counts, before the script fails;
 #   2. `mnbench --workload W --seed S --trace 0` for the four workloads and
 #      seeds 1996, 4242 and 7: the `sim_digest … events …` lines must match
 #      (`attempted` is left out: it counts the repeats that fit in the time).
@@ -70,7 +72,11 @@ for seed in 1996 7; do
     a="$work/out/parent/seed$seed"
     b="$work/out/head/seed$seed"
     diff "$a/stdout" "$b/stdout" >&2 || differ "experiment all seed=$seed: stdout differs"
-    diff -r "$a/metrics" "$b/metrics" >&2 || differ "experiment all seed=$seed: metrics dirs differ"
+    if ! diff -rq "$a/metrics" "$b/metrics" >&2; then
+        # What moved, by key: the differing flattened JSON paths, grouped.
+        python3 "$repo/scripts/keydiff.py" "$a/metrics" "$b/metrics" >&2 || true
+        differ "experiment all seed=$seed: metrics dirs differ"
+    fi
     echo "neutrality: experiment all seed=$seed: stdout and metrics identical" >&2
 done
 

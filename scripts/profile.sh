@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Where does a benchmark workload spend its time? A sampling profile.
 #
-#   scripts/profile.sh [--seconds S] [--seed N] [--dir D] <workload>
+#   scripts/profile.sh [--seconds S] [--seed N] [--dir D] [--callers REGEX]... <workload>
 #
 # Builds this tree's benchmark (`benchmark/`, working tree as it stands)
 # with frame pointers and line tables, into --dir (default:
@@ -14,7 +14,10 @@
 # with ptrace every 0.5 ms, walks its frame-pointer chain and prints self %
 # and inclusive % by function, self % by innermost source line with the
 # functions it is inlined into, and one row for the samples that landed
-# outside the binary (libc's malloc, free, memcpy). It needs no `perf` and
+# outside the binary (libc's malloc, free, memcpy), by library and by the
+# nearest exported symbol; each --callers REGEX (passed on to sample.py)
+# adds the two frames above every sample whose innermost function matches
+# it. It needs no `perf` and
 # no privilege beyond tracing its own child. The build flags live here
 # only: the benchmark's own build is untouched.
 #
@@ -23,18 +26,20 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 [--seconds S] [--seed N] [--dir D] <workload>" >&2
+    echo "usage: $0 [--seconds S] [--seed N] [--dir D] [--callers REGEX]... <workload>" >&2
     exit 2
 }
 seconds=6 seed=1996 work="${TMPDIR:-/tmp}/mosquitonet-profile"
+callers=()
 while [ $# -gt 0 ]; do
     case "$1" in
-    --seconds | --seed | --dir)
+    --seconds | --seed | --dir | --callers)
         [ $# -ge 2 ] || usage
         case "$1" in
         --seconds) seconds="$2" ;;
         --seed) seed="$2" ;;
         --dir) work="$2" ;;
+        --callers) callers+=(--callers "$2") ;;
         esac
         shift 2
         ;;
@@ -56,6 +61,6 @@ RUSTFLAGS="-C force-frame-pointers=yes" \
     cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 
 cd "$work"
-exec python3 "$tree/scripts/sample.py" --root "$tree" -- \
+exec python3 "$tree/scripts/sample.py" --root "$tree" "${callers[@]}" -- \
     "$work/target/release/mnbench" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """A frame-pointer sampling profiler that needs nothing but ptrace.
 
-    python3 scripts/sample.py [--interval-ms MS] [--top N] [--root DIR] -- CMD [ARG...]
+    python3 scripts/sample.py [--interval-ms MS] [--top N] [--root DIR]
+                              [--callers REGEX]... -- CMD [ARG...]
 
 Starts CMD, attaches to it with PTRACE_SEIZE (only to that one child, and
 only to its main thread), and every --interval-ms (default 0.5)
@@ -17,7 +18,15 @@ CMD's executable with `nm -C` (function by address) and
     inlined into;
   * one row for the samples whose `rip` lies outside the executable
     (shared libraries: libc's `malloc`, `free`, `memcpy` and the like),
-    broken down by mapping.
+    broken down by mapping, then self % by the nearest symbol the library
+    exports at or below `rip` (`nm -D`). A library's internal functions
+    export no symbol, so their samples land under an exported neighbour's
+    name: in glibc, `_int_malloc` and `_int_free` read as
+    `__default_morecore`;
+  * for each --callers REGEX (repeatable), the samples whose innermost
+    function (or library symbol) matches it, grouped by the two frames
+    above it: which callers a hot leaf such as `BinaryHeap::pop` or
+    `malloc` is charged to.
 
 CMD's standard output goes to this script's standard error, so the
 report is all that reaches standard output. Build CMD with frame pointers
@@ -32,6 +41,7 @@ import bisect
 import collections
 import ctypes
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -132,7 +142,8 @@ class Maps:
                         continue
                     lo, hi = (int(x, 16) for x in parts[0].split("-"))
                     path = parts[5]
-                    rows.append((lo, hi, os.path.realpath(path) if path.startswith("/") else path))
+                    path = os.path.realpath(path) if path.startswith("/") else path
+                    rows.append((lo, hi, path, int(parts[2], 16)))
         except OSError:
             return
         rows.sort()
@@ -140,13 +151,15 @@ class Maps:
         self.starts = [r[0] for r in rows]
 
     def find(self, addr, retry=False):
+        """The mapping's path and `addr` as an offset into its file."""
         i = bisect.bisect_right(self.starts, addr) - 1
         if i >= 0 and addr < self.rows[i][1]:
-            return self.rows[i][2]
+            lo, _, path, offset = self.rows[i]
+            return path, addr - lo + offset
         if retry:
             self.reload()
             return self.find(addr, retry=False)
-        return None
+        return None, None
 
 
 def load_bias(pid, exe):
@@ -166,9 +179,9 @@ def load_bias(pid, exe):
 def sample(cmd, interval):
     """Runs `cmd` to its end.
 
-    Returns the executable, its load bias, one `(rip is inside it, the
-    chain's addresses inside it)` pair per sample, the samples outside it
-    by mapping, and the command's exit code.
+    Returns the executable, its load bias, one `(rip's library and file
+    offset, or None inside the executable; the chain's addresses inside
+    it)` pair per sample, and the command's exit code.
     """
     child = subprocess.Popen(cmd, stdout=sys.stderr)
     pid = child.pid
@@ -176,7 +189,7 @@ def sample(cmd, interval):
     exe = os.path.realpath(f"/proc/{pid}/exe")
     tracee, maps = Tracee(pid), Maps(pid)
     bias = None
-    samples, outside = [], collections.Counter()
+    samples = []
     status = 0
     while True:
         time.sleep(interval)
@@ -200,30 +213,39 @@ def sample(cmd, interval):
         chain = tracee.stack()
         # A library mapped since the last read shows first in `rip`.
         where = [maps.find(chain[0], retry=True)] + [maps.find(a) for a in chain[1:]]
-        inside = [a for a, w in zip(chain, where) if w == exe]
-        if where[0] != exe:
-            outside[os.path.basename(where[0] or "[unknown]")] += 1
-        samples.append((where[0] == exe, inside))
+        inside = [a for a, (path, _) in zip(chain, where) if path == exe]
+        leaf = None if where[0][0] == exe else (where[0][0] or "[unknown]", where[0][1])
+        samples.append((leaf, inside))
         ptrace(PTRACE_CONT, pid)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         print(f"sample: {' '.join(cmd)} exited with {code}", file=sys.stderr)
     child.returncode = code
-    return exe, bias or 0, samples, outside, code
+    return exe, bias or 0, samples, code
 
 
-def nm_table(exe):
-    """Sorted (addresses, names) of the executable's text symbols."""
-    out = subprocess.run(
-        ["nm", "-C", "--defined-only", exe], capture_output=True, text=True, check=True
-    ).stdout
+def nm_table(path, dynamic=False):
+    """Sorted (addresses, names) of a file's text symbols; with `dynamic`,
+    only those it exports (`nm -D`), all a stripped library has left."""
+    cmd = ["nm", "-C", "--defined-only"] + (["-D"] if dynamic else []) + [path]
+    try:
+        out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return [], []
     syms = []
     for line in out.splitlines():
         parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[1] in "tTwW":
-            syms.append((int(parts[0], 16), parts[2]))
+        if len(parts) == 3 and parts[1] in "tTwWiI":
+            syms.append((int(parts[0], 16), parts[2].split("@")[0]))
     syms.sort()
     return [a for a, _ in syms], [n for _, n in syms]
+
+
+def nearest(table, addr):
+    """The name of the last symbol at or below `addr`, or None."""
+    starts, names = table
+    i = bisect.bisect_right(starts, addr) - 1
+    return names[i] if i >= 0 else None
 
 
 def addr2line(exe, addrs):
@@ -265,27 +287,45 @@ def short_name(name, width=70):
     return name if len(name) <= width else name[: width - 1] + "…"
 
 
-def report(exe, bias, samples, outside, top, root):
+def report(exe, bias, samples, top, root, callers):
     total = len(samples)
     if total == 0:
         print("sample: no samples (the command ended before the first interval)")
         return
-    starts, names = nm_table(exe)
+    table = nm_table(exe)
+    libs = {}
 
     def func(addr):
-        i = bisect.bisect_right(starts, addr) - 1
-        return names[i] if i >= 0 else f"{addr:#x}"
+        return nearest(table, addr) or f"{addr:#x}"
+
+    def lib_symbol(path, offset):
+        # A shared library's text is mapped at a virtual address equal to
+        # its file offset, so the offset looks up its dynamic symbols.
+        if path not in libs:
+            libs[path] = nm_table(path, dynamic=True) if path.startswith("/") else ([], [])
+        name = nearest(libs[path], offset) or f"{offset:#x}"
+        return f"{name} ({os.path.basename(path)})"
 
     self_fn, incl_fn = collections.Counter(), collections.Counter()
-    leaf = collections.Counter()
-    for in_exe, chain in samples:
+    leaf, outside, outside_sym = collections.Counter(), collections.Counter(), collections.Counter()
+    callers = [(pattern, re.compile(pattern), collections.Counter()) for pattern in callers]
+    for lib, chain in samples:
         # A return address points after its call; step back into the call.
+        in_exe = lib is None
         elf = [a - bias - (0 if in_exe and i == 0 else 1) for i, a in enumerate(chain)]
+        names = [func(a) for a in elf]
         if in_exe:
             leaf[elf[0]] += 1
-            self_fn[func(elf[0])] += 1
-        for f in {func(a) for a in elf}:
+            self_fn[names[0]] += 1
+        else:
+            outside[os.path.basename(lib[0])] += 1
+            names.insert(0, lib_symbol(*lib))
+            outside_sym[names[0]] += 1
+        for f in set(names[1:] if not in_exe else names):
             incl_fn[f] += 1
+        for _, regex, hits in callers:
+            if names and regex.search(names[0]):
+                hits[tuple(names[:3])] += 1
 
     def pct(n):
         return 100.0 * n / total
@@ -312,6 +352,16 @@ def report(exe, bias, samples, outside, top, root):
 
     parts = ", ".join(f"{m} {pct(n):.2f}" for m, n in outside.most_common())
     print(f"\n{pct(out_n):6.2f}  outside {os.path.basename(exe)}" + (f" ({parts})" if parts else ""))
+    if outside_sym:
+        print(f"\nself %  nearest exported symbol at or below rip (nm -D; top {top})")
+        for name, n in outside_sym.most_common(top):
+            print(f"{pct(n):6.2f}  {short_name(name)}")
+
+    for pattern, _, hits in callers:
+        n_all = sum(hits.values())
+        print(f"\nself %  callers of /{pattern}/: {pct(n_all):.2f} % of samples (leaf ← caller ← its caller)")
+        for chain, n in hits.most_common(top):
+            print(f"{pct(n):6.2f}  " + " ← ".join(short_name(f, 48) for f in chain))
 
 
 def main():
@@ -321,14 +371,26 @@ def main():
     ap.add_argument("--interval-ms", type=float, default=0.5, help="sampling interval (0.5)")
     ap.add_argument("--top", type=int, default=25, help="rows per table (25)")
     ap.add_argument("--root", default=os.getcwd(), help="source root that paths are shown under")
+    ap.add_argument(
+        "--callers",
+        action="append",
+        default=[],
+        metavar="REGEX",
+        help="for samples whose innermost function matches, show the two frames above (repeatable)",
+    )
     ap.add_argument("cmd", nargs=argparse.REMAINDER, help="-- CMD [ARG...]")
     args = ap.parse_args()
     cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
     if not cmd or args.interval_ms <= 0 or args.top <= 0:
         ap.print_usage(sys.stderr)
         sys.exit(2)
-    exe, bias, samples, outside, code = sample(cmd, args.interval_ms / 1000.0)
-    report(exe, bias, samples, outside, args.top, os.path.realpath(args.root))
+    for pattern in args.callers:
+        try:
+            re.compile(pattern)
+        except re.error as e:
+            ap.error(f"--callers {pattern!r}: {e}")
+    exe, bias, samples, code = sample(cmd, args.interval_ms / 1000.0)
+    report(exe, bias, samples, args.top, os.path.realpath(args.root), args.callers)
     sys.exit(0 if code == 0 else 1)
 
 
