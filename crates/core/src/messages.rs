@@ -18,7 +18,7 @@
 //! that framing for every parser and `seal` writes the trailer for every
 //! encoder.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::net::Ipv4Addr;
 
 use mosquitonet_wire::{internet_checksum, need, verify_checksum, ArrayBuf, AuthTlv, WireError};
@@ -363,13 +363,13 @@ pub struct BindingUpdate {
 impl BindingUpdate {
     /// Serializes to bytes.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(12);
+        let mut buf = ArrayBuf::<12>::default();
         buf.put_u8(4);
         buf.put_u8(0);
         buf.put_u16(self.lifetime);
         buf.put_slice(&self.home_addr.octets());
         buf.put_slice(&self.new_care_of.octets());
-        buf.freeze()
+        Bytes::copy_from_slice(&buf)
     }
 
     /// Parses from bytes.
@@ -484,12 +484,12 @@ pub struct AgentAdvertisement {
 impl AgentAdvertisement {
     /// Serializes to bytes.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8);
+        let mut buf = ArrayBuf::<8>::default();
         buf.put_u8(16);
         buf.put_u8(0);
         buf.put_u16(self.seq);
         buf.put_slice(&self.agent_addr.octets());
-        buf.freeze()
+        Bytes::copy_from_slice(&buf)
     }
 
     /// Parses from bytes.
@@ -533,6 +533,7 @@ pub fn classify(buf: &[u8]) -> Option<MessageKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn request() -> RegistrationRequest {
         RegistrationRequest {

@@ -1,6 +1,7 @@
 //! The exact wire bytes of the messages whose encoders write into a stack
 //! array: registration requests and replies (unkeyed and keyed), binding
-//! replicas, and ICMP errors quoting a 28-byte invoking packet.
+//! replicas, ICMP errors quoting a 28-byte invoking packet, binding
+//! updates, agent advertisements, IGMP messages and DHCP messages.
 //!
 //! The hex literals are the output of the earlier encoders, which built
 //! each message in a growable `BytesMut`. How a message is buffered must
@@ -8,9 +9,13 @@
 
 use bytes::Bytes;
 use mosquitonet_core::{
-    BindingReplica, RegistrationReply, RegistrationRequest, ReplicaOp, ReplyCode,
+    AgentAdvertisement, BindingReplica, BindingUpdate, RegistrationReply, RegistrationRequest,
+    ReplicaOp, ReplyCode,
 };
-use mosquitonet_wire::{IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, UnreachableCode};
+use mosquitonet_dhcp::{DhcpMessage, DhcpOp};
+use mosquitonet_wire::{
+    IcmpMessage, IgmpMessage, IpProto, Ipv4Header, Ipv4Packet, MacAddr, UnreachableCode,
+};
 use std::net::Ipv4Addr;
 
 const HOME: Ipv4Addr = Ipv4Addr::new(36, 135, 0, 9);
@@ -122,5 +127,70 @@ fn icmp_errors_keep_their_bytes() {
     assert_eq!(
         hex(&expired.to_bytes()),
         "0b00e8ef000000004500003c12344000011189022408002aab400f090001020304050607"
+    );
+}
+
+#[test]
+fn binding_updates_and_advertisements_keep_their_bytes() {
+    let update = BindingUpdate {
+        lifetime: 10,
+        home_addr: HOME,
+        new_care_of: CARE_OF,
+    };
+    let advert = AgentAdvertisement {
+        seq: 0x0102,
+        agent_addr: AGENT,
+    };
+    assert_eq!(hex(&update.to_bytes()), "0400000a248700092408002a");
+    assert_eq!(hex(&advert.to_bytes()), "1000010224870001");
+}
+
+#[test]
+fn igmp_messages_keep_their_bytes() {
+    let group = Ipv4Addr::new(224, 0, 0, 251);
+    assert_eq!(
+        hex(&IgmpMessage::MembershipQuery { group }.to_bytes()),
+        "11000e04e00000fb"
+    );
+    assert_eq!(
+        hex(&IgmpMessage::MembershipReport { group }.to_bytes()),
+        "16000904e00000fb"
+    );
+    assert_eq!(
+        hex(&IgmpMessage::LeaveGroup { group }.to_bytes()),
+        "17000804e00000fb"
+    );
+}
+
+#[test]
+fn dhcp_messages_keep_their_bytes() {
+    let mac = MacAddr::from_index(20);
+    let discover = DhcpMessage::discover(0x1122_3344, mac);
+    let offer = DhcpMessage {
+        op: DhcpOp::Offer,
+        yiaddr: CARE_OF,
+        server: Ipv4Addr::new(36, 8, 0, 2),
+        prefix_len: 16,
+        router: Ipv4Addr::new(36, 8, 0, 1),
+        lease_secs: 600,
+        ..discover
+    };
+    let request = DhcpMessage::request(offer.xid, mac, &offer);
+    let release = DhcpMessage::release(0x5566_7788, mac, CARE_OF, offer.server);
+    assert_eq!(
+        hex(&discover.to_bytes()),
+        "010011223344020000000014000000000000000000000000000000000000"
+    );
+    assert_eq!(
+        hex(&offer.to_bytes()),
+        "0200112233440200000000142408002a2408000210002408000100000258"
+    );
+    assert_eq!(
+        hex(&request.to_bytes()),
+        "0300112233440200000000142408002a2408000210002408000100000258"
+    );
+    assert_eq!(
+        hex(&release.to_bytes()),
+        "0600556677880200000000142408002a2408000200000000000000000000"
     );
 }

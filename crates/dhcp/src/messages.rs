@@ -18,10 +18,10 @@
 //! | 22 | 4 | default router |
 //! | 26 | 4 | lease (seconds) |
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::net::Ipv4Addr;
 
-use mosquitonet_wire::{need, Cidr, MacAddr, WireError};
+use mosquitonet_wire::{need, ArrayBuf, Cidr, MacAddr, WireError};
 
 /// UDP port the server listens on.
 pub const DHCP_SERVER_PORT: u16 = 67;
@@ -159,7 +159,7 @@ impl DhcpMessage {
 
     /// Serializes to the fixed 30-byte format.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(DHCP_MESSAGE_LEN);
+        let mut buf = ArrayBuf::<DHCP_MESSAGE_LEN>::default();
         buf.put_u8(self.op.number());
         buf.put_u8(0);
         buf.put_u32(self.xid);
@@ -170,7 +170,7 @@ impl DhcpMessage {
         buf.put_u8(0);
         buf.put_slice(&self.router.octets());
         buf.put_u32(self.lease_secs);
-        buf.freeze()
+        Bytes::copy_from_slice(&buf)
     }
 
     /// Parses from bytes.

@@ -12,7 +12,7 @@
 use std::net::Ipv4Addr;
 
 use mosquitonet_sim::{IdHashMap, IdHashSet, SimTime};
-use mosquitonet_wire::{ArpOp, ArpPacket, Ipv4Packet, MacAddr};
+use mosquitonet_wire::{ArpOp, ArpPacket, MacAddr, PacketBuf};
 
 /// How many times an unanswered ARP request is retried.
 pub const ARP_MAX_TRIES: u32 = 3;
@@ -22,17 +22,18 @@ const ARP_QUEUE_DEPTH: usize = 3;
 
 /// An in-progress resolution.
 #[derive(Debug)]
-pub struct PendingArp {
+struct PendingArp {
     /// Requests sent so far.
-    pub tries: u32,
+    tries: u32,
     /// Distinguishes this resolution from earlier ones for the same
     /// address, so a stale retry timer from a finished resolution cannot
     /// advance this one's try counter.
-    pub generation: u64,
+    generation: u64,
     /// Packets parked until the address resolves (bounded, like the
-    /// kernel's single-packet ARP queue but a little more generous), each
-    /// paired with its flight-recorder id.
-    pub queue: Vec<(Ipv4Packet, u64)>,
+    /// kernel's single-packet ARP queue but a little more generous): each
+    /// is the IP packet as the output path assembled it, frame headroom
+    /// still free, its flight id riding in the buffer.
+    queue: Vec<PacketBuf>,
 }
 
 mosquitonet_sim::counters! {
@@ -56,9 +57,6 @@ pub struct ArpState {
     proxies: IdHashSet<Ipv4Addr>,
     pending: IdHashMap<Ipv4Addr, PendingArp>,
     next_generation: u64,
-    /// When each cache entry was learned (for diagnostics; entries do not
-    /// expire during the short experiments).
-    learned_at: IdHashMap<Ipv4Addr, SimTime>,
     /// Activity counters.
     pub stats: ArpStats,
 }
@@ -83,15 +81,15 @@ impl ArpState {
         self.cache.get(&ip).copied()
     }
 
-    /// Inserts/overwrites a mapping.
-    pub fn insert(&mut self, ip: Ipv4Addr, mac: MacAddr, now: SimTime) {
+    /// Inserts/overwrites a mapping. Entries never age, so the time is
+    /// ignored: frozen until ROADMAP [bench-v2] because `benchmark/`
+    /// passes it.
+    pub fn insert(&mut self, ip: Ipv4Addr, mac: MacAddr, _now: SimTime) {
         self.cache.insert(ip, mac);
-        self.learned_at.insert(ip, now);
     }
 
     /// Removes a mapping (e.g. when a registration ends).
     pub fn remove(&mut self, ip: Ipv4Addr) -> bool {
-        self.learned_at.remove(&ip);
         self.cache.remove(&ip).is_some()
     }
 
@@ -101,7 +99,6 @@ impl ArpState {
     /// Proxy entries and in-progress resolutions are kept.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-        self.learned_at.clear();
     }
 
     /// Wipes *all* volatile ARP state — cache, proxy entries, and
@@ -111,7 +108,6 @@ impl ArpState {
     /// recovers (e.g. the home agent's journal replay).
     pub fn crash_wipe(&mut self) {
         self.cache.clear();
-        self.learned_at.clear();
         self.proxies.clear();
         self.pending.clear();
     }
@@ -131,32 +127,26 @@ impl ArpState {
         self.proxies.contains(&ip)
     }
 
-    /// Parks a packet (tagged with its flight id) awaiting resolution of
-    /// `ip`. The first return value is the new resolution's generation if
-    /// this is a *new* resolution (the caller should transmit an ARP
-    /// request and arm a retry timer carrying that generation), or `None`
-    /// if one is already in progress.
+    /// Parks a packet awaiting resolution of `ip`. The first return value
+    /// is the new resolution's generation if this is a *new* resolution
+    /// (the caller should transmit an ARP request and arm a retry timer
+    /// carrying that generation), or `None` if one is already in progress.
     ///
     /// The queue is bounded; the oldest parked packet is dropped on
     /// overflow, matching kernel behaviour under ARP backlog — the second
-    /// return value is the evicted packet's flight id, so the caller can
-    /// record the silent casualty in the flight recorder.
-    pub fn park(
-        &mut self,
-        ip: Ipv4Addr,
-        packet: Ipv4Packet,
-        flight: u64,
-    ) -> (Option<u64>, Option<u64>) {
+    /// return value is the evicted packet, so the caller can record the
+    /// silent casualty under its flight id.
+    pub fn park(&mut self, ip: Ipv4Addr, packet: PacketBuf) -> (Option<u64>, Option<PacketBuf>) {
         let entry = self.pending.entry(ip);
         match entry {
             std::collections::hash_map::Entry::Occupied(mut o) => {
                 let p = o.get_mut();
                 let evicted = if p.queue.len() >= ARP_QUEUE_DEPTH {
-                    Some(p.queue.remove(0).1)
+                    Some(p.queue.remove(0))
                 } else {
                     None
                 };
-                p.queue.push((packet, flight));
+                p.queue.push(packet);
                 (None, evicted)
             }
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -164,7 +154,7 @@ impl ArpState {
                 v.insert(PendingArp {
                     tries: 1,
                     generation: self.next_generation,
-                    queue: vec![(packet, flight)],
+                    queue: vec![packet],
                 });
                 (Some(self.next_generation), None)
             }
@@ -175,7 +165,7 @@ impl ArpState {
     /// fires. Returns `true` if another request should be transmitted,
     /// `false` if the resolution completed or was superseded (a stale
     /// timer), or the parked packets if resolution has now failed.
-    pub fn retry(&mut self, ip: Ipv4Addr, generation: u64) -> Result<bool, Vec<(Ipv4Packet, u64)>> {
+    pub fn retry(&mut self, ip: Ipv4Addr, generation: u64) -> Result<bool, Vec<PacketBuf>> {
         match self.pending.get_mut(&ip) {
             None => Ok(false),                                  // resolved meanwhile
             Some(p) if p.generation != generation => Ok(false), // stale timer
@@ -201,8 +191,7 @@ impl ArpState {
         arp: &ArpPacket,
         my_mac: MacAddr,
         is_mine: impl Fn(Ipv4Addr) -> bool,
-        now: SimTime,
-    ) -> (Vec<(Ipv4Packet, u64)>, ArpAction) {
+    ) -> (Vec<PacketBuf>, ArpAction) {
         // Learn / refresh from the sender fields. A gratuitous ARP also
         // lands here, overwriting stale entries — the paper's mechanism for
         // voiding caches after (de)registration.
@@ -214,7 +203,7 @@ impl ArpState {
                 || arp.op == ArpOp::Reply
                 || arp.is_gratuitous();
             if update_existing {
-                self.insert(arp.sender_ip, arp.sender_mac, now);
+                self.cache.insert(arp.sender_ip, arp.sender_mac);
                 if let Some(p) = self.pending.remove(&arp.sender_ip) {
                     self.stats.resolutions.inc();
                     released = p.queue;
@@ -254,8 +243,6 @@ impl ArpState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use mosquitonet_wire::{IpProto, Ipv4Header};
 
     const ME: Ipv4Addr = Ipv4Addr::new(36, 135, 0, 5);
     const MH: Ipv4Addr = Ipv4Addr::new(36, 135, 0, 9);
@@ -265,8 +252,11 @@ mod tests {
         MacAddr::from_index(5)
     }
 
-    fn pkt(dst: Ipv4Addr) -> Ipv4Packet {
-        Ipv4Packet::new(Ipv4Header::new(ME, dst, IpProto::Udp), Bytes::new())
+    /// A parked packet: an empty buffer carrying its flight id.
+    fn pkt(flight: u64) -> PacketBuf {
+        let mut buf = PacketBuf::with_headroom(0);
+        buf.set_flight(flight);
+        buf
     }
 
     fn t0() -> SimTime {
@@ -277,7 +267,7 @@ mod tests {
     fn request_for_our_address_is_answered_and_learned() {
         let mut arp = ArpState::new();
         let req = ArpPacket::request(MacAddr::from_index(7), OTHER, ME);
-        let (released, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
+        let (released, action) = arp.input(&req, my_mac(), |a| a == ME);
         assert!(released.is_empty());
         match action {
             ArpAction::Reply(r) => {
@@ -295,7 +285,7 @@ mod tests {
     fn request_for_other_address_is_ignored() {
         let mut arp = ArpState::new();
         let req = ArpPacket::request(MacAddr::from_index(7), OTHER, MH);
-        let (_, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
+        let (_, action) = arp.input(&req, my_mac(), |a| a == ME);
         assert_eq!(action, ArpAction::None);
         // And we do NOT learn from requests that aren't for us (classic
         // BSD/Linux behaviour avoids cache pollution).
@@ -307,7 +297,7 @@ mod tests {
         let mut arp = ArpState::new();
         arp.add_proxy(MH);
         let req = ArpPacket::request(MacAddr::from_index(7), OTHER, MH);
-        let (_, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
+        let (_, action) = arp.input(&req, my_mac(), |a| a == ME);
         match action {
             ArpAction::Reply(r) => {
                 assert_eq!(r.sender_ip, MH, "claims the MH's address");
@@ -316,7 +306,7 @@ mod tests {
             ArpAction::None => panic!("proxy should answer"),
         }
         assert!(arp.remove_proxy(MH));
-        let (_, action) = arp.input(&req, my_mac(), |a| a == ME, t0());
+        let (_, action) = arp.input(&req, my_mac(), |a| a == ME);
         assert_eq!(action, ArpAction::None, "stops after deregistration");
     }
 
@@ -326,7 +316,7 @@ mod tests {
         arp.insert(MH, MacAddr::from_index(9), t0());
         let ha_mac = MacAddr::from_index(1);
         let g = ArpPacket::gratuitous(ha_mac, MH);
-        let (_, action) = arp.input(&g, my_mac(), |a| a == ME, t0());
+        let (_, action) = arp.input(&g, my_mac(), |a| a == ME);
         assert_eq!(action, ArpAction::None, "gratuitous ARP is not answered");
         assert_eq!(arp.lookup(MH), Some(ha_mac), "stale entry voided");
     }
@@ -335,10 +325,10 @@ mod tests {
     fn replies_resolve_pending_and_release_queue() {
         let mut arp = ArpState::new();
         let generation = arp
-            .park(MH, pkt(MH), 1)
+            .park(MH, pkt(1))
             .0
             .expect("first park starts a resolution");
-        assert!(arp.park(MH, pkt(MH), 2).0.is_none(), "second does not");
+        assert!(arp.park(MH, pkt(2)).0.is_none(), "second does not");
         let _ = generation;
         assert!(arp.is_pending(MH));
         let reply = ArpPacket {
@@ -348,7 +338,7 @@ mod tests {
             target_mac: my_mac(),
             target_ip: ME,
         };
-        let (released, action) = arp.input(&reply, my_mac(), |a| a == ME, t0());
+        let (released, action) = arp.input(&reply, my_mac(), |a| a == ME);
         assert_eq!(action, ArpAction::None);
         assert_eq!(released.len(), 2);
         assert_eq!(arp.lookup(MH), Some(MacAddr::from_index(9)));
@@ -360,8 +350,8 @@ mod tests {
         let mut arp = ArpState::new();
         let mut evicted = Vec::new();
         for flight in 1..=10u64 {
-            if let (_, Some(victim)) = arp.park(MH, pkt(MH), flight) {
-                evicted.push(victim);
+            if let (_, Some(victim)) = arp.park(MH, pkt(flight)) {
+                evicted.push(victim.flight());
             }
         }
         assert_eq!(
@@ -376,16 +366,16 @@ mod tests {
             target_mac: my_mac(),
             target_ip: ME,
         };
-        let (released, _) = arp.input(&reply, my_mac(), |a| a == ME, t0());
+        let (released, _) = arp.input(&reply, my_mac(), |a| a == ME);
         assert_eq!(released.len(), ARP_QUEUE_DEPTH);
-        let survivors: Vec<u64> = released.iter().map(|(_, f)| *f).collect();
+        let survivors: Vec<u64> = released.iter().map(PacketBuf::flight).collect();
         assert_eq!(survivors, vec![8, 9, 10], "newest parked flights survive");
     }
 
     #[test]
     fn retry_gives_up_after_max_tries() {
         let mut arp = ArpState::new();
-        let (generation, _) = arp.park(MH, pkt(MH), 0);
+        let (generation, _) = arp.park(MH, pkt(0));
         let generation = generation.expect("new resolution");
         assert!(arp.retry(MH, generation).unwrap()); // try 2
         assert!(arp.retry(MH, generation).unwrap()); // try 3
@@ -401,7 +391,7 @@ mod tests {
     #[test]
     fn stale_generation_timer_cannot_advance_a_new_resolution() {
         let mut arp = ArpState::new();
-        let gen1 = arp.park(MH, pkt(MH), 0).0.expect("resolution 1");
+        let gen1 = arp.park(MH, pkt(0)).0.expect("resolution 1");
         // Resolution 1 completes via a reply...
         let reply = ArpPacket {
             op: ArpOp::Reply,
@@ -410,10 +400,10 @@ mod tests {
             target_mac: my_mac(),
             target_ip: ME,
         };
-        arp.input(&reply, my_mac(), |a| a == ME, t0());
+        arp.input(&reply, my_mac(), |a| a == ME);
         // ...the cache entry is later removed, and a NEW resolution starts.
         arp.remove(MH);
-        let gen2 = arp.park(MH, pkt(MH), 0).0.expect("resolution 2");
+        let gen2 = arp.park(MH, pkt(0)).0.expect("resolution 2");
         assert_ne!(gen1, gen2);
         // The stale timer from resolution 1 fires: it must be a no-op.
         assert!(matches!(arp.retry(MH, gen1), Ok(false)));

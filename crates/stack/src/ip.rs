@@ -18,7 +18,7 @@
 use std::net::Ipv4Addr;
 
 use bytes::{BufMut, Bytes};
-use mosquitonet_link::{EtherType, Frame, FRAME_HEADER_LEN};
+use mosquitonet_link::{EtherType, FRAME_HEADER_LEN};
 use mosquitonet_sim::NO_FLIGHT;
 use mosquitonet_wire::{
     ipip, IcmpMessage, IgmpMessage, IpProto, Ipv4Header, Ipv4Packet, PacketBuf, TcpSegment,
@@ -363,16 +363,6 @@ impl Outgoing {
         self.header
             .write_header(total as u16, buf.prepend(IPV4_HEADER_LEN));
     }
-
-    /// The packet as a value (only an ARP miss needs one, to park).
-    fn into_packet(self) -> Ipv4Packet {
-        let Ipv4Header { src, dst, .. } = self.header;
-        let payload = match self.body {
-            Body::Raw(bytes) => bytes,
-            Body::Udp(dgram) => dgram.to_bytes(src, dst),
-        };
-        Ipv4Packet::new(self.header, payload)
-    }
 }
 
 /// Sends a packet along a resolved decision, encapsulating if requested.
@@ -400,11 +390,10 @@ fn send_resolved(
 
 /// The single serialization point of the output path — link-layer
 /// transmission with broadcast detection, ARP resolution and parking.
-/// Once the destination MAC is known, the packet is written exactly once
-/// into a pooled buffer with headroom, the optional IP-in-IP outer header
-/// and the frame header are prepended in place, and the finished wire
-/// bytes go to the device. An ARP miss (cold path) parks the
-/// fully-encapsulated packet and defers assembly until resolution.
+/// The packet is written exactly once into a pooled buffer with headroom
+/// and the optional IP-in-IP outer header is prepended in place; the
+/// buffer then either gets its frame header and goes to the device, or,
+/// on an ARP miss (cold path), is parked as it is until resolution.
 fn transmit_ip(
     sim: &mut NetSim,
     host: HostId,
@@ -414,39 +403,6 @@ fn transmit_ip(
     next_hop: Ipv4Addr,
     flight: u64,
 ) {
-    // Broadcast detection looks at the *outer* destination when the packet
-    // is to be encapsulated.
-    let header_dst = encap.map(|e| e.outer_dst).unwrap_or(out.header.dst);
-    let h = &mut sim.world_mut().hosts[host.0];
-    let ifc = h.core.iface(iface);
-    let my_mac = ifc.device.mac();
-    let broadcast = next_hop == Ipv4Addr::BROADCAST
-        || header_dst == Ipv4Addr::BROADCAST
-        || header_dst.is_multicast()
-        || ifc.is_subnet_broadcast(next_hop);
-    let dst_mac = if broadcast {
-        Some(mosquitonet_wire::MacAddr::BROADCAST)
-    } else {
-        h.core.arp[iface.0].lookup(next_hop)
-    };
-    let Some(mac) = dst_mac else {
-        let packet = out.into_packet();
-        let parked = match encap {
-            Some(e) => ipip::encapsulate(&packet, e.outer_src, e.outer_dst),
-            None => packet,
-        };
-        let (solicit, evicted) = h.core.arp[iface.0].park(next_hop, parked, flight);
-        if let Some(victim) = evicted {
-            // The bounded ARP queue silently dropped its oldest occupant;
-            // the flight recorder is the only witness (no counter moves
-            // here).
-            emit(sim, host, victim, "arp", Event::Drop(ArpQueue));
-        }
-        if let Some(generation) = solicit {
-            world::arp_solicit(sim, host, iface, next_hop, generation);
-        }
-        return;
-    };
     let headroom = FRAME_HEADER_LEN
         + if encap.is_some() {
             ipip::ENCAP_OVERHEAD
@@ -459,9 +415,35 @@ fn transmit_ip(
     if let Some(e) = encap {
         ipip::prepend_outer(&mut buf, out.header.tos, e.outer_src, e.outer_dst);
     }
-    Frame::write_header(mac, my_mac, EtherType::Ipv4, buf.prepend(FRAME_HEADER_LEN));
     buf.set_flight(flight);
-    world::transmit_wire(sim, host, iface, mac, buf.freeze());
+    // Broadcast detection looks at the *outer* destination when the packet
+    // is encapsulated.
+    let header_dst = encap.map(|e| e.outer_dst).unwrap_or(out.header.dst);
+    let h = &mut sim.world_mut().hosts[host.0];
+    let ifc = h.core.iface(iface);
+    let broadcast = next_hop == Ipv4Addr::BROADCAST
+        || header_dst == Ipv4Addr::BROADCAST
+        || header_dst.is_multicast()
+        || ifc.is_subnet_broadcast(next_hop);
+    let dst_mac = if broadcast {
+        Some(mosquitonet_wire::MacAddr::BROADCAST)
+    } else {
+        h.core.arp[iface.0].lookup(next_hop)
+    };
+    let Some(mac) = dst_mac else {
+        let (solicit, evicted) = h.core.arp[iface.0].park(next_hop, buf);
+        if let Some(victim) = evicted {
+            // The bounded ARP queue silently dropped its oldest occupant;
+            // the flight recorder is the only witness (no counter moves
+            // here).
+            emit(sim, host, victim.flight(), "arp", Event::Drop(ArpQueue));
+        }
+        if let Some(generation) = solicit {
+            world::arp_solicit(sim, host, iface, next_hop, generation);
+        }
+        return;
+    };
+    world::frame_and_transmit(sim, host, iface, mac, EtherType::Ipv4, buf);
 }
 
 /// IP input: local delivery or forwarding.

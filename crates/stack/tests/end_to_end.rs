@@ -1,7 +1,7 @@
 //! End-to-end tests of the stack: ARP-resolved UDP across a LAN, routed
 //! forwarding, ICMP (ping, port unreachable, redirects), VIF tunnel
-//! entries, the transit-traffic filter, a TCP session over a router, and
-//! the UDP local-destination shortcut.
+//! entries, the transit-traffic filter, a TCP session over a router, the
+//! UDP local-destination shortcut, and packets parked on an ARP miss.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -10,8 +10,8 @@ use bytes::Bytes;
 use mosquitonet_link::{presets, EtherType, FaultPlan, FaultRates, Frame};
 use mosquitonet_sim::{HopAction, Json, ShardEnvelope, ShardWorld, Sim, SimDuration, Snapshot};
 use mosquitonet_stack::{
-    self as stack, ConnId, HostId, IfaceId, Module, ModuleCtx, NetSim, Network, RouteEntry,
-    SocketId, TcpEvent, WireEnvelope,
+    self as stack, ConnId, EncapSpec, HostCore, HostId, IfaceId, Module, ModuleCtx, NetSim,
+    Network, RouteAnswer, RouteDecision, RouteEntry, SocketId, SourceSel, TcpEvent, WireEnvelope,
 };
 use mosquitonet_wire::{
     ArpPacket, Cidr, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, MacAddr, PacketBytes,
@@ -1015,4 +1015,167 @@ fn closed_socket_sends_nothing_and_mints_no_flight() {
     assert_eq!(t.sim.events_executed(), events, "nothing was scheduled");
     assert!(t.sim.flights().is_empty(), "no hop recorded");
     assert_eq!(t.sim.flights_mut().begin_flight(None), first + 1);
+}
+
+/// The home address of [`ReverseTunnel`]'s mobile host (on no interface).
+const HOME: Ipv4Addr = Ipv4Addr::new(10, 0, 9, 9);
+
+/// hostA as a mobile host away from home, as its policy table answers
+/// every route (§3.3): the packet keeps the home address as its source and
+/// leaves reverse-tunnelled, the outer header from the care-of address
+/// (hostA's own) to the home agent (hostB), via the router.
+struct ReverseTunnel {
+    iface: IfaceId,
+}
+
+impl Module for ReverseTunnel {
+    fn name(&self) -> &'static str {
+        "reverse-tunnel"
+    }
+    fn route_override(&mut self, _core: &HostCore, _dst: Ipv4Addr, _src: SourceSel) -> RouteAnswer {
+        let decision = RouteDecision {
+            iface: self.iface,
+            src: HOME,
+            next_hop: ip("10.0.1.1"),
+            encap: Some(EncapSpec {
+                outer_src: ip("10.0.1.2"),
+                outer_dst: ip("10.0.2.2"),
+            }),
+        };
+        RouteAnswer::Decide {
+            decision,
+            on_hit: None,
+        }
+    }
+}
+
+/// The IPv4 frames every host captured, in order, as (host, wire bytes).
+fn ipv4_frames(sim: &NetSim) -> Vec<(u32, Vec<u8>)> {
+    let ipv4 = EtherType::Ipv4.number().to_be_bytes();
+    let captures = sim.flights().captures().iter();
+    captures
+        .filter(|c| c.bytes[12..14] == ipv4)
+        .map(|c| (c.host, c.bytes.clone()))
+        .collect()
+}
+
+/// One datagram from hostA to hostB's port 9 on a fresh `two_nets`, with
+/// every host capturing; `tunnel` sends it through [`ReverseTunnel`] (hostB
+/// decapsulates). hostA's entry for the router and the router's for hostB
+/// are learned by ARP when `cold_a` / `cold_router`, else installed up
+/// front. Returns the IPv4 frames captured: the one reaching the router
+/// and the one it forwards to hostB.
+fn first_send_frames(cold_a: bool, cold_router: bool, tunnel: bool) -> Vec<(u32, Vec<u8>)> {
+    let mut t = two_nets();
+    t.sim.flights_mut().set_enabled(true);
+    let now = t.sim.now();
+    let net = t.sim.world_mut();
+    if tunnel {
+        let module = Box::new(ReverseTunnel { iface: t.a_if });
+        net.host_mut(t.a).add_module(module);
+    }
+    let recorder = net.host_mut(t.b).add_module(Box::new(Recorder::default()));
+    net.host_mut(t.b).core.ipip_decap = true;
+    for h in [t.a, t.router, t.b] {
+        net.host_mut(h).core.capture = true;
+    }
+    if !cold_a {
+        let arp = &mut net.host_mut(t.a).core.arp[t.a_if.0];
+        arp.insert(ip("10.0.1.1"), MacAddr::from_index(3), now);
+    }
+    if !cold_router {
+        let arp = &mut net.host_mut(t.router).core.arp[t.r_ifb.0];
+        arp.insert(ip("10.0.2.2"), MacAddr::from_index(2), now);
+    }
+    stack::start(&mut t.sim);
+    let core = &mut t.sim.world_mut().host_mut(t.a).core;
+    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    let payload = [Bytes::from_static(b"first after a move")];
+    stack::udp_send(
+        &mut t.sim,
+        t.a,
+        sock,
+        (ip("10.0.2.2"), 9),
+        payload,
+        Default::default(),
+    );
+    t.sim.run_for(SimDuration::from_secs(2));
+    let recorder: &mut Recorder = t
+        .sim
+        .world_mut()
+        .host_mut(t.b)
+        .module_mut(recorder)
+        .unwrap();
+    assert_eq!(recorder.got.len(), 1, "delivered once");
+    let frames = ipv4_frames(&t.sim);
+    let (router, b) = (t.router.0 as u32, t.b.0 as u32);
+    let hosts: Vec<u32> = frames.iter().map(|(h, _)| *h).collect();
+    assert_eq!(hosts, [router, b], "into the router, out to hostB");
+    frames
+}
+
+#[test]
+fn a_parked_udp_send_reaches_the_wire_as_a_warm_one_does() {
+    let warm = first_send_frames(false, false, false);
+    assert_eq!(warm[0].1[14 + 9], 17, "plain UDP");
+    assert_eq!(first_send_frames(true, false, false), warm);
+}
+
+#[test]
+fn a_parked_reverse_tunnelled_send_reaches_the_wire_as_a_warm_one_does() {
+    let warm = first_send_frames(false, false, true);
+    let (outer, inner) = (&warm[0].1[14..], &warm[0].1[34..]);
+    assert_eq!(outer[9], 4, "IP-in-IP");
+    assert_eq!(
+        outer[12..20],
+        [10, 0, 1, 2, 10, 0, 2, 2],
+        "care-of to agent"
+    );
+    assert_eq!(inner[12..16], HOME.octets(), "the home address inside");
+    assert_eq!(first_send_frames(true, false, true), warm);
+}
+
+#[test]
+fn a_parked_forwarded_packet_reaches_the_wire_as_a_warm_one_does() {
+    for tunnel in [false, true] {
+        let warm = first_send_frames(false, false, tunnel);
+        assert_eq!(first_send_frames(false, true, tunnel), warm);
+        assert_eq!(first_send_frames(true, true, tunnel), warm);
+    }
+}
+
+/// Four datagrams to an on-link address nobody holds, one more than the
+/// resolution queue keeps: the oldest is evicted when the fourth parks,
+/// and the other three die when the resolution fails, each casualty
+/// recorded at hostA under its own flight.
+#[test]
+fn a_parked_packet_that_never_leaves_drops_under_its_own_flight() {
+    let mut t = two_nets();
+    t.sim.flights_mut().set_enabled(true);
+    let core = &mut t.sim.world_mut().host_mut(t.a).core;
+    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    let payloads = (0..4u8).map(|i| Bytes::from(vec![i]));
+    let dst = (ip("10.0.1.77"), 9);
+    stack::udp_send(&mut t.sim, t.a, sock, dst, payloads, Default::default());
+    t.sim.run_for(SimDuration::from_secs(5));
+    let mut journeys = t.sim.flights().journeys();
+    journeys.sort_by_key(|j| j.flight);
+    let ends: Vec<_> = journeys
+        .iter()
+        .map(|j| {
+            let last = j.hops.last().expect("a hop");
+            (j.flight, last.host, last.point, j.drop_reason())
+        })
+        .collect();
+    let first = journeys[0].flight;
+    let a = t.a.0 as u32;
+    assert_eq!(
+        ends,
+        [
+            (first, a, "arp", Some("drop.arp_queue")),
+            (first + 1, a, "arp", Some("drop.arp_failure")),
+            (first + 2, a, "arp", Some("drop.arp_failure")),
+            (first + 3, a, "arp", Some("drop.arp_failure")),
+        ]
+    );
 }

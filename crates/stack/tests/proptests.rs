@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-use mosquitonet_sim::SimTime;
 use mosquitonet_stack::{ArpState, IfaceId, ModuleId, RouteEntry, RouteTable, TcpTable, UdpTable};
 use mosquitonet_wire::{ArpOp, ArpPacket, Cidr, MacAddr};
 
@@ -144,7 +143,7 @@ proptest! {
                 target_mac: MacAddr::ZERO,
                 target_ip: addr(target),
             };
-            let (_, action) = arp.input(&pkt, my_mac, |a| a == me, SimTime::ZERO);
+            let (_, action) = arp.input(&pkt, my_mac, |a| a == me);
             match action {
                 mosquitonet_stack::ArpAction::Reply(r) => {
                     prop_assert!(r.sender_ip == me || r.sender_ip == proxied);

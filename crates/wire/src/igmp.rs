@@ -7,9 +7,10 @@
 //! group traffic; multicast is not routed between LANs (the paper's era
 //! would have needed DVMRP, which is out of scope and noted in DESIGN.md).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::net::Ipv4Addr;
 
+use crate::arraybuf::ArrayBuf;
 use crate::checksum::internet_checksum;
 use crate::error::{need, WireError};
 
@@ -59,14 +60,14 @@ impl IgmpMessage {
 
     /// Serializes with the IGMP checksum.
     pub fn to_bytes(self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(IGMP_LEN);
+        let mut buf = ArrayBuf::<IGMP_LEN>::default();
         buf.put_u8(self.type_byte());
         buf.put_u8(0); // max response time (unused in this subset)
         buf.put_u16(0); // checksum placeholder
         buf.put_slice(&self.group().octets());
         let ck = internet_checksum(&buf, 0);
         buf[2..4].copy_from_slice(&ck.to_be_bytes());
-        buf.freeze()
+        Bytes::copy_from_slice(&buf)
     }
 
     /// Parses and verifies an IGMP message.

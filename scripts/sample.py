@@ -8,7 +8,8 @@ Starts CMD, attaches to it with PTRACE_SEIZE (only to that one child, and
 only to its main thread), and every --interval-ms (default 0.5)
 interrupts it with PTRACE_INTERRUPT, reads its registers, takes `rip` and
 walks the `rbp` chain (each frame's saved `rbp` and return address),
-then lets it run on. When CMD exits, the samples are symbolized against
+then lets it run on. When `rip` lies outside the executable, the direct
+caller is recovered from the stack before the walk (see below). When CMD exits, the samples are symbolized against
 CMD's executable with `nm -C` (function by address) and
 `addr2line -i -f -C` (source line and inline chain) and printed as:
 
@@ -26,14 +27,23 @@ CMD's executable with `nm -C` (function by address) and
   * for each --callers REGEX (repeatable), the samples whose innermost
     function (or library symbol) matches it, grouped by the two frames
     above it: which callers a hot leaf such as `BinaryHeap::pop` or
-    `malloc` is charged to.
+    `malloc` is charged to, and how many of them reach a frame in the
+    executable at all.
 
 CMD's standard output goes to this script's standard error, so the
 report is all that reaches standard output. Build CMD with frame pointers
 (`-C force-frame-pointers=yes`) and line tables, as `scripts/profile.sh`
-does. The walk trusts `rbp`: a sample taken in a library function that
-keeps no frame pointer skips that function's direct caller. x86-64 Linux
-only; the standard library is all it imports.
+does. A library such as glibc keeps no frame pointer, so in a sample
+taken there `rbp` names no frame of the library's own: the walk would
+skip the library function's direct caller, or stop at the leaf. So when
+`rip` lies outside the executable, the stack is scanned upward from
+`rsp` for the first word that points into the executable just past a
+call instruction (`e8 rel32`, or `ff /2` in any of its encodings); that
+word is the direct caller, and the `rbp` walk goes on from `rbp` if it
+points above that word, else from the first (saved `rbp`, return address)
+pair above it, as the library may use `rbp` as a scratch register. A stale return address left in the library's frame
+could be taken for the caller; that is the heuristic's risk. x86-64
+Linux only; the standard library is all it imports.
 """
 
 import argparse
@@ -87,6 +97,36 @@ def ptrace(request, pid, addr=0, data=0):
         raise OSError(err, f"ptrace({request:#x}, {pid}): {os.strerror(err)}")
 
 
+def ff2_len(modrm, sib):
+    """The length of an `ff /2` (indirect call) instruction with this
+    ModRM byte (and SIB byte, when it has one), or None if it is no call."""
+    if (modrm >> 3) & 7 != 2:
+        return None
+    mod, rm = modrm >> 6, modrm & 7
+    if mod == 3:
+        return 2
+    n = 3 if rm == 4 else 2
+    if mod == 0:
+        if rm == 5:
+            return 6  # rip-relative disp32
+        return n + 4 if rm == 4 and sib is not None and sib & 7 == 5 else n
+    return n + (1 if mod == 1 else 4)
+
+
+def after_call(code):
+    """Whether the 7 bytes just before a return address end a call."""
+    if len(code) < 7:
+        return False
+    if code[2] == 0xE8:
+        return True
+    for n in range(2, 8):
+        i = 7 - n
+        sib = code[i + 2] if n >= 3 else None
+        if code[i] == 0xFF and ff2_len(code[i + 1], sib) == n:
+            return True
+    return False
+
+
 class Tracee:
     """The traced child: its registers and memory while it is stopped."""
 
@@ -94,25 +134,50 @@ class Tracee:
         self.pid = pid
         self.regs = (ctypes.c_ulong * 27)()
         self.buf = ctypes.create_string_buffer(STACK_WINDOW)
+        self.code = ctypes.create_string_buffer(7)
 
     def registers(self):
         ptrace(PTRACE_GETREGS, self.pid, 0, ctypes.addressof(self.regs))
         return self.regs[REG_RIP], self.regs[REG_RSP], self.regs[REG_RBP]
 
-    def read(self, addr, size):
+    def read(self, addr, size, buf=None):
         """Up to `size` bytes at `addr`; fewer where the mapping ends."""
-        local = IoVec(ctypes.cast(self.buf, ctypes.c_void_p), size)
+        buf = self.buf if buf is None else buf
+        local = IoVec(ctypes.cast(buf, ctypes.c_void_p), size)
         remote = IoVec(addr, size)
         got = libc.process_vm_readv(self.pid, ctypes.byref(local), 1, ctypes.byref(remote), 1, 0)
-        return self.buf.raw[: max(got, 0)]
+        return buf.raw[: max(got, 0)]
 
-    def stack(self):
-        """`rip` and the return addresses of the `rbp` chain, innermost first."""
+    def return_slot(self, window, in_exe, start=0):
+        """The offset in `window`, from `start` on, of the first word that
+        points into the executable just past a call instruction, or None."""
+        for off in range(start, len(window) - 7, 8):
+            (word,) = struct.unpack_from("<Q", window, off)
+            if in_exe(word) and after_call(self.read(word - 7, 7, self.code)):
+                return off
+        return None
+
+    def stack(self, in_exe):
+        """`rip` and the return addresses of the `rbp` chain, innermost
+        first; `in_exe(addr)` says whether an address is the executable's.
+        A `rip` outside it gets its direct caller from the stack first."""
         rip, rsp, rbp = self.registers()
         chain = [rip]
         window = self.read(rsp, STACK_WINDOW)
         end = rsp + len(window)
-        while len(chain) < MAX_FRAMES and rsp <= rbp and rbp + 16 <= end and rbp % 8 == 0:
+        floor = rsp
+        if not in_exe(rip):
+            slot = self.return_slot(window, in_exe)
+            if slot is not None:
+                chain.append(struct.unpack_from("<Q", window, slot)[0])
+                floor = rsp + slot + 8
+                if not floor <= rbp < end:
+                    # The library used `rbp` as a scratch register: the
+                    # caller's frame is the first (saved `rbp`, return
+                    # address) pair above the slot.
+                    ret = self.return_slot(window, in_exe, slot + 16)
+                    rbp = 0 if ret is None else rsp + ret - 8
+        while len(chain) < MAX_FRAMES and floor <= rbp and rbp + 16 <= end and rbp % 8 == 0:
             saved, ret = struct.unpack_from("<QQ", window, rbp - rsp)
             if ret == 0:
                 break
@@ -188,6 +253,11 @@ def sample(cmd, interval):
     ptrace(PTRACE_SEIZE, pid)
     exe = os.path.realpath(f"/proc/{pid}/exe")
     tracee, maps = Tracee(pid), Maps(pid)
+    text = [(lo, hi) for lo, hi, path, _ in maps.rows if path == exe]
+
+    def in_exe(addr):
+        return any(lo <= addr < hi for lo, hi in text)
+
     bias = None
     samples = []
     status = 0
@@ -210,7 +280,7 @@ def sample(cmd, interval):
             break
         if bias is None:
             bias = load_bias(pid, exe)
-        chain = tracee.stack()
+        chain = tracee.stack(in_exe)
         # A library mapped since the last read shows first in `rip`.
         where = [maps.find(chain[0], retry=True)] + [maps.find(a) for a in chain[1:]]
         inside = [a for a, (path, _) in zip(chain, where) if path == exe]
@@ -309,6 +379,7 @@ def report(exe, bias, samples, top, root, callers):
     self_fn, incl_fn = collections.Counter(), collections.Counter()
     leaf, outside, outside_sym = collections.Counter(), collections.Counter(), collections.Counter()
     callers = [(pattern, re.compile(pattern), collections.Counter()) for pattern in callers]
+    exe_name = os.path.basename(exe)
     for lib, chain in samples:
         # A return address points after its call; step back into the call.
         in_exe = lib is None
@@ -359,7 +430,11 @@ def report(exe, bias, samples, top, root, callers):
 
     for pattern, _, hits in callers:
         n_all = sum(hits.values())
-        print(f"\nself %  callers of /{pattern}/: {pct(n_all):.2f} % of samples (leaf ← caller ← its caller)")
+        reach = sum(n for chain, n in hits.items() if len(chain) > 1)
+        print(
+            f"\nself %  callers of /{pattern}/: {pct(n_all):.2f} % of samples, {pct(reach):.2f} % "
+            f"reaching a frame in {exe_name} (leaf ← caller ← its caller)"
+        )
         for chain, n in hits.most_common(top):
             print(f"{pct(n):6.2f}  " + " ← ".join(short_name(f, 48) for f in chain))
 
