@@ -4,7 +4,6 @@ use std::any::Any;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use mosquitonet_link::Device;
 use mosquitonet_sim::{EventId, IdHashMap, SimDuration};
 use mosquitonet_wire::Cidr;
@@ -13,9 +12,9 @@ use crate::arp::ArpState;
 use crate::iface::{IfaceId, Interface};
 use crate::proto::{Module, ModuleId};
 use crate::route::RouteTable;
-use crate::tcp::{ConnId, TcpOut, TcpTable};
+use crate::tcp::{ConnId, TcpTable};
 use crate::telemetry::DropReason;
-use crate::udp::{SocketId, UdpTable};
+use crate::udp::UdpTable;
 
 /// Handle of a host within the network world.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -145,9 +144,6 @@ pub struct HostCore {
     pub proc_delay: SimDuration,
     /// Counters.
     pub stats: HostStats,
-    /// TCP actions produced by synchronous `tcp_*` calls, drained by the
-    /// world after the current module callback.
-    pub(crate) pending_tcp: Vec<(ConnId, TcpOut)>,
     next_ident: u16,
 }
 
@@ -175,7 +171,6 @@ impl HostCore {
             capture: false,
             proc_delay: DEFAULT_PROC_DELAY,
             stats: HostStats::default(),
-            pending_tcp: Vec::new(),
             next_ident: 1,
         }
     }
@@ -317,47 +312,6 @@ impl HostCore {
         let v = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1);
         v
-    }
-
-    /// Binds a UDP socket owned by `owner`. Port 0 allocates ephemeral.
-    pub fn udp_bind(
-        &mut self,
-        owner: ModuleId,
-        local_addr: Option<Ipv4Addr>,
-        port: u16,
-    ) -> Option<SocketId> {
-        self.udp.bind(owner, local_addr, port)
-    }
-
-    /// Opens a TCP connection owned by `owner`; the SYN is transmitted
-    /// after the current callback returns.
-    pub fn tcp_connect(
-        &mut self,
-        owner: ModuleId,
-        local: (Ipv4Addr, u16),
-        remote: (Ipv4Addr, u16),
-    ) -> ConnId {
-        let (id, out) = self.tcp.connect(owner, local, remote);
-        self.pending_tcp.push((id, out));
-        id
-    }
-
-    /// Starts a TCP listener owned by `owner`.
-    pub fn tcp_listen(&mut self, owner: ModuleId, local_addr: Option<Ipv4Addr>, port: u16) {
-        self.tcp.listen(owner, local_addr, port);
-    }
-
-    /// Queues bytes on a connection; segments flow after the callback.
-    pub fn tcp_send(&mut self, conn: ConnId, data: impl Into<Bytes>) {
-        let data = data.into();
-        let out = self.tcp.send(conn, &data);
-        self.pending_tcp.push((conn, out));
-    }
-
-    /// Closes a connection gracefully.
-    pub fn tcp_close(&mut self, conn: ConnId) {
-        let out = self.tcp.close(conn);
-        self.pending_tcp.push((conn, out));
     }
 
     /// Joins a multicast group on `iface`; returns `true` if newly joined
@@ -681,18 +635,5 @@ mod tests {
             .core
             .add_iface(presets::pcmcia_ethernet("eth0", MacAddr::from_index(1)));
         h.core.join_multicast(eth, Ipv4Addr::new(10, 0, 0, 1));
-    }
-
-    #[test]
-    fn tcp_calls_queue_pending_outs() {
-        let mut h = host();
-        let conn = h.core.tcp_connect(
-            ModuleId(0),
-            (Ipv4Addr::new(36, 135, 0, 9), 1023),
-            (Ipv4Addr::new(36, 8, 0, 7), 513),
-        );
-        assert_eq!(h.core.pending_tcp.len(), 1);
-        h.core.tcp_send(conn, &b"ignored until established"[..]);
-        assert_eq!(h.core.pending_tcp.len(), 2);
     }
 }

@@ -14,6 +14,10 @@
 //!    packet to IP, which treats the packet based on the same set of rules
 //!    as before" (§3.3).
 //! 4. Failing all of those, the plain kernel routing table answers.
+//!
+//! Every packet a host makes, a UDP datagram, an ICMP message, a TCP
+//! segment or a module's packet, leaves through one function, `originate`;
+//! forwarded packets join its output path at `transmit_ip`.
 
 use std::net::Ipv4Addr;
 
@@ -241,88 +245,92 @@ pub fn udp_send(
     if payloads.peek().is_none() {
         return;
     }
-    let h = &mut sim.world_mut().hosts[host.0];
-    let Some(s) = h.core.udp.get(sock) else {
+    let Some(s) = sim.world().hosts[host.0].core.udp.get(sock) else {
         return; // closed socket
     };
     let src_port = s.port;
     // A socket bound to a concrete address pins the source (§3.3's
     // "outside the scope of mobile IP" case), unless the caller pinned
     // one explicitly.
-    let src_sel = match (opts.src, s.local_addr) {
-        (SourceSel::Addr(a), _) => SourceSel::Addr(a),
-        (SourceSel::Unspecified, Some(a)) => SourceSel::Addr(a),
-        (SourceSel::Unspecified, None) => SourceSel::Unspecified,
+    let src = match (opts.src, s.local_addr) {
+        (SourceSel::Addr(a), _) | (SourceSel::Unspecified, Some(a)) => a,
+        (SourceSel::Unspecified, None) => Ipv4Addr::UNSPECIFIED,
     };
-    // Local destination: deliver without touching the wire, one input
-    // event per datagram after the usual processing delay.
-    if h.core.is_local_addr(dst.0) {
-        let src = match src_sel {
-            SourceSel::Addr(a) => a,
-            SourceSel::Unspecified => dst.0,
-        };
-        let proc = h.core.proc_delay;
-        for payload in payloads {
-            let flight = sim.flights_mut().begin_flight(opts.label);
-            let bytes = UdpDatagram::new(src_port, dst.1, payload).to_bytes(src, dst.0);
-            let mut header = Ipv4Header::new(src, dst.0, IpProto::Udp);
-            header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-            let pkt = Ipv4Packet::new(header, bytes);
-            emit(sim, host, flight, "udp", Event::Sent);
-            sim.schedule_in(proc, move |sim| {
-                ip_input_flight(sim, host, None, pkt, 0, flight)
-            });
-        }
-        return;
-    }
-    let decision = resolve_route(h, dst.0, src_sel, opts.iface);
-    for payload in payloads {
-        let flight = sim.flights_mut().begin_flight(opts.label);
-        emit(sim, host, flight, "udp", Event::Sent);
-        let Some(decision) = decision else {
-            emit(sim, host, flight, "udp", Event::Drop(NoRoute));
-            continue;
-        };
-        let mut header = Ipv4Header::new(decision.src, dst.0, IpProto::Udp);
-        if let Some(ttl) = opts.ttl {
-            header.ttl = ttl;
-        }
-        header.ident = sim.world_mut().hosts[host.0].core.next_ident();
-        let body = Body::Udp(UdpDatagram::new(src_port, dst.1, payload));
-        send_resolved(sim, host, Outgoing { header, body }, decision, flight);
-    }
+    let header = Ipv4Header::new(src, dst.0, IpProto::Udp);
+    let bodies = payloads.map(|payload| Body::Udp(UdpDatagram::new(src_port, dst.1, payload)));
+    originate(sim, host, header, bodies, opts);
 }
 
-/// Sends a raw IP packet (used for ICMP and by module effects). A packet
-/// with an unspecified source engages source selection and the mobility
-/// hooks; a concrete source is honored as-is.
-pub fn ip_send_packet(sim: &mut NetSim, host: HostId, mut packet: Ipv4Packet, opts: SendOptions) {
-    let flight = sim.flights_mut().begin_flight(opts.label);
-    emit(sim, host, flight, "ip", Event::Sent);
-    let dst = packet.header.dst;
-    let src_sel = if packet.header.src.is_unspecified() {
-        opts.src
-    } else {
-        SourceSel::Addr(packet.header.src)
+/// Sends a raw IP packet built outside the stack (a module's
+/// [`Effect::SendIp`](crate::Effect::SendIp), a harness). A packet with an
+/// unspecified source engages source selection and the mobility hooks; a
+/// concrete source is honored as-is.
+pub fn ip_send_packet(sim: &mut NetSim, host: HostId, packet: Ipv4Packet, opts: SendOptions) {
+    originate(sim, host, packet.header, Some(packet.payload), opts);
+}
+
+/// The one way a packet leaves the host that made it: one packet per body
+/// under `header`, from the header's source if it pins one, else from
+/// `opts.src`'s choice, with `opts.ttl` if set. The destination is checked
+/// and its route resolved once for all bodies. Each packet gets its own
+/// flight and `Sent` hop (point `udp` for a datagram, `ip` otherwise),
+/// and a datagram its own IP ident once it is routed or local.
+fn originate(
+    sim: &mut NetSim,
+    host: HostId,
+    mut header: Ipv4Header,
+    bodies: impl IntoIterator<Item = impl Into<Body>>,
+    opts: SendOptions,
+) {
+    let src_sel = match header.src {
+        a if a.is_unspecified() => opts.src,
+        a => SourceSel::Addr(a),
     };
-    // Loopback.
-    if sim.world().hosts[host.0].core.is_local_addr(dst) {
-        if packet.header.src.is_unspecified() {
-            packet.header.src = dst;
-        }
-        let proc = sim.world().hosts[host.0].core.proc_delay;
-        sim.schedule_in(proc, move |sim| {
-            ip_input_flight(sim, host, None, packet, 0, flight)
-        });
-        return;
+    if let Some(ttl) = opts.ttl {
+        header.ttl = ttl;
     }
     let h = &mut sim.world_mut().hosts[host.0];
-    let Some(decision) = resolve_route(h, dst, src_sel, opts.iface) else {
-        emit(sim, host, flight, "ip", Event::Drop(NoRoute));
-        return;
+    let local = h.core.is_local_addr(header.dst);
+    let decision = (!local)
+        .then(|| resolve_route(h, header.dst, src_sel, opts.iface))
+        .flatten();
+    // A local destination is its own source unless the sender pinned one.
+    header.src = match (decision, src_sel) {
+        (Some(d), _) => d.src,
+        (None, SourceSel::Addr(a)) => a,
+        (None, SourceSel::Unspecified) => header.dst,
     };
-    packet.header.src = decision.src;
-    send_resolved(sim, host, packet.into(), decision, flight);
+    for body in bodies {
+        let mut out = Outgoing {
+            header,
+            body: body.into(),
+        };
+        let udp = matches!(out.body, Body::Udp(_));
+        let point = if udp { "udp" } else { "ip" };
+        let flight = sim.flights_mut().begin_flight(opts.label);
+        emit(sim, host, flight, point, Event::Sent);
+        if !local && decision.is_none() {
+            emit(sim, host, flight, point, Event::Drop(NoRoute));
+            continue;
+        }
+        if udp {
+            out.header.ident = sim.world_mut().hosts[host.0].core.next_ident();
+        }
+        let Some(decision) = decision else {
+            // Local: no wire, one input event after the processing delay.
+            let payload = match out.body {
+                Body::Raw(bytes) => bytes,
+                Body::Udp(dgram) => dgram.to_bytes(header.src, header.dst),
+            };
+            let packet = Ipv4Packet::new(out.header, payload);
+            let proc = sim.world().hosts[host.0].core.proc_delay;
+            sim.schedule_in(proc, move |sim| {
+                ip_input_flight(sim, host, None, packet, 0, flight)
+            });
+            continue;
+        };
+        send_resolved(sim, host, out, decision, flight);
+    }
 }
 
 /// An outgoing packet: its IP header and what follows it.
@@ -333,11 +341,18 @@ struct Outgoing {
 
 enum Body {
     /// Transport bytes that already exist (forwarded packets, ICMP, TCP,
-    /// module-built packets).
+    /// module-built packets): serialized before they reach IP, then copied
+    /// once into the wire buffer.
     Raw(Bytes),
     /// A UDP datagram this host originates: serialized straight into the
     /// wire buffer, never assembled anywhere else first.
     Udp(UdpDatagram),
+}
+
+impl From<Bytes> for Body {
+    fn from(bytes: Bytes) -> Body {
+        Body::Raw(bytes)
+    }
 }
 
 impl From<Ipv4Packet> for Outgoing {
@@ -620,11 +635,9 @@ fn icmp_error(sim: &mut NetSim, host: HostId, dst: Ipv4Addr, msg: IcmpMessage) {
     if dst.is_unspecified() || dst == Ipv4Addr::BROADCAST {
         return; // never ICMP a broadcast source
     }
-    let packet = Ipv4Packet::new(
-        Ipv4Header::new(Ipv4Addr::UNSPECIFIED, dst, IpProto::Icmp),
-        msg.to_bytes(),
-    );
-    ip_send_packet(sim, host, packet, SendOptions::default());
+    let header = Ipv4Header::new(Ipv4Addr::UNSPECIFIED, dst, IpProto::Icmp);
+    let bytes = msg.to_bytes();
+    originate(sim, host, header, Some(bytes), SendOptions::default());
 }
 
 /// Delivery to local transports. The `Delivered` (or terminal `Dropped`)
@@ -734,11 +747,8 @@ fn icmp_input(
             // never answered (a reply storm from every group member).
             if !non_unicast_dst(sim, host, packet.header.dst) => {
                 let reply = msg.echo_reply_for().expect("echo request");
-                let reply_pkt = Ipv4Packet::new(
-                    Ipv4Header::new(packet.header.dst, packet.header.src, IpProto::Icmp),
-                    reply.to_bytes(),
-                );
-                ip_send_packet(sim, host, reply_pkt, SendOptions::default());
+                let header = Ipv4Header::new(packet.header.dst, packet.header.src, IpProto::Icmp);
+                originate(sim, host, header, Some(reply.to_bytes()), SendOptions::default());
             }
         IcmpMessage::Redirect { gateway, invoking } => {
             let accept = sim.world().hosts[host.0].core.accept_redirects;
@@ -851,10 +861,9 @@ fn tcp_input(sim: &mut NetSim, host: HostId, packet: &Ipv4Packet, flight: u64) {
     }
     // No connection, no listener: RST (unless this itself is a RST).
     if !seg.flags.rst {
-        let rst = TcpTable::rst_for(&seg);
-        let bytes = rst.to_bytes(local.0, remote.0);
-        let pkt = Ipv4Packet::new(Ipv4Header::new(local.0, remote.0, IpProto::Tcp), bytes);
-        ip_send_packet(sim, host, pkt, SendOptions::default());
+        let bytes = TcpTable::rst_for(&seg).to_bytes(local.0, remote.0);
+        let header = Ipv4Header::new(local.0, remote.0, IpProto::Tcp);
+        originate(sim, host, header, Some(bytes), SendOptions::default());
     }
 }
 
@@ -865,12 +874,12 @@ pub(crate) fn apply_tcp_out(sim: &mut NetSim, host: HostId, conn: ConnId, out: T
         let tcb = sim.world().hosts[host.0].core.tcp.get(conn).expect("conn");
         (tcb.local, tcb.remote, tcb.owner)
     };
+    // The source is the connection's local (home) address; mobility
+    // policy hooks see it and may tunnel or triangle-route it.
+    let header = Ipv4Header::new(local.0, remote.0, IpProto::Tcp);
     for seg in out.send {
         let bytes = seg.to_bytes(local.0, remote.0);
-        let pkt = Ipv4Packet::new(Ipv4Header::new(local.0, remote.0, IpProto::Tcp), bytes);
-        // The source is the connection's local (home) address; mobility
-        // policy hooks see it and may tunnel or triangle-route it.
-        ip_send_packet(sim, host, pkt, SendOptions::default());
+        originate(sim, host, header, Some(bytes), SendOptions::default());
     }
     world::set_tcp_timer(sim, host, conn, out.timer);
     for event in out.events {

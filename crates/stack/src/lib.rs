@@ -41,7 +41,8 @@ pub use proto::{
 pub use route::{RouteEntry, RouteTable};
 pub use sniff::frame_summary;
 pub use tcp::{
-    ConnId, TcpEvent, TcpListener, TcpState, TcpTable, TCP_INITIAL_RTO, TCP_MAX_RETRIES, TCP_MSS,
+    ConnId, TcpEvent, TcpListener, TcpOut, TcpState, TcpTable, TCP_INITIAL_RTO, TCP_MAX_RETRIES,
+    TCP_MSS,
 };
 pub use telemetry::{render_notes, DropReason};
 pub use udp::{SocketId, UdpSocket, UdpTable};

@@ -10,10 +10,10 @@
 //! extension point.
 //!
 //! Modules mutate their host freely through [`ModuleCtx`], but anything
-//! that needs the event loop (transmitting, timers, interface power
-//! transitions) is queued as an [`Effect`] and applied by the world after
-//! the callback returns, which keeps borrows simple and re-entrancy
-//! impossible.
+//! that needs the event loop (transmitting, a TCP connection's output
+//! included, timers, interface power transitions) is queued as an
+//! [`Effect`] and applied by the world after the callback returns, which
+//! keeps borrows simple and re-entrancy impossible.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -24,12 +24,8 @@ use mosquitonet_wire::{IcmpMessage, Ipv4Packet};
 
 use crate::host::HostCore;
 use crate::iface::IfaceId;
-use crate::tcp::{ConnId, TcpEvent};
+use crate::tcp::{ConnId, TcpEvent, TcpOut};
 use crate::udp::SocketId;
-
-// TCP opens/sends/closes are *not* effects: modules call the synchronous
-// `HostCore::tcp_connect`/`tcp_send`/`tcp_close`, whose segment
-// transmissions are drained by the world right after the callback.
 
 /// Identifies a module within its host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -121,7 +117,10 @@ impl RouteAnswer {
     }
 }
 
-/// A deferred action queued by a module and applied by the world.
+/// A deferred action queued by a module and applied by the world, in
+/// queue order. TCP output is one too: [`ModuleCtx::tcp_connect`],
+/// [`ModuleCtx::tcp_send`] and [`ModuleCtx::tcp_close`] step the
+/// connection at once and queue what it wants sent as [`Effect::Tcp`].
 #[derive(Debug)]
 pub enum Effect {
     /// Send a UDP datagram from `sock`.
@@ -183,6 +182,14 @@ pub enum Effect {
     },
     /// Append a mobility-category trace entry, rendered only if read.
     Trace(Line),
+    /// What a connection's state machine wants done after a module opened,
+    /// wrote to or closed it: segments to send, its timer, its events.
+    Tcp {
+        /// The connection.
+        conn: ConnId,
+        /// The state machine's output.
+        out: TcpOut,
+    },
 }
 
 /// The queue of effects a module produced during one callback.
@@ -310,19 +317,34 @@ pub struct ModuleCtx<'a> {
 }
 
 impl ModuleCtx<'_> {
-    /// Binds a UDP socket owned by this module.
+    /// Binds a UDP socket owned by this module (port 0: an ephemeral one).
     pub fn udp_bind(&mut self, local_addr: Option<Ipv4Addr>, port: u16) -> Option<SocketId> {
-        self.core.udp_bind(self.me, local_addr, port)
+        self.core.udp.bind(self.me, local_addr, port)
     }
 
-    /// Opens a TCP connection owned by this module.
+    /// Opens a TCP connection owned by this module; the SYN is sent after
+    /// the callback returns.
     pub fn tcp_connect(&mut self, local: (Ipv4Addr, u16), remote: (Ipv4Addr, u16)) -> ConnId {
-        self.core.tcp_connect(self.me, local, remote)
+        let (conn, out) = self.core.tcp.connect(self.me, local, remote);
+        self.fx.push(Effect::Tcp { conn, out });
+        conn
     }
 
     /// Starts a TCP listener owned by this module.
     pub fn tcp_listen(&mut self, local_addr: Option<Ipv4Addr>, port: u16) {
-        self.core.tcp_listen(self.me, local_addr, port)
+        self.core.tcp.listen(self.me, local_addr, port);
+    }
+
+    /// Queues bytes on a connection; segments flow after the callback.
+    pub fn tcp_send(&mut self, conn: ConnId, data: &[u8]) {
+        let out = self.core.tcp.send(conn, data);
+        self.fx.push(Effect::Tcp { conn, out });
+    }
+
+    /// Closes a connection gracefully.
+    pub fn tcp_close(&mut self, conn: ConnId) {
+        let out = self.core.tcp.close(conn);
+        self.fx.push(Effect::Tcp { conn, out });
     }
 
     /// Joins a multicast group on `iface`, emitting an IGMP membership
@@ -349,12 +371,11 @@ impl ModuleCtx<'_> {
     }
 
     fn send_igmp(&mut self, iface: IfaceId, group: Ipv4Addr, msg: mosquitonet_wire::IgmpMessage) {
-        let mut header = mosquitonet_wire::Ipv4Header::new(
+        let header = mosquitonet_wire::Ipv4Header::new(
             Ipv4Addr::UNSPECIFIED,
             group,
             mosquitonet_wire::IpProto::Other(mosquitonet_wire::IGMP_PROTO),
         );
-        header.ttl = 1; // IGMP is link-local
         self.fx.push(Effect::SendIp {
             packet: Ipv4Packet::new(header, msg.to_bytes()),
             opts: SendOptions {

@@ -429,7 +429,7 @@ pub fn add_module(sim: &mut NetSim, host: HostId, module: Box<dyn Module>) -> Mo
 }
 
 /// Runs `f` against one module with a [`ModuleCtx`], then applies the
-/// effects (and any pending TCP output) it produced.
+/// effects it produced.
 ///
 /// This is also the public entry point experiment harnesses use to issue
 /// commands to a module (e.g. "switch to the radio now") with full access
@@ -463,7 +463,6 @@ pub fn dispatch<R>(
         h.put_module(module, m);
         (r, name)
     };
-    drain_pending_tcp(sim, host);
     apply_effects(sim, host, module, fx);
     sim.profiler_mut().end_module(mod_name, t0);
     result
@@ -521,6 +520,7 @@ pub(crate) fn apply_effects(sim: &mut NetSim, host: HostId, module: ModuleId, mu
                 transmit_arp(sim, host, iface, MacAddr::BROADCAST, &arp);
             }
             Effect::Trace(line) => note(sim, host, TraceKind::Mobility, line),
+            Effect::Tcp { conn, out } => ip::apply_tcp_out(sim, host, conn, out),
         }
     }
 }
@@ -548,19 +548,6 @@ fn set_module_timer(
     sim.world_mut().hosts[host.0]
         .module_timers
         .insert((module, token), ev);
-}
-
-/// Drains TCP output queued by synchronous `HostCore::tcp_*` calls.
-pub(crate) fn drain_pending_tcp(sim: &mut NetSim, host: HostId) {
-    loop {
-        let pending = std::mem::take(&mut sim.world_mut().hosts[host.0].core.pending_tcp);
-        if pending.is_empty() {
-            return;
-        }
-        for (conn, out) in pending {
-            ip::apply_tcp_out(sim, host, conn, out);
-        }
-    }
 }
 
 /// (Re)arms or cancels the retransmission timer for a connection.

@@ -1,7 +1,9 @@
 //! End-to-end tests of the stack: ARP-resolved UDP across a LAN, routed
 //! forwarding, ICMP (ping, port unreachable, redirects), VIF tunnel
 //! entries, the transit-traffic filter, a TCP session over a router, the
-//! UDP local-destination shortcut, and packets parked on an ARP miss.
+//! UDP local-destination shortcut, packets parked on an ARP miss, and the
+//! wire bytes of the raw sends (TCP segments, a RST, a ping and its reply)
+//! held to hex fixtures.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -338,7 +340,8 @@ fn udp_to_closed_port_yields_port_unreachable() {
         .world_mut()
         .host_mut(t.a)
         .core
-        .udp_bind(stack::ModuleId(0), None, 0)
+        .udp
+        .bind(stack::ModuleId(0), None, 0)
         .unwrap();
     stack::udp_send(
         &mut t.sim,
@@ -638,11 +641,11 @@ impl Module for TcpServerApp {
             TcpEvent::Data(d) => {
                 self.received.extend_from_slice(d);
                 // Echo it back, remote-login style.
-                ctx.core.tcp_send(conn, d.clone());
+                ctx.tcp_send(conn, d);
             }
             TcpEvent::PeerClosed => {
                 self.peer_closed = true;
-                ctx.core.tcp_close(conn);
+                ctx.tcp_close(conn);
             }
             _ => {}
         }
@@ -669,12 +672,12 @@ impl Module for TcpClientApp {
     fn on_tcp_event(&mut self, ctx: &mut ModuleCtx<'_>, conn: ConnId, event: &TcpEvent) {
         match event {
             TcpEvent::Connected => {
-                ctx.core.tcp_send(conn, self.to_send.clone());
+                ctx.tcp_send(conn, &self.to_send);
             }
             TcpEvent::Data(d) => {
                 self.echoed.extend_from_slice(d);
                 if self.echoed.len() >= self.to_send.len() {
-                    ctx.core.tcp_close(conn);
+                    ctx.tcp_close(conn);
                 }
             }
             TcpEvent::Closed => self.closed = true,
@@ -683,38 +686,50 @@ impl Module for TcpClientApp {
     }
 }
 
-#[test]
-fn tcp_session_echoes_across_router_and_closes() {
+/// The 3000 bytes [`TcpClientApp`] sends in [`tcp_session`].
+fn tcp_payload() -> Vec<u8> {
+    (0..3000u32).map(|i| (i % 251) as u8).collect()
+}
+
+/// A TCP session across the router, run for 30 s with the flight recorder
+/// on and the router capturing: [`TcpClientApp`] on hostA sends
+/// [`tcp_payload`] to port 513 on hostB, where [`TcpServerApp`] listens
+/// unless `listen` is false (then the SYN meets a closed port). Returns
+/// the world and the client's module id.
+fn tcp_session(listen: bool) -> (TwoNets, stack::ModuleId) {
     let mut t = two_nets();
-    t.sim
-        .world_mut()
-        .host_mut(t.b)
-        .add_module(Box::new(TcpServerApp {
+    t.sim.flights_mut().set_enabled(true);
+    let net = t.sim.world_mut();
+    net.host_mut(t.router).core.capture = true;
+    if listen {
+        net.host_mut(t.b).add_module(Box::new(TcpServerApp {
             received: vec![],
             peer_closed: false,
         }));
-    let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
-    let client_mid = t
-        .sim
-        .world_mut()
-        .host_mut(t.a)
-        .add_module(Box::new(TcpClientApp {
-            server: ip("10.0.2.2"),
-            local: ip("10.0.1.2"),
-            to_send: payload.clone(),
-            echoed: vec![],
-            conn: None,
-            closed: false,
-        }));
+    }
+    let client_mid = net.host_mut(t.a).add_module(Box::new(TcpClientApp {
+        server: ip("10.0.2.2"),
+        local: ip("10.0.1.2"),
+        to_send: tcp_payload(),
+        echoed: vec![],
+        conn: None,
+        closed: false,
+    }));
     stack::start(&mut t.sim);
     t.sim.run_for(SimDuration::from_secs(30));
+    (t, client_mid)
+}
+
+#[test]
+fn tcp_session_echoes_across_router_and_closes() {
+    let (mut t, client_mid) = tcp_session(true);
     let client: &mut TcpClientApp = t
         .sim
         .world_mut()
         .host_mut(t.a)
         .module_mut(client_mid)
         .unwrap();
-    assert_eq!(client.echoed, payload, "full stream echoed in order");
+    assert_eq!(client.echoed, tcp_payload(), "full stream echoed in order");
     assert!(client.closed, "graceful teardown completed");
 }
 
@@ -757,7 +772,7 @@ fn warm_two_nets() -> (TwoNets, SocketId) {
     stack::ip_send_packet(&mut t.sim, t.a, warm, Default::default());
     t.sim.run_for(SimDuration::from_secs(2));
     let core = &mut t.sim.world_mut().host_mut(t.a).core;
-    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    let sock = core.udp.bind(stack::ModuleId(0), None, 0).unwrap();
     (t, sock)
 }
 
@@ -996,7 +1011,7 @@ fn closed_socket_sends_nothing_and_mints_no_flight() {
     let mut t = two_nets();
     t.sim.flights_mut().set_enabled(true);
     let core = &mut t.sim.world_mut().host_mut(t.a).core;
-    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    let sock = core.udp.bind(stack::ModuleId(0), None, 0).unwrap();
     core.udp.close(sock);
     let first = t.sim.flights_mut().begin_flight(None);
     let events = t.sim.events_executed();
@@ -1089,7 +1104,7 @@ fn first_send_frames(cold_a: bool, cold_router: bool, tunnel: bool) -> Vec<(u32,
     }
     stack::start(&mut t.sim);
     let core = &mut t.sim.world_mut().host_mut(t.a).core;
-    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    let sock = core.udp.bind(stack::ModuleId(0), None, 0).unwrap();
     let payload = [Bytes::from_static(b"first after a move")];
     stack::udp_send(
         &mut t.sim,
@@ -1153,7 +1168,7 @@ fn a_parked_packet_that_never_leaves_drops_under_its_own_flight() {
     let mut t = two_nets();
     t.sim.flights_mut().set_enabled(true);
     let core = &mut t.sim.world_mut().host_mut(t.a).core;
-    let sock = core.udp_bind(stack::ModuleId(0), None, 0).unwrap();
+    let sock = core.udp.bind(stack::ModuleId(0), None, 0).unwrap();
     let payloads = (0..4u8).map(|i| Bytes::from(vec![i]));
     let dst = (ip("10.0.1.77"), 9);
     stack::udp_send(&mut t.sim, t.a, sock, dst, payloads, Default::default());
@@ -1178,4 +1193,59 @@ fn a_parked_packet_that_never_leaves_drops_under_its_own_flight() {
             (first + 3, a, "arp", Some("drop.arp_failure")),
         ]
     );
+}
+
+fn hex(b: &[u8]) -> String {
+    b.iter().map(|x| format!("{x:02x}")).collect()
+}
+
+/// Holds the IPv4 frames the router captured to `fixture`, one frame per
+/// line in hex, and every flight's `Sent` hop to point `ip`: each frame is
+/// a raw send one of the end hosts originated (TCP or ICMP, never UDP).
+fn assert_raw_sends(sim: &NetSim, fixture: &str) {
+    let frames: Vec<String> = ipv4_frames(sim).iter().map(|(_, b)| hex(b)).collect();
+    let want: Vec<&str> = fixture.lines().collect();
+    assert_eq!(frames, want, "wire bytes");
+    let journeys = sim.flights().journeys();
+    let sent: Vec<&str> = journeys
+        .iter()
+        .flat_map(|j| j.hops.iter().filter(|h| h.action == HopAction::Sent))
+        .map(|h| h.point)
+        .collect();
+    assert_eq!(sent, vec!["ip"; frames.len()], "one raw send per frame");
+}
+
+// The fixtures below are the frames the stack wrote before `udp_send` and
+// `ip_send_packet` shared one origination path; that path must not move a
+// byte of them.
+
+#[test]
+fn a_tcp_session_keeps_its_wire_bytes() {
+    let (t, _) = tcp_session(true);
+    assert_raw_sends(&t.sim, include_str!("fixtures/tcp_session.hex"));
+}
+
+#[test]
+fn a_rst_to_a_closed_port_keeps_its_wire_bytes() {
+    let (t, _) = tcp_session(false);
+    assert_raw_sends(&t.sim, include_str!("fixtures/tcp_rst.hex"));
+}
+
+#[test]
+fn a_ping_and_its_echo_reply_keep_their_wire_bytes() {
+    let mut t = two_nets();
+    t.sim.flights_mut().set_enabled(true);
+    t.sim.world_mut().host_mut(t.router).core.capture = true;
+    let req = Ipv4Packet::new(
+        Ipv4Header::new(Ipv4Addr::UNSPECIFIED, ip("10.0.2.2"), IpProto::Icmp),
+        IcmpMessage::EchoRequest {
+            ident: 9,
+            seq: 1,
+            payload: Bytes::from_static(b"hi"),
+        }
+        .to_bytes(),
+    );
+    stack::ip_send_packet(&mut t.sim, t.a, req, Default::default());
+    t.sim.run_for(SimDuration::from_secs(2));
+    assert_raw_sends(&t.sim, include_str!("fixtures/ping.hex"));
 }

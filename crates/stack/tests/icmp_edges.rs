@@ -1,13 +1,15 @@
 //! Edge cases of the IP layer's error paths: TTL expiry, net unreachable,
-//! ARP resolution failure, decapsulation limits, and filter silence.
+//! ARP resolution failure, decapsulation limits, and filter silence; and
+//! the send options a raw packet honours as a UDP datagram does.
 
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
 use mosquitonet_link::presets;
-use mosquitonet_sim::{Sim, SimDuration};
+use mosquitonet_sim::{HopAction, Sim, SimDuration};
 use mosquitonet_stack::{
-    self as stack, HostId, IfaceId, Module, ModuleCtx, NetSim, Network, RouteEntry,
+    self as stack, Effect, HostId, IfaceId, Module, ModuleCtx, NetSim, Network, RouteEntry,
+    SendOptions, SourceSel,
 };
 use mosquitonet_wire::{
     ipip, Cidr, IcmpMessage, IpProto, Ipv4Header, Ipv4Packet, MacAddr, UnreachableCode,
@@ -344,4 +346,65 @@ fn directed_broadcast_is_received_not_forwarded() {
     t.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(t.sim.world().host(t.router).core.stats.forwarded.get(), 0);
     assert_eq!(t.sim.world().host(t.b).core.stats.ip_input.get(), 0);
+}
+
+#[test]
+fn a_module_raw_send_honours_its_ttl_option() {
+    let mut t = bed();
+    t.sim.flights_mut().set_enabled(true);
+    // A default-TTL packet; only the option asks for one hop.
+    let (packet, _) = ping(ip("10.0.2.2"), None);
+    let opts = SendOptions {
+        ttl: Some(1),
+        ..SendOptions::default()
+    };
+    let (a, mid) = (t.a, t.log_mid);
+    stack::dispatch(&mut t.sim, a, mid, |_, ctx| {
+        ctx.fx.push(Effect::SendIp { packet, opts });
+    });
+    t.sim.run_for(SimDuration::from_secs(1));
+    let router = &t.sim.world().host(t.router).core.stats;
+    assert_eq!(router.dropped_ttl.get(), 1, "the router refused it");
+    assert_eq!(t.sim.world().host(t.b).core.stats.delivered.get(), 0);
+    let hops = t.sim.flights().hops_in_order();
+    let expired: Vec<_> = hops
+        .iter()
+        .filter(|h| h.action == HopAction::Dropped("drop.ttl"))
+        .map(|h| (h.host, h.point))
+        .collect();
+    assert_eq!(expired, [(t.router.0 as u32, "ip.fwd")]);
+    let l = log(&mut t);
+    assert!(
+        l.msgs
+            .iter()
+            .any(|(from, m)| *from == ip("10.0.1.1")
+                && matches!(m, IcmpMessage::TimeExceeded { .. })),
+        "router reported TTL expiry: {:?}",
+        l.msgs
+    );
+}
+
+#[test]
+fn a_raw_send_to_a_local_address_keeps_the_pinned_source() {
+    let mut t = bed();
+    let a_if = t.a_if;
+    let core = &mut t.sim.world_mut().host_mut(t.a).core;
+    core.iface_mut(a_if)
+        .add_addr(ip("10.0.1.3"), cidr("10.0.1.0/24"));
+    // The header leaves the source unspecified; the option pins it.
+    let (pkt, _) = ping(ip("10.0.1.2"), None);
+    let opts = SendOptions {
+        src: SourceSel::Addr(ip("10.0.1.3")),
+        ..SendOptions::default()
+    };
+    stack::ip_send_packet(&mut t.sim, t.a, pkt, opts);
+    t.sim.run_for(SimDuration::from_secs(1));
+    let l = log(&mut t);
+    let requests: Vec<Ipv4Addr> = l
+        .msgs
+        .iter()
+        .filter(|(_, m)| matches!(m, IcmpMessage::EchoRequest { .. }))
+        .map(|(from, _)| *from)
+        .collect();
+    assert_eq!(requests, [ip("10.0.1.3")], "arrived from the pinned source");
 }

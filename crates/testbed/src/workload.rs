@@ -263,9 +263,9 @@ impl Module for TcpEchoServer {
         match event {
             TcpEvent::Data(d) => {
                 self.bytes_received += d.len() as u64;
-                ctx.core.tcp_send(conn, d.clone());
+                ctx.tcp_send(conn, d);
             }
-            TcpEvent::PeerClosed => ctx.core.tcp_close(conn),
+            TcpEvent::PeerClosed => ctx.tcp_close(conn),
             _ => {}
         }
     }
@@ -343,7 +343,7 @@ impl Module for TcpStreamClient {
         }
         self.sent += chunk.len() as u64;
         self.bursts_sent += 1;
-        ctx.core.tcp_send(conn, chunk);
+        ctx.tcp_send(conn, &chunk);
         if self.bursts_sent < self.bursts {
             ctx.fx.set_timer(self.interval, TOKEN_SEND);
         }

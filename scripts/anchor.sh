@@ -7,7 +7,23 @@
 # does: once from <rev> (extracted with `git archive`) and once from this
 # checkout's working tree (HEAD plus any uncommitted edit). Every build and
 # output goes under --dir (default: ${TMPDIR:-/tmp}/mosquitonet-anchor),
-# nothing into the repository. Then, for each workload (default: all four
+# nothing into the repository.
+#
+# Before any pair it prints the send path's inlining shape in both
+# binaries, since where LLVM inlines `transmit_wire` moves the packet
+# path's speed and no test holds it: one `callee` line per function that
+# `world::transmit_wire`, `ip::transmit_ip` or `ip::send_resolved` calls
+# or tail-jumps to out of line (`objdump -d -C`; a call through the GOT
+# named by the symbol its R_X86_64_RELATIVE slot holds, `readelf -rW`),
+# marked `both`, `parent` or `head`; then one `ool` line per
+# `mosquitonet_stack::{ip,world}::*` function out of line in one binary
+# only (`nm -C --defined-only`), which is where a deleted or a newly
+# inlined function shows. It ends with `shape: same` when the three
+# functions call the same functions in both binaries, else `shape:
+# differs` and the `callee` lines that differ. The check informs; it
+# never fails the run.
+#
+# Then, for each workload (default: all four
 # of BENCHMARK.json), it runs --pairs pairs (default 8) of
 #
 #   mnbench --workload W --seed <seed> --seconds <S> --trace 0
@@ -84,6 +100,80 @@ for side in parent head; do
         --manifest-path "$src/benchmark/Cargo.toml"
 done
 
+# shape <parent binary> <head binary>: the send path's inlining shape in
+# both (see the header).
+shape() {
+    python3 - "$@" <<'PY'
+import re
+import subprocess
+import sys
+
+SEND_PATH = ["world::transmit_wire", "ip::transmit_ip", "ip::send_resolved"]
+STACK = re.compile(r"^mosquitonet_stack::(ip|world)::")
+
+
+def run(*cmd):
+    return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+
+
+def shape(path):
+    """The out-of-line callees of each send-path function, and the
+    out-of-line `mosquitonet_stack::{ip,world}` functions."""
+    syms = []
+    for line in run("nm", "-C", "-S", "--defined-only", path).splitlines():
+        f = line.split(" ", 3)
+        if len(f) == 4 and f[2] in "tTwW":
+            syms.append((int(f[0], 16), int(f[1], 16), f[3]))
+    name_at = {addr: name for addr, _, name in syms}
+    slot = {}
+    for line in run("readelf", "-rW", path).splitlines():
+        f = line.split()
+        if len(f) >= 4 and f[2] == "R_X86_64_RELATIVE":
+            slot[int(f[0], 16)] = int(f[3], 16)
+    callees = {}
+    for fn in SEND_PATH:
+        full, found = "mosquitonet_stack::" + fn, set()
+        for addr, size, name in syms:
+            if name != full:
+                continue
+            asm = run("objdump", "-d", "-C", "--no-show-raw-insn",
+                      f"--start-address={addr:#x}", f"--stop-address={addr + size:#x}", path)
+            for line in asm.splitlines():
+                m = re.search(r"\t(call|jmp)\s+(\S+)(.*)", line)
+                if not m:
+                    continue
+                target, rest = m.group(2), m.group(3)
+                got = re.match(r"\s*# ([0-9a-f]+) <([^>]*)>", rest)
+                if target.startswith("*") and got:
+                    dest = slot.get(int(got.group(1), 16))
+                    found.add(got.group(2) if dest is None else name_at.get(dest, hex(dest)))
+                elif target.startswith("*"):
+                    found.add("(indirect)" if m.group(1) == "call" else "(indirect jump)")
+                else:
+                    direct = re.match(r"\s*<(.*)>$", rest)
+                    if direct and "+0x" not in direct.group(1):
+                        found.add(direct.group(1))
+        callees[fn] = found
+    ool = {name for _, _, name in syms if STACK.match(name)}
+    return callees, ool
+
+
+(p_calls, p_ool), (h_calls, h_ool) = shape(sys.argv[1]), shape(sys.argv[2])
+differs = []
+for fn in SEND_PATH:
+    for callee in sorted(p_calls[fn] | h_calls[fn]):
+        side = "both" if callee in p_calls[fn] and callee in h_calls[fn] else (
+            "parent" if callee in p_calls[fn] else "head")
+        line = f"callee {fn:22} {side:6} {callee}"
+        print(line)
+        if side != "both":
+            differs.append(line)
+for name in sorted(p_ool ^ h_ool):
+    print(f"ool    {'parent' if name in p_ool else 'head':6} {name}")
+print("shape: same" if not differs else "shape: differs\n" + "\n".join(differs))
+PY
+}
+
 # metric <name>: the value of metric <name> in the result line on stdin.
 metric() {
     sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"
@@ -111,6 +201,8 @@ run() {
     echo "$line" >>"$work/out/$2.$1"
     echo "$wall" >>"$work/out/$2.$1.wall"
 }
+
+shape "$work/parent-target/release/mnbench" "$work/head-target/release/mnbench"
 
 for workload in "${workloads[@]}"; do
     rm -f "$work/out/$workload".{parent,head}{,.wall}

@@ -40,9 +40,12 @@ skip the library function's direct caller, or stop at the leaf. So when
 `rsp` for the first word that points into the executable just past a
 call instruction (`e8 rel32`, or `ff /2` in any of its encodings); that
 word is the direct caller, and the `rbp` walk goes on from `rbp` if it
-points above that word, else from the first (saved `rbp`, return address)
-pair above it, as the library may use `rbp` as a scratch register. A stale return address left in the library's frame
-could be taken for the caller; that is the heuristic's risk. x86-64
+points above that word. Else the library used `rbp` as a scratch
+register, and the walk goes on from the first (saved `rbp`, return
+address) pair above that word whose saved `rbp` points above it, inside
+the stack window, at a second pair whose return address also follows a
+call into the executable. A stale return address left in the library's
+frame could still be taken for the caller; that is the heuristic's risk. x86-64
 Linux only; the standard library is all it imports.
 """
 
@@ -157,6 +160,25 @@ class Tracee:
                 return off
         return None
 
+    def frame_above(self, window, rsp, in_exe, start):
+        """The address of the first (saved `rbp`, return address) pair in
+        `window`, from `start` on, whose return address points just past a
+        call into the executable and whose saved `rbp` points above it,
+        inside the window, at another pair whose return address does too;
+        0 when there is none. A stale return address seldom has a saved
+        `rbp` below it that leads to a second frame."""
+        end = rsp + len(window)
+        ret = self.return_slot(window, in_exe, start)
+        while ret is not None:
+            rbp = rsp + ret - 8
+            (saved,) = struct.unpack_from("<Q", window, ret - 8)
+            if rbp < saved and saved + 16 <= end and saved % 8 == 0:
+                (outer,) = struct.unpack_from("<Q", window, saved - rsp + 8)
+                if in_exe(outer) and after_call(self.read(outer - 7, 7, self.code)):
+                    return rbp
+            ret = self.return_slot(window, in_exe, ret + 8)
+        return 0
+
     def stack(self, in_exe):
         """`rip` and the return addresses of the `rbp` chain, innermost
         first; `in_exe(addr)` says whether an address is the executable's.
@@ -172,11 +194,9 @@ class Tracee:
                 chain.append(struct.unpack_from("<Q", window, slot)[0])
                 floor = rsp + slot + 8
                 if not floor <= rbp < end:
-                    # The library used `rbp` as a scratch register: the
-                    # caller's frame is the first (saved `rbp`, return
-                    # address) pair above the slot.
-                    ret = self.return_slot(window, in_exe, slot + 16)
-                    rbp = 0 if ret is None else rsp + ret - 8
+                    # The library used `rbp` as a scratch register: find
+                    # the caller's frame above the slot.
+                    rbp = self.frame_above(window, rsp, in_exe, slot + 16)
         while len(chain) < MAX_FRAMES and floor <= rbp and rbp + 16 <= end and rbp % 8 == 0:
             saved, ret = struct.unpack_from("<QQ", window, rbp - rsp)
             if ret == 0:
@@ -253,7 +273,9 @@ def sample(cmd, interval):
     ptrace(PTRACE_SEIZE, pid)
     exe = os.path.realpath(f"/proc/{pid}/exe")
     tracee, maps = Tracee(pid), Maps(pid)
-    text = [(lo, hi) for lo, hi, path, _ in maps.rows if path == exe]
+    # The executable's text, read at the first stop: just after the exec
+    # its mappings can still be missing from /proc/PID/maps.
+    text = []
 
     def in_exe(addr):
         return any(lo <= addr < hi for lo, hi in text)
@@ -280,6 +302,8 @@ def sample(cmd, interval):
             break
         if bias is None:
             bias = load_bias(pid, exe)
+            maps.reload()
+            text = [(lo, hi) for lo, hi, path, _ in maps.rows if path == exe]
         chain = tracee.stack(in_exe)
         # A library mapped since the last read shows first in `rip`.
         where = [maps.find(chain[0], retry=True)] + [maps.find(a) for a in chain[1:]]
