@@ -17,11 +17,10 @@
 //! two differ in who decapsulates, not in how a registration is retried,
 //! signed, verified or renewed.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Line, MetricsScope, SimDuration};
+use mosquitonet_sim::{IdHashMap, Line, MetricsScope, SimDuration};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, RouteEntry, SocketId, SourceSel};
 use mosquitonet_wire::Cidr;
 
@@ -68,9 +67,9 @@ pub struct ForeignAgent {
     seq: u16,
     /// Visiting mobile hosts: home address → the (addr, port) that sent
     /// the relayed registration.
-    visitors: HashMap<Ipv4Addr, (Ipv4Addr, u16)>,
+    visitors: IdHashMap<Ipv4Addr, (Ipv4Addr, u16)>,
     next_expire_token: u64,
-    forward_tokens: HashMap<u64, Ipv4Addr>,
+    forward_tokens: IdHashMap<u64, Ipv4Addr>,
     /// The `reg/*` counters.
     pub stats: ForeignAgentStats,
 }
@@ -82,9 +81,9 @@ impl ForeignAgent {
             cfg,
             sock: None,
             seq: 0,
-            visitors: HashMap::new(),
+            visitors: IdHashMap::default(),
             next_expire_token: TOKEN_FORWARD_EXPIRE_BASE,
-            forward_tokens: HashMap::new(),
+            forward_tokens: IdHashMap::default(),
             stats: ForeignAgentStats::default(),
         }
     }

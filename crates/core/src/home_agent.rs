@@ -20,11 +20,11 @@
 //! `docs/ha_recovery.md` tells that story and `docs/ha_fleet.md` the
 //! [`ShardDirectory`] check.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Counter, IdHashSet, Line, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{Counter, IdHashMap, IdHashSet, Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{Effect, Effects, IfaceId, Module, ModuleCtx, SocketId};
 use mosquitonet_wire::Cidr;
 
@@ -53,7 +53,7 @@ pub struct HomeAgentConfig {
     /// Per-mobile-host authentication keys (home address → (SPI, key)): a
     /// keyed home's requests must verify and pass its identification floor,
     /// its replies are signed. Unkeyed homes are served as in the paper.
-    pub auth_keys: HashMap<Ipv4Addr, (u32, u64)>,
+    pub auth_keys: IdHashMap<Ipv4Addr, (u32, u64)>,
     /// Send a binding update to the previous care-of address when a host
     /// moves — enables the previous-foreign-agent forwarding of §5.1.
     pub notify_previous: bool,
@@ -74,7 +74,7 @@ impl HomeAgentConfig {
             addr,
             home_iface,
             home_subnet,
-            auth_keys: HashMap::new(),
+            auth_keys: IdHashMap::default(),
             notify_previous: false,
             replicate_to: None,
             fleet: None,

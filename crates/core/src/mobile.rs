@@ -11,11 +11,10 @@
 //! the latter handled by the stack, which replies from whichever address
 //! was pinged).
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Line, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{IdHashMap, Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{
     Effect, EncapSpec, HostCore, IfaceId, Module, ModuleCtx, RouteAnswer, RouteDecision,
     RouteEntry, SocketId, SourceSel,
@@ -259,11 +258,11 @@ pub struct MobileHost {
     /// Timelines of completed switches, oldest first.
     pub timelines: Vec<RegistrationTimeline>,
     current: RegistrationTimeline,
-    probes: HashMap<Ipv4Addr, ProbeState>,
+    probes: IdHashMap<Ipv4Addr, ProbeState>,
     /// The subnet each interface was last configured for — survives the
     /// address being removed, so re-joining the same network (e.g. the
     /// radio cell after a stint on the wire) keeps its ARP cache warm.
-    last_subnet: HashMap<IfaceId, Cidr>,
+    last_subnet: IdHashMap<IfaceId, Cidr>,
     next_probe_token: u64,
     probe_seq: u16,
     /// Hand-off, autoswitch and probe counters.
@@ -307,8 +306,8 @@ impl MobileHost {
             reg,
             timelines: Vec::new(),
             current: RegistrationTimeline::default(),
-            probes: HashMap::new(),
-            last_subnet: HashMap::new(),
+            probes: IdHashMap::default(),
+            last_subnet: IdHashMap::default(),
             next_probe_token: TOKEN_PROBE_BASE,
             probe_seq: 0,
             mobility: MobilityStats::default(),

@@ -1,10 +1,9 @@
 //! The DHCP server module.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
-use mosquitonet_sim::{Line, MetricsScope, SimDuration, SimTime};
+use mosquitonet_sim::{IdHashMap, Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_stack::{IfaceId, Module, ModuleCtx, SendOptions, SocketId, SourceSel};
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -68,9 +67,9 @@ pub struct DhcpServer {
     lease_time: SimDuration,
     /// Address-reuse policy.
     pub policy: ReusePolicy,
-    leases: HashMap<Ipv4Addr, LeaseRecord>,
+    leases: IdHashMap<Ipv4Addr, LeaseRecord>,
     /// When each address was last released (for LRU).
-    released_at: HashMap<Ipv4Addr, SimTime>,
+    released_at: IdHashMap<Ipv4Addr, SimTime>,
     sock: Option<SocketId>,
     /// Leases granted (instrumentation).
     pub granted: u64,
@@ -103,8 +102,8 @@ impl DhcpServer {
             my_addr,
             lease_time,
             policy: ReusePolicy::LeastRecentlyUsed,
-            leases: HashMap::new(),
-            released_at: HashMap::new(),
+            leases: IdHashMap::default(),
+            released_at: IdHashMap::default(),
             sock: None,
             granted: 0,
             stats: DhcpServerStats::default(),

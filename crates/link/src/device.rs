@@ -200,11 +200,15 @@ impl Device {
     }
 
     /// Serialization plus fixed device delay for a frame of `len` bytes.
+    /// Serialization is `len · 8 / data_rate_bps` seconds in whole
+    /// nanoseconds, rounded half up and computed in integers: at the
+    /// preset rates it is the value `SimDuration::from_secs_f64` gives
+    /// for the same quotient, and it saturates instead of overflowing.
     #[inline]
     pub fn tx_time(&self, len: usize) -> SimDuration {
-        let bits = (len as u64) * 8;
-        let ser = SimDuration::from_secs_f64(bits as f64 / self.data_rate_bps as f64);
-        self.tx_fixed_overhead.saturating_add(ser)
+        let ser = serialization_ns(len, self.data_rate_bps);
+        self.tx_fixed_overhead
+            .saturating_add(SimDuration::from_nanos(ser))
     }
 
     /// Books a transmission at `now`: the frame queues behind any frame
@@ -250,6 +254,20 @@ impl Device {
             false
         }
     }
+}
+
+/// Nanoseconds `len` bytes take at `rate` bits per second, rounded half
+/// up, in one `u64` division. Past ~2.3 GB the dividend saturates at
+/// `u64::MAX` rather than overflow, and a zero rate divides as one bit
+/// per second; no frame comes near either.
+#[inline]
+fn serialization_ns(len: usize, rate: u64) -> u64 {
+    /// Nanoseconds one byte takes at one bit per second.
+    const NS_PER_BYTE: u64 = 8 * 1_000_000_000;
+    (len as u64)
+        .saturating_mul(NS_PER_BYTE)
+        .saturating_add(rate / 2)
+        / rate.max(1)
 }
 
 #[cfg(test)]

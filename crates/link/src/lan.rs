@@ -162,6 +162,7 @@ impl Lan {
     }
 
     /// The delay model.
+    #[inline]
     pub fn delay(&self) -> DelayModel {
         self.delay
     }
@@ -247,10 +248,21 @@ impl Lan {
         }
     }
 
-    /// Draws the one-way delay for one delivery.
+    /// A frame's recipients (as [`Lan::recipients`]) and the LAN's fault
+    /// plan, borrowed apart: the transmit path judges the plan (`&mut`)
+    /// for each recipient it walks, where the plan lies.
     #[inline]
-    pub fn draw_delay(&self, rng: &mut SimRng) -> SimDuration {
-        self.delay.draw(rng)
+    pub fn recipients_and_fault(
+        &mut self,
+        dst: MacAddr,
+        src_mac: MacAddr,
+    ) -> (Recipients<'_>, Option<&mut FaultPlan>) {
+        let recipients = Recipients {
+            attachments: self.attachments.iter(),
+            dst,
+            src_mac,
+        };
+        (recipients, self.fault.as_mut())
     }
 
     /// The smallest delay this medium can ever draw (`base - jitter`).
@@ -265,12 +277,6 @@ impl Lan {
                 .as_nanos()
                 .saturating_sub(self.delay.jitter.as_nanos()),
         )
-    }
-
-    /// Draws whether the medium loses a frame.
-    #[inline]
-    pub fn draw_loss(&self, rng: &mut SimRng) -> bool {
-        rng.chance(self.loss_probability)
     }
 }
 
@@ -381,7 +387,7 @@ mod tests {
         let lan = lan3();
         let mut rng = SimRng::new(1);
         for _ in 0..10 {
-            assert_eq!(lan.draw_delay(&mut rng), SimDuration::from_micros(50));
+            assert_eq!(lan.delay().draw(&mut rng), SimDuration::from_micros(50));
         }
     }
 
@@ -410,7 +416,9 @@ mod tests {
         let mut lan = lan3();
         lan.loss_probability = 0.25;
         let mut rng = SimRng::new(9);
-        let losses = (0..40_000).filter(|_| lan.draw_loss(&mut rng)).count();
+        let losses = (0..40_000)
+            .filter(|_| rng.chance(lan.loss_probability))
+            .count();
         let frac = losses as f64 / 40_000.0;
         assert!((frac - 0.25).abs() < 0.02, "{frac}");
     }

@@ -198,8 +198,8 @@ mod tests {
         let mut rng = SimRng::new(3);
         // 60-byte echo frame each way.
         for _ in 0..200 {
-            let one_way_a = radio.tx_time(60) + cell.draw_delay(&mut rng);
-            let one_way_b = radio.tx_time(60) + cell.draw_delay(&mut rng);
+            let one_way_a = radio.tx_time(60) + cell.delay().draw(&mut rng);
+            let one_way_b = radio.tx_time(60) + cell.delay().draw(&mut rng);
             let rtt = (one_way_a + one_way_b).as_millis();
             assert!(
                 (200..=250).contains(&rtt),
@@ -228,8 +228,8 @@ mod tests {
         let lan = ethernet_lan("net-36-135");
         assert_eq!(lan.loss_probability, 0.0);
         let mut rng = SimRng::new(1);
-        assert!(!lan.draw_loss(&mut rng));
-        assert_eq!(lan.draw_delay(&mut rng), ETHERNET_PROPAGATION);
+        assert!(!rng.chance(lan.loss_probability));
+        assert_eq!(lan.delay().draw(&mut rng), ETHERNET_PROPAGATION);
     }
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
         let mut rng = SimRng::new(9);
         // Fixed delay: no randomness is drawn, so the trunk never
         // perturbs a shard's RNG stream.
-        assert_eq!(trunk.draw_delay(&mut rng), TRUNK_ONE_WAY);
+        assert_eq!(trunk.delay().draw(&mut rng), TRUNK_ONE_WAY);
         let jittery = radio_cell("cell");
         assert_eq!(
             jittery.min_latency(),
@@ -270,6 +270,6 @@ mod tests {
     fn internet_cloud_delay_is_configurable() {
         let cloud = internet_cloud("cloud", SimDuration::from_millis(30));
         let mut rng = SimRng::new(2);
-        assert_eq!(cloud.draw_delay(&mut rng), SimDuration::from_millis(30));
+        assert_eq!(cloud.delay().draw(&mut rng), SimDuration::from_millis(30));
     }
 }

@@ -1,12 +1,13 @@
 //! Property-based tests for the link layer: frame round-trips, the
 //! in-place frame parser against the copying one it replaced, the
-//! transmit queue's FIFO discipline, and medium delay bounds.
+//! transmit queue's FIFO discipline, medium delay bounds, and the integer
+//! serialization time against the float formula and the exact quotient.
 
 use bytes::{BufMut, Bytes};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-use mosquitonet_link::{presets, EtherType, Frame, FRAME_HEADER_LEN};
+use mosquitonet_link::{presets, Device, EtherType, Frame, FRAME_HEADER_LEN};
 use mosquitonet_sim::{SimDuration, SimRng, SimTime};
 use mosquitonet_wire::{
     ipip, pool_size, IpProto, Ipv4Header, Ipv4Packet, MacAddr, PacketBuf, UdpDatagram, WireError,
@@ -165,7 +166,7 @@ proptest! {
         let base = presets::RADIO_PROPAGATION_BASE.as_nanos();
         let jitter = presets::RADIO_PROPAGATION_JITTER.as_nanos();
         for _ in 0..draws {
-            let d = cell.draw_delay(&mut rng).as_nanos();
+            let d = cell.delay().draw(&mut rng).as_nanos();
             prop_assert!(d >= base - jitter && d <= base + jitter);
         }
     }
@@ -181,6 +182,83 @@ proptest! {
         let diff = ser.as_nanos().abs_diff(expected.as_nanos());
         prop_assert!(diff <= 1, "serialization within rounding of len*8/rate");
     }
+
+    /// At any rate, and any length whose dividend `len · 8 · 10⁹ + rate/2`
+    /// fits in `u64`, the serialization time is the correctly rounded
+    /// quotient; past that the dividend saturates and nothing overflows.
+    #[test]
+    fn tx_time_is_the_correctly_rounded_quotient(
+        pairs in proptest::collection::vec((any::<u64>(), 0u32..64, any::<u64>(), 0u32..64), 256),
+    ) {
+        let mut dev = presets::loopback("lo");
+        for (len, len_shift, rate, rate_shift) in pairs {
+            // Shifted down, lengths and rates cover every magnitude.
+            let rate = (rate >> rate_shift).max(1);
+            let longest = (u64::MAX - rate / 2) / NS_PER_BYTE;
+            let len = ((len >> len_shift) % (longest + 1)) as usize;
+            dev.data_rate_bps = rate;
+            let got = dev.tx_time(len).as_nanos();
+            prop_assert_eq!(got, rounded_quotient(len, rate), "{} bytes at {} b/s", len, rate);
+        }
+        dev.data_rate_bps = 1;
+        let longest = (u64::MAX / NS_PER_BYTE) as usize;
+        prop_assert_eq!(dev.tx_time(longest).as_nanos(), rounded_quotient(longest, 1));
+        prop_assert_eq!(dev.tx_time(usize::MAX).as_nanos(), u64::MAX);
+    }
+}
+
+/// Nanoseconds one byte takes at one bit per second.
+const NS_PER_BYTE: u64 = 8_000_000_000;
+
+/// `tx_time`'s serialization part at `rate`, as the float formula the
+/// integer one replaced computes it.
+fn float_serialization(len: usize, rate: u64) -> SimDuration {
+    SimDuration::from_secs_f64((len as u64 * 8) as f64 / rate as f64)
+}
+
+/// A device of each preset, each with its own data rate (the loopback's
+/// is `u64::MAX`).
+fn preset_devices() -> [Device; 3] {
+    [
+        presets::pcmcia_ethernet("eth0", MacAddr::from_index(1)),
+        presets::metricom_radio("strip0", MacAddr::from_index(2)),
+        presets::loopback("lo"),
+    ]
+}
+
+/// At every preset rate and every frame length up to the largest IPv4
+/// packet plus its frame header, the integer serialization time is the
+/// float formula's, nanosecond for nanosecond.
+#[test]
+fn tx_time_equals_the_float_formula_at_every_preset_rate() {
+    let rates: Vec<u64> = preset_devices().iter().map(|d| d.data_rate_bps).collect();
+    assert_eq!(
+        rates,
+        [
+            presets::ETHERNET_RATE_BPS,
+            presets::RADIO_RATE_BPS,
+            u64::MAX
+        ]
+    );
+    for dev in preset_devices() {
+        for len in 0..=65_535 + FRAME_HEADER_LEN {
+            let ser = dev.tx_time(len) - dev.tx_fixed_overhead;
+            assert_eq!(
+                ser,
+                float_serialization(len, dev.data_rate_bps),
+                "{} at {len} bytes",
+                dev.name()
+            );
+        }
+    }
+}
+
+/// Round half up of `len · 8 · 10⁹ / rate`, from `(2n + rate) / 2rate` in
+/// `u128`.
+fn rounded_quotient(len: usize, rate: u64) -> u64 {
+    let n = len as u128 * u128::from(NS_PER_BYTE);
+    let q = (2 * n + u128::from(rate)) / (2 * u128::from(rate));
+    u64::try_from(q).expect("the quotient of a u64 dividend fits in u64")
 }
 
 /// Helper: `SimTime::max` (std `Ord::max` works, alias for readability).

@@ -43,6 +43,10 @@ struct Slot<W> {
     run: Option<EventFn<W>>,
 }
 
+/// Cancelled keys the heap may hold beyond its live ones before a cancel
+/// compacts it: below this, dead keys simply wait to surface at the head.
+const DEAD_KEYS_FLOOR: usize = 8;
+
 /// The future-event set: a binary heap of [`EventKey`]s over a slab of
 /// closures.
 struct EventQueue<W> {
@@ -95,7 +99,8 @@ impl<W> EventQueue<W> {
 
     fn cancel(&mut self, id: EventId) -> bool {
         // The closure is dropped now; the slot and its heap key are
-        // reclaimed when the key reaches the head of the queue.
+        // reclaimed when the key reaches the head of the queue, or when
+        // dead keys come to outnumber live ones and the heap is compacted.
         let cancelled = self
             .slots
             .get_mut(id.slot as usize)
@@ -103,8 +108,25 @@ impl<W> EventQueue<W> {
             .and_then(|slot| slot.run.take());
         if cancelled.is_some() {
             self.pending -= 1;
+            let dead = self.heap.len() - self.pending;
+            if dead > DEAD_KEYS_FLOOR && dead > self.pending {
+                self.compact();
+            }
         }
         cancelled.is_some()
+    }
+
+    /// Drops every cancelled event's key from the heap and frees its slot.
+    /// Keys are unique, so the firing order is the same with or without.
+    fn compact(&mut self) {
+        let (slots, free_slots) = (&self.slots, &mut self.free_slots);
+        self.heap.retain(|&Reverse(key)| {
+            let live = slots[key.slot as usize].run.is_some();
+            if !live {
+                free_slots.push(key.slot);
+            }
+            live
+        });
     }
 
     /// The key of the next runnable event, left in the queue. Keys of
@@ -540,6 +562,35 @@ mod tests {
         }
         assert_eq!(sim.events.slots.len(), 8);
         assert_eq!(sim.events_executed(), 50 * 7);
+    }
+
+    #[test]
+    fn cancelled_keys_never_outnumber_live_ones_past_the_floor() {
+        // 40 long timers, re-armed 4 000 times (cancel, then schedule
+        // again), as retransmission timers are: without compaction every
+        // dead key would wait in the heap until its time came.
+        let mut sim = Sim::new(Vec::new());
+        let at = |k: usize| SimDuration::from_secs(100 + k as u64);
+        let mut ids: Vec<EventId> = (0..40)
+            .map(|k| sim.schedule_in(at(k), move |s: &mut Sim<Vec<usize>>| s.world_mut().push(k)))
+            .collect();
+        for round in 0..4_000 {
+            let k = (round * 7) % 40;
+            assert!(sim.cancel(ids[k]));
+            let (keys, live) = (sim.events.heap.len(), sim.pending_events());
+            assert!(
+                keys - live <= DEAD_KEYS_FLOOR.max(live),
+                "round {round}: {keys} keys for {live} live events"
+            );
+            ids[k] = sim.schedule_in(at(k), move |s: &mut Sim<Vec<usize>>| s.world_mut().push(k));
+        }
+        assert!(sim.events.slots.len() <= 2 * 40 + DEAD_KEYS_FLOOR + 1);
+        sim.run();
+        assert_eq!(
+            *sim.world(),
+            (0..40).collect::<Vec<_>>(),
+            "each timer fired once, in order"
+        );
     }
 
     #[test]

@@ -512,7 +512,10 @@ impl FlightRecorder {
             self.ring[self.head] = ev;
             self.overwritten += 1;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
     }
 
     /// Records one control-plane line `host` logged (no-op when

@@ -1,11 +1,10 @@
 //! Hosts: the per-machine stack state plus installed protocol modules.
 
 use std::any::Any;
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use mosquitonet_link::Device;
-use mosquitonet_sim::{EventId, IdHashMap, SimDuration};
+use mosquitonet_sim::{EventId, IdHashMap, IdHashSet, SimDuration};
 use mosquitonet_wire::Cidr;
 
 use crate::arp::ArpState;
@@ -113,7 +112,7 @@ pub struct HostCore {
     route_config_gen: u64,
     /// Multicast group memberships, per interface. A visiting mobile host
     /// joins groups on the *foreign* interface in its local role (§5.2).
-    pub multicast_groups: HashSet<(IfaceId, Ipv4Addr)>,
+    pub multicast_groups: IdHashSet<(IfaceId, Ipv4Addr)>,
     /// IP forwarding (routers and home agents: "we simply turn on IP
     /// forwarding in the Linux kernel", §3.4).
     pub forwarding: bool,
@@ -161,7 +160,7 @@ impl HostCore {
             stale_homes: [Ipv4Addr::UNSPECIFIED; STALE_HOMES_MAX],
             stale_len: 0,
             route_config_gen: 0,
-            multicast_groups: HashSet::new(),
+            multicast_groups: IdHashSet::default(),
             forwarding: false,
             transit_filter: false,
             upstream_ifaces: Vec::new(),

@@ -6,6 +6,7 @@
 //! Mobile Policy Table" (§3.3). The Mobile Policy Table lives in
 //! `mosquitonet-core`; this table is plain longest-prefix-match routing.
 
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use mosquitonet_wire::{Cidr, LpmTrie};
@@ -60,6 +61,37 @@ pub struct RouteTable {
     /// bucket holding that prefix's entries in insertion order.
     trie: LpmTrie<Vec<RouteEntry>>,
     generation: u64,
+    /// Recent answers of [`RouteTable::lookup`].
+    memo: Memo,
+}
+
+/// Slots in a table's lookup memo (a power of two): the most that keep
+/// `Host` under 1 024 bytes (`docs/limits.md`).
+const ROUTE_MEMO_SLOTS: usize = 4;
+
+/// One remembered lookup: `dst`'s answer while the table was at
+/// `generation`.
+#[derive(Clone, Copy, Debug, Default)]
+struct MemoSlot {
+    generation: u64,
+    dst: u32,
+    route: Option<RouteEntry>,
+}
+
+/// A direct-mapped memo of recent lookups, one slot per destination hash.
+/// A slot answers only while its generation is the table's, so a mutation
+/// forgets every slot by bumping the generation. The default slots claim
+/// "`0.0.0.0` has no route" at generation 0, which is true: the table is
+/// empty until its first `add` moves the generation on.
+#[derive(Clone, Debug, Default)]
+struct Memo([Cell<MemoSlot>; ROUTE_MEMO_SLOTS]);
+
+impl Memo {
+    #[inline]
+    fn slot(&self, dst: u32) -> &Cell<MemoSlot> {
+        let hash = dst.wrapping_mul(0x9E37_79B9);
+        &self.0[(hash >> (32 - ROUTE_MEMO_SLOTS.trailing_zeros())) as usize]
+    }
 }
 
 impl RouteTable {
@@ -133,9 +165,27 @@ impl RouteTable {
     }
 
     /// Longest-prefix-match lookup with metric tie-break, O(32) in the
-    /// number of address bits regardless of table size.
+    /// number of address bits regardless of table size. A destination
+    /// asked for again before the table changes is answered from a
+    /// four-slot direct-mapped memo without the walk.
     #[inline]
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<RouteEntry> {
+        let key = u32::from(dst);
+        let slot = self.memo.slot(key);
+        let seen = slot.get();
+        if seen.generation == self.generation && seen.dst == key {
+            return seen.route;
+        }
+        let route = self.lookup_trie(dst);
+        slot.set(MemoSlot {
+            generation: self.generation,
+            dst: key,
+            route,
+        });
+        route
+    }
+
+    fn lookup_trie(&self, dst: Ipv4Addr) -> Option<RouteEntry> {
         self.trie.lookup(dst).and_then(|(_, bucket)| {
             bucket
                 .iter()

@@ -5,13 +5,12 @@
 //! transitions, and the application of module [`Effect`]s. The IP
 //! forwarding logic itself lives in [`crate::ip`].
 
-use std::collections::HashMap;
-
 use mosquitonet_link::{
     Attachment, AttachmentKey, EtherType, FaultVerdict, Frame, Lan, FRAME_HEADER_LEN,
 };
 use mosquitonet_sim::{
-    Counter, Line, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind, NO_FLIGHT,
+    Counter, IdHashMap, Line, ShardEnvelope, ShardWorld, Sim, SimDuration, SimTime, TraceKind,
+    NO_FLIGHT,
 };
 use mosquitonet_wire::{ArpPacket, Ipv4Packet, MacAddr, PacketBuf, PacketBytes};
 
@@ -68,12 +67,12 @@ struct Sharding {
     /// Total shard count in the run.
     shards: u32,
     /// Local portal LANs: LAN -> global portal id.
-    portal_of_lan: HashMap<LanId, u32>,
+    portal_of_lan: IdHashMap<LanId, u32>,
     /// Global portal id -> the local copy of that segment.
-    lan_of_portal: HashMap<u32, LanId>,
+    lan_of_portal: IdHashMap<u32, LanId>,
     /// Which shard owns a unicast MAC attached to a portal segment.
     /// Unlisted (and broadcast) destinations fan out to every peer.
-    mac_directory: HashMap<MacAddr, u32>,
+    mac_directory: IdHashMap<MacAddr, u32>,
     /// Envelopes staged since the last barrier, in staging order.
     outbox: Vec<ShardEnvelope<WireEnvelope>>,
     next_seq: u64,
@@ -786,17 +785,18 @@ pub(crate) fn transmit_wire(
     // event before the next: the medium draws (engine RNG — sequence
     // unchanged by the fault layer), then the fault plan's verdict from
     // its own stream, then the attachment's owner, then the event. The
-    // plan steps aside for the walk because it is judged (`&mut`) while
-    // the LAN it hangs on is being read.
-    let mut fault = w.lans[lan_id.0].fault.take();
+    // plan is judged (`&mut`) where it lies, borrowed apart from the
+    // attachments being walked.
+    let lan = &mut w.lans[lan_id.0];
+    let (medium_delay, loss) = (lan.delay(), lan.loss_probability);
+    let (recipients, mut fault) = lan.recipients_and_fault(dst, src_mac);
     let (mut lost, mut fault_drops) = (false, 0u32);
-    let lan = &w.lans[lan_id.0];
-    for key in lan.recipients(dst, src_mac) {
-        if lan.draw_loss(rng) {
+    for key in recipients {
+        if rng.chance(loss) {
             lost = true;
             continue;
         }
-        let delay = tx_time + lan.draw_delay(rng);
+        let delay = tx_time + medium_delay.draw(rng);
         let verdict = match fault.as_mut() {
             Some(plan) => plan.judge(now, payload_len),
             None => FaultVerdict::default(),
@@ -827,7 +827,6 @@ pub(crate) fn transmit_wire(
         }
         queue.schedule_in(delay, move |sim| receive_frame(sim, h, i, lan_id, bytes));
     }
-    w.lans[lan_id.0].fault = fault;
     // Portal segments also reach the peer shards' attachments, one
     // (fixed) trunk delay later, via the barrier exchange.
     if w.sharding.is_some() {

@@ -1,12 +1,13 @@
 //! Property-based tests for the stack's core data structures: the routing
-//! table against a naive model, the UDP socket table, the ARP state
-//! machine, and TCP stream delivery under arbitrary loss/duplication.
+//! table against a naive model and its memoized lookup against the bare
+//! trie, the UDP socket table, the ARP state machine, and TCP stream
+//! delivery under arbitrary loss/duplication.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 use mosquitonet_stack::{ArpState, IfaceId, ModuleId, RouteEntry, RouteTable, TcpTable, UdpTable};
-use mosquitonet_wire::{ArpOp, ArpPacket, Cidr, MacAddr};
+use mosquitonet_wire::{ArpOp, ArpPacket, Cidr, LpmTrie, MacAddr};
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     // A small address universe so prefixes actually collide.
@@ -35,7 +36,86 @@ fn model_lookup(entries: &[RouteEntry], dst: Ipv4Addr) -> Option<(u8, u32)> {
         .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
 }
 
+/// One step of a routing-table history.
+#[derive(Clone, Copy, Debug)]
+enum RouteOp {
+    Add(RouteEntry),
+    Remove(Cidr),
+    RemoveForIface(Cidr, IfaceId),
+    RemoveIface(IfaceId),
+    Lookup(Ipv4Addr),
+}
+
+/// Routing-table steps, lookups half of them: a few destinations asked
+/// again and again (so the lookup memo answers, and must forget), the
+/// rest over `arb_addr`'s 512 (so memo slots collide).
+fn arb_route_op() -> impl Strategy<Value = RouteOp> {
+    let hot = || (0u8..6).prop_map(|d| Ipv4Addr::new(10, 0, 0, d));
+    let iface = || (0usize..4).prop_map(IfaceId);
+    prop_oneof![
+        arb_route().prop_map(RouteOp::Add),
+        arb_route().prop_map(RouteOp::Add),
+        (arb_addr(), 0u8..=32).prop_map(|(a, l)| RouteOp::Remove(Cidr::new(a, l))),
+        arb_route().prop_map(|r| RouteOp::Remove(r.dest)),
+        arb_route().prop_map(|r| RouteOp::RemoveForIface(r.dest, r.iface)),
+        iface().prop_map(RouteOp::RemoveIface),
+        hot().prop_map(RouteOp::Lookup),
+        hot().prop_map(RouteOp::Lookup),
+        hot().prop_map(RouteOp::Lookup),
+        hot().prop_map(RouteOp::Lookup),
+        arb_addr().prop_map(RouteOp::Lookup),
+        arb_addr().prop_map(RouteOp::Lookup),
+    ]
+}
+
+/// The table's answer straight from a longest-prefix trie over its
+/// entries, built afresh: what `RouteTable::lookup` computes with no memo.
+fn bare_trie_lookup(entries: &[RouteEntry], dst: Ipv4Addr) -> Option<RouteEntry> {
+    let mut trie: LpmTrie<Vec<RouteEntry>> = LpmTrie::new();
+    for &e in entries {
+        match trie.get_mut(e.dest) {
+            Some(bucket) => bucket.push(e),
+            None => {
+                trie.insert(e.dest, vec![e]);
+            }
+        }
+    }
+    trie.lookup(dst).and_then(|(_, bucket)| {
+        bucket
+            .iter()
+            .max_by(|a, b| b.metric.cmp(&a.metric))
+            .copied()
+    })
+}
+
 proptest! {
+    /// Through any history of the four mutators, every lookup — memo
+    /// hit or not — returns exactly the entry the bare trie names.
+    #[test]
+    fn route_lookup_matches_the_bare_trie(
+        ops in proptest::collection::vec(arb_route_op(), 1..120),
+    ) {
+        let mut rt = RouteTable::new();
+        for op in ops {
+            match op {
+                RouteOp::Add(r) => rt.add(r),
+                RouteOp::Remove(dest) => {
+                    rt.remove(dest);
+                }
+                RouteOp::RemoveForIface(dest, iface) => {
+                    rt.remove_for_iface(dest, iface);
+                }
+                RouteOp::RemoveIface(iface) => {
+                    rt.remove_iface(iface);
+                }
+                RouteOp::Lookup(dst) => {
+                    let want = bare_trie_lookup(rt.entries(), dst);
+                    prop_assert_eq!(rt.lookup(dst), want, "lookup {} after {:?}", dst, op);
+                }
+            }
+        }
+    }
+
     /// The routing table agrees with the naive longest-prefix model on
     /// prefix length and metric of the winner.
     #[test]

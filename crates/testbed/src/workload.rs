@@ -8,7 +8,6 @@
 //! sender keeps a per-sequence log so the harness can count losses inside
 //! any time window.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -43,7 +42,7 @@ pub struct UdpEchoSender {
     pub padding: usize,
     sock: Option<SocketId>,
     next_seq: u64,
-    records: HashMap<u64, EchoRecord>,
+    records: IdHashMap<u64, EchoRecord>,
     running: bool,
 }
 
@@ -58,7 +57,7 @@ impl UdpEchoSender {
             padding: 24,
             sock: None,
             next_seq: 0,
-            records: HashMap::new(),
+            records: IdHashMap::default(),
             running: true,
         }
     }
@@ -118,7 +117,7 @@ impl UdpEchoSender {
     }
 
     /// The full per-sequence record (diagnostics).
-    pub fn records(&self) -> &HashMap<u64, EchoRecord> {
+    pub fn records(&self) -> &IdHashMap<u64, EchoRecord> {
         &self.records
     }
 }
@@ -480,7 +479,7 @@ pub struct RegistrationStorm {
     pub stagger: SimDuration,
     /// Completed registrations: (index, sent, reply received).
     pub completions: Vec<(u32, SimTime, SimTime)>,
-    sent_at: HashMap<Ipv4Addr, (u32, SimTime)>,
+    sent_at: IdHashMap<Ipv4Addr, (u32, SimTime)>,
     next: u32,
     sock: Option<SocketId>,
 }
@@ -500,7 +499,7 @@ impl RegistrationStorm {
             care_of,
             stagger: SimDuration::from_micros(100),
             completions: Vec::new(),
-            sent_at: HashMap::new(),
+            sent_at: IdHashMap::default(),
             next: 0,
             sock: None,
         }

@@ -9,9 +9,10 @@
 //! no ledger metric `BENCHMARK.json` does not declare, that every
 //! file they link or cite exists, that every `Type::member` they cite is
 //! defined beside its type, that every test `docs/limits.md` holds a bound
-//! with exists, that no file cites a ROADMAP item by number, and that
+//! with exists, that no file cites a ROADMAP item by number, that
 //! every function `docs/benchmarks.md`'s inlining table names is
-//! `#[inline]`.
+//! `#[inline]`, and that program code hashes with `IdHasher`, never over
+//! `RandomState`.
 //!
 //! Drop reasons are stable, greppable tokens: the same `drop.{reason}`
 //! string appears in metric names, flight-recorder hop records and module
@@ -901,5 +902,50 @@ fn hot_path_functions_are_inline() {
     assert!(
         failures.is_empty(),
         "docs/benchmarks.md's inlining table and the code disagree: {failures:#?}"
+    );
+}
+
+/// Program code hashes with `IdHasher`: no `std` `HashMap` or `HashSet`
+/// over the default `RandomState` (SipHash, keyed afresh in every
+/// process) in any crate's `src/` above its `#[cfg(test)]` tail. The
+/// `IdHashMap`/`IdHashSet` aliases are the one place the `std` names
+/// stand, with their hasher given. Comments may name them.
+#[test]
+fn program_code_hashes_with_the_id_hasher() {
+    const STD: [&str; 4] = ["HashMap", "HashSet", "RandomState", "DefaultHasher"];
+    let root = workspace_root();
+    let mut files = Vec::new();
+    rs_files(&root.join("src"), &mut files);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates") {
+        rs_files(&entry.expect("dir entry").path().join("src"), &mut files);
+    }
+    let mut found = Vec::new();
+    for path in &files {
+        let source = std::fs::read_to_string(path).expect("read source");
+        let program = source
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for (i, line) in program.enumerate() {
+            let code = line.split("//").next().expect("a first piece").trim_start();
+            if code.starts_with("pub type Id") {
+                continue;
+            }
+            let named = STD.iter().any(|name| {
+                code.match_indices(name).any(|(at, _)| {
+                    let before = code[..at].chars().next_back();
+                    let after = code[at + name.len()..].chars().next();
+                    !before.is_some_and(ident_char) && !after.is_some_and(ident_char)
+                })
+            });
+            if named {
+                let file = path.strip_prefix(&root).unwrap_or(path);
+                found.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(files.len() > 60, "the walk found the crates' sources");
+    assert!(
+        found.is_empty(),
+        "program code uses a std map or set over RandomState; use IdHashMap/IdHashSet: {found:#?}"
     );
 }
