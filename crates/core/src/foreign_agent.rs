@@ -134,7 +134,7 @@ impl Module for ForeignAgent {
             self.advertise(ctx);
         } else if let Some(home) = self.forward_tokens.remove(&token) {
             // Previous-FA forwarding grace period over.
-            ctx.core.clear_tunnel(home);
+            ctx.set_tunnel(home, None);
             ctx.fx
                 .trace(Line::new("previous-FA forwarding for {} expired").addr(home));
         }
@@ -198,7 +198,7 @@ impl Module for ForeignAgent {
                         // forwarding state for it is now stale (the host
                         // came *back*) and must go, or packets would loop
                         // out to its former care-of address.
-                        ctx.core.clear_tunnel(reply.home_addr);
+                        ctx.set_tunnel(reply.home_addr, None);
                         self.forward_tokens.retain(|_, h| *h != reply.home_addr);
                         let line = Line::new("visitor {} registered via this FA");
                         ctx.fx.trace(line.addr(reply.home_addr));
@@ -220,7 +220,7 @@ impl Module for ForeignAgent {
                     return;
                 };
                 ctx.core.routes.remove(Cidr::host(update.home_addr));
-                ctx.core.set_tunnel(update.home_addr, update.new_care_of);
+                ctx.set_tunnel(update.home_addr, Some(update.new_care_of));
                 self.visitors.remove(&update.home_addr);
                 self.stats.forwarding_armed.inc();
                 let token = self.next_expire_token;

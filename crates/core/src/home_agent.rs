@@ -517,11 +517,11 @@ impl HomeAgent {
         for event in self.machine.drain_events() {
             match event {
                 HaEvent::Serve { home, care_of } => {
-                    ctx.core.set_tunnel(home, care_of);
+                    ctx.set_tunnel(home, Some(care_of));
                     ctx.core.arp_mut(iface).add_proxy(home);
                 }
                 HaEvent::Unserve { home } => {
-                    ctx.core.clear_tunnel(home);
+                    ctx.set_tunnel(home, None);
                     ctx.core.arp_mut(iface).remove_proxy(home);
                 }
             }

@@ -27,7 +27,7 @@
 //!
 //! The VIF itself — the virtual encapsulating interface of §3.3 — is a
 //! stack mechanism: `HostCore::add_vif` creates the address-holding
-//! pseudo-interface and `HostCore::set_tunnel` installs the encapsulating
+//! pseudo-interface and `ModuleCtx::set_tunnel` installs the encapsulating
 //! routes; this crate decides *when* they apply.
 
 #![forbid(unsafe_code)]

@@ -985,8 +985,8 @@ impl Module for MobileHost {
         RouteAnswer::Decide { decision, on_hit }
     }
 
-    fn route_generation(&self) -> Option<u64> {
-        Some(self.route_gen.wrapping_add(self.policy.generation()))
+    fn route_generation(&self) -> u64 {
+        self.route_gen.wrapping_add(self.policy.generation())
     }
 }
 

@@ -14,10 +14,9 @@
 //! A second property holds the home-agent side: a tunnel-binding change
 //! forgets only its own home's cached decisions. The cache holds every
 //! home's decision while bindings are set, moved and cleared for other
-//! homes and for the looked-up home itself, in bursts beyond the bound of
-//! the stale-home list too. It must still agree with the uncached twin,
-//! and a step that changes at most the list's bound of bindings must leave
-//! every other home's decisions cached.
+//! homes and for the looked-up home itself, one at a time and in bursts.
+//! It must still agree with the uncached twin, and a step must leave
+//! every home it did not touch with its decisions cached.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -26,7 +25,7 @@ use mosquitonet_core::{MobilePolicyTable, SendMode};
 use mosquitonet_link::presets;
 use mosquitonet_stack::{
     resolve_route, EncapSpec, Host, HostCore, HostId, IfaceId, Module, ModuleId, RouteAnswer,
-    RouteDecision, RouteEntry, SourceSel, STALE_HOMES_MAX,
+    RouteDecision, RouteEntry, SourceSel,
 };
 use mosquitonet_wire::{Cidr, MacAddr};
 
@@ -100,8 +99,8 @@ impl Module for PolicyModule {
         }
     }
 
-    fn route_generation(&self) -> Option<u64> {
-        Some(self.route_gen.wrapping_add(self.policy.generation()))
+    fn route_generation(&self) -> u64 {
+        self.route_gen.wrapping_add(self.policy.generation())
     }
 }
 
@@ -197,18 +196,11 @@ fn apply(host: &mut Host, op: &Op) {
         Op::RemoveRoute(addr, len) => {
             host.core.routes.remove(Cidr::new(*addr, *len));
         }
-        Op::SetTunnel(home, coa) => {
-            host.core.set_tunnel(*home, *coa);
-        }
-        Op::ClearTunnel(home) => {
-            host.core.clear_tunnel(*home);
-        }
+        Op::SetTunnel(home, coa) => host.set_tunnel(*home, Some(*coa)),
+        Op::ClearTunnel(home) => host.set_tunnel(*home, None),
         Op::TunnelBurst(changes) => {
             for (home, care_of) in changes {
-                match care_of {
-                    Some(coa) => host.core.set_tunnel(*home, *coa),
-                    None => host.core.clear_tunnel(*home),
-                };
+                host.set_tunnel(*home, *care_of);
             }
         }
         Op::Lookup(..) => unreachable!("lookups are compared, not applied"),
@@ -339,7 +331,7 @@ fn arb_home() -> impl Strategy<Value = Ipv4Addr> {
 }
 
 /// A burst of binding changes to `len` distinct consecutive homes: from 2
-/// up to more than the stale-home list holds.
+/// up to every home.
 fn arb_burst() -> impl Strategy<Value = Op> {
     let most = usize::from(HOMES);
     (0..HOMES, 2..=most, any::<u64>(), arb_addr()).prop_map(move |(first, len, bits, coa)| {
@@ -374,7 +366,6 @@ proptest! {
     fn a_binding_change_forgets_only_its_own_home(
         ops in proptest::collection::vec(arb_tunnel_op(), 1..80),
     ) {
-        assert!(usize::from(HOMES) > STALE_HOMES_MAX, "a burst can overflow the list");
         // The policy module stays unregistered, so it passes every lookup
         // on to the tunnel table and the kernel routes.
         let mut cached = build_host();
@@ -385,11 +376,11 @@ proptest! {
             apply(&mut uncached, op);
             let hits = cached.fastpath.stats.hit.get();
             compare_homes(&mut cached, &mut uncached);
-            // Binding changes to at most the list's bound of homes leave
-            // every other home's two cached decisions in place.
+            // Binding changes leave every other home's two cached
+            // decisions in place, however many homes one step touches.
             let changed = match op {
                 Op::SetTunnel(..) | Op::ClearTunnel(_) => 1,
-                Op::TunnelBurst(changes) if changes.len() <= STALE_HOMES_MAX => changes.len(),
+                Op::TunnelBurst(changes) => changes.len(),
                 _ => continue,
             };
             let kept = 2 * (u64::from(HOMES) - changed as u64);

@@ -13,19 +13,19 @@
 //! # Invalidation
 //!
 //! Entries carry no lifetime of their own. Instead every lookup presents a
-//! **validity token** — a wrapping sum of generation counters over the
-//! inputs that may feed any decision (kernel routes, interface addresses,
-//! per-module `route_generation()`s; see `ip::fastpath_token`). A token
-//! mismatch flushes the whole cache before the lookup proceeds. Because
-//! re-registration, care-of address changes, policy updates, probe
-//! feedback and route changes each bump a component of the token, any of
-//! them invalidates instantly — without the mutating code needing a handle
-//! on the cache.
+//! **validity token** — a plain wrapping sum of generation counters over
+//! the inputs that may feed any decision (kernel routes, each interface's
+//! addresses and power, per-module `route_generation()`s; see
+//! `ip::fastpath_token`). A token mismatch flushes the whole cache before
+//! the lookup proceeds. Because re-registration, care-of address changes,
+//! policy updates, probe feedback and route changes each bump a component
+//! of the token, any of them invalidates instantly — without the mutating
+//! code needing a handle on the cache.
 //!
 //! A VIF tunnel binding feeds the decision for its own home address only,
-//! so a binding change does not move the token: `HostCore` lists the home,
-//! and `ip::resolve_route` hands it to [`FastPath::forget`] before its next
-//! lookup. A home agent's cache thus survives registration churn.
+//! so a binding change does not move the token: `host::set_tunnel`, the
+//! one setter, hands the home to [`FastPath::forget`] as it changes it. A
+//! home agent's cache thus survives registration churn.
 //!
 //! # Statistics coherence
 //!
@@ -126,10 +126,10 @@ impl FastPath {
         Some(entry.decision)
     }
 
-    /// Memoizes a freshly-resolved decision under `token`. Ignored if the
-    /// token has moved since the corresponding [`FastPath::lookup`] (the
-    /// resolution itself mutated routing state — rare, but e.g. an ARP
-    /// park can). Overflow past the size cap flushes everything first.
+    /// Memoizes a freshly-resolved decision under `token`, unless that
+    /// differs from the last [`FastPath::lookup`]'s (`ip::resolve_route`
+    /// never does that; the check guards outside callers). Overflow past
+    /// the size cap flushes everything first.
     pub fn insert(
         &mut self,
         token: u64,

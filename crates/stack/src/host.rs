@@ -8,6 +8,7 @@ use mosquitonet_sim::{EventId, IdHashMap, IdHashSet, SimDuration};
 use mosquitonet_wire::Cidr;
 
 use crate::arp::ArpState;
+use crate::fastpath::FastPath;
 use crate::iface::{IfaceId, Interface};
 use crate::proto::{Module, ModuleId};
 use crate::route::RouteTable;
@@ -62,12 +63,6 @@ mosquitonet_sim::counters! {
     }
 }
 
-/// Most homes whose tunnel binding may change between two route
-/// resolutions before the next one flushes the whole decision cache
-/// instead of forgetting each home's entries. A home agent changes one
-/// binding per accepted registration and resolves its reply right after.
-pub const STALE_HOMES_MAX: usize = 16;
-
 /// Default per-packet receive-path processing cost on era hardware
 /// (40 MHz 486 subnotebooks / Pentium 90 router; see the calibration notes
 /// in `mosquitonet-link::presets`).
@@ -96,20 +91,10 @@ pub struct HostCore {
     /// VIF tunnel entries: packets to a key address are IP-in-IP
     /// encapsulated toward the value (care-of) address. The home agent
     /// maintains one entry per registered mobile host (§3.4). Private so
-    /// every binding change passes through [`HostCore::set_tunnel`] /
-    /// [`HostCore::clear_tunnel`], which note the home in `stale_homes`:
-    /// an entry changes the route decision for its own home address only,
-    /// so the fast-path decision cache forgets just that destination.
+    /// every binding change passes through [`set_tunnel`]: an entry changes
+    /// the route decision for its own home address only, so the change
+    /// forgets just that destination's cached decisions.
     tunnels: IdHashMap<Ipv4Addr, Ipv4Addr>,
-    /// Homes whose binding changed since the decision cache last looked
-    /// (`ip::resolve_route` drains them); the first `stale_len` are live.
-    stale_homes: [Ipv4Addr; STALE_HOMES_MAX],
-    /// Live entries of `stale_homes`.
-    stale_len: usize,
-    /// Bumped when every tunnel goes at once (a crash) or `stale_homes`
-    /// overflows; part of the fast-path validity token, so either flushes
-    /// the whole decision cache.
-    route_config_gen: u64,
     /// Multicast group memberships, per interface. A visiting mobile host
     /// joins groups on the *foreign* interface in its local role (§5.2).
     pub multicast_groups: IdHashSet<(IfaceId, Ipv4Addr)>,
@@ -157,9 +142,6 @@ impl HostCore {
             udp: UdpTable::new(),
             tcp: TcpTable::new(),
             tunnels: IdHashMap::default(),
-            stale_homes: [Ipv4Addr::UNSPECIFIED; STALE_HOMES_MAX],
-            stale_len: 0,
-            route_config_gen: 0,
             multicast_groups: IdHashSet::default(),
             forwarding: false,
             transit_filter: false,
@@ -224,86 +206,16 @@ impl HostCore {
             .flat_map(|i| i.addrs().iter().map(|a| a.subnet))
     }
 
-    /// Installs (or moves) a VIF tunnel: packets to `home` are IP-in-IP
-    /// encapsulated toward `care_of`. Returns the previous binding.
-    #[inline]
-    pub fn set_tunnel(&mut self, home: Ipv4Addr, care_of: Ipv4Addr) -> Option<Ipv4Addr> {
-        let prev = self.tunnels.insert(home, care_of);
-        if prev != Some(care_of) {
-            self.note_stale_home(home);
-        }
-        prev
-    }
-
-    /// Removes the tunnel for `home`; returns the binding it held.
-    #[inline]
-    pub fn clear_tunnel(&mut self, home: Ipv4Addr) -> Option<Ipv4Addr> {
-        let prev = self.tunnels.remove(&home);
-        if prev.is_some() {
-            self.note_stale_home(home);
-        }
-        prev
-    }
-
-    /// Records that the route decision for `home` changed. A home already
-    /// listed takes no second slot; one that finds the list full bumps the
-    /// route-config generation instead, flushing every cached decision.
-    #[inline]
-    fn note_stale_home(&mut self, home: Ipv4Addr) {
-        if self.stale_homes[..self.stale_len].contains(&home) {
-            return;
-        }
-        if self.stale_len == STALE_HOMES_MAX {
-            self.route_config_gen += 1;
-            self.stale_len = 0;
-            return;
-        }
-        self.stale_homes[self.stale_len] = home;
-        self.stale_len += 1;
-    }
-
-    /// True when some home's binding changed since the last
-    /// [`HostCore::drain_stale_homes`].
-    #[inline]
-    pub(crate) fn has_stale_homes(&self) -> bool {
-        self.stale_len != 0
-    }
-
-    /// Hands every home whose binding changed since the last call to
-    /// `forget`, then empties the list. `ip::resolve_route` calls it before
-    /// consulting the decision cache.
-    pub(crate) fn drain_stale_homes(&mut self, mut forget: impl FnMut(Ipv4Addr)) {
-        for &home in &self.stale_homes[..self.stale_len] {
-            forget(home);
-        }
-        self.stale_len = 0;
-    }
-
-    /// Removes every tunnel entry at once (a node crash loses them all).
-    /// Returns how many were installed; bumps the route-config generation
-    /// if any were, flushing every fast-path decision.
-    pub fn clear_all_tunnels(&mut self) -> usize {
-        let n = self.tunnels.len();
-        if n > 0 {
-            self.tunnels.clear();
-            self.stale_len = 0;
-            self.route_config_gen += 1;
-        }
-        n
+    /// Removes every tunnel entry at once (a node crash loses them all;
+    /// the crash flushes the decision cache itself).
+    pub fn clear_all_tunnels(&mut self) {
+        self.tunnels.clear();
     }
 
     /// The care-of address packets to `dst` tunnel toward, if any.
     #[inline]
     pub fn tunnel_to(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
         self.tunnels.get(&dst).copied()
-    }
-
-    /// A counter bumped when the tunnel table changes too much at once to
-    /// forget home by home (a crash, or more than [`STALE_HOMES_MAX`]
-    /// binding changes between two route resolutions); the fast-path
-    /// decision cache folds it into its validity token.
-    pub fn route_config_generation(&self) -> u64 {
-        self.route_config_gen
     }
 
     /// Allocates an IP identification value.
@@ -386,12 +298,32 @@ impl HostCore {
     }
 }
 
+/// Binds `home`'s VIF tunnel to `care_of`, or removes it when `None`. A
+/// binding feeds the route decision for `home` alone, so a change forgets
+/// that home's cached decisions here; a same-care-of refresh forgets
+/// nothing. Reached as `ModuleCtx::set_tunnel` and `Host::set_tunnel`.
+#[inline]
+pub(crate) fn set_tunnel(
+    core: &mut HostCore,
+    fastpath: &mut FastPath,
+    home: Ipv4Addr,
+    care_of: Option<Ipv4Addr>,
+) {
+    let prev = match care_of {
+        Some(care_of) => core.tunnels.insert(home, care_of),
+        None => core.tunnels.remove(&home),
+    };
+    if prev != care_of {
+        fastpath.forget(home);
+    }
+}
+
 /// A host: kernel core plus installed modules.
 pub struct Host {
     /// The kernel-side state.
     pub core: HostCore,
     /// The per-destination route/policy decision cache.
-    pub fastpath: crate::fastpath::FastPath,
+    pub fastpath: FastPath,
     /// Modules, each slot emptied while its callback runs.
     pub(crate) modules: Vec<Option<Box<dyn Module>>>,
     /// Armed module timers: (module, token) → scheduled event.
@@ -408,7 +340,7 @@ impl Host {
     pub fn new(id: HostId, name: impl Into<String>) -> Host {
         Host {
             core: HostCore::new(id, name.into()),
-            fastpath: crate::fastpath::FastPath::new(),
+            fastpath: FastPath::new(),
             modules: Vec::new(),
             module_timers: IdHashMap::default(),
             tcp_timers: IdHashMap::default(),
@@ -422,6 +354,12 @@ impl Host {
         let id = ModuleId(self.modules.len());
         self.modules.push(Some(module));
         id
+    }
+
+    /// Binds `home`'s VIF tunnel to `care_of`, or removes it when `None`;
+    /// a change forgets `home`'s cached route decisions.
+    pub fn set_tunnel(&mut self, home: Ipv4Addr, care_of: Option<Ipv4Addr>) {
+        set_tunnel(&mut self.core, &mut self.fastpath, home, care_of);
     }
 
     /// Number of installed modules.
@@ -487,57 +425,6 @@ mod tests {
         assert!(h.core.is_local_addr(Ipv4Addr::new(36, 135, 0, 9)));
     }
 
-    /// Binding changes to at most `STALE_HOMES_MAX` homes between two
-    /// resolutions leave an unrelated cached decision in place, however
-    /// often one home moves; one home more flushes the whole cache.
-    #[test]
-    fn a_burst_past_the_stale_list_flushes_the_whole_cache() {
-        use crate::proto::SourceSel;
-        use crate::route::RouteEntry;
-
-        let mut h = host();
-        let eth = h
-            .core
-            .add_iface(presets::pcmcia_ethernet("eth0", MacAddr::from_index(1)));
-        let subnet = "36.135.0.0/16".parse().unwrap();
-        h.core
-            .iface_mut(eth)
-            .add_addr(Ipv4Addr::new(36, 135, 0, 1), subnet);
-        h.core.routes.add(RouteEntry {
-            dest: subnet,
-            gateway: None,
-            iface: eth,
-            metric: 0,
-        });
-        let other = Ipv4Addr::new(36, 135, 9, 9);
-        let resolve = |h: &mut Host| {
-            crate::ip::resolve_route(h, other, SourceSel::Unspecified, None);
-            (
-                h.fastpath.stats.hit.get(),
-                h.fastpath.stats.invalidate.get(),
-            )
-        };
-        let care_of = Ipv4Addr::new(36, 135, 0, 42);
-        let home = |i: usize| Ipv4Addr::new(36, 135, 1, i as u8);
-        resolve(&mut h);
-
-        for _ in 0..3 * STALE_HOMES_MAX {
-            h.core.set_tunnel(home(0), care_of);
-            h.core.clear_tunnel(home(0));
-        }
-        for i in 1..STALE_HOMES_MAX {
-            h.core.set_tunnel(home(i), care_of);
-        }
-        assert_eq!(resolve(&mut h), (1, 0), "the list held every home");
-
-        for i in 0..=STALE_HOMES_MAX {
-            h.core.clear_tunnel(home(i));
-            h.core.set_tunnel(home(i), care_of);
-        }
-        assert_eq!(resolve(&mut h), (1, 1), "one home more flushed it all");
-        assert_eq!(resolve(&mut h), (2, 1));
-    }
-
     #[test]
     fn broadcast_recognition() {
         let mut h = host();
@@ -599,8 +486,10 @@ mod tests {
             iface: eth,
             metric: 0,
         });
-        h.core
-            .set_tunnel(Ipv4Addr::new(36, 135, 0, 9), Ipv4Addr::new(36, 8, 0, 42));
+        h.set_tunnel(
+            Ipv4Addr::new(36, 135, 0, 9),
+            Some(Ipv4Addr::new(36, 8, 0, 42)),
+        );
         let out = h.core.render_tables();
         assert!(out.contains("eth0"), "{out}");
         assert!(out.contains("36.8.0.42/24"), "{out}");

@@ -30,7 +30,7 @@ pub struct Interface {
     /// Configured addresses (a mobile host's physical interface typically
     /// holds one care-of address; the home address lives on the VIF).
     /// Private so every change passes through the mutators below and bumps
-    /// `addr_gen` — the fast-path decision cache depends on it.
+    /// `generation` — the fast-path decision cache depends on it.
     addrs: Vec<IfaceAddr>,
     /// The LAN this interface's device is attached to, if any: the one
     /// record of it, kept by `Network::attach` and `detach`. `None`
@@ -40,12 +40,9 @@ pub struct Interface {
     /// address while the host is away, and packets routed to it are
     /// IP-in-IP encapsulated (§3.3).
     pub is_vif: bool,
-    /// Bumped on every address change.
-    addr_gen: u64,
-    /// Bumped on every power transition (bring-up completion, bring-down,
-    /// crash). Folded into the fast-path validity token beside `addr_gen`
-    /// so cached route decisions through this interface die with it.
-    power_gen: u64,
+    /// Bumped on every address change and power transition (bring-up,
+    /// bring-down, crash); folded into the fast-path validity token.
+    generation: u64,
 }
 
 impl Interface {
@@ -56,8 +53,7 @@ impl Interface {
             addrs: Vec::new(),
             lan: None,
             is_vif: false,
-            addr_gen: 0,
-            power_gen: 0,
+            generation: 0,
         }
     }
 
@@ -66,30 +62,24 @@ impl Interface {
         &self.addrs
     }
 
-    /// A counter bumped on every address add/remove/clear; the fast-path
-    /// decision cache folds it into its validity token so source-address
-    /// choices never outlive a reconfiguration.
-    pub fn addr_generation(&self) -> u64 {
-        self.addr_gen
-    }
-
-    /// A counter bumped on every power transition; see `power_gen`.
-    pub fn power_generation(&self) -> u64 {
-        self.power_gen
+    /// A counter bumped on every address add/remove/clear and every power
+    /// transition; see `generation`.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Records a power transition (the world calls this when it brings the
     /// device down or completes a bring-up), invalidating cached route
     /// decisions that resolved through this interface.
     pub fn note_power_change(&mut self) {
-        self.power_gen += 1;
+        self.generation += 1;
     }
 
     /// Adds an address; replaces an identical address silently.
     pub fn add_addr(&mut self, addr: Ipv4Addr, subnet: Cidr) {
         self.remove_addr(addr);
         self.addrs.push(IfaceAddr { addr, subnet });
-        self.addr_gen += 1;
+        self.generation += 1;
     }
 
     /// Removes an address; returns whether it was present.
@@ -98,7 +88,7 @@ impl Interface {
         self.addrs.retain(|a| a.addr != addr);
         let removed = self.addrs.len() != before;
         if removed {
-            self.addr_gen += 1;
+            self.generation += 1;
         }
         removed
     }
@@ -107,7 +97,7 @@ impl Interface {
     pub fn clear_addrs(&mut self) {
         if !self.addrs.is_empty() {
             self.addrs.clear();
-            self.addr_gen += 1;
+            self.generation += 1;
         }
     }
 

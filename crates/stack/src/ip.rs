@@ -84,32 +84,27 @@ fn tunnel_route(host: &Host, care_of: Ipv4Addr) -> Option<RouteDecision> {
 }
 
 /// The fast-path validity token: a wrapping sum of generation counters
-/// over the inputs that may feed any route decision. Any routing-relevant
-/// mutation — a kernel route change, an interface address change or power
-/// transition (down, bring-up, crash), a policy update or re-registration
-/// (via the owning module's `route_generation`), a crash's loss of every
-/// tunnel — changes the sum, flushing the decision cache on the next
-/// lookup. A single tunnel-binding move does not: it changes the decision
-/// for its home address alone, which `resolve_route` forgets by itself.
-/// Returns `None` (caching disabled for this call) when a module slot is
-/// vacant (nested dispatch) or a module declares itself uncacheable.
-fn fastpath_token(host: &Host) -> Option<u64> {
+/// over the inputs that may feed any route decision — kernel routes, each
+/// interface's addresses and power, each module's `route_generation` (a
+/// policy update or re-registration). Any change moves the sum and flushes
+/// the decision cache on the next lookup. A tunnel binding feeds its own
+/// home's decision only; `host::set_tunnel` forgets that home. A vacant
+/// module slot is the module whose callback runs, which never resolves a
+/// route.
+fn fastpath_token(host: &Host) -> u64 {
     let core = &host.core;
     let mut token = core
         .routes
         .generation()
-        .wrapping_add(core.route_config_generation())
         .wrapping_add(core.ifaces.len() as u64);
     for ifc in &core.ifaces {
-        token = token
-            .wrapping_add(ifc.addr_generation())
-            .wrapping_add(ifc.power_generation());
+        token = token.wrapping_add(ifc.generation());
     }
     token = token.wrapping_add(host.modules.len() as u64);
-    for slot in &host.modules {
-        token = token.wrapping_add(slot.as_ref()?.route_generation()?);
+    for module in host.modules.iter().flatten() {
+        token = token.wrapping_add(module.route_generation());
     }
-    Some(token)
+    token
 }
 
 /// The full output-path route resolution (`ip_rt_route()` with the §3.3
@@ -124,12 +119,6 @@ pub fn resolve_route(
     src_sel: SourceSel,
     forced_iface: Option<IfaceId>,
 ) -> Option<RouteDecision> {
-    // Tunnel bindings moved since the last resolution: forget the cached
-    // decisions for those homes (and only those).
-    if host.core.has_stale_homes() {
-        forget_stale_homes(host);
-    }
-
     // Forced interface: mobile-aware applications addressing a device
     // directly bypass every table (and the cache — there is nothing to
     // look up).
@@ -144,28 +133,16 @@ pub fn resolve_route(
 
     let token = fastpath_token(host);
     let key = (dst, src_sel, None);
-    if let Some(tok) = token {
-        if let Some(d) = host.fastpath.lookup(tok, &key) {
-            return Some(d);
-        }
+    if let Some(d) = host.fastpath.lookup(token, &key) {
+        return Some(d);
     }
     let (decision, on_hit, cacheable) = resolve_route_uncached(host, dst, src_sel);
     // No negative caching: a missing route today may exist after the next
     // module action without any generation moving.
-    if let (Some(tok), Some(d), true) = (token, decision, cacheable) {
-        host.fastpath.insert(tok, key, d, on_hit);
+    if let (Some(d), true) = (decision, cacheable) {
+        host.fastpath.insert(token, key, d, on_hit);
     }
     decision
-}
-
-/// Drops the cached decisions of every home whose tunnel binding changed
-/// since the last resolution. Out of line: a warm send only tests whether
-/// there are any.
-#[cold]
-#[inline(never)]
-fn forget_stale_homes(host: &mut Host) {
-    host.core
-        .drain_stale_homes(|home| host.fastpath.forget(home));
 }
 
 /// The uncached resolution walk: module hooks, VIF tunnels, kernel table.

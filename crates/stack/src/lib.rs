@@ -31,7 +31,7 @@ mod world;
 
 pub use arp::{ArpAction, ArpState, ArpStats, ARP_MAX_TRIES};
 pub use fastpath::{CacheEntry, CacheKey, FastPath, FastPathStats};
-pub use host::{Host, HostCore, HostId, HostStats, DEFAULT_PROC_DELAY, STALE_HOMES_MAX};
+pub use host::{Host, HostCore, HostId, HostStats, DEFAULT_PROC_DELAY};
 pub use iface::{IfaceAddr, IfaceId, Interface, LanId};
 pub use ip::{ip_input, ip_send_packet, resolve_route, udp_send};
 pub use proto::{

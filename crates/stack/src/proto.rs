@@ -22,6 +22,7 @@ use bytes::Bytes;
 use mosquitonet_sim::{Counter, Line, MetricsScope, SimDuration, SimTime};
 use mosquitonet_wire::{IcmpMessage, Ipv4Packet};
 
+use crate::fastpath::FastPath;
 use crate::host::HostCore;
 use crate::iface::IfaceId;
 use crate::tcp::{ConnId, TcpEvent, TcpOut};
@@ -314,9 +315,19 @@ pub struct ModuleCtx<'a> {
     pub now: SimTime,
     /// The id of the module being called (its socket/connection owner id).
     pub me: ModuleId,
+    /// The host's decision cache, for [`ModuleCtx::set_tunnel`].
+    pub(crate) fastpath: &'a mut FastPath,
 }
 
 impl ModuleCtx<'_> {
+    /// Binds `home`'s VIF tunnel to `care_of`, or removes it when `None`.
+    /// A change forgets `home`'s cached route decisions; a refresh to the
+    /// same care-of address keeps them.
+    #[inline]
+    pub fn set_tunnel(&mut self, home: Ipv4Addr, care_of: Option<Ipv4Addr>) {
+        crate::host::set_tunnel(self.core, self.fastpath, home, care_of);
+    }
+
     /// Binds a UDP socket owned by this module (port 0: an ephemeral one).
     pub fn udp_bind(&mut self, local_addr: Option<Ipv4Addr>, port: u16) -> Option<SocketId> {
         self.core.udp.bind(self.me, local_addr, port)
@@ -435,11 +446,10 @@ pub trait Module: Any {
     /// A monotone counter over every input that can change this module's
     /// [`Module::route_override`] answers. The fast-path decision cache
     /// folds it into its validity token: any bump flushes cached
-    /// decisions. Return `None` to disable caching entirely while this
-    /// module is installed (the conservative default is `Some(0)` —
-    /// correct for modules that never override routes).
-    fn route_generation(&self) -> Option<u64> {
-        Some(0)
+    /// decisions. The default, 0, is right for modules that never
+    /// override routes.
+    fn route_generation(&self) -> u64 {
+        0
     }
 
     /// A locally-addressed IP packet no built-in handler claimed

@@ -457,6 +457,7 @@ pub fn dispatch<R>(
             fx: &mut fx,
             now,
             me: module,
+            fastpath: &mut h.fastpath,
         };
         let r = f(m.as_mut(), &mut ctx);
         h.put_module(module, m);
@@ -1282,14 +1283,14 @@ mod tests {
         // leave every other destination's decision cached.
         let home = Ipv4Addr::new(10, 0, 0, 9);
         let care_of = Ipv4Addr::new(10, 0, 0, 42);
-        sim.world_mut().hosts[h.0].core.set_tunnel(home, care_of);
+        sim.world_mut().hosts[h.0].set_tunnel(home, Some(care_of));
         let tunnelled = resolve(&mut sim, home).expect("the care-of address routes");
         assert_eq!(tunnelled.encap.map(|e| e.outer_dst), Some(care_of));
         assert_eq!(resolve(&mut sim, home), Some(tunnelled), "cached");
         warm(&mut sim);
         let hits = sim.world().hosts[h.0].fastpath.stats.hit.get();
         let invalidations = sim.world().hosts[h.0].fastpath.stats.invalidate.get();
-        sim.world_mut().hosts[h.0].core.clear_tunnel(home);
+        sim.world_mut().hosts[h.0].set_tunnel(home, None);
         warm(&mut sim);
         assert_eq!(
             sim.world().hosts[h.0].fastpath.stats.hit.get(),
@@ -1304,8 +1305,91 @@ mod tests {
         assert_eq!(
             host.fastpath.stats.invalidate.get(),
             invalidations,
-            "clear_tunnel flushed nothing else"
+            "the teardown flushed nothing else"
         );
+    }
+
+    /// A module changes a tunnel binding through `ModuleCtx::set_tunnel`
+    /// inside a callback `dispatch` runs. A move forgets only that home's
+    /// cached decisions, a refresh to the same care-of address keeps them,
+    /// and a teardown forgets them; no step flushes the whole cache.
+    #[test]
+    fn a_module_binding_change_forgets_only_its_home() {
+        use crate::ip;
+        use crate::proto::SourceSel;
+        use crate::route::RouteEntry;
+
+        /// Binds `HOME` to the care-of address its timer token names (0:
+        /// no tunnel).
+        struct Binder;
+        const HOME: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
+        impl Module for Binder {
+            fn name(&self) -> &'static str {
+                "binder"
+            }
+            fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
+                let care_of = (token != 0).then(|| Ipv4Addr::from(token as u32));
+                ctx.set_tunnel(HOME, care_of);
+            }
+        }
+
+        let mut net = Network::new();
+        let h = net.add_host("ha");
+        let eth = net.hosts[h.0]
+            .core
+            .add_iface(presets::wired_ethernet("eth0", MacAddr::from_index(1)));
+        let lan = net.add_lan(presets::ethernet_lan("lan"));
+        net.attach(h, eth, lan);
+        net.hosts[h.0]
+            .core
+            .iface_mut(eth)
+            .add_addr(Ipv4Addr::new(10, 0, 0, 1), "10.0.0.0/24".parse().unwrap());
+        net.hosts[h.0].core.routes.add(RouteEntry {
+            dest: "10.0.0.0/24".parse().unwrap(),
+            gateway: None,
+            iface: eth,
+            metric: 0,
+        });
+        let binder = net.hosts[h.0].add_module(Box::new(Binder));
+        let mut sim = Sim::new(net);
+        bring_iface_up(&mut sim, h, eth);
+        sim.run();
+
+        let other = Ipv4Addr::new(10, 0, 0, 7);
+        let resolve = |sim: &mut NetSim, to: Ipv4Addr| {
+            let host = &mut sim.world_mut().hosts[h.0];
+            let d = ip::resolve_route(host, to, SourceSel::Unspecified, None);
+            d.and_then(|d| d.encap).map(|e| e.outer_dst)
+        };
+        let bind = |sim: &mut NetSim, care_of: Option<Ipv4Addr>| {
+            let token = care_of.map_or(0, |a| u64::from(u32::from(a)));
+            dispatch(sim, h, binder, |m, ctx| m.on_timer(ctx, token));
+        };
+        let hits = |sim: &NetSim| sim.world().hosts[h.0].fastpath.stats.hit.get();
+        let first = Ipv4Addr::new(10, 0, 0, 42);
+        let second = Ipv4Addr::new(10, 0, 0, 43);
+
+        bind(&mut sim, Some(first));
+        assert_eq!(resolve(&mut sim, HOME), Some(first));
+        assert_eq!(resolve(&mut sim, other), None);
+        let warm = hits(&sim);
+
+        bind(&mut sim, Some(second));
+        assert_eq!(resolve(&mut sim, other), None);
+        assert_eq!(hits(&sim), warm + 1, "the other destination stays cached");
+        assert_eq!(resolve(&mut sim, HOME), Some(second), "the move is seen");
+        assert_eq!(hits(&sim), warm + 1, "the moved home missed");
+
+        bind(&mut sim, Some(second));
+        assert_eq!(resolve(&mut sim, HOME), Some(second));
+        assert_eq!(hits(&sim), warm + 2, "a refresh keeps the home cached");
+
+        bind(&mut sim, None);
+        assert_eq!(resolve(&mut sim, HOME), None, "the teardown is seen");
+        assert_eq!(resolve(&mut sim, other), None);
+        assert_eq!(hits(&sim), warm + 3, "only the other destination hit");
+        let host = &sim.world().hosts[h.0];
+        assert_eq!(host.fastpath.stats.invalidate.get(), 0, "nothing flushed");
     }
 
     /// The exact bytes of the three ARP frames the stack sends: a who-has

@@ -378,8 +378,7 @@ fn vif_tunnel_entry_encapsulates_forwarded_traffic() {
     t.sim
         .world_mut()
         .host_mut(t.router)
-        .core
-        .set_tunnel(ip("10.0.9.9"), ip("10.0.2.2"));
+        .set_tunnel(ip("10.0.9.9"), Some(ip("10.0.2.2")));
     t.sim.world_mut().host_mut(t.b).core.ipip_decap = true;
     // B also owns the phantom address on a VIF so the inner packet is local.
     let vif = t

@@ -83,13 +83,17 @@ mkdir -p "$work/out"
 work="$(cd "$work" && pwd)"
 
 # The revision's sources, re-extracted only when the revision changes so
-# its target dir stays warm across runs.
+# its target dir stays warm across runs (the other of neutrality.sh and
+# anchor.sh, given the same dir, reuses them). `tar -m` stamps the files
+# with the time of extraction: with the archive's commit-time stamps,
+# cargo would take a target dir built from another revision as up to
+# date and keep that revision's binaries.
 parent_src="$work/parent-src"
-if [ "$(cat "$parent_src/.anchor-rev" 2>/dev/null)" != "$rev" ]; then
+if [ "$(cat "$parent_src/.parent-rev" 2>/dev/null)" != "$rev" ]; then
     rm -rf "$parent_src"
     mkdir -p "$parent_src"
-    git -C "$repo" archive "$rev" | tar -x -C "$parent_src"
-    echo "$rev" >"$parent_src/.anchor-rev"
+    git -C "$repo" archive "$rev" | tar -x -m -C "$parent_src"
+    echo "$rev" >"$parent_src/.parent-rev"
 fi
 
 echo "anchor: building ${rev:0:12} and the working tree" >&2
